@@ -8,20 +8,40 @@
 // ranges), and the transactional-index extension (internal/txbtree) reuses
 // the same node discipline.
 //
-// The map is NOT safe for concurrent use; in the benchmark each index lives
-// in a single stm Var and all access is mediated by a transaction or an
-// external lock.
+// A Map is NOT safe for concurrent mutation; in the benchmark each index
+// lives in a single stm Var and all access is mediated by a transaction or
+// an external lock.
 //
-// Clone performs an eager deep copy of the tree structure (nodes, key and
-// value slices). Values themselves are copied shallowly: callers that store
-// mutable values (e.g. slice-valued buckets) must replace, not mutate,
-// bucket values when updating a cloned tree. This copy-everything behaviour
-// is intentional — under the object-granular STM the whole index is one
-// object, and cloning it on first write is exactly the ASTM cost model the
-// paper measures.
+// # Clone
+//
+// Clone is O(1): the copy shares every node with the receiver and copies a
+// node only when it first writes to it (lazy path copying). Each tree has an
+// owner token and stamps it on the nodes it allocates; a tree edits a node
+// in place iff the node carries its token, and otherwise replaces it by a
+// copy it owns, on the way down. One Put or Delete on a fresh clone
+// therefore copies one root-to-leaf path, and later writes to the same
+// nodes are in place.
+//
+// The contract: the RECEIVER IS FROZEN AFTER Clone. It stays fully readable,
+// it may be cloned again (from any number of goroutines at once, because
+// Clone does not write to it), but it must never be mutated, since its clones
+// read the nodes it owns. That is exactly what the STM guarantees for a
+// committed value: a transaction mutates only its private copy, and the copy
+// is frozen by being published. Older versions kept by a multi-version
+// engine share nodes with newer ones and stay readable for the same reason.
+// Values are shared between a tree and its clones, never copied.
+//
+// Each Table-1 index is still ONE Var, so the paper's §5 cost model keeps its
+// conflict half: any two transactions that write the same index conflict on
+// that Var and serialize, and every reader of the index conflicts with every
+// writer of it. Only the wholesale copy — an implementation cost of the
+// eager clone, not a property of the object-granular protocol — is gone.
 package btree
 
-import "cmp"
+import (
+	"cmp"
+	"slices"
+)
 
 // degree is the minimum degree t of the B-tree: every node except the root
 // holds between t-1 and 2t-1 keys. 16 keeps nodes around two cache lines of
@@ -33,14 +53,20 @@ const (
 	minKeys = degree - 1
 )
 
+// token identifies the tree that may edit a node in place. It has a size so
+// that every allocation is a distinct address.
+type token struct{ _ byte }
+
 // Map is a B-tree map from ordered keys to arbitrary values. The zero value
 // is not usable; call New.
 type Map[K cmp.Ordered, V any] struct {
-	root *node[K, V]
-	size int
+	root  *node[K, V]
+	size  int
+	owner *token
 }
 
 type node[K cmp.Ordered, V any] struct {
+	owner    *token
 	keys     []K
 	vals     []V
 	children []*node[K, V] // nil for leaves
@@ -48,10 +74,50 @@ type node[K cmp.Ordered, V any] struct {
 
 // New returns an empty map.
 func New[K cmp.Ordered, V any]() *Map[K, V] {
-	return &Map[K, V]{root: &node[K, V]{}}
+	o := new(token)
+	return &Map[K, V]{root: &node[K, V]{owner: o}, owner: o}
+}
+
+// Clone returns a copy of the map in O(1). The receiver is frozen from here
+// on: it may be read and cloned, never mutated (see the package comment).
+func (m *Map[K, V]) Clone() *Map[K, V] {
+	return &Map[K, V]{root: m.root, size: m.size, owner: new(token)}
 }
 
 func (n *node[K, V]) leaf() bool { return n.children == nil }
+
+// writable returns n if o owns it and a copy owned by o otherwise. The copy
+// has room for one more entry, so the insert that usually follows does not
+// grow it again.
+func (n *node[K, V]) writable(o *token) *node[K, V] {
+	if n.owner == o {
+		return n
+	}
+	c := &node[K, V]{
+		owner: o,
+		keys:  append(make([]K, 0, len(n.keys)+1), n.keys...),
+		vals:  append(make([]V, 0, len(n.vals)+1), n.vals...),
+	}
+	if !n.leaf() {
+		c.children = append(make([]*node[K, V], 0, len(n.children)+1), n.children...)
+	}
+	return c
+}
+
+// writableChild makes children[i] writable by o, relinking it if that took a
+// copy. n itself must be writable.
+func (n *node[K, V]) writableChild(o *token, i int) *node[K, V] {
+	c := n.children[i].writable(o)
+	n.children[i] = c
+	return c
+}
+
+// shrink truncates s to n elements and zeroes the vacated slots: a slot past
+// len still pins what it references for as long as the node lives.
+func shrink[T any](s []T, n int) []T {
+	clear(s[n:])
+	return s[:n]
+}
 
 // find returns the position of the first key >= k and whether it equals k.
 func (n *node[K, V]) find(k K) (int, bool) {
@@ -95,20 +161,21 @@ func (m *Map[K, V]) Contains(k K) bool {
 // Put stores v under k, returning the previous value and whether one
 // existed.
 func (m *Map[K, V]) Put(k K, v V) (V, bool) {
+	o := m.owner
+	m.root = m.root.writable(o)
 	if len(m.root.keys) == maxKeys {
-		old := m.root
-		m.root = &node[K, V]{children: []*node[K, V]{old}}
-		m.root.splitChild(0)
+		m.root = &node[K, V]{owner: o, children: []*node[K, V]{m.root}}
+		m.root.splitChild(o, 0)
 	}
-	prev, replaced := m.root.insert(k, v)
+	prev, replaced := m.root.insert(o, k, v)
 	if !replaced {
 		m.size++
 	}
 	return prev, replaced
 }
 
-// insert inserts into a non-full subtree.
-func (n *node[K, V]) insert(k K, v V) (V, bool) {
+// insert inserts into a non-full subtree whose root n is writable by o.
+func (n *node[K, V]) insert(o *token, k K, v V) (V, bool) {
 	i, ok := n.find(k)
 	if ok {
 		prev := n.vals[i]
@@ -116,17 +183,13 @@ func (n *node[K, V]) insert(k K, v V) (V, bool) {
 		return prev, true
 	}
 	if n.leaf() {
-		n.keys = append(n.keys, k)
-		n.vals = append(n.vals, v)
-		copy(n.keys[i+1:], n.keys[i:])
-		copy(n.vals[i+1:], n.vals[i:])
-		n.keys[i] = k
-		n.vals[i] = v
+		n.keys = slices.Insert(n.keys, i, k)
+		n.vals = slices.Insert(n.vals, i, v)
 		var zero V
 		return zero, false
 	}
 	if len(n.children[i].keys) == maxKeys {
-		n.splitChild(i)
+		n.splitChild(o, i)
 		if k == n.keys[i] {
 			prev := n.vals[i]
 			n.vals[i] = v
@@ -136,40 +199,36 @@ func (n *node[K, V]) insert(k K, v V) (V, bool) {
 			i++
 		}
 	}
-	return n.children[i].insert(k, v)
+	return n.writableChild(o, i).insert(o, k, v)
 }
 
 // splitChild splits the full child at index i, hoisting its median into n.
-func (n *node[K, V]) splitChild(i int) {
-	child := n.children[i]
+func (n *node[K, V]) splitChild(o *token, i int) {
+	child := n.writableChild(o, i)
 	mid := maxKeys / 2
 	midKey, midVal := child.keys[mid], child.vals[mid]
 
 	right := &node[K, V]{
-		keys: append([]K(nil), child.keys[mid+1:]...),
-		vals: append([]V(nil), child.vals[mid+1:]...),
+		owner: o,
+		keys:  append([]K(nil), child.keys[mid+1:]...),
+		vals:  append([]V(nil), child.vals[mid+1:]...),
 	}
 	if !child.leaf() {
 		right.children = append([]*node[K, V](nil), child.children[mid+1:]...)
-		child.children = child.children[:mid+1]
+		child.children = shrink(child.children, mid+1)
 	}
-	child.keys = child.keys[:mid]
-	child.vals = child.vals[:mid]
+	child.keys = shrink(child.keys, mid)
+	child.vals = shrink(child.vals, mid)
 
-	n.keys = append(n.keys, midKey)
-	n.vals = append(n.vals, midVal)
-	n.children = append(n.children, nil)
-	copy(n.keys[i+1:], n.keys[i:])
-	copy(n.vals[i+1:], n.vals[i:])
-	copy(n.children[i+2:], n.children[i+1:])
-	n.keys[i] = midKey
-	n.vals[i] = midVal
-	n.children[i+1] = right
+	n.keys = slices.Insert(n.keys, i, midKey)
+	n.vals = slices.Insert(n.vals, i, midVal)
+	n.children = slices.Insert(n.children, i+1, right)
 }
 
 // Delete removes k, returning the removed value and whether it existed.
 func (m *Map[K, V]) Delete(k K) (V, bool) {
-	v, ok := m.root.delete(k)
+	m.root = m.root.writable(m.owner)
+	v, ok := m.root.delete(m.owner, k)
 	if ok {
 		m.size--
 	}
@@ -179,9 +238,10 @@ func (m *Map[K, V]) Delete(k K) (V, bool) {
 	return v, ok
 }
 
-// delete removes k from the subtree rooted at n. n is guaranteed to have
-// more than minKeys keys unless it is the root (standard CLRS discipline).
-func (n *node[K, V]) delete(k K) (V, bool) {
+// delete removes k from the subtree rooted at n, which is writable by o and
+// has more than minKeys keys unless it is the root (standard CLRS
+// discipline).
+func (n *node[K, V]) delete(o *token, k K) (V, bool) {
 	i, found := n.find(k)
 	if n.leaf() {
 		if !found {
@@ -189,132 +249,121 @@ func (n *node[K, V]) delete(k K) (V, bool) {
 			return zero, false
 		}
 		v := n.vals[i]
-		n.keys = append(n.keys[:i], n.keys[i+1:]...)
-		n.vals = append(n.vals[:i], n.vals[i+1:]...)
+		n.keys = slices.Delete(n.keys, i, i+1)
+		n.vals = slices.Delete(n.vals, i, i+1)
 		return v, true
 	}
 	if found {
 		v := n.vals[i]
 		switch {
 		case len(n.children[i].keys) > minKeys:
-			pk, pv := n.children[i].removeMax()
-			n.keys[i], n.vals[i] = pk, pv
+			n.keys[i], n.vals[i] = n.writableChild(o, i).removeMax(o)
 		case len(n.children[i+1].keys) > minKeys:
-			sk, sv := n.children[i+1].removeMin()
-			n.keys[i], n.vals[i] = sk, sv
+			n.keys[i], n.vals[i] = n.writableChild(o, i+1).removeMin(o)
 		default:
-			n.mergeChildren(i)
-			_, _ = n.children[i].delete(k)
+			n.mergeChildren(o, i)
+			_, _ = n.children[i].delete(o, k)
 		}
 		return v, true
 	}
 	// Descend, topping up the child first if it is minimal.
 	if len(n.children[i].keys) == minKeys {
-		i = n.fill(i)
+		i = n.fill(o, i)
 	}
-	return n.children[i].delete(k)
+	return n.writableChild(o, i).delete(o, k)
 }
 
 // removeMax removes and returns the largest entry of the subtree.
-func (n *node[K, V]) removeMax() (K, V) {
+func (n *node[K, V]) removeMax(o *token) (K, V) {
 	if n.leaf() {
 		last := len(n.keys) - 1
 		k, v := n.keys[last], n.vals[last]
-		n.keys = n.keys[:last]
-		n.vals = n.vals[:last]
+		n.keys = shrink(n.keys, last)
+		n.vals = shrink(n.vals, last)
 		return k, v
 	}
-	i := len(n.children) - 1
-	if len(n.children[i].keys) == minKeys {
-		i = n.fill(i)
-		i = len(n.children) - 1 // fill may have merged the last two children
+	if last := len(n.children) - 1; len(n.children[last].keys) == minKeys {
+		n.fill(o, last) // may merge the last two children
 	}
-	return n.children[len(n.children)-1].removeMax()
+	return n.writableChild(o, len(n.children)-1).removeMax(o)
 }
 
 // removeMin removes and returns the smallest entry of the subtree.
-func (n *node[K, V]) removeMin() (K, V) {
+func (n *node[K, V]) removeMin(o *token) (K, V) {
 	if n.leaf() {
 		k, v := n.keys[0], n.vals[0]
-		n.keys = append(n.keys[:0], n.keys[1:]...)
-		n.vals = append(n.vals[:0], n.vals[1:]...)
+		n.keys = slices.Delete(n.keys, 0, 1)
+		n.vals = slices.Delete(n.vals, 0, 1)
 		return k, v
 	}
 	if len(n.children[0].keys) == minKeys {
-		n.fill(0)
+		n.fill(o, 0)
 	}
-	return n.children[0].removeMin()
+	return n.writableChild(o, 0).removeMin(o)
 }
 
 // fill ensures children[i] has more than minKeys keys, borrowing from a
 // sibling or merging. It returns the index at which the (possibly merged)
 // child now lives.
-func (n *node[K, V]) fill(i int) int {
+func (n *node[K, V]) fill(o *token, i int) int {
 	switch {
 	case i > 0 && len(n.children[i-1].keys) > minKeys:
-		n.borrowFromLeft(i)
+		n.borrowFromLeft(o, i)
 		return i
 	case i < len(n.children)-1 && len(n.children[i+1].keys) > minKeys:
-		n.borrowFromRight(i)
+		n.borrowFromRight(o, i)
 		return i
 	case i > 0:
-		n.mergeChildren(i - 1)
+		n.mergeChildren(o, i-1)
 		return i - 1
 	default:
-		n.mergeChildren(i)
+		n.mergeChildren(o, i)
 		return i
 	}
 }
 
-func (n *node[K, V]) borrowFromLeft(i int) {
-	child, left := n.children[i], n.children[i-1]
-	// Rotate: parent separator moves down, left's max moves up.
-	child.keys = append(child.keys, *new(K))
-	child.vals = append(child.vals, *new(V))
-	copy(child.keys[1:], child.keys)
-	copy(child.vals[1:], child.vals)
-	child.keys[0] = n.keys[i-1]
-	child.vals[0] = n.vals[i-1]
+// borrowFromLeft rotates through the parent: the separator moves down into
+// children[i], the left sibling's maximum moves up.
+func (n *node[K, V]) borrowFromLeft(o *token, i int) {
+	child, left := n.writableChild(o, i), n.writableChild(o, i-1)
 	last := len(left.keys) - 1
-	n.keys[i-1] = left.keys[last]
-	n.vals[i-1] = left.vals[last]
-	left.keys = left.keys[:last]
-	left.vals = left.vals[:last]
+	child.keys = slices.Insert(child.keys, 0, n.keys[i-1])
+	child.vals = slices.Insert(child.vals, 0, n.vals[i-1])
+	n.keys[i-1], n.vals[i-1] = left.keys[last], left.vals[last]
+	left.keys = shrink(left.keys, last)
+	left.vals = shrink(left.vals, last)
 	if !child.leaf() {
-		child.children = append(child.children, nil)
-		copy(child.children[1:], child.children)
-		child.children[0] = left.children[len(left.children)-1]
-		left.children = left.children[:len(left.children)-1]
+		child.children = slices.Insert(child.children, 0, left.children[last+1])
+		left.children = shrink(left.children, last+1)
 	}
 }
 
-func (n *node[K, V]) borrowFromRight(i int) {
-	child, right := n.children[i], n.children[i+1]
+// borrowFromRight is the mirror image of borrowFromLeft.
+func (n *node[K, V]) borrowFromRight(o *token, i int) {
+	child, right := n.writableChild(o, i), n.writableChild(o, i+1)
 	child.keys = append(child.keys, n.keys[i])
 	child.vals = append(child.vals, n.vals[i])
-	n.keys[i] = right.keys[0]
-	n.vals[i] = right.vals[0]
-	right.keys = append(right.keys[:0], right.keys[1:]...)
-	right.vals = append(right.vals[:0], right.vals[1:]...)
+	n.keys[i], n.vals[i] = right.keys[0], right.vals[0]
+	right.keys = slices.Delete(right.keys, 0, 1)
+	right.vals = slices.Delete(right.vals, 0, 1)
 	if !child.leaf() {
 		child.children = append(child.children, right.children[0])
-		right.children = append(right.children[:0], right.children[1:]...)
+		right.children = slices.Delete(right.children, 0, 1)
 	}
 }
 
 // mergeChildren merges children[i], keys[i], children[i+1] into one node.
-func (n *node[K, V]) mergeChildren(i int) {
-	left, right := n.children[i], n.children[i+1]
-	left.keys = append(left.keys, n.keys[i])
-	left.vals = append(left.vals, n.vals[i])
-	left.keys = append(left.keys, right.keys...)
-	left.vals = append(left.vals, right.vals...)
+// The right child is only read: it may be shared, and it is dropped whole.
+func (n *node[K, V]) mergeChildren(o *token, i int) {
+	left, right := n.writableChild(o, i), n.children[i+1]
+	left.keys = append(append(left.keys, n.keys[i]), right.keys...)
+	left.vals = append(append(left.vals, n.vals[i]), right.vals...)
 	if !left.leaf() {
 		left.children = append(left.children, right.children...)
 	}
-	n.keys = append(n.keys[:i], n.keys[i+1:]...)
-	n.vals = append(n.vals[:i], n.vals[i+1:]...)
-	n.children = append(n.children[:i+1], n.children[i+2:]...)
+	n.keys = slices.Delete(n.keys, i, i+1)
+	n.vals = slices.Delete(n.vals, i, i+1)
+	n.children = slices.Delete(n.children, i+1, i+2)
 }
 
 // Ascend calls fn for every entry in ascending key order until fn returns
@@ -395,25 +444,5 @@ func (m *Map[K, V]) Max() (K, V, bool) {
 func (m *Map[K, V]) Keys() []K {
 	out := make([]K, 0, m.size)
 	m.Ascend(func(k K, _ V) bool { out = append(out, k); return true })
-	return out
-}
-
-// Clone returns an eager deep copy of the tree. See the package comment for
-// value-copy semantics.
-func (m *Map[K, V]) Clone() *Map[K, V] {
-	return &Map[K, V]{root: m.root.clone(), size: m.size}
-}
-
-func (n *node[K, V]) clone() *node[K, V] {
-	out := &node[K, V]{
-		keys: append([]K(nil), n.keys...),
-		vals: append([]V(nil), n.vals...),
-	}
-	if !n.leaf() {
-		out.children = make([]*node[K, V], len(n.children))
-		for i, c := range n.children {
-			out.children[i] = c.clone()
-		}
-	}
 	return out
 }

@@ -1,0 +1,56 @@
+package core
+
+import (
+	"runtime/debug"
+	"testing"
+
+	"repro/stm"
+)
+
+// TestToggleAtomicDateAllocatesOnFirstTouchOnly pins the update path of the
+// paper's indexed update (T3, OP15) on every engine: a transaction pays for
+// its private copies of the part's state, of the build-date index cell and
+// of the index path when it first touches them, and toggling the same part
+// three more times in the same transaction allocates nothing further.
+func TestToggleAtomicDateAllocatesOnFirstTouchOnly(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation skews allocation counts")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, name := range stm.Registered() {
+		t.Run(name, func(t *testing.T) {
+			eng, err := stm.New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := Build(Tiny(), 42, eng.VarSpace())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ap *AtomicPart
+			eng.Atomic(func(tx stm.Tx) error {
+				cp, _ := s.LookupComposite(tx, 3)
+				ap = cp.Parts[2]
+				return nil
+			})
+			toggle := func(n int) func() {
+				fn := func(tx stm.Tx) error {
+					for i := 0; i < n; i++ {
+						s.ToggleAtomicDate(tx, ap)
+					}
+					return nil
+				}
+				return func() { eng.Atomic(fn) }
+			}
+			// Two toggles restore the date, so both transactions leave the
+			// index as they found it and every run repeats the first.
+			toggle(2)()
+			first := testing.AllocsPerRun(100, toggle(2))
+			more := testing.AllocsPerRun(100, toggle(8))
+			t.Logf("%s: first touch %v allocs, with six more toggles %v", name, first, more)
+			if more > first {
+				t.Errorf("2 toggles allocate %v, 8 toggles %v: a later write of a touched object allocated", first, more)
+			}
+		})
+	}
+}

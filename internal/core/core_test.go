@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -61,6 +62,8 @@ func TestParamsValidate(t *testing.T) {
 		{NumAssmLevels: 3, NumAssmPerAssm: 0, NumCompPerAssm: 1, NumCompParts: 1, NumAtomicPerComp: 1, NumConnPerAtomic: 1, DocumentSize: 10, ManualSize: 10},
 		{NumAssmLevels: 3, NumAssmPerAssm: 3, NumCompPerAssm: 1, NumCompParts: 0, NumAtomicPerComp: 1, NumConnPerAtomic: 1, DocumentSize: 10, ManualSize: 10},
 		{NumAssmLevels: 3, NumAssmPerAssm: 3, NumCompPerAssm: 1, NumCompParts: 1, NumAtomicPerComp: 1, NumConnPerAtomic: 1, DocumentSize: 1, ManualSize: 10},
+		// More atomic-part ids than the id half of a build-date key holds.
+		{NumAssmLevels: 3, NumAssmPerAssm: 3, NumCompPerAssm: 1, NumCompParts: 1 << 20, NumAtomicPerComp: 1 << 12, NumConnPerAtomic: 1, DocumentSize: 10, ManualSize: 10},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -88,6 +91,19 @@ func TestBuildCounts(t *testing.T) {
 		if got := s.Idx.ComplexByID.Len(tx); got != p.InitialComplexAssemblies() {
 			t.Errorf("complex assemblies = %d, want %d", got, p.InitialComplexAssemblies())
 		}
+		// Every part has its ring edge first, then the extras, one of each
+		// connection type in turn.
+		s.Idx.AtomicByID.Ascend(tx, func(id uint64, ap *AtomicPart) bool {
+			if len(ap.To) != p.NumConnPerAtomic {
+				t.Errorf("atomic %d has %d outgoing connections, want %d", id, len(ap.To), p.NumConnPerAtomic)
+			}
+			for k, c := range ap.To {
+				if want := connTypes[k%len(connTypes)]; c.Type() != want || c.From != ap {
+					t.Errorf("atomic %d connection %d: type %q from %d, want %q from %d", id, k, c.Type(), c.From.ID, want, id)
+				}
+			}
+			return true
+		})
 		return nil
 	})
 }
@@ -261,13 +277,64 @@ func TestSetAtomicDateMaintainsIndex(t *testing.T) {
 		if got := ap.BuildDate(tx); got != old+1 {
 			t.Errorf("date = %d, want %d", got, old+1)
 		}
-		// Old bucket no longer holds it; new bucket does.
-		if bucket, _ := s.Idx.AtomicByDate.Get(tx, old); containsPtr(bucket, ap) {
-			t.Error("old bucket still holds part")
+		// The old key no longer holds it; the new key does.
+		if _, ok := s.Idx.AtomicByDate.Get(tx, DateKey(old, ap.ID)); ok {
+			t.Error("old date key still holds part")
 		}
-		bucket, _ := s.Idx.AtomicByDate.Get(tx, old+1)
-		if !containsPtr(bucket, ap) {
-			t.Error("new bucket missing part")
+		if got, _ := s.Idx.AtomicByDate.Get(tx, DateKey(old+1, ap.ID)); got != ap {
+			t.Error("new date key missing part")
+		}
+		if err := s.CheckInvariants(tx); err != nil {
+			t.Error(err)
+		}
+		return nil
+	})
+}
+
+// TestAtomicPartsByDateMatchesBruteForce checks the composite-key range scan
+// against a filter on BuildDate over the id index, for the ranges OP2, OP3
+// and OP10 use and for single dates at both ends of the key range: the parts
+// on MaxDate sit at the top of the key space, where the upper bound of the
+// scan is the key just below DateKey(MaxDate+1, 0).
+func TestAtomicPartsByDateMatchesBruteForce(t *testing.T) {
+	s, eng := buildTiny(t)
+	eng.Atomic(func(tx stm.Tx) error {
+		// Pin parts to the edges and to both sides of OP2's lower bound;
+		// the highest id of all goes on MaxDate.
+		var all []*AtomicPart
+		s.Idx.AtomicByID.Ascend(tx, func(_ uint64, p *AtomicPart) bool {
+			all = append(all, p)
+			return true
+		})
+		for i, d := range []int{MinDate, MinDate, MinDate + 1, 1989, 1990, MaxDate - 1, MaxDate} {
+			s.SetAtomicDate(tx, all[i], d)
+		}
+		s.SetAtomicDate(tx, all[len(all)-1], MaxDate)
+
+		for _, rg := range [][2]int{
+			{1990, 1999}, {MinDate, MaxDate}, {MaxDate, MaxDate}, {MinDate, MinDate},
+			{1989, 1989}, {MinDate + 1, MaxDate - 1}, {1950, 1949},
+		} {
+			lo, hi := rg[0], rg[1]
+			var want []*AtomicPart
+			for d := lo; d <= hi; d++ { // (date, id) order
+				for _, p := range all {
+					if p.BuildDate(tx) == d {
+						want = append(want, p)
+					}
+				}
+			}
+			var got []*AtomicPart
+			s.AtomicPartsByDate(tx, lo, hi, func(p *AtomicPart) bool {
+				got = append(got, p)
+				return true
+			})
+			if !slices.Equal(got, want) {
+				t.Errorf("[%d, %d]: index scan returned %d parts, brute force %d (or in another order)", lo, hi, len(got), len(want))
+			}
+			if lo == MaxDate && len(want) < 2 {
+				t.Errorf("only %d parts on MaxDate: the edge is not exercised", len(want))
+			}
 		}
 		if err := s.CheckInvariants(tx); err != nil {
 			t.Error(err)

@@ -11,9 +11,12 @@ import (
 // Index is the interface of one Table-1 index. Two representations exist:
 //
 //   - the paper-faithful one (cellIndex): the whole index is ONE object —
-//     a single Var holding a B-tree, deep-cloned on first transactional
-//     write. This is what makes index writers pathological under the
-//     object-granular STM (§5).
+//     a single Var holding a B-tree. Every writer of the index writes that
+//     Var, so index writers serialize and abort every concurrent reader of
+//     the index: the pathology of the object-granular STM (§5). The
+//     transaction's private copy of the tree is taken in O(1) and shares
+//     nodes with the committed tree (see package btree), so what the paper
+//     prices is the conflict, not a copy of the whole index.
 //   - the §5 optimization (txIndex): a transactional B-tree with one Var
 //     per node (internal/txbtree), selected with Params.TxIndexes.
 //
@@ -40,22 +43,9 @@ func newCellIndex[K cmp.Ordered, V any](space *stm.VarSpace, domain string) *cel
 
 func (x *cellIndex[K, V]) Get(tx stm.Tx, k K) (V, bool) { return x.c.Get(tx).Get(k) }
 
-func (x *cellIndex[K, V]) Put(tx stm.Tx, k K, v V) {
-	x.c.Update(tx, func(m *btree.Map[K, V]) *btree.Map[K, V] {
-		m.Put(k, v)
-		return m
-	})
-}
+func (x *cellIndex[K, V]) Put(tx stm.Tx, k K, v V) { (*x.c.Mut(tx)).Put(k, v) }
 
-func (x *cellIndex[K, V]) Delete(tx stm.Tx, k K) (V, bool) {
-	var out V
-	var ok bool
-	x.c.Update(tx, func(m *btree.Map[K, V]) *btree.Map[K, V] {
-		out, ok = m.Delete(k)
-		return m
-	})
-	return out, ok
-}
+func (x *cellIndex[K, V]) Delete(tx stm.Tx, k K) (V, bool) { return (*x.c.Mut(tx)).Delete(k) }
 
 func (x *cellIndex[K, V]) Ascend(tx stm.Tx, fn func(K, V) bool) { x.c.Get(tx).Ascend(fn) }
 

@@ -221,21 +221,15 @@ func (s *Structure) CheckInvariants(tx stm.Tx) error {
 	}
 
 	dateCount := 0
-	s.Idx.AtomicByDate.Ascend(tx, func(date int, bucket []*AtomicPart) bool {
-		if len(bucket) == 0 {
-			idxErr = fmt.Errorf("invariants: empty date bucket %d", date)
+	s.Idx.AtomicByDate.Ascend(tx, func(key uint64, ap *AtomicPart) bool {
+		dateCount++
+		if liveAtomic[ap.ID] != ap {
+			idxErr = fmt.Errorf("invariants: date index key %#x holds dead atomic %d", key, ap.ID)
 			return false
 		}
-		for _, ap := range bucket {
-			dateCount++
-			if liveAtomic[ap.ID] != ap {
-				idxErr = fmt.Errorf("invariants: date bucket %d holds dead atomic %d", date, ap.ID)
-				return false
-			}
-			if got := ap.BuildDate(tx); got != date {
-				idxErr = fmt.Errorf("invariants: atomic %d in bucket %d but date %d", ap.ID, date, got)
-				return false
-			}
+		if date := ap.BuildDate(tx); key != DateKey(date, ap.ID) {
+			idxErr = fmt.Errorf("invariants: atomic %d with date %d under date index key %#x", ap.ID, date, key)
+			return false
 		}
 		return true
 	})

@@ -208,6 +208,8 @@ func (p Params) Validate() error {
 		return errParams("ManualSize must be >= 10")
 	case p.ManualChunks < 0:
 		return errParams("ManualChunks must be >= 0")
+	case p.MaxAtomicParts() >= 1<<dateKeyIDBits:
+		return errParams("more atomic-part ids than a build-date index key holds")
 	}
 	return nil
 }

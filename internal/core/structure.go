@@ -65,53 +65,38 @@ func allocID(next *uint64, free *[]uint64, cap uint64) (uint64, bool) {
 
 // AllocCompID reserves a composite-part id; ok is false at the cap.
 func (s *Structure) AllocCompID(tx stm.Tx) (id uint64, ok bool) {
-	s.ids.Update(tx, func(st IDState) IDState {
-		id, ok = allocID(&st.NextComp, &st.FreeComp, s.P.MaxCompParts())
-		return st
-	})
-	return id, ok
+	st := s.ids.Mut(tx)
+	return allocID(&st.NextComp, &st.FreeComp, s.P.MaxCompParts())
 }
 
 // FreeCompID returns a composite-part id to the pool.
 func (s *Structure) FreeCompID(tx stm.Tx, id uint64) {
-	s.ids.Update(tx, func(st IDState) IDState {
-		st.FreeComp = append(st.FreeComp, id)
-		return st
-	})
+	st := s.ids.Mut(tx)
+	st.FreeComp = append(st.FreeComp, id)
 }
 
 // AllocBaseID reserves a base-assembly id; ok is false at the cap.
 func (s *Structure) AllocBaseID(tx stm.Tx) (id uint64, ok bool) {
-	s.ids.Update(tx, func(st IDState) IDState {
-		id, ok = allocID(&st.NextBase, &st.FreeBase, s.P.MaxBaseAssemblies())
-		return st
-	})
-	return id, ok
+	st := s.ids.Mut(tx)
+	return allocID(&st.NextBase, &st.FreeBase, s.P.MaxBaseAssemblies())
 }
 
 // FreeBaseID returns a base-assembly id to the pool.
 func (s *Structure) FreeBaseID(tx stm.Tx, id uint64) {
-	s.ids.Update(tx, func(st IDState) IDState {
-		st.FreeBase = append(st.FreeBase, id)
-		return st
-	})
+	st := s.ids.Mut(tx)
+	st.FreeBase = append(st.FreeBase, id)
 }
 
 // AllocComplexID reserves a complex-assembly id; ok is false at the cap.
 func (s *Structure) AllocComplexID(tx stm.Tx) (id uint64, ok bool) {
-	s.ids.Update(tx, func(st IDState) IDState {
-		id, ok = allocID(&st.NextComplex, &st.FreeComplex, s.P.MaxComplexAssemblies())
-		return st
-	})
-	return id, ok
+	st := s.ids.Mut(tx)
+	return allocID(&st.NextComplex, &st.FreeComplex, s.P.MaxComplexAssemblies())
 }
 
 // FreeComplexID returns a complex-assembly id to the pool.
 func (s *Structure) FreeComplexID(tx stm.Tx, id uint64) {
-	s.ids.Update(tx, func(st IDState) IDState {
-		st.FreeComplex = append(st.FreeComplex, id)
-		return st
-	})
+	st := s.ids.Mut(tx)
+	st.FreeComplex = append(st.FreeComplex, id)
 }
 
 func available(next uint64, free int, cap uint64) int {
@@ -223,44 +208,22 @@ func (s *Structure) LookupComplex(tx stm.Tx, id uint64) (*ComplexAssembly, bool)
 
 // --- build-date index maintenance (index 2) ------------------------------
 
-// dateBucketAdd returns a new bucket with p added (buckets are
-// replace-not-mutate so B-tree clones stay independent).
-func dateBucketAdd(bucket []*AtomicPart, p *AtomicPart) []*AtomicPart {
-	out := make([]*AtomicPart, len(bucket)+1)
-	copy(out, bucket)
-	out[len(bucket)] = p
-	return out
-}
+// dateKeyIDBits is the width of the id half of a build-date index key.
+// Params.Validate keeps every atomic-part id below 1<<dateKeyIDBits.
+const dateKeyIDBits = 32
 
-// dateBucketRemove returns a new bucket without p (nil when empty).
-func dateBucketRemove(bucket []*AtomicPart, p *AtomicPart) []*AtomicPart {
-	if len(bucket) == 1 && bucket[0] == p {
-		return nil
-	}
-	out := make([]*AtomicPart, 0, len(bucket)-1)
-	for _, q := range bucket {
-		if q != p {
-			out = append(out, q)
-		}
-	}
-	return out
-}
+// DateKey is the build-date index's key for atomic part id built on date:
+// keys order by date first, so the parts built in [lo, hi] are exactly the
+// keys in [DateKey(lo, 0), DateKey(hi+1, 0)).
+func DateKey(date int, id uint64) uint64 { return uint64(date)<<dateKeyIDBits | id }
 
-// indexAtomicDate inserts p under date in the build-date index.
-func (s *Structure) indexAtomicDate(tx stm.Tx, p *AtomicPart, date int) {
-	bucket, _ := s.Idx.AtomicByDate.Get(tx, date)
-	s.Idx.AtomicByDate.Put(tx, date, dateBucketAdd(bucket, p))
-}
-
-// unindexAtomicDate removes p from date's bucket.
-func (s *Structure) unindexAtomicDate(tx stm.Tx, p *AtomicPart, date int) {
-	bucket, _ := s.Idx.AtomicByDate.Get(tx, date)
-	nb := dateBucketRemove(bucket, p)
-	if nb == nil {
-		s.Idx.AtomicByDate.Delete(tx, date)
-	} else {
-		s.Idx.AtomicByDate.Put(tx, date, nb)
-	}
+// AtomicPartsByDate calls fn for every atomic part with buildDate in
+// [lo, hi], in (date, id) order, until fn returns false. fn must not change
+// the index.
+func (s *Structure) AtomicPartsByDate(tx stm.Tx, lo, hi int, fn func(*AtomicPart) bool) {
+	s.Idx.AtomicByDate.Range(tx, DateKey(lo, 0), DateKey(hi+1, 0)-1, func(_ uint64, p *AtomicPart) bool {
+		return fn(p)
+	})
 }
 
 // SetAtomicDate changes p's buildDate and maintains the build-date index —
@@ -271,8 +234,8 @@ func (s *Structure) SetAtomicDate(tx stm.Tx, p *AtomicPart, newDate int) {
 		return
 	}
 	p.Mutate(tx, func(st *AtomicPartState) { st.BuildDate = newDate })
-	s.unindexAtomicDate(tx, p, old)
-	s.indexAtomicDate(tx, p, newDate)
+	s.Idx.AtomicByDate.Delete(tx, DateKey(old, p.ID))
+	s.Idx.AtomicByDate.Put(tx, DateKey(newDate, p.ID), p)
 }
 
 // ToggleAtomicDate is the canonical indexed update: nudge the date's parity
@@ -290,9 +253,6 @@ func (s *Structure) ToggleAtomicDate(tx stm.Tx, p *AtomicPart) {
 }
 
 // --- creation and deletion helpers (shared by the builder and SM ops) ----
-
-// connTypes is the small set of connection type strings, as in OO7.
-var connTypes = [...]string{"type_a", "type_b", "type_c", "type_d"}
 
 // BuildCompositePart creates a composite part with the given id — its
 // document and its atomic-part graph (a ring plus NumConnPerAtomic-1 random
@@ -324,7 +284,7 @@ func (s *Structure) BuildCompositePart(tx stm.Tx, r *rng.Rand, id uint64) *Compo
 			Y:         r.Intn(1 << 16),
 			BuildDate: RandomDate(r),
 		}
-		parts[i] = &AtomicPart{ID: baseID + uint64(i), PartOf: cp}
+		parts[i] = &AtomicPart{ID: baseID + uint64(i), PartOf: cp, To: make([]*Connection, 0, p.NumConnPerAtomic)}
 	}
 	if p.GroupAtomicParts {
 		group := named(stm.NewCellClone(s.Space, states, stm.CloneSlice[AtomicPartState]), DomainAtomic)
@@ -344,10 +304,10 @@ func (s *Structure) BuildCompositePart(tx stm.Tx, r *rng.Rand, id uint64) *Compo
 	for i, ap := range parts {
 		addConn := func(to *AtomicPart, kind int) {
 			c := &Connection{
-				Type:   connTypes[kind%len(connTypes)],
 				Length: 1 + r.Intn(100),
 				From:   ap,
 				To:     to,
+				kind:   uint8(kind % len(connTypes)),
 			}
 			ap.To = append(ap.To, c)
 			to.From = append(to.From, c)
@@ -365,7 +325,7 @@ func (s *Structure) BuildCompositePart(tx stm.Tx, r *rng.Rand, id uint64) *Compo
 	s.Idx.DocumentByTitle.Put(tx, cp.Doc.Title, cp.Doc)
 	for i, ap := range parts {
 		s.Idx.AtomicByID.Put(tx, ap.ID, ap)
-		s.indexAtomicDate(tx, ap, states[i].BuildDate)
+		s.Idx.AtomicByDate.Put(tx, DateKey(states[i].BuildDate, ap.ID), ap)
 	}
 	return cp
 }
@@ -384,7 +344,7 @@ func (s *Structure) DeleteCompositePart(tx stm.Tx, cp *CompositePart) {
 	s.Idx.DocumentByTitle.Delete(tx, cp.Doc.Title)
 	for _, ap := range cp.Parts {
 		s.Idx.AtomicByID.Delete(tx, ap.ID)
-		s.unindexAtomicDate(tx, ap, ap.BuildDate(tx))
+		s.Idx.AtomicByDate.Delete(tx, DateKey(ap.BuildDate(tx), ap.ID))
 	}
 	s.FreeCompID(tx, cp.ID)
 }

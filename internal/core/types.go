@@ -41,20 +41,16 @@ func (p *AtomicPart) State(tx stm.Tx) AtomicPartState {
 // BuildDate reads the part's build date.
 func (p *AtomicPart) BuildDate(tx stm.Tx) int { return p.State(tx).BuildDate }
 
-// Mutate applies f to the part's state. Callers that change BuildDate must
-// maintain the build-date index themselves (see Structure.SetAtomicDate).
+// Mutate applies f to the transaction's private copy of the part's state
+// (the live state under the direct engine). Callers that change BuildDate
+// must maintain the build-date index themselves (see
+// Structure.SetAtomicDate).
 func (p *AtomicPart) Mutate(tx stm.Tx, f func(*AtomicPartState)) {
 	if p.group != nil {
-		p.group.Update(tx, func(states []AtomicPartState) []AtomicPartState {
-			f(&states[p.slot])
-			return states
-		})
+		f(&(*p.group.Mut(tx))[p.slot])
 		return
 	}
-	p.state.Update(tx, func(s AtomicPartState) AtomicPartState {
-		f(&s)
-		return s
-	})
+	f(p.state.Mut(tx))
 }
 
 // SwapXY is the paper's non-indexed update: exchange x and y.
@@ -63,13 +59,22 @@ func (p *AtomicPart) SwapXY(tx stm.Tx) {
 }
 
 // Connection links two atomic parts. Connections are immutable (Appendix
-// B.1).
+// B.1). There are NumConnPerAtomic per atomic part, which makes them the most
+// numerous object of the structure, so the type is a one-byte index into
+// connTypes and not the string: with it the struct fits the 32-byte size
+// class.
 type Connection struct {
-	Type   string
 	Length int
 	From   *AtomicPart
 	To     *AtomicPart
+	kind   uint8
 }
+
+// connTypes is the small set of connection type strings, as in OO7.
+var connTypes = [...]string{"type_a", "type_b", "type_c", "type_d"}
+
+// Type returns the connection's type string.
+func (c *Connection) Type() string { return connTypes[c.kind] }
 
 // CompositePartState is the mutable state of a composite part: the build
 // date and the bag of base assemblies using it (maintained by SM3/SM4 and
@@ -103,10 +108,7 @@ func (c *CompositePart) BuildDate(tx stm.Tx) int { return c.state.Get(tx).BuildD
 
 // Mutate applies f to the composite part's state.
 func (c *CompositePart) Mutate(tx stm.Tx, f func(*CompositePartState)) {
-	c.state.Update(tx, func(s CompositePartState) CompositePartState {
-		f(&s)
-		return s
-	})
+	f(c.state.Mut(tx))
 }
 
 // Document is a composite part's documentation. Title and ID are immutable;
@@ -197,10 +199,7 @@ func (b *BaseAssembly) BuildDate(tx stm.Tx) int { return b.state.Get(tx).BuildDa
 
 // Mutate applies f to the base assembly's state.
 func (b *BaseAssembly) Mutate(tx stm.Tx, f func(*BaseAssemblyState)) {
-	b.state.Update(tx, func(s BaseAssemblyState) BaseAssemblyState {
-		f(&s)
-		return s
-	})
+	f(b.state.Mut(tx))
 }
 
 // ComplexAssemblyState is a complex assembly's mutable state. Exactly one
@@ -239,10 +238,7 @@ func (c *ComplexAssembly) BuildDate(tx stm.Tx) int { return c.state.Get(tx).Buil
 
 // Mutate applies f to the complex assembly's state.
 func (c *ComplexAssembly) Mutate(tx stm.Tx, f func(*ComplexAssemblyState)) {
-	c.state.Update(tx, func(s ComplexAssemblyState) ComplexAssemblyState {
-		f(&s)
-		return s
-	})
+	f(c.state.Mut(tx))
 }
 
 // Module is the root object. It is immutable (Appendix B.1).
@@ -254,16 +250,17 @@ type Module struct {
 
 // Indexes are the six indexes of Table 1. In the paper-faithful
 // representation each index is a single object — one cell holding a whole
-// B-tree — reproducing ASTM's cost model (§5: "the manual and each index
-// are represented by single objects"). With Params.TxIndexes each index is
-// a transactional B-tree with one Var per node (the §5 optimization).
+// B-tree — reproducing ASTM's conflict footprint (§5: "the manual and each
+// index are represented by single objects"). With Params.TxIndexes each
+// index is a transactional B-tree with one Var per node (the §5
+// optimization).
 //
-// The build-date index maps a date to the bucket of atomic parts built that
-// date. Buckets are replaced, never mutated in place, so index snapshots
-// stay safe across clones.
+// The build-date index has one entry per atomic part under the composite key
+// DateKey(buildDate, id): changing a part's date is one Delete and one Put,
+// and a date range is one key range.
 type Indexes struct {
 	AtomicByID      Index[uint64, *AtomicPart]
-	AtomicByDate    Index[int, []*AtomicPart]
+	AtomicByDate    Index[uint64, *AtomicPart]
 	CompositeByID   Index[uint64, *CompositePart]
 	DocumentByTitle Index[string, *Document]
 	BaseByID        Index[uint64, *BaseAssembly]
@@ -293,7 +290,7 @@ func named[T any](c *stm.Cell[T], domain string) *stm.Cell[T] {
 func newIndexes(space *stm.VarSpace, transactional bool) *Indexes {
 	return &Indexes{
 		AtomicByID:      newIndex[uint64, *AtomicPart](space, DomainAtomic, transactional),
-		AtomicByDate:    newIndex[int, []*AtomicPart](space, DomainAtomic, transactional),
+		AtomicByDate:    newIndex[uint64, *AtomicPart](space, DomainAtomic, transactional),
 		CompositeByID:   newIndex[uint64, *CompositePart](space, DomainStructureIdx, transactional),
 		DocumentByTitle: newIndex[string, *Document](space, DomainDocument, transactional),
 		BaseByID:        newIndex[uint64, *BaseAssembly](space, DomainStructureIdx, transactional),

@@ -86,8 +86,8 @@ func fingerprint(t testing.TB, eng stm.Engine, s *core.Structure) uint64 {
 			w(id, uint64(st.X), uint64(st.Y), uint64(st.BuildDate))
 			return true
 		})
-		s.Idx.AtomicByDate.Ascend(tx, func(d int, bucket []*core.AtomicPart) bool {
-			w(uint64(d), uint64(len(bucket)))
+		s.Idx.AtomicByDate.Ascend(tx, func(key uint64, p *core.AtomicPart) bool {
+			w(key, p.ID)
 			return true
 		})
 		s.Idx.CompositeByID.Ascend(tx, func(id uint64, cp *core.CompositePart) bool {

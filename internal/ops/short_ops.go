@@ -25,19 +25,17 @@ func tenRandomAtomicParts(tx stm.Tx, s *core.Structure, r *rng.Rand, fn func(*co
 // dateRangeParts implements OP2/OP3/OP10: apply fn to every atomic part
 // with buildDate in [lo, hi]; returns the number processed.
 func dateRangeParts(tx stm.Tx, s *core.Structure, lo, hi int, fn func(*core.AtomicPart)) int {
-	n := 0
 	var parts []*core.AtomicPart
-	s.Idx.AtomicByDate.Range(tx, lo, hi, func(_ int, bucket []*core.AtomicPart) bool {
-		parts = append(parts, bucket...)
+	s.AtomicPartsByDate(tx, lo, hi, func(p *core.AtomicPart) bool {
+		parts = append(parts, p)
 		return true
 	})
 	// fn may modify the date index (OP10 does not, but OP15-style callers
 	// could); collecting first keeps the iteration snapshot clean.
 	for _, p := range parts {
-		n++
 		fn(p)
 	}
-	return n
+	return len(parts)
 }
 
 // siblingsComplex implements OP6/OP12: random complex assembly by id; apply

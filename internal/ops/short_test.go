@@ -166,8 +166,20 @@ func TestOP1Bounds(t *testing.T) {
 	}
 }
 
-func TestOP2OP3MatchBruteForce(t *testing.T) {
+func TestDateRangeOpsMatchBruteForce(t *testing.T) {
 	s, eng := newTiny(t)
+	// Put parts on both ends of the date range and on both sides of OP2's
+	// lower bound, whatever the build drew.
+	eng.Atomic(func(tx stm.Tx) error {
+		i := 0
+		dates := []int{core.MinDate, 1989, 1990, core.MaxDate, core.MaxDate}
+		s.Idx.AtomicByID.Ascend(tx, func(_ uint64, p *core.AtomicPart) bool {
+			s.SetAtomicDate(tx, p, dates[i])
+			i++
+			return i < len(dates)
+		})
+		return nil
+	})
 	count := func(lo, hi int) int {
 		n := 0
 		eng.Atomic(func(tx stm.Tx) error {
@@ -183,6 +195,9 @@ func TestOP2OP3MatchBruteForce(t *testing.T) {
 	}
 	if got, want := mustRun(t, eng, s, "OP2", 1), count(1990, 1999); got != want {
 		t.Errorf("OP2 = %d, want %d", got, want)
+	}
+	if got, want := mustRun(t, eng, s, "OP10", 1), count(1990, 1999); got != want {
+		t.Errorf("OP10 = %d, want %d", got, want)
 	}
 	if got, want := mustRun(t, eng, s, "OP3", 1), count(1900, 1999); got != want {
 		t.Errorf("OP3 = %d, want %d", got, want)

@@ -6,10 +6,10 @@
 // benchmark's single-object indexes: "The indexes could be implemented
 // manually, using, for example, B-trees, with each node synchronized
 // separately — this would make them highly scalable data structures." With
-// the paper's default representation an index update copies (and conflicts
-// on) the whole index; here it copies a handful of nodes along one
-// root-to-leaf path and conflicts only with transactions touching those
-// same nodes.
+// the paper's default representation an index update conflicts on the whole
+// index (internal/btree keeps the copy down to one root-to-leaf path, but
+// the index is still one Var); here it conflicts only with transactions
+// touching the handful of nodes along its own path.
 //
 // Node values are immutable: every modification builds fresh key/value/
 // child slices and replaces the node's cell value, so concurrent
@@ -109,7 +109,7 @@ func (t *Tree[K, V]) bumpSize(tx stm.Tx, k K, delta int) {
 	default:
 		h = 0
 	}
-	t.size[h%sizeStripes].Update(tx, func(v int) int { return v + delta })
+	*t.size[h%sizeStripes].Mut(tx) += delta
 }
 
 // Len returns the number of entries.

@@ -1,28 +1,58 @@
 package stm
 
+import (
+	"reflect"
+	"sync"
+)
+
 // Cell is a typed wrapper around a Var. It is the recommended way to declare
 // shared state: the type parameter documents what the cell holds and removes
 // type assertions from call sites.
 //
-// For T with value semantics (numbers, strings, structs without reference
-// fields) use NewCell. For T with reference semantics that will be mutated
-// through Update (slices, maps), use NewCellClone and provide a clone.
+// The Var holds a *T. A committed *T is immutable; a transaction that writes
+// the cell gets one private copy of the value on its first write (Mut) and
+// edits that copy in place from then on, so a write costs one copy on first
+// touch and nothing afterwards. The copy is a plain assignment for cells
+// made by NewCell, which is enough for T with value semantics (numbers,
+// strings, structs without reference fields). For T with reference semantics
+// that is mutated through Mut or Update (slices, maps, pointers to mutable
+// structs), use NewCellClone and provide the copy.
 type Cell[T any] struct {
 	v *Var
 }
 
-// NewCell allocates a cell holding init. Update under a transactional engine
-// will pass f the boxed value; for value-semantics T the type assertion
-// already copies, so no clone function is needed.
-func NewCell[T any](s *VarSpace, init T) *Cell[T] {
-	return &Cell[T]{v: s.NewVar(init, nil)}
+// shallowClones holds, per cell type, the function that copies a *T by
+// assignment. Generic code cannot take the value of a generic function
+// without allocating a closure for it (the closure carries the type
+// dictionary), and the structure has one cell per object: one function per
+// type costs a map lookup in NewCell and no memory per cell.
+var shallowClones sync.Map // reflect.Type -> CloneFunc
+
+func shallowCloneFor[T any]() CloneFunc {
+	t := reflect.TypeFor[T]()
+	f, ok := shallowClones.Load(t)
+	if !ok {
+		f, _ = shallowClones.LoadOrStore(t, CloneFunc(func(v any) any {
+			c := *v.(*T)
+			return &c
+		}))
+	}
+	return f.(CloneFunc)
 }
 
-// NewCellClone allocates a cell whose values are cloned by clone before an
-// Update callback may mutate them under a transactional engine.
+// NewCell allocates a cell holding init, whose private copies are made by
+// assignment.
+func NewCell[T any](s *VarSpace, init T) *Cell[T] {
+	return &Cell[T]{v: s.NewVar(&init, shallowCloneFor[T]())}
+}
+
+// NewCellClone allocates a cell whose private copies are made by clone.
 func NewCellClone[T any](s *VarSpace, init T, clone func(T) T) *Cell[T] {
-	cf := func(v any) any { return clone(v.(T)) }
-	return &Cell[T]{v: s.NewVar(init, cf)}
+	cf := func(v any) any {
+		c := clone(*v.(*T))
+		return &c
+	}
+	return &Cell[T]{v: s.NewVar(&init, cf)}
 }
 
 // Var exposes the underlying Var (for debug naming or advanced use).
@@ -30,20 +60,33 @@ func (c *Cell[T]) Var() *Var { return c.v }
 
 // Get returns the cell's value in tx. The result must not be mutated.
 func (c *Cell[T]) Get(tx Tx) T {
-	return tx.Read(c.v).(T)
+	return *tx.Read(c.v).(*T)
 }
 
 // Set replaces the cell's value in tx.
 func (c *Cell[T]) Set(tx Tx, val T) {
-	tx.Write(c.v, val)
+	tx.Write(c.v, &val)
 }
 
-// Update applies f to the cell's value and stores the result. Under a
-// transactional engine f receives a private clone (per the cell's clone
-// function) and may mutate it; under the direct engine f receives the live
-// value and the mutation is in place.
+// keep is the callback Mut hands to Tx.Update. It captures nothing, so
+// passing it through the Tx interface allocates nothing.
+func keep(v any) any { return v }
+
+// Mut returns tx's private copy of the cell's value for mutation in place,
+// making the copy (per the cell's clone function) if this is the
+// transaction's first write to the cell. The pointer is valid until the
+// transaction ends. Under the direct engine there is no copy: the pointer is
+// to the live value.
+func (c *Cell[T]) Mut(tx Tx) *T {
+	tx.Update(c.v, keep)
+	return tx.Read(c.v).(*T)
+}
+
+// Update applies f to the cell's value and stores the result:
+// *p = f(*p) on the pointer Mut returns.
 func (c *Cell[T]) Update(tx Tx, f func(T) T) {
-	tx.Update(c.v, func(v any) any { return f(v.(T)) })
+	p := c.Mut(tx)
+	*p = f(*p)
 }
 
 // CloneSlice is a convenience clone function for slice-valued cells: it

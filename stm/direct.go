@@ -1,5 +1,7 @@
 package stm
 
+import "unsafe"
+
 // Direct is the pass-through engine: no logging, no conflict detection, no
 // retries. It implements Tx/Engine so that code written against the stm seam
 // can run under external synchronization (the benchmark's lock strategies)
@@ -75,10 +77,25 @@ func (t *directTx) Write(v *Var, val any) {
 }
 
 // Update implements Tx. The callback receives the live value and may mutate
-// it in place; whatever it returns is stored.
+// it in place; whatever it returns is stored. A callback that hands back the
+// pointer it was given (every Cell.Mut) has changed the value in place, and
+// the box that holds the pointer stands.
 func (t *directTx) Update(v *Var, f func(val any) any) {
 	t.st.writes++
-	v.cur.Store(&box{val: f(v.cur.Load().val)})
+	b := v.cur.Load()
+	if val := f(b.val); !sameValue(val, b.val) {
+		v.cur.Store(&box{val: val})
+	}
+}
+
+// sameValue reports whether a and b are one interface value, word for word:
+// the same dynamic type holding the same pointer (or, for a type that is not
+// pointer-shaped, the same boxed copy). Unlike a == b it cannot panic on a
+// non-comparable dynamic type and never looks at the pointee, and unlike
+// reflect it is two word compares, which is what the zero-sync floor can
+// afford on every Update.
+func sameValue(a, b any) bool {
+	return *(*[2]unsafe.Pointer)(unsafe.Pointer(&a)) == *(*[2]unsafe.Pointer)(unsafe.Pointer(&b))
 }
 
 var (

@@ -64,6 +64,33 @@
 // transactional engines clone, the direct engine lets you mutate in place —
 // which is exactly the lock-based/STM-based split STMBench7 needs).
 //
+// # The Cell contract
+//
+// A Cell[T] keeps a *T in its Var, so storing a value never re-boxes it, and
+// every write goes through one private copy per transaction:
+//
+//   - Committed values are immutable. Get copies the T out; nothing a
+//     reader holds can change under it, and older versions kept by a
+//     multi-version engine stay readable for the same reason.
+//   - Mut(tx) returns the transaction's private copy for mutation in
+//     place. The first Mut (or Update) of a cell in a transaction makes the
+//     copy — by assignment for NewCell, by the cell's clone function for
+//     NewCellClone — and every later one returns the same pointer: a write
+//     costs one copy on first touch and nothing afterwards. Commit
+//     publishes the copy and thereby freezes it; abort drops it. Under the
+//     direct engine there is no copy and Mut points at the live value.
+//   - Update(tx, f) is *p = f(*p) on that pointer and Set(tx, v) stores a
+//     fresh value without reading the old one; neither passes a closure
+//     through the Tx interface, so a capturing f does not allocate.
+//   - A clone function has to make the copy independent only in what Mut
+//     callers mutate. The benchmark's index cells clone a B-tree in O(1)
+//     (internal/btree: the copy shares nodes and copies a path on write),
+//     which is sound exactly because committed values are never mutated.
+//   - Stats.Clones counts private copies, one per cell a transaction
+//     writes through Mut or Update. A long STMBench7 update traversal
+//     therefore reports tens of clones per commit, each a few words; the
+//     count is the number of objects written, not a cost.
+//
 // # The engine contract
 //
 // An Engine ties together three interfaces: Engine itself (Atomic, Name,
@@ -98,8 +125,12 @@
 //   - Clone-on-first-Update. Under a transactional engine, the callback
 //     passed to Update receives a private copy (per the Var's CloneFunc)
 //     it may mutate freely; repeated Updates of one Var in one transaction
-//     clone exactly once. Aborted attempts must discard the clone without
-//     it ever becoming visible.
+//     clone exactly once and hand the callback the same private value, and
+//     a Read after an Update returns it (Cell.Mut is an Update that keeps
+//     the value followed by that Read). Aborted attempts must discard the
+//     clone without it ever becoming visible. Update must not require the
+//     callback to return a new value: returning its argument is the
+//     common case and must not allocate.
 //
 //   - Retry semantics. Conflict aborts are retried internally (with
 //     backoff — see spinWait/backoffDur) until commit, user error, or an

@@ -386,26 +386,34 @@ func (tx *norecTx) stillValid(r norecRead) bool {
 	if tx.eng.cfg.ReferenceValidation {
 		return false
 	}
-	return boxValuesEqual(cur, r.seen)
+	return boxValuesEqual(r.v, cur, r.seen)
 }
 
-// boxValuesEqual compares two snapshots by value without panicking on
+// boxValuesEqual compares two snapshots of v by value without panicking on
 // non-comparable values (slices, maps — including ones buried inside
 // interface fields of otherwise comparable types): those conservatively
 // compare unequal, falling back to reference semantics. Comparability
 // must be checked on the reflect.Value, not the type: a type like
 // [2]any is statically comparable but == panics when an element's
 // dynamic contents are not.
-func boxValuesEqual(a, b *box) bool {
+//
+// A Var with a clone function holds copy-on-write snapshots — every Cell
+// holds a *T and no write ever republishes the pointer it read — so the
+// address carries no meaning and the value is the pointee. A pointer in a
+// Var without one is the user's and compares by identity.
+func boxValuesEqual(v *Var, a, b *box) bool {
 	av, bv := a.val, b.val
 	if av == nil || bv == nil {
 		return av == nil && bv == nil
 	}
 	ra, rb := reflect.ValueOf(av), reflect.ValueOf(bv)
-	if ra.Type() != rb.Type() || !ra.Comparable() {
+	if ra.Type() != rb.Type() {
 		return false
 	}
-	return ra.Equal(rb)
+	if v.clone != nil && ra.Kind() == reflect.Pointer && !ra.IsNil() && !rb.IsNil() {
+		ra, rb = ra.Elem(), rb.Elem()
+	}
+	return ra.Comparable() && ra.Equal(rb)
 }
 
 // Read implements Tx.

@@ -52,7 +52,9 @@ import "errors"
 // validating Atomic path, which tolerates concurrent commits (NOrec
 // extends, OSTM validates incrementally, TL2 retries with the same odds as
 // its normal read-only path). Snapshot mode therefore never costs
-// liveness; it only ever removes per-read work.
+// liveness; it only ever removes per-read work. The fallback is an ordinary
+// transaction in every counter too: under striped granularity it may book
+// Stats.FalseConflicts, which a snapshot attempt never does.
 
 // SnapshotReader is the optional engine capability behind RunReadOnly: a
 // read-only execution mode that serves fn from a consistent committed

@@ -387,65 +387,111 @@ func TestSnapshotOpacityUnderWriteSkewShape(t *testing.T) {
 	}
 }
 
-// TestSnapshotStripedNoFalseConflicts pins the striped-granularity
-// interaction: snapshot readers hammering stripe-mates of a written Var
-// restart as needed but NEVER book a false conflict — there is no abort
-// episode to attribute. A single writer rules out write-write collisions,
-// so any false conflict could only have come from the snapshot path.
+// TestSnapshotStripedNoFalseConflicts pins the striped-granularity contract
+// of Stats.FalseConflicts: a snapshot ATTEMPT hammering stripe-mates of a
+// written Var restarts as needed but never books a false conflict — there is
+// no abort episode to attribute. The validating Atomic path that RunReadOnly
+// falls back to after snapRestartBudget restarts is an ordinary transaction
+// and may book them; on real cores a reader racing a tight writer does
+// exhaust the budget, so a count taken through RunReadOnly alone says
+// nothing about the snapshot path.
+//
+// "attempts" therefore drives snapshot attempts directly, the way
+// runSnapshotLoop does but with no fallback to hide behind: a single writer
+// rules out write-write collisions, so any false conflict could only have
+// come from a snapshot read. "RunReadOnly" goes through the public entry
+// and allows false conflicts exactly when some call fell back.
 func TestSnapshotStripedNoFalseConflicts(t *testing.T) {
-	makers := map[string]func() Engine{
-		"tl2-striped":  func() Engine { return NewTL2With(TL2Config{Granularity: StripedGranularity, OrecStripes: 2}) },
-		"ostm-striped": func() Engine { return NewOSTMWith(OSTMConfig{Granularity: StripedGranularity, OrecStripes: 2}) },
+	makers := map[string]func() (Engine, func() snapTx){
+		"tl2-striped": func() (Engine, func() snapTx) {
+			e := NewTL2With(TL2Config{Granularity: StripedGranularity, OrecStripes: 2})
+			return e, func() snapTx { return e.snapPool.get() }
+		},
+		"ostm-striped": func() (Engine, func() snapTx) {
+			e := NewOSTMWith(OSTMConfig{Granularity: StripedGranularity, OrecStripes: 2})
+			return e, func() snapTx { return e.snapPool.get() }
+		},
 	}
 	rounds := 20000
 	if testing.Short() {
 		rounds = 2000
 	}
-	for name, mk := range makers {
-		t.Run(name, func(t *testing.T) {
-			eng := mk()
-			// Two stripes only: the written cell shares its orec with
-			// roughly half the read cells.
-			written := NewCell(eng.VarSpace(), 0)
-			cells := make([]*Cell[int], 8)
-			for i := range cells {
-				cells[i] = NewCell(eng.VarSpace(), i)
-			}
-
-			var stop atomic.Bool
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for !stop.Load() {
-					eng.Atomic(func(tx Tx) error {
-						written.Update(tx, func(v int) int { return v + 1 })
-						return nil
-					})
-				}
-			}()
-
-			for i := 0; i < rounds; i++ {
-				if err := RunReadOnly(eng, func(tx Tx) error {
-					for _, c := range cells {
-						c.Get(tx)
-					}
+	// run starts the single writer, lets read execute rounds times with the
+	// cells to read, and returns the engine's counters.
+	run := func(eng Engine, read func(readAll func(tx Tx) error)) Stats {
+		// Two stripes only: the written cell shares its orec with roughly
+		// half the read cells.
+		written := NewCell(eng.VarSpace(), 0)
+		cells := make([]*Cell[int], 8)
+		for i := range cells {
+			cells[i] = NewCell(eng.VarSpace(), i)
+		}
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				eng.Atomic(func(tx Tx) error {
+					written.Update(tx, func(v int) int { return v + 1 })
 					return nil
-				}); err != nil {
-					t.Errorf("RunReadOnly: %v", err)
-					break
+				})
+			}
+		}()
+		readAll := func(tx Tx) error {
+			for _, c := range cells {
+				c.Get(tx)
+			}
+			return nil
+		}
+		for i := 0; i < rounds; i++ {
+			read(readAll)
+		}
+		stop.Store(true)
+		wg.Wait()
+		return eng.Stats()
+	}
+	for name, mk := range makers {
+		t.Run(name+"/attempts", func(t *testing.T) {
+			eng, getTx := mk()
+			served, restarts := 0, 0
+			st := run(eng, func(readAll func(tx Tx) error) {
+				tx := getTx()
+				stats, acc, _, _ := tx.loopState()
+				tx.sample()
+				committed, err := runSnapshotAttempt(tx, readAll)
+				stats.flushTx(acc)
+				tx.recycle()
+				switch {
+				case err != nil:
+					t.Errorf("snapshot attempt: %v", err)
+				case committed:
+					served++
+				default:
+					restarts++
 				}
-			}
-			stop.Store(true)
-			wg.Wait()
-
-			st := eng.Stats()
+			})
 			if st.FalseConflicts != 0 {
-				t.Errorf("FalseConflicts = %d, want 0 (snapshot reads must not count toward striping attribution)",
-					st.FalseConflicts)
+				t.Errorf("FalseConflicts = %d after %d snapshot attempts (%d restarted) and no fallback, want 0",
+					st.FalseConflicts, rounds, restarts)
 			}
+			if served == 0 {
+				t.Error("no snapshot attempt was served")
+			}
+		})
+		t.Run(name+"/RunReadOnly", func(t *testing.T) {
+			eng, _ := mk()
+			st := run(eng, func(readAll func(tx Tx) error) {
+				if err := RunReadOnly(eng, readAll); err != nil {
+					t.Errorf("RunReadOnly: %v", err)
+				}
+			})
 			if st.SnapshotTxs == 0 {
 				t.Error("SnapshotTxs = 0, want > 0 (snapshot path did not run)")
+			}
+			// Every call the snapshot path did not serve fell back.
+			if fallbacks := uint64(rounds) - st.SnapshotTxs; fallbacks == 0 && st.FalseConflicts != 0 {
+				t.Errorf("FalseConflicts = %d with no fallback to the validating path, want 0", st.FalseConflicts)
 			}
 		})
 	}

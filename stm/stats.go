@@ -22,7 +22,9 @@ type Stats struct {
 	// Validations counts individual read-set entry re-checks (the O(k²)
 	// cost center of invisible-read STMs on long traversals).
 	Validations uint64
-	// Clones counts copy-on-write clones performed for Update calls.
+	// Clones counts private copies made for Update calls: one per Var with
+	// a clone function that a transaction attempt writes through Update —
+	// every cell written through Cell.Mut or Cell.Update.
 	Clones uint64
 	// EnemyAborts counts transactions killed by a contention manager
 	// decision in some other transaction.
@@ -35,7 +37,10 @@ type Stats struct {
 	// (TL2 records one writer Var per locked orec; OSTM counts
 	// stripe-owner collisions whose locator does not cover the contended
 	// Var) and always 0 under object granularity, where the mapping is
-	// collision free.
+	// collision free. Only the validating path attributes: a snapshot
+	// attempt (RunReadOnly) never does, but the Atomic transaction
+	// RunReadOnly falls back to after snapRestartBudget restarts is an
+	// ordinary transaction and may.
 	FalseConflicts uint64
 	// SnapshotTxs counts read-only transactions served by the
 	// validation-free snapshot path (RunReadOnly on engines implementing

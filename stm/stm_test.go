@@ -292,6 +292,38 @@ func TestDirectUpdateMutatesInPlace(t *testing.T) {
 	}
 }
 
+// TestDirectUpdateKeepsBoxForSameValue: a callback that returns the value it
+// was given leaves the Var's box alone, anything else is published in a new
+// one — including non-comparable values, on which == would panic.
+func TestDirectUpdateKeepsBoxForSameValue(t *testing.T) {
+	eng := NewDirect()
+	p := &struct{ n int }{1}
+	for _, init := range []any{p, []int{1}, 7} {
+		v := eng.VarSpace().NewVar(init, nil)
+		eng.Atomic(func(tx Tx) error {
+			before := v.cur.Load()
+			tx.Update(v, func(val any) any { return val })
+			if v.cur.Load() != before {
+				t.Errorf("%T: same value was re-boxed", init)
+			}
+			tx.Update(v, func(any) any { return []int{2} })
+			if v.cur.Load() == before {
+				t.Errorf("%T: new value was not stored", init)
+			}
+			return nil
+		})
+	}
+	q := &struct{ n int }{1}
+	v := eng.VarSpace().NewVar(p, nil)
+	eng.Atomic(func(tx Tx) error {
+		tx.Update(v, func(any) any { return q }) // equal pointee, other pointer
+		if got := tx.Read(v); got != any(q) {
+			t.Errorf("Read = %p, want the stored pointer %p", got, q)
+		}
+		return nil
+	})
+}
+
 func TestRepeatedUpdateClonesOnce(t *testing.T) {
 	for name, eng := range txEngines() {
 		t.Run(name, func(t *testing.T) {

@@ -15,6 +15,23 @@ func traceKindSet(events []TraceEvent) map[TraceKind]int {
 	return m
 }
 
+// pinDescriptor makes p create its descriptor once and hand that one back
+// whenever sync.Pool has lost it: the pool drops a quarter of all Puts under
+// the race detector and everything at a GC, and a re-created descriptor would
+// take the recorder's next ring shard, so Event.Shard would not replay. Only
+// for a single-threaded workload that never nests two transactions of the
+// same pool.
+func pinDescriptor[T any](p *txPool[T]) {
+	mk := p.mk
+	var d *T
+	p.mk = func() *T {
+		if d == nil {
+			d = mk()
+		}
+		return d
+	}
+}
+
 // runTraceWorkload drives one deterministic single-threaded mix against a
 // fresh TL2 engine wired to a fresh recorder: plain commits, injected
 // aborts that escalate to serial mode, sharded-clock validation, and
@@ -34,6 +51,8 @@ func runTraceWorkload(t *testing.T) *TraceRecorder {
 		MaxRetries:     1, // injected-abort streaks escalate to serial mode
 		ClockShards:    2, // sharded clock => every write commit validates
 	})
+	pinDescriptor(&eng.txPool)
+	pinDescriptor(&eng.snapPool)
 	cells := make([]*Cell[int], 8)
 	for i := range cells {
 		cells[i] = NewCell(eng.VarSpace(), i)
