@@ -388,7 +388,10 @@ func (n *node[K, V]) ascend(fn func(K, V) bool) bool {
 }
 
 // Range calls fn for every entry with lo <= key <= hi in ascending order
-// until fn returns false.
+// until fn returns false. fn must not Put into or Delete from m: the walk
+// holds positions in nodes that m edits in place once it owns them, so what
+// it visits after a write is undefined. Writing a Clone of m from fn is
+// safe (the clone copies every node it touches first).
 func (m *Map[K, V]) Range(lo, hi K, fn func(K, V) bool) {
 	m.root.rang(lo, hi, fn)
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -291,53 +293,95 @@ func TestSetAtomicDateMaintainsIndex(t *testing.T) {
 	})
 }
 
-// TestAtomicPartsByDateMatchesBruteForce checks the composite-key range scan
-// against a filter on BuildDate over the id index, for the ranges OP2, OP3
-// and OP10 use and for single dates at both ends of the key range: the parts
-// on MaxDate sit at the top of the key space, where the upper bound of the
-// scan is the key just below DateKey(MaxDate+1, 0).
+// TestAtomicPartsByDateMatchesBruteForce checks the streamed composite-key
+// range scan against a brute-force pass over every composite part's Parts —
+// same parts, same (date, id) order — on every engine, with both index
+// representations and both atomic-part layouts, inside Atomic and inside
+// RunReadOnly. The ranges are the ones OP2, OP3 and OP10 use, single dates
+// at both ends of the key range (the parts on MaxDate sit at the top of the
+// key space, where the scan's upper bound is the key just below
+// DateKey(MaxDate+1, 0)), and an empty range.
 func TestAtomicPartsByDateMatchesBruteForce(t *testing.T) {
+	ranges := [][2]int{
+		{1990, 1999}, {MinDate, MaxDate}, {MaxDate, MaxDate}, {MinDate, MinDate},
+		{1989, 1989}, {MinDate + 1, MaxDate - 1}, {1950, 1949},
+	}
+	for _, name := range stm.Registered() {
+		for _, txIdx := range []bool{false, true} {
+			for _, grouped := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/txidx=%v/grouped=%v", name, txIdx, grouped), func(t *testing.T) {
+					eng, err := stm.New(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					p := Tiny()
+					p.TxIndexes, p.GroupAtomicParts = txIdx, grouped
+					s, err := Build(p, 42, eng.VarSpace())
+					if err != nil {
+						t.Fatal(err)
+					}
+					var all []*AtomicPart
+					eng.Atomic(func(tx stm.Tx) error {
+						all = all[:0]
+						s.Idx.CompositeByID.Ascend(tx, func(_ uint64, cp *CompositePart) bool {
+							all = append(all, cp.Parts...)
+							return true
+						})
+						// Pin parts to the edges and to both sides of OP2's
+						// lower bound; two parts go on MaxDate.
+						for i, d := range []int{MinDate, MinDate, MinDate + 1, 1989, 1990, MaxDate - 1, MaxDate, MaxDate} {
+							s.SetAtomicDate(tx, all[i*len(all)/8], d)
+						}
+						return nil
+					})
+					check := func(tx stm.Tx) error {
+						for _, rg := range ranges {
+							lo, hi := rg[0], rg[1]
+							var want []*AtomicPart
+							for _, p := range all {
+								if d := p.BuildDate(tx); d >= lo && d <= hi {
+									want = append(want, p)
+								}
+							}
+							slices.SortFunc(want, func(a, b *AtomicPart) int {
+								return cmp.Compare(DateKey(a.BuildDate(tx), a.ID), DateKey(b.BuildDate(tx), b.ID))
+							})
+							var got []*AtomicPart
+							s.AtomicPartsByDate(tx, lo, hi, func(p *AtomicPart) bool {
+								got = append(got, p)
+								return true
+							})
+							if !slices.Equal(got, want) {
+								t.Errorf("[%d, %d]: index scan returned %d parts, brute force %d (or in another order)", lo, hi, len(got), len(want))
+							}
+							if lo == MaxDate && len(want) < 2 {
+								t.Errorf("only %d parts on MaxDate: the edge is not exercised", len(want))
+							}
+							if lo > hi && len(got) != 0 {
+								t.Errorf("[%d, %d]: empty range returned %d parts", lo, hi, len(got))
+							}
+						}
+						return nil
+					}
+					eng.Atomic(check)
+					stm.RunReadOnly(eng, check)
+					if err := eng.Atomic(s.CheckInvariants); err != nil {
+						t.Error(err)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestAtomicPartsByDateStopsEarly: fn returning false ends the walk.
+func TestAtomicPartsByDateStopsEarly(t *testing.T) {
 	s, eng := buildTiny(t)
 	eng.Atomic(func(tx stm.Tx) error {
-		// Pin parts to the edges and to both sides of OP2's lower bound;
-		// the highest id of all goes on MaxDate.
-		var all []*AtomicPart
-		s.Idx.AtomicByID.Ascend(tx, func(_ uint64, p *AtomicPart) bool {
-			all = append(all, p)
-			return true
-		})
-		for i, d := range []int{MinDate, MinDate, MinDate + 1, 1989, 1990, MaxDate - 1, MaxDate} {
-			s.SetAtomicDate(tx, all[i], d)
-		}
-		s.SetAtomicDate(tx, all[len(all)-1], MaxDate)
-
-		for _, rg := range [][2]int{
-			{1990, 1999}, {MinDate, MaxDate}, {MaxDate, MaxDate}, {MinDate, MinDate},
-			{1989, 1989}, {MinDate + 1, MaxDate - 1}, {1950, 1949},
-		} {
-			lo, hi := rg[0], rg[1]
-			var want []*AtomicPart
-			for d := lo; d <= hi; d++ { // (date, id) order
-				for _, p := range all {
-					if p.BuildDate(tx) == d {
-						want = append(want, p)
-					}
-				}
-			}
-			var got []*AtomicPart
-			s.AtomicPartsByDate(tx, lo, hi, func(p *AtomicPart) bool {
-				got = append(got, p)
-				return true
-			})
-			if !slices.Equal(got, want) {
-				t.Errorf("[%d, %d]: index scan returned %d parts, brute force %d (or in another order)", lo, hi, len(got), len(want))
-			}
-			if lo == MaxDate && len(want) < 2 {
-				t.Errorf("only %d parts on MaxDate: the edge is not exercised", len(want))
-			}
-		}
-		if err := s.CheckInvariants(tx); err != nil {
-			t.Error(err)
+		n := 0
+		s.AtomicPartsByDate(tx, MinDate, MaxDate, func(*AtomicPart) bool { n++; return n < 3 })
+		if n != 3 {
+			t.Errorf("visited %d parts after asking to stop at 3", n)
 		}
 		return nil
 	})

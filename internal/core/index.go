@@ -26,6 +26,13 @@ type Index[K cmp.Ordered, V any] interface {
 	Put(tx stm.Tx, k K, v V)
 	Delete(tx stm.Tx, k K) (V, bool)
 	Ascend(tx stm.Tx, fn func(K, V) bool)
+	// Range calls fn for every entry with lo <= key <= hi in ascending
+	// order, as the walk reaches it, until fn returns false. fn may read
+	// and write anything in tx except this index: a Put or Delete on the
+	// index being ranged leaves the rest of the walk undefined (entries
+	// skipped or seen twice; under cellIndex the walk is over nodes the
+	// tree edits in place once the transaction owns them). Collect first
+	// if the loop body must change the index.
 	Range(tx stm.Tx, lo, hi K, fn func(K, V) bool)
 	Len(tx stm.Tx) int
 }
@@ -49,6 +56,10 @@ func (x *cellIndex[K, V]) Delete(tx stm.Tx, k K) (V, bool) { return (*x.c.Mut(tx
 
 func (x *cellIndex[K, V]) Ascend(tx stm.Tx, fn func(K, V) bool) { x.c.Get(tx).Ascend(fn) }
 
+// Range walks the tree the transaction sees — its private copy if it wrote
+// the index, else the committed tree, whose nodes every reader shares — so
+// the Index.Range contract (fn does not write this index) is what keeps
+// the walk on one consistent tree.
 func (x *cellIndex[K, V]) Range(tx stm.Tx, lo, hi K, fn func(K, V) bool) {
 	x.c.Get(tx).Range(lo, hi, fn)
 }
@@ -68,6 +79,9 @@ func (x *txIndex[K, V]) Get(tx stm.Tx, k K) (V, bool)         { return x.t.Get(t
 func (x *txIndex[K, V]) Put(tx stm.Tx, k K, v V)              { x.t.Put(tx, k, v) }
 func (x *txIndex[K, V]) Delete(tx stm.Tx, k K) (V, bool)      { return x.t.Delete(tx, k) }
 func (x *txIndex[K, V]) Ascend(tx stm.Tx, fn func(K, V) bool) { x.t.Ascend(tx, fn) }
+
+// Range reads one node Var at a time (txbtree.Tree.Range); see Index.Range
+// for what fn may do.
 func (x *txIndex[K, V]) Range(tx stm.Tx, lo, hi K, fn func(K, V) bool) {
 	x.t.Range(tx, lo, hi, fn)
 }

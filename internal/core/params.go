@@ -14,6 +14,13 @@ package core
 // Date bounds for buildDate attributes. OP2 queries [1990, 1999] (a ~10%
 // slice) and OP3 queries [1900, 1999] (everything), so dates are drawn
 // uniformly from [MinDate, MaxDate].
+//
+// Known divergence, recorded and left alone: OO7 and STMBench7 draw build
+// dates from [1000, 1999], which makes OP2/OP10 select about 1 % of the
+// atomic parts and OP3 about 10 %. With MinDate = 1900 they select ~10 % and
+// ~100 %, so the date-range operations here are ten times as heavy as the
+// paper's. Moving MinDate changes every seeded workload of BENCHMARK.json
+// and belongs in a change of its own that re-measures the baseline.
 const (
 	MinDate = 1900
 	MaxDate = 1999

@@ -218,12 +218,21 @@ const dateKeyIDBits = 32
 func DateKey(date int, id uint64) uint64 { return uint64(date)<<dateKeyIDBits | id }
 
 // AtomicPartsByDate calls fn for every atomic part with buildDate in
-// [lo, hi], in (date, id) order, until fn returns false. fn must not change
-// the index.
+// [lo, hi], in (date, id) order, as the index walk reaches it, until fn
+// returns false. fn must not change a build date (Index.Range).
+//
+// The switch calls Range on the concrete representation: through the Index
+// interface the compiler must assume fn is retained, which moves it and
+// every variable the caller's closure captures to the heap on each call.
 func (s *Structure) AtomicPartsByDate(tx stm.Tx, lo, hi int, fn func(*AtomicPart) bool) {
-	s.Idx.AtomicByDate.Range(tx, DateKey(lo, 0), DateKey(hi+1, 0)-1, func(_ uint64, p *AtomicPart) bool {
-		return fn(p)
-	})
+	from, to := DateKey(lo, 0), DateKey(hi+1, 0)-1
+	visit := func(_ uint64, p *AtomicPart) bool { return fn(p) }
+	switch x := s.Idx.AtomicByDate.(type) {
+	case *cellIndex[uint64, *AtomicPart]:
+		x.Range(tx, from, to, visit)
+	case *txIndex[uint64, *AtomicPart]:
+		x.Range(tx, from, to, visit)
+	}
 }
 
 // SetAtomicDate changes p's buildDate and maintains the build-date index —

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 )
 
 // Document and manual texts follow the OO7 convention: a repeated template
@@ -44,32 +45,56 @@ func DocumentTitle(id uint64) string {
 
 // CountChar returns the number of occurrences of c in s (T4, OP4).
 func CountChar(s string, c byte) int {
-	n := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == c {
-			n++
-		}
-	}
-	return n
+	// A one-byte substring takes strings.Count's vectorised byte counter.
+	return strings.Count(s, string([]byte{c}))
 }
 
 // SwapIAm replaces every "I am" with "This is" or, if there is no "I am",
 // every "This is" with "I am". It returns the new text and the number of
-// replacements (T5, ST7).
+// replacements (T5, ST7). The text is scanned once to count — the result's
+// exact size is needed up front for it to be the only allocation — and once
+// to build.
 func SwapIAm(s string) (string, int) {
-	if n := strings.Count(s, "I am"); n > 0 {
-		return strings.ReplaceAll(s, "I am", "This is"), n
+	from, to := "I am", "This is"
+	n := strings.Count(s, from)
+	if n == 0 {
+		from, to = to, from
+		if n = strings.Count(s, from); n == 0 {
+			return s, 0
+		}
 	}
-	n := strings.Count(s, "This is")
-	return strings.ReplaceAll(s, "This is", "I am"), n
+	var b strings.Builder
+	b.Grow(len(s) + n*(len(to)-len(from)))
+	for range n {
+		i := strings.Index(s, from)
+		b.WriteString(s[:i])
+		b.WriteString(to)
+		s = s[i+len(from):]
+	}
+	b.WriteString(s)
+	return b.String(), n
 }
 
 // SwapCase replaces every 'I' with 'i' or, if there is no 'I', every 'i'
-// with 'I'. It returns the new text and the number of changes (OP11).
+// with 'I'. It returns the new text and the number of changes (OP11): one
+// pass over one copy of the text, which is the only allocation.
 func SwapCase(s string) (string, int) {
-	if n := strings.Count(s, "I"); n > 0 {
-		return strings.ReplaceAll(s, "I", "i"), n
+	from := byte('I')
+	i := strings.IndexByte(s, from)
+	if i < 0 {
+		from = 'i'
+		if i = strings.IndexByte(s, from); i < 0 {
+			return s, 0
+		}
 	}
-	n := strings.Count(s, "i")
-	return strings.ReplaceAll(s, "i", "I"), n
+	buf := []byte(s)
+	n := 0
+	for ; i < len(buf); i++ {
+		if buf[i] == from {
+			buf[i] ^= 'I' ^ 'i'
+			n++
+		}
+	}
+	// buf is not written again, so it can be the string's storage.
+	return unsafe.String(&buf[0], len(buf)), n
 }

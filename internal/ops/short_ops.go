@@ -23,19 +23,16 @@ func tenRandomAtomicParts(tx stm.Tx, s *core.Structure, r *rng.Rand, fn func(*co
 }
 
 // dateRangeParts implements OP2/OP3/OP10: apply fn to every atomic part
-// with buildDate in [lo, hi]; returns the number processed.
+// with buildDate in [lo, hi] as the index walk reaches it; returns the
+// number processed. fn must not change a build date (core.Index.Range).
 func dateRangeParts(tx stm.Tx, s *core.Structure, lo, hi int, fn func(*core.AtomicPart)) int {
-	var parts []*core.AtomicPart
+	n := 0
 	s.AtomicPartsByDate(tx, lo, hi, func(p *core.AtomicPart) bool {
-		parts = append(parts, p)
+		n++
+		fn(p)
 		return true
 	})
-	// fn may modify the date index (OP10 does not, but OP15-style callers
-	// could); collecting first keeps the iteration snapshot clean.
-	for _, p := range parts {
-		fn(p)
-	}
-	return len(parts)
+	return n
 }
 
 // siblingsComplex implements OP6/OP12: random complex assembly by id; apply

@@ -1,9 +1,12 @@
 package ops
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/rng"
 	"repro/stm"
 )
 
@@ -166,47 +169,161 @@ func TestOP1Bounds(t *testing.T) {
 	}
 }
 
-func TestDateRangeOpsMatchBruteForce(t *testing.T) {
-	s, eng := newTiny(t)
-	// Put parts on both ends of the date range and on both sides of OP2's
-	// lower bound, whatever the build drew.
-	eng.Atomic(func(tx stm.Tx) error {
-		i := 0
-		dates := []int{core.MinDate, 1989, 1990, core.MaxDate, core.MaxDate}
-		s.Idx.AtomicByID.Ascend(tx, func(_ uint64, p *core.AtomicPart) bool {
-			s.SetAtomicDate(tx, p, dates[i])
-			i++
-			return i < len(dates)
-		})
-		return nil
-	})
-	count := func(lo, hi int) int {
-		n := 0
+// dateRangeOps are the registered operations that range the build-date
+// index, with the range each one scans.
+var dateRangeOps = []struct {
+	name   string
+	lo, hi int
+}{{"OP2", 1990, 1999}, {"OP3", 1900, 1999}, {"OP10", 1990, 1999}}
+
+// assertDateIndexUnchanged runs f and fails if the build-date index's Len or
+// key sequence differ afterwards: the check behind core.Index.Range's
+// contract that a ranging operation's callback leaves the ranged index alone.
+func assertDateIndexUnchanged(t *testing.T, eng stm.Engine, s *core.Structure, what string, f func()) {
+	t.Helper()
+	keys := func() (n int, ks []uint64) {
 		eng.Atomic(func(tx stm.Tx) error {
-			s.Idx.AtomicByID.Ascend(tx, func(_ uint64, p *core.AtomicPart) bool {
-				if d := p.BuildDate(tx); d >= lo && d <= hi {
-					n++
-				}
+			n, ks = s.Idx.AtomicByDate.Len(tx), ks[:0]
+			s.Idx.AtomicByDate.Ascend(tx, func(k uint64, _ *core.AtomicPart) bool {
+				ks = append(ks, k)
 				return true
 			})
 			return nil
 		})
-		return n
+		return n, ks
 	}
-	if got, want := mustRun(t, eng, s, "OP2", 1), count(1990, 1999); got != want {
-		t.Errorf("OP2 = %d, want %d", got, want)
+	n0, k0 := keys()
+	f()
+	if n1, k1 := keys(); n1 != n0 || !slices.Equal(k1, k0) {
+		t.Errorf("%s changed the build-date index it ranges: Len %d -> %d, keys equal = %v", what, n0, n1, slices.Equal(k1, k0))
 	}
-	if got, want := mustRun(t, eng, s, "OP10", 1), count(1990, 1999); got != want {
-		t.Errorf("OP10 = %d, want %d", got, want)
-	}
-	if got, want := mustRun(t, eng, s, "OP3", 1), count(1900, 1999); got != want {
-		t.Errorf("OP3 = %d, want %d", got, want)
-	}
-	// OP3 covers the full date range: every part.
-	var total int
-	eng.Atomic(func(tx stm.Tx) error { total = s.Idx.AtomicByID.Len(tx); return nil })
-	if got := mustRun(t, eng, s, "OP3", 1); got != total {
-		t.Errorf("OP3 = %d, want all %d parts", got, total)
+}
+
+// TestDateRangeOpsMatchBruteForce checks OP2, OP3 and OP10 — and the
+// streamed dateRangeParts under them — against a brute-force pass over
+// every composite part's Parts, on every engine, with both index
+// representations and both atomic-part layouts: same count, same checksum
+// of what the callback read, the same parts swapped by OP10 and no others,
+// the build-date index untouched, on the ops' own ranges, on MaxDate alone
+// (the top of the key space) and on an empty range.
+func TestDateRangeOpsMatchBruteForce(t *testing.T) {
+	type xy struct{ x, y int }
+	for _, name := range stm.Registered() {
+		for _, txIdx := range []bool{false, true} {
+			for _, grouped := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/txidx=%v/grouped=%v", name, txIdx, grouped), func(t *testing.T) {
+					eng, err := stm.New(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					p := core.Tiny()
+					p.TxIndexes, p.GroupAtomicParts = txIdx, grouped
+					s, err := core.Build(p, 42, eng.VarSpace())
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Put parts on both ends of the date range and on both
+					// sides of OP2's lower bound, whatever the build drew.
+					var all []*core.AtomicPart
+					eng.Atomic(func(tx stm.Tx) error {
+						all = all[:0]
+						s.Idx.CompositeByID.Ascend(tx, func(_ uint64, cp *core.CompositePart) bool {
+							all = append(all, cp.Parts...)
+							return true
+						})
+						for i, d := range []int{core.MinDate, 1989, 1990, core.MaxDate, core.MaxDate} {
+							s.SetAtomicDate(tx, all[i*len(all)/5], d)
+						}
+						return nil
+					})
+					brute := func(tx stm.Tx, lo, hi int) (n, sum int) {
+						for _, p := range all {
+							if st := p.State(tx); st.BuildDate >= lo && st.BuildDate <= hi {
+								n++
+								sum += st.X + st.Y + st.BuildDate
+							}
+						}
+						return n, sum
+					}
+
+					// The streamed scan itself, inside both kinds of transaction.
+					scan := func(tx stm.Tx) error {
+						for _, rg := range [][2]int{{1990, 1999}, {1900, 1999}, {core.MaxDate, core.MaxDate}, {1950, 1949}} {
+							sum := 0
+							n := dateRangeParts(tx, s, rg[0], rg[1], func(p *core.AtomicPart) { readAtomicPart(tx, p, &sum) })
+							if wn, wsum := brute(tx, rg[0], rg[1]); n != wn || sum != wsum {
+								t.Errorf("dateRangeParts[%d, %d] = %d parts, checksum %d; brute force %d, %d", rg[0], rg[1], n, sum, wn, wsum)
+							}
+							if rg[0] == core.MaxDate && n < 2 {
+								t.Errorf("only %d parts on MaxDate: the edge is not exercised", n)
+							}
+						}
+						return nil
+					}
+					eng.Atomic(scan)
+					stm.RunReadOnly(eng, scan)
+
+					// The registered operations.
+					for _, op := range dateRangeOps {
+						var want int
+						before := make(map[*core.AtomicPart]xy, len(all))
+						eng.Atomic(func(tx stm.Tx) error {
+							want, _ = brute(tx, op.lo, op.hi)
+							for _, p := range all {
+								st := p.State(tx)
+								before[p] = xy{st.X, st.Y}
+							}
+							return nil
+						})
+						o, _ := ByName(op.name)
+						assertDateIndexUnchanged(t, eng, s, op.name, func() {
+							if got := mustRun(t, eng, s, op.name, 1); got != want {
+								t.Errorf("%s = %d, want %d", op.name, got, want)
+							}
+						})
+						if o.ReadOnly {
+							stm.RunReadOnly(eng, func(tx stm.Tx) error {
+								if got, _ := o.Run(tx, s, rng.New(1)); got != want {
+									t.Errorf("%s in RunReadOnly = %d, want %d", op.name, got, want)
+								}
+								return nil
+							})
+						}
+						eng.Atomic(func(tx stm.Tx) error {
+							for _, p := range all {
+								st, was := p.State(tx), before[p]
+								if !o.ReadOnly && st.BuildDate >= op.lo && st.BuildDate <= op.hi {
+									was = xy{was.y, was.x}
+								}
+								if (xy{st.X, st.Y}) != was {
+									t.Errorf("%s: part %d is (%d, %d), want (%d, %d)", op.name, p.ID, st.X, st.Y, was.x, was.y)
+								}
+							}
+							return nil
+						})
+					}
+					if total := len(all); mustRun(t, eng, s, "OP3", 1) != total {
+						t.Errorf("OP3 does not cover all %d parts", total)
+					}
+
+					// An empty range: nothing built in OP2's and OP10's decade.
+					eng.Atomic(func(tx stm.Tx) error {
+						for _, p := range all {
+							if p.BuildDate(tx) >= 1990 {
+								s.SetAtomicDate(tx, p, 1989)
+							}
+						}
+						return nil
+					})
+					for _, opName := range []string{"OP2", "OP10"} {
+						if got := mustRun(t, eng, s, opName, 1); got != 0 {
+							t.Errorf("%s over an empty range = %d", opName, got)
+						}
+					}
+					checkInvariants(t, eng, s)
+				})
+			}
+		}
 	}
 }
 

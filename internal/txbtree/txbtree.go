@@ -447,7 +447,10 @@ func (t *Tree[K, V]) ascend(tx stm.Tx, c *stm.Cell[node[K, V]], fn func(K, V) bo
 }
 
 // Range calls fn for every entry with lo <= key <= hi in ascending order
-// until fn returns false.
+// until fn returns false. fn must not Put into or Delete from t in tx: each
+// level of the walk iterates the node value it read on the way down, so a
+// split, merge or rotation made by fn is seen by the levels below it and not
+// by the levels above, and what is visited afterwards is undefined.
 func (t *Tree[K, V]) Range(tx stm.Tx, lo, hi K, fn func(K, V) bool) {
 	t.rang(tx, t.root.Get(tx), lo, hi, fn)
 }

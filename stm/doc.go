@@ -161,9 +161,10 @@
 //
 //   - reset() reuses storage. The per-attempt reset must restore every
 //     field to fresh-attempt state without reallocating: truncate read and
-//     write-set slices with s[:0], clear Var-to-index lookups with
-//     varIndex.reset (an O(1) generation bump — never re-make a map), and
-//     keep scratch buffers (like TL2's lockedMeta) at capacity.
+//     write-set slices (with truncate, which also records how long the
+//     attempt made them), clear Var-to-index lookups with varIndex.reset
+//     (an O(1) generation bump — never re-make a map), and keep scratch
+//     buffers (like TL2's lockedMeta) at capacity.
 //
 //   - Published memory never returns to the pool. Anything another
 //     transaction may still hold a pointer to — published value boxes,
@@ -174,10 +175,18 @@
 //     allocation per Var: published snapshots are immutable, and immutable
 //     means not pooled.
 //
-//   - Retained references are scrubbed on put. Before a descriptor goes
-//     back to the pool the engine clears buffered user values and observed
-//     boxes from its slices (one memclr per transaction), so an idle pool
-//     cannot pin a committed transaction's object graph. Descriptors are
+//   - Retained references are scrubbed on put, and the scrub is bounded
+//     by use. Before a descriptor goes back to the pool the engine clears
+//     buffered user values and observed boxes from its slices (scrub in
+//     pool.go), so an idle pool cannot pin a committed transaction's
+//     object graph. It clears each slice up to the longest the slice was
+//     in any attempt of the call that is ending — an aborted attempt may
+//     have been longer than the committing one — and no further: every
+//     slot beyond that is still zero from the previous put, so the
+//     epilogue of a 3-read transaction does not depend on the capacity a
+//     long traversal once left in the descriptor. A pooled descriptor has
+//     no non-zero slot anywhere in reads[:cap] or writes[:cap] (OSTM:
+//     writeLocs, pending); stm/scrub_test.go checks that. Descriptors are
 //     deliberately NOT returned to the pool when a user panic unwinds
 //     through Atomic — mid-attempt state is garbage, and sync.Pool will
 //     simply allocate a fresh descriptor next time.

@@ -244,12 +244,12 @@ func (e *NOrec) runSerial(tx *norecTx, fn func(tx Tx) error) error {
 }
 
 // putTx recycles a descriptor, dropping buffered user values and observed
-// snapshots first so the pool cannot pin them. The scrub covers the full
-// capacity because an earlier, larger aborted attempt may have left values
-// beyond the final attempt's length.
+// snapshots first so the pool cannot pin them. The scrub reaches past the
+// final attempt's length to whatever an earlier, larger aborted attempt of
+// this call left behind (pool.go).
 func (e *NOrec) putTx(tx *norecTx) {
-	clear(tx.writes[:cap(tx.writes)])
-	clear(tx.reads[:cap(tx.reads)])
+	tx.writes = scrub(tx.writes, &tx.hiWrites)
+	tx.reads = scrub(tx.reads, &tx.hiReads)
 	tx.gcNext = nil // a pooled descriptor must not pin its last batch's neighbor
 	e.txPool.put(tx)
 }
@@ -304,6 +304,8 @@ type norecTx struct {
 	writes   []norecWrite
 	writeIdx varIndex // *Var -> index into writes
 
+	hiReads, hiWrites int // longest reads/writes over this call's earlier attempts (pool.go)
+
 	tr traceTap // flight-recorder handle (tr.rec nil = tracing off)
 
 	// Group-commit linkage (groupcommit.go): gcNext threads the combining
@@ -319,9 +321,9 @@ type norecTx struct {
 
 func (tx *norecTx) reset() {
 	tx.snapshot = tx.eng.sampleSeq()
-	tx.reads = tx.reads[:0]
+	tx.reads = truncate(tx.reads, &tx.hiReads)
 	tx.readIdx.reset()
-	tx.writes = tx.writes[:0]
+	tx.writes = truncate(tx.writes, &tx.hiWrites)
 	tx.writeIdx.reset()
 	tx.injected = false
 }

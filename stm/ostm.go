@@ -375,18 +375,18 @@ func (e *OSTM) runSerial(tx *ostmTx, fn func(tx Tx) error) error {
 }
 
 // putTx recycles a descriptor: observed boxes, locator references and
-// buffered values are dropped (over the slices' full capacity — an earlier,
-// larger aborted attempt may have left entries beyond the final attempt's
-// length) so the pool cannot pin a finished transaction's object graph.
+// buffered values are dropped (past the final attempt's length, to whatever
+// an earlier, larger aborted attempt of this call left behind — pool.go) so
+// the pool cannot pin a finished transaction's object graph.
 // The state pointer is always detached: a published state belongs to the
 // attempt that published it forever, and even an unpublished one may point
 // into a locator whose CAS failed (acquire relocates before installing), so
 // keeping it would pin that dead locator and its boxes. reset re-establishes
 // the descriptor's scratch state on next use.
 func (e *OSTM) putTx(tx *ostmTx) {
-	clear(tx.reads[:cap(tx.reads)])
-	clear(tx.writeLocs[:cap(tx.writeLocs)])
-	clear(tx.pending[:cap(tx.pending)])
+	tx.reads = scrub(tx.reads, &tx.hiReads)
+	tx.writeLocs = scrub(tx.writeLocs, &tx.hiWriteLocs)
+	tx.pending = scrub(tx.pending, &tx.hiPending)
 	tx.state = nil
 	tx.stateShared = false
 	e.txPool.put(tx)
@@ -445,6 +445,8 @@ type ostmTx struct {
 	pending    []pendingWrite
 	pendingIdx varIndex // *Var -> index into pending
 
+	hiReads, hiWriteLocs, hiPending int // longest of each set over this call's earlier attempts (pool.go)
+
 	// lastSerial is the engine commit serial as of the last validation
 	// (commit-counter heuristic).
 	lastSerial uint64
@@ -470,9 +472,9 @@ func (tx *ostmTx) reset(attempt uint64) {
 		tx.state.status.Store(statusActive)
 		tx.state.opens.Store(0)
 	}
-	tx.reads = tx.reads[:0]
+	tx.reads = truncate(tx.reads, &tx.hiReads)
 	tx.readIdx.reset()
-	tx.writeLocs = tx.writeLocs[:0]
+	tx.writeLocs = truncate(tx.writeLocs, &tx.hiWriteLocs)
 	tx.writeIdx.reset()
 	switch tx.eng.cfg.Acquire {
 	case LazyAcquire:
@@ -482,7 +484,7 @@ func (tx *ostmTx) reset(attempt uint64) {
 	default:
 		tx.lazy = false
 	}
-	tx.pending = tx.pending[:0]
+	tx.pending = truncate(tx.pending, &tx.hiPending)
 	tx.pendingIdx.reset()
 	tx.injected = false
 	// Nothing read yet, so the current serial is a sound baseline.

@@ -1,6 +1,7 @@
 package stm_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/benchshapes"
@@ -104,3 +105,50 @@ func BenchmarkTxOverheadSnapshotTraversal(b *testing.B) { benchShape(b, "snaptra
 // itself; the gap to BenchmarkTxOverheadSnapshotRead (plus one small-write
 // commit) is the price of restart-freedom under write traffic.
 func BenchmarkTxOverheadVersionedWalk(b *testing.B) { benchShape(b, "snapversionwalk8") }
+
+// BenchmarkTxOverheadAfterLargeTx: a 3-read/1-write transaction on an engine
+// whose pooled descriptor one earlier transaction grew to 16 K reads, beside
+// the same transaction on a descriptor that never ran anything larger — what
+// a short operation pays for following a long traversal through the pool.
+// Recycling scrubs a descriptor's sets up to what the call used, so the two
+// ns/op agree; scrubbing the retained capacity cost the grown case a 16 K
+// slot clear per transaction.
+func BenchmarkTxOverheadAfterLargeTx(b *testing.B) {
+	const large = 16 << 10
+	for _, name := range stm.Registered() {
+		for _, grown := range []bool{false, true} {
+			b.Run(fmt.Sprintf("%s/grown=%v", name, grown), func(b *testing.B) {
+				eng, err := stm.New(name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cells := make([]*stm.Cell[int], large)
+				for i := range cells {
+					cells[i] = stm.NewCell(eng.VarSpace(), i)
+				}
+				if grown {
+					eng.Atomic(func(tx stm.Tx) error {
+						for _, c := range cells {
+							c.Get(tx)
+						}
+						return nil
+					})
+				}
+				fn := func(tx stm.Tx) error {
+					for _, c := range cells[:3] {
+						c.Get(tx)
+					}
+					cells[3].Set(tx, 1)
+					return nil
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := eng.Atomic(fn); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -21,11 +21,31 @@ import "sync"
 // mid-attempt garbage, and correctness beats recycling one object.
 //
 // Before a descriptor is pooled, engines clear the user values buffered in
-// its read/write sets (clearing a slice is one memclr, once per
-// transaction) so that a pooled descriptor cannot pin a committed
-// transaction's object graph in memory. *Var references retained by
+// its read/write sets so that a pooled descriptor cannot pin a committed
+// transaction's object graph in memory. The scrub is bounded by use, not by
+// capacity: a descriptor comes out of the pool with every slot of every set
+// zero, a call dirties a set only up to the longest it was in any of the
+// call's attempts (truncate records that), and scrub clears exactly that
+// prefix — so a 3-read transaction's epilogue costs 3 slots whatever the
+// largest transaction the descriptor ever ran. *Var references retained by
 // varIndex slots are not scrubbed — Vars live as long as the structure —
 // and sync.Pool drops idle descriptors at GC anyway.
+
+// truncate empties s for the next attempt of a call and raises *hi to the
+// length this attempt reached.
+func truncate[T any](s []T, hi *int) []T {
+	*hi = max(*hi, len(s))
+	return s[:0]
+}
+
+// scrub zeroes every slot of s the ending call wrote — up to the longest s
+// was in any of its attempts, the last included — and returns s empty with
+// *hi reset, the state the next call's first truncate expects.
+func scrub[T any](s []T, hi *int) []T {
+	clear(s[:max(*hi, len(s))])
+	*hi = 0
+	return s[:0]
+}
 
 // txPool is a typed wrapper around sync.Pool for per-engine transaction
 // descriptors. init must be called once (from the engine constructor)

@@ -256,11 +256,11 @@ func (e *TL2) runSerial(tx *tl2Tx, fn func(tx Tx) error) error {
 
 // putTx recycles a descriptor. Buffered user values are dropped first so a
 // pooled descriptor cannot pin the last transaction's object graph; the
-// scrub covers the full capacity because an earlier, larger aborted attempt
-// may have left values beyond the final attempt's length.
+// scrub reaches past the final attempt's length to whatever an earlier,
+// larger aborted attempt of this call left behind (pool.go).
 func (e *TL2) putTx(tx *tl2Tx) {
-	clear(tx.writes[:cap(tx.writes)])
-	clear(tx.reads[:cap(tx.reads)])
+	tx.writes = scrub(tx.writes, &tx.hiWrites)
+	tx.reads = scrub(tx.reads, &tx.hiReads)
 	e.txPool.put(tx)
 }
 
@@ -306,6 +306,8 @@ type tl2Tx struct {
 	writes   []tl2Write
 	writeIdx varIndex // *Var -> index into writes
 
+	hiReads, hiWrites int // longest reads/writes over this call's earlier attempts (pool.go)
+
 	lockedMeta []uint64 // commit scratch: pre-lock meta per write-set entry (dupMeta for same-orec duplicates)
 
 	tr traceTap // flight-recorder handle (tr.rec nil = tracing off)
@@ -316,9 +318,9 @@ type tl2Tx struct {
 
 func (tx *tl2Tx) reset() {
 	tx.rv = tx.eng.clock.read()
-	tx.reads = tx.reads[:0]
+	tx.reads = truncate(tx.reads, &tx.hiReads)
 	tx.readIdx.reset()
-	tx.writes = tx.writes[:0]
+	tx.writes = truncate(tx.writes, &tx.hiWrites)
 	tx.writeIdx.reset()
 	tx.injected = false
 }
