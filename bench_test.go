@@ -217,7 +217,7 @@ func BenchmarkHeadlineT1(b *testing.B) {
 		{"tl2", sync7.Config{Strategy: "tl2"}},
 		{"norec", sync7.Config{Strategy: "norec"}},
 		{"ostm", sync7.Config{Strategy: "ostm"}},
-		{"ostm-committime", sync7.Config{Strategy: "ostm", CommitTimeValidationOnly: true}},
+		{"ostm-committime", sync7.Config{Strategy: "ostm", Engine: stm.EngineOptions{CommitTimeValidationOnly: true}}},
 	} {
 		b.Run(pt.name, func(b *testing.B) {
 			ex, s := benchSetup(b, pt.cfg, core.Tiny())
@@ -251,7 +251,7 @@ func BenchmarkAblationValidation(b *testing.B) {
 		{"commit-time", true},
 	} {
 		b.Run(pt.name, func(b *testing.B) {
-			ex, s := benchSetup(b, sync7.Config{Strategy: "ostm", CommitTimeValidationOnly: pt.ctv}, core.Tiny())
+			ex, s := benchSetup(b, sync7.Config{Strategy: "ostm", Engine: stm.EngineOptions{CommitTimeValidationOnly: pt.ctv}}, core.Tiny())
 			st9, _ := ops.ByName("ST9") // whole-graph read traversal
 			r := rng.New(3)
 			b.ReportAllocs()
@@ -269,7 +269,7 @@ func BenchmarkAblationValidation(b *testing.B) {
 func BenchmarkAblationCM(b *testing.B) {
 	for _, cm := range []stm.ContentionManager{stm.Polka{}, stm.Karma{}, stm.Aggressive{}, stm.Timid{}, stm.Backoff{}} {
 		b.Run(cm.Name(), func(b *testing.B) {
-			ex, s := benchSetup(b, sync7.Config{Strategy: "ostm", CM: cm}, core.Tiny())
+			ex, s := benchSetup(b, sync7.Config{Strategy: "ostm", Engine: stm.EngineOptions{CM: cm}}, core.Tiny())
 			profile := ops.Profile{Workload: ops.WriteDominated, LongTraversals: false, StructureMods: false, Reduced: true}
 			benchThroughput(b, ex, s, profile, 8)
 			b.ReportMetric(100*ex.Engine().Stats().AbortRate(), "abort-%")
@@ -428,7 +428,7 @@ func BenchmarkAblationVisibleReads(b *testing.B) {
 		{"visible", true},
 	} {
 		b.Run("T1-readonly/"+pt.name, func(b *testing.B) {
-			eng := stm.NewOSTMWith(stm.OSTMConfig{VisibleReads: pt.visible})
+			eng := stm.NewOSTMWith(stm.OSTMConfig{EngineOptions: stm.EngineOptions{VisibleReads: pt.visible}})
 			s, err := core.Build(core.Tiny(), 42, eng.VarSpace())
 			if err != nil {
 				b.Fatal(err)
@@ -448,7 +448,7 @@ func BenchmarkAblationVisibleReads(b *testing.B) {
 			b.ReportMetric(float64(eng.Stats().Validations)/float64(b.N), "validations/op")
 		})
 		b.Run("mixed-8thr/"+pt.name, func(b *testing.B) {
-			eng := stm.NewOSTMWith(stm.OSTMConfig{VisibleReads: pt.visible})
+			eng := stm.NewOSTMWith(stm.OSTMConfig{EngineOptions: stm.EngineOptions{VisibleReads: pt.visible}})
 			s, err := core.Build(core.Tiny(), 42, eng.VarSpace())
 			if err != nil {
 				b.Fatal(err)

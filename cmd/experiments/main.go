@@ -21,9 +21,15 @@
 // orec granularity (object vs striped tables of two sizes) crossed with
 // commit-clock sharding for TL2, plus granularity for OSTM — reporting
 // throughput, abort rate, the false-conflict share of aborts and the
-// clock-shard spread per point. Checked in as BENCH_pr4.json. The other
-// throughput experiments accept -granularity/-orec-stripes/-clock-shards
-// to run the paper's tables under a chosen metadata layout.
+// clock-shard spread per point. Checked in as BENCH_pr4.json.
+//
+// Every throughput experiment and the scenario sweep run their engines
+// under the options given with -g, an engine-spec option list in
+// stm.ParseEngineSpec syntax (-g striped=4096,shards=4 runs the paper's
+// tables under that metadata layout, -g versions=4 under that chain depth,
+// -g gc,coalesce under the pipelined commit protocols). A sweep's own
+// axis overrides the keys it sweeps (mvcc, chaos); the orecs, commit and
+// headline experiments pin their whole configuration and ignore -g.
 //
 // The snapshot experiment measures the read-only snapshot fast path of
 // PR 5: a T1/T6-only read-only long-traversal loop plus full-mix and
@@ -36,8 +42,7 @@
 // scenarios (read-burst-write-storm, spike, steady) for tl2 and norec,
 // reporting snapshot restarts, version-resolved reads, chain misses and
 // retained version bytes per point — the space vs restarts curve. Checked
-// in as BENCH_pr6.json. The other throughput experiments accept -versions
-// to run under a chosen chain depth.
+// in as BENCH_pr6.json.
 //
 // The chaos experiment exercises the robustness subsystem of PR 7 per STM
 // engine: a deterministic fault plan (commit-path stalls plus forced
@@ -48,8 +53,7 @@
 // fallback on commits every transaction serially); and an open-loop
 // overload point per engine showing the shedding knobs (lateness budget +
 // bounded queue) holding response time under an arrival rate beyond
-// capacity. Checked in as BENCH_pr7.json. The throughput experiments
-// accept no robustness flags — chaos owns that grid.
+// capacity. Checked in as BENCH_pr7.json.
 //
 // The telemetry experiment exercises the PR 8 observability layer per STM
 // engine: a read/write mixed run with the time-series sampler attached
@@ -69,9 +73,7 @@
 // pipeline counters (batches published, batch sizes, coalesced lock
 // acquisitions) and, for the open-loop rows, response-time percentiles.
 // Checked in as BENCH_pr9.json; knobs-off rows are the regression guard
-// against earlier PRs' write-storm numbers. The other throughput
-// experiments accept -group-commit/-coalesce to run under the pipelined
-// commit protocol.
+// against earlier PRs' write-storm numbers.
 //
 // The adaptive experiment pits the PR 10 self-tuning runtime against
 // every pinned engine on the two scenarios whose best configuration is
@@ -135,25 +137,41 @@ type config struct {
 	seconds float64
 	threads []int
 	seed    uint64
-	// Metadata axes (-granularity / -orec-stripes / -clock-shards),
-	// applied to every throughput experiment and the scenario sweep; the
-	// orecs experiment sweeps its own grid and ignores them.
-	granularity stm.Granularity
-	orecStripes int
-	clockShards int
+	// engine (-g) is applied to every throughput experiment and the
+	// scenario sweep; a sweep's own axis overrides the keys it sweeps.
+	engine stm.EngineOptions
 	// disableSnap (-ro-snapshot=off) turns the read-only snapshot fast
 	// path off for every throughput experiment; the snapshot experiment
 	// sweeps both modes itself and ignores it.
 	disableSnap bool
-	// versions (-versions) keeps the last K committed versions per Var
-	// for every throughput experiment; the mvcc experiment sweeps its
-	// own K grid and ignores it.
-	versions int
-	// groupCommit/coalesce (-group-commit / -coalesce) turn the commit
-	// pipelining knobs on for every throughput experiment; the commit
-	// experiment sweeps its own grid and ignores them.
-	groupCommit bool
-	coalesce    bool
+}
+
+// engineWith applies an engine-spec option list over the run-wide -g
+// options: the configuration of one sweep point.
+func (cfg config) engineWith(opts string) stm.EngineOptions {
+	o, err := cfg.engine.Apply(opts)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(1)
+	}
+	return o
+}
+
+// mustSpec parses an engine spec a sweep spells as a literal.
+func mustSpec(s string) stm.EngineSpec {
+	spec, err := stm.ParseEngineSpec(s)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(1)
+	}
+	return spec
+}
+
+func onOff(b bool) string {
+	if b {
+		return "on"
+	}
+	return "off"
 }
 
 // jsonPoint is one measured data point in -json output. Fields that do not
@@ -264,20 +282,15 @@ type jsonReport struct {
 	Seconds float64 `json:"seconds"`
 	Threads []int   `json:"threads"`
 	Seed    uint64  `json:"seed"`
-	// Granularity/OrecStripes/ClockShards/ROSnapshot echo the engine
-	// flags the run-wide experiments used (the orecs and snapshot
-	// experiments sweep their own grids and stamp each point instead).
-	Granularity string `json:"granularity,omitempty"`
-	OrecStripes int    `json:"orec_stripes,omitempty"`
-	ClockShards int    `json:"clock_shards,omitempty"`
-	Versions    int    `json:"versions,omitempty"`
-	ROSnapshot  string `json:"ro_snapshot,omitempty"`
-	GroupCommit string `json:"group_commit,omitempty"`
-	Coalescing  string `json:"coalescing,omitempty"`
-	GoVersion   string `json:"go_version"`
-	GOOS        string `json:"goos"`
-	GOARCH      string `json:"goarch"`
-	NumCPU      int    `json:"num_cpu"`
+	// Engine/ROSnapshot echo the -g options and -ro-snapshot mode the
+	// run-wide experiments used (sweeps stamp their own axis on each
+	// point instead).
+	Engine     string `json:"engine,omitempty"`
+	ROSnapshot string `json:"ro_snapshot,omitempty"`
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	NumCPU     int    `json:"num_cpu"`
 	// GoMaxProcs, Engines and Strategies pin down the runtime
 	// configuration the points were measured under, so checked-in
 	// BENCH_*.json files are self-describing across machines and PRs.
@@ -311,26 +324,49 @@ func record(p jsonPoint) {
 func i64ptr(v int64) *int64     { return &v }
 func f64ptr(v float64) *float64 { return &v }
 
+// experiments is the experiment table: -exp resolves against it, "all"
+// runs it in order, and the help text and the unknown-experiment error
+// list it.
+var experiments = []struct {
+	name string
+	run  func(config)
+}{
+	{"fig3", figure3},
+	{"fig4", figure4},
+	{"table3", table3},
+	{"fig6", figure6},
+	{"headline", headline},
+	{"ablations", ablations},
+	{"overhead", overhead},
+	{"scenarios", scenarioSweep},
+	{"orecs", orecSweep},
+	{"snapshot", snapshotSweep},
+	{"mvcc", mvccSweep},
+	{"chaos", chaosSweep},
+	{"telemetry", telemetrySweep},
+	{"commit", commitSweep},
+	{"adaptive", adaptiveSweep},
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig3, fig4, table3, fig6, headline, ablations, overhead, scenarios, orecs, snapshot, mvcc, chaos, telemetry, commit, adaptive or all")
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(names, ", ")+" or all")
 	size := flag.String("size", "small", "structure size: tiny, small or medium (paper scale)")
 	seconds := flag.Float64("seconds", 1.0, "measurement duration per data point, in seconds")
 	threadsFlag := flag.String("threads", "1,2,4,8", "comma-separated thread counts")
 	seed := flag.Uint64("seed", 42, "benchmark seed")
-	granularityFlag := flag.String("granularity", "object", "conflict granularity for orec-based engines: object or striped")
-	orecStripes := flag.Int("orec-stripes", 0, "striped orec table size (0 = engine default)")
-	clockShards := flag.Int("clock-shards", 0, "TL2 commit-clock shards (0 or 1 = single clock)")
+	engineFlag := flag.String("g", "", "engine options for every throughput experiment, as an engine-spec option list (e.g. striped=4096,shards=4)")
 	roSnapshot := flag.String("ro-snapshot", "on", "read-only snapshot fast path: on or off")
-	versions := flag.Int("versions", 0, "committed versions kept per Var for snapshot reads (0 or 1 = single version)")
-	groupCommitFlag := flag.Bool("group-commit", false, "NOrec combining-queue group commit for every throughput experiment")
-	coalesceFlag := flag.Bool("coalesce", false, "TL2 commit-time lock coalescing for every throughput experiment")
 	jsonPath := flag.String("json", "", "also write machine-readable results to this file (\"-\" for stdout)")
 	listen := flag.String("listen", "", "serve live telemetry (/metrics, /debug/pprof/, expvar) on this address for the duration of the driver")
 	flag.Parse()
 
-	granularity, err := stm.ParseGranularity(*granularityFlag)
+	engine, err := stm.EngineOptions{}.Apply(*engineFlag)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		fmt.Fprintf(os.Stderr, "experiments: bad -g: %v\n", err)
 		os.Exit(1)
 	}
 
@@ -359,22 +395,12 @@ func main() {
 	}
 	cfg := config{
 		size: *size, params: params, seconds: *seconds, threads: threads, seed: *seed,
-		granularity: granularity, orecStripes: *orecStripes, clockShards: *clockShards,
-		disableSnap: disableSnap, versions: *versions,
-		groupCommit: *groupCommitFlag, coalesce: *coalesceFlag,
+		engine: engine, disableSnap: disableSnap,
 	}
 	if *jsonPath != "" {
-		onOff := func(b bool) string {
-			if b {
-				return "on"
-			}
-			return "off"
-		}
 		jsonOut = &jsonReport{
 			Size: cfg.size, Seconds: cfg.seconds, Threads: cfg.threads, Seed: cfg.seed,
-			Granularity: cfg.granularity.String(), OrecStripes: cfg.orecStripes, ClockShards: cfg.clockShards,
-			Versions: cfg.versions, ROSnapshot: *roSnapshot,
-			GroupCommit: onOff(cfg.groupCommit), Coalescing: onOff(cfg.coalesce),
+			Engine: cfg.engine.String(), ROSnapshot: *roSnapshot,
 			GoVersion: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
 			NumCPU: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0),
 			Engines: stm.Registered(), Strategies: sync7.Strategies(),
@@ -395,37 +421,17 @@ func main() {
 	fmt.Printf("STMBench7 experiment driver — structure %q (%d composite x %d atomic parts), %gs per point\n\n",
 		cfg.size, params.NumCompParts, params.NumAtomicPerComp, cfg.seconds)
 
-	run := map[string]func(config){
-		"fig3":      figure3,
-		"fig4":      figure4,
-		"table3":    table3,
-		"fig6":      figure6,
-		"headline":  headline,
-		"ablations": ablations,
-		"overhead":  overhead,
-		"scenarios": scenarioSweep,
-		"orecs":     orecSweep,
-		"snapshot":  snapshotSweep,
-		"mvcc":      mvccSweep,
-		"chaos":     chaosSweep,
-		"telemetry": telemetrySweep,
-		"commit":    commitSweep,
-		"adaptive":  adaptiveSweep,
+	ran := false
+	for _, e := range experiments {
+		if *exp == "all" || *exp == e.name {
+			curExp = e.name
+			e.run(cfg)
+			ran = true
+		}
 	}
-	order := []string{"fig3", "fig4", "table3", "fig6", "headline", "ablations", "overhead", "scenarios", "orecs", "snapshot", "mvcc", "chaos", "telemetry", "commit", "adaptive"}
-	if *exp == "all" {
-		for _, name := range order {
-			curExp = name
-			run[name](cfg)
-		}
-	} else {
-		fn, ok := run[*exp]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q\n", *exp)
-			os.Exit(1)
-		}
-		curExp = *exp
-		fn(cfg)
+	if !ran {
+		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (want %s or all)\n", *exp, strings.Join(names, ", "))
+		os.Exit(1)
 	}
 	if jsonOut != nil {
 		writeJSON(*jsonPath)
@@ -457,13 +463,8 @@ func measure(cfg config, o stmbench7.Options) *stmbench7.Result {
 	o.Params = cfg.params
 	o.Seed = cfg.seed
 	o.Duration = time.Duration(cfg.seconds * float64(time.Second))
-	o.Granularity = cfg.granularity
-	o.OrecStripes = cfg.orecStripes
-	o.ClockShards = cfg.clockShards
-	o.Versions = cfg.versions
+	o.Engine = cfg.engine
 	o.DisableROSnapshot = cfg.disableSnap
-	o.GroupCommit = cfg.groupCommit
-	o.LockCoalescing = cfg.coalesce
 	ex, s, err := stmbench7.Setup(o)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
@@ -687,20 +688,33 @@ func ablations(cfg config) {
 		mkEng func() stm.Engine
 		tweak func(*core.Params)
 	}
+	// spec builds a row's engine from an engine spec; Go literals remain
+	// for the ablation knobs no spec key names.
+	spec := func(s string) func() stm.Engine {
+		return func() stm.Engine {
+			sp := mustSpec(s)
+			eng, err := stm.NewWith(sp.Name, sp.Options)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "experiments:", err)
+				os.Exit(1)
+			}
+			return eng
+		}
+	}
 	rows := []abl{
 		{"ostm validation", "incremental (faithful)", func() stm.Engine { return stm.NewOSTM() }, nil},
-		{"ostm validation", "commit-time only", func() stm.Engine { return stm.NewOSTMWith(stm.OSTMConfig{CommitTimeValidationOnly: true}) }, nil},
+		{"ostm validation", "commit-time only", spec("ostm:ctv"), nil},
 		{"ostm validation", "commit-counter heuristic", func() stm.Engine { return stm.NewOSTMWith(stm.OSTMConfig{CommitCounterHeuristic: true}) }, nil},
 		{"ostm reads", "invisible (faithful)", func() stm.Engine { return stm.NewOSTM() }, nil},
-		{"ostm reads", "visible", func() stm.Engine { return stm.NewOSTMWith(stm.OSTMConfig{VisibleReads: true}) }, nil},
+		{"ostm reads", "visible", spec("ostm:visible"), nil},
 		{"ostm acquire", "eager (faithful)", func() stm.Engine { return stm.NewOSTM() }, nil},
 		{"ostm acquire", "lazy", func() stm.Engine { return stm.NewOSTMWith(stm.OSTMConfig{Acquire: stm.LazyAcquire}) }, nil},
 		{"ostm acquire", "adaptive", func() stm.Engine { return stm.NewOSTMWith(stm.OSTMConfig{Acquire: stm.AdaptiveAcquire}) }, nil},
 		{"contention manager", "polka (paper)", func() stm.Engine { return stm.NewOSTM() }, nil},
-		{"contention manager", "karma", func() stm.Engine { return stm.NewOSTMWith(stm.OSTMConfig{CM: stm.Karma{}}) }, nil},
-		{"contention manager", "aggressive", func() stm.Engine { return stm.NewOSTMWith(stm.OSTMConfig{CM: stm.Aggressive{}}) }, nil},
-		{"contention manager", "timid", func() stm.Engine { return stm.NewOSTMWith(stm.OSTMConfig{CM: stm.Timid{}}) }, nil},
-		{"contention manager", "backoff", func() stm.Engine { return stm.NewOSTMWith(stm.OSTMConfig{CM: stm.Backoff{}}) }, nil},
+		{"contention manager", "karma", spec("ostm:cm=karma"), nil},
+		{"contention manager", "aggressive", spec("ostm:cm=aggressive"), nil},
+		{"contention manager", "timid", spec("ostm:cm=timid"), nil},
+		{"contention manager", "backoff", spec("ostm:cm=backoff"), nil},
 		{"tl2", "plain", func() stm.Engine { return stm.NewTL2() }, nil},
 		{"tl2", "timestamp extension", func() stm.Engine { return stm.NewTL2With(stm.TL2Config{TimestampExtension: true}) }, nil},
 		{"norec", "value validation (faithful)", func() stm.Engine { return stm.NewNOrec() }, nil},
@@ -791,8 +805,8 @@ func headline(cfg config) {
 		{"tl2", sync7.Config{Strategy: "tl2", DisableROSnapshot: true}},
 		{"norec", sync7.Config{Strategy: "norec", DisableROSnapshot: true}},
 		{"ostm (ASTM variant)", sync7.Config{Strategy: "ostm", DisableROSnapshot: true}},
-		{"ostm, commit-time validation", sync7.Config{Strategy: "ostm", CommitTimeValidationOnly: true, DisableROSnapshot: true}},
-		{"ostm, visible reads", sync7.Config{Strategy: "ostm", VisibleReads: true, DisableROSnapshot: true}},
+		{"ostm, commit-time validation", sync7.Config{Strategy: "ostm", Engine: stm.EngineOptions{CommitTimeValidationOnly: true}, DisableROSnapshot: true}},
+		{"ostm, visible reads", sync7.Config{Strategy: "ostm", Engine: stm.EngineOptions{VisibleReads: true}, DisableROSnapshot: true}},
 		{"tl2, ro-snapshot", sync7.Config{Strategy: "tl2"}},
 		{"ostm, ro-snapshot", sync7.Config{Strategy: "ostm"}},
 	}
@@ -918,30 +932,21 @@ func overhead(cfg config) {
 // is the pre-orec baseline: it must stay competitive with earlier PRs'
 // BENCH numbers.
 func orecSweep(cfg config) {
-	type variant struct {
-		strategy    string
-		granularity stm.Granularity
-		stripes     int
-		shards      int
+	var variants []stm.EngineSpec
+	for _, v := range []string{
+		"tl2:shards=1", "tl2:shards=4", "tl2:shards=8",
+		"tl2:striped=4096,shards=1", "tl2:striped=4096,shards=4", "tl2:striped=256,shards=4",
+		"ostm", "ostm:striped=4096", "ostm:striped=256",
+	} {
+		variants = append(variants, mustSpec(v))
 	}
-	variants := []variant{
-		{"tl2", stm.ObjectGranularity, 0, 1},
-		{"tl2", stm.ObjectGranularity, 0, 4},
-		{"tl2", stm.ObjectGranularity, 0, 8},
-		{"tl2", stm.StripedGranularity, 4096, 1},
-		{"tl2", stm.StripedGranularity, 4096, 4},
-		{"tl2", stm.StripedGranularity, 256, 4},
-		{"ostm", stm.ObjectGranularity, 0, 0},
-		{"ostm", stm.StripedGranularity, 4096, 0},
-		{"ostm", stm.StripedGranularity, 256, 0},
-	}
-	label := func(v variant) string {
-		s := v.strategy + "/" + v.granularity.String()
-		if v.granularity == stm.StripedGranularity {
-			s += fmt.Sprintf("-%d", v.stripes)
+	label := func(v stm.EngineSpec) string {
+		s := v.Name + "/" + v.Options.Granularity.String()
+		if v.Options.Granularity == stm.StripedGranularity {
+			s += fmt.Sprintf("-%d", v.Options.OrecStripes)
 		}
-		if v.shards > 1 {
-			s += fmt.Sprintf("/c%d", v.shards)
+		if v.Options.ClockShards > 1 {
+			s += fmt.Sprintf("/c%d", v.Options.ClockShards)
 		}
 		return s
 	}
@@ -954,7 +959,7 @@ func orecSweep(cfg config) {
 		"variant", "threads", "ops/s", "abort%", "false%", "shards", "spread")
 	for _, v := range variants {
 		for _, th := range cfg.threads {
-			res := measureOrec(cfg, v.strategy, v.granularity, v.stripes, v.shards, th)
+			res := measureOrec(cfg, v, th)
 			es := res.EngineStats
 			fmt.Printf("%-22s %8d %12.0f %8.2f %8.2f %8d %10d\n",
 				label(v), th, res.Throughput(), 100*es.AbortRate(),
@@ -968,9 +973,9 @@ func orecSweep(cfg config) {
 				Commits:          es.Commits,
 				Aborts:           es.ConflictAborts,
 				Validations:      es.Validations,
-				Granularity:      v.granularity.String(),
-				OrecStripes:      v.stripes,
-				ClockShards:      v.shards,
+				Granularity:      v.Options.Granularity.String(),
+				OrecStripes:      v.Options.OrecStripes,
+				ClockShards:      v.Options.ClockShards,
 				FalseConflictPct: f64ptr(100 * es.FalseConflictRate()),
 				ClockShardSpread: es.ClockShardSpread,
 			})
@@ -980,7 +985,7 @@ func orecSweep(cfg config) {
 }
 
 // measureOrec runs one orec-sweep data point.
-func measureOrec(cfg config, strategy string, g stm.Granularity, stripes, shards, threads int) *stmbench7.Result {
+func measureOrec(cfg config, spec stm.EngineSpec, threads int) *stmbench7.Result {
 	o := stmbench7.Options{
 		Params:         cfg.params,
 		Seed:           cfg.seed,
@@ -989,10 +994,8 @@ func measureOrec(cfg config, strategy string, g stm.Granularity, stripes, shards
 		Workload:       ops.ReadWrite,
 		LongTraversals: false,
 		StructureMods:  true,
-		Strategy:       strategy,
-		Granularity:    g,
-		OrecStripes:    stripes,
-		ClockShards:    shards,
+		Strategy:       spec.Name,
+		Engine:         spec.Options,
 	}
 	res, err := stmbench7.Run(o)
 	if err != nil {
@@ -1139,9 +1142,7 @@ func snapshotSweep(cfg config) {
 					LongTraversals:    ctl.longTraversals,
 					StructureMods:     true,
 					Strategy:          strat,
-					Granularity:       cfg.granularity,
-					OrecStripes:       cfg.orecStripes,
-					ClockShards:       cfg.clockShards,
+					Engine:            cfg.engine,
 					DisableROSnapshot: mode.disable,
 				}
 				res, err := stmbench7.Run(o)
@@ -1179,9 +1180,7 @@ func traversalThroughput(cfg config, strategy string, disableSnap bool, threads 
 	ex, err := sync7.New(sync7.Config{
 		Strategy:          strategy,
 		NumAssmLevels:     cfg.params.NumAssmLevels,
-		Granularity:       cfg.granularity,
-		OrecStripes:       cfg.orecStripes,
-		ClockShards:       cfg.clockShards,
+		Engine:            cfg.engine,
 		DisableROSnapshot: disableSnap,
 	})
 	if err != nil {
@@ -1252,17 +1251,13 @@ func scenarioSweep(cfg config) {
 			"engine", "phase", "threads", "mode", "ops/s", "abort%", "p50[ms]", "p99[ms]")
 		for _, strat := range strategies {
 			rep, err := scenario.Run(sc, scenario.RunOptions{
-				Params:         cfg.params,
-				Strategy:       strat,
-				Seed:           cfg.seed,
-				Threads:        threads,
-				TimeScale:      cfg.seconds,
-				Granularity:    cfg.granularity,
-				OrecStripes:    cfg.orecStripes,
-				ClockShards:    cfg.clockShards,
-				GroupCommit:    cfg.groupCommit,
-				LockCoalescing: cfg.coalesce,
-				OnEngine:       repointTelemetry,
+				Params:    cfg.params,
+				Strategy:  strat,
+				Engine:    cfg.engine,
+				Seed:      cfg.seed,
+				Threads:   threads,
+				TimeScale: cfg.seconds,
+				OnEngine:  repointTelemetry,
 			})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -1336,15 +1331,12 @@ func mvccSweep(cfg config) {
 		for _, strat := range engines {
 			for _, k := range depths {
 				rep, err := scenario.Run(sc, scenario.RunOptions{
-					Params:      cfg.params,
-					Strategy:    strat,
-					Seed:        cfg.seed,
-					Threads:     threads,
-					TimeScale:   cfg.seconds,
-					Granularity: cfg.granularity,
-					OrecStripes: cfg.orecStripes,
-					ClockShards: cfg.clockShards,
-					Versions:    k,
+					Params:    cfg.params,
+					Strategy:  strat,
+					Engine:    cfg.engineWith(fmt.Sprintf("versions=%d", k)),
+					Seed:      cfg.seed,
+					Threads:   threads,
+					TimeScale: cfg.seconds,
 				})
 				if err != nil {
 					fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -1405,36 +1397,21 @@ func chaosSweep(cfg config) {
 	if n := len(cfg.threads); n > 0 {
 		threads = cfg.threads[n-1]
 	}
-	mustPlan := func(s string) *stmbench7.FaultPlan {
-		p, err := stmbench7.ParseFaultPlan(s)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		return p
+	// stormOpts is the storm's robustness configuration as an engine-spec
+	// option list (faults= is last: it takes the rest of the string).
+	stormOpts := func(fallback bool) stm.EngineOptions {
+		return cfg.engineWith(fmt.Sprintf("deadline=%v,serial=%s,faults=%s", stormDeadline, onOff(fallback), stormPlan))
 	}
 	runChaos := func(o stmbench7.Options) *stmbench7.Result {
 		o.Params = cfg.params
 		o.Seed = cfg.seed
-		o.Granularity = cfg.granularity
-		o.OrecStripes = cfg.orecStripes
-		o.ClockShards = cfg.clockShards
-		o.Versions = cfg.versions
 		o.DisableROSnapshot = cfg.disableSnap
-		o.GroupCommit = cfg.groupCommit
-		o.LockCoalescing = cfg.coalesce
 		res, err := stmbench7.Run(o)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
 		}
 		return res
-	}
-	onOff := func(b bool) string {
-		if b {
-			return "on"
-		}
-		return "off"
 	}
 
 	fmt.Println("=== Chaos sweep: fault injection, deadlines, serial fallback, shedding ===")
@@ -1451,9 +1428,7 @@ func chaosSweep(cfg config) {
 				LongTraversals: false,
 				StructureMods:  true,
 				Strategy:       strat,
-				TxDeadline:     stormDeadline,
-				SerialFallback: fallback,
-				FaultPlan:      mustPlan(stormPlan),
+				Engine:         stormOpts(fallback),
 			})
 			es := res.EngineStats
 			failed := res.TotalAttempted() - res.TotalSucceeded()
@@ -1492,7 +1467,7 @@ func chaosSweep(cfg config) {
 				LongTraversals: false,
 				StructureMods:  true,
 				Strategy:       strat,
-				FaultPlan:      mustPlan(stormPlan),
+				Engine:         cfg.engineWith("faults=" + stormPlan),
 			})
 			faults[i] = res.EngineStats.InjectedFaults
 			record(jsonPoint{
@@ -1524,9 +1499,7 @@ func chaosSweep(cfg config) {
 				LongTraversals: false,
 				StructureMods:  true,
 				Strategy:       strat,
-				TxDeadline:     5 * time.Millisecond,
-				SerialFallback: fallback,
-				FaultPlan:      mustPlan("seed=7,abort:1/1"),
+				Engine:         cfg.engineWith("deadline=5ms,serial=" + onOff(fallback) + ",faults=seed=7,abort:1/1"),
 			})
 			es := res.EngineStats
 			failed := res.TotalAttempted() - res.TotalSucceeded()
@@ -1561,9 +1534,7 @@ func chaosSweep(cfg config) {
 			LongTraversals:    false,
 			StructureMods:     true,
 			Strategy:          strat,
-			TxDeadline:        stormDeadline,
-			SerialFallback:    true,
-			FaultPlan:         mustPlan(stormPlan),
+			Engine:            stormOpts(true),
 			OpenLoop:          true,
 			ArrivalRate:       200_000,
 			ShedAfter:         2 * time.Millisecond,
@@ -1620,22 +1591,15 @@ func chaosSweep(cfg config) {
 // the saved validation retries, not lock-handoff traffic.
 func commitSweep(cfg config) {
 	type variant struct {
-		label       string
-		strategy    string
-		granularity stm.Granularity
-		gc, co      bool
+		label    string
+		strategy string
+		engine   stm.EngineOptions
 	}
 	variants := []variant{
-		{"norec/classic", "norec", stm.ObjectGranularity, false, false},
-		{"norec/group", "norec", stm.ObjectGranularity, true, false},
-		{"tl2/per-orec", "tl2", stm.StripedGranularity, false, false},
-		{"tl2/coalesced", "tl2", stm.StripedGranularity, false, true},
-	}
-	onOff := func(b bool) string {
-		if b {
-			return "on"
-		}
-		return "off"
+		{"norec/classic", "norec", stm.EngineOptions{}},
+		{"norec/group", "norec", stm.EngineOptions{GroupCommit: true}},
+		{"tl2/per-orec", "tl2", stm.EngineOptions{Granularity: stm.StripedGranularity}},
+		{"tl2/coalesced", "tl2", stm.EngineOptions{Granularity: stm.StripedGranularity, LockCoalescing: true}},
 	}
 	runPoint := func(o stmbench7.Options) *stmbench7.Result {
 		o.Params = cfg.params
@@ -1660,11 +1624,9 @@ func commitSweep(cfg config) {
 	for _, v := range variants {
 		for _, th := range cfg.threads {
 			res := runPoint(stmbench7.Options{
-				Threads:        th,
-				Strategy:       v.strategy,
-				Granularity:    v.granularity,
-				GroupCommit:    v.gc,
-				LockCoalescing: v.co,
+				Threads:  th,
+				Strategy: v.strategy,
+				Engine:   v.engine,
 			})
 			es := res.EngineStats
 			fmt.Printf("%-16s %8d %12.0f %8.1f %9d %9d %10d\n",
@@ -1679,9 +1641,9 @@ func commitSweep(cfg config) {
 				Commits:         es.Commits,
 				Aborts:          es.ConflictAborts,
 				Validations:     es.Validations,
-				Granularity:     v.granularity.String(),
-				GroupCommit:     onOff(v.gc),
-				Coalescing:      onOff(v.co),
+				Granularity:     v.engine.Granularity.String(),
+				GroupCommit:     onOff(v.engine.GroupCommit),
+				Coalescing:      onOff(v.engine.LockCoalescing),
 				GroupCommits:    es.GroupCommits,
 				GroupCommitSize: es.GroupCommitSize,
 				CoalescedLocks:  es.CoalescedLocks,
@@ -1698,9 +1660,7 @@ func commitSweep(cfg config) {
 				res := runPoint(stmbench7.Options{
 					Threads:           th,
 					Strategy:          v.strategy,
-					Granularity:       v.granularity,
-					GroupCommit:       v.gc,
-					LockCoalescing:    v.co,
+					Engine:            v.engine,
 					SkewTheta:         0.9,
 					OpenLoop:          true,
 					ArrivalRate:       4000 * float64(th),
@@ -1716,9 +1676,9 @@ func commitSweep(cfg config) {
 					AbortPct:        f64ptr(100 * es.AbortRate()),
 					Commits:         es.Commits,
 					Aborts:          es.ConflictAborts,
-					Granularity:     v.granularity.String(),
-					GroupCommit:     onOff(v.gc),
-					Coalescing:      onOff(v.co),
+					Granularity:     v.engine.Granularity.String(),
+					GroupCommit:     onOff(v.engine.GroupCommit),
+					Coalescing:      onOff(v.engine.LockCoalescing),
 					Affinity:        onOff(aff),
 					GroupCommits:    es.GroupCommits,
 					GroupCommitSize: es.GroupCommitSize,
@@ -1779,16 +1739,11 @@ func telemetrySweep(cfg config) {
 			Duration:          time.Duration(cfg.seconds * float64(time.Second)),
 			Workload:          stmbench7.ReadWrite,
 			Strategy:          strat,
-			Granularity:       cfg.granularity,
-			OrecStripes:       cfg.orecStripes,
-			ClockShards:       cfg.clockShards,
-			Versions:          cfg.versions,
+			Engine:            cfg.engine,
 			DisableROSnapshot: cfg.disableSnap,
-			GroupCommit:       cfg.groupCommit,
-			LockCoalescing:    cfg.coalesce,
-			Trace:             rec,
 			SampleInterval:    interval,
 		}
+		o.Engine.Trace = rec
 		ex, s, err := stmbench7.Setup(o)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
@@ -1866,19 +1821,14 @@ func adaptiveSweep(cfg config) {
 
 	runRep := func(sc *scenario.Scenario, strat string, adaptive bool) (float64, stm.Stats, []string) {
 		rep, err := scenario.Run(sc, scenario.RunOptions{
-			Params:         cfg.params,
-			Strategy:       strat,
-			Seed:           cfg.seed,
-			Threads:        threads,
-			TimeScale:      cfg.seconds,
-			Granularity:    cfg.granularity,
-			OrecStripes:    cfg.orecStripes,
-			ClockShards:    cfg.clockShards,
-			Versions:       cfg.versions,
-			GroupCommit:    cfg.groupCommit,
-			LockCoalescing: cfg.coalesce,
-			Adaptive:       adaptive,
-			OnEngine:       repointTelemetry,
+			Params:    cfg.params,
+			Strategy:  strat,
+			Engine:    cfg.engine,
+			Seed:      cfg.seed,
+			Threads:   threads,
+			TimeScale: cfg.seconds,
+			Adaptive:  adaptive,
+			OnEngine:  repointTelemetry,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -1921,12 +1871,6 @@ func adaptiveSweep(cfg config) {
 			}
 		}
 		return bestOps, bestStats, bestDec
-	}
-	onOff := func(b bool) string {
-		if b {
-			return "on"
-		}
-		return "off"
 	}
 
 	for _, name := range scenarios {

@@ -8,7 +8,13 @@
 //	-t N               number of threads (default 1)
 //	-l SECONDS         benchmark length in seconds (default 10)
 //	-w r|rw|w          workload type (default r, read-dominated)
-//	-g STRATEGY        synchronization: coarse, medium, ostm, tl2, norec (default coarse)
+//	-g SPEC            synchronization: coarse, medium, ostm, tl2, norec (default
+//	                   coarse), optionally with engine options after a colon —
+//	                   an engine spec such as tl2:striped=4096,shards=4 or
+//	                   norec:gc,deadline=25ms,serial. Keys: striped[=N],
+//	                   shards=N, versions=K, gc, coalesce, cm=NAME, ctv,
+//	                   visible, deadline=D, serial, faults=PLAN (last); see
+//	                   the README's "Engine spec" section
 //	--no-traversals    disable long traversals
 //	--no-sms           disable structure modification operations
 //	--ttc-histograms   print TTC (latency) histograms
@@ -18,42 +24,12 @@
 //	-size tiny|small|medium   structure size (default small; medium is the paper's)
 //	-seed N                   build/workload seed (default 42)
 //	-reduced                  use the §5 reduced operation set (Figure 6)
-//	-cm NAME                  OSTM contention manager: polka, karma, aggressive, timid, backoff
-//	-commit-time-validation   disable OSTM's incremental validation (ablation)
-//	-granularity object|striped  conflict-detection granularity for orec-based
-//	                          engines (tl2, ostm): one orec per Var (default) or
-//	                          Vars hashed onto a fixed striped table
-//	-orec-stripes N           striped orec table size (power of two; 0 = default 4096)
-//	-clock-shards N           shard TL2's commit clock (0/1 = classic single clock)
-//	-versions K               keep the last K committed versions per Var so
-//	                          read-only snapshot transactions resolve older
-//	                          versions instead of restarting (0/1 = single
-//	                          version; tl2 and norec)
 //	-ro-snapshot on|off       read-only snapshot fast path: serve read-only
 //	                          operations from the engine's validation-free
 //	                          snapshot mode (default on; off restores the
 //	                          plain Atomic path for every operation)
-//	-deadline D               per-transaction wall-clock retry budget (Go
-//	                          duration; 0 = none); transactions that cannot
-//	                          commit within D abort with a deadline-exceeded
-//	                          cause (stm engines only)
-//	-serial-fallback          escalate transactions that exhaust their retry
-//	                          budget or deadline to irrevocable serial mode
-//	                          instead of surfacing the abort
-//	-fault-plan PLAN          deterministic fault injection at the engines'
-//	                          commit-path probe sites, e.g.
-//	                          "seed=7,precommit:1/40:80us,abort:1/24"
-//	                          (sites: precommit, lockhold, clocktick, abort)
-//	-group-commit             NOrec combining-queue group commit: committers
-//	                          that find the sequence lock held enqueue their
-//	                          write set and the holder publishes the whole
-//	                          batch under one acquisition (norec only)
-//	-coalesce                 TL2 commit-time lock coalescing: acquire sorted
-//	                          runs of adjacent striped-table orecs with one
-//	                          CAS per 64-bit group word (tl2 under
-//	                          -granularity striped only)
 //	-adaptive                 adaptive self-tuning runtime: start on the -g
-//	                          engine, watch the live abort/conflict profile
+//	                          spec, watch the live abort/conflict profile
 //	                          and reconfigure (engine, granularity, versions,
 //	                          group commit) mid-run via quiesce-and-swap;
 //	                          decisions are listed in the report (stm
@@ -92,10 +68,10 @@
 //	                      instead of a single static mix; -t becomes the
 //	                      default thread count for phases that don't set
 //	                      their own, and -l/-w/--no-* are ignored
-//	                      (-deadline/-serial-fallback/-fault-plan and
-//	                      -group-commit/-coalesce/-adaptive become run
-//	                      defaults a scenario may override; overload-shedding and
-//	                      affinity knobs are per-phase in the scenario file)
+//	                      (the -g options, -ro-snapshot and -adaptive become
+//	                      run defaults a scenario may override; overload-
+//	                      shedding and affinity knobs are per-phase in the
+//	                      scenario file)
 //	-scenario-scale F     multiply every phase duration by F (default 1)
 //	-list-scenarios       print the built-in scenario library and exit
 //
@@ -108,6 +84,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -123,48 +100,19 @@ func main() {
 	}
 }
 
-func contentionManager(name string) (stm.ContentionManager, error) {
-	switch name {
-	case "", "polka":
-		return stm.Polka{}, nil
-	case "karma":
-		return stm.Karma{}, nil
-	case "aggressive":
-		return stm.Aggressive{}, nil
-	case "timid":
-		return stm.Timid{}, nil
-	case "backoff":
-		return stm.Backoff{}, nil
-	default:
-		return nil, fmt.Errorf("unknown contention manager %q", name)
-	}
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("stmbench7", flag.ContinueOnError)
 	threads := fs.Int("t", 1, "number of threads")
 	length := fs.Float64("l", 10, "benchmark length in seconds")
 	workload := fs.String("w", "r", "workload type: r, rw or w")
-	strategy := fs.String("g", "coarse", "synchronization strategy: "+strings.Join(stmbench7.Strategies(), ", "))
+	specFlag := fs.String("g", "coarse", "synchronization strategy ("+strings.Join(stmbench7.Strategies(), ", ")+"), optionally with engine options: an engine spec such as tl2:striped=4096,shards=4")
 	noTraversals := fs.Bool("no-traversals", false, "disable long traversals")
 	noSMs := fs.Bool("no-sms", false, "disable structure modification operations")
 	histograms := fs.Bool("ttc-histograms", false, "print TTC histograms")
 	size := fs.String("size", "small", "structure size: tiny, small or medium (paper scale)")
 	seed := fs.Uint64("seed", 42, "benchmark seed")
 	reduced := fs.Bool("reduced", false, "use the reduced operation set of §5 (Figure 6)")
-	cmName := fs.String("cm", "polka", "OSTM contention manager")
-	ctv := fs.Bool("commit-time-validation", false, "OSTM: validate only at commit (ablation)")
-	visible := fs.Bool("visible-reads", false, "OSTM: visible reads instead of invisible+validation (ablation)")
-	granularityFlag := fs.String("granularity", "object", "conflict granularity for orec-based engines: object or striped")
-	orecStripes := fs.Int("orec-stripes", 0, "striped orec table size (0 = engine default)")
-	clockShards := fs.Int("clock-shards", 0, "TL2 commit-clock shards (0 or 1 = single clock)")
-	versions := fs.Int("versions", 0, "committed versions kept per Var for snapshot reads (0 or 1 = single version)")
 	roSnapshot := fs.String("ro-snapshot", "on", "read-only snapshot fast path: on or off")
-	deadline := fs.Duration("deadline", 0, "per-transaction wall-clock retry budget (0 = none; stm engines only)")
-	serialFallback := fs.Bool("serial-fallback", false, "escalate transactions that exhaust their retry budget or deadline to irrevocable serial mode")
-	faultPlanFlag := fs.String("fault-plan", "", `deterministic fault-injection plan, e.g. "seed=7,precommit:1/40:80us,abort:1/24"`)
-	groupCommit := fs.Bool("group-commit", false, "NOrec combining-queue group commit (norec only)")
-	coalesce := fs.Bool("coalesce", false, "TL2 commit-time lock coalescing (tl2 under striped granularity only)")
 	adaptive := fs.Bool("adaptive", false, "adaptive self-tuning runtime: live engine reconfiguration via quiesce-and-swap (stm strategies only)")
 	arrivalRate := fs.Float64("arrival-rate", 0, "open-loop Poisson arrival rate in ops/s, total (0 = closed loop)")
 	affinity := fs.Bool("affinity", false, "affinity-aware open-loop scheduling (requires -arrival-rate)")
@@ -191,9 +139,14 @@ func run(args []string) error {
 		return nil
 	}
 
-	granularity, err := stm.ParseGranularity(*granularityFlag)
+	// Configuration errors come before any work: the spec is parsed and its
+	// strategy name resolved here, not after the structure is built.
+	spec, err := stmbench7.ParseEngineSpec(*specFlag)
 	if err != nil {
-		return err
+		return fmt.Errorf("bad -g: %w", err)
+	}
+	if !slices.Contains(stmbench7.Strategies(), spec.Name) {
+		return fmt.Errorf("bad -g: unknown strategy %q (want %s)", spec.Name, strings.Join(stmbench7.Strategies(), ", "))
 	}
 	var disableSnap bool
 	switch *roSnapshot {
@@ -202,13 +155,6 @@ func run(args []string) error {
 		disableSnap = true
 	default:
 		return fmt.Errorf("bad -ro-snapshot %q (want on or off)", *roSnapshot)
-	}
-	faultPlan, err := stmbench7.ParseFaultPlan(*faultPlanFlag)
-	if err != nil {
-		return fmt.Errorf("bad -fault-plan: %w", err)
-	}
-	if *deadline < 0 {
-		return fmt.Errorf("bad -deadline %v (must be >= 0)", *deadline)
 	}
 	if *arrivalRate < 0 {
 		return fmt.Errorf("bad -arrival-rate %v (must be >= 0)", *arrivalRate)
@@ -234,6 +180,7 @@ func run(args []string) error {
 	var rec *stmbench7.TraceRecorder
 	if *traceEvents > 0 {
 		rec = stmbench7.NewTraceRecorder(*traceEvents)
+		spec.Options.Trace = rec
 	}
 	if *traceOut != "" && rec == nil {
 		return fmt.Errorf("-trace-out requires -trace N")
@@ -281,37 +228,21 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		cm, err := contentionManager(*cmName)
-		if err != nil {
-			return err
-		}
 		fmt.Fprintf(os.Stderr, "building %s structure (seed %d) for scenario %q...\n", *size, *seed, sc.Name)
 		t0 := time.Now()
 		rep, err := stmbench7.RunScenario(sc, stmbench7.ScenarioRunOptions{
-			Params:                   params,
-			Strategy:                 *strategy,
-			Seed:                     *seed,
-			Threads:                  *threads,
-			TimeScale:                *scenarioScale,
-			CollectHistograms:        *histograms,
-			CheckInvariants:          *check,
-			CM:                       cm,
-			CommitTimeValidationOnly: *ctv,
-			VisibleReads:             *visible,
-			Granularity:              granularity,
-			OrecStripes:              *orecStripes,
-			ClockShards:              *clockShards,
-			Versions:                 *versions,
-			DisableROSnapshot:        disableSnap,
-			TxDeadline:               *deadline,
-			SerialFallback:           *serialFallback,
-			FaultPlan:                faultPlan,
-			GroupCommit:              *groupCommit,
-			LockCoalescing:           *coalesce,
-			Adaptive:                 *adaptive,
-			Trace:                    rec,
-			SampleInterval:           *sample,
-			OnEngine:                 func(eng stm.Engine) { reg.SetStats(eng.Stats) },
+			Params:            params,
+			Strategy:          spec.Name,
+			Engine:            spec.Options,
+			Seed:              *seed,
+			Threads:           *threads,
+			TimeScale:         *scenarioScale,
+			CollectHistograms: *histograms,
+			CheckInvariants:   *check,
+			DisableROSnapshot: disableSnap,
+			Adaptive:          *adaptive,
+			SampleInterval:    *sample,
+			OnEngine:          func(eng stm.Engine) { reg.SetStats(eng.Stats) },
 		})
 		if err != nil {
 			return err
@@ -331,42 +262,25 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	cm, err := contentionManager(*cmName)
-	if err != nil {
-		return err
-	}
-
 	opts := stmbench7.Options{
-		Params:                   params,
-		Seed:                     *seed,
-		Threads:                  *threads,
-		Duration:                 time.Duration(*length * float64(time.Second)),
-		Workload:                 w,
-		LongTraversals:           !*noTraversals,
-		StructureMods:            !*noSMs,
-		Reduced:                  *reduced,
-		Strategy:                 *strategy,
-		CM:                       cm,
-		CommitTimeValidationOnly: *ctv,
-		VisibleReads:             *visible,
-		Granularity:              granularity,
-		OrecStripes:              *orecStripes,
-		ClockShards:              *clockShards,
-		Versions:                 *versions,
-		DisableROSnapshot:        disableSnap,
-		TxDeadline:               *deadline,
-		SerialFallback:           *serialFallback,
-		FaultPlan:                faultPlan,
-		GroupCommit:              *groupCommit,
-		LockCoalescing:           *coalesce,
-		Adaptive:                 *adaptive,
-		OpenLoop:                 *arrivalRate > 0,
-		ArrivalRate:              *arrivalRate,
-		Affinity:                 *affinity,
-		Trace:                    rec,
-		SampleInterval:           *sample,
-		CollectHistograms:        *histograms,
-		CheckInvariants:          *check,
+		Params:            params,
+		Seed:              *seed,
+		Threads:           *threads,
+		Duration:          time.Duration(*length * float64(time.Second)),
+		Workload:          w,
+		LongTraversals:    !*noTraversals,
+		StructureMods:     !*noSMs,
+		Reduced:           *reduced,
+		Strategy:          spec.Name,
+		Engine:            spec.Options,
+		DisableROSnapshot: disableSnap,
+		Adaptive:          *adaptive,
+		OpenLoop:          *arrivalRate > 0,
+		ArrivalRate:       *arrivalRate,
+		Affinity:          *affinity,
+		SampleInterval:    *sample,
+		CollectHistograms: *histograms,
+		CheckInvariants:   *check,
 	}
 
 	fmt.Fprintf(os.Stderr, "building %s structure (seed %d)...\n", *size, *seed)

@@ -26,46 +26,15 @@ import (
 	"repro/stm"
 )
 
-// Setting is one runtime configuration: a registry engine name plus the
-// cross-engine options it is built with. The controller only ever changes
-// fields it has a rule for; Faults and Trace are carried by the runtime
-// itself and ignored here.
-type Setting struct {
-	Engine  string
-	Options stm.EngineOptions
-}
-
-// String renders the setting compactly for reports: engine name plus the
-// non-default axes ("norec+gc", "tl2+striped(64)+mv4").
-func (s Setting) String() string {
-	out := s.Engine
-	if s.Options.Granularity == stm.StripedGranularity {
-		out += fmt.Sprintf("+striped(%d)", s.Options.OrecStripes)
-	}
-	if s.Options.Versions > 1 {
-		out += fmt.Sprintf("+mv%d", s.Options.Versions)
-	}
-	if s.Options.GroupCommit {
-		out += "+gc"
-	}
-	if s.Options.LockCoalescing {
-		out += "+coalesce"
-	}
-	if s.Options.SerialFallback {
-		out += "+serial"
-	}
-	return out
-}
-
 // Rule is one declarative policy entry. When inspects the last interval's
-// Stats delta; if it fires, Apply maps the current setting to a target
-// (ok = false when the rule does not apply to the current configuration —
+// Stats delta; if it fires, Apply maps the current spec to a target (ok =
+// false when the rule does not apply to the current configuration —
 // e.g. a NOrec-only rule while TL2 is running). Rules are evaluated in
 // order; the first applicable firing rule wins the interval.
 type Rule struct {
 	Name  string
 	When  func(d stm.Stats) bool
-	Apply func(cur Setting) (to Setting, ok bool)
+	Apply func(cur stm.EngineSpec) (to stm.EngineSpec, ok bool)
 }
 
 // Config is the controller's hysteresis envelope. All windows count
@@ -131,7 +100,7 @@ func DefaultRules() []Rule {
 		{
 			Name: "deadline-pressure",
 			When: func(d stm.Stats) bool { return d.TimeoutAborts > 0 },
-			Apply: func(cur Setting) (Setting, bool) {
+			Apply: func(cur stm.EngineSpec) (stm.EngineSpec, bool) {
 				if cur.Options.SerialFallback || cur.Options.TxDeadline <= 0 {
 					return cur, false
 				}
@@ -144,7 +113,7 @@ func DefaultRules() []Rule {
 			When: func(d stm.Stats) bool {
 				return d.ConflictAborts >= 16 && d.FalseConflictRate() > FalseConflictShare
 			},
-			Apply: func(cur Setting) (Setting, bool) {
+			Apply: func(cur stm.EngineSpec) (stm.EngineSpec, bool) {
 				if cur.Options.Granularity != stm.StripedGranularity {
 					return cur, false
 				}
@@ -160,8 +129,8 @@ func DefaultRules() []Rule {
 				return d.SnapshotRestarts >= 16 &&
 					float64(d.SnapshotRestarts) > SnapshotStormRatio*float64(d.SnapshotTxs)
 			},
-			Apply: func(cur Setting) (Setting, bool) {
-				if cur.Options.Versions > 1 || (cur.Engine != "tl2" && cur.Engine != "norec") {
+			Apply: func(cur stm.EngineSpec) (stm.EngineSpec, bool) {
+				if cur.Options.Versions > 1 || (cur.Name != "tl2" && cur.Name != "norec") {
 					return cur, false
 				}
 				cur.Options.Versions = 4
@@ -171,8 +140,8 @@ func DefaultRules() []Rule {
 		{
 			Name: "group-commit",
 			When: func(d stm.Stats) bool { return d.AbortRate() > GroupCommitAbortRate },
-			Apply: func(cur Setting) (Setting, bool) {
-				if cur.Engine != "norec" || cur.Options.GroupCommit {
+			Apply: func(cur stm.EngineSpec) (stm.EngineSpec, bool) {
+				if cur.Name != "norec" || cur.Options.GroupCommit {
 					return cur, false
 				}
 				cur.Options.GroupCommit = true
@@ -182,11 +151,11 @@ func DefaultRules() []Rule {
 		{
 			Name: "conflict-storm",
 			When: func(d stm.Stats) bool { return d.AbortRate() > StormAbortRate },
-			Apply: func(cur Setting) (Setting, bool) {
-				if cur.Engine != "norec" {
+			Apply: func(cur stm.EngineSpec) (stm.EngineSpec, bool) {
+				if cur.Name != "norec" {
 					return cur, false
 				}
-				cur.Engine = "tl2"
+				cur.Name = "tl2"
 				cur.Options.GroupCommit = false // NOrec-only mechanism
 				return cur, true
 			},
@@ -200,7 +169,7 @@ type Decision struct {
 	// Interval is the 1-based observation ordinal the decision fired on.
 	Interval int
 	Rule     string
-	From, To Setting
+	From, To stm.EngineSpec
 	// Pinned marks the thrash-guardrail terminal decision: From == To and
 	// no further switches will fire this run.
 	Pinned bool
@@ -227,7 +196,7 @@ func (d Decision) String() string {
 // for concurrent use; the Driver serializes access.
 type Controller struct {
 	cfg Config
-	cur Setting
+	cur stm.EngineSpec
 
 	interval   int
 	lastSwitch int
@@ -246,7 +215,7 @@ type Controller struct {
 }
 
 // NewController returns a controller starting from initial.
-func NewController(initial Setting, cfg Config) *Controller {
+func NewController(initial stm.EngineSpec, cfg Config) *Controller {
 	if cfg.MaxSwitches <= 0 {
 		cfg.MaxSwitches = DefaultConfig().MaxSwitches
 	}
@@ -256,8 +225,8 @@ func NewController(initial Setting, cfg Config) *Controller {
 	return &Controller{cfg: cfg, cur: initial}
 }
 
-// Current returns the setting the controller believes is running.
-func (c *Controller) Current() Setting { return c.cur }
+// Current returns the spec the controller believes is running.
+func (c *Controller) Current() stm.EngineSpec { return c.cur }
 
 // Pinned reports whether the thrash guardrail has latched.
 func (c *Controller) Pinned() bool { return c.pinned }
@@ -403,7 +372,7 @@ func (d *Driver) loop() {
 			d.eng.NotePin()
 			continue
 		}
-		if err := d.eng.Reconfigure(dec.To.Engine, dec.To.Options); err != nil {
+		if err := d.eng.Reconfigure(dec.To); err != nil {
 			d.mu.Lock()
 			if pin := d.ctrl.NoteStall(); pin != nil {
 				d.mu.Unlock()

@@ -18,7 +18,7 @@ func stormy() stm.Stats { return stm.Stats{Commits: 100, ConflictAborts: 100} }
 
 // replay feeds a delta sequence into a fresh controller and returns the
 // decision timeline.
-func replay(initial Setting, cfg Config, deltas []stm.Stats) []Decision {
+func replay(initial stm.EngineSpec, cfg Config, deltas []stm.Stats) []Decision {
 	c := NewController(initial, cfg)
 	for _, d := range deltas {
 		c.Observe(d)
@@ -41,7 +41,7 @@ func TestControllerDeterministicTimeline(t *testing.T) {
 			deltas = append(deltas, quiet())
 		}
 	}
-	initial := Setting{Engine: "norec"}
+	initial := stm.EngineSpec{Name: "norec"}
 	a := replay(initial, DefaultConfig(), deltas)
 	b := replay(initial, DefaultConfig(), deltas)
 	if len(a) == 0 {
@@ -56,7 +56,7 @@ func TestControllerDeterministicTimeline(t *testing.T) {
 // even under a hard storm from the first observation.
 func TestControllerMinDwell(t *testing.T) {
 	cfg := DefaultConfig()
-	c := NewController(Setting{Engine: "norec"}, cfg)
+	c := NewController(stm.EngineSpec{Name: "norec"}, cfg)
 	for i := 1; i < cfg.MinDwell; i++ {
 		if dec := c.Observe(stormy()); dec != nil {
 			t.Fatalf("interval %d (< MinDwell %d) produced %v", i, cfg.MinDwell, dec)
@@ -75,7 +75,7 @@ func TestControllerMinDwell(t *testing.T) {
 // Cooldown intervals even if a rule keeps firing.
 func TestControllerCooldown(t *testing.T) {
 	cfg := Config{MinDwell: 1, Cooldown: 6, JudgeAfter: 100, MaxSwitches: 10, MinAttempts: 1, Rules: DefaultRules()}
-	c := NewController(Setting{Engine: "norec", Options: stm.EngineOptions{TxDeadline: time.Millisecond}}, cfg)
+	c := NewController(stm.EngineSpec{Name: "norec", Options: stm.EngineOptions{TxDeadline: time.Millisecond}}, cfg)
 	first := c.Observe(stormy())
 	if first == nil {
 		t.Fatal("no first switch")
@@ -98,13 +98,13 @@ func TestControllerCooldown(t *testing.T) {
 // gating: without a TxDeadline configured the rule never applies.
 func TestControllerCooldownRequiresDeadline(t *testing.T) {
 	cfg := Config{MinDwell: 1, Cooldown: 1, MaxSwitches: 10, MinAttempts: 1, Rules: DefaultRules()}
-	c := NewController(Setting{Engine: "tl2"}, cfg)
+	c := NewController(stm.EngineSpec{Name: "tl2"}, cfg)
 	for i := 0; i < 10; i++ {
 		if dec := c.Observe(stm.Stats{Commits: 100, TimeoutAborts: 5}); dec != nil {
 			t.Fatalf("deadline-pressure fired without a TxDeadline: %v", dec)
 		}
 	}
-	c = NewController(Setting{Engine: "tl2", Options: stm.EngineOptions{TxDeadline: time.Millisecond}}, cfg)
+	c = NewController(stm.EngineSpec{Name: "tl2", Options: stm.EngineOptions{TxDeadline: time.Millisecond}}, cfg)
 	dec := c.Observe(stm.Stats{Commits: 100, TimeoutAborts: 5})
 	if dec == nil || dec.Rule != "deadline-pressure" || !dec.To.Options.SerialFallback {
 		t.Fatalf("deadline-pressure with a TxDeadline: got %v, want serial-fallback switch", dec)
@@ -114,7 +114,7 @@ func TestControllerCooldownRequiresDeadline(t *testing.T) {
 // TestControllerMaxSwitches: the switch budget is a hard cap.
 func TestControllerMaxSwitches(t *testing.T) {
 	cfg := Config{MinDwell: 1, Cooldown: 1, JudgeAfter: 100, MaxSwitches: 1, MinAttempts: 1, Rules: DefaultRules()}
-	c := NewController(Setting{Engine: "norec"}, cfg)
+	c := NewController(stm.EngineSpec{Name: "norec"}, cfg)
 	n := 0
 	for i := 0; i < 30; i++ {
 		if dec := c.Observe(stm.Stats{Commits: 100, ConflictAborts: 100, TimeoutAborts: 5}); dec != nil && !dec.Pinned {
@@ -130,7 +130,7 @@ func TestControllerMaxSwitches(t *testing.T) {
 // fires a rule, whatever its rates look like.
 func TestControllerMinAttempts(t *testing.T) {
 	cfg := Config{MinDwell: 1, Cooldown: 1, MaxSwitches: 10, MinAttempts: 32, Rules: DefaultRules()}
-	c := NewController(Setting{Engine: "norec"}, cfg)
+	c := NewController(stm.EngineSpec{Name: "norec"}, cfg)
 	for i := 0; i < 10; i++ {
 		// 10 attempts, 90% aborts — loud rate, tiny sample.
 		if dec := c.Observe(stm.Stats{Commits: 1, ConflictAborts: 9}); dec != nil {
@@ -144,7 +144,7 @@ func TestControllerMinAttempts(t *testing.T) {
 // ever fires again.
 func TestControllerThrashGuardrail(t *testing.T) {
 	cfg := Config{MinDwell: 1, Cooldown: 2, JudgeAfter: 1, MaxSwitches: 10, MinAttempts: 1, Rules: DefaultRules()}
-	c := NewController(Setting{Engine: "norec", Options: stm.EngineOptions{TxDeadline: time.Millisecond}}, cfg)
+	c := NewController(stm.EngineSpec{Name: "norec", Options: stm.EngineOptions{TxDeadline: time.Millisecond}}, cfg)
 	var pinned *Decision
 	for i := 0; i < 40 && pinned == nil; i++ {
 		// Permanent storm + deadline pressure, objective never improves:
@@ -177,7 +177,7 @@ func TestControllerThrashGuardrail(t *testing.T) {
 // resets the fail streak, so alternating good switches never pin.
 func TestControllerJudgeImprovement(t *testing.T) {
 	cfg := Config{MinDwell: 1, Cooldown: 3, JudgeAfter: 1, MaxSwitches: 10, MinAttempts: 1, Rules: DefaultRules()}
-	c := NewController(Setting{Engine: "norec", Options: stm.EngineOptions{TxDeadline: time.Millisecond}}, cfg)
+	c := NewController(stm.EngineSpec{Name: "norec", Options: stm.EngineOptions{TxDeadline: time.Millisecond}}, cfg)
 	// Storm fires the first switch at t1 (objective 100)...
 	if dec := c.Observe(stormy()); dec == nil {
 		t.Fatal("no first switch")
@@ -199,10 +199,10 @@ func TestControllerNoteStall(t *testing.T) {
 	cfg := Config{MinDwell: 1, Cooldown: 1, JudgeAfter: 100, MaxSwitches: 10, MinAttempts: 1, Rules: DefaultRules()}
 	// Group commit already armed, so the storm's first applicable remedy
 	// is the engine swap — the decision a stall leaves half-done.
-	initial := Setting{Engine: "norec", Options: stm.EngineOptions{GroupCommit: true}}
+	initial := stm.EngineSpec{Name: "norec", Options: stm.EngineOptions{GroupCommit: true}}
 	c := NewController(initial, cfg)
 	dec := c.Observe(stormy())
-	if dec == nil || dec.To.Engine != "tl2" {
+	if dec == nil || dec.To.Name != "tl2" {
 		t.Fatalf("expected norec -> tl2 storm switch, got %v", dec)
 	}
 	if pin := c.NoteStall(); pin != nil {
@@ -233,13 +233,13 @@ func TestControllerNoteStall(t *testing.T) {
 // commit is already armed.
 func TestRuleOrderCheapestFirst(t *testing.T) {
 	cfg := Config{MinDwell: 1, Cooldown: 1, JudgeAfter: 100, MaxSwitches: 10, MinAttempts: 1, Rules: DefaultRules()}
-	c := NewController(Setting{Engine: "norec"}, cfg)
+	c := NewController(stm.EngineSpec{Name: "norec"}, cfg)
 	first := c.Observe(stormy())
 	if first == nil || first.Rule != "group-commit" || !first.To.Options.GroupCommit {
 		t.Fatalf("first remedy = %v, want group-commit", first)
 	}
 	second := c.Observe(stormy())
-	if second == nil || second.Rule != "conflict-storm" || second.To.Engine != "tl2" {
+	if second == nil || second.Rule != "conflict-storm" || second.To.Name != "tl2" {
 		t.Fatalf("second remedy = %v, want conflict-storm -> tl2", second)
 	}
 	if second.To.Options.GroupCommit {
@@ -252,7 +252,7 @@ func TestRuleOrderCheapestFirst(t *testing.T) {
 // knob; on an already-object setting the rule does not apply.
 func TestFalseConflictRule(t *testing.T) {
 	cfg := Config{MinDwell: 1, Cooldown: 1, JudgeAfter: 100, MaxSwitches: 10, MinAttempts: 1, Rules: DefaultRules()}
-	striped := Setting{Engine: "tl2", Options: stm.EngineOptions{
+	striped := stm.EngineSpec{Name: "tl2", Options: stm.EngineOptions{
 		Granularity: stm.StripedGranularity, OrecStripes: 64, LockCoalescing: true,
 	}}
 	delta := stm.Stats{Commits: 50, ConflictAborts: 40, FalseConflicts: 20}
@@ -264,7 +264,7 @@ func TestFalseConflictRule(t *testing.T) {
 	if dec.To.Options.Granularity != stm.ObjectGranularity || dec.To.Options.LockCoalescing {
 		t.Errorf("promotion target = %v, want object granularity without coalescing", dec.To)
 	}
-	c = NewController(Setting{Engine: "tl2"}, cfg)
+	c = NewController(stm.EngineSpec{Name: "tl2"}, cfg)
 	if dec := c.Observe(delta); dec != nil {
 		t.Fatalf("false-conflicts fired on object granularity: %v", dec)
 	}
@@ -275,7 +275,7 @@ func TestFalseConflictRule(t *testing.T) {
 func TestSnapshotStormRule(t *testing.T) {
 	cfg := Config{MinDwell: 1, Cooldown: 1, JudgeAfter: 100, MaxSwitches: 10, MinAttempts: 1, Rules: DefaultRules()}
 	delta := stm.Stats{Commits: 50, SnapshotTxs: 20, SnapshotRestarts: 30}
-	c := NewController(Setting{Engine: "tl2"}, cfg)
+	c := NewController(stm.EngineSpec{Name: "tl2"}, cfg)
 	dec := c.Observe(delta)
 	if dec == nil || dec.Rule != "snapshot-storm" || dec.To.Options.Versions != 4 {
 		t.Fatalf("snapshot storm on tl2: %v, want Versions=4", dec)
@@ -283,27 +283,32 @@ func TestSnapshotStormRule(t *testing.T) {
 	if again := c.Observe(delta); again != nil {
 		t.Fatalf("snapshot-storm re-fired at Versions=4: %v", again)
 	}
-	c = NewController(Setting{Engine: "ostm"}, cfg)
+	c = NewController(stm.EngineSpec{Name: "ostm"}, cfg)
 	if dec := c.Observe(delta); dec != nil {
 		t.Fatalf("snapshot-storm fired on ostm (no snapshot timestamp): %v", dec)
 	}
 }
 
-// TestSettingString pins the compact rendering the reports embed.
-func TestSettingString(t *testing.T) {
+// TestDecisionString pins the rendering the reports embed: both sides of
+// a decision print as engine specs.
+func TestDecisionString(t *testing.T) {
+	norec := stm.EngineSpec{Name: "norec"}
+	gc := stm.EngineSpec{Name: "norec", Options: stm.EngineOptions{GroupCommit: true}}
+	tl2 := stm.EngineSpec{Name: "tl2", Options: stm.EngineOptions{
+		Granularity: stm.StripedGranularity, OrecStripes: 64, LockCoalescing: true, Versions: 4, SerialFallback: true,
+	}}
 	for _, tc := range []struct {
-		s    Setting
+		d    Decision
 		want string
 	}{
-		{Setting{Engine: "norec"}, "norec"},
-		{Setting{Engine: "norec", Options: stm.EngineOptions{GroupCommit: true}}, "norec+gc"},
-		{Setting{Engine: "tl2", Options: stm.EngineOptions{
-			Granularity: stm.StripedGranularity, OrecStripes: 64, LockCoalescing: true, Versions: 4,
-		}}, "tl2+striped(64)+mv4+coalesce"},
-		{Setting{Engine: "ostm", Options: stm.EngineOptions{SerialFallback: true}}, "ostm+serial"},
+		{Decision{Interval: 4, Rule: "group-commit", From: norec, To: gc}, "t4 group-commit: norec -> norec:gc"},
+		{Decision{Interval: 9, Rule: "conflict-storm", From: gc, To: tl2, Stalled: true},
+			"t9 conflict-storm: norec:gc -> tl2:striped=64,versions=4,coalesce,serial (quiesce stalled, kept norec:gc)"},
+		{Decision{Interval: 12, Rule: "thrash-guardrail", From: tl2, To: tl2, Pinned: true},
+			"t12 thrash-guardrail: pinned at tl2:striped=64,versions=4,coalesce,serial"},
 	} {
-		if got := tc.s.String(); got != tc.want {
-			t.Errorf("String(%+v) = %q, want %q", tc.s, got, tc.want)
+		if got := tc.d.String(); got != tc.want {
+			t.Errorf("String() = %q, want %q", got, tc.want)
 		}
 	}
 }
@@ -314,15 +319,15 @@ func TestSettingString(t *testing.T) {
 // abort rate at ~33%, past the group-commit threshold, and the driver
 // must reconfigure the engine onto the remedy within the test budget.
 func TestDriverClosedLoop(t *testing.T) {
-	plan, err := stm.ParseFaultPlan("abort:1/3")
+	spec, err := stm.ParseEngineSpec("norec:faults=abort:1/3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := stm.NewAdaptive("norec", stm.EngineOptions{Faults: plan})
+	eng, err := stm.NewAdaptive(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl := NewController(Setting{Engine: "norec"},
+	ctrl := NewController(stm.EngineSpec{Name: "norec"},
 		Config{MinDwell: 1, Cooldown: 1, JudgeAfter: 100, MaxSwitches: 2, MinAttempts: 16, Rules: DefaultRules()})
 	drv := Start(eng, ctrl, 5*time.Millisecond)
 
@@ -361,7 +366,7 @@ func TestDriverClosedLoop(t *testing.T) {
 	if len(decs) == 0 {
 		t.Fatal("Stop returned an empty timeline after a reconfiguration")
 	}
-	if name, _ := eng.Current(); name != decs[len(decs)-1].To.Engine && !decs[len(decs)-1].Stalled {
+	if name := eng.Current().Name; name != decs[len(decs)-1].To.Name && !decs[len(decs)-1].Stalled {
 		t.Errorf("engine %q does not match the last applied decision %v", name, decs[len(decs)-1])
 	}
 	// Stop is idempotent.

@@ -45,51 +45,24 @@ type Options struct {
 	StructureMods  bool
 	// Reduced applies the §5 reduced operation set (Figure 6, Table 3).
 	Reduced bool
-	// Strategy is the synchronization strategy (-g): any registered
-	// strategy name (see sync7.Strategies) — coarse, medium, ostm,
-	// tl2, norec or direct.
+	// Strategy is the synchronization strategy: any registered strategy
+	// name (see sync7.Strategies) — coarse, medium, ostm, tl2, norec or
+	// direct.
 	Strategy string
-	// CM optionally overrides OSTM's contention manager.
-	CM stm.ContentionManager
-	// CommitTimeValidationOnly disables OSTM's incremental validation
-	// (ablation).
-	CommitTimeValidationOnly bool
-	// VisibleReads switches OSTM to visible-reads mode (ablation).
-	VisibleReads bool
-	// Granularity selects the conflict-detection granularity for
-	// orec-based engines (-granularity): object (one orec per Var,
-	// collision free — the default) or striped (Vars hash onto a fixed
-	// padded orec table, trading false conflicts for a bounded metadata
-	// footprint). Engines without per-location metadata ignore it.
-	Granularity stm.Granularity
-	// OrecStripes sizes the striped orec table (-orec-stripes; 0 = the
-	// engine default, currently 4096; ignored under object granularity).
-	OrecStripes int
-	// ClockShards shards TL2's global commit clock (-clock-shards; 0 or
-	// 1 = the classic single clock). Ignored by engines without one.
-	ClockShards int
-	// Versions keeps the last K committed versions per Var (-versions; 0
-	// or 1 = single-version) so read-only snapshot transactions resolve
-	// older versions instead of restarting under write traffic. Ignored
-	// by engines without a snapshot timestamp.
-	Versions int
-	// GroupCommit enables NOrec's combining-queue group commit
-	// (-group-commit): committers that find the sequence lock held hand
-	// their write sets to the holder, which revalidates and publishes the
-	// whole batch under one acquisition. Ignored by every other strategy.
-	GroupCommit bool
-	// LockCoalescing makes TL2 acquire sorted runs of adjacent
-	// striped-table orecs with one CAS per 8-orec group word at commit
-	// time (-coalesce). Ignored under object granularity and by every
-	// other strategy.
-	LockCoalescing bool
+	// Engine configures the stm engine behind an STM strategy — with
+	// Strategy, the two halves of the -g engine spec (stm.EngineSpec; see
+	// stm.ParseEngineSpec for the keys). Ignored by the lock strategies
+	// and direct. Engine.Trace installs a transaction flight recorder
+	// (-trace): dump it during or after the run via the telemetry
+	// endpoint's /trace route or stm.TraceRecorder.WriteChromeTrace.
+	Engine stm.EngineOptions
 	// Adaptive (-adaptive) wraps the engine in the stm.Adaptive
 	// reconfigurable runtime and runs the internal/adapt closed-loop
-	// controller alongside the benchmark: Strategy picks the INITIAL
-	// engine, and the controller may swap engine and knobs live
-	// (quiesce-and-swap) when the observed Stats deltas cross its policy
-	// thresholds. The decision timeline lands in Result.Reconfigs.
-	// Requires an STM strategy.
+	// controller alongside the benchmark: Strategy and Engine pick the
+	// INITIAL configuration, and the controller may swap engine and
+	// options live (quiesce-and-swap) when the observed Stats deltas cross
+	// its policy thresholds. The decision timeline lands in
+	// Result.Reconfigs. Requires an STM strategy.
 	Adaptive bool
 	// DisableROSnapshot turns off the read-only snapshot fast path
 	// (-ro-snapshot=off): read-only operations then run through the
@@ -117,21 +90,6 @@ type Options struct {
 	// of the composite-part id domain, in [0, 1) — successive phases
 	// with different shifts migrate the hotspot across the structure.
 	SkewShift float64
-	// TxDeadline bounds each transaction's wall-clock retry window
-	// (-deadline): an attempt never starts after the deadline passes (the
-	// first always runs); transactions that hit it surface
-	// stm.ErrDeadlineExceeded and are booked as failed operations. Zero =
-	// no deadline. Ignored by lock strategies and direct.
-	TxDeadline time.Duration
-	// SerialFallback (-serial-fallback) escalates transactions that
-	// exhaust their retry budget or deadline to an exclusive irrevocable
-	// serial mode instead of surfacing stm.ErrAborted: with it on, STM
-	// operations never fail with an abort. Ignored by lock strategies.
-	SerialFallback bool
-	// FaultPlan deterministically injects commit-path stalls and forced
-	// aborts (-fault-plan; nil = off; see stm.ParseFaultPlan for the
-	// site:1/N[:stall] syntax). Ignored by lock strategies and direct.
-	FaultPlan *stm.FaultPlan
 	// ShedAfter is the open-loop lateness budget (-shed-after): an
 	// arrival still unserved ShedAfter past its due time is shed —
 	// counted in Result.ShedOps, never executed — instead of stretching
@@ -142,12 +100,6 @@ type Options struct {
 	// more than QueueBound later arrivals are already due, the arrival at
 	// the head is shed. Zero = unbounded. Requires OpenLoop.
 	QueueBound int
-	// Trace installs a transaction flight recorder on the engine's
-	// attempt-lifecycle probe sites (-trace; nil = off, zero overhead).
-	// Dump it during or after the run via the telemetry endpoint's /trace
-	// route or stm.TraceRecorder.WriteChromeTrace. Ignored by lock
-	// strategies and direct.
-	Trace *stm.TraceRecorder
 	// SampleInterval, when positive, runs a telemetry sampler alongside
 	// the benchmark (-sample): every interval it snapshots the engine
 	// counters and the live driver progress and appends one per-interval
@@ -204,17 +156,9 @@ func (o Options) Profile() ops.Profile {
 	}
 }
 
-// validate rejects option combinations the drivers cannot honor.
+// validate rejects option combinations the drivers cannot honor. Engine
+// options are validated where the executor is built (sync7.New).
 func (o Options) validate() error {
-	if o.OrecStripes < 0 {
-		return fmt.Errorf("harness: negative OrecStripes %d", o.OrecStripes)
-	}
-	if o.ClockShards < 0 {
-		return fmt.Errorf("harness: negative ClockShards %d", o.ClockShards)
-	}
-	if o.Versions < 0 {
-		return fmt.Errorf("harness: negative Versions %d", o.Versions)
-	}
 	if o.SkewTheta < 0 || o.SkewTheta >= 1 {
 		return fmt.Errorf("harness: SkewTheta %v outside [0, 1)", o.SkewTheta)
 	}
@@ -223,9 +167,6 @@ func (o Options) validate() error {
 	}
 	if o.OpenLoop && o.ArrivalRate <= 0 {
 		return fmt.Errorf("harness: OpenLoop needs ArrivalRate > 0, got %v", o.ArrivalRate)
-	}
-	if o.TxDeadline < 0 {
-		return fmt.Errorf("harness: negative TxDeadline %v", o.TxDeadline)
 	}
 	if o.ShedAfter < 0 {
 		return fmt.Errorf("harness: negative ShedAfter %v", o.ShedAfter)
@@ -363,27 +304,19 @@ func (st *threadStats) recordOutcome(opName string, ttc time.Duration, collectHi
 
 // Setup builds the executor and the data structure for the options — split
 // out so callers that run several measurements on one structure (thread
-// sweeps, benches) can reuse the build.
+// sweeps, benches) can reuse the build. Every configuration error is
+// reported before the structure is built.
 func Setup(o Options) (sync7.Executor, *core.Structure, error) {
 	o = Defaults(o)
+	if err := o.validate(); err != nil {
+		return nil, nil, err
+	}
 	ex, err := sync7.New(sync7.Config{
-		Strategy:                 o.Strategy,
-		NumAssmLevels:            o.Params.NumAssmLevels,
-		CM:                       o.CM,
-		CommitTimeValidationOnly: o.CommitTimeValidationOnly,
-		VisibleReads:             o.VisibleReads,
-		Granularity:              o.Granularity,
-		OrecStripes:              o.OrecStripes,
-		ClockShards:              o.ClockShards,
-		Versions:                 o.Versions,
-		GroupCommit:              o.GroupCommit,
-		LockCoalescing:           o.LockCoalescing,
-		TxDeadline:               o.TxDeadline,
-		SerialFallback:           o.SerialFallback,
-		FaultPlan:                o.FaultPlan,
-		Trace:                    o.Trace,
-		Adaptive:                 o.Adaptive,
-		DisableROSnapshot:        o.DisableROSnapshot,
+		Strategy:          o.Strategy,
+		NumAssmLevels:     o.Params.NumAssmLevels,
+		Engine:            o.Engine,
+		Adaptive:          o.Adaptive,
+		DisableROSnapshot: o.DisableROSnapshot,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -440,9 +373,9 @@ func RunOn(o Options, ex sync7.Executor, s *core.Structure) (*Result, error) {
 	var adriver *adapt.Driver
 	if o.Adaptive {
 		if ae, ok := ex.Engine().(*stm.Adaptive); ok {
-			name, opts := ae.Current()
-			opts.Faults, opts.Trace = nil, nil
-			ctrl := adapt.NewController(adapt.Setting{Engine: name, Options: opts}, adapt.DefaultConfig())
+			spec := ae.Current()
+			spec.Options.Faults, spec.Options.Trace = nil, nil
+			ctrl := adapt.NewController(spec, adapt.DefaultConfig())
 			adriver = adapt.Start(ae, ctrl, adapt.DefaultInterval)
 		}
 	}

@@ -271,7 +271,7 @@ func TestRunOnPrebuiltStructure(t *testing.T) {
 	}
 }
 
-// TestMetadataKnobsReachEngine: -granularity/-orec-stripes/-clock-shards
+// TestMetadataKnobsReachEngine: the engine options (-g tl2:striped=64,shards=4)
 // flow from Options through sync7 into the engine, for every orec-based
 // strategy, and the run still completes with consistent results.
 func TestMetadataKnobsReachEngine(t *testing.T) {
@@ -279,9 +279,9 @@ func TestMetadataKnobsReachEngine(t *testing.T) {
 		t.Run(strat, func(t *testing.T) {
 			o := baseOpts()
 			o.Strategy = strat
-			o.Granularity = stm.StripedGranularity
-			o.OrecStripes = 64
-			o.ClockShards = 4
+			o.Engine.Granularity = stm.StripedGranularity
+			o.Engine.OrecStripes = 64
+			o.Engine.ClockShards = 4
 			res, err := Run(o)
 			if err != nil {
 				t.Fatal(err)
@@ -298,13 +298,46 @@ func TestMetadataKnobsReachEngine(t *testing.T) {
 	}
 	// Invalid values are rejected up front.
 	o := baseOpts()
-	o.ClockShards = -1
+	o.Engine.ClockShards = -1
 	if _, err := Run(o); err == nil {
 		t.Error("negative ClockShards accepted")
 	}
 	o = baseOpts()
-	o.OrecStripes = -2
+	o.Engine.OrecStripes = -2
 	if _, err := Run(o); err == nil {
 		t.Error("negative OrecStripes accepted")
+	}
+}
+
+// TestSetupRejectsConfigurationBeforeBuilding: configuration errors come
+// before any work. Each case pairs a bad option with Params that core.Build
+// would reject, so the error names the option only if Setup got to it
+// before the build.
+func TestSetupRejectsConfigurationBeforeBuilding(t *testing.T) {
+	unbuildable := core.Params{NumAssmLevels: 3} // Build: "NumAssmPerAssm must be >= 1"
+	for _, c := range []struct {
+		name string
+		mut  func(*Options)
+		want string
+	}{
+		{"engine-options", func(o *Options) { o.Strategy = "tl2"; o.Engine.Versions = -1 }, "negative Versions"},
+		{"engine-options-on-a-lock-strategy", func(o *Options) { o.Engine.OrecStripes = -2 }, "negative OrecStripes"},
+		{"strategy-name", func(o *Options) { o.Strategy = "tl3" }, "unknown strategy"},
+		{"driver-options", func(o *Options) { o.SkewTheta = 2 }, "SkewTheta"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			o := baseOpts()
+			o.Params = unbuildable
+			c.mut(&o)
+			_, _, err := Setup(o)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("Setup: err = %v, want one naming %q (reported before core.Build ran)", err, c.want)
+			}
+		})
+	}
+	o := baseOpts()
+	o.Params = unbuildable
+	if _, _, err := Setup(o); err == nil || !strings.Contains(err.Error(), "NumAssmPerAssm") {
+		t.Errorf("control: valid options over unbuildable Params: err = %v, want core.Build's", err)
 	}
 }

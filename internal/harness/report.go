@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ops"
 	"repro/internal/telemetry"
+	"repro/stm"
 )
 
 // sortedOps returns the per-op results in canonical (registry) order.
@@ -44,7 +45,7 @@ func WriteReport(w io.Writer, r *Result) {
 		o.Params.NumCompParts, o.Params.NumAtomicPerComp, o.Params.NumAssmLevels)
 	fmt.Fprintf(w, "  seed:                 %d\n", o.Seed)
 	fmt.Fprintf(w, "  gomaxprocs:           %d\n", runtime.GOMAXPROCS(0))
-	fmt.Fprintf(w, "  engine knobs:         %s\n", KnobAxes(o))
+	fmt.Fprintf(w, "  engine:               %s\n", stm.EngineSpec{Name: o.Strategy, Options: o.Engine})
 	fmt.Fprintln(w)
 
 	if o.CollectHistograms {
@@ -141,15 +142,12 @@ func WriteReport(w io.Writer, r *Result) {
 		if o.DisableROSnapshot {
 			fmt.Fprintf(w, "  ro-snapshot: off (validating read path for read-only operations)\n")
 		}
-		if o.TxDeadline > 0 {
-			fmt.Fprintf(w, "  tx deadline: %v\n", o.TxDeadline)
-		}
-		if o.SerialFallback {
+		if o.Engine.SerialFallback {
 			fmt.Fprintf(w, "  serial fallback: on, %d escalations (%.2f%% of commits)\n",
 				es.SerialFallbacks, 100*safeRate(es.SerialFallbacks, es.Commits))
 		}
-		if o.FaultPlan != nil {
-			fmt.Fprintf(w, "  fault injection: plan %q, %d faults fired\n", o.FaultPlan.String(), es.InjectedFaults)
+		if o.Engine.Faults != nil {
+			fmt.Fprintf(w, "  fault injection: %d faults fired\n", es.InjectedFaults)
 		}
 		if o.Adaptive {
 			fmt.Fprintf(w, "  adaptive: on, %d reconfigurations, %d quiesce stalls\n",
@@ -178,34 +176,6 @@ func WriteSeries(w io.Writer, indent string, series []telemetry.SamplePoint) {
 			p.T, p.OpsPerSec, p.Commits, p.AbortPct, p.FalseConflictPct,
 			p.SnapshotRestarts, p.ShedPerSec, p.SerialFallbacks)
 	}
-}
-
-// KnobAxes renders the engine-tuning axes of a run — conflict granularity,
-// orec stripe count, commit-clock shards, retained versions — so every
-// report surface (the Appendix-A header here, the scenario header, the CLI
-// summaries) names the configuration that produced it even when the knobs
-// sit at their defaults.
-func KnobAxes(o Options) string {
-	stripes := "default"
-	if o.OrecStripes > 0 {
-		stripes = fmt.Sprintf("%d", o.OrecStripes)
-	}
-	shards := o.ClockShards
-	if shards <= 1 {
-		shards = 1
-	}
-	versions := o.Versions
-	if versions <= 1 {
-		versions = 1
-	}
-	onOff := func(b bool) string {
-		if b {
-			return "on"
-		}
-		return "off"
-	}
-	return fmt.Sprintf("granularity %v, orec stripes %s, clock shards %d, versions %d, group commit %s, coalescing %s, adaptive %s",
-		o.Granularity, stripes, shards, versions, onOff(o.GroupCommit), onOff(o.LockCoalescing), onOff(o.Adaptive))
 }
 
 // safeRate divides two counters, returning 0 for an empty denominator.

@@ -8,7 +8,7 @@ import (
 	"repro/stm"
 )
 
-// TestRobustnessKnobsReachEngine: -deadline/-serial-fallback/-fault-plan
+// TestRobustnessKnobsReachEngine: deadline=/serial/faults= (Options.Engine)
 // flow from Options through sync7 into the engines, for every STM
 // strategy, and the run still completes with consistent results.
 func TestRobustnessKnobsReachEngine(t *testing.T) {
@@ -20,9 +20,9 @@ func TestRobustnessKnobsReachEngine(t *testing.T) {
 		t.Run(strat, func(t *testing.T) {
 			o := baseOpts()
 			o.Strategy = strat
-			o.TxDeadline = 5 * time.Second // generous: must not trip
-			o.SerialFallback = true
-			o.FaultPlan = plan
+			o.Engine.TxDeadline = 5 * time.Second // generous: must not trip
+			o.Engine.SerialFallback = true
+			o.Engine.Faults = plan
 			res, err := Run(o)
 			if err != nil {
 				t.Fatal(err)
@@ -61,9 +61,9 @@ func TestSerialFallbackAbsorbsAborts(t *testing.T) {
 		o.Strategy = "tl2"
 		o.CheckInvariants = false // aborted SMs leave ops unapplied, not broken
 		o.MaxOps = 30
-		o.FaultPlan = plan
-		o.TxDeadline = 5 * time.Millisecond // bounds the off-run's doomed retries
-		o.SerialFallback = fallback
+		o.Engine.Faults = plan
+		o.Engine.TxDeadline = 5 * time.Millisecond // bounds the off-run's doomed retries
+		o.Engine.SerialFallback = fallback
 		res, err := Run(o)
 		if err != nil {
 			t.Fatal(err)
@@ -92,7 +92,7 @@ func TestSerialFallbackAbsorbsAborts(t *testing.T) {
 // knobs: malformed values are rejected before any work runs.
 func TestRobustnessValidation(t *testing.T) {
 	o := baseOpts()
-	o.TxDeadline = -time.Second
+	o.Engine.TxDeadline = -time.Second
 	if _, err := Run(o); err == nil || !strings.Contains(err.Error(), "TxDeadline") {
 		t.Errorf("negative TxDeadline: err = %v", err)
 	}

@@ -70,7 +70,7 @@ func TestRunWithTraceRecorder(t *testing.T) {
 			rec := stm.NewTraceRecorder(0)
 			o := baseOpts()
 			o.Strategy = strat
-			o.Trace = rec
+			o.Engine.Trace = rec
 			res, err := Run(o)
 			if err != nil {
 				t.Fatal(err)
@@ -103,12 +103,13 @@ func TestRunWithTraceRecorder(t *testing.T) {
 }
 
 // TestReportHeaderEchoesEnvironment pins satellite coverage for the report
-// header: every run names its seed, GOMAXPROCS and the engine knob axes.
+// header: every run names its seed, GOMAXPROCS and — as one engine spec —
+// the configuration the executor was built with.
 func TestReportHeaderEchoesEnvironment(t *testing.T) {
 	o := baseOpts()
 	o.Strategy = "tl2"
-	o.ClockShards = 4
-	o.Versions = 2
+	o.Engine.ClockShards = 4
+	o.Engine.Versions = 2
 	res, err := Run(o)
 	if err != nil {
 		t.Fatal(err)
@@ -119,10 +120,7 @@ func TestReportHeaderEchoesEnvironment(t *testing.T) {
 	for _, want := range []string{
 		"seed:",
 		"gomaxprocs:",
-		"engine knobs:",
-		"granularity object",
-		"clock shards 4",
-		"versions 2",
+		"engine:               tl2:shards=4,versions=2\n",
 		"abort causes:",
 	} {
 		if !strings.Contains(out, want) {

@@ -29,8 +29,8 @@ func TestReportAbortCauseColumns(t *testing.T) {
 		},
 		Reconfigs: []adapt.Decision{{
 			Interval: 3, Rule: "conflict-storm",
-			From: adapt.Setting{Engine: "norec"},
-			To:   adapt.Setting{Engine: "tl2"},
+			From: stm.EngineSpec{Name: "norec"},
+			To:   stm.EngineSpec{Name: "tl2"},
 		}},
 	}
 	rep := &Report{Scenario: sc, Strategy: "norec", Phases: []PhaseResult{{Phase: sc.Phases[0], Result: res}}}
@@ -40,7 +40,7 @@ func TestReportAbortCauseColumns(t *testing.T) {
 	for _, want := range []string{
 		"cfl", "tmo", "inj", // the breakdown columns
 		"123", "45", "67", // the per-phase counter values
-		", adaptive on", // the metadata echo
+		"engine: norec\n", "adaptive: on\n", // the configuration echo
 		`Adaptive decisions, phase "storm"`,
 		"t3 conflict-storm: norec -> tl2",
 	} {

@@ -152,13 +152,11 @@ func init() {
 	// read-side false conflicts (stripe version bumps under TL2, stripe
 	// ownership under visible-reads OSTM), the write storm its
 	// write-write collisions; compare the same scenario per engine and
-	// against a -granularity object run to price the metadata footprint.
+	// against a -g tl2 (object granularity) run of the same phases to price the metadata footprint.
 	RegisterBuiltin(&Scenario{
 		Name:        "orec-pressure",
 		Description: "skewed load on a small striped orec table (256 stripes, 4 clock shards): false-conflict pressure",
-		Granularity: "striped",
-		OrecStripes: 256,
-		ClockShards: 4,
+		Engine:      "striped=256,shards=4",
 		Phases: []Phase{
 			{Name: "warm", Duration: 300 * time.Millisecond, Workload: ops.ReadDominated, StructureMods: true, SkewTheta: 0.9},
 			{
@@ -182,13 +180,12 @@ func init() {
 	// adds open-loop overload with shedding (a lateness budget and a
 	// bounded queue), so the report shows shed rate next to timeout
 	// aborts; drain returns to a light read mix to confirm recovery.
-	// Run with -serial-fallback to see the same storm complete without a
+	// Run with -g ENGINE:serial to see the same storm complete without a
 	// single surfaced abort.
 	RegisterBuiltin(&Scenario{
 		Name:        "chaos-storm",
 		Description: "seeded fault injection + 25ms tx deadline through a write storm and an open-loop squall with shedding",
-		TxDeadline:  "25ms",
-		FaultPlan:   "seed=7,precommit:1/40:80µs,lockhold:1/56:120µs,clocktick:1/72:40µs,abort:1/24",
+		Engine:      "deadline=25ms,faults=seed=7,precommit:1/40:80µs,lockhold:1/56:120µs,clocktick:1/72:40µs,abort:1/24",
 		Phases: []Phase{
 			{Name: "warm", Duration: 300 * time.Millisecond, Workload: ops.ReadDominated, StructureMods: true},
 			{

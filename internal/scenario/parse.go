@@ -30,21 +30,17 @@ import (
 // Durations use Go syntax ("300ms", "2s"). Weight keys are the category
 // names ("long-traversal", "short-traversal", "short-operation",
 // "structure-modification") or the short aliases lt, st, op, sm.
-// Engine knobs (granularity, orec_stripes, clock_shards, versions,
-// ro_snapshot, tx_deadline, serial_fallback, fault_plan, group_commit,
-// coalescing, adaptive) are top-level, not per phase: the orec table,
-// commit clock, read-only snapshot dispatch, robustness configuration,
-// commit protocol and adaptive-runtime wrapper are built into the
-// executor before the first phase runs, so they are a property of the
-// whole scenario. Unset values inherit the run's (CLI) settings;
-// ro_snapshot, serial_fallback, group_commit, coalescing and adaptive
-// take "on" or "off", tx_deadline a Go duration, fault_plan the
-// stm.ParseFaultPlan syntax:
+// The run-level keys (engine, ro_snapshot, adaptive) are top-level, not
+// per phase: the engine, the read-only snapshot dispatch and the
+// adaptive-runtime wrapper are built into the executor before the first
+// phase runs, so they are a property of the whole scenario. "engine" is
+// an engine-spec option list (stm.ParseEngineSpec's options) applied over
+// the run's -g spec — a key set here overrides the run's value, an unset
+// key inherits it, "gc=off" turns a run-level gc off; ro_snapshot and
+// adaptive take "on" or "off", and unset inherits the run:
 //
-//	{"name": "hot", "granularity": "striped", "orec_stripes": 256,
-//	 "clock_shards": 4, "ro_snapshot": "off", "tx_deadline": "25ms",
-//	 "serial_fallback": "on", "fault_plan": "seed=7,abort:1/24",
-//	 "group_commit": "on", "coalescing": "on",
+//	{"name": "hot", "engine": "striped=256,shards=4,deadline=25ms,serial,faults=seed=7,abort:1/24",
+//	 "ro_snapshot": "off",
 //	 "phases": [...]}
 //
 // Open-loop phases may additionally shed overload: shed_after (duration)
@@ -52,28 +48,13 @@ import (
 // caps the backlog. "affinity": true (open-loop only) shards the arrival
 // schedule over composite-part-partition-owning workers.
 type fileScenario struct {
-	Name        string `json:"name"`
-	Description string `json:"description"`
-	Granularity string `json:"granularity,omitempty"`
-	OrecStripes int    `json:"orec_stripes,omitempty"`
-	ClockShards int    `json:"clock_shards,omitempty"`
-	Versions    int    `json:"versions,omitempty"`
-	ROSnapshot  string `json:"ro_snapshot,omitempty"`
-	// Robustness knobs, run-level like the metadata axes: tx_deadline is
-	// a Go duration string, serial_fallback takes "on"/"off", fault_plan
-	// uses stm.ParseFaultPlan syntax.
-	TxDeadline     string `json:"tx_deadline,omitempty"`
-	SerialFallback string `json:"serial_fallback,omitempty"`
-	FaultPlan      string `json:"fault_plan,omitempty"`
-	// Commit-pipelining knobs, run-level like the metadata axes: both take
-	// "on"/"off" ("" inherits the run).
-	GroupCommit string `json:"group_commit,omitempty"`
-	Coalescing  string `json:"coalescing,omitempty"`
-	// Adaptive ("on"/"off", "" inherits the run) wraps the engine in the
-	// reconfigurable adaptive runtime, run-level like the other knobs.
-	Adaptive string      `json:"adaptive,omitempty"`
-	Defaults *filePhase  `json:"defaults,omitempty"`
-	Phases   []filePhase `json:"phases"`
+	Name        string      `json:"name"`
+	Description string      `json:"description"`
+	Engine      string      `json:"engine,omitempty"`
+	ROSnapshot  string      `json:"ro_snapshot,omitempty"`
+	Adaptive    string      `json:"adaptive,omitempty"`
+	Defaults    *filePhase  `json:"defaults,omitempty"`
+	Phases      []filePhase `json:"phases"`
 }
 
 // filePhase is one phase (or the defaults object) on the wire. Pointer
@@ -260,19 +241,11 @@ func Parse(data []byte) (*Scenario, error) {
 		return nil, fmt.Errorf("scenario: parse: %w", err)
 	}
 	sc := &Scenario{
-		Name:           fs.Name,
-		Description:    fs.Description,
-		Granularity:    fs.Granularity,
-		OrecStripes:    fs.OrecStripes,
-		ClockShards:    fs.ClockShards,
-		Versions:       fs.Versions,
-		ROSnapshot:     fs.ROSnapshot,
-		TxDeadline:     fs.TxDeadline,
-		SerialFallback: fs.SerialFallback,
-		FaultPlan:      fs.FaultPlan,
-		GroupCommit:    fs.GroupCommit,
-		Coalescing:     fs.Coalescing,
-		Adaptive:       fs.Adaptive,
+		Name:        fs.Name,
+		Description: fs.Description,
+		Engine:      fs.Engine,
+		ROSnapshot:  fs.ROSnapshot,
+		Adaptive:    fs.Adaptive,
 	}
 	for i, fp := range fs.Phases {
 		merged := filePhase{}

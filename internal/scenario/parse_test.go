@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/ops"
+	"repro/stm"
 )
 
 func TestParseFullScenario(t *testing.T) {
@@ -156,57 +157,46 @@ func TestParsePhaseOverridesDefaultPairs(t *testing.T) {
 	}
 }
 
-func TestParseMetadataKnobs(t *testing.T) {
+func TestParseEngineKey(t *testing.T) {
 	sc, err := Parse([]byte(`{
 		"name": "meta",
-		"granularity": "striped",
-		"orec_stripes": 128,
-		"clock_shards": 4,
+		"engine": "striped=128,shards=4,versions=4",
 		"phases": [{"name": "p", "duration": "10ms"}]
 	}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Granularity != "striped" || sc.OrecStripes != 128 || sc.ClockShards != 4 {
-		t.Errorf("metadata knobs not parsed: %+v", sc)
+	if sc.Engine != "striped=128,shards=4,versions=4" {
+		t.Errorf("engine key not parsed: %+v", sc)
 	}
 
 	if _, err := Parse([]byte(`{
 		"name": "meta",
-		"granularity": "word",
+		"engine": "word",
 		"phases": [{"name": "p", "duration": "10ms"}]
-	}`)); err == nil || !strings.Contains(err.Error(), "granularity") {
-		t.Errorf("bad granularity not rejected: %v", err)
+	}`)); err == nil || !strings.Contains(err.Error(), "engine") {
+		t.Errorf("bad engine option not rejected: %v", err)
 	}
 
-	// Per-phase metadata knobs are a design error, not a silent no-op.
+	// The per-knob keys the engine key replaced are unknown fields now,
+	// not silent no-ops.
+	for _, old := range []string{
+		`"granularity": "striped"`, `"orec_stripes": 128`, `"clock_shards": 4`, `"versions": 4`,
+		`"tx_deadline": "25ms"`, `"serial_fallback": "on"`, `"fault_plan": "abort:1/4"`,
+		`"group_commit": "on"`, `"coalescing": "on"`,
+	} {
+		if _, err := Parse([]byte(`{"name": "old", ` + old + `, "phases": [{"name": "p", "duration": "10ms"}]}`)); err == nil ||
+			!strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("old key %s: err = %v, want an unknown-field error", old, err)
+		}
+	}
+
+	// A per-phase engine is a design error, not a silent no-op.
 	if _, err := Parse([]byte(`{
 		"name": "meta",
-		"phases": [{"name": "p", "duration": "10ms", "granularity": "striped"}]
+		"phases": [{"name": "p", "duration": "10ms", "engine": "striped"}]
 	}`)); err == nil {
-		t.Error("per-phase granularity accepted (metadata is run-level)")
-	}
-}
-
-func TestParseVersionsKnob(t *testing.T) {
-	sc, err := Parse([]byte(`{
-		"name": "mv",
-		"versions": 4,
-		"phases": [{"name": "p", "duration": "10ms"}]
-	}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Versions != 4 {
-		t.Errorf("Versions = %d, want 4", sc.Versions)
-	}
-
-	// Per-phase versions is run-level metadata, like the other knobs.
-	if _, err := Parse([]byte(`{
-		"name": "mv",
-		"phases": [{"name": "p", "duration": "10ms", "versions": 2}]
-	}`)); err == nil {
-		t.Error("per-phase versions accepted (metadata is run-level)")
+		t.Error("per-phase engine accepted (the engine is run-level)")
 	}
 }
 
@@ -238,4 +228,43 @@ func TestParseROSnapshotKnob(t *testing.T) {
 	}`)); err == nil {
 		t.Error("per-phase ro_snapshot accepted (dispatch is run-level)")
 	}
+}
+
+// FuzzParseScenario hardens the JSON scenario parser: arbitrary input must
+// never panic it, and whatever Parse accepts is a scenario the runner can
+// take — Validate accepts it and its engine keys apply over a run's spec.
+func FuzzParseScenario(f *testing.F) {
+	for _, seed := range []string{
+		``,
+		`{}`,
+		`{"name": "x", "phases": []}`,
+		`{"name": "x", "phases": [{"name": "p", "duration": "10ms"}]}`,
+		`{"name": "x", "phases": [{"max_ops": 5, "threads": -1}]}`,
+		`{"name": "x", "engine": "striped=128,shards=4,gc=off", "ro_snapshot": "off", "adaptive": "on",
+		  "phases": [{"name": "p", "max_ops": 5}]}`,
+		`{"name": "x", "engine": "deadline=25ms,serial,faults=seed=7,abort:1/24", "phases": [{"name": "p", "max_ops": 5}]}`,
+		`{"name": "x", "engine": "faults=seed=7", "phases": [{"name": "p", "max_ops": 5}]}`,
+		`{"name": "x", "granularity": "striped", "phases": [{"name": "p", "max_ops": 5}]}`,
+		`{"name": "x", "defaults": {"threads": 4, "workload": "rw", "duration": "1s", "open_loop": true, "arrival_rate": 100,
+		  "shed_after": "2ms", "queue_bound": 8, "affinity": true},
+		  "phases": [{"name": "a"}, {"name": "b", "open_loop": false, "max_ops": 3},
+		             {"name": "c", "weights": {"op": 1, "sm": 0}, "skew": 0.9, "skew_shift": 0.5, "structure_mods": false}]}`,
+		`{"name": "x", "phases": [{"name": "p", "duration": "10ms", "weights": {"lt": 1}, "long_traversals": false}]}`,
+		`{"name": "x", "phases": [{"name": "p", "duration": "10ms", "queue_bound": 0}]}`,
+		`{"name": "x", "phases": [{"name": "p", "duration": "-1s"}]} trailing`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := Parse(data)
+		if err != nil {
+			return
+		}
+		if err := sc.Validate(); err != nil {
+			t.Fatalf("Parse accepted %q but Validate rejects it: %v", data, err)
+		}
+		if _, err := (stm.EngineOptions{Versions: 2, GroupCommit: true}).Apply(sc.Engine); err != nil {
+			t.Fatalf("Parse accepted %q but its engine keys do not apply over a run's spec: %v", data, err)
+		}
+	})
 }

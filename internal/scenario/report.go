@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"cmp"
 	"fmt"
 	"io"
 	"runtime"
@@ -68,51 +67,16 @@ func WriteReport(w io.Writer, rep *Report) {
 		fmt.Fprintf(w, "  %s\n", sc.Description)
 	}
 	if len(rep.Phases) > 0 {
-		// The phases resolved the scenario overrides against the run-level
-		// options; the first phase's resolved knobs name the configuration.
-		fmt.Fprintf(w, "  engine knobs: %s\n", harness.KnobAxes(rep.Phases[0].Result.Options))
-	}
-	if sc.Granularity != "" || sc.OrecStripes > 0 || sc.ClockShards > 0 || sc.Versions > 0 || sc.ROSnapshot != "" ||
-		sc.GroupCommit != "" || sc.Coalescing != "" || sc.Adaptive != "" {
-		fmt.Fprintf(w, "  metadata: granularity %s", cmp.Or(sc.Granularity, "inherited"))
-		if sc.OrecStripes > 0 {
-			fmt.Fprintf(w, ", %d orec stripes", sc.OrecStripes)
+		// Every phase carries the configuration the executor was built
+		// with: the run's spec with the scenario's own keys applied.
+		o := rep.Phases[0].Result.Options
+		fmt.Fprintf(w, "  engine: %s\n", stm.EngineSpec{Name: rep.Strategy, Options: o.Engine})
+		if o.Adaptive {
+			fmt.Fprintln(w, "  adaptive: on")
 		}
-		if sc.ClockShards > 0 {
-			fmt.Fprintf(w, ", %d clock shards", sc.ClockShards)
+		if o.DisableROSnapshot {
+			fmt.Fprintln(w, "  ro-snapshot: off")
 		}
-		if sc.Versions > 0 {
-			fmt.Fprintf(w, ", %d versions", sc.Versions)
-		}
-		if sc.ROSnapshot != "" {
-			fmt.Fprintf(w, ", ro-snapshot %s", sc.ROSnapshot)
-		}
-		if sc.GroupCommit != "" {
-			fmt.Fprintf(w, ", group commit %s", sc.GroupCommit)
-		}
-		if sc.Coalescing != "" {
-			fmt.Fprintf(w, ", coalescing %s", sc.Coalescing)
-		}
-		if sc.Adaptive != "" {
-			fmt.Fprintf(w, ", adaptive %s", sc.Adaptive)
-		}
-		fmt.Fprintln(w)
-	}
-	if sc.TxDeadline != "" || sc.SerialFallback != "" || sc.FaultPlan != "" {
-		fmt.Fprint(w, "  robustness:")
-		sep := " "
-		if sc.TxDeadline != "" {
-			fmt.Fprintf(w, "%stx deadline %s", sep, sc.TxDeadline)
-			sep = ", "
-		}
-		if sc.SerialFallback != "" {
-			fmt.Fprintf(w, "%sserial fallback %s", sep, sc.SerialFallback)
-			sep = ", "
-		}
-		if sc.FaultPlan != "" {
-			fmt.Fprintf(w, "%sfault plan %q", sep, sc.FaultPlan)
-		}
-		fmt.Fprintln(w)
 	}
 	fmt.Fprintln(w)
 

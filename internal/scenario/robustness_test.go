@@ -6,65 +6,42 @@ import (
 	"time"
 
 	"repro/internal/ops"
-	"repro/stm"
 )
 
 func TestParseRobustnessKnobs(t *testing.T) {
 	sc, err := Parse([]byte(`{
 		"name": "rob",
-		"tx_deadline": "25ms",
-		"serial_fallback": "on",
-		"fault_plan": "seed=7,abort:1/24",
+		"engine": "deadline=25ms,serial,faults=seed=7,abort:1/24",
 		"phases": [{"name": "p", "duration": "10ms"}]
 	}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.TxDeadline != "25ms" || sc.SerialFallback != "on" || sc.FaultPlan != "seed=7,abort:1/24" {
+	if sc.Engine != "deadline=25ms,serial,faults=seed=7,abort:1/24" {
 		t.Errorf("robustness knobs not parsed: %+v", sc)
 	}
 
-	if _, err := Parse([]byte(`{
-		"name": "rob",
-		"tx_deadline": "soon",
-		"phases": [{"name": "p", "duration": "10ms"}]
-	}`)); err == nil || !strings.Contains(err.Error(), "tx_deadline") {
-		t.Errorf("bad tx_deadline not rejected: %v", err)
-	}
-	if _, err := Parse([]byte(`{
-		"name": "rob",
-		"tx_deadline": "-5ms",
-		"phases": [{"name": "p", "duration": "10ms"}]
-	}`)); err == nil || !strings.Contains(err.Error(), "tx_deadline") {
-		t.Errorf("negative tx_deadline not rejected: %v", err)
-	}
-	if _, err := Parse([]byte(`{
-		"name": "rob",
-		"serial_fallback": "maybe",
-		"phases": [{"name": "p", "duration": "10ms"}]
-	}`)); err == nil || !strings.Contains(err.Error(), "serial_fallback") {
-		t.Errorf("bad serial_fallback not rejected: %v", err)
-	}
-	if _, err := Parse([]byte(`{
-		"name": "rob",
-		"fault_plan": "seed=7",
-		"phases": [{"name": "p", "duration": "10ms"}]
-	}`)); err == nil || !strings.Contains(err.Error(), "fault_plan") {
-		t.Errorf("bare-seed fault_plan not rejected: %v", err)
+	for _, c := range []struct{ engine, what string }{
+		{"deadline=soon", "bad deadline"},
+		{"deadline=-5ms", "negative deadline"},
+		{"serial=maybe", "bad serial"},
+		{"faults=seed=7", "bare-seed fault plan"},
+	} {
+		if _, err := Parse([]byte(`{
+			"name": "rob",
+			"engine": "` + c.engine + `",
+			"phases": [{"name": "p", "duration": "10ms"}]
+		}`)); err == nil || !strings.Contains(err.Error(), "engine") {
+			t.Errorf("%s not rejected: %v", c.what, err)
+		}
 	}
 
 	// The robustness knobs are run-level, like the metadata axes.
 	if _, err := Parse([]byte(`{
 		"name": "rob",
-		"phases": [{"name": "p", "duration": "10ms", "tx_deadline": "25ms"}]
+		"phases": [{"name": "p", "duration": "10ms", "engine": "deadline=25ms"}]
 	}`)); err == nil {
-		t.Error("per-phase tx_deadline accepted (robustness is run-level)")
-	}
-	if _, err := Parse([]byte(`{
-		"name": "rob",
-		"phases": [{"name": "p", "duration": "10ms", "fault_plan": "abort:1/4"}]
-	}`)); err == nil {
-		t.Error("per-phase fault_plan accepted (robustness is run-level)")
+		t.Error("per-phase deadline accepted (robustness is run-level)")
 	}
 }
 
@@ -125,22 +102,14 @@ func TestValidateRejectsBadRobustness(t *testing.T) {
 	base := func() *Scenario {
 		return &Scenario{Name: "r", Phases: []Phase{{Name: "p", MaxOps: 1}}}
 	}
+	for _, engine := range []string{"deadline=not-a-duration", "serial=yes", "faults=precommit:everytime"} {
+		sc := base()
+		sc.Engine = engine
+		if err := sc.Validate(); err == nil {
+			t.Errorf("bad engine %q accepted", engine)
+		}
+	}
 	sc := base()
-	sc.TxDeadline = "not-a-duration"
-	if err := sc.Validate(); err == nil {
-		t.Error("bad tx_deadline accepted")
-	}
-	sc = base()
-	sc.SerialFallback = "yes"
-	if err := sc.Validate(); err == nil {
-		t.Error("bad serial_fallback accepted")
-	}
-	sc = base()
-	sc.FaultPlan = "precommit:everytime"
-	if err := sc.Validate(); err == nil {
-		t.Error("malformed fault_plan accepted")
-	}
-	sc = base()
 	sc.Phases[0].ShedAfter = -time.Millisecond
 	if err := sc.Validate(); err == nil {
 		t.Error("negative shed_after accepted")
@@ -158,14 +127,9 @@ func TestValidateRejectsBadRobustness(t *testing.T) {
 // run's.
 func TestRunOptionsCarryRobustnessKnobs(t *testing.T) {
 	phases := []Phase{{Name: "p", MaxOps: 100, Workload: ops.ReadWrite, StructureMods: true}}
-	plan, err := stm.ParseFaultPlan("seed=3,abort:1/6")
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	rep, err := Run(&Scenario{Name: "rob", Phases: phases},
-		RunOptions{Strategy: "tl2", Threads: 2, FaultPlan: plan, SerialFallback: true,
-			TxDeadline: 5 * time.Second})
+		RunOptions{Strategy: "tl2", Threads: 2, Engine: mustOpts(t, "deadline=5s,serial,faults=seed=3,abort:1/6")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,31 +137,30 @@ func TestRunOptionsCarryRobustnessKnobs(t *testing.T) {
 		t.Error("InjectedFaults = 0 — run-level fault plan not plumbed")
 	}
 
-	// Scenario-pinned plan beats the run's nil plan; serial_fallback "on"
-	// beats the run's false.
-	pinned, err := Run(&Scenario{Name: "rob-pinned", FaultPlan: "abort:1/1",
-		SerialFallback: "on", Phases: phases},
+	// Scenario-pinned plan beats the run's nil plan; serial beats the
+	// run's false.
+	pinned, err := Run(&Scenario{Name: "rob-pinned", Engine: "serial,faults=abort:1/1", Phases: phases},
 		RunOptions{Strategy: "norec", Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	es := pinned.Phases[0].Result.EngineStats
 	if es.InjectedFaults == 0 {
-		t.Error("scenario override: InjectedFaults = 0 — scenario fault_plan did not win")
+		t.Error("scenario override: InjectedFaults = 0 — scenario faults= did not win")
 	}
 	if es.SerialFallbacks == 0 {
-		t.Error("scenario override: SerialFallbacks = 0 — serial_fallback on did not win")
+		t.Error("scenario override: SerialFallbacks = 0 — scenario serial did not win")
 	}
 }
 
 // TestChaosStormBuiltin: the robustness scenario runs end to end under
-// every knob it pins, and the report carries the robustness lines.
+// every knob it pins, and the report's engine line carries them.
 func TestChaosStormBuiltin(t *testing.T) {
 	sc, ok := Builtin("chaos-storm")
 	if !ok {
 		t.Fatal("chaos-storm not registered")
 	}
-	if sc.TxDeadline == "" || sc.FaultPlan == "" {
+	if pins := mustOpts(t, sc.Engine); pins.TxDeadline != 25*time.Millisecond || pins.Faults == nil {
 		t.Fatalf("chaos-storm robustness shape: %+v", sc)
 	}
 	shedPhase := -1
@@ -223,7 +186,7 @@ func TestChaosStormBuiltin(t *testing.T) {
 	var buf strings.Builder
 	WriteReport(&buf, rep)
 	out := buf.String()
-	for _, want := range []string{"robustness:", "fault plan", "tx deadline 25ms"} {
+	for _, want := range []string{"engine: tl2:deadline=25ms,faults=seed=7,precommit:1/40:80µs,"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}

@@ -34,51 +34,22 @@ type RunOptions struct {
 	// CheckInvariants verifies the full structural invariants once,
 	// after the final phase.
 	CheckInvariants bool
-	// CM, CommitTimeValidationOnly and VisibleReads tune the OSTM
-	// strategy exactly like the harness options of the same names
-	// (ignored by other strategies).
-	CM                       stm.ContentionManager
-	CommitTimeValidationOnly bool
-	VisibleReads             bool
-	// Granularity, OrecStripes and ClockShards tune the engine's
-	// conflict-detection metadata exactly like the harness options of the
-	// same names. They are run-level (the orec table and commit clock are
-	// built with the engine, before the first phase); a scenario that
-	// sets its own values overrides these.
-	Granularity stm.Granularity
-	OrecStripes int
-	ClockShards int
-	// Versions keeps the last K committed versions per Var exactly like
-	// the harness option of the same name (0 or 1 = single-version).
-	// Run-level like the metadata knobs; a scenario that sets its own
-	// Versions overrides this.
-	Versions int
+	// Engine configures the stm engine behind an STM strategy exactly
+	// like the harness option of the same name (with Strategy, the two
+	// halves of the -g spec). Run-level: the engine is built before the
+	// first phase; a scenario's own "engine" keys are applied over it.
+	// Engine.Trace is the run's flight recorder: one recorder observes
+	// every phase (use its Reset between scrapes to window it).
+	Engine stm.EngineOptions
+	// Adaptive wraps the engine in the reconfigurable stm.Adaptive
+	// runtime with the closed-loop controller running in every phase,
+	// exactly like the harness option of the same name. A scenario that
+	// sets its own "adaptive" key overrides this.
+	Adaptive bool
 	// DisableROSnapshot turns off the read-only snapshot fast path for
 	// the whole run, exactly like the harness option of the same name. A
 	// scenario that sets its own ROSnapshot overrides this.
 	DisableROSnapshot bool
-	// TxDeadline, SerialFallback and FaultPlan tune the engine's
-	// robustness knobs exactly like the harness options of the same
-	// names. Run-level (engine configuration, built before the first
-	// phase); a scenario that sets its own values overrides these.
-	TxDeadline     time.Duration
-	SerialFallback bool
-	FaultPlan      *stm.FaultPlan
-	// GroupCommit and LockCoalescing tune the engines' commit pipeline
-	// exactly like the harness options of the same names. Run-level (the
-	// commit protocol is an engine configuration); a scenario that sets
-	// its own group_commit/coalescing overrides these.
-	GroupCommit    bool
-	LockCoalescing bool
-	// Adaptive wraps the engine in the reconfigurable stm.Adaptive
-	// runtime with the closed-loop controller running in every phase,
-	// exactly like the harness option of the same name. Run-level; a
-	// scenario that sets its own "adaptive" key overrides this.
-	Adaptive bool
-	// Trace installs a transaction flight recorder on the engine, exactly
-	// like the harness option of the same name. Run-level: one recorder
-	// observes every phase (use its Reset between scrapes to window it).
-	Trace *stm.TraceRecorder
 	// SampleInterval runs the telemetry sampler in every phase at the
 	// given cadence, exactly like the harness option of the same name;
 	// each PhaseResult's Result.Series carries that phase's curve.
@@ -155,98 +126,24 @@ func Run(sc *Scenario, o RunOptions) (*Report, error) {
 		o.TimeScale = 1
 	}
 
-	// The scenario's engine-metadata knobs override the run's: a scenario
-	// built around a metadata shape (orec-pressure) must get that shape
+	// The scenario's run-level keys override the run's: a scenario built
+	// around a metadata shape (orec-pressure) must get that shape
 	// regardless of the CLI defaults.
-	granularity, orecStripes, clockShards := o.Granularity, o.OrecStripes, o.ClockShards
-	if sc.Granularity != "" {
-		g, err := stm.ParseGranularity(sc.Granularity)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
-		}
-		granularity = g
+	engine, err := o.Engine.Apply(sc.Engine)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %q: bad engine: %w", sc.Name, err)
 	}
-	if sc.OrecStripes > 0 {
-		orecStripes = sc.OrecStripes
-	}
-	if sc.ClockShards > 0 {
-		clockShards = sc.ClockShards
-	}
-	versions := o.Versions
-	if sc.Versions > 0 {
-		versions = sc.Versions
-	}
-	disableSnap := o.DisableROSnapshot
-	switch sc.ROSnapshot {
-	case "on":
-		disableSnap = false
-	case "off":
-		disableSnap = true
-	}
-	txDeadline := o.TxDeadline
-	if sc.TxDeadline != "" {
-		d, err := time.ParseDuration(sc.TxDeadline)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %q: bad tx_deadline: %w", sc.Name, err)
-		}
-		txDeadline = d
-	}
-	serialFallback := o.SerialFallback
-	switch sc.SerialFallback {
-	case "on":
-		serialFallback = true
-	case "off":
-		serialFallback = false
-	}
-	faultPlan := o.FaultPlan
-	if sc.FaultPlan != "" {
-		p, err := stm.ParseFaultPlan(sc.FaultPlan)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %q: bad fault_plan: %w", sc.Name, err)
-		}
-		faultPlan = p
-	}
-	groupCommit := o.GroupCommit
-	switch sc.GroupCommit {
-	case "on":
-		groupCommit = true
-	case "off":
-		groupCommit = false
-	}
-	coalescing := o.LockCoalescing
-	switch sc.Coalescing {
-	case "on":
-		coalescing = true
-	case "off":
-		coalescing = false
-	}
-	adaptive := o.Adaptive
-	switch sc.Adaptive {
-	case "on":
-		adaptive = true
-	case "off":
-		adaptive = false
-	}
+	// Validate checked both keys, so triState cannot fail here.
+	roSnapshot, _ := triState("ro_snapshot", sc.ROSnapshot, !o.DisableROSnapshot)
+	adaptive, _ := triState("adaptive", sc.Adaptive, o.Adaptive)
 
 	ex, s, err := harness.Setup(harness.Options{
-		Params:                   o.Params,
-		Seed:                     o.Seed,
-		Strategy:                 o.Strategy,
-		CM:                       o.CM,
-		CommitTimeValidationOnly: o.CommitTimeValidationOnly,
-		VisibleReads:             o.VisibleReads,
-		Granularity:              granularity,
-		OrecStripes:              orecStripes,
-		ClockShards:              clockShards,
-		Versions:                 versions,
-		DisableROSnapshot:        disableSnap,
-		TxDeadline:               txDeadline,
-		SerialFallback:           serialFallback,
-		FaultPlan:                faultPlan,
-		GroupCommit:              groupCommit,
-		LockCoalescing:           coalescing,
-		Adaptive:                 adaptive,
-		Trace:                    o.Trace,
+		Params:            o.Params,
+		Seed:              o.Seed,
+		Strategy:          o.Strategy,
+		Engine:            engine,
+		Adaptive:          adaptive,
+		DisableROSnapshot: !roSnapshot,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
@@ -269,7 +166,6 @@ func Run(sc *Scenario, o RunOptions) (*Report, error) {
 			LongTraversals:  ph.LongTraversals,
 			StructureMods:   ph.StructureMods,
 			Reduced:         ph.Reduced,
-			Strategy:        o.Strategy,
 			CategoryWeights: ph.Weights,
 			SkewTheta:       ph.SkewTheta,
 			SkewShift:       ph.SkewShift,
@@ -278,20 +174,13 @@ func Run(sc *Scenario, o RunOptions) (*Report, error) {
 			ShedAfter:       ph.ShedAfter,
 			QueueBound:      ph.QueueBound,
 			Affinity:        ph.Affinity,
-			TxDeadline:      txDeadline,
-			SerialFallback:  serialFallback,
-			FaultPlan:       faultPlan,
-			// Engine-level knobs were applied at Setup; echoing them in
-			// the per-phase options keeps the report headers (KnobAxes)
-			// naming the configuration that actually ran.
-			Granularity:       granularity,
-			OrecStripes:       orecStripes,
-			ClockShards:       clockShards,
-			Versions:          versions,
-			GroupCommit:       groupCommit,
-			LockCoalescing:    coalescing,
+			// What the executor was built with at Setup: RunOn starts the
+			// adaptive controller from Adaptive, and the phase's Result
+			// names the configuration that actually ran.
+			Strategy:          o.Strategy,
+			Engine:            engine,
 			Adaptive:          adaptive,
-			DisableROSnapshot: disableSnap,
+			DisableROSnapshot: !roSnapshot,
 			SampleInterval:    o.SampleInterval,
 			CollectHistograms: o.CollectHistograms,
 			CheckInvariants:   o.CheckInvariants && i == len(sc.Phases)-1,

@@ -99,74 +99,53 @@ func (ph Phase) categoryEnabled(cat ops.Category) bool {
 
 // Scenario is a named, ordered sequence of phases over one structure.
 //
-// Granularity, OrecStripes and ClockShards are run-level engine-metadata
-// knobs: the orec table and the commit clock are built with the engine,
-// before the first phase runs, so unlike the per-phase workload fields
-// they apply to the whole scenario. Zero values ("" / 0) inherit whatever
-// the RunOptions (i.e. the CLI flags) selected; a scenario that sets them
-// overrides the run, which is how a built-in like orec-pressure pins its
-// metadata shape.
+// Engine, ROSnapshot and Adaptive are run-level: the engine, the read-only
+// dispatch and the adaptive wrapper are built with the executor, before
+// the first phase runs, so unlike the per-phase workload fields they apply
+// to the whole scenario. Empty values inherit whatever the RunOptions
+// (i.e. the CLI flags) selected; a scenario that sets them overrides the
+// run, which is how a built-in like orec-pressure pins its metadata shape.
 type Scenario struct {
 	Name        string
 	Description string
-	// Granularity is "" (inherit), "object" or "striped".
-	Granularity string
-	// OrecStripes sizes the striped orec table (0 = inherit/engine
-	// default).
-	OrecStripes int
-	// ClockShards shards TL2's commit clock (0 = inherit/single clock).
-	ClockShards int
-	// Versions keeps the last K committed versions per Var (0 =
-	// inherit/single-version). Run-level like the metadata knobs: the
-	// version-chain depth is an engine configuration, built before the
-	// first phase.
-	Versions int
+	// Engine is an engine-spec option list ("striped=256,shards=4",
+	// "deadline=25ms,faults=seed=7,abort:1/24"; see stm.ParseEngineSpec)
+	// applied over the run's engine options: a key set here overrides
+	// the run's value, an unset key inherits it, and "gc=off" turns a
+	// run-level gc off (stm.EngineOptions.Apply).
+	Engine string
 	// ROSnapshot pins the read-only snapshot fast path for the whole
 	// run: "" inherits the RunOptions (i.e. the CLI flag), "on" forces
-	// the snapshot path, "off" forces the validating path. Run-level
-	// like the metadata knobs: the dispatch is a property of the
-	// executor, built before the first phase.
+	// the snapshot path, "off" forces the validating path.
 	ROSnapshot string
-	// TxDeadline bounds each transaction's wall-clock retry window, as a
-	// Go duration string ("25ms"; "" = inherit the RunOptions).
-	// Run-level: the deadline is an engine configuration, built before
-	// the first phase.
-	TxDeadline string
-	// SerialFallback pins the irrevocable serial-fallback mode for the
-	// whole run: "" inherits the RunOptions, "on" escalates transactions
-	// that exhaust their retry budget or deadline to an exclusive serial
-	// mode (no aborts surface), "off" forces it off.
-	SerialFallback string
-	// FaultPlan deterministically injects commit-path stalls and forced
-	// aborts, in stm.ParseFaultPlan syntax
-	// ("seed=7,precommit:1/40:80us,abort:1/24"; "" = inherit).
-	// Run-level like the other engine knobs.
-	FaultPlan string
-	// GroupCommit pins NOrec's combining-queue group commit for the whole
-	// run: "" inherits the RunOptions (i.e. the CLI flag), "on" batches
-	// committers behind the sequence lock, "off" forces the classic
-	// one-at-a-time protocol. Run-level: the commit protocol is an engine
-	// configuration, built before the first phase.
-	GroupCommit string
-	// Coalescing pins TL2's commit-time lock coalescing for the whole run:
-	// "" inherits the RunOptions, "on" acquires sorted runs of adjacent
-	// striped-table orecs with one CAS per group word, "off" forces
-	// per-orec CAS. Run-level like GroupCommit.
-	Coalescing string
 	// Adaptive pins the adaptive self-tuning runtime for the whole run:
 	// "" inherits the RunOptions (i.e. the CLI flag), "on" wraps the
 	// strategy's engine in the reconfigurable stm.Adaptive runtime with
 	// the closed-loop controller driving it every phase, "off" forces the
-	// plain pinned engine. Run-level: the wrapper is an engine
-	// configuration, built before the first phase.
+	// plain pinned engine.
 	Adaptive string
 	Phases   []Phase
 }
 
+// triState resolves an "on"/"off"/"" (inherit) scenario key over the run's
+// value.
+func triState(key, val string, inherited bool) (bool, error) {
+	switch val {
+	case "":
+		return inherited, nil
+	case "on":
+		return true, nil
+	case "off":
+		return false, nil
+	default:
+		return false, fmt.Errorf("bad %s %q (want on or off)", key, val)
+	}
+}
+
 // Validate checks the scenario for the error classes the parser and the
-// runner rely on being absent: phases without a length, conflicting
-// length specifications, bad mix weights, out-of-range skew, and
-// open-loop phases without an arrival rate.
+// runner rely on being absent: a malformed engine overlay, phases without
+// a length, conflicting length specifications, bad mix weights,
+// out-of-range skew, and open-loop phases without an arrival rate.
 func (sc *Scenario) Validate() error {
 	if sc.Name == "" {
 		return fmt.Errorf("scenario: empty name")
@@ -174,54 +153,14 @@ func (sc *Scenario) Validate() error {
 	if len(sc.Phases) == 0 {
 		return fmt.Errorf("scenario %q: no phases", sc.Name)
 	}
-	if _, err := stm.ParseGranularity(sc.Granularity); err != nil {
+	if _, err := (stm.EngineOptions{}).Apply(sc.Engine); err != nil {
+		return fmt.Errorf("scenario %q: bad engine: %w", sc.Name, err)
+	}
+	if _, err := triState("ro_snapshot", sc.ROSnapshot, false); err != nil {
 		return fmt.Errorf("scenario %q: %w", sc.Name, err)
 	}
-	if sc.OrecStripes < 0 {
-		return fmt.Errorf("scenario %q: negative orec_stripes %d", sc.Name, sc.OrecStripes)
-	}
-	if sc.ClockShards < 0 {
-		return fmt.Errorf("scenario %q: negative clock_shards %d", sc.Name, sc.ClockShards)
-	}
-	if sc.Versions < 0 {
-		return fmt.Errorf("scenario %q: negative versions %d", sc.Name, sc.Versions)
-	}
-	switch sc.ROSnapshot {
-	case "", "on", "off":
-	default:
-		return fmt.Errorf("scenario %q: bad ro_snapshot %q (want on or off)", sc.Name, sc.ROSnapshot)
-	}
-	if sc.TxDeadline != "" {
-		d, err := time.ParseDuration(sc.TxDeadline)
-		if err != nil {
-			return fmt.Errorf("scenario %q: bad tx_deadline: %w", sc.Name, err)
-		}
-		if d <= 0 {
-			return fmt.Errorf("scenario %q: tx_deadline %v must be positive", sc.Name, d)
-		}
-	}
-	switch sc.SerialFallback {
-	case "", "on", "off":
-	default:
-		return fmt.Errorf("scenario %q: bad serial_fallback %q (want on or off)", sc.Name, sc.SerialFallback)
-	}
-	if _, err := stm.ParseFaultPlan(sc.FaultPlan); err != nil {
-		return fmt.Errorf("scenario %q: bad fault_plan: %w", sc.Name, err)
-	}
-	switch sc.GroupCommit {
-	case "", "on", "off":
-	default:
-		return fmt.Errorf("scenario %q: bad group_commit %q (want on or off)", sc.Name, sc.GroupCommit)
-	}
-	switch sc.Coalescing {
-	case "", "on", "off":
-	default:
-		return fmt.Errorf("scenario %q: bad coalescing %q (want on or off)", sc.Name, sc.Coalescing)
-	}
-	switch sc.Adaptive {
-	case "", "on", "off":
-	default:
-		return fmt.Errorf("scenario %q: bad adaptive %q (want on or off)", sc.Name, sc.Adaptive)
+	if _, err := triState("adaptive", sc.Adaptive, false); err != nil {
+		return fmt.Errorf("scenario %q: %w", sc.Name, err)
 	}
 	for i, ph := range sc.Phases {
 		label := ph.Name

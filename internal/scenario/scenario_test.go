@@ -16,6 +16,16 @@ func engines() []string {
 	return append([]string{"coarse", "medium"}, sync7.STMStrategies()...)
 }
 
+// mustOpts parses an engine-spec option list a test spells as a literal.
+func mustOpts(t *testing.T, list string) stm.EngineOptions {
+	t.Helper()
+	o, err := stm.EngineOptions{}.Apply(list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
 func TestBuiltinLibrary(t *testing.T) {
 	for _, want := range []string{
 		"steady", "ramp-up", "spike", "read-burst-write-storm",
@@ -266,7 +276,7 @@ func TestValidateRejectsDisabledWeightMass(t *testing.T) {
 	}
 }
 
-// TestRunOptionsCarryOSTMKnobs: the -cm / ablation flags must reach the
+// TestRunOptionsCarryOSTMKnobs: the OSTM ablation options must reach the
 // executor (visible-reads mode performs zero validations, the default
 // invisible-reads mode performs many).
 func TestRunOptionsCarryOSTMKnobs(t *testing.T) {
@@ -277,7 +287,7 @@ func TestRunOptionsCarryOSTMKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vis, err := Run(sc, RunOptions{Strategy: "ostm", Threads: 2, VisibleReads: true})
+	vis, err := Run(sc, RunOptions{Strategy: "ostm", Threads: 2, Engine: mustOpts(t, "visible")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,8 +307,7 @@ func TestRunOptionsCarryMetadataKnobs(t *testing.T) {
 	sc := &Scenario{Name: "meta", Phases: []Phase{
 		{Name: "p", MaxOps: 100, Workload: ops.ReadWrite, StructureMods: true},
 	}}
-	rep, err := Run(sc, RunOptions{Strategy: "tl2", Threads: 2, ClockShards: 4,
-		Granularity: stm.StripedGranularity, OrecStripes: 64})
+	rep, err := Run(sc, RunOptions{Strategy: "tl2", Threads: 2, Engine: mustOpts(t, "striped=64,shards=4")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,9 +316,8 @@ func TestRunOptionsCarryMetadataKnobs(t *testing.T) {
 	}
 
 	// A scenario that pins its own metadata shape overrides the run.
-	pinned := &Scenario{Name: "meta-pinned", ClockShards: 2, Granularity: "striped", OrecStripes: 32,
-		Phases: sc.Phases}
-	rep2, err := Run(pinned, RunOptions{Strategy: "tl2", Threads: 2, ClockShards: 8})
+	pinned := &Scenario{Name: "meta-pinned", Engine: "striped=32,shards=2", Phases: sc.Phases}
+	rep2, err := Run(pinned, RunOptions{Strategy: "tl2", Threads: 2, Engine: mustOpts(t, "shards=8")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,20 +333,21 @@ func TestOrecPressureBuiltin(t *testing.T) {
 	if !ok {
 		t.Fatal("orec-pressure not registered")
 	}
-	if sc.Granularity != "striped" || sc.OrecStripes == 0 || sc.ClockShards < 2 {
+	pins := mustOpts(t, sc.Engine)
+	if pins.Granularity != stm.StripedGranularity || pins.OrecStripes == 0 || pins.ClockShards < 2 {
 		t.Fatalf("orec-pressure metadata shape: %+v", sc)
 	}
 	rep, err := Run(sc, RunOptions{Strategy: "tl2", Threads: 2, TimeScale: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rep.Phases[0].Result.EngineStats.ClockShards; got != uint64(sc.ClockShards) {
-		t.Errorf("ClockShards = %d, want %d", got, sc.ClockShards)
+	if got := rep.Phases[0].Result.EngineStats.ClockShards; got != uint64(pins.ClockShards) {
+		t.Errorf("ClockShards = %d, want %d", got, pins.ClockShards)
 	}
 	var buf strings.Builder
 	WriteReport(&buf, rep)
 	out := buf.String()
-	for _, want := range []string{"metadata: granularity striped", "false%", "commit clock:"} {
+	for _, want := range []string{"engine: tl2:striped=256,shards=4\n", "false%", "commit clock:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
@@ -349,25 +358,12 @@ func TestValidateRejectsBadMetadata(t *testing.T) {
 	base := func() *Scenario {
 		return &Scenario{Name: "m", Phases: []Phase{{Name: "p", MaxOps: 1}}}
 	}
-	sc := base()
-	sc.Granularity = "word"
-	if err := sc.Validate(); err == nil {
-		t.Error("bad granularity accepted")
-	}
-	sc = base()
-	sc.OrecStripes = -1
-	if err := sc.Validate(); err == nil {
-		t.Error("negative orec_stripes accepted")
-	}
-	sc = base()
-	sc.ClockShards = -1
-	if err := sc.Validate(); err == nil {
-		t.Error("negative clock_shards accepted")
-	}
-	sc = base()
-	sc.Versions = -1
-	if err := sc.Validate(); err == nil {
-		t.Error("negative versions accepted")
+	for _, engine := range []string{"word", "striped=-1", "shards=-1", "versions=-1"} {
+		sc := base()
+		sc.Engine = engine
+		if err := sc.Validate(); err == nil {
+			t.Errorf("bad engine %q accepted", engine)
+		}
 	}
 }
 
@@ -387,7 +383,7 @@ func TestRunOptionsCarryVersionsKnob(t *testing.T) {
 	}
 
 	deep, err := Run(&Scenario{Name: "mv", Phases: phases},
-		RunOptions{Strategy: "tl2", Threads: 2, Versions: 2})
+		RunOptions{Strategy: "tl2", Threads: 2, Engine: mustOpts(t, "versions=2")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,8 +393,8 @@ func TestRunOptionsCarryVersionsKnob(t *testing.T) {
 
 	// Scenario-pinned depth beats the run's: K=1 at the run level, but the
 	// scenario says 2, so bytes must be retained.
-	pinned, err := Run(&Scenario{Name: "mv-pinned", Versions: 2, Phases: phases},
-		RunOptions{Strategy: "norec", Threads: 2, Versions: 1})
+	pinned, err := Run(&Scenario{Name: "mv-pinned", Engine: "versions=2", Phases: phases},
+		RunOptions{Strategy: "norec", Threads: 2, Engine: mustOpts(t, "versions=1")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,11 +404,11 @@ func TestRunOptionsCarryVersionsKnob(t *testing.T) {
 }
 
 // TestWriteReportVersionSections: the per-phase table carries the snapshot
-// restart and version-miss columns, the metadata line echoes the pinned
+// restart and version-miss columns, the engine line echoes the pinned
 // depth, and the comparison grows its multiversion summary once version
 // traffic exists.
 func TestWriteReportVersionSections(t *testing.T) {
-	sc := &Scenario{Name: "mv-report", Versions: 2, Phases: []Phase{
+	sc := &Scenario{Name: "mv-report", Engine: "versions=2", Phases: []Phase{
 		{Name: "p", MaxOps: 200, Workload: ops.ReadWrite, StructureMods: true},
 	}}
 	rep, err := Run(sc, RunOptions{Strategy: "tl2", Threads: 2})
@@ -422,9 +418,38 @@ func TestWriteReportVersionSections(t *testing.T) {
 	var sb strings.Builder
 	WriteReport(&sb, rep)
 	out := sb.String()
-	for _, want := range []string{"2 versions", "snapRst", "verMiss", "multiversion:"} {
+	for _, want := range []string{"engine: tl2:versions=2\n", "snapRst", "verMiss", "multiversion:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestScenarioEngineOverlay pins the overlay rule: a key the scenario's
+// "engine" sets overrides the run's spec, an unset key inherits it, and
+// "gc=off" turns a run-level gc off. Every phase's options name the
+// resolved configuration — the one the executor was built with.
+func TestScenarioEngineOverlay(t *testing.T) {
+	phases := []Phase{{Name: "p", MaxOps: 20, Workload: ops.ReadWrite, StructureMods: true}}
+	run := RunOptions{Strategy: "norec", Threads: 1, Engine: mustOpts(t, "versions=2,gc,deadline=5s")}
+	for _, c := range []struct{ overlay, want string }{
+		{"", "norec:versions=2,gc,deadline=5s"},
+		{"versions=4", "norec:versions=4,gc,deadline=5s"},
+		{"gc=off", "norec:versions=2,deadline=5s"},
+		{"serial,deadline=0", "norec:versions=2,gc,serial"},
+	} {
+		rep, err := Run(&Scenario{Name: "overlay", Engine: c.overlay, Phases: phases}, run)
+		if err != nil {
+			t.Fatalf("overlay %q: %v", c.overlay, err)
+		}
+		o := rep.Phases[0].Result.Options
+		if got := (stm.EngineSpec{Name: o.Strategy, Options: o.Engine}).String(); got != c.want {
+			t.Errorf("overlay %q over %s resolved to %s, want %s", c.overlay, run.Engine, got, c.want)
+		}
+		var sb strings.Builder
+		WriteReport(&sb, rep)
+		if want := "  engine: " + c.want + "\n"; !strings.Contains(sb.String(), want) {
+			t.Errorf("overlay %q: report missing %q:\n%s", c.overlay, want, sb.String())
 		}
 	}
 }

@@ -69,12 +69,11 @@ func Register(name string, kind Kind, factory Factory) {
 }
 
 // genericSTM wraps a registered stm engine as an STM strategy, passing
-// the cross-engine metadata knobs (granularity, stripes, clock shards)
-// through to the engine registry — engines outside those axes ignore
-// them, so the same Config sweeps every engine.
+// Config.Engine through to the engine registry — engines ignore the
+// options outside their design, so the same Config sweeps every engine.
 func genericSTM(name string) registration {
 	return registration{kind: KindSTM, factory: func(cfg Config) (Executor, error) {
-		eng, err := stm.NewWith(name, cfg.engineOptions())
+		eng, err := stm.NewWith(name, cfg.Engine)
 		if err != nil {
 			return nil, err
 		}
@@ -157,9 +156,8 @@ func StrategiesOfKind(k Kind) []string {
 // automatically.
 func STMStrategies() []string { return StrategiesOfKind(KindSTM) }
 
-// init registers the strategies with sync7-level configuration. STM
-// engines without such knobs (tl2, norec, any future engine) are NOT
-// registered here: lookup resolves them from the stm package's engine
+// init registers the strategies that are not stm engines. STM engines are
+// NOT registered here: lookup resolves them from the stm package's engine
 // registry on demand, so a new engine becomes a strategy by registering
 // itself with stm.Register — no change in this package, and no ordering
 // constraint on when that registration happens.
@@ -175,22 +173,5 @@ func init() {
 			return nil, fmt.Errorf("sync7: medium locking needs NumAssmLevels >= 2, got %d", cfg.NumAssmLevels)
 		}
 		return newMedium(cfg.NumAssmLevels), nil
-	})
-	// OSTM has strategy-level configuration (contention manager,
-	// validation and read-visibility ablations), so it gets a dedicated
-	// factory rather than the generic wrapper; the metadata axes ride
-	// along next to its own knobs.
-	Register("ostm", KindSTM, func(cfg Config) (Executor, error) {
-		return newSTMExec(stm.NewOSTMWith(stm.OSTMConfig{
-			CM:                       cfg.CM,
-			CommitTimeValidationOnly: cfg.CommitTimeValidationOnly,
-			VisibleReads:             cfg.VisibleReads,
-			Granularity:              cfg.Granularity,
-			OrecStripes:              cfg.OrecStripes,
-			TxDeadline:               cfg.TxDeadline,
-			SerialFallback:           cfg.SerialFallback,
-			Faults:                   cfg.FaultPlan,
-			Trace:                    cfg.Trace,
-		}), "ostm", cfg), nil
 	})
 }

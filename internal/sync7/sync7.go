@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/ops"
@@ -58,61 +57,14 @@ type Config struct {
 	// NumAssmLevels must match the structure's parameter (medium locking
 	// needs one lock per level). Ignored by other strategies.
 	NumAssmLevels int
-	// CM overrides OSTM's contention manager (default Polka).
-	CM stm.ContentionManager
-	// CommitTimeValidationOnly disables OSTM's incremental validation.
-	CommitTimeValidationOnly bool
-	// VisibleReads switches OSTM to visible-reads mode (no validation;
-	// readers register on orecs and writers arbitrate with them).
-	VisibleReads bool
-	// Granularity selects the Var-to-orec mapping for orec-based engines
-	// (TL2, OSTM): object (collision-free, the default) or striped.
-	// Engines without per-location metadata (norec, the lock strategies)
-	// ignore it.
-	Granularity stm.Granularity
-	// OrecStripes sizes the striped orec table (0 = engine default;
-	// ignored under object granularity).
-	OrecStripes int
-	// ClockShards shards TL2's commit clock (0 or 1 = single clock;
-	// ignored by engines without a global version clock).
-	ClockShards int
-	// Versions keeps the last K committed versions per Var so read-only
-	// snapshot transactions resolve older versions instead of restarting
-	// (0 or 1 = single-version; ignored by engines without a snapshot
-	// timestamp — ostm, the lock strategies).
-	Versions int
-	// GroupCommit enables NOrec's combining-queue group commit: committers
-	// that find the sequence lock held hand their write sets to the holder,
-	// which publishes the whole batch under one acquisition. Ignored by
-	// every other strategy.
-	GroupCommit bool
-	// LockCoalescing makes TL2 acquire sorted runs of adjacent striped-table
-	// orecs with one CAS per group word at commit time. Ignored under object
-	// granularity and by every other strategy.
-	LockCoalescing bool
-	// TxDeadline bounds each transaction's wall-clock retry window: an
-	// attempt never starts after the deadline has passed (the first always
-	// runs). Zero = no deadline. Ignored by lock strategies and direct.
-	TxDeadline time.Duration
-	// SerialFallback escalates transactions that exhaust their retry
-	// budget or deadline to an exclusive irrevocable serial mode instead
-	// of surfacing stm.ErrAborted. Ignored by lock strategies and direct.
-	SerialFallback bool
-	// FaultPlan deterministically injects stalls and forced aborts at
-	// commit-path probe sites (nil = off; see stm.ParseFaultPlan).
-	// Ignored by lock strategies and direct.
-	FaultPlan *stm.FaultPlan
-	// Trace installs a transaction flight recorder on the engine's
-	// attempt-lifecycle probe sites (nil = off, zero overhead). Ignored
-	// by lock strategies and direct.
-	Trace *stm.TraceRecorder
+	// Engine configures the stm engine behind an STM strategy — with
+	// Strategy, the two halves of an stm.EngineSpec. Ignored by the lock
+	// strategies and direct.
+	Engine stm.EngineOptions
 	// Adaptive wraps the engine in the stm.Adaptive reconfigurable
-	// runtime (-adaptive): Strategy picks the INITIAL engine, and a
-	// closed-loop controller (internal/adapt) may swap engine and knobs
-	// live via quiesce-and-swap. Requires an STM strategy; OSTM's
-	// strategy-level knobs (CM, validation mode, visible reads) are not
-	// carried across swaps — the adaptive runtime drives engines through
-	// the stm registry's cross-engine options only.
+	// runtime: Strategy and Engine pick the INITIAL configuration, and a
+	// closed-loop controller (internal/adapt) may swap engine and options
+	// live via quiesce-and-swap. Requires an STM strategy.
 	Adaptive bool
 	// DisableROSnapshot turns off the read-only snapshot fast path
 	// (-ro-snapshot=off): operations marked ops.Op.ReadOnly then run
@@ -123,34 +75,22 @@ type Config struct {
 	DisableROSnapshot bool
 }
 
-// engineOptions extracts the cross-engine metadata knobs.
-func (c Config) engineOptions() stm.EngineOptions {
-	return stm.EngineOptions{
-		Granularity:    c.Granularity,
-		OrecStripes:    c.OrecStripes,
-		ClockShards:    c.ClockShards,
-		Versions:       c.Versions,
-		GroupCommit:    c.GroupCommit,
-		LockCoalescing: c.LockCoalescing,
-		TxDeadline:     c.TxDeadline,
-		SerialFallback: c.SerialFallback,
-		Faults:         c.FaultPlan,
-		Trace:          c.Trace,
-	}
-}
-
 // New builds the executor for cfg by looking Config.Strategy up in the
-// strategy registry.
+// strategy registry. Configuration errors — an unknown strategy,
+// out-of-range engine options — are reported before anything is built.
 func New(cfg Config) (Executor, error) {
 	reg, ok := lookup(cfg.Strategy)
 	if !ok {
 		return nil, fmt.Errorf("sync7: unknown strategy %q (want %s)", cfg.Strategy, strings.Join(Strategies(), ", "))
 	}
+	if err := cfg.Engine.Validate(); err != nil {
+		return nil, fmt.Errorf("sync7: %w", err)
+	}
 	if cfg.Adaptive {
 		if reg.kind != KindSTM {
 			return nil, fmt.Errorf("sync7: adaptive requires an STM strategy, got %q (%s)", cfg.Strategy, reg.kind)
 		}
-		eng, err := stm.NewAdaptive(cfg.Strategy, cfg.engineOptions())
+		eng, err := stm.NewAdaptive(stm.EngineSpec{Name: cfg.Strategy, Options: cfg.Engine})
 		if err != nil {
 			return nil, err
 		}

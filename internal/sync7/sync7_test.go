@@ -464,3 +464,48 @@ func TestModeString(t *testing.T) {
 		t.Error("Mode.String broken")
 	}
 }
+
+// TestEngineOptionsReachEveryPath: Config.Engine is the one carrier of
+// engine configuration, OSTM's knobs included — they reach the plain
+// engine through the generic registry path (ostm has no factory of its
+// own) and the adaptive runtime alike. The adaptive half is the regression
+// test for "-g ostm -cm karma -adaptive silently ran Polka": the strategy
+// layer used to hold those knobs in fields the adaptive branch never read.
+func TestEngineOptionsReachEveryPath(t *testing.T) {
+	spec, err := stm.ParseEngineSpec("ostm:cm=karma,visible")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t1, _ := ops.ByName("T1")
+	for _, adaptive := range []bool{false, true} {
+		ex, err := New(Config{Strategy: spec.Name, Engine: spec.Options, Adaptive: adaptive, DisableROSnapshot: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, ok := ex.Engine().(*stm.Adaptive); ok != adaptive {
+			t.Fatalf("adaptive=%v built a %T", adaptive, ex.Engine())
+		} else if ok && a.Current().String() != spec.String() {
+			t.Errorf("adaptive runtime started on %s, want %s", a.Current(), spec)
+		}
+		s, err := core.Build(core.Tiny(), 42, ex.Engine().VarSpace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ex.Execute(t1, s, rng.New(7)); err != nil {
+			t.Fatal(err)
+		}
+		// Visible reads never validate; the default invisible mode
+		// validates on every open.
+		if st := ex.Engine().Stats(); st.Reads == 0 || st.Validations != 0 {
+			t.Errorf("adaptive=%v: reads %d, validations %d — visible-reads mode did not reach the engine",
+				adaptive, st.Reads, st.Validations)
+		}
+	}
+	// Out-of-range options are a configuration error on every strategy,
+	// including the ones that would ignore them.
+	for _, strat := range []string{"coarse", "tl2"} {
+		if _, err := New(Config{Strategy: strat, NumAssmLevels: 3, Engine: stm.EngineOptions{ClockShards: -1}}); err == nil {
+			t.Errorf("%s: negative ClockShards accepted", strat)
+		}
+	}
+}

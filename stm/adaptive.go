@@ -170,11 +170,10 @@ func (g *reconfigGate) release() {
 }
 
 // engineState is one generation of the adaptive runtime: the engine plus
-// the registry name and options it was built from.
+// the spec it was built from.
 type engineState struct {
 	eng  Engine
-	name string
-	opts EngineOptions
+	spec EngineSpec
 }
 
 // Adaptive is the reconfigurable engine wrapper. It implements Engine and
@@ -211,23 +210,24 @@ type Adaptive struct {
 	drainDeadline time.Duration
 }
 
-// NewAdaptive returns an adaptive runtime whose first generation is the
-// registered engine name built with opts. The returned wrapper's VarSpace
-// is stable across reconfigurations — allocate all Vars from it.
-func NewAdaptive(engine string, opts EngineOptions) (*Adaptive, error) {
-	eng, err := NewWith(engine, opts)
+// NewAdaptive returns an adaptive runtime whose first generation is built
+// from spec (a registered engine name plus its options). The returned
+// wrapper's VarSpace is stable across reconfigurations — allocate all Vars
+// from it.
+func NewAdaptive(spec EngineSpec) (*Adaptive, error) {
+	eng, err := NewWith(spec.Name, spec.Options)
 	if err != nil {
 		return nil, err
 	}
 	a := &Adaptive{
-		faults:        opts.Faults,
-		traceRec:      opts.Trace,
+		faults:        spec.Options.Faults,
+		traceRec:      spec.Options.Trace,
 		drainDeadline: DefaultDrainDeadline,
 	}
-	a.tr = opts.Trace.tap()
+	a.tr = a.traceRec.tap()
 	a.space.track = &varTracker{}
 	a.space.orecSrc.Store(&eng.VarSpace().orecs)
-	a.cur.Store(&engineState{eng: eng, name: engine, opts: opts})
+	a.cur.Store(&engineState{eng: eng, spec: spec})
 	return a, nil
 }
 
@@ -240,13 +240,10 @@ func (a *Adaptive) SetDrainDeadline(d time.Duration) {
 }
 
 // Name identifies the runtime and its current inner engine.
-func (a *Adaptive) Name() string { return "adaptive(" + a.cur.Load().name + ")" }
+func (a *Adaptive) Name() string { return "adaptive(" + a.cur.Load().spec.Name + ")" }
 
-// Current returns the current generation's registry name and options.
-func (a *Adaptive) Current() (string, EngineOptions) {
-	s := a.cur.Load()
-	return s.name, s.opts
-}
+// Current returns the spec the current generation was built from.
+func (a *Adaptive) Current() EngineSpec { return a.cur.Load().spec }
 
 // VarSpace returns the stable, reconfiguration-tracked id space.
 func (a *Adaptive) VarSpace() *VarSpace { return &a.space }
@@ -285,16 +282,16 @@ func (a *Adaptive) Stats() Stats {
 
 // Reconfigure swaps the runtime onto a freshly built engine generation:
 // quiesce, transfer, flip, release. The engine's fault plan and flight
-// recorder carry over from construction regardless of opts. On a stalled
+// recorder carry over from construction regardless of spec. On a stalled
 // drain it returns ErrQuiesceStalled and changes nothing except entering
 // serial degradation (see the file comment); any other error means the
 // target engine could not be built.
-func (a *Adaptive) Reconfigure(engine string, opts EngineOptions) error {
+func (a *Adaptive) Reconfigure(spec EngineSpec) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	opts.Faults = a.faults
-	opts.Trace = a.traceRec
-	next, err := NewWith(engine, opts)
+	spec.Options.Faults = a.faults
+	spec.Options.Trace = a.traceRec
+	next, err := NewWith(spec.Name, spec.Options)
 	if err != nil {
 		return fmt.Errorf("stm: reconfigure: %w", err)
 	}
@@ -316,7 +313,7 @@ func (a *Adaptive) Reconfigure(engine string, opts EngineOptions) error {
 	retired := old.eng.Stats()
 	retired.ClockShards, retired.ClockShardSpread = 0, 0
 	a.base = a.base.Add(retired)
-	a.cur.Store(&engineState{eng: next, name: engine, opts: opts})
+	a.cur.Store(&engineState{eng: next, spec: spec})
 	a.statsMu.Unlock()
 	a.stallNs.Add(uint64(nanotime() - start))
 	n := a.reconfigs.Add(1)

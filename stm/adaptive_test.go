@@ -11,15 +11,12 @@ import (
 // every engine protocol, both orec granularities, and a multi-version
 // generation, so state survives crossing every axis the runtime can
 // retune.
-var adaptiveHops = []struct {
-	engine string
-	opts   EngineOptions
-}{
-	{"tl2", EngineOptions{}},
-	{"norec", EngineOptions{Versions: 4}},
-	{"tl2", EngineOptions{Granularity: StripedGranularity, OrecStripes: 64, LockCoalescing: true}},
-	{"ostm", EngineOptions{}},
-	{"norec", EngineOptions{GroupCommit: true}},
+var adaptiveHops = []EngineSpec{
+	mustSpec("tl2"),
+	mustSpec("norec:versions=4"),
+	mustSpec("tl2:striped=64,coalesce"),
+	mustSpec("ostm"),
+	mustSpec("norec:gc"),
 }
 
 // TestAdaptiveStateTransfer walks the full itinerary, writing a distinct
@@ -28,7 +25,7 @@ var adaptiveHops = []struct {
 // granularity and version-depth changes.
 func TestAdaptiveStateTransfer(t *testing.T) {
 	const cellsN = 32
-	a, err := NewAdaptive("tl2", EngineOptions{})
+	a, err := NewAdaptive(mustSpec("tl2"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +66,10 @@ func TestAdaptiveStateTransfer(t *testing.T) {
 		}); err != nil {
 			t.Fatalf("write gen %d: %v", gen+1, err)
 		}
-		if err := a.Reconfigure(hop.engine, hop.opts); err != nil {
-			t.Fatalf("Reconfigure(%s, %+v): %v", hop.engine, hop.opts, err)
+		if err := a.Reconfigure(hop); err != nil {
+			t.Fatalf("Reconfigure(%s): %v", hop, err)
 		}
-		if want := "adaptive(" + hop.engine + ")"; a.Name() != want {
+		if want := "adaptive(" + hop.Name + ")"; a.Name() != want {
 			t.Errorf("Name() = %q, want %q", a.Name(), want)
 		}
 		check(gen + 1)
@@ -87,7 +84,7 @@ func TestAdaptiveStateTransfer(t *testing.T) {
 // wv = 0 (the NewVar timestamp), or the next generation would interpret a
 // retired engine's version timestamps against its own clock.
 func TestAdaptiveTransferTruncatesChains(t *testing.T) {
-	a, err := NewAdaptive("tl2", EngineOptions{Versions: 4})
+	a, err := NewAdaptive(mustSpec("tl2:versions=4"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +97,7 @@ func TestAdaptiveTransferTruncatesChains(t *testing.T) {
 	if b := v.cur.Load(); b.prev.Load() == nil {
 		t.Fatal("precondition: no version chain grew under Versions=4")
 	}
-	if err := a.Reconfigure("norec", EngineOptions{}); err != nil {
+	if err := a.Reconfigure(mustSpec("norec")); err != nil {
 		t.Fatal(err)
 	}
 	b := v.cur.Load()
@@ -121,12 +118,12 @@ func TestAdaptiveTransferTruncatesChains(t *testing.T) {
 // Both directions (object -> striped -> object) plus new Vars allocated
 // after the swap are checked.
 func TestAdaptiveOrecRepointing(t *testing.T) {
-	a, err := NewAdaptive("tl2", EngineOptions{})
+	a, err := NewAdaptive(mustSpec("tl2"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	v := a.VarSpace().NewVar(0, nil)
-	if err := a.Reconfigure("tl2", EngineOptions{Granularity: StripedGranularity, OrecStripes: 64, LockCoalescing: true}); err != nil {
+	if err := a.Reconfigure(mustSpec("tl2:striped=64,coalesce")); err != nil {
 		t.Fatal(err)
 	}
 	cur := a.cur.Load().eng.VarSpace()
@@ -151,7 +148,7 @@ func TestAdaptiveOrecRepointing(t *testing.T) {
 // once the straggler finishes a retried Reconfigure must succeed and
 // degradation must lift.
 func TestAdaptiveQuiesceStallEscalates(t *testing.T) {
-	a, err := NewAdaptive("norec", EngineOptions{})
+	a, err := NewAdaptive(mustSpec("norec"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +170,7 @@ func TestAdaptiveQuiesceStallEscalates(t *testing.T) {
 	<-parked
 
 	start := time.Now()
-	err = a.Reconfigure("tl2", EngineOptions{})
+	err = a.Reconfigure(mustSpec("tl2"))
 	if !errors.Is(err, ErrQuiesceStalled) {
 		t.Fatalf("Reconfigure with a parked transaction: err = %v, want ErrQuiesceStalled", err)
 	}
@@ -184,7 +181,7 @@ func TestAdaptiveQuiesceStallEscalates(t *testing.T) {
 	if s.ReconfigStalls != 1 || s.Reconfigurations != 0 {
 		t.Fatalf("after stall: stalls = %d, reconfigs = %d; want 1, 0", s.ReconfigStalls, s.Reconfigurations)
 	}
-	if name, _ := a.Current(); name != "norec" {
+	if name := a.Current().Name; name != "norec" {
 		t.Fatalf("stalled swap changed the engine to %q", name)
 	}
 
@@ -201,7 +198,7 @@ func TestAdaptiveQuiesceStallEscalates(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("parked transaction: %v", err)
 	}
-	if err := a.Reconfigure("tl2", EngineOptions{}); err != nil {
+	if err := a.Reconfigure(mustSpec("tl2")); err != nil {
 		t.Fatalf("retried Reconfigure after drain cleared: %v", err)
 	}
 	if a.gate.degraded.Load() {
@@ -225,7 +222,7 @@ func TestAdaptiveQuiesceStallEscalates(t *testing.T) {
 // generations into a base, so cumulative counters never go backwards when
 // an engine (and its from-zero counters) is replaced.
 func TestAdaptiveStatsMonotoneAcrossSwaps(t *testing.T) {
-	a, err := NewAdaptive("tl2", EngineOptions{})
+	a, err := NewAdaptive(mustSpec("tl2"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +236,7 @@ func TestAdaptiveStatsMonotoneAcrossSwaps(t *testing.T) {
 			}
 			wantCommits++
 		}
-		if err := a.Reconfigure(hop.engine, hop.opts); err != nil {
+		if err := a.Reconfigure(hop); err != nil {
 			t.Fatalf("hop %d: %v", gen, err)
 		}
 		s := a.Stats()
@@ -265,8 +262,7 @@ func TestAdaptiveChaosSwapBankInvariant(t *testing.T) {
 		writers  = 3
 		readers  = 2
 	)
-	plan := mustFaultPlan("seed=7,precommit:1/40:80µs,lockhold:1/56:120µs,clocktick:1/72:40µs,abort:1/24")
-	a, err := NewAdaptive("norec", EngineOptions{Faults: plan})
+	a, err := NewAdaptive(mustSpec("norec:faults=seed=7,precommit:1/40:80µs,lockhold:1/56:120µs,clocktick:1/72:40µs,abort:1/24"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,8 +341,8 @@ func TestAdaptiveChaosSwapBankInvariant(t *testing.T) {
 			default:
 			}
 			hop := adaptiveHops[i%len(adaptiveHops)]
-			if err := a.Reconfigure(hop.engine, hop.opts); err != nil && !errors.Is(err, ErrQuiesceStalled) {
-				t.Errorf("Reconfigure(%s): %v", hop.engine, err)
+			if err := a.Reconfigure(hop); err != nil && !errors.Is(err, ErrQuiesceStalled) {
+				t.Errorf("Reconfigure(%s): %v", hop, err)
 				return
 			}
 			time.Sleep(time.Millisecond)
@@ -383,11 +379,11 @@ func TestAdaptiveChaosSwapBankInvariant(t *testing.T) {
 // recorder as TraceReconfig events with the right code in A.
 func TestAdaptiveTraceEvents(t *testing.T) {
 	rec := NewTraceRecorder(256)
-	a, err := NewAdaptive("tl2", EngineOptions{Trace: rec})
+	a, err := NewAdaptive(EngineSpec{Name: "tl2", Options: EngineOptions{Trace: rec}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Reconfigure("norec", EngineOptions{}); err != nil {
+	if err := a.Reconfigure(mustSpec("norec")); err != nil {
 		t.Fatal(err)
 	}
 	a.NotePin()
@@ -411,20 +407,51 @@ func TestAdaptiveTraceEvents(t *testing.T) {
 // TestAdaptiveRejectsUnknownEngine: a bad target must fail the build step
 // and leave the current generation untouched.
 func TestAdaptiveRejectsUnknownEngine(t *testing.T) {
-	if _, err := NewAdaptive("no-such-engine", EngineOptions{}); err == nil {
+	if _, err := NewAdaptive(mustSpec("no-such-engine")); err == nil {
 		t.Fatal("NewAdaptive accepted an unknown engine")
 	}
-	a, err := NewAdaptive("tl2", EngineOptions{})
+	a, err := NewAdaptive(mustSpec("tl2"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Reconfigure("no-such-engine", EngineOptions{}); err == nil {
+	if err := a.Reconfigure(mustSpec("no-such-engine")); err == nil {
 		t.Fatal("Reconfigure accepted an unknown engine")
 	}
-	if name, _ := a.Current(); name != "tl2" {
+	if name := a.Current().Name; name != "tl2" {
 		t.Errorf("failed Reconfigure changed the engine to %q", name)
 	}
 	if err := a.Atomic(func(tx Tx) error { return nil }); err != nil {
 		t.Errorf("engine unusable after a failed Reconfigure: %v", err)
 	}
+}
+
+// TestAdaptiveCarriesOSTMOptions: the OSTM-only knobs ride in EngineOptions
+// like every other, so an adaptive runtime started on them builds its OSTM
+// generation with them — and builds it the same way again after a round
+// trip through another engine. (They used to be strategy-level fields the
+// adaptive path never saw: -g ostm -cm karma -adaptive silently ran Polka.)
+func TestAdaptiveCarriesOSTMOptions(t *testing.T) {
+	spec := mustSpec("ostm:cm=karma,visible")
+	a, err := NewAdaptive(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		if got := a.Current().String(); got != spec.String() {
+			t.Errorf("%s: Current() = %s, want %s", when, got, spec)
+		}
+		cfg := a.cur.Load().eng.(*OSTM).cfg
+		if _, karma := cfg.CM.(Karma); !karma || !cfg.VisibleReads {
+			t.Errorf("%s: inner OSTM built with CM %T, VisibleReads %v; want Karma, true", when, cfg.CM, cfg.VisibleReads)
+		}
+	}
+	check("at construction")
+	if err := a.Reconfigure(EngineSpec{Name: "tl2", Options: spec.Options}); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Reconfigure(spec); err != nil {
+		t.Fatal(err)
+	}
+	check("after a round trip through tl2")
 }

@@ -244,8 +244,8 @@ func TestAllocVersionedSnapshotSteadyState(t *testing.T) {
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	makers := map[string]func() Engine{
-		"tl2-mv8":   func() Engine { return NewTL2With(TL2Config{Versions: 8}) },
-		"norec-mv8": func() Engine { return NewNOrecWith(NOrecConfig{Versions: 8}) },
+		"tl2-mv8":   func() Engine { return NewTL2With(TL2Config{EngineOptions: opts("versions=8")}) },
+		"norec-mv8": func() Engine { return NewNOrecWith(NOrecConfig{EngineOptions: opts("versions=8")}) },
 	}
 	for name, mk := range makers {
 		t.Run(name, func(t *testing.T) {
@@ -313,13 +313,13 @@ func TestAllocCommitPipelining(t *testing.T) {
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	makers := map[string]func() Engine{
-		"norec-group":     func() Engine { return NewNOrecWith(NOrecConfig{GroupCommit: true}) },
-		"norec-group-mv8": func() Engine { return NewNOrecWith(NOrecConfig{GroupCommit: true, Versions: 8}) },
+		"norec-group":     func() Engine { return NewNOrecWith(NOrecConfig{EngineOptions: opts("gc")}) },
+		"norec-group-mv8": func() Engine { return NewNOrecWith(NOrecConfig{EngineOptions: opts("versions=8,gc")}) },
 		"tl2-coalesce": func() Engine {
-			return NewTL2With(TL2Config{Granularity: StripedGranularity, LockCoalescing: true})
+			return NewTL2With(TL2Config{EngineOptions: opts("striped,coalesce")})
 		},
 		"tl2-coalesce-16stripe": func() Engine {
-			return NewTL2With(TL2Config{Granularity: StripedGranularity, OrecStripes: 16, LockCoalescing: true})
+			return NewTL2With(TL2Config{EngineOptions: opts("striped=16,coalesce")})
 		},
 	}
 	for name, mk := range makers {

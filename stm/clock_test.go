@@ -134,7 +134,7 @@ func TestGVClockTickAdvancesPastRead(t *testing.T) {
 // TestTL2ShardedClockStats: the engine reports shard count and spread
 // through Stats, and Delta carries the snapshot values through.
 func TestTL2ShardedClockStats(t *testing.T) {
-	eng := NewTL2With(TL2Config{ClockShards: 4})
+	eng := NewTL2With(TL2Config{EngineOptions: opts("shards=4")})
 	before := eng.Stats()
 	if before.ClockShards != 4 {
 		t.Fatalf("ClockShards = %d, want 4", before.ClockShards)

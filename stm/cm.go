@@ -1,7 +1,9 @@
 package stm
 
 import (
+	"fmt"
 	"math/bits"
+	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -55,6 +57,22 @@ type ContentionManager interface {
 	// WaitDuration returns how long to back off for a Wait decision on
 	// the given attempt.
 	WaitDuration(me TxInfo, attempt int) time.Duration
+}
+
+// contentionManagers lists the built-in managers by Name.
+var contentionManagers = []ContentionManager{Polka{}, Karma{}, Aggressive{}, Timid{}, Backoff{}}
+
+// ParseContentionManager resolves a built-in manager by its Name — the
+// parser behind the engine spec's cm=NAME key.
+func ParseContentionManager(name string) (ContentionManager, error) {
+	var names []string
+	for _, cm := range contentionManagers {
+		if cm.Name() == name {
+			return cm, nil
+		}
+		names = append(names, cm.Name())
+	}
+	return nil, fmt.Errorf("stm: unknown contention manager %q (want %s)", name, strings.Join(names, ", "))
 }
 
 // backoffDur computes a capped exponential backoff with a deterministic

@@ -33,12 +33,27 @@
 //
 // Engines self-register in an engine registry: New("norec") returns a fresh
 // default-configuration engine by name and Registered lists the names;
-// NewWith additionally threads the cross-engine metadata knobs
-// (EngineOptions) through engines registered with RegisterTunable. The
-// benchmark's strategy layer and the engine test suites enumerate the
-// registry, so a new engine in this package is automatically picked up by
-// the conformance/stress/property tests, the comparison benchmarks, and
-// both command-line tools.
+// NewWith additionally hands EngineOptions to engines registered with
+// RegisterTunable. The benchmark's strategy layer and the engine test
+// suites enumerate the registry, so a new engine in this package is
+// automatically picked up by the conformance/stress/property tests, the
+// comparison benchmarks, and both command-line tools.
+//
+// # Engine specs
+//
+// A registry name plus an EngineOptions value is an EngineSpec — one point
+// of an (engine, configuration) sweep as a single printable value with a
+// canonical ParseEngineSpec/String round trip:
+//
+//	tl2:striped=4096,shards=4,versions=4,deadline=25ms
+//
+// The spec is the only carrier of engine configuration above this package:
+// the benchmark's -g flag takes one, scenario files apply an option list
+// over it (EngineOptions.Apply), reports print it, and Adaptive's
+// Current/Reconfigure speak it. Every knob the sections below describe is
+// an EngineOptions field with a spec key (given in brackets there); the
+// per-engine config structs embed EngineOptions and add only the ablation
+// knobs no spec names. See ParseEngineSpec for the grammar.
 //
 // # Programming model
 //
@@ -250,8 +265,8 @@
 //
 // The snapshot mode's restarts have one cause: the only committed version
 // of a Var is newer than the reader's sampled timestamp. The Versions
-// axis (EngineOptions.Versions, TL2Config/NOrecConfig, -versions in the
-// CLIs, `versions` in scenario JSON) removes that cause by retention:
+// axis (EngineOptions.Versions [versions=K]) removes that cause by
+// retention:
 // with Versions = K > 1, commit-time writeback links each newly published
 // value box to its predecessor, keeping the last K committed {value, wv}
 // pairs per Var on an immutable chain (newest first, strictly descending
@@ -308,8 +323,7 @@
 //   - the visible-reads reader registry (orec.readers).
 //
 // The Var-to-orec mapping is the granularity axis every orec-based engine
-// exposes (Granularity in TL2Config/OSTMConfig, EngineOptions in the
-// registry, -granularity in the CLIs):
+// exposes (EngineOptions.Granularity and OrecStripes [striped=N]):
 //
 //   - ObjectGranularity allocates one orec per Var, so conflict detection
 //     is per object and collision free — semantically identical to the
@@ -359,12 +373,10 @@
 // Write-heavy workloads are commit-bound: NOrec serializes every write
 // commit behind its one sequence lock, and TL2 pays one CAS per write-set
 // orec on acquire and one atomic store per orec on release. Two default-off
-// knobs attack exactly those costs (EngineOptions.GroupCommit /
-// LockCoalescing, NOrecConfig.GroupCommit / TL2Config.LockCoalescing,
-// -group-commit / -coalesce in both CLIs, group_commit / coalescing in
-// scenario JSON; a third, harness-level knob — affinity-aware open-loop
-// scheduling — lives in internal/harness/affinity.go and is routing only,
-// no engine involvement):
+// knobs attack exactly those costs (EngineOptions.GroupCommit [gc] and
+// LockCoalescing [coalesce]; a third, harness-level knob — affinity-aware
+// open-loop scheduling — lives in internal/harness/affinity.go and is
+// routing only, no engine involvement):
 //
 //   - NOrec group commit (groupcommit.go). A committer that finds the
 //     sequence lock held does not spin-and-revalidate: it enqueues its
@@ -404,11 +416,10 @@
 //
 // The retry loop "until commit" is an optimistic promise, not a
 // guarantee: under sustained conflicts, injected faults or a bounded
-// MaxRetries it can fail, stall or starve. Three per-engine knobs
-// (EngineOptions and each engine's config struct; -deadline,
-// -serial-fallback and -fault-plan in the CLIs; tx_deadline,
-// serial_fallback and fault_plan in scenario JSON) make those failure
-// modes explicit, bounded and measurable:
+// MaxRetries it can fail, stall or starve. Three knobs
+// (EngineOptions.TxDeadline [deadline=D], SerialFallback [serial] and
+// Faults [faults=PLAN]) make those failure modes explicit, bounded and
+// measurable:
 //
 //   - Abort causes. Every abort surfaced by Atomic satisfies
 //     errors.Is(err, ErrAborted) and exactly one of the cause sentinels:
@@ -502,19 +513,20 @@
 //     shard, one instant event per record with the kind as its name),
 //     and ParseChromeTrace round-trips it for tooling.
 //
-// Engines accept a recorder at construction (EngineOptions.Trace, each
-// config struct's Trace field); the CLIs expose the stack as -trace N
-// (attach a recorder retaining about N events), -trace-out FILE (dump
-// Chrome JSON after the run), -sample D (per-interval time-series curves
-// in reports and -json), and -listen ADDR (live /metrics, /debug/pprof/*,
-// expvar and /trace while the run executes). `experiments -exp telemetry`
+// Engines accept a recorder at construction (EngineOptions.Trace — a live
+// object, so the one option without a spec key); the CLIs expose the stack
+// as -trace N (attach a recorder retaining about N events), -trace-out FILE
+// (dump Chrome JSON after the run), -sample D (per-interval time-series
+// curves in reports and -json), and -listen ADDR (live /metrics,
+// /debug/pprof/*, expvar and /trace while the run executes).
+// `experiments -exp telemetry`
 // sweeps the layer per engine; BENCH_pr8.json checks in the curves.
 //
 // # Adaptive runtime
 //
 // Adaptive (adaptive.go) is a reconfigurable engine: an Engine +
 // SnapshotReader implementation whose inner engine can be swapped live
-// by Reconfigure(engine, opts) while transactions keep flowing through
+// by Reconfigure(spec) while transactions keep flowing through
 // the wrapper. The swap protocol is quiesce-and-swap behind a one-word
 // epoch gate (drainingBit | in-flight count):
 //

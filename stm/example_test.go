@@ -81,3 +81,30 @@ func ExampleNew() {
 	// ostm ok
 	// tl2 ok
 }
+
+// ExampleParseEngineSpec builds an engine from the one-line spec the
+// benchmark's -g flag takes, then applies a scenario-style option list over
+// it: keys present override, keys absent inherit.
+func ExampleParseEngineSpec() {
+	spec, err := stm.ParseEngineSpec("tl2:striped=4096,shards=4,deadline=25ms")
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	eng, err := stm.NewWith(spec.Name, spec.Options)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	fmt.Println(eng.Name(), "built from", spec)
+
+	spec.Options, err = spec.Options.Apply("versions=4,shards=0,serial")
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	fmt.Println("overlaid:", spec)
+	// Output:
+	// tl2 built from tl2:striped=4096,shards=4,deadline=25ms
+	// overlaid: tl2:striped=4096,versions=4,deadline=25ms,serial
+}

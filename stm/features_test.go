@@ -77,7 +77,7 @@ func TestLazyAcquireDoesNotOwnBeforeCommit(t *testing.T) {
 // TestAdaptiveSwitchesToLazy: the first attempt of an adaptive transaction
 // acquires eagerly; after a conflict abort the retry buffers lazily.
 func TestAdaptiveSwitchesToLazy(t *testing.T) {
-	eng := NewOSTMWith(OSTMConfig{Acquire: AdaptiveAcquire, CM: Timid{}})
+	eng := NewOSTMWith(OSTMConfig{EngineOptions: opts("cm=timid"), Acquire: AdaptiveAcquire})
 	c := NewCell(eng.VarSpace(), 0)
 
 	// First transaction (attempt 0, eager): park while owning, let an

@@ -12,10 +12,7 @@ import (
 // arrives during the stall, enqueues as a follower, and must be aborted
 // by the leader's revalidation, then retried against the new state.
 func TestGroupCommitFollowerConflictAborts(t *testing.T) {
-	eng := NewNOrecWith(NOrecConfig{
-		GroupCommit: true,
-		Faults:      mustFaultPlan("lockhold:1/1:50ms"),
-	})
+	eng := NewNOrecWith(NOrecConfig{EngineOptions: EngineOptions{GroupCommit: true, Faults: mustFaultPlan("lockhold:1/1:50ms")}})
 	x := NewCell(eng.VarSpace(), 0)
 	y := NewCell(eng.VarSpace(), 1)
 
@@ -85,10 +82,7 @@ func TestGroupCommitFollowerConflictAborts(t *testing.T) {
 // revalidates cleanly, so the whole batch commits in one acquisition.
 func TestGroupCommitBatchesDisjointWriters(t *testing.T) {
 	const followers = 4
-	eng := NewNOrecWith(NOrecConfig{
-		GroupCommit: true,
-		Faults:      mustFaultPlan("lockhold:1/1:100ms"),
-	})
+	eng := NewNOrecWith(NOrecConfig{EngineOptions: EngineOptions{GroupCommit: true, Faults: mustFaultPlan("lockhold:1/1:100ms")}})
 	cells := make([]*Cell[int], followers+1)
 	for i := range cells {
 		cells[i] = NewCell(eng.VarSpace(), 0)
@@ -166,10 +160,14 @@ func TestGroupCommitChaosBankInvariant(t *testing.T) {
 	)
 	plan := mustFaultPlan("seed=11,precommit:1/24:20µs,lockhold:1/16:40µs,clocktick:1/48:10µs,abort:1/16")
 	for name, mk := range map[string]func() Engine{
-		"norec-group":     func() Engine { return NewNOrecWith(NOrecConfig{GroupCommit: true, Faults: plan}) },
-		"norec-group-mv4": func() Engine { return NewNOrecWith(NOrecConfig{GroupCommit: true, Versions: 4, Faults: plan}) },
+		"norec-group": func() Engine {
+			return NewNOrecWith(NOrecConfig{EngineOptions: EngineOptions{GroupCommit: true, Faults: plan}})
+		},
+		"norec-group-mv4": func() Engine {
+			return NewNOrecWith(NOrecConfig{EngineOptions: EngineOptions{Versions: 4, GroupCommit: true, Faults: plan}})
+		},
 		"norec-group-serial": func() Engine {
-			return NewNOrecWith(NOrecConfig{GroupCommit: true, SerialFallback: true, MaxRetries: 6, Faults: plan})
+			return NewNOrecWith(NOrecConfig{EngineOptions: EngineOptions{GroupCommit: true, SerialFallback: true, Faults: plan}, MaxRetries: 6})
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -263,7 +261,7 @@ func TestGroupCommitChaosBankInvariant(t *testing.T) {
 // runs inside 8-stripe group words, be taken with one CAS per run, and be
 // counted — while committing the values correctly.
 func TestCoalescedLocksCounted(t *testing.T) {
-	eng := NewTL2With(TL2Config{Granularity: StripedGranularity, OrecStripes: 16, LockCoalescing: true})
+	eng := NewTL2With(TL2Config{EngineOptions: opts("striped=16,coalesce")})
 	const vars = 64
 	cells := make([]*Cell[int], vars)
 	for i := range cells {
@@ -299,7 +297,7 @@ func TestCoalescedLocksCounted(t *testing.T) {
 // semantics change.
 func TestCoalescingMatchesPerOrec(t *testing.T) {
 	run := func(coalesce bool) []int {
-		eng := NewTL2With(TL2Config{Granularity: StripedGranularity, OrecStripes: 16, LockCoalescing: coalesce})
+		eng := NewTL2With(TL2Config{EngineOptions: EngineOptions{Granularity: StripedGranularity, OrecStripes: 16, LockCoalescing: coalesce}})
 		const vars = 32
 		cells := make([]*Cell[int], vars)
 		for i := range cells {

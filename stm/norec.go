@@ -3,7 +3,6 @@ package stm
 import (
 	"reflect"
 	"sync/atomic"
-	"time"
 )
 
 // NOrecConfig tunes the NOrec engine.
@@ -19,37 +18,12 @@ type NOrecConfig struct {
 	// MaxRetries bounds re-executions; 0 means retry forever. When the
 	// budget is exhausted Atomic returns ErrAborted.
 	MaxRetries int
-	// Versions keeps the last K committed versions per Var (an immutable
-	// chain linked during the seqlock write-back phase, each box stamped
-	// with its commit's post-release sequence value) so a read-only
-	// snapshot transaction (RunReadOnly) resolves the version matching
-	// its sampled epoch instead of restarting on every unrelated commit
-	// — the seqlock epoch check is dropped entirely under Versions > 1.
-	// 0 or 1 keeps today's single-version behavior; values above 64
-	// clamp. Only the snapshot read path consults older versions. See
-	// mvcc.go for the opacity argument and the space bound.
-	Versions int
-	// GroupCommit enables the combining-queue group commit: a committer
-	// that finds the sequence lock held enqueues its write set instead
-	// of spinning, and the lock holder drains the queue — revalidating
-	// each follower's read set once and publishing the whole batch —
-	// under its single acquisition. Default off: the classic commit path
-	// runs bit for bit unchanged. See groupcommit.go for the protocol
-	// and Stats.GroupCommits/GroupCommitSize for the yield.
-	GroupCommit bool
-	// TxDeadline bounds one Atomic call's wall-clock time across all
-	// attempts (0 = no deadline); see EngineOptions.TxDeadline.
-	TxDeadline time.Duration
-	// SerialFallback escalates transactions under retry/deadline pressure
-	// to the engine's irrevocable serial token instead of returning
-	// ErrAborted; see EngineOptions.SerialFallback and serial.go.
-	SerialFallback bool
-	// Faults installs a deterministic fault-injection plan (nil = none);
-	// see EngineOptions.Faults and fault.go.
-	Faults *FaultPlan
-	// Trace installs a transaction flight recorder (nil = none); see
-	// EngineOptions.Trace and trace.go.
-	Trace *TraceRecorder
+	// EngineOptions carries the spec-addressable knobs. NOrec honours
+	// Versions (each retained box is stamped with its commit's
+	// post-release sequence value, and the seqlock epoch check is dropped
+	// entirely under Versions > 1), GroupCommit, TxDeadline,
+	// SerialFallback, Faults and Trace, and ignores the rest.
+	EngineOptions
 }
 
 // NOrec implements the "no ownership records" STM of Dalessandro, Spear
@@ -119,16 +93,7 @@ type NOrec struct {
 func NewNOrec() *NOrec { return NewNOrecWith(NOrecConfig{}) }
 
 func init() {
-	RegisterTunable("norec", func(o EngineOptions) Engine {
-		return NewNOrecWith(NOrecConfig{
-			Versions:       o.Versions,
-			GroupCommit:    o.GroupCommit,
-			TxDeadline:     o.TxDeadline,
-			SerialFallback: o.SerialFallback,
-			Faults:         o.Faults,
-			Trace:          o.Trace,
-		})
-	})
+	RegisterTunable("norec", func(o EngineOptions) Engine { return NewNOrecWith(NOrecConfig{EngineOptions: o}) })
 }
 
 // NewNOrecWith returns a NOrec engine with explicit configuration.

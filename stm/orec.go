@@ -1,10 +1,6 @@
 package stm
 
-import (
-	"fmt"
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // Ownership-record (orec) metadata layer.
 //
@@ -54,18 +50,6 @@ func (g Granularity) String() string {
 		return "striped"
 	default:
 		return "unknown"
-	}
-}
-
-// ParseGranularity resolves a -granularity flag or scenario-file value.
-func ParseGranularity(s string) (Granularity, error) {
-	switch s {
-	case "", "object":
-		return ObjectGranularity, nil
-	case "striped":
-		return StripedGranularity, nil
-	default:
-		return 0, fmt.Errorf("stm: unknown granularity %q (want object or striped)", s)
 	}
 }
 
@@ -197,73 +181,4 @@ func (t *orecTable) orecFor(id uint64) *orec {
 func orecHash(id uint64) uint64 {
 	h := id * 0x9e3779b97f4a7c15
 	return h ^ h>>29
-}
-
-// EngineOptions carries the cross-engine metadata knobs that the registry,
-// the harness and both CLIs plumb through by name. Engines consume the
-// fields that apply to their design and ignore the rest (NOrec has no
-// per-location metadata and no commit clock to shard; direct has neither):
-//
-//   - Granularity / OrecStripes: TL2 and OSTM.
-//   - ClockShards: TL2 (the only engine with a global version clock).
-//   - Versions: TL2 and NOrec (the engines with a snapshot timestamp an
-//     older version can be resolved against; see mvcc.go).
-//   - GroupCommit: NOrec (the only engine whose commits serialize behind
-//     one sequence lock and can therefore batch behind its holder).
-//   - LockCoalescing: TL2 under striped granularity (the only engine with
-//     commit-time per-orec locking over an adjacency-structured table).
-//   - TxDeadline / SerialFallback / Faults: TL2, NOrec and OSTM (every
-//     engine with a retry loop; direct executes once and has nothing to
-//     bound, escalate or inject into).
-type EngineOptions struct {
-	// Granularity selects the Var-to-orec mapping (object or striped).
-	Granularity Granularity
-	// OrecStripes sizes the striped orec table (rounded up to a power of
-	// two; 0 means DefaultOrecStripes; ignored under object granularity).
-	OrecStripes int
-	// ClockShards shards TL2's commit clock (0 or 1 = the classic single
-	// global clock; rounded up to a power of two).
-	ClockShards int
-	// Versions keeps the last K committed versions per Var so read-only
-	// snapshot transactions resolve older versions instead of restarting
-	// under write traffic (0 or 1 = single-version; clamped to 64). See
-	// mvcc.go for the opacity argument and the space bound.
-	Versions int
-	// GroupCommit enables NOrec's combining-queue group commit: a
-	// committer that finds the sequence lock held enqueues its write set
-	// instead of spinning, and the holder publishes the whole batch —
-	// revalidating each follower's read set once — under its single
-	// acquisition. Default off (bit-for-bit the classic commit path).
-	// Ignored by engines without a global commit lock. See groupcommit.go.
-	GroupCommit bool
-	// LockCoalescing makes TL2's commit lock sorted runs of adjacent
-	// striped-table orecs with one CAS per 8-stripe group word instead of
-	// one CAS per orec, falling back to per-orec gate bits on group
-	// contention. Default off. Ignored under object granularity and by
-	// engines without commit-time locking.
-	LockCoalescing bool
-	// TxDeadline bounds one Atomic call's total wall-clock time across
-	// all of its attempts (0 = no deadline). The deadline is checked
-	// between attempts — the attempt in flight always finishes — so an
-	// Atomic call runs at least one attempt. Expiry returns
-	// ErrDeadlineExceeded (which errors.Is-matches ErrAborted) unless
-	// SerialFallback is on, in which case it escalates instead.
-	TxDeadline time.Duration
-	// SerialFallback guarantees liveness: when retry/deadline pressure
-	// crosses the escalation threshold the transaction re-runs under the
-	// engine's exclusive serial token and is guaranteed to commit — an
-	// engine with SerialFallback on never returns ErrAborted. See
-	// serial.go for the token protocol and its cost.
-	SerialFallback bool
-	// Faults installs a deterministic fault-injection plan compiled into
-	// the engine's commit path (nil = no injection, zero overhead). The
-	// engine snapshots the plan with fresh counters at construction. See
-	// fault.go for the probe sites and ParseFaultPlan for the syntax.
-	Faults *FaultPlan
-	// Trace installs a transaction flight recorder on the engine's
-	// attempt-lifecycle probe sites (nil = no tracing, zero overhead —
-	// the same nil-probe contract as Faults). Several engines may share
-	// one recorder; their events interleave on its logical clock. See
-	// trace.go for the event schema.
-	Trace *TraceRecorder
 }

@@ -6,28 +6,7 @@ import (
 	"unsafe"
 )
 
-func TestGranularityParseAndString(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Granularity
-		ok   bool
-	}{
-		{"", ObjectGranularity, true},
-		{"object", ObjectGranularity, true},
-		{"striped", StripedGranularity, true},
-		{"word", 0, false},
-		{"OBJECT", 0, false},
-	}
-	for _, c := range cases {
-		got, err := ParseGranularity(c.in)
-		if c.ok != (err == nil) {
-			t.Errorf("ParseGranularity(%q): err = %v, want ok=%v", c.in, err, c.ok)
-			continue
-		}
-		if c.ok && got != c.want {
-			t.Errorf("ParseGranularity(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
+func TestGranularityString(t *testing.T) {
 	if ObjectGranularity.String() != "object" || StripedGranularity.String() != "striped" {
 		t.Errorf("String() round-trip broken: %q %q", ObjectGranularity, StripedGranularity)
 	}
@@ -159,7 +138,7 @@ func TestTL2FalseConflictDeterministic(t *testing.T) {
 			obj.ConflictAborts, obj.FalseConflicts)
 	}
 
-	str := run(TL2Config{Granularity: StripedGranularity, OrecStripes: 1})
+	str := run(TL2Config{EngineOptions: opts("striped=1")})
 	if str.ConflictAborts != 1 {
 		t.Errorf("striped granularity: conflicts=%d, want exactly 1 (stripe collision)", str.ConflictAborts)
 	}
@@ -172,7 +151,7 @@ func TestTL2FalseConflictDeterministic(t *testing.T) {
 	// y's commit — extension re-validation fails and the attempt aborts.
 	// (Under object granularity the same knob would absorb a foreign
 	// commit; losing that is part of striping's false-conflict price.)
-	ext := run(TL2Config{Granularity: StripedGranularity, OrecStripes: 1, TimestampExtension: true})
+	ext := run(TL2Config{EngineOptions: opts("striped=1"), TimestampExtension: true})
 	if ext.ConflictAborts != 1 {
 		t.Errorf("striped+extension: conflicts=%d, want 1 (stripe version bump defeats extension for read vars)", ext.ConflictAborts)
 	}
@@ -210,7 +189,7 @@ func TestOSTMFalseConflictDeterministic(t *testing.T) {
 			obj.ConflictAborts, obj.FalseConflicts, objAttempts)
 	}
 
-	str, strAttempts := run(OSTMConfig{Granularity: StripedGranularity, OrecStripes: 1})
+	str, strAttempts := run(OSTMConfig{EngineOptions: opts("striped=1")})
 	if str.ConflictAborts != 1 || strAttempts != 2 {
 		t.Errorf("striped granularity: conflicts=%d attempts=%d, want 1/2 (stripe ownership collision)",
 			str.ConflictAborts, strAttempts)
@@ -224,7 +203,7 @@ func TestOSTMFalseConflictDeterministic(t *testing.T) {
 // protocol: committed values of every covered Var survive locator
 // retirement, including the appended (non-inline) slots.
 func TestStripedWritebackPreservesValues(t *testing.T) {
-	eng := NewOSTMWith(OSTMConfig{Granularity: StripedGranularity, OrecStripes: 1})
+	eng := NewOSTMWith(OSTMConfig{EngineOptions: opts("striped=1")})
 	cells := make([]*Cell[int], 8)
 	for i := range cells {
 		cells[i] = NewCell(eng.VarSpace(), 0)
@@ -261,13 +240,13 @@ func TestStripedWritebackPreservesValues(t *testing.T) {
 func TestStripedStressAllEngines(t *testing.T) {
 	const goroutines = 8
 	makers := map[string]func() Engine{
-		"tl2": func() Engine { return NewTL2With(TL2Config{Granularity: StripedGranularity, OrecStripes: 2}) },
+		"tl2": func() Engine { return NewTL2With(TL2Config{EngineOptions: opts("striped=2")}) },
 		"tl2-sharded": func() Engine {
-			return NewTL2With(TL2Config{Granularity: StripedGranularity, OrecStripes: 2, ClockShards: 4})
+			return NewTL2With(TL2Config{EngineOptions: opts("striped=2,shards=4")})
 		},
-		"ostm": func() Engine { return NewOSTMWith(OSTMConfig{Granularity: StripedGranularity, OrecStripes: 2}) },
+		"ostm": func() Engine { return NewOSTMWith(OSTMConfig{EngineOptions: opts("striped=2")}) },
 		"ostm-visible": func() Engine {
-			return NewOSTMWith(OSTMConfig{Granularity: StripedGranularity, OrecStripes: 2, VisibleReads: true})
+			return NewOSTMWith(OSTMConfig{EngineOptions: opts("striped=2,visible")})
 		},
 	}
 	for name, mk := range makers {

@@ -3,7 +3,6 @@ package stm
 import (
 	"runtime"
 	"sync/atomic"
-	"time"
 )
 
 func yield() { runtime.Gosched() }
@@ -138,19 +137,6 @@ func (m AcquireMode) String() string {
 
 // OSTMConfig tunes the OSTM engine.
 type OSTMConfig struct {
-	// CM arbitrates conflicts. Nil means Polka (what the paper's ASTM
-	// evaluation used).
-	CM ContentionManager
-
-	// IncrementalValidation re-validates the whole read set every time a
-	// new object is opened — ASTM's (and DSTM's) invisible-read safety
-	// mechanism, with O(k²) total cost for k reads. This is the default
-	// and the faithful setting; disabling it validates only at commit,
-	// which is cheaper but lets doomed "zombie" transactions run on
-	// inconsistent snapshots until commit (user code must tolerate
-	// re-execution from garbage reads; the benchmark operations do).
-	CommitTimeValidationOnly bool
-
 	// CommitCounterHeuristic skips an incremental validation pass when no
 	// transaction in the engine has committed a write since this
 	// transaction's previous validation — the "global commit counter"
@@ -164,46 +150,18 @@ type OSTMConfig struct {
 	// acquisition.
 	Acquire AcquireMode
 
-	// VisibleReads replaces invisible reads + validation with reader
-	// registration on every orec: writers arbitrate with registered
-	// readers through the contention manager, and no validation is ever
-	// needed (see visible.go). This is the classic alternative the paper
-	// implicitly ablates when it blames invisible reads for the O(k²)
-	// cost.
-	VisibleReads bool
-
-	// Granularity selects the Var-to-orec mapping: ObjectGranularity (one
-	// locator slot per Var — DSTM's per-object ownership, the default) or
-	// StripedGranularity (Vars hash onto a fixed table; one owner per
-	// stripe at a time, so disjoint writers of stripe-mates falsely
-	// conflict, and visible-mode readers falsely arbitrate with writers
-	// of stripe-mates).
-	Granularity Granularity
-
-	// OrecStripes sizes the striped orec table (rounded up to a power of
-	// two; 0 means DefaultOrecStripes; ignored under object granularity).
-	OrecStripes int
-
 	// MaxRetries bounds re-executions; 0 means retry forever. When the
 	// budget is exhausted Atomic returns ErrAborted.
 	MaxRetries int
 
-	// TxDeadline bounds one Atomic call's wall-clock time across all
-	// attempts (0 = no deadline); see EngineOptions.TxDeadline.
-	TxDeadline time.Duration
-
-	// SerialFallback escalates transactions under retry/deadline pressure
-	// to the engine's irrevocable serial token instead of returning
-	// ErrAborted; see EngineOptions.SerialFallback and serial.go.
-	SerialFallback bool
-
-	// Faults installs a deterministic fault-injection plan (nil = none);
-	// see EngineOptions.Faults and fault.go.
-	Faults *FaultPlan
-
-	// Trace installs a transaction flight recorder (nil = none); see
-	// EngineOptions.Trace and trace.go.
-	Trace *TraceRecorder
+	// EngineOptions carries the spec-addressable knobs. OSTM honours
+	// Granularity and OrecStripes (one owner per stripe at a time, so
+	// disjoint writers of stripe-mates falsely conflict, and visible-mode
+	// readers falsely arbitrate with writers of stripe-mates), CM,
+	// CommitTimeValidationOnly (off = the faithful O(k²) incremental
+	// validation), VisibleReads, TxDeadline, SerialFallback, Faults and
+	// Trace, and ignores the rest.
+	EngineOptions
 }
 
 // OSTM is an object-based STM in the DSTM/ASTM tradition: eager write
@@ -242,16 +200,7 @@ type OSTM struct {
 func NewOSTM() *OSTM { return NewOSTMWith(OSTMConfig{}) }
 
 func init() {
-	RegisterTunable("ostm", func(o EngineOptions) Engine {
-		return NewOSTMWith(OSTMConfig{
-			Granularity:    o.Granularity,
-			OrecStripes:    o.OrecStripes,
-			TxDeadline:     o.TxDeadline,
-			SerialFallback: o.SerialFallback,
-			Faults:         o.Faults,
-			Trace:          o.Trace,
-		})
-	})
+	RegisterTunable("ostm", func(o EngineOptions) Engine { return NewOSTMWith(OSTMConfig{EngineOptions: o}) })
 }
 
 // NewOSTMWith returns an OSTM engine with explicit configuration.

@@ -23,9 +23,9 @@ var engineRegistry = struct {
 // an empty name, a nil factory, or a duplicate registration — all are
 // programming errors, caught at init time.
 //
-// Engines registered this way ignore the cross-engine EngineOptions knobs
-// (NewWith hands them a default-configuration engine); engines for which
-// the metadata axes are meaningful register with RegisterTunable instead.
+// Engines registered this way ignore EngineOptions (NewWith hands them a
+// default-configuration engine); engines that honour any of its knobs
+// register with RegisterTunable instead.
 func Register(name string, factory func() Engine) {
 	if factory == nil {
 		panic("stm: Register with nil factory for " + name)
@@ -33,9 +33,9 @@ func Register(name string, factory func() Engine) {
 	RegisterTunable(name, func(EngineOptions) Engine { return factory() })
 }
 
-// RegisterTunable adds an engine factory that honors the cross-engine
-// EngineOptions knobs (orec granularity, stripe count, clock shards). New
-// resolves it with zero options; NewWith passes the caller's through.
+// RegisterTunable adds an engine factory that takes EngineOptions and
+// honours the knobs that apply to its design. New resolves it with zero
+// options; NewWith passes the caller's through.
 func RegisterTunable(name string, factory func(EngineOptions) Engine) {
 	if name == "" {
 		panic("stm: Register with empty engine name")
@@ -57,8 +57,8 @@ func New(name string) (Engine, error) {
 	return NewWith(name, EngineOptions{})
 }
 
-// NewWith returns a fresh engine by registered name, configured with the
-// cross-engine metadata options. Engines for which an option does not
+// NewWith returns a fresh engine by registered name, configured with opts
+// — the two halves of an EngineSpec. Engines for which an option does not
 // apply ignore it (NOrec has no per-location metadata to stripe and no
 // commit clock to shard, though it does honor Versions; direct ignores
 // everything) — the knobs are benchmark axes, not hard requirements, so a

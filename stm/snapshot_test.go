@@ -404,11 +404,11 @@ func TestSnapshotOpacityUnderWriteSkewShape(t *testing.T) {
 func TestSnapshotStripedNoFalseConflicts(t *testing.T) {
 	makers := map[string]func() (Engine, func() snapTx){
 		"tl2-striped": func() (Engine, func() snapTx) {
-			e := NewTL2With(TL2Config{Granularity: StripedGranularity, OrecStripes: 2})
+			e := NewTL2With(TL2Config{EngineOptions: opts("striped=2")})
 			return e, func() snapTx { return e.snapPool.get() }
 		},
 		"ostm-striped": func() (Engine, func() snapTx) {
-			e := NewOSTMWith(OSTMConfig{Granularity: StripedGranularity, OrecStripes: 2})
+			e := NewOSTMWith(OSTMConfig{EngineOptions: opts("striped=2")})
 			return e, func() snapTx { return e.snapPool.get() }
 		},
 	}
@@ -530,10 +530,10 @@ func TestVersionStatsDelta(t *testing.T) {
 // battery below is table-driven over: every engine with the Versions axis,
 // parameterized by chain depth K.
 var versionedSnapshotMakers = map[string]func(k int) Engine{
-	"tl2":   func(k int) Engine { return NewTL2With(TL2Config{Versions: k}) },
-	"norec": func(k int) Engine { return NewNOrecWith(NOrecConfig{Versions: k}) },
+	"tl2":   func(k int) Engine { return NewTL2With(TL2Config{EngineOptions: EngineOptions{Versions: k}}) },
+	"norec": func(k int) Engine { return NewNOrecWith(NOrecConfig{EngineOptions: EngineOptions{Versions: k}}) },
 	"tl2-striped": func(k int) Engine {
-		return NewTL2With(TL2Config{Granularity: StripedGranularity, OrecStripes: 16, Versions: k})
+		return NewTL2With(TL2Config{EngineOptions: EngineOptions{Granularity: StripedGranularity, OrecStripes: 16, Versions: k}})
 	},
 }
 
@@ -684,7 +684,7 @@ func TestSnapshotVersionChainTruncation(t *testing.T) {
 func TestSnapshotVersionedStripedRetention(t *testing.T) {
 	for _, k := range []int{1, 2} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			eng := NewTL2With(TL2Config{Granularity: StripedGranularity, OrecStripes: 2, Versions: k})
+			eng := NewTL2With(TL2Config{EngineOptions: EngineOptions{Granularity: StripedGranularity, OrecStripes: 2, Versions: k}})
 			written := NewCell(eng.VarSpace(), 0)
 			// Find a distinct Var sharing the written cell's stripe; with 2
 			// stripes and sequential ids one shows up almost immediately.

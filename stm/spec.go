@@ -1,0 +1,313 @@
+package stm
+
+import (
+	"fmt"
+	"strconv"
+	"strings"
+	"time"
+)
+
+// Engine specs.
+//
+// An EngineSpec — a registry name plus an EngineOptions value — is the one
+// carrier of engine configuration: the strategy layer, the harness, the
+// scenario engine, both CLIs (-g) and the adaptive runtime hold it
+// opaquely and name no knob. Adding a knob is a field of EngineOptions, a
+// key in Apply and String below, and the engine code that reads it; the
+// reflection test in spec_test.go fails a field without a key.
+
+// EngineOptions carries every engine knob a spec can name. Engines consume
+// the fields that apply to their design and ignore the rest (NOrec has no
+// per-location metadata and no commit clock to shard; direct and the lock
+// strategies' pass-through engine ignore everything), so one value sweeps
+// every engine. The spec key of each field is given in brackets; see
+// ParseEngineSpec for the grammar.
+type EngineOptions struct {
+	// Granularity [striped] selects the Var-to-orec mapping: one orec per
+	// Var (object, the default) or Vars hashed onto a fixed padded table
+	// (striped), trading false conflicts for a bounded metadata
+	// footprint. TL2 and OSTM.
+	Granularity Granularity
+	// OrecStripes [striped=N] sizes the striped orec table (rounded up to
+	// a power of two; 0 means DefaultOrecStripes). Ignored, and not
+	// printed by String, under object granularity.
+	OrecStripes int
+	// ClockShards [shards=N] shards TL2's commit clock GV5-style (0 or 1
+	// = the classic single fetch-and-add clock; rounded up to a power of
+	// two). Sharding disables the "nobody committed since my snapshot"
+	// validation shortcut; see gvClock.
+	ClockShards int
+	// Versions [versions=K] keeps the last K committed versions per Var so
+	// read-only snapshot transactions resolve older versions instead of
+	// restarting under write traffic (0 or 1 = single-version; clamped to
+	// 64). TL2 and NOrec, the engines with a snapshot timestamp an older
+	// version can be resolved against. See mvcc.go for the opacity
+	// argument and the space bound.
+	Versions int
+	// GroupCommit [gc] enables NOrec's combining-queue group commit: a
+	// committer that finds the sequence lock held enqueues its write set
+	// instead of spinning, and the holder publishes the whole batch —
+	// revalidating each follower's read set once — under its single
+	// acquisition. Default off (bit-for-bit the classic commit path).
+	// See groupcommit.go.
+	GroupCommit bool
+	// LockCoalescing [coalesce] makes TL2's commit lock sorted runs of
+	// adjacent striped-table orecs with one CAS per 8-stripe group word
+	// instead of one CAS per orec (Stats.CoalescedLocks), falling back to
+	// per-orec gate bits on group contention. Commit-lock mutual
+	// exclusion moves to the table's gate words; the orec meta lock bit
+	// stays the reader-visible signal, so the read path is unchanged.
+	// Ignored under object granularity.
+	LockCoalescing bool
+	// CM [cm=NAME] arbitrates OSTM's conflicts (nil = Polka, the manager
+	// the paper used).
+	CM ContentionManager
+	// CommitTimeValidationOnly [ctv] disables OSTM's incremental
+	// validation: the read set is validated once, at commit. This removes
+	// the O(k²) cost but gives up opacity — a doomed transaction may
+	// observe inconsistent snapshots until commit (user code must
+	// tolerate re-execution from garbage reads; the benchmark operations
+	// do).
+	CommitTimeValidationOnly bool
+	// VisibleReads [visible] replaces OSTM's invisible reads + validation
+	// with reader registration on every orec: writers arbitrate with
+	// registered readers through the contention manager, and no
+	// validation is ever needed (see visible.go). This is the classic
+	// alternative the paper implicitly ablates when it blames invisible
+	// reads for the O(k²) cost.
+	VisibleReads bool
+	// TxDeadline [deadline=D] bounds one Atomic call's total wall-clock
+	// time across all of its attempts (0 = no deadline). The deadline is
+	// checked between attempts — the attempt in flight always finishes —
+	// so an Atomic call runs at least one attempt. Expiry returns
+	// ErrDeadlineExceeded (which errors.Is-matches ErrAborted) unless
+	// SerialFallback is on, in which case it escalates instead. TL2,
+	// NOrec and OSTM, like the two fields below (every engine with a
+	// retry loop to bound, escalate or inject into).
+	TxDeadline time.Duration
+	// SerialFallback [serial] guarantees liveness: when retry/deadline
+	// pressure crosses the escalation threshold the transaction re-runs
+	// under the engine's exclusive serial token and is guaranteed to
+	// commit — an engine with SerialFallback on never returns ErrAborted.
+	// See serial.go for the token protocol and its cost.
+	SerialFallback bool
+	// Faults [faults=PLAN] installs a deterministic fault-injection plan
+	// compiled into the engine's commit path (nil = no injection, zero
+	// overhead). The engine snapshots the plan with fresh counters at
+	// construction. See fault.go for the probe sites and ParseFaultPlan
+	// for the plan syntax.
+	Faults *FaultPlan
+	// Trace installs a transaction flight recorder on the engine's
+	// attempt-lifecycle probe sites (nil = no tracing, zero overhead — the
+	// same nil-probe contract as Faults). Several engines may share one
+	// recorder; their events interleave on its logical clock. A recorder
+	// is a live object, not configuration, so it is the one field without
+	// a spec key. See trace.go for the event schema.
+	Trace *TraceRecorder
+}
+
+// Validate rejects out-of-range options. It is the one range check for
+// engine configuration: Apply cannot produce an out-of-range value, so
+// this is for options built as Go literals, and the strategy layer calls it
+// before anything is built.
+func (o EngineOptions) Validate() error {
+	switch {
+	case o.OrecStripes < 0:
+		return fmt.Errorf("stm: negative OrecStripes %d", o.OrecStripes)
+	case o.ClockShards < 0:
+		return fmt.Errorf("stm: negative ClockShards %d", o.ClockShards)
+	case o.Versions < 0:
+		return fmt.Errorf("stm: negative Versions %d", o.Versions)
+	case o.TxDeadline < 0:
+		return fmt.Errorf("stm: negative TxDeadline %v", o.TxDeadline)
+	}
+	return nil
+}
+
+// String renders the options in ParseEngineSpec's option syntax: canonical
+// key order, zero-valued fields omitted, so zero options render as "".
+func (o EngineOptions) String() string {
+	var b strings.Builder
+	add := func(format string, args ...any) {
+		if b.Len() > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, format, args...)
+	}
+	flag := func(on bool, key string) {
+		if on {
+			add("%s", key)
+		}
+	}
+	if o.Granularity == StripedGranularity {
+		if o.OrecStripes != 0 {
+			add("striped=%d", o.OrecStripes)
+		} else {
+			add("striped")
+		}
+	}
+	if o.ClockShards != 0 {
+		add("shards=%d", o.ClockShards)
+	}
+	if o.Versions != 0 {
+		add("versions=%d", o.Versions)
+	}
+	flag(o.GroupCommit, "gc")
+	flag(o.LockCoalescing, "coalesce")
+	if o.CM != nil {
+		add("cm=%s", o.CM.Name())
+	}
+	flag(o.CommitTimeValidationOnly, "ctv")
+	flag(o.VisibleReads, "visible")
+	if o.TxDeadline != 0 {
+		add("deadline=%v", o.TxDeadline)
+	}
+	flag(o.SerialFallback, "serial")
+	if o.Faults != nil {
+		add("faults=%s", o.Faults)
+	}
+	return b.String()
+}
+
+// Apply parses an option list (the part of a spec after "name:") over o:
+// a key present in s sets its field, an absent key keeps o's value. That
+// is the overlay rule scenario files use — "gc=off" turns a run-level gc
+// off, "shards=0" restores the single clock, a bare "striped" keeps an
+// inherited table size, an empty s changes nothing.
+func (o EngineOptions) Apply(s string) (EngineOptions, error) {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("stm: engine options %q: %s", s, fmt.Sprintf(format, args...))
+	}
+	rest := strings.TrimSpace(s)
+	for rest != "" {
+		// faults= is last and takes the rest of the string: the plan's
+		// own "," and ":" separators need no escaping. An empty plan
+		// clears an inherited one.
+		if plan, ok := strings.CutPrefix(rest, "faults="); ok {
+			p, err := ParseFaultPlan(plan)
+			if err != nil {
+				return EngineOptions{}, err
+			}
+			o.Faults = p
+			break
+		}
+		opt, tail, more := strings.Cut(rest, ",")
+		opt, rest = strings.TrimSpace(opt), strings.TrimSpace(tail)
+		if opt == "" || (more && rest == "") {
+			return EngineOptions{}, bad("empty option")
+		}
+		key, val, hasVal := strings.Cut(opt, "=")
+		onOff := func(dst *bool) error {
+			switch {
+			case !hasVal || val == "on":
+				*dst = true
+			case val == "off":
+				*dst = false
+			default:
+				return bad("%s takes on or off, not %q", key, val)
+			}
+			return nil
+		}
+		count := func(dst *int) error {
+			n, err := strconv.Atoi(val)
+			if err != nil || n < 0 {
+				return bad("%s needs a count >= 0, not %q", key, val)
+			}
+			*dst = n
+			return nil
+		}
+		var err error
+		switch key {
+		case "striped":
+			o.Granularity = StripedGranularity
+			switch {
+			case !hasVal || val == "on":
+			case val == "off":
+				o.Granularity, o.OrecStripes = ObjectGranularity, 0
+			default:
+				err = count(&o.OrecStripes)
+			}
+		case "shards":
+			err = count(&o.ClockShards)
+		case "versions":
+			err = count(&o.Versions)
+		case "gc":
+			err = onOff(&o.GroupCommit)
+		case "coalesce":
+			err = onOff(&o.LockCoalescing)
+		case "cm":
+			o.CM, err = ParseContentionManager(val)
+		case "ctv":
+			err = onOff(&o.CommitTimeValidationOnly)
+		case "visible":
+			err = onOff(&o.VisibleReads)
+		case "deadline":
+			o.TxDeadline, err = time.ParseDuration(val)
+			if err != nil || o.TxDeadline < 0 {
+				err = bad("deadline needs a duration >= 0, not %q", val)
+			}
+		case "serial":
+			err = onOff(&o.SerialFallback)
+		default:
+			err = bad("unknown key %q (want striped, shards, versions, gc, coalesce, cm, ctv, visible, deadline, serial or faults)", key)
+		}
+		if err != nil {
+			return EngineOptions{}, err
+		}
+	}
+	return o, nil
+}
+
+// EngineSpec is one point of an (engine, configuration) sweep as a single
+// printable value: a registry name — an stm engine, or any other strategy
+// name a layer above resolves — plus the options it is built with.
+type EngineSpec struct {
+	Name    string
+	Options EngineOptions
+}
+
+// ParseEngineSpec parses the textual spec syntax -g and scenario files
+// use:
+//
+//	spec    := name [ ":" options ]
+//	options := option ( "," option )*
+//	option  := "striped" [ "=" N ]     striped orecs, table of N (0/omitted = default)
+//	         | "shards=" N             commit-clock shards
+//	         | "versions=" K           committed versions kept per Var
+//	         | "gc"                    NOrec group commit
+//	         | "coalesce"              TL2 commit-lock coalescing
+//	         | "cm=" NAME              OSTM contention manager (polka, karma, aggressive, timid, backoff)
+//	         | "ctv"                   OSTM commit-time validation only
+//	         | "visible"               OSTM visible reads
+//	         | "deadline=" DURATION    per-transaction retry budget (Go duration)
+//	         | "serial"                irrevocable serial fallback
+//	         | "faults=" PLAN          fault plan in ParseFaultPlan syntax; must be
+//	                                   last, and takes the rest of the string
+//
+// e.g. "tl2:striped=4096,shards=4,versions=4,deadline=25ms" or
+// "norec:gc,faults=seed=7,precommit:1/40:80us,abort:1/24". A bare name is
+// a spec with zero options. The keys without a value are booleans and also
+// accept "=on" and "=off" (and "striped=off" is object granularity), which
+// only matters when the options are applied over a base; see
+// EngineOptions.Apply. A repeated key keeps its last value.
+func ParseEngineSpec(s string) (EngineSpec, error) {
+	name, opts, _ := strings.Cut(s, ":")
+	name = strings.TrimSpace(name)
+	if name == "" {
+		return EngineSpec{}, fmt.Errorf("stm: engine spec %q: empty name", s)
+	}
+	o, err := EngineOptions{}.Apply(opts)
+	if err != nil {
+		return EngineSpec{}, err
+	}
+	return EngineSpec{Name: name, Options: o}, nil
+}
+
+// String renders the spec back in ParseEngineSpec syntax; a spec with zero
+// options renders as the bare name.
+func (s EngineSpec) String() string {
+	if opts := s.Options.String(); opts != "" {
+		return s.Name + ":" + opts
+	}
+	return s.Name
+}

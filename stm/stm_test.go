@@ -17,20 +17,50 @@ func engines() map[string]Engine {
 	return m
 }
 
+// mustSpec parses an engine spec a test spells as a literal.
+func mustSpec(spec string) EngineSpec {
+	s, err := ParseEngineSpec(spec)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// opts parses a spec's option list alone, for the configurations that pair
+// spec options with an ablation knob outside the spec.
+func opts(list string) EngineOptions { return mustSpec("x:" + list).Options }
+
+// fromSpec is a maker that builds the spec literal's engine through the
+// parser and the registry.
+func fromSpec(spec string) func() Engine {
+	return func() Engine {
+		s := mustSpec(spec)
+		e, err := NewWith(s.Name, s.Options)
+		if err != nil {
+			panic(err)
+		}
+		return e
+	}
+}
+
 // txEngineMakers builds fresh transactional engines by configuration name;
 // the semantics, stress and property suites iterate all of them. The base
 // set is every registered engine except the non-transactional direct one —
 // a newly registered engine is pulled into every suite automatically —
-// plus named non-default configurations worth exercising.
+// plus named non-default configurations worth exercising. Whatever a spec
+// can express is spelled as one and built through the parser, so every
+// suite run exercises ParseEngineSpec too; Go literals remain only for the
+// per-engine ablation knobs that stay outside the spec (Acquire,
+// CommitCounterHeuristic, TimestampExtension, ReferenceValidation).
 var txEngineMakers = map[string]func() Engine{
-	"ostm-committime":   func() Engine { return NewOSTMWith(OSTMConfig{CommitTimeValidationOnly: true}) },
-	"ostm-aggressive":   func() Engine { return NewOSTMWith(OSTMConfig{CM: Aggressive{}}) },
-	"ostm-timid":        func() Engine { return NewOSTMWith(OSTMConfig{CM: Timid{}}) },
-	"ostm-karma":        func() Engine { return NewOSTMWith(OSTMConfig{CM: Karma{}}) },
-	"ostm-backoff":      func() Engine { return NewOSTMWith(OSTMConfig{CM: Backoff{}}) },
+	"ostm-committime":   fromSpec("ostm:ctv"),
+	"ostm-aggressive":   fromSpec("ostm:cm=aggressive"),
+	"ostm-timid":        fromSpec("ostm:cm=timid"),
+	"ostm-karma":        fromSpec("ostm:cm=karma"),
+	"ostm-backoff":      fromSpec("ostm:cm=backoff"),
 	"ostm-lazy":         func() Engine { return NewOSTMWith(OSTMConfig{Acquire: LazyAcquire}) },
-	"ostm-visible":      func() Engine { return NewOSTMWith(OSTMConfig{VisibleReads: true}) },
-	"ostm-visible-lazy": func() Engine { return NewOSTMWith(OSTMConfig{VisibleReads: true, Acquire: LazyAcquire}) },
+	"ostm-visible":      fromSpec("ostm:visible"),
+	"ostm-visible-lazy": func() Engine { return NewOSTMWith(OSTMConfig{EngineOptions: opts("visible"), Acquire: LazyAcquire}) },
 	"ostm-adaptive":     func() Engine { return NewOSTMWith(OSTMConfig{Acquire: AdaptiveAcquire}) },
 	"ostm-commitserial": func() Engine { return NewOSTMWith(OSTMConfig{CommitCounterHeuristic: true}) },
 	"tl2-extend":        func() Engine { return NewTL2With(TL2Config{TimestampExtension: true}) },
@@ -40,40 +70,30 @@ var txEngineMakers = map[string]func() Engine{
 	// iterate the metadata axes. The stripe counts are deliberately tiny
 	// (16 orecs) so the stress tests hammer stripe collisions — false
 	// conflicts must cost throughput, never correctness.
-	"tl2-striped": func() Engine { return NewTL2With(TL2Config{Granularity: StripedGranularity, OrecStripes: 16}) },
+	"tl2-striped": fromSpec("tl2:striped=16"),
 	"tl2-striped-extend": func() Engine {
-		return NewTL2With(TL2Config{Granularity: StripedGranularity, OrecStripes: 16, TimestampExtension: true})
+		return NewTL2With(TL2Config{EngineOptions: opts("striped=16"), TimestampExtension: true})
 	},
-	"tl2-sharded": func() Engine { return NewTL2With(TL2Config{ClockShards: 4}) },
-	"tl2-striped-sharded": func() Engine {
-		return NewTL2With(TL2Config{Granularity: StripedGranularity, OrecStripes: 16, ClockShards: 4})
-	},
-	"ostm-striped": func() Engine { return NewOSTMWith(OSTMConfig{Granularity: StripedGranularity, OrecStripes: 16}) },
+	"tl2-sharded":         fromSpec("tl2:shards=4"),
+	"tl2-striped-sharded": fromSpec("tl2:striped=16,shards=4"),
+	"ostm-striped":        fromSpec("ostm:striped=16"),
 	"ostm-striped-lazy": func() Engine {
-		return NewOSTMWith(OSTMConfig{Granularity: StripedGranularity, OrecStripes: 16, Acquire: LazyAcquire})
+		return NewOSTMWith(OSTMConfig{EngineOptions: opts("striped=16"), Acquire: LazyAcquire})
 	},
-	"ostm-striped-visible": func() Engine {
-		return NewOSTMWith(OSTMConfig{Granularity: StripedGranularity, OrecStripes: 16, VisibleReads: true})
-	},
-	"ostm-striped-ctv": func() Engine {
-		return NewOSTMWith(OSTMConfig{Granularity: StripedGranularity, OrecStripes: 16, CommitTimeValidationOnly: true})
-	},
+	"ostm-striped-visible": fromSpec("ostm:striped=16,visible"),
+	"ostm-striped-ctv":     fromSpec("ostm:striped=16,ctv"),
 
 	// Multi-version variants: the version-chain depth iterates through the
 	// same suites like engines and granularity modes do (K=1 is the base
 	// registry entry). The striped x versioned combinations hammer the
 	// interaction between stripe-shared meta words and per-Var chains —
 	// a stripe-mate's commit must never surface a wrong version.
-	"tl2-mv2":   func() Engine { return NewTL2With(TL2Config{Versions: 2}) },
-	"tl2-mv8":   func() Engine { return NewTL2With(TL2Config{Versions: 8}) },
-	"norec-mv2": func() Engine { return NewNOrecWith(NOrecConfig{Versions: 2}) },
-	"norec-mv8": func() Engine { return NewNOrecWith(NOrecConfig{Versions: 8}) },
-	"tl2-striped-mv2": func() Engine {
-		return NewTL2With(TL2Config{Granularity: StripedGranularity, OrecStripes: 16, Versions: 2})
-	},
-	"tl2-striped-mv8": func() Engine {
-		return NewTL2With(TL2Config{Granularity: StripedGranularity, OrecStripes: 16, Versions: 8})
-	},
+	"tl2-mv2":         fromSpec("tl2:versions=2"),
+	"tl2-mv8":         fromSpec("tl2:versions=8"),
+	"norec-mv2":       fromSpec("norec:versions=2"),
+	"norec-mv8":       fromSpec("norec:versions=8"),
+	"tl2-striped-mv2": fromSpec("tl2:striped=16,versions=2"),
+	"tl2-striped-mv8": fromSpec("tl2:striped=16,versions=8"),
 
 	// Commit-pipelining variants (see groupcommit.go and the coalescing
 	// path in tl2.go). The group-commit entries push every batch-protocol
@@ -81,19 +101,15 @@ var txEngineMakers = map[string]func() Engine{
 	// the coalescing entries reuse the tiny 16-stripe table so sorted
 	// write sets constantly form multi-orec runs inside one group word
 	// AND contend on it (the per-bit fallback path gets hammered too).
-	"norec-group":     func() Engine { return NewNOrecWith(NOrecConfig{GroupCommit: true}) },
-	"norec-group-mv2": func() Engine { return NewNOrecWith(NOrecConfig{GroupCommit: true, Versions: 2}) },
+	"norec-group":     fromSpec("norec:gc"),
+	"norec-group-mv2": fromSpec("norec:versions=2,gc"),
 	"norec-group-refvalidate": func() Engine {
-		return NewNOrecWith(NOrecConfig{GroupCommit: true, ReferenceValidation: true})
+		return NewNOrecWith(NOrecConfig{EngineOptions: opts("gc"), ReferenceValidation: true})
 	},
-	"tl2-striped-coalesce": func() Engine {
-		return NewTL2With(TL2Config{Granularity: StripedGranularity, OrecStripes: 16, LockCoalescing: true})
-	},
-	"tl2-striped-coalesce-mv2": func() Engine {
-		return NewTL2With(TL2Config{Granularity: StripedGranularity, OrecStripes: 16, LockCoalescing: true, Versions: 2})
-	},
+	"tl2-striped-coalesce":     fromSpec("tl2:striped=16,coalesce"),
+	"tl2-striped-coalesce-mv2": fromSpec("tl2:striped=16,versions=2,coalesce"),
 	"tl2-striped-coalesce-extend": func() Engine {
-		return NewTL2With(TL2Config{Granularity: StripedGranularity, OrecStripes: 16, LockCoalescing: true, TimestampExtension: true})
+		return NewTL2With(TL2Config{EngineOptions: opts("striped=16,coalesce"), TimestampExtension: true})
 	},
 }
 
@@ -107,13 +123,7 @@ func init() {
 		if name == "direct" {
 			continue
 		}
-		txEngineMakers[name] = func() Engine {
-			e, err := New(name)
-			if err != nil {
-				panic(err)
-			}
-			return e
-		}
+		txEngineMakers[name] = fromSpec(name)
 	}
 }
 
@@ -388,7 +398,7 @@ func TestNonConflictPanicPropagates(t *testing.T) {
 func TestOSTMRetryBudgetExhaustion(t *testing.T) {
 	// A Timid transaction that conflicts with a parked writer must give up
 	// after MaxRetries and return ErrAborted.
-	eng := NewOSTMWith(OSTMConfig{CM: Timid{}, MaxRetries: 3})
+	eng := NewOSTMWith(OSTMConfig{EngineOptions: opts("cm=timid"), MaxRetries: 3})
 	c := NewCell(eng.VarSpace(), 0)
 
 	hold := make(chan struct{})
@@ -427,7 +437,7 @@ func TestOSTMRetryBudgetExhaustion(t *testing.T) {
 
 func TestOSTMEnemyAbort(t *testing.T) {
 	// An Aggressive transaction must kill a parked owner and proceed.
-	eng := NewOSTMWith(OSTMConfig{CM: Aggressive{}})
+	eng := NewOSTMWith(OSTMConfig{EngineOptions: opts("cm=aggressive")})
 	c := NewCell(eng.VarSpace(), 0)
 
 	hold := make(chan struct{})

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 	"sync/atomic"
-	"time"
 )
 
 // TL2Config tunes the TL2 engine.
@@ -24,54 +23,10 @@ type TL2Config struct {
 	// MaxRetries bounds re-executions; 0 means retry forever. When the
 	// budget is exhausted Atomic returns ErrAborted.
 	MaxRetries int
-	// Granularity selects the Var-to-orec mapping: ObjectGranularity (one
-	// lock word per Var, collision free — the default and the classic TL2
-	// layout) or StripedGranularity (Vars hash onto a fixed padded table;
-	// disjoint transactions can falsely conflict on shared stripes, but
-	// the metadata footprint is bounded by the table).
-	Granularity Granularity
-	// OrecStripes sizes the striped orec table (rounded up to a power of
-	// two; 0 means DefaultOrecStripes; ignored under object granularity).
-	OrecStripes int
-	// ClockShards shards the global commit clock GV5-style: commit stamps
-	// are max-seen-plus-increment published to the committer's own shard,
-	// so hot commit paths stop bouncing a single clock cache line across
-	// cores. 0 or 1 keeps the classic single fetch-and-add clock. Sharding
-	// disables the "nobody committed since my snapshot" validation
-	// shortcut (stamps are no longer unique), so lightly contended
-	// read-write transactions validate slightly more; see gvClock.
-	ClockShards int
-	// Versions keeps the last K committed versions per Var (an immutable
-	// chain linked at commit-time writeback) so a read-only snapshot
-	// transaction (RunReadOnly) whose sampled rv predates the newest
-	// version resolves the matching older version instead of restarting.
-	// 0 or 1 keeps today's single-version behavior; values above 64
-	// clamp. Only the snapshot read path consults older versions — the
-	// validating Atomic path is unchanged. See mvcc.go for the opacity
-	// argument and the space bound.
-	Versions int
-	// LockCoalescing acquires and releases sorted runs of adjacent
-	// striped-table orecs with one CAS per 8-stripe group word instead of
-	// one CAS per orec (Stats.CoalescedLocks counts the locks acquired
-	// that way), falling back to per-orec gate bits when the group word
-	// is contended. Commit-lock mutual exclusion moves to the table's
-	// gate words; the orec meta lock bit stays the reader-visible signal,
-	// so the read path is unchanged. Ignored under object granularity
-	// (there is no adjacency to exploit without the striped table).
-	LockCoalescing bool
-	// TxDeadline bounds one Atomic call's wall-clock time across all
-	// attempts (0 = no deadline); see EngineOptions.TxDeadline.
-	TxDeadline time.Duration
-	// SerialFallback escalates transactions under retry/deadline pressure
-	// to the engine's irrevocable serial token instead of returning
-	// ErrAborted; see EngineOptions.SerialFallback and serial.go.
-	SerialFallback bool
-	// Faults installs a deterministic fault-injection plan (nil = none);
-	// see EngineOptions.Faults and fault.go.
-	Faults *FaultPlan
-	// Trace installs a transaction flight recorder (nil = none); see
-	// EngineOptions.Trace and trace.go.
-	Trace *TraceRecorder
+	// EngineOptions carries the spec-addressable knobs. TL2 honours
+	// Granularity, OrecStripes, ClockShards, Versions, LockCoalescing,
+	// TxDeadline, SerialFallback, Faults and Trace, and ignores the rest.
+	EngineOptions
 }
 
 // TL2 implements Transactional Locking II (Dice, Shalev, Shavit; DISC
@@ -109,19 +64,7 @@ type TL2 struct {
 func NewTL2() *TL2 { return NewTL2With(TL2Config{}) }
 
 func init() {
-	RegisterTunable("tl2", func(o EngineOptions) Engine {
-		return NewTL2With(TL2Config{
-			Granularity:    o.Granularity,
-			OrecStripes:    o.OrecStripes,
-			ClockShards:    o.ClockShards,
-			Versions:       o.Versions,
-			LockCoalescing: o.LockCoalescing,
-			TxDeadline:     o.TxDeadline,
-			SerialFallback: o.SerialFallback,
-			Faults:         o.Faults,
-			Trace:          o.Trace,
-		})
-	})
+	RegisterTunable("tl2", func(o EngineOptions) Engine { return NewTL2With(TL2Config{EngineOptions: o}) })
 }
 
 // NewTL2With returns a TL2 engine with explicit configuration.

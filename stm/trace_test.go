@@ -45,11 +45,13 @@ func runTraceWorkload(t *testing.T) *TraceRecorder {
 		t.Fatal(err)
 	}
 	eng := NewTL2With(TL2Config{
-		Trace:          rec,
-		Faults:         plan,
-		SerialFallback: true,
-		MaxRetries:     1, // injected-abort streaks escalate to serial mode
-		ClockShards:    2, // sharded clock => every write commit validates
+		EngineOptions: EngineOptions{
+			Trace:          rec,
+			Faults:         plan,
+			SerialFallback: true,
+			ClockShards:    2, // sharded clock => every write commit validates
+		},
+		MaxRetries: 1, // injected-abort streaks escalate to serial mode
 	})
 	pinDescriptor(&eng.txPool)
 	pinDescriptor(&eng.snapPool)
@@ -127,7 +129,7 @@ func TestTraceDeterministicReplay(t *testing.T) {
 // chain (miss + restart). Both are deterministic single-threaded.
 func TestTraceVersionChainEvents(t *testing.T) {
 	rec := NewTraceRecorder(0)
-	eng := NewNOrecWith(NOrecConfig{Versions: 2, Trace: rec})
+	eng := NewNOrecWith(NOrecConfig{EngineOptions: EngineOptions{Versions: 2, Trace: rec}})
 	c := NewCell(eng.VarSpace(), 0)
 	if err := eng.Atomic(func(tx Tx) error { c.Set(tx, 1); return nil }); err != nil {
 		t.Fatal(err)

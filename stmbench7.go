@@ -66,28 +66,15 @@ const (
 // ParseWorkload accepts the paper's CLI notation: "r", "rw", "w".
 func ParseWorkload(s string) (Workload, error) { return ops.ParseWorkload(s) }
 
-// Granularity selects the conflict-detection granularity of orec-based
-// engines (Options.Granularity): one ownership record per Var, or many
-// Vars striped onto a fixed metadata table.
-type Granularity = stm.Granularity
+// EngineSpec is a strategy name plus the stm engine options it runs with —
+// what the CLI's -g flag takes ("tl2:striped=4096,shards=4"). Its two
+// halves are Options.Strategy and Options.Engine.
+type EngineSpec = stm.EngineSpec
 
-// Conflict-detection granularities.
-const (
-	ObjectGranularity  = stm.ObjectGranularity
-	StripedGranularity = stm.StripedGranularity
-)
-
-// ParseGranularity accepts the CLI notation: "object", "striped".
-func ParseGranularity(s string) (Granularity, error) { return stm.ParseGranularity(s) }
-
-// FaultPlan is a deterministic fault-injection plan for Options.FaultPlan:
-// seeded stalls and forced aborts at the STM engines' commit-path probe
-// sites. See stm.ParseFaultPlan for the syntax.
-type FaultPlan = stm.FaultPlan
-
-// ParseFaultPlan parses the CLI fault-plan notation, e.g.
-// "seed=7,precommit:1/40:80us,abort:1/24". An empty string is a nil plan.
-func ParseFaultPlan(s string) (*FaultPlan, error) { return stm.ParseFaultPlan(s) }
+// ParseEngineSpec parses the -g notation; see stm.ParseEngineSpec for the
+// grammar. A bare strategy name ("medium", "tl2") is a spec with default
+// options.
+func ParseEngineSpec(s string) (EngineSpec, error) { return stm.ParseEngineSpec(s) }
 
 // TinyParams returns the unit-test-scale structure preset.
 func TinyParams() Params { return core.Tiny() }
@@ -132,8 +119,8 @@ func WriteReport(w io.Writer, r *Result) { harness.WriteReport(w, r) }
 
 // --- telemetry ------------------------------------------------------------
 
-// TraceRecorder is the transaction flight recorder (Options.Trace): fixed
-// per-shard rings of attempt-lifecycle events with logical-clock
+// TraceRecorder is the transaction flight recorder (Options.Engine.Trace):
+// fixed per-shard rings of attempt-lifecycle events with logical-clock
 // timestamps, exportable as Chrome Trace Event JSON. Nil disables tracing
 // at zero cost.
 type TraceRecorder = stm.TraceRecorder
