@@ -40,8 +40,8 @@ import (
 // and steals from other partitions only once its own is drained (or past
 // the duration cutoff). A skew-loaded partition therefore runs behind
 // while cold partitions' workers finish and convert to stealers — the
-// deliberate locality-versus-balance trade the -exp commit sweep
-// measures; the shed policy (ShedAfter/QueueBound) applies unchanged, so
+// deliberate locality-versus-balance trade -affinity makes; the shed
+// policy (ShedAfter/QueueBound) applies unchanged, so
 // an overloaded hot partition sheds by lateness exactly like an
 // overloaded plain run.
 func runOpenLoopAffinity(o Options, ex sync7.Executor, s *core.Structure, live *liveProgress) (*Result, error) {

@@ -133,7 +133,7 @@ func init() {
 	})
 
 	// engine-sweep: the canonical three-workload sweep as one scenario.
-	// Run it once per engine (cmd/experiments -exp scenarios does) and
+	// Run it once per engine (-scenario engine-sweep -g NAME) and
 	// compare rows across engines — the Synchrobench-style ranking-flip
 	// probe.
 	RegisterBuiltin(&Scenario{

@@ -409,8 +409,10 @@
 // Both knobs default off, and off means bit-for-bit the classic
 // protocols — the conformance, property, chaos and alloc suites run the
 // full engine matrix with the knobs on to pin the semantics either way.
-// `experiments -exp commit` sweeps group commit x coalescing x affinity x
-// threads on the write storm (BENCH_pr9.json).
+// `stmbench7 -g norec:gc -w w -no-traversals` and `-g
+// tl2:striped=256,coalesce` run the write storm under either knob; the
+// report's "commit pipeline" line carries the batch and coalescing counters,
+// and the choreographed TestGroupCommit*/TestCoalesc* tests pin the batches.
 //
 // # Robustness & liveness
 //
@@ -470,10 +472,11 @@
 //
 // The knobs compose: a chaos run is typically a fault plan + a deadline
 // (bounding the damage) + the serial fallback (absorbing it). The
-// chaos-storm scenario, `stmbench7 -scenario chaos-storm`, and
-// `experiments -exp chaos` (BENCH_pr7.json) exercise exactly that stack,
-// and the harness reports timeout aborts, serial fallbacks, injected
-// faults and open-loop shed rate alongside throughput.
+// chaos-storm scenario (`stmbench7 -scenario chaos-storm -g tl2:serial`)
+// exercises exactly that stack, and the harness reports timeout aborts,
+// serial fallbacks, injected faults and open-loop shed rate alongside
+// throughput; TestFaultInjectionDeterministic and, in the harness,
+// TestSerialFallbackAbsorbsAborts hold the two guarantees.
 //
 // # Observability & telemetry
 //
@@ -518,9 +521,9 @@
 // as -trace N (attach a recorder retaining about N events), -trace-out FILE
 // (dump Chrome JSON after the run), -sample D (per-interval time-series
 // curves in reports and -json), and -listen ADDR (live /metrics,
-// /debug/pprof/*, expvar and /trace while the run executes).
-// `experiments -exp telemetry`
-// sweeps the layer per engine; BENCH_pr8.json checks in the curves.
+// /debug/pprof/*, expvar and /trace while the run executes):
+// `stmbench7 -g tl2 -sample 200ms -trace 4096 -trace-out trace.json` shows
+// all three on one run.
 //
 // # Adaptive runtime
 //
@@ -568,6 +571,7 @@
 // that pins after two non-improving switches) whose Driver polls Stats
 // and calls Reconfigure. The wrapper itself is policy-free; any caller
 // may drive Reconfigure directly. Both CLIs expose the stack as
-// -adaptive; `experiments -exp adaptive` races the self-tuning runtime
-// against every pinned engine (BENCH_pr10.json).
+// -adaptive (`stmbench7 -scenario chaos-storm -g norec -adaptive` lists the
+// decisions in its report); the internal/adapt suite holds the controller
+// to its hysteresis and switch budget.
 package stm

@@ -2,26 +2,190 @@ package stm_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
-	"repro/internal/benchshapes"
 	"repro/stm"
 )
 
 // BenchmarkTxOverhead* measure the fixed per-transaction cost of every
-// registered engine on the shapes that bracket STMBench7's operation mix
-// (defined once in internal/benchshapes, shared with `experiments -exp
-// overhead` so the checked-in BENCH_*.json numbers correspond to these
-// benchmarks). With b.ReportAllocs() they are also the living record of the
+// registered engine on the shapes that bracket STMBench7's operation mix.
+// With b.ReportAllocs() they are also the living record of the
 // allocation-free hot path: steady-state read-only transactions allocate
 // nothing, small writes stay within the published-box (+locator, for OSTM)
 // budget, and conflict retries reuse the descriptor.
 
+// shape is one transaction shape to measure against an engine.
+type shape struct {
+	// Name selects the shape.
+	Name string
+	// Parallel marks shapes meant to run on concurrent workers (the
+	// conflict storm); sequential shapes run a plain b.N loop.
+	Parallel bool
+	// Snapshot marks read-only shapes to run through the engine's
+	// read-only snapshot mode (stm.RunReadOnly) instead of Atomic — the
+	// before/after pair for the PR-5 validation-free fast path.
+	Snapshot bool
+	// Versions is the multi-version chain depth the engine should be
+	// constructed with (stm.EngineOptions.Versions); 0 leaves the
+	// engine's single-version default.
+	Versions int
+	// Skip reports whether the shape is meaningless for an engine (the
+	// storm on the conflict-free direct engine).
+	Skip func(engine string) bool
+	// Setup allocates the shape's Vars on eng and returns the transaction
+	// function to measure, plus an optional check to run after `iters`
+	// transactions committed (nil when the shape has nothing to verify).
+	Setup func(eng stm.Engine) (fn func(stm.Tx) error, check func(iters int) error)
+}
+
+func cells(eng stm.Engine, n int) []*stm.Cell[int] {
+	cs := make([]*stm.Cell[int], n)
+	for i := range cs {
+		cs[i] = stm.NewCell(eng.VarSpace(), i)
+	}
+	return cs
+}
+
+func readShape(n int) func(eng stm.Engine) (func(stm.Tx) error, func(int) error) {
+	return func(eng stm.Engine) (func(stm.Tx) error, func(int) error) {
+		cs := cells(eng, n)
+		return func(tx stm.Tx) error {
+			for _, c := range cs {
+				c.Get(tx)
+			}
+			return nil
+		}, nil
+	}
+}
+
+// shapes returns the shapes that bracket STMBench7's operation mix: a
+// read-only short transaction (OP1/OP2/OP3-sized), a small read-write
+// transaction (OP7/OP9-style attribute write; the written value stays
+// under 256 so interface boxing hits the runtime's small-int cache and
+// engine overhead is what's measured), a conflict storm on a single Var,
+// and a long read-only traversal far past the inline access-set fast path.
+func shapes() []shape {
+	return []shape{
+		{
+			Name:  "read8",
+			Setup: readShape(8),
+		},
+		{
+			Name: "read4write1",
+			Setup: func(eng stm.Engine) (func(stm.Tx) error, func(int) error) {
+				cs := cells(eng, 8)
+				return func(tx stm.Tx) error {
+					for _, c := range cs[:4] {
+						c.Get(tx)
+					}
+					cs[1].Set(tx, 7)
+					return nil
+				}, nil
+			},
+		},
+		{
+			Name:     "storm",
+			Parallel: true,
+			Skip:     func(engine string) bool { return engine == "direct" },
+			Setup: func(eng stm.Engine) (func(stm.Tx) error, func(int) error) {
+				counter := stm.NewCell(eng.VarSpace(), 0)
+				inc := func(v int) int { return v + 1 }
+				fn := func(tx stm.Tx) error {
+					counter.Update(tx, inc)
+					return nil
+				}
+				check := func(iters int) error {
+					var total int
+					err := eng.Atomic(func(tx stm.Tx) error {
+						total = counter.Get(tx)
+						return nil
+					})
+					if err != nil {
+						return err
+					}
+					if total != iters {
+						return fmt.Errorf("lost updates: counter = %d, want %d", total, iters)
+					}
+					return nil
+				}
+				return fn, check
+			},
+		},
+		{
+			Name:  "traverse1024",
+			Setup: readShape(1024),
+		},
+		// Snapshot twins of the two read-only shapes: same Vars, same
+		// transaction body, dispatched through RunReadOnly. The delta
+		// against read8/traverse1024 is exactly the per-read read-set
+		// logging the snapshot mode drops.
+		{
+			Name:     "snapread8",
+			Snapshot: true,
+			Setup:    readShape(8),
+		},
+		{
+			Name:     "snaptraverse1024",
+			Snapshot: true,
+			Setup:    readShape(1024),
+		},
+		// The multi-version walk: every snapshot transaction first commits
+		// a write (after its timestamp sample), so one of its 8 reads is
+		// forced through the version-chain resolution instead of the head
+		// load. On a K=1 engine this is the restarting shape PR 6 removes;
+		// at Versions=8 it must complete restart-free — the check enforces
+		// that, so the ns/op is the genuine walk cost, not retry churn.
+		{
+			Name:     "snapversionwalk8",
+			Snapshot: true,
+			Versions: 8,
+			Skip: func(engine string) bool {
+				// Only the engines with the Versions axis: elsewhere the
+				// self-inflicted commit just forces restart/fallback churn
+				// (or, for ostm's Atomic fallback, a validation livelock).
+				return engine != "tl2" && engine != "norec"
+			},
+			Setup: func(eng stm.Engine) (func(stm.Tx) error, func(int) error) {
+				cs := cells(eng, 8)
+				nested := func(wtx stm.Tx) error { cs[0].Set(wtx, 7); return nil }
+				fn := func(tx stm.Tx) error {
+					if err := eng.Atomic(nested); err != nil {
+						return err
+					}
+					for _, c := range cs {
+						c.Get(tx)
+					}
+					return nil
+				}
+				check := func(int) error {
+					if st := eng.Stats(); st.SnapshotRestarts > 0 {
+						return fmt.Errorf("versioned walk restarted %d times, want 0", st.SnapshotRestarts)
+					}
+					return nil
+				}
+				return fn, check
+			},
+		},
+	}
+}
+
+// Run executes one transaction of the shape: through the engine's
+// read-only snapshot mode for Snapshot shapes, through Atomic otherwise.
+func (sh shape) Run(eng stm.Engine, fn func(stm.Tx) error) error {
+	if sh.Snapshot {
+		return stm.RunReadOnly(eng, fn)
+	}
+	return eng.Atomic(fn)
+}
+
 func benchShape(b *testing.B, shapeName string) {
-	sh, ok := benchshapes.ByName(shapeName)
-	if !ok {
+	all := shapes()
+	i := slices.IndexFunc(all, func(sh shape) bool { return sh.Name == shapeName })
+	if i < 0 {
 		b.Fatalf("unknown shape %q", shapeName)
 	}
+	sh := all[i]
 	for _, name := range stm.Registered() {
 		if sh.Skip != nil && sh.Skip(name) {
 			continue
@@ -122,10 +286,7 @@ func BenchmarkTxOverheadAfterLargeTx(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				cells := make([]*stm.Cell[int], large)
-				for i := range cells {
-					cells[i] = stm.NewCell(eng.VarSpace(), i)
-				}
+				cells := cells(eng, large)
 				if grown {
 					eng.Atomic(func(tx stm.Tx) error {
 						for _, c := range cells {
