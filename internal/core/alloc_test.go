@@ -4,6 +4,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"repro/internal/rng"
 	"repro/stm"
 )
 
@@ -52,5 +53,36 @@ func TestToggleAtomicDateAllocatesOnFirstTouchOnly(t *testing.T) {
 				t.Errorf("2 toggles allocate %v, 8 toggles %v: a later write of a touched object allocated", first, more)
 			}
 		})
+	}
+}
+
+// TestBuildCompositePartAllocations holds SM1's builder to the slab layout:
+// a Small graph is 40 atomic parts and 120 connections, which was 538
+// allocations (with the SM2 that frees the id) when each was an object with
+// a Cell, a Var and an orec of its own. What is left is two per atomic part
+// for its state and the box that publishes it (stm.NewCells), the five
+// slabs, the composite part and its document, and index nodes.
+func TestBuildCompositePartAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation skews allocation counts")
+	}
+	eng := stm.NewDirect()
+	s, err := Build(Small(), 42, eng.VarSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(1)
+	sm1ThenSM2 := func(tx stm.Tx) error {
+		id, ok := s.AllocCompID(tx)
+		if !ok {
+			t.Fatal("no composite-part id left")
+		}
+		s.DeleteCompositePart(tx, s.BuildCompositePart(tx, r, id))
+		return nil
+	}
+	if got := testing.AllocsPerRun(50, func() { eng.Atomic(sm1ThenSM2) }); got > 130 {
+		t.Errorf("BuildCompositePart + DeleteCompositePart at Small on direct: %v allocs, want <= 130", got)
+	} else {
+		t.Logf("BuildCompositePart + DeleteCompositePart at Small on direct: %v allocs", got)
 	}
 }

@@ -7,6 +7,14 @@ import (
 	"repro/stm"
 )
 
+// newStructure is what Build starts from: the indexes and the id pools,
+// nothing in them.
+func newStructure(p Params, space *stm.VarSpace) *Structure {
+	s := &Structure{P: p, Space: space, Idx: newIndexes(space, p.TxIndexes)}
+	s.ids = named(stm.NewCellClone(space, IDState{NextComp: 1, NextBase: 1, NextComplex: 1}, cloneIDState), DomainStructureIdx)
+	return s
+}
+
 // Build constructs the full STMBench7 data structure for the given
 // parameters, deterministically from seed: the design library of
 // NumCompParts composite parts (each with its document and atomic-part
@@ -22,8 +30,7 @@ func Build(p Params, seed uint64, space *stm.VarSpace) (*Structure, error) {
 		return nil, err
 	}
 	r := rng.New(seed)
-	s := &Structure{P: p, Space: space, Idx: newIndexes(space, p.TxIndexes)}
-	s.ids = named(stm.NewCellClone(space, IDState{NextComp: 1, NextBase: 1, NextComplex: 1}, cloneIDState), DomainStructureIdx)
+	s := newStructure(p, space)
 
 	direct := stm.NewDirect()
 	err := direct.Atomic(func(tx stm.Tx) error {

@@ -416,7 +416,7 @@ func TestDeleteCompositePart(t *testing.T) {
 		if _, ok := s.LookupComposite(tx, 1); ok {
 			t.Error("composite still indexed")
 		}
-		if _, ok := s.LookupDocument(tx, cp.Doc.Title); ok {
+		if _, ok := s.DocumentByTitle(tx, []byte(cp.Doc.Title)); ok {
 			t.Error("document still indexed")
 		}
 		for _, ap := range cp.Parts {
@@ -618,6 +618,171 @@ func TestBuildUnderSTMEngines(t *testing.T) {
 		err = eng.Atomic(func(tx stm.Tx) error { return s.CheckInvariants(tx) })
 		if err != nil {
 			t.Errorf("%s after mutation: %v", eng.Name(), err)
+		}
+	}
+}
+
+// buildCompositePartReference is the builder BuildCompositePart replaced:
+// one heap object per atomic part, state cell and connection, From lists
+// grown by append. It is kept as the oracle for the slab builder, which must
+// build the same structure from the same draws.
+func (s *Structure) buildCompositePartReference(tx stm.Tx, r *rng.Rand, id uint64) *CompositePart {
+	p := s.P
+	cp := &CompositePart{ID: id}
+	cp.Doc = &Document{
+		ID:    id,
+		Title: fmt.Sprintf("Documentation for composite part #%d", id),
+		Part:  cp,
+	}
+	cp.Doc.text = named(stm.NewCell(s.Space, DocumentText(id, p.DocumentSize)), DomainDocument)
+	cp.state = named(stm.NewCellClone(s.Space, CompositePartState{BuildDate: RandomDate(r)},
+		func(st CompositePartState) CompositePartState {
+			st.UsedIn = stm.CloneSlice(st.UsedIn)
+			return st
+		}), DomainComposite)
+
+	n := p.NumAtomicPerComp
+	parts := make([]*AtomicPart, n)
+	states := make([]AtomicPartState, n)
+	baseID := (id-1)*uint64(n) + 1
+	for i := 0; i < n; i++ {
+		states[i] = AtomicPartState{
+			X:         r.Intn(1 << 16),
+			Y:         r.Intn(1 << 16),
+			BuildDate: RandomDate(r),
+		}
+		parts[i] = &AtomicPart{ID: baseID + uint64(i), PartOf: cp, To: make([]*Connection, 0, p.NumConnPerAtomic)}
+	}
+	if p.GroupAtomicParts {
+		group := named(stm.NewCellClone(s.Space, states, stm.CloneSlice[AtomicPartState]), DomainAtomic)
+		cp.groupStates = group
+		for i, ap := range parts {
+			ap.group = group
+			ap.slot = i
+		}
+	} else {
+		for i, ap := range parts {
+			ap.state = named(stm.NewCell(s.Space, states[i]), DomainAtomic)
+		}
+	}
+	for i, ap := range parts {
+		addConn := func(to *AtomicPart, kind int) {
+			c := &Connection{
+				Length: 1 + r.Intn(100),
+				From:   ap,
+				To:     to,
+				kind:   uint8(kind % len(connTypes)),
+			}
+			ap.To = append(ap.To, c)
+			to.From = append(to.From, c)
+		}
+		addConn(parts[(i+1)%n], 0)
+		for k := 1; k < p.NumConnPerAtomic; k++ {
+			addConn(parts[r.Intn(n)], k)
+		}
+	}
+	cp.RootPart = parts[0]
+	cp.Parts = parts
+
+	s.Idx.CompositeByID.Put(tx, id, cp)
+	s.Idx.DocumentByTitle.Put(tx, cp.Doc.Title, cp.Doc)
+	for i, ap := range parts {
+		s.Idx.AtomicByID.Put(tx, ap.ID, ap)
+		s.Idx.AtomicByDate.Put(tx, DateKey(states[i].BuildDate, ap.ID), ap)
+	}
+	return cp
+}
+
+// describeDesignLibrary writes out everything the builders decide: per
+// composite part its document and state, per atomic part its state and its To
+// and From lists in order, then the four indexes a composite part registers
+// in, entry by entry.
+func describeDesignLibrary(tx stm.Tx, s *Structure, cps []*CompositePart) string {
+	var b strings.Builder
+	conns := func(label string, cs []*Connection) {
+		fmt.Fprintf(&b, "  %s", label)
+		for _, c := range cs {
+			fmt.Fprintf(&b, " %d->%d/%d/%s", c.From.ID, c.To.ID, c.Length, c.Type())
+		}
+		b.WriteByte('\n')
+	}
+	for _, cp := range cps {
+		fmt.Fprintf(&b, "cp %d date=%d root=%d doc=%d/%q/%q back=%v\n", cp.ID, cp.BuildDate(tx), cp.RootPart.ID,
+			cp.Doc.ID, cp.Doc.Title, cp.Doc.Text(tx), cp.Doc.Part == cp)
+		for i, ap := range cp.Parts {
+			fmt.Fprintf(&b, " part %d of=%d state=%+v slot=%d grouped=%v\n", ap.ID, ap.PartOf.ID, ap.State(tx), ap.slot, ap.group != nil)
+			if ap.PartOf != cp || (ap.group != nil && ap.slot != i) {
+				fmt.Fprintf(&b, "  MISLINKED\n")
+			}
+			conns("to", ap.To)
+			conns("from", ap.From)
+		}
+	}
+	s.Idx.CompositeByID.Ascend(tx, func(id uint64, cp *CompositePart) bool {
+		fmt.Fprintf(&b, "idx comp %d -> %d\n", id, cp.ID)
+		return true
+	})
+	s.Idx.DocumentByTitle.Ascend(tx, func(title string, d *Document) bool {
+		fmt.Fprintf(&b, "idx title %q -> %d\n", title, d.ID)
+		return true
+	})
+	s.Idx.AtomicByID.Ascend(tx, func(id uint64, ap *AtomicPart) bool {
+		fmt.Fprintf(&b, "idx atomic %d -> %d\n", id, ap.ID)
+		return true
+	})
+	s.Idx.AtomicByDate.Ascend(tx, func(key uint64, ap *AtomicPart) bool {
+		fmt.Fprintf(&b, "idx date %d/%d -> %d\n", key>>dateKeyIDBits, key&(1<<dateKeyIDBits-1), ap.ID)
+		return true
+	})
+	return b.String()
+}
+
+// TestBuildCompositePartMatchesReference holds the slab builder to the
+// builder it replaced: the same seed gives the same parts, states,
+// connections in the same To and From order, documents and index contents,
+// and leaves the generator where the reference leaves it — so every seeded
+// structure and operation stream is the one it was.
+func TestBuildCompositePartMatchesReference(t *testing.T) {
+	type builder func(*Structure, stm.Tx, *rng.Rand, uint64) *CompositePart
+	build := func(p Params, seed uint64, f builder) (string, uint64) {
+		eng := stm.NewDirect()
+		s := newStructure(p, eng.VarSpace())
+		r := rng.New(seed)
+		var desc string
+		eng.Atomic(func(tx stm.Tx) error {
+			var cps []*CompositePart
+			for _, id := range []uint64{1, 2, 7} { // ids need not be dense
+				cps = append(cps, f(s, tx, r, id))
+			}
+			desc = describeDesignLibrary(tx, s, cps)
+			return nil
+		})
+		return desc, r.Uint64()
+	}
+	for _, size := range []string{"tiny", "small"} {
+		for _, variant := range []string{"plain", "grouped", "txindexes"} {
+			for _, seed := range []uint64{1, 42, 20071} {
+				p, _ := Named(size)
+				p.GroupAtomicParts = variant == "grouped"
+				p.TxIndexes = variant == "txindexes"
+				got, gotNext := build(p, seed, (*Structure).BuildCompositePart)
+				want, wantNext := build(p, seed, (*Structure).buildCompositePartReference)
+				if got != want {
+					g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+					for i := range min(len(g), len(w)) {
+						if g[i] != w[i] {
+							t.Errorf("%s/%s/seed %d: line %d:\n slab:      %s\n reference: %s", size, variant, seed, i, g[i], w[i])
+							break
+						}
+					}
+					if len(g) != len(w) {
+						t.Errorf("%s/%s/seed %d: %d lines, reference %d", size, variant, seed, len(g), len(w))
+					}
+				}
+				if gotNext != wantNext {
+					t.Errorf("%s/%s/seed %d: the generator's next draw differs: the builders drew differently", size, variant, seed)
+				}
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/rng"
 	"repro/stm"
@@ -191,9 +192,19 @@ func (s *Structure) LookupComposite(tx stm.Tx, id uint64) (*CompositePart, bool)
 	return s.Idx.CompositeByID.Get(tx, id)
 }
 
-// LookupDocument finds a document by title (index 4).
-func (s *Structure) LookupDocument(tx stm.Tx, title string) (*Document, bool) {
-	return s.Idx.DocumentByTitle.Get(tx, title)
+// DocumentByTitle finds a document by title (index 4). The title is only
+// compared with the index's keys, never kept, and the lookup is on the
+// concrete representation (see AtomicPartsByDate) so that the compiler can
+// tell: a caller's title built in a stack buffer stays there.
+func (s *Structure) DocumentByTitle(tx stm.Tx, title []byte) (*Document, bool) {
+	key := unsafe.String(unsafe.SliceData(title), len(title))
+	switch x := s.Idx.DocumentByTitle.(type) {
+	case *cellIndex[string, *Document]:
+		return x.Get(tx, key)
+	case *txIndex[string, *Document]:
+		return x.Get(tx, key)
+	}
+	return nil, false
 }
 
 // LookupBase finds a base assembly by id (index 5).
@@ -283,48 +294,74 @@ func (s *Structure) BuildCompositePart(tx stm.Tx, r *rng.Rand, id uint64) *Compo
 			return st
 		}), DomainComposite)
 
-	n := p.NumAtomicPerComp
+	// The graph is a handful of slabs, not an object per node and edge:
+	// STMBench7 creates and deletes whole graphs (SM1/SM2) and never rewires
+	// one, so everything below lives exactly as long as cp does. The RNG is
+	// drawn from in the order the one-object-at-a-time builder drew
+	// (buildCompositePartReference in the tests), so a seed builds the same
+	// structure.
+	n, nc := p.NumAtomicPerComp, p.NumConnPerAtomic
+	slab := make([]AtomicPart, n)
 	parts := make([]*AtomicPart, n)
 	states := make([]AtomicPartState, n)
 	baseID := (id-1)*uint64(n) + 1
-	for i := 0; i < n; i++ {
+	for i := range slab {
 		states[i] = AtomicPartState{
 			X:         r.Intn(1 << 16),
 			Y:         r.Intn(1 << 16),
 			BuildDate: RandomDate(r),
 		}
-		parts[i] = &AtomicPart{ID: baseID + uint64(i), PartOf: cp, To: make([]*Connection, 0, p.NumConnPerAtomic)}
+		parts[i] = &slab[i]
+		slab[i].ID, slab[i].PartOf = baseID+uint64(i), cp
 	}
 	if p.GroupAtomicParts {
 		group := named(stm.NewCellClone(s.Space, states, stm.CloneSlice[AtomicPartState]), DomainAtomic)
 		cp.groupStates = group
-		for i, ap := range parts {
-			ap.group = group
-			ap.slot = i
+		for i := range slab {
+			slab[i].group, slab[i].slot = group, i
 		}
 	} else {
-		for i, ap := range parts {
-			ap.state = named(stm.NewCell(s.Space, states[i]), DomainAtomic)
+		cells := stm.NewCells(s.Space, states)
+		for i := range slab {
+			slab[i].state = named(&cells[i], DomainAtomic)
 		}
 	}
 
-	// Connections: ring edge i -> (i+1) mod n keeps the graph connected
-	// for T1's depth-first searches; extras go to random parts.
-	for i, ap := range parts {
-		addConn := func(to *AtomicPart, kind int) {
-			c := &Connection{
-				Length: 1 + r.Intn(100),
-				From:   ap,
-				To:     to,
-				kind:   uint8(kind % len(connTypes)),
+	// Connections, first pass: part i's outgoing edges are conns[i*nc:][:nc].
+	// The ring edge i -> (i+1) mod n comes first and keeps the graph
+	// connected for T1's depth-first searches; extras go to random parts.
+	conns := make([]Connection, n*nc)
+	to := make([]*Connection, n*nc)
+	inDegree := make([]int32, n)
+	for i := range slab {
+		for k := 0; k < nc; k++ {
+			target := (i + 1) % n
+			if k > 0 {
+				target = r.Intn(n)
 			}
-			ap.To = append(ap.To, c)
-			to.From = append(to.From, c)
+			c := &conns[i*nc+k]
+			*c = Connection{
+				Length: 1 + r.Intn(100),
+				From:   &slab[i],
+				To:     &slab[target],
+				kind:   uint8(k % len(connTypes)),
+			}
+			to[i*nc+k] = c
+			inDegree[target]++
 		}
-		addConn(parts[(i+1)%n], 0)
-		for k := 1; k < p.NumConnPerAtomic; k++ {
-			addConn(parts[r.Intn(n)], k)
-		}
+		slab[i].To = to[i*nc : (i+1)*nc : (i+1)*nc]
+	}
+	// Second pass: one backing array for every From list, carved by
+	// in-degree and filled in connection order.
+	from := make([]*Connection, n*nc)
+	for i, off := 0, 0; i < n; i++ {
+		end := off + int(inDegree[i])
+		slab[i].From = from[off:off:end]
+		off = end
+	}
+	for i := range conns {
+		target := conns[i].To
+		target.From = append(target.From, &conns[i])
 	}
 	cp.RootPart = parts[0]
 	cp.Parts = parts

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unsafe"
 )
@@ -37,10 +38,16 @@ func ManualText(id uint64, size int) string {
 	return repeatToSize(fmt.Sprintf(manualTemplate, id), size)
 }
 
-// DocumentTitle derives the (immutable, indexed) title for the document of
-// composite part id. ST4 regenerates titles from random composite ids.
+// AppendDocumentTitle appends the (immutable, indexed) title of the document
+// of composite part id to dst. ST4 regenerates titles from random composite
+// ids, a hundred per call, into a buffer on its stack.
+func AppendDocumentTitle(dst []byte, id uint64) []byte {
+	return strconv.AppendUint(append(dst, "Documentation for composite part #"...), id, 10)
+}
+
+// DocumentTitle is the title AppendDocumentTitle builds, as a string.
 func DocumentTitle(id uint64) string {
-	return fmt.Sprintf("Documentation for composite part #%d", id)
+	return string(AppendDocumentTitle(make([]byte, 0, 64), id))
 }
 
 // CountChar returns the number of occurrences of c in s (T4, OP4).

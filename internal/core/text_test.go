@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -64,6 +65,30 @@ func TestTextKernelsMatchOracles(t *testing.T) {
 		got, n = SwapCase(in)
 		if want, wn := oracleSwapCase(in); got != want || n != wn {
 			t.Errorf("SwapCase(%q) = %q, %d; want %q, %d", name, got, n, want, wn)
+		}
+	}
+}
+
+// TestDocumentTitleMatchesSprintf: the title's text has one definition,
+// AppendDocumentTitle, and this is the format it replaced. Ids at every
+// decimal width the appended buffer has to grow through, into an empty
+// buffer, a buffer with room and one that is already in use.
+func TestDocumentTitleMatchesSprintf(t *testing.T) {
+	ids := []uint64{0, 1, 9, 10, 60, 99, 100, 12345, 1<<32 - 1, 1<<64 - 1}
+	for _, id := range ids {
+		want := fmt.Sprintf("Documentation for composite part #%d", id)
+		if got := DocumentTitle(id); got != want {
+			t.Errorf("DocumentTitle(%d) = %q, want %q", id, got, want)
+		}
+		if got := string(AppendDocumentTitle(nil, id)); got != want {
+			t.Errorf("AppendDocumentTitle(nil, %d) = %q, want %q", id, got, want)
+		}
+		var buf [64]byte
+		if got := string(AppendDocumentTitle(buf[:0], id)); got != want {
+			t.Errorf("AppendDocumentTitle(buf[:0], %d) = %q, want %q", id, got, want)
+		}
+		if got := string(AppendDocumentTitle([]byte("x: "), id)); got != "x: "+want {
+			t.Errorf("AppendDocumentTitle(%q, %d) = %q, want %q", "x: ", id, got, "x: "+want)
 		}
 	}
 }

@@ -15,6 +15,16 @@ type AtomicPartState struct {
 // AtomicPart is a node of a composite part's graph. Its graph links (To,
 // From, PartOf) are fixed at creation: STMBench7 creates and deletes whole
 // graphs (SM1/SM2) but never rewires one.
+//
+// That is what lets BuildCompositePart allocate a graph as five slabs — the
+// parts, their state cells, the connections, and one backing array each for
+// all To and all From lists — so an AtomicPart, its state cell, a Connection
+// and a To or From list are all interior pointers. Slab lifetime is
+// composite-part lifetime, and the other side of that is retention: one stray
+// pointer to a part, cell or connection of a deleted composite part (a stale
+// slot in an index node, a pooled scratch buffer) pins its whole slab, about
+// 4 KB at Small, where it used to pin one 100-byte object. Holders that
+// outlive a transaction must drop such pointers (TestDeletedGraphIsCollected).
 type AtomicPart struct {
 	ID     uint64
 	PartOf *CompositePart
@@ -22,9 +32,10 @@ type AtomicPart struct {
 	From   []*Connection // incoming
 
 	// Exactly one of state/group is set. state is the paper-faithful
-	// one-object-per-part representation; group is the §5
-	// "GroupAtomicParts" optimization where the whole graph's states live
-	// in one cell on the composite part and slot indexes this part's.
+	// one-object-per-part representation (a cell of the composite part's
+	// slab); group is the §5 "GroupAtomicParts" optimization where the
+	// whole graph's states live in one cell on the composite part and slot
+	// indexes this part's.
 	state *stm.Cell[AtomicPartState]
 	group *stm.Cell[[]AtomicPartState]
 	slot  int

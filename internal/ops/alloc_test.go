@@ -100,3 +100,50 @@ func TestTextSwapsAllocateOnlyTheResult(t *testing.T) {
 	}
 	_ = sink
 }
+
+// TestST4Allocations holds ST4 — a hundred title lookups — to what it
+// allocated before it built a hundred title strings and a map to do them: the
+// title is built in a buffer on the operation's stack, the lookup does not
+// let it escape, and the seen-set is the pooled scratch.
+func TestST4Allocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation skews allocation counts")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	st4, _ := ByName("ST4")
+	for _, name := range stm.Registered() {
+		for _, txIdx := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/txidx=%v", name, txIdx), func(t *testing.T) {
+				eng, err := stm.New(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p := core.Small()
+				p.TxIndexes = txIdx
+				s, err := core.Build(p, 42, eng.VarSpace())
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := rng.New(1)
+				visited := 0
+				fn := func(tx stm.Tx) error {
+					n, err := st4.Run(tx, s, r)
+					visited += n
+					return err
+				}
+				for mode, call := range map[string]func(){
+					"Atomic":      func() { eng.Atomic(fn) },
+					"RunReadOnly": func() { stm.RunReadOnly(eng, fn) },
+				} {
+					call() // grow the pooled descriptor and scratch to ST4's size
+					visited = 0
+					got := testing.AllocsPerRun(50, call)
+					t.Logf("ST4 in %s: %v allocs per call", mode, got)
+					if got > 2 || visited == 0 {
+						t.Errorf("ST4 in %s: %v allocs per call over %d base assemblies, want <= 2", mode, got, visited)
+					}
+				}
+			})
+		}
+	}
+}

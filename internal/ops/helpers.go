@@ -20,14 +20,16 @@ func forEachBaseAssembly(tx stm.Tx, root *core.ComplexAssembly, fn func(*core.Ba
 	}
 }
 
-// dfsScratch is the reusable graphDFS state: a generation-stamped
-// open-addressed id set plus the explicit traversal stack. The long
-// traversals run one DFS per composite part visited — tens of thousands
-// per T1 at paper scale — and a per-call map was the single biggest cost
-// of the whole traversal (hashing plus table growth dwarfed the
-// transactional reads the benchmark exists to measure). The scratch is
-// pooled because operations are pure functions of (tx, structure, rng)
-// with no per-thread home; generation clearing makes reuse O(1).
+// dfsScratch is the reusable "seen" state of an operation: a
+// generation-stamped open-addressed id set plus graphDFS's explicit
+// traversal stack. The long traversals run one DFS per composite part
+// visited — tens of thousands per T1 at paper scale — and a per-call map was
+// the single biggest cost of the whole traversal (hashing plus table growth
+// dwarfed the transactional reads the benchmark exists to measure); ST4's
+// set of base assemblies and ST3/ST8's set of complex assemblies are the
+// same thing keyed by assembly id. The scratch is pooled because operations
+// are pure functions of (tx, structure, rng) with no per-thread home;
+// generation clearing makes reuse O(1).
 type dfsScratch struct {
 	gen   uint32
 	count int
@@ -36,8 +38,8 @@ type dfsScratch struct {
 	stack []*core.AtomicPart
 }
 
-// dfsSlot holds one seen atomic-part id; a slot is live iff its gen
-// matches the scratch's current generation.
+// dfsSlot holds one seen id; a slot is live iff its gen matches the
+// scratch's current generation.
 type dfsSlot struct {
 	id  uint64
 	gen uint32
@@ -48,6 +50,26 @@ var dfsPool = sync.Pool{New: func() any {
 	s.mask = uint64(len(s.slots) - 1)
 	return s
 }}
+
+// acquireScratch takes a scratch from the pool with an empty set and stack.
+// Release it with defer: engines abort conflicting (or snapshot-restarting)
+// attempts by panicking through the operation body, and losing the grown
+// scratch on every abort would re-introduce per-retry allocation in exactly
+// the contended operations the pool exists for.
+func acquireScratch() *dfsScratch {
+	s := dfsPool.Get().(*dfsScratch)
+	s.begin()
+	return s
+}
+
+// release scrubs and repools the scratch. The scrub drops retained part
+// pointers so an idle pooled scratch cannot pin parts — whole composite-part
+// slabs — deleted by later SM operations.
+func (s *dfsScratch) release() {
+	clear(s.stack[:cap(s.stack)])
+	s.stack = s.stack[:0]
+	dfsPool.Put(s)
+}
 
 // begin starts a fresh traversal: O(1) via a generation bump, with a full
 // clear only on the (rare) uint32 wrap.
@@ -112,19 +134,8 @@ func (s *dfsScratch) grow() {
 // order is identical to the original map-based implementation (LIFO, edges
 // pushed in connection order).
 func graphDFS(rootPart *core.AtomicPart, fn func(*core.AtomicPart)) int {
-	s := dfsPool.Get().(*dfsScratch)
-	// Scrub and repool via defer: engines abort conflicting (or
-	// snapshot-restarting) attempts by panicking through fn, and losing
-	// the grown scratch on every abort would re-introduce per-retry
-	// allocation in exactly the contended traversals the pool exists
-	// for. The scrub drops retained part pointers so an idle pooled
-	// scratch cannot pin parts deleted by later SM operations.
-	defer func() {
-		clear(s.stack[:cap(s.stack)])
-		s.stack = s.stack[:0]
-		dfsPool.Put(s)
-	}()
-	s.begin()
+	s := acquireScratch()
+	defer s.release()
 	s.add(rootPart.ID)
 	s.stack = append(s.stack, rootPart)
 	visited := 0
@@ -202,17 +213,15 @@ func descendToComposite(tx stm.Tx, s *core.Structure, r *rng.Rand) *core.Composi
 // root, visiting every complex assembly at most once, and calls fn per
 // newly visited assembly. Returns the number visited. (ST3/ST8 semantics.)
 func ascendantComplexAssemblies(bas []*core.BaseAssembly, fn func(*core.ComplexAssembly)) int {
-	seen := map[*core.ComplexAssembly]bool{}
-	count := 0
+	seen := acquireScratch()
+	defer seen.release()
 	for _, ba := range bas {
 		for ca := ba.Super; ca != nil; ca = ca.Super {
-			if seen[ca] {
+			if !seen.add(ca.ID) {
 				break // everything above is visited too
 			}
-			seen[ca] = true
-			count++
 			fn(ca)
 		}
 	}
-	return count
+	return seen.count
 }

@@ -66,21 +66,22 @@ func init() {
 	register(&Op{
 		Name: "ST4", Category: ShortTraversal, ReadOnly: true,
 		Run: func(tx stm.Tx, s *core.Structure, r *rng.Rand) (int, error) {
-			seen := map[*core.BaseAssembly]bool{}
+			seen := acquireScratch()
+			defer seen.release()
+			var title [64]byte // the title is built here and never leaves
 			sink := 0
 			for i := 0; i < 100; i++ {
-				doc, ok := s.Idx.DocumentByTitle.Get(tx, core.DocumentTitle(s.RandomCompID(r)))
+				doc, ok := s.DocumentByTitle(tx, core.AppendDocumentTitle(title[:0], s.RandomCompID(r)))
 				if !ok {
 					continue
 				}
 				for _, ba := range doc.Part.State(tx).UsedIn {
-					if !seen[ba] {
-						seen[ba] = true
+					if seen.add(ba.ID) {
 						sink += ba.BuildDate(tx)
 					}
 				}
 			}
-			return len(seen), nil
+			return seen.count, nil
 		},
 	})
 

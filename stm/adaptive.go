@@ -28,7 +28,8 @@ import (
 //     ever allocated, the committed value is resolved (resolveSnapshot —
 //     with no Validating owner possible, resolution is total), written
 //     back into the Var's cur cell as a fresh box with wv = 0, and the
-//     Var is re-pointed at an orec from the NEW engine's own table.
+//     Var is re-bound to the NEW engine's orec table: its inline record is
+//     reset in place, and orc points at it or at the new table's stripe.
 //     wv = 0 is the "older than every possible snapshot" timestamp NewVar
 //     uses, so the new engine's clocks need no re-seeding (they start at
 //     zero like a fresh engine's), and storing a fresh head box truncates
@@ -340,7 +341,12 @@ func (a *Adaptive) transfer(next Engine) {
 		// re-seeds the value for the new engine's from-zero clocks and
 		// truncates any multi-version chain to its head.
 		v.cur.Store(&box{val: b.val})
-		v.orc = nspace.orecs.orecFor(v.id)
+		// The inline record is reset in place whichever table the Var
+		// binds to next: it drops the retired engine's locators and
+		// reader sets, and a Var leaving object granularity must not
+		// carry them into a later generation that returns to it.
+		v.own.reset()
+		nspace.orecs.bind(v)
 	}
 	a.space.orecSrc.Store(&nspace.orecs)
 }

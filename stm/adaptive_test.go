@@ -2,6 +2,7 @@ package stm
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -114,30 +115,117 @@ func TestAdaptiveTransferTruncatesChains(t *testing.T) {
 
 // TestAdaptiveOrecRepointing: after a swap the Vars' orecs must belong to
 // the NEW engine's table — striped coalescing indexes the engine's own
-// group words by orec id, so stale orecs would corrupt the commit path.
-// Both directions (object -> striped -> object) plus new Vars allocated
-// after the swap are checked.
+// group words by orec id, so stale orecs would corrupt the commit path —
+// and carry nothing of the retired engine's. Both directions (object ->
+// striped -> object) plus new Vars allocated after each swap are checked,
+// over standalone Vars and a NewCells slab, with OSTM as the first
+// generation so the inline records hold locators and reader sets when the
+// transfer resets them.
 func TestAdaptiveOrecRepointing(t *testing.T) {
-	a, err := NewAdaptive(mustSpec("tl2"))
+	a, err := NewAdaptive(mustSpec("ostm:visible"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := a.VarSpace().NewVar(0, nil)
+	vars := []*Var{a.VarSpace().NewVar(0, nil)}
+	slab := NewCells(a.VarSpace(), make([]int, 4))
+	for i := range slab {
+		vars = append(vars, slab[i].Var())
+	}
+	writeAll := func() {
+		t.Helper()
+		err := a.Atomic(func(tx Tx) error {
+			for _, v := range vars {
+				if v.clone == nil { // a plain Var; the slab's hold *int
+					tx.Write(v, tx.Read(v).(int)+1)
+				}
+			}
+			for i := range slab {
+				slab[i].Update(tx, func(n int) int { return n + 1 })
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	zeroed := func(o *orec) bool {
+		return o.meta.Load() == 0 && o.lastWriter.Load() == 0 && o.loc.Load() == nil &&
+			o.readers.Load() == nil && o.wb.Load() == 0
+	}
+	writeAll()
+	if v := vars[1]; v.own.loc.Load() == nil {
+		t.Fatal("precondition: an OSTM write left no locator in the inline record")
+	}
+
 	if err := a.Reconfigure(mustSpec("tl2:striped=64,coalesce")); err != nil {
 		t.Fatal(err)
 	}
 	cur := a.cur.Load().eng.VarSpace()
-	if want := cur.orecs.orecFor(v.id); v.orc != want {
-		t.Error("old Var's orec not re-pointed into the striped generation's table")
-	}
-	w := a.VarSpace().NewVar(0, nil)
-	if want := cur.orecs.orecFor(w.id); w.orc != want {
-		t.Error("post-swap NewVar drew its orec from a retired table")
+	vars = append(vars, a.VarSpace().NewVar(0, nil)) // post-swap NewVar
+	for _, v := range vars {
+		if v.orc != cur.orecs.stripeFor(v.id) {
+			t.Errorf("Var %d: orec not in the striped generation's table", v.id)
+		}
+		if !zeroed(&v.own) {
+			t.Errorf("Var %d: inline record kept the object generation's metadata", v.id)
+		}
 	}
 	// The coalescing commit path must actually work against the
 	// transferred orecs.
-	if err := a.Atomic(func(tx Tx) error { tx.Write(v, 1); tx.Write(w, 2); return nil }); err != nil {
+	writeAll()
+
+	if err := a.Reconfigure(mustSpec("tl2")); err != nil {
 		t.Fatal(err)
+	}
+	vars = append(vars, a.VarSpace().NewVar(0, nil))
+	for _, v := range vars {
+		if v.orc != &v.own || v.own.id != v.id {
+			t.Errorf("Var %d: orc = %p (id %d), want its own record %p", v.id, v.orc, v.orc.id, &v.own)
+		}
+		if !zeroed(&v.own) {
+			t.Errorf("Var %d: inline record not zeroed on return to object granularity", v.id)
+		}
+	}
+	writeAll()
+	if v := vars[0]; v.own.meta.Load() == 0 {
+		t.Error("a TL2 commit under object granularity did not version the inline record")
+	}
+}
+
+// TestVarTrackerFollowsSlabCells: the tracker's weak pointers to the cells
+// of a NewCells slab point into the slab, and a weak pointer into an object
+// lives as long as the object. A live slab must come back from snapshotVars
+// cell by cell after a collection — a transfer that missed one would leave it
+// with the retired engine's metadata — a slab reachable through one cell only
+// must come back whole, and a dropped slab must be compacted away.
+func TestVarTrackerFollowsSlabCells(t *testing.T) {
+	a, err := NewAdaptive(mustSpec("tl2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 40
+	live := NewCells(a.VarSpace(), make([]int, n))
+	oneCell := &NewCells(a.VarSpace(), make([]int, n))[n/2]
+	firstDropped := NewCells(a.VarSpace(), make([]int, n))[0].Var().ID()
+	runtime.GC()
+
+	tracked := map[*Var]bool{}
+	for _, v := range a.space.track.snapshotVars() {
+		tracked[v] = true
+		if v.id >= firstDropped {
+			t.Errorf("Var %d of the dropped slab is still tracked", v.id)
+		}
+	}
+	if len(tracked) != 2*n {
+		t.Errorf("%d Vars tracked, want the %d of the two reachable slabs", len(tracked), 2*n)
+	}
+	for i := range live {
+		if !tracked[live[i].Var()] {
+			t.Errorf("cell %d of the live slab is not tracked", i)
+		}
+	}
+	if !tracked[oneCell.Var()] {
+		t.Error("the cell that keeps the second slab alive is not tracked")
 	}
 }
 

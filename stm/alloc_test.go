@@ -56,6 +56,33 @@ func measureAllocs(f func()) float64 {
 	return testing.AllocsPerRun(200, f)
 }
 
+// TestAllocCellConstructors pins what a cell costs to create: the cell (its
+// Var and the Var's ownership record are part of it), the value and the box
+// that publishes the value — and for a NewCells slab the cells are one
+// allocation between them. Striped granularity costs the same: the record
+// is in the table.
+func TestAllocCellConstructors(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation skews allocation counts")
+	}
+	striped := NewVarSpace()
+	if err := striped.ConfigureOrecs(StripedGranularity, 16); err != nil {
+		t.Fatal(err)
+	}
+	for name, space := range map[string]*VarSpace{"object": NewVarSpace(), "striped": striped} {
+		NewCell(space, 0) // registers the type's clone function
+		if got := testing.AllocsPerRun(100, func() { NewCell(space, 1) }); got != 3 {
+			t.Errorf("%s: NewCell: %v allocs, want 3", name, got)
+		}
+		for _, n := range []int{1, 8, 40} {
+			inits := make([]int, n)
+			if got, want := testing.AllocsPerRun(100, func() { NewCells(space, inits) }), float64(2*n+1); got != want {
+				t.Errorf("%s: NewCells(%d): %v allocs, want %v", name, n, got, want)
+			}
+		}
+	}
+}
+
 func TestAllocReadOnlySteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews allocation counts")

@@ -17,8 +17,12 @@ import (
 // strings, structs without reference fields). For T with reference semantics
 // that is mutated through Mut or Update (slices, maps, pointers to mutable
 // structs), use NewCellClone and provide the copy.
+//
+// The Var is part of the cell, so a cell is one object and, like a Var, must
+// not be copied: share the *Cell a constructor returns, or a pointer into a
+// NewCells slab.
 type Cell[T any] struct {
-	v *Var
+	v Var
 }
 
 // shallowClones holds, per cell type, the function that copies a *T by
@@ -43,29 +47,46 @@ func shallowCloneFor[T any]() CloneFunc {
 // NewCell allocates a cell holding init, whose private copies are made by
 // assignment.
 func NewCell[T any](s *VarSpace, init T) *Cell[T] {
-	return &Cell[T]{v: s.NewVar(&init, shallowCloneFor[T]())}
+	c := new(Cell[T])
+	s.initVar(&c.v, &init, shallowCloneFor[T]())
+	return c
+}
+
+// NewCells allocates one cell per element of inits, like NewCell, in a single
+// slab: for objects that are created together and die together. The slab is
+// one allocation, so a pointer to any one of its cells keeps all of them —
+// and every value they hold — reachable.
+func NewCells[T any](s *VarSpace, inits []T) []Cell[T] {
+	cells := make([]Cell[T], len(inits))
+	clone := shallowCloneFor[T]()
+	for i := range cells {
+		init := inits[i]
+		s.initVar(&cells[i].v, &init, clone)
+	}
+	return cells
 }
 
 // NewCellClone allocates a cell whose private copies are made by clone.
 func NewCellClone[T any](s *VarSpace, init T, clone func(T) T) *Cell[T] {
-	cf := func(v any) any {
-		c := clone(*v.(*T))
-		return &c
-	}
-	return &Cell[T]{v: s.NewVar(&init, cf)}
+	c := new(Cell[T])
+	s.initVar(&c.v, &init, func(v any) any {
+		cp := clone(*v.(*T))
+		return &cp
+	})
+	return c
 }
 
 // Var exposes the underlying Var (for debug naming or advanced use).
-func (c *Cell[T]) Var() *Var { return c.v }
+func (c *Cell[T]) Var() *Var { return &c.v }
 
 // Get returns the cell's value in tx. The result must not be mutated.
 func (c *Cell[T]) Get(tx Tx) T {
-	return *tx.Read(c.v).(*T)
+	return *tx.Read(&c.v).(*T)
 }
 
 // Set replaces the cell's value in tx.
 func (c *Cell[T]) Set(tx Tx, val T) {
-	tx.Write(c.v, &val)
+	tx.Write(&c.v, &val)
 }
 
 // keep is the callback Mut hands to Tx.Update. It captures nothing, so
@@ -78,8 +99,8 @@ func keep(v any) any { return v }
 // transaction ends. Under the direct engine there is no copy: the pointer is
 // to the live value.
 func (c *Cell[T]) Mut(tx Tx) *T {
-	tx.Update(c.v, keep)
-	return tx.Read(c.v).(*T)
+	tx.Update(&c.v, keep)
+	return tx.Read(&c.v).(*T)
 }
 
 // Update applies f to the cell's value and stores the result:

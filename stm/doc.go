@@ -193,15 +193,17 @@
 //   - Retained references are scrubbed on put, and the scrub is bounded
 //     by use. Before a descriptor goes back to the pool the engine clears
 //     buffered user values and observed boxes from its slices (scrub in
-//     pool.go), so an idle pool cannot pin a committed transaction's
-//     object graph. It clears each slice up to the longest the slice was
-//     in any attempt of the call that is ending — an aborted attempt may
-//     have been longer than the committing one — and no further: every
-//     slot beyond that is still zero from the previous put, so the
-//     epilogue of a 3-read transaction does not depend on the capacity a
-//     long traversal once left in the descriptor. A pooled descriptor has
-//     no non-zero slot anywhere in reads[:cap] or writes[:cap] (OSTM:
-//     writeLocs, pending); stm/scrub_test.go checks that. Descriptors are
+//     pool.go) and resets its Var-to-index lookups, so an idle pool cannot
+//     pin a committed transaction's object graph — nor, through one Var,
+//     the slab of cells the Var was allocated in. It clears each slice up
+//     to the longest the slice was in any attempt of the call that is
+//     ending — an aborted attempt may have been longer than the
+//     committing one — and no further: every slot beyond that is still
+//     zero from the previous put, so the epilogue of a 3-read transaction
+//     does not depend on the capacity a long traversal once left in the
+//     descriptor. A pooled descriptor has no non-zero slot anywhere in
+//     reads[:cap] or writes[:cap] (OSTM: writeLocs, pending) and no key in
+//     its indexes; stm/scrub_test.go checks that. Descriptors are
 //     deliberately NOT returned to the pool when a user panic unwinds
 //     through Atomic — mid-attempt state is garbage, and sync.Pool will
 //     simply allocate a fresh descriptor next time.
@@ -311,10 +313,10 @@
 //
 // # The metadata layer: Vars, orecs and the granularity axis
 //
-// A Var holds only its identity, its clone function and its committed
-// value. Every piece of conflict-detection metadata lives in an ownership
-// record (orec) that the Var resolves to through a single pointer assigned
-// at creation (see orec.go):
+// A Var holds its identity, its clone function, its committed value and one
+// ownership record (orec) of its own. Every piece of conflict-detection
+// metadata lives in an orec, and every engine reaches a Var's orec through
+// a single pointer, Var.orc, assigned at creation (see orec.go):
 //
 //   - TL2's versioned lock word (orec.meta) and, for striped tables, the
 //     last-writer attribution word behind Stats.FalseConflicts;
@@ -322,26 +324,40 @@
 //     mode uses to retire locators;
 //   - the visible-reads reader registry (orec.readers).
 //
-// The Var-to-orec mapping is the granularity axis every orec-based engine
-// exposes (EngineOptions.Granularity and OrecStripes [striped=N]):
+// Where orc leads is the granularity axis every orec-based engine exposes
+// (EngineOptions.Granularity and OrecStripes [striped=N]) — inline under
+// object granularity, a table slot under striped:
 //
-//   - ObjectGranularity allocates one orec per Var, so conflict detection
-//     is per object and collision free — semantically identical to the
-//     pre-orec inline layout, at one padded cache line of metadata per
-//     Var.
+//   - ObjectGranularity points orc at the Var's own inline record, so
+//     conflict detection is per object and collision free, a Var and its
+//     metadata are one allocation (a Cell, which holds its Var by value,
+//     is that same allocation: NewCell makes the cell, the value and the
+//     box that publishes it, and NewCells makes one slab for n cells), and
+//     the three words a read loads — orc, the lock word, the value pointer
+//     — are the Var's first 24 bytes, on one cache line. The price: inline
+//     records are not padded, so Vars allocated side by side — the cells of
+//     a slab are 96 bytes apart — share cache lines where every orec used
+//     to be a separately allocated, padded line of its own, and a commit
+//     to one Var can slow a reader of its neighbour. On the contention
+//     workload of the repo benchmark (hot-w-tl2) the layout is a measured
+//     net gain; the account is in README, "The allocation path".
 //
 //   - StripedGranularity hashes Var ids onto a fixed power-of-two table
-//     of padded orecs (OrecStripes). Metadata footprint becomes O(table),
-//     independent of the heap; the price is false conflicts between
-//     transactions whose footprints only share a hash bucket.
-//     Stats.FalseConflicts/FalseConflictRate estimate that price.
+//     of cache-line-padded slots (OrecStripes) and points orc into it. The
+//     metadata that transactions contend on becomes O(table), independent
+//     of the heap; the price is false conflicts between transactions whose
+//     footprints only share a hash bucket. Stats.FalseConflicts /
+//     FalseConflictRate estimate that price. A striped Var still carries
+//     its 48-byte inline record, unused: striping bounds the contended
+//     metadata, not the footprint.
 //
 // The metadata contract for engines:
 //
 //   - Engines configure their VarSpace's mapping exactly once, in the
 //     constructor, via VarSpace.ConfigureOrecs — before any Var exists.
 //   - Hot paths resolve metadata as v.orc (one pointer load); no hashing
-//     happens per access.
+//     and no granularity branch happens per access, and no engine touches
+//     Var.own except through orc.
 //   - Under striping an engine must stay correct when several of its own
 //     (or several transactions') Vars share an orec: TL2 deduplicates
 //     commit locks per orec and orders them by orec id; striped OSTM

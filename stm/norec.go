@@ -215,6 +215,8 @@ func (e *NOrec) runSerial(tx *norecTx, fn func(tx Tx) error) error {
 func (e *NOrec) putTx(tx *norecTx) {
 	tx.writes = scrub(tx.writes, &tx.hiWrites)
 	tx.reads = scrub(tx.reads, &tx.hiReads)
+	tx.writeIdx.reset()
+	tx.readIdx.reset()
 	tx.gcNext = nil // a pooled descriptor must not pin its last batch's neighbor
 	e.txPool.put(tx)
 }

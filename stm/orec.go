@@ -1,30 +1,43 @@
 package stm
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
 // Ownership-record (orec) metadata layer.
 //
 // Conflict-detection metadata — TL2's versioned lock word, OSTM's locator
-// slot, the visible-reads reader registry — does not live inline in the Var
-// anymore: every Var resolves to an orec, and the mapping from Vars to
-// orecs is an engine-configuration axis (STMBench7's point is that STM
-// scalability is decided by exactly this kind of mechanics, so it should be
-// a benchmark knob, not a constant):
+// slot, the visible-reads reader registry — lives in an orec, and every
+// engine reaches a Var's orec through one pointer, Var.orc. Where that
+// pointer leads is an engine-configuration axis (STMBench7's point is that
+// STM scalability is decided by exactly this kind of mechanics, so it should
+// be a benchmark knob, not a constant):
 //
-//   - ObjectGranularity (the default) allocates one orec per Var at NewVar
-//     time. The mapping is collision free, so conflict detection behaves
-//     exactly like the previous inline layout: one lock word / locator slot
-//     / reader set per object. Metadata cost is one cache line per Var.
+//   - ObjectGranularity (the default): the orec is a field of the Var itself
+//     (Var.own) and orc points at it. The mapping is collision free — one
+//     lock word / locator slot / reader set per object — and costs no
+//     allocation and no second cache line: orc, the lock word and the value
+//     pointer are the Var's first 24 bytes. The price is that inline
+//     records are not padded: Vars allocated side by side (a NewCells slab)
+//     share cache lines where every separately allocated, padded orec used
+//     to own one, so a commit to one Var can slow a reader of its neighbour.
+//     Measured on the contention workload (hot-w-tl2) the layout is a net
+//     gain; see README, "The allocation path".
 //
 //   - StripedGranularity hashes Var ids onto a fixed power-of-two table of
-//     cache-line-padded orecs. Many Vars share one orec, so the metadata
-//     footprint is the table size regardless of how many Vars exist — at
-//     the price of false conflicts: transactions with disjoint Var
-//     footprints can still collide when their Vars hash to the same stripe
-//     (Stats.FalseConflicts estimates how often that decides an abort).
+//     cache-line-padded slots and orc points into the table. Many Vars share
+//     one orec, at the price of false conflicts: transactions with disjoint
+//     Var footprints can still collide when their Vars hash to the same
+//     stripe (Stats.FalseConflicts estimates how often that decides an
+//     abort). A striped Var still carries its unused inline record
+//     (unsafe.Sizeof(orec{}) = 48 bytes), so striping bounds the *contended*
+//     metadata — the lines committers and readers fight over — and no
+//     longer the footprint.
 //
 // The resolution is a single pointer load (Var.orc), assigned when the Var
-// is created; no per-access hashing happens on transaction hot paths.
+// is created; no per-access hashing or granularity branch happens on
+// transaction hot paths.
 //
 // NOrec deliberately has no per-location metadata (that is its design), and
 // the direct engine has no conflict detection at all, so both ignore this
@@ -34,11 +47,11 @@ import "sync/atomic"
 type Granularity int
 
 const (
-	// ObjectGranularity gives every Var its own orec (collision-free,
-	// today's per-object conflict detection). This is the default.
+	// ObjectGranularity gives every Var its own orec, inline in the Var
+	// (collision-free per-object conflict detection). This is the default.
 	ObjectGranularity Granularity = iota
 	// StripedGranularity hashes Vars onto a fixed table of padded orecs,
-	// trading false conflicts for a bounded metadata footprint.
+	// trading false conflicts for a bounded set of contended cache lines.
 	StripedGranularity
 )
 
@@ -54,8 +67,8 @@ func (g Granularity) String() string {
 }
 
 // DefaultOrecStripes is the striped-table size used when OrecStripes is
-// left zero: 4096 padded orecs = 256 KiB of metadata, independent of the
-// number of Vars.
+// left zero: 4096 padded orecs = a 256 KiB table, independent of the number
+// of Vars.
 const DefaultOrecStripes = 4096
 
 // maxOrecStripes bounds the striped table against accidental huge
@@ -65,18 +78,21 @@ const DefaultOrecStripes = 4096
 const maxOrecStripes = 1 << 22
 
 // orec is one ownership record. Every field is engine-specific metadata
-// for the Vars that map here; a padded orec occupies its own cache line so
-// neighboring stripes never false-share.
+// for the Vars that map here. The record itself is unpadded — it is a field
+// of every Var — and the striped table pads each slot to a cache line
+// (orecSlot).
 type orec struct {
+	// meta is TL2's versioned lock word: bit 0 is the lock bit, the
+	// remaining bits hold the version of the last committed write. It comes
+	// first so an inline record's lock word sits right behind the Var's orc
+	// and cur (see Var.own).
+	meta atomic.Uint64
+
 	// id orders commit-time lock acquisition across orecs (TL2 locks its
 	// write set in id order to avoid deadlock). It is the Var id under
 	// object granularity and the stripe index under striped granularity —
 	// unique within one engine either way.
 	id uint64
-
-	// meta is TL2's versioned lock word: bit 0 is the lock bit, the
-	// remaining bits hold the version of the last committed write.
-	meta atomic.Uint64
 
 	// lastWriter is the id of the Var on whose behalf this orec's meta was
 	// last locked for commit. Maintained only by striped-mode TL2, it lets
@@ -96,15 +112,34 @@ type orec struct {
 	// wb serializes striped-mode writeback of finished locators (see
 	// ostmTx.cleanOrec).
 	wb atomic.Uint32
-
-	_ [20]byte // pad to 64 bytes
 }
+
+// reset returns the record's metadata to its freshly created state. Only
+// legal while no transaction can reach it (Adaptive's drained window).
+func (o *orec) reset() {
+	o.meta.Store(0)
+	o.lastWriter.Store(0)
+	o.loc.Store(nil)
+	o.readers.Store(nil)
+	o.wb.Store(0)
+}
+
+// orecSlot is one entry of the striped table: an orec padded to a cache
+// line's length, so no two stripes' records share a line (the table itself
+// may start up to 16 bytes into a line: the allocator puts a header before
+// a pointer-carrying array of 512 B to 32 KB).
+type orecSlot struct {
+	orec
+	_ [cacheLine - unsafe.Sizeof(orec{})]byte
+}
+
+const cacheLine = 64
 
 // orecTable maps Var ids to orecs for one VarSpace. The zero value is
 // object granularity.
 type orecTable struct {
 	granularity Granularity
-	stripes     []orec // striped mode only; power-of-two length
+	stripes     []orecSlot // striped mode only; power-of-two length
 	mask        uint64
 	// groups are the lock-coalescing gate words, one per orecGroupSpan
 	// adjacent stripes (striped mode only). Bit k of groups[g] gates the
@@ -155,7 +190,7 @@ func (t *orecTable) configure(g Granularity, stripes int) error {
 	}
 	n := normalizeStripes(stripes)
 	t.granularity = StripedGranularity
-	t.stripes = make([]orec, n)
+	t.stripes = make([]orecSlot, n)
 	for i := range t.stripes {
 		t.stripes[i].id = uint64(i)
 	}
@@ -167,18 +202,19 @@ func (t *orecTable) configure(g Granularity, stripes int) error {
 	return nil
 }
 
-// orecFor resolves the orec for a (new) Var id. Called once per Var, at
-// creation.
-func (t *orecTable) orecFor(id uint64) *orec {
+// bind points v at its ownership record: the id's table slot under striped
+// granularity, the Var's own (fresh) inline record otherwise. Called once
+// per Var at creation, and again by Adaptive's transfer.
+func (t *orecTable) bind(v *Var) {
 	if t.granularity == StripedGranularity {
-		return &t.stripes[orecHash(id)&t.mask]
+		v.orc = t.stripeFor(v.id)
+		return
 	}
-	return &orec{id: id}
+	v.own.id = v.id
+	v.orc = &v.own
 }
 
-// orecHash mixes sequentially assigned Var ids into well-distributed stripe
-// indexes (Fibonacci hashing, like varIndex's probe hash).
-func orecHash(id uint64) uint64 {
-	h := id * 0x9e3779b97f4a7c15
-	return h ^ h>>29
+// stripeFor returns the striped table's slot for a Var id.
+func (t *orecTable) stripeFor(id uint64) *orec {
+	return &t.stripes[hashID(id)&t.mask].orec
 }

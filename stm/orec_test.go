@@ -15,11 +15,91 @@ func TestGranularityString(t *testing.T) {
 	}
 }
 
-// TestOrecCacheLinePadding pins the striping premise: each orec occupies
-// exactly one 64-byte cache line, so adjacent stripes never false-share.
+// sameLine reports whether the n bytes at p lie on one 64-byte cache line,
+// and which.
+func sameLine(p unsafe.Pointer, n uintptr) (line uintptr, ok bool) {
+	first, last := uintptr(p)/cacheLine, (uintptr(p)+n-1)/cacheLine
+	return first, first == last
+}
+
+// TestOrecCacheLinePadding pins the striping premise: a striped-table slot
+// is exactly 64 bytes, each slot's record lies on one cache line, and no two
+// slots' records share a line — so adjacent stripes never false-share.
 func TestOrecCacheLinePadding(t *testing.T) {
-	if got := unsafe.Sizeof(orec{}); got != 64 {
-		t.Errorf("sizeof(orec) = %d, want 64", got)
+	if got := unsafe.Sizeof(orecSlot{}); got != cacheLine {
+		t.Errorf("sizeof(orecSlot) = %d, want %d", got, cacheLine)
+	}
+	// Every size class the allocator treats differently: no header below
+	// 512 B, a header up to 32 KB, whole pages above.
+	for _, stripes := range []int{1, 2, 4, 8, 16, 64, 512, DefaultOrecStripes} {
+		var table orecTable
+		if err := table.configure(StripedGranularity, stripes); err != nil {
+			t.Fatal(err)
+		}
+		prev := ^uintptr(0)
+		for i := range table.stripes {
+			o := &table.stripes[i].orec
+			line, ok := sameLine(unsafe.Pointer(o), unsafe.Sizeof(*o))
+			if !ok || line == prev {
+				t.Fatalf("%d stripes: record %d at %p straddles a cache line or shares slot %d's", stripes, i, o, i-1)
+			}
+			prev = line
+		}
+	}
+}
+
+// within reports whether p points into the n bytes starting at base.
+func within(p, base unsafe.Pointer, n uintptr) bool {
+	return uintptr(p) >= uintptr(base) && uintptr(p) < uintptr(base)+n
+}
+
+// TestVarLayout pins the layout the allocation path was sized on: a Var is
+// one 96-byte object carrying its own ownership record, a Cell is its Var
+// and nothing else, the three words a read loads are the Var's first 24
+// bytes, and orc leads into the Var under object granularity and into the
+// table under striped.
+func TestVarLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Var{}); got > 96 {
+		t.Errorf("sizeof(Var) = %d, want <= 96", got)
+	}
+	if c, v := unsafe.Sizeof(Cell[int]{}), unsafe.Sizeof(Var{}); c != v {
+		t.Errorf("sizeof(Cell[int]) = %d, want sizeof(Var) = %d", c, v)
+	}
+	var v Var
+	const hot = 24 // orc, cur, own.meta
+	if end := unsafe.Offsetof(v.own) + unsafe.Offsetof(v.own.meta) + unsafe.Sizeof(v.own.meta); unsafe.Offsetof(v.orc) >= hot || unsafe.Offsetof(v.cur) >= hot || end > hot {
+		t.Errorf("orc at %d, cur at %d, own.meta ends at %d: a read leaves the Var's first %d bytes",
+			unsafe.Offsetof(v.orc), unsafe.Offsetof(v.cur), end, hot)
+	}
+
+	obj := NewVarSpace()
+	striped := NewVarSpace()
+	if err := striped.ConfigureOrecs(StripedGranularity, 16); err != nil {
+		t.Fatal(err)
+	}
+	tableBytes := uintptr(len(striped.orecs.stripes)) * unsafe.Sizeof(orecSlot{})
+	// Slabs on both sides of the allocator's 512-byte header threshold, and
+	// cells allocated alone.
+	objVars := []*Var{obj.NewVar(0, nil), NewCell(obj, 0).Var(), NewCell(obj, 0).Var()}
+	for _, n := range []int{3, 40} {
+		cells := NewCells(obj, make([]int, n))
+		for i := range cells {
+			objVars = append(objVars, cells[i].Var())
+		}
+	}
+	for _, v := range objVars {
+		if v.orc != &v.own || v.orc.id != v.id {
+			t.Errorf("object granularity: Var %d: orc = %p (id %d), want its own record %p", v.id, v.orc, v.orc.id, &v.own)
+		}
+		if _, ok := sameLine(unsafe.Pointer(v), hot); !ok {
+			t.Errorf("Var %d at %p: its first %d bytes straddle a cache line", v.id, v, hot)
+		}
+	}
+	for _, v := range []*Var{striped.NewVar(0, nil), NewCell(striped, 0).Var(), NewCells(striped, []int{1, 2})[1].Var()} {
+		if within(unsafe.Pointer(v.orc), unsafe.Pointer(v), unsafe.Sizeof(*v)) ||
+			!within(unsafe.Pointer(v.orc), unsafe.Pointer(&striped.orecs.stripes[0]), tableBytes) {
+			t.Errorf("striped granularity: Var %d: orc = %p, want a slot of the table", v.id, v.orc)
+		}
 	}
 }
 
@@ -37,7 +117,7 @@ func TestOrecHashDistribution(t *testing.T) {
 	}
 	counts := make(map[*orec]int, stripes)
 	for id := uint64(1); id <= n; id++ {
-		counts[table.orecFor(id)]++
+		counts[table.stripeFor(id)]++
 	}
 	if len(counts) != stripes {
 		t.Fatalf("ids landed on %d of %d stripes", len(counts), stripes)

@@ -336,6 +336,9 @@ func (e *OSTM) putTx(tx *ostmTx) {
 	tx.reads = scrub(tx.reads, &tx.hiReads)
 	tx.writeLocs = scrub(tx.writeLocs, &tx.hiWriteLocs)
 	tx.pending = scrub(tx.pending, &tx.hiPending)
+	tx.readIdx.reset()
+	tx.writeIdx.reset()
+	tx.pendingIdx.reset()
 	tx.state = nil
 	tx.stateShared = false
 	e.txPool.put(tx)

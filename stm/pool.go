@@ -27,9 +27,11 @@ import "sync"
 // zero, a call dirties a set only up to the longest it was in any of the
 // call's attempts (truncate records that), and scrub clears exactly that
 // prefix — so a 3-read transaction's epilogue costs 3 slots whatever the
-// largest transaction the descriptor ever ran. *Var references retained by
-// varIndex slots are not scrubbed — Vars live as long as the structure —
-// and sync.Pool drops idle descriptors at GC anyway.
+// largest transaction the descriptor ever ran. The Var-to-index lookups are
+// reset with the sets: their (at most 16) inline keys are the only *Vars left
+// in a descriptor, a Var may be one cell of a NewCells slab, and one pointer
+// into a slab keeps all of it; the spill tables hold Var ids, not pointers
+// (txset.go). A pooled descriptor references no Var and no value.
 
 // truncate empties s for the next attempt of a call and raises *hi to the
 // length this attempt reached.

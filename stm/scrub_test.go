@@ -22,11 +22,25 @@ func checkPooledSet[T comparable](t *testing.T, name string, s []T, hi, grownTo 
 	}
 }
 
+// checkPooledIndexes checks a pooled descriptor's Var-to-index lookups: no
+// inline key left (spill slots hold ids, which pin nothing). A *Var there
+// would keep alive the Var and, if it is one cell of a NewCells slab, every
+// cell and value of the slab.
+func checkPooledIndexes(t *testing.T, indexes ...*varIndex) {
+	t.Helper()
+	for i, ix := range indexes {
+		if ix.keys != [inlineSetCap]*Var{} || ix.len() != 0 {
+			t.Errorf("index %d: pooled with %d live entries and inline keys %v; want none", i, ix.len(), ix.keys)
+		}
+	}
+}
+
 // TestPooledDescriptorHoldsNothing pins the scrub half of the descriptor
 // pooling contract now that the scrub is bounded by use: one call whose
 // first attempt is large and aborts and whose committing attempt is small
 // must leave no entry anywhere in the pooled descriptor's sets — the slots
-// beyond the committing attempt's length were written by this call too.
+// beyond the committing attempt's length were written by this call too —
+// and no key in its indexes.
 // A second, small call then has to find its high-water marks reset.
 func TestPooledDescriptorHoldsNothing(t *testing.T) {
 	const bigReads, bigWrites = 5000, 2000
@@ -70,6 +84,7 @@ func TestPooledDescriptorHoldsNothing(t *testing.T) {
 			tx := eng.txPool.get()
 			checkPooledSet(t, "reads", tx.reads, tx.hiReads, bigReads)
 			checkPooledSet(t, "writes", tx.writes, tx.hiWrites, bigWrites)
+			checkPooledIndexes(t, &tx.readIdx, &tx.writeIdx)
 			eng.txPool.put(tx)
 		}
 	})
@@ -82,6 +97,7 @@ func TestPooledDescriptorHoldsNothing(t *testing.T) {
 			tx := eng.txPool.get()
 			checkPooledSet(t, "reads", tx.reads, tx.hiReads, bigReads)
 			checkPooledSet(t, "writes", tx.writes, tx.hiWrites, bigWrites)
+			checkPooledIndexes(t, &tx.readIdx, &tx.writeIdx)
 			eng.txPool.put(tx)
 		}
 	})
@@ -102,6 +118,7 @@ func TestPooledDescriptorHoldsNothing(t *testing.T) {
 				}
 				checkPooledSet(t, "writeLocs", tx.writeLocs, tx.hiWriteLocs, locs)
 				checkPooledSet(t, "pending", tx.pending, tx.hiPending, pending)
+				checkPooledIndexes(t, &tx.readIdx, &tx.writeIdx, &tx.pendingIdx)
 				eng.txPool.put(tx)
 			}
 		})

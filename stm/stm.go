@@ -39,24 +39,22 @@ type CloneFunc func(any) any
 // whole object's mutable state in one Var, making the Var the unit of
 // copy-on-write logging.
 //
-// A Var carries no conflict-detection metadata of its own: it resolves to
-// an ownership record (orec) assigned at creation by its VarSpace, and the
-// Var-to-orec mapping — one orec per Var, or many Vars striped onto a
-// fixed table — is an engine-configuration axis (see Granularity). Under
-// object granularity the orec is private to the Var, so the unit of
-// conflict detection is still the object; under striped granularity it is
-// the stripe.
+// A Var carries its own ownership record (orec) inline and reaches its
+// conflict-detection metadata through orc, which its VarSpace points either
+// at that record or into a fixed striped table — the Var-to-orec mapping is
+// an engine-configuration axis (see Granularity). Under object granularity
+// (the default) the orec is private to the Var, so the unit of conflict
+// detection is the object and a read finds orc, the lock word and the value
+// pointer on one cache line; under striped granularity it is the stripe.
 //
 // Create Vars with VarSpace.NewVar so they receive unique ids; ids order
-// commit-time lock acquisition in TL2 (through their orecs).
+// commit-time lock acquisition in TL2 (through their orecs). A Var points
+// into itself and must not be copied.
 type Var struct {
-	id    uint64
-	name  string
-	clone CloneFunc
-
-	// orc is the Var's ownership record, resolved once at creation. All
-	// engine conflict metadata (TL2 lock word, OSTM locator slot, the
-	// visible-reads registry) lives there.
+	// orc is the Var's ownership record, resolved once at creation: &own,
+	// or a slot of the space's striped table. All engine conflict metadata
+	// (TL2 lock word, OSTM locator slot, the visible-reads registry) is
+	// reached through it, whichever it is.
 	orc *orec
 
 	// cur is the committed value used by the direct, TL2 and NOrec
@@ -64,6 +62,17 @@ type Var struct {
 	// has no locator covering the Var (object mode: the pre-first-write
 	// value; striped mode: maintained by commit writeback).
 	cur atomic.Pointer[box]
+
+	// own is the inline ownership record: the Var's orec under object
+	// granularity, unused under striped. It follows orc and cur, lock word
+	// first, so the three words a read loads — orc, own.meta, cur — are the
+	// Var's first 24 bytes, which neither a Var allocated alone nor one in
+	// a NewCells slab has split across cache lines (TestVarLayout).
+	own orec
+
+	id    uint64
+	clone CloneFunc
+	name  string
 }
 
 // readerSet is an immutable set of reader transactions.
@@ -154,17 +163,25 @@ func (s *VarSpace) ConfigureOrecs(g Granularity, stripes int) error {
 // all future values) have value semantics or are never mutated through
 // Update.
 func (s *VarSpace) NewVar(val any, clone CloneFunc) *Var {
-	v := &Var{id: s.nextID.Add(1), clone: clone}
+	v := new(Var)
+	s.initVar(v, val, clone)
+	return v
+}
+
+// initVar makes the zero Var at v — freshly allocated on its own or as part
+// of a Cell — a Var of this space holding val.
+func (s *VarSpace) initVar(v *Var, val any, clone CloneFunc) {
+	v.id = s.nextID.Add(1)
+	v.clone = clone
 	tbl := &s.orecs
 	if t := s.orecSrc.Load(); t != nil {
 		tbl = t
 	}
-	v.orc = tbl.orecFor(v.id)
+	tbl.bind(v)
 	v.cur.Store(&box{val: val})
 	if s.track != nil {
 		s.track.add(v)
 	}
-	return v
 }
 
 // SetName attaches a debug name to the Var (visible in String). The

@@ -204,6 +204,8 @@ func (e *TL2) runSerial(tx *tl2Tx, fn func(tx Tx) error) error {
 func (e *TL2) putTx(tx *tl2Tx) {
 	tx.writes = scrub(tx.writes, &tx.hiWrites)
 	tx.reads = scrub(tx.reads, &tx.hiReads)
+	tx.writeIdx.reset()
+	tx.readIdx.reset()
 	e.txPool.put(tx)
 }
 

@@ -15,10 +15,11 @@ package stm
 // concurrent use; like the transaction descriptor that embeds it, it
 // belongs to one attempt at a time.
 //
-// Note on retention: stale spill slots keep their *Var pointers until the
-// slot is overwritten or the descriptor is dropped by its sync.Pool on GC.
-// Vars live as long as the structure under test, so this pins no extra
-// memory in practice.
+// Note on retention: the inline keys are *Vars; reset clears them, and
+// engines reset their indexes before pooling a descriptor. Spill slots are
+// keyed by Var id, not by pointer: the table holds no pointers at all, so a
+// stale slot pins nothing — a *Var there would pin the whole NewCells slab
+// the Var is part of — and the collector does not scan the table.
 
 // inlineSetCap is the small-set fast-path capacity. 16 covers nearly every
 // STMBench7 short operation's read and write set; beyond it the spill table
@@ -30,7 +31,7 @@ const inlineSetCap = 16
 // as empty, which is what makes reset O(1).
 type varIndexSlot struct {
 	gen uint64
-	key *Var
+	key uint64 // Var id: unique among the Vars one transaction may touch
 	val int32
 }
 
@@ -76,12 +77,12 @@ func (ix *varIndex) get(v *Var) (int32, bool) {
 		return 0, false
 	}
 	mask := uint64(len(ix.spill) - 1)
-	for i := hashVar(v) & mask; ; i = (i + 1) & mask {
+	for i := hashID(v.id) & mask; ; i = (i + 1) & mask {
 		s := &ix.spill[i]
 		if s.gen != ix.gen {
 			return 0, false
 		}
-		if s.key == v {
+		if s.key == v.id {
 			return s.val, true
 		}
 	}
@@ -130,16 +131,16 @@ func (ix *varIndex) getOrPut(v *Var, val int32) (int32, bool) {
 		ix.grow()
 	}
 	mask := uint64(len(ix.spill) - 1)
-	for i := hashVar(v) & mask; ; i = (i + 1) & mask {
+	for i := hashID(v.id) & mask; ; i = (i + 1) & mask {
 		s := &ix.spill[i]
 		if s.gen != ix.gen {
 			s.gen = ix.gen
-			s.key = v
+			s.key = v.id
 			s.val = val
 			ix.count++
 			return val, false
 		}
-		if s.key == v {
+		if s.key == v.id {
 			return s.val, true
 		}
 	}
@@ -172,16 +173,16 @@ func (ix *varIndex) spillPut(v *Var, val int32) {
 		ix.grow()
 	}
 	mask := uint64(len(ix.spill) - 1)
-	for i := hashVar(v) & mask; ; i = (i + 1) & mask {
+	for i := hashID(v.id) & mask; ; i = (i + 1) & mask {
 		s := &ix.spill[i]
 		if s.gen != ix.gen {
 			s.gen = ix.gen
-			s.key = v
+			s.key = v.id
 			s.val = val
 			ix.count++
 			return
 		}
-		if s.key == v {
+		if s.key == v.id {
 			s.val = val
 			return
 		}
@@ -203,7 +204,7 @@ func (ix *varIndex) grow() {
 		if s.gen != oldGen {
 			continue
 		}
-		for j := hashVar(s.key) & mask; ; j = (j + 1) & mask {
+		for j := hashID(s.key) & mask; ; j = (j + 1) & mask {
 			d := &ix.spill[j]
 			if d.gen != ix.gen {
 				d.gen = ix.gen
@@ -216,9 +217,9 @@ func (ix *varIndex) grow() {
 	}
 }
 
-// hashVar mixes the Var's sequentially assigned id into a well-distributed
-// probe start (Fibonacci hashing).
-func hashVar(v *Var) uint64 {
-	h := v.id * 0x9e3779b97f4a7c15
+// hashID mixes a Var's sequentially assigned id into a well-distributed
+// probe start or stripe index (Fibonacci hashing).
+func hashID(id uint64) uint64 {
+	h := id * 0x9e3779b97f4a7c15
 	return h ^ h>>29
 }

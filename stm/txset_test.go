@@ -60,7 +60,8 @@ func TestVarIndexOverwrite(t *testing.T) {
 
 func TestVarIndexSpillAndGrow(t *testing.T) {
 	const n = 10_000 // forces several grow() doublings
-	vars := newTestVars(n)
+	vars := newTestVars(n + 1)
+	vars, other := vars[:n], vars[n] // same space: spill slots tell Vars apart by id
 	var ix varIndex
 	for i, v := range vars {
 		ix.put(v, int32(i))
@@ -78,7 +79,6 @@ func TestVarIndexSpillAndGrow(t *testing.T) {
 		}
 	}
 	// A var never inserted must not be found (probe termination).
-	other := newTestVars(1)[0]
 	if _, ok := ix.get(other); ok {
 		t.Fatal("found a var that was never inserted")
 	}
@@ -142,7 +142,9 @@ func TestVarIndexManyGenerations(t *testing.T) {
 
 func TestVarIndexGetOrPut(t *testing.T) {
 	for _, n := range []int{inlineSetCap - 2, 500} { // inline and spilled
-		vars := newTestVars(n)
+		// One space for all of them: spill slots tell Vars apart by id.
+		all := newTestVars(n + 2*inlineSetCap)
+		vars, extra := all[:n], all[n:]
 		var ix varIndex
 		for i, v := range vars {
 			got, found := ix.getOrPut(v, int32(i))
@@ -161,7 +163,6 @@ func TestVarIndexGetOrPut(t *testing.T) {
 		}
 		// Crossing the inline boundary inside getOrPut must migrate and
 		// keep every earlier entry.
-		extra := newTestVars(2 * inlineSetCap)
 		for i, v := range extra {
 			ix.getOrPut(v, int32(n+i))
 		}
