@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 	"unsafe"
@@ -84,7 +86,9 @@ func SwapIAm(s string) (string, int) {
 
 // SwapCase replaces every 'I' with 'i' or, if there is no 'I', every 'i'
 // with 'I'. It returns the new text and the number of changes (OP11): one
-// pass over one copy of the text, which is the only allocation.
+// pass over one copy of the text, which is the only allocation. The pass
+// takes eight bytes at a time — the manual is 40 KB and OP11 holds it
+// written (or locked) for as long as this takes.
 func SwapCase(s string) (string, int) {
 	from := byte('I')
 	i := strings.IndexByte(s, from)
@@ -96,6 +100,20 @@ func SwapCase(s string) (string, int) {
 	}
 	buf := []byte(s)
 	n := 0
+	const low7 = 0x7f7f7f7f7f7f7f7f
+	each := uint64(from) * 0x0101010101010101
+	for ; i+8 <= len(buf); i += 8 {
+		w := binary.LittleEndian.Uint64(buf[i:])
+		// x has a zero byte where w has from. m has 0x80 in exactly those
+		// bytes: the sum's top bit says a byte's low seven bits are not all
+		// zero, x's own says its eighth is not, and adding 0x7f to at most
+		// 0x7f never carries into the next byte, so the test is exact for
+		// every byte value.
+		x := w ^ each
+		m := ^(((x & low7) + low7) | x | low7)
+		n += bits.OnesCount64(m)
+		binary.LittleEndian.PutUint64(buf[i:], w^m>>2) // 0x80>>2 is 'I'^'i'
+	}
 	for ; i < len(buf); i++ {
 		if buf[i] == from {
 			buf[i] ^= 'I' ^ 'i'

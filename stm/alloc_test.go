@@ -210,6 +210,45 @@ func TestAllocCellWrites(t *testing.T) {
 	}
 }
 
+// TestAllocLargeWriteSet pins what a commit may allocate per write-set
+// entry beyond the first-write budget: nothing. Two hundred cells of a slab
+// written through Mut in an order unrelated to their ids — OP10's write set
+// on the small structure — cost two hundred first writes exactly, so
+// whatever commit does to lock, order or index its write set, it does in the
+// pooled descriptor's own storage. (TL2 under object granularity locks the
+// write set as it stands; this is the budget a sort's scratch space, or a
+// reindexing map, would show up in.)
+func TestAllocLargeWriteSet(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation skews allocation counts")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const n = 200
+	for _, name := range Registered() {
+		t.Run(name, func(t *testing.T) {
+			eng, err := New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells := NewCells(eng.VarSpace(), make([]int, n))
+			fn := func(tx Tx) error {
+				for i := range cells {
+					*cells[i*77%n].Mut(tx) += 1 // 77 and 200 are coprime: every cell once
+				}
+				return nil
+			}
+			want := allocBudget[name] * n
+			if name == "direct" {
+				want = 0 // a Mut is in place
+			}
+			if got := measureAllocs(func() { eng.Atomic(fn) }); got != want {
+				t.Errorf("%d-write transaction: %v allocs/op, want %v (%v per first write, nothing per commit)",
+					n, got, want, want/n)
+			}
+		})
+	}
+}
+
 // TestAllocSnapshotReadOnlySteadyState pins the read-only snapshot path's
 // allocation budget: 0 allocs/op steady-state on every engine, for both a
 // short read and a long traversal. The path drops the read set entirely,

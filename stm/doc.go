@@ -380,9 +380,12 @@
 //
 // Vars are allocated from a VarSpace (one per engine; see
 // Engine.VarSpace). All Vars that participate in one transaction must come
-// from the same space: their ids order commit-time lock acquisition in
-// TL2 (through their orecs), and the data structure under test must be
-// built from the space of the engine that will run it.
+// from the same space: their ids are unique only within it — they key the
+// access-set indexes, pick stripes under striped granularity, and order
+// TL2's commit-time locking there (through the orecs; under object
+// granularity TL2 locks in write order and its bounded spin is what rules
+// out deadlock) — and the data structure under test must be built from the
+// space of the engine that will run it.
 //
 // # Commit pipelining
 //
@@ -414,10 +417,10 @@
 //
 //   - TL2 lock coalescing (orec.go, tl2.go). Striped orec tables carry
 //     one extra gate bit array, one 64-bit group word per 8 orecs. The
-//     already-sorted write set is scanned for runs of adjacent stripe
-//     ids, and each run is acquired with ONE CAS on its group word
-//     (released with one atomic AND), falling back to per-orec bits on
-//     group contention. Coalesced acquisitions count in
+//     write set, which striped TL2 sorts by orec, is scanned for runs of
+//     adjacent stripe ids, and each run is acquired with ONE CAS on its
+//     group word (released with one atomic AND), falling back to
+//     per-orec bits on group contention. Coalesced acquisitions count in
 //     Stats.CoalescedLocks. Object granularity has no adjacency to
 //     exploit, so the knob requires striped mode and is ignored
 //     elsewhere.

@@ -88,10 +88,12 @@ type orec struct {
 	// and cur (see Var.own).
 	meta atomic.Uint64
 
-	// id orders commit-time lock acquisition across orecs (TL2 locks its
-	// write set in id order to avoid deadlock). It is the Var id under
-	// object granularity and the stripe index under striped granularity —
-	// unique within one engine either way.
+	// id is the Var id under object granularity and the stripe index under
+	// striped granularity — unique within one engine either way. Striped
+	// TL2 sorts its write set by it so that writes sharing a stripe, and
+	// stripes sharing a group word, are adjacent when commit locks them;
+	// it selects the stripe's bit in that word. Nothing orders locks by it
+	// to avoid deadlock: the bounded commit-time spin does that.
 	id uint64
 
 	// lastWriter is the id of the Var on whose behalf this orec's meta was

@@ -2,6 +2,7 @@ package stm_test
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -56,6 +57,57 @@ func readShape(n int) func(eng stm.Engine) (func(stm.Tx) error, func(int) error)
 			}
 			return nil
 		}, nil
+	}
+}
+
+// bulkPoint is what a bulkupdate shape's cells hold: OP10's swap of an atomic
+// part's coordinates, plus a count of the swaps for the shape's check.
+type bulkPoint struct{ X, Y, Swaps int }
+
+// bulkUpdateShape is OP10's shape without the structure around it: one
+// transaction takes n cells of a 2 000-cell slab through Cell.Mut, in an
+// order that has nothing to do with their ids, and swaps each one's
+// coordinates. Nothing is read that is not written, so what is measured is
+// the write path — n first-touch copies in the body, then whatever commit
+// does per write-set entry.
+func bulkUpdateShape(n int) shape {
+	return shape{
+		Name: fmt.Sprintf("bulkupdate%d", n),
+		Setup: func(eng stm.Engine) (func(stm.Tx) error, func(int) error) {
+			const slab = 2000
+			inits := make([]bulkPoint, slab)
+			for i := range inits {
+				inits[i] = bulkPoint{X: i, Y: -i}
+			}
+			cs := stm.NewCells(eng.VarSpace(), inits)
+			order := rand.New(rand.NewPCG(19, uint64(n))).Perm(slab)[:n]
+			fn := func(tx stm.Tx) error {
+				for _, i := range order {
+					p := cs[i].Mut(tx)
+					p.X, p.Y, p.Swaps = p.Y, p.X, p.Swaps+1
+				}
+				return nil
+			}
+			check := func(iters int) error {
+				want := make([]bulkPoint, slab)
+				copy(want, inits)
+				for _, i := range order {
+					want[i].Swaps = iters
+					if iters%2 == 1 {
+						want[i].X, want[i].Y = want[i].Y, want[i].X
+					}
+				}
+				return eng.Atomic(func(tx stm.Tx) error {
+					for i := range cs {
+						if got := cs[i].Get(tx); got != want[i] {
+							return fmt.Errorf("cell %d = %+v after %d transactions, want %+v", i, got, iters, want[i])
+						}
+					}
+					return nil
+				})
+			}
+			return fn, check
+		},
 	}
 }
 
@@ -185,7 +237,11 @@ func benchShape(b *testing.B, shapeName string) {
 	if i < 0 {
 		b.Fatalf("unknown shape %q", shapeName)
 	}
-	sh := all[i]
+	runShape(b, all[i])
+}
+
+// runShape measures sh on every registered engine it does not skip.
+func runShape(b *testing.B, sh shape) {
 	for _, name := range stm.Registered() {
 		if sh.Skip != nil && sh.Skip(name) {
 			continue
@@ -269,6 +325,20 @@ func BenchmarkTxOverheadSnapshotTraversal(b *testing.B) { benchShape(b, "snaptra
 // itself; the gap to BenchmarkTxOverheadSnapshotRead (plus one small-write
 // commit) is the price of restart-freedom under write traffic.
 func BenchmarkTxOverheadVersionedWalk(b *testing.B) { benchShape(b, "snapversionwalk8") }
+
+// BenchmarkTxOverheadBulkUpdate: n cells written through Cell.Mut in one
+// transaction, in shuffled order — OP10 on its own, at a write set of an
+// ordinary short operation (10), of one composite part's graph (40) and of
+// OP10 itself on the small structure (200). The row that prices what commit
+// does per write-set entry; allocs/op is 2n (the copies and their boxes; 3n
+// with OSTM's locators, 0 for direct, which writes in place). The shape's
+// check holds every cell of the slab to one swap per transaction, the
+// untouched ones to none.
+func BenchmarkTxOverheadBulkUpdate(b *testing.B) {
+	for _, n := range []int{10, 40, 200} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { runShape(b, bulkUpdateShape(n)) })
+	}
+}
 
 // BenchmarkTxOverheadAfterLargeTx: a 3-read/1-write transaction on an engine
 // whose pooled descriptor one earlier transaction grew to 16 K reads, beside

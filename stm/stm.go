@@ -47,9 +47,12 @@ type CloneFunc func(any) any
 // detection is the object and a read finds orc, the lock word and the value
 // pointer on one cache line; under striped granularity it is the stripe.
 //
-// Create Vars with VarSpace.NewVar so they receive unique ids; ids order
-// commit-time lock acquisition in TL2 (through their orecs). A Var points
-// into itself and must not be copied.
+// Create Vars with VarSpace.NewVar so they receive unique ids: ids key the
+// transactions' access-set indexes and pick a Var's stripe under striped
+// granularity, where TL2 also sorts its write set by them (through the
+// orecs) to lock each stripe once. They do not prevent deadlock — TL2's
+// bounded commit-time spin does. A Var points into itself and must not be
+// copied.
 type Var struct {
 	// orc is the Var's ownership record, resolved once at creation: &own,
 	// or a slot of the space's striped table. All engine conflict metadata

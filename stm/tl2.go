@@ -32,7 +32,9 @@ type TL2Config struct {
 // TL2 implements Transactional Locking II (Dice, Shalev, Shavit; DISC
 // 2006): a global version clock, a versioned lock word per orec, invisible
 // reads validated against the clock at read time, lazy write buffering, and
-// commit-time locking in orec-id order.
+// commit-time locking with a bounded spin per lock — which is what rules
+// out deadlock; the write set is locked in the order it was written (see
+// commit).
 //
 // TL2 is the representative of the "solutions already proposed" the
 // STMBench7 paper cites for ASTM's O(k²) validation cost: a TL2 read
@@ -562,9 +564,11 @@ func (tx *tl2Tx) unlockWrites(wv uint64) {
 }
 
 // heldMetaAt returns the saved pre-lock meta for the write-set entry at
-// index i, following same-orec duplicates back to their group leader (the
-// write set is sorted by orec at this point, so a duplicate's leader is
-// adjacent below it).
+// index i, following same-orec duplicates back to their group leader. Under
+// striped granularity commit sorted the write set by orec, so a duplicate's
+// leader is adjacent below it. Under object granularity the write set is in
+// the order it was written, but every entry has an orec of its own, none is
+// marked dupMeta, and the loop ends before its first step.
 func (tx *tl2Tx) heldMetaAt(i int) uint64 {
 	for tx.lockedMeta[i] == dupMeta {
 		i--
@@ -586,8 +590,16 @@ func (tx *tl2Tx) heldMetaFor(o *orec) (uint64, bool) {
 	return 0, false
 }
 
-// commit implements TL2's commit protocol: lock the write set's orecs in
-// id order, advance the clock, validate the read set, write back, unlock.
+// commit implements TL2's commit protocol: lock the write set's orecs,
+// advance the clock, validate the read set, write back, unlock. The locks
+// are taken in the order the body wrote — the paper's step 3 is "acquire
+// the locks in any convenient order using bounded spinning to avoid
+// indefinite deadlock" (Dice, Shalev, Shavit; DISC 2006, §2.1), and the
+// bounded spin is CommitLockSpins: two committers that meet on crossing
+// lock orders cannot wait for each other forever, the one whose spin runs
+// out releases what it holds, fails the attempt and backs off. An abort of
+// that kind always has a concurrent conflicting committer behind it, so the
+// order is a choice of cost, not of correctness.
 func (tx *tl2Tx) commit() bool {
 	if len(tx.writes) == 0 {
 		// Read-only transactions validated every read against rv at read
@@ -606,13 +618,17 @@ func (tx *tl2Tx) commit() bool {
 		f.stallAt(FaultPreCommit, &tx.eng.stats)
 	}
 
-	// Lock the write set in orec-id order so concurrent committers cannot
-	// deadlock (we spin-bound anyway, but ordering avoids wasted work).
+	// Under object granularity writeIdx already holds one entry per Var, a
+	// Var is its own orec, and the write set is locked as it stands:
+	// writes[i], writeIdx and lockedMeta[i] stay aligned with no work.
 	// Under striped granularity several writes may share an orec; sorting
-	// makes them adjacent, and each orec is locked exactly once.
-	sortWritesByOrec(tx.writes)
-	for i := range tx.writes {
-		tx.writeIdx.put(tx.writes[i].v, int32(i)) // reindex after sorting
+	// makes them adjacent, so each orec is locked exactly once (and the
+	// coalesced path finds a group word's stripes next to each other).
+	if tx.eng.striped {
+		sortWritesByOrec(tx.writes)
+		for i := range tx.writes {
+			tx.writeIdx.put(tx.writes[i].v, int32(i)) // reindex after sorting
+		}
 	}
 	if cap(tx.lockedMeta) < len(tx.writes) {
 		tx.lockedMeta = make([]uint64, len(tx.writes))
@@ -732,13 +748,14 @@ func (tx *tl2Tx) commit() bool {
 	return true
 }
 
-// sortWritesByOrec sorts in place by (orec id, Var id) — orec order is
-// what commit-time locking needs; the Var-id tiebreak makes same-orec
-// groups deterministic. Under object granularity orec id equals Var id, so
-// this is the classic sort by Var id. Small write sets (almost every
-// STMBench7 operation) use an insertion sort — no closure, no reflection;
-// structural-modification transactions with large write sets fall back to
-// the standard-library sort to avoid the O(n²) blowup.
+// sortWritesByOrec sorts in place by (orec id, Var id). Only striped
+// granularity calls it: there the writes that share a stripe must be
+// adjacent for commit to lock the stripe once, and the stripes of one group
+// word adjacent for the coalesced path to claim them with one CAS; the
+// Var-id tiebreak makes same-orec groups deterministic. Small write sets
+// (almost every STMBench7 operation) use an insertion sort — no closure, no
+// reflection; structural-modification transactions with large write sets
+// fall back to the standard-library sort to avoid the O(n²) blowup.
 func sortWritesByOrec(ws []tl2Write) {
 	if len(ws) > 32 {
 		slices.SortFunc(ws, func(a, b tl2Write) int {
