@@ -12,15 +12,29 @@
 // lives in a single stm Var and all access is mediated by a transaction or
 // an external lock.
 //
+// # Nodes
+//
+// A node is one object: fixed arrays of maxKeys keys and maxKeys values, a
+// count, and a pointer to an array of maxKeys+1 children that only internal
+// nodes have. A leaf — about 96 % of nodes at this degree — is therefore a
+// single allocation (576 bytes for word-sized K and V) whatever its fill, a
+// lookup reads keys at a fixed offset from the node pointer, and a copy is
+// one assignment. Values are stored inline, so a node is as large as maxKeys
+// values and a path copy moves that many per level: a large V belongs behind
+// a pointer. A slot at or past the count is always zero (CheckInvariants
+// fails on one that is not), because a node lives as long as any tree that
+// shares it and a stale slot would pin what it references for as long.
+//
 // # Clone
 //
 // Clone is O(1): the copy shares every node with the receiver and copies a
 // node only when it first writes to it (lazy path copying). Each tree has an
 // owner token and stamps it on the nodes it allocates; a tree edits a node
 // in place iff the node carries its token, and otherwise replaces it by a
-// copy it owns, on the way down. One Put or Delete on a fresh clone
-// therefore copies one root-to-leaf path, and later writes to the same
-// nodes are in place.
+// copy it owns, on the way down. One Put, Delete or Move on a fresh clone
+// therefore copies one root-to-leaf path (Move: one path to where its two
+// keys part, and one branch from there for each), and later writes to the
+// same nodes are in place.
 //
 // The contract: the RECEIVER IS FROZEN AFTER Clone. It stays fully readable,
 // it may be cloned again (from any number of goroutines at once, because
@@ -38,14 +52,12 @@
 // eager clone, not a property of the object-granular protocol — is gone.
 package btree
 
-import (
-	"cmp"
-	"slices"
-)
+import "cmp"
 
 // degree is the minimum degree t of the B-tree: every node except the root
-// holds between t-1 and 2t-1 keys. 16 keeps nodes around two cache lines of
-// keys for integer keys.
+// holds between t-1 and 2t-1 keys. At 16 the keys of a node with word-sized
+// K are four cache lines, which a binary search touches two or three of, and
+// the Small build-date index (100 000 entries) is three levels deep.
 const degree = 16
 
 const (
@@ -65,11 +77,14 @@ type Map[K cmp.Ordered, V any] struct {
 	owner *token
 }
 
+// node holds n entries in keys[:n] and vals[:n] and, if it is internal, n+1
+// children in kids[:n+1]. Every slot past those is zero.
 type node[K cmp.Ordered, V any] struct {
-	owner    *token
-	keys     []K
-	vals     []V
-	children []*node[K, V] // nil for leaves
+	owner *token
+	n     int
+	keys  [maxKeys]K
+	vals  [maxKeys]V
+	kids  *[maxKeys + 1]*node[K, V] // nil for leaves
 }
 
 // New returns an empty map.
@@ -84,53 +99,93 @@ func (m *Map[K, V]) Clone() *Map[K, V] {
 	return &Map[K, V]{root: m.root, size: m.size, owner: new(token)}
 }
 
-func (n *node[K, V]) leaf() bool { return n.children == nil }
+func (n *node[K, V]) leaf() bool { return n.kids == nil }
 
-// writable returns n if o owns it and a copy owned by o otherwise. The copy
-// has room for one more entry, so the insert that usually follows does not
-// grow it again.
+// writable returns n if o owns it and a copy owned by o otherwise.
 func (n *node[K, V]) writable(o *token) *node[K, V] {
 	if n.owner == o {
 		return n
 	}
-	c := &node[K, V]{
-		owner: o,
-		keys:  append(make([]K, 0, len(n.keys)+1), n.keys...),
-		vals:  append(make([]V, 0, len(n.vals)+1), n.vals...),
-	}
-	if !n.leaf() {
-		c.children = append(make([]*node[K, V], 0, len(n.children)+1), n.children...)
+	c := new(node[K, V])
+	*c = *n
+	c.owner = o
+	if n.kids != nil {
+		c.kids = new([maxKeys + 1]*node[K, V])
+		*c.kids = *n.kids
 	}
 	return c
 }
 
-// writableChild makes children[i] writable by o, relinking it if that took a
+// writableChild makes kids[i] writable by o, relinking it if that took a
 // copy. n itself must be writable.
 func (n *node[K, V]) writableChild(o *token, i int) *node[K, V] {
-	c := n.children[i].writable(o)
-	n.children[i] = c
+	c := n.kids[i]
+	if c.owner != o {
+		c = c.writable(o)
+		n.kids[i] = c
+	}
 	return c
 }
 
-// shrink truncates s to n elements and zeroes the vacated slots: a slot past
-// len still pins what it references for as long as the node lives.
-func shrink[T any](s []T, n int) []T {
-	clear(s[n:])
-	return s[:n]
+// insertAt opens entry slot i and stores (k, v) there. n must not be full.
+func (n *node[K, V]) insertAt(i int, k K, v V) {
+	copy(n.keys[i+1:n.n+1], n.keys[i:n.n])
+	copy(n.vals[i+1:n.n+1], n.vals[i:n.n])
+	n.keys[i], n.vals[i] = k, v
+	n.n++
+}
+
+// removeAt closes entry slot i, zeroes the slot that vacates and returns what
+// was stored at i.
+func (n *node[K, V]) removeAt(i int) (K, V) {
+	k, v := n.keys[i], n.vals[i]
+	n.n--
+	copy(n.keys[i:n.n], n.keys[i+1:n.n+1])
+	copy(n.vals[i:n.n], n.vals[i+1:n.n+1])
+	var (
+		zk K
+		zv V
+	)
+	n.keys[n.n], n.vals[n.n] = zk, zv
+	return k, v
+}
+
+// insertKidAt opens child slot i for c. It pairs with an insertAt that has
+// already run: n.n counts the new entry, so the node has n.n children coming
+// in and n.n+1 going out.
+func (n *node[K, V]) insertKidAt(i int, c *node[K, V]) {
+	copy(n.kids[i+1:n.n+1], n.kids[i:n.n])
+	n.kids[i] = c
+}
+
+// removeKidAt closes child slot i after the matching removeAt: n.n+2
+// children coming in, n.n+1 going out.
+func (n *node[K, V]) removeKidAt(i int) {
+	copy(n.kids[i:n.n+1], n.kids[i+1:n.n+2])
+	n.kids[n.n+1] = nil
 }
 
 // find returns the position of the first key >= k and whether it equals k.
+//
+// The search has no branch that depends on a key: each step turns the
+// comparison into 0 or 1 and advances lo by half under that mask. Written
+// as `if keys[mid] < k { lo = mid + 1 }` the compiler keeps a conditional
+// jump (it does not if-convert a loop-carried variable), and on the
+// build-date index's keys that jump is a coin flip. The answer is always in
+// [lo, lo+length]; rounding half up lets the same step finish the search, so
+// there is no last comparison outside the loop.
 func (n *node[K, V]) find(k K) (int, bool) {
-	lo, hi := 0, len(n.keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if n.keys[mid] < k {
-			lo = mid + 1
-		} else {
-			hi = mid
+	lo := 0
+	for length := n.n; length > 0; {
+		half := (length + 1) >> 1
+		lt := 0
+		if n.keys[lo+half-1] < k {
+			lt = 1
 		}
+		lo += half & -lt
+		length -= half
 	}
-	return lo, lo < len(n.keys) && n.keys[lo] == k
+	return lo, lo < n.n && n.keys[lo] == k
 }
 
 // Len returns the number of entries.
@@ -148,7 +203,7 @@ func (m *Map[K, V]) Get(k K) (V, bool) {
 			var zero V
 			return zero, false
 		}
-		n = n.children[i]
+		n = n.kids[i]
 	}
 }
 
@@ -158,16 +213,31 @@ func (m *Map[K, V]) Contains(k K) bool {
 	return ok
 }
 
+// writableRoot makes the root writable and, if it is full, grows the tree by
+// one level so that an insert can start from it.
+func (m *Map[K, V]) writableRoot() *node[K, V] {
+	o := m.owner
+	m.root = m.root.writable(o)
+	if m.root.n == maxKeys {
+		r := &node[K, V]{owner: o, kids: new([maxKeys + 1]*node[K, V])}
+		r.kids[0] = m.root
+		r.splitChild(o, 0)
+		m.root = r
+	}
+	return m.root
+}
+
+// collapseRoot drops a root that a delete left with no key and one child.
+func (m *Map[K, V]) collapseRoot() {
+	if m.root.n == 0 && !m.root.leaf() {
+		m.root = m.root.kids[0]
+	}
+}
+
 // Put stores v under k, returning the previous value and whether one
 // existed.
 func (m *Map[K, V]) Put(k K, v V) (V, bool) {
-	o := m.owner
-	m.root = m.root.writable(o)
-	if len(m.root.keys) == maxKeys {
-		m.root = &node[K, V]{owner: o, children: []*node[K, V]{m.root}}
-		m.root.splitChild(o, 0)
-	}
-	prev, replaced := m.root.insert(o, k, v)
+	prev, replaced := m.writableRoot().insert(m.owner, k, v)
 	if !replaced {
 		m.size++
 	}
@@ -183,12 +253,11 @@ func (n *node[K, V]) insert(o *token, k K, v V) (V, bool) {
 		return prev, true
 	}
 	if n.leaf() {
-		n.keys = slices.Insert(n.keys, i, k)
-		n.vals = slices.Insert(n.vals, i, v)
+		n.insertAt(i, k, v)
 		var zero V
 		return zero, false
 	}
-	if len(n.children[i].keys) == maxKeys {
+	if n.kids[i].n == maxKeys {
 		n.splitChild(o, i)
 		if k == n.keys[i] {
 			prev := n.vals[i]
@@ -205,24 +274,23 @@ func (n *node[K, V]) insert(o *token, k K, v V) (V, bool) {
 // splitChild splits the full child at index i, hoisting its median into n.
 func (n *node[K, V]) splitChild(o *token, i int) {
 	child := n.writableChild(o, i)
-	mid := maxKeys / 2
+	const mid = maxKeys / 2
 	midKey, midVal := child.keys[mid], child.vals[mid]
 
-	right := &node[K, V]{
-		owner: o,
-		keys:  append([]K(nil), child.keys[mid+1:]...),
-		vals:  append([]V(nil), child.vals[mid+1:]...),
-	}
+	right := &node[K, V]{owner: o, n: maxKeys - mid - 1}
+	copy(right.keys[:], child.keys[mid+1:])
+	copy(right.vals[:], child.vals[mid+1:])
 	if !child.leaf() {
-		right.children = append([]*node[K, V](nil), child.children[mid+1:]...)
-		child.children = shrink(child.children, mid+1)
+		right.kids = new([maxKeys + 1]*node[K, V])
+		copy(right.kids[:], child.kids[mid+1:])
+		clear(child.kids[mid+1:])
 	}
-	child.keys = shrink(child.keys, mid)
-	child.vals = shrink(child.vals, mid)
+	clear(child.keys[mid:])
+	clear(child.vals[mid:])
+	child.n = mid
 
-	n.keys = slices.Insert(n.keys, i, midKey)
-	n.vals = slices.Insert(n.vals, i, midVal)
-	n.children = slices.Insert(n.children, i+1, right)
+	n.insertAt(i, midKey, midVal)
+	n.insertKidAt(i+1, right)
 }
 
 // Delete removes k, returning the removed value and whether it existed.
@@ -232,10 +300,39 @@ func (m *Map[K, V]) Delete(k K) (V, bool) {
 	if ok {
 		m.size--
 	}
-	if len(m.root.keys) == 0 && !m.root.leaf() {
-		m.root = m.root.children[0]
-	}
+	m.collapseRoot()
 	return v, ok
+}
+
+// Move re-keys the entry stored under from to to and reports whether from was
+// present: Delete(from) and, if that found a value, Put(to, value) — an entry
+// already under to is replaced — in one descent. The two keys walk down
+// together for as long as they route to the same child and that child is one
+// both a delete and an insert may start from; from there each goes its own
+// way. Keys that are near each other, which is what an update of an indexed
+// attribute produces, part at the last level or the one above it.
+func (m *Map[K, V]) Move(from, to K) bool {
+	o := m.owner
+	n := m.writableRoot()
+	i, found := n.find(from)
+	for !found && !n.leaf() {
+		j, hit := n.find(to)
+		if c := n.kids[i]; hit || j != i || c.n <= minKeys || c.n >= maxKeys {
+			break
+		}
+		n = n.writableChild(o, i)
+		i, found = n.find(from)
+	}
+	v, ok := n.deleteAt(o, from, i, found)
+	if ok {
+		// The delete took no key away from above n and left n short of
+		// full, so to still belongs under n and n can take it.
+		if _, replaced := n.insert(o, to, v); replaced {
+			m.size--
+		}
+	}
+	m.collapseRoot()
+	return ok
 }
 
 // delete removes k from the subtree rooted at n, which is writable by o and
@@ -243,31 +340,34 @@ func (m *Map[K, V]) Delete(k K) (V, bool) {
 // discipline).
 func (n *node[K, V]) delete(o *token, k K) (V, bool) {
 	i, found := n.find(k)
+	return n.deleteAt(o, k, i, found)
+}
+
+// deleteAt is delete with n.find(k) already taken.
+func (n *node[K, V]) deleteAt(o *token, k K, i int, found bool) (V, bool) {
 	if n.leaf() {
 		if !found {
 			var zero V
 			return zero, false
 		}
-		v := n.vals[i]
-		n.keys = slices.Delete(n.keys, i, i+1)
-		n.vals = slices.Delete(n.vals, i, i+1)
+		_, v := n.removeAt(i)
 		return v, true
 	}
 	if found {
 		v := n.vals[i]
 		switch {
-		case len(n.children[i].keys) > minKeys:
+		case n.kids[i].n > minKeys:
 			n.keys[i], n.vals[i] = n.writableChild(o, i).removeMax(o)
-		case len(n.children[i+1].keys) > minKeys:
+		case n.kids[i+1].n > minKeys:
 			n.keys[i], n.vals[i] = n.writableChild(o, i+1).removeMin(o)
 		default:
 			n.mergeChildren(o, i)
-			_, _ = n.children[i].delete(o, k)
+			_, _ = n.kids[i].delete(o, k)
 		}
 		return v, true
 	}
 	// Descend, topping up the child first if it is minimal.
-	if len(n.children[i].keys) == minKeys {
+	if n.kids[i].n == minKeys {
 		i = n.fill(o, i)
 	}
 	return n.writableChild(o, i).delete(o, k)
@@ -276,41 +376,34 @@ func (n *node[K, V]) delete(o *token, k K) (V, bool) {
 // removeMax removes and returns the largest entry of the subtree.
 func (n *node[K, V]) removeMax(o *token) (K, V) {
 	if n.leaf() {
-		last := len(n.keys) - 1
-		k, v := n.keys[last], n.vals[last]
-		n.keys = shrink(n.keys, last)
-		n.vals = shrink(n.vals, last)
-		return k, v
+		return n.removeAt(n.n - 1)
 	}
-	if last := len(n.children) - 1; len(n.children[last].keys) == minKeys {
-		n.fill(o, last) // may merge the last two children
+	if n.kids[n.n].n == minKeys {
+		n.fill(o, n.n) // may merge the last two children
 	}
-	return n.writableChild(o, len(n.children)-1).removeMax(o)
+	return n.writableChild(o, n.n).removeMax(o)
 }
 
 // removeMin removes and returns the smallest entry of the subtree.
 func (n *node[K, V]) removeMin(o *token) (K, V) {
 	if n.leaf() {
-		k, v := n.keys[0], n.vals[0]
-		n.keys = slices.Delete(n.keys, 0, 1)
-		n.vals = slices.Delete(n.vals, 0, 1)
-		return k, v
+		return n.removeAt(0)
 	}
-	if len(n.children[0].keys) == minKeys {
+	if n.kids[0].n == minKeys {
 		n.fill(o, 0)
 	}
 	return n.writableChild(o, 0).removeMin(o)
 }
 
-// fill ensures children[i] has more than minKeys keys, borrowing from a
-// sibling or merging. It returns the index at which the (possibly merged)
-// child now lives.
+// fill ensures kids[i] has more than minKeys keys, borrowing from a sibling
+// or merging. It returns the index at which the (possibly merged) child now
+// lives.
 func (n *node[K, V]) fill(o *token, i int) int {
 	switch {
-	case i > 0 && len(n.children[i-1].keys) > minKeys:
+	case i > 0 && n.kids[i-1].n > minKeys:
 		n.borrowFromLeft(o, i)
 		return i
-	case i < len(n.children)-1 && len(n.children[i+1].keys) > minKeys:
+	case i < n.n && n.kids[i+1].n > minKeys:
 		n.borrowFromRight(o, i)
 		return i
 	case i > 0:
@@ -323,47 +416,46 @@ func (n *node[K, V]) fill(o *token, i int) int {
 }
 
 // borrowFromLeft rotates through the parent: the separator moves down into
-// children[i], the left sibling's maximum moves up.
+// kids[i], the left sibling's maximum moves up.
 func (n *node[K, V]) borrowFromLeft(o *token, i int) {
 	child, left := n.writableChild(o, i), n.writableChild(o, i-1)
-	last := len(left.keys) - 1
-	child.keys = slices.Insert(child.keys, 0, n.keys[i-1])
-	child.vals = slices.Insert(child.vals, 0, n.vals[i-1])
-	n.keys[i-1], n.vals[i-1] = left.keys[last], left.vals[last]
-	left.keys = shrink(left.keys, last)
-	left.vals = shrink(left.vals, last)
+	child.insertAt(0, n.keys[i-1], n.vals[i-1])
 	if !child.leaf() {
-		child.children = slices.Insert(child.children, 0, left.children[last+1])
-		left.children = shrink(left.children, last+1)
+		child.insertKidAt(0, left.kids[left.n])
+	}
+	n.keys[i-1], n.vals[i-1] = left.removeAt(left.n - 1)
+	if !left.leaf() {
+		left.removeKidAt(left.n + 1)
 	}
 }
 
 // borrowFromRight is the mirror image of borrowFromLeft.
 func (n *node[K, V]) borrowFromRight(o *token, i int) {
 	child, right := n.writableChild(o, i), n.writableChild(o, i+1)
-	child.keys = append(child.keys, n.keys[i])
-	child.vals = append(child.vals, n.vals[i])
-	n.keys[i], n.vals[i] = right.keys[0], right.vals[0]
-	right.keys = slices.Delete(right.keys, 0, 1)
-	right.vals = slices.Delete(right.vals, 0, 1)
+	child.insertAt(child.n, n.keys[i], n.vals[i])
 	if !child.leaf() {
-		child.children = append(child.children, right.children[0])
-		right.children = slices.Delete(right.children, 0, 1)
+		child.insertKidAt(child.n, right.kids[0])
+	}
+	n.keys[i], n.vals[i] = right.removeAt(0)
+	if !right.leaf() {
+		right.removeKidAt(0)
 	}
 }
 
-// mergeChildren merges children[i], keys[i], children[i+1] into one node.
-// The right child is only read: it may be shared, and it is dropped whole.
+// mergeChildren merges kids[i], keys[i], kids[i+1] into one node. The right
+// child is only read: it may be shared, and it is dropped whole.
 func (n *node[K, V]) mergeChildren(o *token, i int) {
-	left, right := n.writableChild(o, i), n.children[i+1]
-	left.keys = append(append(left.keys, n.keys[i]), right.keys...)
-	left.vals = append(append(left.vals, n.vals[i]), right.vals...)
+	left, right := n.writableChild(o, i), n.kids[i+1]
+	at := left.n + 1
+	left.keys[left.n], left.vals[left.n] = n.keys[i], n.vals[i]
+	copy(left.keys[at:], right.keys[:right.n])
+	copy(left.vals[at:], right.vals[:right.n])
 	if !left.leaf() {
-		left.children = append(left.children, right.children...)
+		copy(left.kids[at:], right.kids[:right.n+1])
 	}
-	n.keys = slices.Delete(n.keys, i, i+1)
-	n.vals = slices.Delete(n.vals, i, i+1)
-	n.children = slices.Delete(n.children, i+1, i+2)
+	left.n = at + right.n
+	n.removeAt(i)
+	n.removeKidAt(i + 1)
 }
 
 // Ascend calls fn for every entry in ascending key order until fn returns
@@ -373,8 +465,8 @@ func (m *Map[K, V]) Ascend(fn func(K, V) bool) {
 }
 
 func (n *node[K, V]) ascend(fn func(K, V) bool) bool {
-	for i := range n.keys {
-		if !n.leaf() && !n.children[i].ascend(fn) {
+	for i := 0; i < n.n; i++ {
+		if !n.leaf() && !n.kids[i].ascend(fn) {
 			return false
 		}
 		if !fn(n.keys[i], n.vals[i]) {
@@ -382,24 +474,24 @@ func (n *node[K, V]) ascend(fn func(K, V) bool) bool {
 		}
 	}
 	if !n.leaf() {
-		return n.children[len(n.children)-1].ascend(fn)
+		return n.kids[n.n].ascend(fn)
 	}
 	return true
 }
 
 // Range calls fn for every entry with lo <= key <= hi in ascending order
-// until fn returns false. fn must not Put into or Delete from m: the walk
-// holds positions in nodes that m edits in place once it owns them, so what
-// it visits after a write is undefined. Writing a Clone of m from fn is
-// safe (the clone copies every node it touches first).
+// until fn returns false. fn must not Put into, Delete from or Move within
+// m: the walk holds positions in nodes that m edits in place once it owns
+// them, so what it visits after a write is undefined. Writing a Clone of m
+// from fn is safe (the clone copies every node it touches first).
 func (m *Map[K, V]) Range(lo, hi K, fn func(K, V) bool) {
 	m.root.rang(lo, hi, fn)
 }
 
 func (n *node[K, V]) rang(lo, hi K, fn func(K, V) bool) bool {
 	i, _ := n.find(lo)
-	for ; i < len(n.keys); i++ {
-		if !n.leaf() && !n.children[i].rang(lo, hi, fn) {
+	for ; i < n.n; i++ {
+		if !n.leaf() && !n.kids[i].rang(lo, hi, fn) {
 			return false
 		}
 		if n.keys[i] > hi {
@@ -410,7 +502,7 @@ func (n *node[K, V]) rang(lo, hi K, fn func(K, V) bool) bool {
 		}
 	}
 	if !n.leaf() {
-		return n.children[len(n.children)-1].rang(lo, hi, fn)
+		return n.kids[n.n].rang(lo, hi, fn)
 	}
 	return true
 }
@@ -424,7 +516,7 @@ func (m *Map[K, V]) Min() (K, V, bool) {
 	}
 	n := m.root
 	for !n.leaf() {
-		n = n.children[0]
+		n = n.kids[0]
 	}
 	return n.keys[0], n.vals[0], true
 }
@@ -438,9 +530,9 @@ func (m *Map[K, V]) Max() (K, V, bool) {
 	}
 	n := m.root
 	for !n.leaf() {
-		n = n.children[len(n.children)-1]
+		n = n.kids[n.n]
 	}
-	return n.keys[len(n.keys)-1], n.vals[len(n.vals)-1], true
+	return n.keys[n.n-1], n.vals[n.n-1], true
 }
 
 // Keys returns all keys in ascending order (mostly for tests/debug).

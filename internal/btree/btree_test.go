@@ -397,3 +397,52 @@ func TestSizeAccountingNeverDrifts(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkMove is the build-date index's update in isolation: 10 000
+// (date, id) keys over 100 dates, and each iteration flips the parity of one
+// part's date, parts taken in shuffled order, by Move and by the Delete and
+// Put it replaces.
+func BenchmarkMove(b *testing.B) {
+	const parts, dates = 10000, 100
+	key := func(date, id int) uint64 { return uint64(date)<<32 | uint64(id) }
+	for _, bc := range []struct {
+		name string
+		move func(m *Map[uint64, *int], from, to uint64)
+	}{
+		{"Move", func(m *Map[uint64, *int], from, to uint64) { m.Move(from, to) }},
+		{"DeletePut", func(m *Map[uint64, *int], from, to uint64) {
+			v, _ := m.Delete(from)
+			m.Put(to, v)
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			m := New[uint64, *int]()
+			date := make([]int, parts)
+			for id := range date {
+				date[id] = 1000 + id%dates
+				m.Put(key(date[id], id), new(int))
+			}
+			order := rng.New(3).Perm(parts)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id := order[i%parts]
+				nd := date[id] ^ 1
+				bc.move(m, key(date[id], id), key(nd, id))
+				date[id] = nd
+			}
+			b.StopTimer()
+			if m.Len() != parts {
+				b.Fatalf("Len = %d, want %d", m.Len(), parts)
+			}
+			for id, d := range date {
+				if !m.Contains(key(d, id)) {
+					b.Fatalf("part %d is not under date %d", id, d)
+				}
+			}
+			if err := m.CheckInvariants(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}

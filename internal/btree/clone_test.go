@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"cmp"
 	"maps"
 	"runtime"
 	"slices"
@@ -19,9 +20,9 @@ type member struct {
 	frozen bool
 }
 
-// family drives Put, Delete and Clone over a growing set of related trees —
-// chains of clones and several clones of one frozen tree — the way the STM
-// does: only trees that were never cloned are mutated.
+// family drives Put, Delete, Move and Clone over a growing set of related
+// trees — chains of clones and several clones of one frozen tree — the way
+// the STM does: only trees that were never cloned are mutated.
 type family struct {
 	members []*member
 	live    []*member
@@ -42,19 +43,40 @@ func newFamily(n int) *family {
 	return &family{members: []*member{root}, live: []*member{root}}
 }
 
-// step applies one operation: kind selects Put (twice as likely), Delete or
-// Clone, which selects the tree.
-func (f *family) step(kind, which uint8, key, val uint16) {
-	switch kind % 4 {
-	case 0, 1:
-		t := f.live[int(which)%len(f.live)]
-		t.m.Put(key, val)
-		t.model[key] = val
-	case 2:
-		t := f.live[int(which)%len(f.live)]
-		t.m.Delete(key)
-		delete(t.model, key)
-	case 3:
+// The kinds of step, modulo numKinds. Put is twice as likely as the rest.
+const (
+	kindPut = iota
+	kindPut2
+	kindDelete
+	kindClone
+	kindMove
+	numKinds
+)
+
+// step applies one operation to the tree which selects: Put(key, val),
+// Delete(key), Move(key, to), or Clone of any member, frozen or not.
+func (f *family) step(t testing.TB, kind, which uint8, key, val, to uint16) {
+	t.Helper()
+	switch kind % numKinds {
+	case kindPut, kindPut2:
+		mb := f.live[int(which)%len(f.live)]
+		mb.m.Put(key, val)
+		mb.model[key] = val
+	case kindDelete:
+		mb := f.live[int(which)%len(f.live)]
+		mb.m.Delete(key)
+		delete(mb.model, key)
+	case kindMove:
+		mb := f.live[int(which)%len(f.live)]
+		v, ok := mb.model[key]
+		if ok {
+			delete(mb.model, key)
+			mb.model[to] = v
+		}
+		if got := mb.m.Move(key, to); got != ok {
+			t.Fatalf("Move(%d, %d) = %v, model says %v", key, to, got, ok)
+		}
+	case kindClone:
 		if len(f.members) == maxMembers {
 			return
 		}
@@ -103,8 +125,8 @@ func (f *family) check(t testing.TB) {
 }
 
 // TestCloneFamilyVsModel is the model-based property test of lazy path
-// copying: after arbitrary Put/Delete on descendants, every ancestor still
-// holds exactly what it held when it was frozen.
+// copying: after arbitrary Put/Delete/Move on descendants, every ancestor
+// still holds exactly what it held when it was frozen.
 func TestCloneFamilyVsModel(t *testing.T) {
 	steps := 20000
 	if testing.Short() {
@@ -115,12 +137,18 @@ func TestCloneFamilyVsModel(t *testing.T) {
 		f := newFamily(600)
 		for i := 0; i < steps; i++ {
 			// Keys stay in a window twice the initial population, so about
-			// half the deletes hit and nodes both split and merge.
-			kind := uint8(r.Intn(3)) // Put, Put or Delete
+			// half the deletes and moves hit and nodes both split and merge.
+			kind := [...]uint8{kindPut, kindPut2, kindDelete, kindMove}[r.Intn(4)]
 			if r.Intn(16) == 0 {
-				kind = 3 // Clone
+				kind = kindClone
 			}
-			f.step(kind, uint8(r.Intn(256)), uint16(r.Intn(2400)), uint16(i))
+			// Half the moves land within a leaf or two of where they left,
+			// like a date toggle; the rest anywhere.
+			key, to := uint16(r.Intn(2400)), uint16(r.Intn(2400))
+			if r.Bool() {
+				to = key ^ uint16(r.Intn(64))
+			}
+			f.step(t, kind, uint8(r.Intn(256)), key, uint16(i), to)
 			if i%2000 == 0 {
 				f.check(t)
 			}
@@ -130,17 +158,145 @@ func TestCloneFamilyVsModel(t *testing.T) {
 }
 
 // FuzzCloneFamily lets the fuzzer choose the interleaving of writes and
-// clones; each operation is four input bytes.
+// clones; each operation is four input bytes: kind, tree, the low byte of
+// the key, and one bit of key above seven bits of distance to Move's
+// destination.
 func FuzzCloneFamily(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 0, 0, 0, 2, 1, 2, 0, 4, 0, 3, 0, 0, 0, 2, 1, 6, 0})
 	f.Add([]byte{})
+	// Moves: to a free key nearby, onto a present key, of an absent key, onto
+	// itself, and across a clone so the frozen tree must not see them.
+	f.Add([]byte{4, 0, 10, 2, 4, 0, 12, 4, 4, 0, 13, 2, 4, 0, 20, 0, 3, 0, 0, 0, 4, 0, 30, 255, 4, 1, 11, 8})
+	f.Add([]byte{3, 0, 0, 0, 4, 0, 0, 254, 4, 0, 198, 253, 3, 1, 0, 0, 4, 2, 2, 3, 2, 0, 127, 0, 4, 1, 127, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fam := newFamily(100)
 		for i := 0; i+4 <= len(data); i += 4 {
 			key := uint16(data[i+2]) | uint16(data[i+3]&1)<<8
-			fam.step(data[i], data[i+1], key, uint16(i))
+			fam.step(t, data[i], data[i+1], key, uint16(i), key^uint16(data[i+3]>>1))
 		}
 		fam.check(t)
+	})
+}
+
+// height is the number of levels of the tree.
+func height[K cmp.Ordered, V any](m *Map[K, V]) int {
+	h := 1
+	for n := m.root; !n.leaf(); n = n.kids[0] {
+		h++
+	}
+	return h
+}
+
+// TestMoveEdges pins the cases of Move that a random walk reaches rarely,
+// each against the same model the family tests use.
+func TestMoveEdges(t *testing.T) {
+	// ascending returns a one-member family holding keys 10, 20, ..., 10*n.
+	ascending := func(n int) *family {
+		f := newFamily(0)
+		for i := 1; i <= n; i++ {
+			f.step(t, kindPut, 0, uint16(10*i), uint16(i), 0)
+		}
+		return f
+	}
+	move := func(f *family, from, to uint16) { f.step(t, kindMove, 0, from, 0, to) }
+	tree := func(f *family) *Map[uint16, uint16] { return f.live[0].m }
+
+	cases := []struct {
+		name     string
+		n        int
+		from, to uint16
+		wantLen  int
+	}{
+		{"from absent", 100, 15, 25, 100},
+		{"from absent, to present", 100, 15, 20, 100},
+		{"to present", 100, 30, 500, 99},
+		{"to present in the same leaf", 100, 30, 40, 99},
+		{"from == to", 100, 30, 30, 100},
+		{"from == to, absent", 100, 35, 35, 100},
+		{"one leaf", 100, 30, 31, 100},
+		{"different children of the root", 100, 30, 995, 100},
+		{"from is a separator in the root", 100, 160, 161, 100},
+		{"to is a separator in the root", 100, 30, 160, 99},
+		{"single leaf root", 10, 30, 95, 10},
+		{"single entry", 1, 10, 7, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			f := ascending(c.n)
+			move(f, c.from, c.to)
+			if got := tree(f).Len(); got != c.wantLen {
+				t.Errorf("Len = %d, want %d", got, c.wantLen)
+			}
+			f.check(t)
+		})
+	}
+	if m := tree(ascending(100)); m.root.keys[0] != 160 {
+		t.Fatalf("the separator cases assume 160 is in the root; it holds %v", m.root.keys[:m.root.n])
+	}
+
+	t.Run("empty", func(t *testing.T) {
+		f := newFamily(0)
+		move(f, 1, 2)
+		f.check(t)
+	})
+
+	t.Run("root grows", func(t *testing.T) {
+		// Ascending inserts until the root is internal and full: the next
+		// write that may insert has to split it first.
+		f := newFamily(0)
+		n := 0
+		for m := tree(f); m.root.leaf() || m.root.n < maxKeys; n++ {
+			f.step(t, kindPut, 0, uint16(10*(n+1)), uint16(n), 0)
+		}
+		before := height(tree(f))
+		// The last leaf is the one ascending inserts fill, so it can give up
+		// a key without merging and the tree keeps the level it grew.
+		move(f, uint16(10*n), uint16(10*n+1))
+		if got := height(tree(f)); got != before+1 {
+			t.Errorf("height %d -> %d, want one more", before, got)
+		}
+		if got := tree(f).Len(); got != n {
+			t.Errorf("Len = %d, want %d", got, n)
+		}
+		f.check(t)
+	})
+
+	t.Run("root collapses", func(t *testing.T) {
+		// 32 ascending keys leave a root with one key over leaves of 15 and
+		// 16; one delete on the right makes both minimal, so the move's
+		// delete merges them and empties the root.
+		f := ascending(32)
+		f.step(t, kindDelete, 0, 320, 0, 0)
+		if m := tree(f); height(m) != 2 || m.root.n != 1 || m.root.kids[0].n != minKeys || m.root.kids[1].n != minKeys {
+			t.Fatalf("setup: want a one-key root over two minimal leaves")
+		}
+		move(f, 20, 21)
+		if got := height(tree(f)); got != 1 {
+			t.Errorf("height = %d, want 1", got)
+		}
+		f.check(t)
+	})
+
+	t.Run("near moves across a clone", func(t *testing.T) {
+		// The toggle pattern on a three-level tree: every key hops a short
+		// way, first on the owner of every node, then on a fresh clone of it
+		// so that each hop starts from shared nodes.
+		f := newFamily(5000)
+		r := rng.New(11)
+		for i := 0; i < 6000; i++ {
+			if i == 3000 {
+				f.step(t, kindClone, 0, 0, 0, 0)
+			}
+			from := uint16(r.Intn(10000))
+			to := from + uint16(r.Intn(9)) - 4
+			move(f, from, to)
+			if i%97 == 0 {
+				if err := tree(f).CheckInvariants(); err != nil {
+					t.Fatalf("step %d, Move(%d, %d): %v", i, from, to, err)
+				}
+			}
+		}
+		f.check(t)
 	})
 }
 
@@ -242,11 +398,12 @@ func TestCloneConcurrentFrozenBase(t *testing.T) {
 	}
 }
 
-// TestDeletedValuesAreCollectable checks that no shrink of a node leaves a
-// deleted value in the slack of a slice: with in-place mutation (the direct
+// TestDeletedValuesAreCollectable checks that no removal from a node leaves a
+// deleted value in a slot past its count: with in-place mutation (the direct
 // engine, and every owned node of a clone) the node lives on, and one stale
 // pointer would keep the value — in the benchmark an atomic part and through
-// it a whole deleted composite part — reachable.
+// it a whole deleted composite part — reachable. CheckInvariants looks for
+// the same thing slot by slot; this is the end the collector sees.
 func TestDeletedValuesAreCollectable(t *testing.T) {
 	type payload struct{ buf [64]byte }
 	const n = 4000
@@ -291,4 +448,30 @@ func TestDeletedValuesAreCollectable(t *testing.T) {
 		t.Errorf("%d of %d deleted values are still reachable through the live tree", pinned, 3*n/4)
 	}
 	runtime.KeepAlive(m)
+}
+
+// TestCheckInvariantsCatchesStaleSlots plants one stale key, value and child
+// past a node's count, the three things a fixed-array node can retain.
+func TestCheckInvariantsCatchesStaleSlots(t *testing.T) {
+	build := func() *Map[int, *int] {
+		m := New[int, *int]()
+		for i := 0; i < 100; i++ {
+			m.Put(i, new(int))
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	for name, plant := range map[string]func(root *node[int, *int]){
+		"key":   func(root *node[int, *int]) { l := root.kids[0]; l.keys[l.n] = 7 },
+		"value": func(root *node[int, *int]) { l := root.kids[0]; l.vals[maxKeys-1] = new(int) },
+		"child": func(root *node[int, *int]) { root.kids[root.n+1] = root.kids[0] },
+	} {
+		m := build()
+		plant(m.root)
+		if err := m.CheckInvariants(); err == nil {
+			t.Errorf("a stale %s slot went unnoticed", name)
+		}
+	}
 }

@@ -3,6 +3,7 @@ package btree
 import (
 	"cmp"
 	"fmt"
+	"reflect"
 )
 
 // CheckInvariants validates the structural invariants of the tree and
@@ -10,8 +11,10 @@ import (
 // the test suites of this package and of internal/txbtree.
 //
 // Checked: key ordering within nodes and across subtrees, node fill bounds
-// (minKeys..maxKeys for non-root nodes), uniform leaf depth, child-count =
-// key-count + 1 for internal nodes, and size bookkeeping.
+// (minKeys..maxKeys for non-root nodes), uniform leaf depth, size
+// bookkeeping, and that every key, value and child slot past a node's count
+// is zero — a stale one would keep what it references reachable for as long
+// as any tree shares the node.
 func (m *Map[K, V]) CheckInvariants() error {
 	if m.root == nil {
 		return fmt.Errorf("btree: nil root")
@@ -29,16 +32,13 @@ func (m *Map[K, V]) CheckInvariants() error {
 
 // check validates the subtree and returns its leaf depth.
 func check[K cmp.Ordered, V any](n *node[K, V], isRoot bool, lo, hi *K, count *int) (int, error) {
-	if !isRoot && len(n.keys) < minKeys {
-		return 0, fmt.Errorf("btree: underfull node (%d keys)", len(n.keys))
+	if !isRoot && n.n < minKeys {
+		return 0, fmt.Errorf("btree: underfull node (%d keys)", n.n)
 	}
-	if len(n.keys) > maxKeys {
-		return 0, fmt.Errorf("btree: overfull node (%d keys)", len(n.keys))
+	if n.n < 0 || n.n > maxKeys {
+		return 0, fmt.Errorf("btree: node with %d keys", n.n)
 	}
-	if len(n.keys) != len(n.vals) {
-		return 0, fmt.Errorf("btree: %d keys but %d vals", len(n.keys), len(n.vals))
-	}
-	for i := range n.keys {
+	for i := 0; i < n.n; i++ {
 		if i > 0 && n.keys[i-1] >= n.keys[i] {
 			return 0, fmt.Errorf("btree: keys out of order at %d", i)
 		}
@@ -49,22 +49,38 @@ func check[K cmp.Ordered, V any](n *node[K, V], isRoot bool, lo, hi *K, count *i
 			return 0, fmt.Errorf("btree: key above subtree upper bound")
 		}
 	}
-	*count += len(n.keys)
+	var zk K
+	for i := n.n; i < maxKeys; i++ {
+		if n.keys[i] != zk {
+			return 0, fmt.Errorf("btree: vacated key slot %d of a %d-key node is not zero", i, n.n)
+		}
+		// V is not comparable, so its zero test goes through reflect.
+		if !reflect.ValueOf(&n.vals[i]).Elem().IsZero() {
+			return 0, fmt.Errorf("btree: vacated value slot %d of a %d-key node is not zero", i, n.n)
+		}
+	}
+	*count += n.n
 	if n.leaf() {
 		return 1, nil
 	}
-	if len(n.children) != len(n.keys)+1 {
-		return 0, fmt.Errorf("btree: internal node with %d keys, %d children", len(n.keys), len(n.children))
-	}
 	depth := -1
-	for i, c := range n.children {
+	for i, c := range n.kids {
+		if i > n.n {
+			if c != nil {
+				return 0, fmt.Errorf("btree: vacated child slot %d of a %d-key node is not nil", i, n.n)
+			}
+			continue
+		}
+		if c == nil {
+			return 0, fmt.Errorf("btree: internal node with %d keys has no child %d", n.n, i)
+		}
 		var cLo, cHi *K
 		if i > 0 {
 			cLo = &n.keys[i-1]
 		} else {
 			cLo = lo
 		}
-		if i < len(n.keys) {
+		if i < n.n {
 			cHi = &n.keys[i]
 		} else {
 			cHi = hi

@@ -13,10 +13,18 @@ import (
 // its private copies of the part's state, of the build-date index cell and
 // of the index path when it first touches them, and toggling the same part
 // three more times in the same transaction allocates nothing further.
+//
+// The first touch has an absolute budget per engine as well, at Tiny, where
+// the index is a root over leaves: what the engine spends on a two-Var
+// write transaction plus the clone of the index (the Map and its token) and
+// one copy each of the root, its child array and a leaf. A B-tree node that
+// is three objects again (13 and 15 where there are 9 and 11), or a second
+// open of the index Var, shows here.
 func TestToggleAtomicDateAllocatesOnFirstTouchOnly(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews allocation counts")
 	}
+	firstTouchBudget := map[string]float64{"direct": 0, "tl2": 9, "norec": 9, "ostm": 11}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, name := range stm.Registered() {
 		t.Run(name, func(t *testing.T) {
@@ -49,6 +57,11 @@ func TestToggleAtomicDateAllocatesOnFirstTouchOnly(t *testing.T) {
 			first := testing.AllocsPerRun(100, toggle(2))
 			more := testing.AllocsPerRun(100, toggle(8))
 			t.Logf("%s: first touch %v allocs, with six more toggles %v", name, first, more)
+			if budget, ok := firstTouchBudget[name]; !ok {
+				t.Errorf("engine %s has no first-touch budget: measure it and add it", name)
+			} else if first > budget {
+				t.Errorf("2 toggles allocate %v, want <= %v", first, budget)
+			}
 			if more > first {
 				t.Errorf("2 toggles allocate %v, 8 toggles %v: a later write of a touched object allocated", first, more)
 			}
@@ -61,7 +74,8 @@ func TestToggleAtomicDateAllocatesOnFirstTouchOnly(t *testing.T) {
 // allocations (with the SM2 that frees the id) when each was an object with
 // a Cell, a Var and an orec of its own. What is left is two per atomic part
 // for its state and the box that publishes it (stm.NewCells), the five
-// slabs, the composite part and its document, and index nodes.
+// slabs, the composite part and its document, and index nodes — one object
+// per leaf that splits (measured 102).
 func TestBuildCompositePartAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews allocation counts")
@@ -80,8 +94,8 @@ func TestBuildCompositePartAllocations(t *testing.T) {
 		s.DeleteCompositePart(tx, s.BuildCompositePart(tx, r, id))
 		return nil
 	}
-	if got := testing.AllocsPerRun(50, func() { eng.Atomic(sm1ThenSM2) }); got > 130 {
-		t.Errorf("BuildCompositePart + DeleteCompositePart at Small on direct: %v allocs, want <= 130", got)
+	if got := testing.AllocsPerRun(50, func() { eng.Atomic(sm1ThenSM2) }); got > 110 {
+		t.Errorf("BuildCompositePart + DeleteCompositePart at Small on direct: %v allocs, want <= 110", got)
 	} else {
 		t.Logf("BuildCompositePart + DeleteCompositePart at Small on direct: %v allocs", got)
 	}

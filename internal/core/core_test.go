@@ -737,6 +737,21 @@ func describeDesignLibrary(tx stm.Tx, s *Structure, cps []*CompositePart) string
 	return b.String()
 }
 
+// firstDifference names the first line at which two descriptions part, or
+// returns "" if they are the same.
+func firstDifference(got, want string) string {
+	if got == want {
+		return ""
+	}
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := range min(len(g), len(w)) {
+		if g[i] != w[i] {
+			return fmt.Sprintf("line %d:\n got:  %s\n want: %s", i, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("%d lines, want %d", len(g), len(w))
+}
+
 // TestBuildCompositePartMatchesReference holds the slab builder to the
 // builder it replaced: the same seed gives the same parts, states,
 // connections in the same To and From order, documents and index contents,
@@ -767,22 +782,218 @@ func TestBuildCompositePartMatchesReference(t *testing.T) {
 				p.TxIndexes = variant == "txindexes"
 				got, gotNext := build(p, seed, (*Structure).BuildCompositePart)
 				want, wantNext := build(p, seed, (*Structure).buildCompositePartReference)
-				if got != want {
-					g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
-					for i := range min(len(g), len(w)) {
-						if g[i] != w[i] {
-							t.Errorf("%s/%s/seed %d: line %d:\n slab:      %s\n reference: %s", size, variant, seed, i, g[i], w[i])
-							break
-						}
-					}
-					if len(g) != len(w) {
-						t.Errorf("%s/%s/seed %d: %d lines, reference %d", size, variant, seed, len(g), len(w))
-					}
+				if d := firstDifference(got, want); d != "" {
+					t.Errorf("%s/%s/seed %d: slab builder against reference: %s", size, variant, seed, d)
 				}
 				if gotNext != wantNext {
 					t.Errorf("%s/%s/seed %d: the generator's next draw differs: the builders drew differently", size, variant, seed)
 				}
 			}
+		}
+	}
+}
+
+// setAtomicDateOracle and toggleAtomicDateOracle are the indexed update as it
+// was before Index.Move: read the date, read it again, open the part, then a
+// Delete and a Put on the index. They are kept as the oracle for the one-open
+// path, which must leave every part and the index exactly as these do.
+func (s *Structure) setAtomicDateOracle(tx stm.Tx, p *AtomicPart, newDate int) {
+	old := p.BuildDate(tx)
+	if old == newDate {
+		return
+	}
+	p.Mutate(tx, func(st *AtomicPartState) { st.BuildDate = newDate })
+	s.Idx.AtomicByDate.Delete(tx, DateKey(old, p.ID))
+	s.Idx.AtomicByDate.Put(tx, DateKey(newDate, p.ID), p)
+}
+
+func (s *Structure) toggleAtomicDateOracle(tx stm.Tx, p *AtomicPart) {
+	old := p.BuildDate(tx)
+	nd := old + 1
+	if old%2 != 0 || nd > MaxDate {
+		nd = old - 1
+	}
+	if nd < MinDate {
+		nd = old + 1
+	}
+	s.setAtomicDateOracle(tx, p, nd)
+}
+
+// TestIndexedUpdateMatchesOracle toggles every part of two structures built
+// from one seed one to four times — one structure by the oracle, one by
+// ToggleAtomicDate — and sets every seventh part's date outright, on every
+// engine and in every representation of the parts and of the index. Both must
+// end with the same dates and the same build-date index.
+func TestIndexedUpdateMatchesOracle(t *testing.T) {
+	type updater struct {
+		toggle func(*Structure, stm.Tx, *AtomicPart)
+		set    func(*Structure, stm.Tx, *AtomicPart, int)
+	}
+	run := func(t *testing.T, engine string, p Params, u updater) string {
+		eng, err := stm.New(engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Build(p, 42, eng.VarSpace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rng.New(9)
+		for id := uint64(1); id <= uint64(p.NumCompParts); id++ {
+			// One transaction per composite part; the draws are made outside
+			// it so that a retry repeats them.
+			times := make([]int, p.NumAtomicPerComp)
+			dates := make([]int, p.NumAtomicPerComp)
+			for i := range times {
+				times[i], dates[i] = 1+r.Intn(4), RandomDate(r)
+			}
+			err := eng.Atomic(func(tx stm.Tx) error {
+				cp, ok := s.LookupComposite(tx, id)
+				if !ok {
+					t.Fatalf("composite part %d missing", id)
+				}
+				for i, ap := range cp.Parts {
+					for k := 0; k < times[i]; k++ {
+						u.toggle(s, tx, ap)
+					}
+					switch {
+					case ap.ID%14 == 0:
+						u.set(s, tx, ap, ap.BuildDate(tx)) // the date it has
+					case ap.ID%7 == 0:
+						u.set(s, tx, ap, dates[i])
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		var b strings.Builder
+		err = eng.Atomic(func(tx stm.Tx) error {
+			b.Reset()
+			s.Idx.AtomicByID.Ascend(tx, func(id uint64, ap *AtomicPart) bool {
+				fmt.Fprintf(&b, "part %d date %d\n", id, ap.BuildDate(tx))
+				return true
+			})
+			s.AtomicPartsByDate(tx, MinDate, MaxDate, func(ap *AtomicPart) bool {
+				fmt.Fprintf(&b, "by date: %d\n", ap.ID)
+				return true
+			})
+			fmt.Fprintf(&b, "index len %d\n", s.Idx.AtomicByDate.Len(tx))
+			return s.CheckInvariants(tx)
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		return b.String()
+	}
+	for _, engine := range stm.Registered() {
+		for _, txIndexes := range []bool{false, true} {
+			for _, grouped := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/txindexes=%v/grouped=%v", engine, txIndexes, grouped), func(t *testing.T) {
+					p := Tiny()
+					p.TxIndexes, p.GroupAtomicParts = txIndexes, grouped
+					got := run(t, engine, p, updater{(*Structure).ToggleAtomicDate, (*Structure).SetAtomicDate})
+					want := run(t, engine, p, updater{(*Structure).toggleAtomicDateOracle, (*Structure).setAtomicDateOracle})
+					if d := firstDifference(got, want); d != "" {
+						t.Errorf("one-open update against oracle: %s", d)
+					}
+				})
+			}
+		}
+	}
+}
+
+// accessLog is a Tx that records, in order, which Var each call touched.
+type accessLog struct {
+	stm.Tx
+	log []access
+}
+
+type access struct {
+	kind string // "Read", "Write" or "Update"
+	v    *stm.Var
+}
+
+func (a *accessLog) Read(v *stm.Var) any {
+	a.log = append(a.log, access{"Read", v})
+	return a.Tx.Read(v)
+}
+
+func (a *accessLog) Write(v *stm.Var, val any) {
+	a.log = append(a.log, access{"Write", v})
+	a.Tx.Write(v, val)
+}
+
+func (a *accessLog) Update(v *stm.Var, f func(any) any) {
+	a.log = append(a.log, access{"Update", v})
+	a.Tx.Update(v, f)
+}
+
+// TestToggleAtomicDateOpensEachVarOnce holds the indexed update to its two
+// opens: one Update of the part's Var and one of the index Var, and no Read of
+// either before it is owned (the Read inside Cell.Mut follows the Update and
+// is served from the write set). A read first is what made T3b quadratic on
+// OSTM; a second Update of the index is the Delete-then-Put this replaced.
+func TestToggleAtomicDateOpensEachVarOnce(t *testing.T) {
+	for _, engine := range stm.Registered() {
+		for _, grouped := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/grouped=%v", engine, grouped), func(t *testing.T) {
+				eng, err := stm.New(engine)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p := Tiny()
+				p.GroupAtomicParts = grouped
+				s, err := Build(p, 42, eng.VarSpace())
+				if err != nil {
+					t.Fatal(err)
+				}
+				indexVar := s.Idx.AtomicByDate.(*cellIndex[uint64, *AtomicPart]).c.Var()
+				var (
+					log     []access
+					partVar *stm.Var
+				)
+				err = eng.Atomic(func(tx stm.Tx) error {
+					cp, _ := s.LookupComposite(tx, 2)
+					ap := cp.Parts[1]
+					if grouped {
+						partVar = ap.group.Var()
+					} else {
+						partVar = ap.state.Var()
+					}
+					rec := &accessLog{Tx: tx}
+					s.ToggleAtomicDate(rec, ap)
+					log = rec.log
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for name, v := range map[string]*stm.Var{"part": partVar, "index": indexVar} {
+					updates, first := 0, ""
+					for _, a := range log {
+						if a.v != v {
+							continue
+						}
+						if first == "" {
+							first = a.kind
+						}
+						if a.kind != "Read" {
+							updates++
+						}
+					}
+					if updates != 1 || first != "Update" {
+						t.Errorf("%s Var: %d writes, first access %q; want one Update, and first", name, updates, first)
+					}
+				}
+				for _, a := range log {
+					if a.v != partVar && a.v != indexVar {
+						t.Errorf("%s of a Var that is neither the part's nor the index's", a.kind)
+					}
+				}
+			})
 		}
 	}
 }

@@ -25,10 +25,16 @@ type Index[K cmp.Ordered, V any] interface {
 	Get(tx stm.Tx, k K) (V, bool)
 	Put(tx stm.Tx, k K, v V)
 	Delete(tx stm.Tx, k K) (V, bool)
+	// Move re-keys the entry under from to to — Delete(from), then Put(to)
+	// of what it removed, replacing an entry already there — and reports
+	// whether from was present. It is the update of an indexed attribute,
+	// and it is one write of the index: under cellIndex one open of the
+	// index Var and one walk of the tree (btree.Map.Move).
+	Move(tx stm.Tx, from, to K) bool
 	Ascend(tx stm.Tx, fn func(K, V) bool)
 	// Range calls fn for every entry with lo <= key <= hi in ascending
 	// order, as the walk reaches it, until fn returns false. fn may read
-	// and write anything in tx except this index: a Put or Delete on the
+	// and write anything in tx except this index: a Put, Delete or Move on the
 	// index being ranged leaves the rest of the walk undefined (entries
 	// skipped or seen twice; under cellIndex the walk is over nodes the
 	// tree edits in place once the transaction owns them). Collect first
@@ -53,6 +59,8 @@ func (x *cellIndex[K, V]) Get(tx stm.Tx, k K) (V, bool) { return x.c.Get(tx).Get
 func (x *cellIndex[K, V]) Put(tx stm.Tx, k K, v V) { (*x.c.Mut(tx)).Put(k, v) }
 
 func (x *cellIndex[K, V]) Delete(tx stm.Tx, k K) (V, bool) { return (*x.c.Mut(tx)).Delete(k) }
+
+func (x *cellIndex[K, V]) Move(tx stm.Tx, from, to K) bool { return (*x.c.Mut(tx)).Move(from, to) }
 
 func (x *cellIndex[K, V]) Ascend(tx stm.Tx, fn func(K, V) bool) { x.c.Get(tx).Ascend(fn) }
 
@@ -79,6 +87,14 @@ func (x *txIndex[K, V]) Get(tx stm.Tx, k K) (V, bool)         { return x.t.Get(t
 func (x *txIndex[K, V]) Put(tx stm.Tx, k K, v V)              { x.t.Put(tx, k, v) }
 func (x *txIndex[K, V]) Delete(tx stm.Tx, k K) (V, bool)      { return x.t.Delete(tx, k) }
 func (x *txIndex[K, V]) Ascend(tx stm.Tx, fn func(K, V) bool) { x.t.Ascend(tx, fn) }
+
+func (x *txIndex[K, V]) Move(tx stm.Tx, from, to K) bool {
+	v, ok := x.t.Delete(tx, from)
+	if ok {
+		x.t.Put(tx, to, v)
+	}
+	return ok
+}
 
 // Range reads one node Var at a time (txbtree.Tree.Range); see Index.Range
 // for what fn may do.

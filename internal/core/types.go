@@ -53,9 +53,11 @@ func (p *AtomicPart) State(tx stm.Tx) AtomicPartState {
 func (p *AtomicPart) BuildDate(tx stm.Tx) int { return p.State(tx).BuildDate }
 
 // Mutate applies f to the transaction's private copy of the part's state
-// (the live state under the direct engine). Callers that change BuildDate
-// must maintain the build-date index themselves (see
-// Structure.SetAtomicDate).
+// (the live state under the direct engine), opening the part for writing
+// without reading it first: f sees the current state and may read what it is
+// about to change. Callers that change BuildDate must re-key the part in the
+// build-date index themselves, with one Index.Move (see
+// Structure.ToggleAtomicDate).
 func (p *AtomicPart) Mutate(tx stm.Tx, f func(*AtomicPartState)) {
 	if p.group != nil {
 		f(&(*p.group.Mut(tx))[p.slot])
@@ -267,8 +269,8 @@ type Module struct {
 // optimization).
 //
 // The build-date index has one entry per atomic part under the composite key
-// DateKey(buildDate, id): changing a part's date is one Delete and one Put,
-// and a date range is one key range.
+// DateKey(buildDate, id): changing a part's date is one Move, and a date
+// range is one key range.
 type Indexes struct {
 	AtomicByID      Index[uint64, *AtomicPart]
 	AtomicByDate    Index[uint64, *AtomicPart]
