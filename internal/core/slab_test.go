@@ -5,7 +5,6 @@ import (
 	"testing"
 	"weak"
 
-	"repro/internal/rng"
 	"repro/stm"
 )
 
@@ -44,18 +43,14 @@ func slabProbes(t *testing.T, eng stm.Engine, s *Structure, id uint64) map[strin
 // TestDeletedGraphIsCollected: a composite part's graph is five slabs, so one
 // pointer left behind anywhere that outlives SM2 — an index node's stale
 // slot, a scratch buffer, an engine's metadata — now pins all of a slab and
-// not one small object. On every engine: SM1 adds a composite part, SM3 links
-// it, operations read and write its graph, SM2 deletes it, the next SM1 and
-// SM3 take its id and its place — and a collection frees all five slabs.
+// not one small object. On every engine: operations read and write the graph
+// of one of Build's composite parts, SM2 deletes it, and one collection frees
+// all five slabs. A committed value is the only one a Var keeps, so the
+// values the deletion replaced — the base assemblies' component lists, the
+// index roots — pin nothing.
 //
 // Pooled transaction descriptors are not in the way: an engine pools a
 // descriptor with its sets scrubbed and its indexes reset (stm/pool.go).
-//
-// The part is one SM1 made, not one of Build's, to step around something
-// older than the slabs: under object granularity OSTM never writes a
-// committed value back to Var.cur, so every Var written since Build — each
-// index, each base assembly — keeps its build-time value, and through it the
-// build-time design library, for as long as the Var lives.
 func TestDeletedGraphIsCollected(t *testing.T) {
 	for _, name := range stm.Registered() {
 		t.Run(name, func(t *testing.T) {
@@ -67,27 +62,7 @@ func TestDeletedGraphIsCollected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// addPart is SM1 followed by SM3 on base assemblies 1 and 2.
-			addPart := func() (id uint64) {
-				t.Helper()
-				err := eng.Atomic(func(tx stm.Tx) error {
-					var ok bool
-					if id, ok = s.AllocCompID(tx); !ok {
-						t.Fatal("no composite-part id left")
-					}
-					cp := s.BuildCompositePart(tx, rng.New(id), id)
-					for baID := uint64(1); baID <= 2; baID++ {
-						ba, _ := s.LookupBase(tx, baID)
-						LinkCompositeToBase(tx, ba, cp)
-					}
-					return s.CheckInvariants(tx)
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return id
-			}
-			id := addPart()
+			const id = 1 // Build's first composite part
 			probes := slabProbes(t, eng, s, id)
 			do := func(fn func(tx stm.Tx, cp *CompositePart)) {
 				t.Helper()
@@ -115,13 +90,6 @@ func TestDeletedGraphIsCollected(t *testing.T) {
 				s.AtomicPartsByDate(tx, MinDate, MaxDate, func(ap *AtomicPart) bool { ap.State(tx); return true })
 			})
 			do(func(tx stm.Tx, cp *CompositePart) { s.DeleteCompositePart(tx, cp) })
-			// Every object the deletion wrote is written once more: OSTM keeps
-			// a written object's previous value in its locator until the
-			// object's next write, and a base assembly's previous component
-			// list leads to the deleted part.
-			if again := addPart(); again != id {
-				t.Fatalf("the next SM1 took id %d, want the freed id %d", again, id)
-			}
 			runtime.GC()
 			for slab, alive := range probes {
 				if alive() {

@@ -333,8 +333,8 @@ func (a *Adaptive) transfer(next Engine) {
 		b, ok := resolveSnapshot(v)
 		if !ok {
 			// Unreachable with the window drained (a Validating owner is
-			// a transaction in flight); the raw cell is the writeback-
-			// maintained committed value.
+			// a transaction in flight). Were it reached, the raw cell is
+			// the last retired committed value.
 			b = v.cur.Load()
 		}
 		// Fresh head at wv = 0 ("older than every possible snapshot"):

@@ -153,8 +153,14 @@ func TestAdaptiveOrecRepointing(t *testing.T) {
 			o.readers.Load() == nil && o.wb.Load() == 0
 	}
 	writeAll()
+	// A committed write retires its locators; an aborted one leaves them to
+	// the next acquirer, so one is still in the inline record at the swap.
+	errStop := errors.New("stop")
+	if err := a.Atomic(func(tx Tx) error { slab[0].Set(tx, -1); return errStop }); !errors.Is(err, errStop) {
+		t.Fatalf("aborted write: %v, want %v", err, errStop)
+	}
 	if v := vars[1]; v.own.loc.Load() == nil {
-		t.Fatal("precondition: an OSTM write left no locator in the inline record")
+		t.Fatal("precondition: an aborted OSTM write left no locator in the inline record")
 	}
 
 	if err := a.Reconfigure(mustSpec("tl2:striped=64,coalesce")); err != nil {

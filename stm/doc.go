@@ -320,8 +320,8 @@
 //
 //   - TL2's versioned lock word (orec.meta) and, for striped tables, the
 //     last-writer attribution word behind Stats.FalseConflicts;
-//   - OSTM's locator slot (orec.loc) and the writeback lock that striped
-//     mode uses to retire locators;
+//   - OSTM's locator slot (orec.loc) and the writeback lock (orec.wb) that
+//     orders installs against the retirement of finished locators;
 //   - the visible-reads reader registry (orec.readers).
 //
 // Where orc leads is the granularity axis every orec-based engine exposes
@@ -360,10 +360,10 @@
 //     Var.own except through orc.
 //   - Under striping an engine must stay correct when several of its own
 //     (or several transactions') Vars share an orec: TL2 deduplicates
-//     commit locks per orec and orders them by orec id; striped OSTM
-//     installs locators only over an empty slot, appends same-stripe
-//     write slots to its own locator, and retires finished locators by
-//     writing committed values back under the orec's writeback lock.
+//     commit locks per orec and orders them by orec id; OSTM installs
+//     locators only over an empty slot (at either granularity), appends
+//     same-stripe write slots to its own locator, and writes back every
+//     slot a locator covers when it retires it.
 //   - False conflicts may cost throughput, never correctness: the
 //     conformance, stress and property suites run every engine in both
 //     granularity modes (with deliberately tiny stripe tables) to enforce

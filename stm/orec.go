@@ -103,16 +103,16 @@ type orec struct {
 	// commit writing several Vars of one stripe records only the first.
 	lastWriter atomic.Uint64
 
-	// loc is OSTM's ownership slot. Object granularity runs the classic
-	// DSTM locator chain through it; striped granularity installs over nil
-	// only and writes committed values back before clearing (see ostm.go).
+	// loc is OSTM's ownership slot. At either granularity a locator is
+	// installed over nil only, and retired by writing its committed values
+	// back before clearing the slot (see ostm.go).
 	loc atomic.Pointer[locator]
 
 	// readers is the visible-reads registry for the Vars mapping here.
 	readers atomic.Pointer[readerSet]
 
-	// wb serializes striped-mode writeback of finished locators (see
-	// ostmTx.cleanOrec).
+	// wb is OSTM's writeback lock: it serializes a locator's install over
+	// nil against the retirement of finished locators (see retire).
 	wb atomic.Uint32
 }
 

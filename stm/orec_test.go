@@ -297,7 +297,11 @@ func TestStripedWritebackPreservesValues(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// A disjoint writer forces the previous locator through cleanOrec.
+	// The commit retired its locator; a disjoint writer installs over the
+	// empty stripe.
+	if cells[0].Var().orc.loc.Load() != nil {
+		t.Fatal("the committed locator is still installed")
+	}
 	extra := NewCell(eng.VarSpace(), 0)
 	if err := eng.Atomic(func(tx Tx) error { extra.Set(tx, 1); return nil }); err != nil {
 		t.Fatal(err)

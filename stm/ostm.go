@@ -54,17 +54,16 @@ type wslot struct {
 // locator: a covered Var's current logical value is old or new depending
 // on owner's status.
 //
-// Under object granularity each orec is private to one Var and locators
-// chain: a new locator snapshots its predecessor's resolved value into
-// old, so resolution never chases more than one link, and committed values
-// are never written back to the Var.
-//
-// Under striped granularity one locator owns the whole stripe: it is only
-// ever installed over an empty slot, covers every stripe Var its owner
-// writes (the inline slot plus the `more` list), and is retired by writing
-// committed values back to the Vars before the slot is cleared (see
-// cleanOrec) — a chain cannot work here, because it would have to carry
-// the values of every Var ever written in the stripe.
+// One protocol serves both granularities. A locator is only ever installed
+// over an empty slot and is retired — a committed owner's values written
+// back to their Vars, then the slot cleared (see retire) — by the
+// transaction that committed it, right after its Committed flip, or else
+// by the next acquirer. So Var.cur is the committed value whenever no slot
+// covers the Var, and a Var nobody is writing is one object to its
+// readers and validators. Under object granularity the orec is private to
+// one Var and a locator has exactly its inline slot; under striped
+// granularity one locator owns the whole stripe and covers every stripe
+// Var its owner writes (the inline slot plus the `more` list).
 //
 // ownerState is inline storage for the owning transaction's state: the
 // first locator a transaction installs carries the state the rest of its
@@ -165,7 +164,7 @@ type OSTMConfig struct {
 }
 
 // OSTM is an object-based STM in the DSTM/ASTM tradition: eager write
-// acquisition via locator CAS, invisible reads with incremental read-set
+// acquisition through locators, invisible reads with incremental read-set
 // validation, copy-on-write object logging, contention management.
 //
 // It deliberately reproduces the cost model §5 of the STMBench7 paper
@@ -328,10 +327,9 @@ func (e *OSTM) runSerial(tx *ostmTx, fn func(tx Tx) error) error {
 // an earlier, larger aborted attempt of this call left behind — pool.go) so
 // the pool cannot pin a finished transaction's object graph.
 // The state pointer is always detached: a published state belongs to the
-// attempt that published it forever, and even an unpublished one may point
-// into a locator whose CAS failed (acquire relocates before installing), so
-// keeping it would pin that dead locator and its boxes. reset re-establishes
-// the descriptor's scratch state on next use.
+// attempt that published it forever, and lives inside the first locator that
+// attempt installed, so keeping it would pin that retired locator and its
+// boxes. reset re-establishes the descriptor's scratch state on next use.
 func (e *OSTM) putTx(tx *ostmTx) {
 	tx.reads = scrub(tx.reads, &tx.hiReads)
 	tx.writeLocs = scrub(tx.writeLocs, &tx.hiWriteLocs)
@@ -486,9 +484,8 @@ func (tx *ostmTx) resolveRead(v *Var) *box {
 	}
 	s := loc.slotFor(v)
 	if s == nil {
-		// Striped only: the stripe's locator covers other Vars. The
-		// install-over-nil + writeback protocol keeps v.cur current
-		// whenever no slot covers v.
+		// The stripe's locator covers other Vars (striped granularity);
+		// retirement keeps v.cur current whenever no slot covers v.
 		return v.cur.Load()
 	}
 	switch loc.owner.status.Load() {
@@ -570,59 +567,17 @@ func (tx *ostmTx) finishAcquire(o *orec, s *wslot) *wslot {
 	return s
 }
 
-// acquire opens v for writing: it installs (or extends) a locator owned by
-// this transaction, arbitrating with any live current owner through the
-// contention manager.
+// acquire opens v for writing: one owner per orec at a time, arbitrated
+// with any live current owner through the contention manager. A
+// transaction that already owns v's stripe appends a slot for v;
+// otherwise it retires any finished locator and installs its own over the
+// empty slot — the install runs under the orec's writeback lock so the
+// pre-acquisition snapshot of v.cur cannot be invalidated by a concurrent
+// writeback between snapshot and install.
 func (tx *ostmTx) acquire(v *Var) *wslot {
 	if i, ok := tx.writeIdx.get(v); ok {
 		return tx.writeLocs[i]
 	}
-	if tx.eng.striped {
-		return tx.acquireStriped(v)
-	}
-	o := v.orc
-	cm := tx.eng.cfg.CM
-	attempt := 0
-	for {
-		tx.checkAlive()
-		cur := o.loc.Load()
-		var oldBox *box
-		if cur == nil {
-			oldBox = v.cur.Load()
-		} else {
-			switch cur.owner.status.Load() {
-			case statusCommitted:
-				oldBox = cur.new
-			case statusAborted:
-				oldBox = cur.old
-			default: // live enemy (active or validating)
-				switch cm.OnConflict(tx.state, cur.owner, attempt) {
-				case Wait:
-					spinWait(cm.WaitDuration(tx.state, attempt))
-					attempt++
-				case AbortEnemy:
-					tx.abortEnemy(cur.owner)
-				case AbortSelf:
-					throwConflict("write-write conflict")
-				}
-				continue
-			}
-		}
-		newLoc := tx.prepareLocator(v, oldBox)
-		if o.loc.CompareAndSwap(cur, newLoc) {
-			return tx.finishAcquire(o, &newLoc.wslot)
-		}
-		attempt = 0 // ownership changed under us; fresh conflict episode
-	}
-}
-
-// acquireStriped opens v for writing under striped granularity: one owner
-// per stripe at a time. A transaction that already owns the stripe appends
-// a slot for v; otherwise it retires any finished locator (cleanOrec) and
-// installs its own over the empty slot — the install runs under the
-// orec's writeback lock so the pre-acquisition snapshot of v.cur cannot be
-// invalidated by a concurrent writeback between snapshot and install.
-func (tx *ostmTx) acquireStriped(v *Var) *wslot {
 	o := v.orc
 	cm := tx.eng.cfg.CM
 	attempt := 0
@@ -631,9 +586,11 @@ func (tx *ostmTx) acquireStriped(v *Var) *wslot {
 		cur := o.loc.Load()
 		if cur != nil {
 			if cur.owner == tx.state {
-				// We own the stripe: append a slot for v. No writeback can
-				// run while the owner is live, so v.cur is stable and
-				// current (the locator does not cover v yet).
+				// We own the stripe (striped granularity: under object
+				// granularity the orec is v's alone and writeIdx found v).
+				// Append a slot for v. No writeback can run while the owner
+				// is live, so v.cur is stable and current (the locator does
+				// not cover v yet).
 				oldBox := v.cur.Load()
 				e := &locEntry{wslot: wslot{v: v, old: oldBox, new: &box{val: oldBox.val}}}
 				e.next = cur.more.Load()
@@ -642,9 +599,11 @@ func (tx *ostmTx) acquireStriped(v *Var) *wslot {
 			}
 			switch cur.owner.status.Load() {
 			case statusCommitted, statusAborted:
-				tx.cleanOrec(o, cur)
+				if !retire(o, cur) {
+					yield() // another retirer or installer holds the lock; let it finish
+				}
 				continue
-			default: // live enemy owns the stripe
+			default: // live enemy owns the orec
 				// A stripe owner whose locator does not cover v is a false
 				// conflict: the transactions' footprints are disjoint and
 				// only the hash collided. Attributed when the episode kills
@@ -663,7 +622,7 @@ func (tx *ostmTx) acquireStriped(v *Var) *wslot {
 					if falseHit {
 						tx.st.falseConflicts++
 					}
-					throwConflict("write-write conflict (striped)")
+					throwConflict("write-write conflict")
 				}
 				continue
 			}
@@ -689,14 +648,17 @@ func (tx *ostmTx) acquireStriped(v *Var) *wslot {
 	}
 }
 
-// cleanOrec retires a finished striped locator: a committed owner's values
-// are written back to their Vars, then the slot is cleared. The orec's
-// writeback lock serializes retirement against installs and other helpers,
-// so a delayed helper can never clobber a newer committed value.
-func (tx *ostmTx) cleanOrec(o *orec, target *locator) {
+// retire clears a finished locator from o: a committed owner's values are
+// written back to their Vars, then the slot is cleared. The box stored in
+// cur is the very `new` readers resolved through the locator, so a read
+// entry that saw it still validates afterwards. The orec's writeback lock
+// serializes retirement against installs and other retirers, so a delayed
+// retirer can never clobber a newer committed value. It tries the lock
+// once and never waits: false means somebody else holds it, and the
+// locator stays for the next acquirer.
+func retire(o *orec, target *locator) bool {
 	if !o.wb.CompareAndSwap(0, 1) {
-		yield() // another helper or installer holds the lock; let it finish
-		return
+		return false
 	}
 	if o.loc.Load() == target {
 		if target.owner.status.Load() == statusCommitted {
@@ -710,6 +672,21 @@ func (tx *ostmTx) cleanOrec(o *orec, target *locator) {
 		o.loc.Store(nil)
 	}
 	o.wb.Store(0)
+	return true
+}
+
+// retireOwn retires, right after the Committed flip, every locator this
+// transaction installed, so each Var it wrote is one object again for
+// later readers, validators and acquirers. It never waits: a locator whose
+// writeback lock is taken stays installed, and the next acquirer retires
+// it.
+func (tx *ostmTx) retireOwn() {
+	for _, s := range tx.writeLocs {
+		o := s.v.orc
+		if l := o.loc.Load(); l != nil && l.owner == tx.state {
+			retire(o, l)
+		}
+	}
 }
 
 // Write implements Tx.
@@ -782,8 +759,8 @@ func (tx *ostmTx) resolveValidate(v *Var, final bool) *box {
 		}
 		s := loc.slotFor(v)
 		if s == nil {
-			// Striped only: stripe-mate ownership cannot move v's value;
-			// v.cur stays current until a slot covers v.
+			// A stripe-mate's owner (striped granularity) cannot move v's
+			// value; v.cur stays current until a slot covers v.
 			return v.cur.Load()
 		}
 		if loc.owner == tx.state {
@@ -840,6 +817,11 @@ func (tx *ostmTx) validate(final bool) {
 	tx.st.validations += uint64(n)
 	for i := 0; i < n; i++ {
 		ent := &tx.reads[i]
+		// A Var no locator covers is one object: resolveValidate's first
+		// branch, without the call.
+		if ent.v.orc.loc.Load() == nil && ent.v.cur.Load() == ent.seen {
+			continue
+		}
 		if tx.resolveValidate(ent.v, final) != ent.seen {
 			throwConflict("read invalidated")
 		}
@@ -895,7 +877,7 @@ func (tx *ostmTx) commit() bool {
 			}
 			tx.eng.commitSerial.Add(1)
 		}
-		return tx.state.status.CompareAndSwap(statusValidating, statusCommitted)
+		return tx.publish()
 	}
 	if len(tx.writeLocs) == 0 {
 		// Invisible read-only transaction: nobody can see or kill it; it
@@ -925,7 +907,19 @@ func (tx *ostmTx) commit() bool {
 	// observer that resolves our new values is then guaranteed to also
 	// observe the bump.
 	tx.eng.commitSerial.Add(1)
-	return tx.state.status.CompareAndSwap(statusValidating, statusCommitted)
+	return tx.publish()
+}
+
+// publish is the commit point, Validating → Committed, followed by the
+// retirement of this transaction's locators. The flip precedes the
+// writeback, so a reader that finds a new value in cur also finds the
+// serial bump that preceded the flip.
+func (tx *ostmTx) publish() bool {
+	if !tx.state.status.CompareAndSwap(statusValidating, statusCommitted) {
+		return false
+	}
+	tx.retireOwn()
+	return true
 }
 
 var (

@@ -168,6 +168,29 @@ func shapes() []shape {
 			Name:  "traverse1024",
 			Setup: readShape(1024),
 		},
+		// The long traversal over Vars that have all been written since they
+		// were made, as a built structure's are: one slab of 1 024 cells,
+		// each written once by its own committed transaction in setup. An
+		// OSTM that leaves a committed locator installed pays a locator and
+		// its owner's state on every read and every validated entry here,
+		// where traverse1024 pays neither.
+		{
+			Name: "writtentraverse1024",
+			Setup: func(eng stm.Engine) (func(stm.Tx) error, func(int) error) {
+				cs := stm.NewCells(eng.VarSpace(), make([]int, 1024))
+				for i := range cs {
+					if err := eng.Atomic(func(tx stm.Tx) error { cs[i].Set(tx, i); return nil }); err != nil {
+						panic(err)
+					}
+				}
+				return func(tx stm.Tx) error {
+					for i := range cs {
+						cs[i].Get(tx)
+					}
+					return nil
+				}, nil
+			},
+		},
 		// Snapshot twins of the two read-only shapes: same Vars, same
 		// transaction body, dispatched through RunReadOnly. The delta
 		// against read8/traverse1024 is exactly the per-read read-set
@@ -306,6 +329,12 @@ func BenchmarkTxOverheadConflictStorm(b *testing.B) { benchShape(b, "storm") }
 // past the inline access-set fast path — exercising the spill index the way
 // STMBench7's long traversals do (without the structure around it).
 func BenchmarkTxOverheadLongTraversal(b *testing.B) { benchShape(b, "traverse1024") }
+
+// BenchmarkTxOverheadWrittenTraversal: the traverse1024 shape over a slab
+// of cells each written once since it was made — what one validated read
+// costs once the Vars it touches have a history, as every Var of a built
+// structure that an operation ever wrote does.
+func BenchmarkTxOverheadWrittenTraversal(b *testing.B) { benchShape(b, "writtentraverse1024") }
 
 // BenchmarkTxOverheadSnapshotRead: the read8 shape through the read-only
 // snapshot mode (RunReadOnly) — the before/after pair for the short

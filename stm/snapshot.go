@@ -383,8 +383,8 @@ func resolveSnapshot(v *Var) (*box, bool) {
 	}
 	s := loc.slotFor(v)
 	if s == nil {
-		// Striped only: the stripe's locator covers other Vars; writeback
-		// keeps v.cur current whenever no slot covers v.
+		// The stripe's locator covers other Vars (striped granularity);
+		// retirement keeps v.cur current whenever no slot covers v.
 		return v.cur.Load(), true
 	}
 	switch loc.owner.status.Load() {

@@ -62,8 +62,8 @@ type Var struct {
 
 	// cur is the committed value used by the direct, TL2 and NOrec
 	// engines. For OSTM it is the committed value whenever the Var's orec
-	// has no locator covering the Var (object mode: the pre-first-write
-	// value; striped mode: maintained by commit writeback).
+	// has no locator covering the Var, at either granularity: a locator's
+	// retirement writes its committed values back before clearing the slot.
 	cur atomic.Pointer[box]
 
 	// own is the inline ownership record: the Var's orec under object
