@@ -15,11 +15,11 @@
 //
 // The sweep axis is the engine configuration, not the program: fig4, table3
 // and fig6 run every engine under -g, an engine-spec option list in
-// stm.ParseEngineSpec syntax, and -ro-snapshot, the read-only dispatch mode
-// (-exp fig6 -g striped=4096,shards=4 is Figure 6 under that metadata
-// layout, -g versions=4 under that chain depth, -g gc,coalesce under the
-// pipelined commit protocols). fig3, headline and ablations pin their
-// configurations and ignore both flags: fig3 compares the two lock
+// stm.ParseEngineSpec syntax (-exp fig6 -g striped=4096,shards=4 is Figure
+// 6 under that metadata layout, -g versions=4 under that chain depth, -g
+// gc,coalesce under the pipelined commit protocols, -g nosnap with
+// read-only operations on the validating path). fig3, headline and
+// ablations pin their configurations and ignore -g: fig3 compares the two lock
 // strategies, a headline row names its engine and dispatch, and an ablation
 // row is an engine configuration. What a mechanism did in one run (false
 // conflicts, clock-shard spread, version reads, batch sizes, shed rate,
@@ -99,10 +99,8 @@ type driver struct {
 	duration time.Duration // per data point
 	threads  []int
 	seed     uint64
-	// engine (-g) and disableSnap (-ro-snapshot=off) configure every
-	// engine of fig4, table3 and fig6.
-	engine      stm.EngineOptions
-	disableSnap bool
+	// engine (-g) configures every engine of fig4, table3 and fig6.
+	engine stm.EngineOptions
 
 	out    io.Writer
 	exp    string // experiment id being run, stamped on recorded points
@@ -134,7 +132,6 @@ type jsonReport struct {
 	Threads    []int       `json:"threads"`
 	Seed       uint64      `json:"seed"`
 	Engine     string      `json:"engine,omitempty"`
-	ROSnapshot string      `json:"ro_snapshot,omitempty"`
 	GoVersion  string      `json:"go_version"`
 	GOOS       string      `json:"goos"`
 	GOARCH     string      `json:"goarch"`
@@ -167,7 +164,6 @@ func run(args []string, stdout io.Writer) error {
 	threadsFlag := fs.String("threads", "1,2,4,8", "comma-separated thread counts")
 	seed := fs.Uint64("seed", 42, "benchmark seed")
 	engineFlag := fs.String("g", "", "engine options for fig4, table3 and fig6, as an engine-spec option list (e.g. striped=4096,shards=4)")
-	roSnapshot := fs.String("ro-snapshot", "on", "read-only snapshot fast path for fig4, table3 and fig6: on or off")
 	jsonPath := fs.String("json", "", "also write machine-readable results to this file (\"-\" for stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -188,13 +184,6 @@ func run(args []string, stdout io.Writer) error {
 			return fmt.Errorf("bad -threads %q: %q is not a thread count (want a comma-separated list of integers >= 1, e.g. 1,2,4,8)", *threadsFlag, part)
 		}
 		d.threads = append(d.threads, n)
-	}
-	switch *roSnapshot {
-	case "on":
-	case "off":
-		d.disableSnap = true
-	default:
-		return fmt.Errorf("bad -ro-snapshot %q (want on or off)", *roSnapshot)
 	}
 	if !(*seconds > 0) {
 		return fmt.Errorf("bad -seconds %v (want a duration > 0, e.g. 0.5)", *seconds)
@@ -220,7 +209,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	data, err := json.MarshalIndent(jsonReport{
 		Size: *size, Seconds: *seconds, Threads: d.threads, Seed: d.seed,
-		Engine: d.engine.String(), ROSnapshot: *roSnapshot,
+		Engine:    d.engine.String(),
 		GoVersion: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
 		NumCPU: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0),
 		Engines: stm.Registered(), Strategies: sync7.Strategies(),
@@ -261,7 +250,7 @@ type column struct{ strategy, label string }
 
 // grid is a throughput table of the paper: every workload × strategy ×
 // thread count through the real driver, long traversals disabled, under
-// the run's -g options and -ro-snapshot mode.
+// the run's -g options.
 type grid struct {
 	title   string
 	note    string // the paper's finding, printed under the title
@@ -317,7 +306,7 @@ func (g grid) run(d *driver) error {
 					res, err := stmbench7.Run(stmbench7.Options{
 						Params: d.params, Seed: d.seed, Duration: d.duration, Threads: th,
 						Workload: w, StructureMods: true, Reduced: g.reduced,
-						Strategy: c.strategy, Engine: d.engine, DisableROSnapshot: d.disableSnap,
+						Strategy: c.strategy, Engine: d.engine,
 					})
 					if err != nil {
 						d.printf("\n")
@@ -448,26 +437,23 @@ func (d *driver) maxTraversalLatency(strategy string, w ops.Workload, opName str
 //
 // T1 is read-only, so the snapshot dispatch — on by default everywhere
 // else — would bypass exactly the validation pathology this experiment
-// exists to reproduce; the faithful rows therefore pin the validating path,
-// and the final rows show the same traversal under the snapshot fast path
-// (the in-repo fix for the pathology).
+// exists to reproduce; the faithful rows therefore pin the validating path
+// (nosnap), and the final rows show the same traversal under the snapshot
+// fast path (the in-repo fix for the pathology).
 func headline(d *driver) error {
 	d.printf("=== §5 headline: single execution of long traversal T1, 1 thread ===\n")
 	t1, _ := ops.ByName("T1")
 	var baseline time.Duration
-	for _, pt := range []struct {
-		name, spec string
-		snapshot   bool
-	}{
-		{"coarse lock", "coarse", false},
-		{"medium lock", "medium", false},
-		{"tl2", "tl2", false},
-		{"norec", "norec", false},
-		{"ostm (ASTM variant)", "ostm", false},
-		{"ostm, commit-time validation", "ostm:ctv", false},
-		{"ostm, visible reads", "ostm:visible", false},
-		{"tl2, ro-snapshot", "tl2", true},
-		{"ostm, ro-snapshot", "ostm", true},
+	for _, pt := range []struct{ name, spec string }{
+		{"coarse lock", "coarse"},
+		{"medium lock", "medium"},
+		{"tl2", "tl2:nosnap"},
+		{"norec", "norec:nosnap"},
+		{"ostm (ASTM variant)", "ostm:nosnap"},
+		{"ostm, commit-time validation", "ostm:ctv,nosnap"},
+		{"ostm, visible reads", "ostm:visible,nosnap"},
+		{"tl2, ro-snapshot", "tl2"},
+		{"ostm, ro-snapshot", "ostm"},
 	} {
 		spec, err := stm.ParseEngineSpec(pt.spec)
 		if err != nil {
@@ -475,7 +461,7 @@ func headline(d *driver) error {
 		}
 		ex, err := sync7.New(sync7.Config{
 			Strategy: spec.Name, NumAssmLevels: d.params.NumAssmLevels,
-			Engine: spec.Options, DisableROSnapshot: !pt.snapshot,
+			Engine: spec.Options,
 		})
 		if err != nil {
 			return err

@@ -237,7 +237,9 @@ func TestConfigurationErrorsComeBeforeAnyWork(t *testing.T) {
 		{"bad-size", []string{"-size", "huge"}, []string{`unknown size "huge"`, "tiny, small or medium"}},
 		{"zero-seconds", []string{"-seconds", "0"}, []string{"bad -seconds 0", "> 0"}},
 		{"negative-seconds", []string{"-seconds", "-1", "-exp", "ablations"}, []string{"bad -seconds -1", "> 0"}},
-		{"bad-ro-snapshot", []string{"-ro-snapshot", "maybe"}, []string{`bad -ro-snapshot "maybe"`, "on or off"}},
+		// The read-only dispatch mode is the nosnap spec key, not a flag.
+		{"bad-ro-snapshot", []string{"-ro-snapshot", "off"}, []string{"flag provided but not defined: -ro-snapshot"}},
+		{"bad-g-nosnap", []string{"-g", "nosnap=maybe"}, []string{"bad -g", "nosnap takes on or off"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var out bytes.Buffer

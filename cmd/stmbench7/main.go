@@ -13,8 +13,14 @@
 //	                   an engine spec such as tl2:striped=4096,shards=4 or
 //	                   norec:gc,deadline=25ms,serial. Keys: striped[=N],
 //	                   shards=N, versions=K, gc, coalesce, cm=NAME, ctv,
-//	                   visible, deadline=D, serial, faults=PLAN (last); see
-//	                   the README's "Engine spec" section
+//	                   visible, deadline=D, serial, nosnap, adaptive,
+//	                   faults=PLAN (last); see the README's "Engine spec"
+//	                   section. nosnap runs read-only operations on the
+//	                   validating path instead of the snapshot fast path;
+//	                   adaptive starts on the spec and lets a controller
+//	                   reconfigure the engine mid-run via quiesce-and-swap,
+//	                   listing its decisions in the report (stm strategies
+//	                   only), e.g. tl2:nosnap,adaptive
 //	--no-traversals    disable long traversals
 //	--no-sms           disable structure modification operations
 //	--ttc-histograms   print TTC (latency) histograms
@@ -24,16 +30,6 @@
 //	-size tiny|small|medium   structure size (default small; medium is the paper's)
 //	-seed N                   build/workload seed (default 42)
 //	-reduced                  use the §5 reduced operation set (Figure 6)
-//	-ro-snapshot on|off       read-only snapshot fast path: serve read-only
-//	                          operations from the engine's validation-free
-//	                          snapshot mode (default on; off restores the
-//	                          plain Atomic path for every operation)
-//	-adaptive                 adaptive self-tuning runtime: start on the -g
-//	                          spec, watch the live abort/conflict profile
-//	                          and reconfigure (engine, granularity, versions,
-//	                          group commit) mid-run via quiesce-and-swap;
-//	                          decisions are listed in the report (stm
-//	                          strategies only)
 //	-arrival-rate R           drive the run open-loop at R Poisson arrivals/s
 //	                          (total) instead of the closed loop; response
 //	                          time is measured from the scheduled arrival,
@@ -68,10 +64,9 @@
 //	                      instead of a single static mix; -t becomes the
 //	                      default thread count for phases that don't set
 //	                      their own, and -l/-w/--no-* are ignored
-//	                      (the -g options, -ro-snapshot and -adaptive become
-//	                      run defaults a scenario may override; overload-
-//	                      shedding and affinity knobs are per-phase in the
-//	                      scenario file)
+//	                      (the -g options become run defaults a scenario's
+//	                      "engine" keys may override; overload-shedding and
+//	                      affinity knobs are per-phase in the scenario file)
 //	-scenario-scale F     multiply every phase duration by F (default 1)
 //	-list-scenarios       print the built-in scenario library and exit
 //
@@ -112,8 +107,6 @@ func run(args []string) error {
 	size := fs.String("size", "small", "structure size: tiny, small or medium (paper scale)")
 	seed := fs.Uint64("seed", 42, "benchmark seed")
 	reduced := fs.Bool("reduced", false, "use the reduced operation set of §5 (Figure 6)")
-	roSnapshot := fs.String("ro-snapshot", "on", "read-only snapshot fast path: on or off")
-	adaptive := fs.Bool("adaptive", false, "adaptive self-tuning runtime: live engine reconfiguration via quiesce-and-swap (stm strategies only)")
 	arrivalRate := fs.Float64("arrival-rate", 0, "open-loop Poisson arrival rate in ops/s, total (0 = closed loop)")
 	affinity := fs.Bool("affinity", false, "affinity-aware open-loop scheduling (requires -arrival-rate)")
 	check := fs.Bool("check", false, "check structural invariants after the run")
@@ -147,14 +140,6 @@ func run(args []string) error {
 	}
 	if !slices.Contains(stmbench7.Strategies(), spec.Name) {
 		return fmt.Errorf("bad -g: unknown strategy %q (want %s)", spec.Name, strings.Join(stmbench7.Strategies(), ", "))
-	}
-	var disableSnap bool
-	switch *roSnapshot {
-	case "on":
-	case "off":
-		disableSnap = true
-	default:
-		return fmt.Errorf("bad -ro-snapshot %q (want on or off)", *roSnapshot)
 	}
 	if *arrivalRate < 0 {
 		return fmt.Errorf("bad -arrival-rate %v (must be >= 0)", *arrivalRate)
@@ -239,8 +224,6 @@ func run(args []string) error {
 			TimeScale:         *scenarioScale,
 			CollectHistograms: *histograms,
 			CheckInvariants:   *check,
-			DisableROSnapshot: disableSnap,
-			Adaptive:          *adaptive,
 			SampleInterval:    *sample,
 			OnEngine:          func(eng stm.Engine) { reg.SetStats(eng.Stats) },
 		})
@@ -273,8 +256,6 @@ func run(args []string) error {
 		Reduced:           *reduced,
 		Strategy:          spec.Name,
 		Engine:            spec.Options,
-		DisableROSnapshot: disableSnap,
-		Adaptive:          *adaptive,
 		OpenLoop:          *arrivalRate > 0,
 		ArrivalRate:       *arrivalRate,
 		Affinity:          *affinity,

@@ -55,21 +55,10 @@ type Options struct {
 	// and direct. Engine.Trace installs a transaction flight recorder
 	// (-trace): dump it during or after the run via the telemetry
 	// endpoint's /trace route or stm.TraceRecorder.WriteChromeTrace.
+	// Engine.Adaptive builds the stm.Adaptive runtime, and RunOn then
+	// runs the internal/adapt closed-loop controller alongside the
+	// benchmark; its decision timeline lands in Result.Reconfigs.
 	Engine stm.EngineOptions
-	// Adaptive (-adaptive) wraps the engine in the stm.Adaptive
-	// reconfigurable runtime and runs the internal/adapt closed-loop
-	// controller alongside the benchmark: Strategy and Engine pick the
-	// INITIAL configuration, and the controller may swap engine and
-	// options live (quiesce-and-swap) when the observed Stats deltas cross
-	// its policy thresholds. The decision timeline lands in
-	// Result.Reconfigs. Requires an STM strategy.
-	Adaptive bool
-	// DisableROSnapshot turns off the read-only snapshot fast path
-	// (-ro-snapshot=off): read-only operations then run through the
-	// engine's plain Atomic path, restoring the pre-snapshot behavior.
-	// The default (false) serves every ops.Op.ReadOnly operation from
-	// the engine's validation-free snapshot mode when it has one.
-	DisableROSnapshot bool
 	// CollectHistograms enables TTC histograms (--ttc-histograms).
 	CollectHistograms bool
 	// CheckInvariants runs the full structural invariant checker after
@@ -236,8 +225,8 @@ type Result struct {
 	// and shed rate over that interval.
 	Series []telemetry.SamplePoint
 	// Reconfigs is the adaptive controller's decision timeline for this
-	// run (nil unless Options.Adaptive): every switch, stalled switch and
-	// guardrail pin, in firing order.
+	// run (nil unless the engine is an stm.Adaptive): every switch,
+	// stalled switch and guardrail pin, in firing order.
 	Reconfigs []adapt.Decision
 }
 
@@ -312,11 +301,9 @@ func Setup(o Options) (sync7.Executor, *core.Structure, error) {
 		return nil, nil, err
 	}
 	ex, err := sync7.New(sync7.Config{
-		Strategy:          o.Strategy,
-		NumAssmLevels:     o.Params.NumAssmLevels,
-		Engine:            o.Engine,
-		Adaptive:          o.Adaptive,
-		DisableROSnapshot: o.DisableROSnapshot,
+		Strategy:      o.Strategy,
+		NumAssmLevels: o.Params.NumAssmLevels,
+		Engine:        o.Engine,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -365,19 +352,16 @@ func RunOn(o Options, ex sync7.Executor, s *core.Structure) (*Result, error) {
 			live.ops.Load, live.sheds.Load)
 		sampler.Start()
 	}
-	// The adaptive control loop runs for the duration of the drive, fed
-	// by the same delta-over-baseline view the sampler gets. The
-	// controller starts from the runtime's CURRENT configuration — in a
-	// multi-phase scenario a later phase inherits whatever the previous
-	// phase's controller switched to.
+	// On an adaptive runtime the control loop runs for the duration of
+	// the drive. The controller starts from the runtime's CURRENT
+	// configuration — in a multi-phase scenario a later phase inherits
+	// whatever the previous phase's controller switched to.
 	var adriver *adapt.Driver
-	if o.Adaptive {
-		if ae, ok := ex.Engine().(*stm.Adaptive); ok {
-			spec := ae.Current()
-			spec.Options.Faults, spec.Options.Trace = nil, nil
-			ctrl := adapt.NewController(spec, adapt.DefaultConfig())
-			adriver = adapt.Start(ae, ctrl, adapt.DefaultInterval)
-		}
+	if ae, ok := ex.Engine().(*stm.Adaptive); ok {
+		spec := ae.Current()
+		spec.Options.Faults, spec.Options.Trace = nil, nil
+		ctrl := adapt.NewController(spec, adapt.DefaultConfig())
+		adriver = adapt.Start(ae, ctrl, adapt.DefaultInterval)
 	}
 	var res *Result
 	var err error

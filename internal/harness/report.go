@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 
 	"repro/internal/ops"
+	"repro/internal/sync7"
 	"repro/internal/telemetry"
 	"repro/stm"
 )
@@ -133,14 +135,11 @@ func WriteReport(w io.Writer, r *Result) {
 	}
 
 	es := r.EngineStats
-	if es.Attempts() > 0 && o.Strategy != "coarse" && o.Strategy != "medium" && o.Strategy != "direct" {
+	if es.Attempts() > 0 && slices.Contains(sync7.STMStrategies(), o.Strategy) {
 		// The canonical stat block is shared with every other report
 		// surface; only option echoes that need run context stay local.
 		for _, line := range es.Lines() {
 			fmt.Fprintf(w, "  %s\n", line)
-		}
-		if o.DisableROSnapshot {
-			fmt.Fprintf(w, "  ro-snapshot: off (validating read path for read-only operations)\n")
 		}
 		if o.Engine.SerialFallback {
 			fmt.Fprintf(w, "  serial fallback: on, %d escalations (%.2f%% of commits)\n",
@@ -149,9 +148,8 @@ func WriteReport(w io.Writer, r *Result) {
 		if o.Engine.Faults != nil {
 			fmt.Fprintf(w, "  fault injection: %d faults fired\n", es.InjectedFaults)
 		}
-		if o.Adaptive {
-			fmt.Fprintf(w, "  adaptive: on, %d reconfigurations, %d quiesce stalls\n",
-				es.Reconfigurations, es.ReconfigStalls)
+		if o.Engine.Adaptive {
+			fmt.Fprintf(w, "  adaptive decisions: %d\n", len(r.Reconfigs))
 			for _, d := range r.Reconfigs {
 				fmt.Fprintf(w, "    %s\n", d)
 			}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -126,5 +127,50 @@ func TestReportHeaderEchoesEnvironment(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q\n%s", want, out)
 		}
+	}
+}
+
+// TestReportEngineLineRoundTrips: the report's engine: line is a -g
+// argument that builds the configuration the run used — adaptive and
+// nosnap included — and the run honoured both keys.
+func TestReportEngineLineRoundTrips(t *testing.T) {
+	spec, err := stm.ParseEngineSpec("tl2:nosnap,adaptive")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := baseOpts()
+	o.Strategy, o.Engine = spec.Name, spec.Options
+	ex, s, err := Setup(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ex.Engine().(*stm.Adaptive); !ok {
+		t.Fatalf("%s built a %T, want *stm.Adaptive", spec, ex.Engine())
+	}
+	res, err := RunOn(o, ex, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if es := res.EngineStats; es.SnapshotTxs != 0 || es.Commits == 0 {
+		t.Errorf("SnapshotTxs %d, Commits %d under nosnap; want 0 and > 0", es.SnapshotTxs, es.Commits)
+	}
+	var sb strings.Builder
+	WriteReport(&sb, res)
+	out := sb.String()
+	if !strings.Contains(out, "  adaptive decisions: ") {
+		t.Errorf("report has no adaptive decision block:\n%s", out)
+	}
+	var line string
+	for _, l := range strings.Split(out, "\n") {
+		if v, ok := strings.CutPrefix(strings.TrimSpace(l), "engine:"); ok {
+			line = strings.TrimSpace(v)
+		}
+	}
+	back, err := stm.ParseEngineSpec(line)
+	if err != nil {
+		t.Fatalf("engine line %q does not parse: %v", line, err)
+	}
+	if !reflect.DeepEqual(back, spec) {
+		t.Errorf("engine line %q parses to %s, want %s", line, back, spec)
 	}
 }

@@ -15,11 +15,11 @@ import (
 // per-phase abort-cause breakdown (cfl/tmo/inj columns) is checked against
 // known counter values, not a timing-dependent run.
 func TestReportAbortCauseColumns(t *testing.T) {
-	sc := &Scenario{Name: "causes", Adaptive: "on", Phases: []Phase{
+	sc := &Scenario{Name: "causes", Engine: "adaptive", Phases: []Phase{
 		{Name: "storm", Threads: 2, Duration: time.Second, Workload: ops.WriteDominated},
 	}}
 	res := &harness.Result{
-		Options: harness.Options{Threads: 2, Workload: ops.WriteDominated, Adaptive: true},
+		Options: harness.Options{Threads: 2, Workload: ops.WriteDominated, Engine: stm.EngineOptions{Adaptive: true}},
 		Elapsed: time.Second,
 		EngineStats: stm.Stats{
 			Commits:        1000,
@@ -40,7 +40,7 @@ func TestReportAbortCauseColumns(t *testing.T) {
 	for _, want := range []string{
 		"cfl", "tmo", "inj", // the breakdown columns
 		"123", "45", "67", // the per-phase counter values
-		"engine: norec\n", "adaptive: on\n", // the configuration echo
+		"engine: norec:adaptive\n", // the configuration echo
 		`Adaptive decisions, phase "storm"`,
 		"t3 conflict-storm: norec -> tl2",
 	} {
@@ -50,21 +50,21 @@ func TestReportAbortCauseColumns(t *testing.T) {
 	}
 }
 
-// TestParseAdaptiveKnob: the run-level adaptive key parses, validates, and
+// TestParseAdaptiveKnob: the adaptive engine key parses, validates, and
 // bad values are rejected.
 func TestParseAdaptiveKnob(t *testing.T) {
 	sc, err := Parse([]byte(`{
-		"name": "a", "adaptive": "on",
+		"name": "a", "engine": "adaptive",
 		"phases": [{"name": "p", "duration": "1s"}]
 	}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Adaptive != "on" {
-		t.Errorf("Adaptive = %q, want on", sc.Adaptive)
+	if o, err := (stm.EngineOptions{}).Apply(sc.Engine); err != nil || o.String() != "adaptive" {
+		t.Errorf("engine %q applied to %+v, %v; want adaptive set", sc.Engine, o, err)
 	}
 	if _, err := Parse([]byte(`{
-		"name": "a", "adaptive": "sometimes",
+		"name": "a", "engine": "adaptive=sometimes",
 		"phases": [{"name": "p", "duration": "1s"}]
 	}`)); err == nil || !strings.Contains(err.Error(), "adaptive") {
 		t.Errorf("bad adaptive value accepted: %v", err)
@@ -79,7 +79,8 @@ func TestAdaptiveScenarioRuns(t *testing.T) {
 		{Name: "a", MaxOps: 150, Workload: ops.ReadWrite, StructureMods: true},
 		{Name: "b", MaxOps: 150, Workload: ops.WriteDominated, StructureMods: true},
 	}}
-	rep, err := Run(sc, RunOptions{Strategy: "norec", Threads: 2, Adaptive: true})
+	adaptive := stm.EngineOptions{Adaptive: true}
+	rep, err := Run(sc, RunOptions{Strategy: "norec", Threads: 2, Engine: adaptive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,21 +90,20 @@ func TestAdaptiveScenarioRuns(t *testing.T) {
 		}
 	}
 
-	// Scenario-level "off" wins over the run-level flag: the engine must
-	// be the plain one, which shows as zero reconfiguration capability —
-	// the options echo says adaptive off.
-	off := &Scenario{Name: "adaptive-off", Adaptive: "off", Phases: sc.Phases}
-	rep, err = Run(off, RunOptions{Strategy: "norec", Threads: 1, Adaptive: true})
+	// Scenario-level "adaptive=off" wins over the run-level key: the
+	// options echo says adaptive off, and no controller ran.
+	off := &Scenario{Name: "adaptive-off", Engine: "adaptive=off", Phases: sc.Phases}
+	rep, err = Run(off, RunOptions{Strategy: "norec", Threads: 1, Engine: adaptive})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Phases[0].Result.Options.Adaptive {
-		t.Error(`scenario "adaptive": "off" did not override the run-level flag`)
+	if res := rep.Phases[0].Result; res.Options.Engine.Adaptive || res.Reconfigs != nil {
+		t.Error(`scenario engine "adaptive=off" did not override the run-level key`)
 	}
 
 	// Adaptive needs an engine the registry can rebuild: the lock
 	// baselines are rejected up front.
-	if _, err := Run(sc, RunOptions{Strategy: "coarse", Threads: 1, Adaptive: true}); err == nil {
+	if _, err := Run(sc, RunOptions{Strategy: "coarse", Threads: 1, Engine: adaptive}); err == nil {
 		t.Error("adaptive accepted the coarse lock baseline")
 	}
 }

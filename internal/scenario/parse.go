@@ -30,17 +30,14 @@ import (
 // Durations use Go syntax ("300ms", "2s"). Weight keys are the category
 // names ("long-traversal", "short-traversal", "short-operation",
 // "structure-modification") or the short aliases lt, st, op, sm.
-// The run-level keys (engine, ro_snapshot, adaptive) are top-level, not
-// per phase: the engine, the read-only snapshot dispatch and the
-// adaptive-runtime wrapper are built into the executor before the first
-// phase runs, so they are a property of the whole scenario. "engine" is
-// an engine-spec option list (stm.ParseEngineSpec's options) applied over
-// the run's -g spec — a key set here overrides the run's value, an unset
-// key inherits it, "gc=off" turns a run-level gc off; ro_snapshot and
-// adaptive take "on" or "off", and unset inherits the run:
+// The run-level key "engine" is top-level, not per phase: the engine is
+// built into the executor before the first phase runs, so it is a
+// property of the whole scenario. It is an engine-spec option list
+// (stm.ParseEngineSpec's options) applied over the run's -g spec — a key
+// set here overrides the run's value, an unset key inherits it, and
+// "gc=off" or "adaptive=off" turns a run-level key off:
 //
-//	{"name": "hot", "engine": "striped=256,shards=4,deadline=25ms,serial,faults=seed=7,abort:1/24",
-//	 "ro_snapshot": "off",
+//	{"name": "hot", "engine": "striped=256,shards=4,deadline=25ms,serial,nosnap,faults=seed=7,abort:1/24",
 //	 "phases": [...]}
 //
 // Open-loop phases may additionally shed overload: shed_after (duration)
@@ -51,8 +48,6 @@ type fileScenario struct {
 	Name        string      `json:"name"`
 	Description string      `json:"description"`
 	Engine      string      `json:"engine,omitempty"`
-	ROSnapshot  string      `json:"ro_snapshot,omitempty"`
-	Adaptive    string      `json:"adaptive,omitempty"`
 	Defaults    *filePhase  `json:"defaults,omitempty"`
 	Phases      []filePhase `json:"phases"`
 }
@@ -244,8 +239,6 @@ func Parse(data []byte) (*Scenario, error) {
 		Name:        fs.Name,
 		Description: fs.Description,
 		Engine:      fs.Engine,
-		ROSnapshot:  fs.ROSnapshot,
-		Adaptive:    fs.Adaptive,
 	}
 	for i, fp := range fs.Phases {
 		merged := filePhase{}

@@ -183,7 +183,7 @@ func TestParseEngineKey(t *testing.T) {
 	for _, old := range []string{
 		`"granularity": "striped"`, `"orec_stripes": 128`, `"clock_shards": 4`, `"versions": 4`,
 		`"tx_deadline": "25ms"`, `"serial_fallback": "on"`, `"fault_plan": "abort:1/4"`,
-		`"group_commit": "on"`, `"coalescing": "on"`,
+		`"group_commit": "on"`, `"coalescing": "on"`, `"ro_snapshot": "off"`, `"adaptive": "on"`,
 	} {
 		if _, err := Parse([]byte(`{"name": "old", ` + old + `, "phases": [{"name": "p", "duration": "10ms"}]}`)); err == nil ||
 			!strings.Contains(err.Error(), "unknown field") {
@@ -200,25 +200,27 @@ func TestParseEngineKey(t *testing.T) {
 	}
 }
 
-func TestParseROSnapshotKnob(t *testing.T) {
+// TestParseNoSnapKnob: the read-only snapshot fast path is the nosnap
+// engine key, applied over the run's options like any other.
+func TestParseNoSnapKnob(t *testing.T) {
 	sc, err := Parse([]byte(`{
 		"name": "snap",
-		"ro_snapshot": "off",
+		"engine": "nosnap",
 		"phases": [{"name": "p", "duration": "10ms"}]
 	}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.ROSnapshot != "off" {
-		t.Errorf("ROSnapshot = %q, want \"off\"", sc.ROSnapshot)
+	if o, err := (stm.EngineOptions{}).Apply(sc.Engine); err != nil || o.String() != "nosnap" {
+		t.Errorf("engine %q applied to %+v, %v; want nosnap set", sc.Engine, o, err)
 	}
 
 	if _, err := Parse([]byte(`{
 		"name": "snap",
-		"ro_snapshot": "maybe",
+		"engine": "nosnap=maybe",
 		"phases": [{"name": "p", "duration": "10ms"}]
-	}`)); err == nil || !strings.Contains(err.Error(), "ro_snapshot") {
-		t.Errorf("bad ro_snapshot not rejected: %v", err)
+	}`)); err == nil || !strings.Contains(err.Error(), "nosnap") {
+		t.Errorf("bad nosnap not rejected: %v", err)
 	}
 
 	// Per-phase ro_snapshot is run-level, like the metadata knobs.
@@ -240,7 +242,7 @@ func FuzzParseScenario(f *testing.F) {
 		`{"name": "x", "phases": []}`,
 		`{"name": "x", "phases": [{"name": "p", "duration": "10ms"}]}`,
 		`{"name": "x", "phases": [{"max_ops": 5, "threads": -1}]}`,
-		`{"name": "x", "engine": "striped=128,shards=4,gc=off", "ro_snapshot": "off", "adaptive": "on",
+		`{"name": "x", "engine": "striped=128,shards=4,gc=off,nosnap,adaptive",
 		  "phases": [{"name": "p", "max_ops": 5}]}`,
 		`{"name": "x", "engine": "deadline=25ms,serial,faults=seed=7,abort:1/24", "phases": [{"name": "p", "max_ops": 5}]}`,
 		`{"name": "x", "engine": "faults=seed=7", "phases": [{"name": "p", "max_ops": 5}]}`,

@@ -71,12 +71,6 @@ func WriteReport(w io.Writer, rep *Report) {
 		// with: the run's spec with the scenario's own keys applied.
 		o := rep.Phases[0].Result.Options
 		fmt.Fprintf(w, "  engine: %s\n", stm.EngineSpec{Name: rep.Strategy, Options: o.Engine})
-		if o.Adaptive {
-			fmt.Fprintln(w, "  adaptive: on")
-		}
-		if o.DisableROSnapshot {
-			fmt.Fprintln(w, "  ro-snapshot: off")
-		}
 	}
 	fmt.Fprintln(w)
 

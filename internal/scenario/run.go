@@ -41,15 +41,6 @@ type RunOptions struct {
 	// Engine.Trace is the run's flight recorder: one recorder observes
 	// every phase (use its Reset between scrapes to window it).
 	Engine stm.EngineOptions
-	// Adaptive wraps the engine in the reconfigurable stm.Adaptive
-	// runtime with the closed-loop controller running in every phase,
-	// exactly like the harness option of the same name. A scenario that
-	// sets its own "adaptive" key overrides this.
-	Adaptive bool
-	// DisableROSnapshot turns off the read-only snapshot fast path for
-	// the whole run, exactly like the harness option of the same name. A
-	// scenario that sets its own ROSnapshot overrides this.
-	DisableROSnapshot bool
 	// SampleInterval runs the telemetry sampler in every phase at the
 	// given cadence, exactly like the harness option of the same name;
 	// each PhaseResult's Result.Series carries that phase's curve.
@@ -133,17 +124,12 @@ func Run(sc *Scenario, o RunOptions) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: bad engine: %w", sc.Name, err)
 	}
-	// Validate checked both keys, so triState cannot fail here.
-	roSnapshot, _ := triState("ro_snapshot", sc.ROSnapshot, !o.DisableROSnapshot)
-	adaptive, _ := triState("adaptive", sc.Adaptive, o.Adaptive)
 
 	ex, s, err := harness.Setup(harness.Options{
-		Params:            o.Params,
-		Seed:              o.Seed,
-		Strategy:          o.Strategy,
-		Engine:            engine,
-		Adaptive:          adaptive,
-		DisableROSnapshot: !roSnapshot,
+		Params:   o.Params,
+		Seed:     o.Seed,
+		Strategy: o.Strategy,
+		Engine:   engine,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
@@ -174,13 +160,10 @@ func Run(sc *Scenario, o RunOptions) (*Report, error) {
 			ShedAfter:       ph.ShedAfter,
 			QueueBound:      ph.QueueBound,
 			Affinity:        ph.Affinity,
-			// What the executor was built with at Setup: RunOn starts the
-			// adaptive controller from Adaptive, and the phase's Result
-			// names the configuration that actually ran.
+			// What the executor was built with at Setup: the phase's
+			// Result names the configuration that actually ran.
 			Strategy:          o.Strategy,
 			Engine:            engine,
-			Adaptive:          adaptive,
-			DisableROSnapshot: !roSnapshot,
 			SampleInterval:    o.SampleInterval,
 			CollectHistograms: o.CollectHistograms,
 			CheckInvariants:   o.CheckInvariants && i == len(sc.Phases)-1,

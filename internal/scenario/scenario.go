@@ -99,12 +99,11 @@ func (ph Phase) categoryEnabled(cat ops.Category) bool {
 
 // Scenario is a named, ordered sequence of phases over one structure.
 //
-// Engine, ROSnapshot and Adaptive are run-level: the engine, the read-only
-// dispatch and the adaptive wrapper are built with the executor, before
-// the first phase runs, so unlike the per-phase workload fields they apply
-// to the whole scenario. Empty values inherit whatever the RunOptions
-// (i.e. the CLI flags) selected; a scenario that sets them overrides the
-// run, which is how a built-in like orec-pressure pins its metadata shape.
+// Engine is run-level: the engine is built with the executor, before the
+// first phase runs, so unlike the per-phase workload fields it applies to
+// the whole scenario. An unset key inherits whatever the RunOptions (i.e.
+// the CLI's -g) selected; a key the scenario sets overrides the run, which
+// is how a built-in like orec-pressure pins its metadata shape.
 type Scenario struct {
 	Name        string
 	Description string
@@ -114,32 +113,7 @@ type Scenario struct {
 	// the run's value, an unset key inherits it, and "gc=off" turns a
 	// run-level gc off (stm.EngineOptions.Apply).
 	Engine string
-	// ROSnapshot pins the read-only snapshot fast path for the whole
-	// run: "" inherits the RunOptions (i.e. the CLI flag), "on" forces
-	// the snapshot path, "off" forces the validating path.
-	ROSnapshot string
-	// Adaptive pins the adaptive self-tuning runtime for the whole run:
-	// "" inherits the RunOptions (i.e. the CLI flag), "on" wraps the
-	// strategy's engine in the reconfigurable stm.Adaptive runtime with
-	// the closed-loop controller driving it every phase, "off" forces the
-	// plain pinned engine.
-	Adaptive string
-	Phases   []Phase
-}
-
-// triState resolves an "on"/"off"/"" (inherit) scenario key over the run's
-// value.
-func triState(key, val string, inherited bool) (bool, error) {
-	switch val {
-	case "":
-		return inherited, nil
-	case "on":
-		return true, nil
-	case "off":
-		return false, nil
-	default:
-		return false, fmt.Errorf("bad %s %q (want on or off)", key, val)
-	}
+	Phases []Phase
 }
 
 // Validate checks the scenario for the error classes the parser and the
@@ -155,12 +129,6 @@ func (sc *Scenario) Validate() error {
 	}
 	if _, err := (stm.EngineOptions{}).Apply(sc.Engine); err != nil {
 		return fmt.Errorf("scenario %q: bad engine: %w", sc.Name, err)
-	}
-	if _, err := triState("ro_snapshot", sc.ROSnapshot, false); err != nil {
-		return fmt.Errorf("scenario %q: %w", sc.Name, err)
-	}
-	if _, err := triState("adaptive", sc.Adaptive, false); err != nil {
-		return fmt.Errorf("scenario %q: %w", sc.Name, err)
 	}
 	for i, ph := range sc.Phases {
 		label := ph.Name

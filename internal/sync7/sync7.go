@@ -59,25 +59,15 @@ type Config struct {
 	NumAssmLevels int
 	// Engine configures the stm engine behind an STM strategy — with
 	// Strategy, the two halves of an stm.EngineSpec. Ignored by the lock
-	// strategies and direct.
+	// strategies and direct, except that its adaptive key is an error
+	// there.
 	Engine stm.EngineOptions
-	// Adaptive wraps the engine in the stm.Adaptive reconfigurable
-	// runtime: Strategy and Engine pick the INITIAL configuration, and a
-	// closed-loop controller (internal/adapt) may swap engine and options
-	// live via quiesce-and-swap. Requires an STM strategy.
-	Adaptive bool
-	// DisableROSnapshot turns off the read-only snapshot fast path
-	// (-ro-snapshot=off): operations marked ops.Op.ReadOnly then run
-	// through the engine's plain Atomic path like everything else. The
-	// default (false) routes them through stm.SnapshotReader.RunReadOnly
-	// on engines that support it — no read-set logging, no commit-time
-	// validation.
-	DisableROSnapshot bool
 }
 
 // New builds the executor for cfg by looking Config.Strategy up in the
 // strategy registry. Configuration errors — an unknown strategy,
-// out-of-range engine options — are reported before anything is built.
+// out-of-range engine options, adaptive on a strategy that is not STM —
+// are reported before anything is built.
 func New(cfg Config) (Executor, error) {
 	reg, ok := lookup(cfg.Strategy)
 	if !ok {
@@ -86,15 +76,8 @@ func New(cfg Config) (Executor, error) {
 	if err := cfg.Engine.Validate(); err != nil {
 		return nil, fmt.Errorf("sync7: %w", err)
 	}
-	if cfg.Adaptive {
-		if reg.kind != KindSTM {
-			return nil, fmt.Errorf("sync7: adaptive requires an STM strategy, got %q (%s)", cfg.Strategy, reg.kind)
-		}
-		eng, err := stm.NewAdaptive(stm.EngineSpec{Name: cfg.Strategy, Options: cfg.Engine})
-		if err != nil {
-			return nil, err
-		}
-		return newSTMExec(eng, cfg.Strategy, cfg), nil
+	if cfg.Engine.Adaptive && reg.kind != KindSTM {
+		return nil, fmt.Errorf("sync7: adaptive requires an STM strategy, got %q (%s)", cfg.Strategy, reg.kind)
 	}
 	return reg.factory(cfg)
 }
@@ -129,29 +112,22 @@ func (d *DirectExec) Execute(op *ops.Op, s *core.Structure, r *rng.Rand) (int, e
 }
 
 // STMExec runs each operation as a single transaction. Operations marked
-// ReadOnly are dispatched to the engine's snapshot read mode when snap is
-// set (see newSTMExec) — the validation-free fast path for T1/T6-style
-// traversals.
+// ReadOnly are dispatched to the engine's snapshot read mode when it has
+// one — the validation-free fast path for T1/T6-style traversals, which
+// the engine itself turns off under its nosnap key.
 type STMExec struct {
 	eng  stm.Engine
 	name string
 	// snap is the engine's read-only snapshot capability; nil when the
-	// engine does not implement stm.SnapshotReader or the config disabled
-	// the fast path (Config.DisableROSnapshot), in which case ReadOnly
-	// operations run through Atomic like everything else.
+	// engine does not implement stm.SnapshotReader, in which case
+	// ReadOnly operations run through Atomic like everything else.
 	snap stm.SnapshotReader
 }
 
-// newSTMExec wraps an engine as an STM strategy, resolving the read-only
-// snapshot capability per the config.
-func newSTMExec(eng stm.Engine, name string, cfg Config) *STMExec {
-	e := &STMExec{eng: eng, name: name}
-	if !cfg.DisableROSnapshot {
-		if sr, ok := eng.(stm.SnapshotReader); ok {
-			e.snap = sr
-		}
-	}
-	return e
+// newSTMExec wraps an engine as an STM strategy.
+func newSTMExec(eng stm.Engine, name string) *STMExec {
+	snap, _ := eng.(stm.SnapshotReader)
+	return &STMExec{eng: eng, name: name, snap: snap}
 }
 
 // Name implements Executor.

@@ -36,7 +36,7 @@ func TestNewStrategies(t *testing.T) {
 
 // TestReadOnlySnapshotDispatch: STM executors route ReadOnly operations
 // through the engine's snapshot mode by default (SnapshotTxs counts them),
-// update operations stay on the Atomic path, and DisableROSnapshot
+// update operations stay on the Atomic path, and the nosnap spec key
 // restores the plain path for everything.
 func TestReadOnlySnapshotDispatch(t *testing.T) {
 	t1, ok := ops.ByName("T1") // ReadOnly
@@ -50,7 +50,15 @@ func TestReadOnlySnapshotDispatch(t *testing.T) {
 	for _, name := range STMStrategies() {
 		for _, disable := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/disable=%v", name, disable), func(t *testing.T) {
-				ex, err := New(Config{Strategy: name, DisableROSnapshot: disable})
+				g := name
+				if disable {
+					g += ":nosnap"
+				}
+				spec, err := stm.ParseEngineSpec(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ex, err := New(Config{Strategy: spec.Name, Engine: spec.Options})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -64,7 +72,7 @@ func TestReadOnlySnapshotDispatch(t *testing.T) {
 				}
 				snaps := ex.Engine().Stats().SnapshotTxs
 				if disable && snaps != 0 {
-					t.Errorf("SnapshotTxs = %d with DisableROSnapshot, want 0", snaps)
+					t.Errorf("SnapshotTxs = %d under nosnap, want 0", snaps)
 				}
 				if !disable && snaps != 1 {
 					t.Errorf("SnapshotTxs = %d for a ReadOnly op, want 1", snaps)
@@ -472,13 +480,15 @@ func TestModeString(t *testing.T) {
 // test for "-g ostm -cm karma -adaptive silently ran Polka": the strategy
 // layer used to hold those knobs in fields the adaptive branch never read.
 func TestEngineOptionsReachEveryPath(t *testing.T) {
-	spec, err := stm.ParseEngineSpec("ostm:cm=karma,visible")
+	spec, err := stm.ParseEngineSpec("ostm:cm=karma,visible,nosnap")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t1, _ := ops.ByName("T1")
 	for _, adaptive := range []bool{false, true} {
-		ex, err := New(Config{Strategy: spec.Name, Engine: spec.Options, Adaptive: adaptive, DisableROSnapshot: true})
+		opts := spec.Options
+		opts.Adaptive = adaptive
+		ex, err := New(Config{Strategy: spec.Name, Engine: opts})
 		if err != nil {
 			t.Fatal(err)
 		}

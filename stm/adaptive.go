@@ -212,10 +212,12 @@ type Adaptive struct {
 }
 
 // NewAdaptive returns an adaptive runtime whose first generation is built
-// from spec (a registered engine name plus its options). The returned
-// wrapper's VarSpace is stable across reconfigurations — allocate all Vars
-// from it.
+// from spec (a registered engine name plus its options). The spec's
+// Adaptive key is cleared — the runtime never wraps another runtime — so
+// Current names the inner engine. The returned wrapper's VarSpace is
+// stable across reconfigurations — allocate all Vars from it.
 func NewAdaptive(spec EngineSpec) (*Adaptive, error) {
+	spec.Options.Adaptive = false
 	eng, err := NewWith(spec.Name, spec.Options)
 	if err != nil {
 		return nil, err
@@ -286,8 +288,11 @@ func (a *Adaptive) Stats() Stats {
 // recorder carry over from construction regardless of spec. On a stalled
 // drain it returns ErrQuiesceStalled and changes nothing except entering
 // serial degradation (see the file comment); any other error means the
-// target engine could not be built.
+// target engine could not be built, or spec carries the Adaptive key.
 func (a *Adaptive) Reconfigure(spec EngineSpec) error {
+	if spec.Options.Adaptive {
+		return fmt.Errorf("stm: reconfigure: spec %s wraps an adaptive runtime in another", spec)
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	spec.Options.Faults = a.faults

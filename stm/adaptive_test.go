@@ -549,3 +549,54 @@ func TestAdaptiveCarriesOSTMOptions(t *testing.T) {
 	}
 	check("after a round trip through tl2")
 }
+
+// TestAdaptiveCarriesNoSnap: the engine honours nosnap, so the key survives
+// a swap like any other option — read-only transactions stay on the
+// validating path before and after a tl2 -> norec hop. NewWith builds the
+// runtime from the adaptive key and clears it from the inner spec, and
+// Reconfigure refuses a spec that would nest one runtime in another.
+func TestAdaptiveCarriesNoSnap(t *testing.T) {
+	eng, err := NewWith("tl2", opts("nosnap,adaptive"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, ok := eng.(*Adaptive)
+	if !ok {
+		t.Fatalf("NewWith(tl2:nosnap,adaptive) built a %T, want *Adaptive", eng)
+	}
+	if got := a.Current().String(); got != "tl2:nosnap" {
+		t.Errorf("Current() = %s, want tl2:nosnap", got)
+	}
+	c := NewCell(a.VarSpace(), 7)
+	readOnly := func(when string) {
+		t.Helper()
+		if err := RunReadOnly(Engine(a), func(tx Tx) error {
+			if got := c.Get(tx); got != 7 {
+				t.Errorf("%s: read %d, want 7", when, got)
+			}
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if st := a.Stats(); st.SnapshotTxs != 0 || st.Commits == 0 {
+			t.Errorf("%s: SnapshotTxs %d, Commits %d; want 0 and > 0", when, st.SnapshotTxs, st.Commits)
+		}
+	}
+	readOnly("on tl2")
+	next := a.Current()
+	next.Name = "norec"
+	if err := a.Reconfigure(next); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Current().String(); got != "norec:nosnap" {
+		t.Errorf("after the swap Current() = %s, want norec:nosnap", got)
+	}
+	readOnly("on norec")
+
+	if err := a.Reconfigure(mustSpec("tl2:adaptive")); err == nil {
+		t.Error("Reconfigure accepted a spec carrying adaptive")
+	}
+	if got := a.Current().String(); got != "norec:nosnap" {
+		t.Errorf("a refused Reconfigure changed the engine to %s", got)
+	}
+}

@@ -46,14 +46,19 @@
 // canonical ParseEngineSpec/String round trip:
 //
 //	tl2:striped=4096,shards=4,versions=4,deadline=25ms
+//	tl2:nosnap,adaptive
 //
 // The spec is the only carrier of engine configuration above this package:
 // the benchmark's -g flag takes one, scenario files apply an option list
 // over it (EngineOptions.Apply), reports print it, and Adaptive's
 // Current/Reconfigure speak it. Every knob the sections below describe is
-// an EngineOptions field with a spec key (given in brackets there); the
-// per-engine config structs embed EngineOptions and add only the ablation
-// knobs no spec names. See ParseEngineSpec for the grammar.
+// an EngineOptions field with a spec key (given in brackets there),
+// including the two that shape the run around the engine: nosnap
+// (DisableROSnapshot), which each engine's RunReadOnly honours, and
+// adaptive (Adaptive), on which NewWith builds the Adaptive runtime. The
+// per-engine config structs embed EngineOptions and add only MaxRetries
+// and the ablation knobs no spec names. See ParseEngineSpec for the
+// grammar.
 //
 // # Programming model
 //
@@ -262,6 +267,11 @@
 //     additionally toward Stats.SnapshotTxs, so SnapshotShare reports
 //     how much of the commit stream ran validation-free. The alloc
 //     suite holds the path to 0 allocs/op steady-state on every engine.
+//
+//   - Off switch: under EngineOptions.DisableROSnapshot [nosnap] the
+//     engine's RunReadOnly is its Atomic — one branch at entry — so the
+//     validating path can be measured on the same operations, and the
+//     setting survives an Adaptive swap with the rest of the spec.
 //
 // # Multi-version snapshot reads
 //
@@ -589,8 +599,11 @@
 // deltas, dwell/cooldown/switch-budget hysteresis, a thrash guardrail
 // that pins after two non-improving switches) whose Driver polls Stats
 // and calls Reconfigure. The wrapper itself is policy-free; any caller
-// may drive Reconfigure directly. Both CLIs expose the stack as
-// -adaptive (`stmbench7 -scenario chaos-storm -g norec -adaptive` lists the
+// may drive Reconfigure directly. NewWith builds the runtime when the
+// spec carries the adaptive key [adaptive]; NewAdaptive clears the key
+// from its inner spec and Reconfigure rejects a spec that carries it, so
+// one runtime never wraps another. The benchmark exposes the stack as
+// that key (`stmbench7 -scenario chaos-storm -g norec:adaptive` lists the
 // decisions in its report); the internal/adapt suite holds the controller
 // to its hysteresis and switch budget.
 package stm

@@ -22,7 +22,8 @@ type NOrecConfig struct {
 	// Versions (each retained box is stamped with its commit's
 	// post-release sequence value, and the seqlock epoch check is dropped
 	// entirely under Versions > 1), GroupCommit, TxDeadline,
-	// SerialFallback, Faults and Trace, and ignores the rest.
+	// SerialFallback, Faults, Trace and DisableROSnapshot, and ignores
+	// the rest.
 	EngineOptions
 }
 

@@ -158,8 +158,8 @@ type OSTMConfig struct {
 	// disjoint writers of stripe-mates falsely conflict, and visible-mode
 	// readers falsely arbitrate with writers of stripe-mates), CM,
 	// CommitTimeValidationOnly (off = the faithful O(k²) incremental
-	// validation), VisibleReads, TxDeadline, SerialFallback, Faults and
-	// Trace, and ignores the rest.
+	// validation), VisibleReads, TxDeadline, SerialFallback, Faults,
+	// Trace and DisableROSnapshot, and ignores the rest.
 	EngineOptions
 }
 

@@ -228,7 +228,7 @@ func (tx *tl2SnapTx) Read(v *Var) any {
 		m1 := o.meta.Load()
 		if m1&1 == 1 {
 			spins++
-			if spins > tx.eng.cfg.ReadLockSpins {
+			if spins > tl2ReadLockSpins {
 				throwConflict("snapshot read of locked var")
 			}
 			spinHint()
@@ -276,8 +276,12 @@ func (tx *tl2SnapTx) loopState() (*statCounters, *txStats, snapFallback, traceTa
 
 // RunReadOnly implements SnapshotReader: reads are served at a sampled
 // gvClock snapshot, commit is free (every read proved membership at read
-// time), and a stale snapshot restarts with a refreshed rv.
+// time), and a stale snapshot restarts with a refreshed rv. Under nosnap
+// (EngineOptions.DisableROSnapshot) it is Atomic, as on every engine.
 func (e *TL2) RunReadOnly(fn func(tx Tx) error) error {
+	if e.cfg.DisableROSnapshot {
+		return e.Atomic(fn)
+	}
 	return runSnapshotLoop(e.snapPool.get(), fn)
 }
 
@@ -352,6 +356,9 @@ func (tx *norecSnapTx) loopState() (*statCounters, *txStats, snapFallback, trace
 // snapshot racing a steady writer falls back to the validating path, which
 // extends across commits instead of restarting.
 func (e *NOrec) RunReadOnly(fn func(tx Tx) error) error {
+	if e.cfg.DisableROSnapshot {
+		return e.Atomic(fn)
+	}
 	return runSnapshotLoop(e.snapPool.get(), fn)
 }
 
@@ -439,6 +446,9 @@ func (tx *ostmSnapTx) loopState() (*statCounters, *txStats, snapFallback, traceT
 // engine's commit serial. Any write commit anywhere restarts the attempt,
 // so the fallback budget hands persistent races to the validating path.
 func (e *OSTM) RunReadOnly(fn func(tx Tx) error) error {
+	if e.cfg.DisableROSnapshot {
+		return e.Atomic(fn)
+	}
 	return runSnapshotLoop(e.snapPool.get(), fn)
 }
 

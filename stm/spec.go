@@ -104,6 +104,15 @@ type EngineOptions struct {
 	// is a live object, not configuration, so it is the one field without
 	// a spec key. See trace.go for the event schema.
 	Trace *TraceRecorder
+	// DisableROSnapshot [nosnap] turns off the read-only snapshot fast
+	// path: RunReadOnly runs the engine's validating Atomic path instead.
+	// TL2, NOrec and OSTM. Default off (the fast path stays on).
+	DisableROSnapshot bool
+	// Adaptive [adaptive] makes NewWith build the stm.Adaptive
+	// reconfigurable runtime around the engine the rest of the spec
+	// names; a controller (internal/adapt) may then swap engine and
+	// options live. The runtime's inner specs never carry the key.
+	Adaptive bool
 }
 
 // Validate rejects out-of-range options. It is the one range check for
@@ -163,6 +172,8 @@ func (o EngineOptions) String() string {
 		add("deadline=%v", o.TxDeadline)
 	}
 	flag(o.SerialFallback, "serial")
+	flag(o.DisableROSnapshot, "nosnap")
+	flag(o.Adaptive, "adaptive")
 	if o.Faults != nil {
 		add("faults=%s", o.Faults)
 	}
@@ -248,8 +259,12 @@ func (o EngineOptions) Apply(s string) (EngineOptions, error) {
 			}
 		case "serial":
 			err = onOff(&o.SerialFallback)
+		case "nosnap":
+			err = onOff(&o.DisableROSnapshot)
+		case "adaptive":
+			err = onOff(&o.Adaptive)
 		default:
-			err = bad("unknown key %q (want striped, shards, versions, gc, coalesce, cm, ctv, visible, deadline, serial or faults)", key)
+			err = bad("unknown key %q (want striped, shards, versions, gc, coalesce, cm, ctv, visible, deadline, serial, nosnap, adaptive or faults)", key)
 		}
 		if err != nil {
 			return EngineOptions{}, err
@@ -281,10 +296,13 @@ type EngineSpec struct {
 //	         | "visible"               OSTM visible reads
 //	         | "deadline=" DURATION    per-transaction retry budget (Go duration)
 //	         | "serial"                irrevocable serial fallback
+//	         | "nosnap"                read-only operations take the validating path
+//	         | "adaptive"              reconfigurable runtime (stm.Adaptive)
 //	         | "faults=" PLAN          fault plan in ParseFaultPlan syntax; must be
 //	                                   last, and takes the rest of the string
 //
-// e.g. "tl2:striped=4096,shards=4,versions=4,deadline=25ms" or
+// e.g. "tl2:striped=4096,shards=4,versions=4,deadline=25ms",
+// "tl2:nosnap,adaptive" or
 // "norec:gc,faults=seed=7,precommit:1/40:80us,abort:1/24". A bare name is
 // a spec with zero options. The keys without a value are booleans and also
 // accept "=on" and "=off" (and "striped=off" is object granularity), which

@@ -20,6 +20,9 @@ var ciSpecs = []string{
 	"tl2:striped=256,coalesce",
 	"ostm:serial",
 	"ostm:cm=karma,visible",
+	"ostm:cm=karma,visible,adaptive",
+	"tl2:nosnap",
+	"tl2:nosnap,adaptive",
 	"ostm:ctv",
 	"tl2:striped",
 	"norec:gc,deadline=25ms,serial",
@@ -45,12 +48,13 @@ func TestEngineSpecRoundTrip(t *testing.T) {
 
 func TestParseEngineSpec(t *testing.T) {
 	t.Run("fields", func(t *testing.T) {
-		spec := mustSpec(" tl2 : striped=64, shards=4 ,versions=2,gc,coalesce,cm=timid,ctv,visible,deadline=3ms,serial,faults=seed=3,abort:1/8")
+		spec := mustSpec(" tl2 : striped=64, shards=4 ,versions=2,gc,coalesce,cm=timid,ctv,visible,deadline=3ms,serial,adaptive,nosnap,faults=seed=3,abort:1/8")
 		want := EngineOptions{
 			Granularity: StripedGranularity, OrecStripes: 64, ClockShards: 4, Versions: 2,
 			GroupCommit: true, LockCoalescing: true,
 			CM: Timid{}, CommitTimeValidationOnly: true, VisibleReads: true,
 			TxDeadline: 3 * time.Millisecond, SerialFallback: true,
+			DisableROSnapshot: true, Adaptive: true,
 		}
 		if spec.Name != "tl2" {
 			t.Errorf("Name = %q, want tl2", spec.Name)
@@ -81,6 +85,8 @@ func TestParseEngineSpec(t *testing.T) {
 			"tl2:,gc",                 // empty option
 			"tl2:gc=maybe",            // booleans take on/off
 			"tl2:gc=",                 // ... not an empty value
+			"tl2:nosnap=maybe",        // ... nosnap included
+			"tl2:adaptive=yes",        // ... and adaptive
 			"tl2:shards",              // counts need a value
 			"tl2:shards=-1",           // ... a non-negative one
 			"tl2:versions=two",        // ... a number
@@ -117,6 +123,9 @@ func TestEngineOptionsApplyOverlay(t *testing.T) {
 		{"faults=seed=2,abort:1/2", "striped=64,shards=4,gc,cm=karma,deadline=25ms,faults=seed=2,abort:1/2"},
 		{"faults=", "striped=64,shards=4,gc,cm=karma,deadline=25ms"},
 		{"gc=off,gc", "striped=64,shards=4,gc,cm=karma,deadline=25ms,faults=abort:1/8"},
+		{"nosnap,adaptive", "striped=64,shards=4,gc,cm=karma,deadline=25ms,nosnap,adaptive,faults=abort:1/8"},
+		{"adaptive,adaptive=off", "striped=64,shards=4,gc,cm=karma,deadline=25ms,faults=abort:1/8"},
+		{"nosnap,faults=seed=2,abort:1/2", "striped=64,shards=4,gc,cm=karma,deadline=25ms,nosnap,faults=seed=2,abort:1/2"},
 	} {
 		got, err := base.Apply(c.overlay)
 		if err != nil {
@@ -228,6 +237,10 @@ func FuzzParseEngineSpec(f *testing.F) {
 		"a b:shards=18446744073709551615",
 		"tl2:deadline=9223372036854775807ns",
 		"ostm:cm=nice",
+		"tl2:adaptive",
+		"tl2:adaptive=off",
+		"tl2:nosnap,faults=abort:1/4",
+		"tl2:nosnap=maybe",
 	}, ciSpecs...) {
 		f.Add(seed)
 	}

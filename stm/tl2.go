@@ -8,12 +8,6 @@ import (
 
 // TL2Config tunes the TL2 engine.
 type TL2Config struct {
-	// ReadLockSpins bounds how many times a read re-examines a locked Var
-	// before giving up on the attempt (default 64 when zero).
-	ReadLockSpins int
-	// CommitLockSpins bounds commit-time lock acquisition spinning per Var
-	// (default 64 when zero).
-	CommitLockSpins int
 	// TimestampExtension lets a read that finds a too-new version try to
 	// slide the transaction's snapshot forward instead of aborting: take a
 	// fresh clock sample, re-validate the read set against it, and adopt
@@ -25,9 +19,18 @@ type TL2Config struct {
 	MaxRetries int
 	// EngineOptions carries the spec-addressable knobs. TL2 honours
 	// Granularity, OrecStripes, ClockShards, Versions, LockCoalescing,
-	// TxDeadline, SerialFallback, Faults and Trace, and ignores the rest.
+	// TxDeadline, SerialFallback, Faults, Trace and DisableROSnapshot, and
+	// ignores the rest.
 	EngineOptions
 }
+
+// tl2ReadLockSpins bounds how many times a read re-examines a locked orec
+// before giving up on the attempt; tl2CommitLockSpins bounds commit-time
+// lock acquisition spinning per orec.
+const (
+	tl2ReadLockSpins   = 64
+	tl2CommitLockSpins = 64
+)
 
 // TL2 implements Transactional Locking II (Dice, Shalev, Shavit; DISC
 // 2006): a global version clock, a versioned lock word per orec, invisible
@@ -71,12 +74,6 @@ func init() {
 
 // NewTL2With returns a TL2 engine with explicit configuration.
 func NewTL2With(cfg TL2Config) *TL2 {
-	if cfg.ReadLockSpins <= 0 {
-		cfg.ReadLockSpins = 64
-	}
-	if cfg.CommitLockSpins <= 0 {
-		cfg.CommitLockSpins = 64
-	}
 	cfg.Versions = normalizeVersions(cfg.Versions)
 	e := &TL2{cfg: cfg, striped: cfg.Granularity == StripedGranularity}
 	e.coalesce = cfg.LockCoalescing && e.striped
@@ -291,7 +288,7 @@ func (tx *tl2Tx) readVar(v *Var) any {
 		m1 := o.meta.Load()
 		if m1&1 == 1 {
 			spins++
-			if spins > tx.eng.cfg.ReadLockSpins {
+			if spins > tl2ReadLockSpins {
 				tx.noteFalseConflict(o, v)
 				throwConflict("read of locked var")
 			}
@@ -407,10 +404,9 @@ func (tx *tl2Tx) releaseLocks(entries int) {
 // claiming that run's bits one orec at a time, so an overlapping commit to
 // a different stripe of the same word delays rather than kills the run.
 // Returns false (with everything already released) when a gate bit stays
-// contended past the CommitLockSpins bound.
+// contended past the tl2CommitLockSpins bound.
 func (tx *tl2Tx) lockWriteSetCoalesced() bool {
 	groups := tx.eng.space.orecs.groups
-	spinBound := tx.eng.cfg.CommitLockSpins
 	i := 0
 	for i < len(tx.writes) {
 		o := tx.writes[i].v.orc
@@ -456,13 +452,13 @@ func (tx *tl2Tx) lockWriteSetCoalesced() bool {
 				// Group contention: fall back to claiming this run's
 				// bits one orec at a time so the free stripes make
 				// progress while the busy one is waited out.
-				if !tx.lockRunPerOrec(word, i, j, spinBound) {
+				if !tx.lockRunPerOrec(word, i, j) {
 					return false
 				}
 				break
 			}
 			spins++
-			if spins > spinBound {
+			if spins > tl2CommitLockSpins {
 				tx.releaseLocks(i)
 				return false
 			}
@@ -495,7 +491,7 @@ func (tx *tl2Tx) lockWriteSetCoalesced() bool {
 // gate bits of the distinct orecs in write-set entries [i, j) one at a
 // time. On spin exhaustion it clears the bits it took, restores the fully
 // acquired prefix via releaseLocks(i), and reports failure.
-func (tx *tl2Tx) lockRunPerOrec(word *padUint64, i, j, spinBound int) bool {
+func (tx *tl2Tx) lockRunPerOrec(word *padUint64, i, j int) bool {
 	var held uint64
 	for k := i; k < j; k++ {
 		o := tx.writes[k].v.orc
@@ -514,7 +510,7 @@ func (tx *tl2Tx) lockRunPerOrec(word *padUint64, i, j, spinBound int) bool {
 				continue
 			}
 			spins++
-			if spins > spinBound {
+			if spins > tl2CommitLockSpins {
 				if held != 0 {
 					word.And(^held)
 				}
@@ -595,7 +591,7 @@ func (tx *tl2Tx) heldMetaFor(o *orec) (uint64, bool) {
 // are taken in the order the body wrote — the paper's step 3 is "acquire
 // the locks in any convenient order using bounded spinning to avoid
 // indefinite deadlock" (Dice, Shalev, Shavit; DISC 2006, §2.1), and the
-// bounded spin is CommitLockSpins: two committers that meet on crossing
+// bounded spin is tl2CommitLockSpins: two committers that meet on crossing
 // lock orders cannot wait for each other forever, the one whose spin runs
 // out releases what it holds, fails the attempt and backs off. An abort of
 // that kind always has a concurrent conflicting committer behind it, so the
@@ -658,7 +654,7 @@ func (tx *tl2Tx) commit() bool {
 					break
 				}
 				spins++
-				if spins > tx.eng.cfg.CommitLockSpins {
+				if spins > tl2CommitLockSpins {
 					tx.releaseLocks(i)
 					tx.st.lockFailures++
 					return false
