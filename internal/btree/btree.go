@@ -32,9 +32,12 @@
 // owner token and stamps it on the nodes it allocates; a tree edits a node
 // in place iff the node carries its token, and otherwise replaces it by a
 // copy it owns, on the way down. One Put, Delete or Move on a fresh clone
-// therefore copies one root-to-leaf path (Move: one path to where its two
-// keys part, and one branch from there for each), and later writes to the
-// same nodes are in place.
+// therefore copies one root-to-leaf path, and later writes to the same nodes
+// are in place. Move copies that one path when no key lies between its two
+// keys and the first is in a leaf: it then overwrites the key where it
+// stands, which is what a date toggle under the build-date index's key
+// (core.DateKey) always asks for. Otherwise it copies the path to where its
+// two keys part, and one branch from there for each.
 //
 // The contract: the RECEIVER IS FROZEN AFTER Clone. It stays fully readable,
 // it may be cloned again (from any number of goroutines at once, because
@@ -306,12 +309,19 @@ func (m *Map[K, V]) Delete(k K) (V, bool) {
 
 // Move re-keys the entry stored under from to to and reports whether from was
 // present: Delete(from) and, if that found a value, Put(to, value) — an entry
-// already under to is replaced — in one descent. The two keys walk down
-// together for as long as they route to the same child and that child is one
-// both a delete and an insert may start from; from there each goes its own
-// way. Keys that are near each other, which is what an update of an indexed
-// attribute produces, part at the last level or the one above it.
+// already under to is replaced.
+//
+// When no key lies between from and to and from is in a leaf, the move is
+// one key store where from stands (rekey): no entry shifts, no node splits
+// or merges, and the tree keeps its shape. Otherwise it is one descent: the
+// two keys walk down together for as long as they route to the same child
+// and that child is one both a delete and an insert may start from; from
+// there each goes its own way. Keys that are near each other part at the
+// last level or the one above it.
 func (m *Map[K, V]) Move(from, to K) bool {
+	if done, found := m.rekey(from, to); done {
+		return found
+	}
 	o := m.owner
 	n := m.writableRoot()
 	i, found := n.find(from)
@@ -333,6 +343,51 @@ func (m *Map[K, V]) Move(from, to K) bool {
 	}
 	m.collapseRoot()
 	return ok
+}
+
+// rekey is Move's in-place path. It descends towards from, copying the nodes
+// it does not own as Put does, and keeps the nearest separators below and
+// above the subtree it is in. If from is in a leaf and to lies strictly
+// between from's neighbours — the leaf's slots on either side of it, or at
+// the leaf's ends those separators — then no other key lies between from and
+// to, and overwriting from's key with to is the whole move. done reports
+// whether rekey settled the move, found whether from was present. When done
+// is false the map holds what it held (only the path to from may have been
+// copied) and Move takes its general path.
+func (m *Map[K, V]) rekey(from, to K) (done, found bool) {
+	o := m.owner
+	m.root = m.root.writable(o)
+	n := m.root
+	var lo, hi K
+	hasLo, hasHi := false, false
+	i, ok := n.find(from)
+	for !n.leaf() {
+		if ok {
+			return false, false // from is a separator
+		}
+		if i > 0 {
+			lo, hasLo = n.keys[i-1], true
+		}
+		if i < n.n {
+			hi, hasHi = n.keys[i], true
+		}
+		n = n.writableChild(o, i)
+		i, ok = n.find(from)
+	}
+	if !ok {
+		return true, false
+	}
+	if i > 0 {
+		lo, hasLo = n.keys[i-1], true
+	}
+	if i+1 < n.n {
+		hi, hasHi = n.keys[i+1], true
+	}
+	if (hasLo && to <= lo) || (hasHi && to >= hi) {
+		return false, false
+	}
+	n.keys[i] = to
+	return true, true
 }
 
 // delete removes k from the subtree rooted at n, which is writable by o and

@@ -398,24 +398,32 @@ func TestSizeAccountingNeverDrifts(t *testing.T) {
 	}
 }
 
-// BenchmarkMove is the build-date index's update in isolation: 10 000
-// (date, id) keys over 100 dates, and each iteration flips the parity of one
-// part's date, parts taken in shuffled order, by Move and by the Delete and
-// Put it replaces.
+// BenchmarkMove is the build-date index's update in isolation: 10 000 parts
+// over 100 dates, and each iteration flips the parity of one part's date,
+// parts taken in shuffled order. Under (date, id) keys the hundred other
+// parts of a date lie between a flip's two keys, and Move deletes and
+// inserts (Move) as the Delete and Put it replaces do (DeletePut). Under the
+// pair-major keys of core.DateKey — date pair, id, parity — no key lies
+// between them, and Move stores one key (MovePairMajor).
 func BenchmarkMove(b *testing.B) {
 	const parts, dates = 10000, 100
-	key := func(date, id int) uint64 { return uint64(date)<<32 | uint64(id) }
+	dateID := func(date, id int) uint64 { return uint64(date)<<32 | uint64(id) }
+	pairMajor := func(date, id int) uint64 { return uint64(date>>1)<<33 | uint64(id)<<1 | uint64(date&1) }
+	move := func(m *Map[uint64, *int], from, to uint64) { m.Move(from, to) }
 	for _, bc := range []struct {
 		name string
+		key  func(date, id int) uint64
 		move func(m *Map[uint64, *int], from, to uint64)
 	}{
-		{"Move", func(m *Map[uint64, *int], from, to uint64) { m.Move(from, to) }},
-		{"DeletePut", func(m *Map[uint64, *int], from, to uint64) {
+		{"Move", dateID, move},
+		{"DeletePut", dateID, func(m *Map[uint64, *int], from, to uint64) {
 			v, _ := m.Delete(from)
 			m.Put(to, v)
 		}},
+		{"MovePairMajor", pairMajor, move},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			key := bc.key
 			m := New[uint64, *int]()
 			date := make([]int, parts)
 			for id := range date {

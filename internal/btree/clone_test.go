@@ -168,6 +168,10 @@ func FuzzCloneFamily(f *testing.F) {
 	// itself, and across a clone so the frozen tree must not see them.
 	f.Add([]byte{4, 0, 10, 2, 4, 0, 12, 4, 4, 0, 13, 2, 4, 0, 20, 0, 3, 0, 0, 0, 4, 0, 30, 255, 4, 1, 11, 8})
 	f.Add([]byte{3, 0, 0, 0, 4, 0, 0, 254, 4, 0, 198, 253, 3, 1, 0, 0, 4, 2, 2, 3, 2, 0, 127, 0, 4, 1, 127, 1})
+	// Moves to the adjacent key (distance 1, the date toggle) and back, on
+	// either side of a clone, over leaf slots, separators and both ends.
+	f.Add([]byte{4, 0, 10, 2, 4, 0, 11, 2, 3, 0, 0, 0, 4, 1, 20, 2, 4, 0, 40, 2, 4, 1, 21, 2, 4, 0, 32, 2, 4, 0, 64, 2, 4, 0, 198, 2, 4, 0, 0, 2})
+	f.Add([]byte{3, 0, 0, 0, 3, 0, 0, 0, 4, 0, 50, 2, 4, 1, 50, 2, 4, 1, 51, 2, 3, 1, 0, 0, 4, 2, 100, 2, 4, 0, 101, 2, 2, 0, 102, 0, 4, 2, 104, 2, 4, 0, 0, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fam := newFamily(100)
 		for i := 0; i+4 <= len(data); i += 4 {
@@ -250,8 +254,9 @@ func TestMoveEdges(t *testing.T) {
 		}
 		before := height(tree(f))
 		// The last leaf is the one ascending inserts fill, so it can give up
-		// a key without merging and the tree keeps the level it grew.
-		move(f, uint16(10*n), uint16(10*n+1))
+		// a key without merging and the tree keeps the level it grew. The
+		// move steps over the largest key, so it cannot re-key in place.
+		move(f, uint16(10*(n-1)), uint16(10*n+1))
 		if got := height(tree(f)); got != before+1 {
 			t.Errorf("height %d -> %d, want one more", before, got)
 		}
@@ -264,13 +269,14 @@ func TestMoveEdges(t *testing.T) {
 	t.Run("root collapses", func(t *testing.T) {
 		// 32 ascending keys leave a root with one key over leaves of 15 and
 		// 16; one delete on the right makes both minimal, so the move's
-		// delete merges them and empties the root.
+		// delete merges them and empties the root. The move steps over 30,
+		// so it cannot re-key in place.
 		f := ascending(32)
 		f.step(t, kindDelete, 0, 320, 0, 0)
 		if m := tree(f); height(m) != 2 || m.root.n != 1 || m.root.kids[0].n != minKeys || m.root.kids[1].n != minKeys {
 			t.Fatalf("setup: want a one-key root over two minimal leaves")
 		}
-		move(f, 20, 21)
+		move(f, 20, 35)
 		if got := height(tree(f)); got != 1 {
 			t.Errorf("height = %d, want 1", got)
 		}
@@ -298,6 +304,175 @@ func TestMoveEdges(t *testing.T) {
 		}
 		f.check(t)
 	})
+}
+
+// nodes returns every node of m in pre-order.
+func nodes[K cmp.Ordered, V any](m *Map[K, V]) []*node[K, V] {
+	var out []*node[K, V]
+	var walk func(n *node[K, V])
+	walk = func(n *node[K, V]) {
+		out = append(out, n)
+		if !n.leaf() {
+			for _, c := range n.kids[:n.n+1] {
+				walk(c)
+			}
+		}
+	}
+	walk(m.root)
+	return out
+}
+
+// contents returns m's entries as a map.
+func contents(m *Map[uint16, uint16]) map[uint16]uint16 {
+	out := map[uint16]uint16{}
+	m.Ascend(func(k, v uint16) bool { out[k] = v; return true })
+	return out
+}
+
+// TestMoveInPlace pins Move's in-place path on a three-level tree: a move
+// from a leaf key to one with no key between them stores one key and
+// changes nothing else, and every other move takes the general path.
+func TestMoveInPlace(t *testing.T) {
+	build := func() *Map[uint16, uint16] {
+		m := New[uint16, uint16]()
+		for i := 1; i <= 1000; i++ {
+			m.Put(uint16(10*i), uint16(i))
+		}
+		return m
+	}
+	shape := build()
+	if height(shape) != 3 {
+		t.Fatalf("setup: height %d, want 3", height(shape))
+	}
+	// sep is the root's first separator. The first leaf right of it and the
+	// last leaf left of it have parents that do not bound them on that
+	// side, so their slot 0 and slot n-1 are bounded by sep, two levels up.
+	sep := shape.root.keys[0]
+	right := shape.root.kids[1]
+	for !right.leaf() {
+		right = right.kids[0]
+	}
+	left := shape.root.kids[0]
+	for !left.leaf() {
+		left = left.kids[left.n]
+	}
+	first, last := right.keys[0], left.keys[left.n-1]
+	// parentSep bounds slot 0 of the second leaf from its parent.
+	parentSep := shape.root.kids[0].keys[0]
+	second := shape.root.kids[0].kids[1].keys[0]
+
+	inPlace := []struct {
+		name     string
+		from, to uint16
+	}{
+		{"inside a leaf, up", 30, 35},
+		{"inside a leaf, down", 30, 21},
+		{"from == to", 30, 30},
+		{"slot 0, bounded by the parent", second, parentSep + 1},
+		{"slot 0, bounded two levels up", first, sep + 1},
+		{"slot n-1, bounded two levels up", last, sep - 1},
+		{"the smallest key, unbounded below", 10, 0},
+		{"the largest key, unbounded above", 10000, 65535},
+	}
+	for _, c := range inPlace {
+		t.Run(c.name, func(t *testing.T) {
+			orig := build()
+			want, before := orig.Keys(), nodes(orig)
+			v, _ := orig.Get(c.from)
+			cl := orig.Clone()
+			if !cl.Move(c.from, c.to) {
+				t.Fatalf("Move(%d, %d) = false", c.from, c.to)
+			}
+			if !slices.Equal(orig.Keys(), want) || !slices.Equal(nodes(orig), before) {
+				t.Fatal("the frozen original changed")
+			}
+			got := cl.Keys()
+			changed := 0
+			for j := range got {
+				if got[j] != want[j] {
+					changed++
+					if want[j] != c.from || got[j] != c.to {
+						t.Errorf("slot %d: %d -> %d", j, want[j], got[j])
+					}
+				}
+			}
+			wantChanged := 1
+			if c.from == c.to {
+				wantChanged = 0
+			}
+			if changed != wantChanged {
+				t.Errorf("%d slots of the key order changed, want %d", changed, wantChanged)
+			}
+			if got, _ := cl.Get(c.to); got != v {
+				t.Errorf("Get(%d) = %d, want %d", c.to, got, v)
+			}
+			after := nodes(cl)
+			if cl.Len() != orig.Len() || height(cl) != height(orig) || len(after) != len(before) {
+				t.Errorf("Len %d -> %d, height %d -> %d, nodes %d -> %d: the shape changed",
+					orig.Len(), cl.Len(), height(orig), height(cl), len(before), len(after))
+			}
+			shared := map[*node[uint16, uint16]]bool{}
+			for _, n := range before {
+				shared[n] = true
+			}
+			copied := 0
+			for _, n := range after {
+				if !shared[n] {
+					copied++
+				}
+			}
+			if copied != height(orig) {
+				t.Errorf("copied %d nodes, want one root-to-leaf path (%d)", copied, height(orig))
+			}
+			// On nodes it owns the move back copies nothing.
+			if !cl.Move(c.to, c.from) || !slices.Equal(nodes(cl), after) || !slices.Equal(cl.Keys(), want) {
+				t.Error("the move back was not in place")
+			}
+			for _, m := range []*Map[uint16, uint16]{orig, cl} {
+				if err := m.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+
+	general := []struct {
+		name     string
+		from, to uint16
+	}{
+		{"from is a separator", sep, sep + 1},
+		{"to is present", 30, 40},
+		{"a key in between", 30, 45},
+		{"slot 0, below the separator two levels up", first, sep - 1},
+		{"slot n-1, above the separator two levels up", last, sep + 1},
+	}
+	for _, c := range general {
+		t.Run(c.name, func(t *testing.T) {
+			orig := build()
+			model := contents(orig)
+			cl := orig.Clone()
+			if done, _ := cl.rekey(c.from, c.to); done {
+				t.Fatalf("rekey(%d, %d) re-keyed in place", c.from, c.to)
+			}
+			if !maps.Equal(contents(cl), model) {
+				t.Fatal("a rekey that declined changed the map")
+			}
+			if !cl.Move(c.from, c.to) {
+				t.Fatalf("Move(%d, %d) = false", c.from, c.to)
+			}
+			v := model[c.from]
+			delete(model, c.from)
+			model[c.to] = v
+			if !maps.Equal(contents(cl), model) || cl.Len() != len(model) {
+				t.Error("the general path disagrees with Delete + Put")
+			}
+			for _, m := range []*Map[uint16, uint16]{orig, cl} {
+				if err := m.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // TestCloneConcurrentFrozenBase is the -race test of the frozen-receiver

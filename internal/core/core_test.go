@@ -295,16 +295,20 @@ func TestSetAtomicDateMaintainsIndex(t *testing.T) {
 
 // TestAtomicPartsByDateMatchesBruteForce checks the streamed composite-key
 // range scan against a brute-force pass over every composite part's Parts —
-// same parts, same (date, id) order — on every engine, with both index
-// representations and both atomic-part layouts, inside Atomic and inside
-// RunReadOnly. The ranges are the ones OP2, OP3 and OP10 use, single dates
-// at both ends of the key range (the parts on MaxDate sit at the top of the
-// key space, where the scan's upper bound is the key just below
-// DateKey(MaxDate+1, 0)), and an empty range.
+// same parts, same DateKey order (date pair, id, date) — on every engine,
+// with both index representations and both atomic-part layouts, inside
+// Atomic and inside RunReadOnly. The ranges are the ones OP2, OP3 and OP10
+// use, single dates at both ends of the key range (the parts on MaxDate sit
+// at the top of the key space, where the scan's upper bound is
+// DateKey(MaxDate, 1<<32-1)), and empty ranges. The scan covers whole date
+// pairs, and the ops' ranges start on an even date and end on an odd one;
+// the ranges with an odd lo or an even hi are the only ones here whose end
+// pairs hold parts the scan must skip.
 func TestAtomicPartsByDateMatchesBruteForce(t *testing.T) {
 	ranges := [][2]int{
 		{1990, 1999}, {MinDate, MaxDate}, {MaxDate, MaxDate}, {MinDate, MinDate},
 		{1989, 1989}, {MinDate + 1, MaxDate - 1}, {1950, 1949},
+		{1991, 1998}, {MinDate + 1, MinDate + 1}, {1989, 1990}, {MinDate + 1, MinDate},
 	}
 	for _, name := range stm.Registered() {
 		for _, txIdx := range []bool{false, true} {
@@ -401,6 +405,31 @@ func TestToggleAtomicDateStaysInRange(t *testing.T) {
 		}
 		return s.CheckInvariants(tx)
 	})
+}
+
+// TestToggleDateStaysInItsPair walks every date in [MinDate, MaxDate]: the
+// toggle changes the date, keeps it in range and in its pair {2k, 2k+1},
+// undoes itself, and moves a part's build-date key by bit 0 alone, which is
+// what lets btree.Map.Move re-key it in place. keyDate inverts DateKey.
+func TestToggleDateStaysInItsPair(t *testing.T) {
+	for d := MinDate; d <= MaxDate; d++ {
+		nd := ToggleDate(d)
+		if nd == d || nd < MinDate || nd > MaxDate || nd>>1 != d>>1 {
+			t.Fatalf("ToggleDate(%d) = %d: not the other date of its pair", d, nd)
+		}
+		if back := ToggleDate(nd); back != d {
+			t.Fatalf("ToggleDate(ToggleDate(%d)) = %d", d, back)
+		}
+		for _, id := range []uint64{0, 1, 4711, 1<<dateKeyIDBits - 1} {
+			k, nk := DateKey(d, id), DateKey(nd, id)
+			if k^nk != 1 {
+				t.Fatalf("DateKey(%d, %d) = %#x and DateKey(%d, %d) = %#x differ beyond bit 0", d, id, k, nd, id, nk)
+			}
+			if got := keyDate(k); got != d {
+				t.Fatalf("keyDate(DateKey(%d, %d)) = %d", d, id, got)
+			}
+		}
+	}
 }
 
 func TestDeleteCompositePart(t *testing.T) {
@@ -731,7 +760,7 @@ func describeDesignLibrary(tx stm.Tx, s *Structure, cps []*CompositePart) string
 		return true
 	})
 	s.Idx.AtomicByDate.Ascend(tx, func(key uint64, ap *AtomicPart) bool {
-		fmt.Fprintf(&b, "idx date %d/%d -> %d\n", key>>dateKeyIDBits, key&(1<<dateKeyIDBits-1), ap.ID)
+		fmt.Fprintf(&b, "idx date %d/%d -> %d\n", keyDate(key), key>>1&(1<<dateKeyIDBits-1), ap.ID)
 		return true
 	})
 	return b.String()

@@ -29,7 +29,8 @@ type Index[K cmp.Ordered, V any] interface {
 	// of what it removed, replacing an entry already there — and reports
 	// whether from was present. It is the update of an indexed attribute,
 	// and it is one write of the index: under cellIndex one open of the
-	// index Var and one walk of the tree (btree.Map.Move).
+	// index Var and one walk of the tree (btree.Map.Move), which for a date
+	// toggle's two adjacent DateKeys ends in one key store in a leaf.
 	Move(tx stm.Tx, from, to K) bool
 	Ascend(tx stm.Tx, fn func(K, V) bool)
 	// Range calls fn for every entry with lo <= key <= hi in ascending

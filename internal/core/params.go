@@ -26,6 +26,15 @@ const (
 	MaxDate = 1999
 )
 
+// The date range must start on an even date and end on an odd one: that is
+// what keeps ToggleDate inside a pair {2k, 2k+1} and the build-date index's
+// toggle to one key store (DateKey). Each line fails to compile ("constant
+// -1 overflows uint") if its bound has the wrong parity.
+const (
+	_ = uint(-(MinDate & 1))
+	_ = uint(MaxDate&1 - 1)
+)
+
 // Params sizes the structure. The paper uses the "medium" OO7 configuration
 // (see Medium); tests and CI-scale runs use the smaller presets.
 type Params struct {

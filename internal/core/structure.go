@@ -219,25 +219,41 @@ func (s *Structure) LookupComplex(tx stm.Tx, id uint64) (*ComplexAssembly, bool)
 
 // --- build-date index maintenance (index 2) ------------------------------
 
-// dateKeyIDBits is the width of the id half of a build-date index key.
+// dateKeyIDBits is the width of the id field of a build-date index key.
 // Params.Validate keeps every atomic-part id below 1<<dateKeyIDBits.
 const dateKeyIDBits = 32
 
-// DateKey is the build-date index's key for atomic part id built on date:
-// keys order by date first, so the parts built in [lo, hi] are exactly the
-// keys in [DateKey(lo, 0), DateKey(hi+1, 0)).
-func DateKey(date int, id uint64) uint64 { return uint64(date)<<dateKeyIDBits | id }
+// DateKey is the build-date index's key for atomic part id built on date. It
+// is pair-major: the date pair date>>1 first, then the id, then the date's
+// parity, (date>>1)<<33 | id<<1 | date&1. A part's two keys in a pair — the
+// two dates ToggleDate moves it between — are adjacent in key order, with no
+// other part's key between them, so a toggle re-keys one index entry where
+// it stands (btree.Map.Move). The parts built in the pairs covering [lo, hi]
+// are exactly the keys in [DateKey(lo&^1, 0), DateKey(hi|1, 1<<32-1)].
+func DateKey(date int, id uint64) uint64 {
+	return uint64(date>>1)<<(dateKeyIDBits+1) | id<<1 | uint64(date&1)
+}
+
+// keyDate is the date a DateKey was built from.
+func keyDate(k uint64) int { return int(k>>(dateKeyIDBits+1))<<1 | int(k&1) }
 
 // AtomicPartsByDate calls fn for every atomic part with buildDate in
-// [lo, hi], in (date, id) order, as the index walk reaches it, until fn
-// returns false. fn must not change a build date (Index.Range).
+// [lo, hi], in DateKey order (by date pair, then id, then date), as the
+// index walk reaches it, until fn returns false. fn must not change a build
+// date (Index.Range). The walk covers whole pairs; an odd lo or an even hi
+// leaves one out-of-range date in an end pair, and those parts are skipped.
 //
 // The switch calls Range on the concrete representation: through the Index
 // interface the compiler must assume fn is retained, which moves it and
 // every variable the caller's closure captures to the heap on each call.
 func (s *Structure) AtomicPartsByDate(tx stm.Tx, lo, hi int, fn func(*AtomicPart) bool) {
-	from, to := DateKey(lo, 0), DateKey(hi+1, 0)-1
-	visit := func(_ uint64, p *AtomicPart) bool { return fn(p) }
+	from, to := DateKey(lo&^1, 0), DateKey(hi|1, 1<<dateKeyIDBits-1)
+	visit := func(k uint64, p *AtomicPart) bool {
+		if d := keyDate(k); d < lo || d > hi {
+			return true
+		}
+		return fn(p)
+	}
 	switch x := s.Idx.AtomicByDate.(type) {
 	case *cellIndex[uint64, *AtomicPart]:
 		x.Range(tx, from, to, visit)
@@ -259,8 +275,16 @@ func (s *Structure) SetAtomicDate(tx stm.Tx, p *AtomicPart, newDate int) {
 	s.Idx.AtomicByDate.Move(tx, DateKey(old, p.ID), DateKey(newDate, p.ID))
 }
 
-// ToggleAtomicDate is the canonical indexed update: nudge the date's parity
-// (stays within [MinDate, MaxDate]).
+// ToggleDate is the one date update the benchmark's operations make: d+1 if
+// d is even, d-1 if it is odd. MinDate is even and MaxDate odd (params.go
+// will not compile otherwise), so a date in [MinDate, MaxDate] never leaves
+// its pair {2k, 2k+1}: ToggleDate(d)>>1 == d>>1, the result is in range
+// without a clamp, and ToggleDate(ToggleDate(d)) == d. DateKey relies on the
+// first: a toggled part's two index keys differ only in bit 0.
+func ToggleDate(d int) int { return d ^ 1 }
+
+// ToggleAtomicDate is the canonical indexed update: ToggleDate on the part's
+// build date, and the matching re-keying of the build-date index.
 //
 // It always writes, so it opens the part for writing straight away and takes
 // the old date from the private copy, as STMBench7 does; it does not read the
@@ -272,13 +296,7 @@ func (s *Structure) ToggleAtomicDate(tx stm.Tx, p *AtomicPart) {
 	var old, nd int
 	p.Mutate(tx, func(st *AtomicPartState) {
 		old = st.BuildDate
-		nd = old + 1
-		if old%2 != 0 || nd > MaxDate {
-			nd = old - 1
-		}
-		if nd < MinDate {
-			nd = old + 1
-		}
+		nd = ToggleDate(old)
 		st.BuildDate = nd
 	})
 	s.Idx.AtomicByDate.Move(tx, DateKey(old, p.ID), DateKey(nd, p.ID))

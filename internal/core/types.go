@@ -269,8 +269,9 @@ type Module struct {
 // optimization).
 //
 // The build-date index has one entry per atomic part under the composite key
-// DateKey(buildDate, id): changing a part's date is one Move, and a date
-// range is one key range.
+// DateKey(buildDate, id), ordered by date pair, then id, then the date's
+// parity: changing a part's date is one Move (for a toggle, one key store in
+// place), and a date range is one key range over whole pairs.
 type Indexes struct {
 	AtomicByID      Index[uint64, *AtomicPart]
 	AtomicByDate    Index[uint64, *AtomicPart]

@@ -119,6 +119,16 @@ func TestRobustnessValidation(t *testing.T) {
 	}
 }
 
+// burstOps and burstRate make an open-loop burst no host drains: 20 000
+// arrivals all due within 20 µs. Serving them inside a 500 µs lateness
+// budget would take 25 ns an operation, harness included. (500 arrivals at
+// 2 M/s, the burst these tests had, drained inside the budget on a fast
+// host whenever the short ops ran under about 1.5 µs.)
+const (
+	burstOps  = 20_000
+	burstRate = 1e9
+)
+
 // TestOpenLoopShedding: a single worker offered an instantaneous burst
 // far beyond its service capacity must shed most of it under a tight
 // lateness budget — and the books must balance:
@@ -126,19 +136,19 @@ func TestRobustnessValidation(t *testing.T) {
 func TestOpenLoopShedding(t *testing.T) {
 	o := baseOpts()
 	o.Threads = 1
-	o.MaxOps = 500
+	o.MaxOps = burstOps
 	o.LongTraversals = false
 	o.StructureMods = false
 	o.CheckInvariants = false
 	o.OpenLoop = true
-	o.ArrivalRate = 2_000_000 // all due at once
+	o.ArrivalRate = burstRate
 	o.ShedAfter = 500 * time.Microsecond
 	res, err := Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.ShedOps == 0 {
-		t.Fatal("no ops shed under an instantaneous 500-op burst with a 500µs budget")
+		t.Fatalf("no ops shed under an instantaneous %d-op burst with a 500µs budget", burstOps)
 	}
 	if res.Arrivals != res.TotalAttempted()+res.ShedOps {
 		t.Errorf("Arrivals %d != attempted %d + shed %d", res.Arrivals, res.TotalAttempted(), res.ShedOps)
@@ -153,19 +163,19 @@ func TestOpenLoopShedding(t *testing.T) {
 func TestOpenLoopQueueBound(t *testing.T) {
 	o := baseOpts()
 	o.Threads = 1
-	o.MaxOps = 500
+	o.MaxOps = burstOps
 	o.LongTraversals = false
 	o.StructureMods = false
 	o.CheckInvariants = false
 	o.OpenLoop = true
-	o.ArrivalRate = 2_000_000
+	o.ArrivalRate = burstRate
 	o.QueueBound = 8
 	res, err := Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.ShedOps == 0 {
-		t.Fatal("no ops shed with an 8-deep queue bound under a 500-op burst")
+		t.Fatalf("no ops shed with an 8-deep queue bound under a %d-op burst", burstOps)
 	}
 	if res.Arrivals != res.TotalAttempted()+res.ShedOps {
 		t.Errorf("Arrivals %d != attempted %d + shed %d", res.Arrivals, res.TotalAttempted(), res.ShedOps)

@@ -161,20 +161,6 @@ func readAtomicPart(tx stm.Tx, p *core.AtomicPart, sink *int) {
 	*sink += st.X + st.Y + st.BuildDate
 }
 
-// toggleAssemblyDate is the non-indexed assembly update (ST8, OP12, OP13):
-// nudge buildDate parity, staying in [MinDate, MaxDate]. Assembly dates are
-// not indexed, so no index maintenance is involved.
-func toggleDate(d int) int {
-	nd := d + 1
-	if d%2 != 0 || nd > core.MaxDate {
-		nd = d - 1
-	}
-	if nd < core.MinDate {
-		nd = d + 1
-	}
-	return nd
-}
-
 // randomSubPath descends one random step from a complex assembly: it
 // returns a random child (complex or base). Used by ST1/ST2/ST6/ST7/ST9/ST10.
 func randomChild(tx stm.Tx, ca *core.ComplexAssembly, r *rng.Rand) (nextComplex *core.ComplexAssembly, base *core.BaseAssembly) {

@@ -217,7 +217,7 @@ func init() {
 		Run: func(tx stm.Tx, s *core.Structure, r *rng.Rand) (int, error) {
 			return siblingsComplex(tx, s, r, func(ca *core.ComplexAssembly) {
 				ca.Mutate(tx, func(st *core.ComplexAssemblyState) {
-					st.BuildDate = toggleDate(st.BuildDate)
+					st.BuildDate = core.ToggleDate(st.BuildDate)
 				})
 			})
 		},
@@ -229,7 +229,7 @@ func init() {
 		Run: func(tx stm.Tx, s *core.Structure, r *rng.Rand) (int, error) {
 			return siblingsBase(tx, s, r, func(ba *core.BaseAssembly) {
 				ba.Mutate(tx, func(st *core.BaseAssemblyState) {
-					st.BuildDate = toggleDate(st.BuildDate)
+					st.BuildDate = core.ToggleDate(st.BuildDate)
 				})
 			})
 		},
@@ -247,7 +247,7 @@ func init() {
 			for _, cp := range ba.State(tx).Components {
 				n++
 				cp.Mutate(tx, func(st *core.CompositePartState) {
-					st.BuildDate = toggleDate(st.BuildDate)
+					st.BuildDate = core.ToggleDate(st.BuildDate)
 				})
 			}
 			return n, nil

@@ -152,7 +152,7 @@ func init() {
 			}
 			n := ascendantComplexAssemblies(bas, func(ca *core.ComplexAssembly) {
 				ca.Mutate(tx, func(st *core.ComplexAssemblyState) {
-					st.BuildDate = toggleDate(st.BuildDate)
+					st.BuildDate = core.ToggleDate(st.BuildDate)
 				})
 			})
 			return n, nil
