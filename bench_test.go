@@ -566,58 +566,6 @@ func BenchmarkAblationTL2Extension(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationTxIndex: §5's transactional-index proposal — an
-// index-writer-heavy concurrent workload (OP15 mixed with OP1/OP2 readers)
-// under TL2 with the paper's single-object indexes vs per-node
-// transactional B-trees. The single-object index makes every OP15 copy the
-// whole index and conflict with every reader; the tx index conflicts per
-// node.
-func BenchmarkAblationTxIndex(b *testing.B) {
-	for _, pt := range []struct {
-		name string
-		txi  bool
-	}{
-		{"single-object", false},
-		{"tx-btree", true},
-	} {
-		for _, threads := range []int{1, 8} {
-			b.Run(fmt.Sprintf("%s/threads=%d", pt.name, threads), func(b *testing.B) {
-				p := core.Tiny()
-				p.TxIndexes = pt.txi
-				ex, s := benchSetup(b, sync7.Config{Strategy: "tl2"}, p)
-				mix := []string{"OP15", "OP1", "OP2", "OP1"}
-				var idx atomic.Int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				start := time.Now()
-				var wg sync.WaitGroup
-				for t := 0; t < threads; t++ {
-					wg.Add(1)
-					go func(t int) {
-						defer wg.Done()
-						r := rng.New(uint64(500 + t))
-						for {
-							i := idx.Add(1)
-							if i > int64(b.N) {
-								return
-							}
-							op, _ := ops.ByName(mix[i%int64(len(mix))])
-							if _, err := ex.Execute(op, s, r); err != nil && !errors.Is(err, ops.ErrFailed) {
-								b.Error(err)
-								return
-							}
-						}
-					}(t)
-				}
-				wg.Wait()
-				b.StopTimer()
-				b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "ops/s")
-				b.ReportMetric(100*ex.Engine().Stats().AbortRate(), "abort-%")
-			})
-		}
-	}
-}
-
 // --- STM micro-benchmarks ---------------------------------------------------
 
 // BenchmarkSTMReadWrite measures raw per-access costs of every

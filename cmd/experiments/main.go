@@ -526,7 +526,6 @@ func ablations(d *driver) error {
 		{group: "layout (tl2)", name: "faithful", spec: "tl2"},
 		{group: "layout (tl2)", name: "chunked manual", spec: "tl2", layout: func(p *core.Params) { p.ManualChunks = 8 }},
 		{group: "layout (tl2)", name: "grouped parts", spec: "tl2", layout: func(p *core.Params) { p.GroupAtomicParts = true }},
-		{group: "layout (tl2)", name: "tx b-tree indexes", spec: "tl2", layout: func(p *core.Params) { p.TxIndexes = true }},
 	} {
 		if row.group != lastGroup && lastGroup != "" {
 			d.printf("\n")

@@ -109,7 +109,7 @@ func goldens() map[string]golden {
 				"contention manager/timid", "contention manager/backoff",
 				"tl2/plain", "tl2/timestamp extension",
 				"norec/value validation (faithful)", "norec/reference validation",
-				"layout (tl2)/faithful", "layout (tl2)/chunked manual", "layout (tl2)/grouped parts", "layout (tl2)/tx b-tree indexes",
+				"layout (tl2)/faithful", "layout (tl2)/chunked manual", "layout (tl2)/grouped parts",
 			},
 			always: throughputAlways, may: throughputMay,
 			lines: []string{

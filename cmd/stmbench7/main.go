@@ -55,7 +55,6 @@
 //	-check                    verify all structural invariants after the run
 //	-chunks N                 split the manual into N chunks (§5 optimization)
 //	-group-atomic             group atomic-part state per composite part (§5 optimization)
-//	-tx-index                 use per-node transactional B-tree indexes (§5 optimization)
 //
 // Scenario mode (multi-phase workloads; see the README's Scenarios
 // chapter):
@@ -112,7 +111,6 @@ func run(args []string) error {
 	check := fs.Bool("check", false, "check structural invariants after the run")
 	chunks := fs.Int("chunks", 1, "manual chunks (§5 optimization when > 1)")
 	groupAtomic := fs.Bool("group-atomic", false, "group atomic-part state per composite (§5 optimization)")
-	txIndex := fs.Bool("tx-index", false, "per-node transactional B-tree indexes (§5 optimization)")
 	scenarioArg := fs.String("scenario", "", "run a multi-phase scenario: builtin name or JSON file (see -list-scenarios)")
 	scenarioScale := fs.Float64("scenario-scale", 1, "multiply scenario phase durations")
 	listScenarios := fs.Bool("list-scenarios", false, "list builtin scenarios and exit")
@@ -154,7 +152,6 @@ func run(args []string) error {
 	}
 	params.ManualChunks = *chunks
 	params.GroupAtomicParts = *groupAtomic
-	params.TxIndexes = *txIndex
 
 	if *traceEvents < 0 {
 		return fmt.Errorf("bad -trace %d (must be >= 0)", *traceEvents)

@@ -5,8 +5,7 @@
 // discussion — "the indexes could be implemented manually, using, for
 // example, B-trees" — is why this is a B-tree rather than a hash map: the
 // build-date index needs range scans (operations OP2/OP3 query build-date
-// ranges), and the transactional-index extension (internal/txbtree) reuses
-// the same node discipline.
+// ranges).
 //
 // A Map is NOT safe for concurrent mutation; in the benchmark each index
 // lives in a single stm Var and all access is mediated by a transaction or

@@ -7,8 +7,8 @@ import (
 )
 
 // CheckInvariants validates the structural invariants of the tree and
-// returns a descriptive error on the first violation. It is exported for
-// the test suites of this package and of internal/txbtree.
+// returns a descriptive error on the first violation. The tests of this
+// package call it after every mutation they make.
 //
 // Checked: key ordering within nodes and across subtrees, node fill bounds
 // (minKeys..maxKeys for non-root nodes), uniform leaf depth, size

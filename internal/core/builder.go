@@ -10,7 +10,7 @@ import (
 // newStructure is what Build starts from: the indexes and the id pools,
 // nothing in them.
 func newStructure(p Params, space *stm.VarSpace) *Structure {
-	s := &Structure{P: p, Space: space, Idx: newIndexes(space, p.TxIndexes)}
+	s := &Structure{P: p, Space: space, Idx: newIndexes(space)}
 	s.ids = named(stm.NewCellClone(space, IDState{NextComp: 1, NextBase: 1, NextComplex: 1}, cloneIDState), DomainStructureIdx)
 	return s
 }

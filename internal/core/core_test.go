@@ -296,11 +296,10 @@ func TestSetAtomicDateMaintainsIndex(t *testing.T) {
 // TestAtomicPartsByDateMatchesBruteForce checks the streamed composite-key
 // range scan against a brute-force pass over every composite part's Parts —
 // same parts, same DateKey order (date pair, id, date) — on every engine,
-// with both index representations and both atomic-part layouts, inside
-// Atomic and inside RunReadOnly. The ranges are the ones OP2, OP3 and OP10
-// use, single dates at both ends of the key range (the parts on MaxDate sit
-// at the top of the key space, where the scan's upper bound is
-// DateKey(MaxDate, 1<<32-1)), and empty ranges. The scan covers whole date
+// with both atomic-part layouts, inside Atomic and inside RunReadOnly. The
+// ranges are the ones OP2, OP3 and OP10 use, single dates at both ends of the
+// key range (the parts on MaxDate sit at the top of the key space, where the
+// scan's upper bound is DateKey(MaxDate, 1<<32-1)), and empty ranges. The scan covers whole date
 // pairs, and the ops' ranges start on an even date and end on an odd one;
 // the ranges with an odd lo or an even hi are the only ones here whose end
 // pairs hold parts the scan must skip.
@@ -311,69 +310,67 @@ func TestAtomicPartsByDateMatchesBruteForce(t *testing.T) {
 		{1991, 1998}, {MinDate + 1, MinDate + 1}, {1989, 1990}, {MinDate + 1, MinDate},
 	}
 	for _, name := range stm.Registered() {
-		for _, txIdx := range []bool{false, true} {
-			for _, grouped := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/txidx=%v/grouped=%v", name, txIdx, grouped), func(t *testing.T) {
-					eng, err := stm.New(name)
-					if err != nil {
-						t.Fatal(err)
+		for _, grouped := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/grouped=%v", name, grouped), func(t *testing.T) {
+				eng, err := stm.New(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p := Tiny()
+				p.GroupAtomicParts = grouped
+				s, err := Build(p, 42, eng.VarSpace())
+				if err != nil {
+					t.Fatal(err)
+				}
+				var all []*AtomicPart
+				eng.Atomic(func(tx stm.Tx) error {
+					all = all[:0]
+					s.Idx.CompositeByID.Ascend(tx, func(_ uint64, cp *CompositePart) bool {
+						all = append(all, cp.Parts...)
+						return true
+					})
+					// Pin parts to the edges and to both sides of OP2's
+					// lower bound; two parts go on MaxDate.
+					for i, d := range []int{MinDate, MinDate, MinDate + 1, 1989, 1990, MaxDate - 1, MaxDate, MaxDate} {
+						s.SetAtomicDate(tx, all[i*len(all)/8], d)
 					}
-					p := Tiny()
-					p.TxIndexes, p.GroupAtomicParts = txIdx, grouped
-					s, err := Build(p, 42, eng.VarSpace())
-					if err != nil {
-						t.Fatal(err)
-					}
-					var all []*AtomicPart
-					eng.Atomic(func(tx stm.Tx) error {
-						all = all[:0]
-						s.Idx.CompositeByID.Ascend(tx, func(_ uint64, cp *CompositePart) bool {
-							all = append(all, cp.Parts...)
+					return nil
+				})
+				check := func(tx stm.Tx) error {
+					for _, rg := range ranges {
+						lo, hi := rg[0], rg[1]
+						var want []*AtomicPart
+						for _, p := range all {
+							if d := p.BuildDate(tx); d >= lo && d <= hi {
+								want = append(want, p)
+							}
+						}
+						slices.SortFunc(want, func(a, b *AtomicPart) int {
+							return cmp.Compare(DateKey(a.BuildDate(tx), a.ID), DateKey(b.BuildDate(tx), b.ID))
+						})
+						var got []*AtomicPart
+						s.AtomicPartsByDate(tx, lo, hi, func(p *AtomicPart) bool {
+							got = append(got, p)
 							return true
 						})
-						// Pin parts to the edges and to both sides of OP2's
-						// lower bound; two parts go on MaxDate.
-						for i, d := range []int{MinDate, MinDate, MinDate + 1, 1989, 1990, MaxDate - 1, MaxDate, MaxDate} {
-							s.SetAtomicDate(tx, all[i*len(all)/8], d)
+						if !slices.Equal(got, want) {
+							t.Errorf("[%d, %d]: index scan returned %d parts, brute force %d (or in another order)", lo, hi, len(got), len(want))
 						}
-						return nil
-					})
-					check := func(tx stm.Tx) error {
-						for _, rg := range ranges {
-							lo, hi := rg[0], rg[1]
-							var want []*AtomicPart
-							for _, p := range all {
-								if d := p.BuildDate(tx); d >= lo && d <= hi {
-									want = append(want, p)
-								}
-							}
-							slices.SortFunc(want, func(a, b *AtomicPart) int {
-								return cmp.Compare(DateKey(a.BuildDate(tx), a.ID), DateKey(b.BuildDate(tx), b.ID))
-							})
-							var got []*AtomicPart
-							s.AtomicPartsByDate(tx, lo, hi, func(p *AtomicPart) bool {
-								got = append(got, p)
-								return true
-							})
-							if !slices.Equal(got, want) {
-								t.Errorf("[%d, %d]: index scan returned %d parts, brute force %d (or in another order)", lo, hi, len(got), len(want))
-							}
-							if lo == MaxDate && len(want) < 2 {
-								t.Errorf("only %d parts on MaxDate: the edge is not exercised", len(want))
-							}
-							if lo > hi && len(got) != 0 {
-								t.Errorf("[%d, %d]: empty range returned %d parts", lo, hi, len(got))
-							}
+						if lo == MaxDate && len(want) < 2 {
+							t.Errorf("only %d parts on MaxDate: the edge is not exercised", len(want))
 						}
-						return nil
+						if lo > hi && len(got) != 0 {
+							t.Errorf("[%d, %d]: empty range returned %d parts", lo, hi, len(got))
+						}
 					}
-					eng.Atomic(check)
-					stm.RunReadOnly(eng, check)
-					if err := eng.Atomic(s.CheckInvariants); err != nil {
-						t.Error(err)
-					}
-				})
-			}
+					return nil
+				}
+				eng.Atomic(check)
+				stm.RunReadOnly(eng, check)
+				if err := eng.Atomic(s.CheckInvariants); err != nil {
+					t.Error(err)
+				}
+			})
 		}
 	}
 }
@@ -804,11 +801,10 @@ func TestBuildCompositePartMatchesReference(t *testing.T) {
 		return desc, r.Uint64()
 	}
 	for _, size := range []string{"tiny", "small"} {
-		for _, variant := range []string{"plain", "grouped", "txindexes"} {
+		for _, variant := range []string{"plain", "grouped"} {
 			for _, seed := range []uint64{1, 42, 20071} {
 				p, _ := Named(size)
 				p.GroupAtomicParts = variant == "grouped"
-				p.TxIndexes = variant == "txindexes"
 				got, gotNext := build(p, seed, (*Structure).BuildCompositePart)
 				want, wantNext := build(p, seed, (*Structure).buildCompositePartReference)
 				if d := firstDifference(got, want); d != "" {
@@ -851,8 +847,8 @@ func (s *Structure) toggleAtomicDateOracle(tx stm.Tx, p *AtomicPart) {
 // TestIndexedUpdateMatchesOracle toggles every part of two structures built
 // from one seed one to four times — one structure by the oracle, one by
 // ToggleAtomicDate — and sets every seventh part's date outright, on every
-// engine and in every representation of the parts and of the index. Both must
-// end with the same dates and the same build-date index.
+// engine and in both representations of the parts. Both must end with the
+// same dates and the same build-date index.
 func TestIndexedUpdateMatchesOracle(t *testing.T) {
 	type updater struct {
 		toggle func(*Structure, stm.Tx, *AtomicPart)
@@ -918,18 +914,16 @@ func TestIndexedUpdateMatchesOracle(t *testing.T) {
 		return b.String()
 	}
 	for _, engine := range stm.Registered() {
-		for _, txIndexes := range []bool{false, true} {
-			for _, grouped := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/txindexes=%v/grouped=%v", engine, txIndexes, grouped), func(t *testing.T) {
-					p := Tiny()
-					p.TxIndexes, p.GroupAtomicParts = txIndexes, grouped
-					got := run(t, engine, p, updater{(*Structure).ToggleAtomicDate, (*Structure).SetAtomicDate})
-					want := run(t, engine, p, updater{(*Structure).toggleAtomicDateOracle, (*Structure).setAtomicDateOracle})
-					if d := firstDifference(got, want); d != "" {
-						t.Errorf("one-open update against oracle: %s", d)
-					}
-				})
-			}
+		for _, grouped := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/grouped=%v", engine, grouped), func(t *testing.T) {
+				p := Tiny()
+				p.GroupAtomicParts = grouped
+				got := run(t, engine, p, updater{(*Structure).ToggleAtomicDate, (*Structure).SetAtomicDate})
+				want := run(t, engine, p, updater{(*Structure).toggleAtomicDateOracle, (*Structure).setAtomicDateOracle})
+				if d := firstDifference(got, want); d != "" {
+					t.Errorf("one-open update against oracle: %s", d)
+				}
+			})
 		}
 	}
 }
@@ -979,7 +973,7 @@ func TestToggleAtomicDateOpensEachVarOnce(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				indexVar := s.Idx.AtomicByDate.(*cellIndex[uint64, *AtomicPart]).c.Var()
+				indexVar := s.Idx.AtomicByDate.c.Var()
 				var (
 					log     []access
 					partVar *stm.Var

@@ -69,10 +69,6 @@ type Params struct {
 	// synchronized cells (1 = the paper's single-object manual; >1 is the
 	// §5 "split the manual into a number of chunks" optimization).
 	ManualChunks int
-	// TxIndexes replaces the paper's single-object indexes with
-	// transactional B-trees (one Var per node) — §5's "indexes ... with
-	// each node synchronized separately" optimization.
-	TxIndexes bool
 	// GroupAtomicParts stores each composite part's whole atomic-part
 	// graph state in a single cell instead of one cell per atomic part —
 	// §5's "make composite parts contain, logically, all their atomic

@@ -193,18 +193,10 @@ func (s *Structure) LookupComposite(tx stm.Tx, id uint64) (*CompositePart, bool)
 }
 
 // DocumentByTitle finds a document by title (index 4). The title is only
-// compared with the index's keys, never kept, and the lookup is on the
-// concrete representation (see AtomicPartsByDate) so that the compiler can
-// tell: a caller's title built in a stack buffer stays there.
+// compared with the index's keys, never kept, so a caller's title built in a
+// stack buffer stays there.
 func (s *Structure) DocumentByTitle(tx stm.Tx, title []byte) (*Document, bool) {
-	key := unsafe.String(unsafe.SliceData(title), len(title))
-	switch x := s.Idx.DocumentByTitle.(type) {
-	case *cellIndex[string, *Document]:
-		return x.Get(tx, key)
-	case *txIndex[string, *Document]:
-		return x.Get(tx, key)
-	}
-	return nil, false
+	return s.Idx.DocumentByTitle.Get(tx, unsafe.String(unsafe.SliceData(title), len(title)))
 }
 
 // LookupBase finds a base assembly by id (index 5).
@@ -242,24 +234,14 @@ func keyDate(k uint64) int { return int(k>>(dateKeyIDBits+1))<<1 | int(k&1) }
 // index walk reaches it, until fn returns false. fn must not change a build
 // date (Index.Range). The walk covers whole pairs; an odd lo or an even hi
 // leaves one out-of-range date in an end pair, and those parts are skipped.
-//
-// The switch calls Range on the concrete representation: through the Index
-// interface the compiler must assume fn is retained, which moves it and
-// every variable the caller's closure captures to the heap on each call.
 func (s *Structure) AtomicPartsByDate(tx stm.Tx, lo, hi int, fn func(*AtomicPart) bool) {
 	from, to := DateKey(lo&^1, 0), DateKey(hi|1, 1<<dateKeyIDBits-1)
-	visit := func(k uint64, p *AtomicPart) bool {
+	s.Idx.AtomicByDate.Range(tx, from, to, func(k uint64, p *AtomicPart) bool {
 		if d := keyDate(k); d < lo || d > hi {
 			return true
 		}
 		return fn(p)
-	}
-	switch x := s.Idx.AtomicByDate.(type) {
-	case *cellIndex[uint64, *AtomicPart]:
-		x.Range(tx, from, to, visit)
-	case *txIndex[uint64, *AtomicPart]:
-		x.Range(tx, from, to, visit)
-	}
+	})
 }
 
 // SetAtomicDate changes p's buildDate and maintains the build-date index —

@@ -261,24 +261,21 @@ type Module struct {
 	DesignRoot *ComplexAssembly
 }
 
-// Indexes are the six indexes of Table 1. In the paper-faithful
-// representation each index is a single object — one cell holding a whole
-// B-tree — reproducing ASTM's conflict footprint (§5: "the manual and each
-// index are represented by single objects"). With Params.TxIndexes each
-// index is a transactional B-tree with one Var per node (the §5
-// optimization).
+// Indexes are the six indexes of Table 1. Each index is a single object —
+// one cell holding a whole B-tree — reproducing ASTM's conflict footprint
+// (§5: "the manual and each index are represented by single objects").
 //
 // The build-date index has one entry per atomic part under the composite key
 // DateKey(buildDate, id), ordered by date pair, then id, then the date's
 // parity: changing a part's date is one Move (for a toggle, one key store in
 // place), and a date range is one key range over whole pairs.
 type Indexes struct {
-	AtomicByID      Index[uint64, *AtomicPart]
-	AtomicByDate    Index[uint64, *AtomicPart]
-	CompositeByID   Index[uint64, *CompositePart]
-	DocumentByTitle Index[string, *Document]
-	BaseByID        Index[uint64, *BaseAssembly]
-	ComplexByID     Index[uint64, *ComplexAssembly]
+	AtomicByID      *Index[uint64, *AtomicPart]
+	AtomicByDate    *Index[uint64, *AtomicPart]
+	CompositeByID   *Index[uint64, *CompositePart]
+	DocumentByTitle *Index[string, *Document]
+	BaseByID        *Index[uint64, *BaseAssembly]
+	ComplexByID     *Index[uint64, *ComplexAssembly]
 }
 
 // Var domain tags. Every Var in the structure is tagged with the
@@ -301,13 +298,13 @@ func named[T any](c *stm.Cell[T], domain string) *stm.Cell[T] {
 	return c
 }
 
-func newIndexes(space *stm.VarSpace, transactional bool) *Indexes {
+func newIndexes(space *stm.VarSpace) *Indexes {
 	return &Indexes{
-		AtomicByID:      newIndex[uint64, *AtomicPart](space, DomainAtomic, transactional),
-		AtomicByDate:    newIndex[uint64, *AtomicPart](space, DomainAtomic, transactional),
-		CompositeByID:   newIndex[uint64, *CompositePart](space, DomainStructureIdx, transactional),
-		DocumentByTitle: newIndex[string, *Document](space, DomainDocument, transactional),
-		BaseByID:        newIndex[uint64, *BaseAssembly](space, DomainStructureIdx, transactional),
-		ComplexByID:     newIndex[uint64, *ComplexAssembly](space, DomainStructureIdx, transactional),
+		AtomicByID:      newIndex[uint64, *AtomicPart](space, DomainAtomic),
+		AtomicByDate:    newIndex[uint64, *AtomicPart](space, DomainAtomic),
+		CompositeByID:   newIndex[uint64, *CompositePart](space, DomainStructureIdx),
+		DocumentByTitle: newIndex[string, *Document](space, DomainDocument),
+		BaseByID:        newIndex[uint64, *BaseAssembly](space, DomainStructureIdx),
+		ComplexByID:     newIndex[uint64, *ComplexAssembly](space, DomainStructureIdx),
 	}
 }

@@ -1,7 +1,6 @@
 package ops
 
 import (
-	"fmt"
 	"runtime/debug"
 	"testing"
 
@@ -30,50 +29,46 @@ func TestDateRangeOpsAllocations(t *testing.T) {
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, name := range stm.Registered() {
-		for _, txIdx := range []bool{false, true} { // both index representations
-			t.Run(fmt.Sprintf("%s/txidx=%v", name, txIdx), func(t *testing.T) {
-				eng, err := stm.New(name)
-				if err != nil {
-					t.Fatal(err)
+		t.Run(name, func(t *testing.T) {
+			eng, err := stm.New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := core.Build(core.Tiny(), 42, eng.VarSpace())
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rng.New(1)
+			var parts int
+			body := func(opName string) func(stm.Tx) error {
+				op, _ := ByName(opName)
+				return func(tx stm.Tx) error {
+					n, err := op.Run(tx, s, r)
+					parts = n
+					return err
 				}
-				p := core.Tiny()
-				p.TxIndexes = txIdx
-				s, err := core.Build(p, 42, eng.VarSpace())
-				if err != nil {
-					t.Fatal(err)
+			}
+			measure := func(f func()) float64 {
+				f() // grow the pooled descriptor's sets to this operation's size
+				return testing.AllocsPerRun(50, f)
+			}
+			for _, opName := range []string{"OP2", "OP3"} {
+				fn := body(opName)
+				if got := measure(func() { stm.RunReadOnly(eng, fn) }); got != 0 || parts == 0 {
+					t.Errorf("%s over %d parts in RunReadOnly: %v allocs, want 0", opName, parts, got)
 				}
-				r := rng.New(1)
-				var parts int
-				body := func(opName string) func(stm.Tx) error {
-					op, _ := ByName(opName)
-					return func(tx stm.Tx) error {
-						n, err := op.Run(tx, s, r)
-						parts = n
-						return err
-					}
+				if got := measure(func() { eng.Atomic(fn) }); got != 0 {
+					t.Errorf("%s over %d parts in Atomic: %v allocs, want 0", opName, parts, got)
 				}
-				measure := func(f func()) float64 {
-					f() // grow the pooled descriptor's sets to this operation's size
-					return testing.AllocsPerRun(50, f)
-				}
-				for _, opName := range []string{"OP2", "OP3"} {
-					fn := body(opName)
-					if got := measure(func() { stm.RunReadOnly(eng, fn) }); got != 0 || parts == 0 {
-						t.Errorf("%s over %d parts in RunReadOnly: %v allocs, want 0", opName, parts, got)
-					}
-					if got := measure(func() { eng.Atomic(fn) }); got != 0 {
-						t.Errorf("%s over %d parts in Atomic: %v allocs, want 0", opName, parts, got)
-					}
-				}
-				// OP10 writes every part in range once: first-touch copies and
-				// nothing else — no slice of the parts, no closure on the heap.
-				fn := body("OP10")
-				got := measure(func() { eng.Atomic(fn) })
-				if want := firstWriteAllocs[name] * float64(parts); got != want || parts == 0 {
-					t.Errorf("OP10 over %d parts: %v allocs, want %v (%v per part written)", parts, got, want, firstWriteAllocs[name])
-				}
-			})
-		}
+			}
+			// OP10 writes every part in range once: first-touch copies and
+			// nothing else — no slice of the parts, no closure on the heap.
+			fn := body("OP10")
+			got := measure(func() { eng.Atomic(fn) })
+			if want := firstWriteAllocs[name] * float64(parts); got != want || parts == 0 {
+				t.Errorf("OP10 over %d parts: %v allocs, want %v (%v per part written)", parts, got, want, firstWriteAllocs[name])
+			}
+		})
 	}
 }
 
@@ -112,38 +107,34 @@ func TestST4Allocations(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	st4, _ := ByName("ST4")
 	for _, name := range stm.Registered() {
-		for _, txIdx := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/txidx=%v", name, txIdx), func(t *testing.T) {
-				eng, err := stm.New(name)
-				if err != nil {
-					t.Fatal(err)
+		t.Run(name, func(t *testing.T) {
+			eng, err := stm.New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := core.Build(core.Small(), 42, eng.VarSpace())
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rng.New(1)
+			visited := 0
+			fn := func(tx stm.Tx) error {
+				n, err := st4.Run(tx, s, r)
+				visited += n
+				return err
+			}
+			for mode, call := range map[string]func(){
+				"Atomic":      func() { eng.Atomic(fn) },
+				"RunReadOnly": func() { stm.RunReadOnly(eng, fn) },
+			} {
+				call() // grow the pooled descriptor and scratch to ST4's size
+				visited = 0
+				got := testing.AllocsPerRun(50, call)
+				t.Logf("ST4 in %s: %v allocs per call", mode, got)
+				if got > 2 || visited == 0 {
+					t.Errorf("ST4 in %s: %v allocs per call over %d base assemblies, want <= 2", mode, got, visited)
 				}
-				p := core.Small()
-				p.TxIndexes = txIdx
-				s, err := core.Build(p, 42, eng.VarSpace())
-				if err != nil {
-					t.Fatal(err)
-				}
-				r := rng.New(1)
-				visited := 0
-				fn := func(tx stm.Tx) error {
-					n, err := st4.Run(tx, s, r)
-					visited += n
-					return err
-				}
-				for mode, call := range map[string]func(){
-					"Atomic":      func() { eng.Atomic(fn) },
-					"RunReadOnly": func() { stm.RunReadOnly(eng, fn) },
-				} {
-					call() // grow the pooled descriptor and scratch to ST4's size
-					visited = 0
-					got := testing.AllocsPerRun(50, call)
-					t.Logf("ST4 in %s: %v allocs per call", mode, got)
-					if got > 2 || visited == 0 {
-						t.Errorf("ST4 in %s: %v allocs per call over %d base assemblies, want <= 2", mode, got, visited)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

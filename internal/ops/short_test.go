@@ -201,128 +201,126 @@ func assertDateIndexUnchanged(t *testing.T, eng stm.Engine, s *core.Structure, w
 
 // TestDateRangeOpsMatchBruteForce checks OP2, OP3 and OP10 — and the
 // streamed dateRangeParts under them — against a brute-force pass over
-// every composite part's Parts, on every engine, with both index
-// representations and both atomic-part layouts: same count, same checksum
-// of what the callback read, the same parts swapped by OP10 and no others,
-// the build-date index untouched, on the ops' own ranges, on MaxDate alone
-// (the top of the key space) and on an empty range.
+// every composite part's Parts, on every engine, with both atomic-part
+// layouts: same count, same checksum of what the callback read, the same
+// parts swapped by OP10 and no others, the build-date index untouched, on
+// the ops' own ranges, on MaxDate alone (the top of the key space) and on
+// an empty range.
 func TestDateRangeOpsMatchBruteForce(t *testing.T) {
 	type xy struct{ x, y int }
 	for _, name := range stm.Registered() {
-		for _, txIdx := range []bool{false, true} {
-			for _, grouped := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/txidx=%v/grouped=%v", name, txIdx, grouped), func(t *testing.T) {
-					eng, err := stm.New(name)
-					if err != nil {
-						t.Fatal(err)
-					}
-					p := core.Tiny()
-					p.TxIndexes, p.GroupAtomicParts = txIdx, grouped
-					s, err := core.Build(p, 42, eng.VarSpace())
-					if err != nil {
-						t.Fatal(err)
-					}
-					// Put parts on both ends of the date range and on both
-					// sides of OP2's lower bound, whatever the build drew.
-					var all []*core.AtomicPart
-					eng.Atomic(func(tx stm.Tx) error {
-						all = all[:0]
-						s.Idx.CompositeByID.Ascend(tx, func(_ uint64, cp *core.CompositePart) bool {
-							all = append(all, cp.Parts...)
-							return true
-						})
-						for i, d := range []int{core.MinDate, 1989, 1990, core.MaxDate, core.MaxDate} {
-							s.SetAtomicDate(tx, all[i*len(all)/5], d)
-						}
-						return nil
+		for _, grouped := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/grouped=%v", name, grouped), func(t *testing.T) {
+				eng, err := stm.New(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p := core.Tiny()
+				p.GroupAtomicParts = grouped
+				s, err := core.Build(p, 42, eng.VarSpace())
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Put parts on both ends of the date range and on both
+				// sides of OP2's lower bound, whatever the build drew.
+				var all []*core.AtomicPart
+				eng.Atomic(func(tx stm.Tx) error {
+					all = all[:0]
+					s.Idx.CompositeByID.Ascend(tx, func(_ uint64, cp *core.CompositePart) bool {
+						all = append(all, cp.Parts...)
+						return true
 					})
-					brute := func(tx stm.Tx, lo, hi int) (n, sum int) {
-						for _, p := range all {
-							if st := p.State(tx); st.BuildDate >= lo && st.BuildDate <= hi {
-								n++
-								sum += st.X + st.Y + st.BuildDate
-							}
-						}
-						return n, sum
+					for i, d := range []int{core.MinDate, 1989, 1990, core.MaxDate, core.MaxDate} {
+						s.SetAtomicDate(tx, all[i*len(all)/5], d)
 					}
-
-					// The streamed scan itself, inside both kinds of transaction.
-					scan := func(tx stm.Tx) error {
-						for _, rg := range [][2]int{{1990, 1999}, {1900, 1999}, {core.MaxDate, core.MaxDate}, {1950, 1949}} {
-							sum := 0
-							n := dateRangeParts(tx, s, rg[0], rg[1], func(p *core.AtomicPart) { readAtomicPart(tx, p, &sum) })
-							if wn, wsum := brute(tx, rg[0], rg[1]); n != wn || sum != wsum {
-								t.Errorf("dateRangeParts[%d, %d] = %d parts, checksum %d; brute force %d, %d", rg[0], rg[1], n, sum, wn, wsum)
-							}
-							if rg[0] == core.MaxDate && n < 2 {
-								t.Errorf("only %d parts on MaxDate: the edge is not exercised", n)
-							}
-						}
-						return nil
-					}
-					eng.Atomic(scan)
-					stm.RunReadOnly(eng, scan)
-
-					// The registered operations.
-					for _, op := range dateRangeOps {
-						var want int
-						before := make(map[*core.AtomicPart]xy, len(all))
-						eng.Atomic(func(tx stm.Tx) error {
-							want, _ = brute(tx, op.lo, op.hi)
-							for _, p := range all {
-								st := p.State(tx)
-								before[p] = xy{st.X, st.Y}
-							}
-							return nil
-						})
-						o, _ := ByName(op.name)
-						assertDateIndexUnchanged(t, eng, s, op.name, func() {
-							if got := mustRun(t, eng, s, op.name, 1); got != want {
-								t.Errorf("%s = %d, want %d", op.name, got, want)
-							}
-						})
-						if o.ReadOnly {
-							stm.RunReadOnly(eng, func(tx stm.Tx) error {
-								if got, _ := o.Run(tx, s, rng.New(1)); got != want {
-									t.Errorf("%s in RunReadOnly = %d, want %d", op.name, got, want)
-								}
-								return nil
-							})
-						}
-						eng.Atomic(func(tx stm.Tx) error {
-							for _, p := range all {
-								st, was := p.State(tx), before[p]
-								if !o.ReadOnly && st.BuildDate >= op.lo && st.BuildDate <= op.hi {
-									was = xy{was.y, was.x}
-								}
-								if (xy{st.X, st.Y}) != was {
-									t.Errorf("%s: part %d is (%d, %d), want (%d, %d)", op.name, p.ID, st.X, st.Y, was.x, was.y)
-								}
-							}
-							return nil
-						})
-					}
-					if total := len(all); mustRun(t, eng, s, "OP3", 1) != total {
-						t.Errorf("OP3 does not cover all %d parts", total)
-					}
-
-					// An empty range: nothing built in OP2's and OP10's decade.
-					eng.Atomic(func(tx stm.Tx) error {
-						for _, p := range all {
-							if p.BuildDate(tx) >= 1990 {
-								s.SetAtomicDate(tx, p, 1989)
-							}
-						}
-						return nil
-					})
-					for _, opName := range []string{"OP2", "OP10"} {
-						if got := mustRun(t, eng, s, opName, 1); got != 0 {
-							t.Errorf("%s over an empty range = %d", opName, got)
-						}
-					}
-					checkInvariants(t, eng, s)
+					return nil
 				})
-			}
+				brute := func(tx stm.Tx, lo, hi int) (n, sum int) {
+					for _, p := range all {
+						if st := p.State(tx); st.BuildDate >= lo && st.BuildDate <= hi {
+							n++
+							sum += st.X + st.Y + st.BuildDate
+						}
+					}
+					return n, sum
+				}
+
+				// The streamed scan itself, inside both kinds of transaction.
+				scan := func(tx stm.Tx) error {
+					for _, rg := range [][2]int{{1990, 1999}, {1900, 1999}, {core.MaxDate, core.MaxDate}, {1950, 1949}} {
+						sum := 0
+						n := dateRangeParts(tx, s, rg[0], rg[1], func(p *core.AtomicPart) { readAtomicPart(tx, p, &sum) })
+						if wn, wsum := brute(tx, rg[0], rg[1]); n != wn || sum != wsum {
+							t.Errorf("dateRangeParts[%d, %d] = %d parts, checksum %d; brute force %d, %d", rg[0], rg[1], n, sum, wn, wsum)
+						}
+						if rg[0] == core.MaxDate && n < 2 {
+							t.Errorf("only %d parts on MaxDate: the edge is not exercised", n)
+						}
+					}
+					return nil
+				}
+				eng.Atomic(scan)
+				stm.RunReadOnly(eng, scan)
+
+				// The registered operations.
+				for _, op := range dateRangeOps {
+					var want int
+					before := make(map[*core.AtomicPart]xy, len(all))
+					eng.Atomic(func(tx stm.Tx) error {
+						want, _ = brute(tx, op.lo, op.hi)
+						for _, p := range all {
+							st := p.State(tx)
+							before[p] = xy{st.X, st.Y}
+						}
+						return nil
+					})
+					o, _ := ByName(op.name)
+					assertDateIndexUnchanged(t, eng, s, op.name, func() {
+						if got := mustRun(t, eng, s, op.name, 1); got != want {
+							t.Errorf("%s = %d, want %d", op.name, got, want)
+						}
+					})
+					if o.ReadOnly {
+						stm.RunReadOnly(eng, func(tx stm.Tx) error {
+							if got, _ := o.Run(tx, s, rng.New(1)); got != want {
+								t.Errorf("%s in RunReadOnly = %d, want %d", op.name, got, want)
+							}
+							return nil
+						})
+					}
+					eng.Atomic(func(tx stm.Tx) error {
+						for _, p := range all {
+							st, was := p.State(tx), before[p]
+							if !o.ReadOnly && st.BuildDate >= op.lo && st.BuildDate <= op.hi {
+								was = xy{was.y, was.x}
+							}
+							if (xy{st.X, st.Y}) != was {
+								t.Errorf("%s: part %d is (%d, %d), want (%d, %d)", op.name, p.ID, st.X, st.Y, was.x, was.y)
+							}
+						}
+						return nil
+					})
+				}
+				if total := len(all); mustRun(t, eng, s, "OP3", 1) != total {
+					t.Errorf("OP3 does not cover all %d parts", total)
+				}
+
+				// An empty range: nothing built in OP2's and OP10's decade.
+				eng.Atomic(func(tx stm.Tx) error {
+					for _, p := range all {
+						if p.BuildDate(tx) >= 1990 {
+							s.SetAtomicDate(tx, p, 1989)
+						}
+					}
+					return nil
+				})
+				for _, opName := range []string{"OP2", "OP10"} {
+					if got := mustRun(t, eng, s, opName, 1); got != 0 {
+						t.Errorf("%s over an empty range = %d", opName, got)
+					}
+				}
+				checkInvariants(t, eng, s)
+			})
 		}
 	}
 }

@@ -15,17 +15,13 @@ import (
 func variantParams() map[string]core.Params {
 	grouped := core.Tiny()
 	grouped.GroupAtomicParts = true
-	txidx := core.Tiny()
-	txidx.TxIndexes = true
 	chunked := core.Tiny()
 	chunked.ManualChunks = 4
 	all := core.Tiny()
 	all.GroupAtomicParts = true
-	all.TxIndexes = true
 	all.ManualChunks = 4
 	return map[string]core.Params{
 		"grouped-parts": grouped,
-		"tx-indexes":    txidx,
 		"chunked":       chunked,
 		"all-optimized": all,
 	}

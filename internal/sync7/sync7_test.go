@@ -238,13 +238,11 @@ func TestLockSetsCoverAccesses(t *testing.T) {
 }
 
 // TestLockSetsCoverAccessesVariants repeats the lock-coverage check for the
-// alternate data representations: transactional B-tree indexes allocate one
-// Var per tree node, grouped atomic parts share one Var per composite, the
-// chunked manual has one Var per chunk — all must stay inside the same
-// domain locks.
+// alternate data representations: grouped atomic parts share one Var per
+// composite, the chunked manual has one Var per chunk — both must stay inside
+// the same domain locks.
 func TestLockSetsCoverAccessesVariants(t *testing.T) {
 	variants := map[string]func(p *core.Params){
-		"tx-indexes":    func(p *core.Params) { p.TxIndexes = true },
 		"grouped-parts": func(p *core.Params) { p.GroupAtomicParts = true },
 		"chunked":       func(p *core.Params) { p.ManualChunks = 4 },
 	}
