@@ -363,57 +363,6 @@ func BenchmarkAblationGrouping(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAcquire compares OSTM's eager, lazy and adaptive write
-// acquisition (ASTM's defining adaptivity) under a write-heavy reduced
-// workload.
-func BenchmarkAblationAcquire(b *testing.B) {
-	for _, pt := range []struct {
-		name string
-		mode stm.AcquireMode
-	}{
-		{"eager", stm.EagerAcquire},
-		{"lazy", stm.LazyAcquire},
-		{"adaptive", stm.AdaptiveAcquire},
-	} {
-		b.Run(pt.name, func(b *testing.B) {
-			eng := stm.NewOSTMWith(stm.OSTMConfig{Acquire: pt.mode})
-			s, err := core.Build(core.Tiny(), 42, eng.VarSpace())
-			if err != nil {
-				b.Fatal(err)
-			}
-			profile := ops.Profile{Workload: ops.WriteDominated, LongTraversals: false, StructureMods: false, Reduced: true}
-			picker := ops.NewPicker(profile)
-			var idx atomic.Int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			start := time.Now()
-			var wg sync.WaitGroup
-			for t := 0; t < 8; t++ {
-				wg.Add(1)
-				go func(t int) {
-					defer wg.Done()
-					r := rng.New(uint64(900 + t))
-					// One closure per worker, not per iteration: the
-					// measured loop must show engine allocations only.
-					var op *ops.Op
-					fn := func(tx stm.Tx) error {
-						_, err := op.Run(tx, s, r)
-						return err
-					}
-					for idx.Add(1) <= int64(b.N) {
-						op = picker.Pick(r)
-						eng.Atomic(fn)
-					}
-				}(t)
-			}
-			wg.Wait()
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "ops/s")
-			b.ReportMetric(100*eng.Stats().AbortRate(), "abort-%")
-		})
-	}
-}
-
 // BenchmarkAblationVisibleReads: invisible reads + O(k²) validation versus
 // visible reader registration — the paper's implicit central ablation. The
 // long read-only traversal shows validation cost disappearing; the
@@ -514,54 +463,6 @@ func BenchmarkAblationCommitCounter(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(eng.Stats().Validations)/float64(b.N), "validations/op")
-		})
-	}
-}
-
-// BenchmarkAblationTL2Extension: timestamp extension under a mixed
-// read/write load — extensions rescue read transactions that straddle
-// commits.
-func BenchmarkAblationTL2Extension(b *testing.B) {
-	for _, pt := range []struct {
-		name   string
-		extend bool
-	}{
-		{"plain", false},
-		{"extension", true},
-	} {
-		b.Run(pt.name, func(b *testing.B) {
-			eng := stm.NewTL2With(stm.TL2Config{TimestampExtension: pt.extend})
-			s, err := core.Build(core.Tiny(), 42, eng.VarSpace())
-			if err != nil {
-				b.Fatal(err)
-			}
-			profile := ops.Profile{Workload: ops.ReadWrite, LongTraversals: false, StructureMods: false, Reduced: true}
-			picker := ops.NewPicker(profile)
-			var idx atomic.Int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			start := time.Now()
-			var wg sync.WaitGroup
-			for t := 0; t < 8; t++ {
-				wg.Add(1)
-				go func(t int) {
-					defer wg.Done()
-					r := rng.New(uint64(700 + t))
-					var op *ops.Op
-					fn := func(tx stm.Tx) error {
-						_, err := op.Run(tx, s, r)
-						return err
-					}
-					for idx.Add(1) <= int64(b.N) {
-						op = picker.Pick(r)
-						eng.Atomic(fn)
-					}
-				}(t)
-			}
-			wg.Wait()
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "ops/s")
-			b.ReportMetric(100*eng.Stats().AbortRate(), "abort-%")
 		})
 	}
 }

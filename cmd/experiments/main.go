@@ -489,9 +489,8 @@ func headline(d *driver) error {
 }
 
 // ablations prints the design-choice comparison tables: OSTM knobs
-// (validation strategy, read visibility, acquisition mode, contention
-// manager), TL2's timestamp extension, NOrec's validation and the §5
-// data-layout optimizations. All run the reduced read-write mix at the
+// (validation strategy, read visibility, contention manager), NOrec's
+// validation and the §5 data-layout optimizations. All run the reduced read-write mix at the
 // configured size on the largest configured thread count, straight on the
 // engine (no executor, so no snapshot dispatch).
 func ablations(d *driver) error {
@@ -511,16 +510,11 @@ func ablations(d *driver) error {
 		{group: "ostm validation", name: "commit-counter heuristic", engine: func() stm.Engine { return stm.NewOSTMWith(stm.OSTMConfig{CommitCounterHeuristic: true}) }},
 		{group: "ostm reads", name: "invisible (faithful)", spec: "ostm"},
 		{group: "ostm reads", name: "visible", spec: "ostm:visible"},
-		{group: "ostm acquire", name: "eager (faithful)", spec: "ostm"},
-		{group: "ostm acquire", name: "lazy", engine: func() stm.Engine { return stm.NewOSTMWith(stm.OSTMConfig{Acquire: stm.LazyAcquire}) }},
-		{group: "ostm acquire", name: "adaptive", engine: func() stm.Engine { return stm.NewOSTMWith(stm.OSTMConfig{Acquire: stm.AdaptiveAcquire}) }},
 		{group: "contention manager", name: "polka (paper)", spec: "ostm"},
 		{group: "contention manager", name: "karma", spec: "ostm:cm=karma"},
 		{group: "contention manager", name: "aggressive", spec: "ostm:cm=aggressive"},
 		{group: "contention manager", name: "timid", spec: "ostm:cm=timid"},
 		{group: "contention manager", name: "backoff", spec: "ostm:cm=backoff"},
-		{group: "tl2", name: "plain", spec: "tl2"},
-		{group: "tl2", name: "timestamp extension", engine: func() stm.Engine { return stm.NewTL2With(stm.TL2Config{TimestampExtension: true}) }},
 		{group: "norec", name: "value validation (faithful)", spec: "norec"},
 		{group: "norec", name: "reference validation", engine: func() stm.Engine { return stm.NewNOrecWith(stm.NOrecConfig{ReferenceValidation: true}) }},
 		{group: "layout (tl2)", name: "faithful", spec: "tl2"},

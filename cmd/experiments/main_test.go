@@ -104,10 +104,8 @@ func goldens() map[string]golden {
 			variants: []string{
 				"ostm validation/incremental (faithful)", "ostm validation/commit-time only", "ostm validation/commit-counter heuristic",
 				"ostm reads/invisible (faithful)", "ostm reads/visible",
-				"ostm acquire/eager (faithful)", "ostm acquire/lazy", "ostm acquire/adaptive",
 				"contention manager/polka (paper)", "contention manager/karma", "contention manager/aggressive",
 				"contention manager/timid", "contention manager/backoff",
-				"tl2/plain", "tl2/timestamp extension",
 				"norec/value validation (faithful)", "norec/reference validation",
 				"layout (tl2)/faithful", "layout (tl2)/chunked manual", "layout (tl2)/grouped parts",
 			},

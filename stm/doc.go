@@ -57,8 +57,9 @@
 // (DisableROSnapshot), which each engine's RunReadOnly honours, and
 // adaptive (Adaptive), on which NewWith builds the Adaptive runtime. The
 // per-engine config structs embed EngineOptions and add only MaxRetries
-// and the ablation knobs no spec names. See ParseEngineSpec for the
-// grammar.
+// and the two ablation knobs no spec names: OSTM's
+// CommitCounterHeuristic and NOrec's ReferenceValidation. See
+// ParseEngineSpec for the grammar.
 //
 // # Programming model
 //
@@ -207,7 +208,7 @@
 //     zero from the previous put, so the epilogue of a 3-read transaction
 //     does not depend on the capacity a long traversal once left in the
 //     descriptor. A pooled descriptor has no non-zero slot anywhere in
-//     reads[:cap] or writes[:cap] (OSTM: writeLocs, pending) and no key in
+//     reads[:cap] or writes[:cap] (OSTM: writeLocs) and no key in
 //     its indexes; stm/scrub_test.go checks that. Descriptors are
 //     deliberately NOT returned to the pool when a user panic unwinds
 //     through Atomic — mid-attempt state is garbage, and sync.Pool will

@@ -6,13 +6,13 @@ import (
 	"repro/stm"
 )
 
-// ExampleNewTL2With configures TL2 with timestamp extension (the
-// lazy-snapshot idea of Riegel, Felber and Fetzer) and a bounded retry
-// budget, then runs a read-modify-write transaction.
+// ExampleNewTL2With configures TL2 with a bounded retry budget and one
+// spec-addressable option (the Go-literal form of the spec
+// "tl2:versions=4"), then runs a read-modify-write transaction.
 func ExampleNewTL2With() {
 	eng := stm.NewTL2With(stm.TL2Config{
-		TimestampExtension: true, // slide snapshots forward instead of aborting
-		MaxRetries:         100,  // Atomic returns ErrAborted past this budget
+		MaxRetries:    100,                            // Atomic returns ErrAborted past this budget
+		EngineOptions: stm.EngineOptions{Versions: 4}, // read-only snapshots may resolve older versions
 	})
 	counter := stm.NewCell(eng.VarSpace(), 41)
 

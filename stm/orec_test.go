@@ -225,16 +225,6 @@ func TestTL2FalseConflictDeterministic(t *testing.T) {
 	if str.FalseConflicts != 1 {
 		t.Errorf("striped granularity: FalseConflicts=%d, want 1", str.FalseConflicts)
 	}
-
-	// Timestamp extension cannot absorb this one: the version lives on the
-	// stripe, not the Var, so the already-read x looks overwritten after
-	// y's commit — extension re-validation fails and the attempt aborts.
-	// (Under object granularity the same knob would absorb a foreign
-	// commit; losing that is part of striping's false-conflict price.)
-	ext := run(TL2Config{EngineOptions: opts("striped=1"), TimestampExtension: true})
-	if ext.ConflictAborts != 1 {
-		t.Errorf("striped+extension: conflicts=%d, want 1 (stripe version bump defeats extension for read vars)", ext.ConflictAborts)
-	}
 }
 
 // TestOSTMFalseConflictDeterministic mirrors the TL2 test on the ownership

@@ -104,36 +104,6 @@ func (loc *locator) slotFor(v *Var) *wslot {
 	return nil
 }
 
-// AcquireMode selects when OSTM takes ownership of written Vars.
-type AcquireMode int
-
-const (
-	// EagerAcquire installs the ownership locator at the first write —
-	// DSTM's (and eager ASTM's) behaviour, and the default.
-	EagerAcquire AcquireMode = iota
-	// LazyAcquire buffers writes privately and acquires ownership only at
-	// commit, so write-write conflicts are detected late but ownership is
-	// held briefly (ASTM's lazy mode).
-	LazyAcquire
-	// AdaptiveAcquire starts eager and switches a transaction to lazy
-	// after its first conflict abort — a simplified form of ASTM's
-	// adaptivity (per-transaction rather than history-based).
-	AdaptiveAcquire
-)
-
-func (m AcquireMode) String() string {
-	switch m {
-	case EagerAcquire:
-		return "eager"
-	case LazyAcquire:
-		return "lazy"
-	case AdaptiveAcquire:
-		return "adaptive"
-	default:
-		return "unknown"
-	}
-}
-
 // OSTMConfig tunes the OSTM engine.
 type OSTMConfig struct {
 	// CommitCounterHeuristic skips an incremental validation pass when no
@@ -144,10 +114,6 @@ type OSTMConfig struct {
 	// The commit-time validation is never skipped (it arbitrates the
 	// Validating-vs-Validating race, which the counter cannot see).
 	CommitCounterHeuristic bool
-
-	// Acquire selects eager (default), lazy or adaptive write
-	// acquisition.
-	Acquire AcquireMode
 
 	// MaxRetries bounds re-executions; 0 means retry forever. When the
 	// budget is exhausted Atomic returns ErrAborted.
@@ -264,7 +230,7 @@ func (e *OSTM) atomicFrom(fn func(tx Tx) error, deadline int64) error {
 		committed, err := e.runAttempt(tx, fn)
 		if tx.tr.rec != nil {
 			noteOutcome(tx.tr, committed, err != nil, tx.injected,
-				uint64(len(tx.reads)), uint64(len(tx.writeLocs))+uint64(len(tx.pending)), uint64(attempt))
+				uint64(len(tx.reads)), uint64(len(tx.writeLocs)), uint64(attempt))
 		}
 		e.stats.flushTx(&tx.st)
 		if committed {
@@ -322,10 +288,10 @@ func (e *OSTM) runSerial(tx *ostmTx, fn func(tx Tx) error) error {
 	}
 }
 
-// putTx recycles a descriptor: observed boxes, locator references and
-// buffered values are dropped (past the final attempt's length, to whatever
-// an earlier, larger aborted attempt of this call left behind — pool.go) so
-// the pool cannot pin a finished transaction's object graph.
+// putTx recycles a descriptor: observed boxes and locator references are
+// dropped (past the final attempt's length, to whatever an earlier, larger
+// aborted attempt of this call left behind — pool.go) so the pool cannot
+// pin a finished transaction's object graph.
 // The state pointer is always detached: a published state belongs to the
 // attempt that published it forever, and lives inside the first locator that
 // attempt installed, so keeping it would pin that retired locator and its
@@ -333,10 +299,8 @@ func (e *OSTM) runSerial(tx *ostmTx, fn func(tx Tx) error) error {
 func (e *OSTM) putTx(tx *ostmTx) {
 	tx.reads = scrub(tx.reads, &tx.hiReads)
 	tx.writeLocs = scrub(tx.writeLocs, &tx.hiWriteLocs)
-	tx.pending = scrub(tx.pending, &tx.hiPending)
 	tx.readIdx.reset()
 	tx.writeIdx.reset()
-	tx.pendingIdx.reset()
 	tx.state = nil
 	tx.stateShared = false
 	e.txPool.put(tx)
@@ -366,13 +330,6 @@ type readEntry struct {
 	seen *box
 }
 
-// pendingWrite is a lazily buffered write (LazyAcquire mode).
-type pendingWrite struct {
-	v      *Var
-	val    any
-	cloned bool
-}
-
 // ostmTx is the pooled per-transaction descriptor. reset reuses the
 // read/write-set storage across attempts; the scratch state is reused for
 // as long as it stays private (invisible-read transactions that never
@@ -390,12 +347,7 @@ type ostmTx struct {
 	writeLocs []*wslot
 	writeIdx  varIndex // *Var -> index into writeLocs
 
-	// Lazy-acquire state.
-	lazy       bool
-	pending    []pendingWrite
-	pendingIdx varIndex // *Var -> index into pending
-
-	hiReads, hiWriteLocs, hiPending int // longest of each set over this call's earlier attempts (pool.go)
+	hiReads, hiWriteLocs int // longest of each set over this call's earlier attempts (pool.go)
 
 	// lastSerial is the engine commit serial as of the last validation
 	// (commit-counter heuristic).
@@ -426,16 +378,6 @@ func (tx *ostmTx) reset(attempt uint64) {
 	tx.readIdx.reset()
 	tx.writeLocs = truncate(tx.writeLocs, &tx.hiWriteLocs)
 	tx.writeIdx.reset()
-	switch tx.eng.cfg.Acquire {
-	case LazyAcquire:
-		tx.lazy = true
-	case AdaptiveAcquire:
-		tx.lazy = attempt > 0 // switch to lazy after the first conflict
-	default:
-		tx.lazy = false
-	}
-	tx.pending = truncate(tx.pending, &tx.hiPending)
-	tx.pendingIdx.reset()
 	tx.injected = false
 	// Nothing read yet, so the current serial is a sound baseline.
 	tx.lastSerial = tx.eng.commitSerial.Load()
@@ -502,11 +444,6 @@ func (tx *ostmTx) Read(v *Var) any {
 	tx.checkAlive()
 	if tx.eng.cfg.VisibleReads {
 		return tx.visibleRead(v)
-	}
-	if tx.lazy {
-		if i, ok := tx.pendingIdx.get(v); ok {
-			return tx.pending[i].val
-		}
 	}
 	if i, ok := tx.writeIdx.get(v); ok {
 		return tx.writeLocs[i].new.val
@@ -692,16 +629,6 @@ func (tx *ostmTx) retireOwn() {
 // Write implements Tx.
 func (tx *ostmTx) Write(v *Var, val any) {
 	tx.st.writes++
-	if tx.lazy {
-		if i, ok := tx.pendingIdx.get(v); ok {
-			tx.pending[i].val = val
-			tx.pending[i].cloned = true
-			return
-		}
-		tx.pendingIdx.put(v, int32(len(tx.pending)))
-		tx.pending = append(tx.pending, pendingWrite{v: v, val: val, cloned: true})
-		return
-	}
 	s := tx.acquire(v)
 	s.new.val = val
 	s.cloned = true
@@ -711,30 +638,6 @@ func (tx *ostmTx) Write(v *Var, val any) {
 // the value (object-level copy-on-write, ASTM style) before applying f.
 func (tx *ostmTx) Update(v *Var, f func(val any) any) {
 	tx.st.writes++
-	if tx.lazy {
-		if i, ok := tx.pendingIdx.get(v); ok {
-			p := &tx.pending[i]
-			if !p.cloned {
-				if v.clone != nil {
-					p.val = v.clone(p.val)
-					tx.st.clones++
-				}
-				p.cloned = true
-			}
-			p.val = f(p.val)
-			return
-		}
-		// Read the current value through the read set so commit-time
-		// validation guards against lost updates, then buffer the result.
-		cur := tx.Read(v)
-		if v.clone != nil {
-			cur = v.clone(cur)
-			tx.st.clones++
-		}
-		tx.pendingIdx.put(v, int32(len(tx.pending)))
-		tx.pending = append(tx.pending, pendingWrite{v: v, val: f(cur), cloned: true})
-		return
-	}
 	s := tx.acquire(v)
 	if !s.cloned {
 		if v.clone != nil {
@@ -833,23 +736,15 @@ func (tx *ostmTx) validate(final bool) {
 // which unwinds to runAttempt, not here).
 func (tx *ostmTx) commit() bool {
 	// Fault probes for write transactions: the forced abort and the
-	// pre-commit stall land before lazy acquisition and before any status
-	// transition, so an unwound attempt is indistinguishable from an
-	// ordinary conflict (runAttempt's recover aborts the state, which
-	// disowns any eagerly acquired locators). Suppressed for serial
-	// attempts (see serial.go).
-	if f := tx.eng.faults; f != nil && !tx.serial && (len(tx.writeLocs) > 0 || len(tx.pending) > 0) {
+	// pre-commit stall land before any status transition, so an unwound
+	// attempt is indistinguishable from an ordinary conflict (runAttempt's
+	// recover aborts the state, which disowns its acquired locators).
+	// Suppressed for serial attempts (see serial.go).
+	if f := tx.eng.faults; f != nil && !tx.serial && len(tx.writeLocs) > 0 {
 		if f.fire(FaultAbort, &tx.eng.stats) {
 			throwInjectedFault()
 		}
 		f.stallAt(FaultPreCommit, &tx.eng.stats)
-	}
-	// Lazy mode: take ownership of the buffered writes now.
-	for i := range tx.pending {
-		p := &tx.pending[i]
-		s := tx.acquire(p.v)
-		s.new.val = p.val
-		s.cloned = true
 	}
 	if tx.eng.cfg.VisibleReads {
 		// Visible mode needs no validation: a writer that invalidated any

@@ -9,7 +9,7 @@ import (
 
 // scriptedCM is Polka with one scripted decision: the next OnConflict runs
 // next instead. It is a test's hook into an acquire that meets a live
-// owner — which, under lazy acquisition, is inside the commit.
+// owner.
 type scriptedCM struct {
 	Polka
 	next func() Decision
@@ -28,7 +28,6 @@ func (c *scriptedCM) OnConflict(me, enemy TxInfo, attempt int) Decision {
 func liveOwner(eng *OSTM, c *Cell[int]) *ostmTx {
 	tx := eng.txPool.get()
 	tx.reset(0)
-	tx.lazy = false
 	c.Set(tx, -1)
 	return tx
 }
@@ -58,28 +57,27 @@ func validates(tx *ostmTx) (ok bool) {
 // with no writeback.
 func TestOSTMCommitRetiresLocators(t *testing.T) {
 	for _, gran := range []string{"object", "striped=16"} {
-		for _, acq := range []AcquireMode{EagerAcquire, LazyAcquire} {
-			for _, visible := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/%s/visible=%v", gran, acq, visible), func(t *testing.T) {
-					var keys []string
-					if gran != "object" {
-						keys = append(keys, gran)
-					}
-					if visible {
-						keys = append(keys, "visible")
-					}
-					var o EngineOptions
-					if len(keys) > 0 {
-						o = opts(strings.Join(keys, ","))
-					}
-					cm := &scriptedCM{}
-					o.CM = cm
-					// A retry budget turns a protocol that livelocks (each
-					// attempt writing its own aborted value back) into a failure.
-					eng := NewOSTMWith(OSTMConfig{Acquire: acq, MaxRetries: 8, EngineOptions: o})
-					testRetirement(t, eng, cm)
-				})
-			}
+		for _, visible := range []bool{false, true} {
+			// "eager": OSTM acquires each written Var when it opens it.
+			t.Run(fmt.Sprintf("%s/eager/visible=%v", gran, visible), func(t *testing.T) {
+				var keys []string
+				if gran != "object" {
+					keys = append(keys, gran)
+				}
+				if visible {
+					keys = append(keys, "visible")
+				}
+				var o EngineOptions
+				if len(keys) > 0 {
+					o = opts(strings.Join(keys, ","))
+				}
+				cm := &scriptedCM{}
+				o.CM = cm
+				// A retry budget turns a protocol that livelocks (each
+				// attempt writing its own aborted value back) into a failure.
+				eng := NewOSTMWith(OSTMConfig{MaxRetries: 8, EngineOptions: o})
+				testRetirement(t, eng, cm)
+			})
 		}
 	}
 }

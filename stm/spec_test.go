@@ -2,6 +2,7 @@ package stm
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -175,8 +176,22 @@ func TestParseContentionManager(t *testing.T) {
 // without a spec key: every exported field except Trace (a live recorder,
 // not configuration) must be printed by String when non-zero and restored
 // by Apply from what String printed — otherwise it is unreachable from -g
-// and from scenario files.
+// and from scenario files. It also fails a knob added to a per-engine
+// config struct instead, where no spec key can reach it: those add only
+// the retry budget, OSTM's CommitCounterHeuristic and NOrec's
+// ReferenceValidation to the embedded EngineOptions.
 func TestEveryEngineOptionHasASpecKey(t *testing.T) {
+	for cfg, allowed := range map[reflect.Type][]string{
+		reflect.TypeOf(TL2Config{}):   {"EngineOptions", "MaxRetries"},
+		reflect.TypeOf(NOrecConfig{}): {"EngineOptions", "MaxRetries", "ReferenceValidation"},
+		reflect.TypeOf(OSTMConfig{}):  {"EngineOptions", "MaxRetries", "CommitCounterHeuristic"},
+	} {
+		for i := 0; i < cfg.NumField(); i++ {
+			if name := cfg.Field(i).Name; !slices.Contains(allowed, name) {
+				t.Errorf("%s.%s: engine knobs belong in EngineOptions with a spec key", cfg.Name(), name)
+			}
+		}
+	}
 	typ := reflect.TypeOf(EngineOptions{})
 	for i := 0; i < typ.NumField(); i++ {
 		field := typ.Field(i)

@@ -49,37 +49,27 @@ func fromSpec(spec string) func() Engine {
 // a newly registered engine is pulled into every suite automatically —
 // plus named non-default configurations worth exercising. Whatever a spec
 // can express is spelled as one and built through the parser, so every
-// suite run exercises ParseEngineSpec too; Go literals remain only for the
-// per-engine ablation knobs that stay outside the spec (Acquire,
-// CommitCounterHeuristic, TimestampExtension, ReferenceValidation).
+// suite run exercises ParseEngineSpec too; Go literals remain only for
+// the two ablation knobs that stay outside the spec
+// (CommitCounterHeuristic, ReferenceValidation).
 var txEngineMakers = map[string]func() Engine{
 	"ostm-committime":   fromSpec("ostm:ctv"),
 	"ostm-aggressive":   fromSpec("ostm:cm=aggressive"),
 	"ostm-timid":        fromSpec("ostm:cm=timid"),
 	"ostm-karma":        fromSpec("ostm:cm=karma"),
 	"ostm-backoff":      fromSpec("ostm:cm=backoff"),
-	"ostm-lazy":         func() Engine { return NewOSTMWith(OSTMConfig{Acquire: LazyAcquire}) },
 	"ostm-visible":      fromSpec("ostm:visible"),
-	"ostm-visible-lazy": func() Engine { return NewOSTMWith(OSTMConfig{EngineOptions: opts("visible"), Acquire: LazyAcquire}) },
-	"ostm-adaptive":     func() Engine { return NewOSTMWith(OSTMConfig{Acquire: AdaptiveAcquire}) },
 	"ostm-commitserial": func() Engine { return NewOSTMWith(OSTMConfig{CommitCounterHeuristic: true}) },
-	"tl2-extend":        func() Engine { return NewTL2With(TL2Config{TimestampExtension: true}) },
 	"norec-refvalidate": func() Engine { return NewNOrecWith(NOrecConfig{ReferenceValidation: true}) },
 
 	// Granularity/clock variants: the same suites that iterate engines
 	// iterate the metadata axes. The stripe counts are deliberately tiny
 	// (16 orecs) so the stress tests hammer stripe collisions — false
 	// conflicts must cost throughput, never correctness.
-	"tl2-striped": fromSpec("tl2:striped=16"),
-	"tl2-striped-extend": func() Engine {
-		return NewTL2With(TL2Config{EngineOptions: opts("striped=16"), TimestampExtension: true})
-	},
-	"tl2-sharded":         fromSpec("tl2:shards=4"),
-	"tl2-striped-sharded": fromSpec("tl2:striped=16,shards=4"),
-	"ostm-striped":        fromSpec("ostm:striped=16"),
-	"ostm-striped-lazy": func() Engine {
-		return NewOSTMWith(OSTMConfig{EngineOptions: opts("striped=16"), Acquire: LazyAcquire})
-	},
+	"tl2-striped":          fromSpec("tl2:striped=16"),
+	"tl2-sharded":          fromSpec("tl2:shards=4"),
+	"tl2-striped-sharded":  fromSpec("tl2:striped=16,shards=4"),
+	"ostm-striped":         fromSpec("ostm:striped=16"),
 	"ostm-striped-visible": fromSpec("ostm:striped=16,visible"),
 	"ostm-striped-ctv":     fromSpec("ostm:striped=16,ctv"),
 
@@ -108,9 +98,6 @@ var txEngineMakers = map[string]func() Engine{
 	},
 	"tl2-striped-coalesce":     fromSpec("tl2:striped=16,coalesce"),
 	"tl2-striped-coalesce-mv2": fromSpec("tl2:striped=16,versions=2,coalesce"),
-	"tl2-striped-coalesce-extend": func() Engine {
-		return NewTL2With(TL2Config{EngineOptions: opts("striped=16,coalesce"), TimestampExtension: true})
-	},
 }
 
 // init adds every registered engine (except the non-transactional direct

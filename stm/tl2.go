@@ -8,12 +8,6 @@ import (
 
 // TL2Config tunes the TL2 engine.
 type TL2Config struct {
-	// TimestampExtension lets a read that finds a too-new version try to
-	// slide the transaction's snapshot forward instead of aborting: take a
-	// fresh clock sample, re-validate the read set against it, and adopt
-	// it on success — the lazy-snapshot-algorithm idea of Riegel, Felber
-	// and Fetzer (DISC 2006), another of the paper's cited fixes.
-	TimestampExtension bool
 	// MaxRetries bounds re-executions; 0 means retry forever. When the
 	// budget is exhausted Atomic returns ErrAborted.
 	MaxRetries int
@@ -301,9 +295,6 @@ func (tx *tl2Tx) readVar(v *Var) any {
 			continue
 		}
 		if m1 > tx.rv {
-			if tx.eng.cfg.TimestampExtension && tx.extendSnapshot() {
-				continue // snapshot slid forward; re-read the var
-			}
 			tx.noteFalseConflict(o, v)
 			throwConflict("read version too new")
 		}
@@ -312,26 +303,6 @@ func (tx *tl2Tx) readVar(v *Var) any {
 		}
 		return b.val
 	}
-}
-
-// extendSnapshot tries to move rv up to the current clock: it succeeds iff
-// every read so far is still valid at the new timestamp (unlocked and not
-// overwritten since). On success later reads may observe newer versions
-// without breaking snapshot consistency.
-func (tx *tl2Tx) extendSnapshot() bool {
-	newRv := tx.eng.clock.read()
-	if newRv == tx.rv {
-		return false
-	}
-	tx.st.validations += uint64(len(tx.reads))
-	for _, v := range tx.reads {
-		m := v.orc.meta.Load()
-		if m&1 == 1 || m > tx.rv {
-			return false
-		}
-	}
-	tx.rv = newRv
-	return true
 }
 
 // Read implements Tx.

@@ -91,11 +91,6 @@ func (tx *ostmTx) unregisterReader(o *orec) {
 // is stable for the transaction's lifetime: any writer that could change it
 // must abort this transaction first.
 func (tx *ostmTx) visibleRead(v *Var) any {
-	if tx.lazy {
-		if i, ok := tx.pendingIdx.get(v); ok {
-			return tx.pending[i].val
-		}
-	}
 	if i, ok := tx.writeIdx.get(v); ok {
 		return tx.writeLocs[i].new.val
 	}
