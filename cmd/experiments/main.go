@@ -22,9 +22,9 @@
 // ablations pin their configurations and ignore -g: fig3 compares the two lock
 // strategies, a headline row names its engine and dispatch, and an ablation
 // row is an engine configuration. What a mechanism did in one run (false
-// conflicts, clock-shard spread, version reads, batch sizes, shed rate,
-// adaptive decisions) is in the report of cmd/stmbench7 -g <spec>; whether
-// it pays is for benchmark/ to say.
+// conflicts, clock-shard spread, version reads, batch sizes, shed rate)
+// is in the report of cmd/stmbench7 -g <spec>; whether it pays is for
+// benchmark/ to say.
 //
 // With -json FILE ("-" for stdout) every measured point is also written as
 // JSON under a header echoing the flags and the host. Example:
@@ -489,8 +489,8 @@ func headline(d *driver) error {
 }
 
 // ablations prints the design-choice comparison tables: OSTM knobs
-// (validation strategy, read visibility, contention manager), NOrec's
-// validation and the §5 data-layout optimizations. All run the reduced read-write mix at the
+// (validation strategy, read visibility, contention manager) and the §5
+// data-layout optimizations. All run the reduced read-write mix at the
 // configured size on the largest configured thread count, straight on the
 // engine (no executor, so no snapshot dispatch).
 func ablations(d *driver) error {
@@ -515,8 +515,6 @@ func ablations(d *driver) error {
 		{group: "contention manager", name: "aggressive", spec: "ostm:cm=aggressive"},
 		{group: "contention manager", name: "timid", spec: "ostm:cm=timid"},
 		{group: "contention manager", name: "backoff", spec: "ostm:cm=backoff"},
-		{group: "norec", name: "value validation (faithful)", spec: "norec"},
-		{group: "norec", name: "reference validation", engine: func() stm.Engine { return stm.NewNOrecWith(stm.NOrecConfig{ReferenceValidation: true}) }},
 		{group: "layout (tl2)", name: "faithful", spec: "tl2"},
 		{group: "layout (tl2)", name: "chunked manual", spec: "tl2", layout: func(p *core.Params) { p.ManualChunks = 8 }},
 		{group: "layout (tl2)", name: "grouped parts", spec: "tl2", layout: func(p *core.Params) { p.GroupAtomicParts = true }},

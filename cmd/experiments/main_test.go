@@ -106,7 +106,6 @@ func goldens() map[string]golden {
 				"ostm reads/invisible (faithful)", "ostm reads/visible",
 				"contention manager/polka (paper)", "contention manager/karma", "contention manager/aggressive",
 				"contention manager/timid", "contention manager/backoff",
-				"norec/value validation (faithful)", "norec/reference validation",
 				"layout (tl2)/faithful", "layout (tl2)/chunked manual", "layout (tl2)/grouped parts",
 			},
 			always: throughputAlways, may: throughputMay,

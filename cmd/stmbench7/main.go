@@ -13,14 +13,11 @@
 //	                   an engine spec such as tl2:striped=4096,shards=4 or
 //	                   norec:gc,deadline=25ms,serial. Keys: striped[=N],
 //	                   shards=N, versions=K, gc, coalesce, cm=NAME, ctv,
-//	                   visible, deadline=D, serial, nosnap, adaptive,
-//	                   faults=PLAN (last); see the README's "Engine spec"
-//	                   section. nosnap runs read-only operations on the
-//	                   validating path instead of the snapshot fast path;
-//	                   adaptive starts on the spec and lets a controller
-//	                   reconfigure the engine mid-run via quiesce-and-swap,
-//	                   listing its decisions in the report (stm strategies
-//	                   only), e.g. tl2:nosnap,adaptive
+//	                   visible, deadline=D, serial, nosnap, faults=PLAN
+//	                   (last); see the README's "Engine spec" section.
+//	                   nosnap runs read-only operations on the validating
+//	                   path instead of the snapshot fast path, e.g.
+//	                   tl2:nosnap
 //	--no-traversals    disable long traversals
 //	--no-sms           disable structure modification operations
 //	--ttc-histograms   print TTC (latency) histograms

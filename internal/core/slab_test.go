@@ -100,73 +100,3 @@ func TestDeletedGraphIsCollected(t *testing.T) {
 		})
 	}
 }
-
-// TestAdaptiveTransferReachesSlabCells: stm.Adaptive finds the Vars to move
-// to a new engine generation through weak pointers, and a slab cell's is a
-// pointer into the slab. Every cell of a built structure is given a version
-// by the first generation; after a collection and a swap to a generation
-// whose clock starts again from zero, a cell the transfer missed would still
-// carry that version and be unreadable ("version too new") until the
-// deadline. All of them must read back, through object -> striped -> object.
-func TestAdaptiveTransferReachesSlabCells(t *testing.T) {
-	spec := func(s string) stm.EngineSpec {
-		t.Helper()
-		sp, err := stm.ParseEngineSpec(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sp
-	}
-	a, err := stm.NewAdaptive(spec("tl2:deadline=5s"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Build(Tiny(), 42, a.VarSpace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	states := func() map[uint64]AtomicPartState {
-		t.Helper()
-		out := map[uint64]AtomicPartState{}
-		err := a.Atomic(func(tx stm.Tx) error {
-			clear(out)
-			s.Idx.AtomicByID.Ascend(tx, func(id uint64, ap *AtomicPart) bool {
-				out[id] = ap.State(tx)
-				return true
-			})
-			return s.CheckInvariants(tx)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	want := states()
-	if len(want) != s.P.NumCompParts*s.P.NumAtomicPerComp {
-		t.Fatalf("%d atomic parts, want %d", len(want), s.P.NumCompParts*s.P.NumAtomicPerComp)
-	}
-	for _, hop := range []string{"tl2:deadline=5s", "tl2:striped=64,deadline=5s", "tl2:deadline=5s"} {
-		for range 2 { // two swaps: every cell versioned, every state as it was
-			err := a.Atomic(func(tx stm.Tx) error {
-				s.Idx.AtomicByID.Ascend(tx, func(_ uint64, ap *AtomicPart) bool {
-					ap.SwapXY(tx)
-					return true
-				})
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		runtime.GC()
-		if err := a.Reconfigure(spec(hop)); err != nil {
-			t.Fatal(err)
-		}
-		got := states()
-		for id, st := range want {
-			if got[id] != st {
-				t.Fatalf("after the swap to %s: atomic part %d reads %+v, want %+v", hop, id, got[id], st)
-			}
-		}
-	}
-}

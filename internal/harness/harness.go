@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/core"
 	"repro/internal/ops"
 	"repro/internal/rng"
@@ -55,9 +54,6 @@ type Options struct {
 	// and direct. Engine.Trace installs a transaction flight recorder
 	// (-trace): dump it during or after the run via the telemetry
 	// endpoint's /trace route or stm.TraceRecorder.WriteChromeTrace.
-	// Engine.Adaptive builds the stm.Adaptive runtime, and RunOn then
-	// runs the internal/adapt closed-loop controller alongside the
-	// benchmark; its decision timeline lands in Result.Reconfigs.
 	Engine stm.EngineOptions
 	// CollectHistograms enables TTC histograms (--ttc-histograms).
 	CollectHistograms bool
@@ -224,10 +220,6 @@ type Result struct {
 	// point per interval with throughput, abort rate, snapshot restarts
 	// and shed rate over that interval.
 	Series []telemetry.SamplePoint
-	// Reconfigs is the adaptive controller's decision timeline for this
-	// run (nil unless the engine is an stm.Adaptive): every switch,
-	// stalled switch and guardrail pin, in firing order.
-	Reconfigs []adapt.Decision
 }
 
 // liveProgress publishes in-flight driver progress for the telemetry
@@ -352,17 +344,6 @@ func RunOn(o Options, ex sync7.Executor, s *core.Structure) (*Result, error) {
 			live.ops.Load, live.sheds.Load)
 		sampler.Start()
 	}
-	// On an adaptive runtime the control loop runs for the duration of
-	// the drive. The controller starts from the runtime's CURRENT
-	// configuration — in a multi-phase scenario a later phase inherits
-	// whatever the previous phase's controller switched to.
-	var adriver *adapt.Driver
-	if ae, ok := ex.Engine().(*stm.Adaptive); ok {
-		spec := ae.Current()
-		spec.Options.Faults, spec.Options.Trace = nil, nil
-		ctrl := adapt.NewController(spec, adapt.DefaultConfig())
-		adriver = adapt.Start(ae, ctrl, adapt.DefaultInterval)
-	}
 	var res *Result
 	var err error
 	switch {
@@ -372,12 +353,6 @@ func RunOn(o Options, ex sync7.Executor, s *core.Structure) (*Result, error) {
 		res, err = runOpenLoop(o, ex, s, live)
 	default:
 		res, err = runClosedLoop(o, ex, s, live)
-	}
-	if adriver != nil {
-		decisions := adriver.Stop()
-		if res != nil {
-			res.Reconfigs = decisions
-		}
 	}
 	if sampler != nil {
 		series := sampler.Stop()

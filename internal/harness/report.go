@@ -148,12 +148,6 @@ func WriteReport(w io.Writer, r *Result) {
 		if o.Engine.Faults != nil {
 			fmt.Fprintf(w, "  fault injection: %d faults fired\n", es.InjectedFaults)
 		}
-		if o.Engine.Adaptive {
-			fmt.Fprintf(w, "  adaptive decisions: %d\n", len(r.Reconfigs))
-			for _, d := range r.Reconfigs {
-				fmt.Fprintf(w, "    %s\n", d)
-			}
-		}
 	}
 
 	if len(r.Series) > 0 {

@@ -35,7 +35,7 @@ import (
 // property of the whole scenario. It is an engine-spec option list
 // (stm.ParseEngineSpec's options) applied over the run's -g spec — a key
 // set here overrides the run's value, an unset key inherits it, and
-// "gc=off" or "adaptive=off" turns a run-level key off:
+// "gc=off" or "nosnap=off" turns a run-level key off:
 //
 //	{"name": "hot", "engine": "striped=256,shards=4,deadline=25ms,serial,nosnap,faults=seed=7,abort:1/24",
 //	 "phases": [...]}

@@ -242,7 +242,7 @@ func FuzzParseScenario(f *testing.F) {
 		`{"name": "x", "phases": []}`,
 		`{"name": "x", "phases": [{"name": "p", "duration": "10ms"}]}`,
 		`{"name": "x", "phases": [{"max_ops": 5, "threads": -1}]}`,
-		`{"name": "x", "engine": "striped=128,shards=4,gc=off,nosnap,adaptive",
+		`{"name": "x", "engine": "striped=128,shards=4,gc=off,nosnap",
 		  "phases": [{"name": "p", "max_ops": 5}]}`,
 		`{"name": "x", "engine": "deadline=25ms,serial,faults=seed=7,abort:1/24", "phases": [{"name": "p", "max_ops": 5}]}`,
 		`{"name": "x", "engine": "faults=seed=7", "phases": [{"name": "p", "max_ops": 5}]}`,

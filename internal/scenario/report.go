@@ -95,17 +95,6 @@ func WriteReport(w io.Writer, rep *Report) {
 	fmt.Fprintln(w)
 
 	for _, pr := range rep.Phases {
-		if len(pr.Result.Reconfigs) == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "  Adaptive decisions, phase %q\n", pr.Phase.Name)
-		for _, d := range pr.Result.Reconfigs {
-			fmt.Fprintf(w, "    %s\n", d)
-		}
-		fmt.Fprintln(w)
-	}
-
-	for _, pr := range rep.Phases {
 		if len(pr.Result.Series) == 0 {
 			continue
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/harness"
 	"repro/internal/ops"
 	"repro/internal/sync7"
 	"repro/stm"
@@ -241,6 +242,38 @@ func TestWriteReportSections(t *testing.T) {
 		"throughput:",
 		"response p99:",
 		"elapsed:",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestReportAbortCauseColumns feeds WriteReport a synthetic report so the
+// per-phase abort-cause breakdown (cfl/tmo/inj columns) is checked against
+// known counter values, not a timing-dependent run.
+func TestReportAbortCauseColumns(t *testing.T) {
+	sc := &Scenario{Name: "causes", Phases: []Phase{
+		{Name: "storm", Threads: 2, Duration: time.Second, Workload: ops.WriteDominated},
+	}}
+	res := &harness.Result{
+		Options: harness.Options{Threads: 2, Workload: ops.WriteDominated},
+		Elapsed: time.Second,
+		EngineStats: stm.Stats{
+			Commits:        1000,
+			ConflictAborts: 123,
+			TimeoutAborts:  45,
+			InjectedFaults: 67,
+		},
+	}
+	rep := &Report{Scenario: sc, Strategy: "norec", Phases: []PhaseResult{{Phase: sc.Phases[0], Result: res}}}
+	var sb strings.Builder
+	WriteReport(&sb, rep)
+	out := sb.String()
+	for _, want := range []string{
+		"cfl", "tmo", "inj", // the breakdown columns
+		"123", "45", "67", // the per-phase counter values
+		"engine: norec\n", // the configuration echo
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)

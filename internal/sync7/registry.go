@@ -70,8 +70,7 @@ func Register(name string, kind Kind, factory Factory) {
 
 // genericSTM wraps a registered stm engine as an STM strategy, passing
 // Config.Engine through to the engine registry — engines ignore the
-// options outside their design, so the same Config sweeps every engine,
-// and the adaptive key builds the stm.Adaptive runtime.
+// options outside their design, so the same Config sweeps every engine.
 func genericSTM(name string) registration {
 	return registration{kind: KindSTM, factory: func(cfg Config) (Executor, error) {
 		eng, err := stm.NewWith(name, cfg.Engine)

@@ -59,15 +59,13 @@ type Config struct {
 	NumAssmLevels int
 	// Engine configures the stm engine behind an STM strategy — with
 	// Strategy, the two halves of an stm.EngineSpec. Ignored by the lock
-	// strategies and direct, except that its adaptive key is an error
-	// there.
+	// strategies and direct.
 	Engine stm.EngineOptions
 }
 
 // New builds the executor for cfg by looking Config.Strategy up in the
-// strategy registry. Configuration errors — an unknown strategy,
-// out-of-range engine options, adaptive on a strategy that is not STM —
-// are reported before anything is built.
+// strategy registry. Configuration errors — an unknown strategy or
+// out-of-range engine options — are reported before anything is built.
 func New(cfg Config) (Executor, error) {
 	reg, ok := lookup(cfg.Strategy)
 	if !ok {
@@ -75,9 +73,6 @@ func New(cfg Config) (Executor, error) {
 	}
 	if err := cfg.Engine.Validate(); err != nil {
 		return nil, fmt.Errorf("sync7: %w", err)
-	}
-	if cfg.Engine.Adaptive && reg.kind != KindSTM {
-		return nil, fmt.Errorf("sync7: adaptive requires an STM strategy, got %q (%s)", cfg.Strategy, reg.kind)
 	}
 	return reg.factory(cfg)
 }

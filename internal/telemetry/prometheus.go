@@ -56,9 +56,6 @@ var statFamilies = []statFamily{
 	{"stm_group_commits_total", "counter", "Sequence-lock acquisitions that published a batch of more than one transaction.", func(s stm.Stats) uint64 { return s.GroupCommits }},
 	{"stm_group_commit_size_total", "counter", "Transactions published by group-commit batches (leader plus followers).", func(s stm.Stats) uint64 { return s.GroupCommitSize }},
 	{"stm_coalesced_locks_total", "counter", "TL2 commit locks acquired via coalesced group-word CAS runs.", func(s stm.Stats) uint64 { return s.CoalescedLocks }},
-	{"stm_reconfigurations_total", "counter", "Completed adaptive-runtime engine swaps (quiesce-and-swap).", func(s stm.Stats) uint64 { return s.Reconfigurations }},
-	{"stm_reconfig_stalls_total", "counter", "Reconfiguration drains abandoned on the hard deadline.", func(s stm.Stats) uint64 { return s.ReconfigStalls }},
-	{"stm_reconfig_stall_ns_total", "counter", "Nanoseconds spent inside quiesce drains (successful and stalled).", func(s stm.Stats) uint64 { return s.ReconfigStallNs }},
 	{"stm_clock_shards", "gauge", "Commit-clock shards (1 = classic global clock, 0 = no commit clock).", func(s stm.Stats) uint64 { return s.ClockShards }},
 	{"stm_clock_shard_spread", "gauge", "Gap between the most- and least-advanced commit-clock shard.", func(s stm.Stats) uint64 { return s.ClockShardSpread }},
 }

@@ -46,20 +46,17 @@
 // canonical ParseEngineSpec/String round trip:
 //
 //	tl2:striped=4096,shards=4,versions=4,deadline=25ms
-//	tl2:nosnap,adaptive
+//	tl2:nosnap
 //
 // The spec is the only carrier of engine configuration above this package:
 // the benchmark's -g flag takes one, scenario files apply an option list
-// over it (EngineOptions.Apply), reports print it, and Adaptive's
-// Current/Reconfigure speak it. Every knob the sections below describe is
-// an EngineOptions field with a spec key (given in brackets there),
-// including the two that shape the run around the engine: nosnap
-// (DisableROSnapshot), which each engine's RunReadOnly honours, and
-// adaptive (Adaptive), on which NewWith builds the Adaptive runtime. The
-// per-engine config structs embed EngineOptions and add only MaxRetries
-// and the two ablation knobs no spec names: OSTM's
-// CommitCounterHeuristic and NOrec's ReferenceValidation. See
-// ParseEngineSpec for the grammar.
+// over it (EngineOptions.Apply) and reports print it. Every knob the
+// sections below describe is an EngineOptions field with a spec key
+// (given in brackets there), including the one that shapes the run around
+// the engine: nosnap (DisableROSnapshot), which each engine's RunReadOnly
+// honours. The per-engine config structs embed EngineOptions and add only
+// MaxRetries and the one ablation knob no spec names, OSTM's
+// CommitCounterHeuristic. See ParseEngineSpec for the grammar.
 //
 // # Programming model
 //
@@ -271,8 +268,7 @@
 //
 //   - Off switch: under EngineOptions.DisableROSnapshot [nosnap] the
 //     engine's RunReadOnly is its Atomic — one branch at entry — so the
-//     validating path can be measured on the same operations, and the
-//     setting survives an Adaptive swap with the rest of the spec.
+//     validating path can be measured on the same operations.
 //
 // # Multi-version snapshot reads
 //
@@ -554,57 +550,4 @@
 // /debug/pprof/*, expvar and /trace while the run executes):
 // `stmbench7 -g tl2 -sample 200ms -trace 4096 -trace-out trace.json` shows
 // all three on one run.
-//
-// # Adaptive runtime
-//
-// Adaptive (adaptive.go) is a reconfigurable engine: an Engine +
-// SnapshotReader implementation whose inner engine can be swapped live
-// by Reconfigure(spec) while transactions keep flowing through
-// the wrapper. The swap protocol is quiesce-and-swap behind a one-word
-// epoch gate (drainingBit | in-flight count):
-//
-//   - quiesce: set the draining bit (new transactions spin at the
-//     gate), wait for the in-flight count to hit zero;
-//   - transfer: re-home every live Var from the stable VarSpace onto
-//     the freshly built engine — current value re-boxed at
-//     write-version 0 (version chains truncate to the head: a fresh
-//     engine has no history to prove snapshot membership against, the
-//     same contract as a restart), orec re-pointed into the new
-//     engine's table so engine-private metadata (TL2 coalescing group
-//     words index orecs by id) stays self-consistent;
-//   - flip the engine pointer, fold the retired engine's counters into
-//     a cumulative base (Stats stays monotone across generations),
-//     reopen the gate.
-//
-// Opacity across the swap follows from the window being provably
-// transaction-free — the full argument is the adaptive.go file header.
-// The drain has a hard deadline (SetDrainDeadline, default 250ms): a
-// stalled drain abandons the swap with ErrQuiesceStalled, keeps the old
-// engine, and enters a serial degradation mode (admitted transactions
-// serialize on a token) that lifts the next time the gate goes idle —
-// a stalled reconfiguration costs a switch, never liveness. Swaps,
-// stalls and stall time are counted in Stats.Reconfigurations /
-// ReconfigStalls / ReconfigStallNs and recorded by the flight recorder.
-//
-// The VarSpace an Adaptive hands out is stable across swaps and tracks
-// its Vars weakly: a Var the structure deleted is garbage to the
-// collector, not transfer work — strong tracking would pin every Var
-// ever allocated and convert structure churn into unbounded GC scan
-// cost on the transaction hot path. Vars allocated inside transactions
-// (STMBench7 structural ops) are tracked concurrently and transferred
-// only if still reachable at swap time, which is sound because an
-// unreachable Var can never be read again.
-//
-// Policy lives outside: the repository's internal/adapt package is a
-// deterministic controller (ordered rules over per-interval Stats
-// deltas, dwell/cooldown/switch-budget hysteresis, a thrash guardrail
-// that pins after two non-improving switches) whose Driver polls Stats
-// and calls Reconfigure. The wrapper itself is policy-free; any caller
-// may drive Reconfigure directly. NewWith builds the runtime when the
-// spec carries the adaptive key [adaptive]; NewAdaptive clears the key
-// from its inner spec and Reconfigure rejects a spec that carries it, so
-// one runtime never wraps another. The benchmark exposes the stack as
-// that key (`stmbench7 -scenario chaos-storm -g norec:adaptive` lists the
-// decisions in its report); the internal/adapt suite holds the controller
-// to its hysteresis and switch budget.
 package stm

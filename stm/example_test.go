@@ -37,8 +37,6 @@ func ExampleNewTL2With() {
 // what it holds, not by when it was written.
 func ExampleNewNOrecWith() {
 	eng := stm.NewNOrecWith(stm.NOrecConfig{
-		// ReferenceValidation: true would compare snapshots by identity
-		// instead, turning equal-value overwrites into conflicts.
 		MaxRetries: 100,
 	})
 	a := stm.NewCell(eng.VarSpace(), 10)

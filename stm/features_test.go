@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// Tests for the commit-counter validation heuristic (Spear et al.), a
-// cited-fix knob that is a Go config field rather than a spec key (NOrec's
-// ReferenceValidation, tested in norec_test.go, is the other). Basic
+// Tests for the commit-counter validation heuristic (Spear et al.), the
+// one cited-fix knob that is a Go config field rather than a spec key. Basic
 // semantics are covered by the shared engine suites; these tests pin the
 // distinguishing behaviours.
 

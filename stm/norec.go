@@ -7,14 +7,6 @@ import (
 
 // NOrecConfig tunes the NOrec engine.
 type NOrecConfig struct {
-	// ReferenceValidation restricts read-set validation to snapshot
-	// (box) identity: a re-write of an equal value still invalidates
-	// readers, as it would under an ownership-record STM. The default
-	// (false) is NOrec's value-based validation, where a concurrent
-	// commit that writes back the same value a reader saw does not
-	// abort it. The knob exists for ablations of exactly that
-	// difference.
-	ReferenceValidation bool
 	// MaxRetries bounds re-executions; 0 means retry forever. When the
 	// budget is exhausted Atomic returns ErrAborted.
 	MaxRetries int
@@ -352,9 +344,6 @@ func (tx *norecTx) stillValid(r norecRead) bool {
 	cur := r.v.cur.Load()
 	if cur == r.seen {
 		return true
-	}
-	if tx.eng.cfg.ReferenceValidation {
-		return false
 	}
 	return boxValuesEqual(r.v, cur, r.seen)
 }

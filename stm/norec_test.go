@@ -12,9 +12,9 @@ import (
 // Basic semantics are covered by the shared engine suites.
 
 // norecStraddle runs a reader transaction that reads a, parks while the
-// given writer transaction commits, then reads b; it returns how many
-// attempts the reader needed.
-func norecStraddle(t *testing.T, eng *NOrec, writer func(tx Tx) error) int {
+// given writer transaction commits (it is handed a), then reads b; it
+// returns how many attempts the reader needed.
+func norecStraddle(t *testing.T, eng *NOrec, writer func(tx Tx, a *Cell[int]) error) int {
 	t.Helper()
 	a := NewCell(eng.VarSpace(), 1)
 	b := NewCell(eng.VarSpace(), 2)
@@ -37,7 +37,7 @@ func norecStraddle(t *testing.T, eng *NOrec, writer func(tx Tx) error) int {
 		})
 	}()
 	<-parked
-	if err := eng.Atomic(writer); err != nil {
+	if err := eng.Atomic(func(tx Tx) error { return writer(tx, a) }); err != nil {
 		t.Fatalf("writer: %v", err)
 	}
 	close(resume)
@@ -54,53 +54,18 @@ func norecStraddle(t *testing.T, eng *NOrec, writer func(tx Tx) error) int {
 func TestNOrecSnapshotExtension(t *testing.T) {
 	eng := NewNOrec()
 	fresh := NewCell(eng.VarSpace(), 0)
-	if got := norecStraddle(t, eng, func(tx Tx) error { fresh.Set(tx, 99); return nil }); got != 1 {
+	if got := norecStraddle(t, eng, func(tx Tx, _ *Cell[int]) error { fresh.Set(tx, 99); return nil }); got != 1 {
 		t.Errorf("attempts = %d, want 1 (snapshot extension)", got)
 	}
 }
 
 // TestNOrecValueValidationToleratesEqualRewrite is the hallmark of
 // value-based validation: a concurrent commit that overwrites a Var the
-// reader HAS read with an equal value does not invalidate it. Under
-// reference (snapshot-identity) validation the same schedule costs a
-// retry.
+// reader HAS read with an equal value does not invalidate it.
 func TestNOrecValueValidationToleratesEqualRewrite(t *testing.T) {
-	straddleRewrite := func(cfg NOrecConfig) int {
-		eng := NewNOrecWith(cfg)
-		a := NewCell(eng.VarSpace(), 1)
-		b := NewCell(eng.VarSpace(), 2)
-		parked := make(chan struct{})
-		resume := make(chan struct{})
-		var once sync.Once
-		attempts := 0
-		done := make(chan error, 1)
-		go func() {
-			done <- eng.Atomic(func(tx Tx) error {
-				attempts++
-				_ = a.Get(tx)
-				once.Do(func() {
-					close(parked)
-					<-resume
-				})
-				_ = b.Get(tx)
-				return nil
-			})
-		}()
-		<-parked
-		if err := eng.Atomic(func(tx Tx) error { a.Set(tx, 1); return nil }); err != nil {
-			t.Fatalf("rewriter: %v", err)
-		}
-		close(resume)
-		if err := <-done; err != nil {
-			t.Fatalf("reader: %v", err)
-		}
-		return attempts
-	}
-	if got := straddleRewrite(NOrecConfig{}); got != 1 {
-		t.Errorf("value validation: attempts = %d, want 1 (equal value tolerated)", got)
-	}
-	if got := straddleRewrite(NOrecConfig{ReferenceValidation: true}); got < 2 {
-		t.Errorf("reference validation: attempts = %d, want >= 2 (new snapshot must abort)", got)
+	eng := NewNOrec()
+	if got := norecStraddle(t, eng, func(tx Tx, a *Cell[int]) error { a.Set(tx, 1); return nil }); got != 1 {
+		t.Errorf("attempts = %d, want 1 (equal value tolerated)", got)
 	}
 }
 

@@ -116,16 +116,6 @@ type orec struct {
 	wb atomic.Uint32
 }
 
-// reset returns the record's metadata to its freshly created state. Only
-// legal while no transaction can reach it (Adaptive's drained window).
-func (o *orec) reset() {
-	o.meta.Store(0)
-	o.lastWriter.Store(0)
-	o.loc.Store(nil)
-	o.readers.Store(nil)
-	o.wb.Store(0)
-}
-
 // orecSlot is one entry of the striped table: an orec padded to a cache
 // line's length, so no two stripes' records share a line (the table itself
 // may start up to 16 bytes into a line: the allocator puts a header before
@@ -206,7 +196,7 @@ func (t *orecTable) configure(g Granularity, stripes int) error {
 
 // bind points v at its ownership record: the id's table slot under striped
 // granularity, the Var's own (fresh) inline record otherwise. Called once
-// per Var at creation, and again by Adaptive's transfer.
+// per Var at creation.
 func (t *orecTable) bind(v *Var) {
 	if t.granularity == StripedGranularity {
 		v.orc = t.stripeFor(v.id)

@@ -62,13 +62,8 @@ func New(name string) (Engine, error) {
 // apply ignore it (NOrec has no per-location metadata to stripe and no
 // commit clock to shard, though it does honor Versions; direct ignores
 // everything) — the knobs are benchmark axes, not hard requirements, so a
-// sweep can hold them fixed across engines. opts.Adaptive builds the
-// reconfigurable runtime (NewAdaptive) around the engine the rest of the
-// spec names.
+// sweep can hold them fixed across engines.
 func NewWith(name string, opts EngineOptions) (Engine, error) {
-	if opts.Adaptive {
-		return NewAdaptive(EngineSpec{Name: name, Options: opts})
-	}
 	engineRegistry.mu.RLock()
 	factory, ok := engineRegistry.factories[name]
 	engineRegistry.mu.RUnlock()

@@ -11,10 +11,10 @@ import (
 //
 // An EngineSpec — a registry name plus an EngineOptions value — is the one
 // carrier of engine configuration: the strategy layer, the harness, the
-// scenario engine, both CLIs (-g) and the adaptive runtime hold it
-// opaquely and name no knob. Adding a knob is a field of EngineOptions, a
-// key in Apply and String below, and the engine code that reads it; the
-// reflection test in spec_test.go fails a field without a key.
+// scenario engine and both CLIs (-g) hold it opaquely and name no knob.
+// Adding a knob is a field of EngineOptions, a key in Apply and String
+// below, and the engine code that reads it; the reflection test in
+// spec_test.go fails a field without a key.
 
 // EngineOptions carries every engine knob a spec can name. Engines consume
 // the fields that apply to their design and ignore the rest (NOrec has no
@@ -108,11 +108,6 @@ type EngineOptions struct {
 	// path: RunReadOnly runs the engine's validating Atomic path instead.
 	// TL2, NOrec and OSTM. Default off (the fast path stays on).
 	DisableROSnapshot bool
-	// Adaptive [adaptive] makes NewWith build the stm.Adaptive
-	// reconfigurable runtime around the engine the rest of the spec
-	// names; a controller (internal/adapt) may then swap engine and
-	// options live. The runtime's inner specs never carry the key.
-	Adaptive bool
 }
 
 // Validate rejects out-of-range options. It is the one range check for
@@ -173,7 +168,6 @@ func (o EngineOptions) String() string {
 	}
 	flag(o.SerialFallback, "serial")
 	flag(o.DisableROSnapshot, "nosnap")
-	flag(o.Adaptive, "adaptive")
 	if o.Faults != nil {
 		add("faults=%s", o.Faults)
 	}
@@ -261,10 +255,8 @@ func (o EngineOptions) Apply(s string) (EngineOptions, error) {
 			err = onOff(&o.SerialFallback)
 		case "nosnap":
 			err = onOff(&o.DisableROSnapshot)
-		case "adaptive":
-			err = onOff(&o.Adaptive)
 		default:
-			err = bad("unknown key %q (want striped, shards, versions, gc, coalesce, cm, ctv, visible, deadline, serial, nosnap, adaptive or faults)", key)
+			err = bad("unknown key %q (want striped, shards, versions, gc, coalesce, cm, ctv, visible, deadline, serial, nosnap or faults)", key)
 		}
 		if err != nil {
 			return EngineOptions{}, err
@@ -297,12 +289,11 @@ type EngineSpec struct {
 //	         | "deadline=" DURATION    per-transaction retry budget (Go duration)
 //	         | "serial"                irrevocable serial fallback
 //	         | "nosnap"                read-only operations take the validating path
-//	         | "adaptive"              reconfigurable runtime (stm.Adaptive)
 //	         | "faults=" PLAN          fault plan in ParseFaultPlan syntax; must be
 //	                                   last, and takes the rest of the string
 //
 // e.g. "tl2:striped=4096,shards=4,versions=4,deadline=25ms",
-// "tl2:nosnap,adaptive" or
+// "tl2:nosnap" or
 // "norec:gc,faults=seed=7,precommit:1/40:80us,abort:1/24". A bare name is
 // a spec with zero options. The keys without a value are booleans and also
 // accept "=on" and "=off" (and "striped=off" is object granularity), which

@@ -21,9 +21,7 @@ var ciSpecs = []string{
 	"tl2:striped=256,coalesce",
 	"ostm:serial",
 	"ostm:cm=karma,visible",
-	"ostm:cm=karma,visible,adaptive",
 	"tl2:nosnap",
-	"tl2:nosnap,adaptive",
 	"ostm:ctv",
 	"tl2:striped",
 	"norec:gc,deadline=25ms,serial",
@@ -49,13 +47,13 @@ func TestEngineSpecRoundTrip(t *testing.T) {
 
 func TestParseEngineSpec(t *testing.T) {
 	t.Run("fields", func(t *testing.T) {
-		spec := mustSpec(" tl2 : striped=64, shards=4 ,versions=2,gc,coalesce,cm=timid,ctv,visible,deadline=3ms,serial,adaptive,nosnap,faults=seed=3,abort:1/8")
+		spec := mustSpec(" tl2 : striped=64, shards=4 ,versions=2,gc,coalesce,cm=timid,ctv,visible,deadline=3ms,serial,nosnap,faults=seed=3,abort:1/8")
 		want := EngineOptions{
 			Granularity: StripedGranularity, OrecStripes: 64, ClockShards: 4, Versions: 2,
 			GroupCommit: true, LockCoalescing: true,
 			CM: Timid{}, CommitTimeValidationOnly: true, VisibleReads: true,
 			TxDeadline: 3 * time.Millisecond, SerialFallback: true,
-			DisableROSnapshot: true, Adaptive: true,
+			DisableROSnapshot: true,
 		}
 		if spec.Name != "tl2" {
 			t.Errorf("Name = %q, want tl2", spec.Name)
@@ -87,7 +85,7 @@ func TestParseEngineSpec(t *testing.T) {
 			"tl2:gc=maybe",            // booleans take on/off
 			"tl2:gc=",                 // ... not an empty value
 			"tl2:nosnap=maybe",        // ... nosnap included
-			"tl2:adaptive=yes",        // ... and adaptive
+			"tl2:adaptive",            // not a key
 			"tl2:shards",              // counts need a value
 			"tl2:shards=-1",           // ... a non-negative one
 			"tl2:versions=two",        // ... a number
@@ -103,6 +101,9 @@ func TestParseEngineSpec(t *testing.T) {
 			if spec, err := ParseEngineSpec(s); err == nil {
 				t.Errorf("ParseEngineSpec(%q) accepted as %s, want error", s, spec)
 			}
+		}
+		if _, err := ParseEngineSpec("tl2:adaptive"); err == nil || !strings.Contains(err.Error(), `unknown key "adaptive"`) {
+			t.Errorf(`ParseEngineSpec("tl2:adaptive"): err = %v, want unknown key "adaptive"`, err)
 		}
 	})
 }
@@ -124,8 +125,6 @@ func TestEngineOptionsApplyOverlay(t *testing.T) {
 		{"faults=seed=2,abort:1/2", "striped=64,shards=4,gc,cm=karma,deadline=25ms,faults=seed=2,abort:1/2"},
 		{"faults=", "striped=64,shards=4,gc,cm=karma,deadline=25ms"},
 		{"gc=off,gc", "striped=64,shards=4,gc,cm=karma,deadline=25ms,faults=abort:1/8"},
-		{"nosnap,adaptive", "striped=64,shards=4,gc,cm=karma,deadline=25ms,nosnap,adaptive,faults=abort:1/8"},
-		{"adaptive,adaptive=off", "striped=64,shards=4,gc,cm=karma,deadline=25ms,faults=abort:1/8"},
 		{"nosnap,faults=seed=2,abort:1/2", "striped=64,shards=4,gc,cm=karma,deadline=25ms,nosnap,faults=seed=2,abort:1/2"},
 	} {
 		got, err := base.Apply(c.overlay)
@@ -178,12 +177,12 @@ func TestParseContentionManager(t *testing.T) {
 // by Apply from what String printed — otherwise it is unreachable from -g
 // and from scenario files. It also fails a knob added to a per-engine
 // config struct instead, where no spec key can reach it: those add only
-// the retry budget, OSTM's CommitCounterHeuristic and NOrec's
-// ReferenceValidation to the embedded EngineOptions.
+// the retry budget and OSTM's CommitCounterHeuristic to the embedded
+// EngineOptions.
 func TestEveryEngineOptionHasASpecKey(t *testing.T) {
 	for cfg, allowed := range map[reflect.Type][]string{
 		reflect.TypeOf(TL2Config{}):   {"EngineOptions", "MaxRetries"},
-		reflect.TypeOf(NOrecConfig{}): {"EngineOptions", "MaxRetries", "ReferenceValidation"},
+		reflect.TypeOf(NOrecConfig{}): {"EngineOptions", "MaxRetries"},
 		reflect.TypeOf(OSTMConfig{}):  {"EngineOptions", "MaxRetries", "CommitCounterHeuristic"},
 	} {
 		for i := 0; i < cfg.NumField(); i++ {

@@ -101,21 +101,6 @@ type Stats struct {
 	// with lock coalescing off, under object granularity, and on engines
 	// without commit-time locking.
 	CoalescedLocks uint64
-	// Reconfigurations counts completed live engine swaps on an adaptive
-	// runtime (Adaptive.Reconfigure calls that drained, transferred state
-	// and flipped the engine pointer). Always 0 on plain engines. See
-	// adaptive.go.
-	Reconfigurations uint64
-	// ReconfigStalls counts reconfiguration attempts whose quiesce drain
-	// hit its hard deadline: the swap was abandoned and the runtime
-	// entered serial degradation instead of blocking (see adaptive.go's
-	// stall escalation). Always 0 on plain engines.
-	ReconfigStalls uint64
-	// ReconfigStallNs is the cumulative wall-clock time (nanoseconds)
-	// spent inside quiesce drains — successful and stalled — so
-	// ReconfigStallNs/Reconfigurations bounds the per-swap pause cost.
-	// Always 0 on plain engines.
-	ReconfigStallNs uint64
 	// ClockShards is the number of commit-clock shards (TL2: 1 for the
 	// classic global clock; 0 for engines without a commit clock). A
 	// snapshot property, not a counter: Delta carries the newer value.
@@ -346,9 +331,6 @@ func (s Stats) Add(o Stats) Stats {
 		GroupCommits:     s.GroupCommits + o.GroupCommits,
 		GroupCommitSize:  s.GroupCommitSize + o.GroupCommitSize,
 		CoalescedLocks:   s.CoalescedLocks + o.CoalescedLocks,
-		Reconfigurations: s.Reconfigurations + o.Reconfigurations,
-		ReconfigStalls:   s.ReconfigStalls + o.ReconfigStalls,
-		ReconfigStallNs:  s.ReconfigStallNs + o.ReconfigStallNs,
 		ClockShards:      s.ClockShards,
 		ClockShardSpread: s.ClockShardSpread,
 	}
@@ -408,10 +390,6 @@ func (s Stats) Lines() []string {
 		lines = append(lines, fmt.Sprintf("commit pipeline: %d group commits (avg batch %.1f), %d coalesced locks",
 			s.GroupCommits, avg, s.CoalescedLocks))
 	}
-	if s.Reconfigurations > 0 || s.ReconfigStalls > 0 {
-		lines = append(lines, fmt.Sprintf("adaptive: %d reconfigurations, %d quiesce stalls, %.2fms drained",
-			s.Reconfigurations, s.ReconfigStalls, float64(s.ReconfigStallNs)/1e6))
-	}
 	return lines
 }
 
@@ -443,9 +421,6 @@ func (s Stats) Delta(prev Stats) Stats {
 		GroupCommits:     s.GroupCommits - prev.GroupCommits,
 		GroupCommitSize:  s.GroupCommitSize - prev.GroupCommitSize,
 		CoalescedLocks:   s.CoalescedLocks - prev.CoalescedLocks,
-		Reconfigurations: s.Reconfigurations - prev.Reconfigurations,
-		ReconfigStalls:   s.ReconfigStalls - prev.ReconfigStalls,
-		ReconfigStallNs:  s.ReconfigStallNs - prev.ReconfigStallNs,
 		// Snapshot properties, not counters: the newer snapshot's view.
 		ClockShards:      s.ClockShards,
 		ClockShardSpread: s.ClockShardSpread,

@@ -3,9 +3,7 @@ package stm
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
-	"weak"
 )
 
 // box holds one immutable snapshot of a Var's value. Box identity (pointer
@@ -90,61 +88,6 @@ type readerSet struct {
 type VarSpace struct {
 	nextID atomic.Uint64
 	orecs  orecTable
-
-	// Adaptive-runtime hooks (adaptive.go); both are nil/unset on every
-	// ordinary engine space, so NewVar's behavior there is unchanged.
-	//
-	// track, when non-nil, records every allocated Var so a live
-	// reconfiguration can transfer committed state into a fresh engine.
-	// orecSrc, when set, redirects orec assignment to the CURRENT inner
-	// engine's own table — required because engine metadata paths (e.g.
-	// TL2 lock coalescing's group words) index orecs by id into their own
-	// space's table, so a Var's orec must always come from the engine
-	// that will interpret it.
-	track   *varTracker
-	orecSrc atomic.Pointer[orecTable]
-}
-
-// varTracker records every Var a space allocates, for adaptive state
-// transfer. NewVar calls are concurrent (STMBench7 structural operations
-// allocate inside transactions), hence the mutex. References are weak:
-// the space cannot see commit-time reachability, so strong references
-// would pin every Var ever allocated — structure parts deleted by later
-// transactions included — and the monotonically growing live heap turns
-// into GC scan time on the transaction hot path (measured at ~15-30% of
-// adaptive-run throughput before this was weakened). A Var that became
-// unreachable needs no transfer: no transaction can ever read it again.
-type varTracker struct {
-	mu   sync.Mutex
-	vars []weak.Pointer[Var]
-}
-
-func (t *varTracker) add(v *Var) {
-	w := weak.Make(v)
-	t.mu.Lock()
-	t.vars = append(t.vars, w)
-	t.mu.Unlock()
-}
-
-// snapshotVars returns the tracked Vars still alive, compacting entries
-// whose Vars the collector reclaimed. Callers must guarantee no
-// concurrent NewVar (the adaptive swap runs it only with all transactions
-// drained). The returned strong references keep every listed Var alive
-// for the duration of the transfer.
-func (t *varTracker) snapshotVars() []*Var {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	live := make([]*Var, 0, len(t.vars))
-	kept := t.vars[:0]
-	for _, w := range t.vars {
-		if v := w.Value(); v != nil {
-			live = append(live, v)
-			kept = append(kept, w)
-		}
-	}
-	clear(t.vars[len(kept):]) // drop collected entries for the GC
-	t.vars = kept
-	return live
 }
 
 // NewVarSpace returns a standalone id space with the default object
@@ -153,8 +96,8 @@ func NewVarSpace() *VarSpace { return &VarSpace{} }
 
 // ConfigureOrecs selects the space's Var-to-orec mapping. It must be
 // called before the first NewVar (engines call it from their
-// constructors); reconfiguring a space that already allocated Vars would
-// strand their metadata, so that is rejected.
+// constructors); changing the mapping of a space that already allocated
+// Vars would strand their metadata, so that is rejected.
 func (s *VarSpace) ConfigureOrecs(g Granularity, stripes int) error {
 	if s.nextID.Load() != 0 {
 		return errors.New("stm: ConfigureOrecs after Vars were allocated")
@@ -176,15 +119,8 @@ func (s *VarSpace) NewVar(val any, clone CloneFunc) *Var {
 func (s *VarSpace) initVar(v *Var, val any, clone CloneFunc) {
 	v.id = s.nextID.Add(1)
 	v.clone = clone
-	tbl := &s.orecs
-	if t := s.orecSrc.Load(); t != nil {
-		tbl = t
-	}
-	tbl.bind(v)
+	s.orecs.bind(v)
 	v.cur.Store(&box{val: val})
-	if s.track != nil {
-		s.track.add(v)
-	}
 }
 
 // SetName attaches a debug name to the Var (visible in String). The

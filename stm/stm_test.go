@@ -50,8 +50,8 @@ func fromSpec(spec string) func() Engine {
 // plus named non-default configurations worth exercising. Whatever a spec
 // can express is spelled as one and built through the parser, so every
 // suite run exercises ParseEngineSpec too; Go literals remain only for
-// the two ablation knobs that stay outside the spec
-// (CommitCounterHeuristic, ReferenceValidation).
+// the one ablation knob that stays outside the spec
+// (CommitCounterHeuristic).
 var txEngineMakers = map[string]func() Engine{
 	"ostm-committime":   fromSpec("ostm:ctv"),
 	"ostm-aggressive":   fromSpec("ostm:cm=aggressive"),
@@ -60,7 +60,6 @@ var txEngineMakers = map[string]func() Engine{
 	"ostm-backoff":      fromSpec("ostm:cm=backoff"),
 	"ostm-visible":      fromSpec("ostm:visible"),
 	"ostm-commitserial": func() Engine { return NewOSTMWith(OSTMConfig{CommitCounterHeuristic: true}) },
-	"norec-refvalidate": func() Engine { return NewNOrecWith(NOrecConfig{ReferenceValidation: true}) },
 
 	// Granularity/clock variants: the same suites that iterate engines
 	// iterate the metadata axes. The stripe counts are deliberately tiny
@@ -91,11 +90,8 @@ var txEngineMakers = map[string]func() Engine{
 	// the coalescing entries reuse the tiny 16-stripe table so sorted
 	// write sets constantly form multi-orec runs inside one group word
 	// AND contend on it (the per-bit fallback path gets hammered too).
-	"norec-group":     fromSpec("norec:gc"),
-	"norec-group-mv2": fromSpec("norec:versions=2,gc"),
-	"norec-group-refvalidate": func() Engine {
-		return NewNOrecWith(NOrecConfig{EngineOptions: opts("gc"), ReferenceValidation: true})
-	},
+	"norec-group":              fromSpec("norec:gc"),
+	"norec-group-mv2":          fromSpec("norec:versions=2,gc"),
 	"tl2-striped-coalesce":     fromSpec("tl2:striped=16,coalesce"),
 	"tl2-striped-coalesce-mv2": fromSpec("tl2:striped=16,versions=2,coalesce"),
 }

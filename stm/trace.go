@@ -74,11 +74,6 @@ const (
 	// Emitted on the leader's shard, once per drain, only for batches
 	// with at least one follower.
 	TraceGroupDrain
-	// TraceReconfig marks an adaptive-runtime reconfiguration event
-	// (A = one of the TraceReconfig* codes; B = the runtime's cumulative
-	// reconfiguration ordinal). Emitted by the Adaptive wrapper, never by
-	// plain engines. See adaptive.go.
-	TraceReconfig
 
 	numTraceKinds
 )
@@ -94,19 +89,6 @@ const (
 	TraceAbortInjected
 )
 
-// Reconfiguration codes carried in a TraceReconfig event's A payload.
-const (
-	// TraceReconfigSwap: a quiesce-and-swap completed (drain, state
-	// transfer, engine-pointer flip).
-	TraceReconfigSwap uint64 = iota
-	// TraceReconfigStall: the quiesce drain hit its hard deadline; the
-	// swap was abandoned and the runtime entered serial degradation.
-	TraceReconfigStall
-	// TraceReconfigPin: the controller's thrash guardrail pinned the
-	// current configuration (no further swaps this run).
-	TraceReconfigPin
-)
-
 var traceKindNames = [numTraceKinds]string{
 	TraceBegin:       "begin",
 	TraceCommit:      "commit",
@@ -118,7 +100,6 @@ var traceKindNames = [numTraceKinds]string{
 	TraceVersionMiss: "version-miss",
 	TraceSerial:      "serial",
 	TraceGroupDrain:  "group-drain",
-	TraceReconfig:    "reconfig",
 }
 
 func (k TraceKind) String() string {
