@@ -10,11 +10,11 @@
 //	-w r|rw|w          workload type (default r, read-dominated)
 //	-g SPEC            synchronization: coarse, medium, ostm, tl2, norec (default
 //	                   coarse), optionally with engine options after a colon —
-//	                   an engine spec such as tl2:striped=4096,shards=4 or
+//	                   an engine spec such as tl2:striped=4096,versions=4 or
 //	                   norec:gc,deadline=25ms,serial. Keys: striped[=N],
-//	                   shards=N, versions=K, gc, coalesce, cm=NAME, ctv,
-//	                   visible, deadline=D, serial, nosnap, faults=PLAN
-//	                   (last); see the README's "Engine spec" section.
+//	                   versions=K, gc, cm=NAME, ctv, visible, deadline=D,
+//	                   serial, nosnap, faults=PLAN (last); see the
+//	                   README's "Engine spec" section.
 //	                   nosnap runs read-only operations on the validating
 //	                   path instead of the snapshot fast path, e.g.
 //	                   tl2:nosnap
@@ -31,10 +31,6 @@
 //	                          (total) instead of the closed loop; response
 //	                          time is measured from the scheduled arrival,
 //	                          queueing included
-//	-affinity                 route each open-loop arrival to the worker
-//	                          owning the composite-part partition its id draw
-//	                          lands in (work-stealing keeps the schedule
-//	                          complete); requires -arrival-rate
 //	-listen ADDR              serve live telemetry for the duration of the
 //	                          run: /metrics (Prometheus text format),
 //	                          /debug/pprof/, /debug/vars and /trace (the
@@ -61,8 +57,8 @@
 //	                      default thread count for phases that don't set
 //	                      their own, and -l/-w/--no-* are ignored
 //	                      (the -g options become run defaults a scenario's
-//	                      "engine" keys may override; overload-shedding and
-//	                      affinity knobs are per-phase in the scenario file)
+//	                      "engine" keys may override; overload-shedding
+//	                      knobs are per-phase in the scenario file)
 //	-scenario-scale F     multiply every phase duration by F (default 1)
 //	-list-scenarios       print the built-in scenario library and exit
 //
@@ -96,7 +92,7 @@ func run(args []string) error {
 	threads := fs.Int("t", 1, "number of threads")
 	length := fs.Float64("l", 10, "benchmark length in seconds")
 	workload := fs.String("w", "r", "workload type: r, rw or w")
-	specFlag := fs.String("g", "coarse", "synchronization strategy ("+strings.Join(stmbench7.Strategies(), ", ")+"), optionally with engine options: an engine spec such as tl2:striped=4096,shards=4")
+	specFlag := fs.String("g", "coarse", "synchronization strategy ("+strings.Join(stmbench7.Strategies(), ", ")+"), optionally with engine options: an engine spec such as tl2:striped=4096,versions=4")
 	noTraversals := fs.Bool("no-traversals", false, "disable long traversals")
 	noSMs := fs.Bool("no-sms", false, "disable structure modification operations")
 	histograms := fs.Bool("ttc-histograms", false, "print TTC histograms")
@@ -104,7 +100,6 @@ func run(args []string) error {
 	seed := fs.Uint64("seed", 42, "benchmark seed")
 	reduced := fs.Bool("reduced", false, "use the reduced operation set of §5 (Figure 6)")
 	arrivalRate := fs.Float64("arrival-rate", 0, "open-loop Poisson arrival rate in ops/s, total (0 = closed loop)")
-	affinity := fs.Bool("affinity", false, "affinity-aware open-loop scheduling (requires -arrival-rate)")
 	check := fs.Bool("check", false, "check structural invariants after the run")
 	chunks := fs.Int("chunks", 1, "manual chunks (§5 optimization when > 1)")
 	groupAtomic := fs.Bool("group-atomic", false, "group atomic-part state per composite (§5 optimization)")
@@ -138,9 +133,6 @@ func run(args []string) error {
 	}
 	if *arrivalRate < 0 {
 		return fmt.Errorf("bad -arrival-rate %v (must be >= 0)", *arrivalRate)
-	}
-	if *affinity && *arrivalRate == 0 && *scenarioArg == "" {
-		return fmt.Errorf("-affinity shards the open-loop arrival schedule; set -arrival-rate R")
 	}
 
 	params, ok := stmbench7.NamedParams(*size)
@@ -200,9 +192,6 @@ func run(args []string) error {
 	}
 
 	if *scenarioArg != "" {
-		if *affinity {
-			return fmt.Errorf("-affinity is per phase in scenario mode; set \"affinity\": true on the open-loop phases instead")
-		}
 		sc, err := stmbench7.LookupScenario(*scenarioArg)
 		if err != nil {
 			return err
@@ -252,7 +241,6 @@ func run(args []string) error {
 		Engine:            spec.Options,
 		OpenLoop:          *arrivalRate > 0,
 		ArrivalRate:       *arrivalRate,
-		Affinity:          *affinity,
 		SampleInterval:    *sample,
 		CollectHistograms: *histograms,
 		CheckInvariants:   *check,

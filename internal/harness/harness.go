@@ -101,12 +101,6 @@ type Options struct {
 	// ArrivalRate is the open-loop offered load in operations per
 	// second, across all workers. Required (> 0) when OpenLoop is set.
 	ArrivalRate float64
-	// Affinity shards the open-loop schedule over the workers by each
-	// arrival's predicted composite-part range (-affinity): skewed draws
-	// route to the partition-owning worker, with work stealing once a
-	// partition drains. Identical schedule and operation multiset as the
-	// plain open-loop driver — a pure routing change. Requires OpenLoop.
-	Affinity bool
 }
 
 // Defaults fills in unset fields: 1 thread, 1 s, read-dominated, coarse,
@@ -164,9 +158,6 @@ func (o Options) validate() error {
 	}
 	if !o.OpenLoop && (o.ShedAfter > 0 || o.QueueBound > 0) {
 		return fmt.Errorf("harness: ShedAfter/QueueBound shed overload from the open-loop queue; set OpenLoop (closed-loop workers have no queue to shed from)")
-	}
-	if o.Affinity && !o.OpenLoop {
-		return fmt.Errorf("harness: Affinity shards the open-loop arrival schedule; set OpenLoop (closed-loop workers draw their own streams and have no schedule to shard)")
 	}
 	return nil
 }
@@ -346,12 +337,9 @@ func RunOn(o Options, ex sync7.Executor, s *core.Structure) (*Result, error) {
 	}
 	var res *Result
 	var err error
-	switch {
-	case o.OpenLoop && o.Affinity:
-		res, err = runOpenLoopAffinity(o, ex, s, live)
-	case o.OpenLoop:
+	if o.OpenLoop {
 		res, err = runOpenLoop(o, ex, s, live)
-	default:
+	} else {
 		res, err = runClosedLoop(o, ex, s, live)
 	}
 	if sampler != nil {

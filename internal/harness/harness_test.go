@@ -271,7 +271,7 @@ func TestRunOnPrebuiltStructure(t *testing.T) {
 	}
 }
 
-// TestMetadataKnobsReachEngine: the engine options (-g tl2:striped=64,shards=4)
+// TestMetadataKnobsReachEngine: the engine options (-g tl2:striped=64)
 // flow from Options through sync7 into the engine, for every orec-based
 // strategy, and the run still completes with consistent results.
 func TestMetadataKnobsReachEngine(t *testing.T) {
@@ -281,7 +281,6 @@ func TestMetadataKnobsReachEngine(t *testing.T) {
 			o.Strategy = strat
 			o.Engine.Granularity = stm.StripedGranularity
 			o.Engine.OrecStripes = 64
-			o.Engine.ClockShards = 4
 			res, err := Run(o)
 			if err != nil {
 				t.Fatal(err)
@@ -289,18 +288,13 @@ func TestMetadataKnobsReachEngine(t *testing.T) {
 			if res.TotalSucceeded() == 0 {
 				t.Error("nothing succeeded under striped metadata")
 			}
-			if strat == "tl2" {
-				if got := res.EngineStats.ClockShards; got != 4 {
-					t.Errorf("ClockShards = %d, want 4", got)
-				}
-			}
 		})
 	}
 	// Invalid values are rejected up front.
 	o := baseOpts()
-	o.Engine.ClockShards = -1
+	o.Engine.Versions = -1
 	if _, err := Run(o); err == nil {
-		t.Error("negative ClockShards accepted")
+		t.Error("negative Versions accepted")
 	}
 	o = baseOpts()
 	o.Engine.OrecStripes = -2

@@ -127,10 +127,8 @@ func runOpenLoop(o Options, ex sync7.Executor, s *core.Structure, live *liveProg
 	return res, nil
 }
 
-// buildOpenLoopSchedule materializes the arrival schedule shared by the
-// open-loop drivers (plain and affinity-sharded — both MUST build the
-// identical schedule, which is what makes `-affinity` a pure routing
-// change). MaxOps mode issues exactly MaxOps*Threads arrivals; duration
+// buildOpenLoopSchedule materializes the open-loop driver's arrival
+// schedule. MaxOps mode issues exactly MaxOps*Threads arrivals; duration
 // mode over-provisions by 25% and lets the deadline cut the tail (a
 // Poisson process can run ahead of its expected count). The schedule is
 // materialized up front — that is what makes arrival i deterministic no

@@ -109,7 +109,8 @@ func TestRunWithTraceRecorder(t *testing.T) {
 func TestReportHeaderEchoesEnvironment(t *testing.T) {
 	o := baseOpts()
 	o.Strategy = "tl2"
-	o.Engine.ClockShards = 4
+	o.Engine.Granularity = stm.StripedGranularity
+	o.Engine.OrecStripes = 64
 	o.Engine.Versions = 2
 	res, err := Run(o)
 	if err != nil {
@@ -121,7 +122,7 @@ func TestReportHeaderEchoesEnvironment(t *testing.T) {
 	for _, want := range []string{
 		"seed:",
 		"gomaxprocs:",
-		"engine:               tl2:shards=4,versions=2\n",
+		"engine:               tl2:striped=64,versions=2\n",
 		"abort causes:",
 	} {
 		if !strings.Contains(out, want) {

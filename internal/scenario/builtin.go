@@ -147,16 +147,16 @@ func init() {
 	})
 
 	// orec-pressure: a zipfian hotspot hammering a deliberately small
-	// striped orec table with a sharded commit clock — the end-to-end
-	// exercise of the metadata axes. The read phase shows striping's
+	// striped orec table — the end-to-end exercise of the metadata
+	// axis. The read phase shows striping's
 	// read-side false conflicts (stripe version bumps under TL2, stripe
 	// ownership under visible-reads OSTM), the write storm its
 	// write-write collisions; compare the same scenario per engine and
 	// against a -g tl2 (object granularity) run of the same phases to price the metadata footprint.
 	RegisterBuiltin(&Scenario{
 		Name:        "orec-pressure",
-		Description: "skewed load on a small striped orec table (256 stripes, 4 clock shards): false-conflict pressure",
-		Engine:      "striped=256,shards=4",
+		Description: "skewed load on a small striped orec table (256 stripes): false-conflict pressure",
+		Engine:      "striped=256",
 		Phases: []Phase{
 			{Name: "warm", Duration: 300 * time.Millisecond, Workload: ops.ReadDominated, StructureMods: true, SkewTheta: 0.9},
 			{

@@ -37,13 +37,12 @@ import (
 // set here overrides the run's value, an unset key inherits it, and
 // "gc=off" or "nosnap=off" turns a run-level key off:
 //
-//	{"name": "hot", "engine": "striped=256,shards=4,deadline=25ms,serial,nosnap,faults=seed=7,abort:1/24",
+//	{"name": "hot", "engine": "striped=256,deadline=25ms,serial,nosnap,faults=seed=7,abort:1/24",
 //	 "phases": [...]}
 //
 // Open-loop phases may additionally shed overload: shed_after (duration)
 // refuses arrivals waiting longer than the budget, queue_bound (int > 0)
-// caps the backlog. "affinity": true (open-loop only) shards the arrival
-// schedule over composite-part-partition-owning workers.
+// caps the backlog.
 type fileScenario struct {
 	Name        string      `json:"name"`
 	Description string      `json:"description"`
@@ -70,7 +69,6 @@ type filePhase struct {
 	ArrivalRate    *float64           `json:"arrival_rate,omitempty"`
 	ShedAfter      *string            `json:"shed_after,omitempty"`
 	QueueBound     *int               `json:"queue_bound,omitempty"`
-	Affinity       *bool              `json:"affinity,omitempty"`
 }
 
 // parseCategory resolves a weight key.
@@ -135,9 +133,6 @@ func overlay(dst, src *filePhase) {
 	}
 	if src.QueueBound != nil {
 		dst.QueueBound = src.QueueBound
-	}
-	if src.Affinity != nil {
-		dst.Affinity = src.Affinity
 	}
 }
 
@@ -220,9 +215,6 @@ func resolvePhase(fp filePhase, index int) (Phase, error) {
 		}
 		ph.QueueBound = *fp.QueueBound
 	}
-	if fp.Affinity != nil {
-		ph.Affinity = *fp.Affinity
-	}
 	return ph, nil
 }
 
@@ -267,9 +259,6 @@ func Parse(data []byte) (*Scenario, error) {
 			}
 			if fp.QueueBound == nil {
 				merged.QueueBound = nil
-			}
-			if fp.Affinity == nil {
-				merged.Affinity = nil
 			}
 		}
 		ph, err := resolvePhase(merged, i)

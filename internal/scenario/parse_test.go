@@ -160,13 +160,13 @@ func TestParsePhaseOverridesDefaultPairs(t *testing.T) {
 func TestParseEngineKey(t *testing.T) {
 	sc, err := Parse([]byte(`{
 		"name": "meta",
-		"engine": "striped=128,shards=4,versions=4",
+		"engine": "striped=128,versions=4",
 		"phases": [{"name": "p", "duration": "10ms"}]
 	}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Engine != "striped=128,shards=4,versions=4" {
+	if sc.Engine != "striped=128,versions=4" {
 		t.Errorf("engine key not parsed: %+v", sc)
 	}
 
@@ -178,16 +178,22 @@ func TestParseEngineKey(t *testing.T) {
 		t.Errorf("bad engine option not rejected: %v", err)
 	}
 
-	// The per-knob keys the engine key replaced are unknown fields now,
+	// The per-knob keys the engine key replaced, and the per-phase key of
+	// the deleted arrival-routing driver, are unknown fields now at either level,
 	// not silent no-ops.
 	for _, old := range []string{
 		`"granularity": "striped"`, `"orec_stripes": 128`, `"clock_shards": 4`, `"versions": 4`,
 		`"tx_deadline": "25ms"`, `"serial_fallback": "on"`, `"fault_plan": "abort:1/4"`,
 		`"group_commit": "on"`, `"coalescing": "on"`, `"ro_snapshot": "off"`, `"adaptive": "on"`,
+		`"affinity": true`,
 	} {
-		if _, err := Parse([]byte(`{"name": "old", ` + old + `, "phases": [{"name": "p", "duration": "10ms"}]}`)); err == nil ||
-			!strings.Contains(err.Error(), "unknown field") {
-			t.Errorf("old key %s: err = %v, want an unknown-field error", old, err)
+		for _, doc := range []string{
+			`{"name": "old", ` + old + `, "phases": [{"name": "p", "duration": "10ms"}]}`,
+			`{"name": "old", "phases": [{"name": "p", "duration": "10ms", ` + old + `}]}`,
+		} {
+			if _, err := Parse([]byte(doc)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+				t.Errorf("old key in %s: err = %v, want an unknown-field error", doc, err)
+			}
 		}
 	}
 
@@ -242,13 +248,13 @@ func FuzzParseScenario(f *testing.F) {
 		`{"name": "x", "phases": []}`,
 		`{"name": "x", "phases": [{"name": "p", "duration": "10ms"}]}`,
 		`{"name": "x", "phases": [{"max_ops": 5, "threads": -1}]}`,
-		`{"name": "x", "engine": "striped=128,shards=4,gc=off,nosnap",
+		`{"name": "x", "engine": "striped=128,versions=4,gc=off,nosnap",
 		  "phases": [{"name": "p", "max_ops": 5}]}`,
 		`{"name": "x", "engine": "deadline=25ms,serial,faults=seed=7,abort:1/24", "phases": [{"name": "p", "max_ops": 5}]}`,
 		`{"name": "x", "engine": "faults=seed=7", "phases": [{"name": "p", "max_ops": 5}]}`,
 		`{"name": "x", "granularity": "striped", "phases": [{"name": "p", "max_ops": 5}]}`,
 		`{"name": "x", "defaults": {"threads": 4, "workload": "rw", "duration": "1s", "open_loop": true, "arrival_rate": 100,
-		  "shed_after": "2ms", "queue_bound": 8, "affinity": true},
+		  "shed_after": "2ms", "queue_bound": 8},
 		  "phases": [{"name": "a"}, {"name": "b", "open_loop": false, "max_ops": 3},
 		             {"name": "c", "weights": {"op": 1, "sm": 0}, "skew": 0.9, "skew_shift": 0.5, "structure_mods": false}]}`,
 		`{"name": "x", "phases": [{"name": "p", "duration": "10ms", "weights": {"lt": 1}, "long_traversals": false}]}`,

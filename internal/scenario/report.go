@@ -10,13 +10,9 @@ import (
 	"repro/stm"
 )
 
-// phaseMode formats the driver column ("aff@" marks the affinity-sharded
-// open-loop driver).
+// phaseMode formats the driver column.
 func phaseMode(ph Phase) string {
 	if ph.OpenLoop {
-		if ph.Affinity {
-			return fmt.Sprintf("aff@%.0f/s", ph.ArrivalRate)
-		}
 		return fmt.Sprintf("open@%.0f/s", ph.ArrivalRate)
 	}
 	return "closed"
@@ -172,15 +168,13 @@ func writeComparison(w io.Writer, rep *Report) {
 	}
 	// Fold the per-phase deltas into one total and hand it to the shared
 	// stm.Stats formatter — the same canonical block the harness report and
-	// the CLIs print, so the aggregate view never drifts from theirs. Fold
-	// newest-first so the snapshot properties (clock shards/spread) carry
-	// the end-of-run view.
+	// the CLIs print, so the aggregate view never drifts from theirs.
 	var total stm.Stats
 	var shedOps, arrivals int64
-	for i := len(rep.Phases) - 1; i >= 0; i-- {
-		total = total.Add(rep.Phases[i].Result.EngineStats)
-		shedOps += rep.Phases[i].Result.ShedOps
-		arrivals += rep.Phases[i].Result.Arrivals
+	for _, pr := range rep.Phases {
+		total = total.Add(pr.Result.EngineStats)
+		shedOps += pr.Result.ShedOps
+		arrivals += pr.Result.Arrivals
 	}
 	if total.Attempts() > 0 {
 		for _, line := range total.Lines() {

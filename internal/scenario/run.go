@@ -159,7 +159,6 @@ func Run(sc *Scenario, o RunOptions) (*Report, error) {
 			ArrivalRate:     ph.ArrivalRate,
 			ShedAfter:       ph.ShedAfter,
 			QueueBound:      ph.QueueBound,
-			Affinity:        ph.Affinity,
 			// What the executor was built with at Setup: the phase's
 			// Result names the configuration that actually ran.
 			Strategy:          o.Strategy,

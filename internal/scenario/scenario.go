@@ -75,11 +75,6 @@ type Phase struct {
 	// QueueBound later arrivals are already due, the head arrival is
 	// shed. Zero = unbounded. Open-loop phases only.
 	QueueBound int
-	// Affinity routes each open-loop arrival to the worker owning the
-	// composite-part partition its id draw lands in (work-stealing keeps
-	// the schedule complete) — a pure routing change: the op multiset is
-	// identical to the plain driver's. Open-loop phases only.
-	Affinity bool
 }
 
 // categoryEnabled mirrors ops.Profile.Enabled at the category level: a
@@ -107,7 +102,7 @@ func (ph Phase) categoryEnabled(cat ops.Category) bool {
 type Scenario struct {
 	Name        string
 	Description string
-	// Engine is an engine-spec option list ("striped=256,shards=4",
+	// Engine is an engine-spec option list ("striped=256,versions=4",
 	// "deadline=25ms,faults=seed=7,abort:1/24"; see stm.ParseEngineSpec)
 	// applied over the run's engine options: a key set here overrides
 	// the run's value, an unset key inherits it, and "gc=off" turns a
@@ -163,8 +158,6 @@ func (sc *Scenario) Validate() error {
 			return bad("negative queue_bound %d", ph.QueueBound)
 		case !ph.OpenLoop && (ph.ShedAfter > 0 || ph.QueueBound > 0):
 			return bad("shed_after/queue_bound shed from the open-loop queue; this phase is closed-loop")
-		case !ph.OpenLoop && ph.Affinity:
-			return bad("affinity shards the open-loop arrival schedule; this phase is closed-loop")
 		}
 		if ph.Weights != nil {
 			sum, enabledSum := 0.0, 0.0

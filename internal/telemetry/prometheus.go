@@ -20,13 +20,10 @@ import (
 	"repro/stm"
 )
 
-// statFamily maps one stm.Stats field onto a Prometheus metric family.
-// Counters get the conventional _total suffix; the snapshot properties
-// (clock shards / spread) are gauges — they describe configuration and an
-// instantaneous imbalance, not accumulated work.
+// statFamily maps one stm.Stats field onto a Prometheus counter family,
+// named with the conventional _total suffix.
 type statFamily struct {
 	name string
-	kind string // "counter" or "gauge"
 	help string
 	get  func(stm.Stats) uint64
 }
@@ -35,29 +32,26 @@ type statFamily struct {
 // walks the struct by reflection and fails if a field is added there
 // without a row here — /metrics must never silently lag the engine.
 var statFamilies = []statFamily{
-	{"stm_commits_total", "counter", "Transactions committed.", func(s stm.Stats) uint64 { return s.Commits }},
-	{"stm_user_aborts_total", "counter", "Transactions whose function returned an error (no retry).", func(s stm.Stats) uint64 { return s.UserAborts }},
-	{"stm_conflict_aborts_total", "counter", "Attempts discarded due to conflicts.", func(s stm.Stats) uint64 { return s.ConflictAborts }},
-	{"stm_reads_total", "counter", "Var reads across all attempts.", func(s stm.Stats) uint64 { return s.Reads }},
-	{"stm_writes_total", "counter", "Var writes across all attempts.", func(s stm.Stats) uint64 { return s.Writes }},
-	{"stm_validations_total", "counter", "Read-set entry re-checks.", func(s stm.Stats) uint64 { return s.Validations }},
-	{"stm_clones_total", "counter", "Copy-on-write clones for Update calls.", func(s stm.Stats) uint64 { return s.Clones }},
-	{"stm_enemy_aborts_total", "counter", "Transactions killed by a contention-manager decision.", func(s stm.Stats) uint64 { return s.EnemyAborts }},
-	{"stm_lock_failures_total", "counter", "Commit-time lock acquisition failures.", func(s stm.Stats) uint64 { return s.LockFailures }},
-	{"stm_false_conflicts_total", "counter", "Conflicts attributed to striped-orec collisions, not data.", func(s stm.Stats) uint64 { return s.FalseConflicts }},
-	{"stm_snapshot_txs_total", "counter", "Read-only transactions served by the validation-free snapshot path.", func(s stm.Stats) uint64 { return s.SnapshotTxs }},
-	{"stm_snapshot_restarts_total", "counter", "Snapshot-mode attempt restarts.", func(s stm.Stats) uint64 { return s.SnapshotRestarts }},
-	{"stm_version_reads_total", "counter", "Snapshot reads served from an older committed version.", func(s stm.Stats) uint64 { return s.VersionReads }},
-	{"stm_version_misses_total", "counter", "Snapshot chain walks that fell off a truncated version chain.", func(s stm.Stats) uint64 { return s.VersionMisses }},
-	{"stm_version_bytes_total", "counter", "Cumulative size of superseded version boxes retained by chain linking.", func(s stm.Stats) uint64 { return s.VersionBytes }},
-	{"stm_timeout_aborts_total", "counter", "Atomic calls that gave up on an expired TxDeadline.", func(s stm.Stats) uint64 { return s.TimeoutAborts }},
-	{"stm_serial_fallbacks_total", "counter", "Transactions escalated to the irrevocable serial token.", func(s stm.Stats) uint64 { return s.SerialFallbacks }},
-	{"stm_injected_faults_total", "counter", "FaultPlan probe firings (stalls applied and conflicts forced).", func(s stm.Stats) uint64 { return s.InjectedFaults }},
-	{"stm_group_commits_total", "counter", "Sequence-lock acquisitions that published a batch of more than one transaction.", func(s stm.Stats) uint64 { return s.GroupCommits }},
-	{"stm_group_commit_size_total", "counter", "Transactions published by group-commit batches (leader plus followers).", func(s stm.Stats) uint64 { return s.GroupCommitSize }},
-	{"stm_coalesced_locks_total", "counter", "TL2 commit locks acquired via coalesced group-word CAS runs.", func(s stm.Stats) uint64 { return s.CoalescedLocks }},
-	{"stm_clock_shards", "gauge", "Commit-clock shards (1 = classic global clock, 0 = no commit clock).", func(s stm.Stats) uint64 { return s.ClockShards }},
-	{"stm_clock_shard_spread", "gauge", "Gap between the most- and least-advanced commit-clock shard.", func(s stm.Stats) uint64 { return s.ClockShardSpread }},
+	{"stm_commits_total", "Transactions committed.", func(s stm.Stats) uint64 { return s.Commits }},
+	{"stm_user_aborts_total", "Transactions whose function returned an error (no retry).", func(s stm.Stats) uint64 { return s.UserAborts }},
+	{"stm_conflict_aborts_total", "Attempts discarded due to conflicts.", func(s stm.Stats) uint64 { return s.ConflictAborts }},
+	{"stm_reads_total", "Var reads across all attempts.", func(s stm.Stats) uint64 { return s.Reads }},
+	{"stm_writes_total", "Var writes across all attempts.", func(s stm.Stats) uint64 { return s.Writes }},
+	{"stm_validations_total", "Read-set entry re-checks.", func(s stm.Stats) uint64 { return s.Validations }},
+	{"stm_clones_total", "Copy-on-write clones for Update calls.", func(s stm.Stats) uint64 { return s.Clones }},
+	{"stm_enemy_aborts_total", "Transactions killed by a contention-manager decision.", func(s stm.Stats) uint64 { return s.EnemyAborts }},
+	{"stm_lock_failures_total", "Commit-time lock acquisition failures.", func(s stm.Stats) uint64 { return s.LockFailures }},
+	{"stm_false_conflicts_total", "Conflicts attributed to striped-orec collisions, not data.", func(s stm.Stats) uint64 { return s.FalseConflicts }},
+	{"stm_snapshot_txs_total", "Read-only transactions served by the validation-free snapshot path.", func(s stm.Stats) uint64 { return s.SnapshotTxs }},
+	{"stm_snapshot_restarts_total", "Snapshot-mode attempt restarts.", func(s stm.Stats) uint64 { return s.SnapshotRestarts }},
+	{"stm_version_reads_total", "Snapshot reads served from an older committed version.", func(s stm.Stats) uint64 { return s.VersionReads }},
+	{"stm_version_misses_total", "Snapshot chain walks that fell off a truncated version chain.", func(s stm.Stats) uint64 { return s.VersionMisses }},
+	{"stm_version_bytes_total", "Cumulative size of superseded version boxes retained by chain linking.", func(s stm.Stats) uint64 { return s.VersionBytes }},
+	{"stm_timeout_aborts_total", "Atomic calls that gave up on an expired TxDeadline.", func(s stm.Stats) uint64 { return s.TimeoutAborts }},
+	{"stm_serial_fallbacks_total", "Transactions escalated to the irrevocable serial token.", func(s stm.Stats) uint64 { return s.SerialFallbacks }},
+	{"stm_injected_faults_total", "FaultPlan probe firings (stalls applied and conflicts forced).", func(s stm.Stats) uint64 { return s.InjectedFaults }},
+	{"stm_group_commits_total", "Sequence-lock acquisitions that published a batch of more than one transaction.", func(s stm.Stats) uint64 { return s.GroupCommits }},
+	{"stm_group_commit_size_total", "Transactions published by group-commit batches (leader plus followers).", func(s stm.Stats) uint64 { return s.GroupCommitSize }},
 }
 
 // gaugeVar is a caller-registered float gauge (latency percentiles, live
@@ -121,7 +115,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 	if stats != nil {
 		s := stats()
 		for _, f := range statFamilies {
-			if err := writeFamily(w, f.name, f.help, f.kind, float64(f.get(s))); err != nil {
+			if err := writeFamily(w, f.name, f.help, "counter", float64(f.get(s))); err != nil {
 				return err
 			}
 		}

@@ -366,13 +366,12 @@ func TestAllocVersionedSnapshotSteadyState(t *testing.T) {
 	}
 }
 
-// TestAllocCommitPipelining pins the commit-pipelining paths to the same
-// budgets as their classic counterparts. Single-threaded there is never a
-// lock holder to combine behind, so group commit runs its uncontended
-// leader path — but that IS the steady-state hot path, and it must not
-// cost a byte more than classic NOrec (the combining queue lives entirely
-// in descriptor fields; enqueue/drain never allocate). Coalescing swaps
-// per-orec CAS for group-word CAS and must be equally free.
+// TestAllocCommitPipelining pins group commit to the same budgets as
+// classic NOrec. Single-threaded there is never a lock holder to combine
+// behind, so group commit runs its uncontended leader path — but that IS
+// the steady-state hot path, and it must not cost a byte more than classic
+// NOrec (the combining queue lives entirely in descriptor fields;
+// enqueue/drain never allocate).
 func TestAllocCommitPipelining(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews allocation counts")
@@ -381,12 +380,6 @@ func TestAllocCommitPipelining(t *testing.T) {
 	makers := map[string]func() Engine{
 		"norec-group":     func() Engine { return NewNOrecWith(NOrecConfig{EngineOptions: opts("gc")}) },
 		"norec-group-mv8": func() Engine { return NewNOrecWith(NOrecConfig{EngineOptions: opts("versions=8,gc")}) },
-		"tl2-coalesce": func() Engine {
-			return NewTL2With(TL2Config{EngineOptions: opts("striped,coalesce")})
-		},
-		"tl2-coalesce-16stripe": func() Engine {
-			return NewTL2With(TL2Config{EngineOptions: opts("striped=16,coalesce")})
-		},
 	}
 	for name, mk := range makers {
 		t.Run(name, func(t *testing.T) {
@@ -408,9 +401,9 @@ func TestAllocCommitPipelining(t *testing.T) {
 			if got := measureAllocs(func() { eng.Atomic(writeFn) }); got > 2 {
 				t.Errorf("small write transaction: %v allocs/op, want <= 2 (the value and the published box)", got)
 			}
-			// A wide write set exercises coalesced multi-orec runs (and the
-			// group-commit leader's whole-set publish): one value and one
-			// box per written Var, nothing for the locking machinery.
+			// A wide write set exercises the group-commit leader's
+			// whole-set publish: one value and one box per written Var,
+			// nothing for the commit machinery.
 			wideFn := func(tx Tx) error {
 				for i, c := range cells {
 					c.Set(tx, i)

@@ -45,7 +45,7 @@
 // of an (engine, configuration) sweep as a single printable value with a
 // canonical ParseEngineSpec/String round trip:
 //
-//	tl2:striped=4096,shards=4,versions=4,deadline=25ms
+//	tl2:striped=4096,versions=4,deadline=25ms
 //	tl2:nosnap
 //
 // The spec is the only carrier of engine configuration above this package:
@@ -376,14 +376,9 @@
 //     granularity modes (with deliberately tiny stripe tables) to enforce
 //     exactly that.
 //
-// TL2's commit clock is a second, related axis: ClockShards spreads the
-// global version clock over padded per-shard counters (GV5-style: stamps
-// are max-seen-plus-increment, published to the committer's own shard) so
-// commits stop serializing on one cache line; see clock.go for the
-// correctness argument and Stats.ClockShards/ClockShardSpread for the
-// diagnostics. NOrec deliberately has no per-location metadata and no
-// shardable clock — its single sequence lock is the design — and the
-// direct engine has no conflict detection, so both ignore the axis.
+// NOrec deliberately has no per-location metadata — its single sequence
+// lock is the design — and the direct engine has no conflict detection,
+// so both ignore the axis.
 //
 // Vars are allocated from a VarSpace (one per engine; see
 // Engine.VarSpace). All Vars that participate in one transaction must come
@@ -397,48 +392,30 @@
 // # Commit pipelining
 //
 // Write-heavy workloads are commit-bound: NOrec serializes every write
-// commit behind its one sequence lock, and TL2 pays one CAS per write-set
-// orec on acquire and one atomic store per orec on release. Two default-off
-// knobs attack exactly those costs (EngineOptions.GroupCommit [gc] and
-// LockCoalescing [coalesce]; a third, harness-level knob — affinity-aware
-// open-loop scheduling — lives in internal/harness/affinity.go and is
-// routing only, no engine involvement):
+// commit behind its one sequence lock. One default-off knob attacks that
+// cost, EngineOptions.GroupCommit [gc] (groupcommit.go). A committer that
+// finds the sequence lock held does not spin-and-revalidate: it enqueues
+// its descriptor on a bounded lock-free combining queue and waits to be
+// signaled. Whichever committer next acquires the lock drains the queue,
+// revalidates each follower's read set ONCE against the post-batch state,
+// publishes every write set under the single acquisition, and releases
+// the sequence word once for the whole batch — amortizing validation and
+// halving sequence-word traffic. Commits still happen one batch at a
+// time; the knob softens the serialization cost, it does not remove the
+// serialization. Opacity is preserved because followers park at the
+// commit point (their reads are complete) and the holder applies its own
+// writes first, then validates each follower against everything
+// published before it. Batches count in Stats.GroupCommits/GroupCommitSize
+// (only real batches, size > 1) and emit a group-drain trace event; the
+// queue is embedded in pooled descriptors, so steady state stays 0
+// allocs (alloc_test.go).
 //
-//   - NOrec group commit (groupcommit.go). A committer that finds the
-//     sequence lock held does not spin-and-revalidate: it enqueues its
-//     descriptor on a bounded lock-free combining queue and waits to be
-//     signaled. Whichever committer next acquires the lock drains the
-//     queue, revalidates each follower's read set ONCE against the
-//     post-batch state, publishes every write set under the single
-//     acquisition, and releases the sequence word once for the whole
-//     batch — amortizing validation and halving sequence-word traffic.
-//     Commits still happen one batch at a time; the knob softens the
-//     serialization cost, it does not remove the serialization. Opacity
-//     is preserved because followers park at the commit point (their
-//     reads are complete) and the holder applies its own writes first,
-//     then validates each follower against everything published before
-//     it. Batches count in Stats.GroupCommits/GroupCommitSize (only
-//     real batches, size > 1) and emit a group-drain trace event; the
-//     queue is embedded in pooled descriptors, so steady state stays
-//     0 allocs (alloc_test.go).
-//
-//   - TL2 lock coalescing (orec.go, tl2.go). Striped orec tables carry
-//     one extra gate bit array, one 64-bit group word per 8 orecs. The
-//     write set, which striped TL2 sorts by orec, is scanned for runs of
-//     adjacent stripe ids, and each run is acquired with ONE CAS on its
-//     group word (released with one atomic AND), falling back to
-//     per-orec bits on group contention. Coalesced acquisitions count in
-//     Stats.CoalescedLocks. Object granularity has no adjacency to
-//     exploit, so the knob requires striped mode and is ignored
-//     elsewhere.
-//
-// Both knobs default off, and off means bit-for-bit the classic
-// protocols — the conformance, property, chaos and alloc suites run the
-// full engine matrix with the knobs on to pin the semantics either way.
-// `stmbench7 -g norec:gc -w w -no-traversals` and `-g
-// tl2:striped=256,coalesce` run the write storm under either knob; the
-// report's "commit pipeline" line carries the batch and coalescing counters,
-// and the choreographed TestGroupCommit*/TestCoalesc* tests pin the batches.
+// Off means bit-for-bit the classic protocol — the conformance,
+// property, chaos and alloc suites run the full engine matrix with the
+// knob on to pin the semantics either way. `stmbench7 -g norec:gc -w w
+// -no-traversals` runs the write storm under it; the report's "commit
+// pipeline" line carries the batch counters, and the choreographed
+// TestGroupCommit* tests pin the batches.
 //
 // # Robustness & liveness
 //
@@ -516,7 +493,7 @@
 //   - Stats is the counter surface: one atomic counter per event class
 //     (commits, conflict/user/timeout/injected aborts, reads, writes,
 //     validations, clones, the snapshot / multi-version / striping /
-//     clock / serial-fallback diagnostics), collected per descriptor and
+//     serial-fallback / group-commit diagnostics), collected per descriptor and
 //     flushed on transaction exit, so hot paths never contend on shared
 //     cache lines. Stats.Delta(before) windows a measurement;
 //     Stats.Add(other) folds windows back together (multi-phase runs);

@@ -84,7 +84,7 @@ func ExampleNew() {
 // benchmark's -g flag takes, then applies a scenario-style option list over
 // it: keys present override, keys absent inherit.
 func ExampleParseEngineSpec() {
-	spec, err := stm.ParseEngineSpec("tl2:striped=4096,shards=4,deadline=25ms")
+	spec, err := stm.ParseEngineSpec("tl2:striped=4096,deadline=25ms")
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -96,13 +96,13 @@ func ExampleParseEngineSpec() {
 	}
 	fmt.Println(eng.Name(), "built from", spec)
 
-	spec.Options, err = spec.Options.Apply("versions=4,shards=0,serial")
+	spec.Options, err = spec.Options.Apply("versions=4,serial")
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
 	fmt.Println("overlaid:", spec)
 	// Output:
-	// tl2 built from tl2:striped=4096,shards=4,deadline=25ms
+	// tl2 built from tl2:striped=4096,deadline=25ms
 	// overlaid: tl2:striped=4096,versions=4,deadline=25ms,serial
 }

@@ -255,84 +255,3 @@ func TestGroupCommitChaosBankInvariant(t *testing.T) {
 		})
 	}
 }
-
-// TestCoalescedLocksCounted pins the coalescing fast path single-threaded:
-// a write set spanning every stripe of a tiny table must form multi-orec
-// runs inside 8-stripe group words, be taken with one CAS per run, and be
-// counted — while committing the values correctly.
-func TestCoalescedLocksCounted(t *testing.T) {
-	eng := NewTL2With(TL2Config{EngineOptions: opts("striped=16,coalesce")})
-	const vars = 64
-	cells := make([]*Cell[int], vars)
-	for i := range cells {
-		cells[i] = NewCell(eng.VarSpace(), 0)
-	}
-	if err := eng.Atomic(func(tx Tx) error {
-		for i, c := range cells {
-			c.Set(tx, i+1)
-		}
-		return nil
-	}); err != nil {
-		t.Fatalf("Atomic: %v", err)
-	}
-	eng.Atomic(func(tx Tx) error {
-		for i, c := range cells {
-			if got := c.Get(tx); got != i+1 {
-				t.Errorf("cell %d = %d, want %d", i, got, i+1)
-			}
-		}
-		return nil
-	})
-	s := eng.Stats()
-	// 64 Vars hash onto 16 stripes = 2 group words; an uncontended commit
-	// locking most of the table must coalesce nearly every acquisition.
-	if s.CoalescedLocks < 8 {
-		t.Errorf("CoalescedLocks = %d, want >= 8 (runs over a 16-stripe table)", s.CoalescedLocks)
-	}
-}
-
-// TestCoalescingMatchesPerOrec runs the same seeded single-threaded
-// workload on a coalescing and a classic striped engine and requires
-// identical committed state — coalescing is a locking strategy, never a
-// semantics change.
-func TestCoalescingMatchesPerOrec(t *testing.T) {
-	run := func(coalesce bool) []int {
-		eng := NewTL2With(TL2Config{EngineOptions: EngineOptions{Granularity: StripedGranularity, OrecStripes: 16, LockCoalescing: coalesce}})
-		const vars = 32
-		cells := make([]*Cell[int], vars)
-		for i := range cells {
-			cells[i] = NewCell(eng.VarSpace(), 0)
-		}
-		x := uint64(99)
-		next := func(n int) int {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-			return int(x % uint64(n))
-		}
-		for i := 0; i < 500; i++ {
-			a, b := next(vars), next(vars)
-			if err := eng.Atomic(func(tx Tx) error {
-				cells[a].Update(tx, func(v int) int { return v + 1 })
-				cells[b].Update(tx, func(v int) int { return v - 1 })
-				return nil
-			}); err != nil {
-				t.Fatalf("Atomic: %v", err)
-			}
-		}
-		out := make([]int, vars)
-		eng.Atomic(func(tx Tx) error {
-			for i, c := range cells {
-				out[i] = c.Get(tx)
-			}
-			return nil
-		})
-		return out
-	}
-	classic, coalesced := run(false), run(true)
-	for i := range classic {
-		if classic[i] != coalesced[i] {
-			t.Fatalf("cell %d: classic %d != coalesced %d", i, classic[i], coalesced[i])
-		}
-	}
-}

@@ -26,7 +26,7 @@ import "unsafe"
 //
 //   - TL2: the reader sampled rv, then observed the orec unlocked and
 //     stable across the value load. Any commit to this Var serialized
-//     after the rv sample carries a stamp above rv (the gvClock
+//     after the rv sample carries a stamp above rv (the version clock's
 //     guarantee), and any commit that unlocked before the stable sample
 //     already has its box in the loaded chain. The chain therefore holds
 //     every version with wv <= rv that will ever exist, and the newest

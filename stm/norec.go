@@ -50,7 +50,7 @@ type NOrecConfig struct {
 //     happen one batch at a time).
 //
 // NOrec sits outside the orec metadata axis by definition — "no ownership
-// records" is the design — so the Granularity/OrecStripes/ClockShards
+// records" is the design — so the Granularity/OrecStripes
 // engine options do not apply to it: its metadata footprint is already a
 // single word, which is exactly the extreme point the striped orec table
 // trades toward. The EngineOptions.Versions axis DOES apply (the sequence

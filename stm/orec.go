@@ -90,10 +90,9 @@ type orec struct {
 
 	// id is the Var id under object granularity and the stripe index under
 	// striped granularity — unique within one engine either way. Striped
-	// TL2 sorts its write set by it so that writes sharing a stripe, and
-	// stripes sharing a group word, are adjacent when commit locks them;
-	// it selects the stripe's bit in that word. Nothing orders locks by it
-	// to avoid deadlock: the bounded commit-time spin does that.
+	// TL2 sorts its write set by it so that writes sharing a stripe are
+	// adjacent when commit locks them. Nothing orders locks by it to avoid
+	// deadlock: the bounded commit-time spin does that.
 	id uint64
 
 	// lastWriter is the id of the Var on whose behalf this orec's meta was
@@ -133,29 +132,7 @@ type orecTable struct {
 	granularity Granularity
 	stripes     []orecSlot // striped mode only; power-of-two length
 	mask        uint64
-	// groups are the lock-coalescing gate words, one per orecGroupSpan
-	// adjacent stripes (striped mode only). Bit k of groups[g] gates the
-	// commit lock of stripe g*orecGroupSpan+k: a coalescing TL2 engine
-	// acquires a sorted run of same-span stripes with ONE CAS on the
-	// group word (setting the run's bits together) instead of one CAS
-	// per orec, then marks each orec's meta lock bit with a plain store —
-	// safe because every committer of such an engine goes through the
-	// group word, so the bits are the committers' mutual exclusion and
-	// the meta bit is purely the reader-visible signal. Engines without
-	// coalescing never touch the array.
-	groups []padUint64
 }
-
-// orecGroupSpan is the number of adjacent stripes one group word guards;
-// orecGroupShift and orecGroupMask derive a stripe's word and bit.
-const (
-	orecGroupSpan  = 8
-	orecGroupShift = 3
-	orecGroupMask  = orecGroupSpan - 1
-)
-
-// orecGroupBit returns the gate bit for a stripe id within its group word.
-func orecGroupBit(id uint64) uint64 { return 1 << (id & orecGroupMask) }
 
 // normalizeStripes resolves a requested stripe count to the table size
 // actually built: defaulted, clamped, and rounded up to a power of two.
@@ -187,10 +164,6 @@ func (t *orecTable) configure(g Granularity, stripes int) error {
 		t.stripes[i].id = uint64(i)
 	}
 	t.mask = uint64(n - 1)
-	// Gate words are built unconditionally with the striped table (they
-	// cost 1/8 of the table itself) so LockCoalescing stays a pure engine
-	// knob: the engine decides per commit whether to use them.
-	t.groups = make([]padUint64, (n+orecGroupSpan-1)/orecGroupSpan)
 	return nil
 }
 

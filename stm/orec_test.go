@@ -314,10 +314,7 @@ func TestStripedWritebackPreservesValues(t *testing.T) {
 func TestStripedStressAllEngines(t *testing.T) {
 	const goroutines = 8
 	makers := map[string]func() Engine{
-		"tl2": func() Engine { return NewTL2With(TL2Config{EngineOptions: opts("striped=2")}) },
-		"tl2-sharded": func() Engine {
-			return NewTL2With(TL2Config{EngineOptions: opts("striped=2,shards=4")})
-		},
+		"tl2":  func() Engine { return NewTL2With(TL2Config{EngineOptions: opts("striped=2")}) },
 		"ostm": func() Engine { return NewOSTMWith(OSTMConfig{EngineOptions: opts("striped=2")}) },
 		"ostm-visible": func() Engine {
 			return NewOSTMWith(OSTMConfig{EngineOptions: opts("striped=2,visible")})
@@ -380,16 +377,13 @@ func TestFalseConflictRateMath(t *testing.T) {
 // TestNewWithOptions checks the registry plumbing: tunable engines honor
 // the options, engines outside the axis ignore them.
 func TestNewWithOptions(t *testing.T) {
-	eng, err := NewWith("tl2", EngineOptions{Granularity: StripedGranularity, OrecStripes: 8, ClockShards: 4})
+	eng, err := NewWith("tl2", EngineOptions{Granularity: StripedGranularity, OrecStripes: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tl2 := eng.(*TL2)
 	if !tl2.striped || len(tl2.space.orecs.stripes) != 8 {
 		t.Errorf("tl2 options not honored: striped=%v stripes=%d", tl2.striped, len(tl2.space.orecs.stripes))
-	}
-	if s := tl2.Stats(); s.ClockShards != 4 {
-		t.Errorf("ClockShards = %d, want 4", s.ClockShards)
 	}
 	o, err := NewWith("ostm", EngineOptions{Granularity: StripedGranularity, OrecStripes: 8})
 	if err != nil {
@@ -400,7 +394,7 @@ func TestNewWithOptions(t *testing.T) {
 	}
 	// Engines outside the metadata axis take the options without error.
 	for _, name := range []string{"norec", "direct"} {
-		if _, err := NewWith(name, EngineOptions{Granularity: StripedGranularity, ClockShards: 8}); err != nil {
+		if _, err := NewWith(name, EngineOptions{Granularity: StripedGranularity}); err != nil {
 			t.Errorf("NewWith(%q): %v", name, err)
 		}
 	}
@@ -409,8 +403,8 @@ func TestNewWithOptions(t *testing.T) {
 	}
 }
 
-// TestOversizedKnobsClampInsteadOfPanicking: absurd CLI values for the
-// table and clock sizes must degrade to the caps, not crash or OOM. The
+// TestOversizedKnobsClampInsteadOfPanicking: an absurd CLI value for the
+// table size must degrade to the cap, not crash or OOM. The
 // stripe check uses the pure sizing function so the test does not have to
 // allocate the 4 GiB cap for real.
 func TestOversizedKnobsClampInsteadOfPanicking(t *testing.T) {
@@ -422,10 +416,5 @@ func TestOversizedKnobsClampInsteadOfPanicking(t *testing.T) {
 	}
 	if got := normalizeStripes(100); got != 128 {
 		t.Errorf("100 stripes normalized to %d, want 128", got)
-	}
-	var c gvClock
-	c.init(1 << 30)
-	if sh, _ := c.spread(); sh != maxClockShards {
-		t.Errorf("oversized shards = %d, want clamp to %d", sh, maxClockShards)
 	}
 }

@@ -59,9 +59,8 @@ func New(name string) (Engine, error) {
 
 // NewWith returns a fresh engine by registered name, configured with opts
 // — the two halves of an EngineSpec. Engines for which an option does not
-// apply ignore it (NOrec has no per-location metadata to stripe and no
-// commit clock to shard, though it does honor Versions; direct ignores
-// everything) — the knobs are benchmark axes, not hard requirements, so a
+// apply ignore it (NOrec has no per-location metadata to stripe, though it
+// does honor Versions; direct ignores everything) — the knobs are benchmark axes, not hard requirements, so a
 // sweep can hold them fixed across engines.
 func NewWith(name string, opts EngineOptions) (Engine, error) {
 	engineRegistry.mu.RLock()

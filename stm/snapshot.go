@@ -268,14 +268,14 @@ func (tx *tl2SnapTx) Write(*Var, any) { panic(errSnapshotWrite) }
 // Update implements Tx by rejecting the call (see Write).
 func (tx *tl2SnapTx) Update(*Var, func(any) any) { panic(errSnapshotWrite) }
 
-func (tx *tl2SnapTx) sample()  { tx.rv = tx.eng.clock.read() }
+func (tx *tl2SnapTx) sample()  { tx.rv = tx.eng.clock.Load() }
 func (tx *tl2SnapTx) recycle() { tx.eng.snapPool.put(tx) }
 func (tx *tl2SnapTx) loopState() (*statCounters, *txStats, snapFallback, traceTap) {
 	return &tx.eng.stats, &tx.st, tx.eng, tx.tr
 }
 
 // RunReadOnly implements SnapshotReader: reads are served at a sampled
-// gvClock snapshot, commit is free (every read proved membership at read
+// global version clock snapshot, commit is free (every read proved membership at read
 // time), and a stale snapshot restarts with a refreshed rv. Under nosnap
 // (EngineOptions.DisableROSnapshot) it is Atomic, as on every engine.
 func (e *TL2) RunReadOnly(fn func(tx Tx) error) error {

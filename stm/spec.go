@@ -18,7 +18,7 @@ import (
 
 // EngineOptions carries every engine knob a spec can name. Engines consume
 // the fields that apply to their design and ignore the rest (NOrec has no
-// per-location metadata and no commit clock to shard; direct and the lock
+// per-location metadata; direct and the lock
 // strategies' pass-through engine ignore everything), so one value sweeps
 // every engine. The spec key of each field is given in brackets; see
 // ParseEngineSpec for the grammar.
@@ -32,11 +32,6 @@ type EngineOptions struct {
 	// a power of two; 0 means DefaultOrecStripes). Ignored, and not
 	// printed by String, under object granularity.
 	OrecStripes int
-	// ClockShards [shards=N] shards TL2's commit clock GV5-style (0 or 1
-	// = the classic single fetch-and-add clock; rounded up to a power of
-	// two). Sharding disables the "nobody committed since my snapshot"
-	// validation shortcut; see gvClock.
-	ClockShards int
 	// Versions [versions=K] keeps the last K committed versions per Var so
 	// read-only snapshot transactions resolve older versions instead of
 	// restarting under write traffic (0 or 1 = single-version; clamped to
@@ -51,14 +46,6 @@ type EngineOptions struct {
 	// acquisition. Default off (bit-for-bit the classic commit path).
 	// See groupcommit.go.
 	GroupCommit bool
-	// LockCoalescing [coalesce] makes TL2's commit lock sorted runs of
-	// adjacent striped-table orecs with one CAS per 8-stripe group word
-	// instead of one CAS per orec (Stats.CoalescedLocks), falling back to
-	// per-orec gate bits on group contention. Commit-lock mutual
-	// exclusion moves to the table's gate words; the orec meta lock bit
-	// stays the reader-visible signal, so the read path is unchanged.
-	// Ignored under object granularity.
-	LockCoalescing bool
 	// CM [cm=NAME] arbitrates OSTM's conflicts (nil = Polka, the manager
 	// the paper used).
 	CM ContentionManager
@@ -118,8 +105,6 @@ func (o EngineOptions) Validate() error {
 	switch {
 	case o.OrecStripes < 0:
 		return fmt.Errorf("stm: negative OrecStripes %d", o.OrecStripes)
-	case o.ClockShards < 0:
-		return fmt.Errorf("stm: negative ClockShards %d", o.ClockShards)
 	case o.Versions < 0:
 		return fmt.Errorf("stm: negative Versions %d", o.Versions)
 	case o.TxDeadline < 0:
@@ -150,14 +135,10 @@ func (o EngineOptions) String() string {
 			add("striped")
 		}
 	}
-	if o.ClockShards != 0 {
-		add("shards=%d", o.ClockShards)
-	}
 	if o.Versions != 0 {
 		add("versions=%d", o.Versions)
 	}
 	flag(o.GroupCommit, "gc")
-	flag(o.LockCoalescing, "coalesce")
 	if o.CM != nil {
 		add("cm=%s", o.CM.Name())
 	}
@@ -177,7 +158,7 @@ func (o EngineOptions) String() string {
 // Apply parses an option list (the part of a spec after "name:") over o:
 // a key present in s sets its field, an absent key keeps o's value. That
 // is the overlay rule scenario files use — "gc=off" turns a run-level gc
-// off, "shards=0" restores the single clock, a bare "striped" keeps an
+// off, "versions=0" restores a single version, a bare "striped" keeps an
 // inherited table size, an empty s changes nothing.
 func (o EngineOptions) Apply(s string) (EngineOptions, error) {
 	bad := func(format string, args ...any) error {
@@ -232,14 +213,10 @@ func (o EngineOptions) Apply(s string) (EngineOptions, error) {
 			default:
 				err = count(&o.OrecStripes)
 			}
-		case "shards":
-			err = count(&o.ClockShards)
 		case "versions":
 			err = count(&o.Versions)
 		case "gc":
 			err = onOff(&o.GroupCommit)
-		case "coalesce":
-			err = onOff(&o.LockCoalescing)
 		case "cm":
 			o.CM, err = ParseContentionManager(val)
 		case "ctv":
@@ -256,7 +233,7 @@ func (o EngineOptions) Apply(s string) (EngineOptions, error) {
 		case "nosnap":
 			err = onOff(&o.DisableROSnapshot)
 		default:
-			err = bad("unknown key %q (want striped, shards, versions, gc, coalesce, cm, ctv, visible, deadline, serial, nosnap or faults)", key)
+			err = bad("unknown key %q (want striped, versions, gc, cm, ctv, visible, deadline, serial, nosnap or faults)", key)
 		}
 		if err != nil {
 			return EngineOptions{}, err
@@ -279,10 +256,8 @@ type EngineSpec struct {
 //	spec    := name [ ":" options ]
 //	options := option ( "," option )*
 //	option  := "striped" [ "=" N ]     striped orecs, table of N (0/omitted = default)
-//	         | "shards=" N             commit-clock shards
 //	         | "versions=" K           committed versions kept per Var
 //	         | "gc"                    NOrec group commit
-//	         | "coalesce"              TL2 commit-lock coalescing
 //	         | "cm=" NAME              OSTM contention manager (polka, karma, aggressive, timid, backoff)
 //	         | "ctv"                   OSTM commit-time validation only
 //	         | "visible"               OSTM visible reads
@@ -292,7 +267,7 @@ type EngineSpec struct {
 //	         | "faults=" PLAN          fault plan in ParseFaultPlan syntax; must be
 //	                                   last, and takes the rest of the string
 //
-// e.g. "tl2:striped=4096,shards=4,versions=4,deadline=25ms",
+// e.g. "tl2:striped=4096,versions=4,deadline=25ms",
 // "tl2:nosnap" or
 // "norec:gc,faults=seed=7,precommit:1/40:80us,abort:1/24". A bare name is
 // a spec with zero options. The keys without a value are booleans and also

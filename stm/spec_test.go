@@ -13,19 +13,19 @@ import (
 var ciSpecs = []string{
 	"coarse",
 	"tl2",
-	"tl2:striped=64,shards=4",
-	"ostm:striped=64,shards=4",
-	"tl2:striped=4096,shards=4,versions=4,deadline=25ms",
+	"tl2:striped=64",
+	"ostm:striped=64",
+	"tl2:striped=4096,versions=4,deadline=25ms",
 	"tl2:versions=4",
 	"norec:gc",
-	"tl2:striped=256,coalesce",
+	"tl2:striped=256",
 	"ostm:serial",
 	"ostm:cm=karma,visible",
 	"tl2:nosnap",
 	"ostm:ctv",
 	"tl2:striped",
 	"norec:gc,deadline=25ms,serial",
-	"x:striped=256,shards=4",
+	"x:striped=256,versions=2",
 	"x:deadline=25ms,faults=seed=7,precommit:1/40:80µs,lockhold:1/56:120µs,clocktick:1/72:40µs,abort:1/24",
 }
 
@@ -47,11 +47,11 @@ func TestEngineSpecRoundTrip(t *testing.T) {
 
 func TestParseEngineSpec(t *testing.T) {
 	t.Run("fields", func(t *testing.T) {
-		spec := mustSpec(" tl2 : striped=64, shards=4 ,versions=2,gc,coalesce,cm=timid,ctv,visible,deadline=3ms,serial,nosnap,faults=seed=3,abort:1/8")
+		spec := mustSpec(" tl2 : striped=64, versions=2 ,gc,cm=timid,ctv,visible,deadline=3ms,serial,nosnap,faults=seed=3,abort:1/8")
 		want := EngineOptions{
-			Granularity: StripedGranularity, OrecStripes: 64, ClockShards: 4, Versions: 2,
-			GroupCommit: true, LockCoalescing: true,
-			CM: Timid{}, CommitTimeValidationOnly: true, VisibleReads: true,
+			Granularity: StripedGranularity, OrecStripes: 64, Versions: 2,
+			GroupCommit: true,
+			CM:          Timid{}, CommitTimeValidationOnly: true, VisibleReads: true,
 			TxDeadline: 3 * time.Millisecond, SerialFallback: true,
 			DisableROSnapshot: true,
 		}
@@ -85,9 +85,8 @@ func TestParseEngineSpec(t *testing.T) {
 			"tl2:gc=maybe",            // booleans take on/off
 			"tl2:gc=",                 // ... not an empty value
 			"tl2:nosnap=maybe",        // ... nosnap included
-			"tl2:adaptive",            // not a key
-			"tl2:shards",              // counts need a value
-			"tl2:shards=-1",           // ... a non-negative one
+			"tl2:versions",            // counts need a value
+			"tl2:versions=-1",         // ... a non-negative one
 			"tl2:versions=two",        // ... a number
 			"tl2:striped=-4",          // stripes too
 			"tl2:deadline=-1ms",       // no negative budgets
@@ -102,8 +101,11 @@ func TestParseEngineSpec(t *testing.T) {
 				t.Errorf("ParseEngineSpec(%q) accepted as %s, want error", s, spec)
 			}
 		}
-		if _, err := ParseEngineSpec("tl2:adaptive"); err == nil || !strings.Contains(err.Error(), `unknown key "adaptive"`) {
-			t.Errorf(`ParseEngineSpec("tl2:adaptive"): err = %v, want unknown key "adaptive"`, err)
+		// Deleted keys are unknown, not silently ignored.
+		for s, key := range map[string]string{"tl2:adaptive": "adaptive", "tl2:shards=4": "shards", "tl2:striped,coalesce": "coalesce"} {
+			if _, err := ParseEngineSpec(s); err == nil || !strings.Contains(err.Error(), `unknown key "`+key+`"`) {
+				t.Errorf("ParseEngineSpec(%q): err = %v, want unknown key %q", s, err, key)
+			}
 		}
 	})
 }
@@ -111,21 +113,21 @@ func TestParseEngineSpec(t *testing.T) {
 // TestEngineOptionsApplyOverlay pins the overlay rule scenario files rely
 // on: present keys set, absent keys inherit, =off and =0 reset.
 func TestEngineOptionsApplyOverlay(t *testing.T) {
-	base := opts("striped=64,shards=4,gc,cm=karma,deadline=25ms,faults=abort:1/8")
+	base := opts("striped=64,versions=2,gc,cm=karma,deadline=25ms,faults=abort:1/8")
 	for _, c := range []struct{ overlay, want string }{
-		{"", "striped=64,shards=4,gc,cm=karma,deadline=25ms,faults=abort:1/8"},
-		{"versions=4", "striped=64,shards=4,versions=4,gc,cm=karma,deadline=25ms,faults=abort:1/8"},
-		{"gc=off", "striped=64,shards=4,cm=karma,deadline=25ms,faults=abort:1/8"},
-		{"gc=on,serial", "striped=64,shards=4,gc,cm=karma,deadline=25ms,serial,faults=abort:1/8"},
-		{"shards=0,deadline=0", "striped=64,gc,cm=karma,faults=abort:1/8"},
-		{"striped", "striped=64,shards=4,gc,cm=karma,deadline=25ms,faults=abort:1/8"},
-		{"striped=0", "striped,shards=4,gc,cm=karma,deadline=25ms,faults=abort:1/8"},
-		{"striped=off", "shards=4,gc,cm=karma,deadline=25ms,faults=abort:1/8"},
-		{"cm=polka", "striped=64,shards=4,gc,cm=polka,deadline=25ms,faults=abort:1/8"},
-		{"faults=seed=2,abort:1/2", "striped=64,shards=4,gc,cm=karma,deadline=25ms,faults=seed=2,abort:1/2"},
-		{"faults=", "striped=64,shards=4,gc,cm=karma,deadline=25ms"},
-		{"gc=off,gc", "striped=64,shards=4,gc,cm=karma,deadline=25ms,faults=abort:1/8"},
-		{"nosnap,faults=seed=2,abort:1/2", "striped=64,shards=4,gc,cm=karma,deadline=25ms,nosnap,faults=seed=2,abort:1/2"},
+		{"", "striped=64,versions=2,gc,cm=karma,deadline=25ms,faults=abort:1/8"},
+		{"versions=4", "striped=64,versions=4,gc,cm=karma,deadline=25ms,faults=abort:1/8"},
+		{"gc=off", "striped=64,versions=2,cm=karma,deadline=25ms,faults=abort:1/8"},
+		{"gc=on,serial", "striped=64,versions=2,gc,cm=karma,deadline=25ms,serial,faults=abort:1/8"},
+		{"versions=0,deadline=0", "striped=64,gc,cm=karma,faults=abort:1/8"},
+		{"striped", "striped=64,versions=2,gc,cm=karma,deadline=25ms,faults=abort:1/8"},
+		{"striped=0", "striped,versions=2,gc,cm=karma,deadline=25ms,faults=abort:1/8"},
+		{"striped=off", "versions=2,gc,cm=karma,deadline=25ms,faults=abort:1/8"},
+		{"cm=polka", "striped=64,versions=2,gc,cm=polka,deadline=25ms,faults=abort:1/8"},
+		{"faults=seed=2,abort:1/2", "striped=64,versions=2,gc,cm=karma,deadline=25ms,faults=seed=2,abort:1/2"},
+		{"faults=", "striped=64,versions=2,gc,cm=karma,deadline=25ms"},
+		{"gc=off,gc", "striped=64,versions=2,gc,cm=karma,deadline=25ms,faults=abort:1/8"},
+		{"nosnap,faults=seed=2,abort:1/2", "striped=64,versions=2,gc,cm=karma,deadline=25ms,nosnap,faults=seed=2,abort:1/2"},
 	} {
 		got, err := base.Apply(c.overlay)
 		if err != nil {
@@ -148,13 +150,13 @@ func TestEngineOptionsApplyOverlay(t *testing.T) {
 
 func TestEngineOptionsValidate(t *testing.T) {
 	for _, o := range []EngineOptions{
-		{OrecStripes: -1}, {ClockShards: -1}, {Versions: -1}, {TxDeadline: -time.Second},
+		{OrecStripes: -1}, {Versions: -1}, {TxDeadline: -time.Second},
 	} {
 		if err := o.Validate(); err == nil {
 			t.Errorf("Validate(%+v) = nil, want error", o)
 		}
 	}
-	if err := opts("striped=64,shards=4,versions=8,deadline=1s").Validate(); err != nil {
+	if err := opts("striped=64,versions=8,deadline=1s").Validate(); err != nil {
 		t.Errorf("Validate of a parsed value: %v", err)
 	}
 }
@@ -248,7 +250,7 @@ func FuzzParseEngineSpec(f *testing.F) {
 		"tl2:striped=off,gc=off,serial=on",
 		"tl2:faults=",
 		"tl2:faults=abort:1/4,gc",
-		"a b:shards=18446744073709551615",
+		"a b:versions=18446744073709551615",
 		"tl2:deadline=9223372036854775807ns",
 		"ostm:cm=nice",
 		"tl2:adaptive",

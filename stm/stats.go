@@ -95,21 +95,6 @@ type Stats struct {
 	// over all group commits, so GroupCommitSize/GroupCommits is the mean
 	// batch. A batch of 1 (nobody was waiting) counts toward neither.
 	GroupCommitSize uint64
-	// CoalescedLocks counts TL2 write-set orec locks acquired as part of a
-	// coalesced span CAS: runs of adjacent striped-table orecs taken with
-	// one CAS on their shared group word instead of one CAS each. Always 0
-	// with lock coalescing off, under object granularity, and on engines
-	// without commit-time locking.
-	CoalescedLocks uint64
-	// ClockShards is the number of commit-clock shards (TL2: 1 for the
-	// classic global clock; 0 for engines without a commit clock). A
-	// snapshot property, not a counter: Delta carries the newer value.
-	ClockShards uint64
-	// ClockShardSpread is the instantaneous gap between the most- and
-	// least-advanced commit-clock shard at snapshot time — small spread
-	// means commit traffic lands evenly. Snapshot property, like
-	// ClockShards.
-	ClockShardSpread uint64
 }
 
 // padUint64 is an atomic counter padded out to its own cache line so that
@@ -153,13 +138,11 @@ type statCounters struct {
 	timeoutAborts   padUint64
 	serialFallbacks padUint64
 	injectedFaults  padUint64
-	// Commit-pipelining counters. Group-commit drains happen at most once
-	// per seqlock acquisition (well below per-attempt), so the leader bumps
-	// them directly; coalesced lock acquisition is per-commit frequency and
-	// batches through txStats like lockFailures does.
+	// Group-commit counters. Drains happen at most once per seqlock
+	// acquisition (well below per-attempt), so the leader bumps them
+	// directly.
 	groupCommits    padUint64
 	groupCommitSize padUint64
-	coalescedLocks  padUint64
 }
 
 // txStats is the per-transaction accumulator for the high-frequency
@@ -177,7 +160,6 @@ type txStats struct {
 	versionReads   uint64
 	versionMisses  uint64
 	versionBytes   uint64
-	coalescedLocks uint64
 }
 
 // flushTx adds a transaction's locally accumulated counters to the shared
@@ -224,10 +206,6 @@ func (c *statCounters) flushTx(s *txStats) {
 		c.versionBytes.Add(s.versionBytes)
 		s.versionBytes = 0
 	}
-	if s.coalescedLocks != 0 {
-		c.coalescedLocks.Add(s.coalescedLocks)
-		s.coalescedLocks = 0
-	}
 }
 
 // snapshot returns the current totals. Each counter is loaded atomically,
@@ -260,7 +238,6 @@ func (c *statCounters) snapshot() Stats {
 		InjectedFaults:   c.injectedFaults.Load(),
 		GroupCommits:     c.groupCommits.Load(),
 		GroupCommitSize:  c.groupCommitSize.Load(),
-		CoalescedLocks:   c.coalescedLocks.Load(),
 	}
 }
 
@@ -305,11 +282,9 @@ func (s Stats) SnapshotShare() float64 {
 
 // Add returns the fieldwise sum of two deltas. It is how multi-window
 // consumers (scenario phase reports, sweep aggregations) fold per-window
-// Delta results into one total without reaching into every field. The
-// snapshot properties (ClockShards, ClockShardSpread) are configuration,
-// not counters: the receiver's value wins unless it is zero.
+// Delta results into one total without reaching into every field.
 func (s Stats) Add(o Stats) Stats {
-	sum := Stats{
+	return Stats{
 		Commits:          s.Commits + o.Commits,
 		UserAborts:       s.UserAborts + o.UserAborts,
 		ConflictAborts:   s.ConflictAborts + o.ConflictAborts,
@@ -330,24 +305,14 @@ func (s Stats) Add(o Stats) Stats {
 		InjectedFaults:   s.InjectedFaults + o.InjectedFaults,
 		GroupCommits:     s.GroupCommits + o.GroupCommits,
 		GroupCommitSize:  s.GroupCommitSize + o.GroupCommitSize,
-		CoalescedLocks:   s.CoalescedLocks + o.CoalescedLocks,
-		ClockShards:      s.ClockShards,
-		ClockShardSpread: s.ClockShardSpread,
 	}
-	if sum.ClockShards == 0 {
-		sum.ClockShards = o.ClockShards
-	}
-	if sum.ClockShardSpread == 0 {
-		sum.ClockShardSpread = o.ClockShardSpread
-	}
-	return sum
 }
 
 // Lines renders the canonical human-readable stat block shared by every
 // report surface (harness reports, scenario comparisons, CLI summaries),
 // one line per subsystem. The headline and abort-cause lines are always
 // present; subsystem lines (snapshot path, multi-version chains, orec
-// striping, sharded clock, serial fallback) appear only when their
+// striping, serial fallback, group commit) appear only when their
 // counters are live, so quiet configurations stay quiet.
 //
 // The abort-cause breakdown is attribution, not a partition: enemy kills
@@ -375,20 +340,12 @@ func (s Stats) Lines() []string {
 		lines = append(lines, fmt.Sprintf("orec striping: %d false conflicts (%.1f%% of conflict aborts)",
 			s.FalseConflicts, 100*s.FalseConflictRate()))
 	}
-	if s.ClockShards > 1 {
-		lines = append(lines, fmt.Sprintf("commit clock: %d shards, spread %d",
-			s.ClockShards, s.ClockShardSpread))
-	}
 	if s.SerialFallbacks > 0 {
 		lines = append(lines, fmt.Sprintf("serial fallback: %d escalations", s.SerialFallbacks))
 	}
-	if s.GroupCommits > 0 || s.CoalescedLocks > 0 {
-		avg := 0.0
-		if s.GroupCommits > 0 {
-			avg = float64(s.GroupCommitSize) / float64(s.GroupCommits)
-		}
-		lines = append(lines, fmt.Sprintf("commit pipeline: %d group commits (avg batch %.1f), %d coalesced locks",
-			s.GroupCommits, avg, s.CoalescedLocks))
+	if s.GroupCommits > 0 {
+		lines = append(lines, fmt.Sprintf("commit pipeline: %d group commits (avg batch %.1f)",
+			s.GroupCommits, float64(s.GroupCommitSize)/float64(s.GroupCommits)))
 	}
 	return lines
 }
@@ -420,9 +377,5 @@ func (s Stats) Delta(prev Stats) Stats {
 		InjectedFaults:   s.InjectedFaults - prev.InjectedFaults,
 		GroupCommits:     s.GroupCommits - prev.GroupCommits,
 		GroupCommitSize:  s.GroupCommitSize - prev.GroupCommitSize,
-		CoalescedLocks:   s.CoalescedLocks - prev.CoalescedLocks,
-		// Snapshot properties, not counters: the newer snapshot's view.
-		ClockShards:      s.ClockShards,
-		ClockShardSpread: s.ClockShardSpread,
 	}
 }

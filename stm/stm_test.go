@@ -61,13 +61,11 @@ var txEngineMakers = map[string]func() Engine{
 	"ostm-visible":      fromSpec("ostm:visible"),
 	"ostm-commitserial": func() Engine { return NewOSTMWith(OSTMConfig{CommitCounterHeuristic: true}) },
 
-	// Granularity/clock variants: the same suites that iterate engines
-	// iterate the metadata axes. The stripe counts are deliberately tiny
+	// Granularity variants: the same suites that iterate engines iterate
+	// the metadata axis. The stripe counts are deliberately tiny
 	// (16 orecs) so the stress tests hammer stripe collisions — false
 	// conflicts must cost throughput, never correctness.
 	"tl2-striped":          fromSpec("tl2:striped=16"),
-	"tl2-sharded":          fromSpec("tl2:shards=4"),
-	"tl2-striped-sharded":  fromSpec("tl2:striped=16,shards=4"),
 	"ostm-striped":         fromSpec("ostm:striped=16"),
 	"ostm-striped-visible": fromSpec("ostm:striped=16,visible"),
 	"ostm-striped-ctv":     fromSpec("ostm:striped=16,ctv"),
@@ -84,16 +82,11 @@ var txEngineMakers = map[string]func() Engine{
 	"tl2-striped-mv2": fromSpec("tl2:striped=16,versions=2"),
 	"tl2-striped-mv8": fromSpec("tl2:striped=16,versions=8"),
 
-	// Commit-pipelining variants (see groupcommit.go and the coalescing
-	// path in tl2.go). The group-commit entries push every batch-protocol
-	// interleaving through the full semantics/stress/property battery;
-	// the coalescing entries reuse the tiny 16-stripe table so sorted
-	// write sets constantly form multi-orec runs inside one group word
-	// AND contend on it (the per-bit fallback path gets hammered too).
-	"norec-group":              fromSpec("norec:gc"),
-	"norec-group-mv2":          fromSpec("norec:versions=2,gc"),
-	"tl2-striped-coalesce":     fromSpec("tl2:striped=16,coalesce"),
-	"tl2-striped-coalesce-mv2": fromSpec("tl2:striped=16,versions=2,coalesce"),
+	// Group-commit variants (see groupcommit.go): they push every
+	// batch-protocol interleaving through the full
+	// semantics/stress/property battery.
+	"norec-group":     fromSpec("norec:gc"),
+	"norec-group-mv2": fromSpec("norec:versions=2,gc"),
 }
 
 // init adds every registered engine (except the non-transactional direct

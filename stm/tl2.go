@@ -3,7 +3,6 @@ package stm
 import (
 	"cmp"
 	"slices"
-	"sync/atomic"
 )
 
 // TL2Config tunes the TL2 engine.
@@ -12,9 +11,8 @@ type TL2Config struct {
 	// budget is exhausted Atomic returns ErrAborted.
 	MaxRetries int
 	// EngineOptions carries the spec-addressable knobs. TL2 honours
-	// Granularity, OrecStripes, ClockShards, Versions, LockCoalescing,
-	// TxDeadline, SerialFallback, Faults, Trace and DisableROSnapshot, and
-	// ignores the rest.
+	// Granularity, OrecStripes, Versions, TxDeadline, SerialFallback,
+	// Faults, Trace and DisableROSnapshot, and ignores the rest.
 	EngineOptions
 }
 
@@ -44,15 +42,12 @@ type TL2 struct {
 	txPool   txPool[tl2Tx]
 	snapPool txPool[tl2SnapTx] // read-only snapshot descriptors (RunReadOnly)
 	striped  bool
-	// coalesce routes commit-time locking through the striped table's
-	// group gate words (LockCoalescing under striped granularity).
-	coalesce bool
-	// clock is the global version clock (optionally sharded; see
-	// clock.go). It advances by 2 so that version numbers are always
-	// even; bit 0 of an orec's meta word is its lock bit.
-	clock gvClock
-	// txSeq hands each new descriptor a distinct clock-shard affinity.
-	txSeq atomic.Uint64
+	// clock is the global version clock. It advances by 2 so that version
+	// numbers are always even; bit 0 of an orec's meta word is its lock
+	// bit. The padding in front of it and padUint64's own padding behind
+	// keep it on a cache line of its own.
+	_     [cacheLine - 8]byte
+	clock padUint64
 	// gate is the serial-fallback token (nil unless SerialFallback).
 	gate *serialGate
 	// faults is the engine's private fault-plan snapshot (nil = none).
@@ -70,17 +65,15 @@ func init() {
 func NewTL2With(cfg TL2Config) *TL2 {
 	cfg.Versions = normalizeVersions(cfg.Versions)
 	e := &TL2{cfg: cfg, striped: cfg.Granularity == StripedGranularity}
-	e.coalesce = cfg.LockCoalescing && e.striped
 	if err := e.space.ConfigureOrecs(cfg.Granularity, cfg.OrecStripes); err != nil {
 		panic(err) // unreachable: the space is brand new and the size is clamped
 	}
-	e.clock.init(cfg.ClockShards)
 	if cfg.SerialFallback {
 		e.gate = &serialGate{}
 	}
 	e.faults = cfg.Faults.fresh()
 	e.txPool.init(func() *tl2Tx {
-		return &tl2Tx{eng: e, shardHint: e.txSeq.Add(1), tr: cfg.Trace.tap()}
+		return &tl2Tx{eng: e, tr: cfg.Trace.tap()}
 	})
 	e.snapPool.init(func() *tl2SnapTx { return &tl2SnapTx{eng: e, tr: cfg.Trace.tap()} })
 	return e
@@ -93,11 +86,7 @@ func (e *TL2) Name() string { return "tl2" }
 func (e *TL2) VarSpace() *VarSpace { return &e.space }
 
 // Stats implements Engine.
-func (e *TL2) Stats() Stats {
-	s := e.stats.snapshot()
-	s.ClockShards, s.ClockShardSpread = e.clock.spread()
-	return s
-}
+func (e *TL2) Stats() Stats { return e.stats.snapshot() }
 
 // Atomic implements Engine.
 func (e *TL2) Atomic(fn func(tx Tx) error) error {
@@ -233,10 +222,9 @@ const dupMeta = ^uint64(0)
 // commit scratch kept at capacity — so steady-state attempts allocate
 // nothing.
 type tl2Tx struct {
-	eng       *TL2
-	rv        uint64  // read version: clock snapshot at attempt start
-	shardHint uint64  // commit-clock shard affinity, fixed per descriptor
-	st        txStats // per-attempt counters, flushed by Atomic
+	eng *TL2
+	rv  uint64  // read version: clock snapshot at attempt start
+	st  txStats // per-attempt counters, flushed by Atomic
 
 	reads   []*Var
 	readIdx varIndex // *Var -> index into reads
@@ -255,7 +243,7 @@ type tl2Tx struct {
 }
 
 func (tx *tl2Tx) reset() {
-	tx.rv = tx.eng.clock.read()
+	tx.rv = tx.eng.clock.Load()
 	tx.reads = truncate(tx.reads, &tx.hiReads)
 	tx.readIdx.reset()
 	tx.writes = truncate(tx.writes, &tx.hiWrites)
@@ -346,187 +334,13 @@ func (tx *tl2Tx) Update(v *Var, f func(val any) any) {
 
 // releaseLocks restores the saved meta of the first `entries` write-set
 // entries' orecs, undoing a failed commit's lock acquisitions (same-orec
-// duplicates carry dupMeta and are skipped). Under lock coalescing the
-// gate bit in the table's group word is cleared after the meta restore —
-// per orec here, since this is the rare failure path; the success path
-// coalesces its gate clears per group word (see unlockWrites).
+// duplicates carry dupMeta and are skipped).
 func (tx *tl2Tx) releaseLocks(entries int) {
-	coalesce := tx.eng.coalesce
-	groups := tx.eng.space.orecs.groups
 	for i := 0; i < entries; i++ {
 		if tx.lockedMeta[i] == dupMeta {
 			continue
 		}
-		o := tx.writes[i].v.orc
-		o.meta.Store(tx.lockedMeta[i])
-		if coalesce {
-			groups[o.id>>orecGroupShift].And(^orecGroupBit(o.id))
-		}
-	}
-}
-
-// lockWriteSetCoalesced acquires the sorted write set's orec locks through
-// the striped table's group gate words: each run of adjacent same-group
-// orecs is claimed with ONE CAS setting the run's bits in the shared word,
-// then each orec's meta lock bit is marked with a plain store — legal
-// because under coalescing every committer of this engine serializes on
-// the gate bits, making the meta bit a reader-only signal that is always
-// even once the gate is owned. A contended multi-bit CAS falls back to
-// claiming that run's bits one orec at a time, so an overlapping commit to
-// a different stripe of the same word delays rather than kills the run.
-// Returns false (with everything already released) when a gate bit stays
-// contended past the tl2CommitLockSpins bound.
-func (tx *tl2Tx) lockWriteSetCoalesced() bool {
-	groups := tx.eng.space.orecs.groups
-	i := 0
-	for i < len(tx.writes) {
-		o := tx.writes[i].v.orc
-		if i > 0 && tx.writes[i-1].v.orc == o {
-			tx.lockedMeta[i] = dupMeta
-			i++
-			continue
-		}
-		// Collect the run: distinct orecs (dups ride along) sharing o's
-		// group word. The write set is sorted by orec id, so same-group
-		// stripes are adjacent.
-		g := o.id >> orecGroupShift
-		mask := orecGroupBit(o.id)
-		run := 1
-		j := i + 1
-		for j < len(tx.writes) {
-			oj := tx.writes[j].v.orc
-			if oj == tx.writes[j-1].v.orc {
-				j++ // duplicate of the previous entry; marked below
-				continue
-			}
-			if oj.id>>orecGroupShift != g {
-				break
-			}
-			mask |= orecGroupBit(oj.id)
-			run++
-			j++
-		}
-		// One CAS for the whole run; on contention, per-orec gate bits.
-		word := &groups[g]
-		spins := 0
-		coalesced := false
-		for {
-			old := word.Load()
-			if old&mask == 0 {
-				if word.CompareAndSwap(old, old|mask) {
-					coalesced = run > 1
-					break
-				}
-				continue // raced another committer; retry, no spin charged
-			}
-			if run > 1 {
-				// Group contention: fall back to claiming this run's
-				// bits one orec at a time so the free stripes make
-				// progress while the busy one is waited out.
-				if !tx.lockRunPerOrec(word, i, j) {
-					return false
-				}
-				break
-			}
-			spins++
-			if spins > tl2CommitLockSpins {
-				tx.releaseLocks(i)
-				return false
-			}
-			spinHint()
-		}
-		// Gate bits held for [i, j): record pre-lock metas and raise the
-		// reader-visible lock bits. The metas are even by the gate-word
-		// invariant (a locked meta implies a set gate bit).
-		for k := i; k < j; k++ {
-			v := tx.writes[k].v
-			ok := v.orc
-			if k > i && tx.writes[k-1].v.orc == ok {
-				tx.lockedMeta[k] = dupMeta
-				continue
-			}
-			m := ok.meta.Load()
-			tx.lockedMeta[k] = m
-			ok.meta.Store(m | 1)
-			ok.lastWriter.Store(v.id)
-		}
-		if coalesced {
-			tx.st.coalescedLocks += uint64(run)
-		}
-		i = j
-	}
-	return true
-}
-
-// lockRunPerOrec is lockWriteSetCoalesced's contention fallback: claim the
-// gate bits of the distinct orecs in write-set entries [i, j) one at a
-// time. On spin exhaustion it clears the bits it took, restores the fully
-// acquired prefix via releaseLocks(i), and reports failure.
-func (tx *tl2Tx) lockRunPerOrec(word *padUint64, i, j int) bool {
-	var held uint64
-	for k := i; k < j; k++ {
-		o := tx.writes[k].v.orc
-		if k > i && tx.writes[k-1].v.orc == o {
-			continue
-		}
-		bit := orecGroupBit(o.id)
-		spins := 0
-		for {
-			old := word.Load()
-			if old&bit == 0 {
-				if word.CompareAndSwap(old, old|bit) {
-					held |= bit
-					break
-				}
-				continue
-			}
-			spins++
-			if spins > tl2CommitLockSpins {
-				if held != 0 {
-					word.And(^held)
-				}
-				tx.releaseLocks(i)
-				return false
-			}
-			spinHint()
-		}
-	}
-	return true
-}
-
-// unlockWrites publishes wv to every locked orec's meta and, under lock
-// coalescing, clears the gate bits — one atomic And per group word, the
-// release-side mirror of the coalesced acquire.
-func (tx *tl2Tx) unlockWrites(wv uint64) {
-	if !tx.eng.coalesce {
-		for i := range tx.writes {
-			if tx.lockedMeta[i] == dupMeta {
-				continue
-			}
-			tx.writes[i].v.orc.meta.Store(wv)
-		}
-		return
-	}
-	groups := tx.eng.space.orecs.groups
-	curG := ^uint64(0)
-	var mask uint64
-	for i := range tx.writes {
-		if tx.lockedMeta[i] == dupMeta {
-			continue
-		}
-		o := tx.writes[i].v.orc
-		o.meta.Store(wv)
-		g := o.id >> orecGroupShift
-		if g != curG {
-			if mask != 0 {
-				groups[curG].And(^mask)
-			}
-			curG, mask = g, 0
-		}
-		mask |= orecGroupBit(o.id)
-	}
-	if mask != 0 {
-		groups[curG].And(^mask)
+		tx.writes[i].v.orc.meta.Store(tx.lockedMeta[i])
 	}
 }
 
@@ -589,8 +403,7 @@ func (tx *tl2Tx) commit() bool {
 	// Var is its own orec, and the write set is locked as it stands:
 	// writes[i], writeIdx and lockedMeta[i] stay aligned with no work.
 	// Under striped granularity several writes may share an orec; sorting
-	// makes them adjacent, so each orec is locked exactly once (and the
-	// coalesced path finds a group word's stripes next to each other).
+	// makes them adjacent, so each orec is locked exactly once.
 	if tx.eng.striped {
 		sortWritesByOrec(tx.writes)
 		for i := range tx.writes {
@@ -601,37 +414,30 @@ func (tx *tl2Tx) commit() bool {
 		tx.lockedMeta = make([]uint64, len(tx.writes))
 	}
 	tx.lockedMeta = tx.lockedMeta[:len(tx.writes)]
-	if tx.eng.coalesce {
-		if !tx.lockWriteSetCoalesced() {
-			tx.st.lockFailures++
-			return false
+	for i := range tx.writes {
+		v := tx.writes[i].v
+		o := v.orc
+		if i > 0 && tx.writes[i-1].v.orc == o {
+			tx.lockedMeta[i] = dupMeta
+			continue
 		}
-	} else {
-		for i := range tx.writes {
-			v := tx.writes[i].v
-			o := v.orc
-			if i > 0 && tx.writes[i-1].v.orc == o {
-				tx.lockedMeta[i] = dupMeta
-				continue
-			}
-			spins := 0
-			for {
-				m := o.meta.Load()
-				if m&1 == 0 && o.meta.CompareAndSwap(m, m|1) {
-					tx.lockedMeta[i] = m
-					if tx.eng.striped {
-						o.lastWriter.Store(v.id)
-					}
-					break
+		spins := 0
+		for {
+			m := o.meta.Load()
+			if m&1 == 0 && o.meta.CompareAndSwap(m, m|1) {
+				tx.lockedMeta[i] = m
+				if tx.eng.striped {
+					o.lastWriter.Store(v.id)
 				}
-				spins++
-				if spins > tl2CommitLockSpins {
-					tx.releaseLocks(i)
-					tx.st.lockFailures++
-					return false
-				}
-				spinHint()
+				break
 			}
+			spins++
+			if spins > tl2CommitLockSpins {
+				tx.releaseLocks(i)
+				tx.st.lockFailures++
+				return false
+			}
+			spinHint()
 		}
 	}
 
@@ -645,12 +451,11 @@ func (tx *tl2Tx) commit() bool {
 	if f := tx.eng.faults; f != nil && !tx.serial {
 		f.stallAt(FaultClockTick, &tx.eng.stats)
 	}
-	wv := tx.eng.clock.tick(tx.shardHint)
+	wv := tx.eng.clock.Add(2)
 
 	// Validate the read set unless nobody else committed since we started
-	// (wv == rv+2 proves that only for the unsharded clock, whose stamps
-	// are unique; a sharded clock always validates — see gvClock).
-	if wv != tx.rv+2 || tx.eng.clock.sharded() {
+	// (wv == rv+2 proves that: every commit stamp is unique).
+	if wv != tx.rv+2 {
 		if tx.tr.rec != nil {
 			tx.tr.note(TraceValidate, uint64(len(tx.reads)), 0)
 		}
@@ -711,15 +516,19 @@ func (tx *tl2Tx) commit() bool {
 	if f := tx.eng.faults; f != nil && !tx.serial {
 		f.stallAt(FaultLockHold, &tx.eng.stats)
 	}
-	tx.unlockWrites(wv)
+	for i := range tx.writes {
+		if tx.lockedMeta[i] == dupMeta {
+			continue
+		}
+		tx.writes[i].v.orc.meta.Store(wv)
+	}
 	return true
 }
 
 // sortWritesByOrec sorts in place by (orec id, Var id). Only striped
 // granularity calls it: there the writes that share a stripe must be
-// adjacent for commit to lock the stripe once, and the stripes of one group
-// word adjacent for the coalesced path to claim them with one CAS; the
-// Var-id tiebreak makes same-orec groups deterministic. Small write sets
+// adjacent for commit to lock the stripe once; the Var-id tiebreak makes
+// same-orec groups deterministic. Small write sets
 // (almost every STMBench7 operation) use an insertion sort — no closure, no
 // reflection; structural-modification transactions with large write sets
 // fall back to the standard-library sort to avoid the O(n²) blowup.

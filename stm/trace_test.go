@@ -34,9 +34,12 @@ func pinDescriptor[T any](p *txPool[T]) {
 
 // runTraceWorkload drives one deterministic single-threaded mix against a
 // fresh TL2 engine wired to a fresh recorder: plain commits, injected
-// aborts that escalate to serial mode, sharded-clock validation, and
-// snapshot transactions that restart when a nested commit moves the
-// clock under them. The same call always produces the same event stream.
+// aborts that escalate to serial mode, and snapshot transactions that
+// restart when a nested commit moves the clock under them. A
+// single-threaded TL2 commit never validates (no other commit lands
+// between its start and its stamp), so an OSTM engine sharing the
+// recorder, which validates on every open, supplies the validation
+// passes. The same call always produces the same event stream.
 func runTraceWorkload(t *testing.T) *TraceRecorder {
 	t.Helper()
 	rec := NewTraceRecorder(1 << 12)
@@ -49,7 +52,6 @@ func runTraceWorkload(t *testing.T) *TraceRecorder {
 			Trace:          rec,
 			Faults:         plan,
 			SerialFallback: true,
-			ClockShards:    2, // sharded clock => every write commit validates
 		},
 		MaxRetries: 1, // injected-abort streaks escalate to serial mode
 	})
@@ -89,6 +91,16 @@ func runTraceWorkload(t *testing.T) *TraceRecorder {
 	})
 	if err != nil {
 		t.Fatalf("snapshot workload: %v", err)
+	}
+	ostm := NewOSTMWith(OSTMConfig{EngineOptions: EngineOptions{Trace: rec}})
+	pinDescriptor(&ostm.txPool)
+	oc := []*Cell[int]{NewCell(ostm.VarSpace(), 0), NewCell(ostm.VarSpace(), 0)}
+	err = ostm.Atomic(func(tx Tx) error {
+		oc[1].Set(tx, oc[0].Get(tx)+1)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("validating workload: %v", err)
 	}
 	return rec
 }
