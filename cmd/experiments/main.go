@@ -15,14 +15,14 @@
 //
 // The sweep axis is the engine configuration, not the program: fig4, table3
 // and fig6 run every engine under -g, an engine-spec option list in
-// stm.ParseEngineSpec syntax (-exp fig6 -g striped=4096 is Figure 6 under
-// that metadata layout, -g versions=4 under that chain depth, -g gc under
-// NOrec's group commit, -g nosnap with read-only operations on the
-// validating path). fig3, headline and
+// stm.ParseEngineSpec syntax (-exp fig6 -g striped=4096 is Figure 6 with
+// TL2 under that metadata layout, -g versions=4 under that chain depth,
+// -g serial with the irrevocable serial fallback, -g nosnap with read-only
+// operations on the validating path). fig3, headline and
 // ablations pin their configurations and ignore -g: fig3 compares the two lock
 // strategies, a headline row names its engine and dispatch, and an ablation
 // row is an engine configuration. What a mechanism did in one run (false
-// conflicts, version reads, batch sizes, shed rate)
+// conflicts, version reads, serial escalations, shed rate)
 // is in the report of cmd/stmbench7 -g <spec>; whether it pays is for
 // benchmark/ to say.
 //

@@ -227,7 +227,7 @@ func TestConfigurationErrorsComeBeforeAnyWork(t *testing.T) {
 		want []string
 	}{
 		{"unknown-exp", []string{"-exp", "orecs"}, []string{`unknown experiment "orecs"`, "fig3, fig4, table3, fig6, headline, ablations or all"}},
-		{"bad-g-key", []string{"-g", "stripes=4"}, []string{"bad -g", `unknown key "stripes"`, "striped, versions, gc"}},
+		{"bad-g-key", []string{"-g", "stripes=4"}, []string{"bad -g", `unknown key "stripes"`, "striped, versions, cm"}},
 		{"bad-g-value", []string{"-g", "versions=-1"}, []string{"bad -g", "versions needs a count >= 0"}},
 		{"bad-threads", []string{"-threads", "1,two"}, []string{`bad -threads "1,two"`, "integers >= 1"}},
 		{"zero-threads", []string{"-threads", "0"}, []string{"bad -threads", "integers >= 1"}},

@@ -11,10 +11,10 @@
 //	-g SPEC            synchronization: coarse, medium, ostm, tl2, norec (default
 //	                   coarse), optionally with engine options after a colon —
 //	                   an engine spec such as tl2:striped=4096,versions=4 or
-//	                   norec:gc,deadline=25ms,serial. Keys: striped[=N],
-//	                   versions=K, gc, cm=NAME, ctv, visible, deadline=D,
-//	                   serial, nosnap, faults=PLAN (last); see the
-//	                   README's "Engine spec" section.
+//	                   norec:versions=2,deadline=25ms,serial. Keys:
+//	                   striped[=N] (tl2), versions=K, cm=NAME, ctv,
+//	                   visible, deadline=D, serial, nosnap, faults=PLAN
+//	                   (last); see the README's "Engine spec" section.
 //	                   nosnap runs read-only operations on the validating
 //	                   path instead of the snapshot fast path, e.g.
 //	                   tl2:nosnap

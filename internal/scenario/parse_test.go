@@ -248,7 +248,7 @@ func FuzzParseScenario(f *testing.F) {
 		`{"name": "x", "phases": []}`,
 		`{"name": "x", "phases": [{"name": "p", "duration": "10ms"}]}`,
 		`{"name": "x", "phases": [{"max_ops": 5, "threads": -1}]}`,
-		`{"name": "x", "engine": "striped=128,versions=4,gc=off,nosnap",
+		`{"name": "x", "engine": "striped=128,versions=4,serial=off,nosnap",
 		  "phases": [{"name": "p", "max_ops": 5}]}`,
 		`{"name": "x", "engine": "deadline=25ms,serial,faults=seed=7,abort:1/24", "phases": [{"name": "p", "max_ops": 5}]}`,
 		`{"name": "x", "engine": "faults=seed=7", "phases": [{"name": "p", "max_ops": 5}]}`,
@@ -271,7 +271,7 @@ func FuzzParseScenario(f *testing.F) {
 		if err := sc.Validate(); err != nil {
 			t.Fatalf("Parse accepted %q but Validate rejects it: %v", data, err)
 		}
-		if _, err := (stm.EngineOptions{Versions: 2, GroupCommit: true}).Apply(sc.Engine); err != nil {
+		if _, err := (stm.EngineOptions{Versions: 2, SerialFallback: true}).Apply(sc.Engine); err != nil {
 			t.Fatalf("Parse accepted %q but its engine keys do not apply over a run's spec: %v", data, err)
 		}
 	})

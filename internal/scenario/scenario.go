@@ -105,8 +105,8 @@ type Scenario struct {
 	// Engine is an engine-spec option list ("striped=256,versions=4",
 	// "deadline=25ms,faults=seed=7,abort:1/24"; see stm.ParseEngineSpec)
 	// applied over the run's engine options: a key set here overrides
-	// the run's value, an unset key inherits it, and "gc=off" turns a
-	// run-level gc off (stm.EngineOptions.Apply).
+	// the run's value, an unset key inherits it, and "serial=off" turns a
+	// run-level serial off (stm.EngineOptions.Apply).
 	Engine string
 	Phases []Phase
 }

@@ -456,16 +456,16 @@ func TestWriteReportVersionSections(t *testing.T) {
 
 // TestScenarioEngineOverlay pins the overlay rule: a key the scenario's
 // "engine" sets overrides the run's spec, an unset key inherits it, and
-// "gc=off" turns a run-level gc off. Every phase's options name the
+// "nosnap=off" turns a run-level nosnap off. Every phase's options name the
 // resolved configuration — the one the executor was built with.
 func TestScenarioEngineOverlay(t *testing.T) {
 	phases := []Phase{{Name: "p", MaxOps: 20, Workload: ops.ReadWrite, StructureMods: true}}
-	run := RunOptions{Strategy: "norec", Threads: 1, Engine: mustOpts(t, "versions=2,gc,deadline=5s")}
+	run := RunOptions{Strategy: "norec", Threads: 1, Engine: mustOpts(t, "versions=2,deadline=5s,nosnap")}
 	for _, c := range []struct{ overlay, want string }{
-		{"", "norec:versions=2,gc,deadline=5s"},
-		{"versions=4", "norec:versions=4,gc,deadline=5s"},
-		{"gc=off", "norec:versions=2,deadline=5s"},
-		{"serial,deadline=0", "norec:versions=2,gc,serial"},
+		{"", "norec:versions=2,deadline=5s,nosnap"},
+		{"versions=4", "norec:versions=4,deadline=5s,nosnap"},
+		{"nosnap=off", "norec:versions=2,deadline=5s"},
+		{"serial,deadline=0", "norec:versions=2,serial,nosnap"},
 	} {
 		rep, err := Run(&Scenario{Name: "overlay", Engine: c.overlay, Phases: phases}, run)
 		if err != nil {

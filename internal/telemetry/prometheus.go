@@ -50,8 +50,6 @@ var statFamilies = []statFamily{
 	{"stm_timeout_aborts_total", "Atomic calls that gave up on an expired TxDeadline.", func(s stm.Stats) uint64 { return s.TimeoutAborts }},
 	{"stm_serial_fallbacks_total", "Transactions escalated to the irrevocable serial token.", func(s stm.Stats) uint64 { return s.SerialFallbacks }},
 	{"stm_injected_faults_total", "FaultPlan probe firings (stalls applied and conflicts forced).", func(s stm.Stats) uint64 { return s.InjectedFaults }},
-	{"stm_group_commits_total", "Sequence-lock acquisitions that published a batch of more than one transaction.", func(s stm.Stats) uint64 { return s.GroupCommits }},
-	{"stm_group_commit_size_total", "Transactions published by group-commit batches (leader plus followers).", func(s stm.Stats) uint64 { return s.GroupCommitSize }},
 }
 
 // gaugeVar is a caller-registered float gauge (latency percentiles, live

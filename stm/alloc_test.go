@@ -366,58 +366,6 @@ func TestAllocVersionedSnapshotSteadyState(t *testing.T) {
 	}
 }
 
-// TestAllocCommitPipelining pins group commit to the same budgets as
-// classic NOrec. Single-threaded there is never a lock holder to combine
-// behind, so group commit runs its uncontended leader path — but that IS
-// the steady-state hot path, and it must not cost a byte more than classic
-// NOrec (the combining queue lives entirely in descriptor fields;
-// enqueue/drain never allocate).
-func TestAllocCommitPipelining(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation skews allocation counts")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	makers := map[string]func() Engine{
-		"norec-group":     func() Engine { return NewNOrecWith(NOrecConfig{EngineOptions: opts("gc")}) },
-		"norec-group-mv8": func() Engine { return NewNOrecWith(NOrecConfig{EngineOptions: opts("versions=8,gc")}) },
-	}
-	for name, mk := range makers {
-		t.Run(name, func(t *testing.T) {
-			eng := mk()
-			cells := setupAllocCells(t, eng)
-			readFn := func(tx Tx) error {
-				for _, c := range cells {
-					c.Get(tx)
-				}
-				return nil
-			}
-			if got := measureAllocs(func() { eng.Atomic(readFn) }); got != 0 {
-				t.Errorf("read-only transaction: %v allocs/op, want 0", got)
-			}
-			writeFn := func(tx Tx) error {
-				cells[0].Set(tx, 7)
-				return nil
-			}
-			if got := measureAllocs(func() { eng.Atomic(writeFn) }); got > 2 {
-				t.Errorf("small write transaction: %v allocs/op, want <= 2 (the value and the published box)", got)
-			}
-			// A wide write set exercises the group-commit leader's
-			// whole-set publish: one value and one box per written Var,
-			// nothing for the commit machinery.
-			wideFn := func(tx Tx) error {
-				for i, c := range cells {
-					c.Set(tx, i)
-				}
-				return nil
-			}
-			if got := measureAllocs(func() { eng.Atomic(wideFn) }); got > float64(2*len(cells)) {
-				t.Errorf("%d-var write transaction: %v allocs/op, want <= %d (one value and one published box per Var)",
-					len(cells), got, 2*len(cells))
-			}
-		})
-	}
-}
-
 // TestAllocTracing pins the flight recorder's allocation contract on both
 // sides of the nil probe. Disabled (the default every other test here
 // builds): a trace-less engine costs one branch per probe site and keeps

@@ -21,9 +21,7 @@
 //     extension, and lazy write buffering (Dalessandro, Spear, Scott;
 //     PPoPP 2010). Reads are cheapest of the three designs; validation is
 //     O(read set) per global commit and write commits serialize, which the
-//     benchmark's long traversals and write-heavy workloads expose (the
-//     GroupCommit knob batches the serialized commits — see the "Commit
-//     pipelining" chapter and groupcommit.go).
+//     benchmark's long traversals and write-heavy workloads expose.
 //
 //   - Direct (NewDirect): a pass-through engine with no logging and no
 //     conflict detection. It exists so that code written against the stm.Tx
@@ -331,9 +329,9 @@
 //     orders installs against the retirement of finished locators;
 //   - the visible-reads reader registry (orec.readers).
 //
-// Where orc leads is the granularity axis every orec-based engine exposes
-// (EngineOptions.Granularity and OrecStripes [striped=N]) — inline under
-// object granularity, a table slot under striped:
+// Where orc leads is TL2's granularity axis (EngineOptions.Granularity and
+// OrecStripes [striped=N]) — inline under object granularity, a table slot
+// under striped:
 //
 //   - ObjectGranularity points orc at the Var's own inline record, so
 //     conflict detection is per object and collision free, a Var and its
@@ -360,25 +358,24 @@
 //
 // The metadata contract for engines:
 //
-//   - Engines configure their VarSpace's mapping exactly once, in the
+//   - TL2 configures its VarSpace's mapping exactly once, in the
 //     constructor, via VarSpace.ConfigureOrecs — before any Var exists.
+//     Every other engine's space stays at object granularity.
 //   - Hot paths resolve metadata as v.orc (one pointer load); no hashing
 //     and no granularity branch happens per access, and no engine touches
 //     Var.own except through orc.
-//   - Under striping an engine must stay correct when several of its own
-//     (or several transactions') Vars share an orec: TL2 deduplicates
-//     commit locks per orec and orders them by orec id; OSTM installs
-//     locators only over an empty slot (at either granularity), appends
-//     same-stripe write slots to its own locator, and writes back every
-//     slot a locator covers when it retires it.
+//   - Under striping TL2 must stay correct when several of its own (or
+//     several transactions') Vars share an orec: it deduplicates commit
+//     locks per orec and orders them by orec id.
 //   - False conflicts may cost throughput, never correctness: the
-//     conformance, stress and property suites run every engine in both
-//     granularity modes (with deliberately tiny stripe tables) to enforce
-//     exactly that.
+//     conformance, stress and property suites run TL2 in both granularity
+//     modes (with deliberately tiny stripe tables) to enforce exactly that.
 //
-// NOrec deliberately has no per-location metadata — its single sequence
-// lock is the design — and the direct engine has no conflict detection,
-// so both ignore the axis.
+// OSTM runs at object granularity only: it installs a locator only over an
+// empty slot, the locator covers exactly that slot's Var, and retiring it
+// writes that one Var back. NOrec deliberately has no per-location
+// metadata — its single sequence lock is the design — and the direct
+// engine has no conflict detection. All three ignore the axis.
 //
 // Vars are allocated from a VarSpace (one per engine; see
 // Engine.VarSpace). All Vars that participate in one transaction must come
@@ -388,34 +385,6 @@
 // granularity TL2 locks in write order and its bounded spin is what rules
 // out deadlock) — and the data structure under test must be built from the
 // space of the engine that will run it.
-//
-// # Commit pipelining
-//
-// Write-heavy workloads are commit-bound: NOrec serializes every write
-// commit behind its one sequence lock. One default-off knob attacks that
-// cost, EngineOptions.GroupCommit [gc] (groupcommit.go). A committer that
-// finds the sequence lock held does not spin-and-revalidate: it enqueues
-// its descriptor on a bounded lock-free combining queue and waits to be
-// signaled. Whichever committer next acquires the lock drains the queue,
-// revalidates each follower's read set ONCE against the post-batch state,
-// publishes every write set under the single acquisition, and releases
-// the sequence word once for the whole batch — amortizing validation and
-// halving sequence-word traffic. Commits still happen one batch at a
-// time; the knob softens the serialization cost, it does not remove the
-// serialization. Opacity is preserved because followers park at the
-// commit point (their reads are complete) and the holder applies its own
-// writes first, then validates each follower against everything
-// published before it. Batches count in Stats.GroupCommits/GroupCommitSize
-// (only real batches, size > 1) and emit a group-drain trace event; the
-// queue is embedded in pooled descriptors, so steady state stays 0
-// allocs (alloc_test.go).
-//
-// Off means bit-for-bit the classic protocol — the conformance,
-// property, chaos and alloc suites run the full engine matrix with the
-// knob on to pin the semantics either way. `stmbench7 -g norec:gc -w w
-// -no-traversals` runs the write storm under it; the report's "commit
-// pipeline" line carries the batch counters, and the choreographed
-// TestGroupCommit* tests pin the batches.
 //
 // # Robustness & liveness
 //
@@ -493,7 +462,7 @@
 //   - Stats is the counter surface: one atomic counter per event class
 //     (commits, conflict/user/timeout/injected aborts, reads, writes,
 //     validations, clones, the snapshot / multi-version / striping /
-//     serial-fallback / group-commit diagnostics), collected per descriptor and
+//     serial-fallback diagnostics), collected per descriptor and
 //     flushed on transaction exit, so hot paths never contend on shared
 //     cache lines. Stats.Delta(before) windows a measurement;
 //     Stats.Add(other) folds windows back together (multi-phase runs);

@@ -13,9 +13,8 @@ type NOrecConfig struct {
 	// EngineOptions carries the spec-addressable knobs. NOrec honours
 	// Versions (each retained box is stamped with its commit's
 	// post-release sequence value, and the seqlock epoch check is dropped
-	// entirely under Versions > 1), GroupCommit, TxDeadline,
-	// SerialFallback, Faults, Trace and DisableROSnapshot, and ignores
-	// the rest.
+	// entirely under Versions > 1), TxDeadline, SerialFallback, Faults,
+	// Trace and DisableROSnapshot, and ignores the rest.
 	EngineOptions
 }
 
@@ -40,14 +39,8 @@ type NOrecConfig struct {
 //     the traversal never touches. STMBench7's long traversals against
 //     short-operation background load exhibit exactly this trade-off.
 //   - Write commits serialize behind the single lock: disjoint-access
-//     writers do not scale in the classic protocol, and the benchmark's
-//     write-dominated workloads make the cost visible. The GroupCommit
-//     knob softens exactly this point: committers that find the lock
-//     held hand their write sets to the holder through a combining
-//     queue, so one acquisition publishes a whole batch and validation
-//     is paid once per follower instead of once per failed CAS (see
-//     groupcommit.go; the serialization itself remains — commits still
-//     happen one batch at a time).
+//     writers do not scale, and the benchmark's write-dominated
+//     workloads make the cost visible.
 //
 // NOrec sits outside the orec metadata axis by definition — "no ownership
 // records" is the design — so the Granularity/OrecStripes
@@ -67,15 +60,6 @@ type NOrec struct {
 	// write-back phase, even otherwise. An even value doubles as the
 	// snapshot time of every committed state.
 	seq atomic.Uint64
-	// grouped enables the combining-queue commit path (cfg.GroupCommit).
-	grouped bool
-	// gcHead is the combining queue: a Treiber stack of committers that
-	// found the sequence lock held, linked through their descriptors'
-	// gcNext fields (no allocation). The holder takes the whole stack
-	// with one Swap and publishes it as a batch; see groupcommit.go.
-	gcHead atomic.Pointer[norecTx]
-	// gcLen approximately bounds the queue (see groupCommitBound).
-	gcLen atomic.Int32
 	// gate is the serial-fallback token (nil unless SerialFallback).
 	gate *serialGate
 	// faults is the engine's private fault-plan snapshot (nil = none).
@@ -92,7 +76,7 @@ func init() {
 // NewNOrecWith returns a NOrec engine with explicit configuration.
 func NewNOrecWith(cfg NOrecConfig) *NOrec {
 	cfg.Versions = normalizeVersions(cfg.Versions)
-	e := &NOrec{cfg: cfg, grouped: cfg.GroupCommit}
+	e := &NOrec{cfg: cfg}
 	if cfg.SerialFallback {
 		e.gate = &serialGate{}
 	}
@@ -210,7 +194,6 @@ func (e *NOrec) putTx(tx *norecTx) {
 	tx.reads = scrub(tx.reads, &tx.hiReads)
 	tx.writeIdx.reset()
 	tx.readIdx.reset()
-	tx.gcNext = nil // a pooled descriptor must not pin its last batch's neighbor
 	e.txPool.put(tx)
 }
 
@@ -267,13 +250,6 @@ type norecTx struct {
 	hiReads, hiWrites int // longest reads/writes over this call's earlier attempts (pool.go)
 
 	tr traceTap // flight-recorder handle (tr.rec nil = tracing off)
-
-	// Group-commit linkage (groupcommit.go): gcNext threads the combining
-	// queue's Treiber stack through pooled descriptors, gcState is the
-	// follower's outcome word (written by the draining leader, read by the
-	// waiting follower). Untouched with GroupCommit off.
-	gcNext  *norecTx
-	gcState atomic.Uint32
 
 	serial   bool // attempt runs under the exclusive serial token (suppresses fault probes)
 	injected bool // last abort of this call was a FaultPlan forced abort
@@ -432,11 +408,6 @@ func (tx *norecTx) commit() bool {
 			throwInjectedFault()
 		}
 		f.stallAt(FaultPreCommit, &tx.eng.stats)
-	}
-	if tx.eng.grouped && !tx.serial {
-		// Combining-queue protocol: acquire-or-enqueue instead of the
-		// validate-and-retry CAS loop below. See groupcommit.go.
-		return tx.commitGrouped()
 	}
 	for !tx.eng.seq.CompareAndSwap(tx.snapshot, tx.snapshot+1) {
 		// Either a writer holds the lock or time moved on: validate

@@ -10,9 +10,9 @@ import (
 // Conflict-detection metadata — TL2's versioned lock word, OSTM's locator
 // slot, the visible-reads reader registry — lives in an orec, and every
 // engine reaches a Var's orec through one pointer, Var.orc. Where that
-// pointer leads is an engine-configuration axis (STMBench7's point is that
-// STM scalability is decided by exactly this kind of mechanics, so it should
-// be a benchmark knob, not a constant):
+// pointer leads is TL2's engine-configuration axis (STMBench7's point is
+// that STM scalability is decided by exactly this kind of mechanics, so it
+// should be a benchmark knob, not a constant):
 //
 //   - ObjectGranularity (the default): the orec is a field of the Var itself
 //     (Var.own) and orc points at it. The mapping is collision free — one
@@ -39,9 +39,10 @@ import (
 // is created; no per-access hashing or granularity branch happens on
 // transaction hot paths.
 //
-// NOrec deliberately has no per-location metadata (that is its design), and
-// the direct engine has no conflict detection at all, so both ignore this
-// axis entirely.
+// OSTM runs at object granularity only: a locator covers exactly one Var,
+// the orec's own. NOrec deliberately has no per-location metadata (that is
+// its design), and the direct engine has no conflict detection at all. All
+// three ignore this axis.
 
 // Granularity selects the mapping from Vars to ownership records.
 type Granularity int
@@ -102,9 +103,9 @@ type orec struct {
 	// commit writing several Vars of one stripe records only the first.
 	lastWriter atomic.Uint64
 
-	// loc is OSTM's ownership slot. At either granularity a locator is
-	// installed over nil only, and retired by writing its committed values
-	// back before clearing the slot (see ostm.go).
+	// loc is OSTM's ownership slot. A locator is installed over nil only,
+	// and retired by writing its committed value back before clearing the
+	// slot (see ostm.go).
 	loc atomic.Pointer[locator]
 
 	// readers is the visible-reads registry for the Vars mapping here.

@@ -227,98 +227,14 @@ func TestTL2FalseConflictDeterministic(t *testing.T) {
 	}
 }
 
-// TestOSTMFalseConflictDeterministic mirrors the TL2 test on the ownership
-// side: two writers of different Vars sharing the only stripe must
-// arbitrate under striped granularity and not under object granularity.
-func TestOSTMFalseConflictDeterministic(t *testing.T) {
-	run := func(cfg OSTMConfig) (Stats, int) {
-		cfg.CM = Aggressive{} // deterministic: the challenger always kills the owner
-		eng := NewOSTMWith(cfg)
-		x := NewCell(eng.VarSpace(), 0)
-		y := NewCell(eng.VarSpace(), 0)
-		attempts := 0
-		err := eng.Atomic(func(tx Tx) error {
-			attempts++
-			x.Set(tx, attempts) // acquire x (and, striped, the whole stripe)
-			if attempts == 1 {
-				if err := eng.Atomic(func(in Tx) error { y.Set(in, 1); return nil }); err != nil {
-					t.Fatalf("inner commit: %v", err)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("outer: %v", err)
-		}
-		return eng.Stats(), attempts
-	}
-
-	obj, objAttempts := run(OSTMConfig{})
-	if obj.ConflictAborts != 0 || obj.FalseConflicts != 0 || objAttempts != 1 {
-		t.Errorf("object granularity: conflicts=%d false=%d attempts=%d, want 0/0/1",
-			obj.ConflictAborts, obj.FalseConflicts, objAttempts)
-	}
-
-	str, strAttempts := run(OSTMConfig{EngineOptions: opts("striped=1")})
-	if str.ConflictAborts != 1 || strAttempts != 2 {
-		t.Errorf("striped granularity: conflicts=%d attempts=%d, want 1/2 (stripe ownership collision)",
-			str.ConflictAborts, strAttempts)
-	}
-	if str.FalseConflicts != 1 {
-		t.Errorf("striped granularity: FalseConflicts=%d, want 1", str.FalseConflicts)
-	}
-}
-
-// TestStripedWritebackPreservesValues pins the striped OSTM writeback
-// protocol: committed values of every covered Var survive locator
-// retirement, including the appended (non-inline) slots.
-func TestStripedWritebackPreservesValues(t *testing.T) {
-	eng := NewOSTMWith(OSTMConfig{EngineOptions: opts("striped=1")})
-	cells := make([]*Cell[int], 8)
-	for i := range cells {
-		cells[i] = NewCell(eng.VarSpace(), 0)
-	}
-	// One transaction writes several stripe-mates (inline slot + appends).
-	if err := eng.Atomic(func(tx Tx) error {
-		for i, c := range cells {
-			c.Set(tx, i+100)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// The commit retired its locator; a disjoint writer installs over the
-	// empty stripe.
-	if cells[0].Var().orc.loc.Load() != nil {
-		t.Fatal("the committed locator is still installed")
-	}
-	extra := NewCell(eng.VarSpace(), 0)
-	if err := eng.Atomic(func(tx Tx) error { extra.Set(tx, 1); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Atomic(func(tx Tx) error {
-		for i, c := range cells {
-			if got := c.Get(tx); got != i+100 {
-				t.Errorf("cell %d = %d after writeback, want %d", i, got, i+100)
-			}
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestStripedStressAllEngines hammers a tiny stripe table from many
 // goroutines with overlapping increments — the counter total proves no
-// lost updates despite constant stripe collisions.
+// lost updates despite constant stripe collisions. TL2 is the one engine
+// with a striped mode.
 func TestStripedStressAllEngines(t *testing.T) {
 	const goroutines = 8
 	makers := map[string]func() Engine{
-		"tl2":  func() Engine { return NewTL2With(TL2Config{EngineOptions: opts("striped=2")}) },
-		"ostm": func() Engine { return NewOSTMWith(OSTMConfig{EngineOptions: opts("striped=2")}) },
-		"ostm-visible": func() Engine {
-			return NewOSTMWith(OSTMConfig{EngineOptions: opts("striped=2,visible")})
-		},
+		"tl2": func() Engine { return NewTL2With(TL2Config{EngineOptions: opts("striped=2")}) },
 	}
 	for name, mk := range makers {
 		t.Run(name, func(t *testing.T) {
@@ -374,8 +290,9 @@ func TestFalseConflictRateMath(t *testing.T) {
 	}
 }
 
-// TestNewWithOptions checks the registry plumbing: tunable engines honor
-// the options, engines outside the axis ignore them.
+// TestNewWithOptions checks the registry plumbing: TL2, the one engine on
+// the metadata axis, honors the options; engines outside it take them and
+// keep every Var on its own inline orec.
 func TestNewWithOptions(t *testing.T) {
 	eng, err := NewWith("tl2", EngineOptions{Granularity: StripedGranularity, OrecStripes: 8})
 	if err != nil {
@@ -385,17 +302,14 @@ func TestNewWithOptions(t *testing.T) {
 	if !tl2.striped || len(tl2.space.orecs.stripes) != 8 {
 		t.Errorf("tl2 options not honored: striped=%v stripes=%d", tl2.striped, len(tl2.space.orecs.stripes))
 	}
-	o, err := NewWith("ostm", EngineOptions{Granularity: StripedGranularity, OrecStripes: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !o.(*OSTM).striped {
-		t.Error("ostm options not honored")
-	}
-	// Engines outside the metadata axis take the options without error.
-	for _, name := range []string{"norec", "direct"} {
-		if _, err := NewWith(name, EngineOptions{Granularity: StripedGranularity}); err != nil {
+	for _, name := range []string{"ostm", "norec", "direct"} {
+		e, err := NewWith(name, EngineOptions{Granularity: StripedGranularity, OrecStripes: 8})
+		if err != nil {
 			t.Errorf("NewWith(%q): %v", name, err)
+			continue
+		}
+		if v := e.VarSpace().NewVar(0, nil); v.orc != &v.own {
+			t.Errorf("%s: a Var's orc = %p, want its own inline orec %p", name, v.orc, &v.own)
 		}
 	}
 	if _, err := NewWith("nope", EngineOptions{}); err == nil {

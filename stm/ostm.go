@@ -36,10 +36,8 @@ func (s *txState) Opens() uint64 { return s.opens.Load() }
 // Retries implements TxInfo.
 func (s *txState) Retries() uint64 { return s.retries }
 
-// wslot is one write slot: the copy-on-write value pair for a single Var
-// owned by a locator. Under object granularity a locator has exactly its
-// inline slot; under striped granularity the owner appends one more slot
-// per additional stripe-mate it writes.
+// wslot is one write slot: the copy-on-write value pair for the single Var
+// a locator covers.
 type wslot struct {
 	v   *Var
 	old *box
@@ -51,19 +49,17 @@ type wslot struct {
 }
 
 // locator is OSTM's ownership record payload, after DSTM's TMObject
-// locator: a covered Var's current logical value is old or new depending
-// on owner's status.
+// locator: the covered Var's current logical value is old or new depending
+// on owner's status. OSTM always runs at object granularity, so the orec
+// is private to one Var and a locator covers exactly that Var, its inline
+// slot.
 //
-// One protocol serves both granularities. A locator is only ever installed
-// over an empty slot and is retired — a committed owner's values written
-// back to their Vars, then the slot cleared (see retire) — by the
-// transaction that committed it, right after its Committed flip, or else
-// by the next acquirer. So Var.cur is the committed value whenever no slot
-// covers the Var, and a Var nobody is writing is one object to its
-// readers and validators. Under object granularity the orec is private to
-// one Var and a locator has exactly its inline slot; under striped
-// granularity one locator owns the whole stripe and covers every stripe
-// Var its owner writes (the inline slot plus the `more` list).
+// A locator is only ever installed over an empty slot and is retired — a
+// committed owner's value written back to its Var, then the slot cleared
+// (see retire) — by the transaction that committed it, right after its
+// Committed flip, or else by the next acquirer. So Var.cur is the committed
+// value whenever the orec holds no locator, and a Var nobody is writing is
+// one object to its readers and validators.
 //
 // ownerState is inline storage for the owning transaction's state: the
 // first locator a transaction installs carries the state the rest of its
@@ -75,33 +71,7 @@ type wslot struct {
 type locator struct {
 	owner *txState
 	wslot
-	// more holds additional same-stripe slots (striped granularity only).
-	// Appended by the live owner with an atomic head store — fully
-	// initialized entries, single writer — and traversed by concurrent
-	// readers.
-	more       atomic.Pointer[locEntry]
 	ownerState txState
-}
-
-// locEntry is one appended write slot in a striped locator.
-type locEntry struct {
-	wslot
-	next *locEntry
-}
-
-// slotFor returns the write slot covering v, or nil when the locator does
-// not cover v (possible only under striped granularity). The inline-slot
-// comparison is the whole lookup under object granularity.
-func (loc *locator) slotFor(v *Var) *wslot {
-	if loc.v == v {
-		return &loc.wslot
-	}
-	for e := loc.more.Load(); e != nil; e = e.next {
-		if e.v == v {
-			return &e.wslot
-		}
-	}
-	return nil
 }
 
 // OSTMConfig tunes the OSTM engine.
@@ -119,13 +89,12 @@ type OSTMConfig struct {
 	// budget is exhausted Atomic returns ErrAborted.
 	MaxRetries int
 
-	// EngineOptions carries the spec-addressable knobs. OSTM honours
-	// Granularity and OrecStripes (one owner per stripe at a time, so
-	// disjoint writers of stripe-mates falsely conflict, and visible-mode
-	// readers falsely arbitrate with writers of stripe-mates), CM,
+	// EngineOptions carries the spec-addressable knobs. OSTM honours CM,
 	// CommitTimeValidationOnly (off = the faithful O(k²) incremental
 	// validation), VisibleReads, TxDeadline, SerialFallback, Faults,
-	// Trace and DisableROSnapshot, and ignores the rest.
+	// Trace and DisableROSnapshot, and ignores the rest — Granularity and
+	// OrecStripes included: its space keeps object granularity, one orec
+	// and one locator per Var.
 	EngineOptions
 }
 
@@ -142,7 +111,6 @@ type OSTM struct {
 	stats    statCounters
 	txPool   txPool[ostmTx]
 	snapPool txPool[ostmSnapTx] // read-only snapshot descriptors (RunReadOnly)
-	striped  bool
 	// commitSerial counts write transactions that reached their commit
 	// point. It is bumped just before the Committed status flip, so any
 	// observer that sees a Committed owner also sees the bump — which is
@@ -173,10 +141,7 @@ func NewOSTMWith(cfg OSTMConfig) *OSTM {
 	if cfg.CM == nil {
 		cfg.CM = Polka{}
 	}
-	e := &OSTM{cfg: cfg, striped: cfg.Granularity == StripedGranularity}
-	if err := e.space.ConfigureOrecs(cfg.Granularity, cfg.OrecStripes); err != nil {
-		panic(err) // unreachable: the space is brand new and the size is clamped
-	}
+	e := &OSTM{cfg: cfg}
 	if cfg.SerialFallback {
 		e.gate = &serialGate{}
 	}
@@ -424,17 +389,11 @@ func (tx *ostmTx) resolveRead(v *Var) *box {
 	if loc == nil {
 		return v.cur.Load()
 	}
-	s := loc.slotFor(v)
-	if s == nil {
-		// The stripe's locator covers other Vars (striped granularity);
-		// retirement keeps v.cur current whenever no slot covers v.
-		return v.cur.Load()
-	}
 	switch loc.owner.status.Load() {
 	case statusCommitted:
-		return s.new
+		return loc.new
 	default: // active, validating, aborted
-		return s.old
+		return loc.old
 	}
 }
 
@@ -505,12 +464,11 @@ func (tx *ostmTx) finishAcquire(o *orec, s *wslot) *wslot {
 }
 
 // acquire opens v for writing: one owner per orec at a time, arbitrated
-// with any live current owner through the contention manager. A
-// transaction that already owns v's stripe appends a slot for v;
-// otherwise it retires any finished locator and installs its own over the
-// empty slot — the install runs under the orec's writeback lock so the
-// pre-acquisition snapshot of v.cur cannot be invalidated by a concurrent
-// writeback between snapshot and install.
+// with any live current owner through the contention manager. It retires
+// any finished locator and installs its own over the empty slot — the
+// install runs under the orec's writeback lock so the pre-acquisition
+// snapshot of v.cur cannot be invalidated by a concurrent writeback
+// between snapshot and install.
 func (tx *ostmTx) acquire(v *Var) *wslot {
 	if i, ok := tx.writeIdx.get(v); ok {
 		return tx.writeLocs[i]
@@ -522,18 +480,6 @@ func (tx *ostmTx) acquire(v *Var) *wslot {
 		tx.checkAlive()
 		cur := o.loc.Load()
 		if cur != nil {
-			if cur.owner == tx.state {
-				// We own the stripe (striped granularity: under object
-				// granularity the orec is v's alone and writeIdx found v).
-				// Append a slot for v. No writeback can run while the owner
-				// is live, so v.cur is stable and current (the locator does
-				// not cover v yet).
-				oldBox := v.cur.Load()
-				e := &locEntry{wslot: wslot{v: v, old: oldBox, new: &box{val: oldBox.val}}}
-				e.next = cur.more.Load()
-				cur.more.Store(e)
-				return tx.finishAcquire(o, &e.wslot)
-			}
 			switch cur.owner.status.Load() {
 			case statusCommitted, statusAborted:
 				if !retire(o, cur) {
@@ -541,24 +487,13 @@ func (tx *ostmTx) acquire(v *Var) *wslot {
 				}
 				continue
 			default: // live enemy owns the orec
-				// A stripe owner whose locator does not cover v is a false
-				// conflict: the transactions' footprints are disjoint and
-				// only the hash collided. Attributed when the episode kills
-				// somebody (either direction), not on waits.
-				falseHit := cur.slotFor(v) == nil
 				switch cm.OnConflict(tx.state, cur.owner, attempt) {
 				case Wait:
 					spinWait(cm.WaitDuration(tx.state, attempt))
 					attempt++
 				case AbortEnemy:
-					if falseHit {
-						tx.st.falseConflicts++
-					}
 					tx.abortEnemy(cur.owner)
 				case AbortSelf:
-					if falseHit {
-						tx.st.falseConflicts++
-					}
 					throwConflict("write-write conflict")
 				}
 				continue
@@ -566,7 +501,7 @@ func (tx *ostmTx) acquire(v *Var) *wslot {
 		}
 		// Empty slot: install under the writeback lock. Holding wb while
 		// loc is nil guarantees no writeback is in flight, so the v.cur
-		// snapshot taken here is the stripe's current committed value —
+		// snapshot taken here is v's current committed value —
 		// without the lock, a full install/commit/writeback cycle could
 		// slip between the snapshot and a bare CAS on the nil slot (ABA on
 		// nil) and leave a stale `old` visible to readers.
@@ -585,8 +520,8 @@ func (tx *ostmTx) acquire(v *Var) *wslot {
 	}
 }
 
-// retire clears a finished locator from o: a committed owner's values are
-// written back to their Vars, then the slot is cleared. The box stored in
+// retire clears a finished locator from o: a committed owner's value is
+// written back to its Var, then the slot is cleared. The box stored in
 // cur is the very `new` readers resolved through the locator, so a read
 // entry that saw it still validates afterwards. The orec's writeback lock
 // serializes retirement against installs and other retirers, so a delayed
@@ -600,12 +535,9 @@ func retire(o *orec, target *locator) bool {
 	if o.loc.Load() == target {
 		if target.owner.status.Load() == statusCommitted {
 			target.v.cur.Store(target.new)
-			for e := target.more.Load(); e != nil; e = e.next {
-				e.v.cur.Store(e.new)
-			}
 		}
-		// Aborted owners never made their values visible: every covered
-		// Var's cur still holds the value snapshotted at install time.
+		// Aborted owners never made their values visible: the Var's cur
+		// still holds the value snapshotted at install time.
 		o.loc.Store(nil)
 	}
 	o.wb.Store(0)
@@ -660,26 +592,20 @@ func (tx *ostmTx) resolveValidate(v *Var, final bool) *box {
 		if loc == nil {
 			return v.cur.Load()
 		}
-		s := loc.slotFor(v)
-		if s == nil {
-			// A stripe-mate's owner (striped granularity) cannot move v's
-			// value; v.cur stays current until a slot covers v.
-			return v.cur.Load()
-		}
 		if loc.owner == tx.state {
 			// We own it; our read (if any) saw the pre-acquisition value.
-			return s.old
+			return loc.old
 		}
 		switch loc.owner.status.Load() {
 		case statusCommitted:
-			return s.new
+			return loc.new
 		case statusAborted:
-			return s.old
+			return loc.old
 		case statusActive:
-			return s.old
+			return loc.old
 		case statusValidating:
 			if !final {
-				return s.old
+				return loc.old
 			}
 			// Arbitrate: either the enemy dies (its value stays old) or we
 			// do. Waiting for the enemy to finish is also acceptable.
@@ -688,10 +614,10 @@ func (tx *ostmTx) resolveValidate(v *Var, final bool) *box {
 				throwConflict("validating enemy")
 			default:
 				if tx.abortEnemy(loc.owner) {
-					return s.old
+					return loc.old
 				}
 				// Enemy committed while we argued.
-				return s.new
+				return loc.new
 			}
 		}
 	}
@@ -720,8 +646,8 @@ func (tx *ostmTx) validate(final bool) {
 	tx.st.validations += uint64(n)
 	for i := 0; i < n; i++ {
 		ent := &tx.reads[i]
-		// A Var no locator covers is one object: resolveValidate's first
-		// branch, without the call.
+		// A Var whose orec holds no locator is one object:
+		// resolveValidate's first branch, without the call.
 		if ent.v.orc.loc.Load() == nil && ent.v.cur.Load() == ent.seen {
 			continue
 		}

@@ -3,7 +3,6 @@ package stm
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -49,44 +48,29 @@ func validates(tx *ostmTx) (ok bool) {
 	return true
 }
 
-// TestOSTMCommitRetiresLocators pins the one locator protocol both
-// granularities run: a committing transaction retires its own locators, the
+// TestOSTMCommitRetiresLocators pins OSTM's one locator protocol: a
+// committing transaction retires its own locators, the
 // box retirement stores in cur is the one readers resolved through the
 // locator, a held writeback lock leaves the locator to the next acquirer
 // without holding up the commit, and an aborted owner's locator is cleared
 // with no writeback.
 func TestOSTMCommitRetiresLocators(t *testing.T) {
-	for _, gran := range []string{"object", "striped=16"} {
-		for _, visible := range []bool{false, true} {
-			// "eager": OSTM acquires each written Var when it opens it.
-			t.Run(fmt.Sprintf("%s/eager/visible=%v", gran, visible), func(t *testing.T) {
-				var keys []string
-				if gran != "object" {
-					keys = append(keys, gran)
-				}
-				if visible {
-					keys = append(keys, "visible")
-				}
-				var o EngineOptions
-				if len(keys) > 0 {
-					o = opts(strings.Join(keys, ","))
-				}
-				cm := &scriptedCM{}
-				o.CM = cm
-				// A retry budget turns a protocol that livelocks (each
-				// attempt writing its own aborted value back) into a failure.
-				eng := NewOSTMWith(OSTMConfig{MaxRetries: 8, EngineOptions: o})
-				testRetirement(t, eng, cm)
-			})
-		}
+	for _, visible := range []bool{false, true} {
+		// "object/eager": OSTM's one granularity, and it acquires each
+		// written Var when it opens it.
+		t.Run(fmt.Sprintf("object/eager/visible=%v", visible), func(t *testing.T) {
+			cm := &scriptedCM{}
+			o := EngineOptions{VisibleReads: visible, CM: cm}
+			// A retry budget turns a protocol that livelocks (each
+			// attempt writing its own aborted value back) into a failure.
+			eng := NewOSTMWith(OSTMConfig{MaxRetries: 8, EngineOptions: o})
+			testRetirement(t, eng, cm)
+		})
 	}
 }
 
 func testRetirement(t *testing.T, eng *OSTM, cm *scriptedCM) {
 	a, b := NewCell(eng.VarSpace(), 0), NewCell(eng.VarSpace(), 0)
-	for b.Var().orc == a.Var().orc { // one stripe each
-		b = NewCell(eng.VarSpace(), 0)
-	}
 	va, vb := a.Var(), b.Var()
 	write := func(fn func(tx Tx)) {
 		t.Helper()

@@ -53,7 +53,7 @@ import "errors"
 // extends, OSTM validates incrementally, TL2 retries with the same odds as
 // its normal read-only path). Snapshot mode therefore never costs
 // liveness; it only ever removes per-read work. The fallback is an ordinary
-// transaction in every counter too: under striped granularity it may book
+// transaction in every counter too: under striped TL2 it may book
 // Stats.FalseConflicts, which a snapshot attempt never does.
 
 // SnapshotReader is the optional engine capability behind RunReadOnly: a
@@ -388,19 +388,13 @@ func resolveSnapshot(v *Var) (*box, bool) {
 	if loc == nil {
 		return v.cur.Load(), true
 	}
-	s := loc.slotFor(v)
-	if s == nil {
-		// The stripe's locator covers other Vars (striped granularity);
-		// retirement keeps v.cur current whenever no slot covers v.
-		return v.cur.Load(), true
-	}
 	switch loc.owner.status.Load() {
 	case statusCommitted:
-		return s.new, true
+		return loc.new, true
 	case statusValidating:
 		return nil, false
 	default: // active, aborted
-		return s.old, true
+		return loc.old, true
 	}
 }
 

@@ -331,7 +331,7 @@ func TestSnapshotValidationFree(t *testing.T) {
 // write-skew-shaped committers never observes a torn state. Two writers
 // each read both cells and rewrite one to preserve x + y == 100; a torn
 // snapshot (one cell pre-commit, the other post-commit) breaks the sum.
-// Runs against every transactional engine configuration, including the
+// Runs against every transactional engine configuration, including TL2's
 // tiny striped tables.
 func TestSnapshotOpacityUnderWriteSkewShape(t *testing.T) {
 	rounds := 30000
@@ -388,9 +388,10 @@ func TestSnapshotOpacityUnderWriteSkewShape(t *testing.T) {
 }
 
 // TestSnapshotStripedNoFalseConflicts pins the striped-granularity contract
-// of Stats.FalseConflicts: a snapshot ATTEMPT hammering stripe-mates of a
-// written Var restarts as needed but never books a false conflict — there is
-// no abort episode to attribute. The validating Atomic path that RunReadOnly
+// of Stats.FalseConflicts on TL2, the one engine with a striped mode: a
+// snapshot ATTEMPT hammering stripe-mates of a written Var restarts as
+// needed but never books a false conflict — there is no abort episode to
+// attribute. The validating Atomic path that RunReadOnly
 // falls back to after snapRestartBudget restarts is an ordinary transaction
 // and may book them; on real cores a reader racing a tight writer does
 // exhaust the budget, so a count taken through RunReadOnly alone says
@@ -405,10 +406,6 @@ func TestSnapshotStripedNoFalseConflicts(t *testing.T) {
 	makers := map[string]func() (Engine, func() snapTx){
 		"tl2-striped": func() (Engine, func() snapTx) {
 			e := NewTL2With(TL2Config{EngineOptions: opts("striped=2")})
-			return e, func() snapTx { return e.snapPool.get() }
-		},
-		"ostm-striped": func() (Engine, func() snapTx) {
-			e := NewOSTMWith(OSTMConfig{EngineOptions: opts("striped=2")})
 			return e, func() snapTx { return e.snapPool.get() }
 		},
 	}

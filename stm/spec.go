@@ -26,7 +26,7 @@ type EngineOptions struct {
 	// Granularity [striped] selects the Var-to-orec mapping: one orec per
 	// Var (object, the default) or Vars hashed onto a fixed padded table
 	// (striped), trading false conflicts for a bounded metadata
-	// footprint. TL2 and OSTM.
+	// footprint. TL2 only.
 	Granularity Granularity
 	// OrecStripes [striped=N] sizes the striped orec table (rounded up to
 	// a power of two; 0 means DefaultOrecStripes). Ignored, and not
@@ -39,13 +39,6 @@ type EngineOptions struct {
 	// version can be resolved against. See mvcc.go for the opacity
 	// argument and the space bound.
 	Versions int
-	// GroupCommit [gc] enables NOrec's combining-queue group commit: a
-	// committer that finds the sequence lock held enqueues its write set
-	// instead of spinning, and the holder publishes the whole batch —
-	// revalidating each follower's read set once — under its single
-	// acquisition. Default off (bit-for-bit the classic commit path).
-	// See groupcommit.go.
-	GroupCommit bool
 	// CM [cm=NAME] arbitrates OSTM's conflicts (nil = Polka, the manager
 	// the paper used).
 	CM ContentionManager
@@ -138,7 +131,6 @@ func (o EngineOptions) String() string {
 	if o.Versions != 0 {
 		add("versions=%d", o.Versions)
 	}
-	flag(o.GroupCommit, "gc")
 	if o.CM != nil {
 		add("cm=%s", o.CM.Name())
 	}
@@ -157,8 +149,8 @@ func (o EngineOptions) String() string {
 
 // Apply parses an option list (the part of a spec after "name:") over o:
 // a key present in s sets its field, an absent key keeps o's value. That
-// is the overlay rule scenario files use — "gc=off" turns a run-level gc
-// off, "versions=0" restores a single version, a bare "striped" keeps an
+// is the overlay rule scenario files use — "serial=off" turns a run-level
+// serial off, "versions=0" restores a single version, a bare "striped" keeps an
 // inherited table size, an empty s changes nothing.
 func (o EngineOptions) Apply(s string) (EngineOptions, error) {
 	bad := func(format string, args ...any) error {
@@ -215,8 +207,6 @@ func (o EngineOptions) Apply(s string) (EngineOptions, error) {
 			}
 		case "versions":
 			err = count(&o.Versions)
-		case "gc":
-			err = onOff(&o.GroupCommit)
 		case "cm":
 			o.CM, err = ParseContentionManager(val)
 		case "ctv":
@@ -233,7 +223,7 @@ func (o EngineOptions) Apply(s string) (EngineOptions, error) {
 		case "nosnap":
 			err = onOff(&o.DisableROSnapshot)
 		default:
-			err = bad("unknown key %q (want striped, versions, gc, cm, ctv, visible, deadline, serial, nosnap or faults)", key)
+			err = bad("unknown key %q (want striped, versions, cm, ctv, visible, deadline, serial, nosnap or faults)", key)
 		}
 		if err != nil {
 			return EngineOptions{}, err
@@ -255,9 +245,8 @@ type EngineSpec struct {
 //
 //	spec    := name [ ":" options ]
 //	options := option ( "," option )*
-//	option  := "striped" [ "=" N ]     striped orecs, table of N (0/omitted = default)
+//	option  := "striped" [ "=" N ]     TL2 striped orecs, table of N (0/omitted = default)
 //	         | "versions=" K           committed versions kept per Var
-//	         | "gc"                    NOrec group commit
 //	         | "cm=" NAME              OSTM contention manager (polka, karma, aggressive, timid, backoff)
 //	         | "ctv"                   OSTM commit-time validation only
 //	         | "visible"               OSTM visible reads
@@ -269,7 +258,7 @@ type EngineSpec struct {
 //
 // e.g. "tl2:striped=4096,versions=4,deadline=25ms",
 // "tl2:nosnap" or
-// "norec:gc,faults=seed=7,precommit:1/40:80us,abort:1/24". A bare name is
+// "norec:serial,faults=seed=7,precommit:1/40:80us,abort:1/24". A bare name is
 // a spec with zero options. The keys without a value are booleans and also
 // accept "=on" and "=off" (and "striped=off" is object granularity), which
 // only matters when the options are applied over a base; see

@@ -17,14 +17,14 @@ var ciSpecs = []string{
 	"ostm:striped=64",
 	"tl2:striped=4096,versions=4,deadline=25ms",
 	"tl2:versions=4",
-	"norec:gc",
+	"norec:versions=2",
 	"tl2:striped=256",
 	"ostm:serial",
 	"ostm:cm=karma,visible",
 	"tl2:nosnap",
 	"ostm:ctv",
 	"tl2:striped",
-	"norec:gc,deadline=25ms,serial",
+	"norec:deadline=25ms,serial",
 	"x:striped=256,versions=2",
 	"x:deadline=25ms,faults=seed=7,precommit:1/40:80µs,lockhold:1/56:120µs,clocktick:1/72:40µs,abort:1/24",
 }
@@ -47,11 +47,10 @@ func TestEngineSpecRoundTrip(t *testing.T) {
 
 func TestParseEngineSpec(t *testing.T) {
 	t.Run("fields", func(t *testing.T) {
-		spec := mustSpec(" tl2 : striped=64, versions=2 ,gc,cm=timid,ctv,visible,deadline=3ms,serial,nosnap,faults=seed=3,abort:1/8")
+		spec := mustSpec(" tl2 : striped=64, versions=2 ,cm=timid,ctv,visible,deadline=3ms,serial,nosnap,faults=seed=3,abort:1/8")
 		want := EngineOptions{
 			Granularity: StripedGranularity, OrecStripes: 64, Versions: 2,
-			GroupCommit: true,
-			CM:          Timid{}, CommitTimeValidationOnly: true, VisibleReads: true,
+			CM: Timid{}, CommitTimeValidationOnly: true, VisibleReads: true,
 			TxDeadline: 3 * time.Millisecond, SerialFallback: true,
 			DisableROSnapshot: true,
 		}
@@ -76,33 +75,36 @@ func TestParseEngineSpec(t *testing.T) {
 	})
 	t.Run("malformed", func(t *testing.T) {
 		for _, s := range []string{
-			"",                        // no name
-			":gc",                     // no name
-			"tl2:word",                // unknown key
-			"tl2:STRIPED",             // keys are case sensitive
-			"tl2:gc,",                 // trailing comma
-			"tl2:,gc",                 // empty option
-			"tl2:gc=maybe",            // booleans take on/off
-			"tl2:gc=",                 // ... not an empty value
-			"tl2:nosnap=maybe",        // ... nosnap included
-			"tl2:versions",            // counts need a value
-			"tl2:versions=-1",         // ... a non-negative one
-			"tl2:versions=two",        // ... a number
-			"tl2:striped=-4",          // stripes too
-			"tl2:deadline=-1ms",       // no negative budgets
-			"tl2:deadline=soon",       // Go durations only
-			"ostm:cm=",                // a manager name is required
-			"ostm:cm=nice",            // ... a known one
-			"tl2:faults=abort",        // the plan's own errors surface
-			"tl2:faults=seed=7",       // a bare seed is not a plan
-			"tl2:faults=abort:1/4,gc", // faults= is last: the rest is the plan
+			"",                            // no name
+			":serial",                     // no name
+			"tl2:word",                    // unknown key
+			"tl2:STRIPED",                 // keys are case sensitive
+			"tl2:serial,",                 // trailing comma
+			"tl2:,serial",                 // empty option
+			"tl2:serial=maybe",            // booleans take on/off
+			"tl2:serial=",                 // ... not an empty value
+			"tl2:nosnap=maybe",            // ... nosnap included
+			"tl2:versions",                // counts need a value
+			"tl2:versions=-1",             // ... a non-negative one
+			"tl2:versions=two",            // ... a number
+			"tl2:striped=-4",              // stripes too
+			"tl2:deadline=-1ms",           // no negative budgets
+			"tl2:deadline=soon",           // Go durations only
+			"ostm:cm=",                    // a manager name is required
+			"ostm:cm=nice",                // ... a known one
+			"tl2:faults=abort",            // the plan's own errors surface
+			"tl2:faults=seed=7",           // a bare seed is not a plan
+			"tl2:faults=abort:1/4,serial", // faults= is last: the rest is the plan
 		} {
 			if spec, err := ParseEngineSpec(s); err == nil {
 				t.Errorf("ParseEngineSpec(%q) accepted as %s, want error", s, spec)
 			}
 		}
 		// Deleted keys are unknown, not silently ignored.
-		for s, key := range map[string]string{"tl2:adaptive": "adaptive", "tl2:shards=4": "shards", "tl2:striped,coalesce": "coalesce"} {
+		for s, key := range map[string]string{
+			"tl2:adaptive": "adaptive", "tl2:shards=4": "shards", "tl2:striped,coalesce": "coalesce",
+			"norec:gc": "gc", "tl2:gc=on": "gc",
+		} {
 			if _, err := ParseEngineSpec(s); err == nil || !strings.Contains(err.Error(), `unknown key "`+key+`"`) {
 				t.Errorf("ParseEngineSpec(%q): err = %v, want unknown key %q", s, err, key)
 			}
@@ -113,21 +115,21 @@ func TestParseEngineSpec(t *testing.T) {
 // TestEngineOptionsApplyOverlay pins the overlay rule scenario files rely
 // on: present keys set, absent keys inherit, =off and =0 reset.
 func TestEngineOptionsApplyOverlay(t *testing.T) {
-	base := opts("striped=64,versions=2,gc,cm=karma,deadline=25ms,faults=abort:1/8")
+	base := opts("striped=64,versions=2,cm=karma,deadline=25ms,serial,faults=abort:1/8")
 	for _, c := range []struct{ overlay, want string }{
-		{"", "striped=64,versions=2,gc,cm=karma,deadline=25ms,faults=abort:1/8"},
-		{"versions=4", "striped=64,versions=4,gc,cm=karma,deadline=25ms,faults=abort:1/8"},
-		{"gc=off", "striped=64,versions=2,cm=karma,deadline=25ms,faults=abort:1/8"},
-		{"gc=on,serial", "striped=64,versions=2,gc,cm=karma,deadline=25ms,serial,faults=abort:1/8"},
-		{"versions=0,deadline=0", "striped=64,gc,cm=karma,faults=abort:1/8"},
-		{"striped", "striped=64,versions=2,gc,cm=karma,deadline=25ms,faults=abort:1/8"},
-		{"striped=0", "striped,versions=2,gc,cm=karma,deadline=25ms,faults=abort:1/8"},
-		{"striped=off", "versions=2,gc,cm=karma,deadline=25ms,faults=abort:1/8"},
-		{"cm=polka", "striped=64,versions=2,gc,cm=polka,deadline=25ms,faults=abort:1/8"},
-		{"faults=seed=2,abort:1/2", "striped=64,versions=2,gc,cm=karma,deadline=25ms,faults=seed=2,abort:1/2"},
-		{"faults=", "striped=64,versions=2,gc,cm=karma,deadline=25ms"},
-		{"gc=off,gc", "striped=64,versions=2,gc,cm=karma,deadline=25ms,faults=abort:1/8"},
-		{"nosnap,faults=seed=2,abort:1/2", "striped=64,versions=2,gc,cm=karma,deadline=25ms,nosnap,faults=seed=2,abort:1/2"},
+		{"", "striped=64,versions=2,cm=karma,deadline=25ms,serial,faults=abort:1/8"},
+		{"versions=4", "striped=64,versions=4,cm=karma,deadline=25ms,serial,faults=abort:1/8"},
+		{"serial=off", "striped=64,versions=2,cm=karma,deadline=25ms,faults=abort:1/8"},
+		{"serial=on,nosnap", "striped=64,versions=2,cm=karma,deadline=25ms,serial,nosnap,faults=abort:1/8"},
+		{"versions=0,deadline=0", "striped=64,cm=karma,serial,faults=abort:1/8"},
+		{"striped", "striped=64,versions=2,cm=karma,deadline=25ms,serial,faults=abort:1/8"},
+		{"striped=0", "striped,versions=2,cm=karma,deadline=25ms,serial,faults=abort:1/8"},
+		{"striped=off", "versions=2,cm=karma,deadline=25ms,serial,faults=abort:1/8"},
+		{"cm=polka", "striped=64,versions=2,cm=polka,deadline=25ms,serial,faults=abort:1/8"},
+		{"faults=seed=2,abort:1/2", "striped=64,versions=2,cm=karma,deadline=25ms,serial,faults=seed=2,abort:1/2"},
+		{"faults=", "striped=64,versions=2,cm=karma,deadline=25ms,serial"},
+		{"serial=off,serial", "striped=64,versions=2,cm=karma,deadline=25ms,serial,faults=abort:1/8"},
+		{"nosnap,faults=seed=2,abort:1/2", "striped=64,versions=2,cm=karma,deadline=25ms,serial,nosnap,faults=seed=2,abort:1/2"},
 	} {
 		got, err := base.Apply(c.overlay)
 		if err != nil {
@@ -142,7 +144,7 @@ func TestEngineOptionsApplyOverlay(t *testing.T) {
 		t.Error("Apply accepted an unknown key")
 	}
 	rec := NewTraceRecorder(16)
-	traced, err := EngineOptions{Trace: rec}.Apply("gc")
+	traced, err := EngineOptions{Trace: rec}.Apply("serial")
 	if err != nil || traced.Trace != rec {
 		t.Errorf("Apply dropped the base's Trace recorder (err %v)", err)
 	}
@@ -245,11 +247,11 @@ func FuzzParseEngineSpec(f *testing.F) {
 	for _, seed := range append([]string{
 		"",
 		"tl2:",
-		":gc",
-		"tl2:gc,",
-		"tl2:striped=off,gc=off,serial=on",
+		":serial",
+		"tl2:serial,",
+		"tl2:striped=off,nosnap=off,serial=on",
 		"tl2:faults=",
-		"tl2:faults=abort:1/4,gc",
+		"tl2:faults=abort:1/4,serial",
 		"a b:versions=18446744073709551615",
 		"tl2:deadline=9223372036854775807ns",
 		"ostm:cm=nice",

@@ -31,16 +31,15 @@ type Stats struct {
 	EnemyAborts uint64
 	// LockFailures counts TL2 commit-time lock acquisition failures.
 	LockFailures uint64
-	// FalseConflicts estimates how many conflicts were artifacts of
+	// FalseConflicts estimates how many TL2 conflicts were artifacts of
 	// striped orec granularity: the conflicting metadata belonged to a
 	// different Var that shares the stripe. Attribution is best-effort
-	// (TL2 records one writer Var per locked orec; OSTM counts
-	// stripe-owner collisions whose locator does not cover the contended
-	// Var) and always 0 under object granularity, where the mapping is
-	// collision free. Only the validating path attributes: a snapshot
-	// attempt (RunReadOnly) never does, but the Atomic transaction
-	// RunReadOnly falls back to after snapRestartBudget restarts is an
-	// ordinary transaction and may.
+	// (TL2 records one writer Var per locked orec) and always 0 under
+	// object granularity, where the mapping is collision free, and on
+	// the engines that ignore Granularity. Only the validating path
+	// attributes: a snapshot attempt (RunReadOnly) never does, but the
+	// Atomic transaction RunReadOnly falls back to after
+	// snapRestartBudget restarts is an ordinary transaction and may.
 	FalseConflicts uint64
 	// SnapshotTxs counts read-only transactions served by the
 	// validation-free snapshot path (RunReadOnly on engines implementing
@@ -85,16 +84,6 @@ type Stats struct {
 	// conflicts forced. Deterministic for a given plan seed and probe-hit
 	// sequence; always 0 with no plan installed.
 	InjectedFaults uint64
-	// GroupCommits counts NOrec seqlock acquisitions that published more
-	// than one transaction: a lock holder drained at least one follower
-	// from the combining queue and committed the whole batch under its
-	// single acquisition. Always 0 with group commit off (the default)
-	// and on engines without a group-commit path. See stm/groupcommit.go.
-	GroupCommits uint64
-	// GroupCommitSize is the cumulative batch size (leader plus followers)
-	// over all group commits, so GroupCommitSize/GroupCommits is the mean
-	// batch. A batch of 1 (nobody was waiting) counts toward neither.
-	GroupCommitSize uint64
 }
 
 // padUint64 is an atomic counter padded out to its own cache line so that
@@ -138,11 +127,6 @@ type statCounters struct {
 	timeoutAborts   padUint64
 	serialFallbacks padUint64
 	injectedFaults  padUint64
-	// Group-commit counters. Drains happen at most once per seqlock
-	// acquisition (well below per-attempt), so the leader bumps them
-	// directly.
-	groupCommits    padUint64
-	groupCommitSize padUint64
 }
 
 // txStats is the per-transaction accumulator for the high-frequency
@@ -236,8 +220,6 @@ func (c *statCounters) snapshot() Stats {
 		TimeoutAborts:    c.timeoutAborts.Load(),
 		SerialFallbacks:  c.serialFallbacks.Load(),
 		InjectedFaults:   c.injectedFaults.Load(),
-		GroupCommits:     c.groupCommits.Load(),
-		GroupCommitSize:  c.groupCommitSize.Load(),
 	}
 }
 
@@ -303,8 +285,6 @@ func (s Stats) Add(o Stats) Stats {
 		TimeoutAborts:    s.TimeoutAborts + o.TimeoutAborts,
 		SerialFallbacks:  s.SerialFallbacks + o.SerialFallbacks,
 		InjectedFaults:   s.InjectedFaults + o.InjectedFaults,
-		GroupCommits:     s.GroupCommits + o.GroupCommits,
-		GroupCommitSize:  s.GroupCommitSize + o.GroupCommitSize,
 	}
 }
 
@@ -312,7 +292,7 @@ func (s Stats) Add(o Stats) Stats {
 // report surface (harness reports, scenario comparisons, CLI summaries),
 // one line per subsystem. The headline and abort-cause lines are always
 // present; subsystem lines (snapshot path, multi-version chains, orec
-// striping, serial fallback, group commit) appear only when their
+// striping, serial fallback) appear only when their
 // counters are live, so quiet configurations stay quiet.
 //
 // The abort-cause breakdown is attribution, not a partition: enemy kills
@@ -343,10 +323,6 @@ func (s Stats) Lines() []string {
 	if s.SerialFallbacks > 0 {
 		lines = append(lines, fmt.Sprintf("serial fallback: %d escalations", s.SerialFallbacks))
 	}
-	if s.GroupCommits > 0 {
-		lines = append(lines, fmt.Sprintf("commit pipeline: %d group commits (avg batch %.1f)",
-			s.GroupCommits, float64(s.GroupCommitSize)/float64(s.GroupCommits)))
-	}
 	return lines
 }
 
@@ -375,7 +351,5 @@ func (s Stats) Delta(prev Stats) Stats {
 		TimeoutAborts:    s.TimeoutAborts - prev.TimeoutAborts,
 		SerialFallbacks:  s.SerialFallbacks - prev.SerialFallbacks,
 		InjectedFaults:   s.InjectedFaults - prev.InjectedFaults,
-		GroupCommits:     s.GroupCommits - prev.GroupCommits,
-		GroupCommitSize:  s.GroupCommitSize - prev.GroupCommitSize,
 	}
 }

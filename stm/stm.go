@@ -40,10 +40,11 @@ type CloneFunc func(any) any
 // A Var carries its own ownership record (orec) inline and reaches its
 // conflict-detection metadata through orc, which its VarSpace points either
 // at that record or into a fixed striped table — the Var-to-orec mapping is
-// an engine-configuration axis (see Granularity). Under object granularity
-// (the default) the orec is private to the Var, so the unit of conflict
-// detection is the object and a read finds orc, the lock word and the value
-// pointer on one cache line; under striped granularity it is the stripe.
+// TL2's engine-configuration axis (see Granularity). Under object
+// granularity (the default, and the only one OSTM runs at) the orec is
+// private to the Var, so the unit of conflict detection is the object and
+// a read finds orc, the lock word and the value pointer on one cache line;
+// under striped granularity it is the stripe.
 //
 // Create Vars with VarSpace.NewVar so they receive unique ids: ids key the
 // transactions' access-set indexes and pick a Var's stripe under striped
@@ -60,8 +61,8 @@ type Var struct {
 
 	// cur is the committed value used by the direct, TL2 and NOrec
 	// engines. For OSTM it is the committed value whenever the Var's orec
-	// has no locator covering the Var, at either granularity: a locator's
-	// retirement writes its committed values back before clearing the slot.
+	// holds no locator: a locator's retirement writes its committed value
+	// back before clearing the slot.
 	cur atomic.Pointer[box]
 
 	// own is the inline ownership record: the Var's orec under object
@@ -95,9 +96,11 @@ type VarSpace struct {
 func NewVarSpace() *VarSpace { return &VarSpace{} }
 
 // ConfigureOrecs selects the space's Var-to-orec mapping. It must be
-// called before the first NewVar (engines call it from their
-// constructors); changing the mapping of a space that already allocated
-// Vars would strand their metadata, so that is rejected.
+// called before the first NewVar (TL2 calls it from its constructor);
+// changing the mapping of a space that already allocated Vars would strand
+// their metadata, so that is rejected. Only TL2 reads a striped table: an
+// OSTM locator covers exactly one Var, so an OSTM engine's space must stay
+// at object granularity.
 func (s *VarSpace) ConfigureOrecs(g Granularity, stripes int) error {
 	if s.nextID.Load() != 0 {
 		return errors.New("stm: ConfigureOrecs after Vars were allocated")

@@ -61,14 +61,11 @@ var txEngineMakers = map[string]func() Engine{
 	"ostm-visible":      fromSpec("ostm:visible"),
 	"ostm-commitserial": func() Engine { return NewOSTMWith(OSTMConfig{CommitCounterHeuristic: true}) },
 
-	// Granularity variants: the same suites that iterate engines iterate
-	// the metadata axis. The stripe counts are deliberately tiny
+	// Granularity variant: the same suites that iterate engines iterate
+	// TL2's metadata axis. The stripe count is deliberately tiny
 	// (16 orecs) so the stress tests hammer stripe collisions — false
 	// conflicts must cost throughput, never correctness.
-	"tl2-striped":          fromSpec("tl2:striped=16"),
-	"ostm-striped":         fromSpec("ostm:striped=16"),
-	"ostm-striped-visible": fromSpec("ostm:striped=16,visible"),
-	"ostm-striped-ctv":     fromSpec("ostm:striped=16,ctv"),
+	"tl2-striped": fromSpec("tl2:striped=16"),
 
 	// Multi-version variants: the version-chain depth iterates through the
 	// same suites like engines and granularity modes do (K=1 is the base
@@ -81,12 +78,6 @@ var txEngineMakers = map[string]func() Engine{
 	"norec-mv8":       fromSpec("norec:versions=8"),
 	"tl2-striped-mv2": fromSpec("tl2:striped=16,versions=2"),
 	"tl2-striped-mv8": fromSpec("tl2:striped=16,versions=8"),
-
-	// Group-commit variants (see groupcommit.go): they push every
-	// batch-protocol interleaving through the full
-	// semantics/stress/property battery.
-	"norec-group":     fromSpec("norec:gc"),
-	"norec-group-mv2": fromSpec("norec:versions=2,gc"),
 }
 
 // init adds every registered engine (except the non-transactional direct

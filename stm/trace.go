@@ -67,13 +67,6 @@ const (
 	// TraceSerial marks a transaction escalating to the irrevocable
 	// serial mode.
 	TraceSerial
-	// TraceGroupDrain marks a NOrec group-commit drain: the seqlock
-	// holder published a batch from the combining queue under its single
-	// acquisition (A = batch size including the leader, B = how many of
-	// the batch revalidated and committed; A - B aborted as followers).
-	// Emitted on the leader's shard, once per drain, only for batches
-	// with at least one follower.
-	TraceGroupDrain
 
 	numTraceKinds
 )
@@ -99,7 +92,6 @@ var traceKindNames = [numTraceKinds]string{
 	TraceVersionHit:  "version-hit",
 	TraceVersionMiss: "version-miss",
 	TraceSerial:      "serial",
-	TraceGroupDrain:  "group-drain",
 }
 
 func (k TraceKind) String() string {

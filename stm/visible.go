@@ -14,10 +14,6 @@ package stm
 // (OSTMConfig.VisibleReads); BenchmarkAblationVisibleReads measures both
 // sides of the trade.
 //
-// Under striped granularity the registry is per stripe, so a reader of one
-// Var arbitrates with writers of any stripe-mate — visible reads are where
-// striping's false read-write conflicts surface.
-//
 // Protocol invariants:
 //
 //   - A reader may hold a Var's value only while it is registered on the
@@ -105,22 +101,13 @@ func (tx *ostmTx) visibleRead(v *Var) any {
 		// Arbitrate with a live owner before registering.
 		if loc := o.loc.Load(); loc != nil && loc.owner != tx.state {
 			if s := loc.owner.status.Load(); s == statusActive || s == statusValidating {
-				// A live owner holding the stripe for other Vars only is a
-				// false read-write conflict (striped granularity).
-				falseHit := tx.eng.striped && loc.slotFor(v) == nil
 				switch cm.OnConflict(tx.state, loc.owner, attempt) {
 				case Wait:
 					spinWait(cm.WaitDuration(tx.state, attempt))
 					attempt++
 				case AbortEnemy:
-					if falseHit {
-						tx.st.falseConflicts++
-					}
 					tx.abortEnemy(loc.owner)
 				case AbortSelf:
-					if falseHit {
-						tx.st.falseConflicts++
-					}
 					throwConflict("read-write conflict (visible)")
 				}
 				continue
