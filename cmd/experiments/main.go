@@ -15,14 +15,14 @@
 //
 // The sweep axis is the engine configuration, not the program: fig4, table3
 // and fig6 run every engine under -g, an engine-spec option list in
-// stm.ParseEngineSpec syntax (-exp fig6 -g striped=4096 is Figure 6 with
-// TL2 under that metadata layout, -g versions=4 under that chain depth,
-// -g serial with the irrevocable serial fallback, -g nosnap with read-only
-// operations on the validating path). fig3, headline and
+// stm.ParseEngineSpec syntax (-exp fig6 -g versions=4 is Figure 6 with TL2
+// and NOrec under that chain depth, -g serial with the irrevocable serial
+// fallback, -g nosnap with read-only operations on the validating path).
+// fig3, headline and
 // ablations pin their configurations and ignore -g: fig3 compares the two lock
 // strategies, a headline row names its engine and dispatch, and an ablation
-// row is an engine configuration. What a mechanism did in one run (false
-// conflicts, version reads, serial escalations, shed rate)
+// row is an engine configuration. What a mechanism did in one run (version
+// reads, serial escalations, shed rate)
 // is in the report of cmd/stmbench7 -g <spec>; whether it pays is for
 // benchmark/ to say.
 //
@@ -163,7 +163,7 @@ func run(args []string, stdout io.Writer) error {
 	seconds := fs.Float64("seconds", 1.0, "measurement duration per data point, in seconds")
 	threadsFlag := fs.String("threads", "1,2,4,8", "comma-separated thread counts")
 	seed := fs.Uint64("seed", 42, "benchmark seed")
-	engineFlag := fs.String("g", "", "engine options for fig4, table3 and fig6, as an engine-spec option list (e.g. striped=4096,versions=4)")
+	engineFlag := fs.String("g", "", "engine options for fig4, table3 and fig6, as an engine-spec option list (e.g. versions=4,deadline=25ms)")
 	jsonPath := fs.String("json", "", "also write machine-readable results to this file (\"-\" for stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err

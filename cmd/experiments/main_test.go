@@ -155,8 +155,8 @@ func TestEveryExperiment(t *testing.T) {
 			if !ok {
 				t.Fatalf("experiment %q has no golden: the table is the paper's six experiments", e.name)
 			}
-			out, rep := runJSON(t, "-exp", e.name, "-size", "tiny", "-seconds", "0.02", "-threads", "1,2", "-g", "striped=64,versions=2")
-			if rep.Engine != "striped=64,versions=2" {
+			out, rep := runJSON(t, "-exp", e.name, "-size", "tiny", "-seconds", "0.02", "-threads", "1,2", "-g", "versions=2,cm=karma")
+			if rep.Engine != "versions=2,cm=karma" {
 				t.Errorf("JSON header engine = %q, want the -g string", rep.Engine)
 			}
 			if len(rep.Points) == 0 {
@@ -227,7 +227,7 @@ func TestConfigurationErrorsComeBeforeAnyWork(t *testing.T) {
 		want []string
 	}{
 		{"unknown-exp", []string{"-exp", "orecs"}, []string{`unknown experiment "orecs"`, "fig3, fig4, table3, fig6, headline, ablations or all"}},
-		{"bad-g-key", []string{"-g", "stripes=4"}, []string{"bad -g", `unknown key "stripes"`, "striped, versions, cm"}},
+		{"bad-g-key", []string{"-g", "striped=4"}, []string{"bad -g", `unknown key "striped"`, "want versions, cm"}},
 		{"bad-g-value", []string{"-g", "versions=-1"}, []string{"bad -g", "versions needs a count >= 0"}},
 		{"bad-threads", []string{"-threads", "1,two"}, []string{`bad -threads "1,two"`, "integers >= 1"}},
 		{"zero-threads", []string{"-threads", "0"}, []string{"bad -threads", "integers >= 1"}},

@@ -10,11 +10,11 @@
 //	-w r|rw|w          workload type (default r, read-dominated)
 //	-g SPEC            synchronization: coarse, medium, ostm, tl2, norec (default
 //	                   coarse), optionally with engine options after a colon —
-//	                   an engine spec such as tl2:striped=4096,versions=4 or
+//	                   an engine spec such as tl2:versions=4 or
 //	                   norec:versions=2,deadline=25ms,serial. Keys:
-//	                   striped[=N] (tl2), versions=K, cm=NAME, ctv,
-//	                   visible, deadline=D, serial, nosnap, faults=PLAN
-//	                   (last); see the README's "Engine spec" section.
+//	                   versions=K, cm=NAME, ctv, visible, deadline=D,
+//	                   serial, nosnap, faults=PLAN (last); see the
+//	                   README's "Engine spec" section.
 //	                   nosnap runs read-only operations on the validating
 //	                   path instead of the snapshot fast path, e.g.
 //	                   tl2:nosnap
@@ -92,7 +92,7 @@ func run(args []string) error {
 	threads := fs.Int("t", 1, "number of threads")
 	length := fs.Float64("l", 10, "benchmark length in seconds")
 	workload := fs.String("w", "r", "workload type: r, rw or w")
-	specFlag := fs.String("g", "coarse", "synchronization strategy ("+strings.Join(stmbench7.Strategies(), ", ")+"), optionally with engine options: an engine spec such as tl2:striped=4096,versions=4")
+	specFlag := fs.String("g", "coarse", "synchronization strategy ("+strings.Join(stmbench7.Strategies(), ", ")+"), optionally with engine options: an engine spec such as tl2:versions=4")
 	noTraversals := fs.Bool("no-traversals", false, "disable long traversals")
 	noSMs := fs.Bool("no-sms", false, "disable structure modification operations")
 	histograms := fs.Bool("ttc-histograms", false, "print TTC histograms")

@@ -20,10 +20,9 @@ type Index[K cmp.Ordered, V any] struct {
 	c *stm.Cell[*btree.Map[K, V]]
 }
 
-func newIndex[K cmp.Ordered, V any](space *stm.VarSpace, domain string) *Index[K, V] {
+func newIndex[K cmp.Ordered, V any](space *stm.VarSpace, d Domain) *Index[K, V] {
 	c := stm.NewCellClone(space, btree.New[K, V](), (*btree.Map[K, V]).Clone)
-	c.Var().SetName(domain)
-	return &Index[K, V]{c: c}
+	return &Index[K, V]{c: named(c, d)}
 }
 
 func (x *Index[K, V]) Get(tx stm.Tx, k K) (V, bool) { return x.c.Get(tx).Get(k) }

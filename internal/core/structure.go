@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync/atomic"
 	"unsafe"
 
@@ -507,7 +506,7 @@ func (s *Structure) BuildComplexAssembly(tx stm.Tx, r *rng.Rand, id uint64, leve
 			st.SubComplex = stm.CloneSlice(st.SubComplex)
 			st.SubBase = stm.CloneSlice(st.SubBase)
 			return st
-		}), fmt.Sprintf("%s%d", DomainComplexPfx, level))
+		}), DomainComplex)
 	s.Idx.ComplexByID.Put(tx, id, ca)
 	if parent != nil {
 		parent.Mutate(tx, func(st *ComplexAssemblyState) {

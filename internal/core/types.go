@@ -278,23 +278,26 @@ type Indexes struct {
 	ComplexByID     *Index[uint64, *ComplexAssembly]
 }
 
-// Var domain tags. Every Var in the structure is tagged with the
-// synchronization domain that the medium-grained locking strategy assigns
-// it to; the lock-strategy tests verify that every access is covered by a
-// held lock.
+// Domain is a Var's synchronization domain: the part of the structure the
+// medium-grained locking strategy assigns it to. Every Var in the structure
+// carries its domain as its stm tag (Var.SetTag); the lock-strategy tests
+// read it back to verify that every access is covered by a held lock.
+type Domain uint8
+
+// The domains. The zero tag is an untagged Var.
 const (
-	DomainAtomic       = "atomic"   // atomic-part states + both atomic-part indexes
-	DomainComposite    = "comp"     // composite-part states
-	DomainBase         = "base"     // base-assembly states
-	DomainComplexPfx   = "complex:" // complex-assembly states, suffixed with the level
-	DomainDocument     = "doc"      // document texts + the title index
-	DomainManual       = "manual"   // manual chunks
-	DomainStructureIdx = "idx"      // composite/base/complex id indexes + id pools
+	DomainAtomic       Domain = iota + 1 // atomic-part states + both atomic-part indexes
+	DomainComposite                      // composite-part states
+	DomainBase                           // base-assembly states
+	DomainComplex                        // complex-assembly states, every level
+	DomainDocument                       // document texts + the title index
+	DomainManual                         // manual chunks
+	DomainStructureIdx                   // composite/base/complex id indexes + id pools
 )
 
 // named tags a cell's Var with its domain.
-func named[T any](c *stm.Cell[T], domain string) *stm.Cell[T] {
-	c.Var().SetName(domain)
+func named[T any](c *stm.Cell[T], d Domain) *stm.Cell[T] {
+	c.Var().SetTag(uint8(d))
 	return c
 }
 

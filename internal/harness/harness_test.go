@@ -271,22 +271,28 @@ func TestRunOnPrebuiltStructure(t *testing.T) {
 	}
 }
 
-// TestMetadataKnobsReachEngine: the engine options (-g tl2:striped=64)
-// flow from Options through sync7 into the engine, for every orec-based
-// strategy, and the run still completes with consistent results.
+// TestMetadataKnobsReachEngine: the engine options that shape per-Var
+// metadata (-g tl2:versions=2, -g ostm:visible) flow from Options through
+// sync7 into the engine, for every orec-based strategy, and the run still
+// completes with consistent results.
 func TestMetadataKnobsReachEngine(t *testing.T) {
-	for _, strat := range []string{"tl2", "ostm"} {
+	for strat, knobs := range map[string]stm.EngineOptions{
+		"tl2":  {Versions: 2},
+		"ostm": {VisibleReads: true},
+	} {
 		t.Run(strat, func(t *testing.T) {
 			o := baseOpts()
 			o.Strategy = strat
-			o.Engine.Granularity = stm.StripedGranularity
-			o.Engine.OrecStripes = 64
+			o.Engine = knobs
 			res, err := Run(o)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if got := res.Options.Engine.String(); got != knobs.String() {
+				t.Errorf("engine options = %q, want %q", got, knobs)
+			}
 			if res.TotalSucceeded() == 0 {
-				t.Error("nothing succeeded under striped metadata")
+				t.Error("nothing succeeded under", knobs)
 			}
 		})
 	}
@@ -297,9 +303,9 @@ func TestMetadataKnobsReachEngine(t *testing.T) {
 		t.Error("negative Versions accepted")
 	}
 	o = baseOpts()
-	o.Engine.OrecStripes = -2
+	o.Engine.TxDeadline = -time.Millisecond
 	if _, err := Run(o); err == nil {
-		t.Error("negative OrecStripes accepted")
+		t.Error("negative TxDeadline accepted")
 	}
 }
 
@@ -315,7 +321,7 @@ func TestSetupRejectsConfigurationBeforeBuilding(t *testing.T) {
 		want string
 	}{
 		{"engine-options", func(o *Options) { o.Strategy = "tl2"; o.Engine.Versions = -1 }, "negative Versions"},
-		{"engine-options-on-a-lock-strategy", func(o *Options) { o.Engine.OrecStripes = -2 }, "negative OrecStripes"},
+		{"engine-options-on-a-lock-strategy", func(o *Options) { o.Engine.TxDeadline = -time.Millisecond }, "negative TxDeadline"},
 		{"strategy-name", func(o *Options) { o.Strategy = "tl3" }, "unknown strategy"},
 		{"driver-options", func(o *Options) { o.SkewTheta = 2 }, "SkewTheta"},
 	} {

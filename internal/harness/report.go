@@ -161,11 +161,11 @@ func WriteReport(w io.Writer, r *Result) {
 // row per interval, each line prefixed with indent. Shared by the
 // Appendix-A report and the scenario per-phase reports.
 func WriteSeries(w io.Writer, indent string, series []telemetry.SamplePoint) {
-	fmt.Fprintf(w, "%s%8s %10s %10s %8s %8s %8s %8s %8s\n", indent,
-		"t[s]", "ops/s", "commits", "abort%", "false%", "snapRst", "shed/s", "serial")
+	fmt.Fprintf(w, "%s%8s %10s %10s %8s %8s %8s %8s\n", indent,
+		"t[s]", "ops/s", "commits", "abort%", "snapRst", "shed/s", "serial")
 	for _, p := range series {
-		fmt.Fprintf(w, "%s%8.3f %10.0f %10d %8.1f %8.1f %8d %8.0f %8d\n", indent,
-			p.T, p.OpsPerSec, p.Commits, p.AbortPct, p.FalseConflictPct,
+		fmt.Fprintf(w, "%s%8.3f %10.0f %10d %8.1f %8d %8.0f %8d\n", indent,
+			p.T, p.OpsPerSec, p.Commits, p.AbortPct,
 			p.SnapshotRestarts, p.ShedPerSec, p.SerialFallbacks)
 	}
 }

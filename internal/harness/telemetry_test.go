@@ -109,9 +109,8 @@ func TestRunWithTraceRecorder(t *testing.T) {
 func TestReportHeaderEchoesEnvironment(t *testing.T) {
 	o := baseOpts()
 	o.Strategy = "tl2"
-	o.Engine.Granularity = stm.StripedGranularity
-	o.Engine.OrecStripes = 64
 	o.Engine.Versions = 2
+	o.Engine.TxDeadline = 25 * time.Millisecond
 	res, err := Run(o)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +121,7 @@ func TestReportHeaderEchoesEnvironment(t *testing.T) {
 	for _, want := range []string{
 		"seed:",
 		"gomaxprocs:",
-		"engine:               tl2:striped=64,versions=2\n",
+		"engine:               tl2:versions=2,deadline=25ms\n",
 		"abort causes:",
 	} {
 		if !strings.Contains(out, want) {

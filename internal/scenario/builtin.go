@@ -146,33 +146,6 @@ func init() {
 		},
 	})
 
-	// orec-pressure: a zipfian hotspot hammering a deliberately small
-	// striped orec table — the end-to-end exercise of the metadata
-	// axis. The read phase shows striping's
-	// read-side false conflicts (stripe version bumps under TL2, stripe
-	// ownership under visible-reads OSTM), the write storm its
-	// write-write collisions; compare the same scenario per engine and
-	// against a -g tl2 (object granularity) run of the same phases to price the metadata footprint.
-	RegisterBuiltin(&Scenario{
-		Name:        "orec-pressure",
-		Description: "skewed load on a small striped orec table (256 stripes): false-conflict pressure",
-		Engine:      "striped=256",
-		Phases: []Phase{
-			{Name: "warm", Duration: 300 * time.Millisecond, Workload: ops.ReadDominated, StructureMods: true, SkewTheta: 0.9},
-			{
-				Name: "hot-read", Duration: 500 * time.Millisecond,
-				Workload: ops.ReadDominated, StructureMods: true, SkewTheta: 0.95,
-				Weights: map[ops.Category]float64{ops.ShortTraversal: 6, ops.ShortOperation: 4},
-			},
-			{
-				Name: "hot-write", Duration: 500 * time.Millisecond,
-				Workload: ops.WriteDominated, StructureMods: true, SkewTheta: 0.95,
-				Weights: map[ops.Category]float64{ops.ShortOperation: 6, ops.StructureModification: 4},
-			},
-			{Name: "migrated", Duration: 400 * time.Millisecond, Workload: ops.ReadWrite, StructureMods: true, SkewTheta: 0.95, SkewShift: 0.5},
-		},
-	})
-
 	// chaos-storm: the robustness exercise — every phase runs under a
 	// seeded fault plan (commit-path stalls plus forced aborts) and a
 	// transaction deadline. The storm phase is a skewed write-heavy mix

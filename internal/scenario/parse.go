@@ -37,7 +37,7 @@ import (
 // set here overrides the run's value, an unset key inherits it, and
 // "serial=off" or "nosnap=off" turns a run-level key off:
 //
-//	{"name": "hot", "engine": "striped=256,deadline=25ms,serial,nosnap,faults=seed=7,abort:1/24",
+//	{"name": "hot", "engine": "versions=4,deadline=25ms,serial,nosnap,faults=seed=7,abort:1/24",
 //	 "phases": [...]}
 //
 // Open-loop phases may additionally shed overload: shed_after (duration)

@@ -160,13 +160,13 @@ func TestParsePhaseOverridesDefaultPairs(t *testing.T) {
 func TestParseEngineKey(t *testing.T) {
 	sc, err := Parse([]byte(`{
 		"name": "meta",
-		"engine": "striped=128,versions=4",
+		"engine": "versions=4,deadline=25ms",
 		"phases": [{"name": "p", "duration": "10ms"}]
 	}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Engine != "striped=128,versions=4" {
+	if sc.Engine != "versions=4,deadline=25ms" {
 		t.Errorf("engine key not parsed: %+v", sc)
 	}
 
@@ -200,7 +200,7 @@ func TestParseEngineKey(t *testing.T) {
 	// A per-phase engine is a design error, not a silent no-op.
 	if _, err := Parse([]byte(`{
 		"name": "meta",
-		"phases": [{"name": "p", "duration": "10ms", "engine": "striped"}]
+		"phases": [{"name": "p", "duration": "10ms", "engine": "nosnap"}]
 	}`)); err == nil {
 		t.Error("per-phase engine accepted (the engine is run-level)")
 	}
@@ -248,7 +248,7 @@ func FuzzParseScenario(f *testing.F) {
 		`{"name": "x", "phases": []}`,
 		`{"name": "x", "phases": [{"name": "p", "duration": "10ms"}]}`,
 		`{"name": "x", "phases": [{"max_ops": 5, "threads": -1}]}`,
-		`{"name": "x", "engine": "striped=128,versions=4,serial=off,nosnap",
+		`{"name": "x", "engine": "versions=4,serial=off,nosnap",
 		  "phases": [{"name": "p", "max_ops": 5}]}`,
 		`{"name": "x", "engine": "deadline=25ms,serial,faults=seed=7,abort:1/24", "phases": [{"name": "p", "max_ops": 5}]}`,
 		`{"name": "x", "engine": "faults=seed=7", "phases": [{"name": "p", "max_ops": 5}]}`,

@@ -50,11 +50,10 @@ func phaseLatency(pr PhaseResult) (harness.LatencySummary, bool) {
 // WriteReport prints the per-phase table and the cross-phase comparison.
 // Open-loop rows report p50/p99 response time (queueing included);
 // closed-loop rows report p50/p99 TTC when histograms were collected.
-// false% is the share of conflict aborts attributed to orec striping
-// (always 0 under object granularity). The cfl/tmo/inj columns are the
-// per-phase abort-cause breakdown — conflict aborts, deadline give-ups
-// and injected-fault firings — as attribution, not a partition (injected
-// conflicts also count as conflicts; see stm.Stats.Lines).
+// The cfl/tmo/inj columns are the per-phase abort-cause breakdown —
+// conflict aborts, deadline give-ups and injected-fault firings — as
+// attribution, not a partition (injected conflicts also count as
+// conflicts; see stm.Stats.Lines).
 func WriteReport(w io.Writer, rep *Report) {
 	sc := rep.Scenario
 	fmt.Fprintf(w, "Scenario %q — %d phases, strategy %s, %d composite parts, seed %d, gomaxprocs %d\n",
@@ -70,8 +69,8 @@ func WriteReport(w io.Writer, rep *Report) {
 	}
 	fmt.Fprintln(w)
 
-	fmt.Fprintf(w, "  %-14s %7s %-12s %-15s %-12s %8s %10s %8s %7s %7s %7s %7s %8s %8s %9s %9s\n",
-		"phase", "threads", "mode", "workload", "skew", "length", "ops/s", "abort%", "false%",
+	fmt.Fprintf(w, "  %-14s %7s %-12s %-15s %-12s %8s %10s %8s %7s %7s %7s %8s %8s %9s %9s\n",
+		"phase", "threads", "mode", "workload", "skew", "length", "ops/s", "abort%",
 		"cfl", "tmo", "inj", "snapRst", "verMiss", "p50[ms]", "p99[ms]")
 	for _, pr := range rep.Phases {
 		ph, res := pr.Phase, pr.Result
@@ -81,10 +80,9 @@ func WriteReport(w io.Writer, rep *Report) {
 			p99 = fmt.Sprintf("%.3f", ls.P99Ms)
 		}
 		es := res.EngineStats
-		fmt.Fprintf(w, "  %-14s %7d %-12s %-15s %-12s %8s %10.0f %8.1f %7.1f %7d %7d %7d %8d %8d %9s %9s\n",
+		fmt.Fprintf(w, "  %-14s %7d %-12s %-15s %-12s %8s %10.0f %8.1f %7d %7d %7d %8d %8d %9s %9s\n",
 			ph.Name, ph.Threads, phaseMode(ph), ph.Workload.String(), phaseSkew(ph),
 			phaseLength(ph), res.Throughput(), 100*es.AbortRate(),
-			100*es.FalseConflictRate(),
 			es.ConflictAborts, es.TimeoutAborts, es.InjectedFaults,
 			es.SnapshotRestarts, es.VersionMisses, p50, p99)
 	}

@@ -118,8 +118,8 @@ func Run(sc *Scenario, o RunOptions) (*Report, error) {
 	}
 
 	// The scenario's run-level keys override the run's: a scenario built
-	// around a metadata shape (orec-pressure) must get that shape
-	// regardless of the CLI defaults.
+	// around an engine setting (chaos-storm's fault plan) must get that
+	// setting regardless of the CLI defaults.
 	engine, err := o.Engine.Apply(sc.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: bad engine: %w", sc.Name, err)

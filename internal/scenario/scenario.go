@@ -98,11 +98,11 @@ func (ph Phase) categoryEnabled(cat ops.Category) bool {
 // first phase runs, so unlike the per-phase workload fields it applies to
 // the whole scenario. An unset key inherits whatever the RunOptions (i.e.
 // the CLI's -g) selected; a key the scenario sets overrides the run, which
-// is how a built-in like orec-pressure pins its metadata shape.
+// is how a built-in like chaos-storm pins its fault plan.
 type Scenario struct {
 	Name        string
 	Description string
-	// Engine is an engine-spec option list ("striped=256,versions=4",
+	// Engine is an engine-spec option list ("versions=4",
 	// "deadline=25ms,faults=seed=7,abort:1/24"; see stm.ParseEngineSpec)
 	// applied over the run's engine options: a key set here overrides
 	// the run's value, an unset key inherits it, and "serial=off" turns a

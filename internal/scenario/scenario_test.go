@@ -332,54 +332,29 @@ func TestRunOptionsCarryOSTMKnobs(t *testing.T) {
 	}
 }
 
-// TestRunOptionsCarryMetadataKnobs: the granularity axis must reach the
-// engine — a striped TL2 run completes with the table the run asked for,
-// and a scenario-level table size overrides the run's.
+// TestRunOptionsCarryMetadataKnobs: the engine options must reach the
+// engine — a TL2 run completes with the options the run asked for — and a
+// key the scenario sets overrides the run's.
 func TestRunOptionsCarryMetadataKnobs(t *testing.T) {
 	sc := &Scenario{Name: "meta", Phases: []Phase{
 		{Name: "p", MaxOps: 100, Workload: ops.ReadWrite, StructureMods: true},
 	}}
-	rep, err := Run(sc, RunOptions{Strategy: "tl2", Threads: 2, Engine: mustOpts(t, "striped=64,versions=2")})
+	rep, err := Run(sc, RunOptions{Strategy: "tl2", Threads: 2, Engine: mustOpts(t, "versions=2,deadline=25ms")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rep.Phases[0].Result.Options.Engine.String(); got != "striped=64,versions=2" {
-		t.Errorf("engine = %q, want striped=64,versions=2 — knob not plumbed", got)
+	if got := rep.Phases[0].Result.Options.Engine.String(); got != "versions=2,deadline=25ms" {
+		t.Errorf("engine = %q, want versions=2,deadline=25ms — knob not plumbed", got)
 	}
 
-	// A scenario that pins its own metadata shape overrides the run.
-	pinned := &Scenario{Name: "meta-pinned", Engine: "striped=32", Phases: sc.Phases}
-	rep2, err := Run(pinned, RunOptions{Strategy: "tl2", Threads: 2, Engine: mustOpts(t, "striped=64,versions=2")})
+	// A scenario that pins its own key overrides the run.
+	pinned := &Scenario{Name: "meta-pinned", Engine: "versions=4", Phases: sc.Phases}
+	rep2, err := Run(pinned, RunOptions{Strategy: "tl2", Threads: 2, Engine: mustOpts(t, "versions=2,deadline=25ms")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rep2.Phases[0].Result.Options.Engine.String(); got != "striped=32,versions=2" {
-		t.Errorf("scenario override: engine = %q, want striped=32,versions=2", got)
-	}
-}
-
-// TestOrecPressureBuiltin: the metadata-axis scenario runs end to end and
-// its striped shape is visible in the report.
-func TestOrecPressureBuiltin(t *testing.T) {
-	sc, ok := Builtin("orec-pressure")
-	if !ok {
-		t.Fatal("orec-pressure not registered")
-	}
-	pins := mustOpts(t, sc.Engine)
-	if pins.Granularity != stm.StripedGranularity || pins.OrecStripes == 0 {
-		t.Fatalf("orec-pressure metadata shape: %+v", sc)
-	}
-	rep, err := Run(sc, RunOptions{Strategy: "tl2", Threads: 2, TimeScale: 0.02})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	WriteReport(&buf, rep)
-	out := buf.String()
-	for _, want := range []string{"engine: tl2:striped=256\n", "false%"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report missing %q:\n%s", want, out)
-		}
+	if got := rep2.Phases[0].Result.Options.Engine.String(); got != "versions=4,deadline=25ms" {
+		t.Errorf("scenario override: engine = %q, want versions=4,deadline=25ms", got)
 	}
 }
 
@@ -387,7 +362,7 @@ func TestValidateRejectsBadMetadata(t *testing.T) {
 	base := func() *Scenario {
 		return &Scenario{Name: "m", Phases: []Phase{{Name: "p", MaxOps: 1}}}
 	}
-	for _, engine := range []string{"word", "striped=-1", "shards=4", "versions=-1"} {
+	for _, engine := range []string{"word", "striped", "shards=4", "versions=-1"} {
 		sc := base()
 		sc.Engine = engine
 		if err := sc.Validate(); err == nil {

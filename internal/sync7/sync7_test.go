@@ -3,7 +3,6 @@ package sync7
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -165,22 +164,21 @@ func (c *checkingTx) grant(v *stm.Var, need Mode) {
 	if c.sm {
 		return // SM operations hold the structure lock exclusively
 	}
-	name := v.Name()
 	var have Mode
-	switch {
-	case name == core.DomainAtomic:
+	switch core.Domain(v.Tag()) {
+	case core.DomainAtomic:
 		have = c.ls.Atomic
-	case name == core.DomainComposite:
+	case core.DomainComposite:
 		have = c.ls.Comp
-	case name == core.DomainBase:
+	case core.DomainBase:
 		have = c.ls.Level1
-	case strings.HasPrefix(name, core.DomainComplexPfx):
+	case core.DomainComplex:
 		have = c.ls.ComplexLevels
-	case name == core.DomainDocument:
+	case core.DomainDocument:
 		have = c.ls.Docs
-	case name == core.DomainManual:
+	case core.DomainManual:
 		have = c.ls.Manual
-	case name == core.DomainStructureIdx:
+	case core.DomainStructureIdx:
 		// Non-SM operations hold the structure lock in read mode: index
 		// reads are fine, writes are not.
 		if need == Write {
@@ -192,7 +190,7 @@ func (c *checkingTx) grant(v *stm.Var, need Mode) {
 		return
 	}
 	if have < need {
-		c.t.Errorf("%s: %s access to %q domain but lock mode is %s", c.op, need, name, have)
+		c.t.Errorf("%s: %s access to %s but lock mode is %s", c.op, need, v, have)
 	}
 }
 

@@ -41,7 +41,6 @@ var statFamilies = []statFamily{
 	{"stm_clones_total", "Copy-on-write clones for Update calls.", func(s stm.Stats) uint64 { return s.Clones }},
 	{"stm_enemy_aborts_total", "Transactions killed by a contention-manager decision.", func(s stm.Stats) uint64 { return s.EnemyAborts }},
 	{"stm_lock_failures_total", "Commit-time lock acquisition failures.", func(s stm.Stats) uint64 { return s.LockFailures }},
-	{"stm_false_conflicts_total", "Conflicts attributed to striped-orec collisions, not data.", func(s stm.Stats) uint64 { return s.FalseConflicts }},
 	{"stm_snapshot_txs_total", "Read-only transactions served by the validation-free snapshot path.", func(s stm.Stats) uint64 { return s.SnapshotTxs }},
 	{"stm_snapshot_restarts_total", "Snapshot-mode attempt restarts.", func(s stm.Stats) uint64 { return s.SnapshotRestarts }},
 	{"stm_version_reads_total", "Snapshot reads served from an older committed version.", func(s stm.Stats) uint64 { return s.VersionReads }},

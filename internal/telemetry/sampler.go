@@ -26,9 +26,6 @@ type SamplePoint struct {
 	Aborts  uint64 `json:"aborts"`
 	// AbortPct is the interval's conflict-abort share of attempts.
 	AbortPct float64 `json:"abort_pct"`
-	// FalseConflictPct is the interval's striping-artifact share of
-	// conflict aborts.
-	FalseConflictPct float64 `json:"false_conflict_pct"`
 	// SnapshotRestarts is the interval's snapshot-path restart delta.
 	SnapshotRestarts uint64 `json:"snapshot_restarts"`
 	// Sheds is the number of open-loop arrivals shed in the interval (0
@@ -130,7 +127,6 @@ func (s *Sampler) sample() {
 		Commits:          d.Commits,
 		Aborts:           d.ConflictAborts,
 		AbortPct:         100 * d.AbortRate(),
-		FalseConflictPct: 100 * d.FalseConflictRate(),
 		SnapshotRestarts: d.SnapshotRestarts,
 		Sheds:            sheds - s.prevSheds,
 		ShedPerSec:       float64(sheds-s.prevSheds) / dt,

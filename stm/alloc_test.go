@@ -59,26 +59,20 @@ func measureAllocs(f func()) float64 {
 // TestAllocCellConstructors pins what a cell costs to create: the cell (its
 // Var and the Var's ownership record are part of it), the value and the box
 // that publishes the value — and for a NewCells slab the cells are one
-// allocation between them. Striped granularity costs the same: the record
-// is in the table.
+// allocation between them.
 func TestAllocCellConstructors(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews allocation counts")
 	}
-	striped := NewVarSpace()
-	if err := striped.ConfigureOrecs(StripedGranularity, 16); err != nil {
-		t.Fatal(err)
+	space := NewVarSpace()
+	NewCell(space, 0) // registers the type's clone function
+	if got := testing.AllocsPerRun(100, func() { NewCell(space, 1) }); got != 3 {
+		t.Errorf("NewCell: %v allocs, want 3", got)
 	}
-	for name, space := range map[string]*VarSpace{"object": NewVarSpace(), "striped": striped} {
-		NewCell(space, 0) // registers the type's clone function
-		if got := testing.AllocsPerRun(100, func() { NewCell(space, 1) }); got != 3 {
-			t.Errorf("%s: NewCell: %v allocs, want 3", name, got)
-		}
-		for _, n := range []int{1, 8, 40} {
-			inits := make([]int, n)
-			if got, want := testing.AllocsPerRun(100, func() { NewCells(space, inits) }), float64(2*n+1); got != want {
-				t.Errorf("%s: NewCells(%d): %v allocs, want %v", name, n, got, want)
-			}
+	for _, n := range []int{1, 8, 40} {
+		inits := make([]int, n)
+		if got, want := testing.AllocsPerRun(100, func() { NewCells(space, inits) }), float64(2*n+1); got != want {
+			t.Errorf("NewCells(%d): %v allocs, want %v", n, got, want)
 		}
 	}
 }
@@ -215,9 +209,9 @@ func TestAllocCellWrites(t *testing.T) {
 // written through Mut in an order unrelated to their ids — OP10's write set
 // on the small structure — cost two hundred first writes exactly, so
 // whatever commit does to lock, order or index its write set, it does in the
-// pooled descriptor's own storage. (TL2 under object granularity locks the
-// write set as it stands; this is the budget a sort's scratch space, or a
-// reindexing map, would show up in.)
+// pooled descriptor's own storage. (TL2 locks the write set as it stands;
+// this is the budget a sort's scratch space, or a reindexing map, would
+// show up in.)
 func TestAllocLargeWriteSet(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews allocation counts")

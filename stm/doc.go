@@ -43,7 +43,7 @@
 // of an (engine, configuration) sweep as a single printable value with a
 // canonical ParseEngineSpec/String round trip:
 //
-//	tl2:striped=4096,versions=4,deadline=25ms
+//	tl2:versions=4,deadline=25ms
 //	tl2:nosnap
 //
 // The spec is the only carrier of engine configuration above this package:
@@ -239,8 +239,8 @@
 //     sample, or metadata is locked), the attempt must restart rather
 //     than return a possibly-torn value — opacity binds snapshot
 //     transactions exactly as it binds Atomic ones. Restarts are counted
-//     in Stats.SnapshotRestarts (not ConflictAborts) and never attribute
-//     FalseConflicts: there is no conflict episode, just a stale sample.
+//     in Stats.SnapshotRestarts (not ConflictAborts): there is no
+//     conflict episode, just a stale sample.
 //
 //   - Restart semantics and liveness: after a small restart budget the
 //     engine falls back to its validating Atomic path, which tolerates
@@ -287,10 +287,7 @@
 //     fell off the truncated tail (counted in Stats.VersionMisses, then
 //     SnapshotRestarts as usual, with the same budget-then-fallback
 //     liveness). K=1 (the default) links nothing and preserves
-//     single-version behavior bit for bit. Under striped granularity the
-//     chain also absorbs FALSE snapshot invalidations: a stripe-mate's
-//     commit bumps the shared meta word, but the walk re-finds the Var's
-//     own (old) head and completes restart-free.
+//     single-version behavior bit for bit.
 //
 //   - Opacity over chains: resolving an older version is only legal
 //     because the chain provably holds every version the reader's
@@ -316,75 +313,44 @@
 //     read path stays 0 allocs/op (alloc_test.go) — the chain reuses the
 //     one box each commit already publishes.
 //
-// # The metadata layer: Vars, orecs and the granularity axis
+// # The metadata layer: a Var is one cache line
 //
-// A Var holds its identity, its clone function, its committed value and one
-// ownership record (orec) of its own. Every piece of conflict-detection
-// metadata lives in an orec, and every engine reaches a Var's orec through
-// a single pointer, Var.orc, assigned at creation (see orec.go):
+// A Var holds its committed value, one ownership record (orec) of its own,
+// its identity and its clone function, and it is exactly one 64-byte cache
+// line. Every piece of conflict-detection metadata lives in the orec, and
+// every engine reaches it as &v.own, at a fixed offset from the Var — no
+// pointer load, no hashing and no branch per access (see orec.go):
 //
-//   - TL2's versioned lock word (orec.meta) and, for striped tables, the
-//     last-writer attribution word behind Stats.FalseConflicts;
+//   - TL2's versioned lock word (orec.meta);
 //   - OSTM's locator slot (orec.loc) and the writeback lock (orec.wb) that
 //     orders installs against the retirement of finished locators;
 //   - the visible-reads reader registry (orec.readers).
 //
-// Where orc leads is TL2's granularity axis (EngineOptions.Granularity and
-// OrecStripes [striped=N]) — inline under object granularity, a table slot
-// under striped:
+// The orec's padding also holds the Var's one-byte debug tag (SetTag),
+// which the benchmark core uses to name a Var's synchronization domain.
 //
-//   - ObjectGranularity points orc at the Var's own inline record, so
-//     conflict detection is per object and collision free, a Var and its
-//     metadata are one allocation (a Cell, which holds its Var by value,
-//     is that same allocation: NewCell makes the cell, the value and the
-//     box that publishes it, and NewCells makes one slab for n cells), and
-//     the three words a read loads — orc, the lock word, the value pointer
-//     — are the Var's first 24 bytes, on one cache line. The price: inline
-//     records are not padded, so Vars allocated side by side — the cells of
-//     a slab are 96 bytes apart — share cache lines where every orec used
-//     to be a separately allocated, padded line of its own, and a commit
-//     to one Var can slow a reader of its neighbour. On the contention
-//     workload of the repo benchmark (hot-w-tl2) the layout is a measured
-//     net gain; the account is in README, "The allocation path".
+// Conflict detection is therefore per object and collision free, and a Var
+// and its metadata are one allocation: a Cell, which holds its Var by
+// value, is that same allocation — NewCell makes the cell, the value and
+// the box that publishes it, and NewCells makes one slab for n cells. The
+// two words a read loads — the value pointer and the lock word — are the
+// Var's first 16 bytes. A Var allocated alone is one 64-byte object on one
+// line; a slab cell starts at 0 or 8 bytes into a line (the allocator puts
+// an 8-byte header before a pointer-carrying object of 512 bytes or more),
+// so either way those 16 bytes never straddle two lines, and neighbouring
+// cells do not share the line their lock words are on (TestVarLayout).
 //
-//   - StripedGranularity hashes Var ids onto a fixed power-of-two table
-//     of cache-line-padded slots (OrecStripes) and points orc into it. The
-//     metadata that transactions contend on becomes O(table), independent
-//     of the heap; the price is false conflicts between transactions whose
-//     footprints only share a hash bucket. Stats.FalseConflicts /
-//     FalseConflictRate estimate that price. A striped Var still carries
-//     its 48-byte inline record, unused: striping bounds the contended
-//     metadata, not the footprint.
-//
-// The metadata contract for engines:
-//
-//   - TL2 configures its VarSpace's mapping exactly once, in the
-//     constructor, via VarSpace.ConfigureOrecs — before any Var exists.
-//     Every other engine's space stays at object granularity.
-//   - Hot paths resolve metadata as v.orc (one pointer load); no hashing
-//     and no granularity branch happens per access, and no engine touches
-//     Var.own except through orc.
-//   - Under striping TL2 must stay correct when several of its own (or
-//     several transactions') Vars share an orec: it deduplicates commit
-//     locks per orec and orders them by orec id.
-//   - False conflicts may cost throughput, never correctness: the
-//     conformance, stress and property suites run TL2 in both granularity
-//     modes (with deliberately tiny stripe tables) to enforce exactly that.
-//
-// OSTM runs at object granularity only: it installs a locator only over an
-// empty slot, the locator covers exactly that slot's Var, and retiring it
-// writes that one Var back. NOrec deliberately has no per-location
-// metadata — its single sequence lock is the design — and the direct
-// engine has no conflict detection. All three ignore the axis.
+// OSTM installs a locator only over an empty slot, the locator covers
+// exactly that slot's Var, and retiring it writes that one Var back. NOrec
+// deliberately has no per-location metadata — its single sequence lock is
+// the design — and the direct engine has no conflict detection.
 //
 // Vars are allocated from a VarSpace (one per engine; see
 // Engine.VarSpace). All Vars that participate in one transaction must come
-// from the same space: their ids are unique only within it — they key the
-// access-set indexes, pick stripes under striped granularity, and order
-// TL2's commit-time locking there (through the orecs; under object
-// granularity TL2 locks in write order and its bounded spin is what rules
-// out deadlock) — and the data structure under test must be built from the
-// space of the engine that will run it.
+// from the same space: their ids are unique only within it and key the
+// access-set indexes, and the data structure under test must be built from
+// the space of the engine that will run it. TL2 locks its write set in
+// write order; its bounded commit-time spin is what rules out deadlock.
 //
 // # Robustness & liveness
 //
@@ -461,7 +427,7 @@
 //
 //   - Stats is the counter surface: one atomic counter per event class
 //     (commits, conflict/user/timeout/injected aborts, reads, writes,
-//     validations, clones, the snapshot / multi-version / striping /
+//     validations, clones, the snapshot / multi-version /
 //     serial-fallback diagnostics), collected per descriptor and
 //     flushed on transaction exit, so hot paths never contend on shared
 //     cache lines. Stats.Delta(before) windows a measurement;

@@ -84,7 +84,7 @@ func ExampleNew() {
 // benchmark's -g flag takes, then applies a scenario-style option list over
 // it: keys present override, keys absent inherit.
 func ExampleParseEngineSpec() {
-	spec, err := stm.ParseEngineSpec("tl2:striped=4096,deadline=25ms")
+	spec, err := stm.ParseEngineSpec("tl2:versions=2,deadline=25ms")
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -103,6 +103,6 @@ func ExampleParseEngineSpec() {
 	}
 	fmt.Println("overlaid:", spec)
 	// Output:
-	// tl2 built from tl2:striped=4096,deadline=25ms
-	// overlaid: tl2:striped=4096,versions=4,deadline=25ms,serial
+	// tl2 built from tl2:versions=2,deadline=25ms
+	// overlaid: tl2:versions=4,deadline=25ms,serial
 }

@@ -42,11 +42,10 @@ type NOrecConfig struct {
 //     writers do not scale, and the benchmark's write-dominated
 //     workloads make the cost visible.
 //
-// NOrec sits outside the orec metadata axis by definition — "no ownership
-// records" is the design — so the Granularity/OrecStripes
-// engine options do not apply to it: its metadata footprint is already a
-// single word, which is exactly the extreme point the striped orec table
-// trades toward. The EngineOptions.Versions axis DOES apply (the sequence
+// NOrec sits outside the orec metadata layer by definition — "no ownership
+// records" is the design — so its metadata footprint is a single word and
+// it leaves every Var's inline orec untouched. The EngineOptions.Versions
+// axis DOES apply (the sequence
 // lock's even values are exactly the snapshot timestamps a version chain
 // resolves against), so NOrec registers as a tunable engine and consumes
 // that one knob.

@@ -50,9 +50,8 @@ type wslot struct {
 
 // locator is OSTM's ownership record payload, after DSTM's TMObject
 // locator: the covered Var's current logical value is old or new depending
-// on owner's status. OSTM always runs at object granularity, so the orec
-// is private to one Var and a locator covers exactly that Var, its inline
-// slot.
+// on owner's status. The orec is private to one Var, so a locator covers
+// exactly that Var, its inline slot.
 //
 // A locator is only ever installed over an empty slot and is retired — a
 // committed owner's value written back to its Var, then the slot cleared
@@ -92,9 +91,7 @@ type OSTMConfig struct {
 	// EngineOptions carries the spec-addressable knobs. OSTM honours CM,
 	// CommitTimeValidationOnly (off = the faithful O(k²) incremental
 	// validation), VisibleReads, TxDeadline, SerialFallback, Faults,
-	// Trace and DisableROSnapshot, and ignores the rest — Granularity and
-	// OrecStripes included: its space keeps object granularity, one orec
-	// and one locator per Var.
+	// Trace and DisableROSnapshot, and ignores the rest.
 	EngineOptions
 }
 
@@ -385,7 +382,7 @@ func (tx *ostmTx) checkAlive() {
 // owner is treated like an Active one (its new value is not yet committed);
 // the sound gate against the cross-validation race is in validate(final).
 func (tx *ostmTx) resolveRead(v *Var) *box {
-	loc := v.orc.loc.Load()
+	loc := v.own.loc.Load()
 	if loc == nil {
 		return v.cur.Load()
 	}
@@ -473,7 +470,7 @@ func (tx *ostmTx) acquire(v *Var) *wslot {
 	if i, ok := tx.writeIdx.get(v); ok {
 		return tx.writeLocs[i]
 	}
-	o := v.orc
+	o := &v.own
 	cm := tx.eng.cfg.CM
 	attempt := 0
 	for {
@@ -551,7 +548,7 @@ func retire(o *orec, target *locator) bool {
 // it.
 func (tx *ostmTx) retireOwn() {
 	for _, s := range tx.writeLocs {
-		o := s.v.orc
+		o := &s.v.own
 		if l := o.loc.Load(); l != nil && l.owner == tx.state {
 			retire(o, l)
 		}
@@ -588,7 +585,7 @@ func (tx *ostmTx) Update(v *Var, f func(val any) any) {
 // commit (the classic invisible-read validation race).
 func (tx *ostmTx) resolveValidate(v *Var, final bool) *box {
 	for {
-		loc := v.orc.loc.Load()
+		loc := v.own.loc.Load()
 		if loc == nil {
 			return v.cur.Load()
 		}
@@ -648,7 +645,7 @@ func (tx *ostmTx) validate(final bool) {
 		ent := &tx.reads[i]
 		// A Var whose orec holds no locator is one object:
 		// resolveValidate's first branch, without the call.
-		if ent.v.orc.loc.Load() == nil && ent.v.cur.Load() == ent.seen {
+		if ent.v.own.loc.Load() == nil && ent.v.cur.Load() == ent.seen {
 			continue
 		}
 		if tx.resolveValidate(ent.v, final) != ent.seen {

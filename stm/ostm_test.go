@@ -92,7 +92,7 @@ func testRetirement(t *testing.T, eng *OSTM, cm *scriptedCM) {
 		t.Helper()
 		owner := liveOwner(eng, b)
 		cm.next = func() Decision {
-			if !va.orc.wb.CompareAndSwap(0, 1) {
+			if !va.own.wb.CompareAndSwap(0, 1) {
 				t.Error("a's writeback lock is taken")
 			}
 			return AbortEnemy
@@ -102,11 +102,11 @@ func testRetirement(t *testing.T, eng *OSTM, cm *scriptedCM) {
 		if cm.next != nil {
 			t.Fatal("the writer never met b's owner")
 		}
-		l := va.orc.loc.Load()
+		l := va.own.loc.Load()
 		if l == nil || l.owner.status.Load() != statusCommitted {
 			t.Fatal("a's locator was retired through a held writeback lock")
 		}
-		if vb.orc.loc.Load() != nil {
+		if vb.own.loc.Load() != nil {
 			t.Error("b's locator survived its owner's commit")
 		}
 		return l
@@ -114,7 +114,7 @@ func testRetirement(t *testing.T, eng *OSTM, cm *scriptedCM) {
 
 	// A committed write leaves no locator behind.
 	write(func(tx Tx) { a.Set(tx, 1); b.Set(tx, 2) })
-	if va.orc.loc.Load() != nil || vb.orc.loc.Load() != nil {
+	if va.own.loc.Load() != nil || vb.own.loc.Load() != nil {
 		t.Fatal("a committed write left a locator installed")
 	}
 
@@ -130,11 +130,11 @@ func testRetirement(t *testing.T, eng *OSTM, cm *scriptedCM) {
 	if seen != l.new {
 		t.Error("the reader did not resolve through the committed locator")
 	}
-	va.orc.wb.Store(0)
-	if !retire(va.orc, l) {
+	va.own.wb.Store(0)
+	if !retire(&va.own, l) {
 		t.Fatal("retire could not take a free writeback lock")
 	}
-	if va.orc.loc.Load() != nil || va.cur.Load() != seen {
+	if va.own.loc.Load() != nil || va.cur.Load() != seen {
 		t.Error("retirement did not store the reader's box in cur and clear the slot")
 	}
 	if !validates(r) {
@@ -145,12 +145,12 @@ func testRetirement(t *testing.T, eng *OSTM, cm *scriptedCM) {
 	// The next writer retires a locator its owner could not, and the value
 	// survives.
 	writeHeld(20)
-	va.orc.wb.Store(0)
+	va.own.wb.Store(0)
 	write(func(tx Tx) { a.Update(tx, func(n int) int { return n + 1 }) })
 	if got := get(a); got != 21 {
 		t.Errorf("a = %d after the next writer's increment, want 21", got)
 	}
-	if va.orc.loc.Load() != nil {
+	if va.own.loc.Load() != nil {
 		t.Error("the next writer left its own locator installed")
 	}
 
@@ -173,7 +173,7 @@ func testRetirement(t *testing.T, eng *OSTM, cm *scriptedCM) {
 	if !errors.Is(err, errStop) {
 		t.Fatalf("aborting writer: %v, want %v", err, errStop)
 	}
-	if l := va.orc.loc.Load(); l == nil || l.owner.status.Load() != statusAborted {
+	if l := va.own.loc.Load(); l == nil || l.owner.status.Load() != statusAborted {
 		t.Fatal("the aborted attempt left no locator on a")
 	}
 	if va.cur.Load() != before {
@@ -183,7 +183,7 @@ func testRetirement(t *testing.T, eng *OSTM, cm *scriptedCM) {
 	if got := get(a); got != 22 {
 		t.Errorf("a = %d after clearing an aborted locator, want 22", got)
 	}
-	if va.orc.loc.Load() != nil || vb.orc.loc.Load() == nil {
+	if va.own.loc.Load() != nil || vb.own.loc.Load() == nil {
 		t.Error("want a's slot clear and b's aborted owner still installed")
 	}
 }

@@ -59,9 +59,9 @@ func New(name string) (Engine, error) {
 
 // NewWith returns a fresh engine by registered name, configured with opts
 // — the two halves of an EngineSpec. Engines for which an option does not
-// apply ignore it (NOrec has no per-location metadata to stripe, though it
-// does honor Versions; direct ignores everything) — the knobs are benchmark axes, not hard requirements, so a
-// sweep can hold them fixed across engines.
+// apply ignore it (OSTM ignores Versions, TL2 and NOrec the OSTM keys,
+// direct everything) — the knobs are benchmark axes, not hard
+// requirements, so a sweep can hold them fixed across engines.
 func NewWith(name string, opts EngineOptions) (Engine, error) {
 	engineRegistry.mu.RLock()
 	factory, ok := engineRegistry.factories[name]

@@ -53,8 +53,7 @@ import "errors"
 // extends, OSTM validates incrementally, TL2 retries with the same odds as
 // its normal read-only path). Snapshot mode therefore never costs
 // liveness; it only ever removes per-read work. The fallback is an ordinary
-// transaction in every counter too: under striped TL2 it may book
-// Stats.FalseConflicts, which a snapshot attempt never does.
+// transaction in every counter too.
 
 // SnapshotReader is the optional engine capability behind RunReadOnly: a
 // read-only execution mode that serves fn from a consistent committed
@@ -206,23 +205,21 @@ type tl2SnapTx struct {
 
 // Read performs the validation-free TL2 snapshot read: sampled meta, value,
 // meta again; consistent iff the orec was stable, unlocked, and not newer
-// than rv. Unlike the Atomic path nothing is logged and noteFalseConflict
-// is never called — a stripe-mate's newer version restarts the snapshot
-// but is not attributed to Stats.FalseConflicts (there is no abort episode
-// to attribute; the refreshed snapshot simply includes the new commit).
+// than rv. Unlike the Atomic path nothing is logged: a newer version
+// restarts the snapshot, and the refreshed snapshot simply includes the
+// new commit.
 //
 // Under Versions > 1 an orec version above rv no longer restarts: the
 // chain loaded under the stable meta sample holds every version with
 // wv <= rv that will ever exist (see mvcc.go), so the read resolves the
-// newest such version — which under striped granularity may be the head
-// itself, when only a stripe-mate moved the shared meta word. Only a
-// truncated chain (timestamp older than the oldest retained version)
-// restarts, as a VersionMiss. Locked orecs are still waited out: the
-// writer holds its whole write set through writeback, so whether its
-// stamp lands at or below rv is not yet decidable from the chain.
+// newest such version. Only a truncated chain (timestamp older than the
+// oldest retained version) restarts, as a VersionMiss. Locked orecs are
+// still waited out: the writer holds its whole write set through
+// writeback, so whether its stamp lands at or below rv is not yet
+// decidable from the chain.
 func (tx *tl2SnapTx) Read(v *Var) any {
 	tx.st.reads++
-	o := v.orc
+	o := &v.own
 	spins := 0
 	for {
 		m1 := o.meta.Load()
@@ -384,7 +381,7 @@ type ostmSnapTx struct {
 // its old value is the committed state for every serial up to now — and
 // Aborted owners never published their values at all.
 func resolveSnapshot(v *Var) (*box, bool) {
-	loc := v.orc.loc.Load()
+	loc := v.own.loc.Load()
 	if loc == nil {
 		return v.cur.Load(), true
 	}

@@ -11,9 +11,8 @@ import (
 // Tests for the read-only snapshot mode (RunReadOnly / SnapshotReader).
 // Basic Tx semantics are covered by the shared engine suites; these tests
 // pin the snapshot-specific contract: committed-state visibility, opacity
-// against concurrent committers, restart accounting, the write rejection,
-// the fallback budget, and the striped-granularity interaction (snapshot
-// reads never count toward FalseConflicts).
+// against concurrent committers, restart accounting, the write rejection
+// and the fallback budget.
 
 // snapshotEngines returns a fresh instance per transactional engine
 // configuration whose engine implements SnapshotReader (all of them today;
@@ -331,8 +330,7 @@ func TestSnapshotValidationFree(t *testing.T) {
 // write-skew-shaped committers never observes a torn state. Two writers
 // each read both cells and rewrite one to preserve x + y == 100; a torn
 // snapshot (one cell pre-commit, the other post-commit) breaks the sum.
-// Runs against every transactional engine configuration, including TL2's
-// tiny striped tables.
+// Runs against every transactional engine configuration.
 func TestSnapshotOpacityUnderWriteSkewShape(t *testing.T) {
 	rounds := 30000
 	if testing.Short() {
@@ -387,113 +385,6 @@ func TestSnapshotOpacityUnderWriteSkewShape(t *testing.T) {
 	}
 }
 
-// TestSnapshotStripedNoFalseConflicts pins the striped-granularity contract
-// of Stats.FalseConflicts on TL2, the one engine with a striped mode: a
-// snapshot ATTEMPT hammering stripe-mates of a written Var restarts as
-// needed but never books a false conflict — there is no abort episode to
-// attribute. The validating Atomic path that RunReadOnly
-// falls back to after snapRestartBudget restarts is an ordinary transaction
-// and may book them; on real cores a reader racing a tight writer does
-// exhaust the budget, so a count taken through RunReadOnly alone says
-// nothing about the snapshot path.
-//
-// "attempts" therefore drives snapshot attempts directly, the way
-// runSnapshotLoop does but with no fallback to hide behind: a single writer
-// rules out write-write collisions, so any false conflict could only have
-// come from a snapshot read. "RunReadOnly" goes through the public entry
-// and allows false conflicts exactly when some call fell back.
-func TestSnapshotStripedNoFalseConflicts(t *testing.T) {
-	makers := map[string]func() (Engine, func() snapTx){
-		"tl2-striped": func() (Engine, func() snapTx) {
-			e := NewTL2With(TL2Config{EngineOptions: opts("striped=2")})
-			return e, func() snapTx { return e.snapPool.get() }
-		},
-	}
-	rounds := 20000
-	if testing.Short() {
-		rounds = 2000
-	}
-	// run starts the single writer, lets read execute rounds times with the
-	// cells to read, and returns the engine's counters.
-	run := func(eng Engine, read func(readAll func(tx Tx) error)) Stats {
-		// Two stripes only: the written cell shares its orec with roughly
-		// half the read cells.
-		written := NewCell(eng.VarSpace(), 0)
-		cells := make([]*Cell[int], 8)
-		for i := range cells {
-			cells[i] = NewCell(eng.VarSpace(), i)
-		}
-		var stop atomic.Bool
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				eng.Atomic(func(tx Tx) error {
-					written.Update(tx, func(v int) int { return v + 1 })
-					return nil
-				})
-			}
-		}()
-		readAll := func(tx Tx) error {
-			for _, c := range cells {
-				c.Get(tx)
-			}
-			return nil
-		}
-		for i := 0; i < rounds; i++ {
-			read(readAll)
-		}
-		stop.Store(true)
-		wg.Wait()
-		return eng.Stats()
-	}
-	for name, mk := range makers {
-		t.Run(name+"/attempts", func(t *testing.T) {
-			eng, getTx := mk()
-			served, restarts := 0, 0
-			st := run(eng, func(readAll func(tx Tx) error) {
-				tx := getTx()
-				stats, acc, _, _ := tx.loopState()
-				tx.sample()
-				committed, err := runSnapshotAttempt(tx, readAll)
-				stats.flushTx(acc)
-				tx.recycle()
-				switch {
-				case err != nil:
-					t.Errorf("snapshot attempt: %v", err)
-				case committed:
-					served++
-				default:
-					restarts++
-				}
-			})
-			if st.FalseConflicts != 0 {
-				t.Errorf("FalseConflicts = %d after %d snapshot attempts (%d restarted) and no fallback, want 0",
-					st.FalseConflicts, rounds, restarts)
-			}
-			if served == 0 {
-				t.Error("no snapshot attempt was served")
-			}
-		})
-		t.Run(name+"/RunReadOnly", func(t *testing.T) {
-			eng, _ := mk()
-			st := run(eng, func(readAll func(tx Tx) error) {
-				if err := RunReadOnly(eng, readAll); err != nil {
-					t.Errorf("RunReadOnly: %v", err)
-				}
-			})
-			if st.SnapshotTxs == 0 {
-				t.Error("SnapshotTxs = 0, want > 0 (snapshot path did not run)")
-			}
-			// Every call the snapshot path did not serve fell back.
-			if fallbacks := uint64(rounds) - st.SnapshotTxs; fallbacks == 0 && st.FalseConflicts != 0 {
-				t.Errorf("FalseConflicts = %d with no fallback to the validating path, want 0", st.FalseConflicts)
-			}
-		})
-	}
-}
-
 // TestSnapshotStatsDelta: the new counters flow through Delta as plain
 // counters.
 func TestSnapshotStatsDelta(t *testing.T) {
@@ -529,9 +420,6 @@ func TestVersionStatsDelta(t *testing.T) {
 var versionedSnapshotMakers = map[string]func(k int) Engine{
 	"tl2":   func(k int) Engine { return NewTL2With(TL2Config{EngineOptions: EngineOptions{Versions: k}}) },
 	"norec": func(k int) Engine { return NewNOrecWith(NOrecConfig{EngineOptions: EngineOptions{Versions: k}}) },
-	"tl2-striped": func(k int) Engine {
-		return NewTL2With(TL2Config{EngineOptions: EngineOptions{Granularity: StripedGranularity, OrecStripes: 16, Versions: k}})
-	},
 }
 
 // TestSnapshotVersionedRestartElimination is the PR's deterministic
@@ -665,75 +553,6 @@ func TestSnapshotVersionChainTruncation(t *testing.T) {
 			}
 			if st.SnapshotRestarts == 0 {
 				t.Error("SnapshotRestarts = 0, want > 0 (a miss is a restart)")
-			}
-		})
-	}
-}
-
-// TestSnapshotVersionedStripedRetention pins the striped-granularity
-// interaction (satellite: retention under orec-striped false sharing).
-// Under a 2-stripe table a commit to one Var bumps the meta word of every
-// stripe-mate; at K=1 a snapshot reader of an UNWRITTEN stripe-mate
-// restarts on pure false sharing. At K>=2 the reader resolves the mate's
-// own (old, never-rewritten) head through the chain walk and completes
-// restart-free — multi-versioning absorbs false snapshot invalidations
-// exactly like real ones.
-func TestSnapshotVersionedStripedRetention(t *testing.T) {
-	for _, k := range []int{1, 2} {
-		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			eng := NewTL2With(TL2Config{EngineOptions: EngineOptions{Granularity: StripedGranularity, OrecStripes: 2, Versions: k}})
-			written := NewCell(eng.VarSpace(), 0)
-			// Find a distinct Var sharing the written cell's stripe; with 2
-			// stripes and sequential ids one shows up almost immediately.
-			var mate *Cell[int]
-			for i := 0; i < 64; i++ {
-				c := NewCell(eng.VarSpace(), 7)
-				if c.v.orc == written.v.orc {
-					mate = c
-					break
-				}
-			}
-			if mate == nil {
-				t.Fatal("no stripe-mate found in 64 Vars on a 2-stripe table")
-			}
-			attempts := 0
-			var got int
-			err := RunReadOnly(eng, func(tx Tx) error {
-				attempts++
-				got = mate.Get(tx)
-				if attempts == 1 {
-					if err := eng.Atomic(func(wtx Tx) error {
-						written.Update(wtx, func(v int) int { return v + 1 })
-						return nil
-					}); err != nil {
-						t.Fatal(err)
-					}
-				}
-				got = mate.Get(tx)
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("RunReadOnly: %v", err)
-			}
-			if got != 7 {
-				t.Errorf("stripe-mate read = %d, want 7", got)
-			}
-			st := eng.Stats()
-			if k == 1 {
-				if attempts < 2 || st.SnapshotRestarts == 0 {
-					t.Errorf("K=1: attempts = %d, SnapshotRestarts = %d; want a false-sharing restart",
-						attempts, st.SnapshotRestarts)
-				}
-			} else {
-				if attempts != 1 {
-					t.Errorf("K=2: attempts = %d, want 1 (false sharing absorbed)", attempts)
-				}
-				if st.SnapshotRestarts != 0 {
-					t.Errorf("K=2: SnapshotRestarts = %d, want 0", st.SnapshotRestarts)
-				}
-				if st.VersionReads == 0 {
-					t.Error("K=2: VersionReads = 0, want > 0 (head resolved through the chain walk)")
-				}
 			}
 		})
 	}

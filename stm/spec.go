@@ -23,15 +23,6 @@ import (
 // every engine. The spec key of each field is given in brackets; see
 // ParseEngineSpec for the grammar.
 type EngineOptions struct {
-	// Granularity [striped] selects the Var-to-orec mapping: one orec per
-	// Var (object, the default) or Vars hashed onto a fixed padded table
-	// (striped), trading false conflicts for a bounded metadata
-	// footprint. TL2 only.
-	Granularity Granularity
-	// OrecStripes [striped=N] sizes the striped orec table (rounded up to
-	// a power of two; 0 means DefaultOrecStripes). Ignored, and not
-	// printed by String, under object granularity.
-	OrecStripes int
 	// Versions [versions=K] keeps the last K committed versions per Var so
 	// read-only snapshot transactions resolve older versions instead of
 	// restarting under write traffic (0 or 1 = single-version; clamped to
@@ -96,8 +87,6 @@ type EngineOptions struct {
 // before anything is built.
 func (o EngineOptions) Validate() error {
 	switch {
-	case o.OrecStripes < 0:
-		return fmt.Errorf("stm: negative OrecStripes %d", o.OrecStripes)
 	case o.Versions < 0:
 		return fmt.Errorf("stm: negative Versions %d", o.Versions)
 	case o.TxDeadline < 0:
@@ -119,13 +108,6 @@ func (o EngineOptions) String() string {
 	flag := func(on bool, key string) {
 		if on {
 			add("%s", key)
-		}
-	}
-	if o.Granularity == StripedGranularity {
-		if o.OrecStripes != 0 {
-			add("striped=%d", o.OrecStripes)
-		} else {
-			add("striped")
 		}
 	}
 	if o.Versions != 0 {
@@ -150,8 +132,8 @@ func (o EngineOptions) String() string {
 // Apply parses an option list (the part of a spec after "name:") over o:
 // a key present in s sets its field, an absent key keeps o's value. That
 // is the overlay rule scenario files use — "serial=off" turns a run-level
-// serial off, "versions=0" restores a single version, a bare "striped" keeps an
-// inherited table size, an empty s changes nothing.
+// serial off, "versions=0" restores a single version, an empty s changes
+// nothing.
 func (o EngineOptions) Apply(s string) (EngineOptions, error) {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("stm: engine options %q: %s", s, fmt.Sprintf(format, args...))
@@ -196,15 +178,6 @@ func (o EngineOptions) Apply(s string) (EngineOptions, error) {
 		}
 		var err error
 		switch key {
-		case "striped":
-			o.Granularity = StripedGranularity
-			switch {
-			case !hasVal || val == "on":
-			case val == "off":
-				o.Granularity, o.OrecStripes = ObjectGranularity, 0
-			default:
-				err = count(&o.OrecStripes)
-			}
 		case "versions":
 			err = count(&o.Versions)
 		case "cm":
@@ -223,7 +196,7 @@ func (o EngineOptions) Apply(s string) (EngineOptions, error) {
 		case "nosnap":
 			err = onOff(&o.DisableROSnapshot)
 		default:
-			err = bad("unknown key %q (want striped, versions, cm, ctv, visible, deadline, serial, nosnap or faults)", key)
+			err = bad("unknown key %q (want versions, cm, ctv, visible, deadline, serial, nosnap or faults)", key)
 		}
 		if err != nil {
 			return EngineOptions{}, err
@@ -245,8 +218,7 @@ type EngineSpec struct {
 //
 //	spec    := name [ ":" options ]
 //	options := option ( "," option )*
-//	option  := "striped" [ "=" N ]     TL2 striped orecs, table of N (0/omitted = default)
-//	         | "versions=" K           committed versions kept per Var
+//	option  := "versions=" K           committed versions kept per Var
 //	         | "cm=" NAME              OSTM contention manager (polka, karma, aggressive, timid, backoff)
 //	         | "ctv"                   OSTM commit-time validation only
 //	         | "visible"               OSTM visible reads
@@ -256,13 +228,11 @@ type EngineSpec struct {
 //	         | "faults=" PLAN          fault plan in ParseFaultPlan syntax; must be
 //	                                   last, and takes the rest of the string
 //
-// e.g. "tl2:striped=4096,versions=4,deadline=25ms",
-// "tl2:nosnap" or
+// e.g. "tl2:versions=4,deadline=25ms", "tl2:nosnap" or
 // "norec:serial,faults=seed=7,precommit:1/40:80us,abort:1/24". A bare name is
 // a spec with zero options. The keys without a value are booleans and also
-// accept "=on" and "=off" (and "striped=off" is object granularity), which
-// only matters when the options are applied over a base; see
-// EngineOptions.Apply. A repeated key keeps its last value.
+// accept "=on" and "=off", which only matters when the options are applied
+// over a base; see EngineOptions.Apply. A repeated key keeps its last value.
 func ParseEngineSpec(s string) (EngineSpec, error) {
 	name, opts, _ := strings.Cut(s, ":")
 	name = strings.TrimSpace(name)

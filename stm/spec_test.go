@@ -12,20 +12,20 @@ import (
 // scenarios spell; every one must be its own canonical form.
 var ciSpecs = []string{
 	"coarse",
+	"medium",
 	"tl2",
-	"tl2:striped=64",
-	"ostm:striped=64",
-	"tl2:striped=4096,versions=4,deadline=25ms",
+	"tl2:versions=4,deadline=25ms",
 	"tl2:versions=4",
+	"norec:versions=4",
 	"norec:versions=2",
-	"tl2:striped=256",
+	"norec:serial",
+	"norec:nosnap",
 	"ostm:serial",
 	"ostm:cm=karma,visible",
 	"tl2:nosnap",
 	"ostm:ctv",
-	"tl2:striped",
 	"norec:deadline=25ms,serial",
-	"x:striped=256,versions=2",
+	"x:versions=2,cm=karma",
 	"x:deadline=25ms,faults=seed=7,precommit:1/40:80µs,lockhold:1/56:120µs,clocktick:1/72:40µs,abort:1/24",
 }
 
@@ -47,10 +47,9 @@ func TestEngineSpecRoundTrip(t *testing.T) {
 
 func TestParseEngineSpec(t *testing.T) {
 	t.Run("fields", func(t *testing.T) {
-		spec := mustSpec(" tl2 : striped=64, versions=2 ,cm=timid,ctv,visible,deadline=3ms,serial,nosnap,faults=seed=3,abort:1/8")
+		spec := mustSpec(" tl2 : versions=2 ,cm=timid,ctv,visible,deadline=3ms,serial,nosnap,faults=seed=3,abort:1/8")
 		want := EngineOptions{
-			Granularity: StripedGranularity, OrecStripes: 64, Versions: 2,
-			CM: Timid{}, CommitTimeValidationOnly: true, VisibleReads: true,
+			Versions: 2, CM: Timid{}, CommitTimeValidationOnly: true, VisibleReads: true,
 			TxDeadline: 3 * time.Millisecond, SerialFallback: true,
 			DisableROSnapshot: true,
 		}
@@ -78,7 +77,7 @@ func TestParseEngineSpec(t *testing.T) {
 			"",                            // no name
 			":serial",                     // no name
 			"tl2:word",                    // unknown key
-			"tl2:STRIPED",                 // keys are case sensitive
+			"tl2:SERIAL",                  // keys are case sensitive
 			"tl2:serial,",                 // trailing comma
 			"tl2:,serial",                 // empty option
 			"tl2:serial=maybe",            // booleans take on/off
@@ -87,7 +86,6 @@ func TestParseEngineSpec(t *testing.T) {
 			"tl2:versions",                // counts need a value
 			"tl2:versions=-1",             // ... a non-negative one
 			"tl2:versions=two",            // ... a number
-			"tl2:striped=-4",              // stripes too
 			"tl2:deadline=-1ms",           // no negative budgets
 			"tl2:deadline=soon",           // Go durations only
 			"ostm:cm=",                    // a manager name is required
@@ -102,8 +100,8 @@ func TestParseEngineSpec(t *testing.T) {
 		}
 		// Deleted keys are unknown, not silently ignored.
 		for s, key := range map[string]string{
-			"tl2:adaptive": "adaptive", "tl2:shards=4": "shards", "tl2:striped,coalesce": "coalesce",
-			"norec:gc": "gc", "tl2:gc=on": "gc",
+			"tl2:adaptive": "adaptive", "tl2:shards=4": "shards", "tl2:coalesce": "coalesce",
+			"norec:gc": "gc", "tl2:gc=on": "gc", "tl2:striped": "striped", "tl2:striped=64": "striped",
 		} {
 			if _, err := ParseEngineSpec(s); err == nil || !strings.Contains(err.Error(), `unknown key "`+key+`"`) {
 				t.Errorf("ParseEngineSpec(%q): err = %v, want unknown key %q", s, err, key)
@@ -115,21 +113,19 @@ func TestParseEngineSpec(t *testing.T) {
 // TestEngineOptionsApplyOverlay pins the overlay rule scenario files rely
 // on: present keys set, absent keys inherit, =off and =0 reset.
 func TestEngineOptionsApplyOverlay(t *testing.T) {
-	base := opts("striped=64,versions=2,cm=karma,deadline=25ms,serial,faults=abort:1/8")
+	base := opts("versions=2,cm=karma,deadline=25ms,serial,faults=abort:1/8")
 	for _, c := range []struct{ overlay, want string }{
-		{"", "striped=64,versions=2,cm=karma,deadline=25ms,serial,faults=abort:1/8"},
-		{"versions=4", "striped=64,versions=4,cm=karma,deadline=25ms,serial,faults=abort:1/8"},
-		{"serial=off", "striped=64,versions=2,cm=karma,deadline=25ms,faults=abort:1/8"},
-		{"serial=on,nosnap", "striped=64,versions=2,cm=karma,deadline=25ms,serial,nosnap,faults=abort:1/8"},
-		{"versions=0,deadline=0", "striped=64,cm=karma,serial,faults=abort:1/8"},
-		{"striped", "striped=64,versions=2,cm=karma,deadline=25ms,serial,faults=abort:1/8"},
-		{"striped=0", "striped,versions=2,cm=karma,deadline=25ms,serial,faults=abort:1/8"},
-		{"striped=off", "versions=2,cm=karma,deadline=25ms,serial,faults=abort:1/8"},
-		{"cm=polka", "striped=64,versions=2,cm=polka,deadline=25ms,serial,faults=abort:1/8"},
-		{"faults=seed=2,abort:1/2", "striped=64,versions=2,cm=karma,deadline=25ms,serial,faults=seed=2,abort:1/2"},
-		{"faults=", "striped=64,versions=2,cm=karma,deadline=25ms,serial"},
-		{"serial=off,serial", "striped=64,versions=2,cm=karma,deadline=25ms,serial,faults=abort:1/8"},
-		{"nosnap,faults=seed=2,abort:1/2", "striped=64,versions=2,cm=karma,deadline=25ms,serial,nosnap,faults=seed=2,abort:1/2"},
+		{"", "versions=2,cm=karma,deadline=25ms,serial,faults=abort:1/8"},
+		{"versions=4", "versions=4,cm=karma,deadline=25ms,serial,faults=abort:1/8"},
+		{"serial=off", "versions=2,cm=karma,deadline=25ms,faults=abort:1/8"},
+		{"serial=on,nosnap", "versions=2,cm=karma,deadline=25ms,serial,nosnap,faults=abort:1/8"},
+		{"versions=0,deadline=0", "cm=karma,serial,faults=abort:1/8"},
+		{"ctv=off", "versions=2,cm=karma,deadline=25ms,serial,faults=abort:1/8"},
+		{"cm=polka", "versions=2,cm=polka,deadline=25ms,serial,faults=abort:1/8"},
+		{"faults=seed=2,abort:1/2", "versions=2,cm=karma,deadline=25ms,serial,faults=seed=2,abort:1/2"},
+		{"faults=", "versions=2,cm=karma,deadline=25ms,serial"},
+		{"serial=off,serial", "versions=2,cm=karma,deadline=25ms,serial,faults=abort:1/8"},
+		{"nosnap,faults=seed=2,abort:1/2", "versions=2,cm=karma,deadline=25ms,serial,nosnap,faults=seed=2,abort:1/2"},
 	} {
 		got, err := base.Apply(c.overlay)
 		if err != nil {
@@ -152,13 +148,13 @@ func TestEngineOptionsApplyOverlay(t *testing.T) {
 
 func TestEngineOptionsValidate(t *testing.T) {
 	for _, o := range []EngineOptions{
-		{OrecStripes: -1}, {Versions: -1}, {TxDeadline: -time.Second},
+		{Versions: -1}, {TxDeadline: -time.Second},
 	} {
 		if err := o.Validate(); err == nil {
 			t.Errorf("Validate(%+v) = nil, want error", o)
 		}
 	}
-	if err := opts("striped=64,versions=8,deadline=1s").Validate(); err != nil {
+	if err := opts("versions=8,deadline=1s").Validate(); err != nil {
 		t.Errorf("Validate of a parsed value: %v", err)
 	}
 }
@@ -201,17 +197,9 @@ func TestEveryEngineOptionHasASpecKey(t *testing.T) {
 		if field.Name == "Trace" {
 			continue
 		}
-		var base EngineOptions
-		if field.Name == "OrecStripes" {
-			// Spelled as the value of striped=, so only under striped
-			// granularity.
-			base.Granularity = StripedGranularity
-		}
-		o := base
+		var o EngineOptions
 		f := reflect.ValueOf(&o).Elem().Field(i)
 		switch f.Interface().(type) {
-		case Granularity:
-			f.Set(reflect.ValueOf(StripedGranularity))
 		case int:
 			f.SetInt(3)
 		case bool:
@@ -228,7 +216,7 @@ func TestEveryEngineOptionHasASpecKey(t *testing.T) {
 			t.Fatalf("field %s has type %s: teach this test a non-zero value for it", field.Name, field.Type)
 		}
 		printed := o.String()
-		if printed == base.String() {
+		if printed == "" {
 			t.Errorf("field %s: String() does not print a non-zero value (%q) — no spec key prints it", field.Name, printed)
 			continue
 		}
@@ -249,7 +237,7 @@ func FuzzParseEngineSpec(f *testing.F) {
 		"tl2:",
 		":serial",
 		"tl2:serial,",
-		"tl2:striped=off,nosnap=off,serial=on",
+		"tl2:ctv=off,nosnap=off,serial=on",
 		"tl2:faults=",
 		"tl2:faults=abort:1/4,serial",
 		"a b:versions=18446744073709551615",

@@ -31,16 +31,6 @@ type Stats struct {
 	EnemyAborts uint64
 	// LockFailures counts TL2 commit-time lock acquisition failures.
 	LockFailures uint64
-	// FalseConflicts estimates how many TL2 conflicts were artifacts of
-	// striped orec granularity: the conflicting metadata belonged to a
-	// different Var that shares the stripe. Attribution is best-effort
-	// (TL2 records one writer Var per locked orec) and always 0 under
-	// object granularity, where the mapping is collision free, and on
-	// the engines that ignore Granularity. Only the validating path
-	// attributes: a snapshot attempt (RunReadOnly) never does, but the
-	// Atomic transaction RunReadOnly falls back to after
-	// snapRestartBudget restarts is an ordinary transaction and may.
-	FalseConflicts uint64
 	// SnapshotTxs counts read-only transactions served by the
 	// validation-free snapshot path (RunReadOnly on engines implementing
 	// SnapshotReader). Snapshot transactions also count toward Commits,
@@ -51,8 +41,7 @@ type Stats struct {
 	// refreshes, NOrec epoch retries, OSTM commit-serial retries. They
 	// are tracked separately from ConflictAborts: a restart is the
 	// snapshot path re-proving its snapshot, not a conflict episode on
-	// the validating path (and it never involves another transaction's
-	// metadata, so it can never count toward FalseConflicts either).
+	// the validating path.
 	SnapshotRestarts uint64
 	// VersionReads counts snapshot reads served from an older committed
 	// version on a Var's multi-version chain (Versions > 1) — each is a
@@ -110,7 +99,6 @@ type statCounters struct {
 	clones         padUint64
 	enemyAborts    padUint64
 	lockFailures   padUint64
-	falseConflicts padUint64
 	// Snapshot-path counters. Bumped once per RunReadOnly outcome (commit
 	// or restart) directly — same frequency as commits/conflictAborts —
 	// so they need no txStats batching.
@@ -134,16 +122,15 @@ type statCounters struct {
 // descriptor — only the owning goroutine touches it — and is drained into
 // the engine's shared statCounters by flushTx at the end of every attempt.
 type txStats struct {
-	reads          uint64
-	writes         uint64
-	validations    uint64
-	clones         uint64
-	enemyAborts    uint64
-	lockFailures   uint64
-	falseConflicts uint64
-	versionReads   uint64
-	versionMisses  uint64
-	versionBytes   uint64
+	reads         uint64
+	writes        uint64
+	validations   uint64
+	clones        uint64
+	enemyAborts   uint64
+	lockFailures  uint64
+	versionReads  uint64
+	versionMisses uint64
+	versionBytes  uint64
 }
 
 // flushTx adds a transaction's locally accumulated counters to the shared
@@ -173,10 +160,6 @@ func (c *statCounters) flushTx(s *txStats) {
 	if s.lockFailures != 0 {
 		c.lockFailures.Add(s.lockFailures)
 		s.lockFailures = 0
-	}
-	if s.falseConflicts != 0 {
-		c.falseConflicts.Add(s.falseConflicts)
-		s.falseConflicts = 0
 	}
 	if s.versionReads != 0 {
 		c.versionReads.Add(s.versionReads)
@@ -211,7 +194,6 @@ func (c *statCounters) snapshot() Stats {
 		Clones:           c.clones.Load(),
 		EnemyAborts:      c.enemyAborts.Load(),
 		LockFailures:     c.lockFailures.Load(),
-		FalseConflicts:   c.falseConflicts.Load(),
 		SnapshotTxs:      c.snapshotTxs.Load(),
 		SnapshotRestarts: c.snapshotRestarts.Load(),
 		VersionReads:     c.versionReads.Load(),
@@ -238,21 +220,6 @@ func (s Stats) AbortRate() float64 {
 	return float64(s.ConflictAborts) / float64(a)
 }
 
-// FalseConflictRate returns the fraction of conflict aborts attributed to
-// orec striping rather than a genuine data conflict (0 when there were no
-// conflict aborts; always 0 under object granularity). Attribution is
-// best-effort — see the FalseConflicts field.
-func (s Stats) FalseConflictRate() float64 {
-	if s.ConflictAborts == 0 {
-		return 0
-	}
-	r := float64(s.FalseConflicts) / float64(s.ConflictAborts)
-	if r > 1 {
-		r = 1
-	}
-	return r
-}
-
 // SnapshotShare returns the fraction of commits served by the read-only
 // snapshot path (0 when there were no commits).
 func (s Stats) SnapshotShare() float64 {
@@ -276,7 +243,6 @@ func (s Stats) Add(o Stats) Stats {
 		Clones:           s.Clones + o.Clones,
 		EnemyAborts:      s.EnemyAborts + o.EnemyAborts,
 		LockFailures:     s.LockFailures + o.LockFailures,
-		FalseConflicts:   s.FalseConflicts + o.FalseConflicts,
 		SnapshotTxs:      s.SnapshotTxs + o.SnapshotTxs,
 		SnapshotRestarts: s.SnapshotRestarts + o.SnapshotRestarts,
 		VersionReads:     s.VersionReads + o.VersionReads,
@@ -291,9 +257,9 @@ func (s Stats) Add(o Stats) Stats {
 // Lines renders the canonical human-readable stat block shared by every
 // report surface (harness reports, scenario comparisons, CLI summaries),
 // one line per subsystem. The headline and abort-cause lines are always
-// present; subsystem lines (snapshot path, multi-version chains, orec
-// striping, serial fallback) appear only when their
-// counters are live, so quiet configurations stay quiet.
+// present; subsystem lines (snapshot path, multi-version chains, serial
+// fallback) appear only when their counters are live, so quiet
+// configurations stay quiet.
 //
 // The abort-cause breakdown is attribution, not a partition: enemy kills
 // and injected conflicts are also counted in ConflictAborts, and timeout
@@ -315,10 +281,6 @@ func (s Stats) Lines() []string {
 	if s.VersionReads > 0 || s.VersionMisses > 0 || s.VersionBytes > 0 {
 		lines = append(lines, fmt.Sprintf("multiversion: %d chain reads, %d chain misses, %d bytes retained",
 			s.VersionReads, s.VersionMisses, s.VersionBytes))
-	}
-	if s.FalseConflicts > 0 {
-		lines = append(lines, fmt.Sprintf("orec striping: %d false conflicts (%.1f%% of conflict aborts)",
-			s.FalseConflicts, 100*s.FalseConflictRate()))
 	}
 	if s.SerialFallbacks > 0 {
 		lines = append(lines, fmt.Sprintf("serial fallback: %d escalations", s.SerialFallbacks))
@@ -342,7 +304,6 @@ func (s Stats) Delta(prev Stats) Stats {
 		Clones:           s.Clones - prev.Clones,
 		EnemyAborts:      s.EnemyAborts - prev.EnemyAborts,
 		LockFailures:     s.LockFailures - prev.LockFailures,
-		FalseConflicts:   s.FalseConflicts - prev.FalseConflicts,
 		SnapshotTxs:      s.SnapshotTxs - prev.SnapshotTxs,
 		SnapshotRestarts: s.SnapshotRestarts - prev.SnapshotRestarts,
 		VersionReads:     s.VersionReads - prev.VersionReads,

@@ -37,44 +37,33 @@ type CloneFunc func(any) any
 // whole object's mutable state in one Var, making the Var the unit of
 // copy-on-write logging.
 //
-// A Var carries its own ownership record (orec) inline and reaches its
-// conflict-detection metadata through orc, which its VarSpace points either
-// at that record or into a fixed striped table — the Var-to-orec mapping is
-// TL2's engine-configuration axis (see Granularity). Under object
-// granularity (the default, and the only one OSTM runs at) the orec is
-// private to the Var, so the unit of conflict detection is the object and
-// a read finds orc, the lock word and the value pointer on one cache line;
-// under striped granularity it is the stripe.
+// A Var carries its ownership record (orec) inline, so the unit of conflict
+// detection is the object, and it is exactly one 64-byte cache line: a read
+// finds the value pointer and the lock word in the Var's first 16 bytes
+// (see orec.go).
 //
 // Create Vars with VarSpace.NewVar so they receive unique ids: ids key the
-// transactions' access-set indexes and pick a Var's stripe under striped
-// granularity, where TL2 also sorts its write set by them (through the
-// orecs) to lock each stripe once. They do not prevent deadlock — TL2's
-// bounded commit-time spin does. A Var points into itself and must not be
-// copied.
+// transactions' access-set indexes. A Var must not be copied.
 type Var struct {
-	// orc is the Var's ownership record, resolved once at creation: &own,
-	// or a slot of the space's striped table. All engine conflict metadata
-	// (TL2 lock word, OSTM locator slot, the visible-reads registry) is
-	// reached through it, whichever it is.
-	orc *orec
-
 	// cur is the committed value used by the direct, TL2 and NOrec
 	// engines. For OSTM it is the committed value whenever the Var's orec
 	// holds no locator: a locator's retirement writes its committed value
 	// back before clearing the slot.
 	cur atomic.Pointer[box]
 
-	// own is the inline ownership record: the Var's orec under object
-	// granularity, unused under striped. It follows orc and cur, lock word
-	// first, so the three words a read loads — orc, own.meta, cur — are the
-	// Var's first 24 bytes, which neither a Var allocated alone nor one in
-	// a NewCells slab has split across cache lines (TestVarLayout).
+	// own is the Var's ownership record. It follows cur, lock word first,
+	// so the two words a read loads — cur and own.meta — are the Var's
+	// first 16 bytes, which neither a Var allocated alone nor one in a
+	// NewCells slab has split across cache lines (TestVarLayout).
 	own orec
 
 	id    uint64
 	clone CloneFunc
-	name  string
+
+	// The padding rounds a Var up to one cache line: the cells of a
+	// NewCells slab are then 64 bytes apart, so no two lock words share a
+	// line and no cell's hot 16 bytes straddle two.
+	_ [8]byte
 }
 
 // readerSet is an immutable set of reader transactions.
@@ -82,31 +71,17 @@ type readerSet struct {
 	list []*txState
 }
 
-// VarSpace allocates Vars with unique ids and assigns each its ownership
-// record. All Vars that may participate in the same transaction must come
-// from the same space (or at least have globally unique ids); engines
-// embed a space, so Engine.VarSpace is the usual source.
+// VarSpace allocates Vars with unique ids. All Vars that may participate in
+// the same transaction must come from the same space (or at least have
+// globally unique ids); engines embed a space, so Engine.VarSpace is the
+// usual source.
 type VarSpace struct {
 	nextID atomic.Uint64
-	orecs  orecTable
 }
 
-// NewVarSpace returns a standalone id space with the default object
-// granularity. Most callers use Engine.VarSpace instead.
+// NewVarSpace returns a standalone id space. Most callers use
+// Engine.VarSpace instead.
 func NewVarSpace() *VarSpace { return &VarSpace{} }
-
-// ConfigureOrecs selects the space's Var-to-orec mapping. It must be
-// called before the first NewVar (TL2 calls it from its constructor);
-// changing the mapping of a space that already allocated Vars would strand
-// their metadata, so that is rejected. Only TL2 reads a striped table: an
-// OSTM locator covers exactly one Var, so an OSTM engine's space must stay
-// at object granularity.
-func (s *VarSpace) ConfigureOrecs(g Granularity, stripes int) error {
-	if s.nextID.Load() != 0 {
-		return errors.New("stm: ConfigureOrecs after Vars were allocated")
-	}
-	return s.orecs.configure(g, stripes)
-}
 
 // NewVar returns a Var initialized to val. clone may be nil when val (and
 // all future values) have value semantics or are never mutated through
@@ -122,24 +97,23 @@ func (s *VarSpace) NewVar(val any, clone CloneFunc) *Var {
 func (s *VarSpace) initVar(v *Var, val any, clone CloneFunc) {
 	v.id = s.nextID.Add(1)
 	v.clone = clone
-	s.orecs.bind(v)
 	v.cur.Store(&box{val: val})
 }
 
-// SetName attaches a debug name to the Var (visible in String). The
+// SetTag attaches a one-byte debug tag to the Var (visible in String). The
 // STMBench7 core tags every Var with its synchronization domain, which the
 // lock-strategy tests use to verify lock coverage.
-func (v *Var) SetName(name string) *Var { v.name = name; return v }
+func (v *Var) SetTag(tag uint8) *Var { v.own.tag = tag; return v }
 
-// Name returns the debug name set by SetName ("" if none).
-func (v *Var) Name() string { return v.name }
+// Tag returns the debug tag set by SetTag (0 if none).
+func (v *Var) Tag() uint8 { return v.own.tag }
 
 // ID returns the Var's unique id within its VarSpace.
 func (v *Var) ID() uint64 { return v.id }
 
 func (v *Var) String() string {
-	if v.name != "" {
-		return fmt.Sprintf("Var(%d:%s)", v.id, v.name)
+	if v.own.tag != 0 {
+		return fmt.Sprintf("Var(%d:%d)", v.id, v.own.tag)
 	}
 	return fmt.Sprintf("Var(%d)", v.id)
 }

@@ -61,23 +61,12 @@ var txEngineMakers = map[string]func() Engine{
 	"ostm-visible":      fromSpec("ostm:visible"),
 	"ostm-commitserial": func() Engine { return NewOSTMWith(OSTMConfig{CommitCounterHeuristic: true}) },
 
-	// Granularity variant: the same suites that iterate engines iterate
-	// TL2's metadata axis. The stripe count is deliberately tiny
-	// (16 orecs) so the stress tests hammer stripe collisions — false
-	// conflicts must cost throughput, never correctness.
-	"tl2-striped": fromSpec("tl2:striped=16"),
-
 	// Multi-version variants: the version-chain depth iterates through the
-	// same suites like engines and granularity modes do (K=1 is the base
-	// registry entry). The striped x versioned combinations hammer the
-	// interaction between stripe-shared meta words and per-Var chains —
-	// a stripe-mate's commit must never surface a wrong version.
-	"tl2-mv2":         fromSpec("tl2:versions=2"),
-	"tl2-mv8":         fromSpec("tl2:versions=8"),
-	"norec-mv2":       fromSpec("norec:versions=2"),
-	"norec-mv8":       fromSpec("norec:versions=8"),
-	"tl2-striped-mv2": fromSpec("tl2:striped=16,versions=2"),
-	"tl2-striped-mv8": fromSpec("tl2:striped=16,versions=8"),
+	// same suites like engines do (K=1 is the base registry entry).
+	"tl2-mv2":   fromSpec("tl2:versions=2"),
+	"tl2-mv8":   fromSpec("tl2:versions=8"),
+	"norec-mv2": fromSpec("norec:versions=2"),
+	"norec-mv8": fromSpec("norec:versions=8"),
 }
 
 // init adds every registered engine (except the non-transactional direct
@@ -514,8 +503,7 @@ func TestVarString(t *testing.T) {
 	if v.String() == "" || v.ID() == 0 {
 		t.Errorf("Var id/string not populated: %q %d", v.String(), v.ID())
 	}
-	v.SetName("counter")
-	if want := fmt.Sprintf("Var(%d:counter)", v.ID()); v.String() != want {
+	if want := fmt.Sprintf("Var(%d)", v.ID()); v.String() != want {
 		t.Errorf("String = %q, want %q", v.String(), want)
 	}
 }

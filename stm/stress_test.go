@@ -353,9 +353,9 @@ func TestHighContentionSmallVars(t *testing.T) {
 // writing k shared cells ascending and half descending, must all finish
 // inside the deadline with every transaction committed once and the cells'
 // sum conserved (each transaction adds +1 and -1 alternately along its own
-// walk, which is a different sign per cell in the two directions). tl2's
-// striped form still sorts; norec and ostm have no lock order to cross and
-// are the control that the test itself is sound. Every engine runs once more
+// walk, which is a different sign per cell in the two directions). norec
+// and ostm have no lock order to cross and are the control that the test
+// itself is sound. Every engine runs once more
 // with committers stalled while they hold their locks.
 //
 // A livelock here would point at backoffDur: its jitter is a pure function
@@ -367,8 +367,8 @@ func TestCrossingWriteOrdersFinish(t *testing.T) {
 		stall    = "seed=5,lockhold:1/8:20µs"
 	)
 	for _, spec := range []string{
-		"tl2", "tl2:striped=16", "norec", "ostm",
-		"tl2:faults=" + stall, "tl2:striped=16,faults=" + stall, "norec:faults=" + stall, "ostm:faults=" + stall,
+		"tl2", "norec", "ostm",
+		"tl2:faults=" + stall, "norec:faults=" + stall, "ostm:faults=" + stall,
 	} {
 		for _, goroutines := range []int{2, 4} {
 			for _, k := range []int{2, 16, 200} {

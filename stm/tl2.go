@@ -1,18 +1,13 @@
 package stm
 
-import (
-	"cmp"
-	"slices"
-)
-
 // TL2Config tunes the TL2 engine.
 type TL2Config struct {
 	// MaxRetries bounds re-executions; 0 means retry forever. When the
 	// budget is exhausted Atomic returns ErrAborted.
 	MaxRetries int
 	// EngineOptions carries the spec-addressable knobs. TL2 honours
-	// Granularity, OrecStripes, Versions, TxDeadline, SerialFallback,
-	// Faults, Trace and DisableROSnapshot, and ignores the rest.
+	// Versions, TxDeadline, SerialFallback, Faults, Trace and
+	// DisableROSnapshot, and ignores the rest.
 	EngineOptions
 }
 
@@ -41,7 +36,6 @@ type TL2 struct {
 	stats    statCounters
 	txPool   txPool[tl2Tx]
 	snapPool txPool[tl2SnapTx] // read-only snapshot descriptors (RunReadOnly)
-	striped  bool
 	// clock is the global version clock. It advances by 2 so that version
 	// numbers are always even; bit 0 of an orec's meta word is its lock
 	// bit. The padding in front of it and padUint64's own padding behind
@@ -64,10 +58,7 @@ func init() {
 // NewTL2With returns a TL2 engine with explicit configuration.
 func NewTL2With(cfg TL2Config) *TL2 {
 	cfg.Versions = normalizeVersions(cfg.Versions)
-	e := &TL2{cfg: cfg, striped: cfg.Granularity == StripedGranularity}
-	if err := e.space.ConfigureOrecs(cfg.Granularity, cfg.OrecStripes); err != nil {
-		panic(err) // unreachable: the space is brand new and the size is clamped
-	}
+	e := &TL2{cfg: cfg}
 	if cfg.SerialFallback {
 		e.gate = &serialGate{}
 	}
@@ -210,13 +201,6 @@ type tl2Write struct {
 	val any
 }
 
-// dupMeta marks a write-set entry whose orec was already locked by an
-// earlier entry of the same (sorted) write set — only possible under
-// striped granularity, where several written Vars can share one orec. It
-// is odd, so it can never collide with a saved pre-lock meta (those are
-// sampled unlocked, i.e. even).
-const dupMeta = ^uint64(0)
-
 // tl2Tx is the pooled per-transaction descriptor. reset reuses all of its
 // storage — slices are truncated, the indexes generation-cleared, the
 // commit scratch kept at capacity — so steady-state attempts allocate
@@ -234,7 +218,7 @@ type tl2Tx struct {
 
 	hiReads, hiWrites int // longest reads/writes over this call's earlier attempts (pool.go)
 
-	lockedMeta []uint64 // commit scratch: pre-lock meta per write-set entry (dupMeta for same-orec duplicates)
+	lockedMeta []uint64 // commit scratch: pre-lock meta per write-set entry
 
 	tr traceTap // flight-recorder handle (tr.rec nil = tracing off)
 
@@ -251,27 +235,17 @@ func (tx *tl2Tx) reset() {
 	tx.injected = false
 }
 
-// noteFalseConflict classifies a conflict on o, hit while accessing v, as
-// false when the metadata was last locked on behalf of a different Var —
-// only possible under striped granularity.
-func (tx *tl2Tx) noteFalseConflict(o *orec, v *Var) {
-	if tx.eng.striped && o.lastWriter.Load() != v.id {
-		tx.st.falseConflicts++
-	}
-}
-
 // readVar performs TL2's sampled-meta read: meta, value, meta again; the
 // read is consistent iff the Var's orec was stable, unlocked, and not
 // newer than rv.
 func (tx *tl2Tx) readVar(v *Var) any {
-	o := v.orc
+	o := &v.own
 	spins := 0
 	for {
 		m1 := o.meta.Load()
 		if m1&1 == 1 {
 			spins++
 			if spins > tl2ReadLockSpins {
-				tx.noteFalseConflict(o, v)
 				throwConflict("read of locked var")
 			}
 			spinHint()
@@ -283,7 +257,6 @@ func (tx *tl2Tx) readVar(v *Var) any {
 			continue
 		}
 		if m1 > tx.rv {
-			tx.noteFalseConflict(o, v)
 			throwConflict("read version too new")
 		}
 		if _, ok := tx.readIdx.getOrPut(v, int32(len(tx.reads))); !ok {
@@ -333,42 +306,11 @@ func (tx *tl2Tx) Update(v *Var, f func(val any) any) {
 }
 
 // releaseLocks restores the saved meta of the first `entries` write-set
-// entries' orecs, undoing a failed commit's lock acquisitions (same-orec
-// duplicates carry dupMeta and are skipped).
+// entries' orecs, undoing a failed commit's lock acquisitions.
 func (tx *tl2Tx) releaseLocks(entries int) {
 	for i := 0; i < entries; i++ {
-		if tx.lockedMeta[i] == dupMeta {
-			continue
-		}
-		tx.writes[i].v.orc.meta.Store(tx.lockedMeta[i])
+		tx.writes[i].v.own.meta.Store(tx.lockedMeta[i])
 	}
-}
-
-// heldMetaAt returns the saved pre-lock meta for the write-set entry at
-// index i, following same-orec duplicates back to their group leader. Under
-// striped granularity commit sorted the write set by orec, so a duplicate's
-// leader is adjacent below it. Under object granularity the write set is in
-// the order it was written, but every entry has an orec of its own, none is
-// marked dupMeta, and the loop ends before its first step.
-func (tx *tl2Tx) heldMetaAt(i int) uint64 {
-	for tx.lockedMeta[i] == dupMeta {
-		i--
-	}
-	return tx.lockedMeta[i]
-}
-
-// heldMetaFor reports whether this transaction holds the commit lock on o
-// and, if so, the orec's pre-lock meta. Only reachable under striped
-// granularity (a read Var sharing a locked stripe with a written one
-// without being written itself); the scan is O(write set), on the
-// already-contended path.
-func (tx *tl2Tx) heldMetaFor(o *orec) (uint64, bool) {
-	for i := range tx.writes {
-		if tx.writes[i].v.orc == o {
-			return tx.heldMetaAt(i), true
-		}
-	}
-	return 0, false
 }
 
 // commit implements TL2's commit protocol: lock the write set's orecs,
@@ -399,36 +341,19 @@ func (tx *tl2Tx) commit() bool {
 		f.stallAt(FaultPreCommit, &tx.eng.stats)
 	}
 
-	// Under object granularity writeIdx already holds one entry per Var, a
-	// Var is its own orec, and the write set is locked as it stands:
-	// writes[i], writeIdx and lockedMeta[i] stay aligned with no work.
-	// Under striped granularity several writes may share an orec; sorting
-	// makes them adjacent, so each orec is locked exactly once.
-	if tx.eng.striped {
-		sortWritesByOrec(tx.writes)
-		for i := range tx.writes {
-			tx.writeIdx.put(tx.writes[i].v, int32(i)) // reindex after sorting
-		}
-	}
+	// Every Var has its own orec, so the write set is locked as it stands
+	// and lockedMeta[i] belongs to writes[i], which writeIdx indexes.
 	if cap(tx.lockedMeta) < len(tx.writes) {
 		tx.lockedMeta = make([]uint64, len(tx.writes))
 	}
 	tx.lockedMeta = tx.lockedMeta[:len(tx.writes)]
 	for i := range tx.writes {
-		v := tx.writes[i].v
-		o := v.orc
-		if i > 0 && tx.writes[i-1].v.orc == o {
-			tx.lockedMeta[i] = dupMeta
-			continue
-		}
+		o := &tx.writes[i].v.own
 		spins := 0
 		for {
 			m := o.meta.Load()
 			if m&1 == 0 && o.meta.CompareAndSwap(m, m|1) {
 				tx.lockedMeta[i] = m
-				if tx.eng.striped {
-					o.lastWriter.Store(v.id)
-				}
 				break
 			}
 			spins++
@@ -461,35 +386,17 @@ func (tx *tl2Tx) commit() bool {
 		}
 		tx.st.validations += uint64(len(tx.reads))
 		for _, v := range tx.reads {
-			o := v.orc
-			m := o.meta.Load()
+			m := v.own.meta.Load()
 			if m&1 == 1 {
 				// Locked: only fine if we hold the lock, in which case the
 				// pre-lock version must not exceed rv.
-				if i, ok := tx.writeIdx.get(v); ok {
-					if tx.heldMetaAt(int(i)) > tx.rv {
-						tx.releaseLocks(len(tx.writes))
-						return false
-					}
+				if i, ok := tx.writeIdx.get(v); ok && tx.lockedMeta[i] <= tx.rv {
 					continue
 				}
-				if tx.eng.striped {
-					// The Var itself was not written, but its stripe may be
-					// locked by one of our writes to a stripe-mate.
-					if saved, ok := tx.heldMetaFor(o); ok {
-						if saved > tx.rv {
-							tx.releaseLocks(len(tx.writes))
-							return false
-						}
-						continue
-					}
-				}
-				tx.noteFalseConflict(o, v)
 				tx.releaseLocks(len(tx.writes))
 				return false
 			}
 			if m > tx.rv {
-				tx.noteFalseConflict(o, v)
 				tx.releaseLocks(len(tx.writes))
 				return false
 			}
@@ -500,11 +407,9 @@ func (tx *tl2Tx) commit() bool {
 	// box per written Var is the one unavoidable commit allocation:
 	// published boxes are immutable snapshots that concurrent readers may
 	// hold indefinitely, so they can never be recycled from the
-	// descriptor. All boxes land before any orec unlocks so that a reader
-	// of one stripe-mate can never observe a mix of old and new values
-	// under an unlocked meta word. Under Versions > 1 the superseded box
-	// is linked behind the new one (same single allocation) so snapshot
-	// readers at older rv can resolve it; see mvcc.go.
+	// descriptor. Under Versions > 1 the superseded box is linked behind
+	// the new one (same single allocation) so snapshot readers at older rv
+	// can resolve it; see mvcc.go.
 	keep := tx.eng.cfg.Versions
 	for i := range tx.writes {
 		w := &tx.writes[i]
@@ -517,43 +422,9 @@ func (tx *tl2Tx) commit() bool {
 		f.stallAt(FaultLockHold, &tx.eng.stats)
 	}
 	for i := range tx.writes {
-		if tx.lockedMeta[i] == dupMeta {
-			continue
-		}
-		tx.writes[i].v.orc.meta.Store(wv)
+		tx.writes[i].v.own.meta.Store(wv)
 	}
 	return true
-}
-
-// sortWritesByOrec sorts in place by (orec id, Var id). Only striped
-// granularity calls it: there the writes that share a stripe must be
-// adjacent for commit to lock the stripe once; the Var-id tiebreak makes
-// same-orec groups deterministic. Small write sets
-// (almost every STMBench7 operation) use an insertion sort — no closure, no
-// reflection; structural-modification transactions with large write sets
-// fall back to the standard-library sort to avoid the O(n²) blowup.
-func sortWritesByOrec(ws []tl2Write) {
-	if len(ws) > 32 {
-		slices.SortFunc(ws, func(a, b tl2Write) int {
-			if c := cmp.Compare(a.v.orc.id, b.v.orc.id); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.v.id, b.v.id)
-		})
-		return
-	}
-	for i := 1; i < len(ws); i++ {
-		for j := i; j > 0 && writeOrder(ws[j], ws[j-1]); j-- {
-			ws[j], ws[j-1] = ws[j-1], ws[j]
-		}
-	}
-}
-
-func writeOrder(a, b tl2Write) bool {
-	if a.v.orc.id != b.v.orc.id {
-		return a.v.orc.id < b.v.orc.id
-	}
-	return a.v.id < b.v.id
 }
 
 var (

@@ -218,7 +218,7 @@ func (ix *varIndex) grow() {
 }
 
 // hashID mixes a Var's sequentially assigned id into a well-distributed
-// probe start or stripe index (Fibonacci hashing).
+// probe start (Fibonacci hashing).
 func hashID(id uint64) uint64 {
 	h := id * 0x9e3779b97f4a7c15
 	return h ^ h>>29

@@ -93,7 +93,7 @@ func (tx *ostmTx) visibleRead(v *Var) any {
 	if i, ok := tx.readIdx.get(v); ok {
 		return tx.reads[i].seen.val
 	}
-	o := v.orc
+	o := &v.own
 	cm := tx.eng.cfg.CM
 	attempt := 0
 	for {

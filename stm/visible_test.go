@@ -126,7 +126,7 @@ func TestVisibleReaderSetPruning(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rs := c.Var().orc.readers.Load()
+	rs := c.Var().own.readers.Load()
 	if rs == nil {
 		t.Fatal("no reader set")
 	}

@@ -67,7 +67,7 @@ const (
 func ParseWorkload(s string) (Workload, error) { return ops.ParseWorkload(s) }
 
 // EngineSpec is a strategy name plus the stm engine options it runs with —
-// what the CLI's -g flag takes ("tl2:striped=4096,versions=4"). Its two
+// what the CLI's -g flag takes ("tl2:versions=4"). Its two
 // halves are Options.Strategy and Options.Engine.
 type EngineSpec = stm.EngineSpec
 
