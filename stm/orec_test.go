@@ -54,6 +54,49 @@ func TestVarLayout(t *testing.T) {
 	}
 }
 
+// TestOrecCacheLinePadding pins what the Var's padding buys: each Var's
+// ownership record lies on one cache line, and in a NewCells slab no two
+// neighbouring cells' records share a line, so a committer locking one cell
+// never false-shares with a reader of the next. The slab sizes cover every
+// size class the allocator treats differently: no header below 512 B, a
+// header up to 32 KB, whole pages above.
+func TestOrecCacheLinePadding(t *testing.T) {
+	s := NewVarSpace()
+	for _, n := range []int{1, 2, 3, 8, 40, 600} {
+		cells := NewCells(s, make([]int, n))
+		prev := ^uintptr(0)
+		for i := range cells {
+			o := &cells[i].Var().own
+			line := uintptr(unsafe.Pointer(o)) / cacheLine
+			if !sameLine(unsafe.Pointer(o), unsafe.Sizeof(*o)) || line == prev {
+				t.Fatalf("slab of %d: record %d at %p straddles a cache line or shares cell %d's", n, i, o, i-1)
+			}
+			prev = line
+		}
+	}
+}
+
+// TestObjectGranularityIsCollisionFree: every Var carries its own ownership
+// record, so no two Vars, allocated alone or in one slab, share one.
+func TestObjectGranularityIsCollisionFree(t *testing.T) {
+	s := NewVarSpace()
+	vars := make([]*Var, 0, 512)
+	for i := 0; i < 256; i++ {
+		vars = append(vars, s.NewVar(i, nil))
+	}
+	cells := NewCells(s, make([]int, 256))
+	for i := range cells {
+		vars = append(vars, cells[i].Var())
+	}
+	seen := map[*orec]bool{}
+	for _, v := range vars {
+		if seen[&v.own] {
+			t.Fatalf("Var %d shares an orec", v.id)
+		}
+		seen[&v.own] = true
+	}
+}
+
 // TestVarTag round-trips the debug tag: a fresh Var has none, SetTag
 // survives commits on every engine (the tag shares the orec with metadata
 // the engines write), and String shows it.

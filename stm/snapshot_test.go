@@ -420,6 +420,10 @@ func TestVersionStatsDelta(t *testing.T) {
 var versionedSnapshotMakers = map[string]func(k int) Engine{
 	"tl2":   func(k int) Engine { return NewTL2With(TL2Config{EngineOptions: EngineOptions{Versions: k}}) },
 	"norec": func(k int) Engine { return NewNOrecWith(NOrecConfig{EngineOptions: EngineOptions{Versions: k}}) },
+	// TL2 with committers stalled under their locks, as in txEngineMakers.
+	"tl2-striped": func(k int) Engine {
+		return NewTL2With(TL2Config{EngineOptions: opts(fmt.Sprintf("versions=%d,faults=%s", k, lockStall))})
+	},
 }
 
 // TestSnapshotVersionedRestartElimination is the PR's deterministic

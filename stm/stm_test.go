@@ -67,7 +67,27 @@ var txEngineMakers = map[string]func() Engine{
 	"tl2-mv8":   fromSpec("tl2:versions=8"),
 	"norec-mv2": fromSpec("norec:versions=2"),
 	"norec-mv8": fromSpec("norec:versions=8"),
+
+	// Lock-hold stall variants: one TL2 committer in 64 spins while it
+	// holds its write locks, so readers and writers meet a locked orec far
+	// more often than in the plain rows. A held lock must cost retries,
+	// never correctness, and with versions a reader must never resolve a
+	// wrong version past it. The rows keep the names of the 16-stripe rows
+	// they replace, which gave the same stress by making unrelated Vars
+	// collide on one orec, so the suites' test ids carry over.
+	"tl2-striped":     fromSpec("tl2:faults=" + lockStall),
+	"tl2-striped-mv2": fromSpec("tl2:versions=2,faults=" + lockStall),
+	"tl2-striped-mv8": fromSpec("tl2:versions=8,faults=" + lockStall),
 }
+
+// lockStall is a fault plan that stalls one committer in 64 for 4µs while
+// it holds its write locks. The stall stays under spinOnlyMax, so the
+// committer spins rather than yields: on one P a yielding lock holder hands
+// the processor to exactly the transactions that then find its locks held.
+// A harsher plan (one in eight for 20µs) keeps two tight-looping writers'
+// locks held most of the time, and a K=1 snapshot reader racing them then
+// spends milliseconds per read in its fallback's backoff.
+const lockStall = "seed=5,lockhold:1/64:4µs"
 
 // init adds every registered engine (except the non-transactional direct
 // one) under its registry name. It must run as an init function — not a
