@@ -38,6 +38,15 @@
 // (core.DateKey) always asks for. Otherwise it copies the path to where its
 // two keys part, and one branch from there for each.
 //
+// A map keeps a finger on the leaf, and the slot in it, of its last in-place
+// Move. The next Move whose first key lies strictly between that leaf's
+// first and last keys starts in the leaf instead of at the root, and at the
+// slot if the key is still there: a date toggled back and forth is one
+// descent and then key stores. The finger is only as good as the tree's
+// shape, so Put, Delete and Move's general path clear it. Clone returns a
+// map without one, and only a mutation writes it, so a frozen receiver's
+// finger is never touched.
+//
 // The contract: the RECEIVER IS FROZEN AFTER Clone. It stays fully readable,
 // it may be cloned again (from any number of goroutines at once, because
 // Clone does not write to it), but it must never be mutated, since its clones
@@ -77,6 +86,11 @@ type Map[K cmp.Ordered, V any] struct {
 	root  *node[K, V]
 	size  int
 	owner *token
+
+	// finger is the leaf of the last in-place re-key and fslot the slot in
+	// it (see Move); nil when the last mutation may have moved the leaf.
+	finger *node[K, V]
+	fslot  int
 }
 
 // node holds n entries in keys[:n] and vals[:n] and, if it is internal, n+1
@@ -95,8 +109,9 @@ func New[K cmp.Ordered, V any]() *Map[K, V] {
 	return &Map[K, V]{root: &node[K, V]{owner: o}, owner: o}
 }
 
-// Clone returns a copy of the map in O(1). The receiver is frozen from here
-// on: it may be read and cloned, never mutated (see the package comment).
+// Clone returns a copy of the map in O(1), without a finger. The receiver is
+// frozen from here on: it may be read and cloned, never mutated (see the
+// package comment).
 func (m *Map[K, V]) Clone() *Map[K, V] {
 	return &Map[K, V]{root: m.root, size: m.size, owner: new(token)}
 }
@@ -239,6 +254,7 @@ func (m *Map[K, V]) collapseRoot() {
 // Put stores v under k, returning the previous value and whether one
 // existed.
 func (m *Map[K, V]) Put(k K, v V) (V, bool) {
+	m.finger = nil
 	prev, replaced := m.writableRoot().insert(m.owner, k, v)
 	if !replaced {
 		m.size++
@@ -297,6 +313,7 @@ func (n *node[K, V]) splitChild(o *token, i int) {
 
 // Delete removes k, returning the removed value and whether it existed.
 func (m *Map[K, V]) Delete(k K) (V, bool) {
+	m.finger = nil
 	m.root = m.root.writable(m.owner)
 	v, ok := m.root.delete(m.owner, k)
 	if ok {
@@ -317,10 +334,27 @@ func (m *Map[K, V]) Delete(k K) (V, bool) {
 // and that child is one both a delete and an insert may start from; from
 // there each goes its own way. Keys that are near each other part at the
 // last level or the one above it.
+//
+// A from strictly inside the leaf of the last in-place move is in that leaf,
+// which the map owns: the move starts at the finger (see the package
+// comment) and is in place or takes the general path.
 func (m *Map[K, V]) Move(from, to K) bool {
-	if done, found := m.rekey(from, to); done {
+	if n := m.finger; n != nil && n.keys[0] < from && from < n.keys[n.n-1] {
+		i, found := m.fslot, n.keys[m.fslot] == from
+		if !found {
+			if i, found = n.find(from); !found {
+				return false
+			}
+		}
+		// i is an inner slot, so both neighbours are in the leaf.
+		if n.keys[i-1] < to && to < n.keys[i+1] {
+			n.keys[i], m.fslot = to, i
+			return true
+		}
+	} else if done, found := m.rekey(from, to); done {
 		return found
 	}
+	m.finger = nil
 	o := m.owner
 	n := m.writableRoot()
 	i, found := n.find(from)
@@ -386,6 +420,7 @@ func (m *Map[K, V]) rekey(from, to K) (done, found bool) {
 		return false, false
 	}
 	n.keys[i] = to
+	m.finger, m.fslot = n, i
 	return true, true
 }
 

@@ -404,23 +404,27 @@ func TestSizeAccountingNeverDrifts(t *testing.T) {
 // parts of a date lie between a flip's two keys, and Move deletes and
 // inserts (Move) as the Delete and Put it replaces do (DeletePut). Under the
 // pair-major keys of core.DateKey — date pair, id, parity — no key lies
-// between them, and Move stores one key (MovePairMajor).
+// between them, and Move stores one key (MovePairMajor). T3c flips each
+// part four times in a row, and the three flips after the first start at the
+// map's finger instead of the root (MovePairMajorRepeat).
 func BenchmarkMove(b *testing.B) {
 	const parts, dates = 10000, 100
 	dateID := func(date, id int) uint64 { return uint64(date)<<32 | uint64(id) }
 	pairMajor := func(date, id int) uint64 { return uint64(date>>1)<<33 | uint64(id)<<1 | uint64(date&1) }
 	move := func(m *Map[uint64, *int], from, to uint64) { m.Move(from, to) }
 	for _, bc := range []struct {
-		name string
-		key  func(date, id int) uint64
-		move func(m *Map[uint64, *int], from, to uint64)
+		name    string
+		key     func(date, id int) uint64
+		move    func(m *Map[uint64, *int], from, to uint64)
+		repeats int // consecutive flips of one part
 	}{
-		{"Move", dateID, move},
+		{"Move", dateID, move, 1},
 		{"DeletePut", dateID, func(m *Map[uint64, *int], from, to uint64) {
 			v, _ := m.Delete(from)
 			m.Put(to, v)
-		}},
-		{"MovePairMajor", pairMajor, move},
+		}, 1},
+		{"MovePairMajor", pairMajor, move, 1},
+		{"MovePairMajorRepeat", pairMajor, move, 4},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			key := bc.key
@@ -434,7 +438,7 @@ func BenchmarkMove(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				id := order[i%parts]
+				id := order[i/bc.repeats%parts]
 				nd := date[id] ^ 1
 				bc.move(m, key(date[id], id), key(nd, id))
 				date[id] = nd

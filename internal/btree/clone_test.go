@@ -55,6 +55,10 @@ const (
 
 // step applies one operation to the tree which selects: Put(key, val),
 // Delete(key), Move(key, to), or Clone of any member, frozen or not.
+//
+// It also holds each mutator to the finger's rule (see Move): Put and Delete
+// leave none, and a Move that found its key leaves none or one on the slot
+// it re-keyed.
 func (f *family) step(t testing.TB, kind, which uint8, key, val, to uint16) {
 	t.Helper()
 	switch kind % numKinds {
@@ -62,10 +66,16 @@ func (f *family) step(t testing.TB, kind, which uint8, key, val, to uint16) {
 		mb := f.live[int(which)%len(f.live)]
 		mb.m.Put(key, val)
 		mb.model[key] = val
+		if mb.m.finger != nil {
+			t.Fatalf("Put(%d) left a finger", key)
+		}
 	case kindDelete:
 		mb := f.live[int(which)%len(f.live)]
 		mb.m.Delete(key)
 		delete(mb.model, key)
+		if mb.m.finger != nil {
+			t.Fatalf("Delete(%d) left a finger", key)
+		}
 	case kindMove:
 		mb := f.live[int(which)%len(f.live)]
 		v, ok := mb.model[key]
@@ -76,20 +86,31 @@ func (f *family) step(t testing.TB, kind, which uint8, key, val, to uint16) {
 		if got := mb.m.Move(key, to); got != ok {
 			t.Fatalf("Move(%d, %d) = %v, model says %v", key, to, got, ok)
 		}
+		if fg := mb.m.finger; ok && fg != nil && fg.keys[mb.m.fslot] != to {
+			t.Fatalf("Move(%d, %d) left a finger on key %d", key, to, fg.keys[mb.m.fslot])
+		}
 	case kindClone:
-		if len(f.members) == maxMembers {
-			return
-		}
-		i := int(which) % len(f.members)
-		src := f.members[i]
-		c := &member{m: src.m.Clone(), model: maps.Clone(src.model)}
-		f.members = append(f.members, c)
-		if src.frozen {
-			f.live = append(f.live, c)
-		} else {
-			src.frozen = true
-			f.live[slices.Index(f.live, src)] = c
-		}
+		f.clone(t, f.members[int(which)%len(f.members)])
+	}
+}
+
+// clone adds a Clone of src to the family; a live src is frozen and its
+// clone takes its place among the live members.
+func (f *family) clone(t testing.TB, src *member) {
+	t.Helper()
+	if len(f.members) == maxMembers {
+		return
+	}
+	c := &member{m: src.m.Clone(), model: maps.Clone(src.model)}
+	if c.m.finger != nil {
+		t.Fatal("Clone copied the finger")
+	}
+	f.members = append(f.members, c)
+	if src.frozen {
+		f.live = append(f.live, c)
+	} else {
+		src.frozen = true
+		f.live[slices.Index(f.live, src)] = c
 	}
 }
 
@@ -152,8 +173,52 @@ func TestCloneFamilyVsModel(t *testing.T) {
 			if i%2000 == 0 {
 				f.check(t)
 			}
+			if r.Intn(32) == 0 {
+				toggleRun(t, f, r, key)
+			}
 		}
 		f.check(t)
+	}
+}
+
+// toggleRun is T3c's pattern on one live member: key moved to its neighbour
+// and back four times, the moves after the first starting at the finger.
+// Between two of them one more step lands in the same leaf — a Put or
+// Delete of a key a few slots away, a Move of such a key across the
+// toggled one (the general path), or a Clone — after which the next toggle
+// must not trust the old finger. The member is checked against its model and
+// its invariants after every step.
+func toggleRun(t *testing.T, f *family, r *rng.Rand, key uint16) {
+	t.Helper()
+	which := uint8(r.Intn(256))
+	mb := f.live[int(which)%len(f.live)]
+	if _, ok := mb.model[key]; !ok {
+		f.step(t, kindPut, which, key, key, 0)
+	}
+	near := key ^ uint16(2+r.Intn(14))
+	between := 1 + r.Intn(3)
+	for j := 0; j < 4; j++ {
+		f.step(t, kindMove, which, key, 0, key^1)
+		key ^= 1
+		if j == between {
+			switch r.Intn(4) {
+			case 0:
+				f.step(t, kindPut, which, near, near, 0)
+			case 1:
+				f.step(t, kindDelete, which, near, 0, 0)
+			case 2:
+				f.step(t, kindMove, which, near, 0, key^uint16(r.Intn(2)))
+			case 3:
+				f.clone(t, mb)
+			}
+		}
+		mb = f.live[int(which)%len(f.live)]
+		if !maps.Equal(contents(mb.m), mb.model) {
+			t.Fatalf("toggle run of %d, step %d: the map disagrees with its model", key, j)
+		}
+		if err := mb.m.CheckInvariants(); err != nil {
+			t.Fatalf("toggle run of %d, step %d: %v", key, j, err)
+		}
 	}
 }
 
@@ -424,9 +489,29 @@ func TestMoveInPlace(t *testing.T) {
 			if copied != height(orig) {
 				t.Errorf("copied %d nodes, want one root-to-leaf path (%d)", copied, height(orig))
 			}
-			// On nodes it owns the move back copies nothing.
+			// On nodes it owns the move back copies nothing, and nor do
+			// the toggles after it, which start at the finger when from
+			// is inside its leaf.
 			if !cl.Move(c.to, c.from) || !slices.Equal(nodes(cl), after) || !slices.Equal(cl.Keys(), want) {
 				t.Error("the move back was not in place")
+			}
+			for k := 0; k < 4; k++ {
+				from, to := c.from, c.to
+				if k%2 == 1 {
+					from, to = to, from
+				}
+				if !cl.Move(from, to) || !slices.Equal(nodes(cl), after) {
+					t.Fatalf("toggle %d, Move(%d, %d), was not in place", k, from, to)
+				}
+				if f := cl.finger; f == nil || f.keys[cl.fslot] != to {
+					t.Fatalf("toggle %d, Move(%d, %d): the finger is not on the key it stored", k, from, to)
+				}
+				if err := cl.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !slices.Equal(cl.Keys(), want) {
+				t.Error("four toggles did not restore the keys")
 			}
 			for _, m := range []*Map[uint16, uint16]{orig, cl} {
 				if err := m.CheckInvariants(); err != nil {
@@ -477,8 +562,10 @@ func TestMoveInPlace(t *testing.T) {
 
 // TestCloneConcurrentFrozenBase is the -race test of the frozen-receiver
 // contract: goroutines clone one frozen tree (and frozen trees other
-// goroutines published) and mutate their clones while readers scan the base.
-// Clone must not write to its receiver and no write may reach a shared node.
+// goroutines published) and mutate their clones — Put, Delete and runs of
+// toggling Moves — while readers scan the base. Clone must not write to its
+// receiver, no write may reach a shared node, and a frozen tree's finger is
+// never written.
 func TestCloneConcurrentFrozenBase(t *testing.T) {
 	const keys = 3000
 	base := New[int, int]()
@@ -518,12 +605,23 @@ func TestCloneConcurrentFrozenBase(t *testing.T) {
 				c, model := src.m.Clone(), modelOf(src)
 				for i := 0; i < 400; i++ {
 					k := r.Intn(2 * keys)
-					if r.Intn(2) == 0 {
+					switch r.Intn(3) {
+					case 0:
 						c.Put(k, -k)
 						model[k] = -k
-					} else {
+					case 1:
 						c.Delete(k)
 						delete(model, k)
+					default:
+						// A toggle run: in place, then from the finger.
+						for j := 0; j < 4; j++ {
+							if v, ok := model[k]; ok {
+								delete(model, k)
+								model[k^1] = v
+							}
+							c.Move(k, k^1)
+							k ^= 1
+						}
 					}
 				}
 				if c.Len() != len(model) {

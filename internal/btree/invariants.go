@@ -12,9 +12,10 @@ import (
 //
 // Checked: key ordering within nodes and across subtrees, node fill bounds
 // (minKeys..maxKeys for non-root nodes), uniform leaf depth, size
-// bookkeeping, and that every key, value and child slot past a node's count
-// is zero — a stale one would keep what it references reachable for as long
-// as any tree shares the node.
+// bookkeeping, that every key, value and child slot past a node's count is
+// zero — a stale one would keep what it references reachable for as long as
+// any tree shares the node — and that a finger, if set, is a leaf of this
+// tree that the map owns, with its slot inside the count.
 func (m *Map[K, V]) CheckInvariants() error {
 	if m.root == nil {
 		return fmt.Errorf("btree: nil root")
@@ -26,6 +27,19 @@ func (m *Map[K, V]) CheckInvariants() error {
 	}
 	if count != m.size {
 		return fmt.Errorf("btree: size %d but %d entries reachable", m.size, count)
+	}
+	if f := m.finger; f != nil {
+		if f.owner != m.owner || !f.leaf() || m.fslot < 0 || m.fslot >= f.n {
+			return fmt.Errorf("btree: finger is not an owned leaf slot (slot %d of %d)", m.fslot, f.n)
+		}
+		n := m.root
+		for !n.leaf() {
+			i, _ := n.find(f.keys[0])
+			n = n.kids[i]
+		}
+		if n != f {
+			return fmt.Errorf("btree: finger leaf is not in the tree")
+		}
 	}
 	return nil
 }

@@ -677,14 +677,13 @@ func (s *Structure) buildCompositePartReference(tx stm.Tx, r *rng.Rand, id uint6
 			Y:         r.Intn(1 << 16),
 			BuildDate: RandomDate(r),
 		}
-		parts[i] = &AtomicPart{ID: baseID + uint64(i), PartOf: cp, To: make([]*Connection, 0, p.NumConnPerAtomic)}
+		parts[i] = &AtomicPart{ID: baseID + uint64(i), PartOf: cp, To: make([]*Connection, 0, p.NumConnPerAtomic), slot: i}
 	}
 	if p.GroupAtomicParts {
 		group := named(stm.NewCellClone(s.Space, states, stm.CloneSlice[AtomicPartState]), DomainAtomic)
 		cp.groupStates = group
-		for i, ap := range parts {
+		for _, ap := range parts {
 			ap.group = group
-			ap.slot = i
 		}
 	} else {
 		for i, ap := range parts {
@@ -737,7 +736,7 @@ func describeDesignLibrary(tx stm.Tx, s *Structure, cps []*CompositePart) string
 			cp.Doc.ID, cp.Doc.Title, cp.Doc.Text(tx), cp.Doc.Part == cp)
 		for i, ap := range cp.Parts {
 			fmt.Fprintf(&b, " part %d of=%d state=%+v slot=%d grouped=%v\n", ap.ID, ap.PartOf.ID, ap.State(tx), ap.slot, ap.group != nil)
-			if ap.PartOf != cp || (ap.group != nil && ap.slot != i) {
+			if ap.PartOf != cp || ap.slot != i {
 				fmt.Fprintf(&b, "  MISLINKED\n")
 			}
 			conns("to", ap.To)

@@ -155,6 +155,10 @@ func (s *Structure) CheckInvariants(tx stm.Tx) error {
 			if ap.PartOf != cp {
 				return fmt.Errorf("invariants: atomic %d partOf broken", ap.ID)
 			}
+			// The long traversals' seen-set is a bitset over slots.
+			if sl := ap.Slot(); sl < 0 || sl >= len(cp.Parts) || cp.Parts[sl] != ap {
+				return fmt.Errorf("invariants: atomic %d has slot %d, is part %d of composite %d", ap.ID, sl, i, cp.ID)
+			}
 			if len(ap.To) != p.NumConnPerAtomic {
 				return fmt.Errorf("invariants: atomic %d has %d outgoing connections, want %d", ap.ID, len(ap.To), p.NumConnPerAtomic)
 			}
@@ -170,7 +174,7 @@ func (s *Structure) CheckInvariants(tx stm.Tx) error {
 				if c.From != ap {
 					return fmt.Errorf("invariants: connection from-link broken at atomic %d", ap.ID)
 				}
-				if c.To.PartOf != cp {
+				if c.To.PartOf != ap.PartOf {
 					return fmt.Errorf("invariants: connection escapes composite %d", cp.ID)
 				}
 				if !containsConn(c.To.From, c) {

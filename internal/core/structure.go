@@ -323,13 +323,13 @@ func (s *Structure) BuildCompositePart(tx stm.Tx, r *rng.Rand, id uint64) *Compo
 			BuildDate: RandomDate(r),
 		}
 		parts[i] = &slab[i]
-		slab[i].ID, slab[i].PartOf = baseID+uint64(i), cp
+		slab[i].ID, slab[i].PartOf, slab[i].slot = baseID+uint64(i), cp, i
 	}
 	if p.GroupAtomicParts {
 		group := named(stm.NewCellClone(s.Space, states, stm.CloneSlice[AtomicPartState]), DomainAtomic)
 		cp.groupStates = group
 		for i := range slab {
-			slab[i].group, slab[i].slot = group, i
+			slab[i].group = group
 		}
 	} else {
 		cells := stm.NewCells(s.Space, states)

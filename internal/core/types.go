@@ -35,11 +35,17 @@ type AtomicPart struct {
 	// one-object-per-part representation (a cell of the composite part's
 	// slab); group is the §5 "GroupAtomicParts" optimization where the
 	// whole graph's states live in one cell on the composite part and slot
-	// indexes this part's.
+	// indexes this part's. slot is set in both representations: it is the
+	// part's index in PartOf.Parts.
 	state *stm.Cell[AtomicPartState]
 	group *stm.Cell[[]AtomicPartState]
 	slot  int
 }
+
+// Slot returns the part's index in PartOf.Parts. Connections never leave a
+// composite part, so a set of the parts one graph search reaches can be a
+// bitset over slots.
+func (p *AtomicPart) Slot() int { return p.slot }
 
 // State reads the part's mutable attributes.
 func (p *AtomicPart) State(tx stm.Tx) AtomicPartState {

@@ -20,21 +20,22 @@ func forEachBaseAssembly(tx stm.Tx, root *core.ComplexAssembly, fn func(*core.Ba
 	}
 }
 
-// dfsScratch is the reusable "seen" state of an operation: a
-// generation-stamped open-addressed id set plus graphDFS's explicit
-// traversal stack. The long traversals run one DFS per composite part
-// visited — tens of thousands per T1 at paper scale — and a per-call map was
-// the single biggest cost of the whole traversal (hashing plus table growth
-// dwarfed the transactional reads the benchmark exists to measure); ST4's
-// set of base assemblies and ST3/ST8's set of complex assemblies are the
-// same thing keyed by assembly id. The scratch is pooled because operations
-// are pure functions of (tx, structure, rng) with no per-thread home;
-// generation clearing makes reuse O(1).
+// dfsScratch is the reusable "seen" state of an operation: graphDFS's
+// bitset over part slots and its explicit traversal stack, and a
+// generation-stamped open-addressed id set for the sets keyed by assembly
+// id (ST4's base assemblies, ST3/ST8's complex assemblies), which have no
+// small dense key. The long traversals run one DFS per composite part
+// visited — tens of thousands per T1 at paper scale — so a per-call map, or
+// even hashing each part id, is a large share of the whole traversal. The
+// scratch is pooled because operations are pure functions of (tx,
+// structure, rng) with no per-thread home; generation clearing makes reuse
+// of the id set O(1).
 type dfsScratch struct {
 	gen   uint32
 	count int
 	slots []dfsSlot // power-of-two open-addressed table
 	mask  uint64
+	bits  []uint64 // graphDFS's seen parts, bit i for slot i
 	stack []*core.AtomicPart
 }
 
@@ -130,13 +131,21 @@ func (s *dfsScratch) grow() {
 // graphDFS visits every atomic part reachable from rootPart along outgoing
 // connections (the builder's ring edge guarantees that is the whole graph)
 // and calls fn once per part. It returns the number of parts visited.
-// Parts are deduplicated by id, which is unique per live part; the visit
-// order is identical to the original map-based implementation (LIFO, edges
-// pushed in connection order).
+// A connection never leaves its composite part (CheckInvariants), so parts
+// are deduplicated by their slot in it, one bit each; the visit order is
+// identical to the original map-based implementation (LIFO, edges pushed in
+// connection order).
 func graphDFS(rootPart *core.AtomicPart, fn func(*core.AtomicPart)) int {
 	s := acquireScratch()
 	defer s.release()
-	s.add(rootPart.ID)
+	words := (len(rootPart.PartOf.Parts) + 63) >> 6
+	if cap(s.bits) < words {
+		s.bits = make([]uint64, words)
+	}
+	seen := s.bits[:words]
+	clear(seen)
+	i := uint(rootPart.Slot())
+	seen[i>>6] |= 1 << (i & 63)
 	s.stack = append(s.stack, rootPart)
 	visited := 0
 	for len(s.stack) > 0 {
@@ -145,7 +154,9 @@ func graphDFS(rootPart *core.AtomicPart, fn func(*core.AtomicPart)) int {
 		visited++
 		fn(p)
 		for _, c := range p.To {
-			if s.add(c.To.ID) {
+			j := uint(c.To.Slot())
+			if bit := uint64(1) << (j & 63); seen[j>>6]&bit == 0 {
+				seen[j>>6] |= bit
 				s.stack = append(s.stack, c.To)
 			}
 		}

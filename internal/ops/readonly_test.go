@@ -85,13 +85,13 @@ func TestReadOnlyOpsUnderSnapshotMode(t *testing.T) {
 	}
 }
 
-// TestGraphDFSMatchesReferenceSet: the pooled generation-stamped seen set
-// behind graphDFS visits exactly the same parts, in the same order, as the
-// original map-based implementation — across repeated pooled reuses and
-// graphs large enough to force table growth.
+// TestGraphDFSMatchesReferenceSet: the pooled slot bitset behind graphDFS
+// visits exactly the same parts, in the same order, as the original
+// map-based implementation — across repeated pooled reuses and graphs of
+// several bitset words.
 func TestGraphDFSMatchesReferenceSet(t *testing.T) {
 	big := core.Tiny()
-	big.NumAtomicPerComp = 300 // push past the scratch's initial 256 slots
+	big.NumAtomicPerComp = 300 // five bitset words, the last one partly used
 	eng := stm.NewDirect()
 	s, err := core.Build(big, 42, eng.VarSpace())
 	if err != nil {

@@ -1,7 +1,10 @@
 package stm
 
 import (
+	"errors"
+	"maps"
 	"runtime/debug"
+	"slices"
 	"testing"
 )
 
@@ -199,6 +202,149 @@ func TestAllocCellWrites(t *testing.T) {
 			}
 			if got := measureAllocs(func() { eng.Atomic(again) }); got != first {
 				t.Errorf("one write then eight more of the same Var: %v allocs/op, want %v (further writes are free)", got, first)
+			}
+		})
+	}
+}
+
+// fwdTx forwards every call to the Tx it wraps. It is the kind of Tx
+// another package writes — the benchmark's access-counting wrapper is one —
+// so Cell.Mut asks it for Update(keep) and Read, the two calls the
+// descriptors' one-lookup mut stands for.
+type fwdTx struct{ tx Tx }
+
+func (f *fwdTx) Read(v *Var) any                 { return f.tx.Read(v) }
+func (f *fwdTx) Write(v *Var, val any)           { f.tx.Write(v, val) }
+func (f *fwdTx) Update(v *Var, fn func(any) any) { f.tx.Update(v, fn) }
+
+// TestAllocMutFastPath holds Cell.Mut's one-lookup path to the two calls it
+// stands for, on every configuration of the conformance matrix. The same
+// transactions run on two fresh engines of the configuration, once through
+// the engine's own Tx (mut) and once through a forwarding Tx (Update, then
+// Read): a commit with first writes, repeated writes and a clone, a user
+// abort after a write, and a transaction that a commit between its read and
+// its write aborts once (in the Mut, on every engine but direct and
+// visible-reads OSTM). Both must see the same values, end with the same
+// Stats — commits, aborts and every access counter — and return the same
+// errors. In steady state a Mut of a Var the transaction already wrote
+// allocates nothing either way.
+func TestAllocMutFastPath(t *testing.T) {
+	errUser := errors.New("user abort")
+	newEngine := func(name string) Engine {
+		if name == "direct" {
+			return NewDirect()
+		}
+		return txEngineMakers[name]()
+	}
+	for _, name := range slices.Sorted(maps.Keys(engines())) {
+		t.Run(name, func(t *testing.T) {
+			type outcome struct {
+				seen   []int
+				errs   []error
+				stats  Stats
+				allocs float64
+			}
+			run := func(wrap bool) outcome {
+				eng := newEngine(name)
+				space := eng.VarSpace()
+				plain, other := NewCell(space, 10), NewCell(space, 100)
+				list := NewCellClone(space, []int{1, 2, 3}, CloneSlice[int])
+				w := &fwdTx{}
+				via := func(tx Tx) Tx {
+					if _, ok := tx.(mutTx); !ok {
+						t.Fatalf("%T has no one-lookup Mut", tx)
+					}
+					if wrap {
+						w.tx = tx
+						return w
+					}
+					return tx
+				}
+				var o outcome
+				// A visible reader of other would make the writer nested
+				// below arbitrate against a transaction that cannot move.
+				visible := false
+				if e, ok := eng.(*OSTM); ok {
+					visible = e.cfg.VisibleReads
+				}
+				attempts := 0
+				bodies := []func(tx Tx) error{
+					func(tx Tx) error { // first writes, a clone, repeated writes
+						tx = via(tx)
+						o.seen = append(o.seen, other.Get(tx))
+						*plain.Mut(tx) += 5
+						*plain.Mut(tx) *= 2
+						l := list.Mut(tx)
+						(*l)[0] = *plain.Mut(tx)
+						o.seen = append(o.seen, *plain.Mut(tx), list.Get(tx)[0], (*list.Mut(tx))[2])
+						plain.Update(tx, func(v int) int { return v + 1 })
+						return nil
+					},
+					func(tx Tx) error { // a user abort after a write
+						tx = via(tx)
+						*plain.Mut(tx) = -1
+						o.seen = append(o.seen, *plain.Mut(tx))
+						return errUser
+					},
+					func(tx Tx) error { // aborted once, in its Mut, by a commit in between
+						tx = via(tx)
+						attempts++
+						o.seen = append(o.seen, other.Get(tx))
+						if attempts == 1 && !visible {
+							o.errs = append(o.errs, eng.Atomic(func(tx Tx) error {
+								other.Set(tx, other.Get(tx)+1)
+								*plain.Mut(tx) += 1000
+								return nil
+							}))
+						}
+						*plain.Mut(tx) += other.Get(tx)
+						o.seen = append(o.seen, *plain.Mut(tx))
+						return nil
+					},
+					func(tx Tx) error {
+						tx = via(tx)
+						o.seen = append(o.seen, plain.Get(tx), list.Get(tx)[0], other.Get(tx))
+						return nil
+					},
+				}
+				for _, body := range bodies {
+					o.errs = append(o.errs, eng.Atomic(body))
+				}
+				o.stats = eng.Stats()
+				if !raceEnabled {
+					defer debug.SetGCPercent(debug.SetGCPercent(-1))
+					steady := func(tx Tx) error {
+						tx = via(tx)
+						*plain.Mut(tx) += 1
+						for i := 0; i < 8; i++ {
+							*plain.Mut(tx) += i
+						}
+						return nil
+					}
+					once := func(tx Tx) error {
+						*plain.Mut(via(tx)) += 1
+						return nil
+					}
+					o.allocs = measureAllocs(func() { eng.Atomic(steady) }) - measureAllocs(func() { eng.Atomic(once) })
+				}
+				return o
+			}
+			fast, slow := run(false), run(true)
+			if !slices.Equal(fast.seen, slow.seen) {
+				t.Errorf("values seen: %v through the engine's Tx, %v through a wrapper", fast.seen, slow.seen)
+			}
+			if !slices.Equal(fast.errs, slow.errs) {
+				t.Errorf("outcomes: %v through the engine's Tx, %v through a wrapper", fast.errs, slow.errs)
+			}
+			if fast.stats != slow.stats {
+				t.Errorf("Stats differ:\n engine's Tx %+v\n wrapper     %+v", fast.stats, slow.stats)
+			}
+			if fast.stats.Commits == 0 || fast.stats.UserAborts != 1 || (name != "direct" && name != "ostm-visible" && fast.stats.ConflictAborts == 0) {
+				t.Errorf("the transactions did not run as written: %+v", fast.stats)
+			}
+			if fast.allocs != 0 || slow.allocs != 0 {
+				t.Errorf("eight more Muts of a written Var: %v allocs/op through the engine's Tx, %v through a wrapper, want 0",
+					fast.allocs, slow.allocs)
 			}
 		})
 	}

@@ -93,12 +93,24 @@ func (c *Cell[T]) Set(tx Tx, val T) {
 // passing it through the Tx interface allocates nothing.
 func keep(v any) any { return v }
 
+// mutTx is implemented by this package's read-write descriptors. mut(v) is
+// Update(v, keep) followed by Read(v) — the same read-set join, clone, Stats
+// increments and abort checks — with one write-set lookup where the two
+// calls make two.
+type mutTx interface {
+	mut(v *Var) any
+}
+
 // Mut returns tx's private copy of the cell's value for mutation in place,
 // making the copy (per the cell's clone function) if this is the
 // transaction's first write to the cell. The pointer is valid until the
 // transaction ends. Under the direct engine there is no copy: the pointer is
-// to the live value.
+// to the live value. A Tx of another package (a wrapper) is asked for the
+// two calls mut stands for.
 func (c *Cell[T]) Mut(tx Tx) *T {
+	if m, ok := tx.(mutTx); ok {
+		return m.mut(&c.v).(*T)
+	}
 	tx.Update(&c.v, keep)
 	return tx.Read(&c.v).(*T)
 }

@@ -2,7 +2,6 @@ package stm
 
 import (
 	"fmt"
-	"math/bits"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -223,14 +222,11 @@ var nanobase = time.Now()
 
 func nanotime() int64 { return int64(time.Since(nanobase)) }
 
-// spinHint is a CPU-relax hint. Pure Go: a tiny amount of useless work that
-// the compiler is unlikely to elide, plus a scheduler touch every so often.
+// spinHint is a CPU-relax hint. Pure Go: one atomic add the compiler cannot
+// elide, which is the whole delay of a spin step. It never yields, so the
+// spin budget of the loop that calls it (tl2ReadLockSpins,
+// tl2CommitLockSpins, a snapshot read's, spinWait's deadline) is the only
+// bound on a spin; NOrec's sampleSeq has none and waits out a write-back.
 var spinCounter atomic.Uint64
 
-func spinHint() {
-	c := spinCounter.Add(1)
-	if bits.OnesCount64(c)&0x3f == 0x3f { // extremely rarely
-		// Avoid starving the scheduler on GOMAXPROCS=1.
-		yield()
-	}
-}
+func spinHint() { spinCounter.Add(1) }

@@ -88,6 +88,13 @@ func (t *directTx) Update(v *Var, f func(val any) any) {
 	}
 }
 
+// mut implements mutTx: Update(v, keep) stores nothing, so it is Read(v).
+func (t *directTx) mut(v *Var) any {
+	t.st.writes++
+	t.st.reads++
+	return v.cur.Load().val
+}
+
 // sameValue reports whether a and b are one interface value, word for word:
 // the same dynamic type holding the same pointer (or, for a type that is not
 // pointer-shaped, the same boxed copy). Unlike a == b it cannot panic on a
@@ -101,4 +108,5 @@ func sameValue(a, b any) bool {
 var (
 	_ Engine = (*Direct)(nil)
 	_ Tx     = (*directTx)(nil)
+	_ mutTx  = (*directTx)(nil)
 )

@@ -563,10 +563,26 @@ func (tx *ostmTx) Write(v *Var, val any) {
 	s.cloned = true
 }
 
-// Update implements Tx. The first Update on a freshly acquired Var clones
-// the value (object-level copy-on-write, ASTM style) before applying f.
+// Update implements Tx.
 func (tx *ostmTx) Update(v *Var, f func(val any) any) {
 	tx.st.writes++
+	s := tx.updateSlot(v)
+	s.new.val = f(s.new.val)
+}
+
+// mut implements mutTx: Update(v, keep), then Read(v), whose write-set hit
+// is the acquired slot itself (in either read mode).
+func (tx *ostmTx) mut(v *Var) any {
+	tx.st.writes++
+	s := tx.updateSlot(v)
+	tx.st.reads++
+	tx.checkAlive()
+	return s.new.val
+}
+
+// updateSlot acquires v for an update. The first update of a freshly
+// acquired Var clones the value (object-level copy-on-write, ASTM style).
+func (tx *ostmTx) updateSlot(v *Var) *wslot {
 	s := tx.acquire(v)
 	if !s.cloned {
 		if v.clone != nil {
@@ -575,7 +591,7 @@ func (tx *ostmTx) Update(v *Var, f func(val any) any) {
 		}
 		s.cloned = true
 	}
-	s.new.val = f(s.new.val)
+	return s
 }
 
 // resolveValidate recomputes the box this transaction should be seeing for
@@ -743,5 +759,6 @@ func (tx *ostmTx) publish() bool {
 var (
 	_ Engine = (*OSTM)(nil)
 	_ Tx     = (*ostmTx)(nil)
+	_ mutTx  = (*ostmTx)(nil)
 	_ TxInfo = (*txState)(nil)
 )

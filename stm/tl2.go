@@ -285,14 +285,29 @@ func (tx *tl2Tx) Write(v *Var, val any) {
 	tx.writes = append(tx.writes, tl2Write{v: v, val: val})
 }
 
-// Update implements Tx. A first Update reads the current value (which joins
-// the read set, guarding against lost updates), clones it if the Var has a
-// clone function, applies f, and buffers the result.
+// Update implements Tx.
 func (tx *tl2Tx) Update(v *Var, f func(val any) any) {
 	tx.st.writes++
-	if i, ok := tx.writeIdx.getOrPut(v, int32(len(tx.writes))); ok {
-		tx.writes[i].val = f(tx.writes[i].val)
-		return
+	i := tx.updateSlot(v)
+	val := f(tx.writes[i].val) // f may grow tx.writes
+	tx.writes[i].val = val
+}
+
+// mut implements mutTx: Update(v, keep), then Read(v).
+func (tx *tl2Tx) mut(v *Var) any {
+	tx.st.writes++
+	i := tx.updateSlot(v)
+	tx.st.reads++
+	return tx.writes[i].val
+}
+
+// updateSlot returns v's write-set index for an update. A first update
+// reads the current value (which joins the read set, guarding against lost
+// updates), clones it if the Var has a clone function, and buffers the copy.
+func (tx *tl2Tx) updateSlot(v *Var) int32 {
+	i, ok := tx.writeIdx.getOrPut(v, int32(len(tx.writes)))
+	if ok {
+		return i
 	}
 	// The index entry is in place before the readVar below; a conflict
 	// thrown there unwinds the whole attempt, so the index is never seen
@@ -302,7 +317,8 @@ func (tx *tl2Tx) Update(v *Var, f func(val any) any) {
 		cur = v.clone(cur)
 		tx.st.clones++
 	}
-	tx.writes = append(tx.writes, tl2Write{v: v, val: f(cur)})
+	tx.writes = append(tx.writes, tl2Write{v: v, val: cur})
+	return i
 }
 
 // releaseLocks restores the saved meta of the first `entries` write-set
@@ -430,4 +446,5 @@ func (tx *tl2Tx) commit() bool {
 var (
 	_ Engine = (*TL2)(nil)
 	_ Tx     = (*tl2Tx)(nil)
+	_ mutTx  = (*tl2Tx)(nil)
 )
