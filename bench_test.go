@@ -267,7 +267,7 @@ func BenchmarkAblationValidation(b *testing.B) {
 // 8-thread load on the reduced op set (pure conflict management, no
 // pathological objects).
 func BenchmarkAblationCM(b *testing.B) {
-	for _, cm := range []stm.ContentionManager{stm.Polka{}, stm.Karma{}, stm.Aggressive{}, stm.Timid{}, stm.Backoff{}} {
+	for _, cm := range []stm.ContentionManager{stm.Polka{}, stm.Timid{}} {
 		b.Run(cm.Name(), func(b *testing.B) {
 			ex, s := benchSetup(b, sync7.Config{Strategy: "ostm", Engine: stm.EngineOptions{CM: cm}}, core.Tiny())
 			profile := ops.Profile{Workload: ops.WriteDominated, LongTraversals: false, StructureMods: false, Reduced: true}

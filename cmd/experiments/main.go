@@ -15,8 +15,8 @@
 //
 // The sweep axis is the engine configuration, not the program: fig4, table3
 // and fig6 run every engine under -g, an engine-spec option list in
-// stm.ParseEngineSpec syntax (-exp fig6 -g versions=4 is Figure 6 with TL2
-// and NOrec under that chain depth, -g serial with the irrevocable serial
+// stm.ParseEngineSpec syntax (-exp fig6 -g versions=4 is Figure 6 with
+// NOrec under that chain depth, -g serial with the irrevocable serial
 // fallback, -g nosnap with read-only operations on the validating path).
 // fig3, headline and
 // ablations pin their configurations and ignore -g: fig3 compares the two lock
@@ -511,10 +511,7 @@ func ablations(d *driver) error {
 		{group: "ostm reads", name: "invisible (faithful)", spec: "ostm"},
 		{group: "ostm reads", name: "visible", spec: "ostm:visible"},
 		{group: "contention manager", name: "polka (paper)", spec: "ostm"},
-		{group: "contention manager", name: "karma", spec: "ostm:cm=karma"},
-		{group: "contention manager", name: "aggressive", spec: "ostm:cm=aggressive"},
 		{group: "contention manager", name: "timid", spec: "ostm:cm=timid"},
-		{group: "contention manager", name: "backoff", spec: "ostm:cm=backoff"},
 		{group: "layout (tl2)", name: "faithful", spec: "tl2"},
 		{group: "layout (tl2)", name: "chunked manual", spec: "tl2", layout: func(p *core.Params) { p.ManualChunks = 8 }},
 		{group: "layout (tl2)", name: "grouped parts", spec: "tl2", layout: func(p *core.Params) { p.GroupAtomicParts = true }},

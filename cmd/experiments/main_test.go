@@ -104,8 +104,7 @@ func goldens() map[string]golden {
 			variants: []string{
 				"ostm validation/incremental (faithful)", "ostm validation/commit-time only", "ostm validation/commit-counter heuristic",
 				"ostm reads/invisible (faithful)", "ostm reads/visible",
-				"contention manager/polka (paper)", "contention manager/karma", "contention manager/aggressive",
-				"contention manager/timid", "contention manager/backoff",
+				"contention manager/polka (paper)", "contention manager/timid",
 				"layout (tl2)/faithful", "layout (tl2)/chunked manual", "layout (tl2)/grouped parts",
 			},
 			always: throughputAlways, may: throughputMay,
@@ -113,7 +112,7 @@ func goldens() map[string]golden {
 				"=== Ablations: reduced read-write mix, 2 threads, 0.02s per row ===",
 				"group                variant                           ops/s    abort-%    validations",
 			},
-			row: regexp.MustCompile(`(?m)^contention manager   karma {21} +\d+ +\d+\.\d +\d+$`),
+			row: regexp.MustCompile(`(?m)^contention manager   timid {21} +\d+ +\d+\.\d +\d+$`),
 		},
 	}
 }
@@ -155,8 +154,8 @@ func TestEveryExperiment(t *testing.T) {
 			if !ok {
 				t.Fatalf("experiment %q has no golden: the table is the paper's six experiments", e.name)
 			}
-			out, rep := runJSON(t, "-exp", e.name, "-size", "tiny", "-seconds", "0.02", "-threads", "1,2", "-g", "versions=2,cm=karma")
-			if rep.Engine != "versions=2,cm=karma" {
+			out, rep := runJSON(t, "-exp", e.name, "-size", "tiny", "-seconds", "0.02", "-threads", "1,2", "-g", "versions=2,cm=timid")
+			if rep.Engine != "versions=2,cm=timid" {
 				t.Errorf("JSON header engine = %q, want the -g string", rep.Engine)
 			}
 			if len(rep.Points) == 0 {

@@ -272,13 +272,15 @@ func TestRunOnPrebuiltStructure(t *testing.T) {
 }
 
 // TestMetadataKnobsReachEngine: the engine options that shape per-Var
-// metadata (-g tl2:versions=2, -g ostm:visible) flow from Options through
-// sync7 into the engine, for every orec-based strategy, and the run still
-// completes with consistent results.
+// metadata (-g norec:versions=2, -g ostm:visible) flow from Options
+// through sync7 into the engine, a key the engine ignores
+// (tl2:versions=2) is still echoed, and the run still completes with
+// consistent results.
 func TestMetadataKnobsReachEngine(t *testing.T) {
 	for strat, knobs := range map[string]stm.EngineOptions{
-		"tl2":  {Versions: 2},
-		"ostm": {VisibleReads: true},
+		"norec": {Versions: 2},
+		"tl2":   {Versions: 2},
+		"ostm":  {VisibleReads: true},
 	} {
 		t.Run(strat, func(t *testing.T) {
 			o := baseOpts()

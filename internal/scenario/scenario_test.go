@@ -378,7 +378,7 @@ func TestValidateRejectsBadMetadata(t *testing.T) {
 func TestRunOptionsCarryVersionsKnob(t *testing.T) {
 	phases := []Phase{{Name: "p", MaxOps: 200, Workload: ops.ReadWrite, StructureMods: true}}
 
-	flat, err := Run(&Scenario{Name: "mv", Phases: phases}, RunOptions{Strategy: "tl2", Threads: 2})
+	flat, err := Run(&Scenario{Name: "mv", Phases: phases}, RunOptions{Strategy: "norec", Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestRunOptionsCarryVersionsKnob(t *testing.T) {
 	}
 
 	deep, err := Run(&Scenario{Name: "mv", Phases: phases},
-		RunOptions{Strategy: "tl2", Threads: 2, Engine: mustOpts(t, "versions=2")})
+		RunOptions{Strategy: "norec", Threads: 2, Engine: mustOpts(t, "versions=2")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,14 +415,14 @@ func TestWriteReportVersionSections(t *testing.T) {
 	sc := &Scenario{Name: "mv-report", Engine: "versions=2", Phases: []Phase{
 		{Name: "p", MaxOps: 200, Workload: ops.ReadWrite, StructureMods: true},
 	}}
-	rep, err := Run(sc, RunOptions{Strategy: "tl2", Threads: 2})
+	rep, err := Run(sc, RunOptions{Strategy: "norec", Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
 	WriteReport(&sb, rep)
 	out := sb.String()
-	for _, want := range []string{"engine: tl2:versions=2\n", "snapRst", "verMiss", "multiversion:"} {
+	for _, want := range []string{"engine: norec:versions=2\n", "snapRst", "verMiss", "multiversion:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}

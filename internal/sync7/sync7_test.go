@@ -474,7 +474,7 @@ func TestModeString(t *testing.T) {
 // engine through the generic registry path (ostm has no factory of its
 // own).
 func TestEngineOptionsReachEveryPath(t *testing.T) {
-	spec, err := stm.ParseEngineSpec("ostm:cm=karma,visible,nosnap")
+	spec, err := stm.ParseEngineSpec("ostm:cm=timid,visible,nosnap")
 	if err != nil {
 		t.Fatal(err)
 	}

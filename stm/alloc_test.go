@@ -450,7 +450,6 @@ func TestAllocVersionedSnapshotSteadyState(t *testing.T) {
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	makers := map[string]func() Engine{
-		"tl2-mv8":   func() Engine { return NewTL2With(TL2Config{EngineOptions: opts("versions=8")}) },
 		"norec-mv8": func() Engine { return NewNOrecWith(NOrecConfig{EngineOptions: opts("versions=8")}) },
 	}
 	for name, mk := range makers {

@@ -38,9 +38,6 @@ type TxInfo interface {
 	// Opens returns the number of objects the transaction has opened so
 	// far — DSTM-family managers use it as an investment/priority proxy.
 	Opens() uint64
-	// Retries returns how many times this transaction has already been
-	// re-executed.
-	Retries() uint64
 }
 
 // ContentionManager arbitrates write/write (and validate-time) conflicts in
@@ -59,7 +56,7 @@ type ContentionManager interface {
 }
 
 // contentionManagers lists the built-in managers by Name.
-var contentionManagers = []ContentionManager{Polka{}, Karma{}, Aggressive{}, Timid{}, Backoff{}}
+var contentionManagers = []ContentionManager{Polka{}, Timid{}}
 
 // ParseContentionManager resolves a built-in manager by its Name — the
 // parser behind the engine spec's cm=NAME key.
@@ -113,34 +110,6 @@ func (Polka) WaitDuration(me TxInfo, attempt int) time.Duration {
 	return backoffDur(attempt, me.Opens()+uint64(attempt)<<32)
 }
 
-// Karma is Polka without the randomized backoff: fixed short waits, victim
-// chosen by accumulated investment.
-type Karma struct{}
-
-func (Karma) Name() string { return "karma" }
-
-func (Karma) OnConflict(me, enemy TxInfo, attempt int) Decision {
-	diff := int64(enemy.Opens()) - int64(me.Opens())
-	if diff < 0 {
-		diff = 0
-	}
-	if int64(attempt) > diff {
-		return AbortEnemy
-	}
-	return Wait
-}
-
-func (Karma) WaitDuration(TxInfo, int) time.Duration { return time.Microsecond }
-
-// Aggressive always aborts the enemy immediately. Simple, livelock-prone.
-type Aggressive struct{}
-
-func (Aggressive) Name() string { return "aggressive" }
-
-func (Aggressive) OnConflict(me, enemy TxInfo, attempt int) Decision { return AbortEnemy }
-
-func (Aggressive) WaitDuration(TxInfo, int) time.Duration { return 0 }
-
 // Timid always aborts itself. Guarantees the enemy progresses; the retrying
 // transaction relies on the engine's inter-attempt backoff to get through.
 type Timid struct{}
@@ -150,31 +119,6 @@ func (Timid) Name() string { return "timid" }
 func (Timid) OnConflict(me, enemy TxInfo, attempt int) Decision { return AbortSelf }
 
 func (Timid) WaitDuration(TxInfo, int) time.Duration { return 0 }
-
-// Backoff waits with exponential backoff a bounded number of times, then
-// aborts itself (the classic "polite" manager).
-type Backoff struct {
-	// MaxWaits bounds the number of Wait decisions per conflict episode
-	// (default 8 when zero).
-	MaxWaits int
-}
-
-func (Backoff) Name() string { return "backoff" }
-
-func (b Backoff) OnConflict(me, enemy TxInfo, attempt int) Decision {
-	maxW := b.MaxWaits
-	if maxW <= 0 {
-		maxW = 8
-	}
-	if attempt >= maxW {
-		return AbortSelf
-	}
-	return Wait
-}
-
-func (b Backoff) WaitDuration(me TxInfo, attempt int) time.Duration {
-	return backoffDur(attempt, me.Retries()+uint64(attempt)<<32)
-}
 
 // Backoff tiering thresholds for spinWait. Below spinOnlyMax a wait is
 // shorter than a scheduler round trip, so burning it in place is the

@@ -7,12 +7,10 @@ import (
 
 // fakeTx is a TxInfo stub for contention-manager unit tests.
 type fakeTx struct {
-	opens   uint64
-	retries uint64
+	opens uint64
 }
 
-func (f fakeTx) Opens() uint64   { return f.opens }
-func (f fakeTx) Retries() uint64 { return f.retries }
+func (f fakeTx) Opens() uint64 { return f.opens }
 
 func TestPolkaDecisions(t *testing.T) {
 	cm := Polka{}
@@ -37,47 +35,9 @@ func TestPolkaDecisions(t *testing.T) {
 	}
 }
 
-func TestKarmaDecisions(t *testing.T) {
-	cm := Karma{}
-	me := fakeTx{opens: 5}
-	enemy := fakeTx{opens: 7}
-	if d := cm.OnConflict(me, enemy, 1); d != Wait {
-		t.Errorf("decision = %v, want wait", d)
-	}
-	if d := cm.OnConflict(me, enemy, 3); d != AbortEnemy {
-		t.Errorf("decision = %v, want abort-enemy", d)
-	}
-	if cm.WaitDuration(me, 3) <= 0 {
-		t.Error("karma wait must be positive")
-	}
-}
-
-func TestAggressiveAndTimid(t *testing.T) {
-	if d := (Aggressive{}).OnConflict(fakeTx{}, fakeTx{}, 0); d != AbortEnemy {
-		t.Errorf("aggressive = %v, want abort-enemy", d)
-	}
-	if d := (Timid{}).OnConflict(fakeTx{}, fakeTx{}, 0); d != AbortSelf {
+func TestTimidDecisions(t *testing.T) {
+	if d := (Timid{}).OnConflict(fakeTx{}, fakeTx{opens: 100}, 0); d != AbortSelf {
 		t.Errorf("timid = %v, want abort-self", d)
-	}
-}
-
-func TestBackoffGivesUp(t *testing.T) {
-	cm := Backoff{MaxWaits: 3}
-	for attempt := 0; attempt < 3; attempt++ {
-		if d := cm.OnConflict(fakeTx{}, fakeTx{}, attempt); d != Wait {
-			t.Errorf("attempt %d = %v, want wait", attempt, d)
-		}
-	}
-	if d := cm.OnConflict(fakeTx{}, fakeTx{}, 3); d != AbortSelf {
-		t.Errorf("attempt 3 = %v, want abort-self", d)
-	}
-	// Default bound.
-	def := Backoff{}
-	if d := def.OnConflict(fakeTx{}, fakeTx{}, 7); d != Wait {
-		t.Errorf("default attempt 7 = %v, want wait", d)
-	}
-	if d := def.OnConflict(fakeTx{}, fakeTx{}, 8); d != AbortSelf {
-		t.Errorf("default attempt 8 = %v, want abort-self", d)
 	}
 }
 
@@ -116,11 +76,8 @@ func TestDecisionString(t *testing.T) {
 
 func TestManagerNames(t *testing.T) {
 	names := map[string]ContentionManager{
-		"polka":      Polka{},
-		"karma":      Karma{},
-		"aggressive": Aggressive{},
-		"timid":      Timid{},
-		"backoff":    Backoff{},
+		"polka": Polka{},
+		"timid": Timid{},
 	}
 	for want, cm := range names {
 		if cm.Name() != want {

@@ -43,7 +43,7 @@
 // of an (engine, configuration) sweep as a single printable value with a
 // canonical ParseEngineSpec/String round trip:
 //
-//	tl2:versions=4,deadline=25ms
+//	norec:versions=4,deadline=25ms
 //	tl2:nosnap
 //
 // The spec is the only carrier of engine configuration above this package:
@@ -271,9 +271,9 @@
 // # Multi-version snapshot reads
 //
 // The snapshot mode's restarts have one cause: the only committed version
-// of a Var is newer than the reader's sampled timestamp. The Versions
-// axis (EngineOptions.Versions [versions=K]) removes that cause by
-// retention:
+// of a Var is newer than the reader's sampled timestamp. On NOrec the
+// Versions axis (EngineOptions.Versions [versions=K]) removes that cause
+// by retention:
 // with Versions = K > 1, commit-time writeback links each newly published
 // value box to its predecessor, keeping the last K committed {value, wv}
 // pairs per Var on an immutable chain (newest first, strictly descending
@@ -291,11 +291,9 @@
 //
 //   - Opacity over chains: resolving an older version is only legal
 //     because the chain provably holds every version the reader's
-//     snapshot could need. For TL2, a read that observed a stable,
-//     unlocked orec has a chain containing every box with wv <= rv that
-//     will ever exist (any later commit carries a stamp > rv); for NOrec,
-//     writeback completes before the sequence lock's release-store, so a
-//     reader's even sample acquires every box with wv <= its snapshot.
+//     snapshot could need: NOrec's writeback completes before the
+//     sequence lock's release-store, so a reader's even sample acquires
+//     every box with wv <= its snapshot.
 //     The full memory-ordering argument lives in mvcc.go; the write-skew
 //     opacity hammer and the property suites run the K axis like they run
 //     engines to enforce it.
@@ -306,10 +304,9 @@
 //     K-th link is severed); no background reclamation exists or is
 //     needed — unreferenced tails are garbage collected.
 //
-//   - Scope: the axis serves only RunReadOnly's snapshot path on the
-//     engines with a snapshot timestamp to resolve against (TL2's clock
-//     sample, NOrec's sequence sample). Atomic transactions always read
-//     heads; OSTM and the direct engine ignore the option. The versioned
+//   - Scope: the axis serves only NOrec's RunReadOnly snapshot path,
+//     resolved against its sequence sample. Atomic transactions always
+//     read heads; the other engines ignore the option. The versioned
 //     read path stays 0 allocs/op (alloc_test.go) — the chain reuses the
 //     one box each commit already publishes.
 //

@@ -6,13 +6,11 @@ import (
 	"repro/stm"
 )
 
-// ExampleNewTL2With configures TL2 with a bounded retry budget and one
-// spec-addressable option (the Go-literal form of the spec
-// "tl2:versions=4"), then runs a read-modify-write transaction.
+// ExampleNewTL2With configures TL2 with a bounded retry budget, then runs
+// a read-modify-write transaction.
 func ExampleNewTL2With() {
 	eng := stm.NewTL2With(stm.TL2Config{
-		MaxRetries:    100,                            // Atomic returns ErrAborted past this budget
-		EngineOptions: stm.EngineOptions{Versions: 4}, // read-only snapshots may resolve older versions
+		MaxRetries: 100, // Atomic returns ErrAborted past this budget
 	})
 	counter := stm.NewCell(eng.VarSpace(), 41)
 
@@ -84,7 +82,7 @@ func ExampleNew() {
 // benchmark's -g flag takes, then applies a scenario-style option list over
 // it: keys present override, keys absent inherit.
 func ExampleParseEngineSpec() {
-	spec, err := stm.ParseEngineSpec("tl2:versions=2,deadline=25ms")
+	spec, err := stm.ParseEngineSpec("norec:versions=2,deadline=25ms")
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -103,6 +101,6 @@ func ExampleParseEngineSpec() {
 	}
 	fmt.Println("overlaid:", spec)
 	// Output:
-	// tl2 built from tl2:versions=2,deadline=25ms
-	// overlaid: tl2:versions=4,deadline=25ms,serial
+	// norec built from norec:versions=2,deadline=25ms
+	// overlaid: norec:versions=4,deadline=25ms,serial
 }

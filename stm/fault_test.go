@@ -327,8 +327,7 @@ func TestInjectedFaultCause(t *testing.T) {
 // lock-holder stall inside the yield tier) and all goroutines sharing
 // one processor, waiters must hand the P back to the stalled holder on
 // every backoff check — the run completes and conserves the counter
-// instead of burning the container. Before the yield tier, mid-length
-// backoff windows busy-spun with only the rare spinHint yield.
+// instead of burning the container.
 func TestSpinWaitYieldTier(t *testing.T) {
 	for name, mk := range chaosEngineMakers("seed=3,lockhold:1/2:10µs", 0, false, 0) {
 		t.Run(name, func(t *testing.T) {

@@ -2,17 +2,17 @@ package stm
 
 import "unsafe"
 
-// Multi-version value chains (MV-TL2 / versioned NOrec cells).
+// Multi-version value chains (versioned NOrec cells).
 //
-// PR 5's snapshot mode restarts a read-only attempt whenever it cannot
-// prove its sampled snapshot current: a TL2 reader that finds an orec
-// version above its rv, or a NOrec reader that sees the global sequence
-// lock move, discards the whole traversal — exactly the long-traversal-
-// vs-writer regime STMBench7 §5 stresses. The multi-version read path
-// removes those restarts by paying space for them, in the Kuznetsov/Ravi
-// "Progressive Transactional Memory in Time and Space" line: keep the last
-// K committed versions per Var and let an invisible reader resolve the
-// version matching its snapshot timestamp instead of retrying.
+// NOrec's snapshot mode restarts a read-only attempt whenever it cannot
+// prove its sampled snapshot current: a reader that sees the global
+// sequence lock move discards the whole traversal — exactly the
+// long-traversal-vs-writer regime STMBench7 §5 stresses. The multi-version
+// read path removes those restarts by paying space for them, in the
+// Kuznetsov/Ravi "Progressive Transactional Memory in Time and Space"
+// line: keep the last K committed versions per Var and let an invisible
+// reader resolve the version matching its snapshot timestamp instead of
+// retrying.
 //
 // Representation. Versions form an immutable singly linked chain through
 // box.prev, newest first, strictly descending in box.wv. A committing
@@ -22,26 +22,13 @@ import "unsafe"
 // default) never links — commit writeback and the snapshot read path are
 // bit-for-bit today's single-version behavior.
 //
-// Why a resolved old version is opaque:
-//
-//   - TL2: the reader sampled rv, then observed the orec unlocked and
-//     stable across the value load. Any commit to this Var serialized
-//     after the rv sample carries a stamp above rv (the version clock's
-//     guarantee), and any commit that unlocked before the stable sample
-//     already has its box in the loaded chain. The chain therefore holds
-//     every version with wv <= rv that will ever exist, and the newest
-//     such version is exactly the Var's value in the committed state at
-//     rv. Locked orecs are still waited out (the writer holds its whole
-//     write set through writeback, so its stamp's relation to rv is not
-//     yet decidable from the chain).
-//
-//   - NOrec: commits are totally ordered by the sequence lock, and a
-//     writer completes writeback before publishing seq = snapshot+2 (a
-//     release store the reader's even sample acquires). A reader with
-//     snapshot time S therefore sees every box with wv <= S in each
-//     chain it loads, and newer in-flight boxes (wv > S) are skipped by
-//     the walk — so the per-read epoch check that restarted the whole
-//     attempt on ANY commit is simply dropped under Versions > 1.
+// Why a resolved old version is opaque: commits are totally ordered by
+// the sequence lock, and a writer completes writeback before publishing
+// seq = snapshot+2 (a release store the reader's even sample acquires). A
+// reader with snapshot time S therefore sees every box with wv <= S in
+// each chain it loads, and newer in-flight boxes (wv > S) are skipped by
+// the walk — so the per-read epoch check that restarted the whole attempt
+// on ANY commit is simply dropped under Versions > 1.
 //
 // Retention and liveness. A chain is truncated to K nodes at commit time,
 // so a reader whose timestamp has fallen off the chain observes a nil
@@ -58,9 +45,9 @@ import "unsafe"
 // pin. Stats.VersionBytes counts the cumulative retained box bytes so
 // sweeps can report the space side of the trade.
 //
-// Scope. Only the TL2 and NOrec read-only snapshot paths (RunReadOnly)
-// consult older versions; the validating Atomic paths are unchanged, and
-// OSTM's locator protocol and the direct engine do not participate.
+// Scope. Only NOrec's read-only snapshot path (RunReadOnly) consults
+// older versions; its validating Atomic path is unchanged, and the other
+// engines ignore Versions.
 
 // DefaultVersions is the version-chain depth used when Versions is left
 // zero: single-version, today's behavior.
@@ -89,9 +76,9 @@ const boxBytes = uint64(unsafe.Sizeof(box{}))
 // publishVersion makes nb the new head of v's value chain. Under keep > 1
 // the superseded head is linked behind nb and the chain truncated to keep
 // nodes; keep == 1 is exactly the plain single-version store. Callers own
-// the Var's write synchronization (TL2 holds the orec lock, NOrec the
-// sequence lock), so the load-link-store on the head does not race other
-// writers — only readers, which see either head.
+// the Var's write synchronization (NOrec holds the sequence lock), so the
+// load-link-store on the head does not race other writers — only readers,
+// which see either head.
 func publishVersion(v *Var, nb *box, keep int, st *txStats) {
 	if keep > 1 {
 		nb.prev.Store(v.cur.Load())

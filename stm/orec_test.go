@@ -152,7 +152,7 @@ func TestOrecHashDistribution(t *testing.T) {
 // TestNewWithOptions checks the registry plumbing: an engine honours the
 // options that apply to its design and takes the rest without complaint.
 func TestNewWithOptions(t *testing.T) {
-	opts := EngineOptions{Versions: 4, CM: Karma{}}
+	opts := EngineOptions{Versions: 4, CM: Timid{}}
 	for _, name := range Registered() {
 		eng, err := NewWith(name, opts)
 		if err != nil {
@@ -160,17 +160,13 @@ func TestNewWithOptions(t *testing.T) {
 			continue
 		}
 		switch e := eng.(type) {
-		case *TL2:
-			if e.cfg.Versions != 4 {
-				t.Errorf("tl2: Versions = %d, want 4", e.cfg.Versions)
-			}
 		case *NOrec:
 			if e.cfg.Versions != 4 {
 				t.Errorf("norec: Versions = %d, want 4", e.cfg.Versions)
 			}
 		case *OSTM:
-			if _, ok := e.cfg.CM.(Karma); !ok {
-				t.Errorf("ostm: CM = %v, want karma", e.cfg.CM)
+			if _, ok := e.cfg.CM.(Timid); !ok {
+				t.Errorf("ostm: CM = %v, want timid", e.cfg.CM)
 			}
 		}
 	}
@@ -183,21 +179,9 @@ func TestNewWithOptions(t *testing.T) {
 // version-chain depth must degrade to the cap, not crash or retain
 // unbounded history.
 func TestOversizedKnobsClampInsteadOfPanicking(t *testing.T) {
-	for _, name := range []string{"tl2", "norec"} {
-		eng, err := NewWith(name, EngineOptions{Versions: maxVersions * 1000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got int
-		switch e := eng.(type) {
-		case *TL2:
-			got = e.cfg.Versions
-		case *NOrec:
-			got = e.cfg.Versions
-		}
-		if got != maxVersions {
-			t.Errorf("%s: versions=%d normalized to %d, want clamp to %d", name, maxVersions*1000, got, maxVersions)
-		}
+	eng := NewNOrecWith(NOrecConfig{EngineOptions: EngineOptions{Versions: maxVersions * 1000}})
+	if got := eng.cfg.Versions; got != maxVersions {
+		t.Errorf("versions=%d normalized to %d, want clamp to %d", maxVersions*1000, got, maxVersions)
 	}
 	if got := normalizeVersions(0); got != DefaultVersions {
 		t.Errorf("zero versions normalized to %d, want %d", got, DefaultVersions)

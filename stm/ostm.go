@@ -25,16 +25,12 @@ const (
 // published is private to its descriptor and may be reused by the next
 // attempt (see ostmTx.reset).
 type txState struct {
-	status  atomic.Uint32
-	opens   atomic.Uint64 // objects opened so far (contention-manager priority)
-	retries uint64        // attempt number; written only by the owner before publication
+	status atomic.Uint32
+	opens  atomic.Uint64 // objects opened so far (contention-manager priority)
 }
 
 // Opens implements TxInfo.
 func (s *txState) Opens() uint64 { return s.opens.Load() }
-
-// Retries implements TxInfo.
-func (s *txState) Retries() uint64 { return s.retries }
 
 // wslot is one write slot: the copy-on-write value pair for the single Var
 // a locator covers.
@@ -185,7 +181,7 @@ func (e *OSTM) atomicFrom(fn func(tx Tx) error, deadline int64) error {
 			e.putTx(tx)
 			return abortErrorFor(cause, &e.stats)
 		}
-		tx.reset(uint64(attempt))
+		tx.reset()
 		if tx.tr.rec != nil {
 			tx.tr.note(TraceBegin, uint64(attempt), 0)
 		}
@@ -232,8 +228,8 @@ func (e *OSTM) runSerial(tx *ostmTx, fn func(tx Tx) error) error {
 		tx.tr.note(TraceSerial, 0, 0)
 	}
 	tx.serial = true
-	for attempt := uint64(0); ; attempt++ {
-		tx.reset(attempt)
+	for {
+		tx.reset()
 		committed, err := e.runAttempt(tx, fn)
 		e.stats.flushTx(&tx.st)
 		if committed || err != nil {
@@ -321,18 +317,17 @@ type ostmTx struct {
 	injected bool // last abort of this call was a FaultPlan forced abort
 }
 
-func (tx *ostmTx) reset(attempt uint64) {
+func (tx *ostmTx) reset() {
 	if tx.eng.cfg.VisibleReads {
 		// Reader registration publishes the state on first read, and
 		// reader-set entries may outlive the attempt; never recycle.
-		tx.state = &txState{retries: attempt}
+		tx.state = &txState{}
 		tx.stateShared = true
 	} else {
 		if tx.stateShared || tx.state == nil {
 			tx.state = &tx.scratch
 			tx.stateShared = false
 		}
-		tx.state.retries = attempt
 		tx.state.status.Store(statusActive)
 		tx.state.opens.Store(0)
 	}
@@ -428,7 +423,6 @@ func (tx *ostmTx) prepareLocator(v *Var, oldBox *box) *locator {
 	newLoc := &locator{wslot: wslot{v: v, old: oldBox, new: &box{val: oldBox.val}}}
 	if !tx.stateShared && !tx.eng.cfg.VisibleReads {
 		st := &newLoc.ownerState
-		st.retries = tx.state.retries
 		st.opens.Store(tx.state.opens.Load())
 		st.status.Store(statusActive) // private ⇒ nobody could have aborted us
 		tx.state = st

@@ -26,7 +26,7 @@ func (c *scriptedCM) OnConflict(me, enemy TxInfo, attempt int) Decision {
 // the next writer of c arbitrates with. drop aborts and recycles it.
 func liveOwner(eng *OSTM, c *Cell[int]) *ostmTx {
 	tx := eng.txPool.get()
-	tx.reset(0)
+	tx.reset()
 	c.Set(tx, -1)
 	return tx
 }
@@ -122,7 +122,7 @@ func testRetirement(t *testing.T, eng *OSTM, cm *scriptedCM) {
 	// retirement then stores in cur, and its read entry still validates.
 	l := writeHeld(10)
 	r := eng.txPool.get()
-	r.reset(0)
+	r.reset()
 	if got := a.Get(r); got != 10 {
 		t.Errorf("reader read %d through the committed locator, want 10", got)
 	}

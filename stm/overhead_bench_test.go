@@ -216,10 +216,10 @@ func shapes() []shape {
 			Snapshot: true,
 			Versions: 8,
 			Skip: func(engine string) bool {
-				// Only the engines with the Versions axis: elsewhere the
+				// Only the engine with the Versions axis: elsewhere the
 				// self-inflicted commit just forces restart/fallback churn
 				// (or, for ostm's Atomic fallback, a validation livelock).
-				return engine != "tl2" && engine != "norec"
+				return engine != "norec"
 			},
 			Setup: func(eng stm.Engine) (func(stm.Tx) error, func(int) error) {
 				cs := cells(eng, 8)

@@ -208,15 +208,6 @@ type tl2SnapTx struct {
 // than rv. Unlike the Atomic path nothing is logged: a newer version
 // restarts the snapshot, and the refreshed snapshot simply includes the
 // new commit.
-//
-// Under Versions > 1 an orec version above rv no longer restarts: the
-// chain loaded under the stable meta sample holds every version with
-// wv <= rv that will ever exist (see mvcc.go), so the read resolves the
-// newest such version. Only a truncated chain (timestamp older than the
-// oldest retained version) restarts, as a VersionMiss. Locked orecs are
-// still waited out: the writer holds its whole write set through
-// writeback, so whether its stamp lands at or below rv is not yet
-// decidable from the chain.
 func (tx *tl2SnapTx) Read(v *Var) any {
 	tx.st.reads++
 	o := &v.own
@@ -236,20 +227,6 @@ func (tx *tl2SnapTx) Read(v *Var) any {
 			continue
 		}
 		if m1 > tx.rv {
-			if tx.eng.cfg.Versions > 1 {
-				if rb := resolveVersion(b, tx.rv); rb != nil {
-					if tx.tr.rec != nil {
-						tx.tr.note(TraceVersionHit, tx.rv, 0)
-					}
-					tx.st.versionReads++
-					return rb.val
-				}
-				if tx.tr.rec != nil {
-					tx.tr.note(TraceVersionMiss, tx.rv, 0)
-				}
-				tx.st.versionMisses++
-				throwConflict("snapshot version truncated past rv")
-			}
 			// Newer than the snapshot: with no read set there is nothing
 			// to extend, so the whole attempt restarts at a fresh rv.
 			throwConflict("snapshot version newer than rv")

@@ -418,12 +418,41 @@ func TestVersionStatsDelta(t *testing.T) {
 // battery below is table-driven over: every engine with the Versions axis,
 // parameterized by chain depth K.
 var versionedSnapshotMakers = map[string]func(k int) Engine{
-	"tl2":   func(k int) Engine { return NewTL2With(TL2Config{EngineOptions: EngineOptions{Versions: k}}) },
 	"norec": func(k int) Engine { return NewNOrecWith(NOrecConfig{EngineOptions: EngineOptions{Versions: k}}) },
-	// TL2 with committers stalled under their locks, as in txEngineMakers.
-	"tl2-striped": func(k int) Engine {
-		return NewTL2With(TL2Config{EngineOptions: opts(fmt.Sprintf("versions=%d,faults=%s", k, lockStall))})
-	},
+}
+
+// TestTL2IgnoresVersions: TL2 takes versions=K and keeps no chain. A
+// writer committing between a snapshot reader's sample and its read
+// restarts the reader, as at K=1, and no version counter moves.
+func TestTL2IgnoresVersions(t *testing.T) {
+	eng, err := NewWith("tl2", EngineOptions{Versions: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1 := NewCell(eng.VarSpace(), 1)
+	c2 := NewCell(eng.VarSpace(), 1)
+	attempts := 0
+	var got int
+	if err := RunReadOnly(eng, func(tx Tx) error {
+		attempts++
+		c1.Get(tx)
+		if attempts == 1 {
+			if err := eng.Atomic(func(wtx Tx) error { c2.Set(wtx, 99); return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got = c2.Get(tx)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if attempts < 2 || got != 99 {
+		t.Errorf("attempts = %d, read %d; want a restart that reads 99", attempts, got)
+	}
+	if st := eng.Stats(); st.VersionBytes != 0 || st.VersionReads != 0 || st.VersionMisses != 0 {
+		t.Errorf("version counters = (%d bytes, %d reads, %d misses), want all 0",
+			st.VersionBytes, st.VersionReads, st.VersionMisses)
+	}
 }
 
 // TestSnapshotVersionedRestartElimination is the PR's deterministic

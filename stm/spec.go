@@ -26,9 +26,9 @@ type EngineOptions struct {
 	// Versions [versions=K] keeps the last K committed versions per Var so
 	// read-only snapshot transactions resolve older versions instead of
 	// restarting under write traffic (0 or 1 = single-version; clamped to
-	// 64). TL2 and NOrec, the engines with a snapshot timestamp an older
-	// version can be resolved against. See mvcc.go for the opacity
-	// argument and the space bound.
+	// 64). NOrec only: TL2 has a snapshot timestamp too, but its versions
+	// never won beyond noise (README, Tried and left out). See mvcc.go for
+	// the opacity argument and the space bound.
 	Versions int
 	// CM [cm=NAME] arbitrates OSTM's conflicts (nil = Polka, the manager
 	// the paper used).
@@ -218,8 +218,8 @@ type EngineSpec struct {
 //
 //	spec    := name [ ":" options ]
 //	options := option ( "," option )*
-//	option  := "versions=" K           committed versions kept per Var
-//	         | "cm=" NAME              OSTM contention manager (polka, karma, aggressive, timid, backoff)
+//	option  := "versions=" K           NOrec committed versions kept per Var
+//	         | "cm=" NAME              OSTM contention manager (polka, timid)
 //	         | "ctv"                   OSTM commit-time validation only
 //	         | "visible"               OSTM visible reads
 //	         | "deadline=" DURATION    per-transaction retry budget (Go duration)
@@ -228,7 +228,7 @@ type EngineSpec struct {
 //	         | "faults=" PLAN          fault plan in ParseFaultPlan syntax; must be
 //	                                   last, and takes the rest of the string
 //
-// e.g. "tl2:versions=4,deadline=25ms", "tl2:nosnap" or
+// e.g. "norec:versions=4,deadline=25ms", "tl2:nosnap" or
 // "norec:serial,faults=seed=7,precommit:1/40:80us,abort:1/24". A bare name is
 // a spec with zero options. The keys without a value are booleans and also
 // accept "=on" and "=off", which only matters when the options are applied

@@ -21,11 +21,11 @@ var ciSpecs = []string{
 	"norec:serial",
 	"norec:nosnap",
 	"ostm:serial",
-	"ostm:cm=karma,visible",
+	"ostm:cm=timid,visible",
 	"tl2:nosnap",
 	"ostm:ctv",
 	"norec:deadline=25ms,serial",
-	"x:versions=2,cm=karma",
+	"x:versions=2,cm=timid",
 	"x:deadline=25ms,faults=seed=7,precommit:1/40:80µs,lockhold:1/56:120µs,clocktick:1/72:40µs,abort:1/24",
 }
 
@@ -113,19 +113,19 @@ func TestParseEngineSpec(t *testing.T) {
 // TestEngineOptionsApplyOverlay pins the overlay rule scenario files rely
 // on: present keys set, absent keys inherit, =off and =0 reset.
 func TestEngineOptionsApplyOverlay(t *testing.T) {
-	base := opts("versions=2,cm=karma,deadline=25ms,serial,faults=abort:1/8")
+	base := opts("versions=2,cm=timid,deadline=25ms,serial,faults=abort:1/8")
 	for _, c := range []struct{ overlay, want string }{
-		{"", "versions=2,cm=karma,deadline=25ms,serial,faults=abort:1/8"},
-		{"versions=4", "versions=4,cm=karma,deadline=25ms,serial,faults=abort:1/8"},
-		{"serial=off", "versions=2,cm=karma,deadline=25ms,faults=abort:1/8"},
-		{"serial=on,nosnap", "versions=2,cm=karma,deadline=25ms,serial,nosnap,faults=abort:1/8"},
-		{"versions=0,deadline=0", "cm=karma,serial,faults=abort:1/8"},
-		{"ctv=off", "versions=2,cm=karma,deadline=25ms,serial,faults=abort:1/8"},
+		{"", "versions=2,cm=timid,deadline=25ms,serial,faults=abort:1/8"},
+		{"versions=4", "versions=4,cm=timid,deadline=25ms,serial,faults=abort:1/8"},
+		{"serial=off", "versions=2,cm=timid,deadline=25ms,faults=abort:1/8"},
+		{"serial=on,nosnap", "versions=2,cm=timid,deadline=25ms,serial,nosnap,faults=abort:1/8"},
+		{"versions=0,deadline=0", "cm=timid,serial,faults=abort:1/8"},
+		{"ctv=off", "versions=2,cm=timid,deadline=25ms,serial,faults=abort:1/8"},
 		{"cm=polka", "versions=2,cm=polka,deadline=25ms,serial,faults=abort:1/8"},
-		{"faults=seed=2,abort:1/2", "versions=2,cm=karma,deadline=25ms,serial,faults=seed=2,abort:1/2"},
-		{"faults=", "versions=2,cm=karma,deadline=25ms,serial"},
-		{"serial=off,serial", "versions=2,cm=karma,deadline=25ms,serial,faults=abort:1/8"},
-		{"nosnap,faults=seed=2,abort:1/2", "versions=2,cm=karma,deadline=25ms,serial,nosnap,faults=seed=2,abort:1/2"},
+		{"faults=seed=2,abort:1/2", "versions=2,cm=timid,deadline=25ms,serial,faults=seed=2,abort:1/2"},
+		{"faults=", "versions=2,cm=timid,deadline=25ms,serial"},
+		{"serial=off,serial", "versions=2,cm=timid,deadline=25ms,serial,faults=abort:1/8"},
+		{"nosnap,faults=seed=2,abort:1/2", "versions=2,cm=timid,deadline=25ms,serial,nosnap,faults=seed=2,abort:1/2"},
 	} {
 		got, err := base.Apply(c.overlay)
 		if err != nil {
@@ -166,7 +166,7 @@ func TestParseContentionManager(t *testing.T) {
 			t.Errorf("ParseContentionManager(%q) = %v, %v", cm.Name(), got, err)
 		}
 	}
-	if _, err := ParseContentionManager("nice"); err == nil || !strings.Contains(err.Error(), "karma") {
+	if _, err := ParseContentionManager("karma"); err == nil || !strings.Contains(err.Error(), "(want polka, timid)") {
 		t.Errorf("unknown manager: err = %v, want one listing the valid names", err)
 	}
 }
@@ -210,7 +210,7 @@ func TestEveryEngineOptionHasASpecKey(t *testing.T) {
 			f.Set(reflect.ValueOf(mustFaultPlan("seed=3,abort:1/8")))
 		default:
 			if field.Type == reflect.TypeOf((*ContentionManager)(nil)).Elem() {
-				f.Set(reflect.ValueOf(Karma{}))
+				f.Set(reflect.ValueOf(Timid{}))
 				break
 			}
 			t.Fatalf("field %s has type %s: teach this test a non-zero value for it", field.Name, field.Type)

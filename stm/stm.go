@@ -11,7 +11,7 @@ import (
 // different times are still distinguishable.
 //
 // val and wv are immutable once the box is published through Var.cur. prev
-// is the multi-version chain (see mvcc.go): under Versions > 1 a committing
+// is NOrec's multi-version chain (see mvcc.go): under Versions > 1 a committing
 // writer links the superseded head behind the new box before publishing it,
 // so snapshot readers can resolve older committed versions by walking prev.
 // prev only ever transitions old-head -> nil (retention truncation); under
@@ -19,9 +19,9 @@ import (
 // exactly the value cell it always was.
 type box struct {
 	val any
-	// wv is the commit timestamp of the write that published this box:
-	// TL2's clock stamp, NOrec's post-commit sequence value. 0 for values
-	// installed at NewVar (older than every possible snapshot).
+	// wv is the commit timestamp of the write that published this box,
+	// NOrec's post-commit sequence value. 0 for values installed at NewVar
+	// (older than every possible snapshot) and on other engines' boxes.
 	wv   uint64
 	prev atomic.Pointer[box]
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 // engines returns a fresh instance of every transactional configuration
@@ -51,33 +52,61 @@ func fromSpec(spec string) func() Engine {
 // can express is spelled as one and built through the parser, so every
 // suite run exercises ParseEngineSpec too; Go literals remain only for
 // the one ablation knob that stays outside the spec
-// (CommitCounterHeuristic).
+// (CommitCounterHeuristic) and for the test contention managers below.
 var txEngineMakers = map[string]func() Engine{
 	"ostm-committime":   fromSpec("ostm:ctv"),
-	"ostm-aggressive":   fromSpec("ostm:cm=aggressive"),
 	"ostm-timid":        fromSpec("ostm:cm=timid"),
-	"ostm-karma":        fromSpec("ostm:cm=karma"),
-	"ostm-backoff":      fromSpec("ostm:cm=backoff"),
 	"ostm-visible":      fromSpec("ostm:visible"),
 	"ostm-commitserial": func() Engine { return NewOSTMWith(OSTMConfig{CommitCounterHeuristic: true}) },
 
+	// OSTM's acquire loop under the two decision sequences no shipped
+	// manager produces: kill the owner at once, and wait, then give up.
+	"ostm-aggressive": func() Engine { return NewOSTMWith(OSTMConfig{EngineOptions: EngineOptions{CM: aggressiveCM{}}}) },
+	"ostm-backoff":    func() Engine { return NewOSTMWith(OSTMConfig{EngineOptions: EngineOptions{CM: backoffCM{}}}) },
+
 	// Multi-version variants: the version-chain depth iterates through the
 	// same suites like engines do (K=1 is the base registry entry).
-	"tl2-mv2":   fromSpec("tl2:versions=2"),
-	"tl2-mv8":   fromSpec("tl2:versions=8"),
 	"norec-mv2": fromSpec("norec:versions=2"),
 	"norec-mv8": fromSpec("norec:versions=8"),
+	// TL2 takes versions=K and ignores it: these rows, and the -mv rows
+	// of the stall plan below, hold the ignored key to plain TL2's
+	// results in every suite.
+	"tl2-mv2": fromSpec("tl2:versions=2"),
+	"tl2-mv8": fromSpec("tl2:versions=8"),
 
 	// Lock-hold stall variants: one TL2 committer in 64 spins while it
 	// holds its write locks, so readers and writers meet a locked orec far
 	// more often than in the plain rows. A held lock must cost retries,
-	// never correctness, and with versions a reader must never resolve a
-	// wrong version past it. The rows keep the names of the 16-stripe rows
+	// never correctness. The rows keep the names of the 16-stripe rows
 	// they replace, which gave the same stress by making unrelated Vars
 	// collide on one orec, so the suites' test ids carry over.
 	"tl2-striped":     fromSpec("tl2:faults=" + lockStall),
 	"tl2-striped-mv2": fromSpec("tl2:versions=2,faults=" + lockStall),
 	"tl2-striped-mv8": fromSpec("tl2:versions=8,faults=" + lockStall),
+}
+
+// aggressiveCM kills a live owner on every conflict.
+type aggressiveCM struct{}
+
+func (aggressiveCM) Name() string                           { return "aggressive" }
+func (aggressiveCM) OnConflict(_, _ TxInfo, _ int) Decision { return AbortEnemy }
+func (aggressiveCM) WaitDuration(TxInfo, int) time.Duration { return 0 }
+
+// backoffCM waits out a conflict with growing backoff eight times, then
+// aborts itself.
+type backoffCM struct{}
+
+func (backoffCM) Name() string { return "backoff" }
+
+func (backoffCM) OnConflict(_, _ TxInfo, attempt int) Decision {
+	if attempt < 8 {
+		return Wait
+	}
+	return AbortSelf
+}
+
+func (backoffCM) WaitDuration(me TxInfo, attempt int) time.Duration {
+	return backoffDur(attempt, me.Opens()+uint64(attempt)<<32)
 }
 
 // lockStall is a fault plan that stalls one committer in 64 for 4µs while
@@ -412,8 +441,9 @@ func TestOSTMRetryBudgetExhaustion(t *testing.T) {
 }
 
 func TestOSTMEnemyAbort(t *testing.T) {
-	// An Aggressive transaction must kill a parked owner and proceed.
-	eng := NewOSTMWith(OSTMConfig{EngineOptions: opts("cm=aggressive")})
+	// A transaction whose manager says AbortEnemy must kill a parked
+	// owner and proceed.
+	eng := NewOSTMWith(OSTMConfig{EngineOptions: EngineOptions{CM: aggressiveCM{}}})
 	c := NewCell(eng.VarSpace(), 0)
 
 	hold := make(chan struct{})

@@ -6,8 +6,8 @@ type TL2Config struct {
 	// budget is exhausted Atomic returns ErrAborted.
 	MaxRetries int
 	// EngineOptions carries the spec-addressable knobs. TL2 honours
-	// Versions, TxDeadline, SerialFallback, Faults, Trace and
-	// DisableROSnapshot, and ignores the rest.
+	// TxDeadline, SerialFallback, Faults, Trace and DisableROSnapshot,
+	// and ignores the rest.
 	EngineOptions
 }
 
@@ -57,7 +57,6 @@ func init() {
 
 // NewTL2With returns a TL2 engine with explicit configuration.
 func NewTL2With(cfg TL2Config) *TL2 {
-	cfg.Versions = normalizeVersions(cfg.Versions)
 	e := &TL2{cfg: cfg}
 	if cfg.SerialFallback {
 		e.gate = &serialGate{}
@@ -423,13 +422,10 @@ func (tx *tl2Tx) commit() bool {
 	// box per written Var is the one unavoidable commit allocation:
 	// published boxes are immutable snapshots that concurrent readers may
 	// hold indefinitely, so they can never be recycled from the
-	// descriptor. Under Versions > 1 the superseded box is linked behind
-	// the new one (same single allocation) so snapshot readers at older rv
-	// can resolve it; see mvcc.go.
-	keep := tx.eng.cfg.Versions
+	// descriptor.
 	for i := range tx.writes {
 		w := &tx.writes[i]
-		publishVersion(w.v, &box{val: w.val, wv: wv}, keep, &tx.st)
+		w.v.cur.Store(&box{val: w.val})
 	}
 	// Lock-holder pause: every write orec is still locked, so this stall
 	// is the worst case for everyone else — readers spin, committers of

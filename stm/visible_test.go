@@ -36,10 +36,11 @@ func TestVisibleReadsNeedNoValidation(t *testing.T) {
 	}
 }
 
-// TestVisibleWriterKillsParkedReader: an Aggressive writer must abort a
-// registered reader instead of letting it commit on a stale snapshot.
+// TestVisibleWriterKillsParkedReader: a writer whose manager says
+// AbortEnemy must abort a registered reader instead of letting it commit
+// on a stale snapshot.
 func TestVisibleWriterKillsParkedReader(t *testing.T) {
-	eng := NewOSTMWith(OSTMConfig{EngineOptions: opts("cm=aggressive,visible")})
+	eng := NewOSTMWith(OSTMConfig{EngineOptions: EngineOptions{CM: aggressiveCM{}, VisibleReads: true}})
 	a := NewCell(eng.VarSpace(), 1)
 	b := NewCell(eng.VarSpace(), -1)
 
