@@ -67,8 +67,9 @@ import "cmp"
 
 // degree is the minimum degree t of the B-tree: every node except the root
 // holds between t-1 and 2t-1 keys. At 16 the keys of a node with word-sized
-// K are four cache lines, which a binary search touches two or three of, and
-// the Small build-date index (100 000 entries) is three levels deep.
+// K are four cache lines, which a binary search touches two or three of. The
+// build-date index is three levels deep at Small (2 000 entries) and four at
+// Medium (100 000).
 const degree = 16
 
 const (

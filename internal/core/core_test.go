@@ -96,12 +96,12 @@ func TestBuildCounts(t *testing.T) {
 		// Every part has its ring edge first, then the extras, one of each
 		// connection type in turn.
 		s.Idx.AtomicByID.Ascend(tx, func(id uint64, ap *AtomicPart) bool {
-			if len(ap.To) != p.NumConnPerAtomic {
-				t.Errorf("atomic %d has %d outgoing connections, want %d", id, len(ap.To), p.NumConnPerAtomic)
+			if len(ap.To()) != p.NumConnPerAtomic {
+				t.Errorf("atomic %d has %d outgoing connections, want %d", id, len(ap.To()), p.NumConnPerAtomic)
 			}
-			for k, c := range ap.To {
-				if want := connTypes[k%len(connTypes)]; c.Type() != want || c.From != ap {
-					t.Errorf("atomic %d connection %d: type %q from %d, want %q from %d", id, k, c.Type(), c.From.ID, want, id)
+			for k, c := range ap.To() {
+				if want := connTypes[k%len(connTypes)]; c.Type() != want || c.From != int32(ap.Slot()) {
+					t.Errorf("atomic %d connection %d: type %q from slot %d, want %q from %d", id, k, c.Type(), c.From, want, ap.Slot())
 				}
 			}
 			return true
@@ -127,7 +127,7 @@ func TestBuildDeterministic(t *testing.T) {
 		eng.Atomic(func(tx stm.Tx) error {
 			s.Idx.AtomicByID.Ascend(tx, func(id uint64, ap *AtomicPart) bool {
 				st := ap.State(tx)
-				out = append(out, int(id), st.X, st.Y, st.BuildDate, len(ap.To))
+				out = append(out, int(id), st.X, st.Y, st.BuildDate, len(ap.To()))
 				return true
 			})
 			s.Idx.BaseByID.Ascend(tx, func(id uint64, ba *BaseAssembly) bool {
@@ -159,6 +159,67 @@ func TestBuildInvariants(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestCheckInvariantsCatchesBrokenConnections breaks one composite part's
+// graph in each way CheckInvariants checks for, in both part
+// representations, and expects the matching violation. Each break is placed
+// so that it is the first thing the checker meets: part 0's outgoing edges
+// are checked before its incoming ones, and part 0 before the others.
+func TestCheckInvariantsCatchesBrokenConnections(t *testing.T) {
+	cases := []struct {
+		name, want string
+		breakGraph func(cp *CompositePart)
+	}{
+		{"from-link", "from-link broken", func(cp *CompositePart) { cp.conns[0].From = 1 }},
+		{"escape", "escapes composite", func(cp *CompositePart) { cp.conns[1].To = int32(len(cp.Parts)) }},
+		{"missing-from-target", "missing from target's From", func(cp *CompositePart) { cp.conns[0].To = 0 }},
+		{"to-link", "to-link broken", func(cp *CompositePart) {
+			// Part 0's From list names the ring edge into it, from the last
+			// part; name connection 0 (0 -> 1) there instead.
+			ring := int32((len(cp.Parts) - 1) * cp.outDegree)
+			from := cp.Parts[0].From()
+			from[slices.Index(from, ring)] = 0
+		}},
+		{"disconnected", "graph disconnected", func(cp *CompositePart) {
+			// Every edge into the last part turns back to its source, and the
+			// index is rebuilt to match: a consistent graph the last part is
+			// cut off from.
+			last := int32(len(cp.Parts) - 1)
+			for i := range cp.conns {
+				if c := &cp.conns[i]; c.To == last {
+					c.To = c.From
+				}
+			}
+			cp.in = incomingIndex(cp.conns, len(cp.Parts))
+		}},
+		{"out-degree", "connections of out-degree", func(cp *CompositePart) { cp.conns = cp.conns[:len(cp.conns)-1] }},
+		{"index-shape", "index is malformed", func(cp *CompositePart) { cp.in = cp.in[:len(cp.in)-1] }},
+	}
+	for _, grouped := range []bool{false, true} {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("grouped=%v/%s", grouped, tc.name), func(t *testing.T) {
+				p := Tiny()
+				p.GroupAtomicParts = grouped
+				eng := stm.NewDirect()
+				s, err := Build(p, 42, eng.VarSpace())
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng.Atomic(func(tx stm.Tx) error {
+					if err := s.CheckInvariants(tx); err != nil {
+						t.Fatalf("before the break: %v", err)
+					}
+					cp, _ := s.LookupComposite(tx, 1)
+					tc.breakGraph(cp)
+					if err := s.CheckInvariants(tx); err == nil || !strings.Contains(err.Error(), tc.want) {
+						t.Errorf("CheckInvariants = %v, want an error containing %q", err, tc.want)
+					}
+					return nil
+				})
+			})
+		}
+	}
 }
 
 func TestBuildSmallInvariants(t *testing.T) {
@@ -649,8 +710,9 @@ func TestBuildUnderSTMEngines(t *testing.T) {
 }
 
 // buildCompositePartReference is the builder BuildCompositePart replaced:
-// one heap object per atomic part, state cell and connection, From lists
-// grown by append. It is kept as the oracle for the slab builder, which must
+// one heap object per atomic part and state cell, connections appended one at
+// a time and From lists grown by append, packed into the graph's two slabs
+// only at the end. It is kept as the oracle for the slab builder, which must
 // build the same structure from the same draws.
 func (s *Structure) buildCompositePartReference(tx stm.Tx, r *rng.Rand, id uint64) *CompositePart {
 	p := s.P
@@ -677,35 +739,39 @@ func (s *Structure) buildCompositePartReference(tx stm.Tx, r *rng.Rand, id uint6
 			Y:         r.Intn(1 << 16),
 			BuildDate: RandomDate(r),
 		}
-		parts[i] = &AtomicPart{ID: baseID + uint64(i), PartOf: cp, To: make([]*Connection, 0, p.NumConnPerAtomic), slot: i}
+		parts[i] = &AtomicPart{ID: baseID + uint64(i), PartOf: cp, slot: i}
 	}
 	if p.GroupAtomicParts {
-		group := named(stm.NewCellClone(s.Space, states, stm.CloneSlice[AtomicPartState]), DomainAtomic)
-		cp.groupStates = group
-		for _, ap := range parts {
-			ap.group = group
-		}
+		cp.groupStates = named(stm.NewCellClone(s.Space, states, stm.CloneSlice[AtomicPartState]), DomainAtomic)
 	} else {
 		for i, ap := range parts {
 			ap.state = named(stm.NewCell(s.Space, states[i]), DomainAtomic)
 		}
 	}
-	for i, ap := range parts {
-		addConn := func(to *AtomicPart, kind int) {
-			c := &Connection{
-				Length: 1 + r.Intn(100),
-				From:   ap,
-				To:     to,
+	var conns []Connection
+	from := make([][]int32, n)
+	for i := range parts {
+		addConn := func(to, kind int) {
+			from[to] = append(from[to], int32(len(conns)))
+			conns = append(conns, Connection{
+				Length: int32(1 + r.Intn(100)),
+				From:   int32(i),
+				To:     int32(to),
 				kind:   uint8(kind % len(connTypes)),
-			}
-			ap.To = append(ap.To, c)
-			to.From = append(to.From, c)
+			})
 		}
-		addConn(parts[(i+1)%n], 0)
+		addConn((i+1)%n, 0)
 		for k := 1; k < p.NumConnPerAtomic; k++ {
-			addConn(parts[r.Intn(n)], k)
+			addConn(r.Intn(n), k)
 		}
 	}
+	in := make([]int32, n+1)
+	for i, f := range from {
+		in[i] = int32(len(in))
+		in = append(in, f...)
+	}
+	in[n] = int32(len(in))
+	cp.conns, cp.in, cp.outDegree = conns, in, p.NumConnPerAtomic
 	cp.RootPart = parts[0]
 	cp.Parts = parts
 
@@ -724,23 +790,26 @@ func (s *Structure) buildCompositePartReference(tx stm.Tx, r *rng.Rand, id uint6
 // in, entry by entry.
 func describeDesignLibrary(tx stm.Tx, s *Structure, cps []*CompositePart) string {
 	var b strings.Builder
-	conns := func(label string, cs []*Connection) {
-		fmt.Fprintf(&b, "  %s", label)
-		for _, c := range cs {
-			fmt.Fprintf(&b, " %d->%d/%d/%s", c.From.ID, c.To.ID, c.Length, c.Type())
-		}
-		b.WriteByte('\n')
+	edge := func(cp *CompositePart, c Connection) {
+		fmt.Fprintf(&b, " %d->%d/%d/%s", cp.Parts[c.From].ID, cp.Parts[c.To].ID, c.Length, c.Type())
 	}
 	for _, cp := range cps {
 		fmt.Fprintf(&b, "cp %d date=%d root=%d doc=%d/%q/%q back=%v\n", cp.ID, cp.BuildDate(tx), cp.RootPart.ID,
 			cp.Doc.ID, cp.Doc.Title, cp.Doc.Text(tx), cp.Doc.Part == cp)
 		for i, ap := range cp.Parts {
-			fmt.Fprintf(&b, " part %d of=%d state=%+v slot=%d grouped=%v\n", ap.ID, ap.PartOf.ID, ap.State(tx), ap.slot, ap.group != nil)
+			fmt.Fprintf(&b, " part %d of=%d state=%+v slot=%d grouped=%v\n", ap.ID, ap.PartOf.ID, ap.State(tx), ap.slot, ap.state == nil)
 			if ap.PartOf != cp || ap.slot != i {
 				fmt.Fprintf(&b, "  MISLINKED\n")
 			}
-			conns("to", ap.To)
-			conns("from", ap.From)
+			b.WriteString("  to")
+			for _, c := range ap.To() {
+				edge(cp, c)
+			}
+			b.WriteString("\n  from")
+			for _, ci := range ap.From() {
+				edge(cp, cp.Conns()[ci])
+			}
+			b.WriteByte('\n')
 		}
 	}
 	s.Idx.CompositeByID.Ascend(tx, func(id uint64, cp *CompositePart) bool {
@@ -981,7 +1050,7 @@ func TestToggleAtomicDateOpensEachVarOnce(t *testing.T) {
 					cp, _ := s.LookupComposite(tx, 2)
 					ap := cp.Parts[1]
 					if grouped {
-						partVar = ap.group.Var()
+						partVar = cp.groupStates.Var()
 					} else {
 						partVar = ap.state.Var()
 					}

@@ -90,7 +90,7 @@ func TestBuildSingleAtomicPerComp(t *testing.T) {
 			t.Error(err)
 		}
 		cp, _ := s.LookupComposite(tx, 1)
-		if len(cp.Parts) != 1 || cp.Parts[0].To[0].To != cp.Parts[0] {
+		if len(cp.Parts) != 1 || cp.Parts[0].To()[0].To != 0 {
 			t.Error("single-part graph should self-loop")
 		}
 		return nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/stm"
 )
@@ -19,8 +20,10 @@ import (
 //     directions;
 //   - every index (Table 1) contains exactly the reachable objects;
 //   - every composite part's graph: right part count, derived id range,
-//     ring connectivity (every part reachable from the root part),
-//     To/From agreement on every connection;
+//     slots, the shape of the connection and incoming-edge slabs, every
+//     connection leaving from its part and staying inside the composite
+//     part, To/From agreement on every connection, and ring connectivity
+//     (every part reachable from the root part);
 //   - id pools: free lists disjoint from live ids and within domains.
 func (s *Structure) CheckInvariants(tx stm.Tx) error {
 	p := s.P
@@ -159,50 +162,14 @@ func (s *Structure) CheckInvariants(tx stm.Tx) error {
 			if sl := ap.Slot(); sl < 0 || sl >= len(cp.Parts) || cp.Parts[sl] != ap {
 				return fmt.Errorf("invariants: atomic %d has slot %d, is part %d of composite %d", ap.ID, sl, i, cp.ID)
 			}
-			if len(ap.To) != p.NumConnPerAtomic {
-				return fmt.Errorf("invariants: atomic %d has %d outgoing connections, want %d", ap.ID, len(ap.To), p.NumConnPerAtomic)
-			}
 			d := ap.BuildDate(tx)
 			if d < MinDate || d > MaxDate {
 				return fmt.Errorf("invariants: atomic %d date %d out of range", ap.ID, d)
 			}
 			liveAtomic[ap.ID] = ap
 		}
-		// Connection symmetry.
-		for _, ap := range cp.Parts {
-			for _, c := range ap.To {
-				if c.From != ap {
-					return fmt.Errorf("invariants: connection from-link broken at atomic %d", ap.ID)
-				}
-				if c.To.PartOf != ap.PartOf {
-					return fmt.Errorf("invariants: connection escapes composite %d", cp.ID)
-				}
-				if !containsConn(c.To.From, c) {
-					return fmt.Errorf("invariants: connection missing from target's From at atomic %d", ap.ID)
-				}
-			}
-			for _, c := range ap.From {
-				if c.To != ap {
-					return fmt.Errorf("invariants: connection to-link broken at atomic %d", ap.ID)
-				}
-			}
-		}
-		// Ring connectivity: DFS along To edges reaches every part.
-		seen := map[*AtomicPart]bool{}
-		stack := []*AtomicPart{cp.RootPart}
-		for len(stack) > 0 {
-			ap := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if seen[ap] {
-				continue
-			}
-			seen[ap] = true
-			for _, c := range ap.To {
-				stack = append(stack, c.To)
-			}
-		}
-		if len(seen) != len(cp.Parts) {
-			return fmt.Errorf("invariants: composite %d graph disconnected (%d/%d reachable)", cp.ID, len(seen), len(cp.Parts))
+		if err := checkGraph(cp, p.NumConnPerAtomic); err != nil {
+			return err
 		}
 	}
 
@@ -347,11 +314,61 @@ func containsPtr[T comparable](s []T, x T) bool {
 	return false
 }
 
-func containsConn(s []*Connection, c *Connection) bool {
-	for _, e := range s {
-		if e == c {
-			return true
+// checkGraph checks a composite part's connections: the two slabs have the
+// builder's shape, every connection leaves from the part whose outgoing
+// edges it is among and stays inside the composite part, the From lists are
+// exactly the connections into each part, and the graph is connected along
+// To edges from the root.
+func checkGraph(cp *CompositePart, nc int) error {
+	n := len(cp.Parts)
+	if cp.outDegree != nc || len(cp.conns) != n*nc {
+		return fmt.Errorf("invariants: composite %d has %d connections of out-degree %d, want %d of %d", cp.ID, len(cp.conns), cp.outDegree, n*nc, nc)
+	}
+	in := cp.in
+	if len(in) != n+1+len(cp.conns) || in[0] != int32(n+1) || in[n] != int32(len(in)) {
+		return fmt.Errorf("invariants: composite %d incoming-connection index is malformed", cp.ID)
+	}
+	for i := range n {
+		if in[i+1] < in[i] {
+			return fmt.Errorf("invariants: composite %d incoming-connection offsets decrease at part %d", cp.ID, i)
 		}
 	}
-	return false
+	for i, ap := range cp.Parts {
+		for k, c := range ap.To() {
+			if c.From != int32(i) {
+				return fmt.Errorf("invariants: connection from-link broken at atomic %d", ap.ID)
+			}
+			if c.To < 0 || int(c.To) >= n {
+				return fmt.Errorf("invariants: connection escapes composite %d", cp.ID)
+			}
+			if !slices.Contains(cp.Parts[c.To].From(), int32(i*nc+k)) {
+				return fmt.Errorf("invariants: connection missing from target's From at atomic %d", ap.ID)
+			}
+		}
+		for _, ci := range ap.From() {
+			if ci < 0 || int(ci) >= len(cp.conns) || cp.conns[ci].To != int32(i) {
+				return fmt.Errorf("invariants: connection to-link broken at atomic %d", ap.ID)
+			}
+		}
+	}
+	// Ring connectivity: DFS along To edges reaches every part.
+	seen := make([]bool, n)
+	stack := []int32{0}
+	reached := 0
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[i] {
+			continue
+		}
+		seen[i] = true
+		reached++
+		for _, c := range cp.Parts[i].To() {
+			stack = append(stack, c.To)
+		}
+	}
+	if reached != n {
+		return fmt.Errorf("invariants: composite %d graph disconnected (%d/%d reachable)", cp.ID, reached, n)
+	}
+	return nil
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 	"weak"
 
 	"repro/stm"
@@ -23,14 +25,13 @@ func slabProbes(t *testing.T, eng stm.Engine, s *Structure, id uint64) map[strin
 			t.Fatalf("composite part %d missing", id)
 		}
 		ap := cp.Parts[len(cp.Parts)/2]
-		part, cell, conn := weak.Make(ap), weak.Make(ap.state), weak.Make(ap.To[0])
-		to, from := weak.Make(&ap.To[0]), weak.Make(&ap.From[0])
+		part, cell := weak.Make(ap), weak.Make(ap.state)
+		conn, in := weak.Make(&ap.To()[0]), weak.Make(&ap.From()[0])
 		probes = map[string]func() bool{
-			"parts":       func() bool { return part.Value() != nil },
-			"state cells": func() bool { return cell.Value() != nil },
-			"connections": func() bool { return conn.Value() != nil },
-			"To lists":    func() bool { return to.Value() != nil },
-			"From lists":  func() bool { return from.Value() != nil },
+			"parts":               func() bool { return part.Value() != nil },
+			"state cells":         func() bool { return cell.Value() != nil },
+			"connections":         func() bool { return conn.Value() != nil },
+			"incoming-edge index": func() bool { return in.Value() != nil },
 		}
 		return nil
 	})
@@ -40,12 +41,12 @@ func slabProbes(t *testing.T, eng stm.Engine, s *Structure, id uint64) map[strin
 	return probes
 }
 
-// TestDeletedGraphIsCollected: a composite part's graph is five slabs, so one
+// TestDeletedGraphIsCollected: a composite part's graph is four slabs, so one
 // pointer left behind anywhere that outlives SM2 — an index node's stale
 // slot, a scratch buffer, an engine's metadata — now pins all of a slab and
 // not one small object. On every engine: operations read and write the graph
 // of one of Build's composite parts, SM2 deletes it, and one collection frees
-// all five slabs. A committed value is the only one a Var keeps, so the
+// all four slabs. A committed value is the only one a Var keeps, so the
 // values the deletion replaced — the base assemblies' component lists, the
 // index roots — pin nothing.
 //
@@ -99,4 +100,47 @@ func TestDeletedGraphIsCollected(t *testing.T) {
 			runtime.KeepAlive(s)
 		})
 	}
+}
+
+// TestGraphSlabsHoldNoPointers pins the graph's edges as pointer-free: a
+// Connection names its end points by slot and the incoming-edge index is
+// int32s, so both slabs are allocated as memory the collector never scans,
+// and a cycle traces no composite part's edges. A pointer (or string, slice,
+// interface) field added to Connection, or a slab that goes back to
+// pointers, fails here.
+func TestGraphSlabsHoldNoPointers(t *testing.T) {
+	var cp CompositePart
+	for name, typ := range map[string]reflect.Type{
+		"connection slab":     reflect.TypeOf(cp.conns).Elem(),
+		"incoming-edge index": reflect.TypeOf(cp.in).Elem(),
+	} {
+		if hasPointers(typ) {
+			t.Errorf("the %s's element type %v holds a pointer", name, typ)
+		}
+	}
+	if size := unsafe.Sizeof(Connection{}); size != 16 {
+		t.Errorf("a Connection is %d bytes, want 16", size)
+	}
+	if size := unsafe.Sizeof(AtomicPart{}); size != 32 {
+		t.Errorf("an AtomicPart is %d bytes, want 32: two to a cache line", size)
+	}
+}
+
+// hasPointers reports whether a value of type t holds anything the
+// collector traces.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.Chan,
+		reflect.Func, reflect.Interface, reflect.String:
+		return true
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }

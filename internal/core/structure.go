@@ -326,11 +326,7 @@ func (s *Structure) BuildCompositePart(tx stm.Tx, r *rng.Rand, id uint64) *Compo
 		slab[i].ID, slab[i].PartOf, slab[i].slot = baseID+uint64(i), cp, i
 	}
 	if p.GroupAtomicParts {
-		group := named(stm.NewCellClone(s.Space, states, stm.CloneSlice[AtomicPartState]), DomainAtomic)
-		cp.groupStates = group
-		for i := range slab {
-			slab[i].group = group
-		}
+		cp.groupStates = named(stm.NewCellClone(s.Space, states, stm.CloneSlice[AtomicPartState]), DomainAtomic)
 	} else {
 		cells := stm.NewCells(s.Space, states)
 		for i := range slab {
@@ -338,42 +334,25 @@ func (s *Structure) BuildCompositePart(tx stm.Tx, r *rng.Rand, id uint64) *Compo
 		}
 	}
 
-	// Connections, first pass: part i's outgoing edges are conns[i*nc:][:nc].
-	// The ring edge i -> (i+1) mod n comes first and keeps the graph
-	// connected for T1's depth-first searches; extras go to random parts.
+	// Connections: part i's outgoing edges are conns[i*nc:][:nc]. The ring
+	// edge i -> (i+1) mod n comes first and keeps the graph connected for
+	// T1's depth-first searches; extras go to random parts.
 	conns := make([]Connection, n*nc)
-	to := make([]*Connection, n*nc)
-	inDegree := make([]int32, n)
 	for i := range slab {
 		for k := 0; k < nc; k++ {
 			target := (i + 1) % n
 			if k > 0 {
 				target = r.Intn(n)
 			}
-			c := &conns[i*nc+k]
-			*c = Connection{
-				Length: 1 + r.Intn(100),
-				From:   &slab[i],
-				To:     &slab[target],
+			conns[i*nc+k] = Connection{
+				From:   int32(i),
+				To:     int32(target),
+				Length: int32(1 + r.Intn(100)),
 				kind:   uint8(k % len(connTypes)),
 			}
-			to[i*nc+k] = c
-			inDegree[target]++
 		}
-		slab[i].To = to[i*nc : (i+1)*nc : (i+1)*nc]
 	}
-	// Second pass: one backing array for every From list, carved by
-	// in-degree and filled in connection order.
-	from := make([]*Connection, n*nc)
-	for i, off := 0, 0; i < n; i++ {
-		end := off + int(inDegree[i])
-		slab[i].From = from[off:off:end]
-		off = end
-	}
-	for i := range conns {
-		target := conns[i].To
-		target.From = append(target.From, &conns[i])
-	}
+	cp.conns, cp.in, cp.outDegree = conns, incomingIndex(conns, n), nc
 	cp.RootPart = parts[0]
 	cp.Parts = parts
 
@@ -385,6 +364,30 @@ func (s *Structure) BuildCompositePart(tx stm.Tx, r *rng.Rand, id uint64) *Compo
 		s.Idx.AtomicByDate.Put(tx, DateKey(states[i].BuildDate, ap.ID), ap)
 	}
 	return cp
+}
+
+// incomingIndex builds a composite part's incoming-edge index over its n
+// parts: n+1 offsets, then every connection's index grouped by target part
+// and in connection order within a part. It counts each part's in-degree
+// into the offset after it, prefix sums turn the counts into each part's
+// start, filling advances each start to its part's end, and shifting the
+// offsets up one restores the starts.
+func incomingIndex(conns []Connection, n int) []int32 {
+	in := make([]int32, n+1+len(conns))
+	for _, c := range conns {
+		in[c.To+1]++
+	}
+	in[0] = int32(n + 1)
+	for i := 1; i <= n; i++ {
+		in[i] += in[i-1]
+	}
+	for ci, c := range conns {
+		in[in[c.To]] = int32(ci)
+		in[c.To]++
+	}
+	copy(in[1:n+1], in[:n])
+	in[0] = int32(n + 1)
+	return in
 }
 
 // DeleteCompositePart removes cp from the design library, all indexes and

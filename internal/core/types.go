@@ -6,7 +6,7 @@ import (
 
 // AtomicPartState is the mutable state of an atomic part: the non-indexed
 // attributes x and y and the indexed buildDate. (Connections are immutable
-// per Appendix B.1 and live directly on the AtomicPart.)
+// per Appendix B.1 and live in the composite part's graph slabs.)
 type AtomicPartState struct {
 	X, Y      int
 	BuildDate int
@@ -14,31 +14,32 @@ type AtomicPartState struct {
 
 // AtomicPart is a node of a composite part's graph. Its graph links (To,
 // From, PartOf) are fixed at creation: STMBench7 creates and deletes whole
-// graphs (SM1/SM2) but never rewires one.
+// graphs (SM1/SM2) but never rewires one, and a connection never leaves its
+// composite part.
 //
-// That is what lets BuildCompositePart allocate a graph as five slabs — the
-// parts, their state cells, the connections, and one backing array each for
-// all To and all From lists — so an AtomicPart, its state cell, a Connection
-// and a To or From list are all interior pointers. Slab lifetime is
-// composite-part lifetime, and the other side of that is retention: one stray
-// pointer to a part, cell or connection of a deleted composite part (a stale
-// slot in an index node, a pooled scratch buffer) pins its whole slab, about
-// 4 KB at Small, where it used to pin one 100-byte object. Holders that
-// outlive a transaction must drop such pointers (TestDeletedGraphIsCollected).
+// That is what lets BuildCompositePart allocate a graph as a few slabs — the
+// parts, their state cells, the connections, and one index slab for every
+// part's incoming connections — so an AtomicPart and its state cell are
+// interior pointers, and the graph's edges hold no pointer at all: a
+// Connection names its end points by slot, and the collector never scans the
+// connection and index slabs. Slab lifetime is composite-part lifetime, and
+// the other side of that is retention: one stray pointer to a part or cell of
+// a deleted composite part (a stale slot in an index node, a pooled scratch
+// buffer) pins its whole slab, 1.25 KB of parts or 2.5 KB of cells at Small,
+// where it used to pin one 100-byte object. Holders that outlive a
+// transaction must drop such pointers (TestDeletedGraphIsCollected).
 type AtomicPart struct {
 	ID     uint64
 	PartOf *CompositePart
-	To     []*Connection // outgoing (ring edge first, then extras)
-	From   []*Connection // incoming
 
-	// Exactly one of state/group is set. state is the paper-faithful
-	// one-object-per-part representation (a cell of the composite part's
-	// slab); group is the §5 "GroupAtomicParts" optimization where the
-	// whole graph's states live in one cell on the composite part and slot
+	// state is the paper-faithful one-object-per-part representation (a
+	// cell of the composite part's slab). It is nil under the §5
+	// "GroupAtomicParts" optimization, where the whole graph's states live
+	// in one cell on the composite part (PartOf.groupStates) and slot
 	// indexes this part's. slot is set in both representations: it is the
-	// part's index in PartOf.Parts.
+	// part's index in PartOf.Parts. The four fields make a part 32 bytes, so
+	// two share a cache line and none straddles one.
 	state *stm.Cell[AtomicPartState]
-	group *stm.Cell[[]AtomicPartState]
 	slot  int
 }
 
@@ -47,10 +48,27 @@ type AtomicPart struct {
 // bitset over slots.
 func (p *AtomicPart) Slot() int { return p.slot }
 
+// To returns the part's outgoing connections, ring edge first, then the
+// extras: a view into its composite part's connection slab, which must not be
+// mutated. A connection's To is a slot in PartOf.Parts.
+func (p *AtomicPart) To() []Connection {
+	cp := p.PartOf
+	lo := p.slot * cp.outDegree
+	return cp.conns[lo : lo+cp.outDegree : lo+cp.outDegree]
+}
+
+// From returns the part's incoming connections as indexes into
+// PartOf.Conns(), in connection order: a view into the composite part's index
+// slab, which must not be mutated.
+func (p *AtomicPart) From() []int32 {
+	in := p.PartOf.in
+	return in[in[p.slot]:in[p.slot+1]]
+}
+
 // State reads the part's mutable attributes.
 func (p *AtomicPart) State(tx stm.Tx) AtomicPartState {
-	if p.group != nil {
-		return p.group.Get(tx)[p.slot]
+	if p.state == nil {
+		return p.PartOf.groupStates.Get(tx)[p.slot]
 	}
 	return p.state.Get(tx)
 }
@@ -65,8 +83,8 @@ func (p *AtomicPart) BuildDate(tx stm.Tx) int { return p.State(tx).BuildDate }
 // build-date index themselves, with one Index.Move (see
 // Structure.ToggleAtomicDate).
 func (p *AtomicPart) Mutate(tx stm.Tx, f func(*AtomicPartState)) {
-	if p.group != nil {
-		f(&(*p.group.Mut(tx))[p.slot])
+	if p.state == nil {
+		f(&(*p.PartOf.groupStates.Mut(tx))[p.slot])
 		return
 	}
 	f(p.state.Mut(tx))
@@ -77,16 +95,16 @@ func (p *AtomicPart) SwapXY(tx stm.Tx) {
 	p.Mutate(tx, func(s *AtomicPartState) { s.X, s.Y = s.Y, s.X })
 }
 
-// Connection links two atomic parts. Connections are immutable (Appendix
-// B.1). There are NumConnPerAtomic per atomic part, which makes them the most
-// numerous object of the structure, so the type is a one-byte index into
-// connTypes and not the string: with it the struct fits the 32-byte size
-// class.
+// Connection links two atomic parts of one composite part, named by their
+// slots in its Parts. Connections are immutable (Appendix B.1). There are
+// NumConnPerAtomic per atomic part, which makes them the most numerous object
+// of the structure, so a connection holds no pointer — the collector skips
+// the slab they live in — and its type is a one-byte index into connTypes,
+// not the string: the struct is 16 bytes.
 type Connection struct {
-	Length int
-	From   *AtomicPart
-	To     *AtomicPart
-	kind   uint8
+	From, To int32
+	Length   int32
+	kind     uint8
 }
 
 // connTypes is the small set of connection type strings, as in OO7.
@@ -112,11 +130,23 @@ type CompositePart struct {
 	RootPart *AtomicPart
 	Parts    []*AtomicPart
 
+	// The graph's edges, two pointer-free slabs. Part i's outgoing
+	// connections are conns[i*outDegree:][:outDegree]. in starts with
+	// len(Parts)+1 offsets into itself; in[in[i]:in[i+1]] are the indexes in
+	// conns of part i's incoming connections.
+	conns     []Connection
+	in        []int32
+	outDegree int
+
 	state *stm.Cell[CompositePartState]
 	// groupStates backs the parts' shared state cell when
 	// Params.GroupAtomicParts is on (nil otherwise).
 	groupStates *stm.Cell[[]AtomicPartState]
 }
+
+// Conns returns every connection of the part's graph, part by part in slot
+// order; AtomicPart.From indexes it. The slab must not be mutated.
+func (c *CompositePart) Conns() []Connection { return c.conns }
 
 // State reads the composite part's mutable state. The returned UsedIn slice
 // must not be mutated.

@@ -36,6 +36,39 @@ func BenchmarkLongOp(b *testing.B) {
 	}
 }
 
+// BenchmarkGraphDFS is the inner loop of T1 and the other full traversals
+// without the assembly walk above it: a depth-first search of every
+// composite part's graph in a Small structure (50 graphs of 40 parts), each
+// part read as T1 reads it, on direct. It is where the layout of the graph
+// shows: how a part's edges are found, and whether the part an edge leads to
+// is loaded before the search pops it.
+func BenchmarkGraphDFS(b *testing.B) {
+	eng := stm.NewDirect()
+	s, err := core.Build(core.Small(), 42, eng.VarSpace())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var roots []*core.AtomicPart
+	eng.Atomic(func(tx stm.Tx) error {
+		s.Idx.CompositeByID.Ascend(tx, func(_ uint64, cp *core.CompositePart) bool {
+			roots = append(roots, cp.RootPart)
+			return true
+		})
+		return nil
+	})
+	var sink int
+	body := func(tx stm.Tx) error {
+		for _, root := range roots {
+			graphDFS(root, func(p *core.AtomicPart) { readAtomicPart(tx, p, &sink) })
+		}
+		return nil
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		eng.Atomic(body)
+	}
+}
+
 // TestOSTMValidatesWhatItReadsNotWhatItOwns reads the paper's O(k²) off
 // OSTM's own counter, single-threaded at Small, where the counts repeat
 // exactly. T3b opens every part it visits for writing and reads none of them

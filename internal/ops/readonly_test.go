@@ -105,10 +105,10 @@ func TestGraphDFSMatchesReferenceSet(t *testing.T) {
 			p := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			order = append(order, p.ID)
-			for _, c := range p.To {
-				if !seen[c.To] {
-					seen[c.To] = true
-					stack = append(stack, c.To)
+			for _, c := range p.To() {
+				if to := p.PartOf.Parts[c.To]; !seen[to] {
+					seen[to] = true
+					stack = append(stack, to)
 				}
 			}
 		}

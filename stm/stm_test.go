@@ -65,14 +65,12 @@ var txEngineMakers = map[string]func() Engine{
 	"ostm-backoff":    func() Engine { return NewOSTMWith(OSTMConfig{EngineOptions: EngineOptions{CM: backoffCM{}}}) },
 
 	// Multi-version variants: the version-chain depth iterates through the
-	// same suites like engines do (K=1 is the base registry entry).
+	// same suites like engines do (K=1 is the base registry entry). Only
+	// NOrec keeps versions; TL2 takes versions=K and ignores it, which
+	// TestTL2IgnoresVersions checks (the -mv rows of the stall plan below
+	// still spell the key).
 	"norec-mv2": fromSpec("norec:versions=2"),
 	"norec-mv8": fromSpec("norec:versions=8"),
-	// TL2 takes versions=K and ignores it: these rows, and the -mv rows
-	// of the stall plan below, hold the ignored key to plain TL2's
-	// results in every suite.
-	"tl2-mv2": fromSpec("tl2:versions=2"),
-	"tl2-mv8": fromSpec("tl2:versions=8"),
 
 	// Lock-hold stall variants: one TL2 committer in 64 spins while it
 	// holds its write locks, so readers and writers meet a locked orec far
