@@ -67,10 +67,12 @@ var txEngineMakers = map[string]func() Engine{
 	// Multi-version variants: the version-chain depth iterates through the
 	// same suites like engines do (K=1 is the base registry entry). Only
 	// NOrec keeps versions; TL2 takes versions=K and ignores it, which
-	// TestTL2IgnoresVersions checks (the -mv rows of the stall plan below
-	// still spell the key).
+	// TestTL2IgnoresVersions checks. The tl2-mv8 row, and the -mv rows of
+	// the stall plan below, hold the ignored key to plain TL2's results in
+	// every suite.
 	"norec-mv2": fromSpec("norec:versions=2"),
 	"norec-mv8": fromSpec("norec:versions=8"),
+	"tl2-mv8":   fromSpec("tl2:versions=8"),
 
 	// Lock-hold stall variants: one TL2 committer in 64 spins while it
 	// holds its write locks, so readers and writers meet a locked orec far
