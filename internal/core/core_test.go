@@ -710,7 +710,7 @@ func TestBuildUnderSTMEngines(t *testing.T) {
 }
 
 // buildCompositePartReference is the builder BuildCompositePart replaced:
-// one heap object per atomic part and state cell, connections appended one at
+// one heap object per atomic part, connections appended one at
 // a time and From lists grown by append, packed into the graph's two slabs
 // only at the end. It is kept as the oracle for the slab builder, which must
 // build the same structure from the same draws.
@@ -739,13 +739,14 @@ func (s *Structure) buildCompositePartReference(tx stm.Tx, r *rng.Rand, id uint6
 			Y:         r.Intn(1 << 16),
 			BuildDate: RandomDate(r),
 		}
-		parts[i] = &AtomicPart{ID: baseID + uint64(i), PartOf: cp, slot: i}
+		parts[i] = &AtomicPart{ID: baseID + uint64(i), PartOf: cp, slot: i, grouped: p.GroupAtomicParts}
 	}
 	if p.GroupAtomicParts {
 		cp.groupStates = named(stm.NewCellClone(s.Space, states, stm.CloneSlice[AtomicPartState]), DomainAtomic)
 	} else {
 		for i, ap := range parts {
-			ap.state = named(stm.NewCell(s.Space, states[i]), DomainAtomic)
+			stm.InitCell(s.Space, &ap.state, states[i])
+			named(&ap.state, DomainAtomic)
 		}
 	}
 	var conns []Connection
@@ -797,7 +798,7 @@ func describeDesignLibrary(tx stm.Tx, s *Structure, cps []*CompositePart) string
 		fmt.Fprintf(&b, "cp %d date=%d root=%d doc=%d/%q/%q back=%v\n", cp.ID, cp.BuildDate(tx), cp.RootPart.ID,
 			cp.Doc.ID, cp.Doc.Title, cp.Doc.Text(tx), cp.Doc.Part == cp)
 		for i, ap := range cp.Parts {
-			fmt.Fprintf(&b, " part %d of=%d state=%+v slot=%d grouped=%v\n", ap.ID, ap.PartOf.ID, ap.State(tx), ap.slot, ap.state == nil)
+			fmt.Fprintf(&b, " part %d of=%d state=%+v slot=%d grouped=%v\n", ap.ID, ap.PartOf.ID, ap.State(tx), ap.slot, ap.grouped)
 			if ap.PartOf != cp || ap.slot != i {
 				fmt.Fprintf(&b, "  MISLINKED\n")
 			}

@@ -7,13 +7,15 @@ import (
 	"unsafe"
 	"weak"
 
+	"repro/internal/rng"
 	"repro/stm"
 )
 
 // slabProbes returns, per slab of composite part id's graph, a function
-// reporting whether the collector still holds the slab. Each watches one
-// interior pointer — a weak pointer into an object lives exactly as long as
-// the whole object — and nothing here keeps a strong one.
+// reporting whether the collector still holds the slab, and the same for the
+// committed state value of one part. Each watches one interior pointer — a
+// weak pointer into an object lives exactly as long as the whole object —
+// and nothing here keeps a strong one.
 //
 //go:noinline
 func slabProbes(t *testing.T, eng stm.Engine, s *Structure, id uint64) map[string]func() bool {
@@ -25,13 +27,15 @@ func slabProbes(t *testing.T, eng stm.Engine, s *Structure, id uint64) map[strin
 			t.Fatalf("composite part %d missing", id)
 		}
 		ap := cp.Parts[len(cp.Parts)/2]
-		part, cell := weak.Make(ap), weak.Make(ap.state)
+		part, cell := weak.Make(ap), weak.Make(&ap.state)
+		value := weak.Make(tx.Read(ap.state.Var()).(*AtomicPartState))
 		conn, in := weak.Make(&ap.To()[0]), weak.Make(&ap.From()[0])
 		probes = map[string]func() bool{
-			"parts":               func() bool { return part.Value() != nil },
-			"state cells":         func() bool { return cell.Value() != nil },
-			"connections":         func() bool { return conn.Value() != nil },
-			"incoming-edge index": func() bool { return in.Value() != nil },
+			"parts":                        func() bool { return part.Value() != nil },
+			"state cells inside the parts": func() bool { return cell.Value() != nil },
+			"committed state value's box":  func() bool { return value.Value() != nil },
+			"connections":                  func() bool { return conn.Value() != nil },
+			"incoming-edge index":          func() bool { return in.Value() != nil },
 		}
 		return nil
 	})
@@ -41,14 +45,17 @@ func slabProbes(t *testing.T, eng stm.Engine, s *Structure, id uint64) map[strin
 	return probes
 }
 
-// TestDeletedGraphIsCollected: a composite part's graph is four slabs, so one
-// pointer left behind anywhere that outlives SM2 — an index node's stale
-// slot, a scratch buffer, an engine's metadata — now pins all of a slab and
-// not one small object. On every engine: operations read and write the graph
-// of one of Build's composite parts, SM2 deletes it, and one collection frees
-// all four slabs. A committed value is the only one a Var keeps, so the
-// values the deletion replaced — the base assemblies' component lists, the
-// index roots — pin nothing.
+// TestDeletedGraphIsCollected: a composite part's graph is three slabs, the
+// parts with their state cells inside them, the connections and the
+// incoming-edge index, so one pointer left behind anywhere that outlives SM2 —
+// an index node's stale slot, a scratch buffer, an engine's metadata — pins
+// all of a slab and not one small object. On every engine: operations read
+// and write the graph of one of Build's composite parts, SM2 deletes it, and
+// one collection frees all three slabs and the box of a part's committed
+// state (probed after the writes, so it is the box the last commit
+// published). A committed value is the only one a Var keeps, so the values
+// the deletion replaced — the base assemblies' component lists, the index
+// roots — pin nothing.
 //
 // Pooled transaction descriptors are not in the way: an engine pools a
 // descriptor with its sets scrubbed and its indexes reset (stm/pool.go).
@@ -64,7 +71,6 @@ func TestDeletedGraphIsCollected(t *testing.T) {
 				t.Fatal(err)
 			}
 			const id = 1 // Build's first composite part
-			probes := slabProbes(t, eng, s, id)
 			do := func(fn func(tx stm.Tx, cp *CompositePart)) {
 				t.Helper()
 				err := eng.Atomic(func(tx stm.Tx) error {
@@ -90,6 +96,7 @@ func TestDeletedGraphIsCollected(t *testing.T) {
 			do(func(tx stm.Tx, _ *CompositePart) { // OP3-style scan of the date index
 				s.AtomicPartsByDate(tx, MinDate, MaxDate, func(ap *AtomicPart) bool { ap.State(tx); return true })
 			})
+			probes := slabProbes(t, eng, s, id)
 			do(func(tx stm.Tx, cp *CompositePart) { s.DeleteCompositePart(tx, cp) })
 			runtime.GC()
 			for slab, alive := range probes {
@@ -121,8 +128,40 @@ func TestGraphSlabsHoldNoPointers(t *testing.T) {
 	if size := unsafe.Sizeof(Connection{}); size != 16 {
 		t.Errorf("a Connection is %d bytes, want 16", size)
 	}
-	if size := unsafe.Sizeof(AtomicPart{}); size != 32 {
-		t.Errorf("an AtomicPart is %d bytes, want 32: two to a cache line", size)
+}
+
+// TestAtomicPartLayout pins the part slab's layout: an AtomicPart is its
+// fields in 32 bytes and its 64-byte state cell, 96 bytes, so consecutive
+// cells in a slab begin at two offsets into a line 32 bytes apart. Checked
+// on the addresses of every part of a few Small composite parts, behind the
+// allocator's header: the cell's hot 16 bytes (the box pointer and the lock
+// word, stm's TestVarLayout) sit in one cache line at every slab index.
+func TestAtomicPartLayout(t *testing.T) {
+	if size := unsafe.Sizeof(AtomicPart{}); size != 96 {
+		t.Errorf("an AtomicPart is %d bytes, want 96", size)
+	}
+	if off := unsafe.Offsetof(AtomicPart{}.state); off != 32 {
+		t.Errorf("an AtomicPart's state cell is at offset %d, want 32", off)
+	}
+	s := newStructure(Small(), stm.NewVarSpace())
+	r := rng.New(1)
+	err := stm.NewDirect().Atomic(func(tx stm.Tx) error {
+		for id := uint64(1); id <= 4; id++ {
+			cp := s.BuildCompositePart(tx, r, id)
+			if len(cp.Parts) != Small().NumAtomicPerComp {
+				t.Fatalf("composite part %d has %d parts", id, len(cp.Parts))
+			}
+			for i, ap := range cp.Parts {
+				hot := uintptr(unsafe.Pointer(ap.state.Var()))
+				if hot/64 != (hot+15)/64 {
+					t.Errorf("composite part %d, slot %d: the state cell's hot 16 bytes at %#x straddle a cache line", id, i, hot)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -323,14 +323,14 @@ func (s *Structure) BuildCompositePart(tx stm.Tx, r *rng.Rand, id uint64) *Compo
 			BuildDate: RandomDate(r),
 		}
 		parts[i] = &slab[i]
-		slab[i].ID, slab[i].PartOf, slab[i].slot = baseID+uint64(i), cp, i
+		slab[i].ID, slab[i].PartOf, slab[i].slot, slab[i].grouped = baseID+uint64(i), cp, i, p.GroupAtomicParts
 	}
 	if p.GroupAtomicParts {
 		cp.groupStates = named(stm.NewCellClone(s.Space, states, stm.CloneSlice[AtomicPartState]), DomainAtomic)
 	} else {
-		cells := stm.NewCells(s.Space, states)
 		for i := range slab {
-			slab[i].state = named(&cells[i], DomainAtomic)
+			stm.InitCell(s.Space, &slab[i].state, states[i])
+			named(&slab[i].state, DomainAtomic)
 		}
 	}
 

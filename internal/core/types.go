@@ -18,29 +18,38 @@ type AtomicPartState struct {
 // composite part.
 //
 // That is what lets BuildCompositePart allocate a graph as a few slabs — the
-// parts, their state cells, the connections, and one index slab for every
-// part's incoming connections — so an AtomicPart and its state cell are
-// interior pointers, and the graph's edges hold no pointer at all: a
+// parts with their state cells inside them, the connections, and one index
+// slab for every part's incoming connections — so an AtomicPart is an
+// interior pointer, and the graph's edges hold no pointer at all: a
 // Connection names its end points by slot, and the collector never scans the
-// connection and index slabs. Slab lifetime is composite-part lifetime, and
-// the other side of that is retention: one stray pointer to a part or cell of
-// a deleted composite part (a stale slot in an index node, a pooled scratch
-// buffer) pins its whole slab, 1.25 KB of parts or 2.5 KB of cells at Small,
-// where it used to pin one 100-byte object. Holders that outlive a
-// transaction must drop such pointers (TestDeletedGraphIsCollected).
+// connection and index slabs. Reading a part's state from an index leaf is
+// then two dependent loads: the part, whose cell holds the box pointer, and
+// the box, which holds the value (stm.InitCell). Slab lifetime is
+// composite-part lifetime, and the other side of that is retention: one stray
+// pointer to a part of a deleted composite part (a stale slot in an index
+// node, a pooled scratch buffer) pins its whole slab, 3.75 KB of parts and
+// cells at Small. Holders that outlive a transaction must drop such pointers
+// (TestDeletedGraphIsCollected). A state value's box is an allocation of its
+// own, and a *AtomicPartState held from Mutate pins that box, not the slab.
 type AtomicPart struct {
 	ID     uint64
 	PartOf *CompositePart
 
-	// state is the paper-faithful one-object-per-part representation (a
-	// cell of the composite part's slab). It is nil under the §5
-	// "GroupAtomicParts" optimization, where the whole graph's states live
-	// in one cell on the composite part (PartOf.groupStates) and slot
-	// indexes this part's. slot is set in both representations: it is the
-	// part's index in PartOf.Parts. The four fields make a part 32 bytes, so
-	// two share a cache line and none straddles one.
-	state *stm.Cell[AtomicPartState]
-	slot  int
+	// slot is the part's index in PartOf.Parts, in both representations.
+	slot int
+	// grouped is the §5 "GroupAtomicParts" optimization: the whole graph's
+	// states live in one cell on the composite part (PartOf.groupStates),
+	// slot indexes this part's, and state stays the zero cell, 64 bytes a
+	// part that layout pays for nothing.
+	grouped bool
+
+	// state is the paper-faithful one-object-per-part representation,
+	// embedded. The fields above fill the part's first 32 bytes, so with the
+	// 64-byte cell a part is 96 bytes, and in a slab, which starts on a line
+	// or 8 bytes into one (behind the allocator's header), every cell starts
+	// 0–8 or 32–40 bytes into a line: its hot 16 bytes, the box pointer and
+	// the lock word, never straddle two (TestAtomicPartLayout).
+	state stm.Cell[AtomicPartState]
 }
 
 // Slot returns the part's index in PartOf.Parts. Connections never leave a
@@ -67,7 +76,7 @@ func (p *AtomicPart) From() []int32 {
 
 // State reads the part's mutable attributes.
 func (p *AtomicPart) State(tx stm.Tx) AtomicPartState {
-	if p.state == nil {
+	if p.grouped {
 		return p.PartOf.groupStates.Get(tx)[p.slot]
 	}
 	return p.state.Get(tx)
@@ -83,7 +92,7 @@ func (p *AtomicPart) BuildDate(tx stm.Tx) int { return p.State(tx).BuildDate }
 // build-date index themselves, with one Index.Move (see
 // Structure.ToggleAtomicDate).
 func (p *AtomicPart) Mutate(tx stm.Tx, f func(*AtomicPartState)) {
-	if p.state == nil {
+	if p.grouped {
 		f(&(*p.PartOf.groupStates.Mut(tx))[p.slot])
 		return
 	}

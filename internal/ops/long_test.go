@@ -69,6 +69,52 @@ func BenchmarkGraphDFS(b *testing.B) {
 	}
 }
 
+// BenchmarkPartReads is a part read seen from one thread, on every
+// registered engine: the date-range scan OP3 and the traversal T1 over a
+// fresh Small structure, whose part states sit in the boxes Build made in
+// build order, and over one T2b has rewritten, whose every part state is in
+// a box some commit published; then OP10, which writes the parts a date
+// range reaches. A read is the part, then its state's box: how far apart the
+// two are, and whether the value is beside its box, read off the rows.
+func BenchmarkPartReads(b *testing.B) {
+	build := func(eng stm.Engine) *core.Structure {
+		s, err := core.Build(core.Small(), 42, eng.VarSpace())
+		if err != nil {
+			b.Fatal(err)
+		}
+		return s
+	}
+	for _, engine := range stm.Registered() {
+		eng, err := stm.New(engine)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fresh, rewritten := build(eng), build(eng)
+		mustRun(b, eng, rewritten, "T2b", 1)
+		for _, c := range []struct {
+			label string
+			s     *core.Structure
+		}{{"fresh", fresh}, {"rewritten", rewritten}} {
+			for _, name := range []string{"OP3", "T1"} {
+				b.Run(engine+"/"+c.label+"/"+name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						mustRun(b, eng, c.s, name, uint64(i))
+					}
+				})
+			}
+		}
+		b.Run(engine+"/OP10", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				mustRun(b, eng, fresh, "OP10", uint64(i))
+			}
+		})
+		checkInvariants(b, eng, fresh)
+		checkInvariants(b, eng, rewritten)
+	}
+}
+
 // TestOSTMValidatesWhatItReadsNotWhatItOwns reads the paper's O(k²) off
 // OSTM's own counter, single-threaded at Small, where the counts repeat
 // exactly. T3b opens every part it visits for writing and reads none of them

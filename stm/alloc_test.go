@@ -11,17 +11,17 @@ import (
 // Allocation-regression tests: the hot-path overhaul (pooled descriptors,
 // map-free access sets, batched stats) drove steady-state read-only
 // transactions to 0 allocs and a transaction's first write of a Var to the
-// two allocations its semantics need; these tests keep it that way. The
+// one allocation its semantics need; these tests keep it that way. The
 // bounds are per-engine semantics, not accidents:
 //
 //   - read-only: descriptor, read set, indexes and (for OSTM) the private
 //     txState are all pooled/reused, so nothing is allocated at all.
-//   - first write of a Var: the value the transaction will publish (a Cell
-//     holds a *T: the private copy Mut makes, or the fresh value Set
-//     stores), and one fresh box to publish it in (published snapshots are
-//     immutable and may be held by concurrent readers forever, so they can
-//     never come from a pool). OSTM pays one more for the locator that
-//     carries its published txState.
+//   - first write of a Var: the value the transaction will publish and the
+//     box that publishes it, one allocation (a Cell holds a *T into its
+//     box: the private copy Mut makes, or the fresh value Set stores).
+//     Published snapshots are immutable and may be held by concurrent
+//     readers forever, so they can never come from a pool. OSTM pays one
+//     more for the locator that carries its published txState.
 //   - every further write of the same Var through Mut or Update: nothing.
 //     The private copy is edited in place.
 //
@@ -32,15 +32,15 @@ import (
 // allocBudget is the per-engine allowance for a transaction's first write
 // of one Var.
 var allocBudget = map[string]float64{
-	"direct": 2, // value + published box (a Mut is in place: 0)
-	"norec":  2, // value + published box
-	"tl2":    2, // value + published box
-	"ostm":   3, // value + locator (carrying the txState) + published box
+	"direct": 1, // value in its box (a Mut is in place: 0)
+	"norec":  1, // value in its box
+	"tl2":    1, // value in its box
+	"ostm":   2, // value in its box + locator (carrying the txState)
 }
 
-// maxWriteAllocs is the cross-engine bound: no engine may need more than 3
+// maxWriteAllocs is the cross-engine bound: no engine may need more than 2
 // allocations for a small write transaction.
-const maxWriteAllocs = 3
+const maxWriteAllocs = 2
 
 func setupAllocCells(t *testing.T, eng Engine) []*Cell[int] {
 	t.Helper()
@@ -60,21 +60,26 @@ func measureAllocs(f func()) float64 {
 }
 
 // TestAllocCellConstructors pins what a cell costs to create: the cell (its
-// Var and the Var's ownership record are part of it), the value and the box
-// that publishes the value — and for a NewCells slab the cells are one
-// allocation between them.
+// Var and the Var's ownership record are part of it) and the value in the
+// box that publishes it — for a NewCells slab the cells are one allocation
+// between them, and InitCell, which sets up a cell inside another object,
+// allocates the value's box alone.
 func TestAllocCellConstructors(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews allocation counts")
 	}
 	space := NewVarSpace()
 	NewCell(space, 0) // registers the type's clone function
-	if got := testing.AllocsPerRun(100, func() { NewCell(space, 1) }); got != 3 {
-		t.Errorf("NewCell: %v allocs, want 3", got)
+	if got := testing.AllocsPerRun(100, func() { NewCell(space, 1) }); got != 2 {
+		t.Errorf("NewCell: %v allocs, want 2", got)
+	}
+	var c Cell[int]
+	if got := testing.AllocsPerRun(100, func() { c = Cell[int]{}; InitCell(space, &c, 1) }); got != 1 {
+		t.Errorf("InitCell: %v allocs, want 1", got)
 	}
 	for _, n := range []int{1, 8, 40} {
 		inits := make([]int, n)
-		if got, want := testing.AllocsPerRun(100, func() { NewCells(space, inits) }), float64(2*n+1); got != want {
+		if got, want := testing.AllocsPerRun(100, func() { NewCells(space, inits) }), float64(n+1); got != want {
 			t.Errorf("NewCells(%d): %v allocs, want %v", n, got, want)
 		}
 	}
@@ -161,7 +166,8 @@ func TestAllocSmallReadWrite(t *testing.T) {
 
 // TestAllocCellWrites pins the Cell write contract on a struct-valued cell,
 // which nothing boxes for free: the first write of a Var in a transaction
-// costs the private copy and the published box (plus OSTM's locator), and
+// costs the private copy in the box it is published in (plus OSTM's
+// locator), and
 // every further write of that Var in the same transaction costs nothing —
 // through Mut, through Update with a capturing callback, and after a read.
 // Under direct a Mut is in place and even the first write is free.
@@ -251,7 +257,7 @@ func TestAllocMutFastPath(t *testing.T) {
 				list := NewCellClone(space, []int{1, 2, 3}, CloneSlice[int])
 				w := &fwdTx{}
 				via := func(tx Tx) Tx {
-					if _, ok := tx.(mutTx); !ok {
+					if _, ok := tx.(cellTx); !ok {
 						t.Fatalf("%T has no one-lookup Mut", tx)
 					}
 					if wrap {
@@ -491,8 +497,8 @@ func TestAllocVersionedSnapshotSteadyState(t *testing.T) {
 			if walkErr != nil {
 				t.Fatal(walkErr)
 			}
-			if got > 2 {
-				t.Errorf("chain-walk snapshot transaction: %v allocs/op, want <= 2 (the nested commit's value and box)", got)
+			if got > 1 {
+				t.Errorf("chain-walk snapshot transaction: %v allocs/op, want <= 1 (the nested commit's value in its box)", got)
 			}
 			d := eng.Stats().Delta(before)
 			if d.VersionReads == 0 {

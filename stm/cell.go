@@ -18,38 +18,66 @@ import (
 // that is mutated through Mut or Update (slices, maps, pointers to mutable
 // structs), use NewCellClone and provide the copy.
 //
+// Every value a cell publishes shares one allocation with the box that
+// publishes it: the constructors, the private copy and Set each make the
+// value inside a box, and a commit publishes that box as it stands. So a *T the cell
+// hands out (Mut's, or a Var read's) keeps its box alive, and under NOrec's
+// versions=K the box's chain of older versions too, at most K boxes.
+//
 // The Var is part of the cell, so a cell is one object and, like a Var, must
-// not be copied: share the *Cell a constructor returns, or a pointer into a
-// NewCells slab.
+// not be copied: share the *Cell a constructor returns, a pointer into a
+// NewCells slab, or the address of a cell InitCell set up inside another
+// object.
 type Cell[T any] struct {
 	v Var
 }
 
-// shallowClones holds, per cell type, the function that copies a *T by
-// assignment. Generic code cannot take the value of a generic function
-// without allocating a closure for it (the closure carries the type
-// dictionary), and the structure has one cell per object: one function per
-// type costs a map lookup in NewCell and no memory per cell.
-var shallowClones sync.Map // reflect.Type -> CloneFunc
+// valueBox is a box and the value it publishes in one allocation: box.val is
+// a *T pointing at v.
+type valueBox[T any] struct {
+	box
+	v T
+}
 
-func shallowCloneFor[T any]() CloneFunc {
+// newValueBox returns a fresh, unpublished box holding val.
+func newValueBox[T any](val T) *box {
+	vb := &valueBox[T]{v: val}
+	vb.val = &vb.v
+	return &vb.box
+}
+
+// shallowClones holds, per cell type, the clone that copies a *T by
+// assignment into a new valueBox. Generic code cannot take the value of a
+// generic function without allocating a closure for it (the closure carries
+// the type dictionary), and the structure has one cell per object: one
+// function per type costs a map lookup in InitCell and no memory per cell.
+var shallowClones sync.Map // reflect.Type -> boxClone
+
+func shallowCloneFor[T any]() boxClone {
 	t := reflect.TypeFor[T]()
 	f, ok := shallowClones.Load(t)
 	if !ok {
-		f, _ = shallowClones.LoadOrStore(t, CloneFunc(func(v any) any {
-			c := *v.(*T)
-			return &c
+		f, _ = shallowClones.LoadOrStore(t, boxClone(func(v any) *box {
+			return newValueBox(*v.(*T))
 		}))
 	}
-	return f.(CloneFunc)
+	return f.(boxClone)
 }
 
 // NewCell allocates a cell holding init, whose private copies are made by
 // assignment.
 func NewCell[T any](s *VarSpace, init T) *Cell[T] {
 	c := new(Cell[T])
-	s.initVar(&c.v, &init, shallowCloneFor[T]())
+	InitCell(s, c, init)
 	return c
+}
+
+// InitCell makes the zero cell at c — a field of an object that holds its
+// own state, say — a cell of s holding init, like NewCell but without
+// allocating the cell. The one allocation is the value's box. c must not be
+// used before the call, nor copied after it.
+func InitCell[T any](s *VarSpace, c *Cell[T], init T) {
+	s.initVar(&c.v, newValueBox(init), shallowCloneFor[T]())
 }
 
 // NewCells allocates one cell per element of inits, like NewCell, in a single
@@ -60,8 +88,7 @@ func NewCells[T any](s *VarSpace, inits []T) []Cell[T] {
 	cells := make([]Cell[T], len(inits))
 	clone := shallowCloneFor[T]()
 	for i := range cells {
-		init := inits[i]
-		s.initVar(&cells[i].v, &init, clone)
+		s.initVar(&cells[i].v, newValueBox(inits[i]), clone)
 	}
 	return cells
 }
@@ -69,9 +96,8 @@ func NewCells[T any](s *VarSpace, inits []T) []Cell[T] {
 // NewCellClone allocates a cell whose private copies are made by clone.
 func NewCellClone[T any](s *VarSpace, init T, clone func(T) T) *Cell[T] {
 	c := new(Cell[T])
-	s.initVar(&c.v, &init, func(v any) any {
-		cp := clone(*v.(*T))
-		return &cp
+	s.initVar(&c.v, newValueBox(init), func(v any) *box {
+		return newValueBox(clone(*v.(*T)))
 	})
 	return c
 }
@@ -84,21 +110,35 @@ func (c *Cell[T]) Get(tx Tx) T {
 	return *tx.Read(&c.v).(*T)
 }
 
-// Set replaces the cell's value in tx.
+// Set replaces the cell's value in tx. On this package's descriptors the new
+// value is made in the box its commit publishes.
 func (c *Cell[T]) Set(tx Tx, val T) {
-	tx.Write(&c.v, &val)
+	if w, ok := tx.(cellTx); ok {
+		w.set(&c.v, newValueBox(val))
+		return
+	}
+	write(tx, &c.v, val)
+}
+
+// write is Set through a Tx of another package. It is a function of its own
+// so that the val it moves to the heap is not Set's parameter, which would
+// then escape on every call.
+func write[T any](tx Tx, v *Var, val T) {
+	tx.Write(v, &val)
 }
 
 // keep is the callback Mut hands to Tx.Update. It captures nothing, so
 // passing it through the Tx interface allocates nothing.
 func keep(v any) any { return v }
 
-// mutTx is implemented by this package's read-write descriptors. mut(v) is
+// cellTx is implemented by this package's read-write descriptors. mut(v) is
 // Update(v, keep) followed by Read(v) — the same read-set join, clone, Stats
 // increments and abort checks — with one write-set lookup where the two
-// calls make two.
-type mutTx interface {
+// calls make two. set(v, b) is Write(v, b.val) that publishes b itself at
+// commit, not a fresh box.
+type cellTx interface {
 	mut(v *Var) any
+	set(v *Var, b *box)
 }
 
 // Mut returns tx's private copy of the cell's value for mutation in place,
@@ -108,7 +148,7 @@ type mutTx interface {
 // to the live value. A Tx of another package (a wrapper) is asked for the
 // two calls mut stands for.
 func (c *Cell[T]) Mut(tx Tx) *T {
-	if m, ok := tx.(mutTx); ok {
+	if m, ok := tx.(cellTx); ok {
 		return m.mut(&c.v).(*T)
 	}
 	tx.Update(&c.v, keep)

@@ -88,11 +88,17 @@ func (t *directTx) Update(v *Var, f func(val any) any) {
 	}
 }
 
-// mut implements mutTx: Update(v, keep) stores nothing, so it is Read(v).
+// mut implements cellTx: Update(v, keep) stores nothing, so it is Read(v).
 func (t *directTx) mut(v *Var) any {
 	t.st.writes++
 	t.st.reads++
 	return v.cur.Load().val
+}
+
+// set implements cellTx: Write(v, b.val) in b.
+func (t *directTx) set(v *Var, b *box) {
+	t.st.writes++
+	v.cur.Store(b)
 }
 
 // sameValue reports whether a and b are one interface value, word for word:
@@ -108,5 +114,5 @@ func sameValue(a, b any) bool {
 var (
 	_ Engine = (*Direct)(nil)
 	_ Tx     = (*directTx)(nil)
-	_ mutTx  = (*directTx)(nil)
+	_ cellTx = (*directTx)(nil)
 )

@@ -98,6 +98,13 @@
 //   - Update(tx, f) is *p = f(*p) on that pointer and Set(tx, v) stores a
 //     fresh value without reading the old one; neither passes a closure
 //     through the Tx interface, so a capturing f does not allocate.
+//   - A value and the box that publishes it are one allocation. The
+//     constructors, the private copy and Set each make the value inside a
+//     box, and commit publishes that box: a read loads the box and finds
+//     the value beside it, and a first write allocates once. The other
+//     side is retention: a *T a cell handed out keeps its box alive, and
+//     on NOrec with versions=K the box's chain of older versions, at most
+//     K boxes in all.
 //   - A clone function has to make the copy independent only in what Mut
 //     callers mutate. The benchmark's index cells clone a B-tree in O(1)
 //     (internal/btree: the copy shares nodes and copies a path on write),
@@ -187,9 +194,9 @@
 //     OSTM locators, any txState that was installed in a locator or a
 //     reader set — belongs to the attempt that published it, forever.
 //     Recycling it would let a dead transaction's identity come back to
-//     life under an observer. This is why a committed write costs one box
-//     allocation per Var: published snapshots are immutable, and immutable
-//     means not pooled.
+//     life under an observer. This is why a committed write costs one
+//     allocation per Var, the value in the box that publishes it: published
+//     snapshots are immutable, and immutable means not pooled.
 //
 //   - Retained references are scrubbed on put, and the scrub is bounded
 //     by use. Before a descriptor goes back to the pool the engine clears
@@ -298,11 +305,13 @@
 //     opacity hammer and the property suites run the K axis like they run
 //     engines to enforce it.
 //
-//   - Space bound: retention costs at most (K-1) * liveVars * sizeof(box)
-//     on top of single-version state, reported cumulatively in
-//     Stats.VersionBytes. Truncation happens inline at publish time (the
-//     K-th link is severed); no background reclamation exists or is
-//     needed — unreferenced tails are garbage collected.
+//   - Space bound: retention costs at most (K-1) * liveVars superseded
+//     boxes on top of single-version state, each allocated with the value
+//     it holds; Stats.VersionBytes counts sizeof(box) per retained version,
+//     cumulatively, and not the value beside it. Truncation happens inline
+//     at publish time (the K-th link is severed); no background
+//     reclamation exists or is needed — unreferenced tails are garbage
+//     collected.
 //
 //   - Scope: the axis serves only NOrec's RunReadOnly snapshot path,
 //     resolved against its sequence sample. Atomic transactions always
@@ -328,8 +337,10 @@
 //
 // Conflict detection is therefore per object and collision free, and a Var
 // and its metadata are one allocation: a Cell, which holds its Var by
-// value, is that same allocation — NewCell makes the cell, the value and
-// the box that publishes it, and NewCells makes one slab for n cells. The
+// value, is that same allocation — NewCell makes the cell and the value in
+// the box that publishes it, NewCells makes one slab for n cells and a box
+// per cell, and InitCell sets up a cell inside an object of the caller's
+// and allocates only the box. The
 // two words a read loads — the value pointer and the lock word — are the
 // Var's first 16 bytes. A Var allocated alone is one 64-byte object on one
 // line; a slab cell starts at 0 or 8 bytes into a line (the allocator puts

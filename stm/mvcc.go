@@ -16,7 +16,7 @@ import "unsafe"
 //
 // Representation. Versions form an immutable singly linked chain through
 // box.prev, newest first, strictly descending in box.wv. A committing
-// writer allocates the same one box per written Var it always did; under
+// writer publishes the same one box per written Var it always did; under
 // Versions > 1 it additionally links the superseded head behind the new
 // box and truncates the chain to K nodes before publishing. K = 1 (the
 // default) never links — commit writeback and the snapshot read path are
@@ -40,10 +40,12 @@ import "unsafe"
 // reordered chain.
 //
 // Space bound. Linking retains boxes that would otherwise be garbage:
-// at most K-1 superseded boxes per live Var, i.e. (K-1) * liveVars *
-// sizeof(box) bytes instantaneous, plus whatever user values those boxes
-// pin. Stats.VersionBytes counts the cumulative retained box bytes so
-// sweeps can report the space side of the trade.
+// at most K-1 superseded boxes per live Var, i.e. (K-1) * liveVars boxes
+// instantaneous, each with the cell value allocated beside it, plus
+// whatever that value points to. Stats.VersionBytes counts the cumulative
+// retained sizeof(box) bytes so sweeps can report the space side of the
+// trade. A *T a reader holds pins its box and so that box's chain: at most
+// K boxes, until truncation cuts the chain behind it.
 //
 // Scope. Only NOrec's read-only snapshot path (RunReadOnly) consults
 // older versions; its validating Atomic path is unchanged, and the other
@@ -69,8 +71,8 @@ func normalizeVersions(k int) int {
 	return k
 }
 
-// boxBytes is the retained size of one superseded version (the chain node
-// itself, not the user value it pins), the unit of Stats.VersionBytes.
+// boxBytes is the retained size of one superseded version's chain node (not
+// the value allocated beside it), the unit of Stats.VersionBytes.
 const boxBytes = uint64(unsafe.Sizeof(box{}))
 
 // publishVersion makes nb the new head of v's value chain. Under keep > 1

@@ -227,10 +227,12 @@ type norecRead struct {
 	seen *box
 }
 
-// norecWrite is one buffered write.
+// norecWrite is one buffered write, with the private box val was made in
+// (nil for a plain Write), as in tl2Write.
 type norecWrite struct {
 	v   *Var
 	val any
+	b   *box
 }
 
 // norecTx is the pooled per-transaction descriptor; reset reuses the
@@ -369,6 +371,16 @@ func (tx *norecTx) Write(v *Var, val any) {
 	tx.writes = append(tx.writes, norecWrite{v: v, val: val})
 }
 
+// set implements cellTx: Write(v, b.val), publishing b.
+func (tx *norecTx) set(v *Var, b *box) {
+	tx.st.writes++
+	if i, ok := tx.writeIdx.getOrPut(v, int32(len(tx.writes))); ok {
+		tx.writes[i].val, tx.writes[i].b = b.val, b
+		return
+	}
+	tx.writes = append(tx.writes, norecWrite{v: v, val: b.val, b: b})
+}
+
 // Update implements Tx.
 func (tx *norecTx) Update(v *Var, f func(val any) any) {
 	tx.st.writes++
@@ -377,7 +389,7 @@ func (tx *norecTx) Update(v *Var, f func(val any) any) {
 	tx.writes[i].val = val
 }
 
-// mut implements mutTx: Update(v, keep), then Read(v).
+// mut implements cellTx: Update(v, keep), then Read(v).
 func (tx *norecTx) mut(v *Var) any {
 	tx.st.writes++
 	i := tx.updateSlot(v)
@@ -387,7 +399,8 @@ func (tx *norecTx) mut(v *Var) any {
 
 // updateSlot returns v's write-set index for an update. A first update
 // reads the current value (which joins the read set, guarding against lost
-// updates), clones it if the Var has a clone function, and buffers the copy.
+// updates), clones it into a private box if the Var has a clone function,
+// and buffers the copy with its box.
 func (tx *norecTx) updateSlot(v *Var) int32 {
 	i, ok := tx.writeIdx.getOrPut(v, int32(len(tx.writes)))
 	if ok {
@@ -396,12 +409,13 @@ func (tx *norecTx) updateSlot(v *Var) int32 {
 	// The index entry is in place before the readVar below; a conflict
 	// thrown there unwinds the whole attempt, so the index is never seen
 	// ahead of its slice entry.
-	cur := tx.readVar(v)
+	w := norecWrite{v: v, val: tx.readVar(v)}
 	if v.clone != nil {
-		cur = v.clone(cur)
+		w.b = v.clone(w.val)
+		w.val = w.b.val
 		tx.st.clones++
 	}
-	tx.writes = append(tx.writes, norecWrite{v: v, val: cur})
+	tx.writes = append(tx.writes, w)
 	return i
 }
 
@@ -439,15 +453,18 @@ func (tx *norecTx) commit() bool {
 	if f := tx.eng.faults; f != nil && !tx.serial {
 		f.stallAt(FaultLockHold, &tx.eng.stats)
 	}
-	// One fresh box per written Var: published snapshots may be held by
+	// One box per written Var — the one a cell's value was made in, or a
+	// fresh one for a plain Write: published snapshots may be held by
 	// concurrent readers forever and cannot come from the pool. Each box
 	// is stamped with this commit's post-release sequence value; under
-	// Versions > 1 the superseded box is linked behind it (same single
-	// allocation) so snapshot readers at older epochs can resolve it.
+	// Versions > 1 the superseded box is linked behind it so snapshot
+	// readers at older epochs can resolve it.
 	keep := tx.eng.cfg.Versions
 	for i := range tx.writes {
 		w := &tx.writes[i]
-		publishVersion(w.v, &box{val: w.val, wv: tx.snapshot + 2}, keep, &tx.st)
+		b := publishable(w.b, w.val)
+		b.wv = tx.snapshot + 2
+		publishVersion(w.v, b, keep, &tx.st)
 	}
 	// Clock-stamp delay: NOrec's commit stamp is the seqlock release
 	// itself, so the delay sits just before the releasing store.
@@ -461,5 +478,5 @@ func (tx *norecTx) commit() bool {
 var (
 	_ Engine = (*NOrec)(nil)
 	_ Tx     = (*norecTx)(nil)
-	_ mutTx  = (*norecTx)(nil)
+	_ cellTx = (*norecTx)(nil)
 )

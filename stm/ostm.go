@@ -33,15 +33,15 @@ type txState struct {
 func (s *txState) Opens() uint64 { return s.opens.Load() }
 
 // wslot is one write slot: the copy-on-write value pair for the single Var
-// a locator covers.
+// a locator covers. new is nil until the owner's first write fills it — a
+// plain box for Write, the box a cell's value was made in for Cell.Set, the
+// private clone for an update — so an acquisition allocates no box the
+// write would replace. Only the owning transaction touches new before
+// commit; others read it only after finding the owner Committed.
 type wslot struct {
 	v   *Var
 	old *box
 	new *box
-	// cloned records whether new.val has been detached from old.val (by a
-	// Write replacing it outright or by an Update-triggered clone). Only
-	// the owning transaction touches it, before commit.
-	cloned bool
 }
 
 // locator is OSTM's ownership record payload, after DSTM's TMObject
@@ -420,7 +420,7 @@ func (tx *ostmTx) Read(v *Var) any {
 // seen the old state, so moving it is invisible; all of this transaction's
 // locators will share the relocated state).
 func (tx *ostmTx) prepareLocator(v *Var, oldBox *box) *locator {
-	newLoc := &locator{wslot: wslot{v: v, old: oldBox, new: &box{val: oldBox.val}}}
+	newLoc := &locator{wslot: wslot{v: v, old: oldBox}}
 	if !tx.stateShared && !tx.eng.cfg.VisibleReads {
 		st := &newLoc.ownerState
 		st.opens.Store(tx.state.opens.Load())
@@ -549,12 +549,22 @@ func (tx *ostmTx) retireOwn() {
 	}
 }
 
-// Write implements Tx.
+// Write implements Tx. The slot's box is private until commit, so a second
+// write of the Var replaces the value in it.
 func (tx *ostmTx) Write(v *Var, val any) {
 	tx.st.writes++
 	s := tx.acquire(v)
-	s.new.val = val
-	s.cloned = true
+	if s.new == nil {
+		s.new = &box{val: val}
+	} else {
+		s.new.val = val
+	}
+}
+
+// set implements cellTx: Write(v, b.val), publishing b.
+func (tx *ostmTx) set(v *Var, b *box) {
+	tx.st.writes++
+	tx.acquire(v).new = b
 }
 
 // Update implements Tx.
@@ -564,7 +574,7 @@ func (tx *ostmTx) Update(v *Var, f func(val any) any) {
 	s.new.val = f(s.new.val)
 }
 
-// mut implements mutTx: Update(v, keep), then Read(v), whose write-set hit
+// mut implements cellTx: Update(v, keep), then Read(v), whose write-set hit
 // is the acquired slot itself (in either read mode).
 func (tx *ostmTx) mut(v *Var) any {
 	tx.st.writes++
@@ -574,16 +584,19 @@ func (tx *ostmTx) mut(v *Var) any {
 	return s.new.val
 }
 
-// updateSlot acquires v for an update. The first update of a freshly
-// acquired Var clones the value (object-level copy-on-write, ASTM style).
+// updateSlot acquires v for an update. The first write of a freshly
+// acquired Var, if it is an update, clones the value into the slot's box
+// (object-level copy-on-write, ASTM style); a Var without a clone function
+// gets a plain box holding the value it had.
 func (tx *ostmTx) updateSlot(v *Var) *wslot {
 	s := tx.acquire(v)
-	if !s.cloned {
+	if s.new == nil {
 		if v.clone != nil {
-			s.new.val = v.clone(s.new.val)
+			s.new = v.clone(s.old.val)
 			tx.st.clones++
+		} else {
+			s.new = &box{val: s.old.val}
 		}
-		s.cloned = true
 	}
 	return s
 }
@@ -753,6 +766,6 @@ func (tx *ostmTx) publish() bool {
 var (
 	_ Engine = (*OSTM)(nil)
 	_ Tx     = (*ostmTx)(nil)
-	_ mutTx  = (*ostmTx)(nil)
+	_ cellTx = (*ostmTx)(nil)
 	_ TxInfo = (*txState)(nil)
 )

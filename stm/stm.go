@@ -17,6 +17,12 @@ import (
 // prev only ever transitions old-head -> nil (retention truncation); under
 // the default single-version configuration it is never set and the box is
 // exactly the value cell it always was.
+//
+// A cell's box and the value it publishes are one allocation (valueBox): val
+// is a *T into the box itself, so a read loads the box and finds the value
+// beside it, and a *T the cell hands out keeps its box — and, under
+// Versions > 1, the box's prev chain, at most K boxes — alive for as long
+// as it is held.
 type box struct {
 	val any
 	// wv is the commit timestamp of the write that published this box,
@@ -31,6 +37,23 @@ type box struct {
 // reference semantics (slices, maps, pointers to mutable structs) that are
 // modified through Update under a transactional engine.
 type CloneFunc func(any) any
+
+// boxClone is a Var's internal clone: it returns a private, unpublished box
+// holding a copy of val. A cell's is a valueBox, so the copy a transaction
+// edits is the box its commit publishes; a NewVar's wraps the CloneFunc it
+// was given in a plain box.
+type boxClone func(val any) *box
+
+// publishable returns the box a commit publishes val in: b, the private box
+// val was made in (a cell's clone or Cell.Set), when it still holds val, and
+// a fresh one when val came from a plain Write or an Update callback
+// replaced it.
+func publishable(b *box, val any) *box {
+	if b == nil || !sameValue(b.val, val) {
+		return &box{val: val}
+	}
+	return b
+}
 
 // Var is one STM-managed memory location. A Var holds a single value of any
 // type; object-based designs (like the STMBench7 data structure) store a
@@ -58,7 +81,7 @@ type Var struct {
 	own orec
 
 	id    uint64
-	clone CloneFunc
+	clone boxClone
 
 	// The padding rounds a Var up to one cache line: the cells of a
 	// NewCells slab are then 64 bytes apart, so no two lock words share a
@@ -88,16 +111,20 @@ func NewVarSpace() *VarSpace { return &VarSpace{} }
 // Update.
 func (s *VarSpace) NewVar(val any, clone CloneFunc) *Var {
 	v := new(Var)
-	s.initVar(v, val, clone)
+	var bc boxClone
+	if clone != nil {
+		bc = func(val any) *box { return &box{val: clone(val)} }
+	}
+	s.initVar(v, &box{val: val}, bc)
 	return v
 }
 
 // initVar makes the zero Var at v — freshly allocated on its own or as part
-// of a Cell — a Var of this space holding val.
-func (s *VarSpace) initVar(v *Var, val any, clone CloneFunc) {
+// of a Cell — a Var of this space publishing b.
+func (s *VarSpace) initVar(v *Var, b *box, clone boxClone) {
 	v.id = s.nextID.Add(1)
 	v.clone = clone
-	v.cur.Store(&box{val: val})
+	v.cur.Store(b)
 }
 
 // SetTag attaches a one-byte debug tag to the Var (visible in String). The

@@ -194,10 +194,13 @@ func (e *TL2) runAttempt(tx *tl2Tx, fn func(tx Tx) error) (committed bool, err e
 	return tx.commit(), nil
 }
 
-// tl2Write is one buffered write.
+// tl2Write is one buffered write. b is the private box val was made in (a
+// cell's clone or Cell.Set's), which commit publishes in place of a fresh
+// one (publishable); nil for a plain Write or a Var without a clone.
 type tl2Write struct {
 	v   *Var
 	val any
+	b   *box
 }
 
 // tl2Tx is the pooled per-transaction descriptor. reset reuses all of its
@@ -284,6 +287,16 @@ func (tx *tl2Tx) Write(v *Var, val any) {
 	tx.writes = append(tx.writes, tl2Write{v: v, val: val})
 }
 
+// set implements cellTx: Write(v, b.val), publishing b.
+func (tx *tl2Tx) set(v *Var, b *box) {
+	tx.st.writes++
+	if i, ok := tx.writeIdx.getOrPut(v, int32(len(tx.writes))); ok {
+		tx.writes[i].val, tx.writes[i].b = b.val, b
+		return
+	}
+	tx.writes = append(tx.writes, tl2Write{v: v, val: b.val, b: b})
+}
+
 // Update implements Tx.
 func (tx *tl2Tx) Update(v *Var, f func(val any) any) {
 	tx.st.writes++
@@ -292,7 +305,7 @@ func (tx *tl2Tx) Update(v *Var, f func(val any) any) {
 	tx.writes[i].val = val
 }
 
-// mut implements mutTx: Update(v, keep), then Read(v).
+// mut implements cellTx: Update(v, keep), then Read(v).
 func (tx *tl2Tx) mut(v *Var) any {
 	tx.st.writes++
 	i := tx.updateSlot(v)
@@ -302,7 +315,8 @@ func (tx *tl2Tx) mut(v *Var) any {
 
 // updateSlot returns v's write-set index for an update. A first update
 // reads the current value (which joins the read set, guarding against lost
-// updates), clones it if the Var has a clone function, and buffers the copy.
+// updates), clones it into a private box if the Var has a clone function,
+// and buffers the copy with its box.
 func (tx *tl2Tx) updateSlot(v *Var) int32 {
 	i, ok := tx.writeIdx.getOrPut(v, int32(len(tx.writes)))
 	if ok {
@@ -311,12 +325,13 @@ func (tx *tl2Tx) updateSlot(v *Var) int32 {
 	// The index entry is in place before the readVar below; a conflict
 	// thrown there unwinds the whole attempt, so the index is never seen
 	// ahead of its slice entry.
-	cur := tx.readVar(v)
+	w := tl2Write{v: v, val: tx.readVar(v)}
 	if v.clone != nil {
-		cur = v.clone(cur)
+		w.b = v.clone(w.val)
+		w.val = w.b.val
 		tx.st.clones++
 	}
-	tx.writes = append(tx.writes, tl2Write{v: v, val: cur})
+	tx.writes = append(tx.writes, w)
 	return i
 }
 
@@ -418,14 +433,14 @@ func (tx *tl2Tx) commit() bool {
 		}
 	}
 
-	// Write back, then unlock each orec by publishing the new version. The
-	// box per written Var is the one unavoidable commit allocation:
-	// published boxes are immutable snapshots that concurrent readers may
-	// hold indefinitely, so they can never be recycled from the
-	// descriptor.
+	// Write back, then unlock each orec by publishing the new version. A
+	// cell's write publishes the box its value was made in; a plain Write
+	// gets a fresh one here. Published boxes are immutable snapshots that
+	// concurrent readers may hold indefinitely, so they can never be
+	// recycled from the descriptor.
 	for i := range tx.writes {
 		w := &tx.writes[i]
-		w.v.cur.Store(&box{val: w.val})
+		w.v.cur.Store(publishable(w.b, w.val))
 	}
 	// Lock-holder pause: every write orec is still locked, so this stall
 	// is the worst case for everyone else — readers spin, committers of
@@ -442,5 +457,5 @@ func (tx *tl2Tx) commit() bool {
 var (
 	_ Engine = (*TL2)(nil)
 	_ Tx     = (*tl2Tx)(nil)
-	_ mutTx  = (*tl2Tx)(nil)
+	_ cellTx = (*tl2Tx)(nil)
 )
