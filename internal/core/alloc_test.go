@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -66,6 +68,61 @@ func TestToggleAtomicDateAllocatesOnFirstTouchOnly(t *testing.T) {
 			}
 			if more > first {
 				t.Errorf("2 toggles allocate %v, 8 toggles %v: a later write of a touched object allocated", first, more)
+			}
+		})
+	}
+}
+
+// TestAllocPartStateFirstWriteBytes pins a first write of an atomic part's
+// state in bytes, on the engines that copy it: the transaction's private
+// copy is made in the box its commit publishes, 16 bytes of box and 24 of
+// AtomicPartState in the allocator's 48-byte size class, and nothing else is
+// allocated. It was 64 when every box carried NOrec's commit stamp and
+// version link (stm's TestBoxLayout).
+func TestAllocPartStateFirstWriteBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation skews allocation sizes")
+	}
+	const budget = 48
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, name := range []string{"tl2", "norec"} {
+		t.Run(name, func(t *testing.T) {
+			eng, err := stm.New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := Build(Tiny(), 42, eng.VarSpace())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ap *AtomicPart
+			eng.Atomic(func(tx stm.Tx) error {
+				cp, _ := s.LookupComposite(tx, 3)
+				ap = cp.Parts[2]
+				return nil
+			})
+			swap := func(tx stm.Tx) error { ap.SwapXY(tx); return nil }
+			for i := 0; i < 100; i++ {
+				eng.Atomic(swap)
+			}
+			// TotalAlloc counts every goroutine's allocations, the runtime's
+			// and the test framework's too: the least of a few rounds is
+			// the writes' own.
+			const n, rounds = 1000, 5
+			got := math.Inf(1)
+			for range rounds {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < n; i++ {
+					eng.Atomic(swap)
+				}
+				runtime.ReadMemStats(&after)
+				got = min(got, float64(after.TotalAlloc-before.TotalAlloc)/n)
+			}
+			if got > budget {
+				t.Errorf("a first write of a part state allocates %v bytes, want <= %d", got, budget)
+			} else {
+				t.Logf("a first write of a part state allocates %v bytes", got)
 			}
 		})
 	}

@@ -447,9 +447,9 @@ func TestAllocSnapshotReadOnlySteadyState(t *testing.T) {
 //     proving the versioned configuration doesn't tax the common case.
 //   - walk: every iteration commits a write between the reader's snapshot
 //     sample and its read, forcing the read through resolveVersion. The
-//     two allocations measured are the nested commit's value and published
-//     box (the same budget TestAllocSmallWrite pins for the engine alone),
-//     so the walk itself — link loads, truncation, stats — adds nothing.
+//     one allocation measured is the nested commit's value in its version
+//     (the same budget TestAllocSmallWrite pins for the engine alone), so
+//     the walk itself — link loads, truncation, stats — adds nothing.
 func TestAllocVersionedSnapshotSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews allocation counts")
@@ -463,7 +463,7 @@ func TestAllocVersionedSnapshotSteadyState(t *testing.T) {
 			eng := mk()
 			cells := setupAllocCells(t, eng)
 			// Build real chains first so head resolution runs against
-			// linked versions, not NewVar singletons.
+			// linked versions, not the boxes the cells were made with.
 			for round := 0; round < 4; round++ {
 				for i, c := range cells {
 					if err := eng.Atomic(func(tx Tx) error { c.Set(tx, i+round); return nil }); err != nil {

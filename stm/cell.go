@@ -20,9 +20,9 @@ import (
 //
 // Every value a cell publishes shares one allocation with the box that
 // publishes it: the constructors, the private copy and Set each make the
-// value inside a box, and a commit publishes that box as it stands. So a *T the cell
-// hands out (Mut's, or a Var read's) keeps its box alive, and under NOrec's
-// versions=K the box's chain of older versions too, at most K boxes.
+// value inside a box, and a commit publishes that box as it stands. So a *T
+// the cell hands out (Mut's, or a Var read's) keeps its box alive, and under
+// NOrec's versions=K the box's chain of older versions too, at most K boxes.
 //
 // The Var is part of the cell, so a cell is one object and, like a Var, must
 // not be copied: share the *Cell a constructor returns, a pointer into a
@@ -33,17 +33,30 @@ type Cell[T any] struct {
 }
 
 // valueBox is a box and the value it publishes in one allocation: box.val is
-// a *T pointing at v.
+// a *T pointing at v. It is 16 bytes plus the value.
 type valueBox[T any] struct {
 	box
 	v T
 }
 
-// newValueBox returns a fresh, unpublished box holding val.
-func newValueBox[T any](val T) *box {
-	vb := &valueBox[T]{v: val}
-	vb.val = &vb.v
-	return &vb.box
+// versionedValueBox is valueBox for NOrec under versions > 1: the box heads a
+// vbox, whose commit stamp and older-version link share the allocation.
+type versionedValueBox[T any] struct {
+	vbox
+	v T
+}
+
+// newValueBox returns a fresh, unpublished box holding val: a valueBox, or,
+// when versioned, a versionedValueBox returned as vb as well.
+func newValueBox[T any](val T, versioned bool) (*box, *vbox) {
+	if versioned {
+		vb := &versionedValueBox[T]{v: val}
+		vb.val = &vb.v
+		return &vb.box, &vb.vbox
+	}
+	b := &valueBox[T]{v: val}
+	b.val = &b.v
+	return &b.box, nil
 }
 
 // shallowClones holds, per cell type, the clone that copies a *T by
@@ -57,8 +70,8 @@ func shallowCloneFor[T any]() boxClone {
 	t := reflect.TypeFor[T]()
 	f, ok := shallowClones.Load(t)
 	if !ok {
-		f, _ = shallowClones.LoadOrStore(t, boxClone(func(v any) *box {
-			return newValueBox(*v.(*T))
+		f, _ = shallowClones.LoadOrStore(t, boxClone(func(v any, versioned bool) (*box, *vbox) {
+			return newValueBox(*v.(*T), versioned)
 		}))
 	}
 	return f.(boxClone)
@@ -77,7 +90,8 @@ func NewCell[T any](s *VarSpace, init T) *Cell[T] {
 // allocating the cell. The one allocation is the value's box. c must not be
 // used before the call, nor copied after it.
 func InitCell[T any](s *VarSpace, c *Cell[T], init T) {
-	s.initVar(&c.v, newValueBox(init), shallowCloneFor[T]())
+	b, _ := newValueBox(init, false)
+	s.initVar(&c.v, b, shallowCloneFor[T]())
 }
 
 // NewCells allocates one cell per element of inits, like NewCell, in a single
@@ -88,7 +102,8 @@ func NewCells[T any](s *VarSpace, inits []T) []Cell[T] {
 	cells := make([]Cell[T], len(inits))
 	clone := shallowCloneFor[T]()
 	for i := range cells {
-		s.initVar(&cells[i].v, newValueBox(inits[i]), clone)
+		b, _ := newValueBox(inits[i], false)
+		s.initVar(&cells[i].v, b, clone)
 	}
 	return cells
 }
@@ -96,8 +111,9 @@ func NewCells[T any](s *VarSpace, inits []T) []Cell[T] {
 // NewCellClone allocates a cell whose private copies are made by clone.
 func NewCellClone[T any](s *VarSpace, init T, clone func(T) T) *Cell[T] {
 	c := new(Cell[T])
-	s.initVar(&c.v, newValueBox(init), func(v any) *box {
-		return newValueBox(clone(*v.(*T)))
+	b, _ := newValueBox(init, false)
+	s.initVar(&c.v, b, func(v any, versioned bool) (*box, *vbox) {
+		return newValueBox(clone(*v.(*T)), versioned)
 	})
 	return c
 }
@@ -114,7 +130,8 @@ func (c *Cell[T]) Get(tx Tx) T {
 // value is made in the box its commit publishes.
 func (c *Cell[T]) Set(tx Tx, val T) {
 	if w, ok := tx.(cellTx); ok {
-		w.set(&c.v, newValueBox(val))
+		b, vb := newValueBox(val, w.versioned())
+		w.set(&c.v, b, vb)
 		return
 	}
 	write(tx, &c.v, val)
@@ -134,11 +151,14 @@ func keep(v any) any { return v }
 // cellTx is implemented by this package's read-write descriptors. mut(v) is
 // Update(v, keep) followed by Read(v) — the same read-set join, clone, Stats
 // increments and abort checks — with one write-set lookup where the two
-// calls make two. set(v, b) is Write(v, b.val) that publishes b itself at
-// commit, not a fresh box.
+// calls make two. set(v, b, vb) is Write(v, b.val) that publishes b itself
+// at commit, not a fresh box; versioned reports whether the descriptor's
+// commits publish vboxes (NOrec under versions > 1), in which case b heads
+// vb.
 type cellTx interface {
 	mut(v *Var) any
-	set(v *Var, b *box)
+	set(v *Var, b *box, vb *vbox)
+	versioned() bool
 }
 
 // Mut returns tx's private copy of the cell's value for mutation in place,

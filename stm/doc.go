@@ -146,8 +146,8 @@
 //     same transaction observes the transaction's own pending value.
 //
 //   - Clone-on-first-Update. Under a transactional engine, the callback
-//     passed to Update receives a private copy (per the Var's CloneFunc)
-//     it may mutate freely; repeated Updates of one Var in one transaction
+//     passed to Update receives a private copy (made by the clone of the
+//     cell the Var belongs to) it may mutate freely; repeated Updates of one Var in one transaction
 //     clone exactly once and hand the callback the same private value, and
 //     a Read after an Update returns it (Cell.Mut is an Update that keeps
 //     the value followed by that Read). Aborted attempts must discard the
@@ -280,11 +280,14 @@
 // The snapshot mode's restarts have one cause: the only committed version
 // of a Var is newer than the reader's sampled timestamp. On NOrec the
 // Versions axis (EngineOptions.Versions [versions=K]) removes that cause
-// by retention:
-// with Versions = K > 1, commit-time writeback links each newly published
-// value box to its predecessor, keeping the last K committed {value, wv}
-// pairs per Var on an immutable chain (newest first, strictly descending
-// wv — see mvcc.go). A snapshot read that finds the head too new walks
+// by retention: with Versions = K > 1, each commit publishes a version
+// (a vbox: the value's box, its commit stamp wv and a link to the next
+// older version) and links its predecessor behind it, keeping the last K
+// committed versions per Var on an immutable chain (newest first, strictly
+// descending wv — see mvcc.go). The chain's head is held in the Var's last
+// word; a box on every other configuration is its value and nothing else,
+// so only the engines that buy retention pay for it. A snapshot read that
+// finds the head too new walks
 // the chain for the newest version with wv <= its snapshot timestamp and
 // returns that instead of restarting; the resolution is counted in
 // Stats.VersionReads. The contract:
@@ -300,15 +303,15 @@
 //     because the chain provably holds every version the reader's
 //     snapshot could need: NOrec's writeback completes before the
 //     sequence lock's release-store, so a reader's even sample acquires
-//     every box with wv <= its snapshot.
+//     every version with wv <= its snapshot.
 //     The full memory-ordering argument lives in mvcc.go; the write-skew
 //     opacity hammer and the property suites run the K axis like they run
 //     engines to enforce it.
 //
 //   - Space bound: retention costs at most (K-1) * liveVars superseded
-//     boxes on top of single-version state, each allocated with the value
-//     it holds; Stats.VersionBytes counts sizeof(box) per retained version,
-//     cumulatively, and not the value beside it. Truncation happens inline
+//     versions on top of single-version state, each allocated with the
+//     value it holds; Stats.VersionBytes counts sizeof(vbox) per retained
+//     version, cumulatively, and not the value beside it. Truncation happens inline
 //     at publish time (the K-th link is severed); no background
 //     reclamation exists or is needed — unreferenced tails are garbage
 //     collected.
@@ -316,14 +319,17 @@
 //   - Scope: the axis serves only NOrec's RunReadOnly snapshot path,
 //     resolved against its sequence sample. Atomic transactions always
 //     read heads; the other engines ignore the option. The versioned
-//     read path stays 0 allocs/op (alloc_test.go) — the chain reuses the
-//     one box each commit already publishes.
+//     read path stays 0 allocs/op (alloc_test.go), and a versioned write
+//     is still one allocation: the clone or Set makes the value inside its
+//     vbox, and the chain reuses the one version each commit publishes.
+//     A Var's first versioned commit adds one more, a stamp-0 version of
+//     the value the Var was made with.
 //
 // # The metadata layer: a Var is one cache line
 //
 // A Var holds its committed value, one ownership record (orec) of its own,
-// its identity and its clone function, and it is exactly one 64-byte cache
-// line. Every piece of conflict-detection metadata lives in the orec, and
+// its identity, its clone function and, under NOrec's versions=K, the head
+// of its version chain, and it is exactly one 64-byte cache line. Every piece of conflict-detection metadata lives in the orec, and
 // every engine reaches it as &v.own, at a fixed offset from the Var — no
 // pointer load, no hashing and no branch per access (see orec.go):
 //

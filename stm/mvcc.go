@@ -1,6 +1,9 @@
 package stm
 
-import "unsafe"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
 // Multi-version value chains (versioned NOrec cells).
 //
@@ -14,19 +17,30 @@ import "unsafe"
 // reader resolve the version matching its snapshot timestamp instead of
 // retrying.
 //
-// Representation. Versions form an immutable singly linked chain through
-// box.prev, newest first, strictly descending in box.wv. A committing
-// writer publishes the same one box per written Var it always did; under
-// Versions > 1 it additionally links the superseded head behind the new
-// box and truncates the chain to K nodes before publishing. K = 1 (the
-// default) never links — commit writeback and the snapshot read path are
-// bit-for-bit today's single-version behavior.
+// Representation. A version is a vbox: the box it publishes, the commit
+// stamp wv and the link prev to the next older version. Versions form an
+// immutable singly linked chain through prev, newest first, strictly
+// descending in wv, and the Var's ver word (its cache line's last 8
+// bytes) holds the head, whose box is the one cur publishes. Only a NOrec
+// engine with Versions > 1 makes vboxes: its clones and Cell.Set make a
+// cell's value inside one (versionedValueBox), so a versioned write is
+// still one allocation, and its commit links the superseded head behind
+// the new one and truncates the chain to K nodes before publishing. Every
+// other configuration publishes plain 16-byte boxes, leaves ver nil, and
+// neither stamps nor links anything.
+//
+// A Var's first versioned commit finds ver nil: the box the Var was made
+// with has no stamp. The commit wraps that value in a vbox stamped 0 —
+// older than every snapshot — and links it behind the new head, one
+// allocation per Var over its lifetime. A reader loads cur before ver,
+// and a commit stores ver before cur, so a reader that finds ver nil has
+// loaded the box the Var was made with.
 //
 // Why a resolved old version is opaque: commits are totally ordered by
 // the sequence lock, and a writer completes writeback before publishing
 // seq = snapshot+2 (a release store the reader's even sample acquires). A
-// reader with snapshot time S therefore sees every box with wv <= S in
-// each chain it loads, and newer in-flight boxes (wv > S) are skipped by
+// reader with snapshot time S therefore sees every vbox with wv <= S in
+// each chain it loads, and newer in-flight ones (wv > S) are skipped by
 // the walk — so the per-read epoch check that restarted the whole attempt
 // on ANY commit is simply dropped under Versions > 1.
 //
@@ -39,13 +53,13 @@ import "unsafe"
 // before the cut or misses and restarts — it never observes a torn or
 // reordered chain.
 //
-// Space bound. Linking retains boxes that would otherwise be garbage:
-// at most K-1 superseded boxes per live Var, i.e. (K-1) * liveVars boxes
+// Space bound. Linking retains vboxes that would otherwise be garbage: at
+// most K-1 superseded versions per live Var, i.e. (K-1) * liveVars
 // instantaneous, each with the cell value allocated beside it, plus
 // whatever that value points to. Stats.VersionBytes counts the cumulative
-// retained sizeof(box) bytes so sweeps can report the space side of the
-// trade. A *T a reader holds pins its box and so that box's chain: at most
-// K boxes, until truncation cuts the chain behind it.
+// retained sizeof(vbox) bytes so sweeps can report the space side of the
+// trade. A *T a reader holds pins its vbox and so that vbox's chain: at
+// most K versions, until truncation cuts the chain behind it.
 //
 // Scope. Only NOrec's read-only snapshot path (RunReadOnly) consults
 // older versions; its validating Atomic path is unchanged, and the other
@@ -71,36 +85,64 @@ func normalizeVersions(k int) int {
 	return k
 }
 
-// boxBytes is the retained size of one superseded version's chain node (not
-// the value allocated beside it), the unit of Stats.VersionBytes.
-const boxBytes = uint64(unsafe.Sizeof(box{}))
+// vbox is one version on a Var's chain: the box that publishes it, the
+// commit stamp, and the next older version. box comes first, so the box
+// cur publishes and the vbox ver holds are one address.
+type vbox struct {
+	box
+	// wv is the commit timestamp of the write that published this
+	// version, NOrec's post-commit sequence value; 0 for the value the Var
+	// was made with. Immutable once published.
+	wv   uint64
+	prev atomic.Pointer[vbox]
+}
 
-// publishVersion makes nb the new head of v's value chain. Under keep > 1
-// the superseded head is linked behind nb and the chain truncated to keep
-// nodes; keep == 1 is exactly the plain single-version store. Callers own
-// the Var's write synchronization (NOrec holds the sequence lock), so the
-// load-link-store on the head does not race other writers — only readers,
-// which see either head.
-func publishVersion(v *Var, nb *box, keep int, st *txStats) {
-	if keep > 1 {
-		nb.prev.Store(v.cur.Load())
-		st.versionBytes += boxBytes
-		// Truncate: cut the chain after its keep-th node (nb is node 1).
-		n := nb
-		for i := 1; i < keep && n != nil; i++ {
-			n = n.prev.Load()
-		}
-		if n != nil {
-			n.prev.Store(nil)
-		}
+// boxBytes is the size of one retained version (not the value allocated
+// beside it), the unit of Stats.VersionBytes.
+const boxBytes = uint64(unsafe.Sizeof(vbox{}))
+
+// versionable returns the vbox a versioned commit publishes val in: vb, the
+// private one val was made in, when it still holds val, and a fresh one when
+// val came from a plain Write or an Update callback replaced it — the
+// versioned publishable.
+func versionable(vb *vbox, val any) *vbox {
+	if vb == nil || !sameValue(vb.val, val) {
+		return &vbox{box: box{val: val}}
 	}
-	v.cur.Store(nb)
+	return vb
+}
+
+// publishVersion stamps nb with wv and makes it the head of v's chain,
+// linking the superseded head behind it and truncating the chain to keep
+// nodes. Callers own the Var's write synchronization (NOrec holds the
+// sequence lock), so the load-link-store on the head does not race other
+// writers — only readers, which see either head.
+func publishVersion(v *Var, nb *vbox, wv uint64, keep int, st *txStats) {
+	nb.wv = wv
+	old := v.ver.Load()
+	if old == nil {
+		// The Var's first versioned commit: its initial value becomes a
+		// version older than every snapshot.
+		old = &vbox{box: box{val: v.cur.Load().val}}
+	}
+	nb.prev.Store(old)
+	st.versionBytes += boxBytes
+	// Truncate: cut the chain after its keep-th node (nb is node 1).
+	n := nb
+	for i := 1; i < keep && n != nil; i++ {
+		n = n.prev.Load()
+	}
+	if n != nil {
+		n.prev.Store(nil)
+	}
+	v.ver.Store(nb) // before cur: see Representation
+	v.cur.Store(&nb.box)
 }
 
 // resolveVersion walks the chain from head for the newest version at or
 // before timestamp at. nil means the chain was truncated past at (the
 // caller restarts the snapshot attempt).
-func resolveVersion(head *box, at uint64) *box {
+func resolveVersion(head *vbox, at uint64) *vbox {
 	for b := head; b != nil; b = b.prev.Load() {
 		if b.wv <= at {
 			return b

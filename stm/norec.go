@@ -11,9 +11,9 @@ type NOrecConfig struct {
 	// budget is exhausted Atomic returns ErrAborted.
 	MaxRetries int
 	// EngineOptions carries the spec-addressable knobs. NOrec honours
-	// Versions (each retained box is stamped with its commit's
-	// post-release sequence value, and the seqlock epoch check is dropped
-	// entirely under Versions > 1), TxDeadline, SerialFallback, Faults,
+	// Versions (under Versions > 1 each published version is stamped with
+	// its commit's post-release sequence value, and the seqlock epoch
+	// check is dropped entirely), TxDeadline, SerialFallback, Faults,
 	// Trace and DisableROSnapshot, and ignores the rest.
 	EngineOptions
 }
@@ -228,11 +228,13 @@ type norecRead struct {
 }
 
 // norecWrite is one buffered write, with the private box val was made in
-// (nil for a plain Write), as in tl2Write.
+// (nil for a plain Write), as in tl2Write. Under Versions > 1 that box heads
+// vb, the version the commit publishes.
 type norecWrite struct {
 	v   *Var
 	val any
 	b   *box
+	vb  *vbox
 }
 
 // norecTx is the pooled per-transaction descriptor; reset reuses the
@@ -322,22 +324,21 @@ func (tx *norecTx) stillValid(r norecRead) bool {
 	if cur == r.seen {
 		return true
 	}
-	return boxValuesEqual(r.v, cur, r.seen)
+	return boxValuesEqual(cur, r.seen)
 }
 
-// boxValuesEqual compares two snapshots of v by value without panicking on
-// non-comparable values (slices, maps — including ones buried inside
+// boxValuesEqual compares two snapshots of a Var by value without panicking
+// on non-comparable values (slices, maps — including ones buried inside
 // interface fields of otherwise comparable types): those conservatively
 // compare unequal, falling back to reference semantics. Comparability
 // must be checked on the reflect.Value, not the type: a type like
 // [2]any is statically comparable but == panics when an element's
 // dynamic contents are not.
 //
-// A Var with a clone function holds copy-on-write snapshots — every Cell
-// holds a *T and no write ever republishes the pointer it read — so the
-// address carries no meaning and the value is the pointee. A pointer in a
-// Var without one is the user's and compares by identity.
-func boxValuesEqual(v *Var, a, b *box) bool {
+// Every Var is a cell's, and a cell holds copy-on-write snapshots — a *T,
+// and no write ever republishes the pointer it read — so the address
+// carries no meaning and the value is the pointee.
+func boxValuesEqual(a, b *box) bool {
 	av, bv := a.val, b.val
 	if av == nil || bv == nil {
 		return av == nil && bv == nil
@@ -346,7 +347,7 @@ func boxValuesEqual(v *Var, a, b *box) bool {
 	if ra.Type() != rb.Type() {
 		return false
 	}
-	if v.clone != nil && ra.Kind() == reflect.Pointer && !ra.IsNil() && !rb.IsNil() {
+	if ra.Kind() == reflect.Pointer && !ra.IsNil() && !rb.IsNil() {
 		ra, rb = ra.Elem(), rb.Elem()
 	}
 	return ra.Comparable() && ra.Equal(rb)
@@ -371,15 +372,19 @@ func (tx *norecTx) Write(v *Var, val any) {
 	tx.writes = append(tx.writes, norecWrite{v: v, val: val})
 }
 
-// set implements cellTx: Write(v, b.val), publishing b.
-func (tx *norecTx) set(v *Var, b *box) {
+// set implements cellTx: Write(v, b.val), publishing b (vb's box under
+// Versions > 1).
+func (tx *norecTx) set(v *Var, b *box, vb *vbox) {
 	tx.st.writes++
 	if i, ok := tx.writeIdx.getOrPut(v, int32(len(tx.writes))); ok {
-		tx.writes[i].val, tx.writes[i].b = b.val, b
+		tx.writes[i].val, tx.writes[i].b, tx.writes[i].vb = b.val, b, vb
 		return
 	}
-	tx.writes = append(tx.writes, norecWrite{v: v, val: b.val, b: b})
+	tx.writes = append(tx.writes, norecWrite{v: v, val: b.val, b: b, vb: vb})
 }
+
+// versioned implements cellTx: under Versions > 1 a commit publishes vboxes.
+func (tx *norecTx) versioned() bool { return tx.eng.cfg.Versions > 1 }
 
 // Update implements Tx.
 func (tx *norecTx) Update(v *Var, f func(val any) any) {
@@ -399,8 +404,8 @@ func (tx *norecTx) mut(v *Var) any {
 
 // updateSlot returns v's write-set index for an update. A first update
 // reads the current value (which joins the read set, guarding against lost
-// updates), clones it into a private box if the Var has a clone function,
-// and buffers the copy with its box.
+// updates), clones it into a private box (a vbox's under Versions > 1), and
+// buffers the copy with its box.
 func (tx *norecTx) updateSlot(v *Var) int32 {
 	i, ok := tx.writeIdx.getOrPut(v, int32(len(tx.writes)))
 	if ok {
@@ -410,11 +415,9 @@ func (tx *norecTx) updateSlot(v *Var) int32 {
 	// thrown there unwinds the whole attempt, so the index is never seen
 	// ahead of its slice entry.
 	w := norecWrite{v: v, val: tx.readVar(v)}
-	if v.clone != nil {
-		w.b = v.clone(w.val)
-		w.val = w.b.val
-		tx.st.clones++
-	}
+	w.b, w.vb = v.clone(w.val, tx.versioned())
+	w.val = w.b.val
+	tx.st.clones++
 	tx.writes = append(tx.writes, w)
 	return i
 }
@@ -455,16 +458,20 @@ func (tx *norecTx) commit() bool {
 	}
 	// One box per written Var — the one a cell's value was made in, or a
 	// fresh one for a plain Write: published snapshots may be held by
-	// concurrent readers forever and cannot come from the pool. Each box
-	// is stamped with this commit's post-release sequence value; under
-	// Versions > 1 the superseded box is linked behind it so snapshot
-	// readers at older epochs can resolve it.
-	keep := tx.eng.cfg.Versions
-	for i := range tx.writes {
-		w := &tx.writes[i]
-		b := publishable(w.b, w.val)
-		b.wv = tx.snapshot + 2
-		publishVersion(w.v, b, keep, &tx.st)
+	// concurrent readers forever and cannot come from the pool. Under
+	// Versions > 1 each is a vbox stamped with this commit's post-release
+	// sequence value, and the superseded version is linked behind it so
+	// snapshot readers at older epochs can resolve it (mvcc.go).
+	if keep := tx.eng.cfg.Versions; keep > 1 {
+		for i := range tx.writes {
+			w := &tx.writes[i]
+			publishVersion(w.v, versionable(w.vb, w.val), tx.snapshot+2, keep, &tx.st)
+		}
+	} else {
+		for i := range tx.writes {
+			w := &tx.writes[i]
+			w.v.cur.Store(publishable(w.b, w.val))
+		}
 	}
 	// Clock-stamp delay: NOrec's commit stamp is the seqlock release
 	// itself, so the delay sits just before the releasing store.

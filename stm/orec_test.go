@@ -2,6 +2,9 @@ package stm
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"unsafe"
 )
@@ -34,7 +37,7 @@ func TestVarLayout(t *testing.T) {
 	}
 
 	s := NewVarSpace()
-	alone := []*Var{s.NewVar(0, nil), NewCell(s, 0).Var(), NewCell(s, 0).Var()}
+	alone := []*Var{NewCell(s, 0).Var(), NewCell(s, 0).Var(), NewCell(s, 0).Var()}
 	for _, v := range alone {
 		if !sameLine(unsafe.Pointer(v), unsafe.Sizeof(*v)) {
 			t.Errorf("Var %d allocated alone at %p spans two cache lines", v.id, v)
@@ -52,6 +55,55 @@ func TestVarLayout(t *testing.T) {
 			t.Errorf("Var %d at %p: its first %d bytes straddle a cache line", v.id, v, hot)
 		}
 	}
+}
+
+// TestBoxLayout pins what a published value costs on every engine: a box
+// is its value and nothing else, so a cell's valueBox is 16 bytes plus the
+// value. For an atomic part's state (three ints, core.AtomicPartState) that
+// is 40 bytes, which the allocator serves from its 48-byte size class; with
+// NOrec's commit stamp and chain link on every box it was 56, in the 64-byte
+// class. Those two words are a vbox's, which only a versions=K NOrec engine
+// makes.
+func TestBoxLayout(t *testing.T) {
+	type partState struct{ X, Y, BuildDate int }
+	if got := unsafe.Sizeof(box{}); got != 16 {
+		t.Errorf("sizeof(box) = %d, want 16", got)
+	}
+	if got := unsafe.Sizeof(valueBox[partState]{}); got != 40 {
+		t.Errorf("sizeof(valueBox[partState]) = %d, want 40", got)
+	}
+	if got, want := unsafe.Sizeof(vbox{}), unsafe.Sizeof(box{})+16; got != want {
+		t.Errorf("sizeof(vbox) = %d, want %d (a box, its stamp and its link)", got, want)
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation skews allocation sizes")
+	}
+	const n = 1000
+	if got := allocBytes(n, func() { boxSink, _ = newValueBox(partState{}, false) }); got != 48 {
+		t.Errorf("a valueBox[partState] takes %v bytes of heap, want 48", got)
+	}
+}
+
+// boxSink keeps the boxes TestBoxLayout allocates on the heap.
+var boxSink *box
+
+// allocBytes returns the heap bytes one call of f allocates, over n calls
+// with the collector off. TotalAlloc counts every goroutine's allocations,
+// so the least of a few rounds is f's own.
+func allocBytes(n int, f func()) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
+	least := math.Inf(1)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, float64(after.TotalAlloc-before.TotalAlloc)/float64(n))
+	}
+	return least
 }
 
 // TestOrecCacheLinePadding pins what the Var's padding buys: each Var's
@@ -82,7 +134,7 @@ func TestObjectGranularityIsCollisionFree(t *testing.T) {
 	s := NewVarSpace()
 	vars := make([]*Var, 0, 512)
 	for i := 0; i < 256; i++ {
-		vars = append(vars, s.NewVar(i, nil))
+		vars = append(vars, NewCell(s, i).Var())
 	}
 	cells := NewCells(s, make([]int, 256))
 	for i := range cells {
@@ -106,7 +158,7 @@ func TestVarTag(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v := eng.VarSpace().NewVar(0, nil)
+		v := NewCell(eng.VarSpace(), 0).Var()
 		if v.Tag() != 0 {
 			t.Errorf("%s: fresh Var has tag %d, want 0", name, v.Tag())
 		}

@@ -562,10 +562,13 @@ func (tx *ostmTx) Write(v *Var, val any) {
 }
 
 // set implements cellTx: Write(v, b.val), publishing b.
-func (tx *ostmTx) set(v *Var, b *box) {
+func (tx *ostmTx) set(v *Var, b *box, _ *vbox) {
 	tx.st.writes++
 	tx.acquire(v).new = b
 }
+
+// versioned implements cellTx: OSTM publishes plain boxes.
+func (tx *ostmTx) versioned() bool { return false }
 
 // Update implements Tx.
 func (tx *ostmTx) Update(v *Var, f func(val any) any) {
@@ -586,17 +589,12 @@ func (tx *ostmTx) mut(v *Var) any {
 
 // updateSlot acquires v for an update. The first write of a freshly
 // acquired Var, if it is an update, clones the value into the slot's box
-// (object-level copy-on-write, ASTM style); a Var without a clone function
-// gets a plain box holding the value it had.
+// (object-level copy-on-write, ASTM style).
 func (tx *ostmTx) updateSlot(v *Var) *wslot {
 	s := tx.acquire(v)
 	if s.new == nil {
-		if v.clone != nil {
-			s.new = v.clone(s.old.val)
-			tx.st.clones++
-		} else {
-			s.new = &box{val: s.old.val}
-		}
+		s.new, _ = v.clone(s.old.val, false)
+		tx.st.clones++
 	}
 	return s
 }

@@ -38,8 +38,8 @@ func TestNewReturnsFreshNamedEngines(t *testing.T) {
 		}
 		// Engines must be independent: a Var allocated from one space
 		// must not advance the other's ids.
-		v1 := e1.VarSpace().NewVar(1, nil)
-		v2 := e2.VarSpace().NewVar(1, nil)
+		v1 := NewCell(e1.VarSpace(), 1).Var()
+		v2 := NewCell(e2.VarSpace(), 1).Var()
 		if v1.ID() != v2.ID() {
 			t.Errorf("New(%q): fresh engines share a VarSpace (ids %d, %d)", name, v1.ID(), v2.ID())
 		}

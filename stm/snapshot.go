@@ -278,20 +278,26 @@ type norecSnapTx struct {
 //
 // Under Versions > 1 the per-read epoch check is dropped entirely — the
 // whole point of the versioned cell. Commits are totally ordered by the
-// sequence lock and every box carries its commit's sequence value, so the
-// newest chain version with wv <= the sampled epoch IS the Var's value in
-// that epoch's committed state; boxes from later commits (mid-writeback
-// or fully published) carry larger stamps and are skipped by the walk
-// (see mvcc.go). Unrelated commits therefore stop killing traversals;
-// only a truncated chain restarts, as a VersionMiss.
+// sequence lock and every version carries its commit's sequence value, so
+// the newest chain version with wv <= the sampled epoch IS the Var's value
+// in that epoch's committed state; versions from later commits
+// (mid-writeback or fully published) carry larger stamps and are skipped
+// by the walk. A Var with no chain yet (ver nil) still publishes the box
+// it was made with, which is older than every snapshot (see mvcc.go).
+// Unrelated commits therefore stop killing traversals; only a truncated
+// chain restarts, as a VersionMiss.
 func (tx *norecSnapTx) Read(v *Var) any {
 	tx.st.reads++
 	b := v.cur.Load()
 	if tx.eng.cfg.Versions > 1 {
-		if b.wv <= tx.snap {
+		h := v.ver.Load()
+		if h == nil {
 			return b.val
 		}
-		if rb := resolveVersion(b.prev.Load(), tx.snap); rb != nil {
+		if h.wv <= tx.snap {
+			return h.val
+		}
+		if rb := resolveVersion(h.prev.Load(), tx.snap); rb != nil {
 			if tx.tr.rec != nil {
 				tx.tr.note(TraceVersionHit, tx.snap, 0)
 			}

@@ -592,8 +592,9 @@ func TestSnapshotVersionChainTruncation(t *testing.T) {
 }
 
 // TestVersionBytesAccounting pins the space-side counter: with depth K > 1
-// every commit writeback that links its predecessor adds exactly one box
-// of retained bytes, and K=1 retains nothing.
+// every commit writeback that links its predecessor adds exactly one
+// retained version's bytes — a vbox: the box, its stamp and its link — and
+// K=1 retains nothing.
 func TestVersionBytesAccounting(t *testing.T) {
 	for name, mk := range versionedSnapshotMakers {
 		t.Run(name, func(t *testing.T) {
@@ -606,7 +607,7 @@ func TestVersionBytesAccounting(t *testing.T) {
 				}
 			}
 			if got, want := eng.Stats().VersionBytes, uint64(commits)*boxBytes; got != want {
-				t.Errorf("VersionBytes = %d, want %d (%d commits x %d bytes/box)", got, want, commits, boxBytes)
+				t.Errorf("VersionBytes = %d, want %d (%d commits x %d bytes/version)", got, want, commits, boxBytes)
 			}
 
 			flat := mk(1)

@@ -53,11 +53,12 @@ type Stats struct {
 	// retained version); each miss restarts the attempt and so also
 	// counts toward SnapshotRestarts.
 	VersionMisses uint64
-	// VersionBytes is the cumulative size of superseded version boxes
-	// retained by commit-time chain linking (the chain nodes themselves,
-	// not the user values they pin) — the space side of the restarts-for-
-	// space trade. Instantaneous retention is bounded by
-	// (Versions-1) * liveVars * sizeof(box). Always 0 at Versions <= 1.
+	// VersionBytes is the cumulative size of superseded versions retained
+	// by commit-time chain linking (the chain nodes themselves — a box, its
+	// commit stamp and its link, sizeof(vbox) — not the user values they
+	// pin): the space side of the restarts-for-space trade. Instantaneous
+	// retention is bounded by (Versions-1) * liveVars * sizeof(vbox).
+	// Always 0 at Versions <= 1.
 	VersionBytes uint64
 	// TimeoutAborts counts Atomic calls that gave up because their
 	// TxDeadline wall-clock budget expired (the ErrDeadlineExceeded

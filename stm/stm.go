@@ -8,41 +8,26 @@ import (
 
 // box holds one immutable snapshot of a Var's value. Box identity (pointer
 // equality) is what read-set validation compares, so equal values written at
-// different times are still distinguishable.
+// different times are still distinguishable. val is immutable once the box
+// is published through Var.cur.
 //
-// val and wv are immutable once the box is published through Var.cur. prev
-// is NOrec's multi-version chain (see mvcc.go): under Versions > 1 a committing
-// writer links the superseded head behind the new box before publishing it,
-// so snapshot readers can resolve older committed versions by walking prev.
-// prev only ever transitions old-head -> nil (retention truncation); under
-// the default single-version configuration it is never set and the box is
-// exactly the value cell it always was.
-//
-// A cell's box and the value it publishes are one allocation (valueBox): val
-// is a *T into the box itself, so a read loads the box and finds the value
-// beside it, and a *T the cell hands out keeps its box — and, under
-// Versions > 1, the box's prev chain, at most K boxes — alive for as long
-// as it is held.
+// A box is its value and nothing else, on every engine: NOrec's commit stamp
+// and version chain live in a vbox (mvcc.go), which only a versions=K NOrec
+// engine allocates. A cell's box and the value it publishes are one
+// allocation (valueBox): val is a *T into the box itself, so a read loads
+// the box and finds the value beside it, and a *T the cell hands out keeps
+// its box alive for as long as it is held.
 type box struct {
 	val any
-	// wv is the commit timestamp of the write that published this box,
-	// NOrec's post-commit sequence value. 0 for values installed at NewVar
-	// (older than every possible snapshot) and on other engines' boxes.
-	wv   uint64
-	prev atomic.Pointer[box]
 }
 
-// CloneFunc produces a deep-enough copy of a value such that mutating the
-// copy does not affect the original. It is required for values with
-// reference semantics (slices, maps, pointers to mutable structs) that are
-// modified through Update under a transactional engine.
-type CloneFunc func(any) any
-
 // boxClone is a Var's internal clone: it returns a private, unpublished box
-// holding a copy of val. A cell's is a valueBox, so the copy a transaction
-// edits is the box its commit publishes; a NewVar's wraps the CloneFunc it
-// was given in a plain box.
-type boxClone func(val any) *box
+// holding a copy of val, made inside the value's own allocation (a cell's
+// valueBox), so the copy a transaction edits is the box its commit
+// publishes. With versioned set — NOrec under versions > 1 — the box is the
+// head of a vbox, returned as vb, so that the copy, its commit stamp and its
+// link to older versions are still one allocation; vb is nil otherwise.
+type boxClone func(val any, versioned bool) (b *box, vb *vbox)
 
 // publishable returns the box a commit publishes val in: b, the private box
 // val was made in (a cell's clone or Cell.Set), when it still holds val, and
@@ -65,7 +50,8 @@ func publishable(b *box, val any) *box {
 // finds the value pointer and the lock word in the Var's first 16 bytes
 // (see orec.go).
 //
-// Create Vars with VarSpace.NewVar so they receive unique ids: ids key the
+// Every Var is a cell's: the cell constructors (NewCell, NewCells, InitCell,
+// NewCellClone) give it a unique id from a VarSpace, and ids key the
 // transactions' access-set indexes. A Var must not be copied.
 type Var struct {
 	// cur is the committed value used by the direct, TL2 and NOrec
@@ -83,10 +69,13 @@ type Var struct {
 	id    uint64
 	clone boxClone
 
-	// The padding rounds a Var up to one cache line: the cells of a
-	// NewCells slab are then 64 bytes apart, so no two lock words share a
-	// line and no cell's hot 16 bytes straddle two.
-	_ [8]byte
+	// ver is the head of NOrec's version chain under versions > 1 — the
+	// vbox whose box cur publishes — and nil on every other engine and
+	// until the Var's first versioned commit (mvcc.go). It is the word
+	// that rounds a Var up to one cache line: the cells of a NewCells slab
+	// are then 64 bytes apart, so no two lock words share a line and no
+	// cell's hot 16 bytes straddle two.
+	ver atomic.Pointer[vbox]
 }
 
 // readerSet is an immutable set of reader transactions.
@@ -106,21 +95,8 @@ type VarSpace struct {
 // Engine.VarSpace instead.
 func NewVarSpace() *VarSpace { return &VarSpace{} }
 
-// NewVar returns a Var initialized to val. clone may be nil when val (and
-// all future values) have value semantics or are never mutated through
-// Update.
-func (s *VarSpace) NewVar(val any, clone CloneFunc) *Var {
-	v := new(Var)
-	var bc boxClone
-	if clone != nil {
-		bc = func(val any) *box { return &box{val: clone(val)} }
-	}
-	s.initVar(v, &box{val: val}, bc)
-	return v
-}
-
-// initVar makes the zero Var at v — freshly allocated on its own or as part
-// of a Cell — a Var of this space publishing b.
+// initVar makes the zero Var at v — a cell's, allocated on its own, in a
+// slab or inside another object — a Var of this space publishing b.
 func (s *VarSpace) initVar(v *Var, b *box, clone boxClone) {
 	v.id = s.nextID.Add(1)
 	v.clone = clone
@@ -161,10 +137,10 @@ type Tx interface {
 	Write(v *Var, val any)
 
 	// Update applies f to the Var's value and stores the result.
-	// Transactional engines pass f a private clone (per the Var's
-	// CloneFunc), so f may mutate its argument freely; the direct engine
-	// passes the live value, so the mutation happens in place. f must
-	// return the value to store (which may be its argument).
+	// Transactional engines pass f a private copy (made by the clone of
+	// the cell the Var belongs to), so f may mutate its argument freely;
+	// the direct engine passes the live value, so the mutation happens in
+	// place. f must return the value to store (which may be its argument).
 	Update(v *Var, f func(val any) any)
 }
 

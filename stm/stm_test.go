@@ -312,7 +312,8 @@ func TestDirectUpdateKeepsBoxForSameValue(t *testing.T) {
 	eng := NewDirect()
 	p := &struct{ n int }{1}
 	for _, init := range []any{p, []int{1}, 7} {
-		v := eng.VarSpace().NewVar(init, nil)
+		v := NewCell[any](eng.VarSpace(), nil).Var()
+		eng.Atomic(func(tx Tx) error { tx.Write(v, init); return nil })
 		eng.Atomic(func(tx Tx) error {
 			before := v.cur.Load()
 			tx.Update(v, func(val any) any { return val })
@@ -327,7 +328,8 @@ func TestDirectUpdateKeepsBoxForSameValue(t *testing.T) {
 		})
 	}
 	q := &struct{ n int }{1}
-	v := eng.VarSpace().NewVar(p, nil)
+	v := NewCell[any](eng.VarSpace(), nil).Var()
+	eng.Atomic(func(tx Tx) error { tx.Write(v, p); return nil })
 	eng.Atomic(func(tx Tx) error {
 		tx.Update(v, func(any) any { return q }) // equal pointee, other pointer
 		if got := tx.Read(v); got != any(q) {
@@ -547,7 +549,7 @@ func TestStatsCounters(t *testing.T) {
 
 func TestVarString(t *testing.T) {
 	s := NewVarSpace()
-	v := s.NewVar(1, nil)
+	v := NewCell(s, 1).Var()
 	if v.String() == "" || v.ID() == 0 {
 		t.Errorf("Var id/string not populated: %q %d", v.String(), v.ID())
 	}
@@ -560,7 +562,7 @@ func TestVarIDsUnique(t *testing.T) {
 	s := NewVarSpace()
 	seen := map[uint64]bool{}
 	for i := 0; i < 1000; i++ {
-		v := s.NewVar(i, nil)
+		v := NewCell(s, i).Var()
 		if seen[v.ID()] {
 			t.Fatalf("duplicate Var id %d", v.ID())
 		}

@@ -196,7 +196,7 @@ func (e *TL2) runAttempt(tx *tl2Tx, fn func(tx Tx) error) (committed bool, err e
 
 // tl2Write is one buffered write. b is the private box val was made in (a
 // cell's clone or Cell.Set's), which commit publishes in place of a fresh
-// one (publishable); nil for a plain Write or a Var without a clone.
+// one (publishable); nil for a plain Write.
 type tl2Write struct {
 	v   *Var
 	val any
@@ -288,7 +288,7 @@ func (tx *tl2Tx) Write(v *Var, val any) {
 }
 
 // set implements cellTx: Write(v, b.val), publishing b.
-func (tx *tl2Tx) set(v *Var, b *box) {
+func (tx *tl2Tx) set(v *Var, b *box, _ *vbox) {
 	tx.st.writes++
 	if i, ok := tx.writeIdx.getOrPut(v, int32(len(tx.writes))); ok {
 		tx.writes[i].val, tx.writes[i].b = b.val, b
@@ -296,6 +296,9 @@ func (tx *tl2Tx) set(v *Var, b *box) {
 	}
 	tx.writes = append(tx.writes, tl2Write{v: v, val: b.val, b: b})
 }
+
+// versioned implements cellTx: TL2 publishes plain boxes.
+func (tx *tl2Tx) versioned() bool { return false }
 
 // Update implements Tx.
 func (tx *tl2Tx) Update(v *Var, f func(val any) any) {
@@ -315,8 +318,8 @@ func (tx *tl2Tx) mut(v *Var) any {
 
 // updateSlot returns v's write-set index for an update. A first update
 // reads the current value (which joins the read set, guarding against lost
-// updates), clones it into a private box if the Var has a clone function,
-// and buffers the copy with its box.
+// updates), clones it into a private box, and buffers the copy with its
+// box.
 func (tx *tl2Tx) updateSlot(v *Var) int32 {
 	i, ok := tx.writeIdx.getOrPut(v, int32(len(tx.writes)))
 	if ok {
@@ -326,11 +329,9 @@ func (tx *tl2Tx) updateSlot(v *Var) int32 {
 	// thrown there unwinds the whole attempt, so the index is never seen
 	// ahead of its slice entry.
 	w := tl2Write{v: v, val: tx.readVar(v)}
-	if v.clone != nil {
-		w.b = v.clone(w.val)
-		w.val = w.b.val
-		tx.st.clones++
-	}
+	w.b, _ = v.clone(w.val, false)
+	w.val = w.b.val
+	tx.st.clones++
 	tx.writes = append(tx.writes, w)
 	return i
 }

@@ -9,7 +9,7 @@ func newTestVars(n int) []*Var {
 	space := NewVarSpace()
 	vars := make([]*Var, n)
 	for i := range vars {
-		vars[i] = space.NewVar(i, nil)
+		vars[i] = NewCell(space, i).Var()
 	}
 	return vars
 }

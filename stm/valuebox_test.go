@@ -106,10 +106,11 @@ func atomicGet[T any](t *testing.T, eng Engine, c *Cell[T]) T {
 }
 
 // TestNOrecVersionsHeldValuePinsAtMostK: under versions=K a committed value
-// is inside its box, and the box links up to K-1 older versions, so a *T a
-// reader holds keeps at most K boxes alive after everything else has let
-// go — K when it is the head's value, whose chain is whole, and one when it
-// is a value K or more commits old, whose chain commit truncation has cut.
+// is inside its version (a vbox), and the version links up to K-1 older
+// ones, so a *T a reader holds keeps at most K boxes alive after everything
+// else has let go — K when it is the head's value, whose chain is whole, and
+// one when it is a value K or more commits old, whose chain commit
+// truncation has cut.
 func TestNOrecVersionsHeldValuePinsAtMostK(t *testing.T) {
 	for _, k := range []int{2, 4} {
 		for _, tc := range []struct {
@@ -138,13 +139,14 @@ func TestNOrecVersionsHeldValuePinsAtMostK(t *testing.T) {
 
 // holdNOrecValue commits 3k writes of one cell on a versions=k NOrec engine
 // and returns the value the held-th commit published, read as a *T, with a
-// weak pointer to every commit's box. Nothing else it made stays reachable.
+// weak pointer to every commit's version. Nothing else it made stays
+// reachable.
 //
 //go:noinline
-func holdNOrecValue(t *testing.T, k, held int) (*[4]int, []weak.Pointer[box]) {
+func holdNOrecValue(t *testing.T, k, held int) (*[4]int, []weak.Pointer[vbox]) {
 	eng := NewNOrecWith(NOrecConfig{EngineOptions: EngineOptions{Versions: k}})
 	c := NewCell(eng.VarSpace(), [4]int{})
-	var boxes []weak.Pointer[box]
+	var boxes []weak.Pointer[vbox]
 	var p *[4]int
 	for i := 0; i < 3*k; i++ {
 		err := eng.Atomic(func(tx Tx) error {
@@ -154,13 +156,20 @@ func holdNOrecValue(t *testing.T, k, held int) (*[4]int, []weak.Pointer[box]) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := c.v.cur.Load()
+		b := c.v.ver.Load()
+		if &b.box != c.v.cur.Load() {
+			t.Fatal("the chain's head is not the box the Var publishes")
+		}
+		var vb versionedValueBox[[4]int]
+		if p, _ := b.val.(*[4]int); uintptr(unsafe.Pointer(p)) != uintptr(unsafe.Pointer(b))+unsafe.Offsetof(vb.v) {
+			t.Fatal("a versioned commit's value is not inside its version")
+		}
 		boxes = append(boxes, weak.Make(b))
 		if i == held {
 			p = b.val.(*[4]int)
 		}
 	}
-	if got := c.v.cur.Load().prev.Load(); got == nil {
+	if got := c.v.ver.Load().prev.Load(); got == nil {
 		t.Fatal("versions=K kept no older version")
 	}
 	return p, boxes
