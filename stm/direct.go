@@ -24,7 +24,7 @@ func NewDirect() *Direct {
 	return d
 }
 
-func init() { Register("direct", func() Engine { return NewDirect() }) }
+func init() { Register("direct", func(EngineOptions) Engine { return NewDirect() }) }
 
 // Name implements Engine.
 func (d *Direct) Name() string { return "direct" }

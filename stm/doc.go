@@ -30,12 +30,12 @@
 //     only an interface call per access.
 //
 // Engines self-register in an engine registry: New("norec") returns a fresh
-// default-configuration engine by name and Registered lists the names;
-// NewWith additionally hands EngineOptions to engines registered with
-// RegisterTunable. The benchmark's strategy layer and the engine test
-// suites enumerate the registry, so a new engine in this package is
-// automatically picked up by the conformance/stress/property tests, the
-// comparison benchmarks, and both command-line tools.
+// default-configuration engine by name, NewWith one configured with
+// EngineOptions, and Registered lists the names. The benchmark's strategy
+// layer and the engine test suites enumerate the registry, so a new engine
+// in this package is automatically picked up by the
+// conformance/stress/property tests, the comparison benchmarks, and both
+// command-line tools.
 //
 // # Engine specs
 //
@@ -170,9 +170,20 @@
 //
 //   - Registration. The engine registers a fresh-instance factory under
 //     its Name() in an init function of its own file: Register("foo",
-//     func() Engine { return NewFoo() }). Everything downstream — the
-//     sync7 strategy layer, the CLIs' -g flag, the comparison benchmarks,
-//     the engine test suites — discovers it from there.
+//     func(o EngineOptions) Engine { return NewFoo(o) }). Everything
+//     downstream — the sync7 strategy layer, the CLIs' -g flag, the
+//     comparison benchmarks, the engine test suites — discovers it from
+//     there.
+//
+// An engine supplies a descriptor and its protocol — read, write, validate
+// and commit — and embeds engineCore (core.go) for everything else: the Var
+// space, the statistics, Atomic's retry loop with its MaxRetries and
+// TxDeadline budget and backoff, the escalation to serial mode, and
+// RunReadOnly's snapshot loop. Its descriptor implements coreTx (reset,
+// commit, abortSelf, recycle, and the set sizes and backoff seed the loop
+// records and spreads with) and, for RunReadOnly, a snapshot descriptor
+// implements snapTx; both embed txHead, the counters, trace tap and flags
+// the loops own. TL2, NOrec and OSTM differ only there.
 //
 // # The descriptor pooling contract
 //

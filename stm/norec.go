@@ -47,167 +47,40 @@ type NOrecConfig struct {
 // it leaves every Var's inline orec untouched. The EngineOptions.Versions
 // axis DOES apply (the sequence
 // lock's even values are exactly the snapshot timestamps a version chain
-// resolves against), so NOrec registers as a tunable engine and consumes
-// that one knob.
+// resolves against), and NOrec consumes that one knob.
 type NOrec struct {
-	space    VarSpace
+	engineCore
 	cfg      NOrecConfig
-	stats    statCounters
 	txPool   txPool[norecTx]
 	snapPool txPool[norecSnapTx] // read-only snapshot descriptors (RunReadOnly)
 	// seq is the global sequence lock: odd while a writer is in its
 	// write-back phase, even otherwise. An even value doubles as the
 	// snapshot time of every committed state.
 	seq atomic.Uint64
-	// gate is the serial-fallback token (nil unless SerialFallback).
-	gate *serialGate
-	// faults is the engine's private fault-plan snapshot (nil = none).
-	faults *FaultPlan
 }
 
 // NewNOrec returns a NOrec engine with default configuration.
 func NewNOrec() *NOrec { return NewNOrecWith(NOrecConfig{}) }
 
 func init() {
-	RegisterTunable("norec", func(o EngineOptions) Engine { return NewNOrecWith(NOrecConfig{EngineOptions: o}) })
+	Register("norec", func(o EngineOptions) Engine { return NewNOrecWith(NOrecConfig{EngineOptions: o}) })
 }
 
 // NewNOrecWith returns a NOrec engine with explicit configuration.
 func NewNOrecWith(cfg NOrecConfig) *NOrec {
 	cfg.Versions = normalizeVersions(cfg.Versions)
 	e := &NOrec{cfg: cfg}
-	if cfg.SerialFallback {
-		e.gate = &serialGate{}
-	}
-	e.faults = cfg.Faults.fresh()
-	e.txPool.init(func() *norecTx { return &norecTx{eng: e, tr: cfg.Trace.tap()} })
-	e.snapPool.init(func() *norecSnapTx { return &norecSnapTx{eng: e, tr: cfg.Trace.tap()} })
+	e.setup(e, cfg.EngineOptions, cfg.MaxRetries)
+	e.txPool.init(func() *norecTx { return &norecTx{eng: e, txHead: txHead{tr: cfg.Trace.tap()}} })
+	e.snapPool.init(func() *norecSnapTx { return &norecSnapTx{eng: e, txHead: txHead{tr: cfg.Trace.tap()}} })
 	return e
 }
 
 // Name implements Engine.
 func (e *NOrec) Name() string { return "norec" }
 
-// VarSpace implements Engine.
-func (e *NOrec) VarSpace() *VarSpace { return &e.space }
-
-// Stats implements Engine.
-func (e *NOrec) Stats() Stats { return e.stats.snapshot() }
-
-// Atomic implements Engine.
-func (e *NOrec) Atomic(fn func(tx Tx) error) error {
-	return e.atomicFrom(fn, deadlineFor(e.cfg.TxDeadline))
-}
-
-// txDeadline starts a fresh absolute deadline per the engine config; the
-// snapshot loop (snapshot.go) calls it at RunReadOnly entry so restarts
-// and the validating fallback share one budget.
-func (e *NOrec) txDeadline() int64 { return deadlineFor(e.cfg.TxDeadline) }
-
-// atomicFrom is the retry loop behind Atomic. deadline is an absolute
-// nanotime bound (0 = none): Atomic derives it from cfg.TxDeadline, and
-// the snapshot fallback passes the deadline its RunReadOnly call started
-// with, so time burned on snapshot restarts stays on the same budget.
-func (e *NOrec) atomicFrom(fn func(tx Tx) error, deadline int64) error {
-	gate := e.gate
-	if gate != nil {
-		gate.mu.RLock()
-	}
-	tx := e.txPool.get()
-	for attempt := 0; ; attempt++ {
-		if cause := budgetCause(attempt, e.cfg.MaxRetries, deadline, tx.injected, gate != nil); cause != NoAbort {
-			if gate != nil {
-				return e.runSerial(tx, fn)
-			}
-			e.putTx(tx)
-			return abortErrorFor(cause, &e.stats)
-		}
-		tx.reset()
-		if tx.tr.rec != nil {
-			tx.tr.note(TraceBegin, uint64(attempt), 0)
-		}
-		committed, err := e.runAttempt(tx, fn)
-		if tx.tr.rec != nil {
-			noteOutcome(tx.tr, committed, err != nil, tx.injected,
-				uint64(len(tx.reads)), uint64(len(tx.writes)), uint64(attempt))
-		}
-		e.stats.flushTx(&tx.st)
-		if committed {
-			e.stats.commits.Add(1)
-			e.putTx(tx)
-			if gate != nil {
-				gate.mu.RUnlock()
-			}
-			return nil
-		}
-		if err != nil {
-			e.stats.userAborts.Add(1)
-			e.putTx(tx)
-			if gate != nil {
-				gate.mu.RUnlock()
-			}
-			return err
-		}
-		e.stats.conflictAborts.Add(1)
-		spinWait(backoffDur(attempt, uint64(len(tx.reads))+uint64(attempt)<<32))
-	}
-}
-
-// runSerial escalates tx to the irrevocable serial mode; see the TL2
-// counterpart for the protocol. With the exclusive token held no other
-// Atomic attempt can move the sequence lock, so the commit CAS succeeds
-// on the first iteration.
-func (e *NOrec) runSerial(tx *norecTx, fn func(tx Tx) error) error {
-	e.gate.mu.RUnlock()
-	e.gate.mu.Lock()
-	defer e.gate.mu.Unlock()
-	e.stats.serialFallbacks.Add(1)
-	if tx.tr.rec != nil {
-		tx.tr.note(TraceSerial, 0, 0)
-	}
-	tx.serial = true
-	for {
-		tx.reset()
-		committed, err := e.runAttempt(tx, fn)
-		e.stats.flushTx(&tx.st)
-		if committed || err != nil {
-			if committed {
-				e.stats.commits.Add(1)
-			} else {
-				e.stats.userAborts.Add(1)
-			}
-			tx.serial = false // scrub before pooling: descriptors outlive the escalation
-			e.putTx(tx)
-			return err
-		}
-		e.stats.conflictAborts.Add(1)
-	}
-}
-
-// putTx recycles a descriptor, dropping buffered user values and observed
-// snapshots first so the pool cannot pin them. The scrub reaches past the
-// final attempt's length to whatever an earlier, larger aborted attempt of
-// this call left behind (pool.go).
-func (e *NOrec) putTx(tx *norecTx) {
-	tx.writes = scrub(tx.writes, &tx.hiWrites)
-	tx.reads = scrub(tx.reads, &tx.hiReads)
-	tx.writeIdx.reset()
-	tx.readIdx.reset()
-	e.txPool.put(tx)
-}
-
-func (e *NOrec) runAttempt(tx *norecTx, fn func(tx Tx) error) (committed bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			tx.injected = rethrowIfNotConflict(r).injected
-			committed, err = false, nil
-		}
-	}()
-	if err := fn(tx); err != nil {
-		return false, err // buffered writes are simply dropped
-	}
-	return tx.commit(), nil
-}
+func (e *NOrec) getTx() coreTx     { return e.txPool.get() }
+func (e *NOrec) getSnapTx() snapTx { return e.snapPool.get() }
 
 // sampleSeq spins until the sequence lock is even (no writer in its
 // write-back phase) and returns the observed snapshot time.
@@ -240,9 +113,9 @@ type norecWrite struct {
 // norecTx is the pooled per-transaction descriptor; reset reuses the
 // read/write-set storage across attempts and pooled reuses.
 type norecTx struct {
+	txHead
 	eng      *NOrec
-	snapshot uint64  // even sequence value all reads so far are consistent with
-	st       txStats // per-attempt counters, flushed by Atomic
+	snapshot uint64 // even sequence value all reads so far are consistent with
 
 	reads   []norecRead
 	readIdx varIndex // *Var -> index into reads
@@ -251,11 +124,6 @@ type norecTx struct {
 	writeIdx varIndex // *Var -> index into writes
 
 	hiReads, hiWrites int // longest reads/writes over this call's earlier attempts (pool.go)
-
-	tr traceTap // flight-recorder handle (tr.rec nil = tracing off)
-
-	serial   bool // attempt runs under the exclusive serial token (suppresses fault probes)
-	injected bool // last abort of this call was a FaultPlan forced abort
 }
 
 func (tx *norecTx) reset() {
@@ -264,7 +132,27 @@ func (tx *norecTx) reset() {
 	tx.readIdx.reset()
 	tx.writes = truncate(tx.writes, &tx.hiWrites)
 	tx.writeIdx.reset()
-	tx.injected = false
+}
+
+// abortSelf implements coreTx: buffered writes are simply dropped.
+func (tx *norecTx) abortSelf() {}
+
+// recycle implements coreTx, dropping buffered user values and observed
+// snapshots first so the pool cannot pin them. The scrub reaches past the
+// final attempt's length to whatever an earlier, larger aborted attempt of
+// this call left behind (pool.go).
+func (tx *norecTx) recycle() {
+	tx.writes = scrub(tx.writes, &tx.hiWrites)
+	tx.reads = scrub(tx.reads, &tx.hiReads)
+	tx.writeIdx.reset()
+	tx.readIdx.reset()
+	tx.eng.txPool.put(tx)
+}
+
+func (tx *norecTx) sizes() (reads, writes int) { return len(tx.reads), len(tx.writes) }
+
+func (tx *norecTx) backoffSeed(attempt int) uint64 {
+	return uint64(len(tx.reads)) + uint64(attempt)<<32
 }
 
 // readVar performs NOrec's post-validated read: load the value, and if
@@ -484,6 +372,6 @@ func (tx *norecTx) commit() bool {
 
 var (
 	_ Engine = (*NOrec)(nil)
-	_ Tx     = (*norecTx)(nil)
+	_ coreTx = (*norecTx)(nil)
 	_ cellTx = (*norecTx)(nil)
 )

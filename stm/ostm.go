@@ -99,9 +99,8 @@ type OSTMConfig struct {
 // ascribes to ASTM: validation work quadratic in the read-set size, and
 // whole-object copies for every first write to an object.
 type OSTM struct {
-	space    VarSpace
+	engineCore
 	cfg      OSTMConfig
-	stats    statCounters
 	txPool   txPool[ostmTx]
 	snapPool txPool[ostmSnapTx] // read-only snapshot descriptors (RunReadOnly)
 	// commitSerial counts write transactions that reached their commit
@@ -115,10 +114,6 @@ type OSTM struct {
 	// CAS leaves a spurious bump behind; both consumers only pay an extra
 	// validation pass or snapshot restart for it, never correctness.
 	commitSerial atomic.Uint64
-	// gate is the serial-fallback token (nil unless SerialFallback).
-	gate *serialGate
-	// faults is the engine's private fault-plan snapshot (nil = none).
-	faults *FaultPlan
 }
 
 // NewOSTM returns an OSTM engine with the paper's configuration: Polka
@@ -126,7 +121,7 @@ type OSTM struct {
 func NewOSTM() *OSTM { return NewOSTMWith(OSTMConfig{}) }
 
 func init() {
-	RegisterTunable("ostm", func(o EngineOptions) Engine { return NewOSTMWith(OSTMConfig{EngineOptions: o}) })
+	Register("ostm", func(o EngineOptions) Engine { return NewOSTMWith(OSTMConfig{EngineOptions: o}) })
 }
 
 // NewOSTMWith returns an OSTM engine with explicit configuration.
@@ -135,116 +130,17 @@ func NewOSTMWith(cfg OSTMConfig) *OSTM {
 		cfg.CM = Polka{}
 	}
 	e := &OSTM{cfg: cfg}
-	if cfg.SerialFallback {
-		e.gate = &serialGate{}
-	}
-	e.faults = cfg.Faults.fresh()
-	e.txPool.init(func() *ostmTx { return &ostmTx{eng: e, tr: cfg.Trace.tap()} })
-	e.snapPool.init(func() *ostmSnapTx { return &ostmSnapTx{eng: e, tr: cfg.Trace.tap()} })
+	e.setup(e, cfg.EngineOptions, cfg.MaxRetries)
+	e.txPool.init(func() *ostmTx { return &ostmTx{eng: e, txHead: txHead{tr: cfg.Trace.tap()}} })
+	e.snapPool.init(func() *ostmSnapTx { return &ostmSnapTx{eng: e, txHead: txHead{tr: cfg.Trace.tap()}} })
 	return e
 }
 
 // Name implements Engine.
 func (e *OSTM) Name() string { return "ostm" }
 
-// VarSpace implements Engine.
-func (e *OSTM) VarSpace() *VarSpace { return &e.space }
-
-// Stats implements Engine.
-func (e *OSTM) Stats() Stats { return e.stats.snapshot() }
-
-// Atomic implements Engine.
-func (e *OSTM) Atomic(fn func(tx Tx) error) error {
-	return e.atomicFrom(fn, deadlineFor(e.cfg.TxDeadline))
-}
-
-// txDeadline starts a fresh absolute deadline per the engine config; the
-// snapshot loop (snapshot.go) calls it at RunReadOnly entry so restarts
-// and the validating fallback share one budget.
-func (e *OSTM) txDeadline() int64 { return deadlineFor(e.cfg.TxDeadline) }
-
-// atomicFrom is the retry loop behind Atomic. deadline is an absolute
-// nanotime bound (0 = none): Atomic derives it from cfg.TxDeadline, and
-// the snapshot fallback passes the deadline its RunReadOnly call started
-// with, so time burned on snapshot restarts stays on the same budget.
-func (e *OSTM) atomicFrom(fn func(tx Tx) error, deadline int64) error {
-	gate := e.gate
-	if gate != nil {
-		gate.mu.RLock()
-	}
-	tx := e.txPool.get()
-	for attempt := 0; ; attempt++ {
-		if cause := budgetCause(attempt, e.cfg.MaxRetries, deadline, tx.injected, gate != nil); cause != NoAbort {
-			if gate != nil {
-				return e.runSerial(tx, fn)
-			}
-			e.putTx(tx)
-			return abortErrorFor(cause, &e.stats)
-		}
-		tx.reset()
-		if tx.tr.rec != nil {
-			tx.tr.note(TraceBegin, uint64(attempt), 0)
-		}
-		committed, err := e.runAttempt(tx, fn)
-		if tx.tr.rec != nil {
-			noteOutcome(tx.tr, committed, err != nil, tx.injected,
-				uint64(len(tx.reads)), uint64(len(tx.writeLocs)), uint64(attempt))
-		}
-		e.stats.flushTx(&tx.st)
-		if committed {
-			e.stats.commits.Add(1)
-			e.putTx(tx)
-			if gate != nil {
-				gate.mu.RUnlock()
-			}
-			return nil
-		}
-		if err != nil {
-			// Logical failure: the transaction aborted on purpose and
-			// must not be retried. Its writes are invisible because the
-			// locators' owner is now Aborted.
-			e.stats.userAborts.Add(1)
-			e.putTx(tx)
-			if gate != nil {
-				gate.mu.RUnlock()
-			}
-			return err
-		}
-		e.stats.conflictAborts.Add(1)
-		spinWait(backoffDur(attempt, tx.state.opens.Load()))
-	}
-}
-
-// runSerial escalates tx to the irrevocable serial mode; see the TL2
-// counterpart for the protocol. With the exclusive token held there are
-// no enemies to kill us and no stale reads to fail validation, so the
-// attempt commits on its first iteration.
-func (e *OSTM) runSerial(tx *ostmTx, fn func(tx Tx) error) error {
-	e.gate.mu.RUnlock()
-	e.gate.mu.Lock()
-	defer e.gate.mu.Unlock()
-	e.stats.serialFallbacks.Add(1)
-	if tx.tr.rec != nil {
-		tx.tr.note(TraceSerial, 0, 0)
-	}
-	tx.serial = true
-	for {
-		tx.reset()
-		committed, err := e.runAttempt(tx, fn)
-		e.stats.flushTx(&tx.st)
-		if committed || err != nil {
-			if committed {
-				e.stats.commits.Add(1)
-			} else {
-				e.stats.userAborts.Add(1)
-			}
-			tx.serial = false // scrub before pooling: descriptors outlive the escalation
-			e.putTx(tx)
-			return err
-		}
-		e.stats.conflictAborts.Add(1)
-	}
-}
+func (e *OSTM) getTx() coreTx     { return e.txPool.get() }
+func (e *OSTM) getSnapTx() snapTx { return e.snapPool.get() }
 
 // putTx recycles a descriptor: observed boxes and locator references are
 // dropped (past the final attempt's length, to whatever an earlier, larger
@@ -264,24 +160,6 @@ func (e *OSTM) putTx(tx *ostmTx) {
 	e.txPool.put(tx)
 }
 
-// runAttempt executes fn once and tries to commit. It returns
-// (true, nil) on commit, (false, err) on a user abort, and (false, nil)
-// on a conflict (caller retries).
-func (e *OSTM) runAttempt(tx *ostmTx, fn func(tx Tx) error) (committed bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			tx.injected = rethrowIfNotConflict(r).injected
-			tx.abortSelf()
-			committed, err = false, nil
-		}
-	}()
-	if err := fn(tx); err != nil {
-		tx.abortSelf()
-		return false, err
-	}
-	return tx.commit(), nil
-}
-
 // readEntry records one invisible read: the Var and the exact box observed.
 type readEntry struct {
 	v    *Var
@@ -294,11 +172,11 @@ type readEntry struct {
 // write), which is what makes steady-state read-only transactions
 // allocation free.
 type ostmTx struct {
+	txHead
 	eng         *OSTM
 	state       *txState
 	stateShared bool    // state has been published (locator or reader set)
 	scratch     txState // private reusable state for unpublished attempts
-	st          txStats // per-attempt counters, flushed by Atomic
 
 	reads     []readEntry
 	readIdx   varIndex // *Var -> index into reads
@@ -310,11 +188,6 @@ type ostmTx struct {
 	// lastSerial is the engine commit serial as of the last validation
 	// (commit-counter heuristic).
 	lastSerial uint64
-
-	tr traceTap // flight-recorder handle (tr.rec nil = tracing off)
-
-	serial   bool // attempt runs under the exclusive serial token (suppresses fault probes)
-	injected bool // last abort of this call was a FaultPlan forced abort
 }
 
 func (tx *ostmTx) reset() {
@@ -335,17 +208,23 @@ func (tx *ostmTx) reset() {
 	tx.readIdx.reset()
 	tx.writeLocs = truncate(tx.writeLocs, &tx.hiWriteLocs)
 	tx.writeIdx.reset()
-	tx.injected = false
 	// Nothing read yet, so the current serial is a sound baseline.
 	tx.lastSerial = tx.eng.commitSerial.Load()
 }
 
 // abortSelf moves the transaction to Aborted (it may already have been
-// killed by an enemy, which is fine).
+// killed by an enemy, which is fine). Its writes become invisible: the
+// owner of its locators is Aborted.
 func (tx *ostmTx) abortSelf() {
 	tx.state.status.CompareAndSwap(statusActive, statusAborted)
 	tx.state.status.CompareAndSwap(statusValidating, statusAborted)
 }
+
+func (tx *ostmTx) recycle() { tx.eng.putTx(tx) }
+
+func (tx *ostmTx) sizes() (reads, writes int) { return len(tx.reads), len(tx.writeLocs) }
+
+func (tx *ostmTx) backoffSeed(int) uint64 { return tx.state.opens.Load() }
 
 // abortEnemy tries to kill enemy; it returns true if enemy is (now) aborted
 // and false if enemy already committed.
@@ -763,7 +642,7 @@ func (tx *ostmTx) publish() bool {
 
 var (
 	_ Engine = (*OSTM)(nil)
-	_ Tx     = (*ostmTx)(nil)
+	_ coreTx = (*ostmTx)(nil)
 	_ cellTx = (*ostmTx)(nil)
 	_ TxInfo = (*txState)(nil)
 )

@@ -6,37 +6,25 @@ import (
 	"sync"
 )
 
-// The engine registry maps engine names to default-configuration
-// factories. Every engine in this package registers itself from its own
-// file's init function, so adding an engine is a one-file change: the
-// conformance, stress and property suites, the sync7 strategy layer and
-// the comparison benchmarks all discover engines through Registered and
-// New rather than hard-coded lists.
+// The engine registry maps engine names to factories. Every engine in
+// this package registers itself from its own file's init function, so
+// adding an engine is a one-file change: the conformance, stress and
+// property suites, the sync7 strategy layer and the comparison benchmarks
+// all discover engines through Registered and New rather than hard-coded
+// lists.
 var engineRegistry = struct {
 	mu        sync.RWMutex
 	factories map[string]func(EngineOptions) Engine
 }{factories: map[string]func(EngineOptions) Engine{}}
 
 // Register adds an engine factory under name. The factory must return a
-// fresh, independent engine on every call, and the engine's Name method
-// must return the same name it was registered under. Register panics on
-// an empty name, a nil factory, or a duplicate registration — all are
-// programming errors, caught at init time.
-//
-// Engines registered this way ignore EngineOptions (NewWith hands them a
-// default-configuration engine); engines that honour any of its knobs
-// register with RegisterTunable instead.
-func Register(name string, factory func() Engine) {
-	if factory == nil {
-		panic("stm: Register with nil factory for " + name)
-	}
-	RegisterTunable(name, func(EngineOptions) Engine { return factory() })
-}
-
-// RegisterTunable adds an engine factory that takes EngineOptions and
-// honours the knobs that apply to its design. New resolves it with zero
-// options; NewWith passes the caller's through.
-func RegisterTunable(name string, factory func(EngineOptions) Engine) {
+// fresh, independent engine on every call, configured with the options it
+// is handed as far as they apply to its design, and the engine's Name
+// method must return the same name it was registered under. New resolves
+// the factory with zero options; NewWith passes the caller's through.
+// Register panics on an empty name, a nil factory, or a duplicate
+// registration — all are programming errors, caught at init time.
+func Register(name string, factory func(EngineOptions) Engine) {
 	if name == "" {
 		panic("stm: Register with empty engine name")
 	}

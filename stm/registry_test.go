@@ -65,7 +65,7 @@ func TestRegisterRejectsBadInput(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("empty name", func() { Register("", func() Engine { return NewDirect() }) })
+	mustPanic("empty name", func() { Register("", func(EngineOptions) Engine { return NewDirect() }) })
 	mustPanic("nil factory", func() { Register("x", nil) })
-	mustPanic("duplicate", func() { Register("tl2", func() Engine { return NewTL2() }) })
+	mustPanic("duplicate", func() { Register("tl2", func(EngineOptions) Engine { return NewTL2() }) })
 }

@@ -97,7 +97,7 @@ const snapValidatingSpins = 64
 
 // runSnapshotAttempt executes fn once on a snapshot Tx: (true, nil) on
 // success, (false, err) on a user abort, (false, nil) on a snapshot
-// restart (the engine-thrown conflict). Mirrors the engines' runAttempt.
+// restart (the engine-thrown conflict). Mirrors runAttempt (core.go).
 func runSnapshotAttempt(tx Tx, fn func(tx Tx) error) (committed bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -117,26 +117,22 @@ func runSnapshotAttempt(tx Tx, fn func(tx Tx) error) (committed bool, err error)
 // the 0-alloc path.
 type snapTx interface {
 	Tx
+	head() *txHead
 	// sample takes a fresh snapshot for the next attempt (clock /
 	// sequence / serial, per engine).
 	sample()
 	// recycle returns the descriptor to its engine's pool.
 	recycle()
-	// loopState returns the pieces the shared loop needs: the engine's
-	// stat counters, the descriptor's per-attempt accumulator, the
-	// engine to fall back to once snapRestartBudget is exhausted, and
-	// the descriptor's flight-recorder tap (tr.rec nil = tracing off).
-	loopState() (stats *statCounters, acc *txStats, fallback snapFallback, tr traceTap)
 }
 
-// snapFallback is the engine face the snapshot loop falls back to: the
-// internal retry loop entry that accepts an inherited absolute deadline,
-// plus the constructor for that deadline. Implemented by TL2, NOrec and
-// OSTM (atomicFrom / txDeadline in each engine file).
-type snapFallback interface {
-	Engine
-	txDeadline() int64
-	atomicFrom(fn func(tx Tx) error, deadline int64) error
+// RunReadOnly implements SnapshotReader for TL2, NOrec and OSTM: under
+// nosnap (EngineOptions.DisableROSnapshot) it is Atomic, otherwise the
+// snapshot loop over the engine's snapshot descriptor.
+func (c *engineCore) RunReadOnly(fn func(tx Tx) error) error {
+	if c.noSnap {
+		return c.Atomic(fn)
+	}
+	return c.runSnapshotLoop(c.descs.getSnapTx(), fn)
 }
 
 // runSnapshotLoop is the shared RunReadOnly protocol: sample, attempt,
@@ -154,39 +150,38 @@ type snapFallback interface {
 // reset the call's wall-clock budget (an expired inherited deadline
 // still grants the fallback one attempt — see budgetCause). A deadline
 // that expires during the snapshot phase skips the remaining restart
-// budget and falls back at once. Every engine's RunReadOnly is this
-// loop over its own descriptor; engine-specific behavior lives entirely
+// budget and falls back at once. Engine-specific behavior lives entirely
 // in the descriptor's Read and sample.
-func runSnapshotLoop(tx snapTx, fn func(tx Tx) error) error {
-	stats, acc, fallback, tr := tx.loopState()
-	deadline := fallback.txDeadline()
+func (c *engineCore) runSnapshotLoop(tx snapTx, fn func(tx Tx) error) error {
+	h := tx.head()
+	deadline := c.txDeadline()
 	for attempt := 0; ; attempt++ {
 		if attempt > snapRestartBudget ||
 			(deadline != 0 && attempt > 0 && nanotime() >= deadline) {
 			tx.recycle()
-			return fallback.atomicFrom(fn, deadline)
+			return c.atomicFrom(fn, deadline)
 		}
 		tx.sample()
 		committed, err := runSnapshotAttempt(tx, fn)
-		if tr.rec != nil && committed {
-			tr.note(TraceCommit, acc.reads, 0)
+		if h.tr.rec != nil && committed {
+			h.tr.note(TraceCommit, h.st.reads, 0)
 		}
-		stats.flushTx(acc)
+		c.stats.flushTx(&h.st)
 		if committed {
-			stats.commits.Add(1)
-			stats.snapshotTxs.Add(1)
+			c.stats.commits.Add(1)
+			c.stats.snapshotTxs.Add(1)
 			tx.recycle()
 			return nil
 		}
 		if err != nil {
-			stats.userAborts.Add(1)
+			c.stats.userAborts.Add(1)
 			tx.recycle()
 			return err
 		}
-		if tr.rec != nil {
-			tr.note(TraceSnapRestart, uint64(attempt), 0)
+		if h.tr.rec != nil {
+			h.tr.note(TraceSnapRestart, uint64(attempt), 0)
 		}
-		stats.snapshotRestarts.Add(1)
+		c.stats.snapshotRestarts.Add(1)
 		spinWait(backoffDur(attempt, uint64(attempt)<<32))
 	}
 }
@@ -197,10 +192,9 @@ func runSnapshotLoop(tx snapTx, fn func(tx Tx) error) error {
 // per-attempt stat accumulator — no read set, no indexes, no commit
 // scratch.
 type tl2SnapTx struct {
+	txHead
 	eng *TL2
 	rv  uint64
-	st  txStats
-	tr  traceTap // flight-recorder handle (tr.rec nil = tracing off)
 }
 
 // Read performs the validation-free TL2 snapshot read: sampled meta, value,
@@ -244,30 +238,15 @@ func (tx *tl2SnapTx) Update(*Var, func(any) any) { panic(errSnapshotWrite) }
 
 func (tx *tl2SnapTx) sample()  { tx.rv = tx.eng.clock.Load() }
 func (tx *tl2SnapTx) recycle() { tx.eng.snapPool.put(tx) }
-func (tx *tl2SnapTx) loopState() (*statCounters, *txStats, snapFallback, traceTap) {
-	return &tx.eng.stats, &tx.st, tx.eng, tx.tr
-}
-
-// RunReadOnly implements SnapshotReader: reads are served at a sampled
-// global version clock snapshot, commit is free (every read proved membership at read
-// time), and a stale snapshot restarts with a refreshed rv. Under nosnap
-// (EngineOptions.DisableROSnapshot) it is Atomic, as on every engine.
-func (e *TL2) RunReadOnly(fn func(tx Tx) error) error {
-	if e.cfg.DisableROSnapshot {
-		return e.Atomic(fn)
-	}
-	return runSnapshotLoop(e.snapPool.get(), fn)
-}
 
 // --- NOrec ----------------------------------------------------------------
 
 // norecSnapTx is NOrec's pooled snapshot descriptor: the sampled even
 // sequence value and the stat accumulator.
 type norecSnapTx struct {
+	txHead
 	eng  *NOrec
 	snap uint64
-	st   txStats
-	tr   traceTap // flight-recorder handle (tr.rec nil = tracing off)
 }
 
 // Read is the seqlock read: load the value, then check the sequence lock
@@ -325,22 +304,6 @@ func (tx *norecSnapTx) Update(*Var, func(any) any) { panic(errSnapshotWrite) }
 
 func (tx *norecSnapTx) sample()  { tx.snap = tx.eng.sampleSeq() }
 func (tx *norecSnapTx) recycle() { tx.eng.snapPool.put(tx) }
-func (tx *norecSnapTx) loopState() (*statCounters, *txStats, snapFallback, traceTap) {
-	return &tx.eng.stats, &tx.st, tx.eng, tx.tr
-}
-
-// RunReadOnly implements SnapshotReader: sample an even sequence value,
-// read freely with a per-read epoch check, restart on any global commit.
-// Because ANY commit anywhere restarts the attempt (the price of having no
-// per-location metadata), the fallback budget matters most here: a long
-// snapshot racing a steady writer falls back to the validating path, which
-// extends across commits instead of restarting.
-func (e *NOrec) RunReadOnly(fn func(tx Tx) error) error {
-	if e.cfg.DisableROSnapshot {
-		return e.Atomic(fn)
-	}
-	return runSnapshotLoop(e.snapPool.get(), fn)
-}
 
 // --- OSTM -----------------------------------------------------------------
 
@@ -349,10 +312,9 @@ func (e *NOrec) RunReadOnly(fn func(tx Tx) error) error {
 // construction (it joins no reader registry and installs nothing), so no
 // contention manager ever sees it.
 type ostmSnapTx struct {
-	eng    *OSTM
-	serial uint64
-	st     txStats
-	tr     traceTap // flight-recorder handle (tr.rec nil = tracing off)
+	txHead
+	eng      *OSTM
+	serialAt uint64 // the commit serial at the attempt's sample
 }
 
 // resolveSnapshot returns the committed value of v, or ok == false when
@@ -395,7 +357,7 @@ func (tx *ostmSnapTx) Read(v *Var) any {
 			spinHint()
 			continue
 		}
-		if tx.eng.commitSerial.Load() != tx.serial {
+		if tx.eng.commitSerial.Load() != tx.serialAt {
 			throwConflict("snapshot serial moved")
 		}
 		return b.val
@@ -409,22 +371,8 @@ func (tx *ostmSnapTx) Write(*Var, any) { panic(errSnapshotWrite) }
 // Update implements Tx by rejecting the call (see Write).
 func (tx *ostmSnapTx) Update(*Var, func(any) any) { panic(errSnapshotWrite) }
 
-func (tx *ostmSnapTx) sample()  { tx.serial = tx.eng.commitSerial.Load() }
+func (tx *ostmSnapTx) sample()  { tx.serialAt = tx.eng.commitSerial.Load() }
 func (tx *ostmSnapTx) recycle() { tx.eng.snapPool.put(tx) }
-func (tx *ostmSnapTx) loopState() (*statCounters, *txStats, snapFallback, traceTap) {
-	return &tx.eng.stats, &tx.st, tx.eng, tx.tr
-}
-
-// RunReadOnly implements SnapshotReader: locators resolve to their
-// committed snapshot without joining reader registries, guarded by the
-// engine's commit serial. Any write commit anywhere restarts the attempt,
-// so the fallback budget hands persistent races to the validating path.
-func (e *OSTM) RunReadOnly(fn func(tx Tx) error) error {
-	if e.cfg.DisableROSnapshot {
-		return e.Atomic(fn)
-	}
-	return runSnapshotLoop(e.snapPool.get(), fn)
-}
 
 // --- Direct ---------------------------------------------------------------
 

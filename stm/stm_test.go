@@ -67,8 +67,8 @@ var txEngineMakers = map[string]func() Engine{
 	// Multi-version variants: the version-chain depth iterates through the
 	// same suites like engines do (K=1 is the base registry entry). Only
 	// NOrec keeps versions; TL2 takes versions=K and ignores it, which
-	// TestTL2IgnoresVersions checks, and the -mv rows of the stall plan
-	// below hold the ignored key to plain TL2's results in every suite.
+	// TestTL2IgnoresVersions checks, so the -mv row of the stall plan
+	// below builds the same engine as the row without it.
 	"norec-mv2": fromSpec("norec:versions=2"),
 	"norec-mv8": fromSpec("norec:versions=8"),
 
@@ -79,7 +79,6 @@ var txEngineMakers = map[string]func() Engine{
 	// they replace, which gave the same stress by making unrelated Vars
 	// collide on one orec, so the suites' test ids carry over.
 	"tl2-striped":     fromSpec("tl2:faults=" + lockStall),
-	"tl2-striped-mv2": fromSpec("tl2:versions=2,faults=" + lockStall),
 	"tl2-striped-mv8": fromSpec("tl2:versions=8,faults=" + lockStall),
 }
 

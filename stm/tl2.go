@@ -31,9 +31,8 @@ const (
 // validates in O(1) against the snapshot clock, so a k-read traversal costs
 // O(k), not O(k²).
 type TL2 struct {
-	space    VarSpace
+	engineCore
 	cfg      TL2Config
-	stats    statCounters
 	txPool   txPool[tl2Tx]
 	snapPool txPool[tl2SnapTx] // read-only snapshot descriptors (RunReadOnly)
 	// clock is the global version clock. It advances by 2 so that version
@@ -42,157 +41,29 @@ type TL2 struct {
 	// keep it on a cache line of its own.
 	_     [cacheLine - 8]byte
 	clock padUint64
-	// gate is the serial-fallback token (nil unless SerialFallback).
-	gate *serialGate
-	// faults is the engine's private fault-plan snapshot (nil = none).
-	faults *FaultPlan
 }
 
 // NewTL2 returns a TL2 engine with default configuration.
 func NewTL2() *TL2 { return NewTL2With(TL2Config{}) }
 
 func init() {
-	RegisterTunable("tl2", func(o EngineOptions) Engine { return NewTL2With(TL2Config{EngineOptions: o}) })
+	Register("tl2", func(o EngineOptions) Engine { return NewTL2With(TL2Config{EngineOptions: o}) })
 }
 
 // NewTL2With returns a TL2 engine with explicit configuration.
 func NewTL2With(cfg TL2Config) *TL2 {
 	e := &TL2{cfg: cfg}
-	if cfg.SerialFallback {
-		e.gate = &serialGate{}
-	}
-	e.faults = cfg.Faults.fresh()
-	e.txPool.init(func() *tl2Tx {
-		return &tl2Tx{eng: e, tr: cfg.Trace.tap()}
-	})
-	e.snapPool.init(func() *tl2SnapTx { return &tl2SnapTx{eng: e, tr: cfg.Trace.tap()} })
+	e.setup(e, cfg.EngineOptions, cfg.MaxRetries)
+	e.txPool.init(func() *tl2Tx { return &tl2Tx{eng: e, txHead: txHead{tr: cfg.Trace.tap()}} })
+	e.snapPool.init(func() *tl2SnapTx { return &tl2SnapTx{eng: e, txHead: txHead{tr: cfg.Trace.tap()}} })
 	return e
 }
 
 // Name implements Engine.
 func (e *TL2) Name() string { return "tl2" }
 
-// VarSpace implements Engine.
-func (e *TL2) VarSpace() *VarSpace { return &e.space }
-
-// Stats implements Engine.
-func (e *TL2) Stats() Stats { return e.stats.snapshot() }
-
-// Atomic implements Engine.
-func (e *TL2) Atomic(fn func(tx Tx) error) error {
-	return e.atomicFrom(fn, deadlineFor(e.cfg.TxDeadline))
-}
-
-// txDeadline starts a fresh absolute deadline per the engine config; the
-// snapshot loop (snapshot.go) calls it at RunReadOnly entry so restarts
-// and the validating fallback share one budget.
-func (e *TL2) txDeadline() int64 { return deadlineFor(e.cfg.TxDeadline) }
-
-// atomicFrom is the retry loop behind Atomic. deadline is an absolute
-// nanotime bound (0 = none): Atomic derives it from cfg.TxDeadline, and
-// the snapshot fallback passes the deadline its RunReadOnly call started
-// with, so time burned on snapshot restarts stays on the same budget.
-func (e *TL2) atomicFrom(fn func(tx Tx) error, deadline int64) error {
-	gate := e.gate
-	if gate != nil {
-		gate.mu.RLock()
-	}
-	tx := e.txPool.get()
-	for attempt := 0; ; attempt++ {
-		if cause := budgetCause(attempt, e.cfg.MaxRetries, deadline, tx.injected, gate != nil); cause != NoAbort {
-			if gate != nil {
-				return e.runSerial(tx, fn)
-			}
-			e.putTx(tx)
-			return abortErrorFor(cause, &e.stats)
-		}
-		tx.reset()
-		if tx.tr.rec != nil {
-			tx.tr.note(TraceBegin, uint64(attempt), 0)
-		}
-		committed, err := e.runAttempt(tx, fn)
-		if tx.tr.rec != nil {
-			noteOutcome(tx.tr, committed, err != nil, tx.injected,
-				uint64(len(tx.reads)), uint64(len(tx.writes)), uint64(attempt))
-		}
-		e.stats.flushTx(&tx.st)
-		if committed {
-			e.stats.commits.Add(1)
-			e.putTx(tx)
-			if gate != nil {
-				gate.mu.RUnlock()
-			}
-			return nil
-		}
-		if err != nil {
-			e.stats.userAborts.Add(1)
-			e.putTx(tx)
-			if gate != nil {
-				gate.mu.RUnlock()
-			}
-			return err
-		}
-		e.stats.conflictAborts.Add(1)
-		spinWait(backoffDur(attempt, uint64(len(tx.reads))+uint64(attempt)<<32))
-	}
-}
-
-// runSerial escalates tx to the irrevocable serial mode: trade the
-// shared token (held by atomicFrom) for the exclusive one, then re-run
-// with fault injection suppressed. With no other Atomic attempt running
-// anywhere on the engine the attempt cannot be invalidated, so the loop
-// exits on its first iteration; it is a loop only for defense in depth.
-func (e *TL2) runSerial(tx *tl2Tx, fn func(tx Tx) error) error {
-	e.gate.mu.RUnlock()
-	e.gate.mu.Lock()
-	defer e.gate.mu.Unlock()
-	e.stats.serialFallbacks.Add(1)
-	if tx.tr.rec != nil {
-		tx.tr.note(TraceSerial, 0, 0)
-	}
-	tx.serial = true
-	for {
-		tx.reset()
-		committed, err := e.runAttempt(tx, fn)
-		e.stats.flushTx(&tx.st)
-		if committed || err != nil {
-			if committed {
-				e.stats.commits.Add(1)
-			} else {
-				e.stats.userAborts.Add(1)
-			}
-			tx.serial = false // scrub before pooling: descriptors outlive the escalation
-			e.putTx(tx)
-			return err
-		}
-		e.stats.conflictAborts.Add(1)
-	}
-}
-
-// putTx recycles a descriptor. Buffered user values are dropped first so a
-// pooled descriptor cannot pin the last transaction's object graph; the
-// scrub reaches past the final attempt's length to whatever an earlier,
-// larger aborted attempt of this call left behind (pool.go).
-func (e *TL2) putTx(tx *tl2Tx) {
-	tx.writes = scrub(tx.writes, &tx.hiWrites)
-	tx.reads = scrub(tx.reads, &tx.hiReads)
-	tx.writeIdx.reset()
-	tx.readIdx.reset()
-	e.txPool.put(tx)
-}
-
-func (e *TL2) runAttempt(tx *tl2Tx, fn func(tx Tx) error) (committed bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			tx.injected = rethrowIfNotConflict(r).injected
-			committed, err = false, nil
-		}
-	}()
-	if err := fn(tx); err != nil {
-		return false, err // buffered writes are simply dropped
-	}
-	return tx.commit(), nil
-}
+func (e *TL2) getTx() coreTx     { return e.txPool.get() }
+func (e *TL2) getSnapTx() snapTx { return e.snapPool.get() }
 
 // tl2Write is one buffered write. b is the private box val was made in (a
 // cell's clone or Cell.Set's), which commit publishes in place of a fresh
@@ -208,9 +79,9 @@ type tl2Write struct {
 // commit scratch kept at capacity — so steady-state attempts allocate
 // nothing.
 type tl2Tx struct {
+	txHead
 	eng *TL2
-	rv  uint64  // read version: clock snapshot at attempt start
-	st  txStats // per-attempt counters, flushed by Atomic
+	rv  uint64 // read version: clock snapshot at attempt start
 
 	reads   []*Var
 	readIdx varIndex // *Var -> index into reads
@@ -221,11 +92,6 @@ type tl2Tx struct {
 	hiReads, hiWrites int // longest reads/writes over this call's earlier attempts (pool.go)
 
 	lockedMeta []uint64 // commit scratch: pre-lock meta per write-set entry
-
-	tr traceTap // flight-recorder handle (tr.rec nil = tracing off)
-
-	serial   bool // attempt runs under the exclusive serial token (suppresses fault probes)
-	injected bool // last abort of this call was a FaultPlan forced abort
 }
 
 func (tx *tl2Tx) reset() {
@@ -234,7 +100,27 @@ func (tx *tl2Tx) reset() {
 	tx.readIdx.reset()
 	tx.writes = truncate(tx.writes, &tx.hiWrites)
 	tx.writeIdx.reset()
-	tx.injected = false
+}
+
+// abortSelf implements coreTx: buffered writes are simply dropped.
+func (tx *tl2Tx) abortSelf() {}
+
+// recycle implements coreTx. Buffered user values are dropped first so a
+// pooled descriptor cannot pin the last transaction's object graph; the
+// scrub reaches past the final attempt's length to whatever an earlier,
+// larger aborted attempt of this call left behind (pool.go).
+func (tx *tl2Tx) recycle() {
+	tx.writes = scrub(tx.writes, &tx.hiWrites)
+	tx.reads = scrub(tx.reads, &tx.hiReads)
+	tx.writeIdx.reset()
+	tx.readIdx.reset()
+	tx.eng.txPool.put(tx)
+}
+
+func (tx *tl2Tx) sizes() (reads, writes int) { return len(tx.reads), len(tx.writes) }
+
+func (tx *tl2Tx) backoffSeed(attempt int) uint64 {
+	return uint64(len(tx.reads)) + uint64(attempt)<<32
 }
 
 // readVar performs TL2's sampled-meta read: meta, value, meta again; the
@@ -457,6 +343,6 @@ func (tx *tl2Tx) commit() bool {
 
 var (
 	_ Engine = (*TL2)(nil)
-	_ Tx     = (*tl2Tx)(nil)
+	_ coreTx = (*tl2Tx)(nil)
 	_ cellTx = (*tl2Tx)(nil)
 )

@@ -197,8 +197,8 @@ type traceTap struct {
 }
 
 // noteOutcome records the end of one validating attempt: a commit with
-// its read/write-set sizes, or an abort with its cause. Shared by every
-// engine's retry loop; callers must have checked t.rec != nil.
+// its read/write-set sizes, or an abort with its cause. Called by the
+// retry loop (core.go); callers must have checked t.rec != nil.
 func noteOutcome(t traceTap, committed, userAbort, injected bool, reads, writes, attempt uint64) {
 	switch {
 	case committed:

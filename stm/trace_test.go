@@ -32,31 +32,48 @@ func pinDescriptor[T any](p *txPool[T]) {
 	}
 }
 
+// traceEngines builds each validating engine for runTraceWorkload from the
+// workload's options, with MaxRetries 1 so that injected-abort streaks
+// escalate to serial mode, and with its descriptors pinned.
+var traceEngines = map[string]func(EngineOptions) Engine{
+	"tl2": func(o EngineOptions) Engine {
+		e := NewTL2With(TL2Config{EngineOptions: o, MaxRetries: 1})
+		pinDescriptor(&e.txPool)
+		pinDescriptor(&e.snapPool)
+		return e
+	},
+	"norec": func(o EngineOptions) Engine {
+		e := NewNOrecWith(NOrecConfig{EngineOptions: o, MaxRetries: 1})
+		pinDescriptor(&e.txPool)
+		pinDescriptor(&e.snapPool)
+		return e
+	},
+	"ostm": func(o EngineOptions) Engine {
+		e := NewOSTMWith(OSTMConfig{EngineOptions: o, MaxRetries: 1})
+		pinDescriptor(&e.txPool)
+		pinDescriptor(&e.snapPool)
+		return e
+	},
+}
+
 // runTraceWorkload drives one deterministic single-threaded mix against a
-// fresh TL2 engine wired to a fresh recorder: plain commits, injected
-// aborts that escalate to serial mode, and snapshot transactions that
-// restart when a nested commit moves the clock under them. A
-// single-threaded TL2 commit never validates (no other commit lands
-// between its start and its stamp), so an OSTM engine sharing the
+// fresh engine from mk, wired to a fresh recorder with the same fault plan
+// and serial fallback on every engine: plain commits, injected aborts that
+// escalate to serial mode, and snapshot transactions that restart when a
+// nested commit moves the clock, sequence lock or commit serial under
+// them. A single-threaded TL2 commit never validates (no other commit
+// lands between its start and its stamp), so an OSTM engine sharing the
 // recorder, which validates on every open, supplies the validation
-// passes. The same call always produces the same event stream.
-func runTraceWorkload(t *testing.T) *TraceRecorder {
+// passes; own counts the events before them, the main engine's. The same
+// call always produces the same event stream.
+func runTraceWorkload(t *testing.T, mk func(EngineOptions) Engine) (rec *TraceRecorder, own int) {
 	t.Helper()
-	rec := NewTraceRecorder(1 << 12)
+	rec = NewTraceRecorder(1 << 12)
 	plan, err := ParseFaultPlan("seed=7,abort:1/2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewTL2With(TL2Config{
-		EngineOptions: EngineOptions{
-			Trace:          rec,
-			Faults:         plan,
-			SerialFallback: true,
-		},
-		MaxRetries: 1, // injected-abort streaks escalate to serial mode
-	})
-	pinDescriptor(&eng.txPool)
-	pinDescriptor(&eng.snapPool)
+	eng := mk(EngineOptions{Trace: rec, Faults: plan, SerialFallback: true})
 	cells := make([]*Cell[int], 8)
 	for i := range cells {
 		cells[i] = NewCell(eng.VarSpace(), i)
@@ -76,9 +93,9 @@ func runTraceWorkload(t *testing.T) *TraceRecorder {
 	}
 	// Snapshot restarts, deterministically: the snapshot fn commits a
 	// write mid-attempt for its first few executions, so the re-read
-	// finds the clock moved and the snapshot loop restarts.
+	// finds the snapshot moved and the snapshot loop restarts.
 	writes := 0
-	err = eng.RunReadOnly(func(tx Tx) error {
+	err = RunReadOnly(eng, func(tx Tx) error {
 		cells[0].Get(tx)
 		if writes < 3 {
 			writes++
@@ -92,6 +109,7 @@ func runTraceWorkload(t *testing.T) *TraceRecorder {
 	if err != nil {
 		t.Fatalf("snapshot workload: %v", err)
 	}
+	own = rec.Len()
 	ostm := NewOSTMWith(OSTMConfig{EngineOptions: EngineOptions{Trace: rec}})
 	pinDescriptor(&ostm.txPool)
 	oc := []*Cell[int]{NewCell(ostm.VarSpace(), 0), NewCell(ostm.VarSpace(), 0)}
@@ -102,36 +120,48 @@ func runTraceWorkload(t *testing.T) *TraceRecorder {
 	if err != nil {
 		t.Fatalf("validating workload: %v", err)
 	}
-	return rec
+	return rec, own
 }
 
 // TestTraceDeterministicReplay is the acceptance pin for the recorder's
-// logical clock: the same single-threaded workload against a fresh
-// recorder reproduces its event stream bit for bit.
+// logical clock and for the probes of the retry, serial and snapshot
+// loops every engine shares: on each engine, the same single-threaded
+// workload against a fresh recorder reproduces its event stream bit for
+// bit and records every loop probe.
 func TestTraceDeterministicReplay(t *testing.T) {
-	a := runTraceWorkload(t).Events()
-	b := runTraceWorkload(t).Events()
-	if len(a) == 0 {
-		t.Fatal("workload recorded no events")
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("two identical runs diverged: %d vs %d events", len(a), len(b))
-	}
-	kinds := traceKindSet(a)
-	for _, want := range []TraceKind{TraceBegin, TraceCommit, TraceAbort, TraceValidate, TraceLock, TraceSerial, TraceSnapRestart} {
-		if kinds[want] == 0 {
-			t.Errorf("no %v events recorded (kinds: %v)", want, kinds)
-		}
-	}
-	// The injected aborts must carry their cause.
-	injected := 0
-	for _, ev := range a {
-		if ev.Kind == TraceAbort && ev.A == TraceAbortInjected {
-			injected++
-		}
-	}
-	if injected == 0 {
-		t.Error("no aborts attributed to fault injection")
+	for name, mk := range traceEngines {
+		t.Run(name, func(t *testing.T) {
+			recA, own := runTraceWorkload(t, mk)
+			recB, _ := runTraceWorkload(t, mk)
+			a, b := recA.Events(), recB.Events()
+			if own == 0 {
+				t.Fatal("workload recorded no events")
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("two identical runs diverged: %d vs %d events", len(a), len(b))
+			}
+			kinds, ownKinds := traceKindSet(a), traceKindSet(a[:own])
+			for _, want := range []TraceKind{TraceBegin, TraceCommit, TraceAbort, TraceSerial, TraceSnapRestart} {
+				if ownKinds[want] == 0 {
+					t.Errorf("no %v events recorded by %s (kinds: %v)", want, name, ownKinds)
+				}
+			}
+			for _, want := range []TraceKind{TraceValidate, TraceLock} {
+				if kinds[want] == 0 {
+					t.Errorf("no %v events recorded (kinds: %v)", want, kinds)
+				}
+			}
+			// The injected aborts must carry their cause.
+			injected := 0
+			for _, ev := range a[:own] {
+				if ev.Kind == TraceAbort && ev.A == TraceAbortInjected {
+					injected++
+				}
+			}
+			if injected == 0 {
+				t.Error("no aborts attributed to fault injection")
+			}
+		})
 	}
 }
 
@@ -199,7 +229,7 @@ func TestTraceVersionChainEvents(t *testing.T) {
 // TestTraceChromeRoundTrip validates the Chrome Trace Event export: every
 // recorded event survives WriteChromeTrace -> ParseChromeTrace unchanged.
 func TestTraceChromeRoundTrip(t *testing.T) {
-	rec := runTraceWorkload(t)
+	rec, _ := runTraceWorkload(t, traceEngines["tl2"])
 	var buf bytes.Buffer
 	if err := rec.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
