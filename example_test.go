@@ -101,3 +101,113 @@ func ExampleParseWorkload() {
 	// rw -> read-write
 	// w -> write-dominated
 }
+
+// ExampleLookupScenario runs a built-in scenario: the open-loop arrival
+// spike on TL2, with every phase duration scaled down to a twentieth. The
+// phase table of WriteScenarioReport shows how far p99 response time
+// (queueing included) degrades during the spike; here only each phase's
+// name and offered load are printed, because timings vary from run to run.
+func ExampleLookupScenario() {
+	spike, err := stmbench7.LookupScenario("spike")
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	rep, err := stmbench7.RunScenario(spike, stmbench7.ScenarioRunOptions{
+		Params:    stmbench7.TinyParams(),
+		Strategy:  "tl2",
+		Threads:   2,
+		TimeScale: 0.05,
+	})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	for _, pr := range rep.Phases {
+		fmt.Printf("%s: open loop at %.0f ops/s\n", pr.Phase.Name, pr.Phase.ArrivalRate)
+	}
+	// Output:
+	// base: open loop at 1500 ops/s
+	// spike: open loop at 6000 ops/s
+	// recover: open loop at 1500 ops/s
+}
+
+// ExampleRunScenario declares a scenario in Go: a calm read phase, a write
+// storm whose zipfian draws hammer a hotspot of composite parts, and an
+// open-loop probe that measures response time under a fixed offered load.
+// Each phase is a name and the harness Options of that phase's run;
+// MaxOps phases run an exact operation count, so the counts below repeat.
+func ExampleRunScenario() {
+	custom := &stmbench7.Scenario{
+		Name:        "calm-storm-probe",
+		Description: "read calm, skewed write storm, open-loop response probe",
+		Phases: []stmbench7.ScenarioPhase{
+			{Name: "calm", Options: stmbench7.Options{
+				MaxOps: 100, Workload: stmbench7.ReadDominated, StructureMods: true,
+			}},
+			{Name: "storm", Options: stmbench7.Options{
+				MaxOps: 100, Workload: stmbench7.WriteDominated, StructureMods: true,
+				CategoryWeights: map[stmbench7.OperationCategory]float64{
+					stmbench7.ShortOperation:        3,
+					stmbench7.StructureModification: 1,
+				},
+				SkewTheta: 0.95,
+			}},
+			{Name: "probe", Options: stmbench7.Options{
+				MaxOps: 100, Workload: stmbench7.ReadWrite, StructureMods: true,
+				OpenLoop: true, ArrivalRate: 20000,
+			}},
+		},
+	}
+	rep, err := stmbench7.RunScenario(custom, stmbench7.ScenarioRunOptions{
+		Params:          stmbench7.TinyParams(),
+		Strategy:        "norec",
+		Threads:         2,
+		CheckInvariants: true,
+	})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	for _, pr := range rep.Phases {
+		fmt.Printf("%s: %d operations\n", pr.Phase.Name, pr.Result.TotalAttempted())
+	}
+	// Output:
+	// calm: 200 operations
+	// storm: 200 operations
+	// probe: 200 operations
+}
+
+// ExampleParseScenario loads the JSON format the CLI's -scenario FILE flag
+// takes: a "defaults" object layered under every phase, here a workload
+// flip with a hotspot that migrates between the two phases.
+func ExampleParseScenario() {
+	sc, err := stmbench7.ParseScenario([]byte(`{
+		"name": "from-json",
+		"description": "workload flip with a migrating hotspot",
+		"defaults": {"threads": 2, "skew": 0.9, "max_ops": 50},
+		"phases": [
+			{"name": "left", "workload": "rw"},
+			{"name": "right", "workload": "w", "skew_shift": 0.5}
+		]
+	}`))
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	rep, err := stmbench7.RunScenario(sc, stmbench7.ScenarioRunOptions{
+		Params:   stmbench7.TinyParams(),
+		Strategy: "ostm",
+	})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	for _, pr := range rep.Phases {
+		ph := pr.Phase
+		fmt.Printf("%s: %v, hotspot at %.1f, %d operations\n", ph.Name, ph.Workload, ph.SkewShift, pr.Result.TotalAttempted())
+	}
+	// Output:
+	// left: read-write, hotspot at 0.0, 100 operations
+	// right: write-dominated, hotspot at 0.5, 100 operations
+}

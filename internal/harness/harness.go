@@ -135,9 +135,13 @@ func (o Options) Profile() ops.Profile {
 	}
 }
 
-// validate rejects option combinations the drivers cannot honor. Engine
-// options are validated where the executor is built (sync7.New).
-func (o Options) validate() error {
+// Validate rejects option combinations the drivers cannot honor: the
+// mix (ops.Profile.Validate), the skew range and the open-loop settings.
+// Engine options are validated where the executor is built (sync7.New).
+func (o Options) Validate() error {
+	if err := o.Profile().Validate(); err != nil {
+		return err
+	}
 	if o.SkewTheta < 0 || o.SkewTheta >= 1 {
 		return fmt.Errorf("harness: SkewTheta %v outside [0, 1)", o.SkewTheta)
 	}
@@ -146,6 +150,9 @@ func (o Options) validate() error {
 	}
 	if o.OpenLoop && o.ArrivalRate <= 0 {
 		return fmt.Errorf("harness: OpenLoop needs ArrivalRate > 0, got %v", o.ArrivalRate)
+	}
+	if !o.OpenLoop && o.ArrivalRate != 0 {
+		return fmt.Errorf("harness: ArrivalRate %v on a closed-loop run; set OpenLoop", o.ArrivalRate)
 	}
 	if o.ShedAfter < 0 {
 		return fmt.Errorf("harness: negative ShedAfter %v", o.ShedAfter)
@@ -280,7 +287,7 @@ func (st *threadStats) recordOutcome(opName string, ttc time.Duration, collectHi
 // reported before the structure is built.
 func Setup(o Options) (sync7.Executor, *core.Structure, error) {
 	o = Defaults(o)
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, nil, err
 	}
 	ex, err := sync7.New(sync7.Config{
@@ -314,7 +321,7 @@ func Run(o Options) (*Result, error) {
 // counters as a delta over the run (per-phase stats reset for scenarios).
 func RunOn(o Options, ex sync7.Executor, s *core.Structure) (*Result, error) {
 	o = Defaults(o)
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
 	if o.SkewTheta != 0 {

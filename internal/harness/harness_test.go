@@ -343,3 +343,48 @@ func TestSetupRejectsConfigurationBeforeBuilding(t *testing.T) {
 		t.Errorf("control: valid options over unbuildable Params: err = %v, want core.Build's", err)
 	}
 }
+
+// TestRunRejectsWhatItCannotRun: Run validates the mix and the driver
+// before it runs anything. Weights whose mass lies on disabled categories
+// would leave the operation picker empty (a panic inside a worker), and a
+// negative weight or a closed-loop arrival rate would run a configuration
+// other than the one asked for; each must come back as an error.
+func TestRunRejectsWhatItCannotRun(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mut  func(*Options)
+		want string
+	}{
+		{"weight-on-a-disabled-category", func(o *Options) {
+			o.LongTraversals = false
+			o.CategoryWeights = map[ops.Category]float64{ops.LongTraversal: 1}
+		}, "positive share"},
+		{"weight-on-a-reduced-away-category", func(o *Options) {
+			o.Reduced = true
+			o.CategoryWeights = map[ops.Category]float64{ops.LongTraversal: 1}
+		}, "positive share"},
+		{"zero-weights", func(o *Options) {
+			o.CategoryWeights = map[ops.Category]float64{ops.ShortOperation: 0}
+		}, "positive share"},
+		{"negative-weight", func(o *Options) {
+			o.CategoryWeights = map[ops.Category]float64{ops.ShortTraversal: 2, ops.ShortOperation: -1}
+		}, "negative weight"},
+		{"unknown-category", func(o *Options) {
+			o.CategoryWeights = map[ops.Category]float64{ops.ShortOperation: 1, ops.Category(9): 1}
+		}, "unknown category"},
+		{"arrival-rate-on-a-closed-loop", func(o *Options) { o.ArrivalRate = 100 }, "closed-loop"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			o := baseOpts()
+			c.mut(&o)
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("Run panicked: %v", r)
+				}
+			}()
+			if _, err := Run(o); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("Run: err = %v, want one naming %q", err, c.want)
+			}
+		})
+	}
+}

@@ -197,6 +197,28 @@ func (p Profile) Ratios() map[string]float64 {
 	return out
 }
 
+// Validate rejects category weights the picker cannot draw from: a weight
+// for an unknown category, a negative weight, or weights that leave no
+// enabled operation a positive share (all the mass on categories the
+// profile's flags disable, or none at all). Nil weights keep Table 2 and
+// always pass.
+func (p Profile) Validate() error {
+	for cat, w := range p.CategoryWeights {
+		if cat < LongTraversal || cat > StructureModification {
+			return fmt.Errorf("ops: weight for unknown category %d", cat)
+		}
+		if w < 0 {
+			return fmt.Errorf("ops: negative weight %v for %v", w, cat)
+		}
+	}
+	for _, r := range p.Ratios() {
+		if r > 0 {
+			return nil
+		}
+	}
+	return fmt.Errorf("ops: the category weights give no enabled operation a positive share")
+}
+
 // Picker draws operations according to a profile's ratios.
 type Picker struct {
 	ops []*Op
@@ -206,7 +228,7 @@ type Picker struct {
 // NewPicker builds a picker for the profile. Operations with a zero ratio
 // (zero-weighted categories) are left out entirely, so they neither draw
 // nor appear in results. It panics if the profile enables no operations
-// with positive ratio.
+// with positive ratio, which Validate reports as an error.
 func NewPicker(p Profile) *Picker {
 	ratios := p.Ratios()
 	names := make([]string, 0, len(ratios))

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
+	"repro/internal/harness"
 	"repro/internal/ops"
 )
 
@@ -43,32 +45,34 @@ import (
 // Open-loop phases may additionally shed overload: shed_after (duration)
 // refuses arrivals waiting longer than the budget, queue_bound (int > 0)
 // caps the backlog.
+//
+// A phase inherits every key it leaves out (or sets to null or "") from
+// "defaults", except "name"; its own "weights" replace the defaults'.
 type fileScenario struct {
-	Name        string      `json:"name"`
-	Description string      `json:"description"`
-	Engine      string      `json:"engine,omitempty"`
-	Defaults    *filePhase  `json:"defaults,omitempty"`
-	Phases      []filePhase `json:"phases"`
+	Name        string            `json:"name"`
+	Description string            `json:"description"`
+	Engine      string            `json:"engine"`
+	Defaults    json.RawMessage   `json:"defaults"`
+	Phases      []json.RawMessage `json:"phases"`
 }
 
-// filePhase is one phase (or the defaults object) on the wire. Pointer
-// fields distinguish "absent" from zero so defaults can layer.
+// filePhase is one phase (or the defaults object) on the wire.
 type filePhase struct {
-	Name           string             `json:"name,omitempty"`
-	Duration       string             `json:"duration,omitempty"`
-	MaxOps         *int               `json:"max_ops,omitempty"`
-	Threads        *int               `json:"threads,omitempty"`
-	Workload       *string            `json:"workload,omitempty"`
-	LongTraversals *bool              `json:"long_traversals,omitempty"`
-	StructureMods  *bool              `json:"structure_mods,omitempty"`
-	Reduced        *bool              `json:"reduced,omitempty"`
-	Weights        map[string]float64 `json:"weights,omitempty"`
-	Skew           *float64           `json:"skew,omitempty"`
-	SkewShift      *float64           `json:"skew_shift,omitempty"`
-	OpenLoop       *bool              `json:"open_loop,omitempty"`
-	ArrivalRate    *float64           `json:"arrival_rate,omitempty"`
-	ShedAfter      *string            `json:"shed_after,omitempty"`
-	QueueBound     *int               `json:"queue_bound,omitempty"`
+	Name           string             `json:"name"`
+	Duration       string             `json:"duration"`
+	MaxOps         int                `json:"max_ops"`
+	Threads        int                `json:"threads"`
+	Workload       string             `json:"workload"`
+	LongTraversals bool               `json:"long_traversals"`
+	StructureMods  bool               `json:"structure_mods"`
+	Reduced        bool               `json:"reduced"`
+	Weights        map[string]float64 `json:"weights"`
+	Skew           float64            `json:"skew"`
+	SkewShift      float64            `json:"skew_shift"`
+	OpenLoop       bool               `json:"open_loop"`
+	ArrivalRate    float64            `json:"arrival_rate"`
+	ShedAfter      string             `json:"shed_after"`
+	QueueBound     int                `json:"queue_bound"`
 }
 
 // parseCategory resolves a weight key.
@@ -87,133 +91,111 @@ func parseCategory(s string) (ops.Category, error) {
 	}
 }
 
-// overlay applies the set fields of src on top of dst.
-func overlay(dst, src *filePhase) {
-	if src == nil {
-		return
+// decodePhase decodes one phase object over a copy of the decoded
+// defaults. A key set to null or "" counts as absent, so it inherits the
+// default. A phase's weights replace the defaults' (encoding/json would
+// merge them into the map it finds), and a phase choosing one side of an
+// either/or pair overrides the defaults' other side instead of tripping
+// the "set exactly one" validation: max_ops beats an inherited duration
+// and vice versa, and open_loop false drops the inherited
+// open-loop-only keys.
+func decodePhase(raw json.RawMessage, defaults filePhase) (filePhase, error) {
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &keys); err != nil {
+		return filePhase{}, err
 	}
-	if src.Duration != "" {
-		dst.Duration = src.Duration
+	set := map[string]bool{}
+	for k, v := range keys {
+		// encoding/json matches keys case-insensitively.
+		set[strings.ToLower(k)] = string(v) != "null" && string(v) != `""`
 	}
-	if src.MaxOps != nil {
-		dst.MaxOps = src.MaxOps
+	fp := defaults
+	fp.Name, fp.Weights = "", nil
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&fp); err != nil {
+		return filePhase{}, err
 	}
-	if src.Threads != nil {
-		dst.Threads = src.Threads
+	if !set["weights"] {
+		fp.Weights = defaults.Weights
 	}
-	if src.Workload != nil {
-		dst.Workload = src.Workload
+	if !set["duration"] {
+		fp.Duration = defaults.Duration
 	}
-	if src.LongTraversals != nil {
-		dst.LongTraversals = src.LongTraversals
+	if !set["workload"] {
+		fp.Workload = defaults.Workload
 	}
-	if src.StructureMods != nil {
-		dst.StructureMods = src.StructureMods
+	if !set["shed_after"] {
+		fp.ShedAfter = defaults.ShedAfter
 	}
-	if src.Reduced != nil {
-		dst.Reduced = src.Reduced
+	if set["max_ops"] && !set["duration"] {
+		fp.Duration = ""
 	}
-	if src.Weights != nil {
-		dst.Weights = src.Weights
+	if set["duration"] && !set["max_ops"] {
+		fp.MaxOps = 0
 	}
-	if src.Skew != nil {
-		dst.Skew = src.Skew
+	if set["open_loop"] && !fp.OpenLoop {
+		if !set["arrival_rate"] {
+			fp.ArrivalRate = 0
+		}
+		if !set["shed_after"] {
+			fp.ShedAfter = ""
+		}
+		if !set["queue_bound"] {
+			fp.QueueBound = 0
+		}
 	}
-	if src.SkewShift != nil {
-		dst.SkewShift = src.SkewShift
+	// An explicit zero is a contradiction, not "off": 0 means unbounded,
+	// which is what omitting the key already says.
+	if set["queue_bound"] && fp.QueueBound == 0 {
+		return filePhase{}, fmt.Errorf("queue_bound 0 means an unbounded queue; omit the key instead")
 	}
-	if src.OpenLoop != nil {
-		dst.OpenLoop = src.OpenLoop
-	}
-	if src.ArrivalRate != nil {
-		dst.ArrivalRate = src.ArrivalRate
-	}
-	if src.ShedAfter != nil {
-		dst.ShedAfter = src.ShedAfter
-	}
-	if src.QueueBound != nil {
-		dst.QueueBound = src.QueueBound
-	}
+	return fp, nil
 }
 
-// resolvePhase turns a layered wire phase into a Phase.
+// resolvePhase turns a decoded wire phase into a Phase.
 func resolvePhase(fp filePhase, index int) (Phase, error) {
-	ph := Phase{
-		Name:           fp.Name,
-		LongTraversals: true,
-		StructureMods:  true,
-	}
+	ph := Phase{Name: fp.Name, Options: harness.Options{
+		MaxOps:         fp.MaxOps,
+		Threads:        fp.Threads,
+		LongTraversals: fp.LongTraversals,
+		StructureMods:  fp.StructureMods,
+		Reduced:        fp.Reduced,
+		SkewTheta:      fp.Skew,
+		SkewShift:      fp.SkewShift,
+		OpenLoop:       fp.OpenLoop,
+		ArrivalRate:    fp.ArrivalRate,
+		QueueBound:     fp.QueueBound,
+	}}
 	if ph.Name == "" {
 		ph.Name = fmt.Sprintf("phase%d", index+1)
 	}
 	fail := func(err error) (Phase, error) {
 		return Phase{}, fmt.Errorf("phase %q: %w", ph.Name, err)
 	}
+	var err error
+	if ph.Workload, err = ops.ParseWorkload(fp.Workload); err != nil {
+		return fail(err)
+	}
 	if fp.Duration != "" {
-		d, err := time.ParseDuration(fp.Duration)
-		if err != nil {
+		if ph.Duration, err = time.ParseDuration(fp.Duration); err != nil {
 			return fail(err)
 		}
-		ph.Duration = d
 	}
-	if fp.MaxOps != nil {
-		ph.MaxOps = *fp.MaxOps
-	}
-	if fp.Threads != nil {
-		ph.Threads = *fp.Threads
-	}
-	if fp.Workload != nil {
-		w, err := ops.ParseWorkload(*fp.Workload)
-		if err != nil {
-			return fail(err)
+	if fp.ShedAfter != "" {
+		if ph.ShedAfter, err = time.ParseDuration(fp.ShedAfter); err != nil {
+			return fail(fmt.Errorf("bad shed_after: %w", err))
 		}
-		ph.Workload = w
-	}
-	if fp.LongTraversals != nil {
-		ph.LongTraversals = *fp.LongTraversals
-	}
-	if fp.StructureMods != nil {
-		ph.StructureMods = *fp.StructureMods
-	}
-	if fp.Reduced != nil {
-		ph.Reduced = *fp.Reduced
 	}
 	if fp.Weights != nil {
-		ph.Weights = map[ops.Category]float64{}
+		ph.CategoryWeights = make(map[ops.Category]float64, len(fp.Weights))
 		for key, w := range fp.Weights {
 			cat, err := parseCategory(key)
 			if err != nil {
 				return fail(err)
 			}
-			ph.Weights[cat] = w
+			ph.CategoryWeights[cat] = w
 		}
-	}
-	if fp.Skew != nil {
-		ph.SkewTheta = *fp.Skew
-	}
-	if fp.SkewShift != nil {
-		ph.SkewShift = *fp.SkewShift
-	}
-	if fp.OpenLoop != nil {
-		ph.OpenLoop = *fp.OpenLoop
-	}
-	if fp.ArrivalRate != nil {
-		ph.ArrivalRate = *fp.ArrivalRate
-	}
-	if fp.ShedAfter != nil {
-		d, err := time.ParseDuration(*fp.ShedAfter)
-		if err != nil {
-			return fail(fmt.Errorf("bad shed_after: %w", err))
-		}
-		ph.ShedAfter = d
-	}
-	if fp.QueueBound != nil {
-		// An explicit zero is a contradiction, not "off": 0 means
-		// unbounded, which is what omitting the key already says.
-		if *fp.QueueBound == 0 {
-			return fail(fmt.Errorf("queue_bound 0 means an unbounded queue; omit the key instead"))
-		}
-		ph.QueueBound = *fp.QueueBound
 	}
 	return ph, nil
 }
@@ -232,36 +214,19 @@ func Parse(data []byte) (*Scenario, error) {
 		Description: fs.Description,
 		Engine:      fs.Engine,
 	}
-	for i, fp := range fs.Phases {
-		merged := filePhase{}
-		overlay(&merged, fs.Defaults)
-		overlay(&merged, &fp)
-		merged.Name = fp.Name
-		// A phase choosing one side of an either/or pair overrides the
-		// defaults' other side, instead of tripping the "set exactly
-		// one" validation: max_ops beats an inherited duration (and
-		// vice versa), and switching open_loop off drops an inherited
-		// arrival_rate.
-		if fp.MaxOps != nil && fp.Duration == "" {
-			merged.Duration = ""
+	defaults := filePhase{Workload: "r", LongTraversals: true, StructureMods: true}
+	if fs.Defaults != nil {
+		var err error
+		if defaults, err = decodePhase(fs.Defaults, defaults); err != nil {
+			return nil, fmt.Errorf("scenario %q: defaults: %w", sc.Name, err)
 		}
-		if fp.Duration != "" && fp.MaxOps == nil {
-			merged.MaxOps = nil
+	}
+	for i, raw := range fs.Phases {
+		fp, err := decodePhase(raw, defaults)
+		if err != nil {
+			return nil, fmt.Errorf("scenario %q: phase %d: %w", sc.Name, i+1, err)
 		}
-		if fp.OpenLoop != nil && !*fp.OpenLoop {
-			// Switching open_loop off drops the inherited open-loop-only
-			// knobs a defaults object may have set.
-			if fp.ArrivalRate == nil {
-				merged.ArrivalRate = nil
-			}
-			if fp.ShedAfter == nil {
-				merged.ShedAfter = nil
-			}
-			if fp.QueueBound == nil {
-				merged.QueueBound = nil
-			}
-		}
-		ph, err := resolvePhase(merged, i)
+		ph, err := resolvePhase(fp, i)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
 		}

@@ -3,6 +3,7 @@ package scenario
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -43,8 +44,8 @@ func TestParseFullScenario(t *testing.T) {
 		!storm.OpenLoop || storm.ArrivalRate != 5000 {
 		t.Errorf("storm overrides not applied: %+v", storm)
 	}
-	if storm.Weights[ops.ShortOperation] != 1 || storm.Weights[ops.StructureModification] != 1 {
-		t.Errorf("storm weights = %v", storm.Weights)
+	if storm.CategoryWeights[ops.ShortOperation] != 1 || storm.CategoryWeights[ops.StructureModification] != 1 {
+		t.Errorf("storm weights = %v", storm.CategoryWeights)
 	}
 
 	last := sc.Phases[2]
@@ -275,4 +276,176 @@ func FuzzParseScenario(f *testing.F) {
 			t.Fatalf("Parse accepted %q but its engine keys do not apply over a run's spec: %v", data, err)
 		}
 	})
+}
+
+// wireKeys names the JSON key that sets each phase field; phaseSettings
+// reports a field under its key, so the table in TestParseFormat is
+// written in the file format's own vocabulary.
+var wireKeys = map[string]string{
+	"Name": "name", "Duration": "duration", "MaxOps": "max_ops", "Threads": "threads",
+	"Workload": "workload", "LongTraversals": "long_traversals", "StructureMods": "structure_mods",
+	"Reduced": "reduced", "SkewTheta": "skew", "SkewShift": "skew_shift", "OpenLoop": "open_loop",
+	"ArrivalRate": "arrival_rate", "ShedAfter": "shed_after", "QueueBound": "queue_bound",
+}
+
+// phaseSettings flattens a phase into its non-zero fields, walking
+// embedded structs. The category weight map is reported as "weights"; a
+// non-zero field no JSON key sets keeps its Go name, so a parse that
+// leaks a run-level setting into a phase fails the comparison.
+func phaseSettings(ph Phase) map[string]any {
+	out := map[string]any{}
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		for i := range v.NumField() {
+			f, fv := v.Type().Field(i), v.Field(i)
+			switch {
+			case f.Anonymous:
+				walk(fv)
+			case fv.IsZero():
+			case fv.Type() == reflect.TypeOf(map[ops.Category]float64(nil)):
+				out["weights"] = fv.Interface()
+			case wireKeys[f.Name] != "":
+				out[wireKeys[f.Name]] = fv.Interface()
+			default:
+				out[f.Name] = fv.Interface()
+			}
+		}
+	}
+	walk(reflect.ValueOf(ph))
+	return out
+}
+
+// TestParseFormat pins the JSON format field by field: what each document
+// resolves to, phase by phase, with defaults layered in. Every field a
+// phase leaves at its zero value is omitted from the table.
+func TestParseFormat(t *testing.T) {
+	const ms = time.Millisecond
+	full := func(kv ...any) map[string]any { // a phase with both default-on gates
+		m := map[string]any{"long_traversals": true, "structure_mods": true}
+		for i := 0; i < len(kv); i += 2 {
+			m[kv[i].(string)] = kv[i+1]
+		}
+		return m
+	}
+	for _, c := range []struct {
+		name, doc, engine string
+		want              []map[string]any
+	}{
+		{
+			name: "fuzz seed: one timed phase",
+			doc:  `{"name": "x", "phases": [{"name": "p", "duration": "10ms"}]}`,
+			want: []map[string]any{full("name", "p", "duration", 10*ms)},
+		},
+		{
+			name: "fuzz seed: engine overlay",
+			doc: `{"name": "x", "engine": "versions=4,serial=off,nosnap",
+			  "phases": [{"name": "p", "max_ops": 5}]}`,
+			engine: "versions=4,serial=off,nosnap",
+			want:   []map[string]any{full("name", "p", "max_ops", 5)},
+		},
+		{
+			name:   "fuzz seed: robustness engine keys",
+			doc:    `{"name": "x", "engine": "deadline=25ms,serial,faults=seed=7,abort:1/24", "phases": [{"name": "p", "max_ops": 5}]}`,
+			engine: "deadline=25ms,serial,faults=seed=7,abort:1/24",
+			want:   []map[string]any{full("name", "p", "max_ops", 5)},
+		},
+		{
+			name: "fuzz seed: open-loop defaults",
+			doc: `{"name": "x", "defaults": {"threads": 4, "workload": "rw", "duration": "1s", "open_loop": true, "arrival_rate": 100,
+			  "shed_after": "2ms", "queue_bound": 8},
+			  "phases": [{"name": "a"}, {"name": "b", "open_loop": false, "max_ops": 3},
+			             {"name": "c", "weights": {"op": 1, "sm": 0}, "skew": 0.9, "skew_shift": 0.5, "structure_mods": false}]}`,
+			want: []map[string]any{
+				full("name", "a", "duration", time.Second, "threads", 4, "workload", ops.ReadWrite,
+					"open_loop", true, "arrival_rate", 100.0, "shed_after", 2*ms, "queue_bound", 8),
+				full("name", "b", "max_ops", 3, "threads", 4, "workload", ops.ReadWrite),
+				{"name": "c", "duration": time.Second, "threads": 4, "workload": ops.ReadWrite, "long_traversals": true,
+					"weights": map[ops.Category]float64{ops.ShortOperation: 1, ops.StructureModification: 0},
+					"skew":    0.9, "skew_shift": 0.5,
+					"open_loop": true, "arrival_rate": 100.0, "shed_after": 2 * ms, "queue_bound": 8},
+			},
+		},
+		{
+			name: "example: workload flip with a migrating hotspot",
+			doc: `{
+				"name": "from-json",
+				"description": "declared in JSON, workload flip with a migrating hotspot",
+				"defaults": {"threads": 2, "skew": 0.9},
+				"phases": [
+					{"name": "left", "duration": "300ms", "workload": "rw"},
+					{"name": "right", "duration": "300ms", "workload": "w", "skew_shift": 0.5}
+				]
+			}`,
+			want: []map[string]any{
+				full("name", "left", "duration", 300*ms, "threads", 2, "workload", ops.ReadWrite, "skew", 0.9),
+				full("name", "right", "duration", 300*ms, "threads", 2, "workload", ops.WriteDominated, "skew", 0.9, "skew_shift", 0.5),
+			},
+		},
+		{
+			name: "a phase's weights replace the defaults', never merge",
+			doc: `{"name": "x", "defaults": {"duration": "10ms", "weights": {"st": 1, "op": 1}},
+			  "phases": [{"name": "own", "weights": {"sm": 2}}, {"name": "inherited"}]}`,
+			want: []map[string]any{
+				full("name", "own", "duration", 10*ms, "weights", map[ops.Category]float64{ops.StructureModification: 2}),
+				full("name", "inherited", "duration", 10*ms,
+					"weights", map[ops.Category]float64{ops.ShortTraversal: 1, ops.ShortOperation: 1}),
+			},
+		},
+		{
+			name: "a defaults queue_bound reaches every phase",
+			doc: `{"name": "x", "defaults": {"duration": "10ms", "open_loop": true, "arrival_rate": 500, "queue_bound": 16},
+			  "phases": [{"name": "a"}, {"name": "b", "arrival_rate": 1000}]}`,
+			want: []map[string]any{
+				full("name", "a", "duration", 10*ms, "open_loop", true, "arrival_rate", 500.0, "queue_bound", 16),
+				full("name", "b", "duration", 10*ms, "open_loop", true, "arrival_rate", 1000.0, "queue_bound", 16),
+			},
+		},
+		{
+			name: "a defaults name is ignored; a phase duration beats an inherited max_ops",
+			doc: `{"name": "x", "defaults": {"name": "ignored", "max_ops": 5},
+			  "phases": [{"name": "named"}, {}, {"name": "timed", "duration": "10ms"}]}`,
+			want: []map[string]any{
+				full("name", "named", "max_ops", 5),
+				full("name", "phase2", "max_ops", 5),
+				full("name", "timed", "duration", 10*ms),
+			},
+		},
+		{
+			name: "a null or empty value inherits the default",
+			doc: `{"name": "x", "defaults": {"duration": "10ms", "weights": {"op": 1}},
+			  "phases": [{"name": "p", "duration": "", "weights": null}]}`,
+			want: []map[string]any{
+				full("name", "p", "duration", 10*ms, "weights", map[ops.Category]float64{ops.ShortOperation: 1}),
+			},
+		},
+		{
+			name: "open_loop false drops the open-loop defaults",
+			doc: `{"name": "x", "defaults": {"duration": "10ms", "open_loop": true, "arrival_rate": 1000,
+			  "shed_after": "1ms", "queue_bound": 4},
+			  "phases": [{"name": "closed", "open_loop": false}, {"name": "open"}]}`,
+			want: []map[string]any{
+				full("name", "closed", "duration", 10*ms),
+				full("name", "open", "duration", 10*ms, "open_loop", true, "arrival_rate", 1000.0,
+					"shed_after", ms, "queue_bound", 4),
+			},
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sc, err := Parse([]byte(c.doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sc.Engine != c.engine {
+				t.Errorf("engine = %q, want %q", sc.Engine, c.engine)
+			}
+			if len(sc.Phases) != len(c.want) {
+				t.Fatalf("%d phases, want %d", len(sc.Phases), len(c.want))
+			}
+			for i, ph := range sc.Phases {
+				if got := phaseSettings(ph); !reflect.DeepEqual(got, c.want[i]) {
+					t.Errorf("phase %d:\n got %v\nwant %v", i+1, got, c.want[i])
+				}
+			}
+		})
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/harness"
 	"repro/internal/ops"
 )
 
@@ -100,7 +101,7 @@ func TestParseShedKnobs(t *testing.T) {
 
 func TestValidateRejectsBadRobustness(t *testing.T) {
 	base := func() *Scenario {
-		return &Scenario{Name: "r", Phases: []Phase{{Name: "p", MaxOps: 1}}}
+		return &Scenario{Name: "r", Phases: []Phase{{Name: "p", Options: harness.Options{MaxOps: 1}}}}
 	}
 	for _, engine := range []string{"deadline=not-a-duration", "serial=yes", "faults=precommit:everytime"} {
 		sc := base()
@@ -126,7 +127,7 @@ func TestValidateRejectsBadRobustness(t *testing.T) {
 // discriminators), and a scenario that pins its own values overrides the
 // run's.
 func TestRunOptionsCarryRobustnessKnobs(t *testing.T) {
-	phases := []Phase{{Name: "p", MaxOps: 100, Workload: ops.ReadWrite, StructureMods: true}}
+	phases := []Phase{{Name: "p", Options: harness.Options{MaxOps: 100, Workload: ops.ReadWrite, StructureMods: true}}}
 
 	rep, err := Run(&Scenario{Name: "rob", Phases: phases},
 		RunOptions{Strategy: "tl2", Threads: 2, Engine: mustOpts(t, "deadline=5s,serial,faults=seed=3,abort:1/6")})

@@ -51,8 +51,8 @@ type RunOptions struct {
 	OnEngine func(stm.Engine)
 }
 
-// PhaseResult pairs a resolved phase (defaults applied, durations scaled)
-// with its measurement.
+// PhaseResult pairs a resolved phase (run-level fields and defaults
+// applied, durations scaled) with its measurement.
 type PhaseResult struct {
 	Phase  Phase
 	Result *harness.Result
@@ -72,20 +72,6 @@ type Report struct {
 // still runs every phase (harness.Defaults would turn 0 into a full
 // second).
 const minPhaseDuration = time.Millisecond
-
-// resolve applies the run defaults and the time scale to a phase.
-func resolve(ph Phase, o RunOptions) Phase {
-	if ph.Threads <= 0 {
-		ph.Threads = o.Threads
-	}
-	if ph.Duration > 0 {
-		ph.Duration = time.Duration(float64(ph.Duration) * o.TimeScale)
-		if ph.Duration < minPhaseDuration {
-			ph.Duration = minPhaseDuration
-		}
-	}
-	return ph
-}
 
 // phaseSeed derives a distinct deterministic seed per phase index.
 func phaseSeed(seed uint64, i int) uint64 {
@@ -140,33 +126,20 @@ func Run(sc *Scenario, o RunOptions) (*Report, error) {
 
 	rep := &Report{Scenario: sc, Strategy: o.Strategy, Params: o.Params, Seed: o.Seed}
 	start := time.Now()
-	for i, raw := range sc.Phases {
-		ph := resolve(raw, o)
-		res, err := harness.RunOn(harness.Options{
-			Params:          o.Params,
-			Seed:            phaseSeed(o.Seed, i),
-			Threads:         ph.Threads,
-			Duration:        ph.Duration,
-			MaxOps:          ph.MaxOps,
-			Workload:        ph.Workload,
-			LongTraversals:  ph.LongTraversals,
-			StructureMods:   ph.StructureMods,
-			Reduced:         ph.Reduced,
-			CategoryWeights: ph.Weights,
-			SkewTheta:       ph.SkewTheta,
-			SkewShift:       ph.SkewShift,
-			OpenLoop:        ph.OpenLoop,
-			ArrivalRate:     ph.ArrivalRate,
-			ShedAfter:       ph.ShedAfter,
-			QueueBound:      ph.QueueBound,
-			// What the executor was built with at Setup: the phase's
-			// Result names the configuration that actually ran.
-			Strategy:          o.Strategy,
-			Engine:            engine,
-			SampleInterval:    o.SampleInterval,
-			CollectHistograms: o.CollectHistograms,
-			CheckInvariants:   o.CheckInvariants && i == len(sc.Phases)-1,
-		}, ex, s)
+	for i, ph := range sc.Phases {
+		if ph.Threads <= 0 {
+			ph.Threads = o.Threads
+		}
+		if ph.Duration > 0 {
+			ph.Duration = max(time.Duration(float64(ph.Duration)*o.TimeScale), minPhaseDuration)
+		}
+		ph.Params, ph.Seed = o.Params, phaseSeed(o.Seed, i)
+		// What the executor was built with at Setup: the phase's Result
+		// names the configuration that actually ran.
+		ph.Strategy, ph.Engine = o.Strategy, engine
+		ph.SampleInterval, ph.CollectHistograms = o.SampleInterval, o.CollectHistograms
+		ph.CheckInvariants = o.CheckInvariants && i == len(sc.Phases)-1
+		res, err := harness.RunOn(ph.Options, ex, s)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %q phase %q: %w", sc.Name, ph.Name, err)
 		}

@@ -3,18 +3,19 @@
 //
 // The paper ships three static operation mixes (Table 2) driven by a
 // closed loop. A Scenario generalizes that: it is a named sequence of
-// Phases, each of which may override the duration, the worker count, the
-// workload split, the category mix weights, a zipfian contention-skew
-// knob (a hotspot over composite parts, migratable between phases), and
-// the driver itself — the paper's closed loop or an open-loop Poisson
-// arrival process that measures response time with queueing delay
-// included. All phases run back to back on ONE shared structure and
-// engine, so later phases see the state earlier phases left behind;
-// engine counters are reported per phase (harness.RunOn deltas them).
+// Phases, each one harness run with its own harness.Options — the
+// duration, the worker count, the workload split, the category mix
+// weights, a zipfian contention-skew knob (a hotspot over composite parts,
+// migratable between phases), and the driver itself: the paper's closed
+// loop or an open-loop Poisson arrival process that measures response time
+// with queueing delay included. All phases run back to back on ONE shared
+// structure and engine, so later phases see the state earlier phases left
+// behind; engine counters are reported per phase (harness.RunOn deltas
+// them).
 //
 // Scenarios come from three places: the built-in library (Builtin,
-// Names — steady, ramp-up, spike, read-burst-write-storm,
-// hotspot-migration, engine-sweep, smoke), a small JSON file format
+// Names — chaos-storm, engine-sweep, hotspot-migration,
+// read-burst-write-storm, smoke, spike), a small JSON file format
 // (Parse, ParseFile; see the README's Scenarios chapter), or literal
 // construction in Go. Run executes one and WriteReport formats the
 // per-phase table plus a cross-phase comparison.
@@ -22,74 +23,22 @@ package scenario
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/ops"
+	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/stm"
 )
 
-// Phase is one segment of a scenario. The zero value of most fields means
-// "off"; Threads == 0 inherits the run's default worker count.
+// Phase is one segment of a scenario: a named harness run. Its Options
+// hold only the per-phase settings (length, worker count, mix, skew and
+// driver). The run-level fields (Params, Seed, Strategy, Engine,
+// SampleInterval, CollectHistograms, CheckInvariants) come from the
+// RunOptions and must stay zero. Threads == 0 inherits RunOptions.Threads,
+// and exactly one of Duration and MaxOps must be positive: MaxOps runs an
+// exact operation count, which makes phase scheduling deterministic.
 type Phase struct {
-	// Name labels the phase in reports ("warmup", "spike", ...).
 	Name string
-	// Duration is the phase's wall-clock length. Exactly one of
-	// Duration and MaxOps must be positive.
-	Duration time.Duration
-	// MaxOps runs the phase for an exact operation count instead of a
-	// duration — MaxOps operations per worker (closed loop) or
-	// MaxOps*Threads scheduled arrivals in total (open loop). Phase
-	// scheduling is deterministic in this mode; tests use it.
-	MaxOps int
-	// Threads is the phase's worker count; 0 inherits RunOptions.Threads.
-	Threads int
-	// Workload sets the Table 2 read/update split for the phase.
-	Workload ops.Workload
-	// LongTraversals / StructureMods / Reduced gate operation
-	// categories exactly like the harness options of the same names.
-	LongTraversals bool
-	StructureMods  bool
-	Reduced        bool
-	// Weights overrides the Table 2 category shares with relative
-	// weights (renormalized; missing or zero-weight categories draw
-	// nothing). Nil keeps Table 2.
-	Weights map[ops.Category]float64
-	// SkewTheta, when nonzero, concentrates random-id draws on a
-	// zipfian hotspot over composite parts (YCSB-style exponent in
-	// (0, 1); larger is hotter). SkewShift rotates the hotspot start to
-	// that fraction of the id domain, so consecutive phases can migrate
-	// it.
-	SkewTheta float64
-	SkewShift float64
-	// OpenLoop selects the Poisson open-loop driver at ArrivalRate
-	// ops/s (total); response time is then measured from the scheduled
-	// arrival, queueing included.
-	OpenLoop    bool
-	ArrivalRate float64
-	// ShedAfter is the open-loop overload-shedding lateness budget: an
-	// arrival still unserved ShedAfter past its due time is refused
-	// (counted, never executed) instead of stretching the queue. Zero =
-	// never shed on lateness. Open-loop phases only.
-	ShedAfter time.Duration
-	// QueueBound caps the open-loop arrival backlog: when more than
-	// QueueBound later arrivals are already due, the head arrival is
-	// shed. Zero = unbounded. Open-loop phases only.
-	QueueBound int
-}
-
-// categoryEnabled mirrors ops.Profile.Enabled at the category level: a
-// weighted category that the phase's flags disable draws nothing, so a
-// weight map whose mass lies entirely on disabled categories would leave
-// the picker empty.
-func (ph Phase) categoryEnabled(cat ops.Category) bool {
-	switch cat {
-	case ops.LongTraversal:
-		return ph.LongTraversals && !ph.Reduced
-	case ops.StructureModification:
-		return ph.StructureMods
-	default:
-		return true
-	}
+	harness.Options
 }
 
 // Scenario is a named, ordered sequence of phases over one structure.
@@ -111,10 +60,11 @@ type Scenario struct {
 	Phases []Phase
 }
 
-// Validate checks the scenario for the error classes the parser and the
-// runner rely on being absent: a malformed engine overlay, phases without
-// a length, conflicting length specifications, bad mix weights,
-// out-of-range skew, and open-loop phases without an arrival rate.
+// Validate checks what is specific to a scenario: a name, at least one
+// phase, a well-formed engine overlay, and per phase a name, exactly one
+// of a positive duration and max_ops, no negative thread count and no
+// run-level field. Everything else is the phase's harness options, which
+// harness.Options.Validate checks.
 func (sc *Scenario) Validate() error {
 	if sc.Name == "" {
 		return fmt.Errorf("scenario: empty name")
@@ -126,12 +76,11 @@ func (sc *Scenario) Validate() error {
 		return fmt.Errorf("scenario %q: bad engine: %w", sc.Name, err)
 	}
 	for i, ph := range sc.Phases {
-		label := ph.Name
-		if label == "" {
+		if ph.Name == "" {
 			return fmt.Errorf("scenario %q: phase %d has no name", sc.Name, i+1)
 		}
 		bad := func(format string, args ...any) error {
-			return fmt.Errorf("scenario %q phase %q: %s", sc.Name, label, fmt.Sprintf(format, args...))
+			return fmt.Errorf("scenario %q phase %q: %s", sc.Name, ph.Name, fmt.Sprintf(format, args...))
 		}
 		switch {
 		case ph.Duration < 0:
@@ -144,41 +93,14 @@ func (sc *Scenario) Validate() error {
 			return bad("set exactly one of duration and max_ops")
 		case ph.Threads < 0:
 			return bad("negative threads %d", ph.Threads)
-		case ph.SkewTheta < 0 || ph.SkewTheta >= 1:
-			return bad("skew %v outside [0, 1)", ph.SkewTheta)
-		case ph.SkewShift < 0 || ph.SkewShift >= 1:
-			return bad("skew_shift %v outside [0, 1)", ph.SkewShift)
-		case ph.OpenLoop && ph.ArrivalRate <= 0:
-			return bad("open-loop phase needs arrival_rate > 0")
-		case !ph.OpenLoop && ph.ArrivalRate != 0:
-			return bad("arrival_rate set on a closed-loop phase (did you mean open_loop: true?)")
-		case ph.ShedAfter < 0:
-			return bad("negative shed_after %v", ph.ShedAfter)
-		case ph.QueueBound < 0:
-			return bad("negative queue_bound %d", ph.QueueBound)
-		case !ph.OpenLoop && (ph.ShedAfter > 0 || ph.QueueBound > 0):
-			return bad("shed_after/queue_bound shed from the open-loop queue; this phase is closed-loop")
+		case ph.Params != (core.Params{}) || ph.Seed != 0 || ph.Strategy != "" ||
+			ph.Engine != (stm.EngineOptions{}) || ph.SampleInterval != 0 ||
+			ph.CollectHistograms || ph.CheckInvariants:
+			return bad("sets a run-level option (Params, Seed, Strategy, Engine, SampleInterval, " +
+				"CollectHistograms or CheckInvariants); those come from RunOptions and the scenario's engine")
 		}
-		if ph.Weights != nil {
-			sum, enabledSum := 0.0, 0.0
-			for cat, w := range ph.Weights {
-				if cat < ops.LongTraversal || cat > ops.StructureModification {
-					return bad("weight for unknown category %d", cat)
-				}
-				if w < 0 {
-					return bad("negative weight %v for %v", w, cat)
-				}
-				sum += w
-				if ph.categoryEnabled(cat) {
-					enabledSum += w
-				}
-			}
-			if sum <= 0 {
-				return bad("mix weights sum to zero")
-			}
-			if enabledSum <= 0 {
-				return bad("mix weights give no enabled category a positive share (all weighted categories are disabled by the phase's flags)")
-			}
+		if err := ph.Options.Validate(); err != nil {
+			return bad("%v", err)
 		}
 	}
 	return nil

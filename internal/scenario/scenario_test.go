@@ -1,10 +1,12 @@
 package scenario
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/ops"
 	"repro/internal/sync7"
@@ -27,21 +29,25 @@ func mustOpts(t *testing.T, list string) stm.EngineOptions {
 	return o
 }
 
+// TestBuiltinLibrary validates every built-in scenario and checks the
+// library holds each one exactly once, under the names CI, the README
+// and the examples use.
 func TestBuiltinLibrary(t *testing.T) {
-	for _, want := range []string{
-		"steady", "ramp-up", "spike", "read-burst-write-storm",
-		"hotspot-migration", "engine-sweep", "smoke",
-	} {
-		sc, ok := Builtin(want)
-		if !ok {
-			t.Fatalf("builtin %q missing", want)
+	want := []string{
+		"chaos-storm", "engine-sweep", "hotspot-migration",
+		"read-burst-write-storm", "smoke", "spike",
+	}
+	if got := Names(); !slices.Equal(got, want) {
+		t.Errorf("Names() = %v, want %v", got, want)
+	}
+	for _, name := range Names() {
+		sc, ok := Builtin(name)
+		if !ok || sc.Name != name {
+			t.Fatalf("builtin %q: lookup returned %v, %v", name, sc, ok)
 		}
 		if err := sc.Validate(); err != nil {
-			t.Errorf("builtin %q invalid: %v", want, err)
+			t.Errorf("builtin %q invalid: %v", name, err)
 		}
-	}
-	if len(Names()) < 6 {
-		t.Errorf("builtin library has %d scenarios, want >= 6", len(Names()))
 	}
 }
 
@@ -104,8 +110,8 @@ func TestDeterministicMaxOpsScheduling(t *testing.T) {
 	sc := &Scenario{
 		Name: "det",
 		Phases: []Phase{
-			{Name: "closed", MaxOps: 150, Threads: 1, Workload: ops.ReadWrite, StructureMods: true, SkewTheta: 0.9},
-			{Name: "open", MaxOps: 150, Threads: 2, Workload: ops.WriteDominated, StructureMods: true, OpenLoop: true, ArrivalRate: 100000},
+			{Name: "closed", Options: harness.Options{MaxOps: 150, Threads: 1, Workload: ops.ReadWrite, StructureMods: true, SkewTheta: 0.9}},
+			{Name: "open", Options: harness.Options{MaxOps: 150, Threads: 2, Workload: ops.WriteDominated, StructureMods: true, OpenLoop: true, ArrivalRate: 100000}},
 		},
 	}
 	run := func() *Report {
@@ -138,8 +144,8 @@ func TestPhaseEngineStatsReset(t *testing.T) {
 	sc := &Scenario{
 		Name: "reset",
 		Phases: []Phase{
-			{Name: "long", MaxOps: 500, Workload: ops.ReadWrite, StructureMods: true},
-			{Name: "short", MaxOps: 50, Workload: ops.ReadWrite, StructureMods: true},
+			{Name: "long", Options: harness.Options{MaxOps: 500, Workload: ops.ReadWrite, StructureMods: true}},
+			{Name: "short", Options: harness.Options{MaxOps: 50, Workload: ops.ReadWrite, StructureMods: true}},
 		},
 	}
 	rep, err := Run(sc, RunOptions{Strategy: "tl2", Threads: 2})
@@ -174,7 +180,7 @@ func TestScenarioRunsAreReproducible(t *testing.T) {
 func TestValidateRejects(t *testing.T) {
 	base := func() *Scenario {
 		return &Scenario{Name: "v", Phases: []Phase{
-			{Name: "p", Duration: time.Second, StructureMods: true},
+			{Name: "p", Options: harness.Options{Duration: time.Second, StructureMods: true}},
 		}}
 	}
 	cases := []struct {
@@ -190,16 +196,16 @@ func TestValidateRejects(t *testing.T) {
 		{"negative duration", func(sc *Scenario) { sc.Phases[0].Duration = -time.Second }, "negative duration"},
 		{"skew too big", func(sc *Scenario) { sc.Phases[0].SkewTheta = 1 }, "outside [0, 1)"},
 		{"shift too big", func(sc *Scenario) { sc.Phases[0].SkewShift = 1.5 }, "outside [0, 1)"},
-		{"open loop without rate", func(sc *Scenario) { sc.Phases[0].OpenLoop = true }, "arrival_rate > 0"},
-		{"rate without open loop", func(sc *Scenario) { sc.Phases[0].ArrivalRate = 100 }, "closed-loop phase"},
+		{"open loop without rate", func(sc *Scenario) { sc.Phases[0].OpenLoop = true }, "ArrivalRate > 0"},
+		{"rate without open loop", func(sc *Scenario) { sc.Phases[0].ArrivalRate = 100 }, "closed-loop"},
 		{"negative weight", func(sc *Scenario) {
-			sc.Phases[0].Weights = map[ops.Category]float64{ops.ShortOperation: -1}
+			sc.Phases[0].CategoryWeights = map[ops.Category]float64{ops.ShortOperation: -1}
 		}, "negative weight"},
 		{"zero-sum weights", func(sc *Scenario) {
-			sc.Phases[0].Weights = map[ops.Category]float64{ops.ShortOperation: 0}
-		}, "sum to zero"},
+			sc.Phases[0].CategoryWeights = map[ops.Category]float64{ops.ShortOperation: 0}
+		}, "positive share"},
 		{"unknown category", func(sc *Scenario) {
-			sc.Phases[0].Weights = map[ops.Category]float64{ops.Category(9): 1}
+			sc.Phases[0].CategoryWeights = map[ops.Category]float64{ops.Category(9): 1}
 		}, "unknown category"},
 	}
 	for _, tc := range cases {
@@ -254,7 +260,7 @@ func TestWriteReportSections(t *testing.T) {
 // known counter values, not a timing-dependent run.
 func TestReportAbortCauseColumns(t *testing.T) {
 	sc := &Scenario{Name: "causes", Phases: []Phase{
-		{Name: "storm", Threads: 2, Duration: time.Second, Workload: ops.WriteDominated},
+		{Name: "storm", Options: harness.Options{Threads: 2, Duration: time.Second, Workload: ops.WriteDominated}},
 	}}
 	res := &harness.Result{
 		Options: harness.Options{Threads: 2, Workload: ops.WriteDominated},
@@ -286,13 +292,15 @@ func TestReportAbortCauseColumns(t *testing.T) {
 // runtime panic); Validate must reject them up front.
 func TestValidateRejectsDisabledWeightMass(t *testing.T) {
 	sc := &Scenario{Name: "w", Phases: []Phase{{
-		Name:     "p",
-		Duration: time.Second,
-		// StructureMods false, but all weight on SM.
-		Weights: map[ops.Category]float64{ops.StructureModification: 1},
+		Name: "p",
+		Options: harness.Options{
+			Duration: time.Second,
+			// StructureMods false, but all weight on SM.
+			CategoryWeights: map[ops.Category]float64{ops.StructureModification: 1},
+		},
 	}}}
 	err := sc.Validate()
-	if err == nil || !strings.Contains(err.Error(), "no enabled category") {
+	if err == nil || !strings.Contains(err.Error(), "no enabled operation") {
 		t.Errorf("disabled-only weights accepted: %v", err)
 	}
 	// The same weights are fine once the category is enabled.
@@ -301,7 +309,7 @@ func TestValidateRejectsDisabledWeightMass(t *testing.T) {
 		t.Errorf("enabled weights rejected: %v", err)
 	}
 	// Long traversals: enabled flag is not enough under Reduced.
-	sc.Phases[0].Weights = map[ops.Category]float64{ops.LongTraversal: 1}
+	sc.Phases[0].CategoryWeights = map[ops.Category]float64{ops.LongTraversal: 1}
 	sc.Phases[0].LongTraversals = true
 	sc.Phases[0].Reduced = true
 	if err := sc.Validate(); err == nil {
@@ -314,7 +322,7 @@ func TestValidateRejectsDisabledWeightMass(t *testing.T) {
 // invisible-reads mode performs many).
 func TestRunOptionsCarryOSTMKnobs(t *testing.T) {
 	sc := &Scenario{Name: "knobs", Phases: []Phase{
-		{Name: "p", MaxOps: 200, Workload: ops.ReadWrite, StructureMods: true},
+		{Name: "p", Options: harness.Options{MaxOps: 200, Workload: ops.ReadWrite, StructureMods: true}},
 	}}
 	def, err := Run(sc, RunOptions{Strategy: "ostm", Threads: 2})
 	if err != nil {
@@ -337,7 +345,7 @@ func TestRunOptionsCarryOSTMKnobs(t *testing.T) {
 // key the scenario sets overrides the run's.
 func TestRunOptionsCarryMetadataKnobs(t *testing.T) {
 	sc := &Scenario{Name: "meta", Phases: []Phase{
-		{Name: "p", MaxOps: 100, Workload: ops.ReadWrite, StructureMods: true},
+		{Name: "p", Options: harness.Options{MaxOps: 100, Workload: ops.ReadWrite, StructureMods: true}},
 	}}
 	rep, err := Run(sc, RunOptions{Strategy: "tl2", Threads: 2, Engine: mustOpts(t, "versions=2,deadline=25ms")})
 	if err != nil {
@@ -360,7 +368,7 @@ func TestRunOptionsCarryMetadataKnobs(t *testing.T) {
 
 func TestValidateRejectsBadMetadata(t *testing.T) {
 	base := func() *Scenario {
-		return &Scenario{Name: "m", Phases: []Phase{{Name: "p", MaxOps: 1}}}
+		return &Scenario{Name: "m", Phases: []Phase{{Name: "p", Options: harness.Options{MaxOps: 1}}}}
 	}
 	for _, engine := range []string{"word", "striped", "shards=4", "versions=-1"} {
 		sc := base()
@@ -376,7 +384,7 @@ func TestValidateRejectsBadMetadata(t *testing.T) {
 // every write commit, a K=1 engine retains none — so it also proves a
 // scenario-pinned depth overrides the run-level one.
 func TestRunOptionsCarryVersionsKnob(t *testing.T) {
-	phases := []Phase{{Name: "p", MaxOps: 200, Workload: ops.ReadWrite, StructureMods: true}}
+	phases := []Phase{{Name: "p", Options: harness.Options{MaxOps: 200, Workload: ops.ReadWrite, StructureMods: true}}}
 
 	flat, err := Run(&Scenario{Name: "mv", Phases: phases}, RunOptions{Strategy: "norec", Threads: 2})
 	if err != nil {
@@ -413,7 +421,7 @@ func TestRunOptionsCarryVersionsKnob(t *testing.T) {
 // traffic exists.
 func TestWriteReportVersionSections(t *testing.T) {
 	sc := &Scenario{Name: "mv-report", Engine: "versions=2", Phases: []Phase{
-		{Name: "p", MaxOps: 200, Workload: ops.ReadWrite, StructureMods: true},
+		{Name: "p", Options: harness.Options{MaxOps: 200, Workload: ops.ReadWrite, StructureMods: true}},
 	}}
 	rep, err := Run(sc, RunOptions{Strategy: "norec", Threads: 2})
 	if err != nil {
@@ -434,7 +442,7 @@ func TestWriteReportVersionSections(t *testing.T) {
 // "nosnap=off" turns a run-level nosnap off. Every phase's options name the
 // resolved configuration — the one the executor was built with.
 func TestScenarioEngineOverlay(t *testing.T) {
-	phases := []Phase{{Name: "p", MaxOps: 20, Workload: ops.ReadWrite, StructureMods: true}}
+	phases := []Phase{{Name: "p", Options: harness.Options{MaxOps: 20, Workload: ops.ReadWrite, StructureMods: true}}}
 	run := RunOptions{Strategy: "norec", Threads: 1, Engine: mustOpts(t, "versions=2,deadline=5s,nosnap")}
 	for _, c := range []struct{ overlay, want string }{
 		{"", "norec:versions=2,deadline=5s,nosnap"},
@@ -454,6 +462,27 @@ func TestScenarioEngineOverlay(t *testing.T) {
 		WriteReport(&sb, rep)
 		if want := "  engine: " + c.want + "\n"; !strings.Contains(sb.String(), want) {
 			t.Errorf("overlay %q: report missing %q:\n%s", c.overlay, want, sb.String())
+		}
+	}
+}
+
+// TestValidateRejectsRunLevelFields: Run sets a phase's run-level options
+// from RunOptions, so a phase that sets one would be silently overridden;
+// Validate rejects it instead.
+func TestValidateRejectsRunLevelFields(t *testing.T) {
+	for name, mod := range map[string]func(*harness.Options){
+		"params":     func(o *harness.Options) { o.Params = core.Tiny() },
+		"seed":       func(o *harness.Options) { o.Seed = 7 },
+		"strategy":   func(o *harness.Options) { o.Strategy = "tl2" },
+		"engine":     func(o *harness.Options) { o.Engine.Versions = 2 },
+		"sampling":   func(o *harness.Options) { o.SampleInterval = time.Millisecond },
+		"histograms": func(o *harness.Options) { o.CollectHistograms = true },
+		"invariants": func(o *harness.Options) { o.CheckInvariants = true },
+	} {
+		sc := &Scenario{Name: "v", Phases: []Phase{{Name: "p", Options: harness.Options{MaxOps: 1}}}}
+		mod(&sc.Phases[0].Options)
+		if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "run-level") {
+			t.Errorf("%s: err = %v, want a run-level rejection", name, err)
 		}
 	}
 }

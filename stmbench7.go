@@ -163,7 +163,12 @@ type SamplePoint = telemetry.SamplePoint
 // library.
 type Scenario = scenario.Scenario
 
-// ScenarioPhase is one phase of a scenario.
+// ScenarioPhase is one phase of a scenario: a name and the Options of
+// that phase's run. A phase sets only the per-phase fields (length, worker
+// count, mix, skew and driver); the run-level ones (Params, Seed,
+// Strategy, Engine, SampleInterval, CollectHistograms, CheckInvariants)
+// come from ScenarioRunOptions, and Validate rejects a phase that sets
+// them.
 type ScenarioPhase = scenario.Phase
 
 // ScenarioRunOptions configures one scenario execution.
@@ -172,8 +177,8 @@ type ScenarioRunOptions = scenario.RunOptions
 // ScenarioReport is a completed scenario run.
 type ScenarioReport = scenario.Report
 
-// OperationCategory classifies operations (§3); scenario phase weights
-// are keyed by it.
+// OperationCategory classifies operations (§3); Options.CategoryWeights,
+// and so a scenario phase's weights, are keyed by it.
 type OperationCategory = ops.Category
 
 // Operation categories, re-exported for scenario weight maps.
