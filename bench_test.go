@@ -377,7 +377,7 @@ func BenchmarkAblationVisibleReads(b *testing.B) {
 		{"visible", true},
 	} {
 		b.Run("T1-readonly/"+pt.name, func(b *testing.B) {
-			eng := stm.NewOSTMWith(stm.OSTMConfig{EngineOptions: stm.EngineOptions{VisibleReads: pt.visible}})
+			eng := stm.NewOSTM(stm.EngineOptions{VisibleReads: pt.visible})
 			s, err := core.Build(core.Tiny(), 42, eng.VarSpace())
 			if err != nil {
 				b.Fatal(err)
@@ -397,7 +397,7 @@ func BenchmarkAblationVisibleReads(b *testing.B) {
 			b.ReportMetric(float64(eng.Stats().Validations)/float64(b.N), "validations/op")
 		})
 		b.Run("mixed-8thr/"+pt.name, func(b *testing.B) {
-			eng := stm.NewOSTMWith(stm.OSTMConfig{EngineOptions: stm.EngineOptions{VisibleReads: pt.visible}})
+			eng := stm.NewOSTM(stm.EngineOptions{VisibleReads: pt.visible})
 			s, err := core.Build(core.Tiny(), 42, eng.VarSpace())
 			if err != nil {
 				b.Fatal(err)
@@ -445,7 +445,7 @@ func BenchmarkAblationCommitCounter(b *testing.B) {
 		{"commit-counter", true},
 	} {
 		b.Run(pt.name, func(b *testing.B) {
-			eng := stm.NewOSTMWith(stm.OSTMConfig{CommitCounterHeuristic: pt.heuristic})
+			eng := stm.NewOSTM(stm.EngineOptions{CommitCounterHeuristic: pt.heuristic})
 			s, err := core.Build(core.Tiny(), 42, eng.VarSpace())
 			if err != nil {
 				b.Fatal(err)

@@ -18,13 +18,13 @@
 // stm.ParseEngineSpec syntax (-exp fig6 -g versions=4 is Figure 6 with
 // NOrec under that chain depth, -g serial with the irrevocable serial
 // fallback, -g nosnap with read-only operations on the validating path).
-// fig3, headline and
-// ablations pin their configurations and ignore -g: fig3 compares the two lock
-// strategies, a headline row names its engine and dispatch, and an ablation
-// row is an engine configuration. What a mechanism did in one run (version
-// reads, serial escalations, shed rate)
-// is in the report of cmd/stmbench7 -g <spec>; whether it pays is for
-// benchmark/ to say.
+// fig3, headline and ablations pin their configurations and ignore -g: fig3
+// compares the two lock strategies, a headline row names its engine and
+// dispatch, and an ablation row is an engine spec (ostm:ctv,
+// ostm:commitcounter, ostm:visible, ostm:cm=timid, tl2) with, on the layout
+// rows, a structure layout. What a mechanism did in one run (version reads,
+// serial escalations, shed rate) is in the report of cmd/stmbench7 -g
+// <spec>; whether it pays is for benchmark/ to say.
 //
 // With -json FILE ("-" for stdout) every measured point is also written as
 // JSON under a header echoing the flags and the host. Example:
@@ -501,13 +501,12 @@ func ablations(d *driver) error {
 	lastGroup := ""
 	for _, row := range []struct {
 		group, name string
-		spec        string            // the row's engine as an engine spec, or
-		engine      func() stm.Engine // a Go literal, for the knobs no spec key names
+		spec        string // the row's engine as an engine spec
 		layout      func(*core.Params)
 	}{
 		{group: "ostm validation", name: "incremental (faithful)", spec: "ostm"},
 		{group: "ostm validation", name: "commit-time only", spec: "ostm:ctv"},
-		{group: "ostm validation", name: "commit-counter heuristic", engine: func() stm.Engine { return stm.NewOSTMWith(stm.OSTMConfig{CommitCounterHeuristic: true}) }},
+		{group: "ostm validation", name: "commit-counter heuristic", spec: "ostm:commitcounter"},
 		{group: "ostm reads", name: "invisible (faithful)", spec: "ostm"},
 		{group: "ostm reads", name: "visible", spec: "ostm:visible"},
 		{group: "contention manager", name: "polka (paper)", spec: "ostm"},
@@ -520,17 +519,13 @@ func ablations(d *driver) error {
 			d.printf("\n")
 		}
 		lastGroup = row.group
-		var eng stm.Engine
-		if row.engine != nil {
-			eng = row.engine()
-		} else {
-			spec, err := stm.ParseEngineSpec(row.spec)
-			if err != nil {
-				return err
-			}
-			if eng, err = stm.NewWith(spec.Name, spec.Options); err != nil {
-				return err
-			}
+		spec, err := stm.ParseEngineSpec(row.spec)
+		if err != nil {
+			return err
+		}
+		eng, err := stm.NewWith(spec.Name, spec.Options)
+		if err != nil {
+			return err
 		}
 		p := d.params
 		if row.layout != nil {

@@ -12,9 +12,9 @@
 //	                   coarse), optionally with engine options after a colon —
 //	                   an engine spec such as tl2:deadline=25ms or
 //	                   norec:versions=2,deadline=25ms,serial. Keys:
-//	                   versions=K, cm=NAME, ctv, visible, deadline=D,
-//	                   serial, nosnap, faults=PLAN (last); see the
-//	                   README's "Engine spec" section.
+//	                   versions=K, cm=NAME, ctv, commitcounter, visible,
+//	                   deadline=D, retries=N, serial, nosnap, faults=PLAN
+//	                   (last); see the README's "Engine spec" section.
 //	                   nosnap runs read-only operations on the validating
 //	                   path instead of the snapshot fast path, e.g.
 //	                   tl2:nosnap
@@ -55,7 +55,8 @@
 //	-scenario NAME|FILE   run a built-in scenario or a JSON scenario file
 //	                      instead of a single static mix; -t becomes the
 //	                      default thread count for phases that don't set
-//	                      their own, and -l/-w/--no-* are ignored
+//	                      their own, and -l/-w/-reduced/-arrival-rate/--no-*
+//	                      are ignored
 //	                      (the -g options become run defaults a scenario's
 //	                      "engine" keys may override; overload-shedding
 //	                      knobs are per-phase in the scenario file)
@@ -134,6 +135,10 @@ func run(args []string) error {
 	if *arrivalRate < 0 {
 		return fmt.Errorf("bad -arrival-rate %v (must be >= 0)", *arrivalRate)
 	}
+	w, err := stmbench7.ParseWorkload(*workload)
+	if err != nil {
+		return err
+	}
 
 	params, ok := stmbench7.NamedParams(*size)
 	if !ok {
@@ -191,43 +196,8 @@ func run(args []string) error {
 		return nil
 	}
 
-	if *scenarioArg != "" {
-		sc, err := stmbench7.LookupScenario(*scenarioArg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "building %s structure (seed %d) for scenario %q...\n", *size, *seed, sc.Name)
-		t0 := time.Now()
-		rep, err := stmbench7.RunScenario(sc, stmbench7.ScenarioRunOptions{
-			Params:            params,
-			Strategy:          spec.Name,
-			Engine:            spec.Options,
-			Seed:              *seed,
-			Threads:           *threads,
-			TimeScale:         *scenarioScale,
-			CollectHistograms: *histograms,
-			CheckInvariants:   *check,
-			SampleInterval:    *sample,
-			OnEngine:          func(eng stm.Engine) { reg.SetStats(eng.Stats) },
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "done in %v\n", time.Since(t0).Round(time.Millisecond))
-		if len(rep.Phases) > 0 {
-			if ls, ok := rep.Phases[len(rep.Phases)-1].Result.OverallLatency(); ok {
-				latP50.set(ls.P50Ms)
-				latP99.set(ls.P99Ms)
-			}
-		}
-		stmbench7.WriteScenarioReport(os.Stdout, rep)
-		return dumpTrace()
-	}
-
-	w, err := stmbench7.ParseWorkload(*workload)
-	if err != nil {
-		return err
-	}
+	// One option set for both modes; a scenario run takes Threads and the
+	// run-level fields from it and ignores the per-phase ones.
 	opts := stmbench7.Options{
 		Params:            params,
 		Seed:              *seed,
@@ -244,6 +214,32 @@ func run(args []string) error {
 		SampleInterval:    *sample,
 		CollectHistograms: *histograms,
 		CheckInvariants:   *check,
+	}
+
+	if *scenarioArg != "" {
+		sc, err := stmbench7.LookupScenario(*scenarioArg)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "building %s structure (seed %d) for scenario %q...\n", *size, *seed, sc.Name)
+		t0 := time.Now()
+		rep, err := stmbench7.RunScenario(sc, stmbench7.ScenarioRunOptions{
+			Options:   opts,
+			TimeScale: *scenarioScale,
+			OnEngine:  func(eng stm.Engine) { reg.SetStats(eng.Stats) },
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "done in %v\n", time.Since(t0).Round(time.Millisecond))
+		if len(rep.Phases) > 0 {
+			if ls, ok := rep.Phases[len(rep.Phases)-1].Result.OverallLatency(); ok {
+				latP50.set(ls.P50Ms)
+				latP99.set(ls.P99Ms)
+			}
+		}
+		stmbench7.WriteScenarioReport(os.Stdout, rep)
+		return dumpTrace()
 	}
 
 	fmt.Fprintf(os.Stderr, "building %s structure (seed %d)...\n", *size, *seed)

@@ -37,6 +37,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"unknown strategy", []string{"-g", "tl3"}, "bad -g"},
 		{"unknown engine key", []string{"-g", "tl2:turbo"}, "bad -g"},
 		{"negative arrival rate", []string{"-arrival-rate", "-5"}, "bad -arrival-rate"},
+		{"negative threads", []string{"-size", "tiny", "-t", "-3", "-l", "0.1"}, "negative threads"},
+		{"negative length", []string{"-size", "tiny", "-l", "-1"}, "negative duration"},
 		{"trace-out without trace", []string{"-size", "tiny", "-trace-out", "trace.json"}, "-trace-out requires -trace"},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -1,9 +1,14 @@
 package stmbench7_test
 
 import (
+	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	stmbench7 "repro"
+	"repro/internal/ops"
+	"repro/internal/rng"
 	"repro/stm"
 )
 
@@ -68,7 +73,7 @@ func ExampleRun_optimizedLayout() {
 // Example_stm shows the stm package on its own: a transaction that moves
 // funds atomically between two cells.
 func Example_stm() {
-	eng := stm.NewTL2()
+	eng := stm.NewTL2(stm.EngineOptions{})
 	a := stm.NewCell(eng.VarSpace(), 70)
 	b := stm.NewCell(eng.VarSpace(), 30)
 
@@ -88,6 +93,71 @@ func Example_stm() {
 	})
 	// Output:
 	// a: 45 b: 55 total: 100
+}
+
+// ExampleSetup embeds the benchmark in an application of the class the
+// paper motivates it with, a CAD/CAM tool. Instead of the harness's
+// ratio-driven mix, each role drives its own operation stream on the
+// executor and structure Setup returns, all at once on TL2: designers
+// inspect and edit composite parts and restructure assemblies, a viewer
+// renders (long read-only traversals) and an indexer answers queries.
+// Each thread runs a fixed number of operations, so the counts printed are
+// deterministic; which random-id lookups miss is not, so they count as run
+// either way.
+func ExampleSetup() {
+	ex, s, err := stmbench7.Setup(stmbench7.Options{Params: stmbench7.TinyParams(), Seed: 7, Strategy: "tl2"})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	roles := []struct {
+		name             string
+		opNames          []string
+		threads, opsEach int
+	}{
+		{"designer", []string{"ST1", "ST6", "ST9", "ST10", "OP9", "SM3", "SM4", "SM5"}, 3, 200},
+		{"viewer", []string{"T1", "T4", "Q6"}, 1, 20},
+		{"indexer", []string{"OP1", "OP2", "OP3", "Q7", "ST4"}, 2, 200},
+	}
+	ran := make([]atomic.Int64, len(roles))
+	var mu sync.Mutex
+	var failures []error
+	var wg sync.WaitGroup
+	for ri, rl := range roles {
+		for t := range rl.threads {
+			wg.Add(1)
+			go func(r *rng.Rand) {
+				defer wg.Done()
+				for range rl.opsEach {
+					op, _ := ops.ByName(rl.opNames[r.Intn(len(rl.opNames))])
+					if _, err := ex.Execute(op, s, r); err != nil && !errors.Is(err, ops.ErrFailed) {
+						mu.Lock()
+						failures = append(failures, fmt.Errorf("%s: %w", rl.name, err))
+						mu.Unlock()
+						return
+					}
+					ran[ri].Add(1)
+				}
+			}(rng.New(uint64(ri*100 + t + 1)))
+		}
+	}
+	wg.Wait()
+	if err := errors.Join(failures...); err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	fmt.Println("CAD workspace on", ex.Name())
+	for ri, rl := range roles {
+		fmt.Printf("  %-8s %d threads, %d operations\n", rl.name, rl.threads, ran[ri].Load())
+	}
+	err = ex.Engine().Atomic(func(tx stm.Tx) error { return s.CheckInvariants(tx) })
+	fmt.Println("  structural invariants hold:", err == nil)
+	// Output:
+	// CAD workspace on tl2
+	//   designer 3 threads, 600 operations
+	//   viewer   1 threads, 20 operations
+	//   indexer  2 threads, 400 operations
+	//   structural invariants hold: true
 }
 
 // ExampleParseWorkload demonstrates the Appendix-A workload notation.
@@ -114,9 +184,11 @@ func ExampleLookupScenario() {
 		return
 	}
 	rep, err := stmbench7.RunScenario(spike, stmbench7.ScenarioRunOptions{
-		Params:    stmbench7.TinyParams(),
-		Strategy:  "tl2",
-		Threads:   2,
+		Options: stmbench7.Options{
+			Params:   stmbench7.TinyParams(),
+			Strategy: "tl2",
+			Threads:  2,
+		},
 		TimeScale: 0.05,
 	})
 	if err != nil {
@@ -160,10 +232,12 @@ func ExampleRunScenario() {
 		},
 	}
 	rep, err := stmbench7.RunScenario(custom, stmbench7.ScenarioRunOptions{
-		Params:          stmbench7.TinyParams(),
-		Strategy:        "norec",
-		Threads:         2,
-		CheckInvariants: true,
+		Options: stmbench7.Options{
+			Params:          stmbench7.TinyParams(),
+			Strategy:        "norec",
+			Threads:         2,
+			CheckInvariants: true,
+		},
 	})
 	if err != nil {
 		fmt.Println("error:", err)
@@ -196,8 +270,10 @@ func ExampleParseScenario() {
 		return
 	}
 	rep, err := stmbench7.RunScenario(sc, stmbench7.ScenarioRunOptions{
-		Params:   stmbench7.TinyParams(),
-		Strategy: "ostm",
+		Options: stmbench7.Options{
+			Params:   stmbench7.TinyParams(),
+			Strategy: "ostm",
+		},
 	})
 	if err != nil {
 		fmt.Println("error:", err)

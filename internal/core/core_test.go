@@ -679,8 +679,8 @@ func TestStructureRandomIDDomains(t *testing.T) {
 // VarSpace is usable through real transactions.
 func TestBuildUnderSTMEngines(t *testing.T) {
 	for _, mk := range []func() stm.Engine{
-		func() stm.Engine { return stm.NewOSTM() },
-		func() stm.Engine { return stm.NewTL2() },
+		func() stm.Engine { return stm.NewOSTM(stm.EngineOptions{}) },
+		func() stm.Engine { return stm.NewTL2(stm.EngineOptions{}) },
 	} {
 		eng := mk()
 		s, err := Build(Tiny(), 42, eng.VarSpace())

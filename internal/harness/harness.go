@@ -44,9 +44,8 @@ type Options struct {
 	StructureMods  bool
 	// Reduced applies the §5 reduced operation set (Figure 6, Table 3).
 	Reduced bool
-	// Strategy is the synchronization strategy: any registered strategy
-	// name (see sync7.Strategies) — coarse, medium, ostm, tl2, norec or
-	// direct.
+	// Strategy is the synchronization strategy (see sync7.Strategies):
+	// coarse, medium, ostm, tl2, norec or direct.
 	Strategy string
 	// Engine configures the stm engine behind an STM strategy — with
 	// Strategy, the two halves of the -g engine spec (stm.EngineSpec; see
@@ -103,16 +102,17 @@ type Options struct {
 	ArrivalRate float64
 }
 
-// Defaults fills in unset fields: 1 thread, 1 s, read-dominated, coarse,
-// Tiny structure, everything enabled.
+// Defaults fills in zero fields: 1 thread, 1 s, read-dominated, coarse,
+// Tiny structure, everything enabled. A negative count or length is left
+// as it is, for Validate to reject.
 func Defaults(o Options) Options {
 	if o.Params == (core.Params{}) {
 		o.Params = core.Tiny()
 	}
-	if o.Threads <= 0 {
+	if o.Threads == 0 {
 		o.Threads = 1
 	}
-	if o.Duration <= 0 && o.MaxOps <= 0 {
+	if o.Duration == 0 && o.MaxOps == 0 {
 		o.Duration = time.Second
 	}
 	if o.Strategy == "" {
@@ -135,10 +135,19 @@ func (o Options) Profile() ops.Profile {
 	}
 }
 
-// Validate rejects option combinations the drivers cannot honor: the
-// mix (ops.Profile.Validate), the skew range and the open-loop settings.
-// Engine options are validated where the executor is built (sync7.New).
+// Validate rejects option combinations the drivers cannot honor: a
+// negative length or thread count, the mix (ops.Profile.Validate), the
+// skew range and the open-loop settings. Engine options are validated
+// where the executor is built (sync7.New).
 func (o Options) Validate() error {
+	switch {
+	case o.Threads < 0:
+		return fmt.Errorf("harness: negative threads %d", o.Threads)
+	case o.Duration < 0:
+		return fmt.Errorf("harness: negative duration %v", o.Duration)
+	case o.MaxOps < 0:
+		return fmt.Errorf("harness: negative max_ops %d", o.MaxOps)
+	}
 	if err := o.Profile().Validate(); err != nil {
 		return err
 	}

@@ -347,8 +347,9 @@ func TestSetupRejectsConfigurationBeforeBuilding(t *testing.T) {
 // TestRunRejectsWhatItCannotRun: Run validates the mix and the driver
 // before it runs anything. Weights whose mass lies on disabled categories
 // would leave the operation picker empty (a panic inside a worker), and a
-// negative weight or a closed-loop arrival rate would run a configuration
-// other than the one asked for; each must come back as an error.
+// negative weight, a closed-loop arrival rate or a negative thread count,
+// duration or operation count would run a configuration other than the
+// one asked for; each must come back as an error.
 func TestRunRejectsWhatItCannotRun(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -373,6 +374,9 @@ func TestRunRejectsWhatItCannotRun(t *testing.T) {
 			o.CategoryWeights = map[ops.Category]float64{ops.ShortOperation: 1, ops.Category(9): 1}
 		}, "unknown category"},
 		{"arrival-rate-on-a-closed-loop", func(o *Options) { o.ArrivalRate = 100 }, "closed-loop"},
+		{"negative-threads", func(o *Options) { o.Threads = -3 }, "negative threads"},
+		{"negative-duration", func(o *Options) { o.MaxOps, o.Duration = 0, -time.Second }, "negative duration"},
+		{"negative-max-ops", func(o *Options) { o.MaxOps = -1 }, "negative max_ops"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			o := baseOpts()

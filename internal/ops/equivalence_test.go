@@ -56,8 +56,8 @@ func TestEngineEquivalence(t *testing.T) {
 
 	ref := runTrace("direct", stm.NewDirect())
 	for name, eng := range map[string]stm.Engine{
-		"ostm": stm.NewOSTM(),
-		"tl2":  stm.NewTL2(),
+		"ostm": stm.NewOSTM(stm.EngineOptions{}),
+		"tl2":  stm.NewTL2(stm.EngineOptions{}),
 	} {
 		got := runTrace(name, eng)
 		for i := range ref.results {
@@ -80,8 +80,8 @@ func TestEngineEquivalence(t *testing.T) {
 // discipline covers for locks — belt and suspenders).
 func TestFailedOpsAbortCleanlyUnderSTM(t *testing.T) {
 	for _, mk := range []func() stm.Engine{
-		func() stm.Engine { return stm.NewOSTM() },
-		func() stm.Engine { return stm.NewTL2() },
+		func() stm.Engine { return stm.NewOSTM(stm.EngineOptions{}) },
+		func() stm.Engine { return stm.NewTL2(stm.EngineOptions{}) },
 	} {
 		eng := mk()
 		s, err := core.Build(core.Tiny(), 42, eng.VarSpace())

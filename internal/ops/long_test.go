@@ -123,7 +123,7 @@ func BenchmarkPartReads(b *testing.B) {
 // T3a toggles the root parts only and reads the other 199 of each graph, as
 // the paper's does, and pays for every one of them on every later open.
 func TestOSTMValidatesWhatItReadsNotWhatItOwns(t *testing.T) {
-	eng := stm.NewOSTM()
+	eng := stm.NewOSTM(stm.EngineOptions{})
 	s, err := core.Build(core.Small(), 42, eng.VarSpace())
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 // records every Write/Update call regardless of commit outcome, so a
 // zero delta over many seeds proves write-freedom.
 func TestReadOnlyOpsPerformNoWrites(t *testing.T) {
-	eng := stm.NewTL2()
+	eng := stm.NewTL2(stm.EngineOptions{})
 	s, err := core.Build(core.Tiny(), 42, eng.VarSpace())
 	if err != nil {
 		t.Fatalf("Build: %v", err)
@@ -51,7 +51,7 @@ func TestReadOnlyOpsPerformNoWrites(t *testing.T) {
 // of the snapshot read-mode equivalence the stm package's suites check on
 // synthetic scripts.
 func TestReadOnlyOpsUnderSnapshotMode(t *testing.T) {
-	eng := stm.NewTL2()
+	eng := stm.NewTL2(stm.EngineOptions{})
 	s, err := core.Build(core.Tiny(), 42, eng.VarSpace())
 	if err != nil {
 		t.Fatalf("Build: %v", err)

@@ -93,8 +93,8 @@ func TestVariantsUnderSTMEngines(t *testing.T) {
 	refResults, refFails := runVariantTrace(t, core.Tiny(), stm.NewDirect(), iters)
 	for name, p := range variantParams() {
 		for _, mk := range []func() stm.Engine{
-			func() stm.Engine { return stm.NewOSTM() },
-			func() stm.Engine { return stm.NewTL2() },
+			func() stm.Engine { return stm.NewOSTM(stm.EngineOptions{}) },
+			func() stm.Engine { return stm.NewTL2(stm.EngineOptions{}) },
 		} {
 			eng := mk()
 			t.Run(name+"/"+eng.Name(), func(t *testing.T) {

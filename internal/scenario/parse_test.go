@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/harness"
 	"repro/internal/ops"
 	"repro/stm"
 )
@@ -106,7 +107,7 @@ func TestParsedScenarioRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(sc, RunOptions{Strategy: "norec", Threads: 2})
+	rep, err := Run(sc, RunOptions{Options: harness.Options{Strategy: "norec", Threads: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

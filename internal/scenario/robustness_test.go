@@ -130,7 +130,7 @@ func TestRunOptionsCarryRobustnessKnobs(t *testing.T) {
 	phases := []Phase{{Name: "p", Options: harness.Options{MaxOps: 100, Workload: ops.ReadWrite, StructureMods: true}}}
 
 	rep, err := Run(&Scenario{Name: "rob", Phases: phases},
-		RunOptions{Strategy: "tl2", Threads: 2, Engine: mustOpts(t, "deadline=5s,serial,faults=seed=3,abort:1/6")})
+		RunOptions{Options: harness.Options{Strategy: "tl2", Threads: 2, Engine: mustOpts(t, "deadline=5s,serial,faults=seed=3,abort:1/6")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestRunOptionsCarryRobustnessKnobs(t *testing.T) {
 	// Scenario-pinned plan beats the run's nil plan; serial beats the
 	// run's false.
 	pinned, err := Run(&Scenario{Name: "rob-pinned", Engine: "serial,faults=abort:1/1", Phases: phases},
-		RunOptions{Strategy: "norec", Threads: 2})
+		RunOptions{Options: harness.Options{Strategy: "norec", Threads: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestChaosStormBuiltin(t *testing.T) {
 	if shedPhase < 0 {
 		t.Fatal("chaos-storm has no open-loop phase with shedding")
 	}
-	rep, err := Run(sc, RunOptions{Strategy: "tl2", Threads: 2, TimeScale: 0.05})
+	rep, err := Run(sc, RunOptions{Options: harness.Options{Strategy: "tl2", Threads: 2}, TimeScale: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}

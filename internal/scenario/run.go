@@ -9,42 +9,32 @@ import (
 	"repro/stm"
 )
 
-// RunOptions configures one scenario execution. Zero values get the same
-// defaults as the harness: tiny structure, coarse strategy, seed 42, one
-// worker.
+// RunOptions configures one scenario execution. The embedded harness
+// Options carry the run-level settings, and harness.Defaults fills their
+// zero values (tiny structure, coarse strategy, seed 42, one worker):
+//
+//   - Params, Seed and Strategy: the shared structure, the seed the build,
+//     the phase seeds and every arrival schedule derive from, and the
+//     strategy every phase runs under. Scenarios are strategy-agnostic by
+//     design: run the same scenario per engine to compare them.
+//   - Engine: built once, before the first phase; the scenario's own
+//     "engine" keys are applied over it. Engine.Trace is the run's flight
+//     recorder: one recorder observes every phase (use its Reset between
+//     scrapes to window it).
+//   - Threads: the worker count of phases that set none.
+//   - SampleInterval and CollectHistograms: applied to every phase;
+//     each PhaseResult's Result.Series carries that phase's curve.
+//   - CheckInvariants: verifies the full structural invariants once,
+//     after the final phase.
+//
+// The per-phase fields (Duration, MaxOps, Workload, the mix, skew and
+// driver settings) belong to the phases and are ignored here.
 type RunOptions struct {
-	// Params sizes the shared structure (zero value -> tiny).
-	Params core.Params
-	// Strategy is the synchronization strategy every phase runs under
-	// ("" -> coarse). Scenarios are strategy-agnostic by design: run
-	// the same scenario per engine to compare them.
-	Strategy string
-	// Seed makes the build, the phase seeds and every arrival schedule
-	// deterministic (0 -> 42).
-	Seed uint64
-	// Threads is the default worker count for phases that do not set
-	// their own (<= 0 -> 1).
-	Threads int
+	harness.Options
 	// TimeScale multiplies every phase duration (<= 0 -> 1). CI smoke
 	// and tests use small values to shrink a scenario without changing
 	// its shape; MaxOps phases and arrival rates are unaffected.
 	TimeScale float64
-	// CollectHistograms enables per-op TTC histograms in every phase.
-	CollectHistograms bool
-	// CheckInvariants verifies the full structural invariants once,
-	// after the final phase.
-	CheckInvariants bool
-	// Engine configures the stm engine behind an STM strategy exactly
-	// like the harness option of the same name (with Strategy, the two
-	// halves of the -g spec). Run-level: the engine is built before the
-	// first phase; a scenario's own "engine" keys are applied over it.
-	// Engine.Trace is the run's flight recorder: one recorder observes
-	// every phase (use its Reset between scrapes to window it).
-	Engine stm.EngineOptions
-	// SampleInterval runs the telemetry sampler in every phase at the
-	// given cadence, exactly like the harness option of the same name;
-	// each PhaseResult's Result.Series carries that phase's curve.
-	SampleInterval time.Duration
 	// OnEngine, when set, is called once with the run's engine after the
 	// executor is built and before the first phase starts — the hook a
 	// live telemetry endpoint uses to start scraping Stats mid-run.
@@ -87,18 +77,7 @@ func Run(sc *Scenario, o RunOptions) (*Report, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	if o.Params == (core.Params{}) {
-		o.Params = core.Tiny()
-	}
-	if o.Strategy == "" {
-		o.Strategy = "coarse"
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
-	if o.Threads <= 0 {
-		o.Threads = 1
-	}
+	run := harness.Defaults(o.Options)
 	if o.TimeScale <= 0 {
 		o.TimeScale = 1
 	}
@@ -106,15 +85,16 @@ func Run(sc *Scenario, o RunOptions) (*Report, error) {
 	// The scenario's run-level keys override the run's: a scenario built
 	// around an engine setting (chaos-storm's fault plan) must get that
 	// setting regardless of the CLI defaults.
-	engine, err := o.Engine.Apply(sc.Engine)
+	engine, err := run.Engine.Apply(sc.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: bad engine: %w", sc.Name, err)
 	}
 
 	ex, s, err := harness.Setup(harness.Options{
-		Params:   o.Params,
-		Seed:     o.Seed,
-		Strategy: o.Strategy,
+		Params:   run.Params,
+		Seed:     run.Seed,
+		Threads:  run.Threads,
+		Strategy: run.Strategy,
 		Engine:   engine,
 	})
 	if err != nil {
@@ -124,21 +104,21 @@ func Run(sc *Scenario, o RunOptions) (*Report, error) {
 		o.OnEngine(ex.Engine())
 	}
 
-	rep := &Report{Scenario: sc, Strategy: o.Strategy, Params: o.Params, Seed: o.Seed}
+	rep := &Report{Scenario: sc, Strategy: run.Strategy, Params: run.Params, Seed: run.Seed}
 	start := time.Now()
 	for i, ph := range sc.Phases {
-		if ph.Threads <= 0 {
-			ph.Threads = o.Threads
+		if ph.Threads == 0 {
+			ph.Threads = run.Threads
 		}
 		if ph.Duration > 0 {
 			ph.Duration = max(time.Duration(float64(ph.Duration)*o.TimeScale), minPhaseDuration)
 		}
-		ph.Params, ph.Seed = o.Params, phaseSeed(o.Seed, i)
+		ph.Params, ph.Seed = run.Params, phaseSeed(run.Seed, i)
 		// What the executor was built with at Setup: the phase's Result
 		// names the configuration that actually ran.
-		ph.Strategy, ph.Engine = o.Strategy, engine
-		ph.SampleInterval, ph.CollectHistograms = o.SampleInterval, o.CollectHistograms
-		ph.CheckInvariants = o.CheckInvariants && i == len(sc.Phases)-1
+		ph.Strategy, ph.Engine = run.Strategy, engine
+		ph.SampleInterval, ph.CollectHistograms = run.SampleInterval, run.CollectHistograms
+		ph.CheckInvariants = run.CheckInvariants && i == len(sc.Phases)-1
 		res, err := harness.RunOn(ph.Options, ex, s)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %q phase %q: %w", sc.Name, ph.Name, err)

@@ -83,16 +83,10 @@ func (sc *Scenario) Validate() error {
 			return fmt.Errorf("scenario %q phase %q: %s", sc.Name, ph.Name, fmt.Sprintf(format, args...))
 		}
 		switch {
-		case ph.Duration < 0:
-			return bad("negative duration %v", ph.Duration)
-		case ph.MaxOps < 0:
-			return bad("negative max_ops %d", ph.MaxOps)
 		case ph.Duration == 0 && ph.MaxOps == 0:
 			return bad("needs a positive duration or max_ops")
 		case ph.Duration > 0 && ph.MaxOps > 0:
 			return bad("set exactly one of duration and max_ops")
-		case ph.Threads < 0:
-			return bad("negative threads %d", ph.Threads)
 		case ph.Params != (core.Params{}) || ph.Seed != 0 || ph.Strategy != "" ||
 			ph.Engine != (stm.EngineOptions{}) || ph.SampleInterval != 0 ||
 			ph.CollectHistograms || ph.CheckInvariants:

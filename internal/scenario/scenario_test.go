@@ -64,8 +64,10 @@ func TestBuiltinsOnEveryEngine(t *testing.T) {
 			t.Run(eng+"/"+name, func(t *testing.T) {
 				sc, _ := Builtin(name)
 				rep, err := Run(sc, RunOptions{
-					Strategy:  eng,
-					Threads:   2,
+					Options: harness.Options{
+						Strategy: eng,
+						Threads:  2,
+					},
 					TimeScale: scale,
 				})
 				if err != nil {
@@ -115,7 +117,7 @@ func TestDeterministicMaxOpsScheduling(t *testing.T) {
 		},
 	}
 	run := func() *Report {
-		rep, err := Run(sc, RunOptions{Strategy: "tl2", Threads: 2})
+		rep, err := Run(sc, RunOptions{Options: harness.Options{Strategy: "tl2", Threads: 2}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +150,7 @@ func TestPhaseEngineStatsReset(t *testing.T) {
 			{Name: "short", Options: harness.Options{MaxOps: 50, Workload: ops.ReadWrite, StructureMods: true}},
 		},
 	}
-	rep, err := Run(sc, RunOptions{Strategy: "tl2", Threads: 2})
+	rep, err := Run(sc, RunOptions{Options: harness.Options{Strategy: "tl2", Threads: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +173,7 @@ func TestScenarioRunsAreReproducible(t *testing.T) {
 	// assert the run succeeds twice with CheckInvariants on, proving
 	// phase transitions leave a consistent structure.
 	for i := 0; i < 2; i++ {
-		if _, err := Run(sc, RunOptions{Strategy: "ostm", Threads: 2, TimeScale: 0.05, CheckInvariants: true}); err != nil {
+		if _, err := Run(sc, RunOptions{Options: harness.Options{Strategy: "ostm", Threads: 2, CheckInvariants: true}, TimeScale: 0.05}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -233,7 +235,7 @@ func TestLookup(t *testing.T) {
 
 func TestWriteReportSections(t *testing.T) {
 	sc, _ := Builtin("smoke")
-	rep, err := Run(sc, RunOptions{Strategy: "tl2", Threads: 2, TimeScale: 0.05})
+	rep, err := Run(sc, RunOptions{Options: harness.Options{Strategy: "tl2", Threads: 2}, TimeScale: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,11 +326,11 @@ func TestRunOptionsCarryOSTMKnobs(t *testing.T) {
 	sc := &Scenario{Name: "knobs", Phases: []Phase{
 		{Name: "p", Options: harness.Options{MaxOps: 200, Workload: ops.ReadWrite, StructureMods: true}},
 	}}
-	def, err := Run(sc, RunOptions{Strategy: "ostm", Threads: 2})
+	def, err := Run(sc, RunOptions{Options: harness.Options{Strategy: "ostm", Threads: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vis, err := Run(sc, RunOptions{Strategy: "ostm", Threads: 2, Engine: mustOpts(t, "visible")})
+	vis, err := Run(sc, RunOptions{Options: harness.Options{Strategy: "ostm", Threads: 2, Engine: mustOpts(t, "visible")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +349,7 @@ func TestRunOptionsCarryMetadataKnobs(t *testing.T) {
 	sc := &Scenario{Name: "meta", Phases: []Phase{
 		{Name: "p", Options: harness.Options{MaxOps: 100, Workload: ops.ReadWrite, StructureMods: true}},
 	}}
-	rep, err := Run(sc, RunOptions{Strategy: "tl2", Threads: 2, Engine: mustOpts(t, "versions=2,deadline=25ms")})
+	rep, err := Run(sc, RunOptions{Options: harness.Options{Strategy: "tl2", Threads: 2, Engine: mustOpts(t, "versions=2,deadline=25ms")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +359,7 @@ func TestRunOptionsCarryMetadataKnobs(t *testing.T) {
 
 	// A scenario that pins its own key overrides the run.
 	pinned := &Scenario{Name: "meta-pinned", Engine: "versions=4", Phases: sc.Phases}
-	rep2, err := Run(pinned, RunOptions{Strategy: "tl2", Threads: 2, Engine: mustOpts(t, "versions=2,deadline=25ms")})
+	rep2, err := Run(pinned, RunOptions{Options: harness.Options{Strategy: "tl2", Threads: 2, Engine: mustOpts(t, "versions=2,deadline=25ms")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +388,7 @@ func TestValidateRejectsBadMetadata(t *testing.T) {
 func TestRunOptionsCarryVersionsKnob(t *testing.T) {
 	phases := []Phase{{Name: "p", Options: harness.Options{MaxOps: 200, Workload: ops.ReadWrite, StructureMods: true}}}
 
-	flat, err := Run(&Scenario{Name: "mv", Phases: phases}, RunOptions{Strategy: "norec", Threads: 2})
+	flat, err := Run(&Scenario{Name: "mv", Phases: phases}, RunOptions{Options: harness.Options{Strategy: "norec", Threads: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +397,7 @@ func TestRunOptionsCarryVersionsKnob(t *testing.T) {
 	}
 
 	deep, err := Run(&Scenario{Name: "mv", Phases: phases},
-		RunOptions{Strategy: "norec", Threads: 2, Engine: mustOpts(t, "versions=2")})
+		RunOptions{Options: harness.Options{Strategy: "norec", Threads: 2, Engine: mustOpts(t, "versions=2")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +408,7 @@ func TestRunOptionsCarryVersionsKnob(t *testing.T) {
 	// Scenario-pinned depth beats the run's: K=1 at the run level, but the
 	// scenario says 2, so bytes must be retained.
 	pinned, err := Run(&Scenario{Name: "mv-pinned", Engine: "versions=2", Phases: phases},
-		RunOptions{Strategy: "norec", Threads: 2, Engine: mustOpts(t, "versions=1")})
+		RunOptions{Options: harness.Options{Strategy: "norec", Threads: 2, Engine: mustOpts(t, "versions=1")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +425,7 @@ func TestWriteReportVersionSections(t *testing.T) {
 	sc := &Scenario{Name: "mv-report", Engine: "versions=2", Phases: []Phase{
 		{Name: "p", Options: harness.Options{MaxOps: 200, Workload: ops.ReadWrite, StructureMods: true}},
 	}}
-	rep, err := Run(sc, RunOptions{Strategy: "norec", Threads: 2})
+	rep, err := Run(sc, RunOptions{Options: harness.Options{Strategy: "norec", Threads: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +445,7 @@ func TestWriteReportVersionSections(t *testing.T) {
 // resolved configuration — the one the executor was built with.
 func TestScenarioEngineOverlay(t *testing.T) {
 	phases := []Phase{{Name: "p", Options: harness.Options{MaxOps: 20, Workload: ops.ReadWrite, StructureMods: true}}}
-	run := RunOptions{Strategy: "norec", Threads: 1, Engine: mustOpts(t, "versions=2,deadline=5s,nosnap")}
+	run := RunOptions{Options: harness.Options{Strategy: "norec", Threads: 1, Engine: mustOpts(t, "versions=2,deadline=5s,nosnap")}}
 	for _, c := range []struct{ overlay, want string }{
 		{"", "norec:versions=2,deadline=5s,nosnap"},
 		{"versions=4", "norec:versions=4,deadline=5s,nosnap"},

@@ -2,8 +2,7 @@ package sync7
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
 	"repro/stm"
 )
@@ -35,143 +34,75 @@ func (k Kind) String() string {
 	}
 }
 
-// Factory builds an executor from a Config. The Config's Strategy field
-// is already resolved; factories read only their tuning fields.
-type Factory func(cfg Config) (Executor, error)
-
-type registration struct {
-	kind    Kind
-	factory Factory
+// strategy is one row of the strategy table. build reads only the
+// Config's tuning fields; the executor it returns reports name from its
+// Name method.
+type strategy struct {
+	name  string
+	kind  Kind
+	build func(cfg Config) (Executor, error)
 }
 
-var strategyRegistry = struct {
-	mu sync.RWMutex
-	m  map[string]registration
-}{m: map[string]registration{}}
-
-// Register adds a strategy under name. The executor a factory returns
-// must report the same name from its Name method. Register panics on an
-// empty name, a nil factory, or a duplicate — programming errors,
-// caught at init time.
-func Register(name string, kind Kind, factory Factory) {
-	if name == "" {
-		panic("sync7: Register with empty strategy name")
-	}
-	if factory == nil {
-		panic("sync7: Register with nil factory for " + name)
-	}
-	strategyRegistry.mu.Lock()
-	defer strategyRegistry.mu.Unlock()
-	if _, dup := strategyRegistry.m[name]; dup {
-		panic("sync7: duplicate strategy registration for " + name)
-	}
-	strategyRegistry.m[name] = registration{kind: kind, factory: factory}
+// strategies is the fixed set of strategies, sorted by name. Every stm
+// engine is a row (TestRegistryKinds fails one without), and each STM
+// row builds the engine of its own name.
+var strategies = []strategy{
+	{"coarse", KindLock, func(Config) (Executor, error) { return &Coarse{eng: stm.NewDirect()}, nil }},
+	{"direct", KindDirect, func(Config) (Executor, error) { return &DirectExec{eng: stm.NewDirect()}, nil }},
+	{"medium", KindLock, func(cfg Config) (Executor, error) {
+		if cfg.NumAssmLevels < 2 {
+			return nil, fmt.Errorf("sync7: medium locking needs NumAssmLevels >= 2, got %d", cfg.NumAssmLevels)
+		}
+		return newMedium(cfg.NumAssmLevels), nil
+	}},
+	{"norec", KindSTM, stmStrategy("norec")},
+	{"ostm", KindSTM, stmStrategy("ostm")},
+	{"tl2", KindSTM, stmStrategy("tl2")},
 }
 
-// genericSTM wraps a registered stm engine as an STM strategy, passing
-// Config.Engine through to the engine registry — engines ignore the
-// options outside their design, so the same Config sweeps every engine.
-func genericSTM(name string) registration {
-	return registration{kind: KindSTM, factory: func(cfg Config) (Executor, error) {
+// stmStrategy builds the stm engine name with Config.Engine — engines
+// ignore the options outside their design, so the same Config sweeps
+// every engine.
+func stmStrategy(name string) func(Config) (Executor, error) {
+	return func(cfg Config) (Executor, error) {
 		eng, err := stm.NewWith(name, cfg.Engine)
 		if err != nil {
 			return nil, err
 		}
 		return newSTMExec(eng, name), nil
-	}}
+	}
 }
 
-// lookup resolves a strategy name: explicit sync7 registrations first,
-// then — dynamically, so engines registered with the stm package at any
-// time (not just before this package's init) are picked up — any stm
-// engine, wrapped generically.
-func lookup(name string) (registration, bool) {
-	strategyRegistry.mu.RLock()
-	reg, ok := strategyRegistry.m[name]
-	strategyRegistry.mu.RUnlock()
-	if ok {
-		return reg, true
+// lookup resolves a strategy name against the table.
+func lookup(name string) (strategy, bool) {
+	i := slices.IndexFunc(strategies, func(s strategy) bool { return s.name == name })
+	if i < 0 {
+		return strategy{}, false
 	}
-	for _, n := range stm.Registered() {
-		if n == name {
-			return genericSTM(name), true
-		}
-	}
-	return registration{}, false
+	return strategies[i], true
 }
 
-// explicitNames returns the names with explicit sync7 registrations.
-func explicitNames() map[string]Kind {
-	strategyRegistry.mu.RLock()
-	defer strategyRegistry.mu.RUnlock()
-	names := make(map[string]Kind, len(strategyRegistry.m))
-	for name, reg := range strategyRegistry.m {
-		names[name] = reg.kind
-	}
-	return names
-}
-
-// Strategies lists the valid Config.Strategy values, sorted: every
-// explicit registration plus every stm-registered engine.
+// Strategies lists the valid Config.Strategy values, sorted.
 func Strategies() []string {
-	kinds := explicitNames()
-	names := make([]string, 0, len(kinds))
-	for name := range kinds {
-		names = append(names, name)
+	names := make([]string, len(strategies))
+	for i, s := range strategies {
+		names[i] = s.name
 	}
-	for _, name := range stm.Registered() {
-		if _, taken := kinds[name]; !taken {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
 	return names
 }
 
-// StrategiesOfKind lists the registered strategies of one kind, sorted.
-// stm-registered engines without an explicit sync7 registration count
-// as KindSTM (matching what lookup resolves them to).
+// StrategiesOfKind lists the strategies of one kind, sorted.
 func StrategiesOfKind(k Kind) []string {
-	kinds := explicitNames()
 	var names []string
-	for name, kind := range kinds {
-		if kind == k {
-			names = append(names, name)
+	for _, s := range strategies {
+		if s.kind == k {
+			names = append(names, s.name)
 		}
 	}
-	if k == KindSTM {
-		for _, name := range stm.Registered() {
-			if _, taken := kinds[name]; !taken {
-				names = append(names, name)
-			}
-		}
-	}
-	sort.Strings(names)
 	return names
 }
 
-// STMStrategies lists the registered STM-backed strategies (ostm, tl2,
-// norec, ...), sorted. Comparison benchmarks iterate this so a newly
-// registered engine shows up in every engine-vs-engine table
-// automatically.
+// STMStrategies lists the STM-backed strategies (norec, ostm, tl2),
+// sorted. Comparison benchmarks iterate this so every engine shows up in
+// every engine-vs-engine table.
 func STMStrategies() []string { return StrategiesOfKind(KindSTM) }
-
-// init registers the strategies that are not stm engines. STM engines are
-// NOT registered here: lookup resolves them from the stm package's engine
-// registry on demand, so a new engine becomes a strategy by registering
-// itself with stm.Register — no change in this package, and no ordering
-// constraint on when that registration happens.
-func init() {
-	Register("direct", KindDirect, func(Config) (Executor, error) {
-		return &DirectExec{eng: stm.NewDirect()}, nil
-	})
-	Register("coarse", KindLock, func(Config) (Executor, error) {
-		return &Coarse{eng: stm.NewDirect()}, nil
-	})
-	Register("medium", KindLock, func(cfg Config) (Executor, error) {
-		if cfg.NumAssmLevels < 2 {
-			return nil, fmt.Errorf("sync7: medium locking needs NumAssmLevels >= 2, got %d", cfg.NumAssmLevels)
-		}
-		return newMedium(cfg.NumAssmLevels), nil
-	})
-}

@@ -17,11 +17,10 @@
 // the paper's design where the core benchmark carries no concurrency
 // control and a strategy is merged in at build time.
 //
-// Strategies live in a registry (see Register): New resolves
+// The strategies are a fixed table (registry.go): New resolves
 // Config.Strategy against it, and Strategies/STMStrategies enumerate it.
-// Engines registered with the stm package are wrapped as STM strategies
-// automatically, so adding an engine there is enough to make it
-// selectable here (and in both CLIs) by name.
+// Each stm engine is one STM row of it, selectable here (and in both
+// CLIs) by the engine's name.
 package sync7
 
 import (
@@ -51,7 +50,7 @@ type Executor interface {
 
 // Config selects and tunes a strategy.
 type Config struct {
-	// Strategy is any registered strategy name (see Strategies):
+	// Strategy is any strategy name (see Strategies):
 	// "coarse", "medium", "ostm", "tl2", "norec" or "direct".
 	Strategy string
 	// NumAssmLevels must match the structure's parameter (medium locking
@@ -64,17 +63,17 @@ type Config struct {
 }
 
 // New builds the executor for cfg by looking Config.Strategy up in the
-// strategy registry. Configuration errors — an unknown strategy or
+// strategy table. Configuration errors — an unknown strategy or
 // out-of-range engine options — are reported before anything is built.
 func New(cfg Config) (Executor, error) {
-	reg, ok := lookup(cfg.Strategy)
+	st, ok := lookup(cfg.Strategy)
 	if !ok {
 		return nil, fmt.Errorf("sync7: unknown strategy %q (want %s)", cfg.Strategy, strings.Join(Strategies(), ", "))
 	}
 	if err := cfg.Engine.Validate(); err != nil {
 		return nil, fmt.Errorf("sync7: %w", err)
 	}
-	return reg.factory(cfg)
+	return st.build(cfg)
 }
 
 // runOp executes the operation body through an engine, translating the

@@ -271,7 +271,7 @@ func TestAllocMutFastPath(t *testing.T) {
 				// below arbitrate against a transaction that cannot move.
 				visible := false
 				if e, ok := eng.(*OSTM); ok {
-					visible = e.cfg.VisibleReads
+					visible = e.opts.VisibleReads
 				}
 				attempts := 0
 				bodies := []func(tx Tx) error{
@@ -456,7 +456,7 @@ func TestAllocVersionedSnapshotSteadyState(t *testing.T) {
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	makers := map[string]func() Engine{
-		"norec-mv8": func() Engine { return NewNOrecWith(NOrecConfig{EngineOptions: opts("versions=8")}) },
+		"norec-mv8": func() Engine { return NewNOrec(opts("versions=8")) },
 	}
 	for name, mk := range makers {
 		t.Run(name, func(t *testing.T) {

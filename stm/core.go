@@ -68,13 +68,13 @@ type coreTx interface {
 
 // setup fills in the core from an engine's configuration; descs is the
 // engine itself.
-func (c *engineCore) setup(descs descriptors, o EngineOptions, maxRetries int) {
+func (c *engineCore) setup(descs descriptors, o EngineOptions) {
 	c.descs = descs
 	if o.SerialFallback {
 		c.gate = &serialGate{}
 	}
 	c.faults = o.Faults.fresh()
-	c.deadline, c.maxRetries, c.noSnap = o.TxDeadline, maxRetries, o.DisableROSnapshot
+	c.deadline, c.maxRetries, c.noSnap = o.TxDeadline, o.MaxRetries, o.DisableROSnapshot
 }
 
 // VarSpace implements Engine.

@@ -24,8 +24,6 @@ func NewDirect() *Direct {
 	return d
 }
 
-func init() { Register("direct", func(EngineOptions) Engine { return NewDirect() }) }
-
 // Name implements Engine.
 func (d *Direct) Name() string { return "direct" }
 

@@ -29,39 +29,40 @@
 //     coarse- and medium-grained lock strategies) or single-threaded, paying
 //     only an interface call per access.
 //
-// Engines self-register in an engine registry: New("norec") returns a fresh
-// default-configuration engine by name, NewWith one configured with
-// EngineOptions, and Registered lists the names. The benchmark's strategy
-// layer and the engine test suites enumerate the registry, so a new engine
-// in this package is automatically picked up by the
-// conformance/stress/property tests, the comparison benchmarks, and both
-// command-line tools.
+// Each engine has one constructor, which takes EngineOptions (NewDirect
+// takes nothing). The engines also form a fixed table by name (registry.go):
+// New("norec") returns a fresh default-configuration engine, NewWith one
+// configured with EngineOptions, and Registered lists the names. The
+// benchmark's strategy layer and the engine test suites enumerate the
+// table, so the conformance/stress/property tests, the comparison
+// benchmarks and both command-line tools cover every engine in it.
 //
 // # Engine specs
 //
-// A registry name plus an EngineOptions value is an EngineSpec — one point
+// An engine name plus an EngineOptions value is an EngineSpec — one point
 // of an (engine, configuration) sweep as a single printable value with a
 // canonical ParseEngineSpec/String round trip:
 //
 //	norec:versions=4,deadline=25ms
 //	tl2:nosnap
 //
-// The spec is the only carrier of engine configuration above this package:
-// the benchmark's -g flag takes one, scenario files apply an option list
-// over it (EngineOptions.Apply) and reports print it. Every knob the
-// sections below describe is an EngineOptions field with a spec key
-// (given in brackets there), including the one that shapes the run around
-// the engine: nosnap (DisableROSnapshot), which each engine's RunReadOnly
-// honours. The per-engine config structs embed EngineOptions and add only
-// MaxRetries and the one ablation knob no spec names, OSTM's
-// CommitCounterHeuristic. See ParseEngineSpec for the grammar.
+// EngineOptions is the whole configuration of an engine, and the spec is
+// its only carrier above this package: the benchmark's -g flag takes one,
+// scenario files apply an option list over it (EngineOptions.Apply) and
+// reports print it. Every knob the sections below describe is an
+// EngineOptions field with a spec key (given in brackets there), including
+// the retry budget, retries=N (MaxRetries), OSTM's commitcounter ablation
+// (CommitCounterHeuristic), and the one that shapes the run around the
+// engine: nosnap (DisableROSnapshot), which each engine's RunReadOnly
+// honours. Trace, a live recorder, is the one field without a key. See
+// ParseEngineSpec for the grammar.
 //
 // # Programming model
 //
 // Shared mutable state lives in Vars (untyped) or Cells (typed wrappers).
 // All access happens inside a transaction:
 //
-//	eng := stm.NewTL2()
+//	eng := stm.NewTL2(stm.EngineOptions{})
 //	balance := stm.NewCell[int](eng.VarSpace(), 100)
 //	err := eng.Atomic(func(tx stm.Tx) error {
 //	    b := balance.Get(tx)
@@ -157,7 +158,7 @@
 //
 //   - Retry semantics. Conflict aborts are retried internally (with
 //     backoff — see spinWait/backoffDur) until commit, user error, or an
-//     exhausted retry budget — MaxRetries attempts or the TxDeadline
+//     exhausted retry budget — MaxRetries [retries=N] or the TxDeadline
 //     wall-clock bound — in which case Atomic returns an error matching
 //     both errors.Is(err, ErrAborted) and the specific cause
 //     (ErrRetryExhausted, ErrDeadlineExceeded, ErrInjectedFault; see
@@ -168,12 +169,12 @@
 //     The harness reports them and the benchmarks derive abort rates from
 //     them.
 //
-//   - Registration. The engine registers a fresh-instance factory under
-//     its Name() in an init function of its own file: Register("foo",
-//     func(o EngineOptions) Engine { return NewFoo(o) }). Everything
-//     downstream — the sync7 strategy layer, the CLIs' -g flag, the
-//     comparison benchmarks, the engine test suites — discovers it from
-//     there.
+//   - Construction. The engine has one constructor, NewFoo(EngineOptions),
+//     which reads the options that apply to its design and ignores the
+//     rest, and one row in the engine table (registry.go) under its
+//     Name(); the sync7 strategy table gets a matching STM row. Everything
+//     downstream — the CLIs' -g flag, the comparison benchmarks, the
+//     engine test suites — enumerates those tables.
 //
 // An engine supplies a descriptor and its protocol — read, write, validate
 // and commit — and embeds engineCore (core.go) for everything else: the Var

@@ -6,10 +6,10 @@ import (
 	"repro/stm"
 )
 
-// ExampleNewTL2With configures TL2 with a bounded retry budget, then runs
+// ExampleNewTL2 configures TL2 with a bounded retry budget, then runs
 // a read-modify-write transaction.
-func ExampleNewTL2With() {
-	eng := stm.NewTL2With(stm.TL2Config{
+func ExampleNewTL2() {
+	eng := stm.NewTL2(stm.EngineOptions{
 		MaxRetries: 100, // Atomic returns ErrAborted past this budget
 	})
 	counter := stm.NewCell(eng.VarSpace(), 41)
@@ -30,11 +30,11 @@ func ExampleNewTL2With() {
 	// tl2 counter: 42
 }
 
-// ExampleNewNOrecWith configures NOrec and demonstrates its defining
+// ExampleNewNOrec configures NOrec and demonstrates its defining
 // behaviour: validation is by value, so committed state is compared by
 // what it holds, not by when it was written.
-func ExampleNewNOrecWith() {
-	eng := stm.NewNOrecWith(stm.NOrecConfig{
+func ExampleNewNOrec() {
+	eng := stm.NewNOrec(stm.EngineOptions{
 		MaxRetries: 100,
 	})
 	a := stm.NewCell(eng.VarSpace(), 10)

@@ -15,13 +15,13 @@ func chaosEngineMakers(plan string, deadline time.Duration, serial bool, maxRetr
 	fp := mustFaultPlan(plan)
 	return map[string]func() Engine{
 		"tl2": func() Engine {
-			return NewTL2With(TL2Config{EngineOptions: EngineOptions{TxDeadline: deadline, SerialFallback: serial, Faults: fp}, MaxRetries: maxRetries})
+			return NewTL2(EngineOptions{TxDeadline: deadline, SerialFallback: serial, Faults: fp, MaxRetries: maxRetries})
 		},
 		"norec": func() Engine {
-			return NewNOrecWith(NOrecConfig{EngineOptions: EngineOptions{TxDeadline: deadline, SerialFallback: serial, Faults: fp}, MaxRetries: maxRetries})
+			return NewNOrec(EngineOptions{TxDeadline: deadline, SerialFallback: serial, Faults: fp, MaxRetries: maxRetries})
 		},
 		"ostm": func() Engine {
-			return NewOSTMWith(OSTMConfig{EngineOptions: EngineOptions{TxDeadline: deadline, SerialFallback: serial, Faults: fp}, MaxRetries: maxRetries})
+			return NewOSTM(EngineOptions{TxDeadline: deadline, SerialFallback: serial, Faults: fp, MaxRetries: maxRetries})
 		},
 	}
 }
@@ -178,7 +178,7 @@ func TestFaultInjectionDeterministic(t *testing.T) {
 func TestFaultPlanSnapshotIndependent(t *testing.T) {
 	fp := mustFaultPlan("abort:1/4")
 	run := func() uint64 {
-		eng := NewTL2With(TL2Config{EngineOptions: EngineOptions{Faults: fp}})
+		eng := NewTL2(EngineOptions{Faults: fp})
 		c := NewCell(eng.VarSpace(), 0)
 		for i := 0; i < 100; i++ {
 			if err := eng.Atomic(func(tx Tx) error { c.Set(tx, i); return nil }); err != nil {

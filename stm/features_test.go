@@ -15,7 +15,7 @@ import (
 // producing identical results.
 func TestCommitCounterSkipsIdleValidation(t *testing.T) {
 	run := func(heuristic bool) uint64 {
-		eng := NewOSTMWith(OSTMConfig{CommitCounterHeuristic: heuristic})
+		eng := NewOSTM(EngineOptions{CommitCounterHeuristic: heuristic})
 		cells := make([]*Cell[int], 200)
 		for i := range cells {
 			cells[i] = NewCell(eng.VarSpace(), i)
@@ -48,7 +48,7 @@ func TestCommitCounterSkipsIdleValidation(t *testing.T) {
 // TestCommitCounterStillCatchesConflicts: the heuristic must not skip the
 // validation that dooms a genuinely invalidated transaction.
 func TestCommitCounterStillCatchesConflicts(t *testing.T) {
-	eng := NewOSTMWith(OSTMConfig{CommitCounterHeuristic: true})
+	eng := NewOSTM(EngineOptions{CommitCounterHeuristic: true})
 	a := NewCell(eng.VarSpace(), 1)
 	b := NewCell(eng.VarSpace(), -1)
 

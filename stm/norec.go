@@ -5,19 +5,6 @@ import (
 	"sync/atomic"
 )
 
-// NOrecConfig tunes the NOrec engine.
-type NOrecConfig struct {
-	// MaxRetries bounds re-executions; 0 means retry forever. When the
-	// budget is exhausted Atomic returns ErrAborted.
-	MaxRetries int
-	// EngineOptions carries the spec-addressable knobs. NOrec honours
-	// Versions (under Versions > 1 each published version is stamped with
-	// its commit's post-release sequence value, and the seqlock epoch
-	// check is dropped entirely), TxDeadline, SerialFallback, Faults,
-	// Trace and DisableROSnapshot, and ignores the rest.
-	EngineOptions
-}
-
 // NOrec implements the "no ownership records" STM of Dalessandro, Spear
 // and Scott (PPoPP 2010): the only global metadata is a single sequence
 // lock. Reads are invisible and buffered with the value they observed;
@@ -50,7 +37,7 @@ type NOrecConfig struct {
 // resolves against), and NOrec consumes that one knob.
 type NOrec struct {
 	engineCore
-	cfg      NOrecConfig
+	versions int // EngineOptions.Versions, normalized
 	txPool   txPool[norecTx]
 	snapPool txPool[norecSnapTx] // read-only snapshot descriptors (RunReadOnly)
 	// seq is the global sequence lock: odd while a writer is in its
@@ -59,20 +46,16 @@ type NOrec struct {
 	seq atomic.Uint64
 }
 
-// NewNOrec returns a NOrec engine with default configuration.
-func NewNOrec() *NOrec { return NewNOrecWith(NOrecConfig{}) }
-
-func init() {
-	Register("norec", func(o EngineOptions) Engine { return NewNOrecWith(NOrecConfig{EngineOptions: o}) })
-}
-
-// NewNOrecWith returns a NOrec engine with explicit configuration.
-func NewNOrecWith(cfg NOrecConfig) *NOrec {
-	cfg.Versions = normalizeVersions(cfg.Versions)
-	e := &NOrec{cfg: cfg}
-	e.setup(e, cfg.EngineOptions, cfg.MaxRetries)
-	e.txPool.init(func() *norecTx { return &norecTx{eng: e, txHead: txHead{tr: cfg.Trace.tap()}} })
-	e.snapPool.init(func() *norecSnapTx { return &norecSnapTx{eng: e, txHead: txHead{tr: cfg.Trace.tap()}} })
+// NewNOrec returns a NOrec engine configured with o. NOrec honours
+// Versions (under Versions > 1 each published version is stamped with its
+// commit's post-release sequence value, and the seqlock epoch check is
+// dropped entirely), MaxRetries, TxDeadline, SerialFallback, Faults, Trace
+// and DisableROSnapshot, and ignores the rest.
+func NewNOrec(o EngineOptions) *NOrec {
+	e := &NOrec{versions: normalizeVersions(o.Versions)}
+	e.setup(e, o)
+	e.txPool.init(func() *norecTx { return &norecTx{eng: e, txHead: txHead{tr: o.Trace.tap()}} })
+	e.snapPool.init(func() *norecSnapTx { return &norecSnapTx{eng: e, txHead: txHead{tr: o.Trace.tap()}} })
 	return e
 }
 
@@ -272,7 +255,7 @@ func (tx *norecTx) set(v *Var, b *box, vb *vbox) {
 }
 
 // versioned implements cellTx: under Versions > 1 a commit publishes vboxes.
-func (tx *norecTx) versioned() bool { return tx.eng.cfg.Versions > 1 }
+func (tx *norecTx) versioned() bool { return tx.eng.versions > 1 }
 
 // Update implements Tx.
 func (tx *norecTx) Update(v *Var, f func(val any) any) {
@@ -350,7 +333,7 @@ func (tx *norecTx) commit() bool {
 	// Versions > 1 each is a vbox stamped with this commit's post-release
 	// sequence value, and the superseded version is linked behind it so
 	// snapshot readers at older epochs can resolve it (mvcc.go).
-	if keep := tx.eng.cfg.Versions; keep > 1 {
+	if keep := tx.eng.versions; keep > 1 {
 		for i := range tx.writes {
 			w := &tx.writes[i]
 			publishVersion(w.v, versionable(w.vb, w.val), tx.snapshot+2, keep, &tx.st)

@@ -52,7 +52,7 @@ func norecStraddle(t *testing.T, eng *NOrec, writer func(tx Tx, a *Cell[int]) er
 // one attempt — NOrec's answer to TL2's timestamp extension, available
 // unconditionally.
 func TestNOrecSnapshotExtension(t *testing.T) {
-	eng := NewNOrec()
+	eng := NewNOrec(EngineOptions{})
 	fresh := NewCell(eng.VarSpace(), 0)
 	if got := norecStraddle(t, eng, func(tx Tx, _ *Cell[int]) error { fresh.Set(tx, 99); return nil }); got != 1 {
 		t.Errorf("attempts = %d, want 1 (snapshot extension)", got)
@@ -63,7 +63,7 @@ func TestNOrecSnapshotExtension(t *testing.T) {
 // value-based validation: a concurrent commit that overwrites a Var the
 // reader HAS read with an equal value does not invalidate it.
 func TestNOrecValueValidationToleratesEqualRewrite(t *testing.T) {
-	eng := NewNOrec()
+	eng := NewNOrec(EngineOptions{})
 	if got := norecStraddle(t, eng, func(tx Tx, a *Cell[int]) error { a.Set(tx, 1); return nil }); got != 1 {
 		t.Errorf("attempts = %d, want 1 (equal value tolerated)", got)
 	}
@@ -73,7 +73,7 @@ func TestNOrecValueValidationToleratesEqualRewrite(t *testing.T) {
 // read-set entry was overwritten with a different value, and the retry
 // must observe a consistent fresh snapshot.
 func TestNOrecChangedValueAborts(t *testing.T) {
-	eng := NewNOrec()
+	eng := NewNOrec(EngineOptions{})
 	a := NewCell(eng.VarSpace(), 1)
 	b := NewCell(eng.VarSpace(), -1)
 
@@ -115,7 +115,7 @@ func TestNOrecChangedValueAborts(t *testing.T) {
 // on every attempt gives up with ErrAborted after the budget.
 func TestNOrecRetryBudget(t *testing.T) {
 	const maxRetries = 2
-	eng := NewNOrecWith(NOrecConfig{MaxRetries: maxRetries})
+	eng := NewNOrec(EngineOptions{MaxRetries: maxRetries})
 	c := NewCell(eng.VarSpace(), 0)
 
 	invalidate := make(chan struct{})
@@ -154,7 +154,7 @@ func TestNOrecRetryBudget(t *testing.T) {
 // are all applied (the global sequence lock serializes write-backs but
 // must not lose any).
 func TestNOrecWriteCommitsSerialize(t *testing.T) {
-	eng := NewNOrec()
+	eng := NewNOrec(EngineOptions{})
 	const goroutines = 8
 	iters := stressIters(t, 1000)
 	cells := make([]*Cell[int], goroutines)
@@ -197,7 +197,7 @@ func TestNOrecWriteCommitsSerialize(t *testing.T) {
 // to be checked on the dynamic value, not the type. The comparison is
 // conservatively unequal, so the straddling reader retries.
 func TestNOrecUncomparableInsideComparable(t *testing.T) {
-	eng := NewNOrec()
+	eng := NewNOrec(EngineOptions{})
 	tricky := NewCell(eng.VarSpace(), [2]any{[]int{1}, 0})
 	other := NewCell(eng.VarSpace(), 0)
 
@@ -237,7 +237,7 @@ func TestNOrecUncomparableInsideComparable(t *testing.T) {
 // dynamic types) must fall back to reference validation instead of
 // panicking inside the value comparison.
 func TestNOrecNonComparableValues(t *testing.T) {
-	eng := NewNOrec()
+	eng := NewNOrec(EngineOptions{})
 	c := NewCellClone(eng.VarSpace(), []int{1, 2, 3}, CloneSlice[int])
 	d := NewCell(eng.VarSpace(), 0)
 

@@ -213,12 +213,12 @@ func TestNewWithOptions(t *testing.T) {
 		}
 		switch e := eng.(type) {
 		case *NOrec:
-			if e.cfg.Versions != 4 {
-				t.Errorf("norec: Versions = %d, want 4", e.cfg.Versions)
+			if e.versions != 4 {
+				t.Errorf("norec: Versions = %d, want 4", e.versions)
 			}
 		case *OSTM:
-			if _, ok := e.cfg.CM.(Timid); !ok {
-				t.Errorf("ostm: CM = %v, want timid", e.cfg.CM)
+			if _, ok := e.opts.CM.(Timid); !ok {
+				t.Errorf("ostm: CM = %v, want timid", e.opts.CM)
 			}
 		}
 	}
@@ -231,8 +231,8 @@ func TestNewWithOptions(t *testing.T) {
 // version-chain depth must degrade to the cap, not crash or retain
 // unbounded history.
 func TestOversizedKnobsClampInsteadOfPanicking(t *testing.T) {
-	eng := NewNOrecWith(NOrecConfig{EngineOptions: EngineOptions{Versions: maxVersions * 1000}})
-	if got := eng.cfg.Versions; got != maxVersions {
+	eng := NewNOrec(EngineOptions{Versions: maxVersions * 1000})
+	if got := eng.versions; got != maxVersions {
 		t.Errorf("versions=%d normalized to %d, want clamp to %d", maxVersions*1000, got, maxVersions)
 	}
 	if got := normalizeVersions(0); got != DefaultVersions {

@@ -69,28 +69,6 @@ type locator struct {
 	ownerState txState
 }
 
-// OSTMConfig tunes the OSTM engine.
-type OSTMConfig struct {
-	// CommitCounterHeuristic skips an incremental validation pass when no
-	// transaction in the engine has committed a write since this
-	// transaction's previous validation — the "global commit counter"
-	// strategy of Spear et al. (DISC 2006), one of the paper's cited
-	// fixes. Sound: a read-set entry can only be invalidated by a commit.
-	// The commit-time validation is never skipped (it arbitrates the
-	// Validating-vs-Validating race, which the counter cannot see).
-	CommitCounterHeuristic bool
-
-	// MaxRetries bounds re-executions; 0 means retry forever. When the
-	// budget is exhausted Atomic returns ErrAborted.
-	MaxRetries int
-
-	// EngineOptions carries the spec-addressable knobs. OSTM honours CM,
-	// CommitTimeValidationOnly (off = the faithful O(k²) incremental
-	// validation), VisibleReads, TxDeadline, SerialFallback, Faults,
-	// Trace and DisableROSnapshot, and ignores the rest.
-	EngineOptions
-}
-
 // OSTM is an object-based STM in the DSTM/ASTM tradition: eager write
 // acquisition through locators, invisible reads with incremental read-set
 // validation, copy-on-write object logging, contention management.
@@ -100,7 +78,7 @@ type OSTMConfig struct {
 // whole-object copies for every first write to an object.
 type OSTM struct {
 	engineCore
-	cfg      OSTMConfig
+	opts     EngineOptions // as constructed, CM defaulted
 	txPool   txPool[ostmTx]
 	snapPool txPool[ostmSnapTx] // read-only snapshot descriptors (RunReadOnly)
 	// commitSerial counts write transactions that reached their commit
@@ -116,23 +94,20 @@ type OSTM struct {
 	commitSerial atomic.Uint64
 }
 
-// NewOSTM returns an OSTM engine with the paper's configuration: Polka
-// contention management and incremental validation.
-func NewOSTM() *OSTM { return NewOSTMWith(OSTMConfig{}) }
-
-func init() {
-	Register("ostm", func(o EngineOptions) Engine { return NewOSTMWith(OSTMConfig{EngineOptions: o}) })
-}
-
-// NewOSTMWith returns an OSTM engine with explicit configuration.
-func NewOSTMWith(cfg OSTMConfig) *OSTM {
-	if cfg.CM == nil {
-		cfg.CM = Polka{}
+// NewOSTM returns an OSTM engine configured with o; zero options are the
+// paper's configuration: Polka contention management and incremental
+// validation. OSTM honours CM, CommitTimeValidationOnly (off = the faithful
+// O(k²) incremental validation), CommitCounterHeuristic, VisibleReads,
+// MaxRetries, TxDeadline, SerialFallback, Faults, Trace and
+// DisableROSnapshot, and ignores Versions.
+func NewOSTM(o EngineOptions) *OSTM {
+	if o.CM == nil {
+		o.CM = Polka{}
 	}
-	e := &OSTM{cfg: cfg}
-	e.setup(e, cfg.EngineOptions, cfg.MaxRetries)
-	e.txPool.init(func() *ostmTx { return &ostmTx{eng: e, txHead: txHead{tr: cfg.Trace.tap()}} })
-	e.snapPool.init(func() *ostmSnapTx { return &ostmSnapTx{eng: e, txHead: txHead{tr: cfg.Trace.tap()}} })
+	e := &OSTM{opts: o}
+	e.setup(e, o)
+	e.txPool.init(func() *ostmTx { return &ostmTx{eng: e, txHead: txHead{tr: o.Trace.tap()}} })
+	e.snapPool.init(func() *ostmSnapTx { return &ostmSnapTx{eng: e, txHead: txHead{tr: o.Trace.tap()}} })
 	return e
 }
 
@@ -191,7 +166,7 @@ type ostmTx struct {
 }
 
 func (tx *ostmTx) reset() {
-	if tx.eng.cfg.VisibleReads {
+	if tx.eng.opts.VisibleReads {
 		// Reader registration publishes the state on first read, and
 		// reader-set entries may outlive the attempt; never recycle.
 		tx.state = &txState{}
@@ -272,7 +247,7 @@ func (tx *ostmTx) resolveRead(v *Var) *box {
 func (tx *ostmTx) Read(v *Var) any {
 	tx.st.reads++
 	tx.checkAlive()
-	if tx.eng.cfg.VisibleReads {
+	if tx.eng.opts.VisibleReads {
 		return tx.visibleRead(v)
 	}
 	if i, ok := tx.writeIdx.get(v); ok {
@@ -287,7 +262,7 @@ func (tx *ostmTx) Read(v *Var) any {
 	}
 	tx.reads = append(tx.reads, readEntry{v: v, seen: b})
 	tx.state.opens.Add(1)
-	if !tx.eng.cfg.CommitTimeValidationOnly {
+	if !tx.eng.opts.CommitTimeValidationOnly {
 		tx.validate(false)
 	}
 	return b.val
@@ -300,7 +275,7 @@ func (tx *ostmTx) Read(v *Var) any {
 // locators will share the relocated state).
 func (tx *ostmTx) prepareLocator(v *Var, oldBox *box) *locator {
 	newLoc := &locator{wslot: wslot{v: v, old: oldBox}}
-	if !tx.stateShared && !tx.eng.cfg.VisibleReads {
+	if !tx.stateShared && !tx.eng.opts.VisibleReads {
 		st := &newLoc.ownerState
 		st.opens.Store(tx.state.opens.Load())
 		st.status.Store(statusActive) // private ⇒ nobody could have aborted us
@@ -323,11 +298,11 @@ func (tx *ostmTx) finishAcquire(o *orec, s *wslot) *wslot {
 	if i, ok := tx.readIdx.get(s.v); ok && tx.reads[i].seen != s.old {
 		throwConflict("acquired var changed since read")
 	}
-	if tx.eng.cfg.VisibleReads {
+	if tx.eng.opts.VisibleReads {
 		// Symmetric eager conflict detection: every live registered
 		// reader of the orec must lose or we must.
 		tx.arbitrateReaders(o)
-	} else if !tx.eng.cfg.CommitTimeValidationOnly {
+	} else if !tx.eng.opts.CommitTimeValidationOnly {
 		tx.validate(false)
 	}
 	return s
@@ -344,7 +319,7 @@ func (tx *ostmTx) acquire(v *Var) *wslot {
 		return tx.writeLocs[i]
 	}
 	o := &v.own
-	cm := tx.eng.cfg.CM
+	cm := tx.eng.opts.CM
 	attempt := 0
 	for {
 		tx.checkAlive()
@@ -506,7 +481,7 @@ func (tx *ostmTx) resolveValidate(v *Var, final bool) *box {
 			}
 			// Arbitrate: either the enemy dies (its value stays old) or we
 			// do. Waiting for the enemy to finish is also acceptable.
-			switch tx.eng.cfg.CM.OnConflict(tx.state, loc.owner, 0) {
+			switch tx.eng.opts.CM.OnConflict(tx.state, loc.owner, 0) {
 			case AbortSelf:
 				throwConflict("validating enemy")
 			default:
@@ -529,7 +504,7 @@ func (tx *ostmTx) resolveValidate(v *Var, final bool) *box {
 // cannot witness.
 func (tx *ostmTx) validate(final bool) {
 	tx.checkAlive()
-	if !final && tx.eng.cfg.CommitCounterHeuristic {
+	if !final && tx.eng.opts.CommitCounterHeuristic {
 		serial := tx.eng.commitSerial.Load()
 		if serial == tx.lastSerial {
 			return
@@ -569,7 +544,7 @@ func (tx *ostmTx) commit() bool {
 		}
 		f.stallAt(FaultPreCommit, &tx.eng.stats)
 	}
-	if tx.eng.cfg.VisibleReads {
+	if tx.eng.opts.VisibleReads {
 		// Visible mode needs no validation: a writer that invalidated any
 		// of our reads had to abort us first, and read-write conflicts are
 		// arbitrated eagerly on both sides, which also rules out the

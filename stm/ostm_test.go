@@ -60,10 +60,9 @@ func TestOSTMCommitRetiresLocators(t *testing.T) {
 		// written Var when it opens it.
 		t.Run(fmt.Sprintf("object/eager/visible=%v", visible), func(t *testing.T) {
 			cm := &scriptedCM{}
-			o := EngineOptions{VisibleReads: visible, CM: cm}
 			// A retry budget turns a protocol that livelocks (each
 			// attempt writing its own aborted value back) into a failure.
-			eng := NewOSTMWith(OSTMConfig{MaxRetries: 8, EngineOptions: o})
+			eng := NewOSTM(EngineOptions{VisibleReads: visible, CM: cm, MaxRetries: 8})
 			testRetirement(t, eng, cm)
 		})
 	}

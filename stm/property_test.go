@@ -231,7 +231,7 @@ func TestPropertyCloneIsolation(t *testing.T) {
 		for i, v := range vals {
 			init[i] = int(v)
 		}
-		for _, e := range []Engine{NewOSTM(), NewTL2()} {
+		for _, e := range []Engine{NewOSTM(EngineOptions{}), NewTL2(EngineOptions{})} {
 			c := NewCellClone(e.VarSpace(), CloneSlice(init), CloneSlice[int])
 			e.Atomic(func(tx Tx) error {
 				c.Update(tx, func(s []int) []int {

@@ -55,17 +55,3 @@ func TestNewUnknownEngine(t *testing.T) {
 		t.Errorf("error should list registered engines, got: %v", err)
 	}
 }
-
-func TestRegisterRejectsBadInput(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: no panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("empty name", func() { Register("", func(EngineOptions) Engine { return NewDirect() }) })
-	mustPanic("nil factory", func() { Register("x", nil) })
-	mustPanic("duplicate", func() { Register("tl2", func(EngineOptions) Engine { return NewTL2() }) })
-}

@@ -76,7 +76,7 @@ func TestPooledDescriptorHoldsNothing(t *testing.T) {
 		return cells
 	}
 	t.Run("tl2", func(t *testing.T) {
-		eng := NewTL2()
+		eng := NewTL2(EngineOptions{})
 		pinDescriptor(&eng.txPool)
 		cells := newCells(eng)
 		for _, large := range []bool{true, false} {
@@ -89,7 +89,7 @@ func TestPooledDescriptorHoldsNothing(t *testing.T) {
 		}
 	})
 	t.Run("norec", func(t *testing.T) {
-		eng := NewNOrec()
+		eng := NewNOrec(EngineOptions{})
 		pinDescriptor(&eng.txPool)
 		cells := newCells(eng)
 		for _, large := range []bool{true, false} {
@@ -103,7 +103,7 @@ func TestPooledDescriptorHoldsNothing(t *testing.T) {
 	})
 	// "eager": OSTM acquires as it goes, so writeLocs holds every write.
 	t.Run("ostm/eager", func(t *testing.T) {
-		eng := NewOSTM()
+		eng := NewOSTM(EngineOptions{})
 		pinDescriptor(&eng.txPool)
 		cells := newCells(eng)
 		for _, large := range []bool{true, false} {

@@ -268,7 +268,7 @@ type norecSnapTx struct {
 func (tx *norecSnapTx) Read(v *Var) any {
 	tx.st.reads++
 	b := v.cur.Load()
-	if tx.eng.cfg.Versions > 1 {
+	if tx.eng.versions > 1 {
 		h := v.ver.Load()
 		if h == nil {
 			return b.val

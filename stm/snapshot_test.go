@@ -111,7 +111,7 @@ func TestSnapshotWritePanics(t *testing.T) {
 // TestSnapshotHelperFallsBack: RunReadOnly on an engine without the
 // capability degrades to Atomic.
 func TestSnapshotHelperFallsBack(t *testing.T) {
-	eng := &capabilityFreeEngine{inner: NewTL2()}
+	eng := &capabilityFreeEngine{inner: NewTL2(EngineOptions{})}
 	c := NewCell(eng.VarSpace(), 7)
 	var got int
 	if err := RunReadOnly(eng, func(tx Tx) error { got = c.Get(tx); return nil }); err != nil {
@@ -140,10 +140,8 @@ func (e *capabilityFreeEngine) Stats() Stats                      { return e.inn
 // of the axis, pinned by TestSnapshotVersionedRestartElimination.
 func versionDepth(eng Engine) int {
 	switch e := eng.(type) {
-	case *TL2:
-		return e.cfg.Versions
 	case *NOrec:
-		return e.cfg.Versions
+		return e.versions
 	}
 	return 1
 }
@@ -245,9 +243,9 @@ func TestSnapshotFallbackAfterBudget(t *testing.T) {
 // the (fallback) Atomic path.
 func TestSnapshotFallbackIgnoresMaxRetries(t *testing.T) {
 	makers := map[string]func() Engine{
-		"tl2":   func() Engine { return NewTL2With(TL2Config{MaxRetries: 2}) },
-		"norec": func() Engine { return NewNOrecWith(NOrecConfig{MaxRetries: 2}) },
-		"ostm":  func() Engine { return NewOSTMWith(OSTMConfig{MaxRetries: 2}) },
+		"tl2":   func() Engine { return NewTL2(EngineOptions{MaxRetries: 2}) },
+		"norec": func() Engine { return NewNOrec(EngineOptions{MaxRetries: 2}) },
+		"ostm":  func() Engine { return NewOSTM(EngineOptions{MaxRetries: 2}) },
 	}
 	for name, mk := range makers {
 		t.Run(name, func(t *testing.T) {
@@ -418,7 +416,7 @@ func TestVersionStatsDelta(t *testing.T) {
 // battery below is table-driven over: every engine with the Versions axis,
 // parameterized by chain depth K.
 var versionedSnapshotMakers = map[string]func(k int) Engine{
-	"norec": func(k int) Engine { return NewNOrecWith(NOrecConfig{EngineOptions: EngineOptions{Versions: k}}) },
+	"norec": func(k int) Engine { return NewNOrec(EngineOptions{Versions: k}) },
 }
 
 // TestTL2IgnoresVersions: TL2 takes versions=K and keeps no chain. A

@@ -9,17 +9,18 @@ import (
 
 // Engine specs.
 //
-// An EngineSpec — a registry name plus an EngineOptions value — is the one
+// An EngineSpec — an engine name plus an EngineOptions value — is the one
 // carrier of engine configuration: the strategy layer, the harness, the
 // scenario engine and both CLIs (-g) hold it opaquely and name no knob.
 // Adding a knob is a field of EngineOptions, a key in Apply and String
 // below, and the engine code that reads it; the reflection test in
 // spec_test.go fails a field without a key.
 
-// EngineOptions carries every engine knob a spec can name. Engines consume
-// the fields that apply to their design and ignore the rest (NOrec has no
-// per-location metadata; direct and the lock
-// strategies' pass-through engine ignore everything), so one value sweeps
+// EngineOptions is the whole configuration of an engine: NewTL2, NewNOrec
+// and NewOSTM take it, and every field but Trace has a spec key. Engines
+// consume the fields that apply to their design and ignore the rest (NOrec
+// has no per-location metadata; direct and the lock strategies'
+// pass-through engine ignore everything), so one value sweeps
 // every engine. The spec key of each field is given in brackets; see
 // ParseEngineSpec for the grammar.
 type EngineOptions struct {
@@ -40,6 +41,15 @@ type EngineOptions struct {
 	// tolerate re-execution from garbage reads; the benchmark operations
 	// do).
 	CommitTimeValidationOnly bool
+	// CommitCounterHeuristic [commitcounter] skips an OSTM incremental
+	// validation pass when no transaction in the engine has committed a
+	// write since this transaction's previous validation — the "global
+	// commit counter" strategy of Spear et al. (DISC 2006), one of the
+	// paper's cited fixes. Sound: a read-set entry can only be invalidated
+	// by a commit. The commit-time validation is never skipped (it
+	// arbitrates the Validating-vs-Validating race, which the counter
+	// cannot see).
+	CommitCounterHeuristic bool
 	// VisibleReads [visible] replaces OSTM's invisible reads + validation
 	// with reader registration on every orec: writers arbitrate with
 	// registered readers through the contention manager, and no
@@ -53,9 +63,14 @@ type EngineOptions struct {
 	// so an Atomic call runs at least one attempt. Expiry returns
 	// ErrDeadlineExceeded (which errors.Is-matches ErrAborted) unless
 	// SerialFallback is on, in which case it escalates instead. TL2,
-	// NOrec and OSTM, like the two fields below (every engine with a
+	// NOrec and OSTM, like the three fields below (every engine with a
 	// retry loop to bound, escalate or inject into).
 	TxDeadline time.Duration
+	// MaxRetries [retries=N] bounds the re-executions of one Atomic call
+	// (0 = retry forever). Past the budget Atomic returns
+	// ErrRetryExhausted (which errors.Is-matches ErrAborted) unless
+	// SerialFallback is on, in which case it escalates instead.
+	MaxRetries int
 	// SerialFallback [serial] guarantees liveness: when retry/deadline
 	// pressure crosses the escalation threshold the transaction re-runs
 	// under the engine's exclusive serial token and is guaranteed to
@@ -91,6 +106,8 @@ func (o EngineOptions) Validate() error {
 		return fmt.Errorf("stm: negative Versions %d", o.Versions)
 	case o.TxDeadline < 0:
 		return fmt.Errorf("stm: negative TxDeadline %v", o.TxDeadline)
+	case o.MaxRetries < 0:
+		return fmt.Errorf("stm: negative MaxRetries %d", o.MaxRetries)
 	}
 	return nil
 }
@@ -117,9 +134,13 @@ func (o EngineOptions) String() string {
 		add("cm=%s", o.CM.Name())
 	}
 	flag(o.CommitTimeValidationOnly, "ctv")
+	flag(o.CommitCounterHeuristic, "commitcounter")
 	flag(o.VisibleReads, "visible")
 	if o.TxDeadline != 0 {
 		add("deadline=%v", o.TxDeadline)
+	}
+	if o.MaxRetries != 0 {
+		add("retries=%d", o.MaxRetries)
 	}
 	flag(o.SerialFallback, "serial")
 	flag(o.DisableROSnapshot, "nosnap")
@@ -184,6 +205,8 @@ func (o EngineOptions) Apply(s string) (EngineOptions, error) {
 			o.CM, err = ParseContentionManager(val)
 		case "ctv":
 			err = onOff(&o.CommitTimeValidationOnly)
+		case "commitcounter":
+			err = onOff(&o.CommitCounterHeuristic)
 		case "visible":
 			err = onOff(&o.VisibleReads)
 		case "deadline":
@@ -191,12 +214,14 @@ func (o EngineOptions) Apply(s string) (EngineOptions, error) {
 			if err != nil || o.TxDeadline < 0 {
 				err = bad("deadline needs a duration >= 0, not %q", val)
 			}
+		case "retries":
+			err = count(&o.MaxRetries)
 		case "serial":
 			err = onOff(&o.SerialFallback)
 		case "nosnap":
 			err = onOff(&o.DisableROSnapshot)
 		default:
-			err = bad("unknown key %q (want versions, cm, ctv, visible, deadline, serial, nosnap or faults)", key)
+			err = bad("unknown key %q (want versions, cm, ctv, commitcounter, visible, deadline, retries, serial, nosnap or faults)", key)
 		}
 		if err != nil {
 			return EngineOptions{}, err
@@ -206,7 +231,7 @@ func (o EngineOptions) Apply(s string) (EngineOptions, error) {
 }
 
 // EngineSpec is one point of an (engine, configuration) sweep as a single
-// printable value: a registry name — an stm engine, or any other strategy
+// printable value: a name — an stm engine, or any other strategy
 // name a layer above resolves — plus the options it is built with.
 type EngineSpec struct {
 	Name    string
@@ -221,8 +246,10 @@ type EngineSpec struct {
 //	option  := "versions=" K           NOrec committed versions kept per Var
 //	         | "cm=" NAME              OSTM contention manager (polka, timid)
 //	         | "ctv"                   OSTM commit-time validation only
+//	         | "commitcounter"         OSTM skips validations no commit made necessary
 //	         | "visible"               OSTM visible reads
 //	         | "deadline=" DURATION    per-transaction retry budget (Go duration)
+//	         | "retries=" N            per-transaction attempt budget (0 = unbounded)
 //	         | "serial"                irrevocable serial fallback
 //	         | "nosnap"                read-only operations take the validating path
 //	         | "faults=" PLAN          fault plan in ParseFaultPlan syntax; must be

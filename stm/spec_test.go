@@ -2,7 +2,6 @@ package stm
 
 import (
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -24,6 +23,9 @@ var ciSpecs = []string{
 	"ostm:cm=timid,visible",
 	"tl2:nosnap",
 	"ostm:ctv",
+	"ostm:commitcounter",
+	"ostm:cm=timid,commitcounter,visible",
+	"tl2:retries=3",
 	"norec:deadline=25ms,serial",
 	"x:versions=2,cm=timid",
 	"x:deadline=25ms,faults=seed=7,precommit:1/40:80µs,lockhold:1/56:120µs,clocktick:1/72:40µs,abort:1/24",
@@ -175,22 +177,9 @@ func TestParseContentionManager(t *testing.T) {
 // without a spec key: every exported field except Trace (a live recorder,
 // not configuration) must be printed by String when non-zero and restored
 // by Apply from what String printed — otherwise it is unreachable from -g
-// and from scenario files. It also fails a knob added to a per-engine
-// config struct instead, where no spec key can reach it: those add only
-// the retry budget and OSTM's CommitCounterHeuristic to the embedded
-// EngineOptions.
+// and from scenario files. EngineOptions is the only engine configuration
+// type: NewTL2, NewNOrec and NewOSTM take nothing else.
 func TestEveryEngineOptionHasASpecKey(t *testing.T) {
-	for cfg, allowed := range map[reflect.Type][]string{
-		reflect.TypeOf(TL2Config{}):   {"EngineOptions", "MaxRetries"},
-		reflect.TypeOf(NOrecConfig{}): {"EngineOptions", "MaxRetries"},
-		reflect.TypeOf(OSTMConfig{}):  {"EngineOptions", "MaxRetries", "CommitCounterHeuristic"},
-	} {
-		for i := 0; i < cfg.NumField(); i++ {
-			if name := cfg.Field(i).Name; !slices.Contains(allowed, name) {
-				t.Errorf("%s.%s: engine knobs belong in EngineOptions with a spec key", cfg.Name(), name)
-			}
-		}
-	}
 	typ := reflect.TypeOf(EngineOptions{})
 	for i := 0; i < typ.NumField(); i++ {
 		field := typ.Field(i)
@@ -247,6 +236,9 @@ func FuzzParseEngineSpec(f *testing.F) {
 		"tl2:adaptive=off",
 		"tl2:nosnap,faults=abort:1/4",
 		"tl2:nosnap=maybe",
+		"ostm:commitcounter",
+		"tl2:retries=3",
+		"tl2:retries=-1",
 	}, ciSpecs...) {
 		f.Add(seed)
 	}

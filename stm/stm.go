@@ -148,7 +148,7 @@ type Tx interface {
 // number of goroutines may call Atomic simultaneously.
 type Engine interface {
 	// Name identifies the engine ("direct", "ostm", "tl2", "norec") in
-	// reports; registered engines use it as their registry name.
+	// reports; engines use it as their name in the engine table.
 	Name() string
 
 	// Atomic runs fn as one transaction, retrying on conflicts until the

@@ -27,8 +27,8 @@ func mustSpec(spec string) EngineSpec {
 	return s
 }
 
-// opts parses a spec's option list alone, for the configurations that pair
-// spec options with an ablation knob outside the spec.
+// opts parses a spec's option list alone, for tests that call an engine's
+// constructor directly.
 func opts(list string) EngineOptions { return mustSpec("x:" + list).Options }
 
 // fromSpec is a maker that builds the spec literal's engine through the
@@ -51,35 +51,32 @@ func fromSpec(spec string) func() Engine {
 // plus named non-default configurations worth exercising. Whatever a spec
 // can express is spelled as one and built through the parser, so every
 // suite run exercises ParseEngineSpec too; Go literals remain only for
-// the one ablation knob that stays outside the spec
-// (CommitCounterHeuristic) and for the test contention managers below.
+// the test contention managers below.
 var txEngineMakers = map[string]func() Engine{
 	"ostm-committime":   fromSpec("ostm:ctv"),
 	"ostm-timid":        fromSpec("ostm:cm=timid"),
 	"ostm-visible":      fromSpec("ostm:visible"),
-	"ostm-commitserial": func() Engine { return NewOSTMWith(OSTMConfig{CommitCounterHeuristic: true}) },
+	"ostm-commitserial": fromSpec("ostm:commitcounter"),
 
 	// OSTM's acquire loop under the two decision sequences no shipped
 	// manager produces: kill the owner at once, and wait, then give up.
-	"ostm-aggressive": func() Engine { return NewOSTMWith(OSTMConfig{EngineOptions: EngineOptions{CM: aggressiveCM{}}}) },
-	"ostm-backoff":    func() Engine { return NewOSTMWith(OSTMConfig{EngineOptions: EngineOptions{CM: backoffCM{}}}) },
+	"ostm-aggressive": func() Engine { return NewOSTM(EngineOptions{CM: aggressiveCM{}}) },
+	"ostm-backoff":    func() Engine { return NewOSTM(EngineOptions{CM: backoffCM{}}) },
 
 	// Multi-version variants: the version-chain depth iterates through the
 	// same suites like engines do (K=1 is the base registry entry). Only
 	// NOrec keeps versions; TL2 takes versions=K and ignores it, which
-	// TestTL2IgnoresVersions checks, so the -mv row of the stall plan
-	// below builds the same engine as the row without it.
+	// TestTL2IgnoresVersions checks.
 	"norec-mv2": fromSpec("norec:versions=2"),
 	"norec-mv8": fromSpec("norec:versions=8"),
 
-	// Lock-hold stall variants: one TL2 committer in 64 spins while it
+	// Lock-hold stall variant: one TL2 committer in 64 spins while it
 	// holds its write locks, so readers and writers meet a locked orec far
 	// more often than in the plain rows. A held lock must cost retries,
-	// never correctness. The rows keep the names of the 16-stripe rows
-	// they replace, which gave the same stress by making unrelated Vars
+	// never correctness. The row keeps the name of the 16-stripe row it
+	// replaces, which gave the same stress by making unrelated Vars
 	// collide on one orec, so the suites' test ids carry over.
-	"tl2-striped":     fromSpec("tl2:faults=" + lockStall),
-	"tl2-striped-mv8": fromSpec("tl2:versions=8,faults=" + lockStall),
+	"tl2-striped": fromSpec("tl2:faults=" + lockStall),
 }
 
 // aggressiveCM kills a live owner on every conflict.
@@ -116,10 +113,7 @@ func (backoffCM) WaitDuration(me TxInfo, attempt int) time.Duration {
 const lockStall = "seed=5,lockhold:1/64:4µs"
 
 // init adds every registered engine (except the non-transactional direct
-// one) under its registry name. It must run as an init function — not a
-// variable initializer — because the engines register themselves from
-// their own files' init functions, which run after all package-level
-// variables are initialized.
+// one) under its registry name.
 func init() {
 	for _, name := range Registered() {
 		if name == "direct" {
@@ -402,7 +396,7 @@ func TestNonConflictPanicPropagates(t *testing.T) {
 func TestOSTMRetryBudgetExhaustion(t *testing.T) {
 	// A Timid transaction that conflicts with a parked writer must give up
 	// after MaxRetries and return ErrAborted.
-	eng := NewOSTMWith(OSTMConfig{EngineOptions: opts("cm=timid"), MaxRetries: 3})
+	eng := NewOSTM(opts("cm=timid,retries=3"))
 	c := NewCell(eng.VarSpace(), 0)
 
 	hold := make(chan struct{})
@@ -442,7 +436,7 @@ func TestOSTMRetryBudgetExhaustion(t *testing.T) {
 func TestOSTMEnemyAbort(t *testing.T) {
 	// A transaction whose manager says AbortEnemy must kill a parked
 	// owner and proceed.
-	eng := NewOSTMWith(OSTMConfig{EngineOptions: EngineOptions{CM: aggressiveCM{}}})
+	eng := NewOSTM(EngineOptions{CM: aggressiveCM{}})
 	c := NewCell(eng.VarSpace(), 0)
 
 	hold := make(chan struct{})
@@ -483,7 +477,7 @@ func TestOSTMEnemyAbort(t *testing.T) {
 }
 
 func TestTL2ConflictForcesRetry(t *testing.T) {
-	eng := NewTL2()
+	eng := NewTL2(EngineOptions{})
 	c := NewCell(eng.VarSpace(), 0)
 
 	firstRead := make(chan struct{})

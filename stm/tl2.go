@@ -1,16 +1,5 @@
 package stm
 
-// TL2Config tunes the TL2 engine.
-type TL2Config struct {
-	// MaxRetries bounds re-executions; 0 means retry forever. When the
-	// budget is exhausted Atomic returns ErrAborted.
-	MaxRetries int
-	// EngineOptions carries the spec-addressable knobs. TL2 honours
-	// TxDeadline, SerialFallback, Faults, Trace and DisableROSnapshot,
-	// and ignores the rest.
-	EngineOptions
-}
-
 // tl2ReadLockSpins bounds how many times a read re-examines a locked orec
 // before giving up on the attempt; tl2CommitLockSpins bounds commit-time
 // lock acquisition spinning per orec.
@@ -32,7 +21,6 @@ const (
 // O(k), not O(k²).
 type TL2 struct {
 	engineCore
-	cfg      TL2Config
 	txPool   txPool[tl2Tx]
 	snapPool txPool[tl2SnapTx] // read-only snapshot descriptors (RunReadOnly)
 	// clock is the global version clock. It advances by 2 so that version
@@ -43,19 +31,14 @@ type TL2 struct {
 	clock padUint64
 }
 
-// NewTL2 returns a TL2 engine with default configuration.
-func NewTL2() *TL2 { return NewTL2With(TL2Config{}) }
-
-func init() {
-	Register("tl2", func(o EngineOptions) Engine { return NewTL2With(TL2Config{EngineOptions: o}) })
-}
-
-// NewTL2With returns a TL2 engine with explicit configuration.
-func NewTL2With(cfg TL2Config) *TL2 {
-	e := &TL2{cfg: cfg}
-	e.setup(e, cfg.EngineOptions, cfg.MaxRetries)
-	e.txPool.init(func() *tl2Tx { return &tl2Tx{eng: e, txHead: txHead{tr: cfg.Trace.tap()}} })
-	e.snapPool.init(func() *tl2SnapTx { return &tl2SnapTx{eng: e, txHead: txHead{tr: cfg.Trace.tap()}} })
+// NewTL2 returns a TL2 engine configured with o. TL2 honours MaxRetries,
+// TxDeadline, SerialFallback, Faults, Trace and DisableROSnapshot, and
+// ignores the rest.
+func NewTL2(o EngineOptions) *TL2 {
+	e := &TL2{}
+	e.setup(e, o)
+	e.txPool.init(func() *tl2Tx { return &tl2Tx{eng: e, txHead: txHead{tr: o.Trace.tap()}} })
+	e.snapPool.init(func() *tl2SnapTx { return &tl2SnapTx{eng: e, txHead: txHead{tr: o.Trace.tap()}} })
 	return e
 }
 

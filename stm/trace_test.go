@@ -37,19 +37,22 @@ func pinDescriptor[T any](p *txPool[T]) {
 // escalate to serial mode, and with its descriptors pinned.
 var traceEngines = map[string]func(EngineOptions) Engine{
 	"tl2": func(o EngineOptions) Engine {
-		e := NewTL2With(TL2Config{EngineOptions: o, MaxRetries: 1})
+		o.MaxRetries = 1
+		e := NewTL2(o)
 		pinDescriptor(&e.txPool)
 		pinDescriptor(&e.snapPool)
 		return e
 	},
 	"norec": func(o EngineOptions) Engine {
-		e := NewNOrecWith(NOrecConfig{EngineOptions: o, MaxRetries: 1})
+		o.MaxRetries = 1
+		e := NewNOrec(o)
 		pinDescriptor(&e.txPool)
 		pinDescriptor(&e.snapPool)
 		return e
 	},
 	"ostm": func(o EngineOptions) Engine {
-		e := NewOSTMWith(OSTMConfig{EngineOptions: o, MaxRetries: 1})
+		o.MaxRetries = 1
+		e := NewOSTM(o)
 		pinDescriptor(&e.txPool)
 		pinDescriptor(&e.snapPool)
 		return e
@@ -110,7 +113,7 @@ func runTraceWorkload(t *testing.T, mk func(EngineOptions) Engine) (rec *TraceRe
 		t.Fatalf("snapshot workload: %v", err)
 	}
 	own = rec.Len()
-	ostm := NewOSTMWith(OSTMConfig{EngineOptions: EngineOptions{Trace: rec}})
+	ostm := NewOSTM(EngineOptions{Trace: rec})
 	pinDescriptor(&ostm.txPool)
 	oc := []*Cell[int]{NewCell(ostm.VarSpace(), 0), NewCell(ostm.VarSpace(), 0)}
 	err = ostm.Atomic(func(tx Tx) error {
@@ -171,7 +174,7 @@ func TestTraceDeterministicReplay(t *testing.T) {
 // chain (miss + restart). Both are deterministic single-threaded.
 func TestTraceVersionChainEvents(t *testing.T) {
 	rec := NewTraceRecorder(0)
-	eng := NewNOrecWith(NOrecConfig{EngineOptions: EngineOptions{Versions: 2, Trace: rec}})
+	eng := NewNOrec(EngineOptions{Versions: 2, Trace: rec})
 	c := NewCell(eng.VarSpace(), 0)
 	if err := eng.Atomic(func(tx Tx) error { c.Set(tx, 1); return nil }); err != nil {
 		t.Fatal(err)

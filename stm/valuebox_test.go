@@ -144,7 +144,7 @@ func TestNOrecVersionsHeldValuePinsAtMostK(t *testing.T) {
 //
 //go:noinline
 func holdNOrecValue(t *testing.T, k, held int) (*[4]int, []weak.Pointer[vbox]) {
-	eng := NewNOrecWith(NOrecConfig{EngineOptions: EngineOptions{Versions: k}})
+	eng := NewNOrec(EngineOptions{Versions: k})
 	c := NewCell(eng.VarSpace(), [4]int{})
 	var boxes []weak.Pointer[vbox]
 	var p *[4]int

@@ -11,7 +11,7 @@ package stm
 // entirely; the price is a CAS (and its cache-line ping-pong) per first
 // read of every orec, and writer/reader contention that the contention
 // manager must now arbitrate explicitly. This file implements that mode
-// (OSTMConfig.VisibleReads); BenchmarkAblationVisibleReads measures both
+// (EngineOptions.VisibleReads); BenchmarkAblationVisibleReads measures both
 // sides of the trade.
 //
 // Protocol invariants:
@@ -94,7 +94,7 @@ func (tx *ostmTx) visibleRead(v *Var) any {
 		return tx.reads[i].seen.val
 	}
 	o := &v.own
-	cm := tx.eng.cfg.CM
+	cm := tx.eng.opts.CM
 	attempt := 0
 	for {
 		tx.checkAlive()
@@ -140,10 +140,10 @@ func (tx *ostmTx) visibleRead(v *Var) any {
 // a slot on o: every live registered reader other than ourselves must die
 // or we must.
 func (tx *ostmTx) arbitrateReaders(o *orec) {
-	if !tx.eng.cfg.VisibleReads {
+	if !tx.eng.opts.VisibleReads {
 		return
 	}
-	cm := tx.eng.cfg.CM
+	cm := tx.eng.opts.CM
 	attempt := 0
 	for {
 		rs := o.readers.Load()

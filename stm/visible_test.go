@@ -13,7 +13,7 @@ import (
 // TestVisibleReadsNeedNoValidation: a long read-only transaction performs
 // zero read-set validation work.
 func TestVisibleReadsNeedNoValidation(t *testing.T) {
-	eng := NewOSTMWith(OSTMConfig{EngineOptions: opts("visible")})
+	eng := NewOSTM(opts("visible"))
 	cells := make([]*Cell[int], 300)
 	for i := range cells {
 		cells[i] = NewCell(eng.VarSpace(), i)
@@ -40,7 +40,7 @@ func TestVisibleReadsNeedNoValidation(t *testing.T) {
 // AbortEnemy must abort a registered reader instead of letting it commit
 // on a stale snapshot.
 func TestVisibleWriterKillsParkedReader(t *testing.T) {
-	eng := NewOSTMWith(OSTMConfig{EngineOptions: EngineOptions{CM: aggressiveCM{}, VisibleReads: true}})
+	eng := NewOSTM(EngineOptions{CM: aggressiveCM{}, VisibleReads: true})
 	a := NewCell(eng.VarSpace(), 1)
 	b := NewCell(eng.VarSpace(), -1)
 
@@ -83,7 +83,7 @@ func TestVisibleWriterKillsParkedReader(t *testing.T) {
 // TestVisibleReaderBlocksTimidWriter: with a Timid manager the writer must
 // abort itself while a reader is registered, never the reader.
 func TestVisibleReaderBlocksTimidWriter(t *testing.T) {
-	eng := NewOSTMWith(OSTMConfig{EngineOptions: opts("cm=timid,visible"), MaxRetries: 3})
+	eng := NewOSTM(opts("cm=timid,visible,retries=3"))
 	c := NewCell(eng.VarSpace(), 7)
 
 	parked := make(chan struct{})
@@ -120,7 +120,7 @@ func TestVisibleReaderBlocksTimidWriter(t *testing.T) {
 // TestVisibleReaderSetPruning: dead reader registrations are pruned by
 // later registrations, so reader sets do not grow without bound.
 func TestVisibleReaderSetPruning(t *testing.T) {
-	eng := NewOSTMWith(OSTMConfig{EngineOptions: opts("visible")})
+	eng := NewOSTM(opts("visible"))
 	c := NewCell(eng.VarSpace(), 0)
 	for i := 0; i < 200; i++ {
 		if err := eng.Atomic(func(tx Tx) error { c.Get(tx); return nil }); err != nil {
@@ -148,7 +148,7 @@ func TestVisibleReaderSetPruning(t *testing.T) {
 // TestVisibleOpacityUnderStress mirrors the invisible-mode opacity test:
 // in-transaction snapshot consistency under concurrent writers.
 func TestVisibleOpacityUnderStress(t *testing.T) {
-	eng := NewOSTMWith(OSTMConfig{EngineOptions: opts("visible")})
+	eng := NewOSTM(opts("visible"))
 	iters := stressIters(t, 2000)
 	a := NewCell(eng.VarSpace(), 5)
 	b := NewCell(eng.VarSpace(), -5)

@@ -89,14 +89,12 @@ func MediumParams() Params { return core.Medium() }
 // NamedParams resolves "tiny", "small" or "medium".
 func NamedParams(name string) (Params, bool) { return core.Named(name) }
 
-// Strategies lists the registered synchronization strategies (sorted):
-// coarse, direct, medium, norec, ostm, tl2, plus any engine registered
-// with the stm package.
+// Strategies lists the synchronization strategies (sorted): coarse,
+// direct, medium, norec, ostm, tl2.
 func Strategies() []string { return sync7.Strategies() }
 
 // STMStrategies lists just the STM-backed strategies (sorted): norec,
-// ostm, tl2, plus future registered engines — the set engine-comparison
-// sweeps iterate.
+// ostm, tl2 — the set engine-comparison sweeps iterate.
 func STMStrategies() []string { return sync7.STMStrategies() }
 
 // Run executes one benchmark run.
@@ -171,7 +169,10 @@ type Scenario = scenario.Scenario
 // them.
 type ScenarioPhase = scenario.Phase
 
-// ScenarioRunOptions configures one scenario execution.
+// ScenarioRunOptions configures one scenario execution: the run-level
+// fields of its embedded Options, and Threads as the worker count of
+// phases that set none; the per-phase fields belong to the phases and are
+// ignored. A TimeScale shrinks every phase duration.
 type ScenarioRunOptions = scenario.RunOptions
 
 // ScenarioReport is a completed scenario run.
