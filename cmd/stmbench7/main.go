@@ -31,10 +31,11 @@
 //	                          (total) instead of the closed loop; response
 //	                          time is measured from the scheduled arrival,
 //	                          queueing included
-//	-listen ADDR              serve live telemetry for the duration of the
-//	                          run: /metrics (Prometheus text format),
-//	                          /debug/pprof/, /debug/vars and /trace (the
-//	                          flight recorder as Chrome Trace Event JSON)
+//	-json FILE                write the report's machine-readable copy to
+//	                          FILE after the run: configuration, totals,
+//	                          per-operation counts, latency summary, every
+//	                          engine counter and the -sample series (one
+//	                          entry per phase in scenario mode)
 //	-trace N                  attach a transaction flight recorder retaining
 //	                          about N attempt-lifecycle events (begin,
 //	                          validate, lock, commit, abort-with-cause,
@@ -70,15 +71,13 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
+	"io"
 	"os"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	stmbench7 "repro"
-	"repro/stm"
 )
 
 func main() {
@@ -107,7 +106,7 @@ func run(args []string) error {
 	scenarioArg := fs.String("scenario", "", "run a multi-phase scenario: builtin name or JSON file (see -list-scenarios)")
 	scenarioScale := fs.Float64("scenario-scale", 1, "multiply scenario phase durations")
 	listScenarios := fs.Bool("list-scenarios", false, "list builtin scenarios and exit")
-	listen := fs.String("listen", "", "serve live telemetry on this address for the duration of the run (/metrics, /debug/pprof/, /trace), e.g. 127.0.0.1:8707")
+	jsonOut := fs.String("json", "", "write the report as JSON to this file after the run")
 	traceEvents := fs.Int("trace", 0, "attach a transaction flight recorder retaining about N events (0 = off; stm engines only)")
 	traceOut := fs.String("trace-out", "", "write the flight recorder's Chrome Trace Event JSON to this file after the run (requires -trace)")
 	sample := fs.Duration("sample", 0, "telemetry sampling cadence, e.g. 1s; appends a per-interval time series to the report (0 = off)")
@@ -161,41 +160,6 @@ func run(args []string) error {
 	if *traceOut != "" && rec == nil {
 		return fmt.Errorf("-trace-out requires -trace N")
 	}
-	// The registry starts with gauges only; the engine-stats source is
-	// installed once the executor exists (the run's engine is built after
-	// flag parsing). Latency gauges read whatever summary the finished run
-	// published — 0 while the run is still in flight.
-	var latP50, latP99 latencyGauge
-	reg := stmbench7.NewTelemetryRegistry(nil)
-	reg.AddGauge("stmbench7_latency_p50_ms", "Median operation latency of the completed run (0 while running).", latP50.get)
-	reg.AddGauge("stmbench7_latency_p99_ms", "99th-percentile operation latency of the completed run (0 while running).", latP99.get)
-	if *listen != "" {
-		srv, err := stmbench7.NewTelemetryServer(*listen, reg, rec)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "telemetry endpoint on http://%s/ (/metrics, /debug/pprof/, /trace)\n", srv.Addr())
-	}
-	dumpTrace := func() error {
-		if *traceOut == "" {
-			return nil
-		}
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			return err
-		}
-		if err := rec.WriteChromeTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d trace events to %s\n", rec.Len(), *traceOut)
-		return nil
-	}
-
 	// One option set for both modes; a scenario run takes Threads and the
 	// run-level fields from it and ignores the per-phase ones.
 	opts := stmbench7.Options{
@@ -216,6 +180,32 @@ func run(args []string) error {
 		CheckInvariants:   *check,
 	}
 
+	// Every option is checked before a build is announced, in both modes.
+	if err := opts.Validate(); err != nil {
+		return err
+	}
+	if err := spec.Options.Validate(); err != nil {
+		return fmt.Errorf("bad -g: %w", err)
+	}
+
+	// writeOutputs writes the -json document and the -trace-out dump, each
+	// when its flag names a file.
+	writeOutputs := func(writeJSON func(io.Writer) error) error {
+		if *jsonOut != "" {
+			if err := writeFile(*jsonOut, writeJSON); err != nil {
+				return err
+			}
+		}
+		if *traceOut == "" {
+			return nil
+		}
+		if err := writeFile(*traceOut, rec.WriteChromeTrace); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "wrote %d trace events to %s\n", rec.Len(), *traceOut)
+		return nil
+	}
+
 	if *scenarioArg != "" {
 		sc, err := stmbench7.LookupScenario(*scenarioArg)
 		if err != nil {
@@ -223,51 +213,35 @@ func run(args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "building %s structure (seed %d) for scenario %q...\n", *size, *seed, sc.Name)
 		t0 := time.Now()
-		rep, err := stmbench7.RunScenario(sc, stmbench7.ScenarioRunOptions{
-			Options:   opts,
-			TimeScale: *scenarioScale,
-			OnEngine:  func(eng stm.Engine) { reg.SetStats(eng.Stats) },
-		})
+		rep, err := stmbench7.RunScenario(sc, stmbench7.ScenarioRunOptions{Options: opts, TimeScale: *scenarioScale})
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "done in %v\n", time.Since(t0).Round(time.Millisecond))
-		if len(rep.Phases) > 0 {
-			if ls, ok := rep.Phases[len(rep.Phases)-1].Result.OverallLatency(); ok {
-				latP50.set(ls.P50Ms)
-				latP99.set(ls.P99Ms)
-			}
-		}
 		stmbench7.WriteScenarioReport(os.Stdout, rep)
-		return dumpTrace()
+		return writeOutputs(func(w io.Writer) error { return stmbench7.WriteScenarioJSON(w, rep) })
 	}
 
 	fmt.Fprintf(os.Stderr, "building %s structure (seed %d)...\n", *size, *seed)
 	t0 := time.Now()
-	ex, s, err := stmbench7.Setup(opts)
-	if err != nil {
-		return err
-	}
-	reg.SetStats(ex.Engine().Stats)
-	res, err := stmbench7.RunOn(opts, ex, s)
+	res, err := stmbench7.Run(opts)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "done in %v\n", time.Since(t0).Round(time.Millisecond))
-	if ls, ok := res.OverallLatency(); ok {
-		latP50.set(ls.P50Ms)
-		latP99.set(ls.P99Ms)
-	} else if ls, ok := res.ResponseLatency(); ok {
-		latP50.set(ls.P50Ms)
-		latP99.set(ls.P99Ms)
-	}
 	stmbench7.WriteReport(os.Stdout, res)
-	return dumpTrace()
+	return writeOutputs(func(w io.Writer) error { return stmbench7.WriteJSON(w, res) })
 }
 
-// latencyGauge is an atomically published float for the /metrics latency
-// gauges: written once when a run completes, read by concurrent scrapes.
-type latencyGauge struct{ bits atomic.Uint64 }
-
-func (g *latencyGauge) set(v float64) { g.bits.Store(math.Float64bits(v)) }
-func (g *latencyGauge) get() float64  { return math.Float64frombits(g.bits.Load()) }
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}

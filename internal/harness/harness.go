@@ -18,7 +18,6 @@ import (
 	"repro/internal/ops"
 	"repro/internal/rng"
 	"repro/internal/sync7"
-	"repro/internal/telemetry"
 	"repro/stm"
 )
 
@@ -38,8 +37,10 @@ type Options struct {
 	MaxOps int
 	// Workload is the -w workload type.
 	Workload ops.Workload
-	// LongTraversals / StructureMods correspond to --no-traversals /
-	// --no-sms (both default to enabled via Defaults).
+	// LongTraversals / StructureMods enable the long-traversal and
+	// structure-modification categories. The zero value runs neither, and
+	// Defaults does not set them; the CLI (--no-traversals / --no-sms
+	// turn them off) and the facade's quick start set both.
 	LongTraversals bool
 	StructureMods  bool
 	// Reduced applies the §5 reduced operation set (Figure 6, Table 3).
@@ -51,8 +52,8 @@ type Options struct {
 	// Strategy, the two halves of the -g engine spec (stm.EngineSpec; see
 	// stm.ParseEngineSpec for the keys). Ignored by the lock strategies
 	// and direct. Engine.Trace installs a transaction flight recorder
-	// (-trace): dump it during or after the run via the telemetry
-	// endpoint's /trace route or stm.TraceRecorder.WriteChromeTrace.
+	// (-trace): dump it after the run with
+	// stm.TraceRecorder.WriteChromeTrace (-trace-out).
 	Engine stm.EngineOptions
 	// CollectHistograms enables TTC histograms (--ttc-histograms).
 	CollectHistograms bool
@@ -84,7 +85,7 @@ type Options struct {
 	// more than QueueBound later arrivals are already due, the arrival at
 	// the head is shed. Zero = unbounded. Requires OpenLoop.
 	QueueBound int
-	// SampleInterval, when positive, runs a telemetry sampler alongside
+	// SampleInterval, when positive, runs a Sampler alongside
 	// the benchmark (-sample): every interval it snapshots the engine
 	// counters and the live driver progress and appends one per-interval
 	// point to Result.Series — the run's throughput/abort-rate/shed-rate
@@ -102,9 +103,10 @@ type Options struct {
 	ArrivalRate float64
 }
 
-// Defaults fills in zero fields: 1 thread, 1 s, read-dominated, coarse,
-// Tiny structure, everything enabled. A negative count or length is left
-// as it is, for Validate to reject.
+// Defaults fills in zero fields: 1 thread, 1 s, coarse, Tiny structure,
+// seed 42. The zero Workload is read-dominated, and LongTraversals and
+// StructureMods stay as given (false runs neither category). A negative
+// count or length is left as it is, for Validate to reject.
 func Defaults(o Options) Options {
 	if o.Params == (core.Params{}) {
 		o.Params = core.Tiny()
@@ -222,17 +224,17 @@ type Result struct {
 	// buckets: completion minus scheduled arrival, queueing included.
 	// Nil for closed-loop runs; summarize with ResponseLatency.
 	Response map[int64]int64
-	// Series is the telemetry time-series curve sampled during the run at
+	// Series is the time-series curve sampled during the run at
 	// Options.SampleInterval cadence (nil when sampling was off): one
 	// point per interval with throughput, abort rate, snapshot restarts
 	// and shed rate over that interval.
-	Series []telemetry.SamplePoint
+	Series []SamplePoint
 }
 
-// liveProgress publishes in-flight driver progress for the telemetry
-// sampler: operations completed successfully and arrivals shed so far.
-// The thread-local records merge only after the run ends, so without these
-// two atomics a mid-run sampler would see engine counters move while the
+// liveProgress publishes in-flight driver progress for the Sampler:
+// operations completed successfully and arrivals shed so far. The
+// thread-local records merge only after the run ends, so without these two
+// atomics a mid-run sampler would see engine counters move while the
 // driver appears frozen.
 type liveProgress struct {
 	ops   atomic.Int64
@@ -341,12 +343,12 @@ func RunOn(o Options, ex sync7.Executor, s *core.Structure) (*Result, error) {
 
 	before := ex.Engine().Stats()
 	live := &liveProgress{}
-	var sampler *telemetry.Sampler
+	var sampler *Sampler
 	if o.SampleInterval > 0 {
 		// The sampler's deltas must cover only this run's activity, so its
 		// stats source subtracts the pre-run baseline (phases share one
 		// engine).
-		sampler = telemetry.NewSampler(o.SampleInterval,
+		sampler = NewSampler(o.SampleInterval,
 			func() stm.Stats { return ex.Engine().Stats().Delta(before) },
 			live.ops.Load, live.sheds.Load)
 		sampler.Start()

@@ -131,6 +131,16 @@ func (r *Result) ResponseLatency() (LatencySummary, bool) {
 	return s, true
 }
 
+// RunLatency is the run's one latency summary: response time for an
+// open-loop run (queueing included), the merged TTC histogram for a
+// closed-loop one. ok is false when neither was recorded.
+func (r *Result) RunLatency() (LatencySummary, bool) {
+	if r.Options.OpenLoop {
+		return r.ResponseLatency()
+	}
+	return r.OverallLatency()
+}
+
 // ApproxMax returns the summary max as a duration (millisecond resolution).
 func (s LatencySummary) ApproxMax() time.Duration {
 	return time.Duration(s.MaxMs) * time.Millisecond

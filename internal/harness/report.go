@@ -1,15 +1,17 @@
 package harness
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
 	"slices"
 	"sort"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/ops"
 	"repro/internal/sync7"
-	"repro/internal/telemetry"
 	"repro/stm"
 )
 
@@ -157,10 +159,75 @@ func WriteReport(w io.Writer, r *Result) {
 	}
 }
 
+// RunJSON is the machine-readable copy of a run's report (-json): the
+// header's configuration, the totals, each operation's counts, the run's
+// latency summary when one was recorded (RunLatency), the engine counters
+// and the sampled series. Structure and Stats are encoded whole, so a
+// counter the engine gains appears here without an edit.
+type RunJSON struct {
+	Engine     string          `json:"engine"`
+	Seed       uint64          `json:"seed"`
+	Threads    int             `json:"threads"`
+	GOMAXPROCS int             `json:"gomaxprocs"`
+	Workload   string          `json:"workload"`
+	Structure  core.Params     `json:"structure"`
+	ElapsedS   float64         `json:"elapsed_s"`
+	Succeeded  int64           `json:"succeeded"`
+	Failed     int64           `json:"failed"`
+	Ops        []OpJSON        `json:"ops"`
+	Latency    *LatencySummary `json:"latency,omitempty"`
+	Stats      stm.Stats       `json:"stats"`
+	Series     []SamplePoint   `json:"series"`
+}
+
+// OpJSON is one operation's row of a RunJSON, in registry order.
+type OpJSON struct {
+	Name      string        `json:"name"`
+	Succeeded int64         `json:"succeeded"`
+	Failed    int64         `json:"failed"`
+	MaxTTC    time.Duration `json:"max_ttc_ns"`
+}
+
+// NewRunJSON builds the -json document of a run from its Result.
+func NewRunJSON(r *Result) RunJSON {
+	o := r.Options
+	doc := RunJSON{
+		Engine:     stm.EngineSpec{Name: o.Strategy, Options: o.Engine}.String(),
+		Seed:       o.Seed,
+		Threads:    o.Threads,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Workload:   o.Workload.String(),
+		Structure:  o.Params,
+		ElapsedS:   r.Elapsed.Seconds(),
+		Succeeded:  r.TotalSucceeded(),
+		Failed:     r.TotalAttempted() - r.TotalSucceeded(),
+		Stats:      r.EngineStats,
+		Series:     r.Series,
+	}
+	for _, op := range sortedOps(r) {
+		doc.Ops = append(doc.Ops, OpJSON{Name: op.Name, Succeeded: op.Succeeded, Failed: op.Failed, MaxTTC: op.MaxTTC})
+	}
+	if ls, ok := r.RunLatency(); ok {
+		doc.Latency = &ls
+	}
+	return doc
+}
+
+// WriteJSON writes a run's -json document (NewRunJSON).
+func WriteJSON(w io.Writer, r *Result) error { return EncodeJSON(w, NewRunJSON(r)) }
+
+// EncodeJSON writes v as indented JSON: the one encoding of every -json
+// document.
+func EncodeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
 // WriteSeries prints a sampled telemetry curve as a fixed-width table, one
 // row per interval, each line prefixed with indent. Shared by the
 // Appendix-A report and the scenario per-phase reports.
-func WriteSeries(w io.Writer, indent string, series []telemetry.SamplePoint) {
+func WriteSeries(w io.Writer, indent string, series []SamplePoint) {
 	fmt.Fprintf(w, "%s%8s %10s %10s %8s %8s %8s %8s\n", indent,
 		"t[s]", "ops/s", "commits", "abort%", "snapRst", "shed/s", "serial")
 	for _, p := range series {

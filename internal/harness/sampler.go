@@ -1,7 +1,6 @@
-package telemetry
+package harness
 
 import (
-	"sync"
 	"time"
 
 	"repro/stm"
@@ -17,7 +16,7 @@ type SamplePoint struct {
 	// T is the end of the interval, in seconds since the sampler started.
 	T float64 `json:"t"`
 	// Ops is the number of successful operations the driver completed in
-	// the interval (0 when no live op counter was wired).
+	// the interval.
 	Ops int64 `json:"ops"`
 	// OpsPerSec is Ops over the interval's measured length.
 	OpsPerSec float64 `json:"ops_per_sec"`
@@ -28,8 +27,8 @@ type SamplePoint struct {
 	AbortPct float64 `json:"abort_pct"`
 	// SnapshotRestarts is the interval's snapshot-path restart delta.
 	SnapshotRestarts uint64 `json:"snapshot_restarts"`
-	// Sheds is the number of open-loop arrivals shed in the interval (0
-	// when no live shed counter was wired); ShedPerSec is its rate.
+	// Sheds is the number of open-loop arrivals shed in the interval;
+	// ShedPerSec is its rate.
 	Sheds      int64   `json:"sheds"`
 	ShedPerSec float64 `json:"shed_per_sec"`
 	// SerialFallbacks, TimeoutAborts and InjectedFaults are the interval's
@@ -39,19 +38,19 @@ type SamplePoint struct {
 	InjectedFaults  uint64 `json:"injected_faults"`
 }
 
-// Sampler polls a cumulative stm.Stats source (and optional live driver
-// counters) at a fixed cadence and accumulates per-interval SamplePoints.
-// Start launches the polling goroutine; Stop halts it, takes one final
-// sample covering the partial tail interval, and returns the curve.
+// Sampler polls a cumulative stm.Stats source and the live driver counters
+// at a fixed cadence and accumulates per-interval SamplePoints. Start
+// launches the polling goroutine; Stop halts it, takes one final sample
+// covering the partial tail interval, and returns the curve.
 type Sampler struct {
 	interval time.Duration
 	stats    func() stm.Stats
-	ops      func() int64 // live successful-op counter; may be nil
-	sheds    func() int64 // live shed counter; may be nil
+	ops      func() int64 // live successful-op counter
+	sheds    func() int64 // live shed counter
 
-	mu     sync.Mutex
-	points []SamplePoint
-
+	// points and the prev* baselines belong to the polling goroutine
+	// until Stop has waited for it to exit.
+	points    []SamplePoint
 	start     time.Time
 	prev      stm.Stats
 	prevOps   int64
@@ -62,9 +61,8 @@ type Sampler struct {
 	done chan struct{}
 }
 
-// NewSampler builds a sampler polling stats every interval. ops and sheds
-// are optional live counters from the driver (nil = report 0). interval
-// must be positive.
+// NewSampler builds a sampler polling stats, ops and sheds every interval.
+// interval must be positive.
 func NewSampler(interval time.Duration, stats func() stm.Stats, ops, sheds func() int64) *Sampler {
 	return &Sampler{
 		interval: interval,
@@ -81,12 +79,8 @@ func (s *Sampler) Start() {
 	s.start = time.Now()
 	s.prevT = s.start
 	s.prev = s.stats()
-	if s.ops != nil {
-		s.prevOps = s.ops()
-	}
-	if s.sheds != nil {
-		s.prevSheds = s.sheds()
-	}
+	s.prevOps = s.ops()
+	s.prevSheds = s.sheds()
 	go s.loop()
 }
 
@@ -113,14 +107,8 @@ func (s *Sampler) sample() {
 	}
 	cur := s.stats()
 	d := cur.Delta(s.prev)
-	var ops, sheds int64
-	if s.ops != nil {
-		ops = s.ops()
-	}
-	if s.sheds != nil {
-		sheds = s.sheds()
-	}
-	p := SamplePoint{
+	ops, sheds := s.ops(), s.sheds()
+	s.points = append(s.points, SamplePoint{
 		T:                now.Sub(s.start).Seconds(),
 		Ops:              ops - s.prevOps,
 		OpsPerSec:        float64(ops-s.prevOps) / dt,
@@ -133,30 +121,16 @@ func (s *Sampler) sample() {
 		SerialFallbacks:  d.SerialFallbacks,
 		TimeoutAborts:    d.TimeoutAborts,
 		InjectedFaults:   d.InjectedFaults,
-	}
+	})
 	s.prev, s.prevOps, s.prevSheds, s.prevT = cur, ops, sheds, now
-
-	s.mu.Lock()
-	s.points = append(s.points, p)
-	s.mu.Unlock()
 }
 
 // Stop halts the polling goroutine, takes a final sample covering the
 // partial tail interval (so short runs still yield at least one point),
-// and returns the accumulated curve.
+// and returns the curve.
 func (s *Sampler) Stop() []SamplePoint {
 	close(s.stop)
 	<-s.done
 	s.sample()
-	return s.Points()
-}
-
-// Points returns a copy of the curve accumulated so far. Safe to call
-// while the sampler is running (a live /metrics scrape, a progress UI).
-func (s *Sampler) Points() []SamplePoint {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]SamplePoint, len(s.points))
-	copy(out, s.points)
-	return out
+	return s.points
 }

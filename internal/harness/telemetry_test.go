@@ -1,7 +1,11 @@
 package harness
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -10,10 +14,11 @@ import (
 	"repro/stm"
 )
 
-// TestRunWithSampler pins the harness-side sampler wiring: a run with
-// SampleInterval set yields a Series whose per-interval op deltas sum to
-// exactly the run's successful total (the live counter, the baseline
-// subtraction and the Stop tail sample together drop nothing).
+// TestRunWithSampler pins the sampler and its harness wiring: a run with
+// SampleInterval set yields a Series of strictly increasing timestamps
+// whose per-interval op and commit deltas sum to exactly the run's totals
+// (the live counter, the baseline subtraction and the Stop tail sample
+// together drop nothing).
 func TestRunWithSampler(t *testing.T) {
 	o := baseOpts()
 	o.Strategy = "tl2"
@@ -28,7 +33,15 @@ func TestRunWithSampler(t *testing.T) {
 	}
 	var ops int64
 	var commits uint64
+	lastT := 0.0
 	for _, p := range res.Series {
+		if p.T <= lastT {
+			t.Errorf("sample timestamps not strictly increasing: %v after %v", p.T, lastT)
+		}
+		lastT = p.T
+		if p.AbortPct < 0 || p.AbortPct > 100 {
+			t.Errorf("AbortPct %v outside [0, 100]", p.AbortPct)
+		}
 		ops += p.Ops
 		commits += p.Commits
 	}
@@ -47,6 +60,76 @@ func TestRunWithSampler(t *testing.T) {
 	}
 	if res.Series != nil {
 		t.Errorf("SampleInterval 0 still produced %d series points", len(res.Series))
+	}
+}
+
+// TestWriteJSON decodes the -json document of a sampled tiny run and finds
+// in it what the text report prints for the same run: each operation's
+// succeeded and failed counts, the totals, the stm line's commit count,
+// and every stm.Stats counter under its field name.
+func TestWriteJSON(t *testing.T) {
+	o := baseOpts()
+	o.Strategy = "tl2"
+	o.SampleInterval = time.Millisecond
+	res, err := Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, res); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Engine    string
+		Succeeded int64
+		Failed    int64
+		Ops       []struct {
+			Name              string
+			Succeeded, Failed int64
+		}
+		Stats  map[string]uint64
+		Series []map[string]any
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("-json document does not decode: %v\n%s", err, buf.String())
+	}
+
+	var sb strings.Builder
+	WriteReport(&sb, res)
+	report := sb.String()
+	_, detail, _ := strings.Cut(report, "Detailed results\n")
+	detail, _, _ = strings.Cut(detail, "\n\n")
+	rows := strings.Split(detail, "\n")[1:] // below the column header
+	if len(doc.Ops) != len(rows) {
+		t.Fatalf("document has %d ops, report %d rows", len(doc.Ops), len(rows))
+	}
+	var succeeded, failed int64
+	for i, row := range rows {
+		f := strings.Fields(row)
+		op := doc.Ops[i]
+		if f[0] != op.Name || f[1] != strconv.FormatInt(op.Succeeded, 10) || f[3] != strconv.FormatInt(op.Failed, 10) {
+			t.Errorf("report row %q, document op %+v", row, op)
+		}
+		succeeded += op.Succeeded
+		failed += op.Failed
+	}
+	if doc.Succeeded != succeeded || doc.Failed != failed || succeeded != res.TotalSucceeded() {
+		t.Errorf("document totals %d/%d, rows sum to %d/%d, run succeeded %d",
+			doc.Succeeded, doc.Failed, succeeded, failed, res.TotalSucceeded())
+	}
+	if want := fmt.Sprintf("stm: commits %d,", doc.Stats["Commits"]); doc.Stats["Commits"] == 0 || !strings.Contains(report, want) {
+		t.Errorf("report lacks %q", want)
+	}
+	st := reflect.ValueOf(res.EngineStats)
+	for i := 0; i < st.NumField(); i++ {
+		name := st.Type().Field(i).Name
+		got, ok := doc.Stats[name]
+		if !ok || got != st.Field(i).Uint() {
+			t.Errorf("stats.%s = %d (present %v), run counted %d", name, got, ok, st.Field(i).Uint())
+		}
+	}
+	if doc.Engine != "tl2" || len(doc.Series) != len(res.Series) || len(doc.Series) == 0 {
+		t.Errorf("engine %q, %d series points; want tl2 and the run's %d", doc.Engine, len(doc.Series), len(res.Series))
 	}
 }
 

@@ -37,16 +37,6 @@ func phaseLength(ph Phase) string {
 	return ph.Duration.Round(time.Millisecond).String()
 }
 
-// phaseLatency picks the right percentile source: response time for
-// open-loop phases (queueing included), merged TTC for closed-loop phases
-// when histograms were collected.
-func phaseLatency(pr PhaseResult) (harness.LatencySummary, bool) {
-	if pr.Phase.OpenLoop {
-		return pr.Result.ResponseLatency()
-	}
-	return pr.Result.OverallLatency()
-}
-
 // WriteReport prints the per-phase table and the cross-phase comparison.
 // Open-loop rows report p50/p99 response time (queueing included);
 // closed-loop rows report p50/p99 TTC when histograms were collected.
@@ -75,7 +65,7 @@ func WriteReport(w io.Writer, rep *Report) {
 	for _, pr := range rep.Phases {
 		ph, res := pr.Phase, pr.Result
 		p50, p99 := "-", "-"
-		if ls, ok := phaseLatency(pr); ok {
+		if ls, ok := res.RunLatency(); ok {
 			p50 = fmt.Sprintf("%.3f", ls.P50Ms)
 			p99 = fmt.Sprintf("%.3f", ls.P99Ms)
 		}
@@ -98,6 +88,26 @@ func WriteReport(w io.Writer, rep *Report) {
 	}
 
 	writeComparison(w, rep)
+}
+
+// phaseJSON is one phase's entry of the scenario -json document: the
+// phase name and the phase's run document.
+type phaseJSON struct {
+	Phase string `json:"phase"`
+	harness.RunJSON
+}
+
+// WriteJSON writes the scenario -json document: the scenario name and one
+// harness.RunJSON per phase, in run order.
+func WriteJSON(w io.Writer, rep *Report) error {
+	doc := struct {
+		Scenario string      `json:"scenario"`
+		Phases   []phaseJSON `json:"phases"`
+	}{Scenario: rep.Scenario.Name}
+	for _, pr := range rep.Phases {
+		doc.Phases = append(doc.Phases, phaseJSON{Phase: pr.Phase.Name, RunJSON: harness.NewRunJSON(pr.Result)})
+	}
+	return harness.EncodeJSON(w, doc)
 }
 
 // writeComparison prints the cross-phase summary: throughput extremes and

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/stm"
 )
 
 // RunOptions configures one scenario execution. The embedded harness
@@ -19,8 +18,7 @@ import (
 //     design: run the same scenario per engine to compare them.
 //   - Engine: built once, before the first phase; the scenario's own
 //     "engine" keys are applied over it. Engine.Trace is the run's flight
-//     recorder: one recorder observes every phase (use its Reset between
-//     scrapes to window it).
+//     recorder: one recorder observes every phase.
 //   - Threads: the worker count of phases that set none.
 //   - SampleInterval and CollectHistograms: applied to every phase;
 //     each PhaseResult's Result.Series carries that phase's curve.
@@ -35,10 +33,6 @@ type RunOptions struct {
 	// and tests use small values to shrink a scenario without changing
 	// its shape; MaxOps phases and arrival rates are unaffected.
 	TimeScale float64
-	// OnEngine, when set, is called once with the run's engine after the
-	// executor is built and before the first phase starts — the hook a
-	// live telemetry endpoint uses to start scraping Stats mid-run.
-	OnEngine func(stm.Engine)
 }
 
 // PhaseResult pairs a resolved phase (run-level fields and defaults
@@ -99,9 +93,6 @@ func Run(sc *Scenario, o RunOptions) (*Report, error) {
 	})
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
-	}
-	if o.OnEngine != nil {
-		o.OnEngine(ex.Engine())
 	}
 
 	rep := &Report{Scenario: sc, Strategy: run.Strategy, Params: run.Params, Seed: run.Seed}

@@ -447,9 +447,9 @@
 // The engines expose two observation surfaces, layered so the package
 // keeps zero dependencies beyond the standard library: cumulative
 // counters (Stats) and an attempt-lifecycle flight recorder
-// (TraceRecorder, trace.go). Everything HTTP — the Prometheus /metrics
-// rendering, pprof, the sampled time series — lives outside, in the
-// repository's internal/telemetry package, built only on these two.
+// (TraceRecorder, trace.go). The sampled time series and the report's
+// JSON copy live in the repository's benchmark harness, built only on
+// these two.
 //
 //   - Stats is the counter surface: one atomic counter per event class
 //     (commits, conflict/user/timeout/injected aborts, reads, writes,
@@ -484,8 +484,8 @@
 // object, so the one option without a spec key); the CLIs expose the stack
 // as -trace N (attach a recorder retaining about N events), -trace-out FILE
 // (dump Chrome JSON after the run), -sample D (per-interval time-series
-// curves in reports and -json), and -listen ADDR (live /metrics,
-// /debug/pprof/*, expvar and /trace while the run executes):
-// `stmbench7 -g tl2 -sample 200ms -trace 4096 -trace-out trace.json` shows
-// all three on one run.
+// curves in reports and -json), and -json FILE (the report's
+// machine-readable copy, every Stats counter included):
+// `stmbench7 -g tl2 -sample 200ms -trace 4096 -trace-out trace.json
+// -json run.json` shows all four on one run.
 package stm

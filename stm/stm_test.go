@@ -58,10 +58,9 @@ var txEngineMakers = map[string]func() Engine{
 	"ostm-visible":      fromSpec("ostm:visible"),
 	"ostm-commitserial": fromSpec("ostm:commitcounter"),
 
-	// OSTM's acquire loop under the two decision sequences no shipped
-	// manager produces: kill the owner at once, and wait, then give up.
+	// OSTM's acquire loop under the decision no shipped manager makes:
+	// kill the owner at once.
 	"ostm-aggressive": func() Engine { return NewOSTM(EngineOptions{CM: aggressiveCM{}}) },
-	"ostm-backoff":    func() Engine { return NewOSTM(EngineOptions{CM: backoffCM{}}) },
 
 	// Multi-version variants: the version-chain depth iterates through the
 	// same suites like engines do (K=1 is the base registry entry). Only
@@ -85,23 +84,6 @@ type aggressiveCM struct{}
 func (aggressiveCM) Name() string                           { return "aggressive" }
 func (aggressiveCM) OnConflict(_, _ TxInfo, _ int) Decision { return AbortEnemy }
 func (aggressiveCM) WaitDuration(TxInfo, int) time.Duration { return 0 }
-
-// backoffCM waits out a conflict with growing backoff eight times, then
-// aborts itself.
-type backoffCM struct{}
-
-func (backoffCM) Name() string { return "backoff" }
-
-func (backoffCM) OnConflict(_, _ TxInfo, attempt int) Decision {
-	if attempt < 8 {
-		return Wait
-	}
-	return AbortSelf
-}
-
-func (backoffCM) WaitDuration(me TxInfo, attempt int) time.Duration {
-	return backoffDur(attempt, me.Opens()+uint64(attempt)<<32)
-}
 
 // lockStall is a fault plan that stalls one committer in 64 for 4µs while
 // it holds its write locks. The stall stays under spinOnlyMax, so the

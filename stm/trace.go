@@ -283,19 +283,6 @@ func (r *TraceRecorder) Events() []TraceEvent {
 	return out
 }
 
-// Reset discards all retained events and restarts the logical clock and
-// shard assignment, so a reused recorder replays deterministically. Not
-// safe concurrently with active probes.
-func (r *TraceRecorder) Reset() {
-	r.seq.Store(0)
-	r.assign.Store(0)
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.pos.Store(0)
-		clear(s.buf)
-	}
-}
-
 // chromeTraceEvent is one entry of the Chrome Trace Event format
 // (chrome://tracing, Perfetto): an instant event ("ph": "i") whose ts is
 // the recorder's logical sequence in microseconds and whose tid is the

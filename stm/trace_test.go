@@ -269,15 +269,4 @@ func TestTraceRingWrap(t *testing.T) {
 		t.Errorf("retained window [%d, %d], want [%d, %d]",
 			events[0].Seq, events[len(events)-1].Seq, pushed-per, pushed-1)
 	}
-	rec.Reset()
-	if rec.Len() != 0 || rec.Dropped() != 0 {
-		t.Errorf("after Reset: Len=%d Dropped=%d, want 0, 0", rec.Len(), rec.Dropped())
-	}
-	// A reset recorder replays from a fresh clock and shard assignment.
-	tap2 := rec.tap()
-	tap2.note(TraceCommit, 1, 2)
-	evs := rec.Events()
-	if len(evs) != 1 || evs[0].Seq != 0 || evs[0].Shard != 0 {
-		t.Errorf("first post-reset event = %+v, want Seq 0 on shard 0", evs)
-	}
 }

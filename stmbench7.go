@@ -33,7 +33,6 @@ import (
 	"repro/internal/ops"
 	"repro/internal/scenario"
 	"repro/internal/sync7"
-	"repro/internal/telemetry"
 	"repro/stm"
 )
 
@@ -101,9 +100,8 @@ func STMStrategies() []string { return sync7.STMStrategies() }
 func Run(o Options) (*Result, error) { return harness.Run(o) }
 
 // Setup builds the executor and data structure for the options without
-// running the benchmark — callers that want live telemetry (scrape the
-// engine's Stats while RunOn drives load) or several measurements on one
-// structure split the two.
+// running the benchmark — callers that take several measurements on one
+// structure, or drive the executor themselves, split the two.
 func Setup(o Options) (sync7.Executor, *core.Structure, error) { return harness.Setup(o) }
 
 // RunOn executes one benchmark run on a pre-built executor and structure
@@ -114,6 +112,11 @@ func RunOn(o Options, ex sync7.Executor, s *core.Structure) (*Result, error) {
 
 // WriteReport prints the Appendix-A report for a run.
 func WriteReport(w io.Writer, r *Result) { harness.WriteReport(w, r) }
+
+// WriteJSON writes the machine-readable copy of a run's report (the CLI's
+// -json): configuration, totals, per-operation counts, latency summary,
+// engine counters and sampled series.
+func WriteJSON(w io.Writer, r *Result) error { return harness.WriteJSON(w, r) }
 
 // --- telemetry ------------------------------------------------------------
 
@@ -130,29 +133,9 @@ type TraceEvent = stm.TraceEvent
 // number of events (0 = the stm.DefaultTraceEvents default).
 func NewTraceRecorder(capacity int) *TraceRecorder { return stm.NewTraceRecorder(capacity) }
 
-// TelemetryRegistry renders engine counters and registered gauges in the
-// Prometheus text exposition format (the /metrics payload).
-type TelemetryRegistry = telemetry.Registry
-
-// NewTelemetryRegistry builds a registry over a cumulative engine-stats
-// source (nil = gauges only; install one later with SetStats).
-func NewTelemetryRegistry(stats func() stm.Stats) *TelemetryRegistry {
-	return telemetry.NewRegistry(stats)
-}
-
-// TelemetryServer is the live ops HTTP endpoint (-listen): /metrics,
-// /debug/pprof/*, expvar and the flight-recorder /trace dump.
-type TelemetryServer = telemetry.Server
-
-// NewTelemetryServer starts the ops endpoint on addr. rec may be nil
-// (/trace then reports 404).
-func NewTelemetryServer(addr string, reg *TelemetryRegistry, rec *TraceRecorder) (*TelemetryServer, error) {
-	return telemetry.NewServer(addr, reg, rec)
-}
-
 // SamplePoint is one interval of a sampled telemetry time series
 // (Options.SampleInterval; Result.Series).
-type SamplePoint = telemetry.SamplePoint
+type SamplePoint = harness.SamplePoint
 
 // --- scenario engine ------------------------------------------------------
 
@@ -209,6 +192,11 @@ func RunScenario(sc *Scenario, o ScenarioRunOptions) (*ScenarioReport, error) {
 // WriteScenarioReport prints the per-phase table and cross-phase
 // comparison for a completed scenario run.
 func WriteScenarioReport(w io.Writer, rep *ScenarioReport) { scenario.WriteReport(w, rep) }
+
+// WriteScenarioJSON writes the machine-readable copy of a scenario run:
+// the scenario name and one WriteJSON document per phase, with the phase
+// name.
+func WriteScenarioJSON(w io.Writer, rep *ScenarioReport) error { return scenario.WriteJSON(w, rep) }
 
 // OperationNames returns the 45 operation names in the paper's order.
 func OperationNames() []string {
