@@ -15,15 +15,15 @@
 //
 // The sweep axis is the engine configuration, not the program: fig4, table3
 // and fig6 run every engine under -g, an engine-spec option list in
-// stm.ParseEngineSpec syntax (-exp fig6 -g versions=4 is Figure 6 with
-// NOrec under that chain depth, -g serial with the irrevocable serial
+// stm.ParseEngineSpec syntax (-exp fig6 -g cm=timid is Figure 6 with OSTM
+// under the Timid contention manager, -g serial with the irrevocable serial
 // fallback, -g nosnap with read-only operations on the validating path).
 // fig3, headline and ablations pin their configurations and ignore -g: fig3
 // compares the two lock strategies, a headline row names its engine and
 // dispatch, and an ablation row is an engine spec (ostm:ctv,
 // ostm:commitcounter, ostm:visible, ostm:cm=timid, tl2) with, on the layout
-// rows, a structure layout. What a mechanism did in one run (version reads,
-// serial escalations, shed rate) is in the report of cmd/stmbench7 -g
+// rows, a structure layout. What a mechanism did in one run (snapshot
+// restarts, serial escalations, shed rate) is in the report of cmd/stmbench7 -g
 // <spec>; whether it pays is for benchmark/ to say.
 //
 // With -json FILE ("-" for stdout) every measured point is also written as
@@ -163,7 +163,7 @@ func run(args []string, stdout io.Writer) error {
 	seconds := fs.Float64("seconds", 1.0, "measurement duration per data point, in seconds")
 	threadsFlag := fs.String("threads", "1,2,4,8", "comma-separated thread counts")
 	seed := fs.Uint64("seed", 42, "benchmark seed")
-	engineFlag := fs.String("g", "", "engine options for fig4, table3 and fig6, as an engine-spec option list (e.g. versions=4,deadline=25ms)")
+	engineFlag := fs.String("g", "", "engine options for fig4, table3 and fig6, as an engine-spec option list (e.g. cm=timid,deadline=25ms)")
 	jsonPath := fs.String("json", "", "also write machine-readable results to this file (\"-\" for stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -154,8 +154,8 @@ func TestEveryExperiment(t *testing.T) {
 			if !ok {
 				t.Fatalf("experiment %q has no golden: the table is the paper's six experiments", e.name)
 			}
-			out, rep := runJSON(t, "-exp", e.name, "-size", "tiny", "-seconds", "0.02", "-threads", "1,2", "-g", "versions=2,cm=timid")
-			if rep.Engine != "versions=2,cm=timid" {
+			out, rep := runJSON(t, "-exp", e.name, "-size", "tiny", "-seconds", "0.02", "-threads", "1,2", "-g", "cm=timid,deadline=5s")
+			if rep.Engine != "cm=timid,deadline=5s" {
 				t.Errorf("JSON header engine = %q, want the -g string", rep.Engine)
 			}
 			if len(rep.Points) == 0 {
@@ -226,8 +226,8 @@ func TestConfigurationErrorsComeBeforeAnyWork(t *testing.T) {
 		want []string
 	}{
 		{"unknown-exp", []string{"-exp", "orecs"}, []string{`unknown experiment "orecs"`, "fig3, fig4, table3, fig6, headline, ablations or all"}},
-		{"bad-g-key", []string{"-g", "striped=4"}, []string{"bad -g", `unknown key "striped"`, "want versions, cm"}},
-		{"bad-g-value", []string{"-g", "versions=-1"}, []string{"bad -g", "versions needs a count >= 0"}},
+		{"bad-g-key", []string{"-g", "striped=4"}, []string{"bad -g", `unknown key "striped"`, "want cm, ctv"}},
+		{"bad-g-value", []string{"-g", "retries=-1"}, []string{"bad -g", "retries needs a count >= 0"}},
 		{"bad-threads", []string{"-threads", "1,two"}, []string{`bad -threads "1,two"`, "integers >= 1"}},
 		{"zero-threads", []string{"-threads", "0"}, []string{"bad -threads", "integers >= 1"}},
 		{"bad-size", []string{"-size", "huge"}, []string{`unknown size "huge"`, "tiny, small or medium"}},

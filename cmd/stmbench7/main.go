@@ -11,9 +11,9 @@
 //	-g SPEC            synchronization: coarse, medium, ostm, tl2, norec (default
 //	                   coarse), optionally with engine options after a colon —
 //	                   an engine spec such as tl2:deadline=25ms or
-//	                   norec:versions=2,deadline=25ms,serial. Keys:
-//	                   versions=K, cm=NAME, ctv, commitcounter, visible,
-//	                   deadline=D, retries=N, serial, nosnap, faults=PLAN
+//	                   norec:deadline=25ms,retries=8,serial. Keys:
+//	                   cm=NAME, ctv, commitcounter, visible, deadline=D,
+//	                   retries=N, serial, nosnap, faults=PLAN
 //	                   (last); see the README's "Engine spec" section.
 //	                   nosnap runs read-only operations on the validating
 //	                   path instead of the snapshot fast path, e.g.
@@ -92,7 +92,7 @@ func run(args []string) error {
 	threads := fs.Int("t", 1, "number of threads")
 	length := fs.Float64("l", 10, "benchmark length in seconds")
 	workload := fs.String("w", "r", "workload type: r, rw or w")
-	specFlag := fs.String("g", "coarse", "synchronization strategy ("+strings.Join(stmbench7.Strategies(), ", ")+"), optionally with engine options: an engine spec such as norec:versions=4")
+	specFlag := fs.String("g", "coarse", "synchronization strategy ("+strings.Join(stmbench7.Strategies(), ", ")+"), optionally with engine options: an engine spec such as norec:deadline=25ms,serial")
 	noTraversals := fs.Bool("no-traversals", false, "disable long traversals")
 	noSMs := fs.Bool("no-sms", false, "disable structure modification operations")
 	histograms := fs.Bool("ttc-histograms", false, "print TTC histograms")

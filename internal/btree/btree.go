@@ -52,9 +52,7 @@
 // Clone does not write to it), but it must never be mutated, since its clones
 // read the nodes it owns. That is exactly what the STM guarantees for a
 // committed value: a transaction mutates only its private copy, and the copy
-// is frozen by being published. Older versions kept by a multi-version
-// engine share nodes with newer ones and stay readable for the same reason.
-// Values are shared between a tree and its clones, never copied.
+// is frozen by being published. Values are shared between a tree and its clones, never copied.
 //
 // Each Table-1 index is still ONE Var, so the paper's §5 cost model keeps its
 // conflict half: any two transactions that write the same index conflict on

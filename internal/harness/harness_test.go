@@ -271,15 +271,14 @@ func TestRunOnPrebuiltStructure(t *testing.T) {
 	}
 }
 
-// TestMetadataKnobsReachEngine: the engine options that shape per-Var
-// metadata (-g norec:versions=2, -g ostm:visible) flow from Options
-// through sync7 into the engine, a key the engine ignores
-// (tl2:versions=2) is still echoed, and the run still completes with
-// consistent results.
+// TestMetadataKnobsReachEngine: engine options (-g norec:retries=8, -g
+// ostm:visible, which shapes per-Var metadata) flow from Options through
+// sync7 into the engine, a key the engine ignores (tl2:cm=timid) is still
+// echoed, and the run still completes with consistent results.
 func TestMetadataKnobsReachEngine(t *testing.T) {
 	for strat, knobs := range map[string]stm.EngineOptions{
-		"norec": {Versions: 2},
-		"tl2":   {Versions: 2},
+		"norec": {MaxRetries: 8},
+		"tl2":   {CM: stm.Timid{}},
 		"ostm":  {VisibleReads: true},
 	} {
 		t.Run(strat, func(t *testing.T) {
@@ -300,9 +299,9 @@ func TestMetadataKnobsReachEngine(t *testing.T) {
 	}
 	// Invalid values are rejected up front.
 	o := baseOpts()
-	o.Engine.Versions = -1
+	o.Engine.MaxRetries = -1
 	if _, err := Run(o); err == nil {
-		t.Error("negative Versions accepted")
+		t.Error("negative MaxRetries accepted")
 	}
 	o = baseOpts()
 	o.Engine.TxDeadline = -time.Millisecond
@@ -322,7 +321,7 @@ func TestSetupRejectsConfigurationBeforeBuilding(t *testing.T) {
 		mut  func(*Options)
 		want string
 	}{
-		{"engine-options", func(o *Options) { o.Strategy = "tl2"; o.Engine.Versions = -1 }, "negative Versions"},
+		{"engine-options", func(o *Options) { o.Strategy = "tl2"; o.Engine.MaxRetries = -1 }, "negative MaxRetries"},
 		{"engine-options-on-a-lock-strategy", func(o *Options) { o.Engine.TxDeadline = -time.Millisecond }, "negative TxDeadline"},
 		{"strategy-name", func(o *Options) { o.Strategy = "tl3" }, "unknown strategy"},
 		{"driver-options", func(o *Options) { o.SkewTheta = 2 }, "SkewTheta"},

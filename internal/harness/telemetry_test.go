@@ -192,7 +192,7 @@ func TestRunWithTraceRecorder(t *testing.T) {
 func TestReportHeaderEchoesEnvironment(t *testing.T) {
 	o := baseOpts()
 	o.Strategy = "tl2"
-	o.Engine.Versions = 2
+	o.Engine.MaxRetries = 8
 	o.Engine.TxDeadline = 25 * time.Millisecond
 	res, err := Run(o)
 	if err != nil {
@@ -204,7 +204,7 @@ func TestReportHeaderEchoesEnvironment(t *testing.T) {
 	for _, want := range []string{
 		"seed:",
 		"gomaxprocs:",
-		"engine:               tl2:versions=2,deadline=25ms\n",
+		"engine:               tl2:deadline=25ms,retries=8\n",
 		"abort causes:",
 	} {
 		if !strings.Contains(out, want) {

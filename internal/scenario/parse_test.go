@@ -162,13 +162,13 @@ func TestParsePhaseOverridesDefaultPairs(t *testing.T) {
 func TestParseEngineKey(t *testing.T) {
 	sc, err := Parse([]byte(`{
 		"name": "meta",
-		"engine": "versions=4,deadline=25ms",
+		"engine": "deadline=25ms,retries=4",
 		"phases": [{"name": "p", "duration": "10ms"}]
 	}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Engine != "versions=4,deadline=25ms" {
+	if sc.Engine != "deadline=25ms,retries=4" {
 		t.Errorf("engine key not parsed: %+v", sc)
 	}
 
@@ -250,7 +250,7 @@ func FuzzParseScenario(f *testing.F) {
 		`{"name": "x", "phases": []}`,
 		`{"name": "x", "phases": [{"name": "p", "duration": "10ms"}]}`,
 		`{"name": "x", "phases": [{"max_ops": 5, "threads": -1}]}`,
-		`{"name": "x", "engine": "versions=4,serial=off,nosnap",
+		`{"name": "x", "engine": "retries=4,serial=off,nosnap",
 		  "phases": [{"name": "p", "max_ops": 5}]}`,
 		`{"name": "x", "engine": "deadline=25ms,serial,faults=seed=7,abort:1/24", "phases": [{"name": "p", "max_ops": 5}]}`,
 		`{"name": "x", "engine": "faults=seed=7", "phases": [{"name": "p", "max_ops": 5}]}`,
@@ -273,7 +273,7 @@ func FuzzParseScenario(f *testing.F) {
 		if err := sc.Validate(); err != nil {
 			t.Fatalf("Parse accepted %q but Validate rejects it: %v", data, err)
 		}
-		if _, err := (stm.EngineOptions{Versions: 2, SerialFallback: true}).Apply(sc.Engine); err != nil {
+		if _, err := (stm.EngineOptions{MaxRetries: 2, SerialFallback: true}).Apply(sc.Engine); err != nil {
 			t.Fatalf("Parse accepted %q but its engine keys do not apply over a run's spec: %v", data, err)
 		}
 	})
@@ -339,9 +339,9 @@ func TestParseFormat(t *testing.T) {
 		},
 		{
 			name: "fuzz seed: engine overlay",
-			doc: `{"name": "x", "engine": "versions=4,serial=off,nosnap",
+			doc: `{"name": "x", "engine": "retries=4,serial=off,nosnap",
 			  "phases": [{"name": "p", "max_ops": 5}]}`,
-			engine: "versions=4,serial=off,nosnap",
+			engine: "retries=4,serial=off,nosnap",
 			want:   []map[string]any{full("name", "p", "max_ops", 5)},
 		},
 		{

@@ -59,9 +59,9 @@ func WriteReport(w io.Writer, rep *Report) {
 	}
 	fmt.Fprintln(w)
 
-	fmt.Fprintf(w, "  %-14s %7s %-12s %-15s %-12s %8s %10s %8s %7s %7s %7s %8s %8s %9s %9s\n",
+	fmt.Fprintf(w, "  %-14s %7s %-12s %-15s %-12s %8s %10s %8s %7s %7s %7s %8s %9s %9s\n",
 		"phase", "threads", "mode", "workload", "skew", "length", "ops/s", "abort%",
-		"cfl", "tmo", "inj", "snapRst", "verMiss", "p50[ms]", "p99[ms]")
+		"cfl", "tmo", "inj", "snapRst", "p50[ms]", "p99[ms]")
 	for _, pr := range rep.Phases {
 		ph, res := pr.Phase, pr.Result
 		p50, p99 := "-", "-"
@@ -70,11 +70,11 @@ func WriteReport(w io.Writer, rep *Report) {
 			p99 = fmt.Sprintf("%.3f", ls.P99Ms)
 		}
 		es := res.EngineStats
-		fmt.Fprintf(w, "  %-14s %7d %-12s %-15s %-12s %8s %10.0f %8.1f %7d %7d %7d %8d %8d %9s %9s\n",
+		fmt.Fprintf(w, "  %-14s %7d %-12s %-15s %-12s %8s %10.0f %8.1f %7d %7d %7d %8d %9s %9s\n",
 			ph.Name, ph.Threads, phaseMode(ph), ph.Workload.String(), phaseSkew(ph),
 			phaseLength(ph), res.Throughput(), 100*es.AbortRate(),
 			es.ConflictAborts, es.TimeoutAborts, es.InjectedFaults,
-			es.SnapshotRestarts, es.VersionMisses, p50, p99)
+			es.SnapshotRestarts, p50, p99)
 	}
 	fmt.Fprintln(w)
 

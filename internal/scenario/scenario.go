@@ -51,7 +51,7 @@ type Phase struct {
 type Scenario struct {
 	Name        string
 	Description string
-	// Engine is an engine-spec option list ("versions=4",
+	// Engine is an engine-spec option list ("retries=8",
 	// "deadline=25ms,faults=seed=7,abort:1/24"; see stm.ParseEngineSpec)
 	// applied over the run's engine options: a key set here overrides
 	// the run's value, an unset key inherits it, and "serial=off" turns a

@@ -349,22 +349,22 @@ func TestRunOptionsCarryMetadataKnobs(t *testing.T) {
 	sc := &Scenario{Name: "meta", Phases: []Phase{
 		{Name: "p", Options: harness.Options{MaxOps: 100, Workload: ops.ReadWrite, StructureMods: true}},
 	}}
-	rep, err := Run(sc, RunOptions{Options: harness.Options{Strategy: "tl2", Threads: 2, Engine: mustOpts(t, "versions=2,deadline=25ms")}})
+	rep, err := Run(sc, RunOptions{Options: harness.Options{Strategy: "tl2", Threads: 2, Engine: mustOpts(t, "deadline=25ms,retries=50")}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rep.Phases[0].Result.Options.Engine.String(); got != "versions=2,deadline=25ms" {
-		t.Errorf("engine = %q, want versions=2,deadline=25ms — knob not plumbed", got)
+	if got := rep.Phases[0].Result.Options.Engine.String(); got != "deadline=25ms,retries=50" {
+		t.Errorf("engine = %q, want deadline=25ms,retries=50 — knob not plumbed", got)
 	}
 
 	// A scenario that pins its own key overrides the run.
-	pinned := &Scenario{Name: "meta-pinned", Engine: "versions=4", Phases: sc.Phases}
-	rep2, err := Run(pinned, RunOptions{Options: harness.Options{Strategy: "tl2", Threads: 2, Engine: mustOpts(t, "versions=2,deadline=25ms")}})
+	pinned := &Scenario{Name: "meta-pinned", Engine: "retries=100", Phases: sc.Phases}
+	rep2, err := Run(pinned, RunOptions{Options: harness.Options{Strategy: "tl2", Threads: 2, Engine: mustOpts(t, "deadline=25ms,retries=50")}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rep2.Phases[0].Result.Options.Engine.String(); got != "versions=4,deadline=25ms" {
-		t.Errorf("scenario override: engine = %q, want versions=4,deadline=25ms", got)
+	if got := rep2.Phases[0].Result.Options.Engine.String(); got != "deadline=25ms,retries=100" {
+		t.Errorf("scenario override: engine = %q, want deadline=25ms,retries=100", got)
 	}
 }
 
@@ -372,7 +372,7 @@ func TestValidateRejectsBadMetadata(t *testing.T) {
 	base := func() *Scenario {
 		return &Scenario{Name: "m", Phases: []Phase{{Name: "p", Options: harness.Options{MaxOps: 1}}}}
 	}
-	for _, engine := range []string{"word", "striped", "shards=4", "versions=-1"} {
+	for _, engine := range []string{"word", "striped", "shards=4", "versions=2", "retries=-1"} {
 		sc := base()
 		sc.Engine = engine
 		if err := sc.Validate(); err == nil {
@@ -381,48 +381,10 @@ func TestValidateRejectsBadMetadata(t *testing.T) {
 	}
 }
 
-// TestRunOptionsCarryVersionsKnob: the multi-version depth must reach the
-// engine. VersionBytes is the discriminator — a K>1 engine retains bytes on
-// every write commit, a K=1 engine retains none — so it also proves a
-// scenario-pinned depth overrides the run-level one.
-func TestRunOptionsCarryVersionsKnob(t *testing.T) {
-	phases := []Phase{{Name: "p", Options: harness.Options{MaxOps: 200, Workload: ops.ReadWrite, StructureMods: true}}}
-
-	flat, err := Run(&Scenario{Name: "mv", Phases: phases}, RunOptions{Options: harness.Options{Strategy: "norec", Threads: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := flat.Phases[0].Result.EngineStats.VersionBytes; got != 0 {
-		t.Errorf("default run: VersionBytes = %d, want 0", got)
-	}
-
-	deep, err := Run(&Scenario{Name: "mv", Phases: phases},
-		RunOptions{Options: harness.Options{Strategy: "norec", Threads: 2, Engine: mustOpts(t, "versions=2")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := deep.Phases[0].Result.EngineStats.VersionBytes; got == 0 {
-		t.Error("Versions=2 run: VersionBytes = 0 — knob not plumbed")
-	}
-
-	// Scenario-pinned depth beats the run's: K=1 at the run level, but the
-	// scenario says 2, so bytes must be retained.
-	pinned, err := Run(&Scenario{Name: "mv-pinned", Engine: "versions=2", Phases: phases},
-		RunOptions{Options: harness.Options{Strategy: "norec", Threads: 2, Engine: mustOpts(t, "versions=1")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := pinned.Phases[0].Result.EngineStats.VersionBytes; got == 0 {
-		t.Error("scenario override: VersionBytes = 0 — scenario Versions did not win")
-	}
-}
-
-// TestWriteReportVersionSections: the per-phase table carries the snapshot
-// restart and version-miss columns, the engine line echoes the pinned
-// depth, and the comparison grows its multiversion summary once version
-// traffic exists.
-func TestWriteReportVersionSections(t *testing.T) {
-	sc := &Scenario{Name: "mv-report", Engine: "versions=2", Phases: []Phase{
+// TestWriteReportSnapshotColumn: the per-phase table carries the snapshot
+// restart column, and the engine line echoes the scenario's pinned key.
+func TestWriteReportSnapshotColumn(t *testing.T) {
+	sc := &Scenario{Name: "snap-report", Engine: "retries=100", Phases: []Phase{
 		{Name: "p", Options: harness.Options{MaxOps: 200, Workload: ops.ReadWrite, StructureMods: true}},
 	}}
 	rep, err := Run(sc, RunOptions{Options: harness.Options{Strategy: "norec", Threads: 2}})
@@ -432,7 +394,7 @@ func TestWriteReportVersionSections(t *testing.T) {
 	var sb strings.Builder
 	WriteReport(&sb, rep)
 	out := sb.String()
-	for _, want := range []string{"engine: norec:versions=2\n", "snapRst", "verMiss", "multiversion:"} {
+	for _, want := range []string{"engine: norec:retries=100\n", "snapRst"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
@@ -445,12 +407,12 @@ func TestWriteReportVersionSections(t *testing.T) {
 // resolved configuration — the one the executor was built with.
 func TestScenarioEngineOverlay(t *testing.T) {
 	phases := []Phase{{Name: "p", Options: harness.Options{MaxOps: 20, Workload: ops.ReadWrite, StructureMods: true}}}
-	run := RunOptions{Options: harness.Options{Strategy: "norec", Threads: 1, Engine: mustOpts(t, "versions=2,deadline=5s,nosnap")}}
+	run := RunOptions{Options: harness.Options{Strategy: "norec", Threads: 1, Engine: mustOpts(t, "deadline=5s,retries=50,nosnap")}}
 	for _, c := range []struct{ overlay, want string }{
-		{"", "norec:versions=2,deadline=5s,nosnap"},
-		{"versions=4", "norec:versions=4,deadline=5s,nosnap"},
-		{"nosnap=off", "norec:versions=2,deadline=5s"},
-		{"serial,deadline=0", "norec:versions=2,serial,nosnap"},
+		{"", "norec:deadline=5s,retries=50,nosnap"},
+		{"retries=100", "norec:deadline=5s,retries=100,nosnap"},
+		{"nosnap=off", "norec:deadline=5s,retries=50"},
+		{"serial,deadline=0", "norec:retries=50,serial,nosnap"},
 	} {
 		rep, err := Run(&Scenario{Name: "overlay", Engine: c.overlay, Phases: phases}, run)
 		if err != nil {
@@ -476,7 +438,7 @@ func TestValidateRejectsRunLevelFields(t *testing.T) {
 		"params":     func(o *harness.Options) { o.Params = core.Tiny() },
 		"seed":       func(o *harness.Options) { o.Seed = 7 },
 		"strategy":   func(o *harness.Options) { o.Strategy = "tl2" },
-		"engine":     func(o *harness.Options) { o.Engine.Versions = 2 },
+		"engine":     func(o *harness.Options) { o.Engine.MaxRetries = 2 },
 		"sampling":   func(o *harness.Options) { o.SampleInterval = time.Millisecond },
 		"histograms": func(o *harness.Options) { o.CollectHistograms = true },
 		"invariants": func(o *harness.Options) { o.CheckInvariants = true },

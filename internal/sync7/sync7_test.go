@@ -499,8 +499,8 @@ func TestEngineOptionsReachEveryPath(t *testing.T) {
 	// Out-of-range options are a configuration error on every strategy,
 	// including the ones that would ignore them.
 	for _, strat := range []string{"coarse", "tl2"} {
-		if _, err := New(Config{Strategy: strat, NumAssmLevels: 3, Engine: stm.EngineOptions{Versions: -1}}); err == nil {
-			t.Errorf("%s: negative Versions accepted", strat)
+		if _, err := New(Config{Strategy: strat, NumAssmLevels: 3, Engine: stm.EngineOptions{MaxRetries: -1}}); err == nil {
+			t.Errorf("%s: negative MaxRetries accepted", strat)
 		}
 	}
 }

@@ -438,79 +438,6 @@ func TestAllocSnapshotReadOnlySteadyState(t *testing.T) {
 	}
 }
 
-// TestAllocVersionedSnapshotSteadyState extends the snapshot budget to the
-// multi-version read path: with K > 1 the chain walk adds ZERO allocations.
-// Two measurements per engine:
-//
-//   - plain: a steady read stream against a deep-K engine with no
-//     concurrent writes reads chain heads and must stay at 0 allocs/op,
-//     proving the versioned configuration doesn't tax the common case.
-//   - walk: every iteration commits a write between the reader's snapshot
-//     sample and its read, forcing the read through resolveVersion. The
-//     one allocation measured is the nested commit's value in its version
-//     (the same budget TestAllocSmallWrite pins for the engine alone), so
-//     the walk itself — link loads, truncation, stats — adds nothing.
-func TestAllocVersionedSnapshotSteadyState(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation skews allocation counts")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	makers := map[string]func() Engine{
-		"norec-mv8": func() Engine { return NewNOrec(opts("versions=8")) },
-	}
-	for name, mk := range makers {
-		t.Run(name, func(t *testing.T) {
-			eng := mk()
-			cells := setupAllocCells(t, eng)
-			// Build real chains first so head resolution runs against
-			// linked versions, not the boxes the cells were made with.
-			for round := 0; round < 4; round++ {
-				for i, c := range cells {
-					if err := eng.Atomic(func(tx Tx) error { c.Set(tx, i+round); return nil }); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			readAll := func(tx Tx) error {
-				for _, c := range cells {
-					c.Get(tx)
-				}
-				return nil
-			}
-			if got := measureAllocs(func() { RunReadOnly(eng, readAll) }); got != 0 {
-				t.Errorf("plain K=8 snapshot transaction: %v allocs/op, want 0", got)
-			}
-
-			before := eng.Stats()
-			// Hoisted closures: only allocations inside a single run count.
-			var walkErr error
-			nested := func(wtx Tx) error { cells[1].Set(wtx, 9); return nil }
-			walk := func(tx Tx) error {
-				cells[0].Get(tx)
-				if err := eng.Atomic(nested); err != nil && walkErr == nil {
-					walkErr = err
-				}
-				cells[1].Get(tx) // forced through the chain walk
-				return nil
-			}
-			got := measureAllocs(func() { RunReadOnly(eng, walk) })
-			if walkErr != nil {
-				t.Fatal(walkErr)
-			}
-			if got > 1 {
-				t.Errorf("chain-walk snapshot transaction: %v allocs/op, want <= 1 (the nested commit's value in its box)", got)
-			}
-			d := eng.Stats().Delta(before)
-			if d.VersionReads == 0 {
-				t.Error("VersionReads did not grow — the measured loop never exercised the chain walk")
-			}
-			if d.SnapshotRestarts != 0 {
-				t.Errorf("SnapshotRestarts grew by %d during the walk loop, want 0", d.SnapshotRestarts)
-			}
-		})
-	}
-}
-
 // TestAllocTracing pins the flight recorder's allocation contract on both
 // sides of the nil probe. Disabled (the default every other test here
 // builds): a trace-less engine costs one branch per probe site and keeps

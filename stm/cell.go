@@ -21,8 +21,7 @@ import (
 // Every value a cell publishes shares one allocation with the box that
 // publishes it: the constructors, the private copy and Set each make the
 // value inside a box, and a commit publishes that box as it stands. So a *T
-// the cell hands out (Mut's, or a Var read's) keeps its box alive, and under
-// NOrec's versions=K the box's chain of older versions too, at most K boxes.
+// the cell hands out (Mut's, or a Var read's) keeps its box alive.
 //
 // The Var is part of the cell, so a cell is one object and, like a Var, must
 // not be copied: share the *Cell a constructor returns, a pointer into a
@@ -39,24 +38,11 @@ type valueBox[T any] struct {
 	v T
 }
 
-// versionedValueBox is valueBox for NOrec under versions > 1: the box heads a
-// vbox, whose commit stamp and older-version link share the allocation.
-type versionedValueBox[T any] struct {
-	vbox
-	v T
-}
-
-// newValueBox returns a fresh, unpublished box holding val: a valueBox, or,
-// when versioned, a versionedValueBox returned as vb as well.
-func newValueBox[T any](val T, versioned bool) (*box, *vbox) {
-	if versioned {
-		vb := &versionedValueBox[T]{v: val}
-		vb.val = &vb.v
-		return &vb.box, &vb.vbox
-	}
+// newValueBox returns a fresh, unpublished valueBox holding val.
+func newValueBox[T any](val T) *box {
 	b := &valueBox[T]{v: val}
 	b.val = &b.v
-	return &b.box, nil
+	return &b.box
 }
 
 // shallowClones holds, per cell type, the clone that copies a *T by
@@ -70,8 +56,8 @@ func shallowCloneFor[T any]() boxClone {
 	t := reflect.TypeFor[T]()
 	f, ok := shallowClones.Load(t)
 	if !ok {
-		f, _ = shallowClones.LoadOrStore(t, boxClone(func(v any, versioned bool) (*box, *vbox) {
-			return newValueBox(*v.(*T), versioned)
+		f, _ = shallowClones.LoadOrStore(t, boxClone(func(v any) *box {
+			return newValueBox(*v.(*T))
 		}))
 	}
 	return f.(boxClone)
@@ -90,8 +76,7 @@ func NewCell[T any](s *VarSpace, init T) *Cell[T] {
 // allocating the cell. The one allocation is the value's box. c must not be
 // used before the call, nor copied after it.
 func InitCell[T any](s *VarSpace, c *Cell[T], init T) {
-	b, _ := newValueBox(init, false)
-	s.initVar(&c.v, b, shallowCloneFor[T]())
+	s.initVar(&c.v, newValueBox(init), shallowCloneFor[T]())
 }
 
 // NewCells allocates one cell per element of inits, like NewCell, in a single
@@ -102,8 +87,7 @@ func NewCells[T any](s *VarSpace, inits []T) []Cell[T] {
 	cells := make([]Cell[T], len(inits))
 	clone := shallowCloneFor[T]()
 	for i := range cells {
-		b, _ := newValueBox(inits[i], false)
-		s.initVar(&cells[i].v, b, clone)
+		s.initVar(&cells[i].v, newValueBox(inits[i]), clone)
 	}
 	return cells
 }
@@ -111,9 +95,8 @@ func NewCells[T any](s *VarSpace, inits []T) []Cell[T] {
 // NewCellClone allocates a cell whose private copies are made by clone.
 func NewCellClone[T any](s *VarSpace, init T, clone func(T) T) *Cell[T] {
 	c := new(Cell[T])
-	b, _ := newValueBox(init, false)
-	s.initVar(&c.v, b, func(v any, versioned bool) (*box, *vbox) {
-		return newValueBox(clone(*v.(*T)), versioned)
+	s.initVar(&c.v, newValueBox(init), func(v any) *box {
+		return newValueBox(clone(*v.(*T)))
 	})
 	return c
 }
@@ -130,8 +113,7 @@ func (c *Cell[T]) Get(tx Tx) T {
 // value is made in the box its commit publishes.
 func (c *Cell[T]) Set(tx Tx, val T) {
 	if w, ok := tx.(cellTx); ok {
-		b, vb := newValueBox(val, w.versioned())
-		w.set(&c.v, b, vb)
+		w.set(&c.v, newValueBox(val))
 		return
 	}
 	write(tx, &c.v, val)
@@ -151,14 +133,11 @@ func keep(v any) any { return v }
 // cellTx is implemented by this package's read-write descriptors. mut(v) is
 // Update(v, keep) followed by Read(v) — the same read-set join, clone, Stats
 // increments and abort checks — with one write-set lookup where the two
-// calls make two. set(v, b, vb) is Write(v, b.val) that publishes b itself
-// at commit, not a fresh box; versioned reports whether the descriptor's
-// commits publish vboxes (NOrec under versions > 1), in which case b heads
-// vb.
+// calls make two. set(v, b) is Write(v, b.val) that publishes b itself at
+// commit, not a fresh box.
 type cellTx interface {
 	mut(v *Var) any
-	set(v *Var, b *box, vb *vbox)
-	versioned() bool
+	set(v *Var, b *box)
 }
 
 // Mut returns tx's private copy of the cell's value for mutation in place,

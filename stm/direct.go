@@ -94,13 +94,10 @@ func (t *directTx) mut(v *Var) any {
 }
 
 // set implements cellTx: Write(v, b.val) in b.
-func (t *directTx) set(v *Var, b *box, _ *vbox) {
+func (t *directTx) set(v *Var, b *box) {
 	t.st.writes++
 	v.cur.Store(b)
 }
-
-// versioned implements cellTx: direct publishes plain boxes.
-func (t *directTx) versioned() bool { return false }
 
 // sameValue reports whether a and b are one interface value, word for word:
 // the same dynamic type holding the same pointer (or, for a type that is not

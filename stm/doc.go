@@ -43,7 +43,7 @@
 // of an (engine, configuration) sweep as a single printable value with a
 // canonical ParseEngineSpec/String round trip:
 //
-//	norec:versions=4,deadline=25ms
+//	norec:deadline=25ms,retries=8
 //	tl2:nosnap
 //
 // EngineOptions is the whole configuration of an engine, and the spec is
@@ -87,8 +87,7 @@
 // every write goes through one private copy per transaction:
 //
 //   - Committed values are immutable. Get copies the T out; nothing a
-//     reader holds can change under it, and older versions kept by a
-//     multi-version engine stay readable for the same reason.
+//     reader holds can change under it.
 //   - Mut(tx) returns the transaction's private copy for mutation in
 //     place. The first Mut (or Update) of a cell in a transaction makes the
 //     copy — by assignment for NewCell, by the cell's clone function for
@@ -103,9 +102,7 @@
 //     constructors, the private copy and Set each make the value inside a
 //     box, and commit publishes that box: a read loads the box and finds
 //     the value beside it, and a first write allocates once. The other
-//     side is retention: a *T a cell handed out keeps its box alive, and
-//     on NOrec with versions=K the box's chain of older versions, at most
-//     K boxes in all.
+//     side is retention: a *T a cell handed out keeps its box alive.
 //   - A clone function has to make the copy independent only in what Mut
 //     callers mutate. The benchmark's index cells clone a B-tree in O(1)
 //     (internal/btree: the copy shares nodes and copies a path on write),
@@ -287,61 +284,11 @@
 //     engine's RunReadOnly is its Atomic — one branch at entry — so the
 //     validating path can be measured on the same operations.
 //
-// # Multi-version snapshot reads
-//
-// The snapshot mode's restarts have one cause: the only committed version
-// of a Var is newer than the reader's sampled timestamp. On NOrec the
-// Versions axis (EngineOptions.Versions [versions=K]) removes that cause
-// by retention: with Versions = K > 1, each commit publishes a version
-// (a vbox: the value's box, its commit stamp wv and a link to the next
-// older version) and links its predecessor behind it, keeping the last K
-// committed versions per Var on an immutable chain (newest first, strictly
-// descending wv — see mvcc.go). The chain's head is held in the Var's last
-// word; a box on every other configuration is its value and nothing else,
-// so only the engines that buy retention pay for it. A snapshot read that
-// finds the head too new walks
-// the chain for the newest version with wv <= its snapshot timestamp and
-// returns that instead of restarting; the resolution is counted in
-// Stats.VersionReads. The contract:
-//
-//   - What K buys: a snapshot reader only restarts when MORE than K-1
-//     commits hit one of its Vars after its timestamp sample — the walk
-//     fell off the truncated tail (counted in Stats.VersionMisses, then
-//     SnapshotRestarts as usual, with the same budget-then-fallback
-//     liveness). K=1 (the default) links nothing and preserves
-//     single-version behavior bit for bit.
-//
-//   - Opacity over chains: resolving an older version is only legal
-//     because the chain provably holds every version the reader's
-//     snapshot could need: NOrec's writeback completes before the
-//     sequence lock's release-store, so a reader's even sample acquires
-//     every version with wv <= its snapshot.
-//     The full memory-ordering argument lives in mvcc.go; the write-skew
-//     opacity hammer and the property suites run the K axis like they run
-//     engines to enforce it.
-//
-//   - Space bound: retention costs at most (K-1) * liveVars superseded
-//     versions on top of single-version state, each allocated with the
-//     value it holds; Stats.VersionBytes counts sizeof(vbox) per retained
-//     version, cumulatively, and not the value beside it. Truncation happens inline
-//     at publish time (the K-th link is severed); no background
-//     reclamation exists or is needed — unreferenced tails are garbage
-//     collected.
-//
-//   - Scope: the axis serves only NOrec's RunReadOnly snapshot path,
-//     resolved against its sequence sample. Atomic transactions always
-//     read heads; the other engines ignore the option. The versioned
-//     read path stays 0 allocs/op (alloc_test.go), and a versioned write
-//     is still one allocation: the clone or Set makes the value inside its
-//     vbox, and the chain reuses the one version each commit publishes.
-//     A Var's first versioned commit adds one more, a stamp-0 version of
-//     the value the Var was made with.
-//
 // # The metadata layer: a Var is one cache line
 //
 // A Var holds its committed value, one ownership record (orec) of its own,
-// its identity, its clone function and, under NOrec's versions=K, the head
-// of its version chain, and it is exactly one 64-byte cache line. Every piece of conflict-detection metadata lives in the orec, and
+// its identity and its clone function, padded to exactly one 64-byte cache
+// line. Every piece of conflict-detection metadata lives in the orec, and
 // every engine reaches it as &v.own, at a fixed offset from the Var — no
 // pointer load, no hashing and no branch per access (see orec.go):
 //
@@ -453,32 +400,30 @@
 //
 //   - Stats is the counter surface: one atomic counter per event class
 //     (commits, conflict/user/timeout/injected aborts, reads, writes,
-//     validations, clones, the snapshot / multi-version /
-//     serial-fallback diagnostics), collected per descriptor and
-//     flushed on transaction exit, so hot paths never contend on shared
-//     cache lines. Stats.Delta(before) windows a measurement;
-//     Stats.Add(other) folds windows back together (multi-phase runs);
-//     Stats.Lines() renders the one canonical human-readable block every
-//     report surface shares, including the abort-cause breakdown — an
-//     attribution (one cause per surfaced abort) over conflict aborts,
-//     not a partition of them.
+//     validations, clones, the snapshot and serial-fallback
+//     diagnostics), collected per descriptor and flushed on transaction
+//     exit, so hot paths never contend on shared cache lines.
+//     Stats.Delta(before) windows a measurement; Stats.Add(other) folds
+//     windows back together (multi-phase runs); Stats.Lines() renders the
+//     one canonical human-readable block every report surface shares,
+//     including the abort-cause breakdown — an attribution (one cause per
+//     surfaced abort) over conflict aborts, not a partition of them.
 //
 //   - TraceRecorder is the flight recorder: fixed-capacity per-shard
 //     rings of {Seq, Kind, A, B} events recorded at the engines' probe
 //     sites (begin, commit, abort with cause, validation, commit-lock
-//     acquisition, snapshot restart, version hit/miss, serial
-//     escalation). Timestamps are a single atomic sequence — a logical
-//     clock, not wall time — so a single-threaded fixed-op run records
-//     bit-for-bit identical traces across runs; when the ring wraps, the
-//     newest events win and Dropped() counts the overwrites. A nil
-//     recorder costs one predicted branch per probe site and zero
-//     allocations; an attached recorder stays 0 allocs/op because events
-//     write into preallocated rings (both enforced by alloc_test.go).
-//     Events() merges the shards in Seq order; WriteChromeTrace exports
-//     the merged stream as Chrome Trace Event JSON (load it in
-//     chrome://tracing or Perfetto: ts = Seq as microseconds, tid = ring
-//     shard, one instant event per record with the kind as its name),
-//     and ParseChromeTrace round-trips it for tooling.
+//     acquisition, snapshot restart, serial escalation). Timestamps are a
+//     single atomic sequence — a logical clock, not wall time — so a
+//     single-threaded fixed-op run records bit-for-bit identical traces
+//     across runs; when the ring wraps, the newest events win and Dropped()
+//     counts the overwrites. A nil recorder costs one predicted branch per
+//     probe site and zero allocations; an attached recorder stays 0
+//     allocs/op because events write into preallocated rings (both enforced
+//     by alloc_test.go). Events() merges the shards in Seq order;
+//     WriteChromeTrace exports the merged stream as Chrome Trace Event JSON
+//     (load it in chrome://tracing or Perfetto: ts = Seq as microseconds,
+//     tid = ring shard, one instant event per record with the kind as its
+//     name), and ParseChromeTrace round-trips it for tooling.
 //
 // Engines accept a recorder at construction (EngineOptions.Trace — a live
 // object, so the one option without a spec key); the CLIs expose the stack

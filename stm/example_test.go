@@ -82,7 +82,7 @@ func ExampleNew() {
 // benchmark's -g flag takes, then applies a scenario-style option list over
 // it: keys present override, keys absent inherit.
 func ExampleParseEngineSpec() {
-	spec, err := stm.ParseEngineSpec("norec:versions=2,deadline=25ms")
+	spec, err := stm.ParseEngineSpec("norec:deadline=25ms,retries=2")
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -94,13 +94,13 @@ func ExampleParseEngineSpec() {
 	}
 	fmt.Println(eng.Name(), "built from", spec)
 
-	spec.Options, err = spec.Options.Apply("versions=4,serial")
+	spec.Options, err = spec.Options.Apply("retries=4,serial")
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
 	fmt.Println("overlaid:", spec)
 	// Output:
-	// norec built from norec:versions=2,deadline=25ms
-	// overlaid: norec:versions=4,deadline=25ms,serial
+	// norec built from norec:deadline=25ms,retries=2
+	// overlaid: norec:deadline=25ms,retries=4,serial
 }

@@ -31,13 +31,9 @@ import (
 //
 // NOrec sits outside the orec metadata layer by definition — "no ownership
 // records" is the design — so its metadata footprint is a single word and
-// it leaves every Var's inline orec untouched. The EngineOptions.Versions
-// axis DOES apply (the sequence
-// lock's even values are exactly the snapshot timestamps a version chain
-// resolves against), and NOrec consumes that one knob.
+// it leaves every Var's inline orec untouched.
 type NOrec struct {
 	engineCore
-	versions int // EngineOptions.Versions, normalized
 	txPool   txPool[norecTx]
 	snapPool txPool[norecSnapTx] // read-only snapshot descriptors (RunReadOnly)
 	// seq is the global sequence lock: odd while a writer is in its
@@ -47,12 +43,10 @@ type NOrec struct {
 }
 
 // NewNOrec returns a NOrec engine configured with o. NOrec honours
-// Versions (under Versions > 1 each published version is stamped with its
-// commit's post-release sequence value, and the seqlock epoch check is
-// dropped entirely), MaxRetries, TxDeadline, SerialFallback, Faults, Trace
-// and DisableROSnapshot, and ignores the rest.
+// MaxRetries, TxDeadline, SerialFallback, Faults, Trace and
+// DisableROSnapshot, and ignores the rest.
 func NewNOrec(o EngineOptions) *NOrec {
-	e := &NOrec{versions: normalizeVersions(o.Versions)}
+	e := &NOrec{}
 	e.setup(e, o)
 	e.txPool.init(func() *norecTx { return &norecTx{eng: e, txHead: txHead{tr: o.Trace.tap()}} })
 	e.snapPool.init(func() *norecSnapTx { return &norecSnapTx{eng: e, txHead: txHead{tr: o.Trace.tap()}} })
@@ -84,13 +78,11 @@ type norecRead struct {
 }
 
 // norecWrite is one buffered write, with the private box val was made in
-// (nil for a plain Write), as in tl2Write. Under Versions > 1 that box heads
-// vb, the version the commit publishes.
+// (nil for a plain Write), as in tl2Write.
 type norecWrite struct {
 	v   *Var
 	val any
 	b   *box
-	vb  *vbox
 }
 
 // norecTx is the pooled per-transaction descriptor; reset reuses the
@@ -243,19 +235,15 @@ func (tx *norecTx) Write(v *Var, val any) {
 	tx.writes = append(tx.writes, norecWrite{v: v, val: val})
 }
 
-// set implements cellTx: Write(v, b.val), publishing b (vb's box under
-// Versions > 1).
-func (tx *norecTx) set(v *Var, b *box, vb *vbox) {
+// set implements cellTx: Write(v, b.val), publishing b.
+func (tx *norecTx) set(v *Var, b *box) {
 	tx.st.writes++
 	if i, ok := tx.writeIdx.getOrPut(v, int32(len(tx.writes))); ok {
-		tx.writes[i].val, tx.writes[i].b, tx.writes[i].vb = b.val, b, vb
+		tx.writes[i].val, tx.writes[i].b = b.val, b
 		return
 	}
-	tx.writes = append(tx.writes, norecWrite{v: v, val: b.val, b: b, vb: vb})
+	tx.writes = append(tx.writes, norecWrite{v: v, val: b.val, b: b})
 }
-
-// versioned implements cellTx: under Versions > 1 a commit publishes vboxes.
-func (tx *norecTx) versioned() bool { return tx.eng.versions > 1 }
 
 // Update implements Tx.
 func (tx *norecTx) Update(v *Var, f func(val any) any) {
@@ -275,8 +263,8 @@ func (tx *norecTx) mut(v *Var) any {
 
 // updateSlot returns v's write-set index for an update. A first update
 // reads the current value (which joins the read set, guarding against lost
-// updates), clones it into a private box (a vbox's under Versions > 1), and
-// buffers the copy with its box.
+// updates), clones it into a private box, and buffers the copy with its
+// box.
 func (tx *norecTx) updateSlot(v *Var) int32 {
 	i, ok := tx.writeIdx.getOrPut(v, int32(len(tx.writes)))
 	if ok {
@@ -286,7 +274,7 @@ func (tx *norecTx) updateSlot(v *Var) int32 {
 	// thrown there unwinds the whole attempt, so the index is never seen
 	// ahead of its slice entry.
 	w := norecWrite{v: v, val: tx.readVar(v)}
-	w.b, w.vb = v.clone(w.val, tx.versioned())
+	w.b = v.clone(w.val)
 	w.val = w.b.val
 	tx.st.clones++
 	tx.writes = append(tx.writes, w)
@@ -329,20 +317,10 @@ func (tx *norecTx) commit() bool {
 	}
 	// One box per written Var — the one a cell's value was made in, or a
 	// fresh one for a plain Write: published snapshots may be held by
-	// concurrent readers forever and cannot come from the pool. Under
-	// Versions > 1 each is a vbox stamped with this commit's post-release
-	// sequence value, and the superseded version is linked behind it so
-	// snapshot readers at older epochs can resolve it (mvcc.go).
-	if keep := tx.eng.versions; keep > 1 {
-		for i := range tx.writes {
-			w := &tx.writes[i]
-			publishVersion(w.v, versionable(w.vb, w.val), tx.snapshot+2, keep, &tx.st)
-		}
-	} else {
-		for i := range tx.writes {
-			w := &tx.writes[i]
-			w.v.cur.Store(publishable(w.b, w.val))
-		}
+	// concurrent readers forever and cannot come from the pool.
+	for i := range tx.writes {
+		w := &tx.writes[i]
+		w.v.cur.Store(publishable(w.b, w.val))
 	}
 	// Clock-stamp delay: NOrec's commit stamp is the seqlock release
 	// itself, so the delay sits just before the releasing store.

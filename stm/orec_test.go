@@ -62,8 +62,7 @@ func TestVarLayout(t *testing.T) {
 // value. For an atomic part's state (three ints, core.AtomicPartState) that
 // is 40 bytes, which the allocator serves from its 48-byte size class; with
 // NOrec's commit stamp and chain link on every box it was 56, in the 64-byte
-// class. Those two words are a vbox's, which only a versions=K NOrec engine
-// makes.
+// class.
 func TestBoxLayout(t *testing.T) {
 	type partState struct{ X, Y, BuildDate int }
 	if got := unsafe.Sizeof(box{}); got != 16 {
@@ -72,14 +71,11 @@ func TestBoxLayout(t *testing.T) {
 	if got := unsafe.Sizeof(valueBox[partState]{}); got != 40 {
 		t.Errorf("sizeof(valueBox[partState]) = %d, want 40", got)
 	}
-	if got, want := unsafe.Sizeof(vbox{}), unsafe.Sizeof(box{})+16; got != want {
-		t.Errorf("sizeof(vbox) = %d, want %d (a box, its stamp and its link)", got, want)
-	}
 	if raceEnabled {
 		t.Skip("race instrumentation skews allocation sizes")
 	}
 	const n = 1000
-	if got := allocBytes(n, func() { boxSink, _ = newValueBox(partState{}, false) }); got != 48 {
+	if got := allocBytes(n, func() { boxSink = newValueBox(partState{}) }); got != 48 {
 		t.Errorf("a valueBox[partState] takes %v bytes of heap, want 48", got)
 	}
 }
@@ -204,7 +200,7 @@ func TestOrecHashDistribution(t *testing.T) {
 // TestNewWithOptions checks the registry plumbing: an engine honours the
 // options that apply to its design and takes the rest without complaint.
 func TestNewWithOptions(t *testing.T) {
-	opts := EngineOptions{Versions: 4, CM: Timid{}}
+	opts := EngineOptions{MaxRetries: 4, CM: Timid{}}
 	for _, name := range Registered() {
 		eng, err := NewWith(name, opts)
 		if err != nil {
@@ -213,8 +209,8 @@ func TestNewWithOptions(t *testing.T) {
 		}
 		switch e := eng.(type) {
 		case *NOrec:
-			if e.versions != 4 {
-				t.Errorf("norec: Versions = %d, want 4", e.versions)
+			if e.maxRetries != 4 {
+				t.Errorf("norec: MaxRetries = %d, want 4", e.maxRetries)
 			}
 		case *OSTM:
 			if _, ok := e.opts.CM.(Timid); !ok {
@@ -224,18 +220,5 @@ func TestNewWithOptions(t *testing.T) {
 	}
 	if _, err := NewWith("nope", EngineOptions{}); err == nil {
 		t.Error("NewWith of unknown engine should fail")
-	}
-}
-
-// TestOversizedKnobsClampInsteadOfPanicking: an absurd CLI value for the
-// version-chain depth must degrade to the cap, not crash or retain
-// unbounded history.
-func TestOversizedKnobsClampInsteadOfPanicking(t *testing.T) {
-	eng := NewNOrec(EngineOptions{Versions: maxVersions * 1000})
-	if got := eng.versions; got != maxVersions {
-		t.Errorf("versions=%d normalized to %d, want clamp to %d", maxVersions*1000, got, maxVersions)
-	}
-	if got := normalizeVersions(0); got != DefaultVersions {
-		t.Errorf("zero versions normalized to %d, want %d", got, DefaultVersions)
 	}
 }

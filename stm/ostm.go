@@ -99,7 +99,7 @@ type OSTM struct {
 // validation. OSTM honours CM, CommitTimeValidationOnly (off = the faithful
 // O(k²) incremental validation), CommitCounterHeuristic, VisibleReads,
 // MaxRetries, TxDeadline, SerialFallback, Faults, Trace and
-// DisableROSnapshot, and ignores Versions.
+// DisableROSnapshot: every option.
 func NewOSTM(o EngineOptions) *OSTM {
 	if o.CM == nil {
 		o.CM = Polka{}
@@ -416,13 +416,10 @@ func (tx *ostmTx) Write(v *Var, val any) {
 }
 
 // set implements cellTx: Write(v, b.val), publishing b.
-func (tx *ostmTx) set(v *Var, b *box, _ *vbox) {
+func (tx *ostmTx) set(v *Var, b *box) {
 	tx.st.writes++
 	tx.acquire(v).new = b
 }
-
-// versioned implements cellTx: OSTM publishes plain boxes.
-func (tx *ostmTx) versioned() bool { return false }
 
 // Update implements Tx.
 func (tx *ostmTx) Update(v *Var, f func(val any) any) {
@@ -447,7 +444,7 @@ func (tx *ostmTx) mut(v *Var) any {
 func (tx *ostmTx) updateSlot(v *Var) *wslot {
 	s := tx.acquire(v)
 	if s.new == nil {
-		s.new, _ = v.clone(s.old.val, false)
+		s.new = v.clone(s.old.val)
 		tx.st.clones++
 	}
 	return s

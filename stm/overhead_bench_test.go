@@ -27,10 +27,6 @@ type shape struct {
 	// read-only snapshot mode (stm.RunReadOnly) instead of Atomic — the
 	// before/after pair for the PR-5 validation-free fast path.
 	Snapshot bool
-	// Versions is the multi-version chain depth the engine should be
-	// constructed with (stm.EngineOptions.Versions); 0 leaves the
-	// engine's single-version default.
-	Versions int
 	// Skip reports whether the shape is meaningless for an engine (the
 	// storm on the conflict-free direct engine).
 	Skip func(engine string) bool
@@ -205,43 +201,6 @@ func shapes() []shape {
 			Snapshot: true,
 			Setup:    readShape(1024),
 		},
-		// The multi-version walk: every snapshot transaction first commits
-		// a write (after its timestamp sample), so one of its 8 reads is
-		// forced through the version-chain resolution instead of the head
-		// load. On a K=1 engine this is the restarting shape PR 6 removes;
-		// at Versions=8 it must complete restart-free — the check enforces
-		// that, so the ns/op is the genuine walk cost, not retry churn.
-		{
-			Name:     "snapversionwalk8",
-			Snapshot: true,
-			Versions: 8,
-			Skip: func(engine string) bool {
-				// Only the engine with the Versions axis: elsewhere the
-				// self-inflicted commit just forces restart/fallback churn
-				// (or, for ostm's Atomic fallback, a validation livelock).
-				return engine != "norec"
-			},
-			Setup: func(eng stm.Engine) (func(stm.Tx) error, func(int) error) {
-				cs := cells(eng, 8)
-				nested := func(wtx stm.Tx) error { cs[0].Set(wtx, 7); return nil }
-				fn := func(tx stm.Tx) error {
-					if err := eng.Atomic(nested); err != nil {
-						return err
-					}
-					for _, c := range cs {
-						c.Get(tx)
-					}
-					return nil
-				}
-				check := func(int) error {
-					if st := eng.Stats(); st.SnapshotRestarts > 0 {
-						return fmt.Errorf("versioned walk restarted %d times, want 0", st.SnapshotRestarts)
-					}
-					return nil
-				}
-				return fn, check
-			},
-		},
 	}
 }
 
@@ -270,7 +229,7 @@ func runShape(b *testing.B, sh shape) {
 			continue
 		}
 		b.Run(name, func(b *testing.B) {
-			eng, err := stm.NewWith(name, stm.EngineOptions{Versions: sh.Versions})
+			eng, err := stm.New(name)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -346,14 +305,6 @@ func BenchmarkTxOverheadSnapshotRead(b *testing.B) { benchShape(b, "snapread8") 
 // The gap to BenchmarkTxOverheadLongTraversal is the per-read bookkeeping
 // the snapshot mode removes from T1/T6-style traversals.
 func BenchmarkTxOverheadSnapshotTraversal(b *testing.B) { benchShape(b, "snaptraverse1024") }
-
-// BenchmarkTxOverheadVersionedWalk: the snapread8 shape with a commit
-// landing inside every snapshot transaction, on Versions=8 engines — each
-// transaction resolves one read through the version chain. The shape's
-// check asserts zero snapshot restarts, so the measured cost is the walk
-// itself; the gap to BenchmarkTxOverheadSnapshotRead (plus one small-write
-// commit) is the price of restart-freedom under write traffic.
-func BenchmarkTxOverheadVersionedWalk(b *testing.B) { benchShape(b, "snapversionwalk8") }
 
 // BenchmarkTxOverheadBulkUpdate: n cells written through Cell.Mut in one
 // transaction, in shuffled order — OP10 on its own, at a write set of an

@@ -26,9 +26,9 @@ func New(name string) (Engine, error) {
 
 // NewWith returns a fresh engine by name, configured with opts — the two
 // halves of an EngineSpec. Engines for which an option does not apply
-// ignore it (OSTM and TL2 ignore Versions, TL2 and NOrec the OSTM keys,
-// direct everything) — the knobs are benchmark axes, not hard
-// requirements, so a sweep can hold them fixed across engines.
+// ignore it (TL2 and NOrec ignore the OSTM keys, direct everything) — the
+// knobs are benchmark axes, not hard requirements, so a sweep can hold them
+// fixed across engines.
 func NewWith(name string, opts EngineOptions) (Engine, error) {
 	build, ok := constructors[name]
 	if !ok {

@@ -254,41 +254,9 @@ type norecSnapTx struct {
 // proves no writer published anything since the snapshot, so the box is
 // part of the snapshot's committed state; a moved sequence restarts the
 // attempt (with no read set there is nothing to revalidate by value).
-//
-// Under Versions > 1 the per-read epoch check is dropped entirely — the
-// whole point of the versioned cell. Commits are totally ordered by the
-// sequence lock and every version carries its commit's sequence value, so
-// the newest chain version with wv <= the sampled epoch IS the Var's value
-// in that epoch's committed state; versions from later commits
-// (mid-writeback or fully published) carry larger stamps and are skipped
-// by the walk. A Var with no chain yet (ver nil) still publishes the box
-// it was made with, which is older than every snapshot (see mvcc.go).
-// Unrelated commits therefore stop killing traversals; only a truncated
-// chain restarts, as a VersionMiss.
 func (tx *norecSnapTx) Read(v *Var) any {
 	tx.st.reads++
 	b := v.cur.Load()
-	if tx.eng.versions > 1 {
-		h := v.ver.Load()
-		if h == nil {
-			return b.val
-		}
-		if h.wv <= tx.snap {
-			return h.val
-		}
-		if rb := resolveVersion(h.prev.Load(), tx.snap); rb != nil {
-			if tx.tr.rec != nil {
-				tx.tr.note(TraceVersionHit, tx.snap, 0)
-			}
-			tx.st.versionReads++
-			return rb.val
-		}
-		if tx.tr.rec != nil {
-			tx.tr.note(TraceVersionMiss, tx.snap, 0)
-		}
-		tx.st.versionMisses++
-		throwConflict("snapshot version truncated past epoch")
-	}
 	if tx.eng.seq.Load() != tx.snap {
 		throwConflict("snapshot epoch moved")
 	}

@@ -2,7 +2,6 @@ package stm
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -134,33 +133,20 @@ func (e *capabilityFreeEngine) Atomic(fn func(tx Tx) error) error { return e.inn
 func (e *capabilityFreeEngine) VarSpace() *VarSpace               { return e.inner.VarSpace() }
 func (e *capabilityFreeEngine) Stats() Stats                      { return e.inner.Stats() }
 
-// versionDepth reports an engine's configured multi-version chain depth
-// (1 for engines without the axis). Tests that force snapshot restarts
-// skip depths above 1 — eliminating exactly those restarts is the point
-// of the axis, pinned by TestSnapshotVersionedRestartElimination.
-func versionDepth(eng Engine) int {
-	switch e := eng.(type) {
-	case *NOrec:
-		return e.versions
-	}
-	return 1
-}
-
 // TestSnapshotRestartOnConcurrentCommit: a commit between the snapshot
 // sample and a subsequent read of the committed Var restarts the attempt
-// (and is counted in SnapshotRestarts, not ConflictAborts).
+// (and is counted in SnapshotRestarts, not ConflictAborts), and the
+// restarted attempt reads the commit's value from its fresh snapshot.
 func TestSnapshotRestartOnConcurrentCommit(t *testing.T) {
 	for name, eng := range snapshotEngines() {
 		if _, isDirect := eng.(*Direct); isDirect {
 			continue // no conflict detection, nothing restarts
 		}
-		if versionDepth(eng) > 1 {
-			continue // resolves the older version instead of restarting
-		}
 		t.Run(name, func(t *testing.T) {
 			c1 := NewCell(eng.VarSpace(), 1)
 			c2 := NewCell(eng.VarSpace(), 1)
 			attempts := 0
+			var got int
 			err := RunReadOnly(eng, func(tx Tx) error {
 				attempts++
 				c1.Get(tx)
@@ -171,7 +157,7 @@ func TestSnapshotRestartOnConcurrentCommit(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				c2.Get(tx)
+				got = c2.Get(tx)
 				return nil
 			})
 			if err != nil {
@@ -179,6 +165,9 @@ func TestSnapshotRestartOnConcurrentCommit(t *testing.T) {
 			}
 			if attempts < 2 {
 				t.Fatalf("attempts = %d, want >= 2 (snapshot must restart)", attempts)
+			}
+			if got != 99 {
+				t.Errorf("read %d after the restart, want 99 (fresh snapshot)", got)
 			}
 			st := eng.Stats()
 			if st.SnapshotRestarts == 0 {
@@ -201,9 +190,6 @@ func TestSnapshotFallbackAfterBudget(t *testing.T) {
 	for name, eng := range snapshotEngines() {
 		if _, isDirect := eng.(*Direct); isDirect {
 			continue
-		}
-		if versionDepth(eng) > 1 {
-			continue // the forced commits resolve from the chain, no restarts
 		}
 		t.Run(name, func(t *testing.T) {
 			c := NewCell(eng.VarSpace(), 0)
@@ -326,9 +312,11 @@ func TestSnapshotValidationFree(t *testing.T) {
 // TestSnapshotOpacityUnderWriteSkewShape is the conformance property the
 // snapshot mode must uphold: a snapshot reader concurrent with
 // write-skew-shaped committers never observes a torn state. Two writers
-// each read both cells and rewrite one to preserve x + y == 100; a torn
-// snapshot (one cell pre-commit, the other post-commit) breaks the sum.
-// Runs against every transactional engine configuration.
+// each read both cells and rewrite one to preserve x + y == 100, and a
+// third rewrites both cells blind on every commit, turning both Vars over
+// as fast as it can; a torn snapshot (one cell pre-commit, the other
+// post-commit) breaks the sum. Runs against every transactional engine
+// configuration.
 func TestSnapshotOpacityUnderWriteSkewShape(t *testing.T) {
 	rounds := 30000
 	if testing.Short() {
@@ -358,9 +346,21 @@ func TestSnapshotOpacityUnderWriteSkewShape(t *testing.T) {
 					})
 				}
 			}
-			wg.Add(2)
+			blind := func() {
+				defer wg.Done()
+				for i := 0; !stop.Load(); i++ {
+					eng.Atomic(func(tx Tx) error {
+						v := i % 100
+						x.Set(tx, v)
+						y.Set(tx, 100-v)
+						return nil
+					})
+				}
+			}
+			wg.Add(3)
 			go writer(true)
 			go writer(false)
+			go blind()
 
 			for i := 0; i < rounds; i++ {
 				var gx, gy int
@@ -397,285 +397,5 @@ func TestSnapshotStatsDelta(t *testing.T) {
 	}
 	if got := (Stats{}).SnapshotShare(); got != 0 {
 		t.Errorf("zero-stats SnapshotShare = %v, want 0", got)
-	}
-}
-
-// TestVersionStatsDelta: the multi-version counters flow through Delta as
-// plain counters too.
-func TestVersionStatsDelta(t *testing.T) {
-	prev := Stats{VersionReads: 5, VersionMisses: 1, VersionBytes: 100}
-	cur := Stats{VersionReads: 12, VersionMisses: 3, VersionBytes: 420}
-	d := cur.Delta(prev)
-	if d.VersionReads != 7 || d.VersionMisses != 2 || d.VersionBytes != 320 {
-		t.Errorf("Delta version counters = (%d, %d, %d), want (7, 2, 320)",
-			d.VersionReads, d.VersionMisses, d.VersionBytes)
-	}
-}
-
-// versionedSnapshotMakers are the engine constructors the multi-version
-// battery below is table-driven over: every engine with the Versions axis,
-// parameterized by chain depth K.
-var versionedSnapshotMakers = map[string]func(k int) Engine{
-	"norec": func(k int) Engine { return NewNOrec(EngineOptions{Versions: k}) },
-}
-
-// TestTL2IgnoresVersions: TL2 takes versions=K and keeps no chain. A
-// writer committing between a snapshot reader's sample and its read
-// restarts the reader, as at K=1, and no version counter moves.
-func TestTL2IgnoresVersions(t *testing.T) {
-	eng, err := NewWith("tl2", EngineOptions{Versions: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1 := NewCell(eng.VarSpace(), 1)
-	c2 := NewCell(eng.VarSpace(), 1)
-	attempts := 0
-	var got int
-	if err := RunReadOnly(eng, func(tx Tx) error {
-		attempts++
-		c1.Get(tx)
-		if attempts == 1 {
-			if err := eng.Atomic(func(wtx Tx) error { c2.Set(wtx, 99); return nil }); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got = c2.Get(tx)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if attempts < 2 || got != 99 {
-		t.Errorf("attempts = %d, read %d; want a restart that reads 99", attempts, got)
-	}
-	if st := eng.Stats(); st.VersionBytes != 0 || st.VersionReads != 0 || st.VersionMisses != 0 {
-		t.Errorf("version counters = (%d bytes, %d reads, %d misses), want all 0",
-			st.VersionBytes, st.VersionReads, st.VersionMisses)
-	}
-}
-
-// TestSnapshotVersionedRestartElimination is the PR's deterministic
-// acceptance test: a writer commits between a snapshot reader's timestamp
-// sample and its read of the written Var. At K=1 the reader MUST restart
-// (the only committed version is too new); at K>=2 the same interleaving
-// completes in a single attempt with zero restarts, because the read
-// resolves the retained older version — and, crucially, it observes the
-// PRE-commit value, proving the resolved version really belongs to the
-// reader's snapshot rather than just suppressing the restart.
-func TestSnapshotVersionedRestartElimination(t *testing.T) {
-	for name, mk := range versionedSnapshotMakers {
-		for _, k := range []int{1, 2, 8} {
-			t.Run(fmt.Sprintf("%s/K=%d", name, k), func(t *testing.T) {
-				eng := mk(k)
-				c1 := NewCell(eng.VarSpace(), 1)
-				c2 := NewCell(eng.VarSpace(), 1)
-				attempts := 0
-				var got int
-				err := RunReadOnly(eng, func(tx Tx) error {
-					attempts++
-					c1.Get(tx)
-					if attempts == 1 {
-						// The pinned writer: commits to c2 after the reader
-						// sampled its snapshot but before it reads c2.
-						if err := eng.Atomic(func(wtx Tx) error { c2.Set(wtx, 99); return nil }); err != nil {
-							t.Fatal(err)
-						}
-					}
-					got = c2.Get(tx)
-					return nil
-				})
-				if err != nil {
-					t.Fatalf("RunReadOnly: %v", err)
-				}
-				st := eng.Stats()
-				if st.SnapshotTxs != 1 {
-					t.Errorf("SnapshotTxs = %d, want 1", st.SnapshotTxs)
-				}
-				if st.ConflictAborts != 0 {
-					t.Errorf("ConflictAborts = %d, want 0", st.ConflictAborts)
-				}
-				if k == 1 {
-					if attempts < 2 {
-						t.Errorf("K=1: attempts = %d, want >= 2 (must restart)", attempts)
-					}
-					if st.SnapshotRestarts == 0 {
-						t.Error("K=1: SnapshotRestarts = 0, want > 0")
-					}
-					if got != 99 {
-						t.Errorf("K=1: read %d after restart, want 99 (fresh snapshot)", got)
-					}
-					if st.VersionReads != 0 || st.VersionBytes != 0 {
-						t.Errorf("K=1: version counters = (%d reads, %d bytes), want 0 (axis off)",
-							st.VersionReads, st.VersionBytes)
-					}
-				} else {
-					if attempts != 1 {
-						t.Errorf("K=%d: attempts = %d, want 1 (restart-free)", k, attempts)
-					}
-					if st.SnapshotRestarts != 0 {
-						t.Errorf("K=%d: SnapshotRestarts = %d, want 0", k, st.SnapshotRestarts)
-					}
-					if got != 1 {
-						t.Errorf("K=%d: read %d, want 1 (the version belonging to the snapshot)", k, got)
-					}
-					if st.VersionReads == 0 {
-						t.Errorf("K=%d: VersionReads = 0, want > 0 (the read must have resolved a chained version)", k)
-					}
-					if st.VersionMisses != 0 {
-						t.Errorf("K=%d: VersionMisses = %d, want 0 (chain is deep enough)", k, st.VersionMisses)
-					}
-				}
-				// Either way the commit is durable: a fresh snapshot sees it.
-				var after int
-				if err := RunReadOnly(eng, func(tx Tx) error { after = c2.Get(tx); return nil }); err != nil {
-					t.Fatal(err)
-				}
-				if after != 99 {
-					t.Errorf("post-run read = %d, want 99", after)
-				}
-			})
-		}
-	}
-}
-
-// TestSnapshotVersionChainTruncation pins the ring-wrap edge case: when
-// MORE than K commits land on one Var after the reader's snapshot sample,
-// the chain no longer holds a version old enough, the walk falls off the
-// truncated tail, and the reader restarts (counted as a VersionMiss plus a
-// SnapshotRestart) — then completes against a fresh snapshot. Retention is
-// bounded: K versions never means "no restarts ever", and the miss path
-// must be a restart, never a wrong value.
-func TestSnapshotVersionChainTruncation(t *testing.T) {
-	for name, mk := range versionedSnapshotMakers {
-		t.Run(name, func(t *testing.T) {
-			const k = 2
-			eng := mk(k)
-			c := NewCell(eng.VarSpace(), 0)
-			attempts := 0
-			var got int
-			err := RunReadOnly(eng, func(tx Tx) error {
-				attempts++
-				if attempts == 1 {
-					// k+1 commits: the version the reader needs is pushed
-					// off the end of the ring.
-					for i := 0; i < k+1; i++ {
-						if err := eng.Atomic(func(wtx Tx) error {
-							c.Update(wtx, func(v int) int { return v + 1 })
-							return nil
-						}); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				got = c.Get(tx)
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("RunReadOnly: %v", err)
-			}
-			if attempts < 2 {
-				t.Errorf("attempts = %d, want >= 2 (truncated chain must restart)", attempts)
-			}
-			if got != k+1 {
-				t.Errorf("read %d, want %d (fresh snapshot after the wrap)", got, k+1)
-			}
-			st := eng.Stats()
-			if st.VersionMisses == 0 {
-				t.Error("VersionMisses = 0, want > 0 (walk fell off the truncated tail)")
-			}
-			if st.SnapshotRestarts == 0 {
-				t.Error("SnapshotRestarts = 0, want > 0 (a miss is a restart)")
-			}
-		})
-	}
-}
-
-// TestVersionBytesAccounting pins the space-side counter: with depth K > 1
-// every commit writeback that links its predecessor adds exactly one
-// retained version's bytes — a vbox: the box, its stamp and its link — and
-// K=1 retains nothing.
-func TestVersionBytesAccounting(t *testing.T) {
-	for name, mk := range versionedSnapshotMakers {
-		t.Run(name, func(t *testing.T) {
-			const commits = 5
-			eng := mk(4)
-			c := NewCell(eng.VarSpace(), 0)
-			for i := 0; i < commits; i++ {
-				if err := eng.Atomic(func(tx Tx) error { c.Set(tx, i); return nil }); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got, want := eng.Stats().VersionBytes, uint64(commits)*boxBytes; got != want {
-				t.Errorf("VersionBytes = %d, want %d (%d commits x %d bytes/version)", got, want, commits, boxBytes)
-			}
-
-			flat := mk(1)
-			c1 := NewCell(flat.VarSpace(), 0)
-			for i := 0; i < commits; i++ {
-				if err := flat.Atomic(func(tx Tx) error { c1.Set(tx, i); return nil }); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := flat.Stats().VersionBytes; got != 0 {
-				t.Errorf("K=1 VersionBytes = %d, want 0", got)
-			}
-		})
-	}
-}
-
-// TestSnapshotVersionRingWrapConcurrent hammers the truncation race the
-// mvcc.go liveness argument covers: a writer wraps a 2-deep ring on two
-// invariant-linked cells as fast as it can while snapshot readers walk the
-// chains concurrently. Readers may miss (truncation won the race) and
-// restart, but must never observe a torn pair — a resolved version pair
-// either both predate the wrap or both postdate it.
-func TestSnapshotVersionRingWrapConcurrent(t *testing.T) {
-	rounds := 20000
-	if testing.Short() {
-		rounds = 2000
-	}
-	for name, mk := range versionedSnapshotMakers {
-		t.Run(name, func(t *testing.T) {
-			eng := mk(2)
-			x := NewCell(eng.VarSpace(), 60)
-			y := NewCell(eng.VarSpace(), 40)
-
-			var stop atomic.Bool
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; !stop.Load(); i++ {
-					eng.Atomic(func(tx Tx) error {
-						// Rewrite BOTH cells every commit: maximal wrap
-						// pressure on both chains while preserving the sum.
-						v := i % 100
-						x.Set(tx, v)
-						y.Set(tx, 100-v)
-						return nil
-					})
-				}
-			}()
-
-			for i := 0; i < rounds; i++ {
-				var gx, gy int
-				if err := RunReadOnly(eng, func(tx Tx) error {
-					gx = x.Get(tx)
-					gy = y.Get(tx)
-					return nil
-				}); err != nil {
-					t.Errorf("RunReadOnly: %v", err)
-					break
-				}
-				if gx+gy != 100 {
-					t.Errorf("torn versioned snapshot: x=%d y=%d (sum %d, want 100)", gx, gy, gx+gy)
-					break
-				}
-			}
-			stop.Store(true)
-			wg.Wait()
-			if st := eng.Stats(); st.SnapshotTxs == 0 {
-				t.Error("SnapshotTxs = 0, want > 0")
-			}
-		})
 	}
 }

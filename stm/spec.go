@@ -24,13 +24,6 @@ import (
 // every engine. The spec key of each field is given in brackets; see
 // ParseEngineSpec for the grammar.
 type EngineOptions struct {
-	// Versions [versions=K] keeps the last K committed versions per Var so
-	// read-only snapshot transactions resolve older versions instead of
-	// restarting under write traffic (0 or 1 = single-version; clamped to
-	// 64). NOrec only: TL2 has a snapshot timestamp too, but its versions
-	// never won beyond noise (README, Tried and left out). See mvcc.go for
-	// the opacity argument and the space bound.
-	Versions int
 	// CM [cm=NAME] arbitrates OSTM's conflicts (nil = Polka, the manager
 	// the paper used).
 	CM ContentionManager
@@ -102,8 +95,6 @@ type EngineOptions struct {
 // before anything is built.
 func (o EngineOptions) Validate() error {
 	switch {
-	case o.Versions < 0:
-		return fmt.Errorf("stm: negative Versions %d", o.Versions)
 	case o.TxDeadline < 0:
 		return fmt.Errorf("stm: negative TxDeadline %v", o.TxDeadline)
 	case o.MaxRetries < 0:
@@ -126,9 +117,6 @@ func (o EngineOptions) String() string {
 		if on {
 			add("%s", key)
 		}
-	}
-	if o.Versions != 0 {
-		add("versions=%d", o.Versions)
 	}
 	if o.CM != nil {
 		add("cm=%s", o.CM.Name())
@@ -153,8 +141,8 @@ func (o EngineOptions) String() string {
 // Apply parses an option list (the part of a spec after "name:") over o:
 // a key present in s sets its field, an absent key keeps o's value. That
 // is the overlay rule scenario files use — "serial=off" turns a run-level
-// serial off, "versions=0" restores a single version, an empty s changes
-// nothing.
+// serial off, "retries=0" restores an unbounded retry loop, an empty s
+// changes nothing.
 func (o EngineOptions) Apply(s string) (EngineOptions, error) {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("stm: engine options %q: %s", s, fmt.Sprintf(format, args...))
@@ -199,8 +187,6 @@ func (o EngineOptions) Apply(s string) (EngineOptions, error) {
 		}
 		var err error
 		switch key {
-		case "versions":
-			err = count(&o.Versions)
 		case "cm":
 			o.CM, err = ParseContentionManager(val)
 		case "ctv":
@@ -221,7 +207,7 @@ func (o EngineOptions) Apply(s string) (EngineOptions, error) {
 		case "nosnap":
 			err = onOff(&o.DisableROSnapshot)
 		default:
-			err = bad("unknown key %q (want versions, cm, ctv, commitcounter, visible, deadline, retries, serial, nosnap or faults)", key)
+			err = bad("unknown key %q (want cm, ctv, commitcounter, visible, deadline, retries, serial, nosnap or faults)", key)
 		}
 		if err != nil {
 			return EngineOptions{}, err
@@ -243,8 +229,7 @@ type EngineSpec struct {
 //
 //	spec    := name [ ":" options ]
 //	options := option ( "," option )*
-//	option  := "versions=" K           NOrec committed versions kept per Var
-//	         | "cm=" NAME              OSTM contention manager (polka, timid)
+//	option  := "cm=" NAME              OSTM contention manager (polka, timid)
 //	         | "ctv"                   OSTM commit-time validation only
 //	         | "commitcounter"         OSTM skips validations no commit made necessary
 //	         | "visible"               OSTM visible reads
@@ -255,7 +240,7 @@ type EngineSpec struct {
 //	         | "faults=" PLAN          fault plan in ParseFaultPlan syntax; must be
 //	                                   last, and takes the rest of the string
 //
-// e.g. "norec:versions=4,deadline=25ms", "tl2:nosnap" or
+// e.g. "norec:deadline=25ms,retries=8", "tl2:nosnap" or
 // "norec:serial,faults=seed=7,precommit:1/40:80us,abort:1/24". A bare name is
 // a spec with zero options. The keys without a value are booleans and also
 // accept "=on" and "=off", which only matters when the options are applied

@@ -13,10 +13,10 @@ var ciSpecs = []string{
 	"coarse",
 	"medium",
 	"tl2",
-	"tl2:versions=4,deadline=25ms",
-	"tl2:versions=4",
-	"norec:versions=4",
-	"norec:versions=2",
+	"tl2:deadline=25ms",
+	"norec:deadline=25ms,retries=8",
+	"norec:retries=8",
+	"x:cm=timid,deadline=25ms",
 	"norec:serial",
 	"norec:nosnap",
 	"ostm:serial",
@@ -27,7 +27,7 @@ var ciSpecs = []string{
 	"ostm:cm=timid,commitcounter,visible",
 	"tl2:retries=3",
 	"norec:deadline=25ms,serial",
-	"x:versions=2,cm=timid",
+	"x:cm=timid,retries=2",
 	"x:deadline=25ms,faults=seed=7,precommit:1/40:80µs,lockhold:1/56:120µs,clocktick:1/72:40µs,abort:1/24",
 }
 
@@ -49,9 +49,9 @@ func TestEngineSpecRoundTrip(t *testing.T) {
 
 func TestParseEngineSpec(t *testing.T) {
 	t.Run("fields", func(t *testing.T) {
-		spec := mustSpec(" tl2 : versions=2 ,cm=timid,ctv,visible,deadline=3ms,serial,nosnap,faults=seed=3,abort:1/8")
+		spec := mustSpec(" tl2 : retries=2 ,cm=timid,ctv,visible,deadline=3ms,serial,nosnap,faults=seed=3,abort:1/8")
 		want := EngineOptions{
-			Versions: 2, CM: Timid{}, CommitTimeValidationOnly: true, VisibleReads: true,
+			MaxRetries: 2, CM: Timid{}, CommitTimeValidationOnly: true, VisibleReads: true,
 			TxDeadline: 3 * time.Millisecond, SerialFallback: true,
 			DisableROSnapshot: true,
 		}
@@ -85,9 +85,9 @@ func TestParseEngineSpec(t *testing.T) {
 			"tl2:serial=maybe",            // booleans take on/off
 			"tl2:serial=",                 // ... not an empty value
 			"tl2:nosnap=maybe",            // ... nosnap included
-			"tl2:versions",                // counts need a value
-			"tl2:versions=-1",             // ... a non-negative one
-			"tl2:versions=two",            // ... a number
+			"tl2:retries",                 // counts need a value
+			"tl2:retries=-1",              // ... a non-negative one
+			"tl2:retries=two",             // ... a number
 			"tl2:deadline=-1ms",           // no negative budgets
 			"tl2:deadline=soon",           // Go durations only
 			"ostm:cm=",                    // a manager name is required
@@ -104,6 +104,7 @@ func TestParseEngineSpec(t *testing.T) {
 		for s, key := range map[string]string{
 			"tl2:adaptive": "adaptive", "tl2:shards=4": "shards", "tl2:coalesce": "coalesce",
 			"norec:gc": "gc", "tl2:gc=on": "gc", "tl2:striped": "striped", "tl2:striped=64": "striped",
+			"norec:versions=4": "versions", "tl2:versions=2": "versions",
 		} {
 			if _, err := ParseEngineSpec(s); err == nil || !strings.Contains(err.Error(), `unknown key "`+key+`"`) {
 				t.Errorf("ParseEngineSpec(%q): err = %v, want unknown key %q", s, err, key)
@@ -115,19 +116,19 @@ func TestParseEngineSpec(t *testing.T) {
 // TestEngineOptionsApplyOverlay pins the overlay rule scenario files rely
 // on: present keys set, absent keys inherit, =off and =0 reset.
 func TestEngineOptionsApplyOverlay(t *testing.T) {
-	base := opts("versions=2,cm=timid,deadline=25ms,serial,faults=abort:1/8")
+	base := opts("cm=timid,deadline=25ms,retries=2,serial,faults=abort:1/8")
 	for _, c := range []struct{ overlay, want string }{
-		{"", "versions=2,cm=timid,deadline=25ms,serial,faults=abort:1/8"},
-		{"versions=4", "versions=4,cm=timid,deadline=25ms,serial,faults=abort:1/8"},
-		{"serial=off", "versions=2,cm=timid,deadline=25ms,faults=abort:1/8"},
-		{"serial=on,nosnap", "versions=2,cm=timid,deadline=25ms,serial,nosnap,faults=abort:1/8"},
-		{"versions=0,deadline=0", "cm=timid,serial,faults=abort:1/8"},
-		{"ctv=off", "versions=2,cm=timid,deadline=25ms,serial,faults=abort:1/8"},
-		{"cm=polka", "versions=2,cm=polka,deadline=25ms,serial,faults=abort:1/8"},
-		{"faults=seed=2,abort:1/2", "versions=2,cm=timid,deadline=25ms,serial,faults=seed=2,abort:1/2"},
-		{"faults=", "versions=2,cm=timid,deadline=25ms,serial"},
-		{"serial=off,serial", "versions=2,cm=timid,deadline=25ms,serial,faults=abort:1/8"},
-		{"nosnap,faults=seed=2,abort:1/2", "versions=2,cm=timid,deadline=25ms,serial,nosnap,faults=seed=2,abort:1/2"},
+		{"", "cm=timid,deadline=25ms,retries=2,serial,faults=abort:1/8"},
+		{"retries=4", "cm=timid,deadline=25ms,retries=4,serial,faults=abort:1/8"},
+		{"serial=off", "cm=timid,deadline=25ms,retries=2,faults=abort:1/8"},
+		{"serial=on,nosnap", "cm=timid,deadline=25ms,retries=2,serial,nosnap,faults=abort:1/8"},
+		{"retries=0,deadline=0", "cm=timid,serial,faults=abort:1/8"},
+		{"ctv=off", "cm=timid,deadline=25ms,retries=2,serial,faults=abort:1/8"},
+		{"cm=polka", "cm=polka,deadline=25ms,retries=2,serial,faults=abort:1/8"},
+		{"faults=seed=2,abort:1/2", "cm=timid,deadline=25ms,retries=2,serial,faults=seed=2,abort:1/2"},
+		{"faults=", "cm=timid,deadline=25ms,retries=2,serial"},
+		{"serial=off,serial", "cm=timid,deadline=25ms,retries=2,serial,faults=abort:1/8"},
+		{"nosnap,faults=seed=2,abort:1/2", "cm=timid,deadline=25ms,retries=2,serial,nosnap,faults=seed=2,abort:1/2"},
 	} {
 		got, err := base.Apply(c.overlay)
 		if err != nil {
@@ -150,13 +151,13 @@ func TestEngineOptionsApplyOverlay(t *testing.T) {
 
 func TestEngineOptionsValidate(t *testing.T) {
 	for _, o := range []EngineOptions{
-		{Versions: -1}, {TxDeadline: -time.Second},
+		{MaxRetries: -1}, {TxDeadline: -time.Second},
 	} {
 		if err := o.Validate(); err == nil {
 			t.Errorf("Validate(%+v) = nil, want error", o)
 		}
 	}
-	if err := opts("versions=8,deadline=1s").Validate(); err != nil {
+	if err := opts("retries=8,deadline=1s").Validate(); err != nil {
 		t.Errorf("Validate of a parsed value: %v", err)
 	}
 }
@@ -229,7 +230,7 @@ func FuzzParseEngineSpec(f *testing.F) {
 		"tl2:ctv=off,nosnap=off,serial=on",
 		"tl2:faults=",
 		"tl2:faults=abort:1/4,serial",
-		"a b:versions=18446744073709551615",
+		"a b:retries=18446744073709551615",
 		"tl2:deadline=9223372036854775807ns",
 		"ostm:cm=nice",
 		"tl2:adaptive",

@@ -43,23 +43,6 @@ type Stats struct {
 	// snapshot path re-proving its snapshot, not a conflict episode on
 	// the validating path.
 	SnapshotRestarts uint64
-	// VersionReads counts snapshot reads served from an older committed
-	// version on a Var's multi-version chain (Versions > 1) — each is a
-	// read that would have restarted the whole attempt under the
-	// single-version configuration. Always 0 at Versions <= 1.
-	VersionReads uint64
-	// VersionMisses counts snapshot chain walks that fell off a truncated
-	// version chain (the reader's timestamp was older than the oldest
-	// retained version); each miss restarts the attempt and so also
-	// counts toward SnapshotRestarts.
-	VersionMisses uint64
-	// VersionBytes is the cumulative size of superseded versions retained
-	// by commit-time chain linking (the chain nodes themselves — a box, its
-	// commit stamp and its link, sizeof(vbox) — not the user values they
-	// pin): the space side of the restarts-for-space trade. Instantaneous
-	// retention is bounded by (Versions-1) * liveVars * sizeof(vbox).
-	// Always 0 at Versions <= 1.
-	VersionBytes uint64
 	// TimeoutAborts counts Atomic calls that gave up because their
 	// TxDeadline wall-clock budget expired (the ErrDeadlineExceeded
 	// returns). Always 0 when TxDeadline is unset or SerialFallback is
@@ -105,11 +88,6 @@ type statCounters struct {
 	// so they need no txStats batching.
 	snapshotTxs      padUint64
 	snapshotRestarts padUint64
-	// Multi-version counters (mvcc.go). Per-read / per-write frequency,
-	// so they batch through txStats like reads and writes do.
-	versionReads  padUint64
-	versionMisses padUint64
-	versionBytes  padUint64
 	// Robustness counters (serial.go, fault.go). Give-up / escalation /
 	// injection frequency — far below per-attempt — so they are bumped
 	// directly, no txStats batching.
@@ -123,15 +101,12 @@ type statCounters struct {
 // descriptor — only the owning goroutine touches it — and is drained into
 // the engine's shared statCounters by flushTx at the end of every attempt.
 type txStats struct {
-	reads         uint64
-	writes        uint64
-	validations   uint64
-	clones        uint64
-	enemyAborts   uint64
-	lockFailures  uint64
-	versionReads  uint64
-	versionMisses uint64
-	versionBytes  uint64
+	reads        uint64
+	writes       uint64
+	validations  uint64
+	clones       uint64
+	enemyAborts  uint64
+	lockFailures uint64
 }
 
 // flushTx adds a transaction's locally accumulated counters to the shared
@@ -162,18 +137,6 @@ func (c *statCounters) flushTx(s *txStats) {
 		c.lockFailures.Add(s.lockFailures)
 		s.lockFailures = 0
 	}
-	if s.versionReads != 0 {
-		c.versionReads.Add(s.versionReads)
-		s.versionReads = 0
-	}
-	if s.versionMisses != 0 {
-		c.versionMisses.Add(s.versionMisses)
-		s.versionMisses = 0
-	}
-	if s.versionBytes != 0 {
-		c.versionBytes.Add(s.versionBytes)
-		s.versionBytes = 0
-	}
 }
 
 // snapshot returns the current totals. Each counter is loaded atomically,
@@ -197,9 +160,6 @@ func (c *statCounters) snapshot() Stats {
 		LockFailures:     c.lockFailures.Load(),
 		SnapshotTxs:      c.snapshotTxs.Load(),
 		SnapshotRestarts: c.snapshotRestarts.Load(),
-		VersionReads:     c.versionReads.Load(),
-		VersionMisses:    c.versionMisses.Load(),
-		VersionBytes:     c.versionBytes.Load(),
 		TimeoutAborts:    c.timeoutAborts.Load(),
 		SerialFallbacks:  c.serialFallbacks.Load(),
 		InjectedFaults:   c.injectedFaults.Load(),
@@ -246,9 +206,6 @@ func (s Stats) Add(o Stats) Stats {
 		LockFailures:     s.LockFailures + o.LockFailures,
 		SnapshotTxs:      s.SnapshotTxs + o.SnapshotTxs,
 		SnapshotRestarts: s.SnapshotRestarts + o.SnapshotRestarts,
-		VersionReads:     s.VersionReads + o.VersionReads,
-		VersionMisses:    s.VersionMisses + o.VersionMisses,
-		VersionBytes:     s.VersionBytes + o.VersionBytes,
 		TimeoutAborts:    s.TimeoutAborts + o.TimeoutAborts,
 		SerialFallbacks:  s.SerialFallbacks + o.SerialFallbacks,
 		InjectedFaults:   s.InjectedFaults + o.InjectedFaults,
@@ -258,9 +215,8 @@ func (s Stats) Add(o Stats) Stats {
 // Lines renders the canonical human-readable stat block shared by every
 // report surface (harness reports, scenario comparisons, CLI summaries),
 // one line per subsystem. The headline and abort-cause lines are always
-// present; subsystem lines (snapshot path, multi-version chains, serial
-// fallback) appear only when their counters are live, so quiet
-// configurations stay quiet.
+// present; subsystem lines (snapshot path, serial fallback) appear only
+// when their counters are live, so quiet configurations stay quiet.
 //
 // The abort-cause breakdown is attribution, not a partition: enemy kills
 // and injected conflicts are also counted in ConflictAborts, and timeout
@@ -278,10 +234,6 @@ func (s Stats) Lines() []string {
 	if s.SnapshotTxs > 0 || s.SnapshotRestarts > 0 {
 		lines = append(lines, fmt.Sprintf("ro-snapshot: %d txs (%.1f%% of commits), %d restarts",
 			s.SnapshotTxs, 100*s.SnapshotShare(), s.SnapshotRestarts))
-	}
-	if s.VersionReads > 0 || s.VersionMisses > 0 || s.VersionBytes > 0 {
-		lines = append(lines, fmt.Sprintf("multiversion: %d chain reads, %d chain misses, %d bytes retained",
-			s.VersionReads, s.VersionMisses, s.VersionBytes))
 	}
 	if s.SerialFallbacks > 0 {
 		lines = append(lines, fmt.Sprintf("serial fallback: %d escalations", s.SerialFallbacks))
@@ -307,9 +259,6 @@ func (s Stats) Delta(prev Stats) Stats {
 		LockFailures:     s.LockFailures - prev.LockFailures,
 		SnapshotTxs:      s.SnapshotTxs - prev.SnapshotTxs,
 		SnapshotRestarts: s.SnapshotRestarts - prev.SnapshotRestarts,
-		VersionReads:     s.VersionReads - prev.VersionReads,
-		VersionMisses:    s.VersionMisses - prev.VersionMisses,
-		VersionBytes:     s.VersionBytes - prev.VersionBytes,
 		TimeoutAborts:    s.TimeoutAborts - prev.TimeoutAborts,
 		SerialFallbacks:  s.SerialFallbacks - prev.SerialFallbacks,
 		InjectedFaults:   s.InjectedFaults - prev.InjectedFaults,

@@ -11,12 +11,10 @@ import (
 // different times are still distinguishable. val is immutable once the box
 // is published through Var.cur.
 //
-// A box is its value and nothing else, on every engine: NOrec's commit stamp
-// and version chain live in a vbox (mvcc.go), which only a versions=K NOrec
-// engine allocates. A cell's box and the value it publishes are one
-// allocation (valueBox): val is a *T into the box itself, so a read loads
-// the box and finds the value beside it, and a *T the cell hands out keeps
-// its box alive for as long as it is held.
+// A box is its value and nothing else, on every engine. A cell's box and the
+// value it publishes are one allocation (valueBox): val is a *T into the box
+// itself, so a read loads the box and finds the value beside it, and a *T
+// the cell hands out keeps its box alive for as long as it is held.
 type box struct {
 	val any
 }
@@ -24,10 +22,8 @@ type box struct {
 // boxClone is a Var's internal clone: it returns a private, unpublished box
 // holding a copy of val, made inside the value's own allocation (a cell's
 // valueBox), so the copy a transaction edits is the box its commit
-// publishes. With versioned set — NOrec under versions > 1 — the box is the
-// head of a vbox, returned as vb, so that the copy, its commit stamp and its
-// link to older versions are still one allocation; vb is nil otherwise.
-type boxClone func(val any, versioned bool) (b *box, vb *vbox)
+// publishes.
+type boxClone func(val any) *box
 
 // publishable returns the box a commit publishes val in: b, the private box
 // val was made in (a cell's clone or Cell.Set), when it still holds val, and
@@ -69,13 +65,11 @@ type Var struct {
 	id    uint64
 	clone boxClone
 
-	// ver is the head of NOrec's version chain under versions > 1 — the
-	// vbox whose box cur publishes — and nil on every other engine and
-	// until the Var's first versioned commit (mvcc.go). It is the word
-	// that rounds a Var up to one cache line: the cells of a NewCells slab
-	// are then 64 bytes apart, so no two lock words share a line and no
-	// cell's hot 16 bytes straddle two.
-	ver atomic.Pointer[vbox]
+	// The pad rounds a Var up to one 64-byte cache line. The cells of a
+	// NewCells slab are then 64 bytes apart, so no two lock words share a
+	// line and no cell's hot 16 bytes (cur and own.meta) straddle two; at
+	// 56 bytes, one slab cell in eight would split them (TestVarLayout).
+	_ [8]byte
 }
 
 // readerSet is an immutable set of reader transactions.

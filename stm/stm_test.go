@@ -62,13 +62,6 @@ var txEngineMakers = map[string]func() Engine{
 	// kill the owner at once.
 	"ostm-aggressive": func() Engine { return NewOSTM(EngineOptions{CM: aggressiveCM{}}) },
 
-	// Multi-version variants: the version-chain depth iterates through the
-	// same suites like engines do (K=1 is the base registry entry). Only
-	// NOrec keeps versions; TL2 takes versions=K and ignores it, which
-	// TestTL2IgnoresVersions checks.
-	"norec-mv2": fromSpec("norec:versions=2"),
-	"norec-mv8": fromSpec("norec:versions=8"),
-
 	// Lock-hold stall variant: one TL2 committer in 64 spins while it
 	// holds its write locks, so readers and writers meet a locked orec far
 	// more often than in the plain rows. A held lock must cost retries,
@@ -90,7 +83,7 @@ func (aggressiveCM) WaitDuration(TxInfo, int) time.Duration { return 0 }
 // committer spins rather than yields: on one P a yielding lock holder hands
 // the processor to exactly the transactions that then find its locks held.
 // A harsher plan (one in eight for 20µs) keeps two tight-looping writers'
-// locks held most of the time, and a K=1 snapshot reader racing them then
+// locks held most of the time, and a snapshot reader racing them then
 // spends milliseconds per read in its fallback's backoff.
 const lockStall = "seed=5,lockhold:1/64:4µs"
 

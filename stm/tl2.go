@@ -157,7 +157,7 @@ func (tx *tl2Tx) Write(v *Var, val any) {
 }
 
 // set implements cellTx: Write(v, b.val), publishing b.
-func (tx *tl2Tx) set(v *Var, b *box, _ *vbox) {
+func (tx *tl2Tx) set(v *Var, b *box) {
 	tx.st.writes++
 	if i, ok := tx.writeIdx.getOrPut(v, int32(len(tx.writes))); ok {
 		tx.writes[i].val, tx.writes[i].b = b.val, b
@@ -165,9 +165,6 @@ func (tx *tl2Tx) set(v *Var, b *box, _ *vbox) {
 	}
 	tx.writes = append(tx.writes, tl2Write{v: v, val: b.val, b: b})
 }
-
-// versioned implements cellTx: TL2 publishes plain boxes.
-func (tx *tl2Tx) versioned() bool { return false }
 
 // Update implements Tx.
 func (tx *tl2Tx) Update(v *Var, f func(val any) any) {
@@ -198,7 +195,7 @@ func (tx *tl2Tx) updateSlot(v *Var) int32 {
 	// thrown there unwinds the whole attempt, so the index is never seen
 	// ahead of its slice entry.
 	w := tl2Write{v: v, val: tx.readVar(v)}
-	w.b, _ = v.clone(w.val, false)
+	w.b = v.clone(w.val)
 	w.val = w.b.val
 	tx.st.clones++
 	tx.writes = append(tx.writes, w)

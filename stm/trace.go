@@ -12,13 +12,13 @@ import (
 //
 // A TraceRecorder captures attempt-lifecycle events — begins, commits with
 // read/write-set sizes, aborts with their cause, validation passes, commit-
-// lock acquisitions, snapshot restarts, version-chain hits and misses,
-// serial escalations — into a set of lock-free ring buffers. It follows
-// the FaultPlan nil-probe pattern: tracing is off by default, an engine
-// with no recorder carries a nil tap and every probe is a single
-// predictable nil check with zero allocations (enforced by
-// stm/alloc_test.go). With a recorder installed, each probe is one atomic
-// fetch-add to reserve a ring slot plus a handful of plain stores.
+// lock acquisitions, snapshot restarts, serial escalations — into a set of
+// lock-free ring buffers. It follows the FaultPlan nil-probe pattern:
+// tracing is off by default, an engine with no recorder carries a nil tap
+// and every probe is a single predictable nil check with zero allocations
+// (enforced by stm/alloc_test.go). With a recorder installed, each probe is
+// one atomic fetch-add to reserve a ring slot plus a handful of plain
+// stores.
 //
 // Descriptors (not goroutines) own ring shards: every pooled transaction
 // descriptor is assigned a shard round-robin at creation, and a descriptor
@@ -58,12 +58,6 @@ const (
 	// TraceSnapRestart marks a snapshot-mode restart (A = restart
 	// ordinal within its RunReadOnly call).
 	TraceSnapRestart
-	// TraceVersionHit marks a snapshot read served from an older
-	// committed version on a Var's multi-version chain.
-	TraceVersionHit
-	// TraceVersionMiss marks a snapshot chain walk that fell off a
-	// truncated version chain (the attempt restarts).
-	TraceVersionMiss
 	// TraceSerial marks a transaction escalating to the irrevocable
 	// serial mode.
 	TraceSerial
@@ -89,8 +83,6 @@ var traceKindNames = [numTraceKinds]string{
 	TraceValidate:    "validate",
 	TraceLock:        "lock",
 	TraceSnapRestart: "snap-restart",
-	TraceVersionHit:  "version-hit",
-	TraceVersionMiss: "version-miss",
 	TraceSerial:      "serial",
 }
 

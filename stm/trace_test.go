@@ -168,67 +168,6 @@ func TestTraceDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestTraceVersionChainEvents drives the multi-version snapshot path on
-// NOrec: a nested commit between the snapshot sample and the re-read
-// forces a chain resolution (hit), and two nested commits outrun a K=2
-// chain (miss + restart). Both are deterministic single-threaded.
-func TestTraceVersionChainEvents(t *testing.T) {
-	rec := NewTraceRecorder(0)
-	eng := NewNOrec(EngineOptions{Versions: 2, Trace: rec})
-	c := NewCell(eng.VarSpace(), 0)
-	if err := eng.Atomic(func(tx Tx) error { c.Set(tx, 1); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	commit := func(v int) error {
-		return eng.Atomic(func(tx Tx) error { c.Set(tx, v); return nil })
-	}
-	// One nested commit: the re-read resolves the superseded version.
-	did := false
-	err := eng.RunReadOnly(func(tx Tx) error {
-		c.Get(tx)
-		if !did {
-			did = true
-			if err := commit(2); err != nil {
-				return err
-			}
-		}
-		c.Get(tx)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two nested commits: the chain truncates past the sampled epoch.
-	rounds := 0
-	err = eng.RunReadOnly(func(tx Tx) error {
-		c.Get(tx)
-		if rounds == 0 {
-			rounds++
-			if err := commit(3); err != nil {
-				return err
-			}
-			if err := commit(4); err != nil {
-				return err
-			}
-		}
-		c.Get(tx)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kinds := traceKindSet(rec.Events())
-	if kinds[TraceVersionHit] == 0 {
-		t.Errorf("no version-hit events (kinds: %v)", kinds)
-	}
-	if kinds[TraceVersionMiss] == 0 {
-		t.Errorf("no version-miss events (kinds: %v)", kinds)
-	}
-	if kinds[TraceSnapRestart] == 0 {
-		t.Errorf("no snapshot-restart events after the chain miss (kinds: %v)", kinds)
-	}
-}
-
 // TestTraceChromeRoundTrip validates the Chrome Trace Event export: every
 // recorded event survives WriteChromeTrace -> ParseChromeTrace unchanged.
 func TestTraceChromeRoundTrip(t *testing.T) {

@@ -1,10 +1,8 @@
 package stm
 
 import (
-	"runtime"
 	"testing"
 	"unsafe"
-	"weak"
 )
 
 // inItsBox reports whether the value b publishes is the one allocated with
@@ -103,74 +101,4 @@ func atomicGet[T any](t *testing.T, eng Engine, c *Cell[T]) T {
 		t.Fatal(err)
 	}
 	return v
-}
-
-// TestNOrecVersionsHeldValuePinsAtMostK: under versions=K a committed value
-// is inside its version (a vbox), and the version links up to K-1 older
-// ones, so a *T a reader holds keeps at most K boxes alive after everything
-// else has let go — K when it is the head's value, whose chain is whole, and
-// one when it is a value K or more commits old, whose chain commit
-// truncation has cut.
-func TestNOrecVersionsHeldValuePinsAtMostK(t *testing.T) {
-	for _, k := range []int{2, 4} {
-		for _, tc := range []struct {
-			label string
-			held  int // which of the 3k commits' values is held, 0-based
-			want  int
-		}{{"head", 3*k - 1, k}, {"old", k, 1}} {
-			held, boxes := holdNOrecValue(t, k, tc.held)
-			runtime.GC()
-			alive := 0
-			for _, b := range boxes {
-				if b.Value() != nil {
-					alive++
-				}
-			}
-			if boxes[tc.held].Value() == nil {
-				t.Errorf("K=%d, %s: the held value's box was collected", k, tc.label)
-			}
-			if alive > k || alive != tc.want {
-				t.Errorf("K=%d, %s: a held *T keeps %d boxes alive, want %d (at most K)", k, tc.label, alive, tc.want)
-			}
-			runtime.KeepAlive(held)
-		}
-	}
-}
-
-// holdNOrecValue commits 3k writes of one cell on a versions=k NOrec engine
-// and returns the value the held-th commit published, read as a *T, with a
-// weak pointer to every commit's version. Nothing else it made stays
-// reachable.
-//
-//go:noinline
-func holdNOrecValue(t *testing.T, k, held int) (*[4]int, []weak.Pointer[vbox]) {
-	eng := NewNOrec(EngineOptions{Versions: k})
-	c := NewCell(eng.VarSpace(), [4]int{})
-	var boxes []weak.Pointer[vbox]
-	var p *[4]int
-	for i := 0; i < 3*k; i++ {
-		err := eng.Atomic(func(tx Tx) error {
-			c.Mut(tx)[0] = i
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := c.v.ver.Load()
-		if &b.box != c.v.cur.Load() {
-			t.Fatal("the chain's head is not the box the Var publishes")
-		}
-		var vb versionedValueBox[[4]int]
-		if p, _ := b.val.(*[4]int); uintptr(unsafe.Pointer(p)) != uintptr(unsafe.Pointer(b))+unsafe.Offsetof(vb.v) {
-			t.Fatal("a versioned commit's value is not inside its version")
-		}
-		boxes = append(boxes, weak.Make(b))
-		if i == held {
-			p = b.val.(*[4]int)
-		}
-	}
-	if got := c.v.ver.Load().prev.Load(); got == nil {
-		t.Fatal("versions=K kept no older version")
-	}
-	return p, boxes
 }
