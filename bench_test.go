@@ -293,46 +293,6 @@ func BenchmarkAblationEngines(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationChunkedManual: OP11 (manual case-swap) cost under TL2
-// with the paper's single-object manual vs the §5 chunked manual.
-func BenchmarkAblationChunkedManual(b *testing.B) {
-	for _, chunks := range []int{1, 16} {
-		b.Run(fmt.Sprintf("chunks=%d", chunks), func(b *testing.B) {
-			p := core.Tiny()
-			p.ManualSize = 64 * 1024
-			p.ManualChunks = chunks
-			ex, s := benchSetup(b, sync7.Config{Strategy: "tl2"}, p)
-			op11, _ := ops.ByName("OP11")
-			op4, _ := ops.ByName("OP4")
-			r := rng.New(5)
-			// Background readers hammer OP4 so chunking actually matters
-			// (reader/writer overlap on distinct chunks).
-			var stop atomic.Bool
-			var wg sync.WaitGroup
-			for t := 0; t < 3; t++ {
-				wg.Add(1)
-				go func(t int) {
-					defer wg.Done()
-					rr := rng.New(uint64(100 + t))
-					for !stop.Load() {
-						ex.Execute(op4, s, rr)
-					}
-				}(t)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ex.Execute(op11, s, r); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			stop.Store(true)
-			wg.Wait()
-		})
-	}
-}
-
 // BenchmarkAblationGrouping: §5's object-grouping proposal — whole-graph
 // traversal cost under OSTM with one Var per atomic part vs one Var per
 // composite-part graph.

@@ -7,7 +7,7 @@
 //	fig6      — Figure 6: throughput on the reduced op set, coarse/medium plus
 //	            every registered STM engine (ostm, tl2, norec, ...)
 //	headline  — §5: one T1 under ASTM against one under locks
-//	ablations — the engines' design choices and the §5 data layouts, one row each
+//	ablations — the engines' design choices and §5's grouped parts, one row each
 //
 // Numbers are ops/s and milliseconds on this host; the paper's shape (who
 // wins, rough factors, crossovers), not its absolute values, is the
@@ -21,8 +21,8 @@
 // fig3, headline and ablations pin their configurations and ignore -g: fig3
 // compares the two lock strategies, a headline row names its engine and
 // dispatch, and an ablation row is an engine spec (ostm:ctv,
-// ostm:commitcounter, ostm:visible, ostm:cm=timid, tl2) with, on the layout
-// rows, a structure layout. What a mechanism did in one run (snapshot
+// ostm:commitcounter, ostm:visible, ostm:cm=timid, tl2), the last also on
+// §5's grouped-parts layout. What a mechanism did in one run (snapshot
 // restarts, serial escalations, shed rate) is in the report of cmd/stmbench7 -g
 // <spec>; whether it pays is for benchmark/ to say.
 //
@@ -489,8 +489,8 @@ func headline(d *driver) error {
 }
 
 // ablations prints the design-choice comparison tables: OSTM knobs
-// (validation strategy, read visibility, contention manager) and the §5
-// data-layout optimizations. All run the reduced read-write mix at the
+// (validation strategy, read visibility, contention manager) and §5's
+// grouped-parts layout. All run the reduced read-write mix at the
 // configured size on the largest configured thread count, straight on the
 // engine (no executor, so no snapshot dispatch).
 func ablations(d *driver) error {
@@ -502,7 +502,7 @@ func ablations(d *driver) error {
 	for _, row := range []struct {
 		group, name string
 		spec        string // the row's engine as an engine spec
-		layout      func(*core.Params)
+		grouped     bool   // §5's grouped atomic-part layout
 	}{
 		{group: "ostm validation", name: "incremental (faithful)", spec: "ostm"},
 		{group: "ostm validation", name: "commit-time only", spec: "ostm:ctv"},
@@ -512,8 +512,7 @@ func ablations(d *driver) error {
 		{group: "contention manager", name: "polka (paper)", spec: "ostm"},
 		{group: "contention manager", name: "timid", spec: "ostm:cm=timid"},
 		{group: "layout (tl2)", name: "faithful", spec: "tl2"},
-		{group: "layout (tl2)", name: "chunked manual", spec: "tl2", layout: func(p *core.Params) { p.ManualChunks = 8 }},
-		{group: "layout (tl2)", name: "grouped parts", spec: "tl2", layout: func(p *core.Params) { p.GroupAtomicParts = true }},
+		{group: "layout (tl2)", name: "grouped parts", spec: "tl2", grouped: true},
 	} {
 		if row.group != lastGroup && lastGroup != "" {
 			d.printf("\n")
@@ -528,9 +527,7 @@ func ablations(d *driver) error {
 			return err
 		}
 		p := d.params
-		if row.layout != nil {
-			row.layout(&p)
-		}
+		p.GroupAtomicParts = row.grouped
 		s, err := core.Build(p, d.seed, eng.VarSpace())
 		if err != nil {
 			return err

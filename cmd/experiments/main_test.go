@@ -105,7 +105,7 @@ func goldens() map[string]golden {
 				"ostm validation/incremental (faithful)", "ostm validation/commit-time only", "ostm validation/commit-counter heuristic",
 				"ostm reads/invisible (faithful)", "ostm reads/visible",
 				"contention manager/polka (paper)", "contention manager/timid",
-				"layout (tl2)/faithful", "layout (tl2)/chunked manual", "layout (tl2)/grouped parts",
+				"layout (tl2)/faithful", "layout (tl2)/grouped parts",
 			},
 			always: throughputAlways, may: throughputMay,
 			lines: []string{

@@ -47,7 +47,6 @@
 //	                          appending a per-interval time series to the
 //	                          report (throughput, abort rate, restarts)
 //	-check                    verify all structural invariants after the run
-//	-chunks N                 split the manual into N chunks (§5 optimization)
 //	-group-atomic             group atomic-part state per composite part (§5 optimization)
 //
 // Scenario mode (multi-phase workloads; see the README's Scenarios
@@ -101,7 +100,6 @@ func run(args []string) error {
 	reduced := fs.Bool("reduced", false, "use the reduced operation set of §5 (Figure 6)")
 	arrivalRate := fs.Float64("arrival-rate", 0, "open-loop Poisson arrival rate in ops/s, total (0 = closed loop)")
 	check := fs.Bool("check", false, "check structural invariants after the run")
-	chunks := fs.Int("chunks", 1, "manual chunks (§5 optimization when > 1)")
 	groupAtomic := fs.Bool("group-atomic", false, "group atomic-part state per composite (§5 optimization)")
 	scenarioArg := fs.String("scenario", "", "run a multi-phase scenario: builtin name or JSON file (see -list-scenarios)")
 	scenarioScale := fs.Float64("scenario-scale", 1, "multiply scenario phase durations")
@@ -143,7 +141,6 @@ func run(args []string) error {
 	if !ok {
 		return fmt.Errorf("unknown size %q (want tiny, small or medium)", *size)
 	}
-	params.ManualChunks = *chunks
 	params.GroupAtomicParts = *groupAtomic
 
 	if *traceEvents < 0 {

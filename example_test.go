@@ -37,18 +37,16 @@ func ExampleRun() {
 	// all operations accounted: true
 }
 
-// ExampleRun_optimizedLayout runs the two layout changes §5 of the paper
-// sketches as what one would have to do to use an STM well: the manual split
-// into chunks, and each composite part's atomic-part states grouped in one
-// object. The run checks the structure's invariants at the end, so a layout
-// the operations or the builder break fails here. The paper's point is the
-// punchline: the optimized layout is faster (BenchmarkAblationGrouping and
-// BenchmarkAblationChunkedManual time it), but needing it at all "weakens the
-// main selling point of the STM technology — namely, that it makes
+// ExampleRun_optimizedLayout runs the layout change §5 of the paper sketches
+// as what one would have to do to use an STM well: each composite part's
+// atomic-part states grouped in one object. The run checks the structure's
+// invariants at the end, so a layout the operations or the builder break
+// fails here. The paper's point is the punchline: the grouped layout is
+// faster (BenchmarkAblationGrouping times it), but needing it at all "weakens
+// the main selling point of the STM technology — namely, that it makes
 // implementing scalable concurrent data structures easy."
 func ExampleRun_optimizedLayout() {
 	params := stmbench7.TinyParams()
-	params.ManualChunks = 8
 	params.GroupAtomicParts = true
 	res, err := stmbench7.Run(stmbench7.Options{
 		Params:          params,

@@ -44,19 +44,10 @@ func Build(p Params, seed uint64, space *stm.VarSpace) (*Structure, error) {
 		}
 
 		// Manual and module.
-		man := &Manual{ID: 1, Title: "Manual for module #1"}
-		chunks := p.ManualChunks
-		if chunks < 1 {
-			chunks = 1
-		}
-		full := ManualText(1, p.ManualSize)
-		chunkLen := (len(full) + chunks - 1) / chunks
-		for off := 0; off < len(full); off += chunkLen {
-			end := off + chunkLen
-			if end > len(full) {
-				end = len(full)
-			}
-			man.chunks = append(man.chunks, named(stm.NewCell(space, full[off:end]), DomainManual))
+		man := &Manual{
+			ID:    1,
+			Title: "Manual for module #1",
+			text:  named(stm.NewCell(space, ManualText(1, p.ManualSize)), DomainManual),
 		}
 		s.Module = &Module{ID: 1, Man: man}
 

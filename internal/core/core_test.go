@@ -633,21 +633,18 @@ func TestGroupedDateIndexMaintenance(t *testing.T) {
 	})
 }
 
+// TestManualChunking: the manual is one cell, and at the preset's size it
+// reads back whole as ManualText(1, ManualSize).
 func TestManualChunking(t *testing.T) {
 	p := Tiny()
-	p.ManualChunks = 4
 	eng := stm.NewDirect()
 	s, err := Build(p, 1, eng.VarSpace())
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.Atomic(func(tx stm.Tx) error {
-		man := s.Module.Man
-		if man.NumChunks() != 4 {
-			t.Errorf("chunks = %d, want 4", man.NumChunks())
-		}
-		if got := man.FullText(tx); got != ManualText(1, p.ManualSize) {
-			t.Error("chunked manual text mismatch")
+		if got := s.Module.Man.Text(tx); got != ManualText(1, p.ManualSize) {
+			t.Error("manual text mismatch")
 		}
 		return nil
 	})

@@ -136,18 +136,19 @@ func TestSubtreeIDNeeds(t *testing.T) {
 	}
 }
 
+// TestBuildManyChunksThanManualBytes: at the smallest size Validate
+// accepts, the one-cell manual still reads back as ManualText(1, 10).
 func TestBuildManyChunksThanManualBytes(t *testing.T) {
 	p := Tiny()
 	p.ManualSize = 10
-	p.ManualChunks = 64 // more chunks than a sensible split
 	eng := stm.NewDirect()
 	s, err := Build(p, 1, eng.VarSpace())
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.Atomic(func(tx stm.Tx) error {
-		if got := s.Module.Man.FullText(tx); got != ManualText(1, 10) {
-			t.Errorf("chunked text = %q", got)
+		if got := s.Module.Man.Text(tx); got != ManualText(1, 10) {
+			t.Errorf("manual text = %q", got)
 		}
 		return nil
 	})

@@ -65,10 +65,6 @@ type Params struct {
 	// structure is confined", §3). It also sets the failure probability
 	// of random-id lookups. Values <= 1 mean no growth headroom.
 	GrowthFactor float64
-	// ManualChunks splits the manual into this many separately
-	// synchronized cells (1 = the paper's single-object manual; >1 is the
-	// §5 "split the manual into a number of chunks" optimization).
-	ManualChunks int
 	// GroupAtomicParts stores each composite part's whole atomic-part
 	// graph state in a single cell instead of one cell per atomic part —
 	// §5's "make composite parts contain, logically, all their atomic
@@ -94,7 +90,6 @@ func Medium() Params {
 		DocumentSize:     20000,
 		ManualSize:       1000000,
 		GrowthFactor:     1.2,
-		ManualChunks:     1,
 	}
 }
 
@@ -111,7 +106,6 @@ func Small() Params {
 		DocumentSize:     1000,
 		ManualSize:       40000,
 		GrowthFactor:     1.2,
-		ManualChunks:     1,
 	}
 }
 
@@ -128,7 +122,6 @@ func Tiny() Params {
 		DocumentSize:     200,
 		ManualSize:       2000,
 		GrowthFactor:     1.5,
-		ManualChunks:     1,
 	}
 }
 
@@ -218,8 +211,6 @@ func (p Params) Validate() error {
 		return errParams("DocumentSize must be >= 10")
 	case p.ManualSize < 10:
 		return errParams("ManualSize must be >= 10")
-	case p.ManualChunks < 0:
-		return errParams("ManualChunks must be >= 0")
 	case p.MaxAtomicParts() >= 1<<dateKeyIDBits:
 		return errParams("more atomic-part ids than a build-date index key holds")
 	}

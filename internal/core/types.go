@@ -185,36 +185,20 @@ func (d *Document) Text(tx stm.Tx) string { return d.text.Get(tx) }
 // SetText replaces the document text.
 func (d *Document) SetText(tx stm.Tx, s string) { d.text.Set(tx, s) }
 
-// Manual is the module's manual. With one chunk (the default) it is the
-// paper's pathological single large object; with more chunks it is the §5
-// optimization.
+// Manual is the module's manual: the paper's pathological single large
+// object. Its text is one cell, read and written whole like a Document's.
 type Manual struct {
-	ID     uint64
-	Title  string
-	chunks []*stm.Cell[string]
+	ID    uint64
+	Title string
+
+	text *stm.Cell[string]
 }
 
-// NumChunks returns the number of separately synchronized text chunks.
-func (m *Manual) NumChunks() int { return len(m.chunks) }
+// Text reads the manual text.
+func (m *Manual) Text(tx stm.Tx) string { return m.text.Get(tx) }
 
-// Chunk reads chunk i.
-func (m *Manual) Chunk(tx stm.Tx, i int) string { return m.chunks[i].Get(tx) }
-
-// SetChunk replaces chunk i.
-func (m *Manual) SetChunk(tx stm.Tx, i int, s string) { m.chunks[i].Set(tx, s) }
-
-// FullText concatenates all chunks (used by tests; operations deliberately
-// work per chunk).
-func (m *Manual) FullText(tx stm.Tx) string {
-	if len(m.chunks) == 1 {
-		return m.chunks[0].Get(tx)
-	}
-	var out []byte
-	for i := range m.chunks {
-		out = append(out, m.chunks[i].Get(tx)...)
-	}
-	return string(out)
-}
+// SetText replaces the manual text.
+func (m *Manual) SetText(tx stm.Tx, s string) { m.text.Set(tx, s) }
 
 // Assembly is the common interface of base and complex assemblies (both
 // ends of bottom-up/top-down traversals).
@@ -336,7 +320,7 @@ const (
 	DomainBase                           // base-assembly states
 	DomainComplex                        // complex-assembly states, every level
 	DomainDocument                       // document texts + the title index
-	DomainManual                         // manual chunks
+	DomainManual                         // the manual text
 	DomainStructureIdx                   // composite/base/complex id indexes + id pools
 )
 

@@ -112,7 +112,7 @@ func fingerprint(t testing.TB, eng stm.Engine, s *core.Structure) uint64 {
 			w(id, uint64(ca.Lvl), uint64(st.BuildDate), uint64(len(st.SubComplex)), uint64(len(st.SubBase)))
 			return true
 		})
-		h.Write([]byte(s.Module.Man.FullText(tx)))
+		h.Write([]byte(s.Module.Man.Text(tx)))
 		return nil
 	})
 	if err != nil {

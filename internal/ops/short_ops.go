@@ -110,12 +110,7 @@ func init() {
 	register(&Op{
 		Name: "OP4", Category: ShortOperation, ReadOnly: true,
 		Run: func(tx stm.Tx, s *core.Structure, r *rng.Rand) (int, error) {
-			man := s.Module.Man
-			total := 0
-			for i := 0; i < man.NumChunks(); i++ {
-				total += core.CountChar(man.Chunk(tx, i), 'I')
-			}
-			return total, nil
+			return core.CountChar(s.Module.Man.Text(tx), 'I'), nil
 		},
 	})
 
@@ -123,13 +118,11 @@ func init() {
 	register(&Op{
 		Name: "OP5", Category: ShortOperation, ReadOnly: true,
 		Run: func(tx stm.Tx, s *core.Structure, r *rng.Rand) (int, error) {
-			man := s.Module.Man
-			first := man.Chunk(tx, 0)
-			last := man.Chunk(tx, man.NumChunks()-1)
-			if len(first) == 0 || len(last) == 0 {
+			text := s.Module.Man.Text(tx)
+			if len(text) == 0 {
 				return 0, ErrFailed
 			}
-			if first[0] == last[len(last)-1] {
+			if text[0] == text[len(text)-1] {
 				return 1, nil
 			}
 			return 0, nil
@@ -201,13 +194,9 @@ func init() {
 		Name: "OP11", Category: ShortOperation, ReadOnly: false,
 		Run: func(tx stm.Tx, s *core.Structure, r *rng.Rand) (int, error) {
 			man := s.Module.Man
-			total := 0
-			for i := 0; i < man.NumChunks(); i++ {
-				nt, n := core.SwapCase(man.Chunk(tx, i))
-				man.SetChunk(tx, i, nt)
-				total += n
-			}
-			return total, nil
+			text, n := core.SwapCase(man.Text(tx))
+			man.SetText(tx, text)
+			return n, nil
 		},
 	})
 

@@ -329,7 +329,7 @@ func TestOP4CountsManualI(t *testing.T) {
 	s, eng := newTiny(t)
 	var want int
 	eng.Atomic(func(tx stm.Tx) error {
-		want = core.CountChar(s.Module.Man.FullText(tx), 'I')
+		want = core.CountChar(s.Module.Man.Text(tx), 'I')
 		return nil
 	})
 	if got := mustRun(t, eng, s, "OP4", 1); got != want {
@@ -341,7 +341,7 @@ func TestOP5FirstLastChar(t *testing.T) {
 	s, eng := newTiny(t)
 	var want int
 	eng.Atomic(func(tx stm.Tx) error {
-		txt := s.Module.Man.FullText(tx)
+		txt := s.Module.Man.Text(tx)
 		if txt[0] == txt[len(txt)-1] {
 			want = 1
 		}
@@ -406,7 +406,7 @@ func TestOP11SwapsManualCase(t *testing.T) {
 	s, eng := newTiny(t)
 	var wantI int
 	eng.Atomic(func(tx stm.Tx) error {
-		wantI = core.CountChar(s.Module.Man.FullText(tx), 'I')
+		wantI = core.CountChar(s.Module.Man.Text(tx), 'I')
 		return nil
 	})
 	got := mustRun(t, eng, s, "OP11", 1)
@@ -414,7 +414,7 @@ func TestOP11SwapsManualCase(t *testing.T) {
 		t.Errorf("OP11 = %d changes, want %d", got, wantI)
 	}
 	eng.Atomic(func(tx stm.Tx) error {
-		if n := core.CountChar(s.Module.Man.FullText(tx), 'I'); n != 0 {
+		if n := core.CountChar(s.Module.Man.Text(tx), 'I'); n != 0 {
 			t.Errorf("manual still has %d 'I' after OP11", n)
 		}
 		return nil
@@ -422,7 +422,7 @@ func TestOP11SwapsManualCase(t *testing.T) {
 	// Second run flips every i -> I.
 	mustRun(t, eng, s, "OP11", 1)
 	eng.Atomic(func(tx stm.Tx) error {
-		if n := core.CountChar(s.Module.Man.FullText(tx), 'i'); n != 0 {
+		if n := core.CountChar(s.Module.Man.Text(tx), 'i'); n != 0 {
 			t.Errorf("manual still has %d 'i' after reverse OP11", n)
 		}
 		return nil

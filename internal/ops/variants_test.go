@@ -10,21 +10,13 @@ import (
 )
 
 // variantParams enumerates the alternate data-structure representations
-// (the §5 optimizations). Every one must behave identically to the default
-// under every engine — same results, same failures, same invariants.
+// (§5's grouped atomic parts). Every one must behave identically to the
+// default under every engine — same results, same failures, same
+// invariants.
 func variantParams() map[string]core.Params {
 	grouped := core.Tiny()
 	grouped.GroupAtomicParts = true
-	chunked := core.Tiny()
-	chunked.ManualChunks = 4
-	all := core.Tiny()
-	all.GroupAtomicParts = true
-	all.ManualChunks = 4
-	return map[string]core.Params{
-		"grouped-parts": grouped,
-		"chunked":       chunked,
-		"all-optimized": all,
-	}
+	return map[string]core.Params{"grouped-parts": grouped}
 }
 
 // runVariantTrace executes a deterministic operation sequence and returns
@@ -61,9 +53,7 @@ func runVariantTrace(t *testing.T, p core.Params, eng stm.Engine, iters int) ([]
 }
 
 // TestVariantsBehaveIdentically: the op sequence's observable behaviour is
-// representation-independent (manual chunking changes OP4/OP11 return
-// values only when the text splitting cuts through counted substrings — it
-// does not for 'I' counting, so results must match).
+// representation-independent.
 func TestVariantsBehaveIdentically(t *testing.T) {
 	iters := 150
 	if testing.Short() {

@@ -236,13 +236,11 @@ func TestLockSetsCoverAccesses(t *testing.T) {
 }
 
 // TestLockSetsCoverAccessesVariants repeats the lock-coverage check for the
-// alternate data representations: grouped atomic parts share one Var per
-// composite, the chunked manual has one Var per chunk — both must stay inside
-// the same domain locks.
+// grouped atomic-part layout: a composite's parts share one Var, which must
+// stay inside the same domain locks.
 func TestLockSetsCoverAccessesVariants(t *testing.T) {
 	variants := map[string]func(p *core.Params){
 		"grouped-parts": func(p *core.Params) { p.GroupAtomicParts = true },
-		"chunked":       func(p *core.Params) { p.ManualChunks = 4 },
 	}
 	for name, tweak := range variants {
 		t.Run(name, func(t *testing.T) {

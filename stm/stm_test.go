@@ -48,30 +48,24 @@ func fromSpec(spec string) func() Engine {
 // the semantics, stress and property suites iterate all of them. The base
 // set is every registered engine except the non-transactional direct one —
 // a newly registered engine is pulled into every suite automatically —
-// plus named non-default configurations worth exercising. Whatever a spec
-// can express is spelled as one and built through the parser, so every
-// suite run exercises ParseEngineSpec too; Go literals remain only for
-// the test contention managers below.
+// plus named non-default configurations worth exercising. Each is spelled
+// as a spec and built through the parser, so every suite run exercises
+// ParseEngineSpec too.
 var txEngineMakers = map[string]func() Engine{
 	"ostm-committime":   fromSpec("ostm:ctv"),
 	"ostm-timid":        fromSpec("ostm:cm=timid"),
 	"ostm-visible":      fromSpec("ostm:visible"),
 	"ostm-commitserial": fromSpec("ostm:commitcounter"),
 
-	// OSTM's acquire loop under the decision no shipped manager makes:
-	// kill the owner at once.
-	"ostm-aggressive": func() Engine { return NewOSTM(EngineOptions{CM: aggressiveCM{}}) },
-
 	// Lock-hold stall variant: one TL2 committer in 64 spins while it
 	// holds its write locks, so readers and writers meet a locked orec far
 	// more often than in the plain rows. A held lock must cost retries,
-	// never correctness. The row keeps the name of the 16-stripe row it
-	// replaces, which gave the same stress by making unrelated Vars
-	// collide on one orec, so the suites' test ids carry over.
-	"tl2-striped": fromSpec("tl2:faults=" + lockStall),
+	// never correctness.
+	"tl2-lockhold": fromSpec("tl2:faults=" + lockStall),
 }
 
-// aggressiveCM kills a live owner on every conflict.
+// aggressiveCM kills a live owner on every conflict: the decision no
+// shipped manager makes, for the enemy-abort tests.
 type aggressiveCM struct{}
 
 func (aggressiveCM) Name() string                           { return "aggressive" }
