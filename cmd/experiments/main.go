@@ -166,6 +166,9 @@ func run(args []string, stdout io.Writer) error {
 	engineFlag := fs.String("g", "", "engine options for fig4, table3 and fig6, as an engine-spec option list (e.g. cm=timid,deadline=25ms)")
 	jsonPath := fs.String("json", "", "also write machine-readable results to this file (\"-\" for stdout)")
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h printed the usage; asking for it is not a failure
+		}
 		return err
 	}
 

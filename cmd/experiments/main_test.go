@@ -255,6 +255,18 @@ func TestConfigurationErrorsComeBeforeAnyWork(t *testing.T) {
 	}
 }
 
+// TestHelpSucceeds: -h prints the usage and is not an error, so the
+// binary exits 0 without running an experiment.
+func TestHelpSucceeds(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-h"}, &out); err != nil {
+		t.Fatalf("run(-h) = %v, want nil", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("run(-h) ran an experiment:\n%s", out.String())
+	}
+}
+
 // TestDriveStopsOnFirstFailure: a worker whose step fails with anything but
 // an operation's specified outcomes stops every worker and is the error of
 // the data point — long before the point's duration is up — while the

@@ -68,6 +68,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -109,6 +110,9 @@ func run(args []string) error {
 	traceOut := fs.String("trace-out", "", "write the flight recorder's Chrome Trace Event JSON to this file after the run (requires -trace)")
 	sample := fs.Duration("sample", 0, "telemetry sampling cadence, e.g. 1s; appends a per-interval time series to the report (0 = off)")
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h printed the usage; asking for it is not a failure
+		}
 		return err
 	}
 

@@ -67,6 +67,21 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestHelpSucceeds: -h prints the usage and is not an error, so the
+// binary exits 0.
+func TestHelpSucceeds(t *testing.T) {
+	out, diag, err := runCapturing(t, "-h")
+	if err != nil {
+		t.Fatalf("run(-h) = %v, want nil", err)
+	}
+	if out != "" {
+		t.Errorf("run(-h) printed a report:\n%s", out)
+	}
+	if !strings.Contains(diag, "-trace-out") {
+		t.Errorf("run(-h) did not print the usage:\n%s", diag)
+	}
+}
+
 func TestListScenarios(t *testing.T) {
 	out, _, err := runCapturing(t, "-list-scenarios")
 	if err != nil {

@@ -438,25 +438,29 @@ func TestAllocSnapshotReadOnlySteadyState(t *testing.T) {
 	}
 }
 
-// TestAllocTracing pins the flight recorder's allocation contract on both
-// sides of the nil probe. Disabled (the default every other test here
-// builds): a trace-less engine costs one branch per probe site and keeps
-// every budget above — this is the explicit tracing-disabled regression
-// guard. Enabled: events land in rings preallocated at recorder
-// construction, so even a recording engine stays at 0 read-only allocs/op
-// and within the small-write budget.
-func TestAllocTracing(t *testing.T) {
+// TestAllocProbes pins the probe seam's allocation contract in every hook
+// mode. With no hook (the default every other test here builds) a site
+// costs one branch and every budget above holds: the hook-disabled
+// regression guard. The recorder writes into rings preallocated at its
+// construction, and a stall-only fault plan firing at every hit allocates
+// nothing either (a forced abort is a thrown conflict, not an alloc-free
+// path), alone or beside the recorder: every mode keeps 0 read-only
+// allocs/op and the small-write budget.
+func TestAllocProbes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews allocation counts")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	rec := NewTraceRecorder(1 << 14)
+	stalls := mustFaultPlan("precommit:1/1:1ns,lockhold:1/1:1ns,clocktick:1/1:1ns")
 	for _, mode := range []struct {
-		label string
-		rec   *TraceRecorder
-	}{{"disabled", nil}, {"enabled", NewTraceRecorder(1 << 14)}} {
+		label  string
+		rec    *TraceRecorder
+		faults *FaultPlan
+	}{{"none", nil, nil}, {"trace", rec, nil}, {"faults", nil, stalls}, {"both", rec, stalls}} {
 		for _, name := range Registered() {
 			t.Run(mode.label+"/"+name, func(t *testing.T) {
-				eng, err := NewWith(name, EngineOptions{Trace: mode.rec})
+				eng, err := NewWith(name, EngineOptions{Trace: mode.rec, Faults: mode.faults})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -483,6 +487,9 @@ func TestAllocTracing(t *testing.T) {
 				}
 				if want, ok := allocBudget[name]; ok && got > want {
 					t.Errorf("small write transaction: %v allocs/op, want <= %v for %s", got, want, name)
+				}
+				if mode.faults != nil && name != "direct" && eng.Stats().InjectedFaults == 0 {
+					t.Error("the stall plan never fired")
 				}
 			})
 		}

@@ -17,8 +17,8 @@ type engineCore struct {
 	descs descriptors
 	// gate is the serial-fallback token (nil unless SerialFallback).
 	gate *serialGate
-	// faults is the engine's private fault-plan snapshot (nil = none).
-	faults *FaultPlan
+	// hook makes a new descriptor's probe hook (probe.go).
+	hook func() probe
 	// The call budget: TxDeadline, MaxRetries (0 = retry forever) and
 	// DisableROSnapshot (RunReadOnly is Atomic).
 	deadline   time.Duration
@@ -36,10 +36,10 @@ type descriptors interface {
 // txHead is the part of a descriptor the loops read and write. Every
 // descriptor embeds it.
 type txHead struct {
-	st       txStats  // per-attempt counters, flushed by the loop
-	tr       traceTap // flight-recorder handle (tr.rec nil = tracing off)
-	serial   bool     // attempt runs under the exclusive serial token (suppresses fault probes)
-	injected bool     // last abort of this call was a FaultPlan forced abort
+	st       txStats // per-attempt counters, flushed by the loop
+	hook     probe   // the probe hook (nil = none; probe.go)
+	serial   bool    // attempt runs under the exclusive serial token (the fault plan skips it)
+	injected bool    // last abort of this call was a FaultPlan forced abort
 }
 
 // head implements coreTx and snapTx for every descriptor embedding txHead.
@@ -73,7 +73,7 @@ func (c *engineCore) setup(descs descriptors, o EngineOptions) {
 	if o.SerialFallback {
 		c.gate = &serialGate{}
 	}
-	c.faults = o.Faults.fresh()
+	c.hook = hookFor(o.Faults.fresh(&c.stats), o.Trace)
 	c.deadline, c.maxRetries, c.noSnap = o.TxDeadline, o.MaxRetries, o.DisableROSnapshot
 }
 
@@ -112,14 +112,9 @@ func (c *engineCore) atomicFrom(fn func(tx Tx) error, deadline int64) error {
 			tx.recycle()
 			return abortErrorFor(cause, &c.stats)
 		}
-		if h.tr.rec != nil {
-			h.tr.note(TraceBegin, uint64(attempt), 0)
-		}
+		h.at(siteBegin, uint64(attempt), 0)
 		committed, err := runAttempt(tx, h, fn)
-		if h.tr.rec != nil {
-			reads, writes := tx.sizes()
-			noteOutcome(h.tr, committed, err != nil, h.injected, uint64(reads), uint64(writes), uint64(attempt))
-		}
+		h.at(outcomeOf(tx, committed, err != nil, h.injected, attempt))
 		c.stats.flushTx(&h.st)
 		if committed || err != nil {
 			c.finish(tx, committed)
@@ -145,9 +140,7 @@ func (c *engineCore) runSerial(tx coreTx, fn func(tx Tx) error) error {
 	defer c.gate.mu.Unlock()
 	c.stats.serialFallbacks.Add(1)
 	h := tx.head()
-	if h.tr.rec != nil {
-		h.tr.note(TraceSerial, 0, 0)
-	}
+	h.at(siteSerial, 0, 0)
 	h.serial = true
 	for {
 		committed, err := runAttempt(tx, h, fn)

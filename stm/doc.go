@@ -180,8 +180,8 @@
 // RunReadOnly's snapshot loop. Its descriptor implements coreTx (reset,
 // commit, abortSelf, recycle, and the set sizes and backoff seed the loop
 // records and spreads with) and, for RunReadOnly, a snapshot descriptor
-// implements snapTx; both embed txHead, the counters, trace tap and flags
-// the loops own. TL2, NOrec and OSTM differ only there.
+// implements snapTx; both embed txHead, the counters, probe hook and
+// flags the loops own. TL2, NOrec and OSTM differ only there.
 //
 // # The descriptor pooling contract
 //
@@ -368,18 +368,14 @@
 //
 //   - Deterministic fault injection (Faults). ParseFaultPlan("seed=7,
 //     precommit:1/40:80µs,lockhold:1/56:120µs,clocktick:1/72:40µs,
-//     abort:1/24") arms seeded probes at four commit-path sites: a stall
-//     before commit begins (precommit), a stall while commit-time locks /
-//     the serializing metadata are held (lockhold), a stall between
-//     taking the commit timestamp and writeback (clocktick), and a forced
-//     conflict abort (abort — no duration; stall sites default to 100µs).
-//     Firing is a pure function of the plan seed and a per-site hit
-//     counter — no time, no randomness — so a single-threaded fixed-op
-//     run fires bit-for-bit identically across runs and engines
-//     (Stats.InjectedFaults), which is what makes chaos runs diffable
-//     and failures replayable. A nil plan costs one predicted branch per
-//     probe and zero allocations; each engine snapshots the plan at
-//     construction so shared plans never share hit counters.
+//     abort:1/24") arms three stalls and a forced conflict abort (abort
+//     takes no duration; stalls default to 100µs) at the probe sites of
+//     the same names (see Observability). Firing is a pure function of
+//     the plan seed and a per-decision hit counter — no time, no
+//     randomness — so a single-threaded fixed-op run fires bit-for-bit
+//     identically across runs (Stats.InjectedFaults), which is what makes
+//     chaos runs diffable and failures replayable; each engine snapshots
+//     the plan at construction so shared plans never share hit counters.
 //
 // The knobs compose: a chaos run is typically a fault plan + a deadline
 // (bounding the damage) + the serial fallback (absorbing it). The
@@ -410,20 +406,24 @@
 //     surfaced abort) over conflict aborts, not a partition of them.
 //
 //   - TraceRecorder is the flight recorder: fixed-capacity per-shard
-//     rings of {Seq, Kind, A, B} events recorded at the engines' probe
-//     sites (begin, commit, abort with cause, validation, commit-lock
-//     acquisition, snapshot restart, serial escalation). Timestamps are a
-//     single atomic sequence — a logical clock, not wall time — so a
-//     single-threaded fixed-op run records bit-for-bit identical traces
-//     across runs; when the ring wraps, the newest events win and Dropped()
-//     counts the overwrites. A nil recorder costs one predicted branch per
-//     probe site and zero allocations; an attached recorder stays 0
-//     allocs/op because events write into preallocated rings (both enforced
-//     by alloc_test.go). Events() merges the shards in Seq order;
+//     rings of {Seq, Kind, A, B} events. Timestamps are a single atomic
+//     sequence — a logical clock, not wall time — so a single-threaded
+//     fixed-op run records bit-for-bit identical traces across runs; when
+//     the ring wraps, the newest events win and Dropped() counts the
+//     overwrites. Events() merges the shards in Seq order;
 //     WriteChromeTrace exports the merged stream as Chrome Trace Event JSON
 //     (load it in chrome://tracing or Perfetto: ts = Seq as microseconds,
 //     tid = ring shard, one instant event per record with the kind as its
 //     name), and ParseChromeTrace round-trips it for tooling.
+//
+// The fault plan and the recorder are two hooks on one probe seam: the
+// site table (probe.go) names the engines' steps once — begin, precommit,
+// locked, clocktick (just before the commit stamp), validation, lockhold
+// (written, still locked), commit, abort, snapshot restart, serial — and
+// each is one call in an engine. The plan stalls at precommit, lockhold
+// and clocktick and aborts at precommit, never in a serial attempt; the
+// recorder notes the others. With neither installed a site is one
+// predicted branch; with either, budgets hold (alloc_test.go).
 //
 // Engines accept a recorder at construction (EngineOptions.Trace — a live
 // object, so the one option without a spec key); the CLIs expose the stack

@@ -9,69 +9,52 @@ import (
 
 // Deterministic fault injection.
 //
-// A FaultPlan compiles a small set of probe sites into the engines'
-// commit paths: a pre-commit stall, a pause while commit-time locks are
-// held, a delay around the commit-stamp acquisition, and a forced
-// conflict abort. Every decision is a pure function of (plan seed, probe
-// site, per-site hit counter), so a single-threaded run replays bit for
-// bit: the same plan against the same transaction sequence fires the
-// same faults in the same places, and Stats.InjectedFaults comes out
-// identical. Under concurrency the per-site counters are atomic, so the
-// decision sequence is still deterministic per site even though the
-// interleaving of stalls is not.
-//
-// Plans are off by default. An engine with no plan carries a nil
-// *FaultPlan and every probe is a single predictable nil check — zero
-// allocations and no measurable overhead on the hot path (enforced by
-// stm/alloc_test.go). Engines snapshot the plan at construction with
-// fresh hit counters, so two engines built from the same plan value
-// inject independently and reproducibly.
+// A FaultPlan is a probe hook (probe.go) with four decisions: a stall at
+// the precommit, lockhold and clocktick sites and a forced conflict abort
+// at precommit. Each decision is a pure function of (plan seed, decision,
+// per-decision hit counter), so a single-threaded run replays bit for bit:
+// the same plan against the same transaction sequence fires the same
+// faults in the same places, and Stats.InjectedFaults comes out identical.
+// Under concurrency the hit counters are atomic, so each decision's
+// sequence is still deterministic even though the interleaving of stalls
+// is not.
 
-// FaultSite names one probe point compiled into the engine commit paths.
-type FaultSite int
+// faultKind is one of a plan's decisions, named in ParseFaultPlan syntax
+// by faultKindNames.
+type faultKind int
 
 const (
-	// FaultPreCommit stalls a write transaction at the top of its commit,
-	// before any commit-time lock or status transition is taken.
-	FaultPreCommit FaultSite = iota
-	// FaultLockHold stalls a committer while it holds its commit-time
-	// locks (TL2: all write orecs locked; NOrec: the global seqlock held
-	// odd; OSTM: the descriptor parked in the Validating window) — the
-	// worst-case pause for every concurrent transaction.
-	FaultLockHold
-	// FaultClockTick stalls a committer around its commit-stamp
-	// acquisition (TL2: the global-clock tick; NOrec: the seqlock release
-	// stamp; OSTM: the commit-serial bump).
-	FaultClockTick
-	// FaultAbort forces a conflict abort at the commit point: the attempt
-	// unwinds exactly like a real conflict and the retry loop takes over.
-	FaultAbort
+	faultPreCommit faultKind = iota
+	faultLockHold
+	faultClockTick
+	faultAbort
 
-	numFaultSites
+	numFaultKinds
 )
 
-var faultSiteNames = [numFaultSites]string{
-	FaultPreCommit: "precommit",
-	FaultLockHold:  "lockhold",
-	FaultClockTick: "clocktick",
-	FaultAbort:     "abort",
+var faultKindNames = [numFaultKinds]string{
+	faultPreCommit: "precommit",
+	faultLockHold:  "lockhold",
+	faultClockTick: "clocktick",
+	faultAbort:     "abort",
 }
 
-// faultSite is one compiled probe: fire roughly once per period hits
-// (pseudo-randomly spaced by the plan seed), stalling for stall when the
-// site is a stall site.
-type faultSite struct {
-	period uint64 // 0 = site disabled
+// faultDecision is one armed decision: fire roughly once per period hits
+// (pseudo-randomly spaced by the plan seed), stalling for stall when it
+// is a stall.
+type faultDecision struct {
+	period uint64 // 0 = decision disabled
 	stall  time.Duration
 	hits   padUint64
 }
 
 // FaultPlan is a seeded, deterministic fault-injection schedule. Build
-// one with ParseFaultPlan and hand it to an engine via EngineOptions
-// (or the per-engine configs); a nil plan disables injection entirely.
+// one with ParseFaultPlan and hand it to an engine via EngineOptions; a
+// nil plan disables injection entirely.
 type FaultPlan struct {
-	seed  uint64
-	sites [numFaultSites]faultSite
+	seed      uint64
+	decisions [numFaultKinds]faultDecision
+	stats     *statCounters // the engine's, where injections count (nil in a parsed plan)
 }
 
 // defaultFaultStall is the stall applied by stall sites whose plan entry
@@ -115,13 +98,13 @@ func ParseFaultPlan(s string) (*FaultPlan, error) {
 		if len(parts) < 2 || len(parts) > 3 {
 			return nil, fmt.Errorf("stm: fault plan %q: entry %q is not site:1/N[:duration]", s, entry)
 		}
-		site := FaultSite(-1)
-		for i, name := range faultSiteNames {
+		k := faultKind(-1)
+		for i, name := range faultKindNames {
 			if parts[0] == name {
-				site = FaultSite(i)
+				k = faultKind(i)
 			}
 		}
-		if site < 0 {
+		if k < 0 {
 			return nil, fmt.Errorf("stm: fault plan %q: unknown site %q (want precommit|lockhold|clocktick|abort)", s, parts[0])
 		}
 		ratio, ok := strings.CutPrefix(parts[1], "1/")
@@ -134,7 +117,7 @@ func ParseFaultPlan(s string) (*FaultPlan, error) {
 		}
 		stall := defaultFaultStall
 		if len(parts) == 3 {
-			if site == FaultAbort {
+			if k == faultAbort {
 				return nil, fmt.Errorf("stm: fault plan %q: abort site takes no duration", s)
 			}
 			d, err := time.ParseDuration(parts[2])
@@ -143,11 +126,11 @@ func ParseFaultPlan(s string) (*FaultPlan, error) {
 			}
 			stall = d
 		}
-		if site == FaultAbort {
+		if k == faultAbort {
 			stall = 0
 		}
-		p.sites[site].period = period
-		p.sites[site].stall = stall
+		p.decisions[k].period = period
+		p.decisions[k].stall = stall
 		any = true
 	}
 	if !any {
@@ -166,70 +149,71 @@ func (p *FaultPlan) String() string {
 	if p.seed != 0 {
 		fmt.Fprintf(&b, "seed=%d", p.seed)
 	}
-	for i := range p.sites {
-		s := &p.sites[i]
+	for i := range p.decisions {
+		s := &p.decisions[i]
 		if s.period == 0 {
 			continue
 		}
 		if b.Len() > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s:1/%d", faultSiteNames[i], s.period)
-		if FaultSite(i) != FaultAbort {
+		fmt.Fprintf(&b, "%s:1/%d", faultKindNames[i], s.period)
+		if faultKind(i) != faultAbort {
 			fmt.Fprintf(&b, ":%v", s.stall)
 		}
 	}
 	return b.String()
 }
 
-// fresh returns a copy of the plan with zeroed hit counters. Engines
-// call it at construction so each engine instance replays the plan from
-// the start regardless of how the source plan has been shared.
-func (p *FaultPlan) fresh() *FaultPlan {
+// fresh returns a copy of the plan with zeroed hit counters that counts
+// its injections in c. Engines call it at construction so each engine
+// instance replays the plan from the start regardless of how the source
+// plan has been shared.
+func (p *FaultPlan) fresh(c *statCounters) *FaultPlan {
 	if p == nil {
 		return nil
 	}
-	q := &FaultPlan{seed: p.seed}
-	for i := range p.sites {
-		q.sites[i].period = p.sites[i].period
-		q.sites[i].stall = p.sites[i].stall
+	q := &FaultPlan{seed: p.seed, stats: c}
+	for i := range p.decisions {
+		q.decisions[i].period = p.decisions[i].period
+		q.decisions[i].stall = p.decisions[i].stall
 	}
 	return q
 }
 
-// decide advances the site's hit counter and reports whether this hit
-// fires. The decision mixes (seed, site, hit ordinal) through the same
-// Fibonacci-hash fold the engines use elsewhere, so firings are
-// pseudo-randomly spaced but exactly reproducible for a given hit
-// sequence.
-func (p *FaultPlan) decide(site FaultSite) bool {
-	s := &p.sites[site]
+// decide advances the decision's hit counter and reports whether this hit
+// fires, counting the injection when it does. The decision mixes (seed,
+// decision, hit ordinal) through the same Fibonacci-hash fold the engines
+// use elsewhere, so firings are pseudo-randomly spaced but exactly
+// reproducible for a given hit sequence.
+func (p *FaultPlan) decide(k faultKind) bool {
+	s := &p.decisions[k]
 	if s.period == 0 {
 		return false
 	}
 	n := s.hits.Add(1)
-	h := (p.seed ^ (n + uint64(site)<<56)) * 0x9e3779b97f4a7c15
+	h := (p.seed ^ (n + uint64(k)<<56)) * 0x9e3779b97f4a7c15
 	h ^= h >> 29
 	h *= 0x9e3779b97f4a7c15
 	h ^= h >> 32
-	return h%s.period == 0
-}
-
-// fire evaluates a decision site (FaultAbort), counting the injection.
-func (p *FaultPlan) fire(site FaultSite, c *statCounters) bool {
-	if !p.decide(site) {
+	if h%s.period != 0 {
 		return false
 	}
-	c.injectedFaults.Add(1)
+	p.stats.injectedFaults.Add(1)
 	return true
 }
 
-// stallAt evaluates a stall site, applying the configured pause when it
-// fires and counting the injection.
-func (p *FaultPlan) stallAt(site FaultSite, c *statCounters) {
-	if !p.decide(site) {
+// at implements probe: the forced abort, thrown as a conflict, and the
+// stall the site table gives s. Serial attempts are exempt: an injected
+// abort would break their irrevocability (serial.go).
+func (p *FaultPlan) at(h *txHead, s site, _, _ uint64) {
+	if h.serial {
 		return
 	}
-	c.injectedFaults.Add(1)
-	spinWait(p.sites[site].stall)
+	if s == sitePreCommit && p.decide(faultAbort) {
+		throwInjectedFault()
+	}
+	if k := siteTable[s].stall; k != numFaultKinds && p.decide(k) {
+		spinWait(p.decisions[k].stall)
+	}
 }

@@ -61,8 +61,8 @@ func TestParseFaultPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.sites[FaultLockHold].stall != defaultFaultStall {
-			t.Errorf("stall = %v, want default %v", p.sites[FaultLockHold].stall, defaultFaultStall)
+		if p.decisions[faultLockHold].stall != defaultFaultStall {
+			t.Errorf("stall = %v, want default %v", p.decisions[faultLockHold].stall, defaultFaultStall)
 		}
 	})
 	t.Run("empty-is-nil", func(t *testing.T) {
@@ -73,7 +73,7 @@ func TestParseFaultPlan(t *testing.T) {
 		if (*FaultPlan)(nil).String() != "" {
 			t.Error("nil plan must render as the empty string")
 		}
-		if (*FaultPlan)(nil).fresh() != nil {
+		if (*FaultPlan)(nil).fresh(nil) != nil {
 			t.Error("nil plan must stay nil through fresh()")
 		}
 	})

@@ -48,8 +48,8 @@ type NOrec struct {
 func NewNOrec(o EngineOptions) *NOrec {
 	e := &NOrec{}
 	e.setup(e, o)
-	e.txPool.init(func() *norecTx { return &norecTx{eng: e, txHead: txHead{tr: o.Trace.tap()}} })
-	e.snapPool.init(func() *norecSnapTx { return &norecSnapTx{eng: e, txHead: txHead{tr: o.Trace.tap()}} })
+	e.txPool.init(func() *norecTx { return &norecTx{eng: e, txHead: txHead{hook: e.hook()}} })
+	e.snapPool.init(func() *norecSnapTx { return &norecSnapTx{eng: e, txHead: txHead{hook: e.hook()}} })
 	return e
 }
 
@@ -161,9 +161,7 @@ func (tx *norecTx) readVar(v *Var) any {
 func (tx *norecTx) validate() uint64 {
 	for {
 		t := tx.eng.sampleSeq()
-		if tx.tr.rec != nil {
-			tx.tr.note(TraceValidate, uint64(len(tx.reads)), 0)
-		}
+		tx.at(siteValidate, uint64(len(tx.reads)), 0)
 		tx.st.validations += uint64(len(tx.reads))
 		for _, r := range tx.reads {
 			if !tx.stillValid(r) {
@@ -291,30 +289,16 @@ func (tx *norecTx) commit() bool {
 		// validation point is the serialization point.
 		return true
 	}
-	// Fault probes: the forced abort and pre-commit stall land before the
-	// seqlock acquisition, so an unwound attempt never holds the lock.
-	// Suppressed for serial attempts (see serial.go).
-	if f := tx.eng.faults; f != nil && !tx.serial {
-		if f.fire(FaultAbort, &tx.eng.stats) {
-			throwInjectedFault()
-		}
-		f.stallAt(FaultPreCommit, &tx.eng.stats)
-	}
+	// Before the seqlock acquisition: an attempt a hook aborts here never
+	// holds the lock.
+	tx.at(sitePreCommit, 0, 0)
 	for !tx.eng.seq.CompareAndSwap(tx.snapshot, tx.snapshot+1) {
 		// Either a writer holds the lock or time moved on: validate
 		// against the newest state (throws on conflict) and retry the
 		// acquisition at the extended snapshot.
 		tx.snapshot = tx.validate()
 	}
-	// Sequence lock held (odd): the flight recorder's lock-acquire mark.
-	if tx.tr.rec != nil {
-		tx.tr.note(TraceLock, uint64(len(tx.writes)), 0)
-	}
-	// Lock-holder pause: the sequence lock is odd, so every reader and
-	// committer engine-wide is stalled behind this window.
-	if f := tx.eng.faults; f != nil && !tx.serial {
-		f.stallAt(FaultLockHold, &tx.eng.stats)
-	}
+	tx.at(siteLocked, uint64(len(tx.writes)), 0)
 	// One box per written Var — the one a cell's value was made in, or a
 	// fresh one for a plain Write: published snapshots may be held by
 	// concurrent readers forever and cannot come from the pool.
@@ -322,11 +306,11 @@ func (tx *norecTx) commit() bool {
 		w := &tx.writes[i]
 		w.v.cur.Store(publishable(w.b, w.val))
 	}
-	// Clock-stamp delay: NOrec's commit stamp is the seqlock release
-	// itself, so the delay sits just before the releasing store.
-	if f := tx.eng.faults; f != nil && !tx.serial {
-		f.stallAt(FaultClockTick, &tx.eng.stats)
-	}
+	// The sequence lock is odd, so every reader and committer engine-wide
+	// waits out a stall at either site. The commit stamp is the releasing
+	// store itself.
+	tx.at(siteLockHold, 0, 0)
+	tx.at(siteClockTick, 0, 0)
 	tx.eng.seq.Store(tx.snapshot + 2)
 	return true
 }

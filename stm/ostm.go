@@ -106,8 +106,8 @@ func NewOSTM(o EngineOptions) *OSTM {
 	}
 	e := &OSTM{opts: o}
 	e.setup(e, o)
-	e.txPool.init(func() *ostmTx { return &ostmTx{eng: e, txHead: txHead{tr: o.Trace.tap()}} })
-	e.snapPool.init(func() *ostmSnapTx { return &ostmSnapTx{eng: e, txHead: txHead{tr: o.Trace.tap()}} })
+	e.txPool.init(func() *ostmTx { return &ostmTx{eng: e, txHead: txHead{hook: e.hook()}} })
+	e.snapPool.init(func() *ostmSnapTx { return &ostmSnapTx{eng: e, txHead: txHead{hook: e.hook()}} })
 	return e
 }
 
@@ -509,9 +509,7 @@ func (tx *ostmTx) validate(final bool) {
 		tx.lastSerial = serial
 	}
 	n := len(tx.reads)
-	if tx.tr.rec != nil {
-		tx.tr.note(TraceValidate, uint64(n), 0)
-	}
+	tx.at(siteValidate, uint64(n), 0)
 	tx.st.validations += uint64(n)
 	for i := 0; i < n; i++ {
 		ent := &tx.reads[i]
@@ -530,16 +528,11 @@ func (tx *ostmTx) validate(final bool) {
 // transaction lost a race (killed, or final validation failed via panic —
 // which unwinds to runAttempt, not here).
 func (tx *ostmTx) commit() bool {
-	// Fault probes for write transactions: the forced abort and the
-	// pre-commit stall land before any status transition, so an unwound
-	// attempt is indistinguishable from an ordinary conflict (runAttempt's
-	// recover aborts the state, which disowns its acquired locators).
-	// Suppressed for serial attempts (see serial.go).
-	if f := tx.eng.faults; f != nil && !tx.serial && len(tx.writeLocs) > 0 {
-		if f.fire(FaultAbort, &tx.eng.stats) {
-			throwInjectedFault()
-		}
-		f.stallAt(FaultPreCommit, &tx.eng.stats)
+	// Before any status transition, an attempt a hook aborts is an
+	// ordinary conflict: runAttempt's recover aborts the state, which
+	// disowns its acquired locators.
+	if len(tx.writeLocs) > 0 {
+		tx.at(sitePreCommit, 0, 0)
 	}
 	if tx.eng.opts.VisibleReads {
 		// Visible mode needs no validation: a writer that invalidated any
@@ -552,19 +545,10 @@ func (tx *ostmTx) commit() bool {
 		if !tx.state.status.CompareAndSwap(statusActive, statusValidating) {
 			return false
 		}
-		// Validating window entered: OSTM's lock-acquire analog.
-		if tx.tr.rec != nil {
-			tx.tr.note(TraceLock, uint64(len(tx.writeLocs)), 0)
-		}
 		if len(tx.writeLocs) > 0 {
-			// Lock-holder pause / clock-stamp delay: the Validating window
-			// is OSTM's lock-hold analog (acquired locators block enemies
-			// through the CM while we sit here), and the commit-serial bump
-			// is its commit stamp.
-			if f := tx.eng.faults; f != nil && !tx.serial {
-				f.stallAt(FaultLockHold, &tx.eng.stats)
-				f.stallAt(FaultClockTick, &tx.eng.stats)
-			}
+			tx.at(siteLocked, uint64(len(tx.writeLocs)), 0)
+			tx.at(siteLockHold, 0, 0)
+			tx.at(siteClockTick, 0, 0)
 			tx.eng.commitSerial.Add(1)
 		}
 		return tx.publish()
@@ -578,21 +562,13 @@ func (tx *ostmTx) commit() bool {
 	if !tx.state.status.CompareAndSwap(statusActive, statusValidating) {
 		return false // enemy killed us
 	}
-	// Validating window entered: OSTM's lock-acquire analog.
-	if tx.tr.rec != nil {
-		tx.tr.note(TraceLock, uint64(len(tx.writeLocs)), 0)
-	}
-	// Lock-holder pause: the Validating window is OSTM's lock-hold analog
-	// — acquired locators keep enemies arbitrating against us while we
-	// sit here, and snapshot readers spin on the Validating status.
-	if f := tx.eng.faults; f != nil && !tx.serial {
-		f.stallAt(FaultLockHold, &tx.eng.stats)
-	}
+	// The Validating window is OSTM's lock hold: acquired locators keep
+	// enemies arbitrating against us while we sit here, and snapshot
+	// readers spin on the Validating status.
+	tx.at(siteLocked, uint64(len(tx.writeLocs)), 0)
+	tx.at(siteLockHold, 0, 0)
 	tx.validate(true)
-	// Clock-stamp delay: the commit-serial bump is OSTM's commit stamp.
-	if f := tx.eng.faults; f != nil && !tx.serial {
-		f.stallAt(FaultClockTick, &tx.eng.stats)
-	}
+	tx.at(siteClockTick, 0, 0)
 	// The serial bump precedes the Committed flip (see commitSerial): an
 	// observer that resolves our new values is then guaranteed to also
 	// observe the bump.

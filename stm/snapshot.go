@@ -163,11 +163,10 @@ func (c *engineCore) runSnapshotLoop(tx snapTx, fn func(tx Tx) error) error {
 		}
 		tx.sample()
 		committed, err := runSnapshotAttempt(tx, fn)
-		if h.tr.rec != nil && committed {
-			h.tr.note(TraceCommit, h.st.reads, 0)
-		}
+		reads := h.st.reads
 		c.stats.flushTx(&h.st)
 		if committed {
+			h.at(siteCommit, reads, 0)
 			c.stats.commits.Add(1)
 			c.stats.snapshotTxs.Add(1)
 			tx.recycle()
@@ -178,9 +177,7 @@ func (c *engineCore) runSnapshotLoop(tx snapTx, fn func(tx Tx) error) error {
 			tx.recycle()
 			return err
 		}
-		if h.tr.rec != nil {
-			h.tr.note(TraceSnapRestart, uint64(attempt), 0)
-		}
+		h.at(siteSnapRestart, uint64(attempt), 0)
 		c.stats.snapshotRestarts.Add(1)
 		spinWait(backoffDur(attempt, uint64(attempt)<<32))
 	}

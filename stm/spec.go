@@ -71,14 +71,13 @@ type EngineOptions struct {
 	// See serial.go for the token protocol and its cost.
 	SerialFallback bool
 	// Faults [faults=PLAN] installs a deterministic fault-injection plan
-	// compiled into the engine's commit path (nil = no injection, zero
-	// overhead). The engine snapshots the plan with fresh counters at
-	// construction. See fault.go for the probe sites and ParseFaultPlan
-	// for the plan syntax.
+	// on the engine's probe sites (nil = no injection). The engine
+	// snapshots the plan with fresh counters at construction. See
+	// probe.go for the sites and ParseFaultPlan for the plan syntax.
 	Faults *FaultPlan
-	// Trace installs a transaction flight recorder on the engine's
-	// attempt-lifecycle probe sites (nil = no tracing, zero overhead — the
-	// same nil-probe contract as Faults). Several engines may share one
+	// Trace installs a transaction flight recorder on the engine's probe
+	// sites (nil = no tracing; with neither, a site is one nil check, see
+	// probe.go). Several engines may share one
 	// recorder; their events interleave on its logical clock. A recorder
 	// is a live object, not configuration, so it is the one field without
 	// a spec key. See trace.go for the event schema.

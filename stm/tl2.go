@@ -37,8 +37,8 @@ type TL2 struct {
 func NewTL2(o EngineOptions) *TL2 {
 	e := &TL2{}
 	e.setup(e, o)
-	e.txPool.init(func() *tl2Tx { return &tl2Tx{eng: e, txHead: txHead{tr: o.Trace.tap()}} })
-	e.snapPool.init(func() *tl2SnapTx { return &tl2SnapTx{eng: e, txHead: txHead{tr: o.Trace.tap()}} })
+	e.txPool.init(func() *tl2Tx { return &tl2Tx{eng: e, txHead: txHead{hook: e.hook()}} })
+	e.snapPool.init(func() *tl2SnapTx { return &tl2SnapTx{eng: e, txHead: txHead{hook: e.hook()}} })
 	return e
 }
 
@@ -227,16 +227,9 @@ func (tx *tl2Tx) commit() bool {
 		return true
 	}
 
-	// Fault probes: a forced abort unwinds here, before any lock is
-	// taken, so there is never anything to release; the pre-commit stall
-	// pauses the committer while it still holds nothing. Suppressed for
-	// serial attempts — an injected abort would break irrevocability.
-	if f := tx.eng.faults; f != nil && !tx.serial {
-		if f.fire(FaultAbort, &tx.eng.stats) {
-			throwInjectedFault()
-		}
-		f.stallAt(FaultPreCommit, &tx.eng.stats)
-	}
+	// Nothing is locked yet, so an attempt a hook aborts here has
+	// nothing to release.
+	tx.at(sitePreCommit, 0, 0)
 
 	// Every Var has its own orec, so the write set is locked as it stands
 	// and lockedMeta[i] belongs to writes[i], which writeIdx indexes.
@@ -263,24 +256,15 @@ func (tx *tl2Tx) commit() bool {
 		}
 	}
 
-	// Whole write set locked: the flight recorder's lock-acquire mark.
-	if tx.tr.rec != nil {
-		tx.tr.note(TraceLock, uint64(len(tx.writes)), 0)
-	}
-
-	// Clock-stamp delay: stall between lock acquisition and the tick, the
-	// window that stretches the distance between wv and concurrent reads.
-	if f := tx.eng.faults; f != nil && !tx.serial {
-		f.stallAt(FaultClockTick, &tx.eng.stats)
-	}
+	tx.at(siteLocked, uint64(len(tx.writes)), 0)
+	// A stall here stretches the distance between wv and concurrent reads.
+	tx.at(siteClockTick, 0, 0)
 	wv := tx.eng.clock.Add(2)
 
 	// Validate the read set unless nobody else committed since we started
 	// (wv == rv+2 proves that: every commit stamp is unique).
 	if wv != tx.rv+2 {
-		if tx.tr.rec != nil {
-			tx.tr.note(TraceValidate, uint64(len(tx.reads)), 0)
-		}
+		tx.at(siteValidate, uint64(len(tx.reads)), 0)
 		tx.st.validations += uint64(len(tx.reads))
 		for _, v := range tx.reads {
 			m := v.own.meta.Load()
@@ -309,12 +293,10 @@ func (tx *tl2Tx) commit() bool {
 		w := &tx.writes[i]
 		w.v.cur.Store(publishable(w.b, w.val))
 	}
-	// Lock-holder pause: every write orec is still locked, so this stall
-	// is the worst case for everyone else — readers spin, committers of
-	// overlapping write sets fail their lock loops.
-	if f := tx.eng.faults; f != nil && !tx.serial {
-		f.stallAt(FaultLockHold, &tx.eng.stats)
-	}
+	// Every write orec is still locked, so a stall here is the worst case
+	// for everyone else: readers spin, committers of overlapping write
+	// sets fail their lock loops.
+	tx.at(siteLockHold, 0, 0)
 	for i := range tx.writes {
 		tx.writes[i].v.own.meta.Store(wv)
 	}

@@ -13,12 +13,9 @@ import (
 // A TraceRecorder captures attempt-lifecycle events — begins, commits with
 // read/write-set sizes, aborts with their cause, validation passes, commit-
 // lock acquisitions, snapshot restarts, serial escalations — into a set of
-// lock-free ring buffers. It follows the FaultPlan nil-probe pattern:
-// tracing is off by default, an engine with no recorder carries a nil tap
-// and every probe is a single predictable nil check with zero allocations
-// (enforced by stm/alloc_test.go). With a recorder installed, each probe is
-// one atomic fetch-add to reserve a ring slot plus a handful of plain
-// stores.
+// lock-free ring buffers. Each descriptor's ring is its probe hook
+// (probe.go), recording the event the site table gives each site: one
+// atomic fetch-add to reserve a ring slot plus a handful of plain stores.
 //
 // Descriptors (not goroutines) own ring shards: every pooled transaction
 // descriptor is assigned a shard round-robin at creation, and a descriptor
@@ -122,6 +119,7 @@ const DefaultTraceEvents = 1 << 16
 type traceShard struct {
 	pos  atomic.Uint64
 	_    [56]byte // keep neighboring shards' cursors off one cache line
+	rec  *TraceRecorder
 	id   uint32
 	mask uint64
 	buf  []TraceEvent
@@ -129,8 +127,8 @@ type traceShard struct {
 
 // TraceRecorder is the flight recorder: a fixed set of lock-free event
 // rings plus the global sequence counter. Build one with NewTraceRecorder
-// and install it via EngineOptions.Trace (or the per-engine configs); a
-// nil recorder disables tracing entirely.
+// and install it via EngineOptions.Trace; a nil recorder disables tracing
+// entirely.
 type TraceRecorder struct {
 	seq    atomic.Uint64 // global logical clock; next event's Seq
 	assign atomic.Uint64 // round-robin shard assignment for new descriptors
@@ -156,6 +154,7 @@ func NewTraceRecorder(capacity int) *TraceRecorder {
 	r := &TraceRecorder{}
 	for i := range r.shards {
 		s := &r.shards[i]
+		s.rec = r
 		s.id = uint32(i)
 		s.mask = uint64(per - 1)
 		s.buf = make([]TraceEvent, per)
@@ -163,51 +162,22 @@ func NewTraceRecorder(capacity int) *TraceRecorder {
 	return r
 }
 
-// tap returns a per-descriptor handle on the recorder: the recorder
-// itself plus a round-robin-assigned shard. A nil recorder yields the
-// zero tap, whose nil rec field is the single branch every disabled probe
-// costs.
-func (r *TraceRecorder) tap() traceTap {
-	if r == nil {
-		return traceTap{}
-	}
+// tap assigns a new descriptor its ring, round-robin.
+func (r *TraceRecorder) tap() *traceShard {
 	n := r.assign.Add(1) - 1
-	return traceTap{rec: r, shard: &r.shards[n%traceShardCount]}
+	return &r.shards[n%traceShardCount]
 }
 
-// traceTap is the engine-descriptor face of the recorder. Probes look
-// like:
-//
-//	if tx.tr.rec != nil {
-//		tx.tr.note(TraceCommit, reads, writes)
-//	}
-//
-// so the disabled path is one predictable branch and no call.
-type traceTap struct {
-	rec   *TraceRecorder
-	shard *traceShard
-}
-
-// noteOutcome records the end of one validating attempt: a commit with
-// its read/write-set sizes, or an abort with its cause. Called by the
-// retry loop (core.go); callers must have checked t.rec != nil.
-func noteOutcome(t traceTap, committed, userAbort, injected bool, reads, writes, attempt uint64) {
-	switch {
-	case committed:
-		t.note(TraceCommit, reads, writes)
-	case userAbort:
-		t.note(TraceAbort, TraceAbortUser, attempt)
-	case injected:
-		t.note(TraceAbort, TraceAbortInjected, attempt)
-	default:
-		t.note(TraceAbort, TraceAbortConflict, attempt)
+// at implements probe: record the site's event, if it has one.
+func (s *traceShard) at(_ *txHead, st site, a, b uint64) {
+	if k := siteTable[st].trace; k != numTraceKinds {
+		s.note(k, a, b)
 	}
 }
 
-// note records one event. Callers must have checked rec != nil.
-func (t traceTap) note(kind TraceKind, a, b uint64) {
-	seq := t.rec.seq.Add(1) - 1
-	s := t.shard
+// note records one event.
+func (s *traceShard) note(kind TraceKind, a, b uint64) {
+	seq := s.rec.seq.Add(1) - 1
 	i := s.pos.Add(1) - 1
 	ev := &s.buf[i&s.mask]
 	ev.Seq = seq
