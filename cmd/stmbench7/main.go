@@ -20,7 +20,8 @@
 //	                   tl2:nosnap
 //	--no-traversals    disable long traversals
 //	--no-sms           disable structure modification operations
-//	--ttc-histograms   print TTC (latency) histograms
+//	--ttc-histograms   print Appendix A's TTC (latency) histograms in ms;
+//	                   every run records them, this only prints them
 //
 // Extensions over the paper's CLI:
 //
@@ -33,9 +34,11 @@
 //	                          queueing included
 //	-json FILE                write the report's machine-readable copy to
 //	                          FILE after the run: configuration, totals,
-//	                          per-operation counts, latency summary, every
-//	                          engine counter and the -sample series (one
-//	                          entry per phase in scenario mode)
+//	                          per-operation and per-category counts and
+//	                          p50/p99 TTC in ns, latency summary, live heap
+//	                          bytes after the run, every engine counter and
+//	                          the -sample series (one entry per phase in
+//	                          scenario mode)
 //	-trace N                  attach a transaction flight recorder retaining
 //	                          about N attempt-lifecycle events (begin,
 //	                          validate, lock, commit, abort-with-cause,
@@ -95,7 +98,7 @@ func run(args []string) error {
 	specFlag := fs.String("g", "coarse", "synchronization strategy ("+strings.Join(stmbench7.Strategies(), ", ")+"), optionally with engine options: an engine spec such as norec:deadline=25ms,serial")
 	noTraversals := fs.Bool("no-traversals", false, "disable long traversals")
 	noSMs := fs.Bool("no-sms", false, "disable structure modification operations")
-	histograms := fs.Bool("ttc-histograms", false, "print TTC histograms")
+	histograms := fs.Bool("ttc-histograms", false, "print the TTC histograms in the report")
 	size := fs.String("size", "small", "structure size: tiny, small or medium (paper scale)")
 	seed := fs.Uint64("seed", 42, "benchmark seed")
 	reduced := fs.Bool("reduced", false, "use the reduced operation set of §5 (Figure 6)")
@@ -164,21 +167,20 @@ func run(args []string) error {
 	// One option set for both modes; a scenario run takes Threads and the
 	// run-level fields from it and ignores the per-phase ones.
 	opts := stmbench7.Options{
-		Params:            params,
-		Seed:              *seed,
-		Threads:           *threads,
-		Duration:          time.Duration(*length * float64(time.Second)),
-		Workload:          w,
-		LongTraversals:    !*noTraversals,
-		StructureMods:     !*noSMs,
-		Reduced:           *reduced,
-		Strategy:          spec.Name,
-		Engine:            spec.Options,
-		OpenLoop:          *arrivalRate > 0,
-		ArrivalRate:       *arrivalRate,
-		SampleInterval:    *sample,
-		CollectHistograms: *histograms,
-		CheckInvariants:   *check,
+		Params:          params,
+		Seed:            *seed,
+		Threads:         *threads,
+		Duration:        time.Duration(*length * float64(time.Second)),
+		Workload:        w,
+		LongTraversals:  !*noTraversals,
+		StructureMods:   !*noSMs,
+		Reduced:         *reduced,
+		Strategy:        spec.Name,
+		Engine:          spec.Options,
+		OpenLoop:        *arrivalRate > 0,
+		ArrivalRate:     *arrivalRate,
+		SampleInterval:  *sample,
+		CheckInvariants: *check,
 	}
 
 	// Every option is checked before a build is announced, in both modes.
@@ -230,7 +232,7 @@ func run(args []string) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "done in %v\n", time.Since(t0).Round(time.Millisecond))
-	stmbench7.WriteReport(os.Stdout, res)
+	stmbench7.WriteReport(os.Stdout, res, *histograms)
 	return writeOutputs(func(w io.Writer) error { return stmbench7.WriteJSON(w, res) })
 }
 

@@ -4,12 +4,16 @@
 // from the Table 2 ratio distribution, collects per-thread measurements
 // locally, merges them at the end, and formats the Appendix-A report
 // (parameters, optional TTC histograms, detailed per-operation results,
-// sample errors, summary).
+// sample errors, summary). Every run records each operation's time to
+// completion in a fixed log-linear Histogram (and, open-loop, each
+// response time), so the report's percentiles and its -json copy need no
+// run option.
 package harness
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,8 +59,6 @@ type Options struct {
 	// (-trace): dump it after the run with
 	// stm.TraceRecorder.WriteChromeTrace (-trace-out).
 	Engine stm.EngineOptions
-	// CollectHistograms enables TTC histograms (--ttc-histograms).
-	CollectHistograms bool
 	// CheckInvariants runs the full structural invariant checker after
 	// the run and fails the run on violations.
 	CheckInvariants bool
@@ -188,10 +190,9 @@ type OpResult struct {
 	Succeeded int64
 	Failed    int64
 	MaxTTC    time.Duration
-	// Hist maps TTC in milliseconds to completion counts (successful
-	// executions only), per the Appendix-A histogram format. Nil unless
-	// CollectHistograms was set.
-	Hist map[int64]int64
+	// TTC holds the times to completion of the successful executions;
+	// Succeeded and MaxTTC are its exact count and max.
+	TTC Histogram
 }
 
 // Attempted returns successes plus failures.
@@ -220,10 +221,16 @@ type Result struct {
 	// policy (Options.ShedAfter / Options.QueueBound) instead of
 	// executed. Always 0 for closed-loop runs.
 	ShedOps int64
-	// Response is the open-loop response-time histogram in MICROSECOND
-	// buckets: completion minus scheduled arrival, queueing included.
-	// Nil for closed-loop runs; summarize with ResponseLatency.
-	Response map[int64]int64
+	// Response is the open-loop response-time histogram: completion
+	// minus *scheduled* arrival, so an operation that waited behind a
+	// busy worker is charged its queueing delay, which a closed loop
+	// cannot measure (coordinated omission). Empty for closed-loop runs.
+	Response Histogram
+	// LiveHeapBytes is the heap still reachable after the run, read once
+	// every timed window has closed, with the structure and executor
+	// still reachable: HeapAlloc after two forced collections. It counts
+	// this Result too, about 5 KB per operation in the mix.
+	LiveHeapBytes uint64
 	// Series is the time-series curve sampled during the run at
 	// Options.SampleInterval cadence (nil when sampling was off): one
 	// point per interval with throughput, abort rate, snapshot restarts
@@ -244,50 +251,45 @@ type liveProgress struct {
 // threadStats is the per-thread measurement record; merged at the end per
 // §4 ("Each thread registers locally its performance measurements").
 type threadStats struct {
-	succeeded map[string]int64
-	failed    map[string]int64
-	maxTTC    map[string]time.Duration
-	hist      map[string]map[int64]int64
-	// resp is the open-loop response-time histogram (µs buckets); nil
-	// in closed-loop runs.
-	resp map[int64]int64
+	// ops holds one record per operation, indexed by ops.Op.Index.
+	ops []opRecord
+	// resp is the open-loop response-time histogram; empty in closed-loop
+	// runs.
+	resp Histogram
 	// sheds counts open-loop arrivals this worker shed instead of
 	// executing.
 	sheds int64
 }
 
-func newThreadStats() *threadStats {
-	return &threadStats{
-		succeeded: map[string]int64{},
-		failed:    map[string]int64{},
-		maxTTC:    map[string]time.Duration{},
-		hist:      map[string]map[int64]int64{},
+// opRecord is one thread's record of one operation: the logical failures
+// and the successes' times to completion.
+type opRecord struct {
+	failed int64
+	ttc    Histogram
+}
+
+// newThreadStats allocates the records of n workers, so that no timed
+// window pays for them.
+func newThreadStats(n int) []*threadStats {
+	sts := make([]*threadStats, n)
+	for i := range sts {
+		sts[i] = &threadStats{ops: make([]opRecord, len(ops.All()))}
 	}
+	return sts
 }
 
 // recordOutcome books one executed operation into the thread-local record.
 // Non-logical errors are returned for the worker to abort on.
-func (st *threadStats) recordOutcome(opName string, ttc time.Duration, collectHist bool, err error) error {
+func (st *threadStats) recordOutcome(op *ops.Op, ttc time.Duration, err error) error {
 	switch {
 	case err == nil:
-		st.succeeded[opName]++
-		if ttc > st.maxTTC[opName] {
-			st.maxTTC[opName] = ttc
-		}
-		if collectHist {
-			h := st.hist[opName]
-			if h == nil {
-				h = map[int64]int64{}
-				st.hist[opName] = h
-			}
-			h[ttc.Milliseconds()]++
-		}
+		st.ops[op.Index].ttc.Record(ttc)
 	// errors.Is, not ==: stm aborts arrive as cause-wrapped singletons
 	// (ErrRetryExhausted, ErrDeadlineExceeded, ErrInjectedFault).
 	case errors.Is(err, ops.ErrFailed) || errors.Is(err, stm.ErrAborted):
-		st.failed[opName]++
+		st.ops[op.Index].failed++
 	default:
-		return fmt.Errorf("harness: %s: %w", opName, err)
+		return fmt.Errorf("harness: %s: %w", op.Name, err)
 	}
 	return nil
 }
@@ -376,7 +378,22 @@ func RunOn(o Options, ex sync7.Executor, s *core.Structure) (*Result, error) {
 			return nil, fmt.Errorf("harness: post-run invariant violation: %w", err)
 		}
 	}
+	res.LiveHeapBytes = liveHeapBytes()
+	// The structure and the engine are what the reading is of: keep them
+	// reachable until it is taken.
+	runtime.KeepAlive(ex)
+	runtime.KeepAlive(s)
 	return res, nil
+}
+
+// liveHeapBytes is the heap still reachable after two forced collections;
+// the second empties the sync.Pool victim caches the first one filled.
+func liveHeapBytes() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // skewSamplers builds the zipfian hotspot samplers for the two skewed id
@@ -407,7 +424,7 @@ func runClosedLoop(o Options, ex sync7.Executor, s *core.Structure, live *livePr
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	perThread := make([]*threadStats, o.Threads)
+	perThread := newThreadStats(o.Threads)
 	errCh := make(chan error, o.Threads)
 
 	seedRng := rng.New(o.Seed ^ 0xb7b7b7b7)
@@ -419,7 +436,6 @@ func runClosedLoop(o Options, ex sync7.Executor, s *core.Structure, live *livePr
 	start := time.Now()
 	for t := 0; t < o.Threads; t++ {
 		wg.Add(1)
-		perThread[t] = newThreadStats()
 		go func(t int) {
 			defer wg.Done()
 			st := perThread[t]
@@ -434,7 +450,7 @@ func runClosedLoop(o Options, ex sync7.Executor, s *core.Structure, live *livePr
 				if err == nil {
 					live.ops.Add(1)
 				}
-				if err := st.recordOutcome(op.Name, time.Since(t0), o.CollectHistograms, err); err != nil {
+				if err := st.recordOutcome(op, time.Since(t0), err); err != nil {
 					errCh <- err
 					return
 				}
@@ -455,13 +471,12 @@ func runClosedLoop(o Options, ex sync7.Executor, s *core.Structure, live *livePr
 	default:
 	}
 
-	res := newResult(o, picker, profile, elapsed)
-	mergeThreadStats(res, perThread, o.CollectHistograms)
-	return res, nil
+	return newResult(o, picker, profile, elapsed, perThread), nil
 }
 
-// newResult allocates a Result with one zeroed entry per pickable op.
-func newResult(o Options, picker *ops.Picker, profile ops.Profile, elapsed time.Duration) *Result {
+// newResult builds a Result with one entry per pickable op and folds the
+// per-thread records into it (§4: local measurement, merged at the end).
+func newResult(o Options, picker *ops.Picker, profile ops.Profile, elapsed time.Duration, perThread []*threadStats) *Result {
 	res := &Result{
 		Options:  o,
 		Elapsed:  elapsed,
@@ -469,48 +484,19 @@ func newResult(o Options, picker *ops.Picker, profile ops.Profile, elapsed time.
 		Expected: profile.Ratios(),
 	}
 	for _, op := range picker.Ops() {
-		res.PerOp[op.Name] = &OpResult{Name: op.Name, Category: op.Category, ReadOnly: op.ReadOnly}
+		r := &OpResult{Name: op.Name, Category: op.Category, ReadOnly: op.ReadOnly}
+		for _, st := range perThread {
+			r.Failed += st.ops[op.Index].failed
+			r.TTC.Merge(&st.ops[op.Index].ttc)
+		}
+		r.Succeeded, r.MaxTTC = r.TTC.Count(), r.TTC.Max()
+		res.PerOp[op.Name] = r
 	}
-	return res
-}
-
-// mergeThreadStats folds the per-thread records into the result (§4: local
-// measurement, merged at the end).
-func mergeThreadStats(res *Result, perThread []*threadStats, collectHist bool) {
 	for _, st := range perThread {
-		for name, n := range st.succeeded {
-			res.PerOp[name].Succeeded += n
-		}
-		for name, n := range st.failed {
-			res.PerOp[name].Failed += n
-		}
-		for name, ttc := range st.maxTTC {
-			if ttc > res.PerOp[name].MaxTTC {
-				res.PerOp[name].MaxTTC = ttc
-			}
-		}
-		if collectHist {
-			for name, h := range st.hist {
-				dst := res.PerOp[name].Hist
-				if dst == nil {
-					dst = map[int64]int64{}
-					res.PerOp[name].Hist = dst
-				}
-				for ms, n := range h {
-					dst[ms] += n
-				}
-			}
-		}
-		if st.resp != nil {
-			if res.Response == nil {
-				res.Response = map[int64]int64{}
-			}
-			for us, n := range st.resp {
-				res.Response[us] += n
-			}
-		}
+		res.Response.Merge(&st.resp)
 		res.ShedOps += st.sheds
 	}
+	return res
 }
 
 // --- aggregate views ------------------------------------------------------
@@ -563,21 +549,14 @@ func (r *Result) ShedRate() float64 {
 	return float64(r.ShedOps) / float64(r.Arrivals)
 }
 
-// MaxTTC returns the maximum time-to-completion observed for the named
-// operation — the Figure 3 metric.
-func (r *Result) MaxTTC(opName string) time.Duration {
-	if op, ok := r.PerOp[opName]; ok {
-		return op.MaxTTC
-	}
-	return 0
-}
-
-// CategoryResult aggregates a category.
+// CategoryResult aggregates a category: its operations' counts and their
+// merged TTC histogram.
 type CategoryResult struct {
 	Category  ops.Category
 	Succeeded int64
 	Failed    int64
 	MaxTTC    time.Duration
+	TTC       Histogram
 }
 
 // ByCategory aggregates results per operation category.
@@ -591,9 +570,8 @@ func (r *Result) ByCategory() map[ops.Category]*CategoryResult {
 		}
 		c.Succeeded += op.Succeeded
 		c.Failed += op.Failed
-		if op.MaxTTC > c.MaxTTC {
-			c.MaxTTC = op.MaxTTC
-		}
+		c.MaxTTC = max(c.MaxTTC, op.MaxTTC)
+		c.TTC.Merge(&op.TTC)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -137,15 +138,13 @@ func TestSampleErrorsSmallOnLongRun(t *testing.T) {
 }
 
 func TestHistogramsCollected(t *testing.T) {
-	o := baseOpts()
-	o.CollectHistograms = true
-	res, err := Run(o)
+	res, err := Run(baseOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := int64(0)
 	for _, op := range res.PerOp {
-		for _, n := range op.Hist {
+		for _, n := range op.TTC.counts {
 			total += n
 		}
 	}
@@ -171,14 +170,12 @@ func TestByCategoryAggregation(t *testing.T) {
 }
 
 func TestReportSections(t *testing.T) {
-	o := baseOpts()
-	o.CollectHistograms = true
-	res, err := Run(o)
+	res, err := Run(baseOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	WriteReport(&sb, res)
+	WriteReport(&sb, res, true)
 	out := sb.String()
 	for _, section := range []string{
 		"Benchmark parameters",
@@ -195,28 +192,42 @@ func TestReportSections(t *testing.T) {
 	}
 }
 
+// TestReportPercentileColumns: every run records its latencies, so the
+// percentile columns are always printed; the histogram switch adds only
+// the Appendix-A histogram lines, each op's ms keys rising and its counts
+// summing to its successes.
 func TestReportPercentileColumns(t *testing.T) {
-	o := baseOpts()
-	o.CollectHistograms = true
-	res, err := Run(o)
+	res, err := Run(baseOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	WriteReport(&sb, res)
-	if !strings.Contains(sb.String(), "p99 [ms]") {
-		t.Error("histogram report missing percentile columns")
-	}
-	// Without histograms the columns must be absent.
-	o.CollectHistograms = false
-	res, err = Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb.Reset()
-	WriteReport(&sb, res)
-	if strings.Contains(sb.String(), "p99 [ms]") {
-		t.Error("percentiles printed without histogram collection")
+	for _, histograms := range []bool{false, true} {
+		var sb strings.Builder
+		WriteReport(&sb, res, histograms)
+		out := sb.String()
+		if !strings.Contains(out, "p99 [ms]") {
+			t.Errorf("histograms=%v: report missing percentile columns", histograms)
+		}
+		if got := strings.Contains(out, "TTC histogram for"); got != histograms {
+			t.Errorf("histograms=%v: histogram lines printed: %v", histograms, got)
+		}
+		for _, line := range strings.Split(out, "\n") {
+			name, pairs, ok := strings.Cut(strings.TrimPrefix(line, "TTC histogram for "), ":")
+			if !ok || !strings.HasPrefix(line, "TTC histogram for ") {
+				continue
+			}
+			var sum, last int64 = 0, -1
+			for _, pair := range strings.Fields(pairs) {
+				var ms, n int64
+				if _, err := fmt.Sscanf(pair, "%d,%d", &ms, &n); err != nil || ms <= last || n <= 0 {
+					t.Errorf("%s: pair %q after key %d", name, pair, last)
+				}
+				sum, last = sum+n, ms
+			}
+			if sum != res.PerOp[name].Succeeded {
+				t.Errorf("%s: histogram counts sum to %d, %d successes", name, sum, res.PerOp[name].Succeeded)
+			}
+		}
 	}
 }
 
@@ -228,7 +239,7 @@ func TestReportSTMStatsLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	WriteReport(&sb, res)
+	WriteReport(&sb, res, false)
 	if !strings.Contains(sb.String(), "stm: commits") {
 		t.Error("STM run report missing engine stats line")
 	}

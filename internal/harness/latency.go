@@ -1,147 +1,127 @@
 package harness
 
 import (
-	"sort"
+	"math"
+	"math/bits"
 	"time"
-
-	"repro/internal/ops"
 )
 
-// LatencySummary condenses an operation's TTC histogram. The paper's output
-// is the raw histogram (Appendix A); the summary derives the quantities one
-// actually reads off those plots. All values are in milliseconds, at the
-// histogram's millisecond resolution (sub-millisecond completions land in
-// bucket 0).
+// The latency histogram is log-linear, the HdrHistogram layout: below
+// 2*subBuckets ns there is one bucket per nanosecond, and every
+// power-of-two range [2^e, 2^(e+1)) above that is split into subBuckets
+// linear buckets of width 2^(e-subBits). So each bucket's lower edge is
+// less than 1/subBuckets below every value the bucket holds, which bounds
+// how far a quantile read as a lower edge is below the exact one.
+const (
+	subBits    = 4
+	subBuckets = 1 << subBits
+	// topBits: durations of 2^topBits ns (about 18 minutes) and more share
+	// the last bucket; Max stays exact.
+	topBits    = 40
+	numBuckets = (topBits - subBits + 1) << subBits
+)
+
+// bucketOf returns the bucket holding d.
+func bucketOf(d time.Duration) int {
+	ns := uint64(max(d, 0))
+	shift := max(bits.Len64(ns)-subBits-1, 0)
+	return min(shift<<subBits+int(ns>>shift), numBuckets-1)
+}
+
+// lowerEdge returns the smallest duration bucket b holds.
+func lowerEdge(b int) time.Duration {
+	shift := max(b>>subBits-1, 0)
+	return time.Duration(b-shift<<subBits) << shift
+}
+
+// Histogram is a fixed log-linear histogram of durations: a flat array of
+// nanosecond bucket counts beside the exact count, sum and max. Recording
+// allocates nothing, and the zero value is an empty histogram. One type
+// holds each operation's time to completion, the category and run-wide
+// merges of those, and the open-loop response time.
+type Histogram struct {
+	counts [numBuckets]int64
+	n      int64
+	sum    time.Duration
+	max    time.Duration
+}
+
+// Record adds one duration.
+func (h *Histogram) Record(d time.Duration) {
+	h.counts[bucketOf(d)]++
+	h.n++
+	h.sum += d
+	h.max = max(h.max, d)
+}
+
+// Merge adds every duration o holds.
+func (h *Histogram) Merge(o *Histogram) {
+	for b, c := range o.counts {
+		h.counts[b] += c
+	}
+	h.n += o.n
+	h.sum += o.sum
+	h.max = max(h.max, o.max)
+}
+
+// Count returns the number of durations recorded.
+func (h *Histogram) Count() int64 { return h.n }
+
+// Max returns the largest duration recorded, exactly.
+func (h *Histogram) Max() time.Duration { return h.max }
+
+// Quantile returns the nearest-rank q-quantile, 0 < q <= 1: the lower edge
+// of the bucket holding the ceil(q*Count)-th smallest duration. It is never
+// above that duration and less than 1/16 of it below. 0 when empty.
+func (h *Histogram) Quantile(q float64) time.Duration {
+	rank := max(int64(math.Ceil(q*float64(h.n))), 1)
+	var seen int64
+	for b, c := range h.counts {
+		if seen += c; seen >= rank {
+			return lowerEdge(b)
+		}
+	}
+	return 0
+}
+
+// LatencySummary condenses a Histogram. Count, Mean and Max are exact; the
+// percentiles are Quantile's, less than 1/16 below the exact nearest-rank
+// values. Durations encode as integer nanoseconds.
 type LatencySummary struct {
-	// Count is the number of successful completions recorded.
-	Count int64
-	// MeanMs is the histogram-weighted mean TTC.
-	MeanMs float64
-	// P50Ms, P90Ms, P99Ms are inclusive percentiles over the histogram.
-	P50Ms float64
-	P90Ms float64
-	P99Ms float64
-	// MaxMs is the largest bucket with mass (<= Result.MaxTTC, which has
-	// nanosecond resolution).
-	MaxMs int64
+	Count int64         `json:"count"`
+	Mean  time.Duration `json:"mean_ns"`
+	P50   time.Duration `json:"p50_ns"`
+	P90   time.Duration `json:"p90_ns"`
+	P99   time.Duration `json:"p99_ns"`
+	Max   time.Duration `json:"max_ns"`
 }
 
-// Latency summarizes the named operation's TTC histogram. ok is false when
-// the run collected no histogram for the operation (CollectHistograms off,
-// operation disabled, or zero successes).
-func (r *Result) Latency(opName string) (LatencySummary, bool) {
-	op, present := r.PerOp[opName]
-	if !present || len(op.Hist) == 0 {
+// Summary condenses the histogram; ok is false when it is empty.
+func (h *Histogram) Summary() (s LatencySummary, ok bool) {
+	if h.n == 0 {
 		return LatencySummary{}, false
-	}
-	return summarizeHistogram(op.Hist), true
-}
-
-// summarizeHistogram computes the summary for one ms-bucketed histogram.
-func summarizeHistogram(hist map[int64]int64) LatencySummary {
-	buckets := make([]int64, 0, len(hist))
-	var count int64
-	var sum float64
-	for ms, n := range hist {
-		if n <= 0 {
-			continue
-		}
-		buckets = append(buckets, ms)
-		count += n
-		sum += float64(ms) * float64(n)
-	}
-	if count == 0 {
-		return LatencySummary{}
-	}
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i] < buckets[j] })
-
-	percentile := func(p float64) float64 {
-		// Inclusive nearest-rank percentile over bucket mass.
-		rank := int64(p*float64(count-1)) + 1
-		var seen int64
-		for _, ms := range buckets {
-			seen += hist[ms]
-			if seen >= rank {
-				return float64(ms)
-			}
-		}
-		return float64(buckets[len(buckets)-1])
 	}
 	return LatencySummary{
-		Count:  count,
-		MeanMs: sum / float64(count),
-		P50Ms:  percentile(0.50),
-		P90Ms:  percentile(0.90),
-		P99Ms:  percentile(0.99),
-		MaxMs:  buckets[len(buckets)-1],
-	}
+		Count: h.n,
+		Mean:  h.sum / time.Duration(h.n),
+		P50:   h.Quantile(0.50),
+		P90:   h.Quantile(0.90),
+		P99:   h.Quantile(0.99),
+		Max:   h.max,
+	}, true
 }
 
-// CategoryLatency merges the histograms of every operation in a category
-// and summarizes the result (e.g. "all short traversals").
-func (r *Result) CategoryLatency(cat ops.Category) (LatencySummary, bool) {
-	merged := map[int64]int64{}
-	for _, op := range r.PerOp {
-		if op.Category != cat || len(op.Hist) == 0 {
-			continue
-		}
-		for ms, n := range op.Hist {
-			merged[ms] += n
-		}
-	}
-	if len(merged) == 0 {
-		return LatencySummary{}, false
-	}
-	return summarizeHistogram(merged), true
-}
-
-// OverallLatency merges every operation's TTC histogram into one summary —
-// the run's service-time distribution across the whole mix. ok is false
-// when the run collected no histograms (CollectHistograms off).
-func (r *Result) OverallLatency() (LatencySummary, bool) {
-	merged := map[int64]int64{}
-	for _, op := range r.PerOp {
-		for ms, n := range op.Hist {
-			merged[ms] += n
-		}
-	}
-	if len(merged) == 0 {
-		return LatencySummary{}, false
-	}
-	return summarizeHistogram(merged), true
-}
-
-// ResponseLatency summarizes an open-loop run's response-time histogram:
-// completion minus *scheduled* arrival, so an operation that waited behind
-// a busy worker is charged its queueing delay — the coordinated-omission-
-// safe quantity a closed loop cannot measure. Result.Response buckets are
-// microseconds; the summary is converted to the usual milliseconds (MaxMs
-// rounds up, so ApproxMax stays an upper bound). ok is false for
-// closed-loop runs.
-func (r *Result) ResponseLatency() (LatencySummary, bool) {
-	if len(r.Response) == 0 {
-		return LatencySummary{}, false
-	}
-	s := summarizeHistogram(r.Response) // values in µs buckets
-	s.MeanMs /= 1000
-	s.P50Ms /= 1000
-	s.P90Ms /= 1000
-	s.P99Ms /= 1000
-	s.MaxMs = (s.MaxMs + 999) / 1000
-	return s, true
-}
-
-// RunLatency is the run's one latency summary: response time for an
-// open-loop run (queueing included), the merged TTC histogram for a
-// closed-loop one. ok is false when neither was recorded.
+// RunLatency is the run's one latency summary: for an open-loop run the
+// response time (Result.Response, queueing included), for a closed-loop
+// one every operation's TTC histogram merged, the service time across the
+// whole mix. ok is false when the run completed nothing.
 func (r *Result) RunLatency() (LatencySummary, bool) {
 	if r.Options.OpenLoop {
-		return r.ResponseLatency()
+		return r.Response.Summary()
 	}
-	return r.OverallLatency()
-}
-
-// ApproxMax returns the summary max as a duration (millisecond resolution).
-func (s LatencySummary) ApproxMax() time.Duration {
-	return time.Duration(s.MaxMs) * time.Millisecond
+	var h Histogram
+	for _, op := range r.PerOp {
+		h.Merge(&op.TTC)
+	}
+	return h.Summary()
 }

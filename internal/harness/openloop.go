@@ -41,7 +41,7 @@ func runOpenLoop(o Options, ex sync7.Executor, s *core.Structure, live *liveProg
 		return nil, err
 	}
 
-	perThread := make([]*threadStats, o.Threads)
+	perThread := newThreadStats(o.Threads)
 	errCh := make(chan error, o.Threads)
 	var next, issued atomic.Int64
 	var failed atomic.Bool
@@ -49,8 +49,6 @@ func runOpenLoop(o Options, ex sync7.Executor, s *core.Structure, live *liveProg
 
 	start := time.Now()
 	for t := 0; t < o.Threads; t++ {
-		perThread[t] = newThreadStats()
-		perThread[t].resp = map[int64]int64{}
 		wg.Add(1)
 		go func(st *threadStats) {
 			defer wg.Done()
@@ -97,16 +95,12 @@ func runOpenLoop(o Options, ex sync7.Executor, s *core.Structure, live *liveProg
 				if err == nil {
 					live.ops.Add(1)
 				}
-				if err := st.recordOutcome(op.Name, end.Sub(t0), o.CollectHistograms, err); err != nil {
+				if err := st.recordOutcome(op, end.Sub(t0), err); err != nil {
 					failed.Store(true)
 					errCh <- err
 					return
 				}
-				resp := end.Sub(due)
-				if resp < 0 {
-					resp = 0
-				}
-				st.resp[resp.Microseconds()]++
+				st.resp.Record(max(end.Sub(due), 0))
 			}
 		}(perThread[t])
 	}
@@ -118,12 +112,8 @@ func runOpenLoop(o Options, ex sync7.Executor, s *core.Structure, live *liveProg
 	default:
 	}
 
-	res := newResult(o, picker, profile, elapsed)
-	mergeThreadStats(res, perThread, o.CollectHistograms)
+	res := newResult(o, picker, profile, elapsed, perThread)
 	res.Arrivals = issued.Load()
-	if res.Response == nil {
-		res.Response = map[int64]int64{} // open-loop runs always report one
-	}
 	return res, nil
 }
 

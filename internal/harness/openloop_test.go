@@ -26,15 +26,15 @@ func TestOpenLoopRunsAndMeasures(t *testing.T) {
 		t.Errorf("arrivals %d != attempted %d (every issued arrival must execute once)",
 			res.Arrivals, res.TotalAttempted())
 	}
-	ls, ok := res.ResponseLatency()
+	ls, ok := res.Response.Summary()
 	if !ok {
 		t.Fatal("open-loop run without response summary")
 	}
 	if ls.Count != res.Arrivals {
 		t.Errorf("response histogram mass %d != arrivals %d", ls.Count, res.Arrivals)
 	}
-	if ls.P99Ms < ls.P50Ms || ls.P50Ms < 0 {
-		t.Errorf("implausible percentiles: p50 %v, p99 %v", ls.P50Ms, ls.P99Ms)
+	if ls.P99 < ls.P50 || ls.P50 < 0 {
+		t.Errorf("implausible percentiles: p50 %v, p99 %v", ls.P50, ls.P99)
 	}
 }
 
@@ -71,14 +71,13 @@ func TestOpenLoopQueueingCharged(t *testing.T) {
 	o.Threads = 1
 	o.MaxOps = 400
 	o.LongTraversals = false
-	o.CollectHistograms = true
 	o.OpenLoop = true
 	o.ArrivalRate = 2_000_000 // effectively "all due at once"
 	res, err := Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, ok := res.ResponseLatency()
+	resp, ok := res.Response.Summary()
 	if !ok {
 		t.Fatal("no response summary")
 	}
@@ -90,9 +89,9 @@ func TestOpenLoopQueueingCharged(t *testing.T) {
 			maxTTC = op.MaxTTC
 		}
 	}
-	if resp.P99Ms <= float64(maxTTC.Milliseconds()) {
-		t.Errorf("p99 response %.3f ms <= max service time %v: queueing not charged",
-			resp.P99Ms, maxTTC)
+	if resp.P99 <= maxTTC {
+		t.Errorf("p99 response %v <= max service time %v: queueing not charged",
+			resp.P99, maxTTC)
 	}
 }
 

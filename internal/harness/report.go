@@ -6,7 +6,6 @@ import (
 	"io"
 	"runtime"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -14,6 +13,9 @@ import (
 	"repro/internal/sync7"
 	"repro/stm"
 )
+
+// categories lists §3's operation categories in the report's order.
+var categories = []ops.Category{ops.LongTraversal, ops.ShortTraversal, ops.ShortOperation, ops.StructureModification}
 
 // sortedOps returns the per-op results in canonical (registry) order.
 func sortedOps(r *Result) []*OpResult {
@@ -26,11 +28,12 @@ func sortedOps(r *Result) []*OpResult {
 	return out
 }
 
-// WriteReport prints the Appendix-A report: benchmark parameters, optional
-// TTC histograms, detailed per-operation results, sample errors and the
+// WriteReport prints the Appendix-A report: benchmark parameters, the TTC
+// histograms when histograms is set (--ttc-histograms), detailed
+// per-operation results with TTC percentiles, sample errors and the
 // summary (per-category counts, totals, the two throughput numbers and the
 // elapsed time).
-func WriteReport(w io.Writer, r *Result) {
+func WriteReport(w io.Writer, r *Result, histograms bool) {
 	o := r.Options
 
 	fmt.Fprintln(w, "Benchmark parameters")
@@ -52,47 +55,24 @@ func WriteReport(w io.Writer, r *Result) {
 	fmt.Fprintf(w, "  engine:               %s\n", stm.EngineSpec{Name: o.Strategy, Options: o.Engine})
 	fmt.Fprintln(w)
 
-	if o.CollectHistograms {
+	if histograms {
 		fmt.Fprintln(w, "TTC histograms")
 		for _, op := range sortedOps(r) {
-			if len(op.Hist) == 0 {
-				continue
+			if op.Succeeded > 0 {
+				fmt.Fprintf(w, "TTC histogram for %s:", op.Name)
+				writeMsHistogram(w, &op.TTC)
 			}
-			fmt.Fprintf(w, "TTC histogram for %s:", op.Name)
-			keys := make([]int64, 0, len(op.Hist))
-			for ms := range op.Hist {
-				keys = append(keys, ms)
-			}
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			for _, ms := range keys {
-				fmt.Fprintf(w, " %d,%d", ms, op.Hist[ms])
-			}
-			fmt.Fprintln(w)
 		}
 		fmt.Fprintln(w)
 	}
 
 	fmt.Fprintln(w, "Detailed results")
-	if o.CollectHistograms {
-		fmt.Fprintf(w, "  %-6s %12s %14s %10s %10s %10s %10s\n",
-			"op", "succeeded", "max ttc [ms]", "failed", "p50 [ms]", "p90 [ms]", "p99 [ms]")
-		for _, op := range sortedOps(r) {
-			s, ok := r.Latency(op.Name)
-			if !ok {
-				fmt.Fprintf(w, "  %-6s %12d %14.3f %10d\n",
-					op.Name, op.Succeeded, float64(op.MaxTTC.Microseconds())/1000.0, op.Failed)
-				continue
-			}
-			fmt.Fprintf(w, "  %-6s %12d %14.3f %10d %10.0f %10.0f %10.0f\n",
-				op.Name, op.Succeeded, float64(op.MaxTTC.Microseconds())/1000.0, op.Failed,
-				s.P50Ms, s.P90Ms, s.P99Ms)
-		}
-	} else {
-		fmt.Fprintf(w, "  %-6s %12s %14s %10s\n", "op", "succeeded", "max ttc [ms]", "failed")
-		for _, op := range sortedOps(r) {
-			fmt.Fprintf(w, "  %-6s %12d %14.3f %10d\n",
-				op.Name, op.Succeeded, float64(op.MaxTTC.Microseconds())/1000.0, op.Failed)
-		}
+	fmt.Fprintf(w, "  %-6s %12s %14s %10s %10s %10s %10s\n",
+		"op", "succeeded", "max ttc [ms]", "failed", "p50 [ms]", "p90 [ms]", "p99 [ms]")
+	for _, op := range sortedOps(r) {
+		s, _ := op.TTC.Summary()
+		fmt.Fprintf(w, "  %-6s %12d %14.3f %10d %10.3f %10.3f %10.3f\n",
+			op.Name, op.Succeeded, ms(op.MaxTTC), op.Failed, ms(s.P50), ms(s.P90), ms(s.P99))
 	}
 	fmt.Fprintln(w)
 
@@ -107,22 +87,22 @@ func WriteReport(w io.Writer, r *Result) {
 
 	fmt.Fprintln(w, "Summary results")
 	cats := r.ByCategory()
-	for _, cat := range []ops.Category{ops.LongTraversal, ops.ShortTraversal, ops.ShortOperation, ops.StructureModification} {
+	for _, cat := range categories {
 		c, ok := cats[cat]
 		if !ok {
 			continue
 		}
 		fmt.Fprintf(w, "  %-24s succeeded %10d  max ttc %10.3f ms  failed %8d  started %10d\n",
-			cat.String()+":", c.Succeeded, float64(c.MaxTTC.Microseconds())/1000.0, c.Failed, c.Succeeded+c.Failed)
+			cat.String()+":", c.Succeeded, ms(c.MaxTTC), c.Failed, c.Succeeded+c.Failed)
 	}
 	fmt.Fprintf(w, "  total throughput:     %10.1f ops/s (successful), %10.1f ops/s (attempted)\n",
 		r.Throughput(), r.AttemptedThroughput())
 	fmt.Fprintf(w, "  elapsed time:         %10.3f s\n", r.Elapsed.Seconds())
 	if o.OpenLoop {
 		fmt.Fprintf(w, "  open loop:            %d arrivals offered @ %.0f ops/s\n", r.Arrivals, o.ArrivalRate)
-		if rs, ok := r.ResponseLatency(); ok {
-			fmt.Fprintf(w, "  response time:        p50 %.3f ms, p90 %.3f ms, p99 %.3f ms, max %d ms (queueing included)\n",
-				rs.P50Ms, rs.P90Ms, rs.P99Ms, rs.MaxMs)
+		if rs, ok := r.Response.Summary(); ok {
+			fmt.Fprintf(w, "  response time:        p50 %.3f ms, p90 %.3f ms, p99 %.3f ms, max %.3f ms (queueing included)\n",
+				ms(rs.P50), ms(rs.P90), ms(rs.P99), ms(rs.Max))
 		}
 		if o.ShedAfter > 0 || o.QueueBound > 0 {
 			fmt.Fprintf(w, "  overload shedding:    %d ops shed (%.1f%% of arrivals)", r.ShedOps, 100*r.ShedRate())
@@ -160,58 +140,105 @@ func WriteReport(w io.Writer, r *Result) {
 }
 
 // RunJSON is the machine-readable copy of a run's report (-json): the
-// header's configuration, the totals, each operation's counts, the run's
-// latency summary when one was recorded (RunLatency), the engine counters
-// and the sampled series. Structure and Stats are encoded whole, so a
-// counter the engine gains appears here without an edit.
+// header's configuration, the totals, each operation's and each
+// category's counts and TTC percentiles, the run's latency summary
+// (RunLatency; absent when nothing completed), the live heap after the
+// run, the engine counters and the sampled series. Structure and Stats are
+// encoded whole, so a counter the engine gains appears here without an
+// edit.
 type RunJSON struct {
-	Engine     string          `json:"engine"`
-	Seed       uint64          `json:"seed"`
-	Threads    int             `json:"threads"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	Workload   string          `json:"workload"`
-	Structure  core.Params     `json:"structure"`
-	ElapsedS   float64         `json:"elapsed_s"`
-	Succeeded  int64           `json:"succeeded"`
-	Failed     int64           `json:"failed"`
-	Ops        []OpJSON        `json:"ops"`
-	Latency    *LatencySummary `json:"latency,omitempty"`
-	Stats      stm.Stats       `json:"stats"`
-	Series     []SamplePoint   `json:"series"`
+	Engine        string          `json:"engine"`
+	Seed          uint64          `json:"seed"`
+	Threads       int             `json:"threads"`
+	GOMAXPROCS    int             `json:"gomaxprocs"`
+	Workload      string          `json:"workload"`
+	Structure     core.Params     `json:"structure"`
+	ElapsedS      float64         `json:"elapsed_s"`
+	Succeeded     int64           `json:"succeeded"`
+	Failed        int64           `json:"failed"`
+	Ops           []OpJSON        `json:"ops"`
+	Categories    []OpJSON        `json:"categories"`
+	Latency       *LatencySummary `json:"latency,omitempty"`
+	LiveHeapBytes uint64          `json:"live_heap_bytes"`
+	Stats         stm.Stats       `json:"stats"`
+	Series        []SamplePoint   `json:"series"`
 }
 
-// OpJSON is one operation's row of a RunJSON, in registry order.
+// OpJSON is one row of a RunJSON's ops (one operation, in registry order)
+// or categories (one category of the mix, in §3's order). Times are in
+// ns; the percentiles are Histogram.Quantile's, 0 without a success.
 type OpJSON struct {
 	Name      string        `json:"name"`
 	Succeeded int64         `json:"succeeded"`
 	Failed    int64         `json:"failed"`
 	MaxTTC    time.Duration `json:"max_ttc_ns"`
+	P50       time.Duration `json:"p50_ns"`
+	P99       time.Duration `json:"p99_ns"`
+}
+
+// opJSON builds one row from a row's counts and TTC histogram.
+func opJSON(name string, succeeded, failed int64, ttc *Histogram) OpJSON {
+	return OpJSON{Name: name, Succeeded: succeeded, Failed: failed, MaxTTC: ttc.Max(),
+		P50: ttc.Quantile(0.50), P99: ttc.Quantile(0.99)}
 }
 
 // NewRunJSON builds the -json document of a run from its Result.
 func NewRunJSON(r *Result) RunJSON {
 	o := r.Options
 	doc := RunJSON{
-		Engine:     stm.EngineSpec{Name: o.Strategy, Options: o.Engine}.String(),
-		Seed:       o.Seed,
-		Threads:    o.Threads,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workload:   o.Workload.String(),
-		Structure:  o.Params,
-		ElapsedS:   r.Elapsed.Seconds(),
-		Succeeded:  r.TotalSucceeded(),
-		Failed:     r.TotalAttempted() - r.TotalSucceeded(),
-		Stats:      r.EngineStats,
-		Series:     r.Series,
+		Engine:        stm.EngineSpec{Name: o.Strategy, Options: o.Engine}.String(),
+		Seed:          o.Seed,
+		Threads:       o.Threads,
+		GOMAXPROCS:    runtime.GOMAXPROCS(0),
+		Workload:      o.Workload.String(),
+		Structure:     o.Params,
+		ElapsedS:      r.Elapsed.Seconds(),
+		Succeeded:     r.TotalSucceeded(),
+		Failed:        r.TotalAttempted() - r.TotalSucceeded(),
+		LiveHeapBytes: r.LiveHeapBytes,
+		Stats:         r.EngineStats,
+		Series:        r.Series,
 	}
 	for _, op := range sortedOps(r) {
-		doc.Ops = append(doc.Ops, OpJSON{Name: op.Name, Succeeded: op.Succeeded, Failed: op.Failed, MaxTTC: op.MaxTTC})
+		doc.Ops = append(doc.Ops, opJSON(op.Name, op.Succeeded, op.Failed, &op.TTC))
+	}
+	cats := r.ByCategory()
+	for _, cat := range categories {
+		if c, ok := cats[cat]; ok {
+			doc.Categories = append(doc.Categories, opJSON(cat.String(), c.Succeeded, c.Failed, &c.TTC))
+		}
 	}
 	if ls, ok := r.RunLatency(); ok {
 		doc.Latency = &ls
 	}
 	return doc
 }
+
+// writeMsHistogram prints h as Appendix A's " ms,count" pairs and ends the
+// line. Each bucket counts under its lower edge in whole milliseconds, and
+// buckets come in lower-edge order, so equal keys are adjacent and merge.
+func writeMsHistogram(w io.Writer, h *Histogram) {
+	key, n := int64(0), int64(0)
+	for b, c := range h.counts {
+		if c == 0 {
+			continue
+		}
+		if k := lowerEdge(b).Milliseconds(); k != key {
+			if n > 0 {
+				fmt.Fprintf(w, " %d,%d", key, n)
+			}
+			key, n = k, 0
+		}
+		n += c
+	}
+	if n > 0 {
+		fmt.Fprintf(w, " %d,%d", key, n)
+	}
+	fmt.Fprintln(w)
+}
+
+// ms converts a duration to fractional milliseconds for the text report.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // WriteJSON writes a run's -json document (NewRunJSON).
 func WriteJSON(w io.Writer, r *Result) error { return EncodeJSON(w, NewRunJSON(r)) }

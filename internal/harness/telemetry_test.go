@@ -66,7 +66,9 @@ func TestRunWithSampler(t *testing.T) {
 // TestWriteJSON decodes the -json document of a sampled tiny run and finds
 // in it what the text report prints for the same run: each operation's
 // succeeded and failed counts, the totals, the stm line's commit count,
-// and every stm.Stats counter under its field name.
+// and every stm.Stats counter under its field name. Each operation and
+// category row carries its TTC p50/p99 in ns, and the document the live
+// heap after the run.
 func TestWriteJSON(t *testing.T) {
 	o := baseOpts()
 	o.Strategy = "tl2"
@@ -83,19 +85,19 @@ func TestWriteJSON(t *testing.T) {
 		Engine    string
 		Succeeded int64
 		Failed    int64
-		Ops       []struct {
-			Name              string
-			Succeeded, Failed int64
-		}
-		Stats  map[string]uint64
-		Series []map[string]any
+		Ops       []latencyRow
+		// Categories come in §3's order; the tiny mix runs all four.
+		Categories    []latencyRow
+		LiveHeapBytes uint64 `json:"live_heap_bytes"`
+		Stats         map[string]uint64
+		Series        []map[string]any
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("-json document does not decode: %v\n%s", err, buf.String())
 	}
 
 	var sb strings.Builder
-	WriteReport(&sb, res)
+	WriteReport(&sb, res, false)
 	report := sb.String()
 	_, detail, _ := strings.Cut(report, "Detailed results\n")
 	detail, _, _ = strings.Cut(detail, "\n\n")
@@ -130,6 +132,47 @@ func TestWriteJSON(t *testing.T) {
 	}
 	if doc.Engine != "tl2" || len(doc.Series) != len(res.Series) || len(doc.Series) == 0 {
 		t.Errorf("engine %q, %d series points; want tl2 and the run's %d", doc.Engine, len(doc.Series), len(res.Series))
+	}
+
+	for _, op := range doc.Ops {
+		op.check(t, res.PerOp[op.Name].Succeeded, &res.PerOp[op.Name].TTC)
+	}
+	cats := res.ByCategory()
+	if len(doc.Categories) != len(categories) || len(cats) != len(categories) {
+		t.Fatalf("document has %d category rows, run %d categories", len(doc.Categories), len(cats))
+	}
+	for i, row := range doc.Categories {
+		c := cats[categories[i]]
+		if row.Name != categories[i].String() {
+			t.Errorf("category row %d is %q, want %q", i, row.Name, categories[i])
+		}
+		row.check(t, c.Succeeded, &c.TTC)
+	}
+	if doc.LiveHeapBytes == 0 || doc.LiveHeapBytes != res.LiveHeapBytes {
+		t.Errorf("live_heap_bytes %d, run read %d", doc.LiveHeapBytes, res.LiveHeapBytes)
+	}
+}
+
+// latencyRow is the part of a -json ops or categories row that carries
+// counts and TTC.
+type latencyRow struct {
+	Name              string
+	Succeeded, Failed int64
+	MaxTTC            time.Duration `json:"max_ttc_ns"`
+	P50               time.Duration `json:"p50_ns"`
+	P99               time.Duration `json:"p99_ns"`
+}
+
+// check holds the row to the run's count and histogram: the exact max,
+// the quantiles read from it, and p99 >= p50 > 0 when anything succeeded.
+func (r latencyRow) check(t *testing.T, succeeded int64, ttc *Histogram) {
+	t.Helper()
+	if r.Succeeded != succeeded || r.MaxTTC != ttc.Max() || r.P50 != ttc.Quantile(0.5) || r.P99 != ttc.Quantile(0.99) {
+		t.Errorf("row %+v, run: %d succeeded, max %v, p50 %v, p99 %v",
+			r, succeeded, ttc.Max(), ttc.Quantile(0.5), ttc.Quantile(0.99))
+	}
+	if succeeded > 0 && !(r.P99 >= r.P50 && r.P50 > 0) {
+		t.Errorf("row %s: p50 %v, p99 %v with %d successes", r.Name, r.P50, r.P99, succeeded)
 	}
 }
 
@@ -199,7 +242,7 @@ func TestReportHeaderEchoesEnvironment(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	WriteReport(&sb, res)
+	WriteReport(&sb, res, false)
 	out := sb.String()
 	for _, want := range []string{
 		"seed:",
@@ -235,7 +278,7 @@ func TestReportEngineLineRoundTrips(t *testing.T) {
 		t.Errorf("SnapshotTxs %d, Commits %d under nosnap; want 0 and > 0", es.SnapshotTxs, es.Commits)
 	}
 	var sb strings.Builder
-	WriteReport(&sb, res)
+	WriteReport(&sb, res, false)
 	out := sb.String()
 	var line string
 	for _, l := range strings.Split(out, "\n") {

@@ -59,6 +59,9 @@ type Op struct {
 	Name string
 	// Category per §3.
 	Category Category
+	// Index is the operation's position in All(), assigned at
+	// registration: per-operation records are arrays indexed by it.
+	Index int
 	// ReadOnly classifies the operation for the Table 2 read/update split.
 	ReadOnly bool
 	// Run executes the operation. The int result is operation-specific
@@ -83,6 +86,7 @@ func register(op *Op) *Op {
 	if _, dup := byName[op.Name]; dup {
 		panic("ops: duplicate registration of " + op.Name)
 	}
+	op.Index = len(allOps)
 	allOps = append(allOps, op)
 	byName[op.Name] = op
 	return op

@@ -39,7 +39,8 @@ func phaseLength(ph Phase) string {
 
 // WriteReport prints the per-phase table and the cross-phase comparison.
 // Open-loop rows report p50/p99 response time (queueing included);
-// closed-loop rows report p50/p99 TTC when histograms were collected.
+// closed-loop rows report p50/p99 TTC over the whole mix; a phase that
+// completed nothing shows "-".
 // The cfl/tmo/inj columns are the per-phase abort-cause breakdown —
 // conflict aborts, deadline give-ups and injected-fault firings — as
 // attribution, not a partition (injected conflicts also count as
@@ -66,8 +67,8 @@ func WriteReport(w io.Writer, rep *Report) {
 		ph, res := pr.Phase, pr.Result
 		p50, p99 := "-", "-"
 		if ls, ok := res.RunLatency(); ok {
-			p50 = fmt.Sprintf("%.3f", ls.P50Ms)
-			p99 = fmt.Sprintf("%.3f", ls.P99Ms)
+			p50 = fmt.Sprintf("%.3f", ls.P50.Seconds()*1e3)
+			p99 = fmt.Sprintf("%.3f", ls.P99.Seconds()*1e3)
 		}
 		es := res.EngineStats
 		fmt.Fprintf(w, "  %-14s %7d %-12s %-15s %-12s %8s %10.0f %8.1f %7d %7d %7d %8d %9s %9s\n",
@@ -136,26 +137,26 @@ func writeComparison(w io.Writer, rep *Report) {
 		best.Phase.Name, best.Result.Throughput(), worst.Phase.Name, worst.Result.Throughput(), spread)
 
 	var openBest, openWorst *PhaseResult
-	var openBestP99, openWorstP99 float64
+	var openBestP99, openWorstP99 time.Duration
 	for i := range rep.Phases {
 		pr := &rep.Phases[i]
 		if !pr.Phase.OpenLoop {
 			continue
 		}
-		ls, ok := pr.Result.ResponseLatency()
+		ls, ok := pr.Result.Response.Summary()
 		if !ok {
 			continue
 		}
-		if openBest == nil || ls.P99Ms < openBestP99 {
-			openBest, openBestP99 = pr, ls.P99Ms
+		if openBest == nil || ls.P99 < openBestP99 {
+			openBest, openBestP99 = pr, ls.P99
 		}
-		if openWorst == nil || ls.P99Ms > openWorstP99 {
-			openWorst, openWorstP99 = pr, ls.P99Ms
+		if openWorst == nil || ls.P99 > openWorstP99 {
+			openWorst, openWorstP99 = pr, ls.P99
 		}
 	}
 	if openWorst != nil {
 		fmt.Fprintf(w, "  response p99: best %q %.3f ms, worst %q %.3f ms (open-loop phases, queueing included)\n",
-			openBest.Phase.Name, openBestP99, openWorst.Phase.Name, openWorstP99)
+			openBest.Phase.Name, openBestP99.Seconds()*1e3, openWorst.Phase.Name, openWorstP99.Seconds()*1e3)
 	}
 
 	minAbort, maxAbort := -1.0, -1.0

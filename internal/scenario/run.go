@@ -20,8 +20,8 @@ import (
 //     "engine" keys are applied over it. Engine.Trace is the run's flight
 //     recorder: one recorder observes every phase.
 //   - Threads: the worker count of phases that set none.
-//   - SampleInterval and CollectHistograms: applied to every phase;
-//     each PhaseResult's Result.Series carries that phase's curve.
+//   - SampleInterval: applied to every phase; each PhaseResult's
+//     Result.Series carries that phase's curve.
 //   - CheckInvariants: verifies the full structural invariants once,
 //     after the final phase.
 //
@@ -108,7 +108,7 @@ func Run(sc *Scenario, o RunOptions) (*Report, error) {
 		// What the executor was built with at Setup: the phase's Result
 		// names the configuration that actually ran.
 		ph.Strategy, ph.Engine = run.Strategy, engine
-		ph.SampleInterval, ph.CollectHistograms = run.SampleInterval, run.CollectHistograms
+		ph.SampleInterval = run.SampleInterval
 		ph.CheckInvariants = run.CheckInvariants && i == len(sc.Phases)-1
 		res, err := harness.RunOn(ph.Options, ex, s)
 		if err != nil {

@@ -32,8 +32,8 @@ import (
 // Phase is one segment of a scenario: a named harness run. Its Options
 // hold only the per-phase settings (length, worker count, mix, skew and
 // driver). The run-level fields (Params, Seed, Strategy, Engine,
-// SampleInterval, CollectHistograms, CheckInvariants) come from the
-// RunOptions and must stay zero. Threads == 0 inherits RunOptions.Threads,
+// SampleInterval, CheckInvariants) come from the RunOptions and must
+// stay zero. Threads == 0 inherits RunOptions.Threads,
 // and exactly one of Duration and MaxOps must be positive: MaxOps runs an
 // exact operation count, which makes phase scheduling deterministic.
 type Phase struct {
@@ -88,10 +88,9 @@ func (sc *Scenario) Validate() error {
 		case ph.Duration > 0 && ph.MaxOps > 0:
 			return bad("set exactly one of duration and max_ops")
 		case ph.Params != (core.Params{}) || ph.Seed != 0 || ph.Strategy != "" ||
-			ph.Engine != (stm.EngineOptions{}) || ph.SampleInterval != 0 ||
-			ph.CollectHistograms || ph.CheckInvariants:
-			return bad("sets a run-level option (Params, Seed, Strategy, Engine, SampleInterval, " +
-				"CollectHistograms or CheckInvariants); those come from RunOptions and the scenario's engine")
+			ph.Engine != (stm.EngineOptions{}) || ph.SampleInterval != 0 || ph.CheckInvariants:
+			return bad("sets a run-level option (Params, Seed, Strategy, Engine, SampleInterval " +
+				"or CheckInvariants); those come from RunOptions and the scenario's engine")
 		}
 		if err := ph.Options.Validate(); err != nil {
 			return bad("%v", err)

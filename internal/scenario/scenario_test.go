@@ -92,9 +92,14 @@ func TestBuiltinsOnEveryEngine(t *testing.T) {
 							t.Errorf("phase %q: arrivals %d != attempted %d + shed %d",
 								pr.Phase.Name, pr.Result.Arrivals, want, shed)
 						}
-						if _, ok := pr.Result.ResponseLatency(); !ok {
+						if _, ok := pr.Result.Response.Summary(); !ok {
 							t.Errorf("phase %q: open loop without response summary", pr.Phase.Name)
 						}
+					}
+					// Closed-loop phases carry a TTC summary too: latency
+					// is recorded on every run.
+					if _, ok := pr.Result.RunLatency(); !ok && pr.Result.TotalSucceeded() > 0 {
+						t.Errorf("phase %q: %d successes and no latency summary", pr.Phase.Name, pr.Result.TotalSucceeded())
 					}
 				}
 			})
@@ -253,6 +258,14 @@ func TestWriteReportSections(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+	// Both rows carry p50/p99, the closed-loop one its TTC.
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) > 2 && (f[0] == "closed" || f[0] == "open") {
+			if p50, p99 := f[len(f)-2], f[len(f)-1]; p50 == "-" || p99 == "-" {
+				t.Errorf("phase %s row without p50/p99: %q", f[0], line)
+			}
 		}
 	}
 }
@@ -440,7 +453,6 @@ func TestValidateRejectsRunLevelFields(t *testing.T) {
 		"strategy":   func(o *harness.Options) { o.Strategy = "tl2" },
 		"engine":     func(o *harness.Options) { o.Engine.MaxRetries = 2 },
 		"sampling":   func(o *harness.Options) { o.SampleInterval = time.Millisecond },
-		"histograms": func(o *harness.Options) { o.CollectHistograms = true },
 		"invariants": func(o *harness.Options) { o.CheckInvariants = true },
 	} {
 		sc := &Scenario{Name: "v", Phases: []Phase{{Name: "p", Options: harness.Options{MaxOps: 1}}}}

@@ -114,7 +114,11 @@ func (c *engineCore) atomicFrom(fn func(tx Tx) error, deadline int64) error {
 		}
 		h.at(siteBegin, uint64(attempt), 0)
 		committed, err := runAttempt(tx, h, fn)
-		h.at(outcomeOf(tx, committed, err != nil, h.injected, attempt))
+		if h.hook != nil {
+			// The outcome's payload costs an interface call (sizes), so
+			// it is built only for a hook to observe.
+			h.at(outcomeOf(tx, committed, err != nil, h.injected, attempt))
+		}
 		c.stats.flushTx(&h.st)
 		if committed || err != nil {
 			c.finish(tx, committed)

@@ -18,7 +18,7 @@
 //	    Strategy:       "medium", // or "coarse", "ostm", "tl2", "norec"
 //	})
 //	if err != nil { ... }
-//	stmbench7.WriteReport(os.Stdout, res)
+//	stmbench7.WriteReport(os.Stdout, res, false) // true adds the TTC histograms
 //
 // The package is a thin facade over the internal implementation packages;
 // everything needed to configure, run and analyze a benchmark is reachable
@@ -110,12 +110,15 @@ func RunOn(o Options, ex sync7.Executor, s *core.Structure) (*Result, error) {
 	return harness.RunOn(o, ex, s)
 }
 
-// WriteReport prints the Appendix-A report for a run.
-func WriteReport(w io.Writer, r *Result) { harness.WriteReport(w, r) }
+// WriteReport prints the Appendix-A report for a run; histograms adds
+// Appendix A's per-operation TTC histograms in milliseconds (the CLI's
+// --ttc-histograms). Every run records them.
+func WriteReport(w io.Writer, r *Result, histograms bool) { harness.WriteReport(w, r, histograms) }
 
 // WriteJSON writes the machine-readable copy of a run's report (the CLI's
-// -json): configuration, totals, per-operation counts, latency summary,
-// engine counters and sampled series.
+// -json): configuration, totals, per-operation and per-category counts and
+// TTC percentiles in ns, latency summary, live heap after the run, engine
+// counters and sampled series.
 func WriteJSON(w io.Writer, r *Result) error { return harness.WriteJSON(w, r) }
 
 // --- telemetry ------------------------------------------------------------
@@ -147,7 +150,7 @@ type Scenario = scenario.Scenario
 // ScenarioPhase is one phase of a scenario: a name and the Options of
 // that phase's run. A phase sets only the per-phase fields (length, worker
 // count, mix, skew and driver); the run-level ones (Params, Seed,
-// Strategy, Engine, SampleInterval, CollectHistograms, CheckInvariants)
+// Strategy, Engine, SampleInterval, CheckInvariants)
 // come from ScenarioRunOptions, and Validate rejects a phase that sets
 // them.
 type ScenarioPhase = scenario.Phase

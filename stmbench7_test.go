@@ -25,7 +25,7 @@ func TestFacadeRun(t *testing.T) {
 		t.Error("nothing succeeded")
 	}
 	var sb strings.Builder
-	stmbench7.WriteReport(&sb, res)
+	stmbench7.WriteReport(&sb, res, false)
 	if !strings.Contains(sb.String(), "Summary results") {
 		t.Error("report missing summary")
 	}
