@@ -1,13 +1,14 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation,
-// plus ablations over the design choices DESIGN.md calls out. Each
-// Benchmark corresponds to one experiment; sub-benchmarks are its data
-// points (strategy x workload x thread count).
+// plus ablations over the engines' design choices. Each Benchmark
+// corresponds to one experiment; sub-benchmarks are its data points
+// (strategy x workload x thread count).
 //
 // The structure preset is Tiny so `go test -bench=.` finishes in minutes;
-// cmd/experiments runs the same sweeps at -size small/medium for the
-// numbers recorded in EXPERIMENTS.md. Shapes (who wins, rough factors) are
-// preserved across sizes; see EXPERIMENTS.md for the paper-vs-measured
-// discussion.
+// cmd/experiments runs the same sweeps at -size small/medium (README,
+// "Reproducing the paper's results"). Shapes (who wins, rough factors) are
+// preserved across sizes. Whether a §5 layout or validation fix pays is
+// not decided here but by the README's "§5's layouts, per engine" and
+// "§5's fixes, per engine" tables.
 package stmbench7_test
 
 import (
@@ -217,7 +218,6 @@ func BenchmarkHeadlineT1(b *testing.B) {
 		{"tl2", sync7.Config{Strategy: "tl2"}},
 		{"norec", sync7.Config{Strategy: "norec"}},
 		{"ostm", sync7.Config{Strategy: "ostm"}},
-		{"ostm-committime", sync7.Config{Strategy: "ostm", Engine: stm.EngineOptions{CommitTimeValidationOnly: true}}},
 	} {
 		b.Run(pt.name, func(b *testing.B) {
 			ex, s := benchSetup(b, pt.cfg, core.Tiny())
@@ -239,43 +239,6 @@ func BenchmarkHeadlineT1(b *testing.B) {
 }
 
 // --- Ablations -------------------------------------------------------------
-
-// BenchmarkAblationValidation isolates OSTM's incremental O(k²) validation
-// against commit-time-only validation on a read-traversal-heavy profile.
-func BenchmarkAblationValidation(b *testing.B) {
-	for _, pt := range []struct {
-		name string
-		ctv  bool
-	}{
-		{"incremental", false},
-		{"commit-time", true},
-	} {
-		b.Run(pt.name, func(b *testing.B) {
-			ex, s := benchSetup(b, sync7.Config{Strategy: "ostm", Engine: stm.EngineOptions{CommitTimeValidationOnly: pt.ctv}}, core.Tiny())
-			st9, _ := ops.ByName("ST9") // whole-graph read traversal
-			r := rng.New(3)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ex.Execute(st9, s, r)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationCM compares contention managers under a write-heavy
-// 8-thread load on the reduced op set (pure conflict management, no
-// pathological objects).
-func BenchmarkAblationCM(b *testing.B) {
-	for _, cm := range []stm.ContentionManager{stm.Polka{}, stm.Timid{}} {
-		b.Run(cm.Name(), func(b *testing.B) {
-			ex, s := benchSetup(b, sync7.Config{Strategy: "ostm", Engine: stm.EngineOptions{CM: cm}}, core.Tiny())
-			profile := ops.Profile{Workload: ops.WriteDominated, LongTraversals: false, StructureMods: false, Reduced: true}
-			benchThroughput(b, ex, s, profile, 8)
-			b.ReportMetric(100*ex.Engine().Stats().AbortRate(), "abort-%")
-		})
-	}
-}
 
 // BenchmarkAblationEngines compares every registered STM engine (ostm,
 // tl2, norec, ...) on the standard read-write mix — the cited "solutions
@@ -319,110 +282,6 @@ func BenchmarkAblationGrouping(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(ex.Engine().Stats().Validations)/float64(b.N), "validations/op")
-		})
-	}
-}
-
-// BenchmarkAblationVisibleReads: invisible reads + O(k²) validation versus
-// visible reader registration — the paper's implicit central ablation. The
-// long read-only traversal shows validation cost disappearing; the
-// contended mixed workload shows the price (reader-registration CAS traffic
-// and eager reader/writer arbitration).
-func BenchmarkAblationVisibleReads(b *testing.B) {
-	for _, pt := range []struct {
-		name    string
-		visible bool
-	}{
-		{"invisible", false},
-		{"visible", true},
-	} {
-		b.Run("T1-readonly/"+pt.name, func(b *testing.B) {
-			eng := stm.NewOSTM(stm.EngineOptions{VisibleReads: pt.visible})
-			s, err := core.Build(core.Tiny(), 42, eng.VarSpace())
-			if err != nil {
-				b.Fatal(err)
-			}
-			t1, _ := ops.ByName("T1")
-			r := rng.New(7)
-			fn := func(tx stm.Tx) error {
-				_, err := t1.Run(tx, s, r)
-				return err
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.Atomic(fn)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(eng.Stats().Validations)/float64(b.N), "validations/op")
-		})
-		b.Run("mixed-8thr/"+pt.name, func(b *testing.B) {
-			eng := stm.NewOSTM(stm.EngineOptions{VisibleReads: pt.visible})
-			s, err := core.Build(core.Tiny(), 42, eng.VarSpace())
-			if err != nil {
-				b.Fatal(err)
-			}
-			profile := ops.Profile{Workload: ops.ReadWrite, LongTraversals: false, StructureMods: false, Reduced: true}
-			picker := ops.NewPicker(profile)
-			var idx atomic.Int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			start := time.Now()
-			var wg sync.WaitGroup
-			for t := 0; t < 8; t++ {
-				wg.Add(1)
-				go func(t int) {
-					defer wg.Done()
-					r := rng.New(uint64(800 + t))
-					var op *ops.Op
-					fn := func(tx stm.Tx) error {
-						_, err := op.Run(tx, s, r)
-						return err
-					}
-					for idx.Add(1) <= int64(b.N) {
-						op = picker.Pick(r)
-						eng.Atomic(fn)
-					}
-				}(t)
-			}
-			wg.Wait()
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "ops/s")
-			b.ReportMetric(100*eng.Stats().AbortRate(), "abort-%")
-		})
-	}
-}
-
-// BenchmarkAblationCommitCounter: the Spear-et-al. global-commit-counter
-// validation heuristic on a long read-only traversal with no contention —
-// the best case the heuristic targets.
-func BenchmarkAblationCommitCounter(b *testing.B) {
-	for _, pt := range []struct {
-		name      string
-		heuristic bool
-	}{
-		{"always-validate", false},
-		{"commit-counter", true},
-	} {
-		b.Run(pt.name, func(b *testing.B) {
-			eng := stm.NewOSTM(stm.EngineOptions{CommitCounterHeuristic: pt.heuristic})
-			s, err := core.Build(core.Tiny(), 42, eng.VarSpace())
-			if err != nil {
-				b.Fatal(err)
-			}
-			t1, _ := ops.ByName("T1")
-			r := rng.New(7)
-			fn := func(tx stm.Tx) error {
-				_, err := t1.Run(tx, s, r)
-				return err
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.Atomic(fn)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(eng.Stats().Validations)/float64(b.N), "validations/op")
 		})
 	}
 }

@@ -20,11 +20,11 @@
 // fallback, -g nosnap with read-only operations on the validating path).
 // fig3, headline and ablations pin their configurations and ignore -g: fig3
 // compares the two lock strategies, a headline row names its engine and
-// dispatch, and an ablation row is an engine spec (ostm:ctv,
-// ostm:commitcounter, ostm:visible, ostm:cm=timid, tl2), the last also on
-// §5's grouped-parts layout. What a mechanism did in one run (snapshot
-// restarts, serial escalations, shed rate) is in the report of cmd/stmbench7 -g
-// <spec>; whether it pays is for benchmark/ to say.
+// dispatch, and an ablation row is an engine spec (ostm:commitcounter,
+// ostm:visible, ostm:cm=timid, tl2), the last also on §5's grouped-parts
+// layout. What a mechanism did in one run (snapshot restarts, serial
+// escalations, shed rate) is in the report of cmd/stmbench7 -g <spec>;
+// whether it pays is for benchmark/ to say.
 //
 // With -json FILE ("-" for stdout) every measured point is also written as
 // JSON under a header echoing the flags and the host. Example:
@@ -453,8 +453,6 @@ func headline(d *driver) error {
 		{"tl2", "tl2:nosnap"},
 		{"norec", "norec:nosnap"},
 		{"ostm (ASTM variant)", "ostm:nosnap"},
-		{"ostm, commit-time validation", "ostm:ctv,nosnap"},
-		{"ostm, visible reads", "ostm:visible,nosnap"},
 		{"tl2, ro-snapshot", "tl2"},
 		{"ostm, ro-snapshot", "ostm"},
 	} {
@@ -508,7 +506,6 @@ func ablations(d *driver) error {
 		grouped     bool   // §5's grouped atomic-part layout
 	}{
 		{group: "ostm validation", name: "incremental (faithful)", spec: "ostm"},
-		{group: "ostm validation", name: "commit-time only", spec: "ostm:ctv"},
 		{group: "ostm validation", name: "commit-counter heuristic", spec: "ostm:commitcounter"},
 		{group: "ostm reads", name: "invisible (faithful)", spec: "ostm"},
 		{group: "ostm reads", name: "visible", spec: "ostm:visible"},

@@ -89,7 +89,7 @@ func goldens() map[string]golden {
 		"headline": {
 			variants: []string{
 				"coarse lock", "medium lock", "tl2", "norec", "ostm (ASTM variant)",
-				"ostm, commit-time validation", "ostm, visible reads", "tl2, ro-snapshot", "ostm, ro-snapshot",
+				"tl2, ro-snapshot", "ostm, ro-snapshot",
 			},
 			always: []string{"experiment", "ns_per_op", "threads", "variant"},
 			may:    []string{"validations"},
@@ -102,7 +102,7 @@ func goldens() map[string]golden {
 		},
 		"ablations": {
 			variants: []string{
-				"ostm validation/incremental (faithful)", "ostm validation/commit-time only", "ostm validation/commit-counter heuristic",
+				"ostm validation/incremental (faithful)", "ostm validation/commit-counter heuristic",
 				"ostm reads/invisible (faithful)", "ostm reads/visible",
 				"contention manager/polka (paper)", "contention manager/timid",
 				"layout (tl2)/faithful", "layout (tl2)/grouped parts",
@@ -226,7 +226,7 @@ func TestConfigurationErrorsComeBeforeAnyWork(t *testing.T) {
 		want []string
 	}{
 		{"unknown-exp", []string{"-exp", "orecs"}, []string{`unknown experiment "orecs"`, "fig3, fig4, table3, fig6, headline, ablations or all"}},
-		{"bad-g-key", []string{"-g", "striped=4"}, []string{"bad -g", `unknown key "striped"`, "want cm, ctv"}},
+		{"bad-g-key", []string{"-g", "striped=4"}, []string{"bad -g", `unknown key "striped"`, "want cm, commitcounter"}},
 		{"bad-g-value", []string{"-g", "retries=-1"}, []string{"bad -g", "retries needs a count >= 0"}},
 		{"bad-threads", []string{"-threads", "1,two"}, []string{`bad -threads "1,two"`, "integers >= 1"}},
 		{"zero-threads", []string{"-threads", "0"}, []string{"bad -threads", "integers >= 1"}},

@@ -12,7 +12,7 @@
 //	                   coarse), optionally with engine options after a colon —
 //	                   an engine spec such as tl2:deadline=25ms or
 //	                   norec:deadline=25ms,retries=8,serial. Keys:
-//	                   cm=NAME, ctv, commitcounter, visible, deadline=D,
+//	                   cm=NAME, commitcounter, visible, deadline=D,
 //	                   retries=N, serial, nosnap, faults=PLAN
 //	                   (last); see the README's "Engine spec" section.
 //	                   nosnap runs read-only operations on the validating

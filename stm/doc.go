@@ -51,8 +51,9 @@
 // scenario files apply an option list over it (EngineOptions.Apply) and
 // reports print it. Every knob the sections below describe is an
 // EngineOptions field with a spec key (given in brackets there), including
-// the retry budget, retries=N (MaxRetries), OSTM's commitcounter ablation
-// (CommitCounterHeuristic), and the one that shapes the run around the
+// the retry budget, retries=N (MaxRetries), the two §5 fixes OSTM keeps
+// off by default, commitcounter (CommitCounterHeuristic) and visible
+// (VisibleReads), and the one that shapes the run around the
 // engine: nosnap (DisableROSnapshot), which each engine's RunReadOnly
 // honours. Trace, a live recorder, is the one field without a key. See
 // ParseEngineSpec for the grammar.

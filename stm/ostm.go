@@ -95,10 +95,9 @@ type OSTM struct {
 }
 
 // NewOSTM returns an OSTM engine configured with o; zero options are the
-// paper's configuration: Polka contention management and incremental
-// validation. OSTM honours CM, CommitTimeValidationOnly (off = the faithful
-// O(k²) incremental validation), CommitCounterHeuristic, VisibleReads,
-// MaxRetries, TxDeadline, SerialFallback, Faults, Trace and
+// paper's configuration: Polka contention management and the faithful O(k²)
+// incremental validation. OSTM honours CM, CommitCounterHeuristic,
+// VisibleReads, MaxRetries, TxDeadline, SerialFallback, Faults, Trace and
 // DisableROSnapshot: every option.
 func NewOSTM(o EngineOptions) *OSTM {
 	if o.CM == nil {
@@ -262,9 +261,7 @@ func (tx *ostmTx) Read(v *Var) any {
 	}
 	tx.reads = append(tx.reads, readEntry{v: v, seen: b})
 	tx.state.opens.Add(1)
-	if !tx.eng.opts.CommitTimeValidationOnly {
-		tx.validate(false)
-	}
+	tx.validate(false)
 	return b.val
 }
 
@@ -302,7 +299,7 @@ func (tx *ostmTx) finishAcquire(o *orec, s *wslot) *wslot {
 		// Symmetric eager conflict detection: every live registered
 		// reader of the orec must lose or we must.
 		tx.arbitrateReaders(o)
-	} else if !tx.eng.opts.CommitTimeValidationOnly {
+	} else {
 		tx.validate(false)
 	}
 	return s

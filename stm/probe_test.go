@@ -44,9 +44,8 @@ func TestProbeSiteCoverage(t *testing.T) {
 			}
 			// The conflicts: a nested commit overwrites what the attempt read,
 			// which it finds out only when it validates (TL2 and NOrec at
-			// commit, OSTM at its next open or, with ctv, at commit) or when
-			// the writer aborts it (visible OSTM). The third attempt runs
-			// serially.
+			// commit, OSTM at its next open) or when the writer aborts it
+			// (visible OSTM). The third attempt runs serially.
 			conflicts := 0
 			must(eng.Atomic(func(tx Tx) error {
 				x.Get(tx)

@@ -22,7 +22,6 @@ var ciSpecs = []string{
 	"ostm:serial",
 	"ostm:cm=timid,visible",
 	"tl2:nosnap",
-	"ostm:ctv",
 	"ostm:commitcounter",
 	"ostm:cm=timid,commitcounter,visible",
 	"tl2:retries=3",
@@ -49,9 +48,9 @@ func TestEngineSpecRoundTrip(t *testing.T) {
 
 func TestParseEngineSpec(t *testing.T) {
 	t.Run("fields", func(t *testing.T) {
-		spec := mustSpec(" tl2 : retries=2 ,cm=timid,ctv,visible,deadline=3ms,serial,nosnap,faults=seed=3,abort:1/8")
+		spec := mustSpec(" tl2 : retries=2 ,cm=timid,commitcounter,visible,deadline=3ms,serial,nosnap,faults=seed=3,abort:1/8")
 		want := EngineOptions{
-			MaxRetries: 2, CM: Timid{}, CommitTimeValidationOnly: true, VisibleReads: true,
+			MaxRetries: 2, CM: Timid{}, CommitCounterHeuristic: true, VisibleReads: true,
 			TxDeadline: 3 * time.Millisecond, SerialFallback: true,
 			DisableROSnapshot: true,
 		}
@@ -105,10 +104,16 @@ func TestParseEngineSpec(t *testing.T) {
 			"tl2:adaptive": "adaptive", "tl2:shards=4": "shards", "tl2:coalesce": "coalesce",
 			"norec:gc": "gc", "tl2:gc=on": "gc", "tl2:striped": "striped", "tl2:striped=64": "striped",
 			"norec:versions=4": "versions", "tl2:versions=2": "versions",
+			"ostm:ctv": "ctv", "ostm:commitcounter,ctv=on": "ctv",
 		} {
 			if _, err := ParseEngineSpec(s); err == nil || !strings.Contains(err.Error(), `unknown key "`+key+`"`) {
 				t.Errorf("ParseEngineSpec(%q): err = %v, want unknown key %q", s, err, key)
 			}
+		}
+		// The key list of the error names the keys there are, and only those.
+		_, err := ParseEngineSpec("ostm:ctv")
+		if err == nil || !strings.Contains(err.Error(), "(want cm, commitcounter, visible, deadline, retries, serial, nosnap or faults)") {
+			t.Errorf("unknown-key error %v does not list the surviving keys", err)
 		}
 	})
 }
@@ -123,7 +128,7 @@ func TestEngineOptionsApplyOverlay(t *testing.T) {
 		{"serial=off", "cm=timid,deadline=25ms,retries=2,faults=abort:1/8"},
 		{"serial=on,nosnap", "cm=timid,deadline=25ms,retries=2,serial,nosnap,faults=abort:1/8"},
 		{"retries=0,deadline=0", "cm=timid,serial,faults=abort:1/8"},
-		{"ctv=off", "cm=timid,deadline=25ms,retries=2,serial,faults=abort:1/8"},
+		{"commitcounter=off", "cm=timid,deadline=25ms,retries=2,serial,faults=abort:1/8"},
 		{"cm=polka", "cm=polka,deadline=25ms,retries=2,serial,faults=abort:1/8"},
 		{"faults=seed=2,abort:1/2", "cm=timid,deadline=25ms,retries=2,serial,faults=seed=2,abort:1/2"},
 		{"faults=", "cm=timid,deadline=25ms,retries=2,serial"},
@@ -227,7 +232,7 @@ func FuzzParseEngineSpec(f *testing.F) {
 		"tl2:",
 		":serial",
 		"tl2:serial,",
-		"tl2:ctv=off,nosnap=off,serial=on",
+		"tl2:visible=off,nosnap=off,serial=on",
 		"tl2:faults=",
 		"tl2:faults=abort:1/4,serial",
 		"a b:retries=18446744073709551615",
@@ -238,6 +243,7 @@ func FuzzParseEngineSpec(f *testing.F) {
 		"tl2:nosnap,faults=abort:1/4",
 		"tl2:nosnap=maybe",
 		"ostm:commitcounter",
+		"ostm:ctv",
 		"tl2:retries=3",
 		"tl2:retries=-1",
 	}, ciSpecs...) {

@@ -52,7 +52,6 @@ func fromSpec(spec string) func() Engine {
 // as a spec and built through the parser, so every suite run exercises
 // ParseEngineSpec too.
 var txEngineMakers = map[string]func() Engine{
-	"ostm-committime":   fromSpec("ostm:ctv"),
 	"ostm-timid":        fromSpec("ostm:cm=timid"),
 	"ostm-visible":      fromSpec("ostm:visible"),
 	"ostm-commitserial": fromSpec("ostm:commitcounter"),

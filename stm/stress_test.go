@@ -161,11 +161,6 @@ func TestBankInvariant(t *testing.T) {
 // isolation admits a negative total; a serializable STM must not.
 func TestWriteSkewPrevented(t *testing.T) {
 	for name, eng := range txEngines() {
-		if name == "ostm-committime" {
-			// Commit-time-only validation still validates both reads at
-			// commit, so it is included too.
-			_ = name
-		}
 		t.Run(name, func(t *testing.T) {
 			iters := stressIters(t, 800)
 			a := NewCell(eng.VarSpace(), 50)

@@ -11,8 +11,8 @@ package stm
 // entirely; the price is a CAS (and its cache-line ping-pong) per first
 // read of every orec, and writer/reader contention that the contention
 // manager must now arbitrate explicitly. This file implements that mode
-// (EngineOptions.VisibleReads); BenchmarkAblationVisibleReads measures both
-// sides of the trade.
+// (EngineOptions.VisibleReads); README's "§5's fixes, per engine" measures
+// both sides of the trade.
 //
 // Protocol invariants:
 //
